@@ -2,15 +2,16 @@ GO ?= go
 
 # Tier-1 benchmarks: the compute hot path (matmul, im2col, one training
 # step), the per-client and 15-peer round loops, the aggregation
-# engine, the wire/gob checkpoint codecs, and the telemetry overhead
-# pairs. `make bench` snapshots them as BENCH_<n>.json; `make
+# engine, the wire/gob checkpoint codecs, one 10 MB model vector over a
+# loopback TCPMesh (send, drain, recycle), the top-k selection, and the
+# telemetry overhead pairs. `make bench` snapshots them as BENCH_<n>.json; `make
 # bench-check` fails on a >20% ns/op regression vs the latest snapshot,
 # on an instrumented/nil telemetry pair exceeding its same-run 5%
 # overhead budget, or on a wire-pipeline pair missing its absolute
 # ratio budget (wire encode ≤ 0.5× gob; pooled SAC round ≤ 0.5× the
 # fresh round's allocs/op; int8 delta frame ≤ 0.25× the float64 frame's
 # bytes; the parallel Divide kernel allocation-free vs serial).
-BENCH_PATTERN := 'BenchmarkMatMul|BenchmarkIm2Col|BenchmarkCol2Im|BenchmarkPaperCNNTrainStep|BenchmarkClientTrainRound|BenchmarkRound15Peers|BenchmarkAggregate|BenchmarkRaftTick|BenchmarkSACRound|BenchmarkRaftTCPSend|BenchmarkEncodeModel|BenchmarkDecodeModelWire|BenchmarkEncodeDelta|BenchmarkDequantize|BenchmarkDivide|BenchmarkMultiLayer|BenchmarkSimSchedule'
+BENCH_PATTERN := 'BenchmarkMatMul|BenchmarkIm2Col|BenchmarkCol2Im|BenchmarkPaperCNNTrainStep|BenchmarkClientTrainRound|BenchmarkRound15Peers|BenchmarkAggregate|BenchmarkRaftTick|BenchmarkSACRound|BenchmarkRaftTCPSend|BenchmarkEncodeModel|BenchmarkDecodeModelWire|BenchmarkEncodeDelta|BenchmarkDequantize|BenchmarkDivide|BenchmarkMultiLayer|BenchmarkSimSchedule|BenchmarkTCPMeshSend|BenchmarkSparsify'
 BENCH_ARGS := -run '^$$' -bench $(BENCH_PATTERN) -benchmem -benchtime 10x ./...
 TELEMETRY_PAIRS := 'RaftTickLive=RaftTickNil,SACRoundLive=SACRoundNil,RaftTCPSendHealthyPeerAsync=RaftTCPSendHealthyPeerSync'
 WIRE_PAIRS := 'EncodeModelWire=EncodeModelGob@0.5,allocs:SACRoundAllocsPooled=SACRoundAllocsFresh@0.5'
@@ -93,16 +94,20 @@ test-health:
 		./internal/cluster/ ./internal/chaos/ ./internal/core/
 
 # Wire-codec suite under -race: the codec itself (golden files, fuzz
-# corpus regressions, truncation/corruption rejection, hostile frames),
-# the transports that frame with it, the nn checkpoint round-trip/compat
-# tests, and the SAC scratch determinism tests that share its pooled
-# buffers.
+# corpus regressions, truncation/corruption rejection, hostile frames,
+# the streaming mesh codec's differential and allocation-bound tests and
+# its forced portable path), the transports that frame with it (TCPMesh
+# concurrent senders, receive-vector recycling and its free-list bound —
+# race builds poison recycled vectors), the nn checkpoint
+# round-trip/compat tests, and the SAC tests that share its pooled
+# buffers (scratch determinism, TCP-vs-memory bit-identity across rounds).
 test-wire:
 	$(GO) test -race ./internal/wire/ ./internal/transport/ ./internal/nn/ \
 		./internal/secretshare/ ./internal/sac/ ./internal/simnet/
 
 # Compression suite under -race: the quantize/top-k kernels (bit
-# determinism at any worker count, error bounds), the wire v2 delta
+# determinism at any worker count, error bounds, the top-k selection
+# against its sort-based reference and allocation budget), the wire v2 delta
 # kinds, the parallel Divide kernel's bit-identity, the opt-in
 # transport/core compression paths, and the closed-form byte accounting
 # cross-checks (DESIGN.md §12).

@@ -12,18 +12,17 @@
 // costmodel.DistributionBytes and DESIGN.md §12).
 //
 // Determinism contract: every kernel is bit-identical at any worker
-// count. Elementwise transforms (quantize, dequantize, gather) fan out
-// over the shared tensor worker pool; reductions whose result depends
-// on summation order (error accounting) and the top-k selection run
-// serially, so no output ever depends on how the pool split the work.
-// Compressing the same vector twice — on any machine, at any
+// count. Elementwise transforms (quantize, dequantize) fan out over the
+// shared tensor worker pool; reductions whose result depends on
+// summation order (error accounting) and the top-k selection with its
+// gather run serially, so no output ever depends on how the pool split
+// the work. Compressing the same vector twice — on any machine, at any
 // tensor.SetParallelism setting — yields the same bytes.
 package compress
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/tensor"
 	"repro/internal/wire"
@@ -140,12 +139,59 @@ func Dequantize(q wire.QuantDelta, dst []float64) []float64 {
 	return dst
 }
 
+// signBit masks a float64's sign: the remaining 63 bits of a non-NaN
+// value order exactly like its magnitude.
+const signBit = 1 << 63
+
+// selectDigitBits is the radix of kthMagnitude: 2048 counters (8 KiB of
+// stack) per pass, six passes over the 64 bits.
+const selectDigitBits = 11
+
+// kthMagnitude returns the bit pattern t of the k-th largest |w_i|
+// (1 ≤ k ≤ len(w)) and how many of the coordinates whose magnitude is
+// exactly t belong to the top k. It is a most-significant-digit radix
+// selection on the magnitude bits: each pass histograms one digit of
+// the coordinates that still match the digits already fixed, then walks
+// the histogram from the top to the bucket holding the k-th. Cost is
+// Θ(dim) for every input (no pivot to be unlucky with), with no scratch
+// beyond the histogram. NaNs order above +Inf by their bits.
+func kthMagnitude(w []float64, k int) (t uint64, ties int) {
+	var prefix uint64
+	remaining := uint32(k)
+	for hi := 64; hi > 0; {
+		lo := max(hi-selectDigitBits, 0)
+		mask := uint64(1)<<(hi-lo) - 1
+		var hist [1 << selectDigitBits]uint32
+		for _, v := range w {
+			// A shift by 64 yields 0, so the first pass admits everything.
+			if b := math.Float64bits(v) &^ signBit; b>>hi == prefix {
+				hist[b>>lo&mask]++
+			}
+		}
+		d := mask
+		for ; hist[d] < remaining; d-- {
+			remaining -= hist[d]
+		}
+		prefix = prefix<<(hi-lo) | d
+		hi = lo
+	}
+	return prefix, int(remaining)
+}
+
 // Sparsify reduces w to its k largest-magnitude coordinates, ties broken
-// by lowest index (the selection order sorts by descending magnitude
-// then ascending index, so the result is a deterministic function of w
+// by lowest index (the strict order is descending magnitude, then
+// ascending index, so the result is a deterministic function of w
 // alone). width 0 keeps the surviving values in full float64 precision;
 // width 1 or 2 additionally quantizes them with Quantize's scheme over
 // the kept values. k is clamped to [0, len(w)].
+//
+// The work is a selection, not a sort: kthMagnitude finds the k-th
+// largest magnitude t, then one ascending scan keeps every coordinate
+// above t plus the first few equal to it — which yields the kept
+// indices already in ascending order — and accounts the dropped ones.
+// Θ(dim) time, and only the 12·k bytes of output are allocated.
+// MeasuredL2Err sums the dropped coordinates in ascending index order
+// (then, for quantized values, the kept ones in ascending index order).
 func Sparsify(w []float64, k, width int) (wire.SparseDelta, Bound, error) {
 	if width != 0 && width != 1 && width != 2 {
 		return wire.SparseDelta{}, Bound{}, fmt.Errorf("compress: sparse width %d, want 0, 1 or 2", width)
@@ -157,68 +203,56 @@ func Sparsify(w []float64, k, width int) (wire.SparseDelta, Bound, error) {
 	if k > dim {
 		k = dim
 	}
-	order := make([]int32, dim)
-	for i := range order {
-		order[i] = int32(i)
+	// Nothing is kept when k = 0: no magnitude reaches the threshold.
+	t, ties := uint64(math.MaxUint64), 0
+	var idx []int32
+	if k > 0 {
+		t, ties = kthMagnitude(w, k)
+		idx = make([]int32, 0, k)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		va, vb := math.Abs(w[order[a]]), math.Abs(w[order[b]])
-		if va != vb {
-			return va > vb
-		}
-		return order[a] < order[b]
-	})
-	idx := append([]int32(nil), order[:k]...)
-	sort.Slice(idx, func(a, b int) bool { return idx[a] < idx[b] })
-
-	s := wire.SparseDelta{Dim: dim, Idx: idx, Width: width}
-	kept := make([]float64, k)
-	tensor.ParallelRows(k, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			kept[i] = w[idx[i]]
-		}
-	})
+	kept := make([]float64, 0, k)
 	b := Bound{Kept: k, Dim: dim}
-	if k < dim {
-		// The largest dropped magnitude bounds every zeroed coordinate.
-		b.MaxCoordErr = math.Abs(w[order[k]])
+	// Dropped coordinates reconstruct to zero, so each errs by its
+	// magnitude; the largest of them bounds every zeroed coordinate.
+	for i, v := range w {
+		a := math.Float64bits(v) &^ signBit
+		if a > t || (a == t && ties > 0) {
+			if a == t {
+				ties--
+			}
+			idx = append(idx, int32(i))
+			kept = append(kept, v)
+			continue
+		}
+		e := math.Abs(v)
+		if e > b.MeasuredMaxErr {
+			b.MeasuredMaxErr = e
+		}
+		b.MeasuredL2Err += e * e
 	}
-	switch width {
-	case 0:
+	b.MaxCoordErr = b.MeasuredMaxErr
+	s := wire.SparseDelta{Dim: dim, Idx: idx, Width: width}
+	if width == 0 {
+		// Kept coordinates are exact.
 		s.Vals = kept
-		// Dropped coordinates reconstruct to zero; kept ones are exact.
-		for _, i := range order[k:] {
-			e := math.Abs(w[i])
-			if e > b.MeasuredMaxErr {
-				b.MeasuredMaxErr = e
-			}
-			b.MeasuredL2Err += e * e
-		}
 		b.MeasuredL2Err = math.Sqrt(b.MeasuredL2Err)
-	default:
-		q, qb, err := Quantize(kept, width, nil)
-		if err != nil {
-			return wire.SparseDelta{}, Bound{}, err
-		}
-		s.Scale, s.Q = q.Scale, q.Q
-		b.MaxCoordErr += qb.MaxCoordErr
-		// Measured over the full vector: dropped coordinates err by
-		// |w_i|, kept ones by their quantization error.
-		for _, i := range order[k:] {
-			e := math.Abs(w[i])
-			if e > b.MeasuredMaxErr {
-				b.MeasuredMaxErr = e
-			}
-			b.MeasuredL2Err += e * e
-		}
-		for i := range kept {
-			e := math.Abs(kept[i] - s.Scale*float64(s.Q[i]))
-			if e > b.MeasuredMaxErr {
-				b.MeasuredMaxErr = e
-			}
-			b.MeasuredL2Err += e * e
-		}
-		b.MeasuredL2Err = math.Sqrt(b.MeasuredL2Err)
+		return s, b, nil
 	}
+	q, qb, err := Quantize(kept, width, nil)
+	if err != nil {
+		return wire.SparseDelta{}, Bound{}, err
+	}
+	s.Scale, s.Q = q.Scale, q.Q
+	b.MaxCoordErr += qb.MaxCoordErr
+	// Measured over the full vector: kept coordinates err by their
+	// quantization error.
+	for i := range kept {
+		e := math.Abs(kept[i] - s.Scale*float64(s.Q[i]))
+		if e > b.MeasuredMaxErr {
+			b.MeasuredMaxErr = e
+		}
+		b.MeasuredL2Err += e * e
+	}
+	b.MeasuredL2Err = math.Sqrt(b.MeasuredL2Err)
 	return s, b, nil
 }

@@ -340,9 +340,11 @@ func (e *engine) finishLeaderGuarded() (*Result, error) {
 		if !e.mesh.Alive(j) {
 			continue
 		}
-		if _, err := e.mesh.Drain(j); err != nil {
+		msgs, err := e.mesh.Drain(j)
+		if err != nil {
 			return nil, err
 		}
+		e.recycle(msgs)
 	}
 	return &Result{Avg: avg, Contributors: e.contributors, Recovered: recovered}, nil
 }

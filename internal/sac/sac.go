@@ -364,6 +364,7 @@ func (e *engine) run(models [][]float64) (*Result, error) {
 	// message must never panic the engine or double-count a model.
 	var accusations []accusation
 	accusedPair := make(map[[2]int]bool)
+	drained := e.sc.drainedInboxes(n) // kept until the shares are summed
 	for j := 0; j < n; j++ {
 		if !e.mesh.Alive(j) {
 			continue
@@ -372,6 +373,7 @@ func (e *engine) run(models [][]float64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		drained = append(drained, msgs)
 		for _, m := range msgs {
 			switch {
 			case !e.validShare(m):
@@ -438,6 +440,13 @@ func (e *engine) run(models [][]float64) (*Result, error) {
 			}
 		}
 		e.corruptSubtotals(j)
+	}
+	// Every share that crossed the mesh has now been summed (or sits with
+	// a peer that just crashed): the receivers are done with what they
+	// drained. A peer's own shares never went through the mesh.
+	for j, msgs := range drained {
+		e.recycle(msgs)
+		drained[j] = nil
 	}
 
 	// Phase 3 — subtotal exchange.
@@ -557,6 +566,7 @@ func (e *engine) finishBroadcast() (*Result, error) {
 		if avg == nil {
 			avg = a
 		}
+		e.recycle(msgs)
 	}
 	return &Result{Avg: avg, Contributors: e.contributors}, nil
 }
@@ -624,10 +634,13 @@ func (e *engine) finishLeader() (*Result, error) {
 			return nil, fmt.Errorf("%w: no alive holder of subtotal %d", ErrInsufficientPeers, s)
 		}
 	}
-	// Drain the leader's inbox for completeness of the mesh bookkeeping.
-	if _, err := e.mesh.Drain(leader); err != nil {
+	// Drain the leader's inbox for completeness of the mesh bookkeeping;
+	// the engine averages the owners' copies, so what arrived goes back.
+	msgs, err := e.mesh.Drain(leader)
+	if err != nil {
 		return nil, err
 	}
+	e.recycle(msgs)
 	if len(recovered) > 0 {
 		e.tel.subtotalsRecovered.Add(int64(len(recovered)))
 	}
@@ -640,6 +653,14 @@ func (e *engine) finishLeader() (*Result, error) {
 		}
 	}
 	return &Result{Avg: avg, Contributors: e.contributors, Recovered: recovered}, nil
+}
+
+// recycle hands drained payloads back to the mesh once nothing reads
+// them any more (transport.Network's ownership rules).
+func (e *engine) recycle(msgs []transport.Message) {
+	for _, m := range msgs {
+		e.mesh.Recycle(m.Payload)
+	}
 }
 
 // average sums all n subtotals and divides by the number of contributing

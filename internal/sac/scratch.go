@@ -1,6 +1,9 @@
 package sac
 
-import "repro/internal/secretshare"
+import (
+	"repro/internal/secretshare"
+	"repro/internal/transport"
+)
 
 // Scratch holds the engine's round-to-round reusable buffers: the
 // per-contributor flat share blocks (fed to Divider.DivideInto), the
@@ -35,17 +38,18 @@ type Scratch struct {
 	inner    []map[int][]float64         // free list of by-contributor maps
 	innNext  int
 
-	subtotals []map[int][]float64 // phase-2 per-peer containers
-	have      map[int][]float64   // leader's collected subtotals
-	keys      []int               // sort scratch for average
+	subtotals []map[int][]float64   // phase-2 per-peer containers
+	have      map[int][]float64     // leader's collected subtotals
+	keys      []int                 // sort scratch for average
+	drained   [][]transport.Message // phase-1 inboxes, held until summed
 
 	// replicas caches the (n, k) replica assignment: it depends only on
 	// the round shape, so the engine computes it once per shape instead
 	// of n+1 allocations per round (which at X-layer scale — tens of
 	// thousands of subgroup SACs per aggregation — dominated the garbage).
-	replicas  [][]int
-	replFlat  []int
-	replK     int
+	replicas [][]int
+	replFlat []int
+	replK    int
 }
 
 // begin rearms the scratch for a round of shape (n, dim): free lists
@@ -187,6 +191,19 @@ func (s *Scratch) replicaSets(n, k int) ([][]int, error) {
 	}
 	s.replicas, s.replFlat, s.replK = sets, flat, k
 	return sets, nil
+}
+
+// drainedInboxes returns an empty list with room for the n share
+// inboxes phase 1 drains. The engine nils the entries out once it has
+// recycled them, so a Scratch never pins a finished round's messages.
+func (s *Scratch) drainedInboxes(n int) [][]transport.Message {
+	if s == nil {
+		return make([][]transport.Message, 0, n)
+	}
+	if cap(s.drained) < n {
+		s.drained = make([][]transport.Message, 0, n)
+	}
+	return s.drained[:0]
 }
 
 // sortKeys returns a reusable int slice for average's deterministic

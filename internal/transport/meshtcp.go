@@ -3,6 +3,8 @@ package transport
 import (
 	"bufio"
 	"fmt"
+	"io"
+	"math"
 	"net"
 	"sync"
 
@@ -27,6 +29,21 @@ var (
 // stack (the paper's system used gRPC between layers). The traffic
 // counter still records the paper's cost unit 8·dim per payload, so the
 // closed-form checks hold over sockets too.
+//
+// A model vector makes one pass through user space in each direction:
+// Send writes the words straight from msg.Payload (wire.MeshEncoder) and
+// the receiver reads them straight into the []float64 it delivers
+// (wire.MeshDecoder), taken from a bounded free list that Recycle
+// refills.
+//
+// All methods are safe for concurrent use, Send toward one destination
+// included: every sender to a peer shares that peer's one cached
+// connection, which carries a single frame at a time — write and ack
+// wait happen under the connection's own lock, so frames never
+// interleave and no sender can consume another's ack. Concurrent Sends
+// to one peer are therefore serialized; Sends to different peers
+// proceed in parallel. SetCompression is the exception: call it between
+// rounds.
 type TCPMesh struct {
 	mu        sync.Mutex
 	n         int
@@ -38,18 +55,33 @@ type TCPMesh struct {
 	addrs     []string
 	served    []map[net.Conn]struct{} // live inbound conns per peer
 
-	conns map[int]*tcpConn // keyed by destination peer
+	conns []*tcpConn // one per destination peer, dialled on first use
 	comp  *compression
+
+	// free is the free list of receive vectors; see Recycle for its
+	// bounds. maxVec is the longest payload delivered to an inbox so far.
+	free   [][]float64
+	maxVec int
 
 	closed bool
 	wg     sync.WaitGroup
 }
 
+// tcpConn is the cached outbound connection toward one peer. mu is held
+// for a whole frame exchange (dial, write, ack wait); c itself is read
+// and written under TCPMesh.mu, so RemovePeer and Close can shut the
+// socket under a blocked sender. Lock order: tcpConn.mu, then TCPMesh.mu.
 type tcpConn struct {
-	c   net.Conn
-	buf []byte // reused wire frame encode buffer
-	br  *bufio.Reader
+	mu  sync.Mutex
+	c   net.Conn // nil until dialled and after a drop
+	enc wire.MeshEncoder
+	ack [1]byte
 }
+
+// minRecycle is the shortest vector, in elements, the free list keeps:
+// below 64 KiB (metadata-sized payloads — recovery requests, digests) a
+// fresh allocation is cheaper than a slot.
+const minRecycle = 8 << 10
 
 // NewTCPMesh creates a mesh of n peers listening on loopback with
 // dynamic ports. Call Close when done.
@@ -69,10 +101,11 @@ func NewTCPMesh(n int, counter *Counter) (*TCPMesh, error) {
 		listeners: make([]net.Listener, n),
 		addrs:     make([]string, n),
 		served:    make([]map[net.Conn]struct{}, n),
-		conns:     make(map[int]*tcpConn),
+		conns:     make([]*tcpConn, n),
 	}
 	for i := 0; i < n; i++ {
 		m.served[i] = make(map[net.Conn]struct{})
+		m.conns[i] = &tcpConn{}
 	}
 	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -112,35 +145,83 @@ func (m *TCPMesh) serveConn(peer int, conn net.Conn) {
 		m.mu.Unlock()
 	}()
 	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	var scratch []byte
+	var dec wire.MeshDecoder
+	vec, ack := m.getVec, []byte{1}
 	for {
 		// Accept plain mesh frames and the compressed v2 delta kinds on
 		// the same socket; a compressed block is reconstructed into the
 		// dense payload the protocol layer expects.
-		wm, qd, sd, next, err := wire.ReadAnyMeshFrame(br, scratch)
+		wm, qd, sd, err := dec.ReadFrame(br, vec)
 		if err != nil {
+			// A free-list vector the frame did not fill goes back to the
+			// list, never to an inbox.
+			m.Recycle(wm.Payload)
 			return
 		}
-		scratch = next
 		payload := wm.Payload
 		if qd != nil {
-			payload = qd.Dense(nil)
+			payload = qd.Dense(vec(len(qd.Q)))
 		} else if sd != nil {
-			payload = sd.Dense(nil)
+			payload = sd.Dense(vec(sd.Dim))
 		}
 		msg := Message{From: wm.From, To: wm.To, Kind: wm.Kind, ShareIdx: wm.ShareIdx, Payload: payload}
 		m.mu.Lock()
-		if !m.crashed[peer] {
+		delivered := !m.crashed[peer]
+		if delivered {
 			m.inboxes[peer] = append(m.inboxes[peer], msg)
+			m.maxVec = max(m.maxVec, len(payload))
 		}
 		m.mu.Unlock()
-		if err := bw.WriteByte(1); err != nil {
+		if !delivered {
+			m.Recycle(payload)
+		}
+		if _, err := conn.Write(ack); err != nil {
 			return
 		}
-		if err := bw.Flush(); err != nil {
-			return
+	}
+}
+
+// getVec takes a vector of capacity ≥ n off the free list, or returns
+// nil when none fits (the decoder then allocates under its own bound).
+func (m *TCPMesh) getVec(n int) []float64 {
+	if n < minRecycle {
+		return nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i := len(m.free) - 1; i >= 0; i-- {
+		if v := m.free[i]; cap(v) >= n {
+			last := len(m.free) - 1
+			m.free[i], m.free[last] = m.free[last], nil
+			m.free = m.free[:last]
+			return v
 		}
+	}
+	return nil
+}
+
+// Recycle implements Network: the payload joins the free list the
+// receive path draws its destination vectors from. The list holds at
+// most 2·N vectors, none longer than the longest payload this mesh has
+// delivered — the memory the buffered codec used to pin as one read
+// scratch and one encode buffer per connection. Anything beyond that, or
+// shorter than minRecycle, is left to the garbage collector. In race
+// builds the vector is poisoned first, so a caller that recycles a
+// slice it still reads fails loudly instead of rarely.
+func (m *TCPMesh) Recycle(payload []float64) {
+	payload = payload[:cap(payload)]
+	if len(payload) < minRecycle {
+		return
+	}
+	if poisonRecycled {
+		for i := range payload {
+			payload[i] = math.NaN()
+		}
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.free) < 2*m.n && len(payload) <= m.maxVec {
+		m.free = append(m.free, payload)
 	}
 }
 
@@ -207,11 +288,17 @@ func (m *TCPMesh) RemovePeer(peer int) error {
 	for c := range m.served[peer] {
 		c.Close()
 	}
-	if c, ok := m.conns[peer]; ok {
-		c.c.Close()
-		delete(m.conns, peer)
-	}
+	m.conns[peer].closeLocked()
 	return nil
+}
+
+// closeLocked shuts the cached socket, unblocking any sender inside an
+// exchange on it. Caller holds TCPMesh.mu.
+func (c *tcpConn) closeLocked() {
+	if c.c != nil {
+		c.c.Close()
+		c.c = nil
+	}
 }
 
 // SetCompression mirrors Mesh.SetCompression for the socket fabric: a
@@ -273,7 +360,10 @@ func (m *TCPMesh) Send(msg Message) error {
 		// Bytes hit the wire toward a dead peer; nothing arrives.
 		return nil
 	}
-	conn, err := m.dial(msg.To)
+	conn := m.conns[msg.To]
+	conn.mu.Lock()
+	defer conn.mu.Unlock()
+	c, err := m.dial(conn, msg.To)
 	if err != nil {
 		// The receiver may have crashed between the check and the dial.
 		if !m.Alive(msg.To) {
@@ -283,54 +373,60 @@ func (m *TCPMesh) Send(msg Message) error {
 	}
 	env := wire.MeshMessage{From: msg.From, To: msg.To, Kind: msg.Kind, ShareIdx: msg.ShareIdx}
 	if compressed {
-		conn.buf = delta.AppendFrame(conn.buf[:0], env)
+		buf := wire.GetBuffer()
+		buf.B = delta.AppendFrame(buf.B, env)
+		_, err = c.Write(buf.B)
+		buf.Release()
 	} else {
 		env.Payload = msg.Payload
-		conn.buf = wire.AppendMeshFrame(conn.buf[:0], env)
+		err = conn.enc.WriteFrame(c, env)
 	}
-	if _, err := conn.c.Write(conn.buf); err != nil {
-		m.dropConn(msg.To)
+	op := "send"
+	if err == nil {
+		op = "ack"
+		_, err = io.ReadFull(c, conn.ack[:])
+	}
+	if err != nil {
+		m.dropConn(conn, c)
 		if !m.Alive(msg.To) {
 			return nil
 		}
-		return fmt.Errorf("transport: tcp send: %w", err)
-	}
-	if _, err := conn.br.ReadByte(); err != nil {
-		m.dropConn(msg.To)
-		if !m.Alive(msg.To) {
-			return nil
-		}
-		return fmt.Errorf("transport: tcp ack: %w", err)
+		return fmt.Errorf("transport: tcp %s: %w", op, err)
 	}
 	return nil
 }
 
-// dial returns a cached connection to the destination peer.
-func (m *TCPMesh) dial(to int) (*tcpConn, error) {
+// dial returns conn's socket, connecting on first use. Caller holds
+// conn.mu.
+func (m *TCPMesh) dial(conn *tcpConn, to int) (net.Conn, error) {
 	m.mu.Lock()
-	if c, ok := m.conns[to]; ok {
-		m.mu.Unlock()
+	c, addr := conn.c, m.addrs[to]
+	m.mu.Unlock()
+	if c != nil {
 		return c, nil
 	}
-	addr := m.addrs[to]
-	m.mu.Unlock()
-	raw, err := net.Dial("tcp", addr)
+	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: tcp dial %s: %w", addr, err)
 	}
-	c := &tcpConn{c: raw, br: bufio.NewReader(raw)}
 	m.mu.Lock()
-	m.conns[to] = c
-	m.mu.Unlock()
+	defer m.mu.Unlock()
+	if m.closed || m.removed[to] {
+		c.Close()
+		return nil, fmt.Errorf("transport: tcp dial %s: mesh closed or peer removed", addr)
+	}
+	conn.c = c
 	return c, nil
 }
 
-func (m *TCPMesh) dropConn(to int) {
+// dropConn closes a socket that failed mid-exchange and forgets it, so
+// the next Send redials.
+func (m *TCPMesh) dropConn(conn *tcpConn, c net.Conn) {
+	c.Close()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if c, ok := m.conns[to]; ok {
-		c.c.Close()
-		delete(m.conns, to)
+	if conn.c == c {
+		conn.c = nil
 	}
 }
 
@@ -359,9 +455,8 @@ func (m *TCPMesh) Close() error {
 			ln.Close()
 		}
 	}
-	for to, c := range m.conns {
-		c.c.Close()
-		delete(m.conns, to)
+	for _, c := range m.conns {
+		c.closeLocked()
 	}
 	m.mu.Unlock()
 	m.wg.Wait()

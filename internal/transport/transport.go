@@ -1,8 +1,10 @@
 // Package transport provides the message-passing substrate shared by the
 // aggregation protocols: an in-memory mesh with exact byte accounting
 // (used by the SAC engines and the two-layer system, and to cross-check
-// the paper's closed-form communication-cost formulas) and a gob-over-TCP
-// transport for running real peers (cmd/p2pfl-node).
+// the paper's closed-form communication-cost formulas), the same mesh over
+// loopback TCP sockets (TCPMesh), and the raft transport real peers run on
+// (RaftTCP, cmd/p2pfl-node). Everything that crosses a socket travels in
+// internal/wire frames.
 package transport
 
 import (
@@ -111,6 +113,14 @@ func (c *Counter) Reset() {
 // inbox (or dropped at a crashed receiver) when Send returns. Mesh is
 // the in-memory implementation; TCPMesh moves the same messages over
 // real sockets.
+//
+// Payload ownership: Send only reads msg.Payload and the sender keeps
+// it. A payload returned by Drain belongs to the receiver, for as long
+// as it likes, until it passes it to Recycle; from then on the fabric
+// may overwrite the slice at any moment, so the caller must not read it
+// (or any slice of it) again. Recycle is optional — an unrecycled
+// payload is ordinary garbage — but a payload may be recycled only
+// once, and only on the network it was drained from.
 type Network interface {
 	// N returns the number of peers.
 	N() int
@@ -125,6 +135,9 @@ type Network interface {
 	Send(Message) error
 	// Drain removes and returns all messages queued for peer.
 	Drain(peer int) ([]Message, error)
+	// Recycle gives a drained payload back to the fabric once the
+	// receiver has finished reading it (see the ownership rules above).
+	Recycle(payload []float64)
 	// Counter exposes the traffic counter.
 	Counter() *Counter
 }
@@ -132,7 +145,9 @@ type Network interface {
 // Mesh is an in-memory, fully connected network of n peers with per-peer
 // inboxes, crash simulation and byte accounting. It is the substrate for
 // the round-synchronous SAC engines: a protocol phase Sends messages,
-// then each peer Drains its inbox.
+// then each peer Drains its inbox. All methods are safe for concurrent
+// use (one lock guards the whole mesh); SetCompression, SetTelemetry and
+// Observe are configuration — call them between rounds.
 type Mesh struct {
 	mu       sync.Mutex
 	n        int
@@ -152,7 +167,7 @@ type meshTel struct {
 	bytesSent    *telemetry.Counter
 	msgsReceived *telemetry.Counter
 	msgsDropped  *telemetry.Counter
-	bytesSaved   *telemetry.Counter // uncompressed − accounted, per compressed send
+	bytesSaved   *telemetry.Counter   // uncompressed − accounted, per compressed send
 	peerMsgs     []*telemetry.Counter // indexed by sender
 	peerBytes    []*telemetry.Counter
 }
@@ -329,6 +344,13 @@ func (m *Mesh) Drain(peer int) ([]Message, error) {
 	}
 	return out, nil
 }
+
+// Recycle implements Network as a no-op, and must stay one: a Mesh
+// payload is the very slice the sender passed to Send (SAC shares alias
+// the sender's share block, an announced result aliases Result.Avg), so
+// there is no receive buffer to take back and reusing the slice would
+// corrupt the sender.
+func (m *Mesh) Recycle([]float64) {}
 
 func (m *Mesh) check(peer int) error {
 	if peer < 0 || peer >= m.n {

@@ -204,9 +204,7 @@ func appendSparseBlock(dst []byte, s SparseDelta) []byte {
 	}
 	switch s.Width {
 	case 0:
-		for _, v := range s.Vals {
-			dst = appendUint64(dst, math.Float64bits(v))
-		}
+		dst = appendWords(dst, s.Vals)
 	case 1:
 		for _, v := range s.Q {
 			dst = append(dst, byte(int8(v)))
@@ -271,11 +269,8 @@ func readSparseBlock(b []byte) (SparseDelta, []byte, error) {
 	switch s.Width {
 	case 0:
 		s.Vals = make([]float64, k)
-		for i := range s.Vals {
-			var u uint64
-			u, b, _ = readUint64(b)
-			s.Vals[i] = math.Float64frombits(u)
-		}
+		copyWords(s.Vals, b)
+		b = b[8*k:]
 	case 1:
 		s.Q = make([]int16, k)
 		for i := range s.Q {
@@ -373,35 +368,18 @@ func DecodeSparsePayload(b []byte) (MeshMessage, SparseDelta, error) {
 }
 
 // ReadAnyMeshFrame reads one mesh-family frame (KindMesh,
-// KindDeltaQuant or KindDeltaSparse) from r, reusing scratch as the
-// payload read buffer. Exactly one of the three returns is populated:
-// a plain mesh message carries its vector in MeshMessage.Payload;
-// compressed frames return the envelope plus the block, which the
-// caller reconstructs via Dense.
+// KindDeltaQuant or KindDeltaSparse) from r through a fresh MeshDecoder,
+// reusing scratch as its byte scratch. Exactly one of the three returns
+// is populated: a plain mesh message carries its vector in
+// MeshMessage.Payload; compressed frames return the envelope plus the
+// block, which the caller reconstructs via Dense.
 func ReadAnyMeshFrame(r io.Reader, scratch []byte) (MeshMessage, *QuantDelta, *SparseDelta, []byte, error) {
-	kind, payload, scratch, err := readFrame(r, scratch)
+	d := MeshDecoder{scratch: scratch}
+	m, q, s, err := d.read(r, nil, false)
 	if err != nil {
-		return MeshMessage{}, nil, nil, scratch, err
+		return MeshMessage{}, nil, nil, d.scratch, err
 	}
-	switch kind {
-	case KindMesh:
-		m, err := DecodeMeshPayload(payload)
-		return m, nil, nil, scratch, err
-	case KindDeltaQuant:
-		m, q, err := DecodeQuantPayload(payload)
-		if err != nil {
-			return m, nil, nil, scratch, err
-		}
-		return m, &q, nil, scratch, nil
-	case KindDeltaSparse:
-		m, s, err := DecodeSparsePayload(payload)
-		if err != nil {
-			return m, nil, nil, scratch, err
-		}
-		return m, nil, &s, scratch, nil
-	}
-	return MeshMessage{}, nil, nil, scratch,
-		fmt.Errorf("%w: kind %s, want %s, %s or %s", ErrBadFrame, kind, KindMesh, KindDeltaQuant, KindDeltaSparse)
+	return m, q, s, d.scratch, nil
 }
 
 // ---- quantized checkpoints ----

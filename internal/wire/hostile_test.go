@@ -116,20 +116,23 @@ func TestLengthFieldLies(t *testing.T) {
 	}
 }
 
-// shortStream yields a valid header claiming `claim` payload bytes but
-// delivers only `deliver` of them before EOF.
-func shortStream(claim uint32, deliver int) io.Reader {
-	b := AppendHeader(nil, KindMesh, 0)
+// shortStream yields a valid header of the given kind claiming `claim`
+// payload bytes but delivers only `deliver` (zero) bytes of them before
+// EOF.
+func shortStream(kind Kind, claim uint32, deliver int) io.Reader {
+	b := AppendHeader(nil, kind, 0)
 	binary.LittleEndian.PutUint32(b[8:12], claim)
 	return bytes.NewReader(append(b, make([]byte, deliver)...))
 }
 
-// TestLyingLengthBoundsAllocation is the over-allocation guard: a header
-// claiming MaxPayload on a nearly empty stream must fail with the read
-// buffer still at the prealloc cap — the attacker's 12 bytes cannot buy
-// a gigabyte of our memory.
+// TestLyingLengthBoundsAllocation is the over-allocation guard of the
+// buffered reader (raft, checkpoint, directory and compressed mesh
+// frames): a header claiming MaxPayload on a nearly empty stream must
+// fail with the read buffer still at the prealloc cap — the attacker's
+// 12 bytes cannot buy a gigabyte of our memory. The streaming mesh
+// decoder's bound is pinned in stream_test.go.
 func TestLyingLengthBoundsAllocation(t *testing.T) {
-	_, scratch, err := ReadMeshFrame(shortStream(MaxPayload, 100), nil)
+	_, scratch, err := ReadRaftFrame(shortStream(KindRaft, MaxPayload, 100), nil)
 	if err == nil {
 		t.Fatal("starved frame accepted")
 	}
@@ -140,12 +143,22 @@ func TestLyingLengthBoundsAllocation(t *testing.T) {
 	// With real bytes arriving, growth must track what was actually
 	// received (geometric, ≤ 2×), not the claim.
 	const delivered = 200 << 10
-	_, scratch, err = ReadMeshFrame(shortStream(MaxPayload, delivered), nil)
+	_, scratch, err = ReadRaftFrame(shortStream(KindRaft, MaxPayload, delivered), nil)
 	if err == nil {
 		t.Fatal("starved frame accepted")
 	}
 	if cap(scratch) > 2*delivered {
 		t.Fatalf("allocation %d not bounded by twice the %d delivered bytes", cap(scratch), delivered)
+	}
+
+	// A compressed mesh frame goes through the same reader inside the
+	// mesh decoder.
+	_, _, _, scratch, err = ReadAnyMeshFrame(shortStream(KindDeltaSparse, MaxPayload, delivered), nil)
+	if err == nil {
+		t.Fatal("starved compressed frame accepted")
+	}
+	if cap(scratch) > 2*delivered {
+		t.Fatalf("compressed frame: allocation %d not bounded by twice the %d delivered bytes", cap(scratch), delivered)
 	}
 }
 
@@ -214,8 +227,9 @@ func TestHostileFramesDoNotOverAllocate(t *testing.T) {
 			panic("accepted")
 		}
 	})
-	// One reader + one wrapped error are tolerated; payload buffers are not.
-	if allocs > 6 {
+	// One reader, the decoder state, the kind string and one wrapped
+	// error with its boxed operands are tolerated; payload buffers are not.
+	if allocs > 8 {
 		t.Fatalf("rejection path allocates %v times per frame", allocs)
 	}
 }

@@ -26,7 +26,7 @@ type MeshMessage struct {
 // MeshPayloadSize returns the exact encoded payload size of a mesh
 // message with the given kind string and payload element count.
 func MeshPayloadSize(kind string, payloadLen int) int {
-	return 3*8 + 4 + len(kind) + Float64sSize(payloadLen)
+	return meshFixedSize + len(kind) + Float64sSize(payloadLen)
 }
 
 // MeshFrameSize returns the exact on-wire frame size, header included.
@@ -34,34 +34,27 @@ func MeshFrameSize(kind string, payloadLen int) int {
 	return HeaderSize + MeshPayloadSize(kind, payloadLen)
 }
 
-// AppendMeshFrame appends a complete frame for one mesh message.
-func AppendMeshFrame(dst []byte, m MeshMessage) []byte {
+// appendMeshHead appends everything of a mesh frame that precedes the
+// vector words: header, envelope and element count.
+func appendMeshHead(dst []byte, m MeshMessage) []byte {
 	dst = AppendHeader(dst, KindMesh, MeshPayloadSize(m.Kind, len(m.Payload)))
-	dst = appendUint64(dst, uint64(int64(m.From)))
-	dst = appendUint64(dst, uint64(int64(m.To)))
-	dst = appendUint64(dst, uint64(int64(m.ShareIdx)))
-	dst = appendString(dst, m.Kind)
-	return AppendFloat64s(dst, m.Payload)
+	dst = appendMeshEnvelope(dst, m)
+	return appendUint32(dst, uint32(len(m.Payload)))
 }
 
-// DecodeMeshPayload decodes a KindMesh payload. The kind string and
-// payload vector are copied out of b.
+// AppendMeshFrame appends a complete frame for one mesh message. It is
+// the buffered form of MeshEncoder.WriteFrame: same bytes, built in
+// memory.
+func AppendMeshFrame(dst []byte, m MeshMessage) []byte {
+	return appendWords(appendMeshHead(dst, m), m.Payload)
+}
+
+// DecodeMeshPayload decodes a KindMesh payload held in memory. The kind
+// string and payload vector are copied out of b. Streams go through
+// MeshDecoder, which accepts exactly the payloads this function accepts.
 func DecodeMeshPayload(b []byte) (MeshMessage, error) {
-	var m MeshMessage
-	u, b, err := readUint64(b)
+	m, b, err := readMeshEnvelope(b)
 	if err != nil {
-		return m, err
-	}
-	m.From = int(int64(u))
-	if u, b, err = readUint64(b); err != nil {
-		return m, err
-	}
-	m.To = int(int64(u))
-	if u, b, err = readUint64(b); err != nil {
-		return m, err
-	}
-	m.ShareIdx = int(int64(u))
-	if m.Kind, b, err = readString(b); err != nil {
 		return m, err
 	}
 	if m.Payload, b, err = ReadFloat64s(b, nil); err != nil {
@@ -73,16 +66,16 @@ func DecodeMeshPayload(b []byte) (MeshMessage, error) {
 	return m, nil
 }
 
-// ReadMeshFrame reads one complete mesh frame from r, reusing scratch
-// as the payload read buffer.
+// ReadMeshFrame reads one complete KindMesh frame from r through a
+// fresh MeshDecoder, reusing scratch as its byte scratch (returned,
+// possibly grown, for the next call). A long-lived stream should keep
+// one MeshDecoder instead: it also remembers what the stream has
+// delivered, which this per-call form cannot.
 func ReadMeshFrame(r io.Reader, scratch []byte) (MeshMessage, []byte, error) {
-	kind, payload, scratch, err := readFrame(r, scratch)
+	d := MeshDecoder{scratch: scratch}
+	m, _, _, err := d.read(r, nil, true)
 	if err != nil {
-		return MeshMessage{}, scratch, err
+		return MeshMessage{}, d.scratch, err
 	}
-	if kind != KindMesh {
-		return MeshMessage{}, scratch, fmt.Errorf("%w: kind %s, want %s", ErrBadFrame, kind, KindMesh)
-	}
-	m, err := DecodeMeshPayload(payload)
-	return m, scratch, err
+	return m, d.scratch, nil
 }

@@ -197,13 +197,6 @@ func ReadRaftFrame(r io.Reader, scratch []byte) (raft.Message, []byte, error) {
 	return m, scratch, err
 }
 
-// framePrealloc caps what readFrame allocates on a header's say-so.
-// Larger payloads grow the buffer geometrically, but only after the
-// bytes already promised have actually arrived — so a length-field lie
-// on a short stream costs at most framePrealloc (or double the bytes
-// genuinely received), never a MaxPayload-sized allocation.
-const framePrealloc = 64 << 10
-
 // readFrame reads one header + payload from r into scratch.
 func readFrame(r io.Reader, scratch []byte) (kind Kind, payload, grown []byte, err error) {
 	var hdr [HeaderSize]byte
@@ -214,33 +207,9 @@ func readFrame(r io.Reader, scratch []byte) (kind Kind, payload, grown []byte, e
 	if err != nil {
 		return 0, nil, scratch, err
 	}
-	if cap(scratch) < n && cap(scratch) < framePrealloc {
-		c := n
-		if c > framePrealloc {
-			c = framePrealloc
-		}
-		scratch = make([]byte, 0, c)
-	}
-	buf := scratch[:0]
-	for len(buf) < n {
-		if len(buf) == cap(buf) {
-			c := 2 * cap(buf)
-			if c > n {
-				c = n
-			}
-			g := make([]byte, len(buf), c)
-			copy(g, buf)
-			buf = g
-		}
-		next := cap(buf)
-		if next > n {
-			next = n
-		}
-		start := len(buf)
-		buf = buf[:next]
-		if _, err := io.ReadFull(r, buf[start:]); err != nil {
-			return 0, nil, buf, fmt.Errorf("wire: short payload: %w", err)
-		}
+	buf, err := readPayload(r, n, scratch)
+	if err != nil {
+		return 0, nil, buf, err
 	}
 	return kind, buf, buf, nil
 }

@@ -11,11 +11,14 @@
 //	offset  size  field
 //	0       4     magic "P2FW"
 //	4       1     format version (currently 1)
-//	5       1     payload kind (KindRaft | KindMesh | KindCheckpoint)
+//	5       1     payload kind (KindRaft | KindMesh | KindCheckpoint |
+//	              KindDeltaQuant | KindDeltaSparse | KindCheckpointQuant |
+//	              KindDirectory)
 //	6       2     reserved, must be zero
 //	8       4     payload length in bytes, uint32 little-endian
 //	12      ...   payload (kind-specific layout, see raft.go/mesh.go/
-//	              checkpoint.go and DESIGN.md §10)
+//	              checkpoint.go/delta.go/directory.go and DESIGN.md §10,
+//	              §12, §14)
 //
 // All integers are little-endian and fixed-width; []float64 vectors are
 // encoded as a uint32 element count followed by 8·n bytes of IEEE-754
@@ -35,7 +38,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // Frame constants.
@@ -228,13 +230,7 @@ func readString(b []byte) (string, []byte, error) {
 // followed by len(v) little-endian IEEE-754 words — the contiguous
 // block layout every model-dimension payload uses.
 func AppendFloat64s(dst []byte, v []float64) []byte {
-	dst = appendUint32(dst, uint32(len(v)))
-	off := len(dst)
-	dst = append(dst, make([]byte, 8*len(v))...)
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(dst[off+8*i:], math.Float64bits(x))
-	}
-	return dst
+	return appendWords(appendUint32(dst, uint32(len(v))), v)
 }
 
 // Float64sSize returns the encoded size of an n-element float vector.
@@ -255,8 +251,6 @@ func ReadFloat64s(b []byte, dst []float64) ([]float64, []byte, error) {
 		dst = make([]float64, n)
 	}
 	dst = dst[:n]
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
+	copyWords(dst, b)
 	return dst, b[8*n:], nil
 }
