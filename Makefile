@@ -1,7 +1,9 @@
 GO ?= go
 
 # Tier-1 benchmarks: the compute hot path (matmul, im2col, one training
-# step), the per-client and 15-peer round loops, the aggregation
+# step of the paper CNN at batch 8 and one of the reduced TinyCNN at
+# batch 32 — wide and narrow convolutions go through the same direct
+# kernels), the per-client and 15-peer round loops, the aggregation
 # engine, the wire/gob checkpoint codecs, one 10 MB model vector over a
 # loopback TCPMesh (send, drain, recycle), the top-k selection, and the
 # telemetry overhead pairs. `make bench` snapshots them as BENCH_<n>.json; `make
@@ -11,7 +13,7 @@ GO ?= go
 # ratio budget (wire encode ≤ 0.5× gob; pooled SAC round ≤ 0.5× the
 # fresh round's allocs/op; int8 delta frame ≤ 0.25× the float64 frame's
 # bytes; the parallel Divide kernel allocation-free vs serial).
-BENCH_PATTERN := 'BenchmarkMatMul|BenchmarkIm2Col|BenchmarkCol2Im|BenchmarkPaperCNNTrainStep|BenchmarkClientTrainRound|BenchmarkRound15Peers|BenchmarkAggregate|BenchmarkRaftTick|BenchmarkSACRound|BenchmarkRaftTCPSend|BenchmarkEncodeModel|BenchmarkDecodeModelWire|BenchmarkEncodeDelta|BenchmarkDequantize|BenchmarkDivide|BenchmarkMultiLayer|BenchmarkSimSchedule|BenchmarkTCPMeshSend|BenchmarkSparsify'
+BENCH_PATTERN := 'BenchmarkMatMul|BenchmarkIm2Col|BenchmarkCol2Im|BenchmarkPaperCNNTrainStep|BenchmarkTinyCNNTrainStep|BenchmarkClientTrainRound|BenchmarkRound15Peers|BenchmarkAggregate|BenchmarkRaftTick|BenchmarkSACRound|BenchmarkRaftTCPSend|BenchmarkEncodeModel|BenchmarkDecodeModelWire|BenchmarkEncodeDelta|BenchmarkDequantize|BenchmarkDivide|BenchmarkMultiLayer|BenchmarkSimSchedule|BenchmarkTCPMeshSend|BenchmarkSparsify'
 BENCH_ARGS := -run '^$$' -bench $(BENCH_PATTERN) -benchmem -benchtime 10x ./...
 TELEMETRY_PAIRS := 'RaftTickLive=RaftTickNil,SACRoundLive=SACRoundNil,RaftTCPSendHealthyPeerAsync=RaftTCPSendHealthyPeerSync'
 WIRE_PAIRS := 'EncodeModelWire=EncodeModelGob@0.5,allocs:SACRoundAllocsPooled=SACRoundAllocsFresh@0.5'

@@ -157,21 +157,46 @@ func (d *Dataset) Shuffle(rng *rand.Rand) {
 	})
 }
 
+func (d *Dataset) checkRange(lo, hi int) error {
+	if lo < 0 || hi > len(d.Samples) || lo >= hi {
+		return fmt.Errorf("dataset: bad batch range [%d,%d) of %d", lo, hi, len(d.Samples))
+	}
+	return nil
+}
+
 // Batch materializes samples [lo, hi) as an image tensor
 // [hi−lo, channels, size, size] plus labels.
 func (d *Dataset) Batch(lo, hi int) (*tensor.Tensor, []int, error) {
-	if lo < 0 || hi > len(d.Samples) || lo >= hi {
-		return nil, nil, fmt.Errorf("dataset: bad batch range [%d,%d) of %d", lo, hi, len(d.Samples))
+	if err := d.checkRange(lo, hi); err != nil {
+		return nil, nil, err
 	}
-	n := hi - lo
-	x := tensor.New(n, d.Channels, d.Size, d.Size)
-	labels := make([]int, n)
-	dim := d.PixelDim()
-	for i := 0; i < n; i++ {
-		copy(x.Data()[i*dim:(i+1)*dim], d.Samples[lo+i].X)
-		labels[i] = d.Samples[lo+i].Label
+	x := tensor.New(hi-lo, d.Channels, d.Size, d.Size)
+	labels := make([]int, hi-lo)
+	if err := d.BatchInto(x, labels, lo, hi); err != nil {
+		return nil, nil, err
 	}
 	return x, labels, nil
+}
+
+// BatchInto is Batch writing into caller-owned buffers, so a training
+// loop can refill one minibatch instead of allocating one per step. x
+// must hold (hi−lo)·PixelDim() elements — shaped [hi−lo, channels, size,
+// size] or, for MLP-style models, [hi−lo, pixels]; the bytes are the
+// same — and labels hi−lo entries. Both are fully overwritten.
+func (d *Dataset) BatchInto(x *tensor.Tensor, labels []int, lo, hi int) error {
+	if err := d.checkRange(lo, hi); err != nil {
+		return err
+	}
+	n, dim := hi-lo, d.PixelDim()
+	if x.Rank() == 0 || x.Dim(0) != n || x.Size() != n*dim || len(labels) != n {
+		return fmt.Errorf("dataset: batch buffers %v / %d labels, want %d samples of %d pixels", x.Shape(), len(labels), n, dim)
+	}
+	xd := x.Data()
+	for i, s := range d.Samples[lo:hi] {
+		copy(xd[i*dim:(i+1)*dim], s.X)
+		labels[i] = s.Label
+	}
+	return nil
 }
 
 // FlatBatch materializes samples [lo, hi) as a [hi−lo, pixels] matrix for

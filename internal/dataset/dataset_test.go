@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 func TestGenerateShapesAndDeterminism(t *testing.T) {
@@ -150,6 +152,45 @@ func TestBatch(t *testing.T) {
 	}
 	if _, _, err := train.Batch(-1, 3); err == nil {
 		t.Fatal("want negative-range error")
+	}
+}
+
+func TestBatchInto(t *testing.T) {
+	train, _, err := Generate(Tiny(3, 20, 5, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantLabels, err := train.Batch(3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Image-shaped and flat buffers both take the batch; stale contents
+	// are overwritten.
+	for _, x := range []*tensor.Tensor{tensor.New(4, 1, 8, 8), tensor.New(4, 64)} {
+		x.Fill(-1)
+		labels := []int{9, 9, 9, 9}
+		if err := train.BatchInto(x, labels, 3, 7); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range want.Data() {
+			if x.Data()[i] != v {
+				t.Fatalf("shape %v: pixel %d = %v, want %v", x.Shape(), i, x.Data()[i], v)
+			}
+		}
+		for i, l := range wantLabels {
+			if labels[i] != l {
+				t.Fatalf("labels = %v, want %v", labels, wantLabels)
+			}
+		}
+	}
+	if err := train.BatchInto(tensor.New(3, 1, 8, 8), make([]int, 4), 3, 7); err == nil {
+		t.Fatal("want error for a buffer of the wrong batch size")
+	}
+	if err := train.BatchInto(tensor.New(4, 1, 8, 8), make([]int, 3), 3, 7); err == nil {
+		t.Fatal("want error for too few labels")
+	}
+	if err := train.BatchInto(tensor.New(4, 1, 8, 8), make([]int, 4), 18, 22); err == nil {
+		t.Fatal("want range error")
 	}
 }
 

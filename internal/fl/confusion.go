@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/nn"
-	"repro/internal/tensor"
 )
 
 // ConfusionMatrix counts predictions: Counts[true][predicted].
@@ -93,19 +92,13 @@ func Confusion(model *nn.Model, test *dataset.Dataset, flat bool) (*ConfusionMat
 		return nil, err
 	}
 	const batchSize = 256
+	var buf batchBuffer
 	for lo := 0; lo < test.Len(); lo += batchSize {
 		hi := lo + batchSize
 		if hi > test.Len() {
 			hi = test.Len()
 		}
-		var x *tensor.Tensor
-		var labels []int
-		var err error
-		if flat {
-			x, labels, err = test.FlatBatch(lo, hi)
-		} else {
-			x, labels, err = test.Batch(lo, hi)
-		}
+		x, labels, err := buf.fill(test, flat, lo, hi)
 		if err != nil {
 			return nil, err
 		}

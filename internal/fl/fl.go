@@ -81,6 +81,34 @@ type Client struct {
 	Data  *dataset.Dataset
 	Cfg   TrainConfig
 	rng   *rand.Rand
+	buf   batchBuffer
+}
+
+// batchBuffer is one reusable minibatch: TrainRound and EvaluateModel
+// refill it every step instead of allocating a [batch, C, H, W] tensor
+// per step. The model keeps reading the tensor it was handed until its
+// Backward returns (nn.Conv2D and nn.Dense hold their input by
+// reference), so a buffer is refilled only after that.
+type batchBuffer struct {
+	x      tensor.Scratch
+	labels []int
+}
+
+// fill loads samples [lo, hi) of d, 0 ≤ lo < hi ≤ d.Len(), as images or,
+// with flat set, as [hi−lo, pixels] rows.
+func (b *batchBuffer) fill(d *dataset.Dataset, flat bool, lo, hi int) (*tensor.Tensor, []int, error) {
+	n := hi - lo
+	var x *tensor.Tensor
+	if flat {
+		x = b.x.Get(n, d.PixelDim())
+	} else {
+		x = b.x.Get(n, d.Channels, d.Size, d.Size)
+	}
+	if cap(b.labels) < n {
+		b.labels = make([]int, n)
+	}
+	labels := b.labels[:n]
+	return x, labels, d.BatchInto(x, labels, lo, hi)
 }
 
 // NewClient builds a client. rng drives data shuffling between epochs.
@@ -118,7 +146,7 @@ func (c *Client) TrainRound() (float64, error) {
 			if hi > c.Data.Len() {
 				hi = c.Data.Len()
 			}
-			x, labels, err := c.batch(lo, hi)
+			x, labels, err := c.buf.fill(c.Data, c.Cfg.Flat, lo, hi)
 			if err != nil {
 				return 0, err
 			}
@@ -140,13 +168,6 @@ func (c *Client) TrainRound() (float64, error) {
 	return totalLoss / float64(steps), nil
 }
 
-func (c *Client) batch(lo, hi int) (*tensor.Tensor, []int, error) {
-	if c.Cfg.Flat {
-		return c.Data.FlatBatch(lo, hi)
-	}
-	return c.Data.Batch(lo, hi)
-}
-
 // Evaluate measures accuracy and loss of the client's model over test.
 func (c *Client) Evaluate(test *dataset.Dataset) (acc, loss float64, err error) {
 	return EvaluateModel(c.Model, test, c.Cfg.Flat)
@@ -159,6 +180,7 @@ func EvaluateModel(model *nn.Model, test *dataset.Dataset, flat bool) (acc, loss
 		return 0, 0, fmt.Errorf("fl: empty test set")
 	}
 	const evalBatch = 256
+	var buf batchBuffer
 	var accSum, lossSum float64
 	n := 0
 	for lo := 0; lo < test.Len(); lo += evalBatch {
@@ -166,25 +188,13 @@ func EvaluateModel(model *nn.Model, test *dataset.Dataset, flat bool) (acc, loss
 		if hi > test.Len() {
 			hi = test.Len()
 		}
-		var a, l float64
-		if flat {
-			x, labels, err := test.FlatBatch(lo, hi)
-			if err != nil {
-				return 0, 0, err
-			}
-			a, l, err = model.Evaluate(x, labels)
-			if err != nil {
-				return 0, 0, err
-			}
-		} else {
-			x, labels, err := test.Batch(lo, hi)
-			if err != nil {
-				return 0, 0, err
-			}
-			a, l, err = model.Evaluate(x, labels)
-			if err != nil {
-				return 0, 0, err
-			}
+		x, labels, err := buf.fill(test, flat, lo, hi)
+		if err != nil {
+			return 0, 0, err
+		}
+		a, l, err := model.Evaluate(x, labels)
+		if err != nil {
+			return 0, 0, err
 		}
 		w := hi - lo
 		accSum += a * float64(w)

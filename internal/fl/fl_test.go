@@ -212,3 +212,74 @@ func TestFedAvgRoundsImproveGlobalModel(t *testing.T) {
 		t.Fatalf("federated accuracy = %v, want ≥ 0.6", acc)
 	}
 }
+
+// TestTrainRoundReusedBatchMatchesFreshBatches pins the client-owned
+// minibatch buffer: two rounds through TrainRound, which refills one
+// buffer per step, leave exactly the weights and losses of the same loop
+// fed a freshly allocated Batch/FlatBatch every step — on the
+// convolutional path (whose first layer reads its input until Backward)
+// and on the flat one, with a short last batch in every epoch.
+func TestTrainRoundReusedBatchMatchesFreshBatches(t *testing.T) {
+	for _, flat := range []bool{false, true} {
+		train, _, err := dataset.Generate(dataset.Tiny(3, 50, 10, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		build := func() *Client {
+			rng := rand.New(rand.NewSource(3))
+			model := nn.MLP(train.PixelDim(), []int{8}, train.Classes, rng)
+			if !flat {
+				if model, err = nn.TinyCNN(train.Channels, train.Size, train.Classes, rng); err != nil {
+					t.Fatal(err)
+				}
+			}
+			data := train.Subset(rand.New(rand.NewSource(4)).Perm(train.Len()))
+			return NewClient(0, model, optim.NewAdam(1e-3), data,
+				TrainConfig{Epochs: 2, BatchSize: 16, Flat: flat}, rand.New(rand.NewSource(5)))
+		}
+		reused, fresh := build(), build()
+		for round := 0; round < 2; round++ {
+			got, err := reused.TrainRound()
+			if err != nil {
+				t.Fatal(err)
+			}
+			total, steps := 0.0, 0
+			for e := 0; e < fresh.Cfg.Epochs; e++ {
+				fresh.Data.Shuffle(fresh.rng)
+				for lo := 0; lo < fresh.Data.Len(); lo += fresh.Cfg.BatchSize {
+					hi := min(lo+fresh.Cfg.BatchSize, fresh.Data.Len())
+					batch := fresh.Data.Batch
+					if flat {
+						batch = fresh.Data.FlatBatch
+					}
+					x, labels, err := batch(lo, hi)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fresh.Model.ZeroGrad()
+					loss, err := fresh.Model.Loss(x, labels)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := fresh.Model.Backward(); err != nil {
+						t.Fatal(err)
+					}
+					if err := fresh.Opt.Step(fresh.Model.Params()); err != nil {
+						t.Fatal(err)
+					}
+					total += loss
+					steps++
+				}
+			}
+			if want := total / float64(steps); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("flat=%v round %d: loss %v with the reused buffer, %v with fresh batches", flat, round, got, want)
+			}
+			gw, ww := reused.Weights(), fresh.Weights()
+			for i := range ww {
+				if math.Float64bits(gw[i]) != math.Float64bits(ww[i]) {
+					t.Fatalf("flat=%v round %d: weight %d is %v with the reused buffer, %v with fresh batches", flat, round, i, gw[i], ww[i])
+				}
+			}
+		}
+	}
+}

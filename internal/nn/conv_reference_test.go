@@ -7,8 +7,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// directConv2D is a naive quadruple-loop convolution used as a reference
-// implementation for the im2col-based Conv2D.
+// directConv2D is a naive quadruple-loop convolution, bias first, used as
+// an independent reference for Conv2D's forward pass (to a tolerance: its
+// summation order is its own).
 func directConv2D(x *tensor.Tensor, w []float64, b []float64, inC, outC, k, pad int) *tensor.Tensor {
 	batch, h, wd := x.Dim(0), x.Dim(2), x.Dim(3)
 	outH := h + 2*pad - k + 1

@@ -18,8 +18,17 @@ type Model struct {
 	lastLabels []int
 }
 
-// NewModel creates a sequential model from the given layers.
+// NewModel creates a sequential model from the given layers, which
+// belong to the model from then on. Nothing reads the input gradient of
+// the first layer — Backward discards it — so a convolution in that
+// position is told not to compute one: its Backward returns a nil
+// tensor.
 func NewModel(layers ...Layer) *Model {
+	if len(layers) > 0 {
+		if c, ok := layers[0].(*Conv2D); ok {
+			c.noInputGrad = true
+		}
+	}
 	return &Model{layers: layers}
 }
 

@@ -393,3 +393,31 @@ func TestModelSummary(t *testing.T) {
 		t.Fatal("empty summary")
 	}
 }
+
+// TestMaxPoolDivergedInput: a window in which nothing compares greater
+// than anything — all NaN, or all −Inf — still has an argmax, so Backward
+// routes the gradient instead of indexing with −1, and the NaN reaches
+// the output.
+func TestMaxPoolDivergedInput(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(-1)} {
+		p := NewMaxPool2D(2)
+		x := tensor.New(1, 1, 2, 2)
+		x.Fill(v)
+		y, err := p.Forward(x, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := y.Data()[0]; got != v && !(got != got && v != v) {
+			t.Fatalf("maxpool of all-%v window = %v", v, got)
+		}
+		g := tensor.New(1, 1, 1, 1)
+		g.Fill(3)
+		dx, err := p.Backward(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []float64{3, 0, 0, 0}; !tensor.Equal(dx, tensor.MustFromSlice(want, 1, 1, 2, 2)) {
+			t.Fatalf("maxpool gradient of all-%v window = %v, want %v", v, dx.Data(), want)
+		}
+	}
+}

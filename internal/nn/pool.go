@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/tensor"
 )
@@ -52,8 +51,12 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error
 			base := (bi*c + ci) * h * w
 			for oy := 0; oy < outH; oy++ {
 				for ox := 0; ox < outW; ox++ {
-					best := math.Inf(-1)
-					bestIdx := -1
+					// Seeded from the window's first element, so the argmax
+					// is a real index even when nothing compares greater
+					// (a window of NaNs or −Inf) and a NaN there reaches
+					// the loss instead of stopping here.
+					bestIdx := base + oy*m.p*w + ox*m.p
+					best := xd[bestIdx]
 					for dy := 0; dy < m.p; dy++ {
 						iy := oy*m.p + dy
 						for dx := 0; dx < m.p; dx++ {

@@ -54,6 +54,21 @@ func Im2ColInto(dst, x *Tensor, kh, kw, stride, pad int) (int, int, error) {
 		for oy := 0; oy < outH; oy++ {
 			for ox := 0; ox < outW; ox++ {
 				row := ((bi*outH+oy)*outW + ox) * colStride
+				if iy0, ix0 := oy*stride-pad, ox*stride-pad; iy0 >= 0 && iy0+kh <= h && ix0 >= 0 && ix0+kw <= w {
+					// Interior patch: no tap falls outside the image, so
+					// each (ci, ky) is kw contiguous input elements.
+					for ci := 0; ci < c; ci++ {
+						for ky := 0; ky < kh; ky++ {
+							src := ((bi*c+ci)*h+iy0+ky)*w + ix0
+							dst := row + (ci*kh+ky)*kw
+							d := dd[dst : dst+kw]
+							for kx, v := range xd[src : src+kw] {
+								d[kx] = v
+							}
+						}
+					}
+					continue
+				}
 				for ci := 0; ci < c; ci++ {
 					for ky := 0; ky < kh; ky++ {
 						iy := oy*stride + ky - pad
@@ -103,6 +118,21 @@ func Col2ImInto(dst, cols *Tensor, kh, kw, stride, pad int) error {
 		for oy := 0; oy < outH; oy++ {
 			for ox := 0; ox < outW; ox++ {
 				row := ((bi*outH+oy)*outW + ox) * colStride
+				if iy0, ix0 := oy*stride-pad, ox*stride-pad; iy0 >= 0 && iy0+kh <= height && ix0 >= 0 && ix0+kw <= width {
+					// Interior patch, as in Im2ColInto: the same adds in
+					// the same order, without a bounds branch each.
+					for ci := 0; ci < channels; ci++ {
+						for ky := 0; ky < kh; ky++ {
+							to := ((bi*channels+ci)*height+iy0+ky)*width + ix0
+							from := row + (ci*kh+ky)*kw
+							d := dd[to : to+kw]
+							for kx, v := range cd[from : from+kw] {
+								d[kx] += v
+							}
+						}
+					}
+					continue
+				}
 				for ci := 0; ci < channels; ci++ {
 					for ky := 0; ky < kh; ky++ {
 						iy := oy*stride + ky - pad

@@ -11,10 +11,10 @@ import "fmt"
 //     and test fixtures, where sparse rows (zero-padded shares, one-hot
 //     fixtures) are common enough that the branch pays for itself.
 //   - Large operands use blocked row-panel kernels fanned out across
-//     the package worker pool. Here the operands are dense CNN
-//     activations (im2col matrices, gradients), where a zero test on
-//     every element is a mispredicted branch per multiply, not a win —
-//     the blocked kernels have no skip.
+//     the package worker pool. Here the operands are dense layer
+//     activations and gradients, where a zero test on every element
+//     is a mispredicted branch per multiply, not a win — the blocked
+//     kernels have no skip.
 //
 // Every kernel accumulates each output element in ascending order of
 // the shared dimension, so the two families and any worker count
@@ -78,7 +78,7 @@ func MatMulInto(dst, a, b *Tensor) error {
 		return nil
 	}
 	// ikj loop order keeps the inner loops sequential over both B and C
-	// rows, which matters for the im2col-based convolutions.
+	// rows.
 	for i := 0; i < m; i++ {
 		arow := a.data[i*k : (i+1)*k]
 		crow := dst.data[i*n : (i+1)*n]

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -300,6 +301,73 @@ func TestParallelRowsCoversAllRows(t *testing.T) {
 		for i, h := range hit {
 			if h != 1 {
 				t.Fatalf("rows=%d: row %d visited %d times", rows, i, h)
+			}
+		}
+	}
+}
+
+// TestLoweringMatchesPerElementReference pins the interior fast paths of
+// Im2ColInto and Col2ImInto against the plain per-element definition —
+// one bounds test per tap — over strides, rectangular kernels and
+// paddings, including images too small to have an interior patch. Both
+// are pure data movement in a fixed order, so the comparison is exact.
+func TestLoweringMatchesPerElementReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, tc := range []struct{ b, c, h, w, kh, kw, stride, pad int }{
+		{2, 3, 8, 8, 3, 3, 1, 1},
+		{1, 2, 7, 9, 3, 3, 1, 0},
+		{2, 1, 6, 5, 5, 5, 1, 2},
+		{1, 3, 9, 8, 2, 4, 2, 1},
+		{2, 2, 3, 3, 3, 3, 1, 1},
+		{1, 1, 4, 4, 1, 1, 1, 0},
+		{1, 2, 10, 7, 3, 2, 3, 2},
+	} {
+		x := New(tc.b, tc.c, tc.h, tc.w)
+		for i := range x.data {
+			x.data[i] = rng.NormFloat64()
+		}
+		outH, outW, rows, colw := Im2ColShape(tc.b, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad)
+		want := New(rows, colw)
+		cols := randMat(rng, rows, colw)
+		wantImg := New(tc.b, tc.c, tc.h, tc.w)
+		for bi := 0; bi < tc.b; bi++ {
+			for oy := 0; oy < outH; oy++ {
+				for ox := 0; ox < outW; ox++ {
+					for ci := 0; ci < tc.c; ci++ {
+						for ky := 0; ky < tc.kh; ky++ {
+							for kx := 0; kx < tc.kw; kx++ {
+								iy, ix := oy*tc.stride+ky-tc.pad, ox*tc.stride+kx-tc.pad
+								if iy < 0 || iy >= tc.h || ix < 0 || ix >= tc.w {
+									continue
+								}
+								col := (((bi*outH+oy)*outW+ox)*tc.c+ci)*tc.kh*tc.kw + ky*tc.kw + kx
+								img := ((bi*tc.c+ci)*tc.h+iy)*tc.w + ix
+								want.data[col] = x.data[img]
+								wantImg.data[img] += cols.data[col]
+							}
+						}
+					}
+				}
+			}
+		}
+		got := New(rows, colw)
+		got.Fill(math.NaN()) // stale contents must be overwritten
+		if _, _, err := Im2ColInto(got, x, tc.kh, tc.kw, tc.stride, tc.pad); err != nil {
+			t.Fatal(err)
+		}
+		gotImg := New(tc.b, tc.c, tc.h, tc.w)
+		gotImg.Fill(math.NaN())
+		if err := Col2ImInto(gotImg, cols, tc.kh, tc.kw, tc.stride, tc.pad); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.data {
+			if math.Float64bits(got.data[i]) != math.Float64bits(want.data[i]) {
+				t.Fatalf("%+v: im2col element %d = %v, want %v", tc, i, got.data[i], want.data[i])
+			}
+		}
+		for i := range wantImg.data {
+			if math.Float64bits(gotImg.data[i]) != math.Float64bits(wantImg.data[i]) {
+				t.Fatalf("%+v: col2im element %d = %v, want %v", tc, i, gotImg.data[i], wantImg.data[i])
 			}
 		}
 	}
