@@ -13,7 +13,7 @@ GO ?= go
 # ratio budget (wire encode ≤ 0.5× gob; pooled SAC round ≤ 0.5× the
 # fresh round's allocs/op; int8 delta frame ≤ 0.25× the float64 frame's
 # bytes; the parallel Divide kernel allocation-free vs serial).
-BENCH_PATTERN := 'BenchmarkMatMul|BenchmarkIm2Col|BenchmarkCol2Im|BenchmarkPaperCNNTrainStep|BenchmarkTinyCNNTrainStep|BenchmarkClientTrainRound|BenchmarkRound15Peers|BenchmarkAggregate|BenchmarkRaftTick|BenchmarkSACRound|BenchmarkRaftTCPSend|BenchmarkEncodeModel|BenchmarkDecodeModelWire|BenchmarkEncodeDelta|BenchmarkDequantize|BenchmarkDivide|BenchmarkMultiLayer|BenchmarkSimSchedule|BenchmarkTCPMeshSend|BenchmarkSparsify'
+BENCH_PATTERN := 'BenchmarkMatMul|BenchmarkIm2Col|BenchmarkCol2Im|BenchmarkPaperCNNTrainStep|BenchmarkTinyCNNTrainStep|BenchmarkClientTrainRound|BenchmarkRound15Peers|BenchmarkAggregate|BenchmarkRaftTick|BenchmarkSACRound|BenchmarkRaftTCPSend|BenchmarkEncodeModel|BenchmarkDecodeModelWire|BenchmarkEncodeDelta|BenchmarkDequantize|BenchmarkDivide|BenchmarkMultiLayer|BenchmarkTCPMeshSend|BenchmarkSparsify'
 BENCH_ARGS := -run '^$$' -bench $(BENCH_PATTERN) -benchmem -benchtime 10x ./...
 TELEMETRY_PAIRS := 'RaftTickLive=RaftTickNil,SACRoundLive=SACRoundNil,RaftTCPSendHealthyPeerAsync=RaftTCPSendHealthyPeerSync'
 WIRE_PAIRS := 'EncodeModelWire=EncodeModelGob@0.5,allocs:SACRoundAllocsPooled=SACRoundAllocsFresh@0.5'
@@ -43,34 +43,36 @@ race:
 	$(GO) test -race ./...
 	$(GO) run -race ./cmd/p2pfl-chaos -seed 1 -soak 10s
 	$(GO) run -race ./cmd/p2pfl-chaos -seed 1 -target two-layer -steps 12
-	$(GO) run -race ./cmd/p2pfl-chaos -seed 1 -target two-layer -mix flap -detector -steps 12
+	$(GO) run -race ./cmd/p2pfl-chaos -seed 1 -target two-layer -mix flap -profile lan -steps 12
 	$(GO) run -race ./cmd/p2pfl-chaos -seed 1 -target two-layer -mix byzantine -n 4 -steps 12
 	$(GO) run -race ./cmd/p2pfl-chaos -seed 1 -target two-layer -mix churn -steps 12
-	$(GO) run -race ./cmd/p2pfl-chaos -wan -seeds 5
-	$(GO) run -race ./cmd/p2pfl-chaos -churn -seeds 5
+	$(GO) run -race ./cmd/p2pfl-chaos -track wan -seeds 5
+	$(GO) run -race ./cmd/p2pfl-chaos -track churn -seeds 5
 
 # 30-second deterministic chaos sweep. The start seed is pinned so CI
 # failures reproduce locally: any red seed reruns exactly with
-#   go run ./cmd/p2pfl-chaos -seed <seed> [-target two-layer -mix flap -detector]
+#   go run ./cmd/p2pfl-chaos -seed <seed> [-target two-layer -mix flap -profile lan]
 chaos-smoke:
 	$(GO) run ./cmd/p2pfl-chaos -seed 1 -soak 30s
 	$(GO) run ./cmd/p2pfl-chaos -seed 1 -target two-layer -steps 12
-	$(GO) run ./cmd/p2pfl-chaos -seed 1 -target two-layer -mix flap -detector -steps 12
+	$(GO) run ./cmd/p2pfl-chaos -seed 1 -target two-layer -mix flap -profile lan -steps 12
 	$(GO) run ./cmd/p2pfl-chaos -seed 1 -target two-layer -mix byzantine -n 4 -steps 12
-	$(GO) run ./cmd/p2pfl-chaos -seed 1 -byzantine -steps 12
-	$(GO) run ./cmd/p2pfl-chaos -seed 1 -target two-layer -topology wan50 -prevote -checkquorum -steps 12
+	$(GO) run ./cmd/p2pfl-chaos -seed 1 -track byzantine -steps 12
+	$(GO) run ./cmd/p2pfl-chaos -seed 1 -target two-layer -topology wan50 -profile wan -steps 12
 	$(GO) run ./cmd/p2pfl-chaos -seed 1 -target two-layer -mix churn -steps 12
 
-# WAN/multi-region profile suite under -race: latency topologies, the
-# raft pre-vote/check-quorum/lease safety tests, the RTT-driven timeout
-# tuner, the WAN-tuned cluster failover bound, and the 20-seed WAN
-# stability sweep with its flags-off spurious-election contrast
-# (DESIGN.md §13). The sweep also runs standalone via
-#   go run ./cmd/p2pfl-chaos -wan -seeds 20 -v
+# The eight test-* targets below are the per-subsystem suites: every
+# package that implements or consumes the subsystem, in full, under
+# -race, plus the p2pfl-chaos track that sweeps it where there is one.
+
+# WAN profile: latency topologies, the raft pre-vote/check-quorum/lease
+# safety tests, the RTT-driven timeout tuner, the WAN-tuned cluster
+# failover bound, and the 20-seed WAN stability sweep with its
+# paper-profile spurious-election control (DESIGN.md §13).
 test-wan:
-	$(GO) test -race ./internal/simnet/ ./internal/health/
-	$(GO) test -race -run 'WAN|PreVote|CheckQuorum|ReadIndex|Tuning|Topology|Jitter|Preset|Metrics' \
-		./internal/raft/ ./internal/cluster/ ./internal/chaos/ ./cmd/p2pfl-node/
+	$(GO) test -race ./internal/simnet/ ./internal/health/ ./internal/raft/ \
+		./internal/cluster/ ./internal/chaos/ ./cmd/p2pfl-node/
+	$(GO) run -race ./cmd/p2pfl-chaos -track wan -seeds 20
 
 bench:
 	$(GO) test $(BENCH_ARGS) | $(GO) run ./cmd/p2pfl-benchjson -write
@@ -78,83 +80,76 @@ bench:
 bench-check:
 	$(GO) test $(BENCH_ARGS) | $(GO) run ./cmd/p2pfl-benchjson -check -pairs $(TELEMETRY_PAIRS),$(WIRE_PAIRS),$(COMPRESS_PAIRS),$(SCALE_PAIRS) -pair-tolerance 0.05
 
-# Telemetry exposition suite under -race: the registry package in
-# full, the wired subsystems' counting/determinism regressions, and the
-# /debug/telemetry schema golden.
+# Telemetry exposition: the registry package, the wired subsystems'
+# counting/determinism regressions, and the /debug/telemetry schema
+# golden.
 test-telemetry:
-	$(GO) test -race ./internal/telemetry/ ./cmd/p2pfl-node/ ./cmd/p2pfl-benchjson/
-	$(GO) test -race -run 'Telemetry' \
+	$(GO) test -race ./internal/telemetry/ ./cmd/p2pfl-node/ ./cmd/p2pfl-benchjson/ \
 		./internal/transport/ ./internal/live/ ./internal/cluster/ \
 		./internal/chaos/ ./cmd/p2pfl-sim/
 
-# Self-healing suite under -race: the failure detector, the resilient
-# transport (circuit breakers, head-of-line regression), and the
-# cluster/chaos recovery paths that consume their verdicts.
+# Self-healing: the failure detector, the resilient transport (circuit
+# breakers, head-of-line regression), and the cluster/chaos/core
+# recovery paths that consume their verdicts.
 test-health:
-	$(GO) test -race ./internal/health/ ./internal/transport/
-	$(GO) test -race -run 'Detector|AutoFedRevive|Degraded|Flapping|HeadOfLine' \
+	$(GO) test -race ./internal/health/ ./internal/transport/ \
 		./internal/cluster/ ./internal/chaos/ ./internal/core/
 
-# Wire-codec suite under -race: the codec itself (golden files, fuzz
-# corpus regressions, truncation/corruption rejection, hostile frames,
-# the streaming mesh codec's differential and allocation-bound tests and
-# its forced portable path), the transports that frame with it (TCPMesh
-# concurrent senders, receive-vector recycling and its free-list bound —
-# race builds poison recycled vectors), the nn checkpoint
-# round-trip/compat tests, and the SAC tests that share its pooled
-# buffers (scratch determinism, TCP-vs-memory bit-identity across rounds).
+# Wire codec: the codec itself (golden files, fuzz corpus regressions,
+# truncation/corruption rejection, hostile frames, the streaming mesh
+# codec's differential and allocation-bound tests and its forced
+# portable path), the transports that frame with it (TCPMesh concurrent
+# senders, receive-vector recycling and its free-list bound — race
+# builds poison recycled vectors), the nn checkpoint round-trip/compat
+# tests, and the SAC tests that share its pooled buffers (scratch
+# determinism, TCP-vs-memory bit-identity across rounds).
 test-wire:
 	$(GO) test -race ./internal/wire/ ./internal/transport/ ./internal/nn/ \
 		./internal/secretshare/ ./internal/sac/ ./internal/simnet/
 
-# Compression suite under -race: the quantize/top-k kernels (bit
-# determinism at any worker count, error bounds, the top-k selection
-# against its sort-based reference and allocation budget), the wire v2 delta
-# kinds, the parallel Divide kernel's bit-identity, the opt-in
-# transport/core compression paths, and the closed-form byte accounting
-# cross-checks (DESIGN.md §12).
+# Compression: the quantize/top-k kernels (bit determinism at any worker
+# count, error bounds, the top-k selection against its sort-based
+# reference and allocation budget), the wire v2 delta kinds, the
+# parallel Divide kernel's bit-identity, the opt-in transport/core
+# compression paths, and the closed-form byte accounting cross-checks
+# (DESIGN.md §12).
 test-compress:
-	$(GO) test -race ./internal/compress/ ./internal/secretshare/
-	$(GO) test -race -run 'Delta|Quant|Sparse|Compress|TopK|DistributionBytes|BlockBytes' \
+	$(GO) test -race ./internal/compress/ ./internal/secretshare/ \
 		./internal/wire/ ./internal/transport/ ./internal/sac/ \
 		./internal/core/ ./internal/costmodel/ ./internal/nn/
 
-# Continuous-churn suite under -race: the replicated directory state
-# machine, the cluster join/depart/handoff control plane, the departed-
-# peer teardown paths (transport RemovePeer, detector Forget, raft
-# ConfChange × snapshot × restart), the core reconfiguration seam, the
-# closed-form directory/handoff byte accounting, and the chaos churn
-# track with its 20-seed acceptance sweep (DESIGN.md §14). The sweep
-# also runs standalone via
-#   go run ./cmd/p2pfl-chaos -churn -seeds 20 -v
+# Continuous churn: the replicated directory state machine, the cluster
+# join/depart/handoff control plane, the departed-peer teardown paths
+# (transport RemovePeer, detector Forget, raft ConfChange × snapshot ×
+# restart), the core reconfiguration seam, the closed-form
+# directory/handoff byte accounting, and the chaos churn track with its
+# 20-seed acceptance sweep (DESIGN.md §14).
 test-churn:
-	$(GO) test -race ./internal/directory/
-	$(GO) test -race -run 'Churn|AddPeer|Depart|Handoff|Replace|Directory|Forget|RemovePeer|ConfChangeSnapshotRestart|Reconfigure' \
-		./internal/cluster/ ./internal/chaos/ ./internal/transport/ \
-		./internal/health/ ./internal/raft/ ./internal/core/ ./internal/costmodel/
-	$(GO) run -race ./cmd/p2pfl-chaos -churn -seeds 20
+	$(GO) test -race ./internal/directory/ ./internal/cluster/ ./internal/chaos/ \
+		./internal/transport/ ./internal/health/ ./internal/raft/ \
+		./internal/core/ ./internal/costmodel/
+	$(GO) run -race ./cmd/p2pfl-chaos -track churn -seeds 20
 
-# Massive-scale suite: the X-layer engine's scale tiers and parallel
+# Massive scale: the X-layer engine's scale tiers and parallel
 # bit-identity under -race (short mode caps the tier sweep at 2k peers),
-# the lazy fleet and telemetry sampling, the elastic split/merge control
-# plane and its chaos oracle, then the full 1k/10k/100k tier sweep
-# without -race and the real-aggregation byte cross-check against Eq. 10
+# the elastic split/merge control plane and its chaos oracle, then the
+# core package again without -race or -short for the full 1k/10k/100k
+# tier sweep, and the real-aggregation byte cross-check against Eq. 10
 # (DESIGN.md §15). The tier table also prints standalone via
 #   go run ./cmd/p2pfl-bench -multilayer
 test-scale:
-	$(GO) test -race -short -run 'MultiLayerScale|MultiLayerParallel|MultiLayerBorrow|MultiLayerScratch|MultiLayerOpts|Fleet|Sampler|Shard|Split|Merge|Rebalance' \
-		./internal/core/ ./internal/simnet/ ./internal/cluster/ \
-		./internal/telemetry/ ./internal/chaos/ ./internal/costmodel/
-	$(GO) test -run 'MultiLayerScaleTiers' ./internal/core/
+	$(GO) test -race -short ./internal/core/ ./internal/cluster/ \
+		./internal/chaos/ ./internal/costmodel/
+	$(GO) test ./internal/core/
 	$(GO) run ./cmd/p2pfl-bench -multilayer
-	$(GO) run ./cmd/p2pfl-chaos -shard -seeds 12
+	$(GO) run ./cmd/p2pfl-chaos -track shard -seeds 12
 
-# Byzantine adversary suite under -race: robust SAC aggregation (range
-# guard, subtotal cross-check, leader audit), its core-layer
-# integration, and the chaos oracle's 20-seed deterministic sweep with
-# the plain-mean sharpness contrast (DESIGN.md §11).
+# Byzantine adversaries: robust SAC aggregation (range guard, subtotal
+# cross-check, leader audit), its core-layer integration, and the chaos
+# oracle's 20-seed deterministic sweep with the plain-mean sharpness
+# contrast (DESIGN.md §11).
 test-byzantine:
-	$(GO) test -race -run 'Byzantine|Guard|Equivocat|PoisonScale|SignFlip|CorruptShares|InflatedSubtotals|HonestWitness|Robust' \
-		./internal/sac/ ./internal/core/ ./internal/chaos/
+	$(GO) test -race ./internal/sac/ ./internal/core/ ./internal/chaos/
+	$(GO) run -race ./cmd/p2pfl-chaos -track byzantine -seeds 20
 
 check: vet build test race chaos-smoke

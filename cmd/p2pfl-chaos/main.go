@@ -1,49 +1,52 @@
 // Command p2pfl-chaos runs deterministic fault campaigns against the
 // virtual-time protocol stack and checks the protocol invariants
-// continuously (see internal/chaos):
+// continuously (see internal/chaos). -track picks what one seed runs and
+// what a sweep of seeds must have exercised; -profile picks the
+// failure-handling policy of every node (cluster.Profile):
 //
 //	p2pfl-chaos -seed 42                       one mixed campaign, raft-kv target
 //	p2pfl-chaos -seed 7 -mix crash -steps 40   crash-heavy campaign
 //	p2pfl-chaos -target two-layer -m 3 -n 3    two-layer cluster campaign
-//	p2pfl-chaos -target two-layer -mix flap -detector
+//	p2pfl-chaos -target two-layer -mix flap -profile lan
 //	                                           flapping links + failure-detector
 //	                                           invariants (false-Down accuracy,
 //	                                           bounded re-convergence)
 //	p2pfl-chaos -target two-layer -mix byzantine -n 4
 //	                                           adversarial peers + robust
 //	                                           aggregation invariants
-//	p2pfl-chaos -byzantine -seed 11            Byzantine oracle rounds on any
-//	                                           campaign (robustness, detection,
-//	                                           equivocation, privacy, sharpness)
 //	p2pfl-chaos -target two-layer -mix churn   continuous churn: joins, graceful
 //	                                           departures and handoffs against
 //	                                           the live control plane, with the
 //	                                           directory and accuracy invariants
-//	p2pfl-chaos -churn -seeds 20               churn acceptance sweep: every seed
-//	                                           must pass all churn invariants and
-//	                                           the sweep must exercise real
-//	                                           membership change (else exit 1)
-//	p2pfl-chaos -shard -seeds 12               elastic-sharding sweep: equal-seed
+//	p2pfl-chaos -target two-layer -topology wan50 -profile wan
+//	                                           campaign on the multi-region WAN
+//	                                           latency model with pre-vote,
+//	                                           check-quorum, leases and RTT-tuned
+//	                                           timeouts armed
+//	p2pfl-chaos -track byzantine -seed 11      Byzantine oracle rounds on any
+//	                                           campaign (robustness, detection,
+//	                                           equivocation, privacy, sharpness)
+//	p2pfl-chaos -track churn -seeds 20         churn acceptance sweep (lan profile):
+//	                                           every seed must pass all churn
+//	                                           invariants and the sweep must see
+//	                                           real joins, departs and handoffs
+//	p2pfl-chaos -track shard -seeds 12         elastic-sharding sweep: equal-seed
 //	                                           split-vs-static oracle episodes;
 //	                                           real splits and merges must occur
-//	                                           and accuracy must hold (else exit 1)
-//	p2pfl-chaos -topology wan50 -prevote -checkquorum
-//	                                           campaign on the multi-region WAN
-//	                                           latency model with the stability
-//	                                           flags armed
-//	p2pfl-chaos -wan -seeds 20                 WAN stability sweep: flags-on must
-//	                                           stay election-quiet with bounded
-//	                                           failover, flags-off must show the
-//	                                           spurious elections the flags fix
+//	p2pfl-chaos -track wan -seeds 20           WAN stability sweep: the wan profile
+//	                                           must stay election-quiet with
+//	                                           bounded failover, the paper-profile
+//	                                           control must show the spurious
+//	                                           elections the profile fixes
 //	p2pfl-chaos -soak 30s                      seed sweep until the wall clock runs out
-//	p2pfl-chaos -seed 9 -out fail.json         dump a replay file for the run
-//	p2pfl-chaos -replay fail.json              re-execute a dumped schedule exactly
+//	p2pfl-chaos -seed 9 -dump -out run.json    dump a replay file for the run
+//	p2pfl-chaos -replay run.json               re-execute a dumped schedule exactly
 //
 // On an invariant violation the failing schedule is minimized by
 // bisection, written to -out (default chaos-replay.json) and the process
-// exits 1. Identical seeds always produce identical schedules and
-// verdicts, so any red run reported by CI reproduces locally from its
-// seed alone.
+// exits 1; so does a sweep that never exercised what its track is about.
+// Identical seeds always produce identical schedules and verdicts, so
+// any red run reported by CI reproduces locally from its seed alone.
 package main
 
 import (
@@ -51,36 +54,67 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/cluster"
 )
 
+var (
+	seed      = flag.Int64("seed", 1, "first campaign seed (ignored with -replay)")
+	seeds     = flag.Int("seeds", 0, "number of consecutive seeds to run (0: the track's own width — 1 for faults and byzantine, 20 for wan and churn, 12 for shard)")
+	soak      = flag.Duration("soak", 0, "keep running consecutive seeds for at least this long")
+	trackName = flag.String("track", "faults", "what each seed runs: faults | byzantine | churn | shard | wan")
+	profile   = flag.String("profile", "paper", "failure-handling policy of every node: paper | lan | wan")
+	steps     = flag.Int("steps", 24, "number of fault actions in the schedule")
+	mix       = flag.String("mix", "mixed", "fault mix: mixed | crash | partition | flap | byzantine | churn")
+	target    = flag.String("target", "raft-kv", "system under test: raft-kv | two-layer")
+	nodes     = flag.Int("nodes", 5, "raft group size (raft-kv target)")
+	m         = flag.Int("m", 3, "number of subgroups (two-layer target)")
+	n         = flag.Int("n", 3, "peers per subgroup (two-layer target)")
+	topo      = flag.String("topology", "", "latency preset replacing the uniform 15 ms link: lan15 | wan50 | wan200")
+	out       = flag.String("out", "chaos-replay.json", "replay file written on failure (or with -dump)")
+	dump      = flag.Bool("dump", false, "write the replay file even when the campaign passes")
+	replay    = flag.String("replay", "", "re-execute the schedule from a replay file instead of generating one")
+	budget    = flag.Int("min-budget", 64, "max campaign executions spent minimizing a failure")
+	verbose   = flag.Bool("v", false, "print per-seed stats in a multi-seed run")
+)
+
+// track is one row of the registry -track selects from.
+type track struct {
+	// seeds is the sweep width when -seeds is not given.
+	seeds int
+	// run executes one seed — base is the flag-built campaign carrying
+	// it — prints the outcome when show is set or the seed failed, and
+	// returns the verdict plus what the seed exercised, in stats order.
+	run func(base chaos.Campaign, show bool) (passed bool, exercised []int)
+	// stats labels what run counts. The totals are printed, and a sweep
+	// in which any of them stayed zero is vacuous and exits 1: checkers
+	// that never saw their mechanism at work prove nothing.
+	stats []string
+}
+
+var tracks = map[string]track{
+	"faults":    {seeds: 1, run: campaigns(func(*chaos.Campaign) {}, nil)},
+	"byzantine": {seeds: 1, run: campaigns(func(c *chaos.Campaign) { c.ByzantineRounds = 2 }, nil)},
+	// Full two-layer ChurnMix campaigns with the churn oracle and the
+	// failure detector armed.
+	"churn": {seeds: 20, stats: []string{"joins", "departs", "handoffs"},
+		run: campaigns(func(c *chaos.Campaign) {
+			c.Target, c.Mix, c.Profile = chaos.TargetTwoLayer, chaos.ChurnMix, cluster.LAN
+			c.ChurnRounds, c.SACRounds = 3, -1
+		}, func(s chaos.Stats) []int { return []int{s.Joins, s.Departs, s.Handoffs} })},
+	// Shard oracle episodes only (equal-seed split-vs-static aggregation,
+	// see internal/chaos/shardoracle.go) on the default raft-kv shape.
+	"shard": {seeds: 12, stats: []string{"splits", "merges"},
+		run: campaigns(func(c *chaos.Campaign) {
+			*c = chaos.Campaign{Seed: c.Seed, Steps: 1, SACRounds: -1, ShardRounds: 3}
+		}, func(s chaos.Stats) []int { return []int{s.Splits, s.Merges} })},
+	"wan": {seeds: 20, stats: []string{"spurious elections in the paper-profile control"}, run: runWAN},
+}
+
 func main() {
-	var (
-		seed    = flag.Int64("seed", 1, "campaign seed (ignored with -replay)")
-		steps   = flag.Int("steps", 24, "number of fault actions in the schedule")
-		mix     = flag.String("mix", "mixed", "fault mix: mixed | crash | partition | flap | byzantine | churn")
-		target  = flag.String("target", "raft-kv", "system under test: raft-kv | two-layer")
-		detect  = flag.Bool("detector", false, "enable the failure detector and its invariant checkers (two-layer target)")
-		byz     = flag.Bool("byzantine", false, "run Byzantine adversary oracle rounds and their invariant checkers")
-		nodes   = flag.Int("nodes", 5, "raft group size (raft-kv target)")
-		m       = flag.Int("m", 3, "number of subgroups (two-layer target)")
-		n       = flag.Int("n", 3, "peers per subgroup (two-layer target)")
-		topo    = flag.String("topology", "", "latency preset replacing the uniform 15 ms link: lan15 | wan50 | wan200")
-		prevote = flag.Bool("prevote", false, "enable raft pre-vote on every node")
-		chkq    = flag.Bool("checkquorum", false, "enable raft check-quorum on every node")
-		wan     = flag.Bool("wan", false, "run the WAN stability sweep instead of a fault campaign")
-		churn   = flag.Bool("churn", false, "run the continuous-churn acceptance sweep instead of a fault campaign")
-		shard   = flag.Bool("shard", false, "run the elastic-sharding acceptance sweep (split-vs-static oracle) instead of a fault campaign")
-		seeds   = flag.Int("seeds", 20, "number of consecutive seeds in the -wan / -churn / -shard sweeps")
-		soak    = flag.Duration("soak", 0, "keep running campaigns with consecutive seeds for this long")
-		out     = flag.String("out", "chaos-replay.json", "replay file written on failure (or with -dump)")
-		dump    = flag.Bool("dump", false, "write the replay file even when the campaign passes")
-		replay  = flag.String("replay", "", "re-execute the schedule from a replay file instead of generating one")
-		budget  = flag.Int("min-budget", 64, "max campaign executions spent minimizing a failure")
-		verbose = flag.Bool("v", false, "print per-campaign stats")
-	)
 	flag.Parse()
 
 	if *replay != "" {
@@ -89,232 +123,146 @@ func main() {
 			log.Fatal(err)
 		}
 		rep := c.Execute(actions)
-		printReport(rep, true)
+		printReport(rep)
 		if !rep.Passed() {
 			os.Exit(1)
 		}
 		return
 	}
 
-	if *wan {
-		runWANSweep(*seed, *seeds, *verbose)
-		return
+	t, ok := tracks[*trackName]
+	if !ok {
+		log.Fatalf("unknown track %q (want faults | byzantine | churn | shard | wan)", *trackName)
+	}
+	base := campaign(*seed, *steps, *mix, *target, *profile, *topo, *nodes, *m, *n)
+	width := *seeds
+	if width <= 0 {
+		width = t.seeds
 	}
 
-	if *churn {
-		runChurnSweep(*seed, *seeds, *steps, *m, *n, *verbose)
-		return
-	}
-
-	if *shard {
-		runShardSweep(*seed, *seeds, *verbose)
-		return
-	}
-
-	base := campaign(*seed, *steps, *mix, *target, *nodes, *m, *n)
-	base.Detector = *detect
-	base.Topology = *topo
-	base.PreVote = *prevote
-	base.CheckQuorum = *chkq
-	if *byz {
-		base.Byzantine = true
-	}
-	if *soak <= 0 {
-		runOne(base, *out, *dump, *budget, true)
-		return
-	}
-
-	// Soak mode: sweep consecutive seeds until the wall-clock budget is
-	// spent; first failure stops the sweep.
+	// Consecutive seeds until both the width and the wall-clock budget are
+	// spent; the first failure stops the run.
 	start := time.Now()
+	totals := make([]int, len(t.stats))
 	ran := 0
-	for time.Since(start) < *soak {
+	for ; ran < width || time.Since(start) < *soak; ran++ {
 		c := base
 		c.Seed = *seed + int64(ran)
-		runOne(c, *out, false, *budget, *verbose)
-		ran++
+		passed, exercised := t.run(c, *verbose || (width == 1 && *soak <= 0))
+		if !passed {
+			os.Exit(1)
+		}
+		for i, v := range exercised {
+			totals[i] += v
+		}
 	}
-	fmt.Printf("soak: %d campaigns (seeds %d..%d) in %v, all invariants held\n",
-		ran, *seed, *seed+int64(ran-1), time.Since(start).Round(time.Millisecond))
+	if ran == 1 && len(t.stats) == 0 {
+		return
+	}
+	summary := fmt.Sprintf("%s track: %d seeds (%d..%d) green", *trackName, ran, *seed, *seed+int64(ran-1))
+	var counted []string
+	vacuous := false
+	for i, label := range t.stats {
+		counted = append(counted, fmt.Sprintf("%d %s", totals[i], label))
+		vacuous = vacuous || totals[i] == 0
+	}
+	if counted != nil {
+		summary += " with " + strings.Join(counted, ", ")
+	}
+	fmt.Println(summary)
+	if vacuous {
+		fmt.Printf("%s track: a counter stayed at zero — the sweep never exercised its mechanism, so its checkers proved nothing\n", *trackName)
+		os.Exit(1)
+	}
 }
 
-// runWANSweep is the -wan mode: the ISSUE's two-sided acceptance check.
-// Seeds seed..seed+n-1 run the 50 ms WAN stability scenario twice — with
-// pre-vote, check-quorum, leases and auto-tuning armed (must be
-// election-quiet with bounded failover) and with everything off (must
-// show at least one spurious election across the sweep, or the checker
-// proves nothing). Any flags-on violation or a vacuous flags-off sweep
-// exits 1.
-func runWANSweep(seed int64, n int, verbose bool) {
-	failed := false
-	spuriousOff := 0
-	for i := 0; i < n; i++ {
-		s := seed + int64(i)
-		on, err := chaos.RunWANStability(chaos.StabilityOptions{
-			Seed: s, PreVote: true, CheckQuorum: true, LeaderLease: true, AutoTune: true,
-		})
-		if err != nil {
-			log.Fatal(err)
+// campaigns builds the run function of a track whose seeds are fault
+// campaigns: shape turns the flag-built base into the track's campaign,
+// count picks the exercised counters out of its stats. A failing
+// schedule is minimized and written to -out.
+func campaigns(shape func(*chaos.Campaign), count func(chaos.Stats) []int) func(chaos.Campaign, bool) (bool, []int) {
+	return func(c chaos.Campaign, show bool) (bool, []int) {
+		shape(&c)
+		rep := c.Run()
+		if show || !rep.Passed() {
+			printReport(rep)
 		}
-		if !on.Passed() {
-			failed = true
-			fmt.Printf("seed %-6d wan FAIL\n", s)
-			for _, v := range on.Violations {
-				fmt.Printf("  %s\n", v)
+		if !rep.Passed() {
+			minActions, minRep := chaos.Minimize(c, rep.Actions, *budget)
+			fmt.Printf("minimized %d-action schedule to %d actions (%d violations persist)\n",
+				len(rep.Actions), len(minActions), len(minRep.Violations))
+			rep = minRep
+		}
+		if *dump || !rep.Passed() {
+			if err := chaos.WriteReplay(*out, rep); err != nil {
+				log.Fatal(err)
 			}
-		} else if verbose {
-			fmt.Printf("seed %-6d wan PASS: 0 spurious elections, failover %d ticks (bound %d)\n",
-				s, on.FailoverTicks, on.FailoverBound)
+			fmt.Printf("replay file written to %s — reproduce with: p2pfl-chaos -replay %s\n", *out, *out)
 		}
-		off, err := chaos.RunWANStability(chaos.StabilityOptions{Seed: s})
-		if err != nil {
-			log.Fatal(err)
+		if count == nil {
+			return rep.Passed(), nil
 		}
-		spuriousOff += off.SpuriousElections
+		return rep.Passed(), count(rep.Stats)
 	}
-	if spuriousOff == 0 {
-		fmt.Printf("wan sweep: flags-off control showed zero spurious elections across %d seeds — checker is vacuous\n", n)
-		failed = true
-	}
-	if failed {
-		os.Exit(1)
-	}
-	fmt.Printf("wan sweep: %d seeds quiet with flags on; flags-off control: %d spurious elections\n",
-		n, spuriousOff)
 }
 
-// runChurnSweep is the -churn mode: the continuous-churn acceptance
-// check. Seeds seed..seed+n-1 run full two-layer ChurnMix campaigns with
-// the churn oracle and failure detector armed. Every seed must pass all
-// invariants (directory convergence, share-index soundness, churn
-// accuracy, plus the standing safety/liveness/exactness checks), and the
-// sweep as a whole must exercise real joins, departures and handoffs —
-// a sweep that never changed the membership proves nothing and exits 1.
-func runChurnSweep(seed int64, n, steps, m, sub int, verbose bool) {
-	failed := false
-	joins, departs, handoffs := 0, 0, 0
-	for i := 0; i < n; i++ {
-		c := chaos.Campaign{
-			Seed: seed + int64(i), Steps: steps, Target: chaos.TargetTwoLayer,
-			Mix: chaos.ChurnMix, Churn: true, Detector: true,
-			Subgroups: m, SubgroupSize: sub, SACRounds: -1,
+// runWAN is one seed of the WAN stability track, a two-sided check: the
+// 50 ms WAN scenario under the wan profile must be election-quiet with
+// bounded failover, and the same seed under the paper profile is the
+// control whose spurious elections prove the checker can fail. It takes
+// only the seed from base.
+func runWAN(base chaos.Campaign, show bool) (bool, []int) {
+	on, err := chaos.RunWANStability(chaos.StabilityOptions{Seed: base.Seed, Profile: cluster.WAN})
+	if err != nil {
+		log.Fatal(err)
+	}
+	control, err := chaos.RunWANStability(chaos.StabilityOptions{Seed: base.Seed})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if !on.Passed() {
+		fmt.Printf("seed %-6d wan FAIL\n", base.Seed)
+		for _, v := range on.Violations {
+			fmt.Printf("  %s\n", v)
 		}
-		rep := c.Run()
-		joins += rep.Stats.Joins
-		departs += rep.Stats.Departs
-		handoffs += rep.Stats.Handoffs
-		if !rep.Passed() {
-			failed = true
-			printReport(rep, true)
-		} else if verbose {
-			fmt.Printf("seed %-6d churn PASS: %d joins, %d departs, %d handoffs\n",
-				c.Seed, rep.Stats.Joins, rep.Stats.Departs, rep.Stats.Handoffs)
-		}
+	} else if show {
+		fmt.Printf("seed %-6d wan PASS: 0 spurious elections, failover %d ticks (bound %d); control: %d spurious elections\n",
+			base.Seed, on.FailoverTicks, on.FailoverBound, control.SpuriousElections)
 	}
-	if joins == 0 || departs == 0 || handoffs == 0 {
-		fmt.Printf("churn sweep: %d joins, %d departs, %d handoffs across %d seeds — membership never fully exercised, checker is vacuous\n",
-			joins, departs, handoffs, n)
-		failed = true
-	}
-	if failed {
-		os.Exit(1)
-	}
-	fmt.Printf("churn sweep: %d seeds green with %d joins, %d departs, %d handoffs; directory and accuracy invariants held\n",
-		n, joins, departs, handoffs)
+	return on.Passed(), []int{control.SpuriousElections}
 }
 
-// runShardSweep is the -shard mode: the elastic-sharding acceptance
-// check. Seeds seed..seed+n-1 run shard oracle campaigns (equal-seed
-// split-vs-static aggregation, see internal/chaos/shardoracle.go).
-// Every seed must stay green on shard-balance, share-index-soundness
-// and shard-accuracy, and the sweep as a whole must perform real splits
-// and merges — a sweep that never re-sharded proves nothing and exits 1.
-func runShardSweep(seed int64, n int, verbose bool) {
-	failed := false
-	splits, merges := 0, 0
-	for i := 0; i < n; i++ {
-		c := chaos.Campaign{Seed: seed + int64(i), Steps: 1, SACRounds: -1, Shard: true}
-		rep := c.Run()
-		splits += rep.Stats.Splits
-		merges += rep.Stats.Merges
-		if !rep.Passed() {
-			failed = true
-			printReport(rep, true)
-		} else if verbose {
-			fmt.Printf("seed %-6d shard PASS: %d splits, %d merges, %d joins, %d departs\n",
-				c.Seed, rep.Stats.Splits, rep.Stats.Merges, rep.Stats.Joins, rep.Stats.Departs)
-		}
-	}
-	if splits == 0 || merges == 0 {
-		fmt.Printf("shard sweep: %d splits, %d merges across %d seeds — re-sharding never fully exercised, checker is vacuous\n",
-			splits, merges, n)
-		failed = true
-	}
-	if failed {
-		os.Exit(1)
-	}
-	fmt.Printf("shard sweep: %d seeds green with %d splits and %d merges; split-vs-static accuracy held\n",
-		n, splits, merges)
+// mixes maps -mix names to fault mixes. The byzantine and churn mixes
+// also arm their oracle, at the same widths as the tracks of that name.
+var mixes = map[string]chaos.Campaign{
+	"mixed":     {Mix: chaos.DefaultMix},
+	"crash":     {Mix: chaos.CrashHeavyMix},
+	"partition": {Mix: chaos.PartitionHeavyMix},
+	"flap":      {Mix: chaos.FlappingMix},
+	"byzantine": {Mix: chaos.ByzantineMix, ByzantineRounds: 2},
+	"churn":     {Mix: chaos.ChurnMix, ChurnRounds: 3},
 }
 
-func campaign(seed int64, steps int, mix, target string, nodes, m, n int) chaos.Campaign {
-	c := chaos.Campaign{Seed: seed, Steps: steps, Nodes: nodes, Subgroups: m, SubgroupSize: n}
-	switch mix {
-	case "mixed":
-		c.Mix = chaos.DefaultMix
-	case "crash":
-		c.Mix = chaos.CrashHeavyMix
-	case "partition":
-		c.Mix = chaos.PartitionHeavyMix
-	case "flap":
-		c.Mix = chaos.FlappingMix
-	case "byzantine":
-		c.Mix = chaos.ByzantineMix
-		c.Byzantine = true
-	case "churn":
-		c.Mix = chaos.ChurnMix
-		c.Churn = true
-	default:
+func campaign(seed int64, steps int, mix, target, profile, topology string, nodes, m, n int) chaos.Campaign {
+	c, ok := mixes[mix]
+	if !ok {
 		log.Fatalf("unknown mix %q (want mixed | crash | partition | flap | byzantine | churn)", mix)
 	}
-	switch target {
-	case "raft-kv":
-		c.Target = chaos.TargetRaftKV
-	case "two-layer":
-		c.Target = chaos.TargetTwoLayer
+	c.Seed, c.Steps, c.Nodes, c.Subgroups, c.SubgroupSize, c.Topology = seed, steps, nodes, m, n, topology
+	switch chaos.Target(target) {
+	case chaos.TargetRaftKV, chaos.TargetTwoLayer:
+		c.Target = chaos.Target(target)
 	default:
 		log.Fatalf("unknown target %q (want raft-kv | two-layer)", target)
+	}
+	var err error
+	if c.Profile, err = cluster.ParseProfile(profile); err != nil {
+		log.Fatal(err)
 	}
 	return c
 }
 
-// runOne executes a campaign; on failure it minimizes the schedule,
-// writes the replay file and exits 1.
-func runOne(c chaos.Campaign, out string, dump bool, budget int, verbose bool) {
-	rep := c.Run()
-	if verbose || !rep.Passed() {
-		printReport(rep, !rep.Passed())
-	}
-	if rep.Passed() {
-		if dump {
-			if err := chaos.WriteReplay(out, rep); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("schedule dumped to %s\n", out)
-		}
-		return
-	}
-	minActions, minRep := chaos.Minimize(c, rep.Actions, budget)
-	fmt.Printf("minimized %d-action schedule to %d actions (%d violations persist)\n",
-		len(rep.Actions), len(minActions), len(minRep.Violations))
-	if err := chaos.WriteReplay(out, minRep); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("replay file written to %s — reproduce with: p2pfl-chaos -replay %s\n", out, out)
-	os.Exit(1)
-}
-
-func printReport(rep *chaos.Report, showViolations bool) {
+func printReport(rep *chaos.Report) {
 	s := rep.Stats
 	verdict := "PASS"
 	if !rep.Passed() {
@@ -329,9 +277,7 @@ func printReport(rep *chaos.Report, showViolations bool) {
 	if s.Joins > 0 || s.Departs > 0 || s.Handoffs > 0 {
 		fmt.Printf("           churn: %d joins, %d departs, %d handoffs\n", s.Joins, s.Departs, s.Handoffs)
 	}
-	if showViolations {
-		for _, v := range rep.Violations {
-			fmt.Printf("  %s\n", v)
-		}
+	for _, v := range rep.Violations {
+		fmt.Printf("  %s\n", v)
 	}
 }

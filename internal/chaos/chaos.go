@@ -18,12 +18,12 @@
 //	                        and a round/entry commits within a bound
 //	Health accuracy         no failure detector declares a peer Down
 //	                        whose messages were delivered within the
-//	                        silence threshold (Campaign.Detector)
+//	                        silence threshold (detector profiles)
 //	Health re-convergence   after the last fault lifts, every live
 //	                        detector returns to all-Up verdicts about
 //	                        live peers within a bound
 //
-// The Byzantine adversary track (Campaign.Byzantine, see byzantine.go)
+// The Byzantine adversary track (Campaign.ByzantineRounds, see byzantine.go)
 // adds four more, checked against seed-derived adversary plans with
 // f = 1 < n/3 marked peers per subgroup:
 //
@@ -42,7 +42,7 @@
 //	                        tolerance — proof the checkers can fail
 //
 // The continuous-churn track (ActChurn actions on TargetTwoLayer plus
-// Campaign.Churn oracle episodes, see churnoracle.go) adds three more:
+// Campaign.ChurnRounds oracle episodes, see churnoracle.go) adds three more:
 //
 //	Directory convergence   after quiesce, every live FedAvg-layer
 //	                        directory replica holds identical state and
@@ -66,6 +66,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/cluster"
 	"repro/internal/simnet"
 	"repro/internal/telemetry"
 )
@@ -253,10 +254,20 @@ type Campaign struct {
 	// every raft network with a multi-region delay matrix plus jitter.
 	// Serialized into replay files: a WAN campaign replays as one.
 	Topology string `json:"topology,omitempty"`
-	// PreVote/CheckQuorum arm the raft WAN-stability flags on every node
-	// in the campaign (default off — stock paper behavior).
-	PreVote     bool `json:"pre_vote,omitempty"`
-	CheckQuorum bool `json:"check_quorum,omitempty"`
+	// Profile selects the failure-handling policy of every node in the
+	// campaign (cluster.Paper, the zero value, is stock paper behaviour).
+	// TargetTwoLayer passes it to cluster.Options; the single raft group
+	// of TargetRaftKV takes the profile's raft flags only. A detector
+	// profile also arms two extra invariant checkers:
+	//
+	//	health-false-down      no detector may declare a peer Down whose
+	//	                       messages were delivered within threshold
+	//	                       (checked against the cluster's shadow
+	//	                       delivery ledger, an independent data path)
+	//	health-reconvergence   after the last fault lifts, every live
+	//	                       detector returns to all-Up verdicts about
+	//	                       live peers within ReconvergeBoundUs
+	Profile cluster.Profile `json:"profile,omitempty"`
 
 	// StepEveryUs spaces fault actions (default 200 ms virtual).
 	StepEveryUs int64 `json:"step_every_us,omitempty"`
@@ -266,47 +277,28 @@ type Campaign struct {
 	// SACRounds is the number of SAC exactness/privacy oracle rounds run
 	// per campaign (default 3; negative disables).
 	SACRounds int `json:"sac_rounds,omitempty"`
-	// Byzantine arms the Byzantine adversary track: ByzantineRounds
-	// oracle rounds pitting seed-derived adversary plans against the
-	// robust (guarded) aggregation, with convergence, detection,
-	// coalition-privacy and sharpness invariants (see byzantine.go). It
-	// also raises the default SubgroupSize to 4 so f = 1 < n/3 marks
-	// are possible on the two-layer target.
-	Byzantine bool `json:"byzantine,omitempty"`
-	// ByzantineRounds is the number of Byzantine oracle rounds (default
-	// 2 when Byzantine is set; negative disables).
+	// ByzantineRounds is the number of Byzantine oracle rounds (0 = off;
+	// the byzantine track runs 2): seed-derived adversary plans pitted
+	// against the robust (guarded) aggregation, with convergence,
+	// detection, coalition-privacy and sharpness invariants (see
+	// byzantine.go). Arming it also raises the default SubgroupSize to 4
+	// so f = 1 < n/3 marks are possible on the two-layer target.
 	ByzantineRounds int `json:"byzantine_rounds,omitempty"`
-	// Churn arms the continuous-churn oracle track: ChurnRounds episodes
-	// of mid-training membership change driven through the
-	// round-boundary reconfiguration path against a directory mirror,
+	// ChurnRounds is the number of churn oracle episodes (0 = off; the
+	// churn track runs 3): mid-training membership change driven through
+	// the round-boundary reconfiguration path against a directory mirror,
 	// with share-index-soundness and churn-accuracy invariants (see
-	// churnoracle.go). ActChurn actions in the schedule exercise the
-	// live control plane on TargetTwoLayer independently of this flag.
-	Churn bool `json:"churn,omitempty"`
-	// ChurnRounds is the number of churn oracle episodes (default 3 when
-	// Churn is set; negative disables).
+	// churnoracle.go). ActChurn actions in the schedule exercise the live
+	// control plane on TargetTwoLayer independently of it.
 	ChurnRounds int `json:"churn_rounds,omitempty"`
-	// Shard arms the elastic-sharding oracle track: ShardRounds episodes
-	// of equal-seed split-vs-static aggregation against a directory
-	// mirror that splits oversized subgroups and merges undersized ones
-	// at round boundaries, with shard-balance, share-index-soundness and
-	// shard-accuracy invariants (see shardoracle.go).
-	Shard bool `json:"shard,omitempty"`
-	// ShardRounds is the number of shard oracle episodes (default 3 when
-	// Shard is set; negative disables).
+	// ShardRounds is the number of shard oracle episodes (0 = off; the
+	// shard track runs 3): equal-seed split-vs-static aggregation against
+	// a directory mirror that splits oversized subgroups and merges
+	// undersized ones at round boundaries, with shard-balance,
+	// share-index-soundness and shard-accuracy invariants (see
+	// shardoracle.go).
 	ShardRounds int `json:"shard_rounds,omitempty"`
 
-	// Detector enables the self-healing layer on TargetTwoLayer
-	// (cluster.Options.Detector) and arms two extra invariant checkers:
-	//
-	//	health-false-down      no detector may declare a peer Down whose
-	//	                       messages were delivered within threshold
-	//	                       (checked against the cluster's shadow
-	//	                       delivery ledger, an independent data path)
-	//	health-reconvergence   after the last fault lifts, every live
-	//	                       detector returns to all-Up verdicts about
-	//	                       live peers within ReconvergeBoundUs
-	Detector bool `json:"detector,omitempty"`
 	// ReconvergeBoundUs bounds detector re-convergence after quiesce
 	// begins (default 30 s virtual).
 	ReconvergeBoundUs int64 `json:"reconverge_bound_us,omitempty"`
@@ -342,7 +334,7 @@ func (c Campaign) normalize() Campaign {
 	}
 	if c.SubgroupSize <= 0 {
 		c.SubgroupSize = 3
-		if c.Byzantine {
+		if c.ByzantineRounds > 0 {
 			c.SubgroupSize = 4 // room for f = 1 < n/3 adversaries
 		}
 	}
@@ -369,15 +361,6 @@ func (c Campaign) normalize() Campaign {
 	}
 	if c.SACRounds == 0 {
 		c.SACRounds = 3
-	}
-	if c.Byzantine && c.ByzantineRounds == 0 {
-		c.ByzantineRounds = 2
-	}
-	if c.Churn && c.ChurnRounds == 0 {
-		c.ChurnRounds = 3
-	}
-	if c.Shard && c.ShardRounds == 0 {
-		c.ShardRounds = 3
 	}
 	if c.ReconvergeBoundUs <= 0 {
 		c.ReconvergeBoundUs = int64(30 * simnet.Second)
@@ -499,13 +482,13 @@ func (c Campaign) Execute(actions []Action) *Report {
 	if n.SACRounds > 0 {
 		runSACOracle(n, rep)
 	}
-	if n.Byzantine && n.ByzantineRounds > 0 {
+	if n.ByzantineRounds > 0 {
 		runByzantineOracle(n, rep)
 	}
-	if n.Churn && n.ChurnRounds > 0 {
+	if n.ChurnRounds > 0 {
 		runChurnOracle(n, rep)
 	}
-	if n.Shard && n.ShardRounds > 0 {
+	if n.ShardRounds > 0 {
 		runShardOracle(n, rep)
 	}
 	return rep

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/telemetry"
 )
 
@@ -16,13 +17,13 @@ import (
 // round-boundary reconfiguration path.
 func churnCampaign(seed int64) Campaign {
 	return Campaign{
-		Seed:      seed,
-		Steps:     24,
-		Target:    TargetTwoLayer,
-		Mix:       ChurnMix,
-		Churn:     true,
-		Detector:  true,
-		SACRounds: -1,
+		Seed:        seed,
+		Steps:       24,
+		Target:      TargetTwoLayer,
+		Mix:         ChurnMix,
+		ChurnRounds: 3,
+		Profile:     cluster.LAN,
+		SACRounds:   -1,
 	}
 }
 
@@ -51,7 +52,7 @@ func TestChurnCampaignSweep(t *testing.T) {
 // track: identical campaigns must agree on every stat and violation.
 func TestChurnOracleDeterministic(t *testing.T) {
 	run := func() *Report {
-		return Campaign{Seed: 42, Steps: 1, SACRounds: -1, Churn: true}.Run()
+		return Campaign{Seed: 42, Steps: 1, SACRounds: -1, ChurnRounds: 3}.Run()
 	}
 	a, b := run(), run()
 	aj, _ := json.Marshal(struct {
@@ -71,7 +72,7 @@ func TestChurnOracleDeterministic(t *testing.T) {
 }
 
 // TestChurnReplayRoundTrip dumps a churn campaign to a replay file and
-// re-executes it from disk: the Churn flag and the ActChurn actions must
+// re-executes it from disk: the oracle width, the profile and the ActChurn actions must
 // survive serialization and reproduce the identical verdict and stats.
 func TestChurnReplayRoundTrip(t *testing.T) {
 	c := churnCampaign(3)
@@ -87,8 +88,8 @@ func TestChurnReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lc.Churn {
-		t.Fatal("Churn flag lost in the replay file")
+	if lc.ChurnRounds != 3 || lc.Profile != cluster.LAN {
+		t.Fatal("churn oracle width or profile lost in the replay file")
 	}
 	churns := 0
 	for _, a := range actions {

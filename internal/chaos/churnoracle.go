@@ -11,7 +11,7 @@ import (
 	"repro/internal/wire"
 )
 
-// The churn oracle (Campaign.Churn) drives mid-training membership
+// The churn oracle (Campaign.ChurnRounds) drives mid-training membership
 // changes through the round-boundary reconfiguration path — exactly the
 // contract the control plane promises: the directory reassigns share
 // indices between rounds, never mid-round — and checks the churn

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/telemetry"
 )
 
@@ -19,7 +20,7 @@ func flapCampaign(seed int64, reg *telemetry.Registry) Campaign {
 		Steps:     12,
 		Mix:       FlappingMix,
 		Target:    TargetTwoLayer,
-		Detector:  true,
+		Profile:   cluster.LAN,
 		SACRounds: -1, // the oracle has its own tests; keep this one on the live cluster
 		Telemetry: reg,
 	}
@@ -72,7 +73,7 @@ func TestFlappingCampaignSweep(t *testing.T) {
 }
 
 // TestFlappingReplayRoundTrip: a detector campaign's replay file
-// preserves the Detector/ReconvergeBoundUs configuration, so a red run
+// preserves the Profile/ReconvergeBoundUs configuration, so a red run
 // re-executes with the same checkers armed.
 func TestFlappingReplayRoundTrip(t *testing.T) {
 	c := flapCampaign(3, nil)
@@ -86,8 +87,8 @@ func TestFlappingReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c2.Detector {
-		t.Fatal("replay dropped Campaign.Detector")
+	if c2.Profile != cluster.LAN {
+		t.Fatal("replay dropped Campaign.Profile")
 	}
 	rep2 := c2.Execute(actions)
 	requireClean(t, rep2)

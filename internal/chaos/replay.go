@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -33,13 +34,18 @@ func WriteReplay(path string, rep *Report) error {
 
 // LoadReplay reads a replay file back. Execute the returned schedule
 // under the returned campaign to reproduce the original run exactly.
+// Decoding is strict: a key this build does not know (a field renamed
+// since the file was written, a typo in a hand edit) is an error, never
+// a silently different campaign reported as a faithful replay.
 func LoadReplay(path string) (Campaign, []Action, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return Campaign{}, nil, fmt.Errorf("chaos: read replay: %w", err)
 	}
 	var rf replayFile
-	if err := json.Unmarshal(b, &rf); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&rf); err != nil {
 		return Campaign{}, nil, fmt.Errorf("chaos: decode replay %s: %w", path, err)
 	}
 	return rf.Campaign, rf.Actions, nil

@@ -9,7 +9,7 @@ import (
 // shard oracle's equal-seed split-vs-static episodes on top of a short
 // schedule.
 func shardCampaign(seed int64) Campaign {
-	return Campaign{Seed: seed, Steps: 1, SACRounds: -1, Shard: true}
+	return Campaign{Seed: seed, Steps: 1, SACRounds: -1, ShardRounds: 3}
 }
 
 // TestShardOracleSweep runs the split-vs-static accuracy oracle over a
@@ -58,10 +58,10 @@ func TestShardOracleDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardFlagSerializes checks the Shard knobs survive a campaign
+// TestShardRoundsSerialize checks the shard oracle width survives a campaign
 // JSON round-trip, so replay files capture the oracle configuration.
-func TestShardFlagSerializes(t *testing.T) {
-	c := Campaign{Seed: 7, Shard: true, ShardRounds: 5}
+func TestShardRoundsSerialize(t *testing.T) {
+	c := Campaign{Seed: 7, ShardRounds: 5}
 	buf, err := json.Marshal(c)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestShardFlagSerializes(t *testing.T) {
 	if err := json.Unmarshal(buf, &back); err != nil {
 		t.Fatal(err)
 	}
-	if !back.Shard || back.ShardRounds != 5 {
-		t.Fatalf("round-tripped campaign %+v lost the shard knobs", back)
+	if back.ShardRounds != 5 {
+		t.Fatalf("round-tripped campaign %+v lost the shard oracle width", back)
 	}
 }

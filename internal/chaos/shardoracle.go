@@ -11,7 +11,7 @@ import (
 	"repro/internal/wire"
 )
 
-// The shard oracle (Campaign.Shard) is the accuracy proof for elastic
+// The shard oracle (Campaign.ShardRounds) is the accuracy proof for elastic
 // sharding: splitting an oversized subgroup or merging an undersized
 // one must be invisible to training. Each episode runs two equal-seed
 // deployments over the identical membership history — a static mirror

@@ -78,10 +78,8 @@ func executeTwoLayer(c Campaign, actions []Action, rep *Report) {
 		HeartbeatTick:   c.HeartbeatTick,
 		Latency:         simnet.Duration(c.LatencyUs),
 		Topology:        topo,
-		PreVote:         c.PreVote,
-		CheckQuorum:     c.CheckQuorum,
+		Profile:         c.Profile,
 		Seed:            c.Seed,
-		Detector:        c.Detector,
 		Telemetry:       c.Telemetry, // cluster.New pins its clock to the sim
 	})
 	if err != nil {
@@ -365,7 +363,7 @@ func (w *twWorld) sweep() {
 // shadow silence gap is below the detector's threshold condemned a peer
 // whose messages were still arriving — a false positive.
 func (w *twWorld) checkHealth() {
-	if !w.c.Detector {
+	if !w.c.Profile.Detector() {
 		return
 	}
 	trans := w.sys.HealthTransitions()
@@ -477,7 +475,6 @@ func (w *twWorld) quiesce() {
 	}
 	// Let the freshly elected leaders finish joining the FedAvg layer so
 	// the round spec reflects a settled configuration.
-	fedID := sys.FedAvgLeader()
 	sys.Sim.RunWhileNot(func() bool {
 		for g := 0; g < w.m; g++ {
 			l := sys.SubgroupLeader(g)
@@ -509,13 +506,18 @@ func (w *twWorld) quiesce() {
 	// Bounded re-convergence: with the network calm and every peer
 	// revived, no live detector may keep a stale Suspect/Down verdict
 	// about a live peer.
-	if w.c.Detector && !sys.Sim.RunWhileNot(sys.DetectorsConverged, reconvergeBy) {
+	if w.c.Profile.Detector() && !sys.Sim.RunWhileNot(sys.DetectorsConverged, reconvergeBy) {
 		w.led.violate(now(), "health-reconvergence",
 			fmt.Sprintf("detectors still hold non-Up verdicts about live peers %.0fms after the last fault",
 				simnet.Duration(w.c.ReconvergeBoundUs).Ms()))
 	}
 
-	w.aggregationRound(fedID)
+	// Virtual time passed in the waits above, and a leader the heal
+	// exposed as stale may have been deposed meanwhile: the round runs
+	// with the leaders in place now (it reports a group still leaderless
+	// at the deadline).
+	sys.Sim.RunWhileNot(elected, deadline)
+	w.aggregationRound(sys.FedAvgLeader())
 	w.sweep()
 }
 

@@ -3,8 +3,8 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
+	"repro/internal/cluster"
 	"repro/internal/health"
 	"repro/internal/raft"
 	"repro/internal/simnet"
@@ -22,10 +22,18 @@ import (
 //
 // plus a bounded-failover liveness check after the leader kill. The
 // point of the track is the contrast the acceptance test pins: with the
-// paper-default 50-tick timeouts the 50 ms topology's lognormal jitter
-// tail fires spurious elections, while pre-vote + check-quorum +
-// RTT-tuned timeouts (StabilityOptions.PreVote/CheckQuorum/AutoTune)
-// keep the same 20 seeds perfectly quiet.
+// paper profile's 50-tick timeouts the 50 ms topology's lognormal
+// jitter tail fires spurious elections, while the wan profile
+// (pre-vote, check-quorum, leases, RTT-tuned timeouts) keeps the same
+// 20 seeds perfectly quiet.
+
+// Phases of a stability run, in virtual time. Leader election, tuner
+// sample collection and retuning all happen in the warm-up; the
+// monitored steady-state window opens after it.
+const (
+	stabilityWarmup = 10 * simnet.Second
+	stabilitySteady = 30 * simnet.Second
+)
 
 // StabilityOptions parameterizes one WAN stability run. The zero value
 // of every optional field has a default (see normalize); Seed alone
@@ -38,38 +46,20 @@ type StabilityOptions struct {
 	// Topology names a simnet preset (default "wan50").
 	Topology string `json:"topology,omitempty"`
 
-	// PreVote / CheckQuorum / LeaderLease arm the corresponding raft
-	// Config flags on every node.
-	PreVote     bool `json:"pre_vote,omitempty"`
-	CheckQuorum bool `json:"check_quorum,omitempty"`
-	LeaderLease bool `json:"leader_lease,omitempty"`
-	// AutoTune arms the health→raft feedback loop: per-node RTT stats
-	// fed from delivery observations, retuning election timeouts every
-	// RetuneEveryUs (health.Tuning with its defaults: 10× the p99 RTT,
-	// clamped to [50, 5000] ticks).
-	AutoTune bool `json:"auto_tune,omitempty"`
+	// Profile selects the raft flags on every node and whether the
+	// health→raft feedback loop runs: per-node RTT stats fed from
+	// delivery observations, retuning election timeouts every
+	// cluster.AutoTuneInterval (health.Tuning with its defaults: 10× the
+	// p99 RTT, clamped to [50, 5000] ticks). The zero value is
+	// cluster.Paper; the single group has no co-member detector to run.
+	Profile cluster.Profile `json:"profile,omitempty"`
 
 	// ElectionTickMin/Max and HeartbeatTick are the *initial* raft
 	// timeouts (defaults 50/100/15, the paper's LAN setting — exactly
-	// what misfires on a WAN until AutoTune lifts it).
+	// what misfires on a WAN until the tuner lifts it).
 	ElectionTickMin int `json:"election_tick_min,omitempty"`
 	ElectionTickMax int `json:"election_tick_max,omitempty"`
 	HeartbeatTick   int `json:"heartbeat_tick,omitempty"`
-
-	// WarmupUs runs before the steady-state window opens: leader
-	// election, tuner sample collection and retuning all happen here
-	// (default 10 s virtual).
-	WarmupUs int64 `json:"warmup_us,omitempty"`
-	// SteadyUs is the monitored steady-state window (default 30 s).
-	SteadyUs int64 `json:"steady_us,omitempty"`
-	// RetuneEveryUs is the AutoTune cadence (default 500 ms).
-	RetuneEveryUs int64 `json:"retune_every_us,omitempty"`
-	// FailoverBoundTicks bounds leader-kill failover. 0 derives the
-	// stated bound 3×ElectionTickMax′ + 2000, where ElectionTickMax′ is
-	// the largest (possibly retuned) max timeout across survivors at
-	// kill time: detection needs at most one full max timeout, and two
-	// more cover a split first round plus commit of the no-op.
-	FailoverBoundTicks int `json:"failover_bound_ticks,omitempty"`
 
 	// Telemetry, when non-nil, is threaded into every node with its
 	// clock pinned to virtual time (equal seeds ⇒ byte-identical
@@ -92,15 +82,6 @@ func (o StabilityOptions) normalize() StabilityOptions {
 	}
 	if o.HeartbeatTick <= 0 {
 		o.HeartbeatTick = 15
-	}
-	if o.WarmupUs <= 0 {
-		o.WarmupUs = int64(10 * simnet.Second)
-	}
-	if o.SteadyUs <= 0 {
-		o.SteadyUs = int64(30 * simnet.Second)
-	}
-	if o.RetuneEveryUs <= 0 {
-		o.RetuneEveryUs = int64(500 * simnet.Millisecond)
 	}
 	return o
 }
@@ -128,7 +109,7 @@ type StabilityReport struct {
 	FailoverBound int `json:"failover_bound"`
 
 	// TunedBands records each surviving node's final [min,max) election
-	// band — stock (50,100) unless AutoTune retuned it.
+	// band — stock (50,100) unless the tuner moved it.
 	TunedBands map[uint64][2]int `json:"tuned_bands"`
 
 	Violations []Violation `json:"violations"`
@@ -204,18 +185,12 @@ func (w *wanWorld) maxTerm() uint64 {
 	return max
 }
 
-// retune applies the health tuning loop to every live node, in sorted
-// id order for deterministic replay.
+// retune runs one tuning step on every live node, in ascending id
+// order (Group.IDs) for deterministic replay.
 func (w *wanWorld) retune(tuning health.Tuning) {
-	ids := w.g.IDs()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		h := w.g.Host(id)
-		if h.Down() {
-			continue
-		}
-		if min, max, ok := tuning.ElectionTicks(w.rtt[id]); ok {
-			_ = h.Node.SetElectionTicks(min, max) // bounds are pre-validated by Tuning
+	for _, id := range w.g.IDs() {
+		if h := w.g.Host(id); !h.Down() {
+			tuning.Retune(w.rtt[id], h.Node)
 		}
 	}
 }
@@ -249,18 +224,15 @@ func RunWANStability(o StabilityOptions) (*StabilityReport, error) {
 	for _, id := range peers {
 		id := id
 		w.rtt[id] = health.NewRTTStats(0)
-		node, err := raft.NewNode(raft.Config{
+		node, err := raft.NewNode(o.Profile.Raft(raft.Config{
 			ID:              id,
 			Peers:           peers,
 			ElectionTickMin: o.ElectionTickMin,
 			ElectionTickMax: o.ElectionTickMax,
 			HeartbeatTick:   o.HeartbeatTick,
 			Rng:             rand.New(rand.NewSource(o.Seed ^ (int64(id) * 0x9e3779b9))),
-			PreVote:         o.PreVote,
-			CheckQuorum:     o.CheckQuorum,
-			LeaderLease:     o.LeaderLease,
 			Telemetry:       o.Telemetry,
-		})
+		}))
 		if err != nil {
 			return nil, err
 		}
@@ -284,17 +256,17 @@ func RunWANStability(o StabilityOptions) (*StabilityReport, error) {
 	}
 
 	tuning := health.Tuning{TickUs: int64(w.g.TickInterval)}
-	if o.AutoTune {
+	if o.Profile.AutoTune() {
 		var loop func()
 		loop = func() {
 			w.retune(tuning)
-			w.sim.Schedule(simnet.Duration(o.RetuneEveryUs), loop)
+			w.sim.Schedule(cluster.AutoTuneInterval, loop)
 		}
-		w.sim.Schedule(simnet.Duration(o.RetuneEveryUs), loop)
+		w.sim.Schedule(cluster.AutoTuneInterval, loop)
 	}
 
 	// Bootstrap: a leader must emerge within the warmup window.
-	warmupEnd := w.sim.Now() + simnet.Time(o.WarmupUs)
+	warmupEnd := w.sim.Now() + simnet.Time(stabilityWarmup)
 	if !w.sim.RunWhileNot(func() bool { return w.g.Leader() != raft.None }, warmupEnd) {
 		w.violate("no leader elected during warmup")
 		return rep, nil
@@ -310,7 +282,7 @@ func RunWANStability(o StabilityOptions) (*StabilityReport, error) {
 	rep.BaselineTerm = w.maxTerm()
 	checker := NewWANStabilityChecker(rep.BaselineTerm)
 	steadyOpen = true
-	steadyEnd := w.sim.Now() + simnet.Time(o.SteadyUs)
+	steadyEnd := w.sim.Now() + simnet.Time(stabilitySteady)
 	var sweep func()
 	sweep = func() {
 		if w.sim.Now() >= steadyEnd {
@@ -338,19 +310,20 @@ func RunWANStability(o StabilityOptions) (*StabilityReport, error) {
 		w.violate("no leader at end of steady window")
 		return rep, nil
 	}
-	bound := o.FailoverBoundTicks
-	if bound <= 0 {
-		worstMax := 0
-		for _, id := range w.g.IDs() {
-			if id == leader {
-				continue
-			}
-			if _, max := w.g.Host(id).Node.ElectionTicks(); max > worstMax {
-				worstMax = max
-			}
+	// The bound is 3×ElectionTickMax′ + 2000, where ElectionTickMax′ is
+	// the largest (possibly retuned) max timeout across survivors at kill
+	// time: detection needs at most one full max timeout, and two more
+	// cover a split first round plus commit of the no-op.
+	worstMax := 0
+	for _, id := range w.g.IDs() {
+		if id == leader {
+			continue
 		}
-		bound = 3*worstMax + 2000
+		if _, max := w.g.Host(id).Node.ElectionTicks(); max > worstMax {
+			worstMax = max
+		}
 	}
+	bound := 3*worstMax + 2000
 	rep.FailoverBound = bound
 	w.g.Host(leader).Crash()
 	killAt := w.sim.Now()

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/telemetry"
 )
 
@@ -16,24 +17,20 @@ func wanSweepSeeds() []int64 {
 	return seeds
 }
 
-// TestWANStabilitySweepFlagsOn is the acceptance sweep: 5-node Raft on
-// the 50 ms asymmetric WAN topology with pre-vote, check-quorum and
-// RTT-tuned timeouts records zero spurious elections at steady state
+// TestWANStabilitySweepWANProfile is the acceptance sweep: 5-node Raft
+// on the 50 ms asymmetric WAN topology under the wan profile records zero spurious elections at steady state
 // and bounded failover after a leader kill, for all 20 seeds.
-func TestWANStabilitySweepFlagsOn(t *testing.T) {
+func TestWANStabilitySweepWANProfile(t *testing.T) {
 	for _, seed := range wanSweepSeeds() {
 		rep, err := RunWANStability(StabilityOptions{
-			Seed:        seed,
-			PreVote:     true,
-			CheckQuorum: true,
-			LeaderLease: true,
-			AutoTune:    true,
+			Seed:    seed,
+			Profile: cluster.WAN,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if rep.SpuriousElections != 0 {
-			t.Errorf("seed %d: %d spurious elections at steady state with flags on", seed, rep.SpuriousElections)
+			t.Errorf("seed %d: %d spurious elections at steady state under the wan profile", seed, rep.SpuriousElections)
 		}
 		if rep.FinalSteadyTerm != rep.BaselineTerm {
 			t.Errorf("seed %d: term advanced %d → %d during steady state", seed, rep.BaselineTerm, rep.FinalSteadyTerm)
@@ -63,12 +60,12 @@ func TestWANStabilitySweepFlagsOn(t *testing.T) {
 	}
 }
 
-// TestWANStabilityFlagsOffContrast proves the checker is not vacuous:
-// the identical 20-seed campaign with the new machinery disabled (stock
-// paper-default timeouts, no pre-vote/check-quorum) must show at least
+// TestWANStabilityPaperProfileContrast proves the checker is not
+// vacuous: the identical 20-seed campaign under the paper profile (stock
+// timeouts, no pre-vote/check-quorum/lease/tuner) must show at least
 // one spurious election — the WAN jitter tail really does break stock
 // Raft, and the sweep above really is measuring the fix.
-func TestWANStabilityFlagsOffContrast(t *testing.T) {
+func TestWANStabilityPaperProfileContrast(t *testing.T) {
 	total := 0
 	for _, seed := range wanSweepSeeds() {
 		rep, err := RunWANStability(StabilityOptions{Seed: seed})
@@ -78,9 +75,9 @@ func TestWANStabilityFlagsOffContrast(t *testing.T) {
 		total += rep.SpuriousElections
 	}
 	if total == 0 {
-		t.Fatalf("flags-off sweep recorded zero spurious elections across 20 seeds — the wan-stability checker is vacuous")
+		t.Fatalf("paper-profile sweep recorded zero spurious elections across 20 seeds — the wan-stability checker is vacuous")
 	}
-	t.Logf("flags-off sweep: %d spurious elections across 20 seeds", total)
+	t.Logf("paper-profile sweep: %d spurious elections across 20 seeds", total)
 }
 
 // TestWANStabilityDeterministic: equal seeds and options produce
@@ -90,7 +87,7 @@ func TestWANStabilityDeterministic(t *testing.T) {
 	run := func() ([]byte, []byte) {
 		reg := telemetry.New()
 		rep, err := RunWANStability(StabilityOptions{
-			Seed: 7, PreVote: true, CheckQuorum: true, LeaderLease: true, AutoTune: true,
+			Seed: 7, Profile: cluster.WAN,
 			Telemetry: reg,
 		})
 		if err != nil {

@@ -47,19 +47,17 @@ func (w *kvWorld) nodeRng(id uint64) *rand.Rand {
 
 func (w *kvWorld) nodeConfig(id uint64, peers []uint64) raft.Config {
 	st := w.stores[id]
-	return raft.Config{
+	return w.c.Profile.Raft(raft.Config{
 		ID:                id,
 		Peers:             peers,
 		ElectionTickMin:   w.c.ElectionTickMin,
 		ElectionTickMax:   w.c.ElectionTickMax,
 		HeartbeatTick:     w.c.HeartbeatTick,
-		PreVote:           w.c.PreVote,
-		CheckQuorum:       w.c.CheckQuorum,
 		Rng:               w.nodeRng(id),
 		SnapshotThreshold: 64,
 		SnapshotState:     st.Snapshot,
 		Telemetry:         w.c.Telemetry,
-	}
+	})
 }
 
 // hook wires a host's callbacks into the ledger and its kvstore. The

@@ -36,10 +36,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/directory"
-	"repro/internal/health"
 	"repro/internal/raft"
 	"repro/internal/simnet"
 	"repro/internal/wire"
@@ -231,6 +229,26 @@ func (s *System) subgroupMembers(g int) []uint64 {
 	return s.peers[l].subHost.Node.Members()
 }
 
+// askSubgroupLeader sends subgroup g's current leader, if there is one,
+// a request to propose one membership change. The request takes one link
+// latency and is dropped if the leader crashed or lost leadership
+// meanwhile; callers retry until the change shows in subgroupMembers.
+func (s *System) askSubgroupLeader(g int, cc raft.ConfChange) {
+	l := s.SubgroupLeader(g)
+	if l == raft.None {
+		return
+	}
+	lp := s.peers[l]
+	s.sendApp(func() {
+		if lp == nil || lp.Down() || !lp.IsSubgroupLeader() {
+			return
+		}
+		if err := lp.subHost.Node.ProposeConfChange(cc); err == nil {
+			lp.subHost.Pump()
+		}
+	})
+}
+
 func contains(ids []uint64, id uint64) bool {
 	for _, x := range ids {
 		if x == id {
@@ -268,50 +286,12 @@ func (s *System) AddPeer(g int) (uint64, error) {
 	}
 	id := s.nextID
 	s.nextID++
-	members := append([]uint64(nil), s.bySub[g]...)
-	p := &Peer{ID: id, Subgroup: g, sys: s, addr: peerAddr(id)}
-	seed, err := directory.DecodeSnapshot(s.seedFrames)
+	p, err := s.newPeer(id)
 	if err != nil {
 		return 0, err
 	}
-	p.dir = seed
-	if s.opts.AutoTune {
-		p.rtt = health.NewRTTStats(0)
-	}
-	cfg := s.raftFlags(raft.Config{
-		ID:              id,
-		Peers:           members,
-		ElectionTickMin: s.opts.ElectionTickMin,
-		ElectionTickMax: s.opts.ElectionTickMax,
-		HeartbeatTick:   s.opts.HeartbeatTick,
-		Rng:             rand.New(rand.NewSource(s.opts.Seed*1000 + int64(id))),
-		Telemetry:       s.opts.Telemetry,
-	})
-	if s.opts.SnapshotThreshold > 0 {
-		cfg.SnapshotThreshold = s.opts.SnapshotThreshold
-		cfg.SnapshotState = func() []byte {
-			b, err := json.Marshal(fedConfigEntry{Members: p.fedConfig})
-			if err != nil {
-				return nil
-			}
-			return b
-		}
-	}
-	node, err := raft.NewNode(cfg)
-	if err != nil {
+	if err := s.addSubNode(p, g, kindInitial, append([]uint64(nil), s.bySub[g]...)); err != nil {
 		return 0, err
-	}
-	host, err := s.subGroups[g].Add(node)
-	if err != nil {
-		return 0, err
-	}
-	p.subHost = host
-	s.peers[id] = p
-	s.wireSubgroupCallbacks(p)
-	if s.opts.Detector {
-		if err := s.setupDetector(p, append(members, id)); err != nil {
-			return 0, err
-		}
 	}
 	s.pendingChurn++
 	s.opts.Telemetry.Counter("cluster/churn/joins").Inc()
@@ -334,17 +314,7 @@ func (s *System) startAdmission(p *Peer) {
 					step++
 					continue
 				}
-				if l := s.SubgroupLeader(p.Subgroup); l != raft.None {
-					lp := s.peers[l]
-					s.sendApp(func() {
-						if lp == nil || lp.Down() || !lp.IsSubgroupLeader() {
-							return
-						}
-						if err := lp.subHost.Node.ProposeConfChange(raft.ConfChange{Add: true, NodeID: p.ID}); err == nil {
-							lp.subHost.Pump()
-						}
-					})
-				}
+				s.askSubgroupLeader(p.Subgroup, raft.ConfChange{Add: true, NodeID: p.ID})
 			case 1: // directory join committed at the FedAvg leader?
 				d := s.Directory()
 				if d != nil {
@@ -449,16 +419,22 @@ func (s *System) handoffSuccessor(p *Peer) *Peer {
 	return nil
 }
 
+// modelFrame encodes the peer's model as a checkpoint wire frame — the
+// form in which a model leaves a process.
+func (p *Peer) modelFrame() []byte {
+	return wire.AppendCheckpointFrame(nil, wire.Checkpoint{
+		Names:   []string{"model"},
+		Sizes:   []int{len(p.model)},
+		Weights: append([]float64(nil), p.model...),
+	})
+}
+
 // transferModel moves p's model to su through the checkpoint wire kind:
 // the departing side encodes a frame, the successor decodes the exact
 // bytes — the same codec a cross-process transfer would use. Returns
 // the transferred byte count.
 func (s *System) transferModel(p, su *Peer) (int, error) {
-	frame := wire.AppendCheckpointFrame(nil, wire.Checkpoint{
-		Names:   []string{"model"},
-		Sizes:   []int{len(p.model)},
-		Weights: append([]float64(nil), p.model...),
-	})
+	frame := p.modelFrame()
 	cp, err := wire.ReadCheckpointFrame(bytes.NewReader(frame))
 	if err != nil {
 		return 0, err
@@ -490,17 +466,7 @@ func (s *System) startDeparture(p *Peer) {
 					step++
 					continue
 				}
-				if l := s.SubgroupLeader(p.Subgroup); l != raft.None {
-					lp := s.peers[l]
-					s.sendApp(func() {
-						if lp == nil || lp.Down() || !lp.IsSubgroupLeader() {
-							return
-						}
-						if err := lp.subHost.Node.ProposeConfChange(raft.ConfChange{Add: false, NodeID: p.ID}); err == nil {
-							lp.subHost.Pump()
-						}
-					})
-				}
+				s.askSubgroupLeader(p.Subgroup, raft.ConfChange{Add: false, NodeID: p.ID})
 			case 2: // FedAvg-layer removal (only for peers that joined it)
 				if p.fedHost == nil {
 					step++
@@ -590,11 +556,7 @@ func (s *System) ReplacePeer(id uint64) (int, error) {
 		ps := p.fedHost.Node.Persist()
 		fedPS = &ps
 	}
-	frame := wire.AppendCheckpointFrame(nil, wire.Checkpoint{
-		Names:   []string{"model"},
-		Sizes:   []int{len(p.model)},
-		Weights: append([]float64(nil), p.model...),
-	})
+	frame := p.modelFrame()
 	transferred := len(frame) + persistedSize(&subPS) + persistedSize(fedPS)
 	p.subHost.Crash()
 	if fedPS != nil {
@@ -611,48 +573,16 @@ func (s *System) ReplacePeer(id uint64) (int, error) {
 			return
 		}
 		p.model = cp.Weights
-		cfg := s.raftFlags(raft.Config{
-			ID:              p.ID,
-			ElectionTickMin: s.opts.ElectionTickMin,
-			ElectionTickMax: s.opts.ElectionTickMax,
-			HeartbeatTick:   s.opts.HeartbeatTick,
-			Rng:             rand.New(rand.NewSource(s.opts.Seed*6000 + int64(p.ID))),
-			Telemetry:       s.opts.Telemetry,
-		})
-		if s.opts.SnapshotThreshold > 0 {
-			cfg.SnapshotThreshold = s.opts.SnapshotThreshold
-			cfg.SnapshotState = func() []byte {
-				b, err := json.Marshal(fedConfigEntry{Members: p.fedConfig})
-				if err != nil {
-					return nil
-				}
-				return b
-			}
-		}
-		if err := p.subHost.RestartFrom(cfg, subPS); err != nil {
+		if err := p.subHost.RestartFrom(s.raftConfig(p, kindHandoffSub, nil), subPS); err != nil {
 			return
 		}
 		if fedPS != nil {
-			_ = p.fedHost.RestartFrom(s.raftFlags(raft.Config{
-				ID:              p.ID,
-				ElectionTickMin: s.opts.ElectionTickMin,
-				ElectionTickMax: s.opts.ElectionTickMax,
-				HeartbeatTick:   s.opts.HeartbeatTick,
-				Rng:             rand.New(rand.NewSource(s.opts.Seed*6000 + int64(p.ID))),
-				Telemetry:       s.opts.Telemetry,
-			}), *fedPS)
+			_ = p.fedHost.RestartFrom(s.raftConfig(p, kindHandoffFed, nil), *fedPS)
 		}
 		// The successor is a fresh process: detector and RTT history are
 		// in-memory state it cannot have. Its raft state, model and
 		// directory replica it does have — they were transferred.
-		if p.rtt != nil {
-			p.rtt.Reset()
-		}
-		if p.det != nil {
-			p.det.Reset()
-			p.det.SetWatch(nil)
-			s.scheduleDetectorTick(p)
-		}
+		s.resetVolatile(p)
 		s.record(EvHandoff, p.ID, p.Subgroup)
 	})
 	s.opts.Telemetry.Counter("cluster/churn/handoffs").Inc()

@@ -16,7 +16,7 @@ func churnOpts(seed int64) Options {
 		SubgroupSize:    3,
 		ElectionTickMin: 50,
 		Latency:         5 * simnet.Millisecond,
-		Detector:        true,
+		Profile:         LAN,
 		Seed:            seed,
 	}
 }

@@ -84,21 +84,10 @@ type Options struct {
 	// app-level join/accept messages keep using Latency.
 	Topology *simnet.Topology
 
-	// PreVote / CheckQuorum / LeaderLease thread the raft WAN-stability
-	// flags (see raft.Config) into every subgroup and FedAvg-layer node.
-	// All default off: existing seeds replay unchanged.
-	PreVote     bool
-	CheckQuorum bool
-	LeaderLease bool
-	// AutoTune arms the health→raft feedback loop: every peer tracks
-	// per-sender RTTs from delivered messages and retunes its election
-	// timeout band every AutoTuneInterval (default 500 ms) via
-	// health.Tuning (10× the p99 RTT, clamped). Independent of Detector
-	// — tuning slows elections down to WAN-safe bands, while the
-	// detector's proactive campaigns speed crash recovery up; a
-	// deployment can run either or both.
-	AutoTune         bool
-	AutoTuneInterval simnet.Duration
+	// Profile selects the failure-handling policy of every node the
+	// system ever builds (see profile.go). The zero value is Paper.
+	Profile Profile
+
 	// ConfigCommitInterval is how often subgroup leaders commit the
 	// FedAvg-layer configuration to their subgroup log (default 50 ms).
 	ConfigCommitInterval simnet.Duration
@@ -118,20 +107,12 @@ type Options struct {
 	// byte-identical snapshots.
 	Telemetry *telemetry.Registry
 
-	// Detector enables the self-healing layer: every peer runs a
-	// last-activity failure detector (internal/health) over its subgroup
-	// co-members on the virtual clock. Down verdicts about the subgroup
-	// leader trigger rank-staggered proactive campaigns, and a
-	// re-elected leader with a crashed FedAvg-layer node revives it
-	// automatically when the layer is leaderless. See health.go.
-	Detector bool
-	// DetectorSuspectTicks/DetectorDownTicks override the detector's
-	// silence thresholds in heartbeat intervals (defaults 2 and 3).
-	DetectorSuspectTicks int
-	DetectorDownTicks    int
-
 	Seed int64
 }
+
+// AutoTuneInterval is how often a node retunes its election bands from
+// its observed RTTs when the profile arms the tuner.
+const AutoTuneInterval = 500 * simnet.Millisecond
 
 func (o *Options) normalize() error {
 	if len(o.Sizes) == 0 {
@@ -164,8 +145,8 @@ func (o *Options) normalize() error {
 	if o.Latency < 0 {
 		return fmt.Errorf("cluster: negative latency")
 	}
-	if o.AutoTuneInterval <= 0 {
-		o.AutoTuneInterval = 500 * simnet.Millisecond
+	if !o.Profile.valid() {
+		return fmt.Errorf("cluster: unknown profile %v", o.Profile)
 	}
 	if o.ConfigCommitInterval <= 0 {
 		o.ConfigCommitInterval = 50 * simnet.Millisecond
@@ -185,7 +166,6 @@ type Peer struct {
 	ID       uint64
 	Subgroup int
 
-	sys     *System
 	subHost *simnet.Host
 	fedHost *simnet.Host
 
@@ -263,7 +243,6 @@ type System struct {
 	peers     map[uint64]*Peer
 	bySub     [][]uint64
 
-	rng      *rand.Rand
 	events   []Event
 	observer Observer
 
@@ -308,106 +287,159 @@ func New(opts Options) (*System, error) {
 	s := &System{
 		Sim:      simnet.New(),
 		opts:     opts,
-		fedGroup: nil,
 		peers:    make(map[uint64]*Peer),
-		rng:      rand.New(rand.NewSource(opts.Seed)),
 		lastSeen: make(map[uint64]map[uint64]simnet.Time),
 	}
 	// Telemetry timestamps follow the virtual clock: every event in a
 	// seeded simulation happens at a reproducible virtual time.
 	opts.Telemetry.SetClock(func() int64 { return int64(s.Sim.Now()) })
 	id := uint64(1)
-	for g, size := range opts.Sizes {
-		group := simnet.NewGroup(s.Sim, fmt.Sprintf("subgroup-%d", g), opts.Latency, rand.New(rand.NewSource(opts.Seed*31+int64(g))))
-		group.Topo = opts.Topology
-		if opts.AutoTune {
-			group.OnDeliver = func(m raft.Message, oneWay simnet.Duration) {
-				s.observeRTT(m.To, m.From, oneWay)
-			}
-		}
-		var ids []uint64
-		for i := 0; i < size; i++ {
-			ids = append(ids, id)
+	for _, size := range opts.Sizes {
+		ids := make([]uint64, size)
+		for i := range ids {
+			ids[i] = id
 			id++
 		}
 		s.bySub = append(s.bySub, ids)
-		for _, pid := range ids {
-			p := &Peer{ID: pid, Subgroup: g, sys: s, addr: peerAddr(pid)}
-			if opts.AutoTune {
-				p.rtt = health.NewRTTStats(0)
-			}
-			cfg := s.raftFlags(raft.Config{
-				ID:              pid,
-				Peers:           ids,
-				ElectionTickMin: opts.ElectionTickMin,
-				ElectionTickMax: opts.ElectionTickMax,
-				HeartbeatTick:   opts.HeartbeatTick,
-				Rng:             rand.New(rand.NewSource(opts.Seed*1000 + int64(pid))),
-				Telemetry:       opts.Telemetry,
-			})
-			if opts.SnapshotThreshold > 0 {
-				cfg.SnapshotThreshold = opts.SnapshotThreshold
-				cfg.SnapshotState = func() []byte {
-					// The subgroup state machine is just the latest
-					// FedAvg-layer configuration (Sec. V-A1).
-					b, err := json.Marshal(fedConfigEntry{Members: p.fedConfig})
-					if err != nil {
-						return nil
-					}
-					return b
-				}
-			}
-			node, err := raft.NewNode(cfg)
-			if err != nil {
-				return nil, err
-			}
-			host, err := group.Add(node)
-			if err != nil {
-				return nil, err
-			}
-			p.subHost = host
-			s.peers[pid] = p
-			s.wireSubgroupCallbacks(p)
-			if opts.Detector {
-				if err := s.setupDetector(p, ids); err != nil {
-					return nil, err
-				}
-			}
-		}
-		s.subGroups = append(s.subGroups, group)
 	}
 	s.nextID = id
 	// The bootstrap directory is configuration, not log: every directory
 	// replica (present and future) starts from the same seed frames, so
 	// replaying the FedAvg-layer log on top converges them (churn.go).
 	s.seedFrames = s.buildSeedDirectory()
-	for _, p := range s.peers {
-		d, err := directory.DecodeSnapshot(s.seedFrames)
-		if err != nil {
-			return nil, err
+	for g, ids := range s.bySub {
+		s.subGroups = append(s.subGroups, s.newGroup(fmt.Sprintf("subgroup-%d", g), opts.Seed*31+int64(g)))
+		for _, pid := range ids {
+			p, err := s.newPeer(pid)
+			if err != nil {
+				return nil, err
+			}
+			if err := s.addSubNode(p, g, kindInitial, ids); err != nil {
+				return nil, err
+			}
 		}
-		p.dir = d
 	}
-	s.fedGroup = simnet.NewGroup(s.Sim, "fedavg", opts.Latency, rand.New(rand.NewSource(opts.Seed*77)))
-	s.fedGroup.Topo = opts.Topology
-	if opts.AutoTune {
-		s.fedGroup.OnDeliver = func(m raft.Message, oneWay simnet.Duration) {
-			s.observeRTT(m.To, m.From, oneWay)
-		}
+	s.fedGroup = s.newGroup("fedavg", opts.Seed*77)
+	if opts.Profile.AutoTune() {
 		s.startAutoTune()
 	}
 	return s, nil
 }
 
-// raftFlags stamps the system-wide WAN-stability flags onto one node's
-// raft config — every construction site (initial, FedAvg join, restart,
-// revive) goes through here so a restarted node never silently loses a
-// flag its peers run with.
-func (s *System) raftFlags(cfg raft.Config) raft.Config {
-	cfg.PreVote = s.opts.PreVote
-	cfg.CheckQuorum = s.opts.CheckQuorum
-	cfg.LeaderLease = s.opts.LeaderLease
+// newGroup builds one simulated raft network on the system's latency
+// model; under an auto-tuning profile every delivery is an RTT sample.
+func (s *System) newGroup(name string, seed int64) *simnet.Group {
+	g := simnet.NewGroup(s.Sim, name, s.opts.Latency, rand.New(rand.NewSource(seed)))
+	g.Topo = s.opts.Topology
+	if s.opts.Profile.AutoTune() {
+		g.OnDeliver = func(m raft.Message, oneWay simnet.Duration) {
+			s.observeRTT(m.To, m.From, oneWay)
+		}
+	}
+	return g
+}
+
+// newPeer builds a peer with a fresh directory replica and, under an
+// auto-tuning profile, an RTT tracker. addSubNode gives it a raft node
+// and registers it.
+func (s *System) newPeer(id uint64) (*Peer, error) {
+	dir, err := directory.DecodeSnapshot(s.seedFrames)
+	if err != nil {
+		return nil, err
+	}
+	p := &Peer{ID: id, addr: peerAddr(id), dir: dir}
+	if s.opts.Profile.AutoTune() {
+		p.rtt = health.NewRTTStats(0)
+	}
+	return p, nil
+}
+
+// nodeKind names one occasion on which the system builds a raft node.
+// Each kind owns an RNG stream (Rng = Seed·stream + id), so a node
+// rebuilt for a different reason never replays another incarnation's
+// timeout draws, and every pinned seed replays unchanged.
+type nodeKind struct {
+	stream int64
+	// fed marks FedAvg-layer nodes: their log carries no state machine
+	// of this package's own to snapshot.
+	fed bool
+}
+
+var (
+	kindInitial    = nodeKind{stream: 1000}            // New, AddPeer
+	kindFedNew     = nodeKind{stream: 2000, fed: true} // first FedAvg-layer join
+	kindFedRestart = nodeKind{stream: 3000, fed: true} // rejoin after a crash, ReviveFedNode
+	kindSubRestart = nodeKind{stream: 4000}            // RestartPeer
+	kindHandoffSub = nodeKind{stream: 6000}            // ReplacePeer successor
+	kindHandoffFed = nodeKind{stream: 6000, fed: true}
+	kindShard      = nodeKind{stream: 7000} // split/merge re-homing
+)
+
+// raftConfig is the one recipe for every raft node in the system:
+// the options' timers, the profile's protocol flags, the kind's RNG
+// stream and, for subgroup nodes, log compaction with the latest
+// FedAvg-layer configuration (the whole subgroup state machine,
+// Sec. V-A1) as the snapshot. peers is nil for a node restarting from
+// persisted state.
+func (s *System) raftConfig(p *Peer, k nodeKind, peers []uint64) raft.Config {
+	cfg := s.opts.Profile.Raft(raft.Config{
+		ID:              p.ID,
+		Peers:           peers,
+		ElectionTickMin: s.opts.ElectionTickMin,
+		ElectionTickMax: s.opts.ElectionTickMax,
+		HeartbeatTick:   s.opts.HeartbeatTick,
+		Rng:             rand.New(rand.NewSource(s.opts.Seed*k.stream + int64(p.ID))),
+		Telemetry:       s.opts.Telemetry,
+	})
+	if !k.fed && s.opts.SnapshotThreshold > 0 {
+		cfg.SnapshotThreshold = s.opts.SnapshotThreshold
+		cfg.SnapshotState = func() []byte {
+			b, err := json.Marshal(fedConfigEntry{Members: p.fedConfig})
+			if err != nil {
+				return nil
+			}
+			return b
+		}
+	}
 	return cfg
+}
+
+// addSubNode builds p's subgroup raft node over the given membership
+// view, hosts it on subgroup g's network, registers the peer and wires
+// its callbacks and, under a detector profile, its failure detector
+// over the co-members. For a peer that already has a node (split/merge
+// re-homing) the new host replaces the old one; the peer's single
+// detector tick loop keeps running across the swap (it dereferences
+// p.det each tick).
+func (s *System) addSubNode(p *Peer, g int, k nodeKind, peers []uint64) error {
+	node, err := raft.NewNode(s.raftConfig(p, k, peers))
+	if err != nil {
+		return err
+	}
+	host, err := s.subGroups[g].Add(node)
+	if err != nil {
+		return err
+	}
+	p.subHost, p.Subgroup = host, g
+	s.peers[p.ID] = p
+	s.wireSubgroupCallbacks(p)
+	if s.opts.Profile.Detector() {
+		return s.setupDetector(p, peers)
+	}
+	return nil
+}
+
+// resetVolatile clears what a reborn process cannot have — RTT history
+// and detector verdicts — and re-arms the detector's tick loop.
+func (s *System) resetVolatile(p *Peer) {
+	if p.rtt != nil {
+		p.rtt.Reset()
+	}
+	if p.det != nil {
+		p.det.Reset()
+		p.det.SetWatch(nil)
+		s.scheduleDetectorTick(p)
+	}
 }
 
 // observeRTT records one delivered message as an RTT sample for its
@@ -423,9 +455,9 @@ func (s *System) observeRTT(to, from uint64, oneWay simnet.Duration) {
 
 // startAutoTune arms the periodic health→raft feedback loop: every
 // AutoTuneInterval each live peer derives an election band from its
-// observed per-sender RTT quantiles (health.Tuning) and rescales its
-// subgroup and FedAvg-layer nodes' timers in place. Iteration is in
-// ascending peer-ID order, so equal seeds retune identically.
+// observed per-sender RTT quantiles and rescales its subgroup and
+// FedAvg-layer nodes' timers in place (health.Tuning.Retune). Iteration
+// is in ascending peer-ID order, so equal seeds retune identically.
 func (s *System) startAutoTune() {
 	tuning := health.Tuning{TickUs: int64(simnet.Millisecond)}
 	// Keep the tuned floor above the heartbeat interval (raft rejects
@@ -438,21 +470,18 @@ func (s *System) startAutoTune() {
 	loop = func() {
 		for _, id := range s.PeerIDs() {
 			p := s.peers[id]
-			if p.Down() || p.rtt == nil {
+			if p.Down() {
 				continue
 			}
-			min, max, ok := tuning.ElectionTicks(p.rtt)
-			if !ok {
-				continue
-			}
-			_ = p.subHost.Node.SetElectionTicks(min, max)
+			nodes := []health.ElectionTimers{p.subHost.Node}
 			if p.fedHost != nil && !p.fedHost.Down() {
-				_ = p.fedHost.Node.SetElectionTicks(min, max)
+				nodes = append(nodes, p.fedHost.Node)
 			}
+			tuning.Retune(p.rtt, nodes...)
 		}
-		s.Sim.Schedule(s.opts.AutoTuneInterval, loop)
+		s.Sim.Schedule(AutoTuneInterval, loop)
 	}
-	s.Sim.Schedule(s.opts.AutoTuneInterval, loop)
+	s.Sim.Schedule(AutoTuneInterval, loop)
 }
 
 // NumPeers returns the total peer count.
@@ -554,26 +583,11 @@ func (s *System) Bootstrap(limit simnet.Duration) error {
 func (s *System) createFedNode(p *Peer, members []uint64) error {
 	if p.fedHost != nil {
 		if p.fedHost.Down() {
-			return p.fedHost.Restart(s.raftFlags(raft.Config{
-				ID:              p.ID,
-				ElectionTickMin: s.opts.ElectionTickMin,
-				ElectionTickMax: s.opts.ElectionTickMax,
-				HeartbeatTick:   s.opts.HeartbeatTick,
-				Rng:             rand.New(rand.NewSource(s.opts.Seed*3000 + int64(p.ID))),
-				Telemetry:       s.opts.Telemetry,
-			}))
+			return p.fedHost.Restart(s.raftConfig(p, kindFedRestart, nil))
 		}
 		return nil
 	}
-	node, err := raft.NewNode(s.raftFlags(raft.Config{
-		ID:              p.ID,
-		Peers:           members,
-		ElectionTickMin: s.opts.ElectionTickMin,
-		ElectionTickMax: s.opts.ElectionTickMax,
-		HeartbeatTick:   s.opts.HeartbeatTick,
-		Rng:             rand.New(rand.NewSource(s.opts.Seed*2000 + int64(p.ID))),
-		Telemetry:       s.opts.Telemetry,
-	}))
+	node, err := raft.NewNode(s.raftConfig(p, kindFedNew, members))
 	if err != nil {
 		return err
 	}
@@ -795,41 +809,13 @@ func (s *System) RestartPeer(id uint64) error {
 	if !p.Down() {
 		return fmt.Errorf("cluster: peer %d is not down", id)
 	}
-	cfg := s.raftFlags(raft.Config{
-		ID:              p.ID,
-		ElectionTickMin: s.opts.ElectionTickMin,
-		ElectionTickMax: s.opts.ElectionTickMax,
-		HeartbeatTick:   s.opts.HeartbeatTick,
-		Rng:             rand.New(rand.NewSource(s.opts.Seed*4000 + int64(p.ID))),
-		Telemetry:       s.opts.Telemetry,
-	})
-	if s.opts.SnapshotThreshold > 0 {
-		cfg.SnapshotThreshold = s.opts.SnapshotThreshold
-		cfg.SnapshotState = func() []byte {
-			b, err := json.Marshal(fedConfigEntry{Members: p.fedConfig})
-			if err != nil {
-				return nil
-			}
-			return b
-		}
-	}
-	if err := p.subHost.Restart(cfg); err != nil {
+	if err := p.subHost.Restart(s.raftConfig(p, kindSubRestart, nil)); err != nil {
 		return err
 	}
 	// The restarted peer is a follower; if it previously joined the
 	// FedAvg layer that membership only matters again once re-elected.
 	p.joined = false
-	if p.rtt != nil {
-		// RTT history is in-memory state the reborn process cannot have.
-		p.rtt.Reset()
-	}
-	if p.det != nil {
-		// A reborn node has no basis for its old verdicts: restart the
-		// detector Up with fresh timers and re-arm its tick loop.
-		p.det.Reset()
-		p.det.SetWatch(nil)
-		s.scheduleDetectorTick(p)
-	}
+	s.resetVolatile(p)
 	return nil
 }
 
@@ -842,9 +828,7 @@ func (s *System) RestartPeer(id uint64) error {
 // changes. The revived node rejoins as a follower with its durable
 // term/vote/log intact; once the layer regains quorum, membership churn
 // resumes through the normal join protocol. No-op for peers that never
-// had a FedAvg-layer node or whose node is live; nodes that crashed
-// before persisting anything cannot be revived (they also never voted,
-// so skipping them is safe).
+// had a FedAvg-layer node or whose node is live.
 func (s *System) ReviveFedNode(id uint64) error {
 	p := s.peers[id]
 	if p == nil {
@@ -856,14 +840,7 @@ func (s *System) ReviveFedNode(id uint64) error {
 	if p.fedHost == nil || !p.fedHost.Down() {
 		return nil
 	}
-	return p.fedHost.Restart(s.raftFlags(raft.Config{
-		ID:              p.ID,
-		ElectionTickMin: s.opts.ElectionTickMin,
-		ElectionTickMax: s.opts.ElectionTickMax,
-		HeartbeatTick:   s.opts.HeartbeatTick,
-		Rng:             rand.New(rand.NewSource(s.opts.Seed*3000 + int64(p.ID))),
-		Telemetry:       s.opts.Telemetry,
-	}))
+	return p.fedHost.Restart(s.raftConfig(p, kindFedRestart, nil))
 }
 
 // WaitSubgroupLeader runs the simulation until subgroup g has a live

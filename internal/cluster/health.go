@@ -7,9 +7,10 @@ import (
 )
 
 // This file wires the failure detector (internal/health) into the
-// two-layer system. With Options.Detector set, every peer runs a
+// two-layer system. Under a detector profile (LAN), every peer runs a
 // last-activity detector over its subgroup co-members on the virtual
-// clock, fed by simnet message deliveries. Watch sets follow Raft's
+// clock (health's stock thresholds: Suspect after 2 heartbeat intervals
+// of silence, Down after 3), fed by simnet message deliveries. Watch sets follow Raft's
 // traffic asymmetry — a follower can only judge its leader (the one
 // node that talks on a quiet group), while a leader judges everyone via
 // AppendResponses. Verdicts drive recovery proactively instead of
@@ -46,8 +47,8 @@ func (s *System) HealthTransitions() []HealthTransition {
 	return append([]HealthTransition(nil), s.healthTrans...)
 }
 
-// Detector exposes the peer's failure detector (nil when Options.
-// Detector is off).
+// Detector exposes the peer's failure detector (nil unless the profile
+// runs one).
 func (p *Peer) Detector() *health.Detector { return p.det }
 
 // setupDetector builds peer p's detector over its subgroup co-members.
@@ -62,8 +63,6 @@ func (s *System) setupDetector(p *Peer, members []uint64) error {
 	}
 	det, err := health.New(others, health.Options{
 		TickIntervalUs: int64(s.opts.HeartbeatTick) * int64(simnet.Millisecond),
-		SuspectTicks:   s.opts.DetectorSuspectTicks,
-		DownTicks:      s.opts.DetectorDownTicks,
 		Clock:          func() int64 { return int64(s.Sim.Now()) },
 		OnTransition:   func(tr health.Transition) { s.onHealthTransition(p, tr) },
 		Telemetry:      s.opts.Telemetry,

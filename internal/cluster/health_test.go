@@ -9,15 +9,16 @@ import (
 	"repro/internal/simnet"
 )
 
-// detectorOpts is paperOpts plus the self-healing layer with tight
-// thresholds: Down after 2 heartbeat intervals of silence (2·T/3),
-// strictly below the U(T, 2T) election-timeout floor, so a proactive
-// campaign always has room to beat the timeout path.
-func detectorOpts(tMs int, seed int64) Options {
+// detectorOpts is paperOpts under the given profile with T stretched to
+// five heartbeat intervals (stock: three). The LAN detector's fixed
+// thresholds declare Down after 3 intervals of silence = 3T/5, strictly
+// below the U(T, 2T) election-timeout floor, so a proactive campaign
+// always has room to beat the timeout path; Paper at the same timing is
+// the equal-seed control.
+func detectorOpts(tMs int, seed int64, profile Profile) Options {
 	o := paperOpts(tMs, seed)
-	o.Detector = true
-	o.DetectorSuspectTicks = 1
-	o.DetectorDownTicks = 2
+	o.HeartbeatTick = tMs / 5
+	o.Profile = profile
 	return o
 }
 
@@ -60,18 +61,18 @@ func recoverAfterLeaderCrash(t *testing.T, s *System) (simnet.Duration, int, sim
 // TestDetectorBeatsTimeoutRecovery runs the same leader-crash scenario
 // at the same seed with and without the failure detector. The detector
 // path must reach a new joined FedAvg member strictly faster in virtual
-// time: its Down verdict lands after ~2·T/3 of silence while the
+// time: its Down verdict lands after ~3·T/5 of silence while the
 // timeout-only path waits out a U(T, 2T) draw.
 func TestDetectorBeatsTimeoutRecovery(t *testing.T) {
 	const seed = 7
 
-	base := mustBootstrap(t, paperOpts(150, seed))
+	base := mustBootstrap(t, detectorOpts(150, seed, Paper))
 	baseDur, _, baseCrash := recoverAfterLeaderCrash(t, base)
 	if _, ok := base.FirstEventAfter(baseCrash, EvProactiveCampaign, -1); ok {
 		t.Fatal("timeout-only run must not record proactive campaigns")
 	}
 
-	det := mustBootstrap(t, detectorOpts(150, seed))
+	det := mustBootstrap(t, detectorOpts(150, seed, LAN))
 	detDur, g, detCrash := recoverAfterLeaderCrash(t, det)
 	if detDur >= baseDur {
 		t.Fatalf("detector recovery %v ms not faster than timeout-only %v ms",
@@ -116,7 +117,7 @@ func TestDetectorBeatsTimeoutRecovery(t *testing.T) {
 // identical detector verdict streams.
 func TestDetectorRecoveryDeterministicBySeed(t *testing.T) {
 	run := func() ([]Event, []HealthTransition) {
-		s := mustBootstrap(t, detectorOpts(150, 11))
+		s := mustBootstrap(t, detectorOpts(150, 11, LAN))
 		recoverAfterLeaderCrash(t, s)
 		return s.Events(), s.HealthTransitions()
 	}
@@ -134,7 +135,7 @@ func TestDetectorRecoveryDeterministicBySeed(t *testing.T) {
 // the detectors must issue no Down verdicts and end converged — regular
 // heartbeat traffic keeps every watched peer Up.
 func TestDetectorSteadyStateQuiet(t *testing.T) {
-	s := mustBootstrap(t, detectorOpts(150, 3))
+	s := mustBootstrap(t, detectorOpts(150, 3, LAN))
 	mark := len(s.HealthTransitions())
 	s.Sim.RunFor(3 * simnet.Second)
 	for _, tr := range s.HealthTransitions()[mark:] {
@@ -158,7 +159,7 @@ func TestDetectorSteadyStateQuiet(t *testing.T) {
 // detector enabled the leaderless FedAvg layer is revived automatically
 // instead of requiring the manual ReviveFedNode call.
 func TestAutoFedReviveAfterTotalFedLoss(t *testing.T) {
-	o := detectorOpts(150, 5)
+	o := detectorOpts(150, 5, LAN)
 	o.NumSubgroups = 0
 	o.SubgroupSize = 0
 	o.Sizes = []int{1, 1}

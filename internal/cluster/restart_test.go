@@ -94,3 +94,38 @@ func TestRestartedLeaderCanLeadAgain(t *testing.T) {
 		t.Fatal("elected leader is down?")
 	}
 }
+
+// TestFedNodeCrashedBeforeFirstPumpComesBack: a peer whose FedAvg-layer
+// node is created by the accept message and crashes before its first
+// Pump has written nothing but its bootstrap configuration. Both
+// revival paths — the join protocol's createFedNode and ReviveFedNode —
+// must bring it back as the blank node it was; a layer whose log already
+// counts such members towards its quorum stays leaderless otherwise.
+func TestFedNodeCrashedBeforeFirstPumpComesBack(t *testing.T) {
+	s := mustBootstrap(t, paperOpts(50, 63))
+	s.Sim.RunFor(500 * simnet.Millisecond)
+
+	var p *Peer
+	for _, id := range s.SubgroupPeers(0) {
+		if id != s.SubgroupLeader(0) {
+			p = s.Peer(id)
+			break
+		}
+	}
+	members := s.FedAvgMembers()
+	if err := s.createFedNode(p, members); err != nil {
+		t.Fatal(err)
+	}
+	for _, revive := range []func() error{
+		func() error { return s.createFedNode(p, members) },
+		func() error { return s.ReviveFedNode(p.ID) },
+	} {
+		p.fedHost.Crash()
+		if err := revive(); err != nil {
+			t.Fatalf("fed node that never pumped could not come back: %v", err)
+		}
+		if st, _ := p.FedStatus(); p.fedHost.Down() || st.Term != 0 || len(st.Members) != len(members) {
+			t.Fatalf("revived fed node: down=%v status %v, want a live blank node over %v", p.fedHost.Down(), st, members)
+		}
+	}
+}

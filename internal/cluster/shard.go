@@ -19,9 +19,7 @@ package cluster
 // slots are kept, not renumbered, so subgroup ids stay stable).
 
 import (
-	"encoding/json"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/raft"
 	"repro/internal/simnet"
@@ -159,58 +157,15 @@ func (s *System) runShardStep(what string, cond func() bool, kick func(), limit 
 	return nil
 }
 
-// newShardNode builds a raft node for peer id with the given initial
-// membership view, stamped with the system-wide flags — the same recipe
-// AddPeer uses, under a shard-specific seed stream.
-func (s *System) newShardNode(p *Peer, members []uint64) (*raft.Node, error) {
-	cfg := s.raftFlags(raft.Config{
-		ID:              p.ID,
-		Peers:           members,
-		ElectionTickMin: s.opts.ElectionTickMin,
-		ElectionTickMax: s.opts.ElectionTickMax,
-		HeartbeatTick:   s.opts.HeartbeatTick,
-		Rng:             rand.New(rand.NewSource(s.opts.Seed*7000 + int64(p.ID))),
-		Telemetry:       s.opts.Telemetry,
-	})
-	if s.opts.SnapshotThreshold > 0 {
-		cfg.SnapshotThreshold = s.opts.SnapshotThreshold
-		cfg.SnapshotState = func() []byte {
-			b, err := json.Marshal(fedConfigEntry{Members: p.fedConfig})
-			if err != nil {
-				return nil
-			}
-			return b
-		}
+// registeredIn reports whether the FedAvg leader's directory lists peer
+// id under subgroup g.
+func (s *System) registeredIn(id uint64, g int) bool {
+	d := s.Directory()
+	if d == nil {
+		return false
 	}
-	return raft.NewNode(cfg)
-}
-
-// rehome moves peer p onto a new host in group ng with the given raft
-// membership view, rewiring callbacks and rebuilding its detector over
-// the new co-member set. The single detector tick loop per peer keeps
-// running across the swap (it dereferences p.det each tick).
-func (s *System) rehome(p *Peer, ng int, members []uint64) error {
-	node, err := s.newShardNode(p, members)
-	if err != nil {
-		return err
-	}
-	host, err := s.subGroups[ng].Add(node)
-	if err != nil {
-		return err
-	}
-	p.subHost = host
-	p.Subgroup = ng
-	s.wireSubgroupCallbacks(p)
-	if s.opts.Detector {
-		watch := members
-		if !contains(watch, p.ID) {
-			watch = append(append([]uint64(nil), members...), p.ID)
-		}
-		if err := s.setupDetector(p, watch); err != nil {
-			return err
-		}
-	}
-	return nil
+	e, ok := d.Lookup(id)
+	return ok && e.Subgroup == g
 }
 
 // forgetAcross scrubs ids from every detector and RTT tracker of peers
@@ -275,21 +230,7 @@ func (s *System) SplitSubgroup(g int, limit simnet.Duration) (*ShardAction, erro
 				m := s.subgroupMembers(g)
 				return m != nil && !contains(m, mid)
 			},
-			func() {
-				l := s.SubgroupLeader(g)
-				if l == raft.None {
-					return
-				}
-				lp := s.peers[l]
-				s.sendApp(func() {
-					if lp == nil || lp.Down() || !lp.IsSubgroupLeader() {
-						return
-					}
-					if err := lp.subHost.Node.ProposeConfChange(raft.ConfChange{Add: false, NodeID: mid}); err == nil {
-						lp.subHost.Pump()
-					}
-				})
-			},
+			func() { s.askSubgroupLeader(g, raft.ConfChange{Add: false, NodeID: mid}) },
 			limit,
 		); err != nil {
 			return nil, err
@@ -302,18 +243,10 @@ func (s *System) SplitSubgroup(g int, limit simnet.Duration) (*ShardAction, erro
 
 	// Phase B — the movers form a new raft group and elect a leader.
 	ng := len(s.bySub)
-	group := simnet.NewGroup(s.Sim, fmt.Sprintf("subgroup-%d", ng), s.opts.Latency,
-		rand.New(rand.NewSource(s.opts.Seed*31+int64(ng))))
-	group.Topo = s.opts.Topology
-	if s.opts.AutoTune {
-		group.OnDeliver = func(m raft.Message, oneWay simnet.Duration) {
-			s.observeRTT(m.To, m.From, oneWay)
-		}
-	}
-	s.subGroups = append(s.subGroups, group)
+	s.subGroups = append(s.subGroups, s.newGroup(fmt.Sprintf("subgroup-%d", ng), s.opts.Seed*31+int64(ng)))
 	s.bySub = append(s.bySub, append([]uint64(nil), move...))
 	for _, id := range move {
-		if err := s.rehome(s.peers[id], ng, move); err != nil {
+		if err := s.addSubNode(s.peers[id], ng, kindShard, move); err != nil {
 			return nil, err
 		}
 	}
@@ -334,14 +267,7 @@ func (s *System) SplitSubgroup(g int, limit simnet.Duration) (*ShardAction, erro
 		mid, idx := id, i
 		if err := s.runShardStep(
 			fmt.Sprintf("split: directory move of peer %d to subgroup %d", mid, ng),
-			func() bool {
-				d := s.Directory()
-				if d == nil {
-					return false
-				}
-				e, ok := d.Lookup(mid)
-				return ok && e.Subgroup == ng
-			},
+			func() bool { return s.registeredIn(mid, ng) },
 			func() {
 				s.proposeDirectory(wire.DirectoryUpdate{
 					Op: wire.DirJoin, ID: mid, Subgroup: ng,
@@ -408,41 +334,20 @@ func (s *System) MergeSubgroup(g int, limit simnet.Duration) (*ShardAction, erro
 		if members == nil {
 			members = append([]uint64(nil), s.bySub[target]...)
 		}
-		if err := s.rehome(p, target, members); err != nil {
+		if err := s.addSubNode(p, target, kindShard, members); err != nil {
 			return nil, err
 		}
 		if err := s.runShardStep(
 			fmt.Sprintf("merge: admission of peer %d into subgroup %d", mid, target),
 			func() bool { return contains(s.subgroupMembers(target), mid) },
-			func() {
-				l := s.SubgroupLeader(target)
-				if l == raft.None {
-					return
-				}
-				lp := s.peers[l]
-				s.sendApp(func() {
-					if lp == nil || lp.Down() || !lp.IsSubgroupLeader() {
-						return
-					}
-					if err := lp.subHost.Node.ProposeConfChange(raft.ConfChange{Add: true, NodeID: mid}); err == nil {
-						lp.subHost.Pump()
-					}
-				})
-			},
+			func() { s.askSubgroupLeader(target, raft.ConfChange{Add: true, NodeID: mid}) },
 			limit,
 		); err != nil {
 			return nil, err
 		}
 		if err := s.runShardStep(
 			fmt.Sprintf("merge: directory move of peer %d to subgroup %d", mid, target),
-			func() bool {
-				d := s.Directory()
-				if d == nil {
-					return false
-				}
-				e, ok := d.Lookup(mid)
-				return ok && e.Subgroup == target
-			},
+			func() bool { return s.registeredIn(mid, target) },
 			func() {
 				d := s.Directory()
 				if d == nil {

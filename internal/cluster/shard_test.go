@@ -16,7 +16,7 @@ func shardOpts(seed int64) Options {
 		SubgroupSize:    4,
 		ElectionTickMin: 50,
 		Latency:         5 * simnet.Millisecond,
-		Detector:        true,
+		Profile:         LAN,
 		Seed:            seed,
 	}
 }

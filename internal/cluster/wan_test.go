@@ -6,12 +6,11 @@ import (
 	"repro/internal/simnet"
 )
 
-// wanOpts is the WAN production profile: two subgroups of three spread
-// round-robin over the wan50 regions, pre-vote + check-quorum on, and
-// the RTT-driven AutoTune loop armed. The detector stays off: proactive
-// campaigns are the point of the detector track, while this test pins
-// down the *timeout* path the tuner governs.
-func wanOpts(t *testing.T, seed int64, autoTune bool) Options {
+// wanOpts is two subgroups of three spread round-robin over the wan50
+// regions under the given profile. WAN keeps the detector off:
+// proactive campaigns are the point of the LAN profile, while these
+// tests pin down the *timeout* path the tuner governs.
+func wanOpts(t *testing.T, seed int64, profile Profile) Options {
 	t.Helper()
 	topo, err := simnet.Preset("wan50")
 	if err != nil {
@@ -22,19 +21,17 @@ func wanOpts(t *testing.T, seed int64, autoTune bool) Options {
 		SubgroupSize: 3,
 		Latency:      15 * simnet.Millisecond, // app-level join traffic only
 		Topology:     topo,
-		PreVote:      true,
-		CheckQuorum:  true,
-		AutoTune:     autoTune,
+		Profile:      profile,
 		Seed:         seed,
 	}
 }
 
 // TestWANClusterTunesElectionBands: after bootstrap plus a settling
-// window on the wan50 topology, the AutoTune loop has moved at least one
+// window on the wan50 topology, the WAN profile's tuner has moved at least one
 // peer's election band above the stock configuration — and no peer's
 // band ever leaves the tuner's clamp range.
 func TestWANClusterTunesElectionBands(t *testing.T) {
-	s := mustBootstrap(t, wanOpts(t, 1, true))
+	s := mustBootstrap(t, wanOpts(t, 1, WAN))
 	s.Sim.RunFor(10 * simnet.Second)
 
 	tuned := 0
@@ -60,11 +57,12 @@ func TestWANClusterTunesElectionBands(t *testing.T) {
 // leader faster than 10× the (base) RTT between the new leader and the
 // killed one — the tuner's whole point is that on a WAN, electing faster
 // than the link allows is how spurious leadership churn starts. The
-// same scenario with AutoTune off fails over on the stock (LAN-scale)
-// band, proving the slowdown really comes from the feedback loop.
+// same scenario under the Paper profile fails over on the stock
+// (LAN-scale) band, proving the slowdown really comes from the feedback
+// loop.
 func TestWANClusterFailoverRespectsTunedTimeouts(t *testing.T) {
-	failover := func(autoTune bool) (elapsed simnet.Duration, old, new uint64, topo *simnet.Topology) {
-		s := mustBootstrap(t, wanOpts(t, 3, autoTune))
+	failover := func(profile Profile) (elapsed simnet.Duration, old, new uint64, topo *simnet.Topology) {
+		s := mustBootstrap(t, wanOpts(t, 3, profile))
 		s.Sim.RunFor(10 * simnet.Second) // let the tuner converge (no-op when off)
 
 		old = s.SubgroupLeader(0)
@@ -79,14 +77,14 @@ func TestWANClusterFailoverRespectsTunedTimeouts(t *testing.T) {
 		return simnet.Duration(at - t0), old, leader, s.opts.Topology
 	}
 
-	tunedElapsed, old, leader, topo := failover(true)
+	tunedElapsed, old, leader, topo := failover(WAN)
 	bound := 10 * topo.RTT(leader, old)
 	if tunedElapsed < bound {
 		t.Errorf("tuned cluster elected %d over %d in %v ms, faster than 10×RTT = %v ms",
 			leader, old, tunedElapsed.Ms(), bound.Ms())
 	}
 
-	stockElapsed, _, _, _ := failover(false)
+	stockElapsed, _, _, _ := failover(Paper)
 	if stockElapsed >= tunedElapsed {
 		t.Errorf("stock failover (%v ms) not faster than tuned failover (%v ms) — tuning had no effect",
 			stockElapsed.Ms(), tunedElapsed.Ms())

@@ -93,3 +93,24 @@ func (t Tuning) ElectionTicks(r *RTTStats) (min, max int, ok bool) {
 	}
 	return min, max, true
 }
+
+// ElectionTimers is the part of a raft node the tuner drives.
+type ElectionTimers interface {
+	SetElectionTicks(min, max int) error
+}
+
+// Retune is one step of the health→raft feedback loop: derive the band
+// from one peer's tracker and rescale the election timers of that
+// peer's nodes in place. Without a qualified band they keep their
+// current one. Both the cluster's tuning loop and the chaos WAN
+// stability world call this, each walking its peers in ascending id
+// order.
+func (t Tuning) Retune(r *RTTStats, nodes ...ElectionTimers) {
+	min, max, ok := t.ElectionTicks(r)
+	if !ok {
+		return
+	}
+	for _, n := range nodes {
+		_ = n.SetElectionTicks(min, max) // the band is clamped to MinTicks, which callers keep above the heartbeat
+	}
+}

@@ -76,10 +76,11 @@ func TestRestartValidation(t *testing.T) {
 	if err := h.Restart(bad); err == nil {
 		t.Fatal("want error for mismatched ID")
 	}
-	// A host that never pumped has no persisted state.
+	// A host that never pumped restarts from its bootstrap configuration:
+	// the blank node it was, membership included.
 	sim2 := New()
 	g2 := NewGroup(sim2, "fresh", 0, nil)
-	n, err := raft.NewNode(raft.Config{ID: 9, Peers: []uint64{9}, ElectionTickMin: 10, ElectionTickMax: 20, HeartbeatTick: 2})
+	n, err := raft.NewNode(raft.Config{ID: 9, Peers: []uint64{7, 8, 9}, ElectionTickMin: 10, ElectionTickMax: 20, HeartbeatTick: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,10 @@ func TestRestartValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	h2.Crash()
-	if err := h2.Restart(raft.Config{ID: 9, ElectionTickMin: 10, ElectionTickMax: 20, HeartbeatTick: 2}); err == nil {
-		t.Fatal("want error for missing persisted state")
+	if err := h2.Restart(raft.Config{ID: 9, ElectionTickMin: 10, ElectionTickMax: 20, HeartbeatTick: 2}); err != nil {
+		t.Fatalf("host that crashed before its first Pump could not restart: %v", err)
+	}
+	if got := h2.Node.Members(); len(got) != 3 || h2.Node.Term() != 0 || h2.Down() {
+		t.Fatalf("restarted blank host: members %v term %d down %v", got, h2.Node.Term(), h2.Down())
 	}
 }

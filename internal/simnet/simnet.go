@@ -218,7 +218,6 @@ type Host struct {
 	lastLeader uint64
 
 	persisted raft.PersistentState
-	hasState  bool
 }
 
 // Add registers node in the group and starts ticking it.
@@ -227,7 +226,11 @@ func (g *Group) Add(node *raft.Node) (*Host, error) {
 	if _, ok := g.hosts[id]; ok {
 		return nil, fmt.Errorf("simnet: duplicate host %d in group %s", id, g.name)
 	}
-	h := &Host{Node: node, group: g, lastLeader: raft.None}
+	// The bootstrap configuration is durable from the moment the host
+	// exists, as a real process writes it before serving: a host that
+	// crashes before its first Pump restarts as the blank node it was,
+	// with its membership view, instead of being lost for good.
+	h := &Host{Node: node, group: g, lastLeader: raft.None, persisted: node.Persist()}
 	g.hosts[id] = h
 	g.scheduleTick(h)
 	return h, nil
@@ -310,9 +313,6 @@ func (h *Host) Restart(cfg raft.Config) error {
 	if cfg.ID != h.Node.ID() {
 		return fmt.Errorf("simnet: restart with ID %d on host %d", cfg.ID, h.Node.ID())
 	}
-	if !h.hasState {
-		return fmt.Errorf("simnet: host %d has no persisted state", h.Node.ID())
-	}
 	return h.restartFrom(cfg, h.persisted)
 }
 
@@ -337,7 +337,6 @@ func (h *Host) restartFrom(cfg raft.Config, ps raft.PersistentState) error {
 		return err
 	}
 	h.persisted = ps
-	h.hasState = true
 	h.Node = node
 	h.down = false
 	h.lastState, h.lastTerm, h.lastLeader = raft.Follower, node.Term(), raft.None
@@ -354,7 +353,6 @@ func (h *Host) Pump() {
 	rd := h.Node.Ready()
 	// Persist before the messages "hit the wire", as Raft requires.
 	h.persisted = h.Node.Persist()
-	h.hasState = true
 	for _, m := range rd.Messages {
 		h.group.deliver(m)
 	}
