@@ -10,13 +10,13 @@ GO ?= go
 # bench-check` fails on a >20% ns/op regression vs the latest snapshot,
 # on an instrumented/nil telemetry pair exceeding its same-run 5%
 # overhead budget, or on a wire-pipeline pair missing its absolute
-# ratio budget (wire encode ≤ 0.5× gob; pooled SAC round ≤ 0.5× the
-# fresh round's allocs/op; int8 delta frame ≤ 0.25× the float64 frame's
-# bytes; the parallel Divide kernel allocation-free vs serial).
+# ratio budget (wire encode ≤ 0.5× gob; int8 delta frame ≤ 0.25× the
+# float64 frame's bytes; the parallel Divide kernel allocation-free vs
+# serial).
 BENCH_PATTERN := 'BenchmarkMatMul|BenchmarkIm2Col|BenchmarkCol2Im|BenchmarkPaperCNNTrainStep|BenchmarkTinyCNNTrainStep|BenchmarkClientTrainRound|BenchmarkRound15Peers|BenchmarkAggregate|BenchmarkRaftTick|BenchmarkSACRound|BenchmarkRaftTCPSend|BenchmarkEncodeModel|BenchmarkDecodeModelWire|BenchmarkEncodeDelta|BenchmarkDequantize|BenchmarkDivide|BenchmarkMultiLayer|BenchmarkTCPMeshSend|BenchmarkSparsify'
 BENCH_ARGS := -run '^$$' -bench $(BENCH_PATTERN) -benchmem -benchtime 10x ./...
 TELEMETRY_PAIRS := 'RaftTickLive=RaftTickNil,SACRoundLive=SACRoundNil,RaftTCPSendHealthyPeerAsync=RaftTCPSendHealthyPeerSync'
-WIRE_PAIRS := 'EncodeModelWire=EncodeModelGob@0.5,allocs:SACRoundAllocsPooled=SACRoundAllocsFresh@0.5'
+WIRE_PAIRS := 'EncodeModelWire=EncodeModelGob@0.5'
 COMPRESS_PAIRS := 'bytes:EncodeDeltaQuant8=EncodeDeltaFloat64@0.25,allocs:DivideParallel/dim1e6=DivideSerial/dim1e6@1.0'
 # Scale-engine pairs: the parallel X-layer aggregation must not allocate
 # more than the serial one — the pooled scratch absorbs the fan-out —
@@ -99,10 +99,16 @@ test-health:
 # truncation/corruption rejection, hostile frames, the streaming mesh
 # codec's differential and allocation-bound tests and its forced
 # portable path), the transports that frame with it (TCPMesh concurrent
-# senders, receive-vector recycling and its free-list bound — race
-# builds poison recycled vectors), the nn checkpoint round-trip/compat
-# tests, and the SAC tests that share its pooled buffers (scratch
-# determinism, TCP-vs-memory bit-identity across rounds).
+# senders, receive-vector recycling and its free-list bound, stated on
+# what is outstanding and driven by sac.Run in
+# TestTCPMeshFreeListCoversASACTurn — race builds poison recycled
+# vectors), the nn checkpoint round-trip/compat tests, and the SAC tests
+# that share its pooled buffers (scratch determinism, TCP-vs-memory
+# bit-identity across rounds, the streaming fold against the
+# store-then-sum reference engine in TestStreamingFoldMatchesReference,
+# and the default path's allocation pin in
+# TestDefaultRunAllocatesOnlyItsResult and, for the spare list under two
+# goroutines, TestSpareWorkingSetsServeTwoGoroutines).
 test-wire:
 	$(GO) test -race ./internal/wire/ ./internal/transport/ ./internal/nn/ \
 		./internal/secretshare/ ./internal/sac/ ./internal/simnet/

@@ -27,8 +27,8 @@
 // ceiling with an absolute ratio: "EncodeModelWire=EncodeModelGob@0.5"
 // demands the wire codec run in at most half the gob time. A metric
 // prefix selects what is compared — "allocs:" gates allocs/op instead
-// of ns/op, e.g. "allocs:SACRoundAllocsPooled=SACRoundAllocsFresh@0.5"
-// demands the pooled round allocate at most half as often, and "bytes:"
+// of ns/op, e.g. "allocs:DivideParallel/dim1e6=DivideSerial/dim1e6@1.0"
+// demands the parallel kernel allocate no more often, and "bytes:"
 // gates B/op — encode benchmarks that b.ReportMetric their frame size as
 // B/op turn this into an exact wire-size contract, e.g.
 // "bytes:EncodeDeltaQuant8=EncodeDeltaFloat64@0.25". A pair with

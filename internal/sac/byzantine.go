@@ -196,31 +196,31 @@ func (e *engine) shareOutOfRange(j int, m transport.Message) bool {
 	return false
 }
 
-// accusation records one range-guard detection: accuser j caught an
-// out-of-range share from a contributor.
-type accusation struct{ accuser, accused int }
-
-// broadcastAccusations publishes the collected range-guard detections
-// (each accuser tells every alive peer, metadata-sized messages) and
-// globally excludes the accused contributors. The accusation copies are
-// drained immediately so later phases see clean inboxes.
-func (e *engine) broadcastAccusations(accusations []accusation) error {
-	if len(accusations) == 0 {
+// broadcastAccusations publishes the turns' range-guard detections once,
+// after the last turn, in accuser-major order (each accuser tells every
+// alive peer, metadata-sized messages) and globally excludes the accused
+// contributors. The accusation copies are drained immediately so later
+// phases see clean inboxes.
+func (e *engine) broadcastAccusations() error {
+	n, sc := e.cfg.N, e.sc
+	if sc.nAccused == 0 {
 		return nil
 	}
-	n := e.cfg.N
-	accused := make(map[int]bool)
-	for _, a := range accusations {
-		accused[a.accused] = true
-		e.tel.byzShareRange.Inc()
-		for l := 0; l < n; l++ {
-			if l == a.accuser || !e.mesh.Alive(l) {
+	for accuser := 0; accuser < n; accuser++ {
+		for accused := 0; accused < n; accused++ {
+			if !sc.accusedBy[accuser*n+accused] {
 				continue
 			}
-			msg := transport.Message{From: a.accuser, To: l, Kind: KindAccuse,
-				ShareIdx: a.accused, Payload: []float64{float64(a.accused)}}
-			if err := e.mesh.Send(msg); err != nil {
-				return err
+			e.tel.byzShareRange.Inc()
+			for l := 0; l < n; l++ {
+				if l == accuser || !e.mesh.Alive(l) {
+					continue
+				}
+				msg := transport.Message{From: accuser, To: l, Kind: KindAccuse,
+					ShareIdx: accused, Payload: []float64{float64(accused)}}
+				if err := e.mesh.Send(msg); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -234,7 +234,7 @@ func (e *engine) broadcastAccusations(accusations []accusation) error {
 	}
 	kept := e.contributors[:0]
 	for _, c := range e.contributors {
-		if accused[c] {
+		if sc.accused[c] {
 			e.excluded = append(e.excluded, c)
 			e.tel.byzExcluded.Inc()
 			continue
@@ -242,7 +242,6 @@ func (e *engine) broadcastAccusations(accusations []accusation) error {
 		kept = append(kept, c)
 	}
 	e.contributors = kept
-	sort.Ints(e.excluded)
 	return nil
 }
 
@@ -251,16 +250,16 @@ func (e *engine) broadcastAccusations(accusations []accusation) error {
 // its own and the replicas it backs — so the lie reaches both the
 // trusting (plain) and the cross-checking (guarded) collection paths.
 func (e *engine) corruptSubtotals(j int) {
-	switch e.byz(j) {
-	case ByzInflateSubtotal:
-		for _, sub := range e.subtotals[j] {
-			for x := range sub {
+	b := e.byz(j)
+	if b != ByzInflateSubtotal && b != ByzZeroSubtotal {
+		return
+	}
+	for _, s := range e.sc.replicas[j] {
+		sub := e.subtotal(j, s)
+		for x := range sub {
+			if b == ByzInflateSubtotal {
 				sub[x] += InflateOffset
-			}
-		}
-	case ByzZeroSubtotal:
-		for _, sub := range e.subtotals[j] {
-			for x := range sub {
+			} else {
 				sub[x] = 0
 			}
 		}
@@ -277,11 +276,11 @@ func (e *engine) corruptSubtotals(j int) {
 func (e *engine) finishLeaderGuarded() (*Result, error) {
 	n, k, leader := e.cfg.N, e.cfg.K, e.cfg.Leader
 	g := e.cfg.Guard
-	if !e.mesh.Alive(leader) || e.subtotals[leader] == nil {
+	if !e.mesh.Alive(leader) || !e.sc.computed[leader] {
 		return nil, ErrLeaderCrashed
 	}
 	tol := g.tolerance()
-	have := e.sc.haveMap(n)
+	have := e.sc.have
 	var recovered []int
 	for s := 0; s < n; s++ {
 		holders, err := secretshare.HoldersOf(s, n, k)
@@ -291,11 +290,11 @@ func (e *engine) finishLeaderGuarded() (*Result, error) {
 		var cands [][]float64
 		ownerPresent := false
 		for _, h := range holders {
-			if !e.mesh.Alive(h) || e.subtotals[h] == nil {
+			if !e.mesh.Alive(h) {
 				continue
 			}
-			sub, ok := e.subtotals[h][s]
-			if !ok {
+			sub := e.subtotal(h, s)
+			if sub == nil {
 				continue
 			}
 			if h == s {
@@ -359,7 +358,7 @@ func (e *engine) finishLeaderGuarded() (*Result, error) {
 // receiver, which both checks catch. The claims reveal only sums over
 // all contributors' shares — no individual model — so the privacy
 // invariant is untouched.
-func (e *engine) auditLeader(have map[int][]float64, avg []float64) error {
+func (e *engine) auditLeader(have [][]float64, avg []float64) error {
 	n, leader := e.cfg.N, e.cfg.Leader
 	tol := e.cfg.Guard.tolerance()
 	claims := make([]float64, 0, n*e.dim)

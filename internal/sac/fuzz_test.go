@@ -5,8 +5,48 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
+
+// TestForgedSharesNeverReachASubtotal plants three well-formed share
+// messages no honest run produces — one a peer addresses to itself, one
+// for an index its receiver does not hold, one from a contributor whose
+// turn it is not — and requires the round to be bit-identical to a clean
+// one, with all three counted invalid: in turn i a receiver folds only
+// shares from i, for indices it holds, and nothing in its own turn.
+func TestForgedSharesNeverReachASubtotal(t *testing.T) {
+	const n, k, dim = 4, 3, 6
+	models := randModels(rand.New(rand.NewSource(61)), n, dim)
+	run := func(forged []transport.Message) (*Result, int64) {
+		mesh := transport.NewMesh(n, nil)
+		for _, m := range forged {
+			m.Kind, m.Payload = KindShare, []float64{9e9, 9e9, 9e9, 9e9, 9e9, 9e9}
+			if err := mesh.Send(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reg := telemetry.New()
+		res, err := Run(mesh, Config{N: n, K: k, Leader: 0, Mode: ModeLeader,
+			Rng: rand.New(rand.NewSource(62)), Telemetry: reg}, models, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, reg.Counter("sac/msgs_invalid").Value()
+	}
+	clean, _ := run(nil)
+	got, invalid := run([]transport.Message{
+		{From: 0, To: 0, ShareIdx: 0}, // self-addressed: would displace peer 0's own share
+		{From: 0, To: 1, ShareIdx: 3}, // peer 1 holds indices 1 and 2 only
+		{From: 2, To: 1, ShareIdx: 1}, // drained in peer 0's turn, not peer 2's
+	})
+	if !bitsEqual(got.Avg, clean.Avg) {
+		t.Fatalf("forged shares moved the average: %v, clean %v", got.Avg, clean.Avg)
+	}
+	if invalid != 3 {
+		t.Fatalf("%d messages counted invalid, want 3", invalid)
+	}
+}
 
 // adversarialKinds are the message kinds an attacker might forge —
 // protocol kinds, a stale kind from "another subsystem", and garbage.

@@ -41,11 +41,13 @@ func TestLeaderViewRevealsNothingWithMasking(t *testing.T) {
 	models := randModels(r, n, dim)
 
 	mesh := transport.NewMesh(n, nil)
-	// Capture every share the leader receives, per contributing peer.
+	// Capture every share the leader receives, per contributing peer — by
+	// copy: an observed payload is the sender's share block, valid only
+	// until the sender's next turn.
 	leaderShares := map[int][][]float64{}
 	mesh.Observe(func(m transport.Message) {
 		if m.To == leader && m.Kind == KindShare {
-			leaderShares[m.From] = append(leaderShares[m.From], m.Payload)
+			leaderShares[m.From] = append(leaderShares[m.From], append([]float64(nil), m.Payload...))
 		}
 	})
 	cfg := Config{
@@ -98,7 +100,9 @@ func TestLeaderViewUnderScalarDividerIsCollinear(t *testing.T) {
 	var from int = -1
 	mesh.Observe(func(m transport.Message) {
 		if m.To == leader && m.Kind == KindShare && oneShare == nil {
-			oneShare = m.Payload
+			// Copy: the payload is the engine's share block, which the
+			// next contributor's turn overwrites.
+			oneShare = append([]float64(nil), m.Payload...)
 			from = m.From
 		}
 	})

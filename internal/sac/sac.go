@@ -6,7 +6,10 @@
 // phases (share exchange → subtotal computation → subtotal exchange →
 // recovery → average) and peers may crash at phase boundaries, which is
 // exactly the failure model of the paper's Fig. 3 — a peer that "drops out
-// during aggregation" has sent its shares but not its subtotal.
+// during aggregation" has sent its shares but not its subtotal. The first
+// two phases are fused: contributors take turns in ascending order, and
+// each receiver adds a turn's shares to its running subtotals as they
+// arrive, so a peer holds its n−k+1 subtotals and never the shares.
 //
 // Traffic flows through a transport.Mesh, so every byte is accounted and
 // the measured cost can be checked against the paper's closed forms:
@@ -20,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/secretshare"
 	"repro/internal/telemetry"
@@ -98,11 +100,11 @@ type Config struct {
 	// Telemetry, when non-nil, receives sac/* counters, per-phase
 	// duration histograms, and one trace event per aggregation.
 	Telemetry *telemetry.Registry
-	// Scratch, when non-nil, lets the engine reuse share blocks,
-	// subtotal vectors and receive containers across same-shaped rounds
-	// instead of reallocating them (see Scratch). Results are
-	// bit-identical either way; payloads observed on the mesh alias
-	// scratch memory, so observers must copy what they retain.
+	// Scratch is the working set the engine runs on (see Scratch): nil
+	// borrows a spare one for the call, non-nil is one the caller keeps
+	// across same-shaped rounds. Results are bit-identical either way;
+	// payloads observed on the mesh alias the working set, so observers
+	// must copy what they retain.
 	Scratch *Scratch
 	// Adversary marks peers with Byzantine behaviors for this round
 	// (nil: everyone honest). See Behavior.
@@ -168,6 +170,17 @@ type Result struct {
 // weight vector; all equal length) over the mesh, applying the crash plan.
 // Peers already crashed on the mesh are treated as BeforeShares failures.
 func Run(mesh transport.Network, cfg Config, models [][]float64, crash CrashPlan) (*Result, error) {
+	e, err := newEngine(mesh, cfg, models, crash)
+	if err != nil {
+		return nil, err
+	}
+	defer e.release()
+	return e.report(e.run(models))
+}
+
+// newEngine validates one aggregation's inputs, arms its working set and
+// counts the round as started. The caller must release the engine.
+func newEngine(mesh transport.Network, cfg Config, models [][]float64, crash CrashPlan) (*engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -191,19 +204,40 @@ func Run(mesh transport.Network, cfg Config, models [][]float64, crash CrashPlan
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-
-	e := &engine{mesh: mesh, cfg: cfg, dim: dim, div: div, rng: rng, crash: crash, tel: newSACTel(cfg.Telemetry), sc: cfg.Scratch}
-	e.sc.begin(cfg.N, dim)
+	sc, borrowed := cfg.Scratch, cfg.Scratch == nil
+	if borrowed {
+		sc = borrowScratch(cfg.N, cfg.K, dim)
+	}
+	e := &engine{mesh: mesh, cfg: cfg, dim: dim, div: div, rng: rng, crash: crash,
+		tel: newSACTel(cfg.Telemetry), sc: sc, borrowed: borrowed}
+	if err := sc.begin(cfg.N, cfg.K, dim); err != nil {
+		e.release()
+		return nil, err
+	}
 	e.tel.roundsStarted.Inc()
-	res, err := e.run(models)
+	return e, nil
+}
+
+// release ends the engine's use of its working set; a borrowed one goes
+// back to the spare list.
+func (e *engine) release() {
+	e.sc.end()
+	if e.borrowed {
+		returnScratch(e.sc)
+	}
+}
+
+// report records a finished aggregation on the round counters and the
+// trace.
+func (e *engine) report(res *Result, err error) (*Result, error) {
 	if err != nil {
 		e.tel.roundsFailed.Inc()
 		return nil, err
 	}
 	e.tel.roundsOK.Inc()
-	e.tel.reg.Trace("sac/round", uint64(cfg.Leader), -1,
-		telemetry.F("n", int64(cfg.N)),
-		telemetry.F("k", int64(cfg.K)),
+	e.tel.reg.Trace("sac/round", uint64(e.cfg.Leader), -1,
+		telemetry.F("n", int64(e.cfg.N)),
+		telemetry.F("k", int64(e.cfg.K)),
 		telemetry.F("contributors", int64(len(res.Contributors))),
 		telemetry.F("recovered", int64(len(res.Recovered))))
 	return res, nil
@@ -255,18 +289,17 @@ func newSACTel(reg *telemetry.Registry) sacTel {
 }
 
 type engine struct {
-	mesh  transport.Network
-	cfg   Config
-	dim   int
-	div   secretshare.Divider
-	rng   *rand.Rand
-	crash CrashPlan
-	tel   sacTel
-	sc    *Scratch // nil: allocate per round
+	mesh     transport.Network
+	cfg      Config
+	dim      int
+	div      secretshare.Divider
+	rng      *rand.Rand
+	crash    CrashPlan
+	tel      sacTel
+	sc       *Scratch // the working set; never nil
+	borrowed bool     // sc came from the spare list
 
 	contributors []int
-	// subtotals[peer][shareIdx] — computed by peers holding shareIdx.
-	subtotals []map[int][]float64
 
 	// Byzantine bookkeeping (see byzantine.go).
 	excluded      []int
@@ -279,119 +312,16 @@ func (e *engine) crashAt(peer int, phase Phase) bool {
 	return ok && p == phase
 }
 
-// replicaSets returns the (n, k) replica assignment, served from the
-// scratch cache when one is wired (scratchless rounds compute it fresh).
-func (e *engine) replicaSets(n, k int) ([][]int, error) {
-	if e.sc != nil {
-		return e.sc.replicaSets(n, k)
-	}
-	sets := make([][]int, n)
-	for j := 0; j < n; j++ {
-		idx, err := secretshare.ReplicaIndices(j, n, k)
-		if err != nil {
-			return nil, err
-		}
-		sets[j] = idx
-	}
-	return sets, nil
-}
-
 func (e *engine) run(models [][]float64) (*Result, error) {
 	n, k := e.cfg.N, e.cfg.K
 	t0 := e.tel.reg.Now()
 
-	// Phase 1 — share exchange (Alg. 2 lines 2–5 / Alg. 4 lines 2–10).
-	// received[j][shareIdx][contributor] = share vector.
-	received := e.sc.receivedMaps(n)
-	// Replica assignment depends only on (n, k) — compute each
-	// receiver's share indices once, not once per contributor, and with
-	// a Scratch only once per shape (the cache survives across rounds).
-	replicas, err := e.replicaSets(n, k)
-	if err != nil {
+	// Phases 1–2 — share exchange and subtotal computation, fused (Alg. 2
+	// lines 2–6 / Alg. 4 lines 2–13).
+	if err := e.foldShares(models); err != nil {
 		return nil, err
 	}
-	var sharesSent int64 // batched into one atomic Add below
-	for i := 0; i < n; i++ {
-		if !e.mesh.Alive(i) {
-			continue
-		}
-		if e.crashAt(i, BeforeShares) {
-			if err := e.mesh.Crash(i); err != nil {
-				return nil, err
-			}
-			e.tel.peersCrashed.Inc()
-			continue
-		}
-		// Model poisoning happens before division: the adversary shares a
-		// scaled or sign-flipped update, consistently across receivers.
-		shares, err := e.divide(i, attackModel(e.byz(i), models[i]), n)
-		if err != nil {
-			return nil, err
-		}
-		e.contributors = append(e.contributors, i)
-		for j := 0; j < n; j++ {
-			for _, s := range replicas[j] {
-				if j == i {
-					// Local retention — no traffic.
-					e.store(received, j, s, i, shares[s])
-					continue
-				}
-				payload := shares[s]
-				if e.byz(i) == ByzCorruptShares {
-					// Each receiver gets its own perturbed copy; the true
-					// share stays only with the sender.
-					payload = e.corruptedCopy(payload)
-				}
-				msg := transport.Message{From: i, To: j, Kind: KindShare, ShareIdx: s, Payload: payload}
-				if err := e.mesh.Send(msg); err != nil {
-					return nil, err
-				}
-				sharesSent++
-			}
-		}
-	}
-	if sharesSent > 0 {
-		e.tel.sharesSent.Add(sharesSent)
-	}
-	if len(e.contributors) == 0 {
-		return nil, ErrInsufficientPeers
-	}
-
-	// Deliver shares: drain each alive peer's inbox. Anything that is not
-	// a well-formed share for this round — wrong kind, share index outside
-	// [0,n), payload of the wrong dimension, or a stale message replayed
-	// from an earlier round — is discarded: a malformed or replayed
-	// message must never panic the engine or double-count a model.
-	var accusations []accusation
-	accusedPair := make(map[[2]int]bool)
-	drained := e.sc.drainedInboxes(n) // kept until the shares are summed
-	for j := 0; j < n; j++ {
-		if !e.mesh.Alive(j) {
-			continue
-		}
-		msgs, err := e.mesh.Drain(j)
-		if err != nil {
-			return nil, err
-		}
-		drained = append(drained, msgs)
-		for _, m := range msgs {
-			switch {
-			case !e.validShare(m):
-				e.tel.msgsInvalid.Inc()
-			case e.shareOutOfRange(j, m):
-				// Range guard: an honest share is a fraction of its model,
-				// so a too-large share is provably forged. Accuse once per
-				// (accuser, sender) pair; the share is not stored.
-				if pair := [2]int{j, m.From}; !accusedPair[pair] {
-					accusedPair[pair] = true
-					accusations = append(accusations, accusation{accuser: j, accused: m.From})
-				}
-			default:
-				e.store(received, j, m.ShareIdx, m.From, m.Payload)
-			}
-		}
-	}
-	if err := e.broadcastAccusations(accusations); err != nil {
+	if err := e.broadcastAccusations(); err != nil {
 		return nil, err
 	}
 	if len(e.contributors) == 0 {
@@ -406,10 +336,9 @@ func (e *engine) run(models [][]float64) (*Result, error) {
 		return nil, fmt.Errorf("%w: %d of %d peers sent shares", ErrAborted, len(e.contributors), n)
 	}
 
-	// Phase 2 — subtotal computation (Alg. 2 line 6 / Alg. 4 lines 11–13).
 	// A peer that crashes AfterShares has distributed its shares (so its
-	// model still counts) but computes/sends nothing further.
-	e.subtotals = e.sc.subtotalSlice(n)
+	// model still counts) but reports nothing further; a subtotal liar
+	// corrupts what it is about to report.
 	for j := 0; j < n; j++ {
 		if !e.mesh.Alive(j) {
 			continue
@@ -421,38 +350,25 @@ func (e *engine) run(models [][]float64) (*Result, error) {
 			e.tel.peersCrashed.Inc()
 			continue
 		}
-		e.subtotals[j] = e.sc.innerMap()
-		for s, byContrib := range received[j] {
-			sub := e.sc.subVec(e.dim)
-			complete := true
-			for _, c := range e.contributors {
-				sh, ok := byContrib[c]
-				if !ok {
-					complete = false
-					break
-				}
-				for x, v := range sh {
-					sub[x] += v
-				}
-			}
-			if complete {
-				e.subtotals[j][s] = sub
-			}
-		}
+		e.sc.computed[j] = true
 		e.corruptSubtotals(j)
-	}
-	// Every share that crossed the mesh has now been summed (or sits with
-	// a peer that just crashed): the receivers are done with what they
-	// drained. A peer's own shares never went through the mesh.
-	for j, msgs := range drained {
-		e.recycle(msgs)
-		drained[j] = nil
 	}
 
 	// Phase 3 — subtotal exchange.
 	t2 := e.tel.reg.Now()
 	e.tel.phaseSubtotal.Observe(float64(t2 - t1))
-	var res *Result
+	res, err := e.finish()
+	e.tel.phaseFinish.Observe(float64(e.tel.reg.Now() - t2))
+	return res, err
+}
+
+// finish runs the subtotal exchange over the subtotals the peers report
+// and fills in the guard's findings.
+func (e *engine) finish() (*Result, error) {
+	var (
+		res *Result
+		err error
+	)
 	switch {
 	case e.cfg.Mode == ModeBroadcast:
 		res, err = e.finishBroadcast()
@@ -466,53 +382,196 @@ func (e *engine) run(models [][]float64) (*Result, error) {
 		res.Mismatches = e.mismatches
 		res.LeaderAccused = e.leaderAccused
 	}
-	e.tel.phaseFinish.Observe(float64(e.tel.reg.Now() - t2))
 	return res, err
 }
 
-// validShare reports whether m is a well-formed share message for this
-// round: right kind, in-range share index and sender, and a payload of
-// the model dimension. Duplicates are tolerated upstream — store keys by
-// (share index, contributor), so a replayed share overwrites rather than
-// double-counts.
-func (e *engine) validShare(m transport.Message) bool {
-	return m.Kind == KindShare &&
-		m.ShareIdx >= 0 && m.ShareIdx < e.cfg.N &&
-		m.From >= 0 && m.From < e.cfg.N &&
-		len(m.Payload) == e.dim
+// foldShares runs the share exchange one contributor at a time, in
+// ascending order: contributor i is divided into the engine's one share
+// block, its shares are sent, and every receiver drains, screens and
+// adds what arrived into its running subtotals before contributor i+1
+// overwrites the block. Turn i completes before turn i+1 starts, so each
+// subtotal sums its contributors in ascending order whatever the fabric
+// does — the summation order the results are pinned to.
+func (e *engine) foldShares(models [][]float64) error {
+	n, sc := e.cfg.N, e.sc
+	// Who takes part is settled before the first turn: a peer that is to
+	// crash BeforeShares does so at its own turn, and until then its inbox
+	// fills unread (the bytes sent toward it count all the same).
+	for j := 0; j < n; j++ {
+		sc.receiving[j] = e.mesh.Alive(j) && !e.crashAt(j, BeforeShares)
+	}
+	var sharesSent int64 // batched into one atomic Add below
+	for i := 0; i < n; i++ {
+		if !sc.receiving[i] {
+			if e.mesh.Alive(i) { // scheduled to crash BeforeShares: now
+				if err := e.mesh.Crash(i); err != nil {
+					return err
+				}
+				e.tel.peersCrashed.Inc()
+			}
+			continue
+		}
+		// Model poisoning happens before division: the adversary shares a
+		// scaled or sign-flipped update, consistently across receivers.
+		shares, block, err := e.div.DivideInto(attackModel(e.byz(i), models[i]), n, e.rng, sc.block, sc.views)
+		if err != nil {
+			return err
+		}
+		sc.block, sc.views = block, shares
+		e.contributors = append(e.contributors, i)
+		corrupt := e.byz(i) == ByzCorruptShares
+		for j := 0; j < n; j++ {
+			for t, s := range sc.replicas[j] {
+				if j == i {
+					// Local retention — no traffic.
+					sc.pending[i*sc.r+t] = shares[s]
+					continue
+				}
+				payload := shares[s]
+				if corrupt {
+					// Each receiver gets its own perturbed copy; the true
+					// share stays only with the sender.
+					payload = e.corruptedCopy(payload)
+				}
+				msg := transport.Message{From: i, To: j, Kind: KindShare, ShareIdx: s, Payload: payload}
+				if err := e.mesh.Send(msg); err != nil {
+					return err
+				}
+				sharesSent++
+			}
+		}
+		if err := e.receiveTurn(i); err != nil {
+			return err
+		}
+		e.foldTurn(i)
+	}
+	if sharesSent > 0 {
+		e.tel.sharesSent.Add(sharesSent)
+	}
+	if len(e.contributors) == 0 {
+		return ErrInsufficientPeers
+	}
+	return nil
 }
 
-// validSubtotal is the analogous filter for subtotal messages.
+// receiveTurn drains every receiver in contributor i's turn. A message
+// is accepted only as a share from i, of the model dimension, for an
+// index its receiver holds; the last duplicate wins. Anything else —
+// another kind, another sender, a share index the receiver does not
+// hold, a stale message replayed from an earlier round — is discarded: a
+// malformed or replayed message must never panic the engine or count a
+// model twice. Accepted shares are screened and held in sc.pending;
+// nothing is added to a subtotal until foldTurn.
+func (e *engine) receiveTurn(i int) error {
+	n, sc := e.cfg.N, e.sc
+	for j := 0; j < n; j++ {
+		if !sc.receiving[j] {
+			continue
+		}
+		msgs, err := e.mesh.Drain(j)
+		if err != nil {
+			return err
+		}
+		for _, m := range msgs {
+			a := e.shareSlot(i, j, m)
+			switch {
+			case a < 0:
+				e.tel.msgsInvalid.Inc()
+				e.mesh.Recycle(m.Payload)
+			case e.shareOutOfRange(j, m):
+				// Range guard: an honest share is a fraction of its model,
+				// so a too-large share is provably forged. Accuse once per
+				// (accuser, sender) pair; none of i's shares will be folded.
+				if !sc.accusedBy[j*n+i] {
+					sc.accusedBy[j*n+i] = true
+					sc.nAccused++
+				}
+				sc.accused[i] = true
+				e.mesh.Recycle(m.Payload)
+			default:
+				if dup := sc.pending[a]; dup != nil {
+					e.mesh.Recycle(dup)
+				}
+				sc.pending[a] = m.Payload
+			}
+		}
+	}
+	return nil
+}
+
+// shareSlot returns the accumulator message m feeds when receiver j
+// drains it in contributor i's turn, or −1 when m is not a well-formed
+// share of that turn. Nothing arrives at i itself in its own turn.
+func (e *engine) shareSlot(i, j int, m transport.Message) int {
+	if m.Kind != KindShare || m.From != i || j == i ||
+		m.ShareIdx < 0 || m.ShareIdx >= e.cfg.N || len(m.Payload) != e.dim {
+		return -1
+	}
+	return e.sc.slot[j*e.cfg.N+m.ShareIdx]
+}
+
+// foldTurn ends contributor i's turn: every held share — what the
+// receivers accepted and what i retained — is added to its running
+// subtotal, or, when any honest receiver accused i, none is (all or
+// none, so no subtraction is ever needed). Received payloads go back to
+// the mesh at once; i's own shares never went through it.
+func (e *engine) foldTurn(i int) {
+	sc := e.sc
+	for a, share := range sc.pending {
+		if share == nil {
+			continue
+		}
+		sc.pending[a] = nil
+		if !sc.accused[i] {
+			foldInto(sc.accVec(a), share, sc.folds[a] == 0)
+			sc.folds[a]++
+		}
+		if a/sc.r != i {
+			e.mesh.Recycle(share)
+		}
+	}
+}
+
+// foldInto adds share to the running subtotal acc. The first fold of a
+// round writes 0 + v over whatever the last round left there: the same
+// bits as adding into a zeroed vector (0 + (−0) is +0, which a bare copy
+// would get wrong) without the pass that zeroes it.
+func foldInto(acc, share []float64, first bool) {
+	acc = acc[:len(share)]
+	if first {
+		for x, v := range share {
+			acc[x] = 0 + v
+		}
+		return
+	}
+	for x, v := range share {
+		acc[x] += v
+	}
+}
+
+// subtotal returns the subtotal of share index s that peer j reports,
+// or nil when it reports none: j crashed, does not hold s, or did not
+// fold every final contributor's share of it.
+func (e *engine) subtotal(j, s int) []float64 {
+	sc := e.sc
+	if !sc.computed[j] {
+		return nil
+	}
+	a := sc.slot[j*e.cfg.N+s]
+	if a < 0 || sc.folds[a] != len(e.contributors) {
+		return nil
+	}
+	return sc.accVec(a)
+}
+
+// validSubtotal reports whether m is a well-formed subtotal message for
+// this round: right kind, in-range share index and sender, and a payload
+// of the model dimension.
 func (e *engine) validSubtotal(m transport.Message) bool {
 	return m.Kind == KindSubtotal &&
 		m.ShareIdx >= 0 && m.ShareIdx < e.cfg.N &&
 		m.From >= 0 && m.From < e.cfg.N &&
 		len(m.Payload) == e.dim
-}
-
-func (e *engine) store(received []map[int]map[int][]float64, peer, shareIdx, contributor int, share []float64) {
-	byContrib, ok := received[peer][shareIdx]
-	if !ok {
-		byContrib = e.sc.innerMap()
-		received[peer][shareIdx] = byContrib
-	}
-	byContrib[contributor] = share
-}
-
-// divide splits contributor i's model into n shares — through the
-// flat-block scratch when one is configured, so steady-state rounds
-// reuse the same n·dim backing array per contributor.
-func (e *engine) divide(i int, w []float64, n int) ([][]float64, error) {
-	if e.sc == nil {
-		return e.div.Divide(w, n, e.rng)
-	}
-	block, views := e.sc.shareScratch(i)
-	shares, block, err := e.div.DivideInto(w, n, e.rng, block, views)
-	if err != nil {
-		return nil, err
-	}
-	e.sc.keepShareScratch(i, block, shares)
-	return shares, nil
 }
 
 // finishBroadcast implements Alg. 2 lines 7–9: every peer broadcasts its
@@ -523,8 +582,8 @@ func (e *engine) finishBroadcast() (*Result, error) {
 		if !e.mesh.Alive(i) {
 			continue
 		}
-		sub, ok := e.subtotals[i][i]
-		if !ok {
+		sub := e.subtotal(i, i)
+		if sub == nil {
 			return nil, fmt.Errorf("%w: peer %d missing own subtotal", ErrAborted, i)
 		}
 		for j := 0; j < n; j++ {
@@ -543,15 +602,17 @@ func (e *engine) finishBroadcast() (*Result, error) {
 	if len(alive) < n {
 		return nil, fmt.Errorf("%w: %d of %d peers alive at subtotal exchange", ErrAborted, len(alive), n)
 	}
-	// Average at peer 0's view (identical everywhere): drain inboxes and sum.
+	// Every peer checks that it holds all N; the average is taken at the
+	// first peer's view (identical everywhere).
 	var avg []float64
+	got := e.sc.have
 	for _, j := range alive {
 		msgs, err := e.mesh.Drain(j)
 		if err != nil {
 			return nil, err
 		}
-		got := e.sc.innerMap()
-		got[j] = e.subtotals[j][j]
+		clear(got)
+		got[j] = e.subtotal(j, j)
 		for _, m := range msgs {
 			if e.validSubtotal(m) {
 				got[m.ShareIdx] = m.Payload
@@ -559,12 +620,17 @@ func (e *engine) finishBroadcast() (*Result, error) {
 				e.tel.msgsInvalid.Inc()
 			}
 		}
-		if len(got) != n {
-			return nil, fmt.Errorf("%w: peer %d holds %d of %d subtotals", ErrAborted, j, len(got), n)
+		held := 0
+		for _, sub := range got {
+			if sub != nil {
+				held++
+			}
 		}
-		a := e.average(got)
+		if held != n {
+			return nil, fmt.Errorf("%w: peer %d holds %d of %d subtotals", ErrAborted, j, held, n)
+		}
 		if avg == nil {
-			avg = a
+			avg = e.average(got)
 		}
 		e.recycle(msgs)
 	}
@@ -576,23 +642,23 @@ func (e *engine) finishBroadcast() (*Result, error) {
 // replica holders.
 func (e *engine) finishLeader() (*Result, error) {
 	n, k, leader := e.cfg.N, e.cfg.K, e.cfg.Leader
-	if !e.mesh.Alive(leader) || e.subtotals[leader] == nil {
+	if !e.mesh.Alive(leader) || !e.sc.computed[leader] {
 		return nil, ErrLeaderCrashed
 	}
-	have := e.sc.haveMap(n)
-	for s, sub := range e.subtotals[leader] {
-		have[s] = sub
+	have := e.sc.have
+	for _, s := range e.sc.replicas[leader] {
+		have[s] = e.subtotal(leader, s)
 	}
 	// Owners i ≠ leader send ps_wt_i for the K−1 indices the leader lacks
 	// (Alg. 4 lines 14–16). In the round-synchronous engine every
 	// non-leader owner of a missing index sends it.
 	var recovered []int
 	for s := 0; s < n; s++ {
-		if _, ok := have[s]; ok {
+		if have[s] != nil {
 			continue
 		}
-		if e.mesh.Alive(s) && e.subtotals[s] != nil {
-			if sub, ok := e.subtotals[s][s]; ok {
+		if e.mesh.Alive(s) {
+			if sub := e.subtotal(s, s); sub != nil {
 				msg := transport.Message{From: s, To: leader, Kind: KindSubtotal, ShareIdx: s, Payload: sub}
 				if err := e.mesh.Send(msg); err != nil {
 					return nil, err
@@ -607,13 +673,12 @@ func (e *engine) finishLeader() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		found := false
 		for _, h := range holders {
-			if h == s || !e.mesh.Alive(h) || e.subtotals[h] == nil {
+			if h == s || !e.mesh.Alive(h) {
 				continue
 			}
-			sub, ok := e.subtotals[h][s]
-			if !ok {
+			sub := e.subtotal(h, s)
+			if sub == nil {
 				continue
 			}
 			// Request (metadata-sized) and response (|w|).
@@ -627,10 +692,9 @@ func (e *engine) finishLeader() (*Result, error) {
 			}
 			have[s] = sub
 			recovered = append(recovered, s)
-			found = true
 			break
 		}
-		if !found {
+		if have[s] == nil {
 			return nil, fmt.Errorf("%w: no alive holder of subtotal %d", ErrInsufficientPeers, s)
 		}
 	}
@@ -663,21 +727,15 @@ func (e *engine) recycle(msgs []transport.Message) {
 	}
 }
 
-// average sums all n subtotals and divides by the number of contributing
-// models (Eq. 1–3 generalized to dropouts). Summation runs in ascending
-// share-index order so results are bit-for-bit deterministic (map order
-// would reorder floating-point additions).
+// average sums all n subtotals, in ascending share-index order so the
+// result is bit-for-bit deterministic, and divides by the number of
+// contributing models (Eq. 1–3 generalized to dropouts).
 // Avg is always freshly allocated — it is the one vector that escapes
 // the round, so it must not alias reusable scratch.
-func (e *engine) average(subtotals map[int][]float64) []float64 {
-	keys := e.sc.sortKeys(len(subtotals))
-	for k := range subtotals {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
+func (e *engine) average(subtotals [][]float64) []float64 {
 	avg := make([]float64, e.dim)
-	for _, k := range keys {
-		for x, v := range subtotals[k] {
+	for _, sub := range subtotals {
+		for x, v := range sub {
 			avg[x] += v
 		}
 	}

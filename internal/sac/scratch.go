@@ -1,219 +1,175 @@
 package sac
 
 import (
+	"sync"
+
 	"repro/internal/secretshare"
-	"repro/internal/transport"
 )
 
-// Scratch holds the engine's round-to-round reusable buffers: the
-// per-contributor flat share blocks (fed to Divider.DivideInto), the
-// dim-length subtotal vectors, and the map containers of the receive
-// and subtotal bookkeeping. All buffers are keyed by the round shape
-// (N, dim) and dropped when it changes, so one Scratch can serve a
-// sequence of same-shaped aggregations — the steady state of federated
-// training, where every round splits the same model dimension across
-// the same subgroup — without re-allocating ~N²·dim floats per round.
+// Scratch is the engine's working set, keyed by the round shape
+// (N, K, dim) and re-provisioned when it changes: the one N·dim share
+// block every contributor is divided into in turn (fed to
+// Divider.DivideInto), the N·(N−K+1) running subtotals the shares are
+// folded into as they arrive, and the flat per-round bookkeeping (fold
+// counts, the current turn's held shares, the accusation table). One
+// Scratch serves a sequence of same-shaped aggregations — the steady
+// state of federated training — without allocating anything but
+// Result.Avg per round.
 //
-// Reuse is observationally invisible: vectors are zeroed (or fully
-// overwritten) when grabbed, maps are cleared, and Result.Avg is always
-// freshly allocated, so results stay bit-identical with and without a
-// Scratch. The one sharp edge is aliasing: share and subtotal payloads
-// sent through the mesh point into scratch memory, which the next
-// round overwrites. Mesh observers (Mesh.Observe) that retain payloads
-// across rounds must copy them, and a Scratch must not be shared by
-// two concurrent aggregations — give each subgroup its own (core.System
-// does exactly that).
+// Every aggregation runs on a Scratch. Config.Scratch names one the
+// caller owns; with Config.Scratch nil the engine borrows a spare
+// working set from a package-level list and gives it back when Run
+// returns. That list keeps at most two idle sets, each N·(N−K+2)·dim
+// floats of the shape it last ran, for the life of the process;
+// callers that run many SACs at once (core.System, one Scratch per
+// subgroup) pass their own.
+//
+// Reuse is observationally invisible: every buffer is fully overwritten
+// before it is read and Result.Avg is always freshly allocated, so
+// results are bit-identical on a new, a reused and a borrowed Scratch.
+// The one sharp edge is aliasing. Share payloads sent through an
+// in-memory mesh point into the share block, which the next
+// contributor's turn overwrites, and subtotal payloads point into the
+// running subtotals, which the next round overwrites: a Mesh.Observe
+// callback (or anything else that sees a payload in flight) must copy
+// what it keeps. A Scratch must not be shared by two concurrent
+// aggregations.
 //
 // The zero value is ready to use; pass it via Config.Scratch.
 type Scratch struct {
-	n, dim int
+	n, k, dim int
+	r         int // n−k+1: share indices held per peer
 
-	shareBlocks [][]float64   // contributor i's flat n·dim share backing
-	shareViews  [][][]float64 // and its per-share views into the block
+	block []float64   // the current contributor's n shares, flat
+	views [][]float64 // and the per-share views into it
 
-	subVecs []([]float64) // free list of dim-length subtotal vectors
-	subNext int           // vectors handed out this round
-
-	received []map[int]map[int][]float64 // phase-1 outer containers
-	inner    []map[int][]float64         // free list of by-contributor maps
-	innNext  int
-
-	subtotals []map[int][]float64   // phase-2 per-peer containers
-	have      map[int][]float64     // leader's collected subtotals
-	keys      []int                 // sort scratch for average
-	drained   [][]transport.Message // phase-1 inboxes, held until summed
-
-	// replicas caches the (n, k) replica assignment: it depends only on
-	// the round shape, so the engine computes it once per shape instead
-	// of n+1 allocations per round (which at X-layer scale — tens of
-	// thousands of subgroup SACs per aggregation — dominated the garbage).
+	// replicas[j] lists the r share indices peer j holds; slot[j*n+s] is
+	// the accumulator that sums share index s at peer j, or −1 when j
+	// does not hold s. Both depend only on (n, k).
 	replicas [][]int
-	replFlat []int
-	replK    int
+	slot     []int
+
+	// acc is the n·r running subtotals, dim floats each: accumulator
+	// j*r+t sums share index replicas[j][t] at peer j. folds counts the
+	// contributors folded into each this round; a zero count is what
+	// makes the first fold overwrite whatever the last round left.
+	acc   []float64
+	folds []int
+
+	// pending holds the current turn's screened share per accumulator
+	// until every receiver has screened (hold, then fold all or none).
+	pending [][]float64
+
+	receiving []bool // peer takes part in the share exchange
+	computed  []bool // peer got as far as reporting subtotals
+	accused   []bool // contributor caught by the range guard
+	accusedBy []bool // [j*n+i]: honest receiver j caught contributor i
+	nAccused  int    // pairs set in accusedBy
+
+	have [][]float64 // the n subtotals a collector assembles, by share index
 }
 
-// begin rearms the scratch for a round of shape (n, dim): free lists
-// rewind so every buffer handed out last round is reclaimable, and a
-// shape change drops everything.
-func (s *Scratch) begin(n, dim int) {
-	if s == nil {
-		return
-	}
-	if s.n != n || s.dim != dim {
-		*s = Scratch{n: n, dim: dim}
-	}
-	s.subNext = 0
-	s.innNext = 0
-}
-
-// shareScratch returns contributor i's division scratch (nil slices on
-// first use — DivideInto grows them).
-func (s *Scratch) shareScratch(i int) ([]float64, [][]float64) {
-	if s == nil {
-		return nil, nil
-	}
-	if len(s.shareBlocks) < s.n {
-		s.shareBlocks = make([][]float64, s.n)
-		s.shareViews = make([][][]float64, s.n)
-	}
-	return s.shareBlocks[i], s.shareViews[i]
-}
-
-// keepShareScratch stores contributor i's (possibly regrown) division
-// buffers for the next round.
-func (s *Scratch) keepShareScratch(i int, block []float64, views [][]float64) {
-	if s == nil {
-		return
-	}
-	s.shareBlocks[i] = block
-	s.shareViews[i] = views
-}
-
-// subVec returns a zeroed dim-length vector, reusing last round's.
-func (s *Scratch) subVec(dim int) []float64 {
-	if s == nil {
-		return make([]float64, dim)
-	}
-	if s.subNext == len(s.subVecs) {
-		s.subVecs = append(s.subVecs, make([]float64, dim))
-	}
-	v := s.subVecs[s.subNext][:dim]
-	s.subNext++
-	for i := range v {
-		v[i] = 0
-	}
-	return v
-}
-
-// receivedMaps returns the phase-1 receive structure: n empty outer
-// maps (cleared, not reallocated, on reuse).
-func (s *Scratch) receivedMaps(n int) []map[int]map[int][]float64 {
-	if s == nil {
-		out := make([]map[int]map[int][]float64, n)
-		for j := range out {
-			out[j] = make(map[int]map[int][]float64)
-		}
-		return out
-	}
-	if len(s.received) != n {
-		s.received = make([]map[int]map[int][]float64, n)
-	}
-	for j := range s.received {
-		if s.received[j] == nil {
-			s.received[j] = make(map[int]map[int][]float64)
-		} else {
-			clear(s.received[j])
+// begin arms the scratch for a round of shape (n, k, dim): a shape
+// change re-provisions everything, and the per-round state is cleared.
+func (s *Scratch) begin(n, k, dim int) error {
+	if s.n != n || s.k != k || s.dim != dim {
+		if err := s.provision(n, k, dim); err != nil {
+			return err
 		}
 	}
-	return s.received
+	clear(s.folds)
+	clear(s.pending)
+	clear(s.receiving)
+	clear(s.computed)
+	clear(s.accused)
+	clear(s.accusedBy)
+	s.nAccused = 0
+	clear(s.have)
+	return nil
 }
 
-// innerMap returns an empty by-contributor share map from the free
-// list.
-func (s *Scratch) innerMap() map[int][]float64 {
-	if s == nil {
-		return make(map[int][]float64)
+func (s *Scratch) provision(n, k, dim int) error {
+	r := n - k + 1
+	flat := make([]int, 0, n*r)
+	replicas := make([][]int, n)
+	slot := make([]int, n*n)
+	for i := range slot {
+		slot[i] = -1
 	}
-	if s.innNext == len(s.inner) {
-		s.inner = append(s.inner, make(map[int][]float64))
-	}
-	m := s.inner[s.innNext]
-	s.innNext++
-	clear(m)
-	return m
-}
-
-// subtotalSlice returns the phase-2 per-peer slice, nil-filled. The
-// per-peer maps themselves come from innerMap (same shape).
-func (s *Scratch) subtotalSlice(n int) []map[int][]float64 {
-	if s == nil {
-		return make([]map[int][]float64, n)
-	}
-	if len(s.subtotals) != n {
-		s.subtotals = make([]map[int][]float64, n)
-	}
-	for j := range s.subtotals {
-		s.subtotals[j] = nil
-	}
-	return s.subtotals
-}
-
-// haveMap returns the leader's empty subtotal-collection map.
-func (s *Scratch) haveMap(n int) map[int][]float64 {
-	if s == nil {
-		return make(map[int][]float64, n)
-	}
-	if s.have == nil {
-		s.have = make(map[int][]float64, n)
-	} else {
-		clear(s.have)
-	}
-	return s.have
-}
-
-// replicaSets returns the cached replica assignment for shape (n, k),
-// computing it on first use (or when k changed under an unchanged n —
-// begin only keys on (n, dim)). The sets share one flat backing array.
-func (s *Scratch) replicaSets(n, k int) ([][]int, error) {
-	if s.replicas != nil && len(s.replicas) == n && s.replK == k {
-		return s.replicas, nil
-	}
-	sets := make([][]int, n)
-	flat := make([]int, 0, n*(n-k+1))
 	for j := 0; j < n; j++ {
 		start := len(flat)
 		var err error
-		flat, err = secretshare.AppendReplicaIndices(flat, j, n, k)
-		if err != nil {
-			return nil, err
+		if flat, err = secretshare.AppendReplicaIndices(flat, j, n, k); err != nil {
+			return err
 		}
-		sets[j] = flat[start:len(flat):len(flat)]
+		replicas[j] = flat[start:len(flat):len(flat)]
+		for t, idx := range replicas[j] {
+			slot[j*n+idx] = j*r + t
+		}
 	}
-	s.replicas, s.replFlat, s.replK = sets, flat, k
-	return sets, nil
+	*s = Scratch{
+		n: n, k: k, dim: dim, r: r, // block and views: DivideInto grows them
+		replicas: replicas, slot: slot,
+		acc: make([]float64, n*r*dim), folds: make([]int, n*r),
+		pending:   make([][]float64, n*r),
+		receiving: make([]bool, n), computed: make([]bool, n),
+		accused: make([]bool, n), accusedBy: make([]bool, n*n),
+		have: make([][]float64, n),
+	}
+	return nil
 }
 
-// drainedInboxes returns an empty list with room for the n share
-// inboxes phase 1 drains. The engine nils the entries out once it has
-// recycled them, so a Scratch never pins a finished round's messages.
-func (s *Scratch) drainedInboxes(n int) [][]transport.Message {
-	if s == nil {
-		return make([][]transport.Message, 0, n)
-	}
-	if cap(s.drained) < n {
-		s.drained = make([][]transport.Message, 0, n)
-	}
-	return s.drained[:0]
+// end drops the references a finished round leaves into memory the
+// scratch does not own (mesh payloads, combined subtotals).
+func (s *Scratch) end() {
+	clear(s.pending)
+	clear(s.have)
 }
 
-// sortKeys returns a reusable int slice for average's deterministic
-// key ordering.
-func (s *Scratch) sortKeys(capHint int) []int {
-	if s == nil {
-		return make([]int, 0, capHint)
+// accVec returns accumulator a's dim-length vector.
+func (s *Scratch) accVec(a int) []float64 {
+	return s.acc[a*s.dim : (a+1)*s.dim : (a+1)*s.dim]
+}
+
+// maxSpares bounds the idle working sets kept for Scratch == nil rounds.
+const maxSpares = 2
+
+// spares is the list those rounds borrow from. A mutex-guarded list and
+// not a sync.Pool: a pool's per-P slots miss whenever the calling
+// goroutine migrates, which turns what a round allocates into
+// scheduling noise; the list hits every time.
+var spares struct {
+	sync.Mutex
+	idle []*Scratch
+}
+
+// borrowScratch takes an idle working set — one of the wanted shape
+// when there is one — or starts a new one.
+func borrowScratch(n, k, dim int) *Scratch {
+	spares.Lock()
+	defer spares.Unlock()
+	pick := len(spares.idle) - 1
+	if pick < 0 {
+		return &Scratch{}
 	}
-	if cap(s.keys) < capHint {
-		s.keys = make([]int, 0, capHint)
+	for i, s := range spares.idle {
+		if s.n == n && s.k == k && s.dim == dim {
+			pick = i
+			break
+		}
 	}
-	return s.keys[:0]
+	s, last := spares.idle[pick], len(spares.idle)-1
+	spares.idle[pick], spares.idle[last] = spares.idle[last], nil
+	spares.idle = spares.idle[:last]
+	return s
+}
+
+// returnScratch gives a borrowed working set back; beyond maxSpares it
+// is left to the garbage collector.
+func returnScratch(s *Scratch) {
+	spares.Lock()
+	defer spares.Unlock()
+	if len(spares.idle) < maxSpares {
+		spares.idle = append(spares.idle, s)
+	}
 }

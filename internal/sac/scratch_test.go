@@ -44,10 +44,9 @@ func requireSameResult(t *testing.T, got, want *Result) {
 
 // TestScratchBitIdenticalAcrossRounds is the reuse contract: a Scratch
 // carried across consecutive rounds — including rounds exercising the
-// crash/recovery path, where subtotal vectors and receive maps are only
-// partially used — must produce exactly the results of scratchless
-// runs. Buffer recycling may never leak one round's values into the
-// next.
+// crash/recovery path, where some running subtotals are never completed
+// — must produce exactly the results of runs on a borrowed working set.
+// Reuse may never leak one round's values into the next.
 func TestScratchBitIdenticalAcrossRounds(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	models := randModels(r, 8, 57)

@@ -34,7 +34,8 @@ var (
 // Send writes the words straight from msg.Payload (wire.MeshEncoder) and
 // the receiver reads them straight into the []float64 it delivers
 // (wire.MeshDecoder), taken from a bounded free list that Recycle
-// refills.
+// refills. A delivered payload is the receiver's own copy, so unlike on
+// a Mesh nothing the sender does afterwards changes it.
 //
 // All methods are safe for concurrent use, Send toward one destination
 // included: every sender to a peer shares that peer's one cached
@@ -59,9 +60,14 @@ type TCPMesh struct {
 	comp  *compression
 
 	// free is the free list of receive vectors; see Recycle for its
-	// bounds. maxVec is the longest payload delivered to an inbox so far.
-	free   [][]float64
-	maxVec int
+	// bounds. maxVec is the longest payload delivered to an inbox so far,
+	// out the vectors delivered and not yet recycled, outMax its high-water
+	// mark, and fresh the receive vectors allocated because none on the
+	// list fit.
+	free        [][]float64
+	maxVec      int
+	out, outMax int
+	fresh       int
 
 	closed bool
 	wg     sync.WaitGroup
@@ -155,7 +161,7 @@ func (m *TCPMesh) serveConn(peer int, conn net.Conn) {
 		if err != nil {
 			// A free-list vector the frame did not fill goes back to the
 			// list, never to an inbox.
-			m.Recycle(wm.Payload)
+			m.release(wm.Payload)
 			return
 		}
 		payload := wm.Payload
@@ -170,10 +176,14 @@ func (m *TCPMesh) serveConn(peer int, conn net.Conn) {
 		if delivered {
 			m.inboxes[peer] = append(m.inboxes[peer], msg)
 			m.maxVec = max(m.maxVec, len(payload))
+			if len(payload) >= minRecycle {
+				m.out++
+				m.outMax = max(m.outMax, m.out)
+			}
 		}
 		m.mu.Unlock()
 		if !delivered {
-			m.Recycle(payload)
+			m.release(payload)
 		}
 		if _, err := conn.Write(ack); err != nil {
 			return
@@ -197,32 +207,64 @@ func (m *TCPMesh) getVec(n int) []float64 {
 			return v
 		}
 	}
+	m.fresh++
 	return nil
 }
 
 // Recycle implements Network: the payload joins the free list the
-// receive path draws its destination vectors from. The list holds at
-// most 2·N vectors, none longer than the longest payload this mesh has
-// delivered — the memory the buffered codec used to pin as one read
-// scratch and one encode buffer per connection. Anything beyond that, or
-// shorter than minRecycle, is left to the garbage collector. In race
-// builds the vector is poisoned first, so a caller that recycles a
-// slice it still reads fails loudly instead of rarely.
+// receive path draws its destination vectors from. The list is sized by
+// what the callers have had outstanding: the mesh counts the vectors it
+// has delivered to an inbox and not yet seen recycled, and keeps up to
+// that count's high-water mark — (n−1)(n−k+1) for a SAC that folds its
+// shares a contributor at a time, whatever n and k are — none longer
+// than the longest payload this mesh has delivered. Anything beyond
+// that, or shorter than minRecycle, is left to the garbage collector. A
+// caller that drops drained payloads instead of recycling them raises
+// the mark by as many, but the list still only ever holds what someone
+// did recycle. In race builds the vector is poisoned first, so a caller
+// that recycles a slice it still reads fails loudly instead of rarely.
 func (m *TCPMesh) Recycle(payload []float64) {
-	payload = payload[:cap(payload)]
-	if len(payload) < minRecycle {
+	if cap(payload) < minRecycle {
 		return
 	}
 	if poisonRecycled {
+		payload = payload[:cap(payload)]
 		for i := range payload {
 			payload[i] = math.NaN()
 		}
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.free) < 2*m.n && len(payload) <= m.maxVec {
+	m.out = max(m.out-1, 0)
+	m.keepLocked(payload)
+}
+
+// release puts a receive vector that never reached a caller — the frame
+// broke off, or the peer had crashed — back on the free list.
+func (m *TCPMesh) release(payload []float64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.keepLocked(payload)
+}
+
+// keepLocked appends payload to the free list if Recycle's bounds allow.
+func (m *TCPMesh) keepLocked(payload []float64) {
+	payload = payload[:cap(payload)]
+	if len(payload) >= minRecycle && len(payload) <= m.maxVec && len(m.free) < m.outMax {
 		m.free = append(m.free, payload)
 	}
+}
+
+// dropInboxLocked discards a crashed or removed peer's undrained
+// messages; their receive vectors go back on the free list.
+func (m *TCPMesh) dropInboxLocked(peer int) {
+	for _, msg := range m.inboxes[peer] {
+		if len(msg.Payload) >= minRecycle {
+			m.out--
+			m.keepLocked(msg.Payload)
+		}
+	}
+	m.inboxes[peer] = nil
 }
 
 // N implements Network.
@@ -263,7 +305,7 @@ func (m *TCPMesh) Crash(peer int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.crashed[peer] = true
-	m.inboxes[peer] = nil
+	m.dropInboxLocked(peer)
 	m.listeners[peer].Close()
 	return nil
 }
@@ -283,7 +325,7 @@ func (m *TCPMesh) RemovePeer(peer int) error {
 	defer m.mu.Unlock()
 	m.removed[peer] = true
 	m.crashed[peer] = true
-	m.inboxes[peer] = nil
+	m.dropInboxLocked(peer)
 	m.listeners[peer].Close()
 	for c := range m.served[peer] {
 		c.Close()

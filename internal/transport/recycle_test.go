@@ -108,15 +108,19 @@ func TestTCPMeshRecycleReusesOnlyWhatWasReturned(t *testing.T) {
 	}
 }
 
-// TestTCPMeshFreeListStaysBounded runs 100 SAC-shaped rounds (every
-// peer sends every other peer two vectors, everything is recycled) and
-// then hands the mesh far more than it can keep: at most 2·N vectors,
-// none longer than the longest delivered payload.
+// TestTCPMeshFreeListStaysBounded pins the free list to what the caller
+// has had outstanding. 100 rounds of a contributor-at-a-time exchange
+// (one peer sends every other peer two vectors, they drain and recycle,
+// then the next peer's turn) never leave more than the (n−1)·2 of one
+// turn on the list; 100 rounds of the send-everything-then-drain shape
+// raise the bound to the n(n−1)·2 that shape has in flight; and a mesh
+// handed far more than that keeps none of it, nor anything longer than
+// the longest payload it delivered.
 func TestTCPMeshFreeListStaysBounded(t *testing.T) {
 	const n = 3
 	m := newTCPMesh(t, n)
 	w := rampVec(recycleDim, 0)
-	check := func(when string) {
+	check := func(when string, bound int) {
 		t.Helper()
 		m.mu.Lock()
 		defer m.mu.Unlock()
@@ -124,42 +128,67 @@ func TestTCPMeshFreeListStaysBounded(t *testing.T) {
 		for _, v := range m.free {
 			bytes += 8 * cap(v)
 		}
-		if len(m.free) > 2*n || bytes > 2*n*8*recycleDim {
-			t.Fatalf("%s: free list holds %d vectors / %d bytes, bound %d / %d", when, len(m.free), bytes, 2*n, 2*n*8*recycleDim)
+		if len(m.free) > bound || bytes > bound*8*recycleDim {
+			t.Fatalf("%s: free list holds %d vectors / %d bytes, bound %d / %d", when, len(m.free), bytes, bound, bound*8*recycleDim)
+		}
+		if m.out != 0 || m.outMax != bound {
+			t.Fatalf("%s: %d vectors outstanding (high-water %d), want 0 (%d)", when, m.out, m.outMax, bound)
 		}
 	}
-	for round := 0; round < 100; round++ {
-		for from := 0; from < n; from++ {
-			for to := 0; to < n; to++ {
-				if to == from {
-					continue
-				}
-				for rep := 0; rep < 2; rep++ {
-					if err := m.Send(Message{From: from, To: to, Kind: "sac/share", ShareIdx: rep, Payload: w}); err != nil {
-						t.Fatal(err)
-					}
+	sendFrom := func(from int) {
+		t.Helper()
+		for to := 0; to < n; to++ {
+			for rep := 0; rep < 2 && to != from; rep++ {
+				if err := m.Send(Message{From: from, To: to, Kind: "sac/share", ShareIdx: rep, Payload: w}); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
+	}
+	// drainAll drains and recycles every inbox; sender (−1: nobody) is the
+	// one peer that expects nothing, everyone else expects want messages.
+	drainAll := func(when string, want, sender int) {
+		t.Helper()
 		for peer := 0; peer < n; peer++ {
 			msgs, err := m.Drain(peer)
-			if err != nil || len(msgs) != 2*(n-1) {
-				t.Fatalf("round %d: peer %d drained %d (err %v)", round, peer, len(msgs), err)
+			expect := want
+			if peer == sender {
+				expect = 0
+			}
+			if err != nil || len(msgs) != expect {
+				t.Fatalf("%s: peer %d drained %d (err %v), want %d", when, peer, len(msgs), err, expect)
 			}
 			for _, msg := range msgs {
 				if !sameVec(msg.Payload, w) {
-					t.Fatalf("round %d: payload corrupted", round)
+					t.Fatalf("%s: payload corrupted", when)
 				}
 				m.Recycle(msg.Payload)
 			}
 		}
-		check(fmt.Sprintf("round %d", round))
+	}
+	for round := 0; round < 100; round++ {
+		for from := 0; from < n; from++ {
+			sendFrom(from)
+			drainAll(fmt.Sprintf("streaming round %d", round), 2, from)
+		}
+		check(fmt.Sprintf("streaming round %d", round), 2*(n-1))
+	}
+	fresh := m.fresh
+	for round := 0; round < 100; round++ {
+		for from := 0; from < n; from++ {
+			sendFrom(from)
+		}
+		drainAll(fmt.Sprintf("batch round %d", round), 2*(n-1), -1)
+		check(fmt.Sprintf("batch round %d", round), 2*n*(n-1))
+	}
+	if grown := m.fresh - fresh; grown != 2*n*(n-1)-2*(n-1) {
+		t.Fatalf("the batch shape allocated %d receive vectors, want the %d its first round lacked", grown, 2*n*(n-1)-2*(n-1))
 	}
 	for i := 0; i < 50; i++ {
 		m.Recycle(make([]float64, recycleDim))
 		m.Recycle(make([]float64, 64*recycleDim)) // longer than anything delivered: never kept
 	}
-	check("after flooding Recycle")
+	check("after flooding Recycle", 2*n*(n-1))
 }
 
 // TestTCPMeshTruncatedFrameNeverDelivered plays a hostile peer on a raw

@@ -121,6 +121,14 @@ func (c *Counter) Reset() {
 // (or any slice of it) again. Recycle is optional — an unrecycled
 // payload is ordinary garbage — but a payload may be recycled only
 // once, and only on the network it was drained from.
+//
+// "Belongs to the receiver" is as strong as the fabric makes it. A
+// TCPMesh payload is the receiver's own copy. A Mesh payload is the very
+// slice the sender passed to Send, so it stays valid only until the
+// sender next writes that memory — for a SAC share, which points into
+// the engine's one share block, until the next contributor's turn (see
+// sac.Scratch). A receiver that keeps a drained payload past the
+// protocol step that delivered it must copy it.
 type Network interface {
 	// N returns the number of peers.
 	N() int
@@ -221,7 +229,10 @@ func (m *Mesh) Counter() *Counter { return m.counter }
 // Observe installs a callback invoked (under the mesh lock) for every
 // message accepted by Send, including messages to crashed receivers.
 // Protocol audits — e.g. verifying what an honest-but-curious leader
-// gets to see — use this to capture traffic without altering it.
+// gets to see — use this to capture traffic without altering it. The
+// observed payload is the sender's memory, lent for the duration of the
+// callback: the SAC engine overwrites a share's bytes at the sender's
+// next turn, so an observer copies whatever it keeps.
 func (m *Mesh) Observe(fn func(Message)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
