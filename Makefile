@@ -1,32 +1,22 @@
 GO ?= go
 
-# Tier-1 benchmarks: the compute hot path (matmul, im2col, one training
-# step of the paper CNN at batch 8 and one of the reduced TinyCNN at
-# batch 32 — wide and narrow convolutions go through the same direct
-# kernels), the per-client and 15-peer round loops, the aggregation
-# engine, the wire/gob checkpoint codecs, one 10 MB model vector over a
-# loopback TCPMesh (send, drain, recycle), the top-k selection, and the
-# telemetry overhead pairs. `make bench` snapshots them as BENCH_<n>.json; `make
-# bench-check` fails on a >20% ns/op regression vs the latest snapshot,
-# on an instrumented/nil telemetry pair exceeding its same-run 5%
-# overhead budget, or on a wire-pipeline pair missing its absolute
-# ratio budget (wire encode ≤ 0.5× gob; int8 delta frame ≤ 0.25× the
-# float64 frame's bytes; the parallel Divide kernel allocation-free vs
-# serial).
-BENCH_PATTERN := 'BenchmarkMatMul|BenchmarkIm2Col|BenchmarkCol2Im|BenchmarkPaperCNNTrainStep|BenchmarkTinyCNNTrainStep|BenchmarkClientTrainRound|BenchmarkRound15Peers|BenchmarkAggregate|BenchmarkRaftTick|BenchmarkSACRound|BenchmarkRaftTCPSend|BenchmarkEncodeModel|BenchmarkDecodeModelWire|BenchmarkEncodeDelta|BenchmarkDequantize|BenchmarkDivide|BenchmarkMultiLayer|BenchmarkTCPMeshSend|BenchmarkSparsify'
-BENCH_ARGS := -run '^$$' -bench $(BENCH_PATTERN) -benchmem -benchtime 10x ./...
-TELEMETRY_PAIRS := 'RaftTickLive=RaftTickNil,SACRoundLive=SACRoundNil,RaftTCPSendHealthyPeerAsync=RaftTCPSendHealthyPeerSync'
-WIRE_PAIRS := 'EncodeModelWire=EncodeModelGob@0.5'
-COMPRESS_PAIRS := 'bytes:EncodeDeltaQuant8=EncodeDeltaFloat64@0.25,allocs:DivideParallel/dim1e6=DivideSerial/dim1e6@1.0'
-# Scale-engine pairs: the parallel X-layer aggregation must not allocate
-# more than the serial one — the pooled scratch absorbs the fan-out —
-# with 0.1% headroom (~12 of ~12k allocs/op) because GC-conditional
-# runtime allocations smear strict equality by ±1 alloc; and the
-# measured traffic of a real aggregation must equal the Eq. 10 closed
-# form exactly (ReportMetric-pinned, gated from both sides).
-SCALE_PAIRS := 'allocs:MultiLayerAggregateWorkers4=MultiLayerAggregateSerial@1.001,bytes:MultiLayerBytesMeasured=MultiLayerBytesClosedForm@1.0,bytes:MultiLayerBytesClosedForm=MultiLayerBytesMeasured@1.0'
+# `make bench-check` is the micro-benchmark gate, and it only compares
+# benchmarks of one run with each other (p2pfl-benchjson -pairs): an
+# instrumented/nil telemetry pair may cost 5% (RaftTick, SACRound), the
+# async raft TCP sender must keep up with the sync one, and the wire
+# checkpoint encoder must run in half the gob time. Three runs are piped
+# in and a pair fails only if it exceeds in all three (a single run's
+# ratio moves by ±10% on a shared 2-vCPU host). There is no stored
+# ns/op baseline — run-to-run drift on a shared host is larger than any
+# tolerance worth gating — and exact contracts (bytes on the wire,
+# allocation counts) are tests under `go test ./...`. End-to-end
+# performance is `bash bench/run.sh` (BENCHMARK.json).
+BENCH_PATTERN := 'BenchmarkRaftTick|BenchmarkSACRound|BenchmarkRaftTCPSendHealthyPeer|BenchmarkEncodeModel'
+BENCH_ARGS := -run '^$$' -bench $(BENCH_PATTERN) -benchmem -benchtime 10x \
+	./internal/raft/ ./internal/sac/ ./internal/transport/ ./internal/nn/
+TIME_PAIRS := 'RaftTickLive=RaftTickNil,SACRoundLive=SACRoundNil,RaftTCPSendHealthyPeerAsync=RaftTCPSendHealthyPeerSync,EncodeModelWire=EncodeModelGob@0.5'
 
-.PHONY: all build vet test race chaos-smoke check bench bench-check test-telemetry test-health test-wire test-byzantine test-compress test-wan test-churn test-scale
+.PHONY: all build vet test race chaos-smoke check bench-check test-telemetry test-health test-wire test-byzantine test-compress test-wan test-churn test-scale
 
 all: check
 
@@ -74,18 +64,15 @@ test-wan:
 		./internal/cluster/ ./internal/chaos/ ./cmd/p2pfl-node/
 	$(GO) run -race ./cmd/p2pfl-chaos -track wan -seeds 20
 
-bench:
-	$(GO) test $(BENCH_ARGS) | $(GO) run ./cmd/p2pfl-benchjson -write
-
 bench-check:
-	$(GO) test $(BENCH_ARGS) | $(GO) run ./cmd/p2pfl-benchjson -check -pairs $(TELEMETRY_PAIRS),$(WIRE_PAIRS),$(COMPRESS_PAIRS),$(SCALE_PAIRS) -pair-tolerance 0.05
+	for run in 1 2 3; do $(GO) test $(BENCH_ARGS); done | $(GO) run ./cmd/p2pfl-benchjson -pairs $(TIME_PAIRS) -pair-tolerance 0.05
 
 # Telemetry exposition: the registry package, the wired subsystems'
 # counting/determinism regressions, and the /debug/telemetry schema
 # golden.
 test-telemetry:
 	$(GO) test -race ./internal/telemetry/ ./cmd/p2pfl-node/ ./cmd/p2pfl-benchjson/ \
-		./internal/transport/ ./internal/live/ ./internal/cluster/ \
+		./internal/transport/ ./internal/cluster/ \
 		./internal/chaos/ ./cmd/p2pfl-sim/
 
 # Self-healing: the failure detector, the resilient transport (circuit
@@ -115,9 +102,8 @@ test-wire:
 
 # Compression: the quantize/top-k kernels (bit determinism at any worker
 # count, error bounds, the top-k selection against its sort-based
-# reference and allocation budget), the wire v2 delta kinds, the
-# parallel Divide kernel's bit-identity, the opt-in transport/core
-# compression paths, and the closed-form byte accounting cross-checks
+# reference and allocation budget), the wire v2 delta kinds (and the
+# hostile sparse dimension), the opt-in transport/core compression paths, and the closed-form byte accounting cross-checks
 # (DESIGN.md §12).
 test-compress:
 	$(GO) test -race ./internal/compress/ ./internal/secretshare/ \
@@ -136,8 +122,9 @@ test-churn:
 		./internal/core/ ./internal/costmodel/
 	$(GO) run -race ./cmd/p2pfl-chaos -track churn -seeds 20
 
-# Massive scale: the X-layer engine's scale tiers and parallel
-# bit-identity under -race (short mode caps the tier sweep at 2k peers),
+# Massive scale: the X-layer engine's scale tiers, parallel bit-identity
+# and fan-out allocation bound under -race (short mode caps the tier
+# sweep at 2k peers),
 # the elastic split/merge control plane and its chaos oracle, then the
 # core package again without -race or -short for the full 1k/10k/100k
 # tier sweep, and the real-aggregation byte cross-check against Eq. 10

@@ -54,6 +54,18 @@ func TestCheckPairs(t *testing.T) {
 	if err := checkPairs("RoundNil=RoundLive", cur, 0.05); err != nil {
 		t.Errorf("ratio < 1 failed: %v", err)
 	}
+	// Several runs piped together: the i-th A meets the i-th B, and one
+	// run within budget clears the pair — not a fast A from one run
+	// against a slow B from another.
+	again := append(cur[:len(cur):len(cur)],
+		Benchmark{Name: "RoundNil", NsPerOp: 700}, Benchmark{Name: "RoundLive", NsPerOp: 720})
+	if err := checkPairs("RoundLive=RoundNil", again, 0.05); err != nil {
+		t.Errorf("second run at 2.9%% did not clear the pair: %v", err)
+	}
+	again[len(again)-1].NsPerOp = 800
+	if err := checkPairs("RoundLive=RoundNil", again, 0.05); err == nil {
+		t.Error("600/500 and 800/700 passed: runs were mixed (600/700)")
+	}
 }
 
 func TestCheckPairsBudgetAndMetric(t *testing.T) {

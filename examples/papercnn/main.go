@@ -69,7 +69,7 @@ func main() {
 		log.Fatal(err)
 	}
 	start := time.Now()
-	res, err := sys.Aggregate(models, nil, nil)
+	res, err := sys.AggregateRound(models, core.RoundSpec{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func measure(sizes []int, k int) int64 {
 		}
 		models[i] = m
 	}
-	res, err := sys.Aggregate(models, nil, nil)
+	res, err := sys.AggregateRound(models, core.RoundSpec{})
 	must(err)
 	return res.Bytes / int64(8*dim)
 }

@@ -174,7 +174,7 @@ func churnCurve(c Campaign, rep *Report, led *ledger, now int64, tag string, siz
 		}
 
 		models := churnModels(jitter, cur, round, dim)
-		res, err := sys.Aggregate(models, nil, nil)
+		res, err := sys.AggregateRound(models, core.RoundSpec{})
 		if err != nil {
 			led.violate(now, "churn-accuracy",
 				fmt.Sprintf("%s: round %d aggregation failed: %v", tag, round, err))

@@ -123,13 +123,13 @@ func shardEpisode(c Campaign, rep *Report, led *ledger, rng *rand.Rand, ep int) 
 		// One model draw serves both runs: same members, same weights —
 		// only the subgroup partition differs.
 		models := churnModels(jitter, shardSizes(elastic), round, dim)
-		resE, err := sysElastic.Aggregate(models, nil, nil)
+		resE, err := sysElastic.AggregateRound(models, core.RoundSpec{})
 		if err != nil {
 			led.violate(now, "shard-accuracy",
 				fmt.Sprintf("%s: round %d elastic aggregation failed: %v", tag, round, err))
 			return
 		}
-		resS, err := sysStatic.Aggregate(models, nil, nil)
+		resS, err := sysStatic.AggregateRound(models, core.RoundSpec{})
 		if err != nil {
 			led.violate(now, "shard-accuracy",
 				fmt.Sprintf("%s: round %d static aggregation failed: %v", tag, round, err))

@@ -300,7 +300,7 @@ func (s *System) AddPeer(g int) (uint64, error) {
 }
 
 // startAdmission drives the two committed steps of a join, retrying
-// every JoinPollInterval. The loop runs on behalf of the joiner (the
+// every joinPollInterval. The loop runs on behalf of the joiner (the
 // actual proposals are made by the respective leaders), so it makes
 // progress even while the joiner itself is briefly down.
 func (s *System) startAdmission(p *Peer) {
@@ -333,7 +333,7 @@ func (s *System) startAdmission(p *Peer) {
 			}
 			break
 		}
-		s.Sim.Schedule(s.opts.JoinPollInterval, attempt)
+		s.Sim.Schedule(joinPollInterval, attempt)
 	}
 	attempt()
 }
@@ -444,7 +444,7 @@ func (s *System) transferModel(p, su *Peer) (int, error) {
 }
 
 // startDeparture drives the committed steps of a departure, retrying
-// every JoinPollInterval: directory leave, subgroup removal, FedAvg
+// every joinPollInterval: directory leave, subgroup removal, FedAvg
 // removal (members only), then finalization.
 func (s *System) startDeparture(p *Peer) {
 	step := 0
@@ -489,7 +489,7 @@ func (s *System) startDeparture(p *Peer) {
 			}
 			break
 		}
-		s.Sim.Schedule(s.opts.JoinPollInterval, attempt)
+		s.Sim.Schedule(joinPollInterval, attempt)
 	}
 	attempt()
 }

@@ -8,7 +8,7 @@
 //     leader knows whom to contact (Sec. V-A1).
 //   - When a subgroup leader crashes, the subgroup elects a new leader,
 //     which reads the committed configuration, polls the FedAvg layer for
-//     a leader (every JoinPollInterval, paper: 100 ms), and asks it to add
+//     a leader (every joinPollInterval, paper: 100 ms), and asks it to add
 //     the new leader through Raft's membership-change protocol.
 //   - When the FedAvg leader crashes, two elections run concurrently
 //     (FedAvg layer and the crashed peer's subgroup) and the new subgroup
@@ -91,9 +91,6 @@ type Options struct {
 	// ConfigCommitInterval is how often subgroup leaders commit the
 	// FedAvg-layer configuration to their subgroup log (default 50 ms).
 	ConfigCommitInterval simnet.Duration
-	// JoinPollInterval is how often a joining subgroup leader polls the
-	// FedAvg layer for a leader (paper: 100 ms).
-	JoinPollInterval simnet.Duration
 
 	// SnapshotThreshold bounds subgroup logs: the periodic FedAvg-layer
 	// configuration commits grow the log forever, so it is compacted
@@ -113,6 +110,11 @@ type Options struct {
 // AutoTuneInterval is how often a node retunes its election bands from
 // its observed RTTs when the profile arms the tuner.
 const AutoTuneInterval = 500 * simnet.Millisecond
+
+// joinPollInterval is how often a joining subgroup leader polls the
+// FedAvg layer for a leader, and the retry period of every other
+// membership request that waits on one (the paper's 100 ms).
+const joinPollInterval = 100 * simnet.Millisecond
 
 func (o *Options) normalize() error {
 	if len(o.Sizes) == 0 {
@@ -150,9 +152,6 @@ func (o *Options) normalize() error {
 	}
 	if o.ConfigCommitInterval <= 0 {
 		o.ConfigCommitInterval = 50 * simnet.Millisecond
-	}
-	if o.JoinPollInterval <= 0 {
-		o.JoinPollInterval = 100 * simnet.Millisecond
 	}
 	if o.SnapshotThreshold == 0 {
 		o.SnapshotThreshold = 64
@@ -721,7 +720,7 @@ func (s *System) scheduleConfigCommit(p *Peer) {
 
 // startJoin runs the join protocol: poll the known FedAvg members for a
 // leader; when one responds, ask it to add us via a membership change.
-// Retries every JoinPollInterval until the addition commits.
+// Retries every joinPollInterval until the addition commits.
 func (s *System) startJoin(p *Peer) {
 	if p.joinLoop {
 		return
@@ -772,7 +771,7 @@ func (s *System) startJoin(p *Peer) {
 				})
 			})
 		}
-		s.Sim.Schedule(s.opts.JoinPollInterval, attempt)
+		s.Sim.Schedule(joinPollInterval, attempt)
 	}
 	attempt()
 }

@@ -141,7 +141,7 @@ func (s *System) Rebalance(limit simnet.Duration) ([]ShardAction, error) {
 }
 
 // runShardStep drives one committed step of a shard operation: it runs
-// the simulation in JoinPollInterval slices, re-kicking the proposal
+// the simulation in joinPollInterval slices, re-kicking the proposal
 // each slice, until cond holds or limit expires.
 func (s *System) runShardStep(what string, cond func() bool, kick func(), limit simnet.Duration) error {
 	deadline := s.Sim.Now() + simnet.Time(limit)
@@ -152,7 +152,7 @@ func (s *System) runShardStep(what string, cond func() bool, kick func(), limit 
 		if kick != nil {
 			kick()
 		}
-		s.Sim.RunFor(s.opts.JoinPollInterval)
+		s.Sim.RunFor(joinPollInterval)
 	}
 	return nil
 }

@@ -6,11 +6,9 @@ import (
 	"repro/internal/wire"
 )
 
-// The encode benchmarks report the full wire frame size as B/op (via
-// ReportMetric after the loop — ResetTimer deletes user metrics —
-// overriding the allocator column), so the bench-check pair
-// bytes:EncodeDeltaQuant8=EncodeDeltaFloat64@0.25 gates the actual
-// on-the-wire ratio, not allocator noise.
+// The encode benchmarks time quantize/sparsify + framing; SetBytes is the
+// frame size, so MB/s is wire throughput. The frame-size ratios
+// themselves are asserted by wire's TestQuantSizeAdvantage.
 
 const benchDim = 100_000
 
@@ -26,7 +24,6 @@ func BenchmarkEncodeDeltaFloat64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf = wire.AppendMeshFrame(buf[:0], m)
 	}
-	b.ReportMetric(float64(len(buf)), "B/op")
 }
 
 func benchmarkEncodeQuant(b *testing.B, width int) {
@@ -45,7 +42,6 @@ func benchmarkEncodeQuant(b *testing.B, width int) {
 		}
 		buf = wire.AppendQuantFrame(buf[:0], benchEnv, q)
 	}
-	b.ReportMetric(float64(len(buf)), "B/op")
 }
 
 func BenchmarkEncodeDeltaQuant8(b *testing.B)  { benchmarkEncodeQuant(b, 1) }
@@ -68,7 +64,6 @@ func benchmarkEncodeSparse(b *testing.B, frac float64, width int) {
 		}
 		buf = wire.AppendSparseFrame(buf[:0], benchEnv, s)
 	}
-	b.ReportMetric(float64(len(buf)), "B/op")
 }
 
 func BenchmarkEncodeDeltaSparse10(b *testing.B)   { benchmarkEncodeSparse(b, 0.10, 0) }

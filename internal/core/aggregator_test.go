@@ -24,7 +24,7 @@ func TestRobustUpperLayerResistsPoisonedSubgroup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sys.Aggregate(models, nil, nil)
+		res, err := sys.AggregateRound(models, RoundSpec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestTrimmedMeanUpperLayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Aggregate(models, nil, nil)
+	res, err := sys.AggregateRound(models, RoundSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}

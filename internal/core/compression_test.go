@@ -19,7 +19,7 @@ func runRound(t *testing.T, cc compress.Config, secureUpper bool) (*System, *Rou
 		t.Fatal(err)
 	}
 	models := randModels(rand.New(rand.NewSource(8)), 12, 96)
-	res, err := sys.Aggregate(models, nil, nil)
+	res, err := sys.AggregateRound(models, RoundSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/compress"
 	"repro/internal/fl"
@@ -53,16 +52,11 @@ type Config struct {
 	Fraction float64
 	// Divider selects the secret-sharing scheme (nil: paper's Alg. 1).
 	Divider secretshare.Divider
-	// Parallel fans the independent subgroup SACs out across goroutines
-	// (deterministic per-subgroup rng streams; shared thread-safe
-	// traffic counter). Purely a wall-clock optimization: results and
-	// byte counts are unaffected.
-	Parallel bool
 	// Aggregator selects the upper-layer combination rule (nil: FedAvg).
 	// The paper notes the system is agnostic to this choice; robust
 	// rules (fl.CoordinateMedian, fl.TrimmedMean) resist poisoned
-	// subgroup models. Ignored when SecureUpper is set (SAC computes a
-	// weighted average by construction).
+	// subgroup models. Rejected together with SecureUpper (SAC computes
+	// a weighted average by construction).
 	Aggregator fl.Aggregator
 	// Guard, when non-nil, arms the robust-aggregation defences inside
 	// every subgroup SAC (share-range exclusion, cross-checked subtotal
@@ -78,10 +72,7 @@ type Config struct {
 	// 2(m−1)·|w| to (m²−1)+(m−1) = (m²+m−2)·|w|.
 	SecureUpper bool
 	// Telemetry, when non-nil, receives round/* lifecycle metrics and is
-	// threaded into every subgroup SAC and mesh. In Parallel mode the
-	// counters stay exact (atomic and commutative) but trace-event order
-	// across subgroups follows goroutine scheduling; deterministic
-	// snapshots therefore require serial mode.
+	// threaded into every subgroup SAC and mesh.
 	Telemetry *telemetry.Registry
 	// Compression, when enabled, compresses the FedAvg-layer model-delta
 	// traffic — uploads (subgroup leader → FedAvg leader), downloads and
@@ -131,10 +122,10 @@ func (c *Config) validate() error {
 	if c.Fraction < 0 || c.Fraction > 1 {
 		return fmt.Errorf("core: fraction %v out of [0,1]", c.Fraction)
 	}
-	if err := c.Compression.Validate(); err != nil {
-		return err
+	if c.SecureUpper && c.Aggregator != nil {
+		return fmt.Errorf("core: SecureUpper averages by SAC and cannot apply aggregator %q", c.Aggregator.Name())
 	}
-	return nil
+	return c.Compression.Validate()
 }
 
 // thresholdFor returns the SAC threshold for subgroup g of size n.
@@ -180,11 +171,6 @@ type System struct {
 	counter *transport.Counter
 	rng     *rand.Rand
 	tel     sysTel
-	// scratches[g] is subgroup g's SAC scratch, reused round over round.
-	// One per subgroup keeps Parallel mode safe (a Scratch must not be
-	// shared by concurrent aggregations); the upper layer has its own.
-	scratches    []*sac.Scratch
-	upperScratch *sac.Scratch
 }
 
 // sysTel holds the system's pre-resolved round-lifecycle handles (nil
@@ -229,14 +215,7 @@ func NewSystem(cfg Config, rng *rand.Rand) (*System, error) {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-	scratches := make([]*sac.Scratch, len(cfg.Sizes))
-	for g := range scratches {
-		scratches[g] = &sac.Scratch{}
-	}
-	return &System{
-		cfg: cfg, counter: transport.NewCounter(), rng: rng, tel: newSysTel(cfg.Telemetry),
-		scratches: scratches, upperScratch: &sac.Scratch{},
-	}, nil
+	return &System{cfg: cfg, counter: transport.NewCounter(), rng: rng, tel: newSysTel(cfg.Telemetry)}, nil
 }
 
 // Config returns the system's configuration.
@@ -244,14 +223,13 @@ func (s *System) Config() Config { return s.cfg }
 
 // Reconfigure applies a membership change between rounds: the subgroup
 // sizes (and per-subgroup SAC thresholds, same semantics as Config.K)
-// are replaced and the per-subgroup scratch pool is resized to match.
-// The continuous-churn control plane calls this at a round boundary
-// with sizes derived from the replicated peer directory — secretshare's
-// k-of-n geometry is recomputed per round from directory state, never
-// mid-round. The traffic counter and telemetry persist across the
-// change (they account the deployment, not one membership epoch), as
-// does every other configuration field. A rejected configuration leaves
-// the system untouched.
+// are replaced. The continuous-churn control plane calls this at a round
+// boundary with sizes derived from the replicated peer directory —
+// secretshare's k-of-n geometry is recomputed per round from directory
+// state, never mid-round. The traffic counter and telemetry persist
+// across the change (they account the deployment, not one membership
+// epoch), as does every other configuration field. A rejected
+// configuration leaves the system untouched.
 func (s *System) Reconfigure(sizes, k []int) error {
 	next := s.cfg
 	next.Sizes = append([]int(nil), sizes...)
@@ -259,16 +237,7 @@ func (s *System) Reconfigure(sizes, k []int) error {
 	if err := next.validate(); err != nil {
 		return err
 	}
-	scratches := make([]*sac.Scratch, len(next.Sizes))
-	for g := range scratches {
-		if g < len(s.scratches) {
-			scratches[g] = s.scratches[g] // keep warmed buffers where possible
-		} else {
-			scratches[g] = &sac.Scratch{}
-		}
-	}
 	s.cfg = next
-	s.scratches = scratches
 	return nil
 }
 
@@ -309,7 +278,8 @@ var ErrNoSubgroups = errors.New("core: no subgroup completed SAC")
 
 // RoundSpec carries the per-round parameters of an aggregation. The zero
 // value is valid: uniform weighting, no crashes, leader 0 in every
-// subgroup, FedAvg leader from the first participating subgroup.
+// subgroup, and subgroup 0's leader leading the FedAvg layer whenever
+// subgroup 0 participates.
 type RoundSpec struct {
 	// SampleCounts[i] is peer i's n_k for FedAvg weighting (nil: uniform).
 	SampleCounts []float64
@@ -323,7 +293,7 @@ type RoundSpec struct {
 	Adversary map[int]sac.AdversaryPlan
 	// FedLeader is the subgroup whose leader currently leads the FedAvg
 	// layer; −1 (or a non-participating subgroup) falls back to the
-	// first participating subgroup.
+	// first subgroup of RoundResult.Participated.
 	FedLeader int
 	// Degraded lists subgroups that lost Raft quorum mid-round (as
 	// reported by the health layer, internal/cluster). The FedAvg leader
@@ -335,15 +305,21 @@ type RoundSpec struct {
 	Degraded []int
 }
 
-// Aggregate runs Alg. 3 once with default round parameters. models[i] is
-// peer i's flat weight vector (global peer indexing per Config.Sizes).
-func (s *System) Aggregate(models [][]float64, sampleCounts []float64, crash map[int]sac.CrashPlan) (*RoundResult, error) {
-	return s.AggregateRound(models, RoundSpec{SampleCounts: sampleCounts, Crash: crash, FedLeader: -1})
+// sacOn is the one recipe for the SACs this package runs — subgroup,
+// secure upper layer, one-layer baseline, X-layer tree group: an
+// in-memory mesh of n peers charging counter, and the n-out-of-n
+// leader-mode configuration (leader 0) on it. A caller changes only what
+// its SAC differs in.
+func sacOn(n int, counter *transport.Counter, tel *telemetry.Registry, div secretshare.Divider, rng *rand.Rand) (*transport.Mesh, sac.Config) {
+	mesh := transport.NewMesh(n, counter)
+	mesh.SetTelemetry(tel)
+	return mesh, sac.Config{N: n, K: n, Mode: sac.ModeLeader, Divider: div, Rng: rng, Telemetry: tel}
 }
 
-// AggregateRound runs Alg. 3 once with explicit round parameters —
-// typically the leader assignments tracked by the two-layer Raft
-// (internal/cluster).
+// AggregateRound runs Alg. 3 once. models[i] is peer i's flat weight
+// vector (global peer indexing per Config.Sizes); spec carries the round
+// parameters — typically the leader assignments tracked by the two-layer
+// Raft (internal/cluster).
 func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResult, error) {
 	sampleCounts := spec.SampleCounts
 	crash := spec.Crash
@@ -374,7 +350,7 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 	}
 	subCounts := make([]float64, m)
 
-	// Validate leaders and precompute subgroup offsets before fanning out.
+	// Validate leaders and precompute subgroup offsets.
 	// Degraded subgroups skip leader validation: a subgroup without
 	// quorum may legitimately have no leader at all.
 	offsets := make([]int, m)
@@ -390,47 +366,23 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 		}
 		off += size
 	}
-	// Subgroup SACs are independent; with Parallel they fan out across
-	// goroutines (each with its own rng stream drawn deterministically
-	// from the system rng), sharing the thread-safe traffic counter.
-	seeds := make([]int64, m)
-	for g := range seeds {
-		seeds[g] = s.rng.Int63()
-	}
+	// Each subgroup SAC draws from its own rng stream, seeded from the
+	// system rng; a degraded subgroup still consumes its seed, so losing
+	// quorum in one subgroup does not move the shares of the others.
 	sacResults := make([]*sac.Result, m)
-	runSubgroup := func(g int, rng *rand.Rand) {
+	for g, size := range s.cfg.Sizes {
+		seed := s.rng.Int63()
 		if degraded[g] {
-			return // no quorum: the round proceeds without this subgroup
+			continue // no quorum: the round proceeds without this subgroup
 		}
-		size := s.cfg.Sizes[g]
-		mesh := transport.NewMesh(size, s.counter)
-		mesh.SetTelemetry(s.cfg.Telemetry)
-		cfg := sac.Config{
-			N: size, K: s.cfg.thresholdFor(g, size), Leader: leaders[g], Mode: sac.ModeLeader,
-			Divider: s.cfg.Divider, Rng: rng, Telemetry: s.cfg.Telemetry,
-			Scratch:   s.scratches[g],
-			Adversary: spec.Adversary[g], Guard: s.cfg.Guard,
-		}
+		mesh, cfg := sacOn(size, s.counter, s.cfg.Telemetry, s.cfg.Divider, rand.New(rand.NewSource(seed)))
+		cfg.K, cfg.Leader = s.cfg.thresholdFor(g, size), leaders[g]
+		cfg.Adversary, cfg.Guard = spec.Adversary[g], s.cfg.Guard
 		r, err := sac.Run(mesh, cfg, models[offsets[g]:offsets[g]+size], crash[g])
 		if err == nil {
 			sacResults[g] = r
 		} else {
 			s.tel.sacFailed.Inc()
-		}
-	}
-	if s.cfg.Parallel {
-		var wg sync.WaitGroup
-		for g := 0; g < m; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				runSubgroup(g, rand.New(rand.NewSource(seeds[g])))
-			}(g)
-		}
-		wg.Wait()
-	} else {
-		for g := 0; g < m; g++ {
-			runSubgroup(g, rand.New(rand.NewSource(seeds[g])))
 		}
 	}
 	var okSubs []int
@@ -625,13 +577,8 @@ func (s *System) secureUpperAverage(res *RoundResult, participate []int, subCoun
 		}
 		return out, nil
 	}
-	mesh := transport.NewMesh(len(participate), s.counter)
-	mesh.SetTelemetry(s.cfg.Telemetry)
-	r, err := sac.Run(mesh, sac.Config{
-		N: len(participate), K: len(participate), Leader: 0, Mode: sac.ModeLeader,
-		Divider: s.cfg.Divider, Rng: s.rng, Telemetry: s.cfg.Telemetry,
-		Scratch: s.upperScratch,
-	}, scaled, nil)
+	mesh, cfg := sacOn(len(participate), s.counter, s.cfg.Telemetry, s.cfg.Divider, s.rng)
+	r, err := sac.Run(mesh, cfg, scaled, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: secure upper layer: %w", err)
 	}
@@ -652,9 +599,9 @@ func (s *System) BaselineAggregate(models [][]float64) (*RoundResult, error) {
 		return nil, fmt.Errorf("core: no models")
 	}
 	before := s.counter.TotalBytes()
-	mesh := transport.NewMesh(n, s.counter)
-	mesh.SetTelemetry(s.cfg.Telemetry)
-	r, err := sac.Run(mesh, sac.Config{N: n, K: n, Mode: sac.ModeBroadcast, Divider: s.cfg.Divider, Rng: s.rng, Telemetry: s.cfg.Telemetry}, models, nil)
+	mesh, cfg := sacOn(n, s.counter, s.cfg.Telemetry, s.cfg.Divider, s.rng)
+	cfg.Mode = sac.ModeBroadcast
+	r, err := sac.Run(mesh, cfg, models, nil)
 	if err != nil {
 		return nil, err
 	}

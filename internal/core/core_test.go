@@ -122,7 +122,7 @@ func TestTwoLayerEqualsGlobalMean(t *testing.T) {
 			t.Fatal(err)
 		}
 		models := randModels(r, cfg.NumPeers(), 16)
-		res, err := sys.Aggregate(models, nil, nil)
+		res, err := sys.AggregateRound(models, RoundSpec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestTwoLayerKOutOfNEqualsMean(t *testing.T) {
 		t.Fatal(err)
 	}
 	models := randModels(r, 15, 8)
-	res, err := sys.Aggregate(models, nil, nil)
+	res, err := sys.AggregateRound(models, RoundSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestEq4MatchesMeasuredBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		models := randModels(r, m*n, dim)
-		res, err := sys.Aggregate(models, nil, nil)
+		res, err := sys.AggregateRound(models, RoundSpec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestEq5MatchesMeasuredBytes(t *testing.T) {
 		}
 		N := m * n
 		models := randModels(r, N, dim)
-		res, err := sys.Aggregate(models, nil, nil)
+		res, err := sys.AggregateRound(models, RoundSpec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +237,7 @@ func TestFractionLimitsParticipation(t *testing.T) {
 		t.Fatal(err)
 	}
 	models := randModels(r, 20, 8)
-	res, err := sys.Aggregate(models, nil, nil)
+	res, err := sys.AggregateRound(models, RoundSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestWeightedBySampleCounts(t *testing.T) {
 	}
 	models := randModels(r, 4, 4)
 	counts := []float64{10, 10, 30, 30} // subgroup 1 has 3× the data
-	res, err := sys.Aggregate(models, counts, nil)
+	res, err := sys.AggregateRound(models, RoundSpec{SampleCounts: counts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestDropoutDuringAggregation(t *testing.T) {
 	}
 	models := randModels(r, 6, 8)
 	crash := map[int]sac.CrashPlan{0: {2: sac.AfterShares}}
-	res, err := sys.Aggregate(models, nil, crash)
+	res, err := sys.AggregateRound(models, RoundSpec{Crash: crash})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestFailedSubgroupExcluded(t *testing.T) {
 	}
 	models := randModels(r, 6, 8)
 	crash := map[int]sac.CrashPlan{0: {1: sac.BeforeShares}}
-	res, err := sys.Aggregate(models, nil, crash)
+	res, err := sys.AggregateRound(models, RoundSpec{Crash: crash})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestAllSubgroupsFailed(t *testing.T) {
 	}
 	models := randModels(r, 2, 4)
 	crash := map[int]sac.CrashPlan{0: {1: sac.BeforeShares}}
-	_, err = sys.Aggregate(models, nil, crash)
+	_, err = sys.AggregateRound(models, RoundSpec{Crash: crash})
 	if !errors.Is(err, ErrNoSubgroups) {
 		t.Fatalf("err = %v, want ErrNoSubgroups", err)
 	}
@@ -350,11 +350,11 @@ func TestAggregateInputValidation(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(21))
 	models := randModels(r, 3, 4) // wrong count
-	if _, err := sys.Aggregate(models, nil, nil); err == nil {
+	if _, err := sys.AggregateRound(models, RoundSpec{}); err == nil {
 		t.Fatal("want model-count error")
 	}
 	models = randModels(r, 4, 4)
-	if _, err := sys.Aggregate(models, []float64{1, 2}, nil); err == nil {
+	if _, err := sys.AggregateRound(models, RoundSpec{SampleCounts: []float64{1, 2}}); err == nil {
 		t.Fatal("want count-length error")
 	}
 	if _, err := sys.BaselineAggregate(nil); err == nil {

@@ -20,7 +20,7 @@ func TestEq4MeasuredBytesSingleSubgroup(t *testing.T) {
 			t.Fatal(err)
 		}
 		models := randModels(r, n, dim)
-		res, err := sys.Aggregate(models, nil, nil)
+		res, err := sys.AggregateRound(models, RoundSpec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestEq5MeasuredBytesAtFullThreshold(t *testing.T) {
 			t.Fatal(err)
 		}
 		models := randModels(r, m*n, dim)
-		res, err := sys.Aggregate(models, nil, nil)
+		res, err := sys.AggregateRound(models, RoundSpec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestOversizedThresholdClampsToN(t *testing.T) {
 		t.Fatal(err)
 	}
 	models := randModels(r, m*n, dim)
-	res, err := sys.Aggregate(models, nil, nil)
+	res, err := sys.AggregateRound(models, RoundSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestUnevenSplitMeasuredBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	models := randModels(r, 7, dim)
-	res, err := sys.Aggregate(models, nil, nil)
+	res, err := sys.AggregateRound(models, RoundSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}

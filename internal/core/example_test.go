@@ -11,7 +11,7 @@ import (
 // The two-layer aggregation in a nutshell: six peers in two fault-
 // tolerant subgroups produce exactly the mean of their models, at a
 // fraction of the one-layer SAC's traffic.
-func ExampleSystem_Aggregate() {
+func ExampleSystem_AggregateRound() {
 	sys, err := core.NewSystem(core.Config{
 		Sizes: []int{3, 3}, // two subgroups of three peers
 		K:     []int{2},    // 2-out-of-3: one dropout per subgroup is fine
@@ -23,7 +23,7 @@ func ExampleSystem_Aggregate() {
 		{1}, {2}, {3}, // subgroup 0
 		{4}, {5}, {6}, // subgroup 1
 	}
-	res, err := sys.Aggregate(models, nil, nil)
+	res, err := sys.AggregateRound(models, core.RoundSpec{})
 	if err != nil {
 		panic(err)
 	}
@@ -34,7 +34,7 @@ func ExampleSystem_Aggregate() {
 
 // A peer dropping out mid-protocol (the paper's Fig. 3) does not stop
 // the aggregation, and its model still counts.
-func ExampleSystem_Aggregate_dropout() {
+func ExampleSystem_AggregateRound_dropout() {
 	sys, err := core.NewSystem(core.Config{Sizes: []int{3}, K: []int{2}},
 		rand.New(rand.NewSource(2)))
 	if err != nil {
@@ -42,7 +42,7 @@ func ExampleSystem_Aggregate_dropout() {
 	}
 	models := [][]float64{{3}, {6}, {9}}
 	crash := map[int]sac.CrashPlan{0: {2: sac.AfterShares}}
-	res, err := sys.Aggregate(models, nil, crash)
+	res, err := sys.AggregateRound(models, core.RoundSpec{Crash: crash})
 	if err != nil {
 		panic(err)
 	}

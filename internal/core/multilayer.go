@@ -124,20 +124,20 @@ type MultiLayerScratch struct {
 	seeds []int64
 }
 
-// mlWorker is one worker's pooled context. The mesh and SAC scratch are
-// rebuilt only when the subgroup size or the traffic counter change;
-// between subgroups only the RNG is re-seeded.
+// mlWorker is one worker's pooled context. The mesh and SAC
+// configuration are rebuilt only when the subgroup size or the traffic
+// counter change; between subgroups only the RNG is re-seeded.
 type mlWorker struct {
 	mesh    *transport.Mesh
+	cfg     sac.Config
 	counter *transport.Counter
-	n       int
 	sc      *sac.Scratch
 	src     *mlSource
 	rng     *rand.Rand
 	sub     [][]float64
 }
 
-func (ms *MultiLayerScratch) get(n int, counter *transport.Counter) *mlWorker {
+func (ms *MultiLayerScratch) get(n int, div secretshare.Divider, counter *transport.Counter) *mlWorker {
 	ms.mu.Lock()
 	var w *mlWorker
 	if len(ms.free) > 0 {
@@ -149,11 +149,13 @@ func (ms *MultiLayerScratch) get(n int, counter *transport.Counter) *mlWorker {
 		src := &mlSource{}
 		w = &mlWorker{src: src, rng: rand.New(src), sc: &sac.Scratch{}}
 	}
-	if w.mesh == nil || w.n != n || w.counter != counter {
-		w.mesh = transport.NewMesh(n, counter)
-		w.n, w.counter = n, counter
+	if w.mesh == nil || w.cfg.N != n || w.counter != counter {
+		w.mesh, w.cfg = sacOn(n, counter, nil, div, w.rng)
+		w.cfg.Scratch = w.sc
+		w.counter = counter
 		w.sub = make([][]float64, 0, n)
 	}
+	w.cfg.Divider = div // the pool outlives the call; the divider is per call
 	return w
 }
 
@@ -189,18 +191,12 @@ func (s *mlSource) Uint64() uint64 {
 
 func (s *mlSource) Int63() int64 { return int64(s.Uint64() >> 1) }
 
-// AggregateMultiLayer runs one X-layer aggregation of models (indexed by
-// the topology's global peer order) using n-out-of-n SAC in every
-// subgroup. div selects the share scheme (nil: Alg. 1); counter may be
-// shared (nil allocates one). It is the serial entry point; see
-// AggregateMultiLayerOpts for the parallel/pooled form.
-func AggregateMultiLayer(t *MultiLayerTopology, models [][]float64, div secretshare.Divider, rng *rand.Rand, counter *transport.Counter) (*MultiLayerResult, error) {
-	return AggregateMultiLayerOpts(t, models, div, rng, counter, MultiLayerOptions{})
-}
-
-// AggregateMultiLayerOpts is AggregateMultiLayer with worker fan-out and
-// pooled scratch. models are borrowed read-only views — never copied,
-// never written; a peer's slot in the internal value table is only ever
+// AggregateMultiLayerOpts runs one X-layer aggregation of models
+// (indexed by the topology's global peer order) using n-out-of-n SAC in
+// every subgroup. div selects the share scheme (nil: Alg. 1); counter may
+// be shared (nil allocates one); the zero opts run serially on a private
+// scratch. models are borrowed read-only views — never copied, never
+// written; a peer's slot in the internal value table is only ever
 // overwritten by pointing it at a freshly allocated subtree sum. The
 // caller's rng is consumed only for the serial per-subgroup seed draws
 // (one Int63 per subgroup, in topology order), so the result depends on
@@ -265,7 +261,7 @@ func AggregateMultiLayerOpts(t *MultiLayerTopology, models [][]float64, div secr
 		}
 		ms.seeds = seeds
 		process := func(lo, hi int) {
-			w := ms.get(t.Degree, counter)
+			w := ms.get(t.Degree, div, counter)
 			defer ms.put(w)
 			for gi := lo; gi < hi; gi++ {
 				group := groups[gi]
@@ -274,10 +270,7 @@ func AggregateMultiLayerOpts(t *MultiLayerTopology, models [][]float64, div secr
 				for _, p := range group {
 					sub = append(sub, value[p])
 				}
-				res, err := sac.Run(w.mesh, sac.Config{
-					N: len(group), K: len(group), Leader: 0, Mode: sac.ModeLeader,
-					Divider: div, Rng: w.rng, Scratch: w.sc,
-				}, sub, nil)
+				res, err := sac.Run(w.mesh, w.cfg, sub, nil)
 				if err != nil {
 					fail(x, err)
 					return

@@ -161,29 +161,44 @@ func TestMultiLayerScratchReuseAcrossShapes(t *testing.T) {
 	}
 }
 
-// The serial entry point must agree with the options form at its
-// defaults, so existing callers see the same results.
-func TestMultiLayerOptsDefaultsMatchPlain(t *testing.T) {
-	topo, err := BuildMultiLayerTopology(3, 2)
+// The fan-out's cost in allocations over the serial schedule is what
+// tensor.ParallelRowsN spends per layer that has more than one subgroup:
+// one WaitGroup, and a goroutine closure plus its deferred token release
+// per borrowed worker — 7 a layer with three borrowed workers, 8 measured
+// under -race — and nothing per subgroup, because every worker runs its
+// span on a pooled context. The limit of 10 a layer leaves room for the
+// runtime's own GC-conditional allocations (they smear the ~12.6k
+// allocations of one aggregation by ±1) and is two orders of magnitude
+// below what one allocation per subgroup SAC would add. With a budget of
+// 1 the pool lends no worker and Workers: 4 is the serial path.
+func TestMultiLayerFanOutAllocations(t *testing.T) {
+	const workers, perFannedLayer, slack = 4, 10, 2
+	topo, err := BuildMultiLayerTopology(4, 6) // N = 1456, 485 subgroup SACs
 	if err != nil {
 		t.Fatal(err)
 	}
-	models := randModels(rand.New(rand.NewSource(8)), topo.N, 12)
-	a, err := AggregateMultiLayer(topo, models, nil, rand.New(rand.NewSource(3)), transport.NewCounter())
-	if err != nil {
-		t.Fatal(err)
+	models := randModels(rand.New(rand.NewSource(7)), topo.N, 64)
+	counter := transport.NewCounter()
+	measure := func(w int) float64 {
+		opts := MultiLayerOptions{Workers: w, Scratch: &MultiLayerScratch{}}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := AggregateMultiLayerOpts(topo, models, nil, rand.New(rand.NewSource(11)), counter, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	b, err := AggregateMultiLayerOpts(topo, models, nil, rand.New(rand.NewSource(3)),
-		transport.NewCounter(), MultiLayerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Bytes != b.Bytes || a.Aggregations != b.Aggregations {
-		t.Fatalf("plain %d/%d, opts %d/%d", a.Bytes, a.Aggregations, b.Bytes, b.Aggregations)
-	}
-	for j := range a.Global {
-		if math.Float64bits(a.Global[j]) != math.Float64bits(b.Global[j]) {
-			t.Fatalf("global[%d] differs between entry points", j)
+	old := tensor.Parallelism()
+	defer tensor.SetParallelism(old)
+	for _, budget := range []int{1, 4} {
+		tensor.SetParallelism(budget)
+		limit := float64(slack)
+		if budget > 1 {
+			limit += perFannedLayer * float64(topo.Layers-1) // the top layer is one group
+		}
+		serial, fanned := measure(1), measure(workers)
+		if fanned > serial+limit {
+			t.Errorf("budget %d: %v allocations with %d workers, %v serial: fan-out may add %v",
+				budget, fanned, workers, serial, limit)
 		}
 	}
 }

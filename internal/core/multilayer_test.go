@@ -77,7 +77,7 @@ func TestMultiLayerAggregateExactMean(t *testing.T) {
 			t.Fatal(err)
 		}
 		models := randModels(r, topo.N, 8)
-		res, err := AggregateMultiLayer(topo, models, nil, rand.New(rand.NewSource(2)), nil)
+		res, err := AggregateMultiLayerOpts(topo, models, nil, rand.New(rand.NewSource(2)), nil, MultiLayerOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestEq10MatchesMeasuredBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		models := randModels(r, topo.N, dim)
-		res, err := AggregateMultiLayer(topo, models, nil, rand.New(rand.NewSource(4)), nil)
+		res, err := AggregateMultiLayerOpts(topo, models, nil, rand.New(rand.NewSource(4)), nil, MultiLayerOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestMultiLayerWithMaskDivider(t *testing.T) {
 		t.Fatal(err)
 	}
 	models := randModels(r, topo.N, 4)
-	res, err := AggregateMultiLayer(topo, models, secretshare.MaskDivider{Scale: 10}, rand.New(rand.NewSource(6)), nil)
+	res, err := AggregateMultiLayerOpts(topo, models, secretshare.MaskDivider{Scale: 10}, rand.New(rand.NewSource(6)), nil, MultiLayerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +146,12 @@ func TestMultiLayerInputValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(7))
-	if _, err := AggregateMultiLayer(topo, randModels(r, 3, 4), nil, nil, nil); err == nil {
+	if _, err := AggregateMultiLayerOpts(topo, randModels(r, 3, 4), nil, nil, nil, MultiLayerOptions{}); err == nil {
 		t.Fatal("want model-count error")
 	}
 	bad := randModels(r, topo.N, 4)
 	bad[2] = []float64{1}
-	if _, err := AggregateMultiLayer(topo, bad, nil, nil, nil); err == nil {
+	if _, err := AggregateMultiLayerOpts(topo, bad, nil, nil, nil, MultiLayerOptions{}); err == nil {
 		t.Fatal("want ragged-model error")
 	}
 }

@@ -17,7 +17,7 @@ func TestReconfigureBetweenRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	models := randModels(r, 6, 8)
-	res, err := sys.Aggregate(models, nil, nil)
+	res, err := sys.AggregateRound(models, RoundSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestReconfigureBetweenRounds(t *testing.T) {
 		t.Fatalf("NumPeers = %d after reconfigure, want 9", got)
 	}
 	models = randModels(r, 9, 8)
-	res, err = sys.Aggregate(models, nil, nil)
+	res, err = sys.AggregateRound(models, RoundSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,12 +43,12 @@ func TestReconfigureBetweenRounds(t *testing.T) {
 		t.Fatalf("post-churn round off by %v", d)
 	}
 
-	// Shrinking below the current scratch count works too.
+	// Shrinking to a single, larger subgroup works too.
 	if err := sys.Reconfigure([]int{5}, nil); err != nil {
 		t.Fatal(err)
 	}
 	models = randModels(r, 5, 8)
-	res, err = sys.Aggregate(models, nil, nil)
+	res, err = sys.AggregateRound(models, RoundSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestReconfigureRejectsBadGeometry(t *testing.T) {
 		t.Fatalf("config mutated by rejected reconfigure: %+v", cfg)
 	}
 	models := randModels(rand.New(rand.NewSource(33)), 6, 4)
-	if _, err := sys.Aggregate(models, nil, nil); err != nil {
+	if _, err := sys.AggregateRound(models, RoundSpec{}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -15,7 +15,7 @@ func TestSecureUpperEqualsGlobalMean(t *testing.T) {
 		t.Fatal(err)
 	}
 	models := randModels(r, 10, 16)
-	res, err := sys.Aggregate(models, nil, nil)
+	res, err := sys.AggregateRound(models, RoundSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestSecureUpperWeighted(t *testing.T) {
 	}
 	models := randModels(r, 4, 4)
 	counts := []float64{10, 10, 30, 30}
-	res, err := sys.Aggregate(models, counts, nil)
+	res, err := sys.AggregateRound(models, RoundSpec{SampleCounts: counts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestSecureUpperCostMatchesFormula(t *testing.T) {
 			t.Fatal(err)
 		}
 		models := randModels(r, m*n, dim)
-		res, err := sys.Aggregate(models, nil, nil)
+		res, err := sys.AggregateRound(models, RoundSpec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestSecureUpperSingleParticipant(t *testing.T) {
 		t.Fatal(err)
 	}
 	models := randModels(r, 4, 4)
-	res, err := sys.Aggregate(models, nil, nil)
+	res, err := sys.AggregateRound(models, RoundSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestSecureUpperWithFraction(t *testing.T) {
 		t.Fatal(err)
 	}
 	models := randModels(r, 12, 4)
-	res, err := sys.Aggregate(models, nil, nil)
+	res, err := sys.AggregateRound(models, RoundSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,7 @@ import (
 
 // Soak: every optional feature at once — fault-tolerant subgroups with
 // periodic dropouts, slow subgroups (p<1), partial client participation,
-// weak DP noise, robust upper-layer aggregation and parallel subgroup
-// execution — over a longer run. The system must stay numerically sane
+// weak DP noise and robust upper-layer aggregation — over a longer run. The system must stay numerically sane
 // and still learn.
 func TestSoakAllFeaturesTogether(t *testing.T) {
 	cfg := TrainerConfig{
@@ -21,7 +20,6 @@ func TestSoakAllFeaturesTogether(t *testing.T) {
 			Sizes:      []int{3, 3, 3, 3},
 			K:          []int{2},
 			Fraction:   0.75,
-			Parallel:   true,
 			Aggregator: fl.TrimmedMean{Trim: 0.1},
 		},
 		Model: func(rng *rand.Rand) (*nn.Model, error) {
@@ -60,10 +58,7 @@ func TestSoakAllFeaturesTogether(t *testing.T) {
 }
 
 // Determinism: identical configs produce identical series (the basis of
-// the reproducibility claims in EXPERIMENTS.md). Parallel mode is
-// excluded — subgroup goroutines may interleave counter updates but the
-// per-round bytes and results stay equal; here we check the strict
-// sequential path bit-for-bit.
+// the reproducibility claims in EXPERIMENTS.md), bit for bit.
 func TestTrainingDeterministic(t *testing.T) {
 	run := func() *Series {
 		cfg := tinyTrainerConfig(false, []int{3, 3}, dataset.NonIID0, 92)

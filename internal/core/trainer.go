@@ -46,10 +46,9 @@ type TrainerConfig struct {
 	BatchSize    int
 
 	// Workers bounds how many selected clients train concurrently each
-	// round (mirroring Config.Parallel for the aggregation layer). 0 or 1
-	// trains serially. Any value yields bit-identical results: each
-	// client owns its model, optimizer, data partition and seeded RNGs,
-	// and losses/weights are reduced in client-index order.
+	// round. 0 or 1 trains serially. Any value yields bit-identical
+	// results: each client owns its model, optimizer, data partition and
+	// seeded RNGs, and losses/weights are reduced in client-index order.
 	Workers int
 
 	// ClientFraction selects the fraction of peers that train each round
@@ -281,7 +280,7 @@ func RunTraining(cfg TrainerConfig) (*Series, error) {
 		if cfg.Baseline {
 			res, err = sys.BaselineAggregate(models)
 		} else {
-			res, err = sys.Aggregate(models, counts, crash)
+			res, err = sys.AggregateRound(models, RoundSpec{SampleCounts: counts, Crash: crash, FedLeader: -1})
 		}
 		if err != nil {
 			return nil, err

@@ -74,7 +74,7 @@ func TestDistributionBytesMatchMeasured(t *testing.T) {
 					models[i][j] = rng.NormFloat64()
 				}
 			}
-			if _, err := sys.Aggregate(models, nil, nil); err != nil {
+			if _, err := sys.AggregateRound(models, core.RoundSpec{}); err != nil {
 				t.Fatal(err)
 			}
 			measured := sys.Counter().Bytes(core.KindUpload) +

@@ -73,7 +73,7 @@ func measureUnits(sizes []int, k int, seed int64) (float64, error) {
 		}
 		models[i] = m
 	}
-	res, err := sys.Aggregate(models, nil, nil)
+	res, err := sys.AggregateRound(models, core.RoundSpec{})
 	if err != nil {
 		return 0, err
 	}

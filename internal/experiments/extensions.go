@@ -239,7 +239,7 @@ func Ext3RobustAggregation(p Params) (*TableResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, err := sys.Aggregate(models, nil, nil)
+		out, err := sys.AggregateRound(models, core.RoundSpec{})
 		if err != nil {
 			return nil, err
 		}

@@ -11,7 +11,7 @@ import (
 // node, deliver every pending message, repeat — the entire integration
 // surface of the tick-driven design (Tick/Step/Ready) in ~30 lines.
 // Real deployments replace the loop with wall-clock tickers
-// (internal/live, cmd/p2pfl-node) or virtual time (internal/simnet).
+// (cmd/p2pfl-node) or virtual time (internal/simnet).
 func Example() {
 	ids := []uint64{1, 2, 3}
 	nodes := map[uint64]*raft.Node{}

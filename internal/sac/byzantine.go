@@ -114,30 +114,15 @@ type Guard struct {
 	// bound ≥ max‖w‖∞ over honest models never falsely accuses.
 	ShareBound float64
 	// CrossCheck collects every alive holder's copy of each subtotal at
-	// the leader and combines them with Combiner instead of trusting the
-	// owner — the majority-outvote defence. Requires ModeLeader.
+	// the leader and combines them by coordinate-wise median instead of
+	// trusting the owner — the majority-outvote defence. Requires
+	// ModeLeader.
 	CrossCheck bool
-	// Tolerance is the consistency tolerance for subtotal mismatch
-	// counting and the leader-result audit (default 1e-6).
-	Tolerance float64
-	// Combiner combines the holders' subtotal copies per share index
-	// (default fl.CoordinateMedian). Counts are not used.
-	Combiner fl.Aggregator
 }
 
-func (g *Guard) tolerance() float64 {
-	if g == nil || g.Tolerance <= 0 {
-		return 1e-6
-	}
-	return g.Tolerance
-}
-
-func (g *Guard) combiner() fl.Aggregator {
-	if g == nil || g.Combiner == nil {
-		return fl.CoordinateMedian{}
-	}
-	return g.Combiner
-}
+// guardTolerance is the consistency tolerance for subtotal mismatch
+// counting and the leader-result audit.
+const guardTolerance = 1e-6
 
 // byz returns peer i's behavior under the round's adversary plan.
 func (e *engine) byz(i int) Behavior {
@@ -268,18 +253,15 @@ func (e *engine) corruptSubtotals(j int) {
 
 // finishLeaderGuarded is the robust replacement for finishLeader: every
 // alive holder of every share index submits its subtotal copy, the
-// guard's combiner (coordinate-wise median by default) merges them, and
-// copies disagreeing with the combined value beyond the tolerance are
-// counted as mismatches. An honest majority of holders per index makes
+// coordinate-wise median merges them, and copies disagreeing with the
+// combined value beyond guardTolerance are counted as mismatches. An honest majority of holders per index makes
 // the combined value exactly the honest one. The leader's result is
 // then audited for equivocation before release.
 func (e *engine) finishLeaderGuarded() (*Result, error) {
 	n, k, leader := e.cfg.N, e.cfg.K, e.cfg.Leader
-	g := e.cfg.Guard
 	if !e.mesh.Alive(leader) || !e.sc.computed[leader] {
 		return nil, ErrLeaderCrashed
 	}
-	tol := g.tolerance()
 	have := e.sc.have
 	var recovered []int
 	for s := 0; s < n; s++ {
@@ -312,12 +294,12 @@ func (e *engine) finishLeaderGuarded() (*Result, error) {
 		if len(cands) == 0 {
 			return nil, fmt.Errorf("%w: no alive holder of subtotal %d", ErrInsufficientPeers, s)
 		}
-		comb, err := g.combiner().Aggregate(cands, nil)
+		comb, err := fl.CoordinateMedian{}.Aggregate(cands, nil)
 		if err != nil {
 			return nil, err
 		}
 		for _, cand := range cands {
-			if linfDiff(cand, comb) > tol {
+			if linfDiff(cand, comb) > guardTolerance {
 				e.mismatches++
 				e.tel.byzMismatch.Inc()
 			}
@@ -360,7 +342,6 @@ func (e *engine) finishLeaderGuarded() (*Result, error) {
 // invariant is untouched.
 func (e *engine) auditLeader(have [][]float64, avg []float64) error {
 	n, leader := e.cfg.N, e.cfg.Leader
-	tol := e.cfg.Guard.tolerance()
 	claims := make([]float64, 0, n*e.dim)
 	for s := 0; s < n; s++ {
 		claims = append(claims, have[s]...)
@@ -408,7 +389,7 @@ func (e *engine) auditLeader(have [][]float64, avg []float64) error {
 		for x := range check {
 			check[x] *= inv
 		}
-		if linfDiff(check, result) > tol {
+		if linfDiff(check, result) > guardTolerance {
 			accused = true
 		}
 		digests[j] = auditDigest(claims, result)

@@ -3,6 +3,7 @@ package sac
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/transport"
@@ -220,5 +221,19 @@ func TestNoHonestWitnessMeansNoExclusions(t *testing.T) {
 	}
 	if len(res.Excluded) != 0 {
 		t.Fatalf("no honest witness, yet exclusions %v", res.Excluded)
+	}
+}
+
+// TestGuardFields guards the Guard's surface: the two defences a caller
+// arms, and nothing a caller has never set (the mismatch tolerance and
+// the subtotal combiner are fixed).
+func TestGuardFields(t *testing.T) {
+	typ := reflect.TypeOf(Guard{})
+	var got []string
+	for i := 0; i < typ.NumField(); i++ {
+		got = append(got, typ.Field(i).Name)
+	}
+	if want := []string{"ShareBound", "CrossCheck"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("sac.Guard fields = %v, want %v", got, want)
 	}
 }

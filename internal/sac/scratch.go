@@ -20,9 +20,10 @@ import (
 // caller owns; with Config.Scratch nil the engine borrows a spare
 // working set from a package-level list and gives it back when Run
 // returns. That list keeps at most two idle sets, each N·(N−K+2)·dim
-// floats of the shape it last ran, for the life of the process;
-// callers that run many SACs at once (core.System, one Scratch per
-// subgroup) pass their own.
+// floats of the shape it last ran, for the life of the process. A
+// caller that runs its SACs one after the other borrows (core.System:
+// SplitPeers yields at most two subgroup shapes); one that runs many at
+// once passes its own (core's X-layer tree, one Scratch per worker).
 //
 // Reuse is observationally invisible: every buffer is fully overwritten
 // before it is read and Result.Avg is always freshly allocated, so

@@ -8,9 +8,7 @@ import (
 
 // The Divide benchmarks sweep the weight-vector dimension across three
 // decades and reuse the caller-owned scratch, so ns/op isolates the
-// share kernel and allocs/op stays flat — the bench-check pair
-// allocs:DivideParallel/dim1e6=DivideSerial/dim1e6@1.0 gates that the
-// parallel kernel adds no per-call allocations over the serial one.
+// share kernel and allocs/op stays flat.
 
 const benchShares = 10
 
@@ -41,18 +39,6 @@ func benchDivideInto(b *testing.B, d Divider, dim int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkDivideSerial(b *testing.B) {
-	for _, c := range benchDims {
-		b.Run(c.name, func(b *testing.B) { benchDivideInto(b, ScalarDivider{}, c.dim) })
-	}
-}
-
-func BenchmarkDivideParallel(b *testing.B) {
-	for _, c := range benchDims {
-		b.Run(c.name, func(b *testing.B) { benchDivideInto(b, ScalarDivider{Parallel: true}, c.dim) })
 	}
 }
 

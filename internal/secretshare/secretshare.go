@@ -19,8 +19,6 @@ package secretshare
 import (
 	"fmt"
 	"math/rand"
-
-	"repro/internal/tensor"
 )
 
 // Divider splits a secret vector into n additive shares.
@@ -61,15 +59,7 @@ func sliceBlock(block []float64, views [][]float64, n, dim int) ([]float64, [][]
 // (0,1), normalize them to fractions prn_i = rn_i/Σrn, and emit shares
 // prn_i·w. Shares are collinear with w; reconstruction is exact in
 // expectation and to rounding in practice.
-//
-// With Parallel set, the share fill fans out over the shared tensor
-// worker pool, split by coordinate panels. The n RNG draws happen
-// serially up front, so the draw order — and therefore every share and
-// the rng state left behind — is bit-identical to the serial kernel at
-// any worker count.
-type ScalarDivider struct {
-	Parallel bool
-}
+type ScalarDivider struct{}
 
 // Name implements Divider.
 func (ScalarDivider) Name() string { return "scalar (Alg. 1)" }
@@ -94,19 +84,6 @@ func (d ScalarDivider) DivideInto(w []float64, n int, rng *rand.Rand, block []fl
 		sum += rn[i]
 	}
 	block, shares := sliceBlock(block, views, n, len(w))
-	// With a serial pool budget the fan-out cannot help; skipping it also
-	// skips the closure allocation, so Parallel is alloc-free to enable.
-	if d.Parallel && tensor.Parallelism() > 1 {
-		tensor.ParallelRows(len(w), func(lo, hi int) {
-			for i, s := range shares {
-				f := rn[i] / sum
-				for j := lo; j < hi; j++ {
-					s[j] = f * w[j]
-				}
-			}
-		})
-		return shares, block, nil
-	}
 	for i, s := range shares {
 		f := rn[i] / sum
 		for j, v := range w {
@@ -120,16 +97,8 @@ func (d ScalarDivider) DivideInto(w []float64, n int, rng *rand.Rand, block []fl
 // uniform random vectors in [−Scale, Scale) and share n−1 is
 // w − Σ(others). Scale should dominate the magnitude of the weights; the
 // zero value uses Scale 1.
-//
-// With Parallel set, the RNG draws still happen serially — in exactly
-// the serial kernel's (share-major, coordinate-minor) order, leaving the
-// rng in the same state — and only the elementwise transform plus the
-// residual subtraction fan out over the tensor worker pool. Each column
-// subtracts its masks in ascending share order just like the serial
-// loop, so the shares are bit-identical at any worker count.
 type MaskDivider struct {
-	Scale    float64
-	Parallel bool
+	Scale float64
 }
 
 // Name implements Divider.
@@ -153,38 +122,15 @@ func (m MaskDivider) DivideInto(w []float64, n int, rng *rand.Rand, block []floa
 	}
 	block, shares := sliceBlock(block, views, n, len(w))
 	last := shares[n-1]
-	if !m.Parallel || tensor.Parallelism() == 1 {
-		copy(last, w)
-		for i := 0; i < n-1; i++ {
-			s := shares[i]
-			for j := range s {
-				r := (rng.Float64()*2 - 1) * scale
-				s[j] = r
-				last[j] -= r
-			}
-		}
-		return shares, block, nil
-	}
-	// Parallel: draw the raw uniforms serially in the same
-	// (share-major, coordinate-minor) order as the serial loop, then fan
-	// the affine transform and the residual accumulation out by column.
+	copy(last, w)
 	for i := 0; i < n-1; i++ {
 		s := shares[i]
 		for j := range s {
-			s[j] = rng.Float64()
+			r := (rng.Float64()*2 - 1) * scale
+			s[j] = r
+			last[j] -= r
 		}
 	}
-	tensor.ParallelRows(len(w), func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			acc := w[j]
-			for i := 0; i < n-1; i++ {
-				r := (shares[i][j]*2 - 1) * scale
-				shares[i][j] = r
-				acc -= r
-			}
-			last[j] = acc
-		}
-	})
 	return shares, block, nil
 }
 

@@ -3,6 +3,7 @@ package secretshare
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -248,5 +249,20 @@ func BenchmarkDivideVariants(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestDividersHaveNoModeBooleans guards the one-kernel rule: a divider
+// is its scheme and the scheme's parameters. A faster kernel is chosen
+// from something the code can observe (the vector length), never by a
+// caller-set switch.
+func TestDividersHaveNoModeBooleans(t *testing.T) {
+	for _, d := range []Divider{ScalarDivider{}, MaskDivider{}} {
+		typ := reflect.TypeOf(d)
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.Type.Kind() == reflect.Bool {
+				t.Errorf("%s.%s is a bool", typ, f.Name)
+			}
+		}
 	}
 }

@@ -223,6 +223,11 @@ func readSparseBlock(b []byte) (SparseDelta, []byte, error) {
 	if err != nil {
 		return s, nil, err
 	}
+	// Dense allocates dim floats whatever k is, so the dimension is
+	// bounded by what a dense vector could itself be framed as.
+	if dim > MaxPayload/8 {
+		return s, nil, fmt.Errorf("%w: sparse dimension %d exceeds %d", ErrBadFrame, dim, MaxPayload/8)
+	}
 	s.Dim = int(dim)
 	k, b, err := readUint32(b)
 	if err != nil {

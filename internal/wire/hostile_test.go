@@ -3,7 +3,9 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
+	"math"
 	"testing"
 
 	"repro/internal/raft"
@@ -213,6 +215,31 @@ func TestNestedLengthLies(t *testing.T) {
 	b = appendUint32(b, 1<<30) // entry-count lie
 	if _, _, err := ReadRaftFrame(bytes.NewReader(b), nil); err == nil {
 		t.Fatal("entry-count lie accepted")
+	}
+}
+
+// TestSparseDimensionLie: a sparse block's dimension is backed by no
+// bytes — one entry suffices — yet SparseDelta.Dense allocates that many
+// floats. A dimension no dense vector could be framed at is rejected at
+// decode, on the in-memory and the reader path; the largest frameable
+// one still decodes.
+func TestSparseDimensionLie(t *testing.T) {
+	env := MeshMessage{From: 1, To: 2, Kind: "fedavg/download"}
+	entry := SparseDelta{Idx: []int32{0}, Vals: []float64{1}}
+	for _, dim := range []int{MaxPayload/8 + 1, math.MaxUint32} {
+		entry.Dim = dim
+		frame := AppendSparseFrame(nil, env, entry)
+		if _, _, err := DecodeSparsePayload(frame[HeaderSize:]); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("dim %d: DecodeSparsePayload err = %v, want ErrBadFrame", dim, err)
+		}
+		if _, _, _, _, err := ReadAnyMeshFrame(bytes.NewReader(frame), nil); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("dim %d: ReadAnyMeshFrame err = %v, want ErrBadFrame", dim, err)
+		}
+	}
+	entry.Dim = MaxPayload / 8
+	frame := AppendSparseFrame(nil, env, entry)
+	if _, s, err := DecodeSparsePayload(frame[HeaderSize:]); err != nil || s.Dim != entry.Dim {
+		t.Fatalf("largest frameable dimension: dim %d, err %v", s.Dim, err)
 	}
 }
 
