@@ -1,20 +1,20 @@
 GO ?= go
 
 # `make bench-check` is the micro-benchmark gate, and it only compares
-# benchmarks of one run with each other (p2pfl-benchjson -pairs): an
-# instrumented/nil telemetry pair may cost 5% (RaftTick, SACRound), the
-# async raft TCP sender must keep up with the sync one, and the wire
-# checkpoint encoder must run in half the gob time. Three runs are piped
-# in and a pair fails only if it exceeds in all three (a single run's
-# ratio moves by ±10% on a shared 2-vCPU host). There is no stored
+# benchmarks of one run with each other (p2pfl-benchjson -pairs), three
+# pairs: an instrumented/nil telemetry pair may cost 5% (RaftTick,
+# SACRound) and the async raft TCP sender must keep up with the sync
+# one. Three runs are piped in and a pair fails only if it exceeds in
+# all three (a single run's ratio moves by ±10% on a shared 2-vCPU
+# host). There is no stored
 # ns/op baseline — run-to-run drift on a shared host is larger than any
 # tolerance worth gating — and exact contracts (bytes on the wire,
 # allocation counts) are tests under `go test ./...`. End-to-end
 # performance is `bash bench/run.sh` (BENCHMARK.json).
-BENCH_PATTERN := 'BenchmarkRaftTick|BenchmarkSACRound|BenchmarkRaftTCPSendHealthyPeer|BenchmarkEncodeModel'
+BENCH_PATTERN := 'BenchmarkRaftTick|BenchmarkSACRound|BenchmarkRaftTCPSendHealthyPeer'
 BENCH_ARGS := -run '^$$' -bench $(BENCH_PATTERN) -benchmem -benchtime 10x \
-	./internal/raft/ ./internal/sac/ ./internal/transport/ ./internal/nn/
-TIME_PAIRS := 'RaftTickLive=RaftTickNil,SACRoundLive=SACRoundNil,RaftTCPSendHealthyPeerAsync=RaftTCPSendHealthyPeerSync,EncodeModelWire=EncodeModelGob@0.5'
+	./internal/raft/ ./internal/sac/ ./internal/transport/
+TIME_PAIRS := 'RaftTickLive=RaftTickNil,SACRoundLive=SACRoundNil,RaftTCPSendHealthyPeerAsync=RaftTCPSendHealthyPeerSync'
 
 .PHONY: all build vet test race chaos-smoke check bench-check test-telemetry test-health test-wire test-byzantine test-compress test-wan test-churn test-scale
 
@@ -85,11 +85,13 @@ test-health:
 # Wire codec: the codec itself (golden files, fuzz corpus regressions,
 # truncation/corruption rejection, hostile frames, the streaming mesh
 # codec's differential and allocation-bound tests and its forced
-# portable path), the transports that frame with it (TCPMesh concurrent
-# senders, receive-vector recycling and its free-list bound, stated on
+# portable path), the daemon's durable raft-state file (atomic replace,
+# log recovery, persist-before-send, foreign-format rejection), the
+# transports that frame with it (TCPMesh concurrent senders,
+# receive-vector recycling and its free-list bound, stated on
 # what is outstanding and driven by sac.Run in
 # TestTCPMeshFreeListCoversASACTurn — race builds poison recycled
-# vectors), the nn checkpoint round-trip/compat tests, and the SAC tests
+# vectors), the nn checkpoint round-trip tests, and the SAC tests
 # that share its pooled buffers (scratch determinism, TCP-vs-memory
 # bit-identity across rounds, the streaming fold against the
 # store-then-sum reference engine in TestStreamingFoldMatchesReference,
@@ -98,7 +100,8 @@ test-health:
 # goroutines, TestSpareWorkingSetsServeTwoGoroutines).
 test-wire:
 	$(GO) test -race ./internal/wire/ ./internal/transport/ ./internal/nn/ \
-		./internal/secretshare/ ./internal/sac/ ./internal/simnet/
+		./internal/secretshare/ ./internal/sac/ ./internal/simnet/ \
+		./cmd/p2pfl-node/
 
 # Compression: the quantize/top-k kernels (bit determinism at any worker
 # count, error bounds, the top-k selection against its sort-based

@@ -18,8 +18,8 @@
 // (default 5%) of ns/op(B), which is the guard for "instrumented vs
 // uninstrumented" overhead contracts (e.g. RaftTickLive=RaftTickNil).
 // "@budget" replaces the implicit 1+tol ceiling with an absolute ratio:
-// "EncodeModelWire=EncodeModelGob@0.5" demands the wire codec run in at
-// most half the gob time. A metric prefix selects what is compared —
+// "DecodeFast=DecodeRef@0.5" demands the first run in at most half the
+// second's time. A metric prefix selects what is compared —
 // "allocs:" gates allocs/op and "bytes:" gates B/op instead of ns/op. A
 // pair with either member missing from the run fails the check — a
 // silently skipped gate is a broken gate.

@@ -73,25 +73,10 @@ func main() {
 		SnapshotThreshold: *snapEvery,
 		Telemetry:         reg,
 	}
-	var node *raft.Node
-	if *statePath != "" {
-		if ps, err := raft.LoadStateFile(*statePath); err == nil {
-			node, err = raft.Restore(cfg, ps)
-			if err != nil {
-				log.Fatalf("restore from %s: %v", *statePath, err)
-			}
-			log.Printf("restored durable state: term=%d commit=%d log=%d entries",
-				ps.Hard.Term, ps.Hard.Commit, len(ps.Log))
-		} else if !os.IsNotExist(err) {
-			log.Fatalf("load %s: %v", *statePath, err)
-		}
-	}
-	if node == nil {
-		var err error
-		node, err = raft.NewNode(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
+	state := stateFile(*statePath)
+	node, err := state.open(cfg)
+	if err != nil {
+		log.Fatal(err)
 	}
 	tr, err := transport.NewRaftTCP(*id, addrs, nil)
 	if err != nil {
@@ -104,14 +89,9 @@ func main() {
 	// Failure detector over the co-peers, driven by the same wall clock
 	// as live telemetry and fed by transport activity. Its silence
 	// thresholds derive from the heartbeat interval: Suspect after 2
-	// missed heartbeats, Down after 3.
-	var others []uint64
-	for _, pid := range ids {
-		if pid != *id {
-			others = append(others, pid)
-		}
-	}
-	det, err := health.New(others, health.Options{
+	// missed heartbeats, Down after 3. Its peer table is every co-peer:
+	// what a leader would watch.
+	det, err := health.New(health.WatchSet(true, *id, *id, ids), health.Options{
 		TickIntervalUs: int64(cfg.HeartbeatTick) * int64(*tickMs) * 1000,
 		Clock:          telemetry.WallClock,
 		Telemetry:      reg,
@@ -167,17 +147,9 @@ func main() {
 			}
 		}
 		rd := node.Ready()
-		if *statePath != "" && (len(rd.Messages) > 0 || len(rd.Committed) > 0 || rd.InstalledSnapshot != nil) {
-			// Persist before messages hit the wire, as Raft requires.
-			if err := node.Persist().SaveFile(*statePath); err != nil {
-				log.Printf("persist: %v", err)
-			}
-		}
-		for _, m := range rd.Messages {
-			if err := tr.Send(m); err != nil {
-				// Message loss is tolerated; raft retries via timeouts.
-				continue
-			}
+		// A Ready that cannot be made durable must not be acknowledged.
+		if err := state.deliver(node, rd, tr.Send); err != nil {
+			log.Fatal(err)
 		}
 		for _, e := range rd.Committed {
 			switch e.Type {
@@ -197,26 +169,8 @@ func main() {
 			// Watch sets follow Raft's traffic asymmetry: a leader hears
 			// from everyone (AppendResponses), a follower only from its
 			// leader, a candidate from no one in particular.
-			det.SetWatch(watchSet(rd.State, *id, rd.Leader, ids))
+			det.SetWatch(health.WatchSet(rd.State == raft.Leader, *id, rd.Leader, ids))
 		}
-	}
-}
-
-// watchSet picks which peers' silence is meaningful for the given role.
-func watchSet(st raft.State, self, leader uint64, ids []uint64) []uint64 {
-	switch {
-	case st == raft.Leader:
-		var others []uint64
-		for _, pid := range ids {
-			if pid != self {
-				others = append(others, pid)
-			}
-		}
-		return others
-	case leader != raft.None && leader != self:
-		return []uint64{leader}
-	default:
-		return nil
 	}
 }
 

@@ -21,9 +21,8 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/cluster"
+	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/raft"
 	"repro/internal/simnet"
 	"repro/internal/telemetry"
 )
@@ -40,6 +39,12 @@ func main() {
 		telemOut = flag.String("telemetry", "", "write the aggregate telemetry snapshot as JSON to this file ('-' for stdout)")
 	)
 	flag.Parse()
+	switch *scenario {
+	case experiments.CrashSubgroupLeader, experiments.CrashFedAvgLeader, experiments.CrashFollower:
+	default:
+		fmt.Fprintf(os.Stderr, "unknown scenario %q\n", *scenario)
+		os.Exit(2)
+	}
 
 	// One registry accumulates across all trials; its clock follows each
 	// trial's virtual sim, so a fixed -seed yields byte-identical dumps.
@@ -50,7 +55,12 @@ func main() {
 
 	var elect, rejoin []float64
 	for trial := 0; trial < *trials; trial++ {
-		e, j, err := runTrial(*scenario, *m, *n, *tMs, *latency, *seed+int64(trial), reg)
+		e, j, err := experiments.RecoveryTrial{
+			M: *m, N: *n, TMs: *tMs,
+			Latency:   simnet.Duration(latency.Microseconds()),
+			Seed:      *seed + int64(trial),
+			Telemetry: reg,
+		}.Run(*scenario)
 		if err != nil {
 			log.Fatalf("trial %d: %v", trial, err)
 		}
@@ -69,7 +79,7 @@ func main() {
 	if len(rejoin) > 0 {
 		fmt.Printf("  FedAvg rejoin done: %s\n", metrics.Summarize(rejoin))
 	}
-	if *scenario == "follower" {
+	if *scenario == experiments.CrashFollower {
 		fmt.Println("  follower crashes are absorbed: no election, no rejoin (Sec. V-A2)")
 	}
 	if *telemOut != "" {
@@ -93,85 +103,4 @@ func writeTelemetry(path string, reg *telemetry.Registry) error {
 		return err
 	}
 	return f.Close()
-}
-
-// runTrial returns (electionMs, rejoinMs); −1 where not applicable.
-// reg, when non-nil, accumulates telemetry across trials.
-func runTrial(scenario string, m, n, tMs int, latency time.Duration, seed int64, reg *telemetry.Registry) (float64, float64, error) {
-	sys, err := cluster.New(cluster.Options{
-		NumSubgroups:    m,
-		SubgroupSize:    n,
-		ElectionTickMin: tMs,
-		ElectionTickMax: 2 * tMs,
-		Latency:         simnet.Duration(latency.Microseconds()),
-		Seed:            seed,
-		Telemetry:       reg,
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := sys.Bootstrap(120 * simnet.Second); err != nil {
-		return 0, 0, err
-	}
-	sys.Sim.RunFor(simnet.Duration(4*tMs) * simnet.Millisecond)
-
-	fed := sys.FedAvgLeader()
-	limit := 600 * simnet.Second
-	switch scenario {
-	case "subgroup-leader", "fedavg-leader":
-		victim := fed
-		if scenario == "subgroup-leader" {
-			victim = raft.None
-			for g := 0; g < m; g++ {
-				if l := sys.SubgroupLeader(g); l != fed && l != raft.None {
-					victim = l
-					break
-				}
-			}
-			if victim == raft.None {
-				return 0, 0, fmt.Errorf("no non-FedAvg subgroup leader found")
-			}
-		}
-		victimSub := sys.Peer(victim).Subgroup
-		crashAt := sys.Sim.Now()
-		if err := sys.CrashPeer(victim); err != nil {
-			return 0, 0, err
-		}
-		newLeader, electAt, err := sys.WaitSubgroupLeader(victimSub, victim, limit)
-		if err != nil {
-			return 0, 0, err
-		}
-		joinAt, err := sys.WaitJoined(newLeader, limit)
-		if err != nil {
-			return 0, 0, err
-		}
-		return simnet.Duration(electAt - crashAt).Ms(), simnet.Duration(joinAt - crashAt).Ms(), nil
-
-	case "follower":
-		// Crash one follower; leadership must not change anywhere.
-		lead0 := sys.SubgroupLeader(0)
-		var victim uint64 = raft.None
-		for _, id := range sys.SubgroupPeers(0) {
-			if id != lead0 && id != fed {
-				victim = id
-				break
-			}
-		}
-		if victim == raft.None {
-			return 0, 0, fmt.Errorf("no follower to crash")
-		}
-		if err := sys.CrashPeer(victim); err != nil {
-			return 0, 0, err
-		}
-		sys.Sim.RunFor(simnet.Duration(6*tMs) * simnet.Millisecond)
-		if sys.SubgroupLeader(0) != lead0 || sys.FedAvgLeader() != fed {
-			return 0, 0, fmt.Errorf("leadership changed after a follower crash")
-		}
-		return -1, -1, nil
-
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scenario %q\n", scenario)
-		os.Exit(2)
-		return 0, 0, nil
-	}
 }

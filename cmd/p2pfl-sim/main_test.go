@@ -2,13 +2,21 @@ package main
 
 import (
 	"testing"
-	"time"
 
+	"repro/internal/experiments"
+	"repro/internal/simnet"
 	"repro/internal/telemetry"
 )
 
+// runTrial is one trial the way main runs it.
+func runTrial(scenario string, m, n, tMs int, seed int64, reg *telemetry.Registry) (float64, float64, error) {
+	return experiments.RecoveryTrial{
+		M: m, N: n, TMs: tMs, Latency: 15 * simnet.Millisecond, Seed: seed, Telemetry: reg,
+	}.Run(scenario)
+}
+
 func TestRunTrialScenarios(t *testing.T) {
-	elect, rejoin, err := runTrial("subgroup-leader", 3, 3, 50, 15*time.Millisecond, 1, nil)
+	elect, rejoin, err := runTrial("subgroup-leader", 3, 3, 50, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -16,7 +24,7 @@ func TestRunTrialScenarios(t *testing.T) {
 		t.Fatalf("elect=%v rejoin=%v", elect, rejoin)
 	}
 
-	elect, rejoin, err = runTrial("fedavg-leader", 3, 3, 50, 15*time.Millisecond, 2, nil)
+	elect, rejoin, err = runTrial("fedavg-leader", 3, 3, 50, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +32,7 @@ func TestRunTrialScenarios(t *testing.T) {
 		t.Fatalf("elect=%v rejoin=%v", elect, rejoin)
 	}
 
-	e, j, err := runTrial("follower", 3, 5, 50, 15*time.Millisecond, 3, nil)
+	e, j, err := runTrial("follower", 3, 5, 50, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +46,7 @@ func TestRunTrialScenarios(t *testing.T) {
 // events — and accumulate across trials.
 func TestRunTrialTelemetry(t *testing.T) {
 	reg := telemetry.New()
-	if _, _, err := runTrial("subgroup-leader", 3, 3, 50, 15*time.Millisecond, 1, reg); err != nil {
+	if _, _, err := runTrial("subgroup-leader", 3, 3, 50, 1, reg); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -53,7 +61,7 @@ func TestRunTrialTelemetry(t *testing.T) {
 	if first == 0 {
 		t.Fatal("raft/msgs_sent = 0 after a trial")
 	}
-	if _, _, err := runTrial("subgroup-leader", 3, 3, 50, 15*time.Millisecond, 2, reg); err != nil {
+	if _, _, err := runTrial("subgroup-leader", 3, 3, 50, 2, reg); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Snapshot().Counters["raft/msgs_sent"]; got <= first {

@@ -1,4 +1,4 @@
-package kvstore
+package chaos
 
 import (
 	"math/rand"
@@ -8,56 +8,41 @@ import (
 	"repro/internal/simnet"
 )
 
-func TestApplyBasics(t *testing.T) {
-	s := New()
-	s.Apply(raft.Entry{Index: 1, Type: raft.EntryNormal, Data: EncodeSet("a", "1")})
-	s.Apply(raft.Entry{Index: 2, Type: raft.EntryNormal, Data: EncodeSet("b", "2")})
-	s.Apply(raft.Entry{Index: 3, Type: raft.EntryNormal, Data: EncodeDelete("a")})
-	if _, ok := s.Get("a"); ok {
-		t.Fatal("deleted key still present")
-	}
-	if v, ok := s.Get("b"); !ok || v != "2" {
-		t.Fatalf("b = %q, %v", v, ok)
-	}
-	if s.Len() != 1 || s.AppliedIndex() != 3 {
-		t.Fatalf("len=%d applied=%d", s.Len(), s.AppliedIndex())
-	}
-	keys := s.Keys()
-	if len(keys) != 1 || keys[0] != "b" {
-		t.Fatalf("keys = %v", keys)
-	}
-}
-
 func TestApplyIgnoresNoiseAndReplays(t *testing.T) {
-	s := New()
-	s.Apply(raft.Entry{Index: 1, Type: raft.EntryNormal, Data: EncodeSet("k", "v1")})
+	s := newKVStore()
+	s.Apply(raft.Entry{Index: 1, Type: raft.EntryNormal, Data: encodeSet("k", "v1")})
 	// Replay of an old index must not regress state.
-	s.Apply(raft.Entry{Index: 1, Type: raft.EntryNormal, Data: EncodeSet("k", "stale")})
-	if v, _ := s.Get("k"); v != "v1" {
+	s.Apply(raft.Entry{Index: 1, Type: raft.EntryNormal, Data: encodeSet("k", "stale")})
+	if v := s.data["k"]; v != "v1" {
 		t.Fatalf("replay applied: %q", v)
 	}
 	// Conf changes, no-ops and garbage are skipped.
 	s.Apply(raft.Entry{Index: 2, Type: raft.EntryConfChange, Data: []byte("{}")})
 	s.Apply(raft.Entry{Index: 3, Type: raft.EntryNoop})
 	s.Apply(raft.Entry{Index: 4, Type: raft.EntryNormal, Data: []byte("not json")})
-	if s.Len() != 1 {
+	want := newKVStore()
+	want.Apply(raft.Entry{Index: 1, Type: raft.EntryNormal, Data: encodeSet("k", "v1")})
+	if !kvEqual(s, want) {
 		t.Fatal("noise mutated the store")
 	}
 }
 
 func TestSnapshotRestore(t *testing.T) {
-	a := New()
-	a.Apply(raft.Entry{Index: 1, Type: raft.EntryNormal, Data: EncodeSet("x", "1")})
-	a.Apply(raft.Entry{Index: 2, Type: raft.EntryNormal, Data: EncodeSet("y", "2")})
-	b := New()
+	a := newKVStore()
+	a.Apply(raft.Entry{Index: 1, Type: raft.EntryNormal, Data: encodeSet("x", "1")})
+	a.Apply(raft.Entry{Index: 2, Type: raft.EntryNormal, Data: encodeSet("y", "2")})
+	b := newKVStore()
 	if err := b.Restore(a.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if !Equal(a, b) {
+	if !kvEqual(a, b) {
 		t.Fatal("restored replica differs")
 	}
-	if b.AppliedIndex() != 2 {
-		t.Fatalf("applied = %d", b.AppliedIndex())
+	// The applied index travels with the snapshot: an entry the
+	// snapshot already covers is a replay.
+	b.Apply(raft.Entry{Index: 2, Type: raft.EntryNormal, Data: encodeSet("y", "stale")})
+	if v := b.data["y"]; v != "2" {
+		t.Fatalf("restore lost the applied index: y = %q", v)
 	}
 	if err := b.Restore([]byte("garbage")); err == nil {
 		t.Fatal("want restore error")
@@ -71,10 +56,10 @@ func TestReplicatedStoreConverges(t *testing.T) {
 	sim := simnet.New()
 	g := simnet.NewGroup(sim, "kv", 5*simnet.Millisecond, rand.New(rand.NewSource(1)))
 	ids := []uint64{1, 2, 3}
-	stores := map[uint64]*Store{}
+	stores := map[uint64]*kvStore{}
 	for _, id := range ids {
 		id := id
-		st := New()
+		st := newKVStore()
 		stores[id] = st
 		node, err := raft.NewNode(raft.Config{
 			ID: id, Peers: ids,
@@ -114,20 +99,17 @@ func TestReplicatedStoreConverges(t *testing.T) {
 	lead := g.Host(g.Leader())
 	for i := 0; i < 30; i++ {
 		key := string(rune('a' + i%7))
-		if err := lead.Node.Propose(EncodeSet(key, key+key)); err != nil {
+		if err := lead.Node.Propose(encodeSet(key, key+key)); err != nil {
 			t.Fatal(err)
 		}
 		lead.Pump()
 		sim.RunFor(30 * simnet.Millisecond)
 	}
-	if err := lead.Node.Propose(EncodeDelete("a")); err != nil {
-		t.Fatal(err)
-	}
-	lead.Pump()
 	sim.RunFor(500 * simnet.Millisecond)
 
 	// Restart the lagging replica from its (stale) persisted state; the
-	// leader has compacted far past it, forcing an InstallSnapshot.
+	// leader has compacted far past it, forcing an InstallSnapshot. The
+	// host's hooks survive Restart and captured the store.
 	if err := g.Host(lag).Restart(raft.Config{
 		ID: lag, ElectionTickMin: 50, ElectionTickMax: 100, HeartbeatTick: 15,
 		Rng:               rand.New(rand.NewSource(99)),
@@ -136,21 +118,18 @@ func TestReplicatedStoreConverges(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Re-wire callbacks on the restarted host (Restart replaces Node,
-	// keeps the Host and its hooks — but our hooks captured the store,
-	// which is still correct).
 	sim.RunFor(3 * simnet.Second)
 
 	leaderStore := stores[g.Leader()]
 	for _, id := range ids {
-		if !Equal(stores[id], leaderStore) {
-			t.Fatalf("replica %d diverged: %v vs %v", id, stores[id].Keys(), leaderStore.Keys())
+		if !kvEqual(stores[id], leaderStore) {
+			t.Fatalf("replica %d diverged: %v vs %v", id, stores[id].data, leaderStore.data)
 		}
 	}
-	if _, ok := leaderStore.Get("a"); ok {
-		t.Fatal("deleted key survived")
+	if len(leaderStore.data) != 7 {
+		t.Fatalf("keys = %v", leaderStore.data)
 	}
-	if leaderStore.Len() != 6 {
-		t.Fatalf("keys = %v", leaderStore.Keys())
+	if v := leaderStore.data["c"]; v != "cc" {
+		t.Fatalf("c = %q", v)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/kvstore"
 	"repro/internal/raft"
 	"repro/internal/simnet"
 )
@@ -17,7 +16,7 @@ const (
 )
 
 // kvWorld is the TargetRaftKV system under test: one raft group whose
-// committed entries drive per-node kvstore replicas, plus a deterministic
+// committed entries drive per-node kvStore replicas, plus a deterministic
 // client workload.
 type kvWorld struct {
 	c       Campaign
@@ -25,7 +24,7 @@ type kvWorld struct {
 	led     *ledger
 	sim     *simnet.Sim
 	g       *simnet.Group
-	stores  map[uint64]*kvstore.Store
+	stores  map[uint64]*kvStore
 	incarn  map[uint64]int
 	propSeq int
 	// workStopped halts the client workload at quiesce (the liveness
@@ -89,7 +88,7 @@ func newKVWorld(c Campaign, rep *Report) *kvWorld {
 		rep:    rep,
 		led:    newLedger(rep),
 		sim:    simnet.New(),
-		stores: make(map[uint64]*kvstore.Store),
+		stores: make(map[uint64]*kvStore),
 		incarn: make(map[uint64]int),
 	}
 	// Telemetry timestamps follow the campaign's virtual clock, keeping
@@ -109,7 +108,7 @@ func newKVWorld(c Campaign, rep *Report) *kvWorld {
 		peers[i] = uint64(i + 1)
 	}
 	for _, id := range peers {
-		w.stores[id] = kvstore.New()
+		w.stores[id] = newKVStore()
 		node, err := raft.NewNode(w.nodeConfig(id, peers))
 		if err != nil {
 			panic(fmt.Sprintf("chaos: node config invalid: %v", err)) // normalize() guarantees validity
@@ -228,7 +227,7 @@ func (w *kvWorld) propose() {
 	h := w.g.Host(id)
 	w.propSeq++
 	key := fmt.Sprintf("k%03d", w.propSeq%37)
-	if err := h.Node.Propose(kvstore.EncodeSet(key, fmt.Sprintf("v%d", w.propSeq))); err != nil {
+	if err := h.Node.Propose(encodeSet(key, fmt.Sprintf("v%d", w.propSeq))); err != nil {
 		return
 	}
 	h.Pump()
@@ -361,7 +360,7 @@ func quiesceKV(w *kvWorld) {
 		}
 		if id := w.g.Leader(); id != raft.None {
 			h := w.g.Host(id)
-			if err := h.Node.Propose(kvstore.EncodeSet("__chaos_marker", marker)); err == nil {
+			if err := h.Node.Propose(encodeSet("__chaos_marker", marker)); err == nil {
 				h.Pump()
 			}
 		}
@@ -374,12 +373,12 @@ func quiesceKV(w *kvWorld) {
 			if w.g.Host(id).Down() {
 				return false
 			}
-			if v, ok := w.stores[id].Get("__chaos_marker"); !ok || v != marker {
+			if w.stores[id].data["__chaos_marker"] != marker {
 				return false
 			}
 		}
 		for _, id := range ids[1:] {
-			if !kvstore.Equal(w.stores[ids[0]], w.stores[id]) {
+			if !kvEqual(w.stores[ids[0]], w.stores[id]) {
 				return false
 			}
 		}
@@ -398,7 +397,7 @@ func quiesceKV(w *kvWorld) {
 	// this is the end-to-end restatement).
 	ids := w.g.IDs()
 	for _, id := range ids[1:] {
-		if !kvstore.Equal(w.stores[ids[0]], w.stores[id]) {
+		if !kvEqual(w.stores[ids[0]], w.stores[id]) {
 			w.led.violate(now(), "state-machine-agreement",
 				fmt.Sprintf("kvstore replicas %d and %d diverged after quiesce", ids[0], id))
 		}

@@ -27,14 +27,13 @@ package cluster
 //     Crashed peers may also depart (no handoff); mid-round failures
 //     keep using the existing degraded-round/recovery paths.
 //   - Handoff (ReplacePeer). A replaced peer transfers its persisted
-//     raft state and its model — the model as a byte-exact checkpoint
-//     frame round-trip — to a successor process that resumes the same
+//     raft state and its model — raft-state and checkpoint wire frames,
+//     decoded on arrival — to a successor process that resumes the same
 //     logical node (simnet.Host.RestartFrom) without retraining and
 //     with zero lost training rounds.
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/directory"
@@ -537,11 +536,11 @@ func (s *System) WaitDeparted(id uint64, limit simnet.Duration) (simnet.Time, er
 
 // ReplacePeer performs a graceful same-identity handoff: the running
 // process captures its persisted raft state (subgroup and, if present,
-// FedAvg-layer) and its model as a checkpoint wire frame, stops, and a
-// successor process resumes the same logical node from the transferred
-// state one link latency later — no retraining, no lost log entries, no
-// membership change. Returns the transferred byte count (checkpoint
-// frame plus serialized raft state).
+// FedAvg-layer) as raft-state wire frames and its model as a checkpoint
+// wire frame, stops, and a successor process resumes the same logical
+// node from the decoded frames one link latency later — no retraining,
+// no lost log entries, no membership change. Returns the transferred
+// byte count: the exact size of the three frames.
 func (s *System) ReplacePeer(id uint64) (int, error) {
 	p := s.peers[id]
 	if p == nil {
@@ -550,16 +549,15 @@ func (s *System) ReplacePeer(id uint64) (int, error) {
 	if p.Down() {
 		return 0, fmt.Errorf("cluster: peer %d is down", id)
 	}
-	subPS := p.subHost.Node.Persist()
-	var fedPS *raft.PersistentState
+	subFrame := wire.AppendRaftStateFrame(nil, p.subHost.Node.Persist())
+	var fedFrame []byte
 	if p.fedHost != nil && !p.fedHost.Down() {
-		ps := p.fedHost.Node.Persist()
-		fedPS = &ps
+		fedFrame = wire.AppendRaftStateFrame(nil, p.fedHost.Node.Persist())
 	}
 	frame := p.modelFrame()
-	transferred := len(frame) + persistedSize(&subPS) + persistedSize(fedPS)
+	transferred := len(frame) + len(subFrame) + len(fedFrame)
 	p.subHost.Crash()
-	if fedPS != nil {
+	if fedFrame != nil {
 		p.fedHost.Crash()
 	}
 	// The successor resumes after one link latency (the transfer), and
@@ -573,11 +571,17 @@ func (s *System) ReplacePeer(id uint64) (int, error) {
 			return
 		}
 		p.model = cp.Weights
+		subPS, err := wire.ReadRaftStateFrame(bytes.NewReader(subFrame))
+		if err != nil {
+			return
+		}
 		if err := p.subHost.RestartFrom(s.raftConfig(p, kindHandoffSub, nil), subPS); err != nil {
 			return
 		}
-		if fedPS != nil {
-			_ = p.fedHost.RestartFrom(s.raftConfig(p, kindHandoffFed, nil), *fedPS)
+		if fedFrame != nil {
+			if fedPS, err := wire.ReadRaftStateFrame(bytes.NewReader(fedFrame)); err == nil {
+				_ = p.fedHost.RestartFrom(s.raftConfig(p, kindHandoffFed, nil), fedPS)
+			}
 		}
 		// The successor is a fresh process: detector and RTT history are
 		// in-memory state it cannot have. Its raft state, model and
@@ -588,19 +592,4 @@ func (s *System) ReplacePeer(id uint64) (int, error) {
 	s.opts.Telemetry.Counter("cluster/churn/handoffs").Inc()
 	s.opts.Telemetry.Counter("cluster/churn/handoff_bytes").Add(int64(transferred))
 	return transferred, nil
-}
-
-// persistedSize is the serialized size of a raft persistent state — the
-// raft half of the handoff's transferred bytes. (The model half is an
-// exact wire frame; raft state has no wire codec of its own, so its
-// JSON form stands in, matching how fedcfg entries travel.)
-func persistedSize(ps *raft.PersistentState) int {
-	if ps == nil {
-		return 0
-	}
-	b, err := json.Marshal(ps)
-	if err != nil {
-		return 0
-	}
-	return len(b)
 }

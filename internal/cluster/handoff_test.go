@@ -5,7 +5,21 @@ import (
 
 	"repro/internal/raft"
 	"repro/internal/simnet"
+	"repro/internal/wire"
 )
+
+// handoffSize is what ReplacePeer must report for p right now: the
+// exact sizes of the model's checkpoint frame and of the raft-state
+// frame of each raft identity p runs (subgroup, and FedAvg layer for a
+// member), computed by the codec's size functions, not by encoding.
+func handoffSize(p *Peer) int {
+	n := wire.CheckpointFrameSize(wire.Checkpoint{Names: []string{"model"}, Weights: p.Model()}) +
+		wire.RaftStateFrameSize(p.subHost.Node.Persist())
+	if p.fedHost != nil {
+		n += wire.RaftStateFrameSize(p.fedHost.Node.Persist())
+	}
+	return n
+}
 
 // trainStep is a deterministic stand-in for one local training round:
 // the model moves by a round-dependent increment, so a model that
@@ -48,12 +62,13 @@ func TestReplacePeerZeroLostRounds(t *testing.T) {
 		}
 		runRounds(s, 0, replaceAt, 50*simnet.Millisecond)
 		if replaceAt < rounds {
+			want := handoffSize(s.Peer(target))
 			n, err := s.ReplacePeer(target)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n <= 0 {
-				t.Fatalf("handoff transferred %d bytes", n)
+			if n != want {
+				t.Fatalf("handoff transferred %d bytes, want checkpoint frame + raft-state frame = %d", n, want)
 			}
 			// Let the successor resume (one tick + one latency).
 			settle(s, 50*simnet.Millisecond)
@@ -116,8 +131,11 @@ func TestReplaceFedMemberKeepsLayerState(t *testing.T) {
 	target := s.SubgroupLeader(0)
 	s.Peer(target).SetModel([]float64{4, 5, 6})
 	preSum := s.Peer(target).DirectoryReplica().Checksum()
-	if _, err := s.ReplacePeer(target); err != nil {
+	want := handoffSize(s.Peer(target))
+	if n, err := s.ReplacePeer(target); err != nil {
 		t.Fatal(err)
+	} else if n != want {
+		t.Fatalf("handoff transferred %d bytes, want checkpoint frame + two raft-state frames = %d", n, want)
 	}
 	settle(s, 100*simnet.Millisecond)
 	p := s.Peer(target)

@@ -102,24 +102,10 @@ func (s *System) scheduleDetectorTick(p *Peer) {
 	s.Sim.Schedule(interval, loop)
 }
 
-// updateWatch aligns p's watch set with its raft role: leaders watch
-// all co-members, followers watch only their leader, candidates (and
-// leaderless followers) watch nobody.
+// updateWatch aligns p's watch set with its raft role in its subgroup
+// (health.WatchSet).
 func (s *System) updateWatch(p *Peer, st raft.State, leader uint64) {
-	switch {
-	case st == raft.Leader:
-		var others []uint64
-		for _, id := range s.bySub[p.Subgroup] {
-			if id != p.ID {
-				others = append(others, id)
-			}
-		}
-		p.det.SetWatch(others)
-	case leader != raft.None && leader != p.ID:
-		p.det.SetWatch([]uint64{leader})
-	default:
-		p.det.SetWatch(nil)
-	}
+	p.det.SetWatch(health.WatchSet(st == raft.Leader, p.ID, leader, s.bySub[p.Subgroup]))
 }
 
 func (s *System) noteSeen(owner, peer uint64) {

@@ -184,7 +184,7 @@ func Ext5LatencySweep(p Params) (*TableResult, error) {
 	for _, latMs := range []int{1, 5, 15, 30, 45} {
 		var samples []float64
 		for trial := 0; trial < p.Trials; trial++ {
-			ms, err := recoveryScenarioAt("elect", 100, latMs, p.Seed+int64(latMs)*1e6+int64(trial))
+			ms, _, err := paperTrial(100, latMs, p.Seed+int64(latMs)*1e6+int64(trial), true).Run(CrashSubgroupLeader)
 			if err != nil {
 				return nil, fmt.Errorf("ext5 lat=%dms trial=%d: %w", latMs, trial, err)
 			}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/raft"
 	"repro/internal/simnet"
+	"repro/internal/telemetry"
 )
 
 // TimeoutRanges are the paper's four U(T, 2T) follower/candidate timeout
@@ -66,119 +67,149 @@ func (r *RecoveryResult) Print(w io.Writer) {
 	}
 }
 
-// recoveryScenario measures one crash-recovery time on a fresh N=25,
-// n=5 system (the paper's Sec. VI-B setup). kind selects the scenario:
-//
-//	"elect":  Fig. 10 — subgroup-leader crash → new subgroup leader.
-//	"join":   Fig. 11 — subgroup-leader crash → new leader joined FedAvg.
-//	"fedavg": Fig. 12 — FedAvg-leader crash → both layers recovered and
-//	          the new subgroup leader joined.
-func recoveryScenario(kind string, tMs int, seed int64) (float64, error) {
-	return recoveryScenarioAt(kind, tMs, 15, seed)
+// Recovery scenarios: which peer a RecoveryTrial crashes.
+const (
+	CrashSubgroupLeader = "subgroup-leader" // one that is not the FedAvg leader (Figs. 10–11)
+	CrashFedAvgLeader   = "fedavg-leader"   // Fig. 12
+	CrashFollower       = "follower"        // of subgroup 0; nothing may happen
+)
+
+// RecoveryTrial is one crash-recovery measurement on a fresh M×N
+// two-layer cluster with timeouts U(TMs, 2·TMs) ms — the paper's
+// Sec. VI-B setup at M = N = 5, Latency = 15 ms. It is the one trial
+// behind Figs. 10–12, ext5 and cmd/p2pfl-sim.
+type RecoveryTrial struct {
+	M, N      int
+	TMs       int
+	Latency   simnet.Duration // one-way link latency
+	Seed      int64
+	Telemetry *telemetry.Registry // optional; accumulates across trials
+	// ElectOnly stops the trial once the subgroup has its new leader
+	// (Fig. 10, ext5): joinMs is −1. At link latencies near T the
+	// FedAvg rejoin that would follow need not converge.
+	ElectOnly bool
 }
 
-// recoveryScenarioAt is recoveryScenario with an explicit one-way link
-// latency in milliseconds (the paper fixes 15 ms; ext5 sweeps it).
-func recoveryScenarioAt(kind string, tMs, latencyMs int, seed int64) (float64, error) {
+// Run bootstraps the cluster, lets configuration commits settle for
+// 4·T, crashes the scenario's victim and returns the virtual time in ms
+// from the crash until the victim's subgroup has a new leader (electMs)
+// and until that leader has joined the FedAvg layer (joinMs). The
+// follower scenario instead runs 6·T, fails if any leadership changed,
+// and returns −1 for both.
+func (rt RecoveryTrial) Run(scenario string) (electMs, joinMs float64, err error) {
 	sys, err := cluster.New(cluster.Options{
-		NumSubgroups:    5,
-		SubgroupSize:    5,
-		ElectionTickMin: tMs,
-		ElectionTickMax: 2 * tMs,
-		Latency:         simnet.Duration(latencyMs) * simnet.Millisecond,
-		Seed:            seed,
+		NumSubgroups:    rt.M,
+		SubgroupSize:    rt.N,
+		ElectionTickMin: rt.TMs,
+		ElectionTickMax: 2 * rt.TMs,
+		Latency:         rt.Latency,
+		Seed:            rt.Seed,
+		Telemetry:       rt.Telemetry,
 	})
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	if err := sys.Bootstrap(60 * simnet.Second); err != nil {
-		return 0, err
+	if err := sys.Bootstrap(120 * simnet.Second); err != nil {
+		return 0, 0, err
 	}
 	// Let configuration commits propagate before injecting the fault.
-	sys.Sim.RunFor(simnet.Duration(4*tMs) * simnet.Millisecond)
+	sys.Sim.RunFor(simnet.Duration(4*rt.TMs) * simnet.Millisecond)
 
-	fed := sys.FedAvgLeader()
-	var victim uint64
-	var victimSub int
-	if kind == "fedavg" {
+	fed, lead0 := sys.FedAvgLeader(), sys.SubgroupLeader(0)
+	victim := raft.None
+	switch scenario {
+	case CrashFedAvgLeader:
 		victim = fed
-		victimSub = sys.Peer(victim).Subgroup
-	} else {
-		for g := 0; ; g++ {
-			if l := sys.SubgroupLeader(g); l != fed && l != raft.None {
-				victim, victimSub = l, g
+	case CrashSubgroupLeader:
+		for g := 0; g < rt.M && victim == raft.None; g++ {
+			if l := sys.SubgroupLeader(g); l != fed {
+				victim = l
+			}
+		}
+	case CrashFollower:
+		for _, id := range sys.SubgroupPeers(0) {
+			if id != lead0 && id != fed {
+				victim = id
 				break
 			}
 		}
+	default:
+		return 0, 0, fmt.Errorf("experiments: unknown scenario %q", scenario)
 	}
+	if victim == raft.None {
+		return 0, 0, fmt.Errorf("experiments: no %s to crash", scenario)
+	}
+	victimSub := sys.Peer(victim).Subgroup
 	crashAt := sys.Sim.Now()
 	if err := sys.CrashPeer(victim); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	limit := 120 * simnet.Second
+	if scenario == CrashFollower {
+		sys.Sim.RunFor(simnet.Duration(6*rt.TMs) * simnet.Millisecond)
+		if sys.SubgroupLeader(0) != lead0 || sys.FedAvgLeader() != fed {
+			return 0, 0, fmt.Errorf("leadership changed after a follower crash")
+		}
+		return -1, -1, nil
+	}
+	limit := 600 * simnet.Second
 	newLeader, electAt, err := sys.WaitSubgroupLeader(victimSub, victim, limit)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	switch kind {
-	case "elect":
-		return simnet.Duration(electAt - crashAt).Ms(), nil
-	case "join", "fedavg":
-		joinAt, err := sys.WaitJoined(newLeader, limit)
-		if err != nil {
-			return 0, err
-		}
-		return simnet.Duration(joinAt - crashAt).Ms(), nil
-	default:
-		return 0, fmt.Errorf("experiments: unknown scenario %q", kind)
+	electMs = simnet.Duration(electAt - crashAt).Ms()
+	if rt.ElectOnly {
+		return electMs, -1, nil
 	}
+	joinAt, err := sys.WaitJoined(newLeader, limit)
+	if err != nil {
+		return 0, 0, err
+	}
+	return electMs, simnet.Duration(joinAt - crashAt).Ms(), nil
 }
 
-func runRecovery(fig, note, kind string, paper map[int]float64, p Params) (*RecoveryResult, error) {
+// paperTrial is the N=25, n=5 setup of Figs. 10–12 (the paper fixes
+// 15 ms links; ext5 sweeps the latency).
+func paperTrial(tMs, latencyMs int, seed int64, electOnly bool) RecoveryTrial {
+	return RecoveryTrial{M: 5, N: 5, TMs: tMs, Latency: simnet.Duration(latencyMs) * simnet.Millisecond,
+		Seed: seed, ElectOnly: electOnly}
+}
+
+// runRecovery samples p.Trials trials of scenario per timeout setting:
+// the time to the FedAvg rejoin when join is set, the time to the
+// subgroup election (and no further) otherwise.
+func runRecovery(fig, note, scenario string, join bool, paper map[int]float64, p Params) (*RecoveryResult, error) {
 	p = p.Defaults()
 	res := &RecoveryResult{Fig: fig, Note: note, Paper: paper}
 	for _, tMs := range TimeoutRanges {
 		// Trials are independent simulations with per-trial seeds, so
-		// they fan out across p.Workers goroutines; samples land at
-		// their trial index, keeping the result order (and therefore the
-		// stats and histograms) identical to a serial run.
+		// p.Workers of them run at a time; samples land at their trial
+		// index, keeping the result order (and therefore the stats and
+		// histograms) identical to a serial run.
 		samples := make([]float64, p.Trials)
 		errs := make([]error, p.Trials)
 		runTrial := func(trial int) {
 			seed := p.Seed + int64(tMs)*100000 + int64(trial)
-			ms, err := recoveryScenario(kind, tMs, seed)
+			ms, joinMs, err := paperTrial(tMs, 15, seed, !join).Run(scenario)
 			if err != nil {
 				errs[trial] = fmt.Errorf("%s T=%d trial=%d: %w", fig, tMs, trial, err)
 				return
 			}
+			if join {
+				ms = joinMs
+			}
 			samples[trial] = ms
 		}
-		workers := p.Workers
-		if workers > p.Trials {
-			workers = p.Trials
-		}
-		if workers <= 1 {
-			for trial := 0; trial < p.Trials; trial++ {
+		slots := make(chan struct{}, p.Workers)
+		var wg sync.WaitGroup
+		for trial := 0; trial < p.Trials; trial++ {
+			wg.Add(1)
+			slots <- struct{}{}
+			go func(trial int) {
+				defer func() { <-slots; wg.Done() }()
 				runTrial(trial)
-			}
-		} else {
-			trialCh := make(chan int)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for trial := range trialCh {
-						runTrial(trial)
-					}
-				}()
-			}
-			for trial := 0; trial < p.Trials; trial++ {
-				trialCh <- trial
-			}
-			close(trialCh)
-			wg.Wait()
+			}(trial)
 		}
+		wg.Wait()
 		for _, err := range errs {
 			if err != nil {
 				return nil, err
@@ -194,7 +225,7 @@ func runRecovery(fig, note, kind string, paper map[int]float64, p Params) (*Reco
 func Fig10(p Params) (*RecoveryResult, error) {
 	return runRecovery("fig10",
 		"subgroup-leader crash → new subgroup leader elected (N=25, n=5, 15 ms links)",
-		"elect",
+		CrashSubgroupLeader, false,
 		map[int]float64{50: 214.30, 100: 401.04, 150: 580.74, 200: 749.07}, p)
 }
 
@@ -203,7 +234,7 @@ func Fig10(p Params) (*RecoveryResult, error) {
 func Fig11(p Params) (*RecoveryResult, error) {
 	return runRecovery("fig11",
 		"subgroup-leader crash → new leader elected and joined FedAvg layer",
-		"join",
+		CrashSubgroupLeader, true,
 		map[int]float64{50: 337.28, 100: 526.84, 150: 725.44, 200: 915.16}, p)
 }
 
@@ -212,6 +243,6 @@ func Fig11(p Params) (*RecoveryResult, error) {
 func Fig12(p Params) (*RecoveryResult, error) {
 	return runRecovery("fig12",
 		"FedAvg-leader crash → both layers recovered, new subgroup leader joined",
-		"fedavg",
+		CrashFedAvgLeader, true,
 		map[int]float64{50: 432.35, 100: 641.49, 150: 855.74, 200: 1073.69}, p)
 }

@@ -209,6 +209,29 @@ func (d *Detector) SetWatch(ids []uint64) {
 	}
 }
 
+// WatchSet is the watch-set policy of a raft group member — whose
+// silence means something follows raft's traffic asymmetry: a leader
+// hears from every co-member (append responses), so it watches them
+// all; a follower hears only from its leader (leader 0 = none known);
+// a candidate or leaderless follower hears from no one in particular.
+// members may include self. The result is what SetWatch takes.
+func WatchSet(isLeader bool, self, leader uint64, members []uint64) []uint64 {
+	switch {
+	case isLeader:
+		var others []uint64
+		for _, id := range members {
+			if id != self {
+				others = append(others, id)
+			}
+		}
+		return others
+	case leader != 0 && leader != self:
+		return []uint64{leader}
+	default:
+		return nil
+	}
+}
+
 // Watched returns the current watch set in ascending id order.
 func (d *Detector) Watched() []uint64 {
 	d.mu.Lock()

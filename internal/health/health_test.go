@@ -242,3 +242,27 @@ func TestDetectorConcurrentObserve(t *testing.T) {
 	}()
 	wg.Wait()
 }
+
+// TestWatchSetPolicy pins the three arms of the shared watch-set rule
+// (cluster peers and the p2pfl-node daemon both feed SetWatch from it).
+func TestWatchSetPolicy(t *testing.T) {
+	members := []uint64{1, 2, 3}
+	for _, tc := range []struct {
+		name         string
+		isLeader     bool
+		self, leader uint64
+		want         []uint64
+	}{
+		{"leader watches every co-member", true, 2, 2, []uint64{1, 3}},
+		{"follower watches its leader", false, 2, 3, []uint64{3}},
+		{"leaderless follower watches nobody", false, 2, 0, nil},
+		{"candidate that last led itself watches nobody", false, 2, 2, nil},
+	} {
+		if got := WatchSet(tc.isLeader, tc.self, tc.leader, members); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: WatchSet = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	if got := WatchSet(true, 1, 1, []uint64{1}); got != nil {
+		t.Errorf("sole member as leader: WatchSet = %v, want nil", got)
+	}
+}

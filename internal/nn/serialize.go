@@ -2,24 +2,12 @@ package nn
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
 	"io"
 
 	"repro/internal/compress"
 	"repro/internal/wire"
 )
-
-// checkpoint is the legacy (v1) gob wire format of a model's weights: a
-// schema of parameter names/sizes (to reject mismatched architectures)
-// plus the flat weight vector. Save now writes the wire-codec frame
-// format (internal/wire, DESIGN.md §10); this struct remains so Load
-// can read checkpoints written before the format change.
-type checkpoint struct {
-	Names   []string
-	Sizes   []int
-	Weights []float64
-}
 
 func (m *Model) schema() ([]string, []int) {
 	params := m.Params()
@@ -33,18 +21,16 @@ func (m *Model) schema() ([]string, []int) {
 }
 
 // Save writes the model's weights as one wire-codec checkpoint frame
-// (v2 format — length-prefixed binary, ~8 bytes per weight instead of
-// gob's reflective encoding). The architecture itself is not
-// serialized — loading requires a model built with the same
-// constructor (peers in federated learning all share the architecture
-// and exchange only weights). Models saved by older builds (gob) are
-// still readable via Load.
+// (length-prefixed binary, 8 bytes per weight; internal/wire,
+// DESIGN.md §10): a schema of parameter names/sizes, to reject
+// mismatched architectures, plus the flat weight vector. The
+// architecture itself is not serialized — loading requires a model
+// built with the same constructor (peers in federated learning all
+// share the architecture and exchange only weights).
 func (m *Model) Save(w io.Writer) error {
-	names, sizes := m.schema()
-	cp := wire.Checkpoint{Names: names, Sizes: sizes, Weights: m.WeightVector()}
 	buf := wire.GetBuffer()
 	defer buf.Release()
-	buf.B = wire.AppendCheckpointFrame(buf.B[:0], cp)
+	buf.B, _ = m.AppendCheckpoint(buf.B[:0], nil)
 	if _, err := w.Write(buf.B); err != nil {
 		return fmt.Errorf("nn: save: %w", err)
 	}
@@ -92,35 +78,28 @@ func (m *Model) SaveQuantized(w io.Writer, width int) (compress.Bound, error) {
 }
 
 // Load restores weights written by Save or SaveQuantized into this
-// model, verifying that the parameter schema matches exactly. All
-// checkpoint formats are accepted: the current wire-codec frames
-// (sniffed by magic, dispatched on the header kind) and the legacy gob
-// encoding.
+// model, verifying that the parameter schema matches exactly. It
+// dispatches on the wire header's kind; input that is not a wire frame
+// fails with wire.ErrBadMagic.
 func (m *Model) Load(r io.Reader) error {
 	br := bufio.NewReader(r)
 	header, err := br.Peek(wire.HeaderSize)
-	if err == nil && string(header[:len(wire.Magic)]) == wire.Magic {
-		kind, _, err := wire.ParseHeader(header)
+	if err != nil && err != io.EOF { // a short header fails ParseHeader
+		return fmt.Errorf("nn: load: %w", err)
+	}
+	kind, _, err := wire.ParseHeader(header)
+	if err != nil {
+		return fmt.Errorf("nn: load: %w", err)
+	}
+	if kind == wire.KindCheckpointQuant {
+		cp, err := wire.ReadQuantCheckpointFrame(br)
 		if err != nil {
 			return fmt.Errorf("nn: load: %w", err)
 		}
-		switch kind {
-		case wire.KindCheckpointQuant:
-			cp, err := wire.ReadQuantCheckpointFrame(br)
-			if err != nil {
-				return fmt.Errorf("nn: load: %w", err)
-			}
-			return m.restore(cp.Names, cp.Sizes, cp.Delta.Dense(nil))
-		default:
-			cp, err := wire.ReadCheckpointFrame(br)
-			if err != nil {
-				return fmt.Errorf("nn: load: %w", err)
-			}
-			return m.restore(cp.Names, cp.Sizes, cp.Weights)
-		}
+		return m.restore(cp.Names, cp.Sizes, cp.Delta.Dense(nil))
 	}
-	var cp checkpoint
-	if err := gob.NewDecoder(br).Decode(&cp); err != nil {
+	cp, err := wire.ReadCheckpointFrame(br)
+	if err != nil {
 		return fmt.Errorf("nn: load: %w", err)
 	}
 	return m.restore(cp.Names, cp.Sizes, cp.Weights)

@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"sync"
 	"testing"
@@ -10,13 +8,11 @@ import (
 	"repro/internal/wire"
 )
 
-// The encode benchmarks compare the two checkpoint codecs on a
-// PaperCNN-sized weight vector (CIFAR-10 configuration, ~545k params —
-// the |w| that dominates the paper's cost model). The wire variant is
-// gated at ≤ 0.5× the gob variant's ns/op by cmd/p2pfl-benchjson
-// -pairs 'EncodeModelWire=EncodeModelGob@0.5' in `make bench-check`,
-// and must stay allocation-free at steady state: the frame goes into a
-// reused buffer and the flat weights into a reused scratch vector.
+// The codec benchmarks run on a PaperCNN-sized weight vector (CIFAR-10
+// configuration, ~545k params — the |w| that dominates the paper's
+// cost model). Encoding must stay allocation-free at steady state: the
+// frame goes into a reused buffer and the flat weights into a reused
+// scratch vector.
 
 var (
 	encBenchOnce  sync.Once
@@ -34,25 +30,6 @@ func encodeBenchModel(b *testing.B) *Model {
 		b.Fatal("PaperCNN construction failed")
 	}
 	return encBenchModel
-}
-
-func BenchmarkEncodeModelGob(b *testing.B) {
-	m := encodeBenchModel(b)
-	names, sizes := m.schema()
-	cp := checkpoint{Names: names, Sizes: sizes, Weights: m.WeightVector()}
-	var buf bytes.Buffer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		// A fresh encoder per checkpoint mirrors Save: every stored
-		// checkpoint must be independently decodable, so the type
-		// preamble is paid every time.
-		if err := gob.NewEncoder(&buf).Encode(cp); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(buf.Len()))
 }
 
 func BenchmarkEncodeModelWire(b *testing.B) {

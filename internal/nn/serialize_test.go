@@ -2,8 +2,8 @@ package nn
 
 import (
 	"bytes"
-	"encoding/gob"
-	"io"
+	"encoding/hex"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -64,82 +64,29 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// legacyGobSave reproduces the pre-wire Save byte for byte: a gob
-// encoding of the checkpoint struct. Old stored checkpoints are exactly
-// this stream.
-func legacyGobSave(t *testing.T, m *Model, w io.Writer) {
-	t.Helper()
-	names, sizes := m.schema()
-	cp := checkpoint{Names: names, Sizes: sizes, Weights: m.WeightVector()}
-	if err := gob.NewEncoder(w).Encode(cp); err != nil {
-		t.Fatal(err)
-	}
-}
+// gobCheckpoint is what a build from before the wire codec wrote for
+// checkpoint{Names: ["w"], Sizes: [1], Weights: [0.5]}: a complete
+// encoding/gob stream, type preamble included.
+const gobCheckpoint = "3bff8b0301010a636865636b706f696e7401ff8c00010301054e616d657301ff8e00010553697a657301ff90" +
+	"0001075765696768747301ff9200000016ff8d020101085b5d737472696e6701ff8e00010c000013ff8f020101055b5d696e7401" +
+	"ff90000104000017ff91020101095b5d666c6f6174363401ff9200010800000fff8c010101770101020101fee03f00"
 
-// TestLoadLegacyGobCheckpoint is the read-compat contract: checkpoints
-// written by the old gob Save must still load.
-func TestLoadLegacyGobCheckpoint(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := MLP(8, []int{16}, 4, rng)
-	b := MLP(8, []int{16}, 4, rand.New(rand.NewSource(8)))
-	var buf bytes.Buffer
-	legacyGobSave(t, a, &buf)
-	if err := b.Load(&buf); err != nil {
-		t.Fatalf("legacy gob checkpoint rejected: %v", err)
-	}
-	wa, wb := a.WeightVector(), b.WeightVector()
-	for i := range wa {
-		if wa[i] != wb[i] {
-			t.Fatal("weights differ after legacy load")
-		}
-	}
-	// Schema validation still applies on the legacy path.
-	var buf2 bytes.Buffer
-	legacyGobSave(t, a, &buf2)
-	c := MLP(8, []int{32}, 4, rng)
-	if err := c.Load(&buf2); err == nil {
-		t.Fatal("legacy load must still reject mismatched architectures")
-	}
-}
-
-// TestGobWireCheckpointEquivalence proves the two formats carry the
-// same information: one model saved through both codecs restores into
-// bit-identical weight vectors.
-func TestGobWireCheckpointEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	src, err := TinyCNN(1, 8, 3, rng)
+// TestLoadRejectsForeignFormat: Load reads wire frames only. A stream
+// in any other format fails loudly with wire.ErrBadMagic instead of
+// being sniffed and decoded, and leaves the model untouched.
+func TestLoadRejectsForeignFormat(t *testing.T) {
+	m := MLP(2, nil, 2, rand.New(rand.NewSource(7)))
+	before := m.WeightVector()
+	stream, err := hex.DecodeString(gobCheckpoint)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var gobBuf, wireBuf bytes.Buffer
-	legacyGobSave(t, src, &gobBuf)
-	if err := src.Save(&wireBuf); err != nil {
-		t.Fatal(err)
+	if err := m.Load(bytes.NewReader(stream)); !errors.Is(err, wire.ErrBadMagic) {
+		t.Fatalf("err = %v, want wire.ErrBadMagic", err)
 	}
-	if bytes.HasPrefix(gobBuf.Bytes(), []byte(wire.Magic)) {
-		t.Fatal("legacy gob stream collides with the wire magic — format sniffing is broken")
-	}
-	if !bytes.HasPrefix(wireBuf.Bytes(), []byte(wire.Magic)) {
-		t.Fatal("Save did not emit a wire frame")
-	}
-	fromGob, err := TinyCNN(1, 8, 3, rand.New(rand.NewSource(10)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromWire, err := TinyCNN(1, 8, 3, rand.New(rand.NewSource(11)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fromGob.Load(&gobBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := fromWire.Load(&wireBuf); err != nil {
-		t.Fatal(err)
-	}
-	wg, ww, ws := fromGob.WeightVector(), fromWire.WeightVector(), src.WeightVector()
-	for i := range ws {
-		if wg[i] != ws[i] || ww[i] != ws[i] {
-			t.Fatalf("weight %d: src=%v gob=%v wire=%v", i, ws[i], wg[i], ww[i])
+	for i, w := range m.WeightVector() {
+		if w != before[i] {
+			t.Fatal("a rejected load modified the model")
 		}
 	}
 }

@@ -14,8 +14,7 @@ import (
 //	           name string (u32 length + bytes), size u32
 //	weights  float64 vector (u32 count + count·8 bytes LE)
 //
-// Checkpoint mirrors the nn package's gob checkpoint struct; nn imports
-// wire for its Save/Load v2 paths.
+// nn builds a Checkpoint in Save and validates one in Load.
 type Checkpoint struct {
 	Names   []string
 	Sizes   []int
@@ -85,12 +84,5 @@ func DecodeCheckpointPayload(b []byte) (Checkpoint, error) {
 
 // ReadCheckpointFrame reads one complete checkpoint frame from r.
 func ReadCheckpointFrame(r io.Reader) (Checkpoint, error) {
-	kind, payload, _, err := readFrame(r, nil)
-	if err != nil {
-		return Checkpoint{}, err
-	}
-	if kind != KindCheckpoint {
-		return Checkpoint{}, fmt.Errorf("%w: kind %s, want %s", ErrBadFrame, kind, KindCheckpoint)
-	}
-	return DecodeCheckpointPayload(payload)
+	return readOne(r, KindCheckpoint, DecodeCheckpointPayload)
 }

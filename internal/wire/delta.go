@@ -462,12 +462,5 @@ func DecodeQuantCheckpointPayload(b []byte) (QuantCheckpoint, error) {
 // ReadQuantCheckpointFrame reads one complete KindCheckpointQuant frame
 // from r.
 func ReadQuantCheckpointFrame(r io.Reader) (QuantCheckpoint, error) {
-	kind, payload, _, err := readFrame(r, nil)
-	if err != nil {
-		return QuantCheckpoint{}, err
-	}
-	if kind != KindCheckpointQuant {
-		return QuantCheckpoint{}, fmt.Errorf("%w: kind %s, want %s", ErrBadFrame, kind, KindCheckpointQuant)
-	}
-	return DecodeQuantCheckpointPayload(payload)
+	return readOne(r, KindCheckpointQuant, DecodeQuantCheckpointPayload)
 }

@@ -97,12 +97,5 @@ func DecodeDirectoryPayload(b []byte) (DirectoryUpdate, error) {
 
 // ReadDirectoryFrame reads one complete directory frame from r.
 func ReadDirectoryFrame(r io.Reader) (DirectoryUpdate, error) {
-	kind, payload, _, err := readFrame(r, nil)
-	if err != nil {
-		return DirectoryUpdate{}, err
-	}
-	if kind != KindDirectory {
-		return DirectoryUpdate{}, fmt.Errorf("%w: kind %s, want %s", ErrBadFrame, kind, KindDirectory)
-	}
-	return DecodeDirectoryPayload(payload)
+	return readOne(r, KindDirectory, DecodeDirectoryPayload)
 }

@@ -28,6 +28,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 		SparseDelta{Dim: 8, Idx: []int32{0, 7}, Width: 2, Scale: 0.125, Q: []int16{300, -300}}))
 	f.Add(AppendQuantCheckpointFrame(nil, QuantCheckpoint{Names: []string{"w"}, Sizes: []int{2},
 		Delta: QuantDelta{Width: 2, Scale: 0.25, Q: []int16{5, -5}}}))
+	f.Add(AppendRaftStateFrame(nil, raft.PersistentState{Hard: raft.HardState{Term: 2, VotedFor: 1},
+		Log: []raft.Entry{{Index: 1, Term: 2, Type: raft.EntryNoop}}, Peers: []uint64{1, 2}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, n, err := ParseHeader(data)
 		if err != nil {
@@ -95,6 +97,19 @@ func FuzzWireRoundTrip(f *testing.F) {
 			re := AppendQuantCheckpointFrame(nil, qcp)
 			if !bytes.Equal(re[HeaderSize:], payload) {
 				t.Fatalf("quant checkpoint re-encode differs")
+			}
+		case KindRaftState:
+			ps, err := DecodeRaftStatePayload(payload)
+			if err != nil {
+				return
+			}
+			re := AppendRaftStateFrame(nil, ps)
+			if !bytes.Equal(re[HeaderSize:], payload) {
+				t.Fatalf("raft state re-encode differs:\n in  % x\n out % x", payload, re[HeaderSize:])
+			}
+			ps2, err := DecodeRaftStatePayload(re[HeaderSize:])
+			if err != nil || !reflect.DeepEqual(ps, ps2) {
+				t.Fatalf("raft state second decode: %v", err)
 			}
 		}
 	})

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math"
@@ -31,7 +32,8 @@ func hostileSamples() map[string][]byte {
 		Names: []string{"w0", "b0"}, Sizes: []int{3, 1},
 		Weights: []float64{0.5, -0.5, 1, 2},
 	})
-	return map[string][]byte{"mesh": mesh, "raft": rft, "checkpoint": cp}
+	state := AppendRaftStateFrame(nil, goldenRaftState())
+	return map[string][]byte{"mesh": mesh, "raft": rft, "checkpoint": cp, "raft-state": state}
 }
 
 // decodeFrame drives the full io.Reader path for the sample's kind.
@@ -43,6 +45,9 @@ func decodeFrame(kind string, b []byte) error {
 		return err
 	case "raft":
 		_, _, err := ReadRaftFrame(r, nil)
+		return err
+	case "raft-state":
+		_, err := ReadRaftStateFrame(r)
 		return err
 	default:
 		_, err := ReadCheckpointFrame(r)
@@ -215,6 +220,82 @@ func TestNestedLengthLies(t *testing.T) {
 	b = appendUint32(b, 1<<30) // entry-count lie
 	if _, _, err := ReadRaftFrame(bytes.NewReader(b), nil); err == nil {
 		t.Fatal("entry-count lie accepted")
+	}
+}
+
+// gobRaftState is what the daemon's -state file held before the wire
+// codec: the complete encoding/gob stream, type preamble included, of
+// PersistentState{Hard: {3, 2, 1}, Log: [{1, 3, normal, "x"}],
+// Peers: [1 2 3]}.
+const gobRaftState = "487f0301010f50657273697374656e74537461746501ff8000010401044861726401ff82000108536e617073686f" +
+	"7401ff840001034c6f6701ff8a000105506565727301ff8600000038ff810301010948617264537461746501ff8200010301045465" +
+	"726d0106000108566f746564466f720106000106436f6d6d697401060000003dff8303010108536e617073686f7401ff8400010401" +
+	"05496e64657801060001045465726d0106000105506565727301ff8600010444617461010a00000016ff85020101085b5d75696e74" +
+	"363401ff8600010600001bff890201010c5b5d726166742e456e74727901ff8a0001ff88000038ff8703010105456e74727901ff88" +
+	"0001040105496e64657801060001045465726d010600010454797065010400010444617461010a0000001aff800101030102010100" +
+	"02010101010302017800010301020300"
+
+// TestHostileRaftState: the durable-state decoder guards every count
+// before allocating on it, accepts nothing after its payload, and
+// reads neither another kind's frame nor another format's file.
+func TestHostileRaftState(t *testing.T) {
+	// header(kind, payload...) frames a hand-built payload honestly.
+	frame := func(kind Kind, payload []byte) []byte {
+		return append(AppendHeader(nil, kind, len(payload)), payload...)
+	}
+	fixed := make([]byte, raftStateFixedSize) // no flags, zero hard state
+
+	// A peer list of 2^29 ids backed by eight bytes.
+	b := appendUint32(append([]byte(nil), fixed...), 1<<29)
+	b = append(b, make([]byte, 8)...)
+	if _, err := ReadRaftStateFrame(bytes.NewReader(frame(KindRaftState, b))); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("peer-count lie: err = %v, want ErrTruncated", err)
+	}
+	// A log of 2^30 entries backed by one entry's worth of bytes.
+	b = appendPeers(append([]byte(nil), fixed...), nil)
+	b = appendUint32(b, 1<<30)
+	b = append(b, make([]byte, entryMinSize)...)
+	if _, err := ReadRaftStateFrame(bytes.NewReader(frame(KindRaftState, b))); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("entry-count lie: err = %v, want ErrTruncated", err)
+	}
+	// Neither rejection may cost more than the frame itself.
+	lie := frame(KindRaftState, b)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := DecodeRaftStatePayload(lie[HeaderSize:]); err == nil {
+			panic("accepted")
+		}
+	}); allocs > 3 {
+		t.Fatalf("rejecting an entry-count lie allocates %v times", allocs)
+	}
+
+	good := AppendRaftStateFrame(nil, goldenRaftState())
+	// One byte after the snapshot, covered by the length field.
+	trailing := append(append([]byte(nil), good...), 0)
+	binary.LittleEndian.PutUint32(trailing[8:12], uint32(len(trailing)-HeaderSize))
+	if _, err := ReadRaftStateFrame(bytes.NewReader(trailing)); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("trailing byte: err = %v, want ErrBadFrame", err)
+	}
+	// An undefined flag bit.
+	flagged := append([]byte(nil), good...)
+	flagged[HeaderSize] |= 0x80
+	if _, err := ReadRaftStateFrame(bytes.NewReader(flagged)); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("unknown flag: err = %v, want ErrBadFrame", err)
+	}
+	// The same payload under the message kind, and a message under the
+	// state kind's reader.
+	if _, _, err := ReadRaftFrame(bytes.NewReader(frame(KindRaft, good[HeaderSize:])), nil); err == nil {
+		t.Fatal("raft-state payload accepted as a raft message")
+	}
+	if _, err := ReadRaftStateFrame(bytes.NewReader(hostileSamples()["raft"])); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("wrong kind: err = %v, want ErrBadFrame", err)
+	}
+	// A gob stream is not sniffed, not skipped over: bad magic.
+	stream, err := hex.DecodeString(gobRaftState)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadRaftStateFrame(bytes.NewReader(stream)); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("gob stream: err = %v, want ErrBadMagic", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -26,6 +27,10 @@ import (
 //	                peers u32 count + count·u64, data bytes
 //
 // "bytes" is always a u32 length prefix followed by that many bytes.
+// The entries, snapshot and peer-list blocks are the sub-codecs below
+// (entriesSize/appendEntries/readEntries and so on); a KindRaftState
+// frame (raftstate.go) is built from the same three, so a log entry or
+// a snapshot has one encoding wherever it travels or rests.
 
 const (
 	raftFlagGranted  = 1 << 0
@@ -38,12 +43,9 @@ const (
 // RaftPayloadSize returns the exact encoded payload size of m, without
 // encoding it.
 func RaftPayloadSize(m raft.Message) int {
-	n := raftFixedSize + 4
-	for _, e := range m.Entries {
-		n += 8 + 8 + 1 + 4 + len(e.Data)
-	}
+	n := raftFixedSize + entriesSize(m.Entries)
 	if m.Snapshot != nil {
-		n += 8 + 8 + 4 + 8*len(m.Snapshot.Peers) + 4 + len(m.Snapshot.Data)
+		n += snapshotSize(m.Snapshot)
 	}
 	return n
 }
@@ -75,22 +77,9 @@ func AppendRaftFrame(dst []byte, m raft.Message) []byte {
 	dst = appendUint64(dst, m.PrevLogTerm)
 	dst = appendUint64(dst, m.Commit)
 	dst = appendUint64(dst, m.Match)
-	dst = appendUint32(dst, uint32(len(m.Entries)))
-	for _, e := range m.Entries {
-		dst = appendUint64(dst, e.Index)
-		dst = appendUint64(dst, e.Term)
-		dst = append(dst, byte(e.Type))
-		dst = appendBytes(dst, e.Data)
-	}
+	dst = appendEntries(dst, m.Entries)
 	if m.Snapshot != nil {
-		s := m.Snapshot
-		dst = appendUint64(dst, s.Index)
-		dst = appendUint64(dst, s.Term)
-		dst = appendUint32(dst, uint32(len(s.Peers)))
-		for _, p := range s.Peers {
-			dst = appendUint64(dst, p)
-		}
-		dst = appendBytes(dst, s.Data)
+		dst = appendSnapshot(dst, m.Snapshot)
 	}
 	return dst
 }
@@ -120,61 +109,13 @@ func DecodeRaftPayload(b []byte) (raft.Message, error) {
 			return m, err
 		}
 	}
-	nEntries, b, err := readUint32(b)
-	if err != nil {
+	if m.Entries, b, err = readEntries(b); err != nil {
 		return m, err
 	}
-	// Each entry costs ≥ 21 bytes on the wire; reject counts the
-	// remaining payload cannot hold before allocating.
-	if uint64(nEntries)*21 > uint64(len(b)) {
-		return m, fmt.Errorf("%w: %d entries in %d bytes", ErrTruncated, nEntries, len(b))
-	}
-	if nEntries > 0 {
-		m.Entries = make([]raft.Entry, nEntries)
-		for i := range m.Entries {
-			e := &m.Entries[i]
-			if e.Index, b, err = readUint64(b); err != nil {
-				return m, err
-			}
-			if e.Term, b, err = readUint64(b); err != nil {
-				return m, err
-			}
-			if len(b) < 1 {
-				return m, ErrTruncated
-			}
-			e.Type = raft.EntryType(b[0])
-			b = b[1:]
-			if e.Data, b, err = readBytes(b); err != nil {
-				return m, err
-			}
-		}
-	}
 	if flags&raftFlagSnapshot != 0 {
-		s := &raft.Snapshot{}
-		if s.Index, b, err = readUint64(b); err != nil {
+		if m.Snapshot, b, err = readSnapshot(b); err != nil {
 			return m, err
 		}
-		if s.Term, b, err = readUint64(b); err != nil {
-			return m, err
-		}
-		nPeers, rest, err := readUint32(b)
-		if err != nil {
-			return m, err
-		}
-		b = rest
-		if uint64(nPeers)*8 > uint64(len(b)) {
-			return m, fmt.Errorf("%w: %d snapshot peers in %d bytes", ErrTruncated, nPeers, len(b))
-		}
-		if nPeers > 0 {
-			s.Peers = make([]uint64, nPeers)
-			for i := range s.Peers {
-				s.Peers[i], b, _ = readUint64(b)
-			}
-		}
-		if s.Data, b, err = readBytes(b); err != nil {
-			return m, err
-		}
-		m.Snapshot = s
 	}
 	if len(b) != 0 {
 		return m, fmt.Errorf("%w: %d trailing bytes after raft payload", ErrBadFrame, len(b))
@@ -182,34 +123,157 @@ func DecodeRaftPayload(b []byte) (raft.Message, error) {
 	return m, nil
 }
 
+// ---- sub-codecs shared by KindRaft and KindRaftState ----
+
+// entryMinSize is what an entry with no data costs: index, term, type
+// and the data length prefix.
+const entryMinSize = 8 + 8 + 1 + 4
+
+func entriesSize(es []raft.Entry) int {
+	n := 4 + entryMinSize*len(es)
+	for _, e := range es {
+		n += len(e.Data)
+	}
+	return n
+}
+
+func appendEntries(dst []byte, es []raft.Entry) []byte {
+	dst = appendUint32(dst, uint32(len(es)))
+	for _, e := range es {
+		dst = appendUint64(dst, e.Index)
+		dst = appendUint64(dst, e.Term)
+		dst = append(dst, byte(e.Type))
+		dst = appendBytes(dst, e.Data)
+	}
+	return dst
+}
+
+// readEntries decodes an entry block (nil for an empty one). A count
+// the remaining payload cannot hold is rejected before allocating.
+func readEntries(b []byte) ([]raft.Entry, []byte, error) {
+	n, b, err := readUint32(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	if uint64(n)*entryMinSize > uint64(len(b)) {
+		return nil, nil, fmt.Errorf("%w: %d entries in %d bytes", ErrTruncated, n, len(b))
+	}
+	if n == 0 {
+		return nil, b, nil
+	}
+	es := make([]raft.Entry, n)
+	for i := range es {
+		if len(b) < entryMinSize {
+			return nil, nil, ErrTruncated
+		}
+		e := &es[i]
+		e.Index = binary.LittleEndian.Uint64(b)
+		e.Term = binary.LittleEndian.Uint64(b[8:])
+		e.Type = raft.EntryType(b[16])
+		if e.Data, b, err = readBytes(b[17:]); err != nil {
+			return nil, nil, err
+		}
+	}
+	return es, b, nil
+}
+
+func peersSize(ids []uint64) int { return 4 + 8*len(ids) }
+
+func appendPeers(dst []byte, ids []uint64) []byte {
+	dst = appendUint32(dst, uint32(len(ids)))
+	for _, id := range ids {
+		dst = appendUint64(dst, id)
+	}
+	return dst
+}
+
+// readPeers decodes an id list (nil for an empty one), rejecting a
+// count the remaining payload cannot hold before allocating.
+func readPeers(b []byte) ([]uint64, []byte, error) {
+	n, b, err := readUint32(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	if uint64(n)*8 > uint64(len(b)) {
+		return nil, nil, fmt.Errorf("%w: %d peers in %d bytes", ErrTruncated, n, len(b))
+	}
+	if n == 0 {
+		return nil, b, nil
+	}
+	ids := make([]uint64, n)
+	for i := range ids {
+		ids[i], b, _ = readUint64(b)
+	}
+	return ids, b, nil
+}
+
+func snapshotSize(s *raft.Snapshot) int {
+	return 8 + 8 + peersSize(s.Peers) + 4 + len(s.Data)
+}
+
+func appendSnapshot(dst []byte, s *raft.Snapshot) []byte {
+	dst = appendUint64(dst, s.Index)
+	dst = appendUint64(dst, s.Term)
+	dst = appendPeers(dst, s.Peers)
+	return appendBytes(dst, s.Data)
+}
+
+func readSnapshot(b []byte) (*raft.Snapshot, []byte, error) {
+	if len(b) < 16 {
+		return nil, nil, ErrTruncated
+	}
+	s := &raft.Snapshot{Index: binary.LittleEndian.Uint64(b), Term: binary.LittleEndian.Uint64(b[8:])}
+	var err error
+	if s.Peers, b, err = readPeers(b[16:]); err != nil {
+		return nil, nil, err
+	}
+	if s.Data, b, err = readBytes(b); err != nil {
+		return nil, nil, err
+	}
+	return s, b, nil
+}
+
 // ReadRaftFrame reads one complete raft frame from r, reusing scratch
 // as the payload read buffer (grown as needed, returned for the next
 // call). It is the receive-loop counterpart of AppendRaftFrame.
 func ReadRaftFrame(r io.Reader, scratch []byte) (raft.Message, []byte, error) {
-	kind, payload, scratch, err := readFrame(r, scratch)
+	payload, scratch, err := readFrame(r, KindRaft, scratch)
 	if err != nil {
 		return raft.Message{}, scratch, err
-	}
-	if kind != KindRaft {
-		return raft.Message{}, scratch, fmt.Errorf("%w: kind %s, want %s", ErrBadFrame, kind, KindRaft)
 	}
 	m, err := DecodeRaftPayload(payload)
 	return m, scratch, err
 }
 
-// readFrame reads one header + payload from r into scratch.
-func readFrame(r io.Reader, scratch []byte) (kind Kind, payload, grown []byte, err error) {
+// readFrame reads one header + payload from r into scratch (grown as
+// needed and returned either way). A frame of any kind but want is
+// rejected on its header, before its payload is read.
+func readFrame(r io.Reader, want Kind, scratch []byte) (payload, grown []byte, err error) {
 	var hdr [HeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, scratch, err
+		return nil, scratch, err
 	}
 	kind, n, err := ParseHeader(hdr[:])
 	if err != nil {
-		return 0, nil, scratch, err
+		return nil, scratch, err
+	}
+	if kind != want {
+		return nil, scratch, fmt.Errorf("%w: kind %s, want %s", ErrBadFrame, kind, want)
 	}
 	buf, err := readPayload(r, n, scratch)
 	if err != nil {
-		return 0, nil, buf, err
+		return nil, buf, err
 	}
-	return kind, buf, buf, nil
+	return buf, buf, nil
+}
+
+// readOne reads one frame of the wanted kind from r and decodes it —
+// the body of every Read…Frame that keeps no read buffer.
+func readOne[T any](r io.Reader, want Kind, decode func([]byte) (T, error)) (T, error) {
+	payload, _, err := readFrame(r, want, nil)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return decode(payload)
 }

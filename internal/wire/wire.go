@@ -1,10 +1,10 @@
-// Package wire is the dependency-free binary codec for the hot payload
-// shapes the system moves between processes: raft messages (with entry
-// batches and snapshots), SAC share/subtotal vectors, and nn model
-// checkpoints. It replaces encoding/gob on every wire path where the
-// paper's cost model says the bytes matter — model-dimension float
-// vectors dominate per-round traffic (Sec. VI-B3), and gob's reflective
-// encoder plus per-stream type preamble are pure tax on top of them.
+// Package wire is the dependency-free binary codec for every payload
+// shape the system moves between processes or keeps on disk: raft
+// messages (with entry batches and snapshots), raft persistent state,
+// SAC share/subtotal vectors, and nn model checkpoints. It is the
+// tree's only serialiser on those paths: model-dimension float vectors
+// dominate per-round traffic (Sec. VI-B3), and a reflective encoder
+// with a per-stream type preamble would be pure tax on top of them.
 //
 // Every payload travels in one self-describing frame:
 //
@@ -13,20 +13,20 @@
 //	4       1     format version (currently 1)
 //	5       1     payload kind (KindRaft | KindMesh | KindCheckpoint |
 //	              KindDeltaQuant | KindDeltaSparse | KindCheckpointQuant |
-//	              KindDirectory)
+//	              KindDirectory | KindRaftState)
 //	6       2     reserved, must be zero
 //	8       4     payload length in bytes, uint32 little-endian
-//	12      ...   payload (kind-specific layout, see raft.go/mesh.go/
-//	              checkpoint.go/delta.go/directory.go and DESIGN.md §10,
-//	              §12, §14)
+//	12      ...   payload (kind-specific layout, see raft.go/raftstate.go/
+//	              mesh.go/checkpoint.go/delta.go/directory.go and
+//	              DESIGN.md §10, §12, §14)
 //
 // All integers are little-endian and fixed-width; []float64 vectors are
 // encoded as a uint32 element count followed by 8·n bytes of IEEE-754
 // bits (math.Float64bits), so a vector costs exactly the paper's cost
 // unit |w| = 8·dim plus four bytes of length. Frames are stateless:
-// unlike a gob stream there is no per-connection type preamble, so the
-// first frame after a reconnect costs exactly as many bytes as every
-// other frame, and a frame's size is computable without encoding it.
+// there is no per-connection type preamble, so the first frame after a
+// reconnect costs exactly as many bytes as every other frame, and a
+// frame's size is computable without encoding it.
 //
 // Compatibility policy: the version byte covers the payload layouts.
 // Decoders reject versions they do not know; layout changes bump the
@@ -42,8 +42,9 @@ import (
 
 // Frame constants.
 const (
-	// Magic opens every frame; it doubles as the format sniff for
-	// readers (nn.Load) that must also accept legacy gob streams.
+	// Magic opens every frame. Input that does not start with it — a
+	// foreign or pre-wire file — is rejected with ErrBadMagic; no reader
+	// sniffs for another format.
 	Magic = "P2FW"
 	// Version is the current frame format version.
 	Version = 1
@@ -80,6 +81,10 @@ const (
 	// (join/leave with subgroup and share index) — the FedAvg-layer
 	// log-entry payload of the continuous-churn control plane.
 	KindDirectory Kind = 7
+	// KindRaftState frames carry one raft.PersistentState (hard state,
+	// membership, log and last snapshot) — the durable form of a raft
+	// node, stored by the daemon and shipped by a graceful handoff.
+	KindRaftState Kind = 8
 )
 
 // String returns the kind's wire-format name.
@@ -99,6 +104,8 @@ func (k Kind) String() string {
 		return "checkpoint-quant"
 	case KindDirectory:
 		return "directory"
+	case KindRaftState:
+		return "raft-state"
 	}
 	return fmt.Sprintf("kind(0x%02x)", byte(k))
 }
