@@ -38,6 +38,7 @@ race:
 	$(GO) run -race ./cmd/p2pfl-chaos -seed 1 -target two-layer -mix churn -steps 12
 	$(GO) run -race ./cmd/p2pfl-chaos -track wan -seeds 5
 	$(GO) run -race ./cmd/p2pfl-chaos -track churn -seeds 5
+	$(GO) run -race ./cmd/p2pfl-chaos -track shard -seeds 3
 
 # 30-second deterministic chaos sweep. The start seed is pinned so CI
 # failures reproduce locally: any red seed reruns exactly with
@@ -50,6 +51,8 @@ chaos-smoke:
 	$(GO) run ./cmd/p2pfl-chaos -seed 1 -track byzantine -steps 12
 	$(GO) run ./cmd/p2pfl-chaos -seed 1 -target two-layer -topology wan50 -profile wan -steps 12
 	$(GO) run ./cmd/p2pfl-chaos -seed 1 -target two-layer -mix churn -steps 12
+	$(GO) run ./cmd/p2pfl-chaos -track shard -seeds 3
+	$(GO) run ./cmd/p2pfl-chaos -track churn -seeds 3
 
 # The eight test-* targets below are the per-subsystem suites: every
 # package that implements or consumes the subsystem, in full, under

@@ -30,9 +30,11 @@
 //	                                           every seed must pass all churn
 //	                                           invariants and the sweep must see
 //	                                           real joins, departs and handoffs
-//	p2pfl-chaos -track shard -seeds 12         elastic-sharding sweep: equal-seed
-//	                                           split-vs-static oracle episodes;
-//	                                           real splits and merges must occur
+//	p2pfl-chaos -track shard -seeds 12         elastic-sharding sweep: oracle
+//	                                           episodes on real clusters that
+//	                                           cluster.Rebalance re-shards, elastic
+//	                                           vs static aggregation; every episode
+//	                                           splits and merges (-profile applies)
 //	p2pfl-chaos -track wan -seeds 20           WAN stability sweep: the wan profile
 //	                                           must stay election-quiet with
 //	                                           bounded failover, the paper-profile
@@ -98,18 +100,21 @@ type track struct {
 var tracks = map[string]track{
 	"faults":    {seeds: 1, run: campaigns(func(*chaos.Campaign) {}, nil)},
 	"byzantine": {seeds: 1, run: campaigns(func(c *chaos.Campaign) { c.ByzantineRounds = 2 }, nil)},
-	// Full two-layer ChurnMix campaigns with the churn oracle and the
-	// failure detector armed.
+	// Full two-layer ChurnMix campaigns with the churn oracle (episodes on
+	// real clusters of their own) and the failure detector armed.
 	"churn": {seeds: 20, stats: []string{"joins", "departs", "handoffs"},
 		run: campaigns(func(c *chaos.Campaign) {
 			c.Target, c.Mix, c.Profile = chaos.TargetTwoLayer, chaos.ChurnMix, cluster.LAN
 			c.ChurnRounds, c.SACRounds = 3, -1
 		}, func(s chaos.Stats) []int { return []int{s.Joins, s.Departs, s.Handoffs} })},
-	// Shard oracle episodes only (equal-seed split-vs-static aggregation,
-	// see internal/chaos/shardoracle.go) on the default raft-kv shape.
+	// Shard oracle episodes only (elastic-vs-static aggregation on a real
+	// cluster that cluster.Rebalance re-shards, see
+	// internal/chaos/shardoracle.go) after a one-step raft-kv schedule;
+	// the episodes' clusters run under -profile and -topology.
 	"shard": {seeds: 12, stats: []string{"splits", "merges"},
 		run: campaigns(func(c *chaos.Campaign) {
-			*c = chaos.Campaign{Seed: c.Seed, Steps: 1, SACRounds: -1, ShardRounds: 3}
+			*c = chaos.Campaign{Seed: c.Seed, Steps: 1, SACRounds: -1, ShardRounds: 3,
+				Profile: c.Profile, Topology: c.Topology}
 		}, func(s chaos.Stats) []int { return []int{s.Splits, s.Merges} })},
 	"wan": {seeds: 20, stats: []string{"spurious elections in the paper-profile control"}, run: runWAN},
 }

@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,7 +18,6 @@ import (
 // how the tree once had three encodings of raft.PersistentState.
 func TestOneSerialiser(t *testing.T) {
 	const banned = "encoding/" + "gob" // split so this file passes a grep for the import
-	fset := token.NewFileSet()
 	files := 0
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -29,15 +29,9 @@ func TestOneSerialiser(t *testing.T) {
 		if d.IsDir() || !strings.HasSuffix(path, ".go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
-		if err != nil {
-			return err
-		}
 		files++
-		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == banned {
-				t.Errorf("%s imports %s; encode it as an internal/wire frame", fset.Position(imp.Pos()), banned)
-			}
+		if slices.Contains(importsOf(t, path), banned) {
+			t.Errorf("%s imports %s; encode it as an internal/wire frame", path, banned)
 		}
 		return nil
 	})
@@ -47,4 +41,42 @@ func TestOneSerialiser(t *testing.T) {
 	if files < 100 {
 		t.Fatalf("walked only %d Go files; the guard is not looking at the tree", files)
 	}
+}
+
+// TestChaosHoldsNoDirectoryMirror guards "one copy of the membership
+// policy": the chaos oracles drive internal/cluster and read its
+// directory through it, so no non-test file of internal/chaos may import
+// the directory state machine or the wire codec — the two packages a
+// private mirror of the control plane is built from.
+func TestChaosHoldsNoDirectoryMirror(t *testing.T) {
+	banned := map[string]bool{"repro/internal/directory": true, "repro/internal/wire": true}
+	paths, err := filepath.Glob("internal/chaos/*.go")
+	if err != nil || len(paths) < 10 {
+		t.Fatalf("found %d files in internal/chaos (err %v); the guard is not looking at the package", len(paths), err)
+	}
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		for _, p := range importsOf(t, path) {
+			if banned[p] {
+				t.Errorf("%s imports %s; drive cluster.System instead of mirroring it", path, p)
+			}
+		}
+	}
+}
+
+// importsOf lists the import paths of one Go file.
+func importsOf(t *testing.T, path string) []string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, imp := range f.Imports {
+		p, _ := strconv.Unquote(imp.Path.Value)
+		out = append(out, p)
+	}
+	return out
 }

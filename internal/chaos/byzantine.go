@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/fl"
@@ -153,7 +154,7 @@ func byzantineRound(c Campaign, rep *Report, led *ledger, rng *rand.Rand, round 
 	// Part A — SAC-level probes: one guarded aggregation per subgroup
 	// plan, with a mesh observer feeding the coalition-privacy checker.
 	for g := 0; g < m; g++ {
-		byzantineSACProbe(led, rng, round, g, n, k, dim, leaders[g], advs[g],
+		byzantineSACProbe(led, rng, round, g, n, k, leaders[g], advs[g],
 			models[g*n:(g+1)*n], guard, c, rep)
 	}
 
@@ -168,19 +169,20 @@ func byzantineRound(c Campaign, rep *Report, led *ledger, rng *rand.Rand, round 
 
 	// Clean baseline at equal seed: same models, no adversary, no guard.
 	// The sac-exactness invariant pins it to the plaintext global mean.
-	clean := make([]float64, dim)
-	for _, w := range models {
-		for d, v := range w {
-			clean[d] += v
+	clean := plainMean(models, nil)
+	// The three runs differ in guard and combiner only.
+	build := func(invariant, what string, cfg core.Config) *core.System {
+		cfg.Sizes, cfg.K, cfg.Telemetry = sizes, []int{k}, c.Telemetry
+		sys, err := core.NewSystem(cfg, rand.New(rand.NewSource(sysSeed)))
+		if err != nil {
+			led.violate(now, invariant, fmt.Sprintf("%s: %s config invalid: %v", tag, what, err))
 		}
+		return sys
 	}
-	for d := range clean {
-		clean[d] /= float64(len(models))
-	}
-	cleanSys, err := core.NewSystem(core.Config{Sizes: sizes, K: []int{k}, Telemetry: c.Telemetry},
-		rand.New(rand.NewSource(sysSeed)))
-	if err != nil {
-		led.violate(now, "byzantine-robust", tag+": clean config invalid: "+err.Error())
+	cleanSys := build("byzantine-robust", "clean", core.Config{})
+	robustSys := build("byzantine-robust", "robust", core.Config{Guard: guard, Aggregator: fl.CoordinateMedian{}})
+	plainSys := build("byzantine-vacuous", "plain", core.Config{})
+	if cleanSys == nil || robustSys == nil || plainSys == nil {
 		return
 	}
 	cleanRes, err := cleanSys.AggregateRound(models, core.RoundSpec{Leaders: leaders, FedLeader: -1})
@@ -193,13 +195,6 @@ func byzantineRound(c Campaign, rep *Report, led *ledger, rng *rand.Rand, round 
 			fmt.Sprintf("%s: clean baseline off plaintext mean by %g", tag, d))
 	}
 
-	robustSys, err := core.NewSystem(core.Config{
-		Sizes: sizes, K: []int{k}, Guard: guard, Aggregator: fl.CoordinateMedian{}, Telemetry: c.Telemetry,
-	}, rand.New(rand.NewSource(sysSeed)))
-	if err != nil {
-		led.violate(now, "byzantine-robust", tag+": robust config invalid: "+err.Error())
-		return
-	}
 	spec := core.RoundSpec{Leaders: leaders, FedLeader: -1, Adversary: plans}
 	robustRes, err := robustSys.AggregateRound(models, spec)
 	if err != nil {
@@ -229,7 +224,7 @@ func byzantineRound(c Campaign, rep *Report, led *ledger, rng *rand.Rand, round 
 					fmt.Sprintf("%s: equivocating leader of subgroup %d escaped the audit", tag, g))
 			}
 		case sac.ByzPoisonScale:
-			if !containsInt(robustRes.ExcludedPeers[g], a.peer) {
+			if !slices.Contains(robustRes.ExcludedPeers[g], a.peer) {
 				led.violate(now, "byzantine-detection",
 					fmt.Sprintf("%s: poison-scale peer %d of subgroup %d escaped the range guard", tag, a.peer, g))
 			}
@@ -245,12 +240,6 @@ func byzantineRound(c Campaign, rep *Report, led *ledger, rng *rand.Rand, round 
 	// Sharpness: the identical campaign under plain-mean aggregation
 	// must leave the tolerance — otherwise the invariants above are
 	// vacuously green and that is itself a finding.
-	plainSys, err := core.NewSystem(core.Config{Sizes: sizes, K: []int{k}, Telemetry: c.Telemetry},
-		rand.New(rand.NewSource(sysSeed)))
-	if err != nil {
-		led.violate(now, "byzantine-vacuous", tag+": plain config invalid: "+err.Error())
-		return
-	}
 	plainRes, err := plainSys.AggregateRound(models, spec)
 	if err == nil {
 		if d := linf(plainRes.Global, clean); d <= byzOracleBound {
@@ -265,24 +254,15 @@ func byzantineRound(c Campaign, rep *Report, led *ledger, rng *rand.Rand, round 
 // byzantineSACProbe runs one guarded subgroup SAC under a single
 // adversary and checks detection, bounded deviation and coalition
 // privacy at the share level.
-func byzantineSACProbe(led *ledger, rng *rand.Rand, round, g, n, k, dim, leader int,
+func byzantineSACProbe(led *ledger, rng *rand.Rand, round, g, n, k, leader int,
 	adv byzAdversary, models [][]float64, guard *sac.Guard, c Campaign, rep *Report) {
 	now := int64(round)
 	tag := fmt.Sprintf("byz round %d sub %d (n=%d k=%d leader=%d %s)", round, g, n, k, leader, adv.behavior)
 
 	// Coalition privacy probe: which of each victim's share indices the
 	// adversary observed.
-	seen := make(map[int]map[int]bool) // victim → share indices
 	mesh := transport.NewMesh(n, nil)
-	mesh.Observe(func(msg transport.Message) {
-		if msg.Kind != sac.KindShare || msg.To != adv.peer || msg.From == msg.To {
-			return
-		}
-		if seen[msg.From] == nil {
-			seen[msg.From] = make(map[int]bool)
-		}
-		seen[msg.From][msg.ShareIdx] = true
-	})
+	seen := watchShares(mesh, n)[adv.peer]
 
 	cfg := sac.Config{
 		N: n, K: k, Leader: leader, Mode: sac.ModeLeader,
@@ -318,7 +298,7 @@ func byzantineSACProbe(led *ledger, rng *rand.Rand, round, g, n, k, dim, leader 
 			led.violate(now, "byzantine-detection", tag+": corrupted shares raised neither mismatch nor exclusion")
 		}
 	case sac.ByzPoisonScale:
-		if !containsInt(res.Excluded, adv.peer) {
+		if !slices.Contains(res.Excluded, adv.peer) {
 			led.violate(now, "byzantine-detection", tag+": poison-scale shares escaped the range guard")
 		}
 	case sac.ByzEquivocate:
@@ -345,22 +325,14 @@ func byzantineSACProbe(led *ledger, rng *rand.Rand, round, g, n, k, dim, leader 
 	// contributors' effective models — exactly for consistent behaviors
 	// (the median outvotes a single liar bit-for-bit), and within
 	// byzCorruptTol for corrupt-shares (one perturbed share per sum).
-	want := make([]float64, dim)
-	for _, p := range res.Contributors {
-		w := models[p]
-		if p == adv.peer && adv.behavior == sac.ByzPoisonSignFlip {
-			w = attackedCopy(w, -1)
-		}
-		if p == adv.peer && adv.behavior == sac.ByzPoisonScale {
-			w = attackedCopy(w, sac.PoisonScaleFactor)
-		}
-		for d, v := range w {
-			want[d] += v
-		}
+	effective := append([][]float64(nil), models...)
+	switch adv.behavior {
+	case sac.ByzPoisonSignFlip:
+		effective[adv.peer] = attackedCopy(models[adv.peer], -1)
+	case sac.ByzPoisonScale:
+		effective[adv.peer] = attackedCopy(models[adv.peer], sac.PoisonScaleFactor)
 	}
-	for d := range want {
-		want[d] /= float64(len(res.Contributors))
-	}
+	want := plainMean(effective, res.Contributors)
 	tol := 1e-9
 	if adv.behavior == sac.ByzCorruptShares {
 		tol = byzCorruptTol
@@ -377,15 +349,6 @@ func attackedCopy(w []float64, factor float64) []float64 {
 		out[i] = factor * v
 	}
 	return out
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 func linf(a, b []float64) float64 {

@@ -42,11 +42,15 @@
 //	                        tolerance — proof the checkers can fail
 //
 // The continuous-churn track (ActChurn actions on TargetTwoLayer plus
-// Campaign.ChurnRounds oracle episodes, see churnoracle.go) adds three more:
+// Campaign.ChurnRounds oracle episodes, which drive a cluster of their
+// own through AddPeer/DepartPeer at round boundaries, see
+// churnoracle.go) adds three more; Campaign.ShardRounds episodes
+// (shardoracle.go) hold cluster.Rebalance to the same three:
 //
-//	Directory convergence   after quiesce, every live FedAvg-layer
-//	                        directory replica holds identical state and
-//	                        it matches the admitted membership exactly
+//	Directory convergence   after quiesce and at every oracle round
+//	                        boundary, every live FedAvg-layer directory
+//	                        replica holds identical state and it matches
+//	                        the admitted membership exactly
 //	Share-index soundness   membership changes never assign duplicate
 //	                        share indices within a subgroup, and each
 //	                        round's k-of-n geometry covers all shares
@@ -285,18 +289,18 @@ type Campaign struct {
 	// so f = 1 < n/3 marks are possible on the two-layer target.
 	ByzantineRounds int `json:"byzantine_rounds,omitempty"`
 	// ChurnRounds is the number of churn oracle episodes (0 = off; the
-	// churn track runs 3): mid-training membership change driven through
-	// the round-boundary reconfiguration path against a directory mirror,
-	// with share-index-soundness and churn-accuracy invariants (see
-	// churnoracle.go). ActChurn actions in the schedule exercise the live
-	// control plane on TargetTwoLayer independently of it.
+	// churn track runs 3). Each bootstraps a cluster.System of its own
+	// under this campaign's profile, topology and timers, changes its
+	// membership with AddPeer/DepartPeer between rounds and aggregates
+	// under the geometry read off it (see churnoracle.go). ActChurn
+	// actions in the schedule exercise the control plane under faults on
+	// TargetTwoLayer independently of it.
 	ChurnRounds int `json:"churn_rounds,omitempty"`
 	// ShardRounds is the number of shard oracle episodes (0 = off; the
-	// shard track runs 3): equal-seed split-vs-static aggregation against
-	// a directory mirror that splits oversized subgroups and merges
-	// undersized ones at round boundaries, with shard-balance,
-	// share-index-soundness and shard-accuracy invariants (see
-	// shardoracle.go).
+	// shard track runs 3): the same kind of cluster, grown until
+	// cluster.Rebalance splits a subgroup and drained until it merges
+	// one, with every round aggregated under the elastic geometry and
+	// under a static partition of the same members (see shardoracle.go).
 	ShardRounds int `json:"shard_rounds,omitempty"`
 
 	// ReconvergeBoundUs bounds detector re-convergence after quiesce
@@ -436,12 +440,13 @@ type Stats struct {
 	Byzantines          int `json:"byzantines,omitempty"`
 	ByzantineDetections int `json:"byzantine_detections,omitempty"`
 	// Joins/Departs/Handoffs count completed continuous-churn control-
-	// plane operations (ActChurn actions plus churn oracle events).
+	// plane operations (ActChurn actions plus the admissions and
+	// departures of churn and shard oracle episodes).
 	Joins    int `json:"joins,omitempty"`
 	Departs  int `json:"departs,omitempty"`
 	Handoffs int `json:"handoffs,omitempty"`
-	// Splits/Merges count shard-oracle re-sharding actions (subgroup
-	// splits and merges applied by the elastic directory mirror).
+	// Splits/Merges count the cluster.ShardActions that cluster.Rebalance
+	// executed in shard oracle episodes.
 	Splits int `json:"splits,omitempty"`
 	Merges int `json:"merges,omitempty"`
 }

@@ -3,6 +3,7 @@ package chaos
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"path/filepath"
 	"testing"
 
@@ -49,25 +50,58 @@ func TestChurnCampaignSweep(t *testing.T) {
 }
 
 // TestChurnOracleDeterministic pins seed-replayability of the oracle
-// track: identical campaigns must agree on every stat and violation.
+// track under every profile: two runs of one campaign serialize to the
+// same Report, byte for byte, and the episodes changed the membership.
 func TestChurnOracleDeterministic(t *testing.T) {
-	run := func() *Report {
-		return Campaign{Seed: 42, Steps: 1, SACRounds: -1, ChurnRounds: 3}.Run()
+	for _, profile := range []cluster.Profile{cluster.Paper, cluster.LAN, cluster.WAN} {
+		c := Campaign{Seed: 42, Steps: 1, SACRounds: -1, ChurnRounds: 3, Profile: profile}
+		rep := c.Run()
+		if !rep.Passed() {
+			t.Fatalf("%v: %v", profile, rep.Violations)
+		}
+		a, _ := json.Marshal(rep)
+		b, _ := json.Marshal(c.Run())
+		if string(a) != string(b) {
+			t.Fatalf("%v: same seed diverged:\n%s\nvs\n%s", profile, a, b)
+		}
+		if rep.Stats.Joins == 0 || rep.Stats.Departs == 0 {
+			t.Fatalf("%v: oracle episodes applied %d joins, %d departs", profile, rep.Stats.Joins, rep.Stats.Departs)
+		}
 	}
-	a, b := run(), run()
-	aj, _ := json.Marshal(struct {
-		S Stats
-		V []Violation
-	}{a.Stats, a.Violations})
-	bj, _ := json.Marshal(struct {
-		S Stats
-		V []Violation
-	}{b.Stats, b.Violations})
-	if string(aj) != string(bj) {
-		t.Fatalf("same seed diverged:\n%s\nvs\n%s", aj, bj)
+}
+
+// TestChurnOracleHandsModelsOff drives one episode's departure step by
+// hand: the departed peer's round model must sit in a staying
+// co-member's Inherited() bit for bit, and a departure the control
+// plane refuses (its floor) is a refusal, not a violation.
+func TestChurnOracleHandsModelsOff(t *testing.T) {
+	rep := &Report{}
+	e, ok := newEpisode(Campaign{}.normalize(), rep, newLedger(rep), "churn", "handoff", 2, 3, 7)
+	if !ok {
+		t.Fatal(rep.Violations)
 	}
-	if a.Stats.Joins+a.Stats.Departs == 0 {
-		t.Fatal("oracle episodes applied no membership changes")
+	geo, ok := e.settle()
+	if !ok {
+		t.Fatal(rep.Violations)
+	}
+	models := churnModels(rand.New(rand.NewSource(1)), geo.Sizes, 0, 3)
+	e.install(geo, models)
+	victim := e.sys.SubgroupPeers(0)[1]
+	if departed, ok := e.depart(0, 1); !departed || !ok {
+		t.Fatalf("departure of peer %d: departed=%v violations=%v", victim, departed, rep.Violations)
+	}
+	heir := e.sys.Peer(e.sys.SubgroupPeers(0)[0])
+	if !sameBits(heir.Inherited(), models[1]) {
+		t.Fatalf("peer %d inherited %v, want %v", heir.ID, heir.Inherited(), models[1])
+	}
+	if rep.Stats.Departs != 1 || e.sys.Peer(victim) != nil {
+		t.Fatalf("departs=%d, peer %d still present=%v", rep.Stats.Departs, victim, e.sys.Peer(victim) != nil)
+	}
+	if departed, ok := e.depart(0, 0); departed || !ok {
+		t.Fatalf("departure below the floor: departed=%v ok=%v", departed, ok)
+	}
+	if len(rep.Violations) != 0 {
+		t.Fatal(rep.Violations)
 	}
 }
 

@@ -4,23 +4,33 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/directory"
-	"repro/internal/secretshare"
-	"repro/internal/wire"
+	"repro/internal/simnet"
 )
 
 // The churn oracle (Campaign.ChurnRounds) drives mid-training membership
-// changes through the round-boundary reconfiguration path — exactly the
-// contract the control plane promises: the directory reassigns share
-// indices between rounds, never mid-round — and checks the churn
-// invariants the issue names:
+// changes through the real control plane: every episode bootstraps a
+// cluster.System on a calm network under the campaign's profile,
+// topology and timers, applies its join/leave trace with AddPeer and
+// DepartPeer at round boundaries — the contract the control plane
+// promises: the directory reassigns share indices between rounds, never
+// mid-round — reads each round's geometry off the system and aggregates
+// under it. The invariants:
 //
-//   - share-index-soundness: after every membership change the
-//     directory mirror assigns no duplicate share index within a
-//     subgroup, and the membership each round aggregates with covers
-//     all shares of its k-of-n geometry (secretshare.CoversAllShares).
+//   - share-index-soundness: after every membership change the FedAvg
+//     leader's directory assigns no duplicate share index within a
+//     subgroup and records exactly the admitted membership, and the
+//     membership each round aggregates with covers all shares of its
+//     k-of-n geometry (secretshare.CoversAllShares).
+//   - directory-convergence: at every boundary the live directory
+//     replicas reach equal state.
+//   - churn-liveness: every admission, departure and boundary settles
+//     inside oracleStepLimit and leaves no subgroup without a quorum.
+//   - model-handoff: a departing peer's model reaches a staying
+//     co-member bit for bit before its removal commits.
 //   - churn-accuracy: the training curve under churn stays within
 //     churnAccuracyTol of the equal-seed fixed-membership baseline at
 //     every round — joining and leaving peers shift the global mean by
@@ -41,6 +51,10 @@ const (
 	churnAccuracyTol = 2*churnOracleSpread + 1e-9
 	// churnOracleRounds is the training-curve length per episode.
 	churnOracleRounds = 4
+	// oracleStepLimit bounds, in virtual time, every control-plane step of
+	// an oracle episode: one admission, one departure, one committed step
+	// of a split or merge, one boundary settle.
+	oracleStepLimit = 30 * simnet.Second
 )
 
 // runChurnOracle executes Campaign.ChurnRounds churn episodes.
@@ -63,177 +77,232 @@ func churnEpisode(c Campaign, rep *Report, led *ledger, rng *rand.Rand, ep int) 
 	m := 2 + rng.Intn(2)   // subgroups
 	n0 := 3 + rng.Intn(2)  // initial peers per subgroup
 	dim := 2 + rng.Intn(3) // small models keep campaigns fast
-	now := int64(ep)
-	tag := fmt.Sprintf("churn episode %d (m=%d n0=%d)", ep, m, n0)
-
-	// Directory mirror seeded with the initial membership — the same
-	// state machine the cluster replicates, driven here without the log.
-	dir := directory.New()
-	nextID := uint64(1)
-	for g := 0; g < m; g++ {
-		for i := 0; i < n0; i++ {
-			if _, err := dir.Apply(wire.DirectoryUpdate{
-				Op: wire.DirJoin, ID: nextID, Subgroup: g, ShareIndex: i,
-				Addr: fmt.Sprintf("oracle-%d", nextID),
-			}); err != nil {
-				led.violate(now, "share-index-soundness", tag+": seeding rejected: "+err.Error())
-				return
-			}
-			nextID++
-		}
-	}
-
 	trace := make([]churnTrace, churnOracleRounds-1)
 	for r := range trace {
 		trace[r] = churnTrace{join: rng.Intn(2) == 0, g: rng.Intn(m)}
 	}
 	jitterSeed := rng.Int63()
 	sysSeed := rng.Int63()
+	// The control plane's seed and the departure picks have their own
+	// stream: the schedule above is a function of the campaign seed alone.
+	ctl := rand.New(rand.NewSource(sysSeed ^ 0x6a09e667))
 
-	fixedSizes := make([]int, m)
-	for g := range fixedSizes {
-		fixedSizes[g] = n0
+	e, ok := newEpisode(c, rep, led, "churn", fmt.Sprintf("churn episode %d (m=%d n0=%d)", ep, m, n0), m, n0, ctl.Int63())
+	if !ok {
+		return
 	}
-
 	// Fixed-membership baseline at equal seed: same per-round targets,
 	// same jitter bound, no churn.
-	baseline, ok := churnCurve(c, rep, led, now, tag+" baseline", fixedSizes, nil, nil, 0, dim, jitterSeed, sysSeed)
-	if !ok {
+	fixed := e.sys.RoundGeometry().Sizes
+	baseAgg, ok1 := e.newAggregation(fixed, sysSeed)
+	liveAgg, ok2 := e.newAggregation(fixed, sysSeed)
+	if !ok1 || !ok2 {
 		return
 	}
+	baseJitter, liveJitter := rand.New(rand.NewSource(jitterSeed)), rand.New(rand.NewSource(jitterSeed))
 
-	// Churned run: the trace mutates the directory between rounds and
-	// core.Reconfigure re-shapes the aggregation to match.
-	curve, ok := churnCurve(c, rep, led, now, tag, fixedSizes, dir, trace, nextID, dim, jitterSeed, sysSeed)
-	if !ok {
-		return
-	}
-	for r := range curve {
-		for d := range curve[r] {
-			if diff := math.Abs(curve[r][d] - baseline[r][d]); diff > churnAccuracyTol {
-				led.violate(now, "churn-accuracy",
-					fmt.Sprintf("%s: round %d global[%d] deviates %.4f > %.4f from the fixed-membership baseline",
-						tag, r, d, diff, churnAccuracyTol))
+	for round := 0; round < churnOracleRounds; round++ {
+		if round > 0 { // the trace event commits between rounds
+			if ev := trace[round-1]; !e.churnOne(ev.g, !ev.join, ctl.Intn(1<<16)) {
 				return
 			}
+		}
+		geo, ok := e.settle()
+		if !ok {
+			return
+		}
+		base, ok := e.aggregate(baseAgg, "baseline", round, fixed, core.RoundSpec{},
+			churnModels(baseJitter, fixed, round, dim))
+		if !ok {
+			return
+		}
+		models := churnModels(liveJitter, geo.Sizes, round, dim)
+		e.install(geo, models)
+		live, ok := e.aggregate(liveAgg, "churned", round, geo.Sizes, roundSpec(geo), models)
+		if !ok {
+			return
+		}
+		if d := firstBeyond(live, base, churnAccuracyTol); d >= 0 {
+			e.fail("churn-accuracy", "round %d global[%d] deviates %.4f > %.4f from the fixed-membership baseline",
+				round, d, math.Abs(live[d]-base[d]), churnAccuracyTol)
+			return
 		}
 	}
 	rep.Stats.SACRounds += 2 * churnOracleRounds
 }
 
-// churnCurve runs one training curve of churnOracleRounds aggregation
-// rounds and returns the per-round globals. A nil dir runs the
-// fixed-membership baseline; otherwise trace events mutate the directory
-// at round boundaries and the system is reconfigured from its state.
-func churnCurve(c Campaign, rep *Report, led *ledger, now int64, tag string, sizes []int,
-	dir *directory.Directory, trace []churnTrace, nextID uint64, dim int,
-	jitterSeed, sysSeed int64) ([][]float64, bool) {
-	m := len(sizes)
-	cur := append([]int(nil), sizes...)
-	sys, err := core.NewSystem(core.Config{Sizes: cur, K: kFor(cur), Telemetry: c.Telemetry},
-		rand.New(rand.NewSource(sysSeed)))
+// episode is one churn or shard oracle episode's system under test: a
+// real two-layer cluster on a calm network, driven at round boundaries.
+type episode struct {
+	c     Campaign
+	rep   *Report
+	led   *ledger
+	sys   *cluster.System
+	track string // "churn" or "shard": prefixes the liveness and accuracy invariants
+	tag   string
+}
+
+// newEpisode bootstraps an m×n cluster by the campaign's recipe.
+func newEpisode(c Campaign, rep *Report, led *ledger, track, tag string, m, n int, seed int64) (*episode, bool) {
+	c.Subgroups, c.SubgroupSize, c.Seed = m, n, seed
+	e := &episode{c: c, rep: rep, led: led, sys: newCluster(c), track: track, tag: tag}
+	if err := e.sys.Bootstrap(60 * simnet.Second); err != nil {
+		return nil, e.fail(track+"-liveness", "bootstrap on a healthy network failed: %v", err)
+	}
+	return e, true
+}
+
+// fail records a violation at the episode's virtual time; it returns
+// false, the verdict of the step that failed.
+func (e *episode) fail(invariant, format string, args ...any) bool {
+	e.led.violate(int64(e.sys.Sim.Now()), invariant, e.tag+": "+fmt.Sprintf(format, args...))
+	return false
+}
+
+// churnOne applies one membership event to subgroup g: the graceful
+// departure of its pick-th member when leave is set, an admission
+// otherwise — and also when the control plane refuses the departure (its
+// two-member floor), so every event changes the membership.
+func (e *episode) churnOne(g int, leave bool, pick int) bool {
+	if leave {
+		if departed, ok := e.depart(g, pick); departed || !ok {
+			return ok
+		}
+	}
+	return e.join(g)
+}
+
+// join admits a fresh peer into subgroup g and waits for the admission
+// to commit.
+func (e *episode) join(g int) bool {
+	id, err := e.sys.AddPeer(g)
+	if err == nil {
+		_, err = e.sys.WaitAdmitted(id, oracleStepLimit)
+	}
 	if err != nil {
-		led.violate(now, "churn-accuracy", tag+": config invalid: "+err.Error())
-		return nil, false
+		return e.fail(e.track+"-liveness", "join into subgroup %d: %v", g, err)
 	}
-	jitter := rand.New(rand.NewSource(jitterSeed))
-	curve := make([][]float64, 0, churnOracleRounds)
-	for round := 0; round < churnOracleRounds; round++ {
-		if dir != nil && round > 0 {
-			nextID = applyChurnEvent(c, rep, led, now, tag, dir, trace[round-1], nextID)
-			cur = directorySizes(dir, m)
-			if err := sys.Reconfigure(cur, kFor(cur)); err != nil {
-				led.violate(now, "share-index-soundness",
-					fmt.Sprintf("%s: round %d reconfigure rejected directory geometry %v: %v", tag, round, cur, err))
-				return nil, false
-			}
-		}
-		// Round-start soundness: no duplicate indices, and the live
-		// membership covers all shares of this round's k-of-n geometry.
-		if dir != nil {
-			for g := 0; g < m; g++ {
-				if !dir.ShareIndexesSound(g) {
-					led.violate(now, "share-index-soundness",
-						fmt.Sprintf("%s: round %d subgroup %d holds duplicate or negative share indices", tag, round, g))
-					return nil, false
-				}
-			}
-		}
-		k := kFor(cur)
-		for g := 0; g < m; g++ {
-			alive := make([]int, cur[g])
-			for i := range alive {
-				alive[i] = i
-			}
-			if covered, err := secretshare.CoversAllShares(alive, cur[g], k[g]); err != nil || !covered {
-				led.violate(now, "share-index-soundness",
-					fmt.Sprintf("%s: round %d subgroup %d (n=%d k=%d) does not cover all shares (err=%v)",
-						tag, round, g, cur[g], k[g], err))
-				return nil, false
-			}
-		}
-
-		models := churnModels(jitter, cur, round, dim)
-		res, err := sys.AggregateRound(models, core.RoundSpec{})
-		if err != nil {
-			led.violate(now, "churn-accuracy",
-				fmt.Sprintf("%s: round %d aggregation failed: %v", tag, round, err))
-			return nil, false
-		}
-		want := plainMean(models)
-		for d := range want {
-			if math.Abs(res.Global[d]-want[d]) > 1e-9 {
-				led.violate(now, "sac-exactness",
-					fmt.Sprintf("%s: round %d global[%d] = %g, plaintext mean %g", tag, round, d, res.Global[d], want[d]))
-				return nil, false
-			}
-		}
-		curve = append(curve, res.Global)
-	}
-	return curve, true
+	e.rep.Stats.Joins++
+	return true
 }
 
-// applyChurnEvent mutates the directory mirror with one trace event: a
-// join takes the lowest free share index (the control plane's
-// assignment rule), a leave removes the subgroup's lowest-index member.
-// Leaves that would breach the two-member floor become joins, keeping
-// the trace meaningful at every geometry.
-func applyChurnEvent(c Campaign, rep *Report, led *ledger, now int64, tag string,
-	dir *directory.Directory, ev churnTrace, nextID uint64) uint64 {
-	members := dir.Subgroup(ev.g)
-	if !ev.join && len(members) > 2 {
-		if _, err := dir.Apply(wire.DirectoryUpdate{Op: wire.DirLeave, ID: members[0].ID}); err != nil {
-			led.violate(now, "share-index-soundness", tag+": leave rejected: "+err.Error())
-			return nextID
+// depart gracefully departs the pick-th member of subgroup g, checks
+// that its model was handed to a staying co-member, and waits for the
+// departure to commit. departed is false (and ok true) when the control
+// plane refused the departure.
+func (e *episode) depart(g, pick int) (departed, ok bool) {
+	peers := e.sys.SubgroupPeers(g)
+	id := peers[pick%len(peers)]
+	model := e.sys.Peer(id).Model()
+	if err := e.sys.DepartPeer(id); err != nil {
+		return false, true
+	}
+	// A peer admitted since the last round has no model to hand off yet.
+	if len(model) > 0 {
+		inherited := false
+		for _, co := range peers {
+			inherited = inherited || (co != id && sameBits(e.sys.Peer(co).Inherited(), model))
 		}
-		rep.Stats.Departs++
-		if c.Telemetry != nil {
-			c.Telemetry.Counter("chaos/churn/oracle_departs").Inc()
+		if !inherited {
+			return false, e.fail("model-handoff", "no member of subgroup %d inherited departing peer %d's model bit for bit", g, id)
 		}
-		return nextID
 	}
-	if _, err := dir.Apply(wire.DirectoryUpdate{
-		Op: wire.DirJoin, ID: nextID, Subgroup: ev.g,
-		ShareIndex: dir.NextShareIndex(ev.g),
-		Addr:       fmt.Sprintf("oracle-%d", nextID),
-	}); err != nil {
-		led.violate(now, "share-index-soundness", tag+": join rejected: "+err.Error())
-		return nextID
+	if _, err := e.sys.WaitDeparted(id, oracleStepLimit); err != nil {
+		return false, e.fail(e.track+"-liveness", "%v", err)
 	}
-	rep.Stats.Joins++
-	if c.Telemetry != nil {
-		c.Telemetry.Counter("chaos/churn/oracle_joins").Inc()
-	}
-	return nextID + 1
+	e.rep.Stats.Departs++
+	return true, true
 }
 
-// directorySizes reads the per-subgroup membership counts off the mirror.
-func directorySizes(dir *directory.Directory, m int) []int {
-	out := make([]int, m)
-	for g := range out {
-		out[g] = len(dir.Subgroup(g))
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// settle closes a round boundary: the cluster runs until no churn is in
+// flight, both layers have their leaders and the live directory replicas
+// agree; the agreed directory must record exactly the admitted
+// membership with sound share indices, and no subgroup may lack a
+// quorum. It returns the geometry the next round runs under.
+func (e *episode) settle() (cluster.RoundGeometry, bool) {
+	sys := e.sys
+	var geo cluster.RoundGeometry
+	elected := func() bool {
+		geo = sys.RoundGeometry()
+		return sys.ChurnIdle() && geo.FedLeader >= 0 && !slices.Contains(geo.Leaders, -1)
 	}
-	return out
+	settled := func() bool { return elected() && sys.DirectoryConverged() }
+	if !sys.Sim.RunWhileNot(settled, sys.Sim.Now()+simnet.Time(oracleStepLimit)) {
+		if elected() {
+			return geo, e.fail("directory-convergence", "live directory replicas still disagree %.0f ms after the boundary", oracleStepLimit.Ms())
+		}
+		return geo, e.fail(e.track+"-liveness", "churn in flight or a layer leaderless %.0f ms after the boundary (leaders %v, fed %d)",
+			oracleStepLimit.Ms(), geo.Leaders, geo.FedLeader)
+	}
+	for _, g := range geo.Subgroups {
+		if !sys.Directory().ShareIndexesSound(g) {
+			return geo, e.fail("share-index-soundness", "subgroup %d holds duplicate or negative share indices", g)
+		}
+	}
+	if !sys.DirectoryMatchesMembership() {
+		return geo, e.fail("share-index-soundness", "FedAvg leader's directory does not match the admitted membership %v", geo.Sizes)
+	}
+	if len(geo.Degraded) > 0 {
+		return geo, e.fail(e.track+"-liveness", "subgroups %v of %v lack a live quorum on a calm network", geo.Degraded, geo.Subgroups)
+	}
+	return geo, true
+}
+
+// roundSpec is the round parameters a geometry dictates: the elected
+// leaders, the FedAvg-leading subgroup and the quorumless subgroups.
+func roundSpec(geo cluster.RoundGeometry) core.RoundSpec {
+	return core.RoundSpec{Leaders: geo.Leaders, FedLeader: geo.FedLeader, Degraded: geo.Degraded}
+}
+
+// install hands every admitted peer its round model, in the geometry's
+// peer order — the state a graceful departure must hand off.
+func (e *episode) install(geo cluster.RoundGeometry, models [][]float64) {
+	i := 0
+	for _, g := range geo.Subgroups {
+		for _, id := range e.sys.SubgroupPeers(g) {
+			e.sys.Peer(id).SetModel(models[i])
+			i++
+		}
+	}
+}
+
+// newAggregation builds the data plane of one training curve.
+func (e *episode) newAggregation(sizes []int, seed int64) (*core.System, bool) {
+	agg, err := core.NewSystem(core.Config{Sizes: sizes, K: kFor(sizes), Telemetry: e.c.Telemetry},
+		rand.New(rand.NewSource(seed)))
+	if err != nil {
+		return nil, e.fail(e.track+"-accuracy", "config invalid: %v", err)
+	}
+	return agg, true
+}
+
+// aggregate runs one round of a curve: agg is reshaped to sizes
+// (core.Reconfigure, the round-boundary seam), the membership must cover
+// all shares of its k-of-n geometry, and the round's global must equal
+// the plaintext mean of models.
+func (e *episode) aggregate(agg *core.System, what string, round int, sizes []int, spec core.RoundSpec,
+	models [][]float64) ([]float64, bool) {
+	k := kFor(sizes)
+	if err := agg.Reconfigure(sizes, k); err != nil {
+		return nil, e.fail("share-index-soundness", "round %d %s reconfigure rejected geometry %v: %v", round, what, sizes, err)
+	}
+	if g, err := uncoveredSubgroup(sizes, k); g >= 0 {
+		return nil, e.fail("share-index-soundness", "round %d %s subgroup %d (n=%d k=%d) does not cover all shares (err=%v)",
+			round, what, g, sizes[g], k[g], err)
+	}
+	res, err := agg.AggregateRound(models, spec)
+	if err != nil {
+		return nil, e.fail(e.track+"-accuracy", "round %d %s aggregation failed: %v", round, what, err)
+	}
+	want := plainMean(models, nil)
+	if d := firstBeyond(res.Global, want, 1e-9); d >= 0 {
+		return nil, e.fail("sac-exactness", "round %d %s global[%d] = %g, plaintext mean %g", round, what, d, res.Global[d], want[d])
+	}
+	return res.Global, true
 }
 
 // kFor derives each subgroup's sharing threshold from its size: k = n−1
@@ -241,10 +310,7 @@ func directorySizes(dir *directory.Directory, m int) []int {
 func kFor(sizes []int) []int {
 	out := make([]int, len(sizes))
 	for g, n := range sizes {
-		out[g] = n - 1
-		if out[g] < 1 {
-			out[g] = 1
-		}
+		out[g] = max(n-1, 1)
 	}
 	return out
 }
@@ -266,17 +332,4 @@ func churnModels(jitter *rand.Rand, sizes []int, round, dim int) [][]float64 {
 		}
 	}
 	return models
-}
-
-func plainMean(models [][]float64) []float64 {
-	out := make([]float64, len(models[0]))
-	for _, w := range models {
-		for d, v := range w {
-			out[d] += v
-		}
-	}
-	for d := range out {
-		out[d] /= float64(len(models))
-	}
-	return out
 }

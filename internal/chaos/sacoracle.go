@@ -63,24 +63,8 @@ func oracleRound(c Campaign, rep *Report, led *ledger, rng *rand.Rand, round int
 		plan[p] = phase
 	}
 
-	// Privacy probe: record which peers each observer could reconstruct —
-	// an observer holding every one of a victim's n share indices has the
-	// full secret. seen[observer][victim] is the set of share indices of
-	// victim's model that observer received.
-	seen := make([]map[int]map[int]bool, n)
-	for i := range seen {
-		seen[i] = make(map[int]map[int]bool)
-	}
 	mesh := transport.NewMesh(n, nil)
-	mesh.Observe(func(m transport.Message) {
-		if m.Kind != sac.KindShare || m.From == m.To {
-			return
-		}
-		if seen[m.To][m.From] == nil {
-			seen[m.To][m.From] = make(map[int]bool)
-		}
-		seen[m.To][m.From][m.ShareIdx] = true
-	})
+	seen := watchShares(mesh, n)
 
 	cfg := sac.Config{N: n, K: k, Leader: leader, Mode: sac.ModeLeader,
 		Rng: rand.New(rand.NewSource(rng.Int63())), Telemetry: c.Telemetry}
@@ -109,6 +93,63 @@ func oracleRound(c Campaign, rep *Report, led *ledger, rng *rand.Rand, round int
 	checkPrivacy(led, now, tag, n, k, seen)
 }
 
+// watchShares observes mesh and returns the privacy probe it fills:
+// seen[observer][victim] is the set of share indices of victim's model
+// that observer received. An observer holding all n of them can
+// reconstruct the model.
+func watchShares(mesh *transport.Mesh, n int) []map[int]map[int]bool {
+	seen := make([]map[int]map[int]bool, n)
+	for i := range seen {
+		seen[i] = make(map[int]map[int]bool)
+	}
+	mesh.Observe(func(m transport.Message) {
+		if m.Kind != sac.KindShare || m.From == m.To {
+			return
+		}
+		if seen[m.To][m.From] == nil {
+			seen[m.To][m.From] = make(map[int]bool)
+		}
+		seen[m.To][m.From][m.ShareIdx] = true
+	})
+	return seen
+}
+
+// plainMean is the plaintext mean of models[i] over i in subset, summed
+// in subset order; a nil subset means every model.
+func plainMean(models [][]float64, subset []int) []float64 {
+	if subset == nil {
+		subset = make([]int, len(models))
+		for i := range subset {
+			subset[i] = i
+		}
+	}
+	out := make([]float64, len(models[0]))
+	for _, i := range subset {
+		for d, v := range models[i] {
+			out[d] += v
+		}
+	}
+	for d := range out {
+		out[d] /= float64(len(subset))
+	}
+	return out
+}
+
+// uncoveredSubgroup returns the first subgroup whose full membership
+// does not cover all shares of its k-of-n geometry, or -1.
+func uncoveredSubgroup(sizes, k []int) (int, error) {
+	for g, n := range sizes {
+		alive := make([]int, n)
+		for i := range alive {
+			alive[i] = i
+		}
+		if covered, err := secretshare.CoversAllShares(alive, n, k[g]); err != nil || !covered {
+			return g, err
+		}
+	}
+	return -1, nil
+}
+
 func alivePeers(n int, plan sac.CrashPlan) []int {
 	var out []int
 	for p := 0; p < n; p++ {
@@ -126,27 +167,26 @@ func checkExactness(led *ledger, now int64, tag string, models [][]float64, res 
 		led.violate(now, "sac-exactness", tag+": success with zero contributors")
 		return
 	}
-	dim := len(models[0])
-	want := make([]float64, dim)
-	for _, p := range res.Contributors {
-		for d, v := range models[p] {
-			want[d] += v
-		}
-	}
-	for d := range want {
-		want[d] /= float64(len(res.Contributors))
-	}
-	if len(res.Avg) != dim {
-		led.violate(now, "sac-exactness", fmt.Sprintf("%s: average has dim %d, want %d", tag, len(res.Avg), dim))
+	want := plainMean(models, res.Contributors)
+	if len(res.Avg) != len(want) {
+		led.violate(now, "sac-exactness", fmt.Sprintf("%s: average has dim %d, want %d", tag, len(res.Avg), len(want)))
 		return
 	}
+	if d := firstBeyond(res.Avg, want, 1e-9); d >= 0 {
+		led.violate(now, "sac-exactness",
+			fmt.Sprintf("%s: avg[%d] = %g, plaintext mean %g", tag, d, res.Avg[d], want[d]))
+	}
+}
+
+// firstBeyond returns the first coordinate at which got and want differ
+// by more than tol, or -1.
+func firstBeyond(got, want []float64, tol float64) int {
 	for d := range want {
-		if math.Abs(res.Avg[d]-want[d]) > 1e-9 {
-			led.violate(now, "sac-exactness",
-				fmt.Sprintf("%s: avg[%d] = %g, plaintext mean %g", tag, d, res.Avg[d], want[d]))
-			return
+		if math.Abs(got[d]-want[d]) > tol {
+			return d
 		}
 	}
+	return -1
 }
 
 // checkPrivacy asserts that no single observer accumulated all n share

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -23,15 +24,6 @@ import (
 const (
 	byzModelMax      = 141.0
 	byzTwoLayerBound = 2 * byzModelMax
-)
-
-// Flap cycle timing: the dark window exceeds the detector's default
-// silence threshold (3 heartbeats ≈ 48 ms at the smallest healthy
-// setting), so each flap produces genuine Down verdicts that the
-// recovery half of the cycle must retract.
-const (
-	flapDark  = 60 * simnet.Millisecond
-	flapClear = 40 * simnet.Millisecond
 )
 
 // twWorld is the TargetTwoLayer system under test: the paper's two-layer
@@ -61,8 +53,10 @@ type twWorld struct {
 	churned bool
 }
 
-// executeTwoLayer runs one schedule against a fresh two-layer cluster.
-func executeTwoLayer(c Campaign, actions []Action, rep *Report) {
+// newCluster is the one recipe by which chaos builds a two-layer system
+// from a (normalized) campaign: the two-layer target and every oracle
+// episode that needs a control plane call it.
+func newCluster(c Campaign) *cluster.System {
 	var topo *simnet.Topology
 	if c.Topology != "" {
 		var err error
@@ -85,6 +79,12 @@ func executeTwoLayer(c Campaign, actions []Action, rep *Report) {
 	if err != nil {
 		panic(fmt.Sprintf("chaos: two-layer options invalid: %v", err)) // normalize() guarantees validity
 	}
+	return sys
+}
+
+// executeTwoLayer runs one schedule against a fresh two-layer cluster.
+func executeTwoLayer(c Campaign, actions []Action, rep *Report) {
+	sys := newCluster(c)
 	w := &twWorld{c: c, rep: rep, led: newLedger(rep), sys: sys, m: sys.NumSubgroups(),
 		byz: make(map[int]sac.AdversaryPlan)}
 
@@ -109,23 +109,7 @@ func executeTwoLayer(c Campaign, actions []Action, rep *Report) {
 		return
 	}
 
-	step := simnet.Duration(c.StepEveryUs)
-	for _, a := range actions {
-		a := a
-		sys.Sim.Schedule(simnet.Duration(a.Step+1)*step, func() { w.apply(a) })
-	}
-	var check func()
-	check = func() {
-		if w.stopped {
-			return
-		}
-		w.sweep()
-		sys.Sim.Schedule(sweepEvery, check)
-	}
-	sys.Sim.Schedule(sweepEvery, check)
-
-	end := sys.Sim.Now() + simnet.Time(simnet.Duration(lastStep(actions, c.Steps)+1)*step)
-	sys.Sim.RunUntil(end)
+	runSchedule(sys.Sim, c, actions, w.apply, w.sweep, &w.stopped)
 	w.quiesce()
 	w.stopped = true
 	rep.Stats.FinalVirtualMs = int64(sys.Sim.Now()) / 1000
@@ -140,39 +124,34 @@ func (w *twWorld) net(group int) *simnet.Group {
 	return w.sys.SubgroupNet(g)
 }
 
-// peerPool lists the action's candidate peers: the members of the
+// peerPool lists the action's candidate peers — the members of the
 // targeted subgroup, or every peer when the action addresses the FedAvg
-// layer (whose membership is the floating set of subgroup leaders).
-func (w *twWorld) peerPool(group int) []uint64 {
-	g := group % (w.m + 1)
-	if g == w.m {
-		return w.sys.PeerIDs()
+// layer (whose membership is the floating set of subgroup leaders) —
+// that are down, or that are not.
+func (w *twWorld) peerPool(group int, down bool) []uint64 {
+	pool := w.sys.PeerIDs()
+	if g := group % (w.m + 1); g < w.m {
+		pool = w.sys.SubgroupPeers(g)
 	}
-	return w.sys.SubgroupPeers(g)
+	var out []uint64
+	for _, id := range pool {
+		if w.sys.Peer(id).Down() == down {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 func (w *twWorld) apply(a Action) {
 	s := &w.rep.Stats
 	switch a.Kind {
 	case ActCrash:
-		var live []uint64
-		for _, id := range w.peerPool(a.Group) {
-			if !w.sys.Peer(id).Down() {
-				live = append(live, id)
-			}
-		}
-		if len(live) > 0 {
+		if live := w.peerPool(a.Group, false); len(live) > 0 {
 			_ = w.sys.CrashPeer(live[a.Rank%len(live)])
 			s.Crashes++
 		}
 	case ActRestart:
-		var down []uint64
-		for _, id := range w.peerPool(a.Group) {
-			if w.sys.Peer(id).Down() {
-				down = append(down, id)
-			}
-		}
-		if len(down) > 0 {
+		if down := w.peerPool(a.Group, true); len(down) > 0 {
 			if err := w.sys.RestartPeer(down[a.Rank%len(down)]); err == nil {
 				s.Restarts++
 			}
@@ -189,49 +168,11 @@ func (w *twWorld) apply(a Action) {
 			_ = w.sys.CrashPeer(id)
 			s.Crashes++
 		}
-	case ActPartition:
-		net := w.net(a.Group)
-		ids := net.IDs()
-		side := make(map[uint64]bool, len(ids))
-		aCount := 0
-		for i, id := range ids {
-			side[id] = a.Side>>(uint(i)%64)&1 == 1
-			if side[id] {
-				aCount++
-			}
-		}
-		if aCount == 0 || aCount == len(ids) {
-			return
-		}
-		net.Partition(side)
-		s.Partitions++
-	case ActBlackhole:
-		net := w.net(a.Group)
-		ids := net.IDs()
-		if len(ids) == 0 {
-			return
-		}
-		id := ids[a.Rank%len(ids)]
-		net.DropFilter = func(m raft.Message) bool { return m.From == id }
-		s.NetFaults++
-	case ActLoss:
-		w.net(a.Group).LossRate = a.Rate
-		s.NetFaults++
-	case ActDelay:
-		w.net(a.Group).Jitter = simnet.Duration(a.DelayUs)
-		s.NetFaults++
+	case ActPartition, ActBlackhole, ActLoss, ActDelay, ActFlap:
+		applyNetFault(a, w.sys.Sim, w.net(a.Group), s, &w.frozen)
 	case ActHeal:
 		w.calmAll()
 		s.Heals++
-	case ActFlap:
-		net := w.net(a.Group)
-		ids := net.IDs()
-		if len(ids) == 0 {
-			return
-		}
-		id := ids[a.Rank%len(ids)]
-		s.Flaps++
-		w.flap(net, id, 2+a.Rank%3)
 	case ActByzantine:
 		g := a.Group % w.m
 		n := len(w.sys.SubgroupPeers(g))
@@ -295,25 +236,6 @@ func (w *twWorld) churnCandidates(g int, mustLive bool) []uint64 {
 		out = append(out, id)
 	}
 	return out
-}
-
-// flap darkens id's outbound links on net for flapDark, releases them
-// for flapClear, and repeats. Cycles abandon themselves once quiesce
-// freezes the world.
-func (w *twWorld) flap(net *simnet.Group, id uint64, cycles int) {
-	if w.frozen {
-		return
-	}
-	net.DropFilter = func(m raft.Message) bool { return m.From == id }
-	w.sys.Sim.Schedule(flapDark, func() {
-		if w.frozen {
-			return
-		}
-		net.DropFilter = nil
-		if cycles > 1 {
-			w.sys.Sim.Schedule(flapClear, func() { w.flap(net, id, cycles-1) })
-		}
-	})
 }
 
 func (w *twWorld) calmAll() {
@@ -381,28 +303,9 @@ func (w *twWorld) view() View {
 	v := View{NowUs: int64(w.sys.Sim.Now())}
 	for _, id := range w.sys.PeerIDs() {
 		p := w.sys.Peer(id)
-		st := p.SubStatus()
-		v.Nodes = append(v.Nodes, NodeView{
-			ID:        id,
-			Group:     fmt.Sprintf("sub%d", p.Subgroup),
-			Down:      p.Down(),
-			State:     st.State,
-			Term:      st.Term,
-			Leader:    st.Leader,
-			Commit:    st.CommitIndex,
-			LastIndex: st.LastIndex,
-		})
+		v.Nodes = append(v.Nodes, nodeView(id, fmt.Sprintf("sub%d", p.Subgroup), p.Down(), p.SubStatus()))
 		if fst, ok := p.FedStatus(); ok && !p.Down() {
-			v.Nodes = append(v.Nodes, NodeView{
-				ID:        id,
-				Group:     "fed",
-				Down:      p.Down(),
-				State:     fst.State,
-				Term:      fst.Term,
-				Leader:    fst.Leader,
-				Commit:    fst.CommitIndex,
-				LastIndex: fst.LastIndex,
-			})
+			v.Nodes = append(v.Nodes, nodeView(id, "fed", false, fst))
 		}
 	}
 	return v
@@ -517,49 +420,34 @@ func (w *twWorld) quiesce() {
 	// with the leaders in place now (it reports a group still leaderless
 	// at the deadline).
 	sys.Sim.RunWhileNot(elected, deadline)
-	w.aggregationRound(sys.FedAvgLeader())
+	w.aggregationRound()
 	w.sweep()
 }
 
 // aggregationRound runs one two-layer SAC round with the leaders the
 // chaos left in place and checks its exactness against the plaintext
 // global mean.
-func (w *twWorld) aggregationRound(fedID uint64) {
+func (w *twWorld) aggregationRound() {
 	sys := w.sys
 	now := int64(sys.Sim.Now())
-	sizes := make([]int, w.m)
-	offsets := make([]int, w.m)
-	total := 0
-	for g := 0; g < w.m; g++ {
-		offsets[g] = total
-		sizes[g] = len(sys.SubgroupPeers(g))
-		total += sizes[g]
-	}
-
-	// Map elected leaders (global peer IDs) to in-subgroup indices.
-	leaders := make([]int, w.m)
-	for g := 0; g < w.m; g++ {
-		id := sys.SubgroupLeader(g)
-		idx := -1
-		for i, pid := range sys.SubgroupPeers(g) {
-			if pid == id {
-				idx = i
-			}
-		}
+	// The elected leaders as in-subgroup indices, and the subgroup of the
+	// peer leading the FedAvg layer.
+	geo := sys.RoundGeometry()
+	for i, idx := range geo.Leaders {
 		if idx < 0 {
-			w.led.violate(now, "liveness", fmt.Sprintf("subgroup %d leader %d not among its peers", g, id))
+			g := geo.Subgroups[i]
+			w.led.violate(now, "liveness", fmt.Sprintf("subgroup %d leader %d not among its peers", g, sys.SubgroupLeader(g)))
 			return
 		}
-		leaders[g] = idx
 	}
-	fedSub := -1
-	if p := sys.Peer(fedID); p != nil {
-		fedSub = p.Subgroup
+	total := 0
+	for _, n := range geo.Sizes {
+		total += n
 	}
 
 	guarded := len(w.byz) > 0
 	cfg := core.Config{
-		Sizes:     sizes,
+		Sizes:     geo.Sizes,
 		K:         []int{w.c.SubgroupSize - 1}, // k-out-of-n where sizes allow; clamped to n below that
 		Telemetry: w.c.Telemetry,
 	}
@@ -586,31 +474,20 @@ func (w *twWorld) aggregationRound(fedID uint64) {
 			models[i][1] += 16
 		}
 	}
-	res, err := coreSys.AggregateRound(models, core.RoundSpec{Leaders: leaders, FedLeader: fedSub, Adversary: w.byz})
+	res, err := coreSys.AggregateRound(models, core.RoundSpec{Leaders: geo.Leaders, FedLeader: geo.FedLeader, Adversary: w.byz})
 	if err != nil {
 		w.led.violate(now, "liveness", fmt.Sprintf("aggregation round with elected leaders failed: %v", err))
 		return
 	}
 	w.rep.Stats.SACRounds++
 	if guarded {
-		w.checkByzantineRound(now, sizes, offsets, models, res)
+		w.checkByzantineRound(now, geo.Sizes, models, res)
 		return
 	}
-	want := make([]float64, len(models[0]))
-	for _, m := range models {
-		for d, v := range m {
-			want[d] += v
-		}
-	}
-	for d := range want {
-		want[d] /= float64(total)
-	}
-	for d := range want {
-		if math.Abs(res.Global[d]-want[d]) > 1e-9 {
-			w.led.violate(now, "sac-exactness",
-				fmt.Sprintf("post-quiesce round: global[%d] = %g, plaintext mean %g", d, res.Global[d], want[d]))
-			return
-		}
+	want := plainMean(models, nil)
+	if d := firstBeyond(res.Global, want, 1e-9); d >= 0 {
+		w.led.violate(now, "sac-exactness",
+			fmt.Sprintf("post-quiesce round: global[%d] = %g, plaintext mean %g", d, res.Global[d], want[d]))
 	}
 }
 
@@ -618,35 +495,27 @@ func (w *twWorld) aggregationRound(fedID uint64) {
 // marked adversaries: the robust global must stay within
 // byzTwoLayerBound of the honest-only plaintext mean, and provably
 // forged (poison-scale) peers must appear among the excluded.
-func (w *twWorld) checkByzantineRound(now int64, sizes, offsets []int, models [][]float64, res *core.RoundResult) {
-	want := make([]float64, len(models[0]))
-	cnt := 0
-	for g := 0; g < w.m; g++ {
-		plan := w.byz[g]
-		for i := 0; i < sizes[g]; i++ {
-			if _, bad := plan[i]; bad {
-				continue
+func (w *twWorld) checkByzantineRound(now int64, sizes []int, models [][]float64, res *core.RoundResult) {
+	var honest []int
+	offset := 0
+	for g, n := range sizes {
+		for i := 0; i < n; i++ {
+			if _, bad := w.byz[g][i]; !bad {
+				honest = append(honest, offset+i)
 			}
-			for d, v := range models[offsets[g]+i] {
-				want[d] += v
-			}
-			cnt++
 		}
+		offset += n
 	}
-	for d := range want {
-		want[d] /= float64(cnt)
-	}
-	for d := range want {
-		if math.Abs(res.Global[d]-want[d]) > byzTwoLayerBound {
-			w.led.violate(now, "byzantine-robust",
-				fmt.Sprintf("post-quiesce robust round: global[%d] = %g deviates > %g from honest mean %g",
-					d, res.Global[d], byzTwoLayerBound, want[d]))
-			return
-		}
+	want := plainMean(models, honest)
+	if d := firstBeyond(res.Global, want, byzTwoLayerBound); d >= 0 {
+		w.led.violate(now, "byzantine-robust",
+			fmt.Sprintf("post-quiesce robust round: global[%d] = %g deviates > %g from honest mean %g",
+				d, res.Global[d], byzTwoLayerBound, want[d]))
+		return
 	}
 	for g, plan := range w.byz {
 		for p, b := range plan {
-			if b == sac.ByzPoisonScale && !containsInt(res.ExcludedPeers[g], p) {
+			if b == sac.ByzPoisonScale && !slices.Contains(res.ExcludedPeers[g], p) {
 				w.led.violate(now, "byzantine-detection",
 					fmt.Sprintf("post-quiesce robust round: poison-scale peer %d of subgroup %d escaped the range guard", p, g))
 			}

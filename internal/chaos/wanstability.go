@@ -150,24 +150,6 @@ type wanWorld struct {
 	rep  *StabilityReport
 }
 
-func (w *wanWorld) view() View {
-	v := View{NowUs: int64(w.sim.Now())}
-	for _, id := range w.g.IDs() {
-		h := w.g.Host(id)
-		v.Nodes = append(v.Nodes, NodeView{
-			ID:        id,
-			Group:     "wan",
-			Down:      h.Down(),
-			State:     h.Node.State(),
-			Term:      h.Node.Term(),
-			Leader:    h.Node.Leader(),
-			Commit:    h.Node.CommitIndex(),
-			LastIndex: h.Node.LastIndex(),
-		})
-	}
-	return v
-}
-
 func (w *wanWorld) violate(detail string) {
 	w.rep.Violations = append(w.rep.Violations, Violation{
 		AtUs: int64(w.sim.Now()), Invariant: "wan-stability", Detail: detail,
@@ -288,7 +270,7 @@ func RunWANStability(o StabilityOptions) (*StabilityReport, error) {
 		if w.sim.Now() >= steadyEnd {
 			return
 		}
-		for _, d := range checker.Check(w.view()) {
+		for _, d := range checker.Check(groupView(w.sim, w.g, "wan")) {
 			w.rep.Violations = append(w.rep.Violations, Violation{
 				AtUs: int64(w.sim.Now()), Invariant: checker.Name(), Detail: d,
 			})

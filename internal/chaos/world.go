@@ -151,8 +151,24 @@ func (w *kvWorld) apply(a Action) {
 			w.g.Host(id).Crash()
 			s.Crashes++
 		}
+	case ActHeal:
+		w.g.Calm()
+		s.Heals++
+	default:
+		applyNetFault(a, w.sim, w.g, s, &w.frozen)
+	}
+}
+
+// applyNetFault executes the partition, black-hole, loss, delay and flap
+// actions, which differ between worlds only in the network they hit.
+// frozen is the world's quiesce flag (see flap).
+func applyNetFault(a Action, sim *simnet.Sim, net *simnet.Group, s *Stats, frozen *bool) {
+	ids := net.IDs()
+	if len(ids) == 0 {
+		return
+	}
+	switch a.Kind {
 	case ActPartition:
-		ids := w.g.IDs()
 		side := make(map[uint64]bool, len(ids))
 		aCount := 0
 		for i, id := range ids {
@@ -164,44 +180,49 @@ func (w *kvWorld) apply(a Action) {
 		if aCount == 0 || aCount == len(ids) {
 			return // degenerate mask — not a partition
 		}
-		w.g.Partition(side)
+		net.Partition(side)
 		s.Partitions++
 	case ActBlackhole:
-		ids := w.g.IDs()
 		id := ids[a.Rank%len(ids)]
-		w.g.DropFilter = func(m raft.Message) bool { return m.From == id }
+		net.DropFilter = func(m raft.Message) bool { return m.From == id }
 		s.NetFaults++
 	case ActLoss:
-		w.g.LossRate = a.Rate
+		net.LossRate = a.Rate
 		s.NetFaults++
 	case ActDelay:
-		w.g.Jitter = simnet.Duration(a.DelayUs)
+		net.Jitter = simnet.Duration(a.DelayUs)
 		s.NetFaults++
-	case ActHeal:
-		w.g.Calm()
-		s.Heals++
 	case ActFlap:
-		ids := w.g.IDs()
-		id := ids[a.Rank%len(ids)]
 		s.Flaps++
-		w.flap(id, 2+a.Rank%3)
+		flap(sim, net, ids[a.Rank%len(ids)], 2+a.Rank%3, frozen)
 	}
 }
 
-// flap cycles id's outbound links dark/clear, abandoning itself once
-// quiesce freezes the world (see twWorld.flap for the timing rationale).
-func (w *kvWorld) flap(id uint64, cycles int) {
-	if w.frozen {
+// Flap cycle timing: the dark window exceeds the detector's default
+// silence threshold (3 heartbeats ≈ 48 ms at the smallest healthy
+// setting), so each flap produces genuine Down verdicts that the
+// recovery half of the cycle must retract.
+const (
+	flapDark  = 60 * simnet.Millisecond
+	flapClear = 40 * simnet.Millisecond
+)
+
+// flap darkens id's outbound links on net for flapDark, releases them
+// for flapClear, and repeats. Cycles abandon themselves once quiesce
+// raises *frozen: they must not re-darken a link the liveness phase
+// just healed.
+func flap(sim *simnet.Sim, net *simnet.Group, id uint64, cycles int, frozen *bool) {
+	if *frozen {
 		return
 	}
-	w.g.DropFilter = func(m raft.Message) bool { return m.From == id }
-	w.sim.Schedule(flapDark, func() {
-		if w.frozen {
+	net.DropFilter = func(m raft.Message) bool { return m.From == id }
+	sim.Schedule(flapDark, func() {
+		if *frozen {
 			return
 		}
-		w.g.DropFilter = nil
+		net.DropFilter = nil
 		if cycles > 1 {
-			w.sim.Schedule(flapClear, func() { w.flap(id, cycles-1) })
+			sim.Schedule(flapClear, func() { flap(sim, net, id, cycles-1, frozen) })
 		}
 	})
 }
@@ -233,23 +254,20 @@ func (w *kvWorld) propose() {
 	h.Pump()
 }
 
-// view snapshots all nodes for extra checkers.
-func (w *kvWorld) view() View {
-	v := View{NowUs: int64(w.sim.Now())}
-	for _, id := range w.g.IDs() {
-		h := w.g.Host(id)
-		v.Nodes = append(v.Nodes, NodeView{
-			ID:        id,
-			Group:     "raft",
-			Down:      h.Down(),
-			State:     h.Node.State(),
-			Term:      h.Node.Term(),
-			Leader:    h.Node.Leader(),
-			Commit:    h.Node.CommitIndex(),
-			LastIndex: h.Node.LastIndex(),
-		})
+// groupView snapshots every node of one raft network for the checkers,
+// in ascending id order.
+func groupView(sim *simnet.Sim, g *simnet.Group, label string) View {
+	v := View{NowUs: int64(sim.Now())}
+	for _, id := range g.IDs() {
+		h := g.Host(id)
+		v.Nodes = append(v.Nodes, nodeView(id, label, h.Down(), h.Node.Status()))
 	}
 	return v
+}
+
+func nodeView(id uint64, group string, down bool, st raft.Status) NodeView {
+	return NodeView{ID: id, Group: group, Down: down,
+		State: st.State, Term: st.Term, Leader: st.Leader, Commit: st.CommitIndex, LastIndex: st.LastIndex}
 }
 
 // sweep runs the history-independent safety checks over current state.
@@ -269,22 +287,15 @@ func (w *kvWorld) sweep() {
 		}
 	}
 	w.led.checkLogMatching(now, "raft", nodes)
-	w.led.runExtra(w.c.ExtraCheckers, w.view())
+	w.led.runExtra(w.c.ExtraCheckers, groupView(w.sim, w.g, "raft"))
 }
 
 // executeRaftKV runs one schedule against a fresh raft-kv world and
 // appends its findings to rep.
 func executeRaftKV(c Campaign, actions []Action, rep *Report) {
 	w := newKVWorld(c, rep)
-	step := simnet.Duration(c.StepEveryUs)
-
-	// Schedule the fault actions, the workload and the sweeps up front;
-	// recurring events re-arm themselves until the world stops.
-	for _, a := range actions {
-		a := a
-		w.sim.Schedule(simnet.Duration(a.Step+1)*step, func() { w.apply(a) })
-	}
-	var pump, check func()
+	// The workload re-arms itself until quiesce stops it.
+	var pump func()
 	pump = func() {
 		if w.stopped || w.workStopped {
 			return
@@ -292,20 +303,30 @@ func executeRaftKV(c Campaign, actions []Action, rep *Report) {
 		w.propose()
 		w.sim.Schedule(workloadEvery, pump)
 	}
-	check = func() {
-		if w.stopped {
-			return
-		}
-		w.sweep()
-		w.sim.Schedule(sweepEvery, check)
-	}
 	w.sim.Schedule(workloadEvery, pump)
-	w.sim.Schedule(sweepEvery, check)
-
-	end := simnet.Time(simnet.Duration(lastStep(actions, c.Steps)+1) * step)
-	w.sim.RunUntil(end)
+	runSchedule(w.sim, c, actions, w.apply, w.sweep, &w.stopped)
 	quiesceKV(w)
 	rep.Stats.FinalVirtualMs = int64(w.sim.Now()) / 1000
+}
+
+// runSchedule arms the fault actions and the periodic invariant sweep on
+// sim — the sweep re-arms itself until *stopped — and runs it to the end
+// of the schedule window.
+func runSchedule(sim *simnet.Sim, c Campaign, actions []Action, apply func(Action), sweep func(), stopped *bool) {
+	step := simnet.Duration(c.StepEveryUs)
+	for _, a := range actions {
+		sim.Schedule(simnet.Duration(a.Step+1)*step, func() { apply(a) })
+	}
+	var check func()
+	check = func() {
+		if *stopped {
+			return
+		}
+		sweep()
+		sim.Schedule(sweepEvery, check)
+	}
+	sim.Schedule(sweepEvery, check)
+	sim.RunUntil(sim.Now() + simnet.Time(simnet.Duration(lastStep(actions, c.Steps)+1)*step))
 }
 
 // lastStep sizes the schedule window: one StepEvery past the last action

@@ -248,13 +248,16 @@ func (s *System) askSubgroupLeader(g int, cc raft.ConfChange) {
 	})
 }
 
-func contains(ids []uint64, id uint64) bool {
-	for _, x := range ids {
+func contains(ids []uint64, id uint64) bool { return indexOf(ids, id) >= 0 }
+
+// indexOf returns id's position in ids, or -1.
+func indexOf(ids []uint64, id uint64) int {
+	for i, x := range ids {
 		if x == id {
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 // refreshWatches realigns every live detector in subgroup g with the

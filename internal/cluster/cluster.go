@@ -539,6 +539,53 @@ func (s *System) FedAvgMembers() []uint64 {
 	return s.peers[l].fedHost.Node.Members()
 }
 
+// RoundGeometry is what a round driver reads off the control plane at a
+// round boundary, in plain ints (this package does not import core).
+// Entry i describes the i-th non-retired subgroup in ascending id order
+// — the numbering core.Config.Sizes and core.RoundSpec use.
+type RoundGeometry struct {
+	// Subgroups[i] is the cluster subgroup id behind entry i.
+	Subgroups []int
+	// Sizes[i] is its admitted member count.
+	Sizes []int
+	// Leaders[i] is its raft leader's index among SubgroupPeers
+	// (admission order), -1 while it has none.
+	Leaders []int
+	// FedLeader is the entry whose member leads the FedAvg layer, -1
+	// while the layer has no leader.
+	FedLeader int
+	// Degraded lists the entries that lack a live raft quorum
+	// (DegradedSubgroups), for core.RoundSpec.Degraded.
+	Degraded []int
+}
+
+// RoundGeometry reads the current geometry: admitted membership, the
+// elected leaders of both layers and the quorumless subgroups.
+func (s *System) RoundGeometry() RoundGeometry {
+	geo := RoundGeometry{FedLeader: -1}
+	fedSub := -1
+	if p := s.peers[s.FedAvgLeader()]; p != nil {
+		fedSub = p.Subgroup
+	}
+	degraded := s.DegradedSubgroups()
+	for g, ids := range s.bySub {
+		if len(ids) == 0 {
+			continue // retired by a merge
+		}
+		i := len(geo.Sizes)
+		geo.Subgroups = append(geo.Subgroups, g)
+		geo.Sizes = append(geo.Sizes, len(ids))
+		geo.Leaders = append(geo.Leaders, indexOf(ids, s.SubgroupLeader(g)))
+		if g == fedSub {
+			geo.FedLeader = i
+		}
+		if len(degraded) > 0 && degraded[0] == g {
+			geo.Degraded, degraded = append(geo.Degraded, i), degraded[1:]
+		}
+	}
+	return geo
+}
+
 // Bootstrap elects a leader in every subgroup, forms the FedAvg layer
 // from those leaders, elects the FedAvg leader, and starts the periodic
 // configuration commits. It returns an error if the system does not

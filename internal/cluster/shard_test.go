@@ -39,6 +39,23 @@ func growSubgroup(t *testing.T, s *System, g, want int) {
 	settle(s, 500*simnet.Millisecond)
 }
 
+// shrinkSubgroup gracefully departs subgroup g's newest members until it
+// holds want.
+func shrinkSubgroup(t *testing.T, s *System, g, want int) {
+	t.Helper()
+	for len(s.SubgroupPeers(g)) > want {
+		ids := s.SubgroupPeers(g)
+		id := ids[len(ids)-1]
+		if err := s.DepartPeer(id); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.WaitDeparted(id, shardStepLimit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle(s, 500*simnet.Millisecond)
+}
+
 // checkShardInvariants asserts the PR-9 churn invariants hold for the
 // whole system after a re-sharding action: converged replicas, per-
 // subgroup share-index soundness, directory/membership agreement.
@@ -118,27 +135,9 @@ func TestSplitSubgroup(t *testing.T) {
 
 func TestMergeSubgroup(t *testing.T) {
 	s := mustBootstrap(t, shardOpts(13))
-	// Shrink subgroup 1 to a single member (below n/2 = 2): departures
-	// keep a ≥2 floor, so go 4→3→2 via DepartPeer and retire one more by
-	// crash + departure of the crashed peer... simpler: 4→3→2 by
-	// departure, then the merge trigger needs size 1 — instead exercise
-	// MergeSubgroup directly at size 2, which is also below the healthy
-	// degree and a legal manual merge.
-	for i := 0; i < 2; i++ {
-		ids := s.SubgroupPeers(1)
-		id := ids[len(ids)-1]
-		if err := s.DepartPeer(id); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.WaitDeparted(id, shardStepLimit); err != nil {
-			t.Fatal(err)
-		}
-	}
-	settle(s, 500*simnet.Millisecond)
-	movers := s.SubgroupPeers(1)
-	if len(movers) != 2 {
-		t.Fatalf("subgroup 1 has %d members, want 2", len(movers))
-	}
+	// At degree 4 the planner's merge trigger (size 1) lies below the
+	// departure floor, so the merge of a two-member subgroup is called by hand.
+	shrinkSubgroup(t, s, 1, 2)
 
 	act, err := s.MergeSubgroup(1, shardStepLimit)
 	if err != nil {
@@ -172,6 +171,51 @@ func TestMergeSubgroup(t *testing.T) {
 	if degraded := s.DegradedSubgroups(); len(degraded) != 0 {
 		t.Fatalf("degraded subgroups after merge: %v", degraded)
 	}
+	id, err := s.AddPeer(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.WaitAdmitted(id, shardStepLimit); err != nil {
+		t.Fatalf("merged subgroup cannot admit: %v", err)
+	}
+	settle(s, 500*simnet.Millisecond)
+	checkShardInvariants(t, s, "after post-merge admission")
+}
+
+// TestRebalanceMergesAfterDepartures is the merge the planner chooses
+// itself: at degree 5 graceful departures reach the trigger (2·2 < 5).
+func TestRebalanceMergesAfterDepartures(t *testing.T) {
+	opts := shardOpts(23)
+	opts.SubgroupSize = 5
+	s := mustBootstrap(t, opts)
+	shrinkSubgroup(t, s, 1, 3)
+	if plan := s.ShardPlan(); plan != nil {
+		t.Fatalf("three of five members planned %+v", plan)
+	}
+	shrinkSubgroup(t, s, 1, 2)
+	if plan := s.ShardPlan(); plan == nil || plan.Kind != ShardMerge || plan.Subgroup != 1 || plan.Target != 0 {
+		t.Fatalf("plan = %+v, want merge of subgroup 1 into 0", plan)
+	}
+
+	actions, err := s.Rebalance(shardStepLimit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(actions) != 1 || actions[0].Kind != ShardMerge || len(actions[0].Moved) != 2 {
+		t.Fatalf("rebalance executed %+v, want one merge of two movers", actions)
+	}
+	settle(s, 2*simnet.Second)
+	if got := len(s.SubgroupPeers(0)); got != 7 {
+		t.Fatalf("target has %d members, want 7", got)
+	}
+	if plan := s.ShardPlan(); plan != nil {
+		t.Fatalf("still unbalanced after the merge: %+v", plan)
+	}
+	checkShardInvariants(t, s, "after planned merge")
+	if geo := s.RoundGeometry(); len(geo.Degraded) != 0 || len(geo.Sizes) != 1 || geo.Subgroups[0] != 0 {
+		t.Fatalf("geometry after merge %+v, want subgroup 0 alone and nothing degraded", geo)
+	}
+
 	id, err := s.AddPeer(0)
 	if err != nil {
 		t.Fatal(err)

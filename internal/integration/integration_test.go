@@ -8,6 +8,7 @@ package integration
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -16,38 +17,8 @@ import (
 	"repro/internal/fl"
 	"repro/internal/nn"
 	"repro/internal/optim"
-	"repro/internal/raft"
 	"repro/internal/simnet"
 )
-
-// leadersFromCluster maps the cluster's current Raft leaders to core's
-// per-subgroup leader indices and the FedAvg-leading subgroup.
-func leadersFromCluster(t *testing.T, sys *cluster.System, numSub int) (leaders []int, fedSub int) {
-	t.Helper()
-	fedSub = -1
-	fedID := sys.FedAvgLeader()
-	for g := 0; g < numSub; g++ {
-		id := sys.SubgroupLeader(g)
-		if id == raft.None {
-			t.Fatalf("subgroup %d has no leader", g)
-		}
-		peers := sys.SubgroupPeers(g)
-		idx := -1
-		for i, p := range peers {
-			if p == id {
-				idx = i
-			}
-		}
-		if idx < 0 {
-			t.Fatalf("leader %d not in subgroup %d", id, g)
-		}
-		leaders = append(leaders, idx)
-		if id == fedID {
-			fedSub = g
-		}
-	}
-	return leaders, fedSub
-}
 
 func TestEndToEndTwoLayerSystem(t *testing.T) {
 	const (
@@ -101,7 +72,10 @@ func TestEndToEndTwoLayerSystem(t *testing.T) {
 	crashed := map[uint64]bool{}
 	runRound := func(round int) {
 		t.Helper()
-		leaders, fedSub := leadersFromCluster(t, cl, numSub)
+		geo := cl.RoundGeometry()
+		if slices.Contains(geo.Leaders, -1) {
+			t.Fatalf("round %d: a subgroup has no leader among its peers: %v", round, geo.Leaders)
+		}
 		models := make([][]float64, peers)
 		counts := make([]float64, peers)
 		for i, c := range clients {
@@ -125,8 +99,8 @@ func TestEndToEndTwoLayerSystem(t *testing.T) {
 		}
 		res, err := agg.AggregateRound(models, core.RoundSpec{
 			SampleCounts: counts,
-			Leaders:      leaders,
-			FedLeader:    fedSub,
+			Leaders:      geo.Leaders,
+			FedLeader:    geo.FedLeader,
 		})
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
