@@ -58,7 +58,7 @@ chaos-smoke:
 # package that implements or consumes the subsystem, in full, under
 # -race, plus the p2pfl-chaos track that sweeps it where there is one.
 
-# WAN profile: latency topologies, the raft pre-vote/check-quorum/lease
+# WAN profile: latency topologies, the raft pre-vote/check-quorum
 # safety tests, the RTT-driven timeout tuner, the WAN-tuned cluster
 # failover bound, and the 20-seed WAN stability sweep with its
 # paper-profile spurious-election control (DESIGN.md §13).
@@ -90,11 +90,11 @@ test-health:
 # codec's differential and allocation-bound tests and its forced
 # portable path), the daemon's durable raft-state file (atomic replace,
 # log recovery, persist-before-send, foreign-format rejection), the
-# transports that frame with it (TCPMesh concurrent senders,
-# receive-vector recycling and its free-list bound, stated on
-# what is outstanding and driven by sac.Run in
-# TestTCPMeshFreeListCoversASACTurn — race builds poison recycled
-# vectors), the nn checkpoint round-trip tests, and the SAC tests
+# transports that frame with it (TCPMesh concurrent senders, a foreign
+# frame kind closing the connection on its header, receive-vector
+# recycling and its free-list bound, stated on what is outstanding and
+# driven by sac.Run in TestTCPMeshFreeListCoversASACTurn — race builds
+# poison recycled vectors), the nn checkpoint tests, and the SAC tests
 # that share its pooled buffers (scratch determinism, TCP-vs-memory
 # bit-identity across rounds, the streaming fold against the
 # store-then-sum reference engine in TestStreamingFoldMatchesReference,
@@ -108,18 +108,19 @@ test-wire:
 
 # Compression: the quantize/top-k kernels (bit determinism at any worker
 # count, error bounds, the top-k selection against its sort-based
-# reference and allocation budget), the wire v2 delta kinds (and the
-# hostile sparse dimension), the opt-in transport/core compression paths, and the closed-form byte accounting cross-checks
+# reference and allocation budget), the wire delta blocks (and the
+# hostile sparse dimension), core's inline compression path — the one
+# there is — and the closed-form byte accounting cross-checks
 # (DESIGN.md §12).
 test-compress:
 	$(GO) test -race ./internal/compress/ ./internal/secretshare/ \
-		./internal/wire/ ./internal/transport/ ./internal/sac/ \
-		./internal/core/ ./internal/costmodel/ ./internal/nn/
+		./internal/wire/ ./internal/core/ ./internal/costmodel/ \
+		./internal/nn/
 
 # Continuous churn: the replicated directory state machine, the cluster
 # join/depart/handoff control plane, the departed-peer teardown paths
-# (transport RemovePeer, detector Forget, raft ConfChange × snapshot ×
-# restart), the core reconfiguration seam, the closed-form
+# (detector Forget, raft ConfChange × snapshot × restart), the core
+# reconfiguration seam, the closed-form
 # directory/handoff byte accounting, and the chaos churn track with its
 # 20-seed acceptance sweep (DESIGN.md §14).
 test-churn:

@@ -21,7 +21,7 @@
 //	p2pfl-chaos -target two-layer -topology wan50 -profile wan
 //	                                           campaign on the multi-region WAN
 //	                                           latency model with pre-vote,
-//	                                           check-quorum, leases and RTT-tuned
+//	                                           check-quorum and RTT-tuned
 //	                                           timeouts armed
 //	p2pfl-chaos -track byzantine -seed 11      Byzantine oracle rounds on any
 //	                                           campaign (robustness, detection,

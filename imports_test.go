@@ -1,10 +1,13 @@
 package repro
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os/exec"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -79,4 +82,201 @@ func importsOf(t *testing.T, path string) []string {
 		out = append(out, p)
 	}
 	return out
+}
+
+// kept lists the functions under internal/ that no program links and
+// that stay anyway, each with its reason. Three kinds of reason are
+// admitted, and the reason's prefix says which: a reference
+// implementation a test compares the shipped path against, a helper
+// another package's tests call, and a function an open ROADMAP item
+// names. Anything else arrives with its caller.
+var kept = func() map[string]string {
+	m := map[string]string{}
+	keep := func(reason string, names ...string) {
+		for _, name := range names {
+			m["repro/internal/"+name] = reason
+		}
+	}
+	keep("reference: the lowered conv/matmul path nn's conv oracle, FuzzConvDifferential and tensor's kernel tests hold the direct kernels to",
+		"tensor.MatMul", "tensor.MatMulTransA", "tensor.MatMulTransAInto", "tensor.MatMulTransB", "tensor.Transpose",
+		"tensor.Im2Col", "tensor.Im2ColInto", "tensor.Im2ColShape", "tensor.Col2Im", "tensor.Col2ImInto")
+	keep("reference: the delta block layout compress.Config.MessageBytes charges for, pinned by the delta_* goldens and len(encoding) == closed form",
+		"wire.appendQuantBlock", "wire.readQuantBlock", "wire.appendSparseBlock", "wire.readSparseBlock")
+	keep("reference: the buffered decoder the streaming MeshDecoder is differentially tested and fuzzed against",
+		"wire.DecodeMeshPayload")
+	keep("reference: what every divider test and fuzz target sums shares back with",
+		"secretshare.Reconstruct")
+	keep("test helper: internal/sac's reference engine divides through Divider.Divide",
+		"secretshare.ScalarDivider.Divide")
+	keep("test helper: internal/nn's and internal/optim's tests build, index and compare tensors with it",
+		"tensor.FromSlice", "tensor.MustFromSlice", "tensor.(*Tensor).Clone", "tensor.(*Tensor).At", "tensor.(*Tensor).Set",
+		"tensor.(*Tensor).offset", "tensor.(*Tensor).Sum", "tensor.(*Tensor).Norm2", "tensor.Equal", "tensor.AllClose")
+	keep("roadmap item 5: the mask divider is what seeded shares start from",
+		"secretshare.MaskDivider.Name", "secretshare.MaskDivider.Divide", "secretshare.MaskDivider.DivideInto")
+	// The floor lets one PR retire only a few tests, and each of these is
+	// pinned by tests of its own: ROADMAP item 2 lists them as the rest of
+	// PR 20's sweep, to be deleted with those tests.
+	keep("roadmap item 2: unlinked substrate still to delete, with the tests that pin it",
+		"nn.NewBatchNorm2D", "nn.(*BatchNorm2D).Name", "nn.(*BatchNorm2D).Params", "nn.(*BatchNorm2D).Forward", "nn.(*BatchNorm2D).Backward",
+		"nn.(*Model).schema", "nn.(*Model).restore", "nn.(*Model).Save", "nn.(*Model).Load", "nn.(*Model).SaveQuantized", "nn.(*Model).AppendCheckpoint",
+		"wire.QuantCheckpointPayloadSize", "wire.QuantCheckpointFrameSize", "wire.AppendQuantCheckpointFrame",
+		"wire.DecodeQuantCheckpointPayload", "wire.ReadQuantCheckpointFrame",
+		"optim.NewSGD", "optim.(*SGD).Name", "optim.(*SGD).Step", "optim.(*Adam).Reset",
+		"dp.Laplace.Name", "dp.Laplace.Perturb", "dp.sign",
+		"dataset.PartitionDirichlet", "dataset.dirichlet", "dataset.gammaSample",
+		"fl.NewConfusionMatrix", "fl.(*ConfusionMatrix).Add", "fl.(*ConfusionMatrix).Accuracy", "fl.(*ConfusionMatrix).PerClassRecall",
+		"fl.(*ConfusionMatrix).String", "fl.Confusion",
+		"telemetry.Diff", "costmodel.QuantBlockBytes", "costmodel.SparseBlockBytes",
+		"core.(*Config).PeerSubgroup", "core.(*MultiLayerTopology).Subgroups",
+		"tensor.SameShape", "tensor.Add", "tensor.Sub", "tensor.Mul", "tensor.Scaled", "tensor.(*Tensor).AddInPlace",
+		"tensor.(*Tensor).SubInPlace", "tensor.(*Tensor).Scale", "tensor.(*Tensor).Apply", "tensor.(*Tensor).Max", "tensor.(*Tensor).ArgMax")
+	return m
+}()
+
+// TestEveryFunctionShipsInAProgram is the guard behind "serve the
+// traffic that exists": every function declared under internal/ is
+// linked into at least one main package (cmd/*, examples/*, bench), or
+// is in kept with a reason. It asks the linker rather than a grep:
+// each program is built with inlining off, so a called function
+// survives as a symbol, and the union of `go tool nm` is compared with
+// the parsed declarations.
+func TestEveryFunctionShipsInAProgram(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds every main package")
+	}
+	linked := linkedInternalFuncs(t)
+	declared := declaredInternalFuncs(t)
+	if len(linked) < 500 || len(declared) < 500 {
+		t.Fatalf("found %d linked and %d declared functions; the guard is not looking at the tree", len(linked), len(declared))
+	}
+	t.Logf("%d functions declared under internal/, %d of them in kept", len(declared), len(kept))
+	var unreached []string
+	for name, pos := range declared {
+		if !linked[name] && kept[name] == "" {
+			unreached = append(unreached, pos+": "+name)
+		}
+	}
+	slices.Sort(unreached)
+	for _, u := range unreached {
+		t.Errorf("%s is linked into no program: delete it, or ship its caller with it", u)
+	}
+	for name, reason := range kept {
+		if !strings.HasPrefix(reason, "reference: ") && !strings.HasPrefix(reason, "test helper: ") && !strings.HasPrefix(reason, "roadmap item ") {
+			t.Errorf("kept entry %s: reason %q is none of the three admitted kinds", name, reason)
+		}
+		switch {
+		case declared[name] == "":
+			t.Errorf("kept entry %s no longer exists; drop it", name)
+		case linked[name]:
+			t.Errorf("kept entry %s is now linked into a program; drop it", name)
+		}
+	}
+}
+
+// linkedInternalFuncs builds every main package of the module with
+// inlining off and returns the repro/internal/ function symbols their
+// binaries contain, closures, method values, go/defer wrappers and
+// generic instantiations folded into the declaring function.
+func linkedInternalFuncs(t *testing.T) map[string]bool {
+	t.Helper()
+	out, err := exec.Command("go", "list", "-f", `{{if eq .Name "main"}}{{.ImportPath}}{{end}}`, "./...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	mains := strings.Fields(string(out))
+	if len(mains) < 10 {
+		t.Fatalf("found only %d main packages: %v", len(mains), mains)
+	}
+	suffix := regexp.MustCompile(`(\.func\d+|\.gowrap\d+|\.deferwrap\d+|-fm|\.\d+)+$`)
+	linked := map[string]bool{}
+	dir := t.TempDir()
+	for i, pkg := range mains {
+		bin := filepath.Join(dir, strconv.Itoa(i))
+		if out, err := exec.Command("go", "build", "-gcflags=all=-l", "-o", bin, pkg).CombinedOutput(); err != nil {
+			t.Fatalf("go build %s: %v\n%s", pkg, err, out)
+		}
+		syms, err := exec.Command("go", "tool", "nm", bin).Output()
+		if err != nil {
+			t.Fatalf("go tool nm %s: %v", pkg, err)
+		}
+		for _, line := range strings.Split(string(syms), "\n") {
+			f := strings.SplitN(strings.TrimSpace(line), " ", 3)
+			if len(f) == 3 && (f[1] == "T" || f[1] == "t") && strings.HasPrefix(f[2], "repro/internal/") {
+				linked[suffix.ReplaceAllString(dropTypeArgs(f[2]), "")] = true
+			}
+		}
+	}
+	return linked
+}
+
+// dropTypeArgs removes the bracketed instantiation from a generic
+// symbol: readOne[go.shape.struct { Names []string }] is readOne.
+func dropTypeArgs(sym string) string {
+	open := strings.IndexByte(sym, '[')
+	if open < 0 {
+		return sym
+	}
+	depth := 0
+	for i := open; i < len(sym); i++ {
+		switch sym[i] {
+		case '[':
+			depth++
+		case ']':
+			if depth--; depth == 0 {
+				return sym[:open] + dropTypeArgs(sym[i+1:])
+			}
+		}
+	}
+	return sym[:open]
+}
+
+// declaredInternalFuncs maps every function and method with a body in
+// a non-test file under internal/ (init excepted: the runtime calls
+// it) to its position, under the name the linker gives it.
+func declaredInternalFuncs(t *testing.T) map[string]string {
+	t.Helper()
+	declared := map[string]string{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := "repro/" + filepath.ToSlash(filepath.Dir(path))
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil || (fn.Recv == nil && fn.Name.Name == "init") {
+				continue
+			}
+			name := fn.Name.Name
+			if fn.Recv != nil {
+				name = recvName(fn.Recv.List[0].Type) + "." + name
+			}
+			declared[pkg+"."+name] = fset.Position(fn.Pos()).String()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return declared
+}
+
+// recvName spells a receiver type as the linker does: T or (*T), type
+// parameters dropped.
+func recvName(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.StarExpr:
+		return "(*" + recvName(e.X) + ")"
+	case *ast.IndexExpr:
+		return recvName(e.X)
+	case *ast.IndexListExpr:
+		return recvName(e.X)
+	case *ast.Ident:
+		return e.Name
+	}
+	return "?"
 }

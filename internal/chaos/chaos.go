@@ -307,16 +307,18 @@ type Campaign struct {
 	// begins (default 30 s virtual).
 	ReconvergeBoundUs int64 `json:"reconverge_bound_us,omitempty"`
 
-	// ExtraCheckers run at every check interval and at quiesce on top of
-	// the built-in invariants. Not serialized into replay files — a test
-	// that injects a checker re-attaches it after LoadReplay.
-	ExtraCheckers []Checker `json:"-"`
+	// extraCheckers run at every check interval and at quiesce on top of
+	// the built-in invariants. It is this package's test seam, not an
+	// option: the minimiser and replay tests need a verdict to minimise,
+	// and no built-in invariant fails on demand. Never in a replay file —
+	// a test that injects a checker re-attaches it after LoadReplay.
+	extraCheckers []Checker
 
 	// Telemetry, when non-nil, is threaded into every raft node, the
 	// two-layer cluster, and the SAC rounds the campaign runs, with its
 	// clock pinned to the campaign's virtual time — so identical seeds
-	// yield byte-identical snapshots. Like ExtraCheckers it is code, not
-	// schedule, and is not serialized into replay files.
+	// yield byte-identical snapshots. It is code, not schedule, and is
+	// not serialized into replay files.
 	Telemetry *telemetry.Registry `json:"-"`
 }
 

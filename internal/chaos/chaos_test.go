@@ -112,7 +112,7 @@ func TestBrokenInvariantCaughtMinimizedReplayed(t *testing.T) {
 		return out
 	})
 	c := Campaign{Seed: 5, Steps: 24, Mix: CrashHeavyMix, Nodes: 5, SACRounds: -1,
-		ExtraCheckers: []Checker{lowTerm}}
+		extraCheckers: []Checker{lowTerm}}
 
 	full := c.Generate()
 	rep := c.Execute(full)
@@ -149,7 +149,7 @@ func TestBrokenInvariantCaughtMinimizedReplayed(t *testing.T) {
 		t.Fatal("replay file did not round-trip the schedule")
 	}
 	// Checkers are code, not data: re-attach before re-executing.
-	rc.ExtraCheckers = []Checker{lowTerm}
+	rc.extraCheckers = []Checker{lowTerm}
 	again := rc.Execute(ractions)
 	if again.Passed() {
 		t.Fatal("replayed schedule did not reproduce the failure")

@@ -13,8 +13,8 @@ import (
 // TestTwoLayerCampaignPerProfile runs full two-layer fault campaigns
 // under each non-paper profile (TestTwoLayerCampaign covers paper): lan
 // against the flapping mix its detector exists for, wan on the wan50
-// topology — leases and the RTT tuner armed on the whole cluster while
-// faults land. The last two rows pin schedules that used to fail:
+// topology — the raft flags and the RTT tuner armed on the whole cluster
+// while faults land. The last two rows pin schedules that used to fail:
 //
 //   - wan, seed 15: three peers joined the FedAvg layer and crashed
 //     before their fed nodes' first Pump; simnet refused to restart a

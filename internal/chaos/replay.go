@@ -8,8 +8,7 @@ import (
 )
 
 // replayFile is the on-disk format: the campaign configuration plus the
-// exact schedule that produced a verdict. ExtraCheckers are code, not
-// data — a test that injected one re-attaches it after LoadReplay.
+// exact schedule that produced a verdict.
 type replayFile struct {
 	Campaign Campaign `json:"campaign"`
 	Actions  []Action `json:"actions"`

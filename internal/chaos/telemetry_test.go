@@ -53,7 +53,7 @@ func telemetryCampaign(seed int64, reg *telemetry.Registry) Campaign {
 func TestChaosTelemetryCampaign(t *testing.T) {
 	reg := telemetry.New()
 	c := telemetryCampaign(11, reg)
-	c.ExtraCheckers = []Checker{&counterMonotonicityChecker{reg: reg, last: map[string]int64{}}}
+	c.extraCheckers = []Checker{&counterMonotonicityChecker{reg: reg, last: map[string]int64{}}}
 	rep := c.Run()
 	if !rep.Passed() {
 		for _, v := range rep.Violations {

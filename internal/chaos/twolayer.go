@@ -277,7 +277,7 @@ func (w *twWorld) sweep() {
 	w.led.checkLogMatching(now, "fed", fedNodes)
 	w.led.checkCommittedAgreement(now, "fed", fedNodes)
 	w.checkHealth()
-	w.led.runExtra(w.c.ExtraCheckers, w.view())
+	w.led.runExtra(w.c.extraCheckers, w.view())
 }
 
 // checkHealth screens detector verdicts issued since the last sweep

@@ -24,7 +24,7 @@ import (
 // point of the track is the contrast the acceptance test pins: with the
 // paper profile's 50-tick timeouts the 50 ms topology's lognormal
 // jitter tail fires spurious elections, while the wan profile
-// (pre-vote, check-quorum, leases, RTT-tuned timeouts) keeps the same
+// (pre-vote, check-quorum, RTT-tuned timeouts) keeps the same
 // 20 seeds perfectly quiet.
 
 // Phases of a stability run, in virtual time. Leader election, tuner
@@ -120,8 +120,7 @@ func (r *StabilityReport) Passed() bool { return len(r.Violations) == 0 }
 
 // NewWANStabilityChecker builds the wan-stability invariant over a
 // steady-state baseline: no live node may be campaigning (Candidate)
-// and no live node's term may exceed baselineTerm. It is exported as a
-// Checker so chaos campaigns can attach it via ExtraCheckers too.
+// and no live node's term may exceed baselineTerm.
 func NewWANStabilityChecker(baselineTerm uint64) Checker {
 	return NewChecker("wan-stability", func(v View) []string {
 		var out []string

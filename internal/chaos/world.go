@@ -287,7 +287,7 @@ func (w *kvWorld) sweep() {
 		}
 	}
 	w.led.checkLogMatching(now, "raft", nodes)
-	w.led.runExtra(w.c.ExtraCheckers, groupView(w.sim, w.g, "raft"))
+	w.led.runExtra(w.c.extraCheckers, groupView(w.sim, w.g, "raft"))
 }
 
 // executeRaftKV runs one schedule against a fresh raft-kv world and

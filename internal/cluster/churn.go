@@ -61,9 +61,6 @@ const (
 // would register their transport address here).
 func peerAddr(id uint64) string { return fmt.Sprintf("peer-%d:7100", id) }
 
-// Addr returns the peer's directory-registered address.
-func (p *Peer) Addr() string { return p.addr }
-
 // Model returns the peer's local model vector (nil until SetModel).
 func (p *Peer) Model() []float64 { return p.model }
 

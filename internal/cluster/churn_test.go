@@ -143,7 +143,7 @@ func TestDepartPeerGraceful(t *testing.T) {
 	}
 	// Every remaining detector forgot the departed peer.
 	for _, id := range s.PeerIDs() {
-		if det := s.Peer(id).Detector(); det != nil {
+		if det := s.Peer(id).det; det != nil {
 			if _, known := det.State(target); known {
 				t.Fatalf("peer %d's detector still tracks departed %d", id, target)
 			}

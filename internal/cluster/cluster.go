@@ -219,18 +219,10 @@ func (p *Peer) FedStatus() (raft.Status, bool) {
 	return p.fedHost.Node.Status(), true
 }
 
-// ElectionTicks returns the peer's subgroup node's current election
-// timeout band — the stock Options band until the AutoTune loop retunes
-// it from observed RTTs.
-func (p *Peer) ElectionTicks() (min, max int) { return p.subHost.Node.ElectionTicks() }
-
 // IsSubgroupLeader reports whether the peer currently leads its subgroup.
 func (p *Peer) IsSubgroupLeader() bool {
 	return !p.Down() && p.subHost.Node.State() == raft.Leader
 }
-
-// FedConfig returns the peer's view of the FedAvg-layer membership.
-func (p *Peer) FedConfig() []uint64 { return append([]uint64(nil), p.fedConfig...) }
 
 // System is a running two-layer Raft deployment on a simulator.
 type System struct {
@@ -482,9 +474,6 @@ func (s *System) startAutoTune() {
 	}
 	s.Sim.Schedule(AutoTuneInterval, loop)
 }
-
-// NumPeers returns the total peer count.
-func (s *System) NumPeers() int { return len(s.peers) }
 
 // Peer returns the peer with the given ID, or nil.
 func (s *System) Peer(id uint64) *Peer { return s.peers[id] }

@@ -46,8 +46,8 @@ func TestOptionsValidation(t *testing.T) {
 
 func TestBootstrapFormsBothLayers(t *testing.T) {
 	s := mustBootstrap(t, paperOpts(50, 1))
-	if s.NumPeers() != 25 {
-		t.Fatalf("peers = %d", s.NumPeers())
+	if len(s.peers) != 25 {
+		t.Fatalf("peers = %d", len(s.peers))
 	}
 	for g := 0; g < 5; g++ {
 		l := s.SubgroupLeader(g)
@@ -81,13 +81,13 @@ func TestConfigCommittedToSubgroups(t *testing.T) {
 	s := mustBootstrap(t, paperOpts(50, 2))
 	// Let a few config-commit intervals pass.
 	s.Sim.RunFor(500 * simnet.Millisecond)
-	for id, want := 1, len(s.FedAvgMembers()); id <= s.NumPeers(); id++ {
+	for id, want := 1, len(s.FedAvgMembers()); id <= len(s.peers); id++ {
 		p := s.Peer(uint64(id))
 		if p.Down() {
 			continue
 		}
-		if len(p.FedConfig()) != want {
-			t.Fatalf("peer %d knows %d FedAvg members, want %d", id, len(p.FedConfig()), want)
+		if len(p.fedConfig) != want {
+			t.Fatalf("peer %d knows %d FedAvg members, want %d", id, len(p.fedConfig), want)
 		}
 	}
 }
@@ -236,8 +236,8 @@ func TestUnevenSizes(t *testing.T) {
 		Latency:         15 * simnet.Millisecond,
 		Seed:            7,
 	})
-	if s.NumPeers() != 10 {
-		t.Fatalf("peers = %d", s.NumPeers())
+	if len(s.peers) != 10 {
+		t.Fatalf("peers = %d", len(s.peers))
 	}
 	if got := len(s.SubgroupPeers(2)); got != 4 {
 		t.Fatalf("subgroup 2 size = %d", got)

@@ -13,7 +13,7 @@ import (
 // frame of each raft identity p runs (subgroup, and FedAvg layer for a
 // member), computed by the codec's size functions, not by encoding.
 func handoffSize(p *Peer) int {
-	n := wire.CheckpointFrameSize(wire.Checkpoint{Names: []string{"model"}, Weights: p.Model()}) +
+	n := wire.HeaderSize + wire.CheckpointPayloadSize(wire.Checkpoint{Names: []string{"model"}, Weights: p.Model()}) +
 		wire.RaftStateFrameSize(p.subHost.Node.Persist())
 	if p.fedHost != nil {
 		n += wire.RaftStateFrameSize(p.fedHost.Node.Persist())

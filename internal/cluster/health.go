@@ -47,10 +47,6 @@ func (s *System) HealthTransitions() []HealthTransition {
 	return append([]HealthTransition(nil), s.healthTrans...)
 }
 
-// Detector exposes the peer's failure detector (nil unless the profile
-// runs one).
-func (p *Peer) Detector() *health.Detector { return p.det }
-
 // setupDetector builds peer p's detector over its subgroup co-members.
 // The watch set starts empty: before a first leader exists nobody emits
 // regular traffic, so there is no one to legitimately judge.

@@ -147,7 +147,7 @@ func TestDetectorSteadyStateQuiet(t *testing.T) {
 		t.Fatal("detectors not converged in steady state")
 	}
 	for _, id := range s.PeerIDs() {
-		if s.Peer(id).Detector() == nil {
+		if s.Peer(id).det == nil {
 			t.Fatalf("peer %d has no detector", id)
 		}
 	}

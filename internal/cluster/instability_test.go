@@ -34,9 +34,9 @@ func TestShortTimeoutsCauseInstability(t *testing.T) {
 			}
 		}
 		sim.RunFor(3 * simnet.Second)
-		for _, h := range g.Hosts() {
-			if h.Node.Term() > maxTerm {
-				maxTerm = h.Node.Term()
+		for _, id := range g.IDs() {
+			if term := g.Host(id).Node.Term(); term > maxTerm {
+				maxTerm = term
 			}
 		}
 		return maxTerm, g.Leader() != raft.None

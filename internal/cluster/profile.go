@@ -31,9 +31,9 @@ const (
 // mechanisms is what a profile switches on. The profiles table below is
 // the one place they are named together.
 type mechanisms struct {
-	preVote, checkQuorum, leaderLease bool // raft.Config flags
-	autoTune                          bool // health.Tuning feedback loop
-	detector                          bool // health.Detector + proactive recovery
+	preVote, checkQuorum bool // raft.Config flags
+	autoTune             bool // health.Tuning feedback loop
+	detector             bool // health.Detector + proactive recovery
 }
 
 var profiles = [...]struct {
@@ -42,7 +42,7 @@ var profiles = [...]struct {
 }{
 	Paper: {name: "paper"},
 	LAN:   {name: "lan", mechanisms: mechanisms{detector: true}},
-	WAN:   {name: "wan", mechanisms: mechanisms{preVote: true, checkQuorum: true, leaderLease: true, autoTune: true}},
+	WAN:   {name: "wan", mechanisms: mechanisms{preVote: true, checkQuorum: true, autoTune: true}},
 }
 
 // ParseProfile resolves a profile name (paper | lan | wan).
@@ -81,7 +81,7 @@ func (p *Profile) UnmarshalText(b []byte) (err error) {
 // Raft stamps the profile's protocol flags onto one node's config.
 func (p Profile) Raft(cfg raft.Config) raft.Config {
 	m := profiles[p].mechanisms
-	cfg.PreVote, cfg.CheckQuorum, cfg.LeaderLease = m.preVote, m.checkQuorum, m.leaderLease
+	cfg.PreVote, cfg.CheckQuorum = m.preVote, m.checkQuorum
 	return cfg
 }
 

@@ -15,10 +15,10 @@ import (
 // the kind's RNG stream, and the snapshot hook exactly on subgroup nodes
 // with compaction enabled.
 func TestRaftConfigRecipe(t *testing.T) {
-	flags := map[Profile][3]bool{ // PreVote, CheckQuorum, LeaderLease
-		Paper: {false, false, false},
-		LAN:   {false, false, false},
-		WAN:   {true, true, true},
+	flags := map[Profile][2]bool{ // PreVote, CheckQuorum
+		Paper: {false, false},
+		LAN:   {false, false},
+		WAN:   {true, true},
 	}
 	kinds := []struct {
 		name   string
@@ -50,7 +50,7 @@ func TestRaftConfigRecipe(t *testing.T) {
 			}
 			for _, k := range kinds {
 				cfg := s.raftConfig(s.Peer(id), k.kind, peers)
-				if got := [3]bool{cfg.PreVote, cfg.CheckQuorum, cfg.LeaderLease}; got != want {
+				if got := [2]bool{cfg.PreVote, cfg.CheckQuorum}; got != want {
 					t.Errorf("%v %s: raft flags %v, want %v", profile, k.name, got, want)
 				}
 				if cfg.ID != id || !reflect.DeepEqual(cfg.Peers, peers) ||

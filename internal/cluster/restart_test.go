@@ -42,8 +42,8 @@ func TestRestartedFollowerRejoins(t *testing.T) {
 	if p.Down() {
 		t.Fatal("peer still down after restart")
 	}
-	if len(p.FedConfig()) != len(s.FedAvgMembers()) {
-		t.Fatalf("rejoined peer knows %d FedAvg members, want %d", len(p.FedConfig()), len(s.FedAvgMembers()))
+	if len(p.fedConfig) != len(s.FedAvgMembers()) {
+		t.Fatalf("rejoined peer knows %d FedAvg members, want %d", len(p.fedConfig), len(s.FedAvgMembers()))
 	}
 }
 

@@ -17,7 +17,7 @@ func TestSubgroupLogsStayBounded(t *testing.T) {
 	// ~300 config commits per subgroup leader.
 	s.Sim.RunFor(6 * simnet.Second)
 
-	for id := 1; id <= s.NumPeers(); id++ {
+	for id := 1; id <= len(s.peers); id++ {
 		p := s.Peer(uint64(id))
 		logLen := len(p.subHost.Node.Log())
 		if logLen > 3*opts.SnapshotThreshold {
@@ -27,9 +27,9 @@ func TestSubgroupLogsStayBounded(t *testing.T) {
 	}
 	// Compaction must not have broken the configuration tracking.
 	want := len(s.FedAvgMembers())
-	for id := 1; id <= s.NumPeers(); id++ {
+	for id := 1; id <= len(s.peers); id++ {
 		p := s.Peer(uint64(id))
-		if len(p.FedConfig()) != want {
+		if len(p.fedConfig) != want {
 			t.Fatalf("peer %d lost the FedAvg config after compaction", id)
 		}
 	}

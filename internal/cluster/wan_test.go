@@ -36,7 +36,7 @@ func TestWANClusterTunesElectionBands(t *testing.T) {
 
 	tuned := 0
 	for _, id := range s.PeerIDs() {
-		min, max := s.Peer(id).ElectionTicks()
+		min, max := s.Peer(id).subHost.Node.ElectionTicks()
 		if min <= 0 || max <= min {
 			t.Fatalf("peer %d: degenerate band [%d,%d]", id, min, max)
 		}
@@ -78,7 +78,7 @@ func TestWANClusterFailoverRespectsTunedTimeouts(t *testing.T) {
 	}
 
 	tunedElapsed, old, leader, topo := failover(WAN)
-	bound := 10 * topo.RTT(leader, old)
+	bound := 10 * (topo.LinkOf(leader, old).Delay + topo.LinkOf(old, leader).Delay)
 	if tunedElapsed < bound {
 		t.Errorf("tuned cluster elected %d over %d in %v ms, faster than 10×RTT = %v ms",
 			leader, old, tunedElapsed.Ms(), bound.Ms())

@@ -6,9 +6,10 @@ import (
 	"repro/internal/wire"
 )
 
-// The encode benchmarks time quantize/sparsify + framing; SetBytes is the
-// frame size, so MB/s is wire throughput. The frame-size ratios
-// themselves are asserted by wire's TestQuantSizeAdvantage.
+// The encode benchmarks time quantize/sparsify (the float64 one, framing
+// a mesh message); SetBytes is the encoded size, so MB/s is output
+// throughput. The size ratios themselves are asserted by wire's
+// TestQuantSizeAdvantage.
 
 const benchDim = 100_000
 
@@ -32,15 +33,13 @@ func benchmarkEncodeQuant(b *testing.B, width int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	buf := wire.AppendQuantFrame(nil, benchEnv, q)
-	b.SetBytes(int64(len(buf)))
+	b.SetBytes(int64(wire.QuantBlockSize(width, len(q.Q))))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q, _, err = Quantize(w, width, q.Q)
 		if err != nil {
 			b.Fatal(err)
 		}
-		buf = wire.AppendQuantFrame(buf[:0], benchEnv, q)
 	}
 }
 
@@ -54,15 +53,13 @@ func benchmarkEncodeSparse(b *testing.B, frac float64, width int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	buf := wire.AppendSparseFrame(nil, benchEnv, s)
-	b.SetBytes(int64(len(buf)))
+	b.SetBytes(int64(wire.SparseBlockSize(width, len(s.Idx))))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, _, err = Sparsify(w, k, width)
 		if err != nil {
 			b.Fatal(err)
 		}
-		buf = wire.AppendSparseFrame(buf[:0], benchEnv, s)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package compress implements deterministic lossy compression for model
 // delta vectors: fixed-point quantization (int8/int16 steps against a
 // per-tensor scale) and top-k sparsification (only the k
-// largest-magnitude coordinates travel), in the wire-codec block
-// layouts of internal/wire (KindDeltaQuant / KindDeltaSparse).
+// largest-magnitude coordinates travel), in the block layouts of
+// internal/wire (delta.go).
 //
 // The paper's cost model charges every distribution message 8·|w| bytes
 // because the transports ship full-fat float64 vectors; these kernels
@@ -124,8 +124,8 @@ func Quantize(w []float64, width int, q []int16) (wire.QuantDelta, Bound, error)
 
 // Dequantize reconstructs a quantized block into dst (reused when its
 // capacity suffices), fanning the elementwise scale-multiply out over
-// the worker pool. It is the pooled equivalent of wire.QuantDelta.Dense
-// and bit-identical to it at any worker count.
+// the worker pool: element i is q.Scale·q.Q[i], bit-identical at any
+// worker count.
 func Dequantize(q wire.QuantDelta, dst []float64) []float64 {
 	if cap(dst) < len(q.Q) {
 		dst = make([]float64, len(q.Q))

@@ -237,11 +237,11 @@ func TestEmptyAndAllZero(t *testing.T) {
 }
 
 // TestConfigMessageBytes cross-checks the closed-form accounting against
-// the wire encoder: MessageBytes must equal the encoded block, and the
-// full frame must equal wire's frame-size closed forms.
+// what Compress produced: MessageBytes, computed from the dimension
+// alone, must equal the block size of the delta (which internal/wire's
+// tests hold equal to the length of the encoded block).
 func TestConfigMessageBytes(t *testing.T) {
 	w := randVec(1000, 5)
-	env := wire.MeshMessage{From: 0, To: 1, Kind: "fedavg/download"}
 	for _, cfg := range []Config{
 		{Scheme: Quant8}, {Scheme: Quant16},
 		{Scheme: TopK, Frac: 0.1}, {Scheme: TopKQuant8, Frac: 0.25}, {Scheme: TopKQuant16, Frac: 0.017},
@@ -252,16 +252,6 @@ func TestConfigMessageBytes(t *testing.T) {
 		}
 		if got, want := d.EncodedBytes(), cfg.MessageBytes(len(w)); got != want {
 			t.Fatalf("%v: EncodedBytes %d != MessageBytes %d", cfg, got, want)
-		}
-		frame := d.AppendFrame(nil, env)
-		wantFrame := 0
-		if d.Quant != nil {
-			wantFrame = wire.QuantFrameSize(env.Kind, d.Quant.Width, len(d.Quant.Q))
-		} else {
-			wantFrame = wire.SparseFrameSize(env.Kind, d.Sparse.Width, len(d.Sparse.Idx))
-		}
-		if len(frame) != wantFrame {
-			t.Fatalf("%v: frame %dB, closed form %dB", cfg, len(frame), wantFrame)
 		}
 		// Compression must actually compress at this dimension.
 		if d.EncodedBytes() >= int64(8*len(w)) {
@@ -282,15 +272,6 @@ func TestConfigValidateAndParse(t *testing.T) {
 	}
 	if _, err := (Config{}).Compress([]float64{1}); err == nil {
 		t.Fatal("Compress with scheme none must error")
-	}
-	for _, s := range []Scheme{None, Quant8, Quant16, TopK, TopKQuant8, TopKQuant16} {
-		got, err := ParseScheme(s.String())
-		if err != nil || got != s {
-			t.Fatalf("ParseScheme(%q) = %v, %v", s.String(), got, err)
-		}
-	}
-	if _, err := ParseScheme("zstd"); err == nil {
-		t.Fatal("unknown scheme parsed")
 	}
 	// Kept: fraction rounding, floor of 1, clamp to dim.
 	c := Config{Scheme: TopK, Frac: 0.1}

@@ -28,7 +28,7 @@ const (
 	TopKQuant16
 )
 
-// String names the scheme as used in experiment labels and flags.
+// String names the scheme as used in experiment labels.
 func (s Scheme) String() string {
 	switch s {
 	case None:
@@ -45,16 +45,6 @@ func (s Scheme) String() string {
 		return "topk-quant16"
 	}
 	return fmt.Sprintf("scheme(%d)", int(s))
-}
-
-// ParseScheme is the inverse of Scheme.String, for CLI flags.
-func ParseScheme(s string) (Scheme, error) {
-	for _, c := range []Scheme{None, Quant8, Quant16, TopK, TopKQuant8, TopKQuant16} {
-		if c.String() == s {
-			return c, nil
-		}
-	}
-	return None, fmt.Errorf("compress: unknown scheme %q", s)
 }
 
 // Config parameterizes compression of model-delta messages. The zero
@@ -124,8 +114,8 @@ func (c Config) Kept(dim int) int {
 // compressed counterpart of the 8·dim the transports charge for a
 // float64 payload (frame header and routing envelope are excluded on
 // both sides, keeping the paper's cost unit). Deterministic closed
-// form; internal/costmodel restates it and the tests cross-check all
-// three against measured wire frames.
+// form; internal/costmodel restates it and the tests cross-check both
+// against the length of the encoded block.
 func (c Config) MessageBytes(dim int) int64 {
 	switch c.Scheme {
 	case None:
@@ -183,14 +173,4 @@ func (d Delta) EncodedBytes() int64 {
 		return int64(wire.QuantBlockSize(d.Quant.Width, len(d.Quant.Q)))
 	}
 	return int64(wire.SparseBlockSize(d.Sparse.Width, len(d.Sparse.Idx)))
-}
-
-// AppendFrame appends the complete wire frame for this delta with the
-// given mesh envelope — what TCPMesh puts on the socket for one
-// compressed message.
-func (d Delta) AppendFrame(dst []byte, m wire.MeshMessage) []byte {
-	if d.Quant != nil {
-		return wire.AppendQuantFrame(dst, m, *d.Quant)
-	}
-	return wire.AppendSparseFrame(dst, m, *d.Sparse)
 }

@@ -218,9 +218,6 @@ func NewSystem(cfg Config, rng *rand.Rand) (*System, error) {
 	return &System{cfg: cfg, counter: transport.NewCounter(), rng: rng, tel: newSysTel(cfg.Telemetry)}, nil
 }
 
-// Config returns the system's configuration.
-func (s *System) Config() Config { return s.cfg }
-
 // Reconfigure applies a membership change between rounds: the subgroup
 // sizes (and per-subgroup SAC thresholds, same semantics as Config.K)
 // are replaced. The continuous-churn control plane calls this at a round

@@ -100,7 +100,7 @@ func TestFoldedEntryPointsReplayParentRounds(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				cfg := sys.Config()
+				cfg := sys.cfg
 				n := cfg.NumPeers()
 				counts := make([]float64, n)
 				for i := range counts {

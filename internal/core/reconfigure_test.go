@@ -30,7 +30,7 @@ func TestReconfigureBetweenRounds(t *testing.T) {
 	if err := sys.Reconfigure([]int{4, 2, 3}, []int{3, 2, 2}); err != nil {
 		t.Fatal(err)
 	}
-	cfg := sys.Config()
+	cfg := sys.cfg
 	if got := cfg.NumPeers(); got != 9 {
 		t.Fatalf("NumPeers = %d after reconfigure, want 9", got)
 	}
@@ -72,7 +72,7 @@ func TestReconfigureRejectsBadGeometry(t *testing.T) {
 		}
 	}
 	// The failed attempts left the old configuration in place.
-	cfg := sys.Config()
+	cfg := sys.cfg
 	if len(cfg.Sizes) != 2 || cfg.Sizes[0] != 3 || len(cfg.K) != 1 || cfg.K[0] != 2 {
 		t.Fatalf("config mutated by rejected reconfigure: %+v", cfg)
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/fl"
 	"repro/internal/nn"
 	"repro/internal/optim"
-	"repro/internal/sac"
 	"repro/internal/telemetry"
 )
 
@@ -45,21 +44,11 @@ type TrainerConfig struct {
 	Epochs       int
 	BatchSize    int
 
-	// Workers bounds how many selected clients train concurrently each
-	// round. 0 or 1 trains serially. Any value yields bit-identical
-	// results: each client owns its model, optimizer, data partition and
-	// seeded RNGs, and losses/weights are reduced in client-index order.
+	// Workers bounds how many clients train concurrently each round. 0
+	// or 1 trains serially. Any value yields bit-identical results: each
+	// client owns its model, optimizer, data partition and seeded RNGs,
+	// and losses/weights are reduced in client-index order.
 	Workers int
-
-	// ClientFraction selects the fraction of peers that train each round
-	// (Sec. III-A: the aggregate is over "randomly selected clients").
-	// Unselected peers still hold the global model and participate in
-	// SAC with a zero FedAvg weight. 0 means every peer trains.
-	ClientFraction float64
-
-	// CrashEvery, if positive, schedules one AfterShares dropout in a
-	// random subgroup every CrashEvery rounds (fault-injection runs).
-	CrashEvery int
 
 	// DP, if non-nil, perturbs each peer's update before it enters the
 	// aggregation (the paper's Sec. IV-D differential-privacy option):
@@ -167,10 +156,6 @@ func RunTraining(cfg TrainerConfig) (*Series, error) {
 	// global model has been distributed).
 	global := clients[0].Weights()
 
-	if cfg.ClientFraction < 0 || cfg.ClientFraction > 1 {
-		return nil, fmt.Errorf("core: ClientFraction %v out of [0,1]", cfg.ClientFraction)
-	}
-
 	reg := cfg.Core.Telemetry
 	clientsSelected := reg.Counter("round/clients_selected")
 
@@ -179,24 +164,9 @@ func RunTraining(cfg TrainerConfig) (*Series, error) {
 	errs := make([]error, numPeers)
 	for round := 1; round <= cfg.Rounds; round++ {
 		reg.Trace("round/start", 0, -1, telemetry.F("round", int64(round)))
-		selected := selectClients(numPeers, cfg.ClientFraction, rng)
 		models := make([][]float64, numPeers)
 		counts := make([]float64, numPeers)
-
-		// Unselected peers contribute the unchanged global vector (zero
-		// FedAvg weight), so they share `global` directly instead of
-		// round-tripping it through their model: the aggregation never
-		// mutates input vectors, and a peer's own weights are refreshed
-		// via SetWeights the next time it is selected.
-		var selIdx []int
-		for i := range clients {
-			if selected[i] {
-				selIdx = append(selIdx, i)
-			} else {
-				models[i] = global
-			}
-		}
-		clientsSelected.Add(int64(len(selIdx)))
+		clientsSelected.Add(int64(numPeers))
 
 		trainOne := func(i int) {
 			c := clients[i]
@@ -223,18 +193,15 @@ func RunTraining(cfg TrainerConfig) (*Series, error) {
 			counts[i] = float64(c.SampleCount())
 		}
 
-		// Train the selected clients, fanning out across Workers
+		// Every peer trains every round, fanning out across Workers
 		// goroutines when asked. Each client is self-contained (model,
 		// optimizer, partition, per-client and per-(round,client) RNGs),
 		// so execution order cannot affect any result; the reductions
-		// below walk selIdx in ascending client index, making parallel
+		// below walk the clients in ascending index, making parallel
 		// runs bit-identical to serial ones.
-		workers := cfg.Workers
-		if workers > len(selIdx) {
-			workers = len(selIdx)
-		}
+		workers := min(cfg.Workers, numPeers)
 		if workers <= 1 {
-			for _, i := range selIdx {
+			for i := range clients {
 				trainOne(i)
 			}
 		} else {
@@ -249,7 +216,7 @@ func RunTraining(cfg TrainerConfig) (*Series, error) {
 					}
 				}()
 			}
-			for _, i := range selIdx {
+			for i := range clients {
 				idxCh <- i
 			}
 			close(idxCh)
@@ -257,30 +224,18 @@ func RunTraining(cfg TrainerConfig) (*Series, error) {
 		}
 
 		lossSum := 0.0
-		trained := len(selIdx)
-		for _, i := range selIdx {
+		for i := range clients {
 			if errs[i] != nil {
 				return nil, errs[i]
 			}
 			lossSum += losses[i]
 		}
 
-		var crash map[int]sac.CrashPlan
-		if cfg.CrashEvery > 0 && round%cfg.CrashEvery == 0 && !cfg.Baseline {
-			// Drop one random non-leader peer in a random subgroup after
-			// it has shared (the Fig. 3 failure).
-			g := rng.Intn(len(cfg.Core.Sizes))
-			if cfg.Core.Sizes[g] > 1 {
-				victim := 1 + rng.Intn(cfg.Core.Sizes[g]-1)
-				crash = map[int]sac.CrashPlan{g: {victim: sac.AfterShares}}
-			}
-		}
-
 		var res *RoundResult
 		if cfg.Baseline {
 			res, err = sys.BaselineAggregate(models)
 		} else {
-			res, err = sys.AggregateRound(models, RoundSpec{SampleCounts: counts, Crash: crash, FedLeader: -1})
+			res, err = sys.AggregateRound(models, RoundSpec{SampleCounts: counts, FedLeader: -1})
 		}
 		if err != nil {
 			return nil, err
@@ -288,7 +243,7 @@ func RunTraining(cfg TrainerConfig) (*Series, error) {
 		global = res.Global
 		reg.Trace("round/end", 0, -1,
 			telemetry.F("round", int64(round)),
-			telemetry.F("clients", int64(len(selIdx))),
+			telemetry.F("clients", int64(numPeers)),
 			telemetry.F("bytes", res.Bytes))
 
 		if round%cfg.EvalEvery == 0 || round == cfg.Rounds {
@@ -301,33 +256,12 @@ func RunTraining(cfg TrainerConfig) (*Series, error) {
 			}
 			series.Round = append(series.Round, round)
 			series.TestAcc = append(series.TestAcc, acc)
-			series.TrainLoss = append(series.TrainLoss, lossSum/float64(trained))
+			series.TrainLoss = append(series.TrainLoss, lossSum/float64(numPeers))
 			series.Bytes = append(series.Bytes, sys.Counter().TotalBytes())
 		}
 	}
 	series.FinalGlobal = global
 	return series, nil
-}
-
-// selectClients marks the peers that train this round: all of them when
-// fraction is 0 or 1, otherwise a uniform sample of ⌈fraction·n⌉ (at
-// least one, so every round trains somebody).
-func selectClients(n int, fraction float64, rng *rand.Rand) []bool {
-	sel := make([]bool, n)
-	if fraction == 0 || fraction >= 1 {
-		for i := range sel {
-			sel[i] = true
-		}
-		return sel
-	}
-	want := int(fraction*float64(n) + 0.5)
-	if want < 1 {
-		want = 1
-	}
-	for _, i := range rng.Perm(n)[:want] {
-		sel[i] = true
-	}
-	return sel
 }
 
 // FinalAcc returns the last recorded test accuracy (0 if empty).
@@ -336,12 +270,4 @@ func (s *Series) FinalAcc() float64 {
 		return 0
 	}
 	return s.TestAcc[len(s.TestAcc)-1]
-}
-
-// FinalLoss returns the last recorded training loss (0 if empty).
-func (s *Series) FinalLoss() float64 {
-	if len(s.TrainLoss) == 0 {
-		return 0
-	}
-	return s.TrainLoss[len(s.TrainLoss)-1]
 }

@@ -89,19 +89,6 @@ func TestRunTrainingNonIID(t *testing.T) {
 	}
 }
 
-func TestRunTrainingWithCrashes(t *testing.T) {
-	cfg := tinyTrainerConfig(false, []int{3, 3}, dataset.IID, 4)
-	cfg.Core.K = []int{2} // fault-tolerant SAC
-	cfg.CrashEvery = 2
-	s, err := RunTraining(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.FinalAcc() < 0.4 {
-		t.Fatalf("accuracy with dropouts = %v", s.FinalAcc())
-	}
-}
-
 func TestRunTrainingFraction(t *testing.T) {
 	cfg := tinyTrainerConfig(false, []int{3, 3, 3, 3}, dataset.IID, 5)
 	cfg.Core.Fraction = 0.5

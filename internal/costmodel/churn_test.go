@@ -12,7 +12,7 @@ import (
 
 func TestDirectoryUpdateBytesMatchWireCodec(t *testing.T) {
 	for _, addr := range []string{"", "p:1", "peer-1234:7100", "a-much-longer-hostname.example.com:7100"} {
-		want := wire.DirectoryFrameSize(len(addr))
+		want := wire.HeaderSize + wire.DirectoryPayloadSize(len(addr))
 		got, err := DirectoryUpdateBytes(len(addr))
 		if err != nil {
 			t.Fatal(err)
@@ -57,7 +57,7 @@ func TestDirectoryChurnBytesClosedForm(t *testing.T) {
 func TestHandoffModelBytesMatchWireCodec(t *testing.T) {
 	for _, dim := range []int{0, 1, 5, 1024} {
 		w := make([]float64, dim)
-		want := wire.CheckpointFrameSize(wire.Checkpoint{
+		want := wire.HeaderSize + wire.CheckpointPayloadSize(wire.Checkpoint{
 			Names: []string{"model"}, Sizes: []int{dim}, Weights: w,
 		})
 		got, err := HandoffModelBytes(dim)

@@ -6,9 +6,9 @@ import "fmt"
 // FedAvg-layer model messages travel quantized or sparsified
 // (internal/compress), the cost unit of those messages shrinks from
 // 8·dim to the encoded block size below. The block layouts are fixed by
-// the wire codec (internal/wire KindDeltaQuant/KindDeltaSparse); these
-// formulas restate them independently so measured transport bytes, the
-// wire encoder and this model can be cross-checked three ways.
+// the wire codec (internal/wire, delta.go); these formulas restate them
+// independently so measured transport bytes, the wire encoder and this
+// model can be cross-checked three ways.
 
 // QuantBlockBytes returns the encoded size of a dense fixed-point block
 // of dim coordinates at the given quantization width (1: int8, 2:

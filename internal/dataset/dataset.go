@@ -50,12 +50,6 @@ type Spec struct {
 	Sharpness float64 // prototype contrast; default 1
 }
 
-// MNISTLike returns the spec of the MNIST substitute: 28×28 grayscale,
-// 10 classes. Sample counts are configurable; the paper uses 60k/10k.
-func MNISTLike(train, test int, seed int64) Spec {
-	return Spec{Channels: 1, Size: 28, Classes: 10, Train: train, Test: test, Noise: 0.35, Seed: seed}
-}
-
 // CIFAR10Like returns the spec of the CIFAR-10 substitute: 32×32 RGB,
 // 10 classes, with more noise (CIFAR-10 is the harder dataset).
 func CIFAR10Like(train, test int, seed int64) Spec {
@@ -197,27 +191,4 @@ func (d *Dataset) BatchInto(x *tensor.Tensor, labels []int, lo, hi int) error {
 		labels[i] = s.Label
 	}
 	return nil
-}
-
-// FlatBatch materializes samples [lo, hi) as a [hi−lo, pixels] matrix for
-// MLP-style models.
-func (d *Dataset) FlatBatch(lo, hi int) (*tensor.Tensor, []int, error) {
-	x, labels, err := d.Batch(lo, hi)
-	if err != nil {
-		return nil, nil, err
-	}
-	flat, err := x.Reshape(hi-lo, d.PixelDim())
-	if err != nil {
-		return nil, nil, err
-	}
-	return flat, labels, nil
-}
-
-// ClassCounts returns the number of samples per label.
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, d.Classes)
-	for _, s := range d.Samples {
-		counts[s.Label]++
-	}
-	return counts
 }

@@ -55,10 +55,6 @@ func TestGenerateErrors(t *testing.T) {
 }
 
 func TestMNISTAndCIFARSpecs(t *testing.T) {
-	m := MNISTLike(10, 5, 1)
-	if m.Channels != 1 || m.Size != 28 || m.Classes != 10 {
-		t.Fatalf("mnist spec = %+v", m)
-	}
 	c := CIFAR10Like(10, 5, 1)
 	if c.Channels != 3 || c.Size != 32 || c.Classes != 10 {
 		t.Fatalf("cifar spec = %+v", c)
@@ -139,13 +135,6 @@ func TestBatch(t *testing.T) {
 	}
 	if x.Data()[0] != train.Samples[2].X[0] {
 		t.Fatal("batch pixels must match sample")
-	}
-	flat, _, err := train.FlatBatch(0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flat.Rank() != 2 || flat.Dim(1) != 64 {
-		t.Fatalf("flat shape = %v", flat.Shape())
 	}
 	if _, _, err := train.Batch(5, 5); err == nil {
 		t.Fatal("want empty-range error")
@@ -335,14 +324,5 @@ func TestDistributionStringAndParse(t *testing.T) {
 	}
 	if Distribution(42).String() == "" {
 		t.Fatal("unknown distribution must still render")
-	}
-	for s, want := range map[string]Distribution{"iid": IID, "noniid5": NonIID5, "noniid0": NonIID0} {
-		got, err := ParseDistribution(s)
-		if err != nil || got != want {
-			t.Fatalf("parse %q = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseDistribution("bogus"); err == nil {
-		t.Fatal("want parse error")
 	}
 }

@@ -33,19 +33,6 @@ func (d Distribution) String() string {
 	}
 }
 
-// ParseDistribution parses "iid", "noniid5" or "noniid0".
-func ParseDistribution(s string) (Distribution, error) {
-	switch s {
-	case "iid", "IID":
-		return IID, nil
-	case "noniid5", "non-iid-5":
-		return NonIID5, nil
-	case "noniid0", "non-iid-0":
-		return NonIID0, nil
-	}
-	return 0, fmt.Errorf("dataset: unknown distribution %q", s)
-}
-
 // mainFraction returns the fraction of a peer's samples drawn from its two
 // main classes.
 func (d Distribution) mainFraction() float64 {

@@ -145,20 +145,6 @@ func (d *Directory) Subgroup(g int) []Entry {
 	return out
 }
 
-// Subgroups returns the registered subgroup indices, ascending.
-func (d *Directory) Subgroups() []int {
-	seen := make(map[int]bool)
-	for _, e := range d.entries {
-		seen[e.Subgroup] = true
-	}
-	out := make([]int, 0, len(seen))
-	for g := range seen {
-		out = append(out, g)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // ShareIndexesSound reports whether no two peers of subgroup g hold the
 // same share index — the share-index-soundness invariant. (Apply
 // maintains it by construction; the checker re-derives it from state so

@@ -89,7 +89,7 @@ func TestReplicasConvergeUnderRandomChurn(t *testing.T) {
 	if a.Checksum() != b.Checksum() {
 		t.Fatal("replicas diverged under identical update sequences")
 	}
-	for _, g := range a.Subgroups() {
+	for g := 0; g < 4; g++ { // every subgroup join() above can name
 		if !a.ShareIndexesSound(g) {
 			t.Fatalf("subgroup %d holds duplicate share indexes", g)
 		}

@@ -47,23 +47,16 @@ func (r *CostResult) Print(w io.Writer) {
 // paperWeightBytes is |w| for the paper's CNN at 32-bit floats.
 var paperWeightBytes = costmodel.WeightBytes(costmodel.PaperCNNParams, costmodel.BytesPerParam32)
 
-// measureUnits runs one real two-layer aggregation over byte-counting
-// transports with a small weight vector and converts the traffic to |w|
-// units.
-func measureUnits(sizes []int, k int, seed int64) (float64, error) {
+// measureUnits runs one real two-layer aggregation under cfg over
+// byte-counting transports with a small weight vector and converts the
+// traffic to |w| units.
+func measureUnits(cfg core.Config, seed int64) (float64, error) {
 	dim := 16
-	cfg := core.Config{Sizes: sizes}
-	if k > 0 {
-		cfg.K = []int{k}
-	}
 	sys, err := core.NewSystem(cfg, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return 0, err
 	}
-	total := 0
-	for _, s := range sizes {
-		total += s
-	}
+	total := cfg.NumPeers()
 	rng := rand.New(rand.NewSource(seed + 1))
 	models := make([][]float64, total)
 	for i := range models {
@@ -136,7 +129,7 @@ func Fig13(p Params) (*CostResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			mu, err := measureUnits(sizes, 0, p.Seed+int64(m))
+			mu, err := measureUnits(core.Config{Sizes: sizes}, p.Seed+int64(m))
 			if err != nil {
 				return nil, err
 			}
@@ -183,7 +176,7 @@ func Fig14(p Params) (*CostResult, error) {
 			}
 			var measured float64 = -1
 			if N <= 30 {
-				measured, err = measureUnits(sizes, st.k, p.Seed+int64(N))
+				measured, err = measureUnits(core.Config{Sizes: sizes, K: []int{st.k}}, p.Seed+int64(N))
 				if err != nil {
 					return nil, err
 				}

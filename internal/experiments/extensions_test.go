@@ -32,11 +32,17 @@ func TestExt1SecureUpperCost(t *testing.T) {
 	if len(res.Rows) != 12 { // 6 m values × 2 variants
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	// Secure upper always costs at least as much as plain.
+	// Secure upper always costs at least as much as plain, and every row
+	// carries the cost of a real round, equal to its closed form.
 	for i := 0; i < len(res.Rows); i += 2 {
 		plain, secure := res.Rows[i], res.Rows[i+1]
 		if secure.Units < plain.Units {
 			t.Fatalf("%s (%d) cheaper than %s (%d)", secure.Label, secure.Units, plain.Label, plain.Units)
+		}
+		for _, row := range []CostRow{plain, secure} {
+			if row.MeasuredUnits != float64(row.Units) {
+				t.Fatalf("%s: measured %.2f, closed form %d", row.Label, row.MeasuredUnits, row.Units)
+			}
 		}
 	}
 }

@@ -56,7 +56,7 @@ func TestMedianRobustToOutlier(t *testing.T) {
 	if med[0] < 0.9 || med[0] > 1.1 {
 		t.Fatalf("median %v outside honest range", med[0])
 	}
-	mean, err := UniformAverage(poisoned)
+	mean, err := WeightedAverage(poisoned, []float64{1, 1, 1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,11 @@ func TestAggregatorsAgreeOnCleanData(t *testing.T) {
 		}
 		models = append(models, m)
 	}
-	mean, _ := UniformAverage(models)
+	ones := make([]float64, len(models))
+	for i := range ones {
+		ones[i] = 1
+	}
+	mean, _ := WeightedAverage(models, ones)
 	med, _ := CoordinateMedian{}.Aggregate(models, nil)
 	trim, _ := TrimmedMean{Trim: 0.1}.Aggregate(models, nil)
 	for j := range base {

@@ -25,7 +25,7 @@ func ExampleWeightedAverage() {
 func ExampleCoordinateMedian() {
 	models := [][]float64{{1.0}, {1.1}, {0.9}, {1e9}}
 	med, _ := fl.CoordinateMedian{}.Aggregate(models, nil)
-	avg, _ := fl.UniformAverage(models)
+	avg, _ := fl.WeightedAverage(models, []float64{1, 1, 1, 1})
 	fmt.Printf("median %.2f vs mean %.0f\n", med[0], avg[0])
 	// Output: median 1.05 vs mean 250000001
 }

@@ -55,16 +55,6 @@ func WeightedAverage(models [][]float64, counts []float64) ([]float64, error) {
 	return out, nil
 }
 
-// UniformAverage averages flat weight vectors with equal weights — the
-// aggregation SAC computes (Eq. 1–3 of the paper).
-func UniformAverage(models [][]float64) ([]float64, error) {
-	counts := make([]float64, len(models))
-	for i := range counts {
-		counts[i] = 1
-	}
-	return WeightedAverage(models, counts)
-}
-
 // TrainConfig controls one local-update step.
 type TrainConfig struct {
 	Epochs    int  // paper: 1 epoch per round
@@ -166,11 +156,6 @@ func (c *Client) TrainRound() (float64, error) {
 		}
 	}
 	return totalLoss / float64(steps), nil
-}
-
-// Evaluate measures accuracy and loss of the client's model over test.
-func (c *Client) Evaluate(test *dataset.Dataset) (acc, loss float64, err error) {
-	return EvaluateModel(c.Model, test, c.Cfg.Flat)
 }
 
 // EvaluateModel measures accuracy and mean loss of model over an entire

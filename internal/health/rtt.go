@@ -70,43 +70,10 @@ func (r *RTTStats) Forget(peer uint64) {
 	r.mu.Unlock()
 }
 
-// Samples returns how many samples are currently held for a peer.
-func (r *RTTStats) Samples(peer uint64) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if ring, ok := r.rings[peer]; ok {
-		return len(ring.samples)
-	}
-	return 0
-}
-
-// Peers returns the peers with at least one sample, in ascending order.
-func (r *RTTStats) Peers() []uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]uint64, 0, len(r.rings))
-	for p := range r.rings {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of a peer's current
-// window, or ok=false with no samples. The estimator is the
-// nearest-rank order statistic at index ceil(q·(n−1)): exact, branch-
-// free and deterministic — no interpolation, so equal windows give
-// equal bytes.
-func (r *RTTStats) Quantile(peer uint64, q float64) (int64, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ring, ok := r.rings[peer]
-	if !ok || len(ring.samples) == 0 {
-		return 0, false
-	}
-	return r.quantileLocked(ring, q), true
-}
-
+// quantileLocked returns the q-quantile (0 ≤ q ≤ 1) of one peer's
+// current, non-empty window. The estimator is the nearest-rank order
+// statistic at index ceil(q·(n−1)): exact, branch-free and
+// deterministic — no interpolation, so equal windows give equal bytes.
 func (r *RTTStats) quantileLocked(ring *rttRing, q float64) int64 {
 	n := len(ring.samples)
 	r.scratch = append(r.scratch[:0], ring.samples...)

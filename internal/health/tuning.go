@@ -6,10 +6,10 @@ package health
 // guidance made adaptive: the election timeout should be an order of
 // magnitude above the broadcast time, so
 //
-//	minTicks = clamp(Multiple × RTT_q / TickUs, [MinTicks, MaxTicks])
-//	maxTicks = min(minTicks × Spread, MaxTicks × Spread)
+//	minTicks = clamp(tuneMultiple × RTT_q / TickUs, [MinTicks, tuneMaxTicks])
+//	maxTicks = minTicks × tuneSpread
 //
-// where RTT_q is the worst per-peer q-quantile over peers with enough
+// where RTT_q is the worst per-peer tuneQuantile over peers with enough
 // samples. Everything here is pure integer/float arithmetic over the
 // RTTStats windows: equal sample sequences give byte-identical bands,
 // so retuning composes with deterministic replay (and
@@ -18,65 +18,46 @@ type Tuning struct {
 	// TickUs is the raft tick duration in microseconds (the simulated
 	// fleet ticks every 1000 µs). Required, must be > 0.
 	TickUs int64
-	// Multiple scales the RTT quantile up to the minimum election
-	// timeout. Default 10 — "an order of magnitude above broadcast time".
-	Multiple float64
-	// Quantile selects which per-peer RTT order statistic to cover.
-	// Default 0.99: the band must cover jitter tails, not medians.
-	Quantile float64
-	// MinTicks / MaxTicks clamp the derived minimum timeout. Defaults
-	// 50 (the paper's LAN default — tuning never goes below stock) and
-	// 5000 (5 virtual seconds — a liveness floor even on broken links).
+	// MinTicks is the floor of the derived minimum timeout. Default 50
+	// (the paper's LAN default — tuning never goes below stock).
 	MinTicks int
-	MaxTicks int
-	// Spread is maxTicks/minTicks, preserving the paper's U(T, 2T)
-	// randomization shape. Default 2.
-	Spread float64
-	// MinSamples is how many samples a peer needs before it
-	// participates; with no peer qualified, ElectionTicks reports !ok
-	// and the caller keeps its current band. Default 16.
-	MinSamples int
 }
 
-func (t Tuning) normalized() Tuning {
-	if t.Multiple <= 0 {
-		t.Multiple = 10
-	}
-	if t.Quantile <= 0 || t.Quantile > 1 {
-		t.Quantile = 0.99
+const (
+	// tuneMultiple scales the RTT quantile up to the minimum election
+	// timeout: "an order of magnitude above broadcast time".
+	tuneMultiple = 10
+	// tuneQuantile is the per-peer RTT order statistic to cover: the
+	// band must cover jitter tails, not medians.
+	tuneQuantile = 0.99
+	// tuneMaxTicks caps the derived minimum timeout: 5 virtual seconds,
+	// a liveness floor even on broken links.
+	tuneMaxTicks = 5000
+	// tuneSpread is maxTicks/minTicks, preserving the paper's U(T, 2T)
+	// randomization shape.
+	tuneSpread = 2
+	// tuneMinSamples is how many samples a peer needs before it
+	// participates; with no peer qualified, ElectionTicks reports !ok
+	// and the caller keeps its current band.
+	tuneMinSamples = 16
+)
+
+// ElectionTicks derives the [min, max) election band from the tracker's
+// current windows. ok is false (and the returned band zero) when TickUs
+// is unset or no peer has tuneMinSamples samples yet — the caller keeps
+// its current configuration.
+func (t Tuning) ElectionTicks(r *RTTStats) (min, max int, ok bool) {
+	if t.TickUs <= 0 || r == nil {
+		return 0, 0, false
 	}
 	if t.MinTicks <= 0 {
 		t.MinTicks = 50
 	}
-	if t.MaxTicks <= t.MinTicks {
-		t.MaxTicks = 5000
-		if t.MaxTicks <= t.MinTicks {
-			t.MaxTicks = 2 * t.MinTicks
-		}
-	}
-	if t.Spread <= 1 {
-		t.Spread = 2
-	}
-	if t.MinSamples <= 0 {
-		t.MinSamples = 16
-	}
-	return t
-}
-
-// ElectionTicks derives the [min, max) election band from the tracker's
-// current windows. ok is false (and the returned band zero) when TickUs
-// is unset or no peer has MinSamples samples yet — the caller keeps its
-// current configuration.
-func (t Tuning) ElectionTicks(r *RTTStats) (min, max int, ok bool) {
-	t = t.normalized()
-	if t.TickUs <= 0 || r == nil {
-		return 0, 0, false
-	}
-	rtt, qualified := r.MaxQuantile(t.Quantile, t.MinSamples)
+	rtt, qualified := r.MaxQuantile(tuneQuantile, tuneMinSamples)
 	if qualified == 0 || rtt <= 0 {
 		return 0, 0, false
 	}
-	target := t.Multiple * float64(rtt) / float64(t.TickUs)
+	target := tuneMultiple * float64(rtt) / float64(t.TickUs)
 	min = int(target)
 	if float64(min) < target {
 		min++ // ceil: never tune *below* the multiple
@@ -84,14 +65,16 @@ func (t Tuning) ElectionTicks(r *RTTStats) (min, max int, ok bool) {
 	if min < t.MinTicks {
 		min = t.MinTicks
 	}
-	if min > t.MaxTicks {
-		min = t.MaxTicks
+	// A floor at or above the cap moves the cap: a heartbeat that slow
+	// still needs a band above it.
+	maxTicks := tuneMaxTicks
+	if maxTicks <= t.MinTicks {
+		maxTicks = 2 * t.MinTicks
 	}
-	max = int(float64(min) * t.Spread)
-	if max <= min {
-		max = min + 1
+	if min > maxTicks {
+		min = maxTicks
 	}
-	return min, max, true
+	return min, tuneSpread * min, true
 }
 
 // ElectionTimers is the part of a raft node the tuner drives.

@@ -44,7 +44,7 @@ func mixedTrace(seed int64) *RTTStats {
 }
 
 // TestTuningBandsWithinClamp: for every profile and many seeds, the
-// derived band stays inside [MinTicks, MaxTicks×Spread], is well-formed
+// derived band stays inside [MinTicks, 2×tuneMaxTicks], is well-formed
 // (min < max), and preserves the U(T, 2T) spread shape.
 func TestTuningBandsWithinClamp(t *testing.T) {
 	tun := Tuning{TickUs: 1000}
@@ -119,7 +119,7 @@ func TestTuningDeterministicPerSeed(t *testing.T) {
 
 // TestTuningRefusals: the tuner must decline — rather than emit a junk
 // band — without a tick duration, without a tracker, or before any peer
-// has MinSamples observations.
+// has tuneMinSamples observations.
 func TestTuningRefusals(t *testing.T) {
 	if _, _, ok := (Tuning{}).ElectionTicks(lanTrace(1)); ok {
 		t.Fatal("tuner produced a band with TickUs unset")
@@ -128,15 +128,15 @@ func TestTuningRefusals(t *testing.T) {
 		t.Fatal("tuner produced a band from a nil tracker")
 	}
 	thin := NewRTTStats(0)
-	for i := 0; i < 15; i++ { // one below the default MinSamples=16
+	for i := 0; i < 15; i++ { // one below tuneMinSamples = 16
 		thin.Observe(2, 50_000)
 	}
 	if _, _, ok := (Tuning{TickUs: 1000}).ElectionTicks(thin); ok {
-		t.Fatal("tuner produced a band below MinSamples")
+		t.Fatal("tuner produced a band below tuneMinSamples")
 	}
 	thin.Observe(2, 50_000)
 	if min, _, ok := (Tuning{TickUs: 1000}).ElectionTicks(thin); !ok || min != 500 {
-		t.Fatalf("tuner at exactly MinSamples: min=%d ok=%v, want 500 (10×50ms/1ms)", min, ok)
+		t.Fatalf("tuner at exactly tuneMinSamples: min=%d ok=%v, want 500 (10×50ms/1ms)", min, ok)
 	}
 }
 
@@ -184,7 +184,7 @@ func TestRTTStatsWindowAndQuantiles(t *testing.T) {
 		t.Fatalf("MaxQuantile(0.99, 1) = %d over %d peers, want 500 over 2", worst, qualified)
 	}
 	r.Reset()
-	if len(r.Peers()) != 0 {
+	if len(r.rings) != 0 {
 		t.Fatal("Reset left peers behind")
 	}
 }

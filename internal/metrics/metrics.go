@@ -105,15 +105,6 @@ func (h *Histogram) Add(x float64) {
 	}
 }
 
-// Total returns the number of added values (including out-of-range).
-func (h *Histogram) Total() int {
-	t := h.Under + h.Over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
 // Render draws an ASCII histogram with the given maximum bar width.
 func (h *Histogram) Render(width int) string {
 	if width < 1 {

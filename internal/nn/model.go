@@ -32,9 +32,6 @@ func NewModel(layers ...Layer) *Model {
 	return &Model{layers: layers}
 }
 
-// Layers returns the layer stack.
-func (m *Model) Layers() []Layer { return m.layers }
-
 // Params returns every trainable parameter in layer order. The slice is
 // computed once and cached — the layer stack never changes after
 // NewModel — so the optimizer and weight-vector hot paths don't rebuild
@@ -155,15 +152,6 @@ func (m *Model) SetWeightVector(w []float64) error {
 		off += n
 	}
 	return nil
-}
-
-// GradVector flattens every parameter gradient, mirroring WeightVector.
-func (m *Model) GradVector() []float64 {
-	out := make([]float64, 0, m.ParamCount())
-	for _, p := range m.Params() {
-		out = append(out, p.G.Data()...)
-	}
-	return out
 }
 
 // Summary returns a human-readable architecture description.

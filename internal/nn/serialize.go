@@ -96,7 +96,7 @@ func (m *Model) Load(r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("nn: load: %w", err)
 		}
-		return m.restore(cp.Names, cp.Sizes, cp.Delta.Dense(nil))
+		return m.restore(cp.Names, cp.Sizes, compress.Dequantize(cp.Delta, nil))
 	}
 	cp, err := wire.ReadCheckpointFrame(br)
 	if err != nil {

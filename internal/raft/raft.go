@@ -216,14 +216,8 @@ type Config struct {
 	// CheckQuorum makes a leader step down after a full ElectionTickMax
 	// of ticks without hearing AppendEntries responses from a quorum —
 	// a leader on the minority side of a partition stops disrupting the
-	// group (and stops serving lease reads) instead of lingering. Off by
-	// default.
+	// group instead of lingering. Off by default.
 	CheckQuorum bool
-	// LeaderLease enables lease-based ReadIndex reads: a leader that has
-	// heard from a quorum within the last ElectionTickMin ticks may
-	// serve linearizable reads at its commit index without a heartbeat
-	// round (see ReadIndex). Off by default.
-	LeaderLease bool
 
 	// SnapshotThreshold, when positive, auto-compacts the log once more
 	// than this many applied entries have accumulated since the last
@@ -300,8 +294,8 @@ type Node struct {
 	nextIndex  map[uint64]uint64
 	matchIndex map[uint64]uint64
 
-	// Check-quorum / lease state: peers heard from since the last
-	// quorum renewal, and ticks since that renewal.
+	// Check-quorum state: peers heard from since the last quorum
+	// renewal, and ticks since that renewal.
 	active        map[uint64]bool
 	quorumSilence int
 
@@ -336,7 +330,6 @@ type nodeTel struct {
 	// equal-seed snapshot and golden-file contract).
 	prevotesStarted *telemetry.Counter
 	quorumStepdowns *telemetry.Counter
-	leaseReads      *telemetry.Counter
 }
 
 func newNodeTel(reg *telemetry.Registry) nodeTel {
@@ -380,9 +373,6 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.CheckQuorum {
 		n.tel.quorumStepdowns = cfg.Telemetry.Counter("raft/quorum_stepdowns")
 	}
-	if cfg.LeaderLease {
-		n.tel.leaseReads = cfg.Telemetry.Counter("raft/lease_reads")
-	}
 	for _, p := range cfg.Peers {
 		if p == None {
 			return nil, fmt.Errorf("raft: peer ID must be non-zero")
@@ -418,9 +408,6 @@ func (n *Node) Members() []uint64 {
 	return out
 }
 
-// IsMember reports whether id is in the current configuration.
-func (n *Node) IsMember(id uint64) bool { return n.peers[id] }
-
 // LastIndex returns the index of the last entry in the log (including
 // the compacted prefix) — exposed for invariant probes (internal/chaos).
 func (n *Node) LastIndex() uint64 { return n.lastIndex() }
@@ -452,9 +439,9 @@ func (n *Node) quorum() int { return len(n.peers)/2 + 1 }
 func (n *Node) Tick() {
 	if n.state == Leader {
 		n.heartbeatElapsed++
-		if n.cfg.CheckQuorum || n.cfg.LeaderLease {
+		if n.cfg.CheckQuorum {
 			n.quorumSilence++
-			if n.cfg.CheckQuorum && n.quorumSilence >= n.cfg.ElectionTickMax {
+			if n.quorumSilence >= n.cfg.ElectionTickMax {
 				// A full maximum election timeout without hearing a
 				// quorum: any majority partition has had time to elect a
 				// replacement, so this leadership is (at best) stale.
@@ -591,9 +578,9 @@ func (n *Node) becomeLeader() {
 		n.matchIndex[p] = 0
 	}
 	n.matchIndex[n.id] = n.lastIndex()
-	if n.cfg.CheckQuorum || n.cfg.LeaderLease {
-		// A fresh leader starts with a full lease: it just heard from a
-		// quorum of voters.
+	if n.cfg.CheckQuorum {
+		// A fresh leader starts with a silent clock at zero: it just
+		// heard from a quorum of voters.
 		n.active = make(map[uint64]bool)
 		n.quorumSilence = 0
 	}
@@ -640,50 +627,6 @@ func (n *Node) ProposeConfChange(cc ConfChange) error {
 
 // ErrNotLeader is returned by proposals on non-leader nodes.
 var ErrNotLeader = fmt.Errorf("raft: not the leader")
-
-// ErrNoLease is returned by ReadIndex when the leader's lease has
-// expired: too long since a quorum acknowledged it, so a newer leader
-// may exist and a local read could be stale.
-var ErrNoLease = fmt.Errorf("raft: leader lease expired")
-
-// ErrReadIndexNotReady is returned by ReadIndex before the leader has
-// committed an entry from its own term (until the no-op commits, the
-// commit index may still move backward relative to a newer leader's log).
-var ErrReadIndexNotReady = fmt.Errorf("raft: no current-term entry committed yet")
-
-// ReadIndex returns an index at which a local read of the applied state
-// is linearizable, without a heartbeat round trip. Requires
-// Config.LeaderLease. The lease argument: a quorum acknowledged this
-// leader within the last ElectionTickMin ticks, and no other node can
-// win an election without first refusing heartbeats for at least
-// ElectionTickMin ticks, so no newer leader can have committed anything
-// yet. This assumes bounded clock (tick-rate) drift between nodes —
-// the standard lease caveat; callers that cannot accept it should use
-// the heartbeat-round ReadIndex variant instead (not needed here: the
-// simulated fleet ticks in lockstep).
-func (n *Node) ReadIndex() (uint64, error) {
-	if n.state != Leader {
-		return 0, ErrNotLeader
-	}
-	if !n.cfg.LeaderLease {
-		return 0, fmt.Errorf("raft: ReadIndex requires Config.LeaderLease")
-	}
-	if n.quorumSilence >= n.cfg.ElectionTickMin {
-		return 0, ErrNoLease
-	}
-	// Leader Completeness makes the read safe only once an entry from
-	// *this* term is committed (Raft §8; the no-op from becomeLeader).
-	if n.termAt(n.commitIndex) != n.term {
-		return 0, ErrReadIndexNotReady
-	}
-	n.tel.leaseReads.Inc()
-	return n.commitIndex, nil
-}
-
-// Applied returns the highest log index the driver has drained through
-// Ready() — the index a ReadIndex caller must wait for its state
-// machine to reach before serving the read.
-func (n *Node) Applied() uint64 { return n.applied }
 
 // ElectionTicks returns the current [min, max) election timeout band.
 func (n *Node) ElectionTicks() (min, max int) {
@@ -848,11 +791,11 @@ func (n *Node) handlePreVoteResponse(m Message) {
 	}
 }
 
-// noteActive records quorum contact for check-quorum and the leader
-// lease: once a majority of peers (counting the leader itself) has
-// responded since the last renewal, the silence clock restarts.
+// noteActive records quorum contact for check-quorum: once a majority
+// of peers (counting the leader itself) has responded since the last
+// renewal, the silence clock restarts.
 func (n *Node) noteActive(from uint64) {
-	if n.state != Leader || (!n.cfg.CheckQuorum && !n.cfg.LeaderLease) {
+	if n.state != Leader || !n.cfg.CheckQuorum {
 		return
 	}
 	if !n.peers[from] {
@@ -975,7 +918,7 @@ func (n *Node) handleAppendResponse(m Message) {
 		return
 	}
 	// Even a rejection proves the follower is alive and acknowledges our
-	// term — that is all check-quorum and the lease need.
+	// term — that is all check-quorum needs.
 	n.noteActive(m.From)
 	if m.Reject {
 		// Back up using the follower's hint and retry.
@@ -1187,12 +1130,6 @@ func (n *Node) Status() Status {
 		SnapshotIndex: n.snapIndex,
 		Members:       n.Members(),
 	}
-}
-
-// String implements fmt.Stringer for log lines.
-func (s Status) String() string {
-	return fmt.Sprintf("node %d: %s term=%d leader=%d commit=%d applied=%d last=%d snap=%d members=%v",
-		s.ID, s.State, s.Term, s.Leader, s.CommitIndex, s.Applied, s.LastIndex, s.SnapshotIndex, s.Members)
 }
 
 // HasPending reports whether the node has undrained outputs; simulation

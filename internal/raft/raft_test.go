@@ -23,8 +23,8 @@ func newCluster(t *testing.T, ids ...uint64) *cluster {
 }
 
 // newClusterCfg builds a cluster whose node configs are post-processed
-// by mutate — the hook the WAN-feature tests (pre-vote, check-quorum,
-// leases) use to arm flags without duplicating the harness.
+// by mutate — the hook the WAN-feature tests (pre-vote, check-quorum)
+// use to arm flags without duplicating the harness.
 func newClusterCfg(t *testing.T, mutate func(*Config), ids ...uint64) *cluster {
 	t.Helper()
 	c := &cluster{

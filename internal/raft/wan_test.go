@@ -1,17 +1,15 @@
 package raft
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 )
 
 // wanCfg arms the WAN-stability feature flags on a harness cluster.
-func wanCfg(prevote, checkQuorum, lease bool) func(*Config) {
+func wanCfg(prevote, checkQuorum bool) func(*Config) {
 	return func(cfg *Config) {
 		cfg.PreVote = prevote
 		cfg.CheckQuorum = checkQuorum
-		cfg.LeaderLease = lease
 	}
 }
 
@@ -43,7 +41,7 @@ func (c *cluster) sortedFollowers(lead *Node) []uint64 {
 func TestPreVoteMinorityRejoinTermStable(t *testing.T) {
 	for _, prevote := range []bool{true, false} {
 		t.Run(fmt.Sprintf("prevote=%v", prevote), func(t *testing.T) {
-			c := newClusterCfg(t, wanCfg(prevote, false, false), 1, 2, 3, 4, 5)
+			c := newClusterCfg(t, wanCfg(prevote, false), 1, 2, 3, 4, 5)
 			lead := c.waitLeader(100)
 			termBefore := lead.Term()
 
@@ -88,7 +86,7 @@ func TestPreVoteMinorityRejoinTermStable(t *testing.T) {
 func TestCheckQuorumLeaderStepsDown(t *testing.T) {
 	for _, cq := range []bool{true, false} {
 		t.Run(fmt.Sprintf("checkquorum=%v", cq), func(t *testing.T) {
-			c := newClusterCfg(t, wanCfg(false, cq, false), 1, 2, 3)
+			c := newClusterCfg(t, wanCfg(false, cq), 1, 2, 3)
 			lead := c.waitLeader(100)
 			for _, id := range c.sortedFollowers(lead) {
 				c.isolate(id)
@@ -102,118 +100,5 @@ func TestCheckQuorumLeaderStepsDown(t *testing.T) {
 				t.Fatalf("no check-quorum: leader unexpectedly stepped down to %v", lead.State())
 			}
 		})
-	}
-}
-
-// TestReadIndexUnderConcurrentWrites drives the leader-lease ReadIndex
-// through its full contract: monotone non-decreasing results that track
-// the commit index while writes race in, ErrReadIndexNotReady before a
-// current-term entry commits, ErrNoLease once a quorum has been silent
-// for ElectionTickMin ticks, and plain errors on followers and on nodes
-// without the flag.
-func TestReadIndexUnderConcurrentWrites(t *testing.T) {
-	c := newClusterCfg(t, wanCfg(true, true, true), 1, 2, 3)
-	lead := c.waitLeader(100)
-	c.flush()
-
-	// The election no-op is committed: reads are ready immediately.
-	last, err := lead.ReadIndex()
-	if err != nil {
-		t.Fatalf("ReadIndex after no-op commit: %v", err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := lead.Propose([]byte(fmt.Sprintf("w%d", i))); err != nil {
-			t.Fatal(err)
-		}
-		c.flush()
-		idx, err := lead.ReadIndex()
-		if err != nil {
-			t.Fatalf("write %d: ReadIndex: %v", i, err)
-		}
-		if idx < last {
-			t.Fatalf("write %d: ReadIndex went backwards %d → %d", i, last, idx)
-		}
-		if commit := lead.CommitIndex(); idx != commit {
-			t.Fatalf("write %d: ReadIndex %d != commit %d under quorum", i, idx, commit)
-		}
-		if app := lead.Applied(); app < idx {
-			t.Fatalf("write %d: driver drained to %d, below read index %d", i, app, idx)
-		}
-		last = idx
-	}
-
-	// Followers refuse.
-	follower := c.nodes[c.sortedFollowers(lead)[0]]
-	if _, err := follower.ReadIndex(); !errors.Is(err, ErrNotLeader) {
-		t.Fatalf("follower ReadIndex = %v, want ErrNotLeader", err)
-	}
-
-	// Cut the leader off: once a quorum has been silent ElectionTickMin
-	// ticks the lease is gone, well before check-quorum abdication.
-	for _, id := range c.sortedFollowers(lead) {
-		c.isolate(id)
-	}
-	c.run(12) // min=10 < 12 < max=20
-	if lead.State() != Leader {
-		t.Fatalf("leader abdicated before ElectionTickMax")
-	}
-	if _, err := lead.ReadIndex(); !errors.Is(err, ErrNoLease) {
-		t.Fatalf("isolated leader ReadIndex = %v, want ErrNoLease", err)
-	}
-}
-
-// TestReadIndexNotReadyBeforeNoopCommit reaches the window Raft §8 warns
-// about: a freshly elected leader whose own-term no-op has not committed
-// yet must refuse lease reads — its commit index could still be behind a
-// newer leader's log.
-func TestReadIndexNotReadyBeforeNoopCommit(t *testing.T) {
-	c := newClusterCfg(t, wanCfg(false, false, true), 1, 2, 3)
-	lead := c.waitLeader(100)
-	c.flush()
-
-	// Force a leadership change delivered by hand so the test can stop
-	// the world between "won the election" and "no-op committed".
-	next := c.nodes[c.sortedFollowers(lead)[0]]
-	next.Campaign()
-	requests := next.Ready().Messages
-	for _, m := range requests {
-		if err := c.nodes[m.To].Step(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for id, n := range c.nodes {
-		if n == next || c.down[id] {
-			continue
-		}
-		for _, m := range n.Ready().Messages {
-			if m.To != next.cfg.ID {
-				continue
-			}
-			if err := next.Step(m); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if next.State() != Leader {
-		t.Fatalf("hand-delivered election did not elect node %d", next.cfg.ID)
-	}
-	if _, err := next.ReadIndex(); !errors.Is(err, ErrReadIndexNotReady) {
-		t.Fatalf("ReadIndex before no-op commit = %v, want ErrReadIndexNotReady", err)
-	}
-
-	// Let the no-op replicate: reads become available.
-	c.flush()
-	if _, err := next.ReadIndex(); err != nil {
-		t.Fatalf("ReadIndex after no-op commit: %v", err)
-	}
-}
-
-// TestReadIndexRequiresFlag: without Config.LeaderLease the API refuses
-// outright rather than handing out unguarded reads.
-func TestReadIndexRequiresFlag(t *testing.T) {
-	c := newCluster(t, 1)
-	lead := c.waitLeader(50)
-	if _, err := lead.ReadIndex(); err == nil {
-		t.Fatal("ReadIndex without LeaderLease flag succeeded")
 	}
 }

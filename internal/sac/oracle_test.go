@@ -395,16 +395,17 @@ func oracleModels(r *rand.Rand, n int) [][]float64 {
 func runOracleCase(t *testing.T, c oracleCase, run func(transport.Network, Config, [][]float64, CrashPlan) (*Result, error)) ([]oracleOutcome, int64) {
 	t.Helper()
 	var mesh transport.Network
+	counter := transport.NewCounter()
 	wire := fnv.New64a()
 	if c.tcp {
-		m, err := transport.NewTCPMesh(c.n, nil)
+		m, err := transport.NewTCPMesh(c.n, counter)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer m.Close()
 		mesh = m
 	} else {
-		m := transport.NewMesh(c.n, nil)
+		m := transport.NewMesh(c.n, counter)
 		m.Observe(func(msg transport.Message) {
 			fmt.Fprintf(wire, "%d>%d %s %d:", msg.From, msg.To, msg.Kind, msg.ShareIdx)
 			var word [8]byte
@@ -447,7 +448,7 @@ func runOracleCase(t *testing.T, c oracleCase, run func(transport.Network, Confi
 			}
 		}
 		res, err := run(mesh, cfg, models, c.crash)
-		out = append(out, observe(res, err, mesh.Counter(), wire.Sum64()))
+		out = append(out, observe(res, err, counter, wire.Sum64()))
 	}
 	return out, cfg.Rng.Int63()
 }

@@ -745,46 +745,3 @@ func (e *engine) average(subtotals [][]float64) []float64 {
 	}
 	return avg
 }
-
-// RunWithRestart models the baseline Alg. 2 failure semantics end to end:
-// when the aggregation aborts because of a crash, it restarts from the
-// beginning with the remaining peers (the paper's Sec. II-A criticism of
-// [4] — all traffic of the failed attempt is wasted). It returns the
-// final result and the number of attempts.
-func RunWithRestart(mesh transport.Network, cfg Config, models [][]float64, crash CrashPlan) (*Result, int, error) {
-	attempts := 0
-	for {
-		attempts++
-		res, err := Run(mesh, cfg, models, crash)
-		if err == nil {
-			return res, attempts, nil
-		}
-		if !errors.Is(err, ErrAborted) {
-			return nil, attempts, err
-		}
-		// Restart with the remaining peers: re-index alive peers densely.
-		alive := mesh.AlivePeers()
-		if len(alive) < 2 {
-			return nil, attempts, ErrInsufficientPeers
-		}
-		reIndex := make(map[int]int, len(alive))
-		subModels := make([][]float64, len(alive))
-		for newID, old := range alive {
-			reIndex[old] = newID
-			subModels[newID] = models[old]
-		}
-		// Carry over crash plans that have not fired yet (a peer whose
-		// plan fired is no longer alive, so it has no new index).
-		subCrash := CrashPlan{}
-		for old, ph := range crash {
-			if newID, ok := reIndex[old]; ok {
-				subCrash[newID] = ph
-			}
-		}
-		mesh = transport.NewMesh(len(alive), mesh.Counter())
-		cfg.N, cfg.K = len(alive), len(alive)
-		cfg.Leader = 0
-		models = subModels
-		crash = subCrash
-	}
-}

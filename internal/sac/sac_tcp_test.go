@@ -16,7 +16,8 @@ func TestSACOverRealTCP(t *testing.T) {
 	const n, dim = 5, 64
 	models := randModels(r, n, dim)
 
-	mesh, err := transport.NewTCPMesh(n, nil)
+	counter := transport.NewCounter()
+	mesh, err := transport.NewTCPMesh(n, counter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestSACOverRealTCP(t *testing.T) {
 	}
 	// Cost formula holds over sockets too: 2N(N−1)|w|.
 	want := int64(2*n*(n-1)) * int64(8*dim)
-	if got := mesh.Counter().TotalBytes(); got != want {
+	if got := counter.TotalBytes(); got != want {
 		t.Fatalf("bytes = %d, want %d", got, want)
 	}
 }

@@ -227,42 +227,6 @@ func TestBroadcastAbortsOnAnyCrash(t *testing.T) {
 	}
 }
 
-func TestRunWithRestartCompletesAfterCrash(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	models := randModels(r, 4, 8)
-	mesh := transport.NewMesh(4, nil)
-	res, attempts, err := RunWithRestart(mesh, Config{N: 4, K: 4, Mode: ModeBroadcast, Rng: r}, models, CrashPlan{1: AfterShares})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if attempts != 2 {
-		t.Fatalf("attempts = %d, want 2", attempts)
-	}
-	// Restart runs with peers {0,2,3}: their models are averaged.
-	want := trueMean(models, []int{0, 2, 3})
-	if d := maxAbsDiff(res.Avg, want); d > 1e-9 {
-		t.Fatalf("average off by %v", d)
-	}
-}
-
-func TestRunWithRestartWastesTraffic(t *testing.T) {
-	// The aborted attempt's traffic must remain on the counter — the
-	// baseline's weakness the paper calls out.
-	r := rand.New(rand.NewSource(12))
-	dim := 16
-	models := randModels(r, 4, dim)
-	mesh := transport.NewMesh(4, nil)
-	_, _, err := RunWithRestart(mesh, Config{N: 4, K: 4, Mode: ModeBroadcast, Rng: r}, models, CrashPlan{1: AfterShares})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := int64(8 * dim)
-	clean := int64(2*3*2) * w // successful 3-peer run: 2·3·2·|w|
-	if got := mesh.Counter().TotalBytes(); got <= clean {
-		t.Fatalf("bytes = %d: aborted attempt's traffic missing", got)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	models := randModels(r, 3, 4)

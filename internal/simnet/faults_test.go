@@ -46,7 +46,7 @@ func TestRaftCommitsUnderLoss(t *testing.T) {
 		t.Fatal("no leader")
 	}
 	commits := map[uint64]bool{}
-	for id, h := range g.Hosts() {
+	for id, h := range g.hosts {
 		id := id
 		h.OnCommit = func(e raft.Entry) {
 			if e.Type == raft.EntryNormal && string(e.Data) == "lossy" {
@@ -73,12 +73,12 @@ func TestRaftCommitsUnderLoss(t *testing.T) {
 			}
 		}
 		sim.RunFor(2 * Second)
-		if len(commits) == len(g.Hosts()) {
+		if len(commits) == len(g.hosts) {
 			break
 		}
 	}
-	if len(commits) != len(g.Hosts()) {
-		t.Fatalf("only %d/%d hosts committed under loss", len(commits), len(g.Hosts()))
+	if len(commits) != len(g.hosts) {
+		t.Fatalf("only %d/%d hosts committed under loss", len(commits), len(g.hosts))
 	}
 }
 

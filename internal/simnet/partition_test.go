@@ -17,7 +17,7 @@ func TestPartitionMajorityElectsMinorityCannot(t *testing.T) {
 
 	// Partition the leader with one follower (minority side).
 	var partner uint64
-	for id := range g.Hosts() {
+	for id := range g.hosts {
 		if id != old {
 			partner = id
 			break
@@ -28,7 +28,7 @@ func TestPartitionMajorityElectsMinorityCannot(t *testing.T) {
 
 	// The majority side elects a new leader.
 	ok := sim.RunWhileNot(func() bool {
-		for id, h := range g.Hosts() {
+		for id, h := range g.hosts {
 			if side[id] || h.Down() {
 				continue
 			}
@@ -42,7 +42,7 @@ func TestPartitionMajorityElectsMinorityCannot(t *testing.T) {
 		t.Fatal("majority side did not elect")
 	}
 	var newLeader uint64
-	for id, h := range g.Hosts() {
+	for id, h := range g.hosts {
 		if !side[id] && h.Node.State() == raft.Leader {
 			newLeader = id
 		}
@@ -60,7 +60,7 @@ func TestPartitionMajorityElectsMinorityCannot(t *testing.T) {
 	}
 
 	// Heal: the old leader must step down and adopt the new log.
-	g.Heal()
+	g.LinkFilter = nil
 	sim.RunFor(3 * Second)
 	oldHost := g.Host(old)
 	if oldHost.Node.State() == raft.Leader && oldHost.Node.Term() <= nl.Node.Term() {
@@ -86,7 +86,7 @@ func TestMinorityCannotCommitDuringPartition(t *testing.T) {
 	sim.RunFor(200 * Millisecond)
 	old := g.Leader()
 	var partner uint64
-	for id := range g.Hosts() {
+	for id := range g.hosts {
 		if id != old {
 			partner = id
 			break

@@ -23,7 +23,7 @@ func TestHostRestartRejoins(t *testing.T) {
 
 	// Crash a follower, keep running, then restart it.
 	var victim *Host
-	for id, h := range g.Hosts() {
+	for id, h := range g.hosts {
 		if id != g.Leader() {
 			victim = h
 			break

@@ -166,13 +166,10 @@ type Group struct {
 	// Traffic accounting, in exact wire-codec frame bytes
 	// (wire.RaftFrameSize) so simulated byte counts line up with what
 	// the RaftTCP transport would put on a real socket. Offered counts
-	// every message a host handed to the network; dropped counts the
-	// subset lost to partitions, filters and random loss (the sender
-	// cannot tell, so its bytes are offered either way).
+	// every message a host handed to the network, including those lost
+	// to partitions, filters and random loss (the sender cannot tell).
 	offeredMsgs  int64
 	offeredBytes int64
-	droppedMsgs  int64
-	droppedBytes int64
 }
 
 // NewGroup creates a consensus group on sim with the given one-way
@@ -254,11 +251,8 @@ func (g *Group) Remove(id uint64) {
 // Host returns the host for id, or nil.
 func (g *Group) Host(id uint64) *Host { return g.hosts[id] }
 
-// Hosts returns all hosts (including crashed ones).
-func (g *Group) Hosts() map[uint64]*Host { return g.hosts }
-
 // IDs returns all host IDs in sorted order. Fault campaigns iterate this
-// instead of Hosts() so that target selection is deterministic.
+// rather than the host map so that target selection is deterministic.
 func (g *Group) IDs() []uint64 {
 	out := make([]uint64, 0, len(g.hosts))
 	for id := range g.hosts {
@@ -382,13 +376,10 @@ func (h *Host) noteState(st raft.State, term, leader uint64) {
 }
 
 // Partition splits the group: messages only flow between hosts on the
-// same side. Call Heal to reconnect.
+// same side. Clear LinkFilter (or Calm) to reconnect.
 func (g *Group) Partition(side map[uint64]bool) {
 	g.LinkFilter = func(from, to uint64) bool { return side[from] == side[to] }
 }
-
-// Heal removes any partition or custom link filter.
-func (g *Group) Heal() { g.LinkFilter = nil }
 
 // Calm removes every injected network fault at once: partitions, message
 // filters, loss and jitter. Fault campaigns call it when a schedule
@@ -406,29 +397,16 @@ func (g *Group) OfferedTraffic() (msgs, bytes int64) {
 	return g.offeredMsgs, g.offeredBytes
 }
 
-// DroppedTraffic returns the messages (and wire-frame bytes) lost to
-// partitions, filters and random loss before delivery was scheduled.
-func (g *Group) DroppedTraffic() (msgs, bytes int64) {
-	return g.droppedMsgs, g.droppedBytes
-}
-
 func (g *Group) deliver(m raft.Message) {
-	frame := int64(wire.RaftFrameSize(m))
 	g.offeredMsgs++
-	g.offeredBytes += frame
+	g.offeredBytes += int64(wire.RaftFrameSize(m))
 	if g.LinkFilter != nil && !g.LinkFilter(m.From, m.To) {
-		g.droppedMsgs++
-		g.droppedBytes += frame
 		return
 	}
 	if g.DropFilter != nil && g.DropFilter(m) {
-		g.droppedMsgs++
-		g.droppedBytes += frame
 		return
 	}
 	if g.LossRate > 0 && g.rng.Float64() < g.LossRate {
-		g.droppedMsgs++
-		g.droppedBytes += frame
 		return
 	}
 	var delay Duration

@@ -157,7 +157,7 @@ func TestGroupCommitPropagatesWithLatency(t *testing.T) {
 		t.Fatal("no leader")
 	}
 	commits := map[uint64]int{}
-	for id, h := range g.Hosts() {
+	for id, h := range g.hosts {
 		id := id
 		h.OnCommit = func(e raft.Entry) {
 			if e.Type == raft.EntryNormal && string(e.Data) == "x" {
@@ -171,7 +171,7 @@ func TestGroupCommitPropagatesWithLatency(t *testing.T) {
 	}
 	lead.Pump()
 	sim.RunFor(500 * Millisecond)
-	for id := range g.Hosts() {
+	for id := range g.hosts {
 		if commits[id] != 1 {
 			t.Fatalf("host %d commits = %d, want 1", id, commits[id])
 		}
@@ -182,7 +182,7 @@ func TestOnStateChangeFires(t *testing.T) {
 	sim := New()
 	g := newGroupCluster(t, sim, 3, 50, 100, 15*Millisecond, 4)
 	leaderEvents := 0
-	for _, h := range g.Hosts() {
+	for _, h := range g.hosts {
 		h.OnStateChange = func(st raft.State, term, leader uint64) {
 			if st == raft.Leader {
 				leaderEvents++
@@ -214,7 +214,7 @@ func TestRestartInsidePartitionNoResurrection(t *testing.T) {
 	// Count payload commits per host; OnCommit lives on the Host, so the
 	// hookup survives the restart below.
 	commits := map[uint64]int{}
-	for id, h := range g.Hosts() {
+	for id, h := range g.hosts {
 		id := id
 		h.OnCommit = func(e raft.Entry) {
 			if e.Type == raft.EntryNormal && len(e.Data) > 0 {
@@ -272,7 +272,7 @@ func TestRestartInsidePartitionNoResurrection(t *testing.T) {
 	}
 
 	// Heal, and the replicated entries finally arrive.
-	g.Heal()
+	g.LinkFilter = nil
 	ok := sim.RunWhileNot(func() bool { return commits[isolated] == 3 },
 		sim.Now()+Time(10*Second))
 	if !ok {

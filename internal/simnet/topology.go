@@ -11,7 +11,7 @@ import (
 // injects one uniform 15 ms delay on every link; a production fleet
 // spans regions whose pairwise delays are asymmetric (routing is not)
 // and whose jitter is heavy-tailed (queueing is lognormal-ish, not
-// uniform). A Topology names regions, assigns hosts to them, and gives
+// uniform). A Topology names regions, places hosts on them, and gives
 // every ordered region pair its own base delay and jitter distribution.
 // Groups without a Topology keep the legacy uniform Latency/Jitter pair
 // byte-for-byte: the zero value changes nothing.
@@ -96,14 +96,12 @@ type Link struct {
 
 // Topology is a named multi-region latency model: an asymmetric
 // region×region delay matrix with per-link jitter. Hosts map to regions
-// explicitly (Assign) or, by default, round-robin over the region list
-// by host ID — deterministic and balanced for the 1..n IDs the
-// simulated groups use.
+// round-robin over the region list by host ID — deterministic and
+// balanced for the 1..n IDs the simulated groups use.
 type Topology struct {
 	Name    string
 	regions []string
 	links   [][]Link // [fromRegion][toRegion]
-	hosts   map[uint64]int
 }
 
 // NewTopology creates a topology over the given regions with all links
@@ -123,16 +121,12 @@ func NewTopology(name string, regions ...string) (*Topology, error) {
 		Name:    name,
 		regions: append([]string(nil), regions...),
 		links:   make([][]Link, len(regions)),
-		hosts:   make(map[uint64]int),
 	}
 	for i := range t.links {
 		t.links[i] = make([]Link, len(regions))
 	}
 	return t, nil
 }
-
-// Regions returns the region names in declaration order.
-func (t *Topology) Regions() []string { return append([]string(nil), t.regions...) }
 
 func (t *Topology) regionIndex(region string) (int, error) {
 	for i, r := range t.regions {
@@ -167,31 +161,14 @@ func (t *Topology) SetAllLinks(l Link) {
 	}
 }
 
-// Assign pins a host to a region, overriding the default round-robin
-// placement.
-func (t *Topology) Assign(host uint64, region string) error {
-	ri, err := t.regionIndex(region)
-	if err != nil {
-		return err
-	}
-	t.hosts[host] = ri
-	return nil
-}
-
-// regionOf resolves a host's region index: explicit assignment first,
-// else round-robin by ID (host 1 → region 0, host 2 → region 1, …).
+// regionOf resolves a host's region index: round-robin by ID (host 1 →
+// region 0, host 2 → region 1, …).
 func (t *Topology) regionOf(host uint64) int {
-	if ri, ok := t.hosts[host]; ok {
-		return ri
-	}
 	if host == 0 {
 		return 0
 	}
 	return int((host - 1) % uint64(len(t.regions)))
 }
-
-// RegionOf returns the region name a host resolves to.
-func (t *Topology) RegionOf(host uint64) string { return t.regions[t.regionOf(host)] }
 
 // LinkOf returns the delay model governing messages from→to.
 func (t *Topology) LinkOf(from, to uint64) Link {
@@ -203,29 +180,6 @@ func (t *Topology) LinkOf(from, to uint64) Link {
 func (t *Topology) SampleDelay(from, to uint64, rng *rand.Rand) Duration {
 	l := t.LinkOf(from, to)
 	return l.Delay + l.Jitter.sample(rng)
-}
-
-// RTT returns the base (jitter-free) round-trip time between two hosts:
-// the a→b delay plus the b→a delay.
-func (t *Topology) RTT(a, b uint64) Duration {
-	return t.LinkOf(a, b).Delay + t.LinkOf(b, a).Delay
-}
-
-// MaxRTT returns the largest base RTT over all ordered host pairs — the
-// number timeout bounds are stated against.
-func (t *Topology) MaxRTT(hosts []uint64) Duration {
-	var max Duration
-	for _, a := range hosts {
-		for _, b := range hosts {
-			if a == b {
-				continue
-			}
-			if rtt := t.RTT(a, b); rtt > max {
-				max = rtt
-			}
-		}
-	}
-	return max
 }
 
 // Uniform builds a single-region topology equivalent to the legacy
@@ -310,8 +264,7 @@ func wan200() *Topology {
 	return t
 }
 
-// presets maps topology names to constructors. Each call builds a fresh
-// Topology so callers can Assign hosts without aliasing.
+// presets maps topology names to constructors.
 var presets = map[string]func() *Topology{
 	"lan15":  func() *Topology { t := Uniform(15*Millisecond, 0); t.Name = "lan15"; return t },
 	"wan50":  wan50,

@@ -14,12 +14,16 @@ func TestTopologyAsymmetricDelays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Round-robin placement: host 1 → us-east, host 2 → eu-west.
-	if r := topo.RegionOf(1); r != "us-east" {
+	// Round-robin placement: host 1 → us-east, host 2 → eu-west, and
+	// host 4 wraps around to us-east again.
+	if r := topo.regions[topo.regionOf(1)]; r != "us-east" {
 		t.Fatalf("host 1 region = %q", r)
 	}
-	if r := topo.RegionOf(2); r != "eu-west" {
+	if r := topo.regions[topo.regionOf(2)]; r != "eu-west" {
 		t.Fatalf("host 2 region = %q", r)
+	}
+	if d := topo.LinkOf(1, 4).Delay; d != topo.LinkOf(1, 1).Delay {
+		t.Fatalf("1→4 should ride the intra-region link, got %v", d)
 	}
 	// Asymmetry is the point: the two directions of one pair differ.
 	ab := topo.LinkOf(1, 2).Delay
@@ -27,18 +31,8 @@ func TestTopologyAsymmetricDelays(t *testing.T) {
 	if ab == ba {
 		t.Fatalf("us-east↔eu-west delays symmetric (%v) — topology must model asymmetric routes", ab)
 	}
-	if got := topo.RTT(1, 2); got != ab+ba {
-		t.Fatalf("RTT(1,2) = %v, want %v", got, ab+ba)
-	}
-	// Explicit assignment overrides round-robin.
-	if err := topo.Assign(2, "us-east"); err != nil {
-		t.Fatal(err)
-	}
-	if d := topo.LinkOf(1, 2).Delay; d != topo.LinkOf(1, 1).Delay {
-		t.Fatalf("after Assign, 1→2 should ride the intra-region link, got %v", d)
-	}
-	if err := topo.Assign(3, "no-such-region"); err == nil {
-		t.Fatal("Assign to unknown region succeeded")
+	if err := topo.SetLink("us-east", "no-such-region", Link{}); err == nil {
+		t.Fatal("SetLink to unknown region succeeded")
 	}
 }
 
@@ -165,11 +159,12 @@ func TestPresetFreshCopies(t *testing.T) {
 	if a == b {
 		t.Fatal("Preset returned a shared pointer")
 	}
-	if err := a.Assign(1, "ap-south"); err != nil {
+	was := b.LinkOf(1, 2)
+	if err := a.SetLink("us-east", "eu-west", Link{Delay: was.Delay + Second}); err != nil {
 		t.Fatal(err)
 	}
-	if b.RegionOf(1) != "us-east" {
-		t.Fatal("Assign on one preset copy leaked into another")
+	if b.LinkOf(1, 2) != was {
+		t.Fatal("SetLink on one preset copy leaked into another")
 	}
 	if _, err := Preset("wan9000"); err == nil {
 		t.Fatal("unknown preset name succeeded")

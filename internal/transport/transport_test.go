@@ -24,10 +24,6 @@ func TestCounterRecords(t *testing.T) {
 	if len(kinds) != 2 || kinds[0] != "a" || kinds[1] != "b" {
 		t.Fatalf("kinds = %v", kinds)
 	}
-	c.Reset()
-	if c.TotalBytes() != 0 || len(c.Kinds()) != 0 {
-		t.Fatal("reset failed")
-	}
 }
 
 func TestCounterConcurrent(t *testing.T) {

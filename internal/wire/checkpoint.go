@@ -14,7 +14,8 @@ import (
 //	           name string (u32 length + bytes), size u32
 //	weights  float64 vector (u32 count + count·8 bytes LE)
 //
-// nn builds a Checkpoint in Save and validates one in Load.
+// nn builds a Checkpoint in Save and validates one in Load; cluster's
+// departure hand-off ships the departing peer's model as one.
 type Checkpoint struct {
 	Names   []string
 	Sizes   []int
@@ -28,11 +29,6 @@ func CheckpointPayloadSize(cp Checkpoint) int {
 		n += 4 + len(name) + 4
 	}
 	return n + Float64sSize(len(cp.Weights))
-}
-
-// CheckpointFrameSize returns the exact frame size, header included.
-func CheckpointFrameSize(cp Checkpoint) int {
-	return HeaderSize + CheckpointPayloadSize(cp)
 }
 
 // AppendCheckpointFrame appends a complete checkpoint frame. Names and

@@ -7,20 +7,20 @@ import (
 	"math"
 )
 
-// The v2 payload kinds carry compressed model-delta vectors. A full-fat
-// float64 vector costs the paper's unit |w| = 8·dim; the cost model's
-// distribution terms (Eqs. 4/5/10) are dominated by exactly that unit,
-// so these kinds replace it with:
+// The compressed model-delta blocks. A full-fat float64 vector costs
+// the paper's unit |w| = 8·dim; the cost model's distribution terms
+// (Eqs. 4/5/10) are dominated by exactly that unit, so compression
+// replaces it with:
 //
-//   - a fixed-point quantized block (KindDeltaQuant): every coordinate
-//     becomes one int8 or int16 step count against a per-tensor scale,
-//     8× or 4× smaller than float64;
-//   - a top-k sparsified block (KindDeltaSparse): only the k
-//     largest-magnitude coordinates travel, as an index block plus a
-//     value block (full precision or quantized).
+//   - a fixed-point quantized block: every coordinate becomes one int8
+//     or int16 step count against a per-tensor scale, 8× or 4× smaller
+//     than float64;
+//   - a top-k sparsified block: only the k largest-magnitude
+//     coordinates travel, as an index block plus a value block (full
+//     precision or quantized).
 //
-// Quantized block layout (shared by KindDeltaQuant frames and
-// KindCheckpointQuant weight sections):
+// Quantized block layout (also the weight section of a
+// KindCheckpointQuant frame):
 //
 //	width   u8   bytes per element: 1 (int8) or 2 (int16)
 //	scale   f64  step size; element i dequantizes to scale·q_i
@@ -36,13 +36,15 @@ import (
 //	indices count·u32, strictly ascending, all < dim
 //	values  count·8 bytes (width 0) or count·width bytes
 //
-// Delta frames wrap a block in the same From/To/ShareIdx/Kind envelope
-// as KindMesh, so a transport can swap the frame kind per message
-// while the protocol layer keeps seeing transport.Message values.
-// Decoders are strict (unknown width, non-ascending or out-of-range
-// indices, counts that do not fit, trailing bytes all rejected) and
-// encoding is canonical: decode→re-encode is byte-identical, enforced
-// by the fuzz round-trip.
+// No mesh frame carries a block: core compresses the FedAvg legs in
+// place and charges QuantBlockSize/SparseBlockSize for them, and the two
+// frame kinds that once wrapped a block in a mesh envelope (4, 5) are
+// retired and stay reserved. The layout is what those charged sizes
+// mean, so the block codecs remain as its definition: the golden blocks
+// in testdata/ and the len(encoding) == closed-form tests pin them. Decoders are strict (unknown width,
+// non-ascending or out-of-range indices, counts that do not fit all
+// rejected) and encoding is canonical: decode→re-encode is
+// byte-identical, enforced by the fuzz round-trip.
 
 // QuantDelta is a dense fixed-point quantized vector: element i
 // reconstructs to Scale·Q[i]. Width 1 stores int8 steps (Q values must
@@ -52,19 +54,6 @@ type QuantDelta struct {
 	Width int
 	Scale float64
 	Q     []int16
-}
-
-// Dense reconstructs the float64 vector into dst (reused when its
-// capacity suffices).
-func (q QuantDelta) Dense(dst []float64) []float64 {
-	if cap(dst) < len(q.Q) {
-		dst = make([]float64, len(q.Q))
-	}
-	dst = dst[:len(q.Q)]
-	for i, v := range q.Q {
-		dst[i] = q.Scale * float64(v)
-	}
-	return dst
 }
 
 // SparseDelta is a top-k sparsified vector of original dimension Dim:
@@ -116,28 +105,6 @@ func SparseBlockSize(width, k int) int {
 		return n + 8*k
 	}
 	return n + 8 + width*k
-}
-
-// QuantPayloadSize returns the exact payload size of a KindDeltaQuant
-// frame with the given envelope kind string and element count.
-func QuantPayloadSize(kind string, width, n int) int {
-	return 3*8 + 4 + len(kind) + QuantBlockSize(width, n)
-}
-
-// QuantFrameSize returns the exact on-wire frame size, header included.
-func QuantFrameSize(kind string, width, n int) int {
-	return HeaderSize + QuantPayloadSize(kind, width, n)
-}
-
-// SparsePayloadSize returns the exact payload size of a KindDeltaSparse
-// frame with the given envelope kind string and kept-coordinate count.
-func SparsePayloadSize(kind string, width, k int) int {
-	return 3*8 + 4 + len(kind) + SparseBlockSize(width, k)
-}
-
-// SparseFrameSize returns the exact on-wire frame size, header included.
-func SparseFrameSize(kind string, width, k int) int {
-	return HeaderSize + SparsePayloadSize(kind, width, k)
 }
 
 // ---- block codecs ----
@@ -290,101 +257,6 @@ func readSparseBlock(b []byte) (SparseDelta, []byte, error) {
 		b = b[2*k:]
 	}
 	return s, b, nil
-}
-
-// ---- envelope frames ----
-
-func appendMeshEnvelope(dst []byte, m MeshMessage) []byte {
-	dst = appendUint64(dst, uint64(int64(m.From)))
-	dst = appendUint64(dst, uint64(int64(m.To)))
-	dst = appendUint64(dst, uint64(int64(m.ShareIdx)))
-	return appendString(dst, m.Kind)
-}
-
-func readMeshEnvelope(b []byte) (MeshMessage, []byte, error) {
-	var m MeshMessage
-	u, b, err := readUint64(b)
-	if err != nil {
-		return m, nil, err
-	}
-	m.From = int(int64(u))
-	if u, b, err = readUint64(b); err != nil {
-		return m, nil, err
-	}
-	m.To = int(int64(u))
-	if u, b, err = readUint64(b); err != nil {
-		return m, nil, err
-	}
-	m.ShareIdx = int(int64(u))
-	if m.Kind, b, err = readString(b); err != nil {
-		return m, nil, err
-	}
-	return m, b, nil
-}
-
-// AppendQuantFrame appends a complete KindDeltaQuant frame: m's
-// envelope (m.Payload is ignored) plus the quantized block.
-func AppendQuantFrame(dst []byte, m MeshMessage, q QuantDelta) []byte {
-	dst = AppendHeader(dst, KindDeltaQuant, QuantPayloadSize(m.Kind, q.Width, len(q.Q)))
-	dst = appendMeshEnvelope(dst, m)
-	return appendQuantBlock(dst, q)
-}
-
-// DecodeQuantPayload decodes a KindDeltaQuant payload. The returned
-// MeshMessage carries the envelope with a nil Payload.
-func DecodeQuantPayload(b []byte) (MeshMessage, QuantDelta, error) {
-	m, b, err := readMeshEnvelope(b)
-	if err != nil {
-		return m, QuantDelta{}, err
-	}
-	q, b, err := readQuantBlock(b)
-	if err != nil {
-		return m, q, err
-	}
-	if len(b) != 0 {
-		return m, q, fmt.Errorf("%w: %d trailing bytes after %s payload", ErrBadFrame, len(b), KindDeltaQuant)
-	}
-	return m, q, nil
-}
-
-// AppendSparseFrame appends a complete KindDeltaSparse frame: m's
-// envelope (m.Payload is ignored) plus the sparse block.
-func AppendSparseFrame(dst []byte, m MeshMessage, s SparseDelta) []byte {
-	dst = AppendHeader(dst, KindDeltaSparse, SparsePayloadSize(m.Kind, s.Width, len(s.Idx)))
-	dst = appendMeshEnvelope(dst, m)
-	return appendSparseBlock(dst, s)
-}
-
-// DecodeSparsePayload decodes a KindDeltaSparse payload. The returned
-// MeshMessage carries the envelope with a nil Payload.
-func DecodeSparsePayload(b []byte) (MeshMessage, SparseDelta, error) {
-	m, b, err := readMeshEnvelope(b)
-	if err != nil {
-		return m, SparseDelta{}, err
-	}
-	s, b, err := readSparseBlock(b)
-	if err != nil {
-		return m, s, err
-	}
-	if len(b) != 0 {
-		return m, s, fmt.Errorf("%w: %d trailing bytes after %s payload", ErrBadFrame, len(b), KindDeltaSparse)
-	}
-	return m, s, nil
-}
-
-// ReadAnyMeshFrame reads one mesh-family frame (KindMesh,
-// KindDeltaQuant or KindDeltaSparse) from r through a fresh MeshDecoder,
-// reusing scratch as its byte scratch. Exactly one of the three returns
-// is populated: a plain mesh message carries its vector in
-// MeshMessage.Payload; compressed frames return the envelope plus the
-// block, which the caller reconstructs via Dense.
-func ReadAnyMeshFrame(r io.Reader, scratch []byte) (MeshMessage, *QuantDelta, *SparseDelta, []byte, error) {
-	d := MeshDecoder{scratch: scratch}
-	m, q, s, err := d.read(r, nil, false)
-	if err != nil {
-		return MeshMessage{}, nil, nil, d.scratch, err
-	}
-	return m, q, s, d.scratch, nil
 }
 
 // ---- quantized checkpoints ----

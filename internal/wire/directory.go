@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // Directory payload layout (inside a KindDirectory frame), version 1 —
 // one replicated peer-directory update, the log-entry payload of the
@@ -42,12 +39,6 @@ type DirectoryUpdate struct {
 // update whose address has addrLen bytes.
 func DirectoryPayloadSize(addrLen int) int {
 	return 1 + 8 + 4 + 4 + 4 + addrLen
-}
-
-// DirectoryFrameSize returns the exact on-wire frame size, header
-// included.
-func DirectoryFrameSize(addrLen int) int {
-	return HeaderSize + DirectoryPayloadSize(addrLen)
 }
 
 // AppendDirectoryFrame appends a complete frame for one directory
@@ -93,9 +84,4 @@ func DecodeDirectoryPayload(b []byte) (DirectoryUpdate, error) {
 		return u, fmt.Errorf("%w: %d trailing bytes after directory payload", ErrBadFrame, len(b))
 	}
 	return u, nil
-}
-
-// ReadDirectoryFrame reads one complete directory frame from r.
-func ReadDirectoryFrame(r io.Reader) (DirectoryUpdate, error) {
-	return readOne(r, KindDirectory, DecodeDirectoryPayload)
 }

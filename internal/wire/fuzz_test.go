@@ -20,12 +20,13 @@ func FuzzWireRoundTrip(f *testing.F) {
 		Entries: []raft.Entry{{Index: 1, Term: 3, Data: []byte("d")}}}))
 	f.Add(AppendMeshFrame(nil, MeshMessage{From: 1, To: 2, Kind: "sac/share", ShareIdx: 1, Payload: []float64{1, 2}}))
 	f.Add(AppendCheckpointFrame(nil, Checkpoint{Names: []string{"w"}, Sizes: []int{1}, Weights: []float64{0.5}}))
-	f.Add(AppendQuantFrame(nil, MeshMessage{From: 1, To: 2, Kind: "fedavg/download"},
-		QuantDelta{Width: 1, Scale: 0.5, Q: []int16{1, -2, 3}}))
-	f.Add(AppendSparseFrame(nil, MeshMessage{From: 1, To: 2, Kind: "fedavg/download"},
-		SparseDelta{Dim: 8, Idx: []int32{1, 6}, Width: 0, Vals: []float64{0.5, -0.25}}))
-	f.Add(AppendSparseFrame(nil, MeshMessage{From: 1, To: 2, Kind: "fedavg/download"},
-		SparseDelta{Dim: 8, Idx: []int32{0, 7}, Width: 2, Scale: 0.125, Q: []int16{300, -300}}))
+	env := MeshMessage{From: 1, To: 2, Kind: "fedavg/download"}
+	f.Add(retiredDeltaFrame(KindDeltaQuant, env, appendQuantBlock(nil,
+		QuantDelta{Width: 1, Scale: 0.5, Q: []int16{1, -2, 3}})))
+	f.Add(retiredDeltaFrame(KindDeltaSparse, env, appendSparseBlock(nil,
+		SparseDelta{Dim: 8, Idx: []int32{1, 6}, Width: 0, Vals: []float64{0.5, -0.25}})))
+	f.Add(retiredDeltaFrame(KindDeltaSparse, env, appendSparseBlock(nil,
+		SparseDelta{Dim: 8, Idx: []int32{0, 7}, Width: 2, Scale: 0.125, Q: []int16{300, -300}})))
 	f.Add(AppendQuantCheckpointFrame(nil, QuantCheckpoint{Names: []string{"w"}, Sizes: []int{2},
 		Delta: QuantDelta{Width: 2, Scale: 0.25, Q: []int16{5, -5}}}))
 	f.Add(AppendRaftStateFrame(nil, raft.PersistentState{Hard: raft.HardState{Term: 2, VotedFor: 1},
@@ -72,22 +73,29 @@ func FuzzWireRoundTrip(f *testing.F) {
 				t.Fatalf("checkpoint re-encode differs")
 			}
 		case KindDeltaQuant:
-			m, q, err := DecodeQuantPayload(payload)
+			// The frame kind is retired; the block inside is not.
+			block, err := deltaBlock(payload)
 			if err != nil {
 				return
 			}
-			re := AppendQuantFrame(nil, m, q)
-			if !bytes.Equal(re[HeaderSize:], payload) {
-				t.Fatalf("quant re-encode differs:\n in  % x\n out % x", payload, re[HeaderSize:])
+			q, rest, err := readQuantBlock(block)
+			if err != nil {
+				return
+			}
+			if re := appendQuantBlock(nil, q); !bytes.Equal(re, block[:len(block)-len(rest)]) {
+				t.Fatalf("quant re-encode differs:\n in  % x\n out % x", block, re)
 			}
 		case KindDeltaSparse:
-			m, s, err := DecodeSparsePayload(payload)
+			block, err := deltaBlock(payload)
 			if err != nil {
 				return
 			}
-			re := AppendSparseFrame(nil, m, s)
-			if !bytes.Equal(re[HeaderSize:], payload) {
-				t.Fatalf("sparse re-encode differs:\n in  % x\n out % x", payload, re[HeaderSize:])
+			s, rest, err := readSparseBlock(block)
+			if err != nil {
+				return
+			}
+			if re := appendSparseBlock(nil, s); !bytes.Equal(re, block[:len(block)-len(rest)]) {
+				t.Fatalf("sparse re-encode differs:\n in  % x\n out % x", block, re)
 			}
 		case KindCheckpointQuant:
 			qcp, err := DecodeQuantCheckpointPayload(payload)

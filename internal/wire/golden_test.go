@@ -60,10 +60,10 @@ func goldenFrames() map[string][]byte {
 		"raft_snapshot_v1.wire":    AppendRaftFrame(nil, snapMsg),
 		"mesh_share_v1.wire":       AppendMeshFrame(nil, mesh),
 		"checkpoint_v1.wire":       AppendCheckpointFrame(nil, cp),
-		"delta_quant8_v1.wire":     AppendQuantFrame(nil, quant, q8),
-		"delta_quant16_v1.wire":    AppendQuantFrame(nil, quant, q16),
-		"delta_sparse_v1.wire":     AppendSparseFrame(nil, quant, sparse),
-		"delta_sparse_q8_v1.wire":  AppendSparseFrame(nil, quant, sparseQ),
+		"delta_quant8_v1.wire":     retiredDeltaFrame(KindDeltaQuant, quant, appendQuantBlock(nil, q8)),
+		"delta_quant16_v1.wire":    retiredDeltaFrame(KindDeltaQuant, quant, appendQuantBlock(nil, q16)),
+		"delta_sparse_v1.wire":     retiredDeltaFrame(KindDeltaSparse, quant, appendSparseBlock(nil, sparse)),
+		"delta_sparse_q8_v1.wire":  retiredDeltaFrame(KindDeltaSparse, quant, appendSparseBlock(nil, sparseQ)),
 		"checkpoint_quant_v1.wire": AppendQuantCheckpointFrame(nil, qcp),
 		"directory_join_v1.wire":   AppendDirectoryFrame(nil, dirJoin),
 		"directory_leave_v1.wire":  AppendDirectoryFrame(nil, dirLeave),
@@ -139,20 +139,26 @@ func TestGoldenWireFiles(t *testing.T) {
 			if re := AppendCheckpointFrame(nil, cp); !bytes.Equal(re, want) {
 				t.Errorf("%s: decode→re-encode not byte-identical", name)
 			}
-		case KindDeltaQuant:
-			m, q, err := DecodeQuantPayload(want[HeaderSize:])
+		case KindDeltaQuant, KindDeltaSparse:
+			// Retired frame kinds: what the golden pins is the block.
+			block, err := deltaBlock(want[HeaderSize:])
 			if err != nil {
-				t.Fatalf("%s: decode: %v", name, err)
+				t.Fatalf("%s: envelope: %v", name, err)
 			}
-			if re := AppendQuantFrame(nil, m, q); !bytes.Equal(re, want) {
-				t.Errorf("%s: decode→re-encode not byte-identical", name)
+			var re, rest []byte
+			if kind == KindDeltaQuant {
+				var q QuantDelta
+				q, rest, err = readQuantBlock(block)
+				re = appendQuantBlock(nil, q)
+			} else {
+				var s SparseDelta
+				s, rest, err = readSparseBlock(block)
+				re = appendSparseBlock(nil, s)
 			}
-		case KindDeltaSparse:
-			m, s, err := DecodeSparsePayload(want[HeaderSize:])
-			if err != nil {
-				t.Fatalf("%s: decode: %v", name, err)
+			if err != nil || len(rest) != 0 {
+				t.Fatalf("%s: decode: err %v, %d bytes left", name, err, len(rest))
 			}
-			if re := AppendSparseFrame(nil, m, s); !bytes.Equal(re, want) {
+			if !bytes.Equal(re, block) {
 				t.Errorf("%s: decode→re-encode not byte-identical", name)
 			}
 		case KindCheckpointQuant:

@@ -133,8 +133,8 @@ func shortStream(kind Kind, claim uint32, deliver int) io.Reader {
 }
 
 // TestLyingLengthBoundsAllocation is the over-allocation guard of the
-// buffered reader (raft, checkpoint, directory and compressed mesh
-// frames): a header claiming MaxPayload on a nearly empty stream must
+// buffered reader (raft, checkpoint and raft-state frames): a header
+// claiming MaxPayload on a nearly empty stream must
 // fail with the read buffer still at the prealloc cap — the attacker's
 // 12 bytes cannot buy a gigabyte of our memory. The streaming mesh
 // decoder's bound is pinned in stream_test.go.
@@ -158,14 +158,16 @@ func TestLyingLengthBoundsAllocation(t *testing.T) {
 		t.Fatalf("allocation %d not bounded by twice the %d delivered bytes", cap(scratch), delivered)
 	}
 
-	// A compressed mesh frame goes through the same reader inside the
-	// mesh decoder.
-	_, _, _, scratch, err = ReadAnyMeshFrame(shortStream(KindDeltaSparse, MaxPayload, delivered), nil)
-	if err == nil {
-		t.Fatal("starved compressed frame accepted")
+	// A retired compressed-mesh kind buys nothing at all: the mesh
+	// decoder refuses it on the header and reads none of the claim.
+	stream := shortStream(KindDeltaSparse, MaxPayload, delivered)
+	_, scratch, err = ReadMeshFrame(stream, nil)
+	if !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("%s frame on a mesh stream: err = %v, want ErrBadFrame", KindDeltaSparse, err)
 	}
-	if cap(scratch) > 2*delivered {
-		t.Fatalf("compressed frame: allocation %d not bounded by twice the %d delivered bytes", cap(scratch), delivered)
+	if cap(scratch) != 0 || stream.(*bytes.Reader).Len() != delivered {
+		t.Fatalf("refusing a %s frame cost %d bytes of scratch and read %d payload bytes",
+			KindDeltaSparse, cap(scratch), delivered-stream.(*bytes.Reader).Len())
 	}
 }
 
@@ -258,13 +260,15 @@ func TestHostileRaftState(t *testing.T) {
 	if _, err := ReadRaftStateFrame(bytes.NewReader(frame(KindRaftState, b))); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("entry-count lie: err = %v, want ErrTruncated", err)
 	}
-	// Neither rejection may cost more than the frame itself.
+	// Neither rejection may cost more than the frame itself: a handful
+	// of allocations (3; the race detector's build makes one more), not
+	// one per claimed entry.
 	lie := frame(KindRaftState, b)
 	if allocs := testing.AllocsPerRun(20, func() {
 		if _, err := DecodeRaftStatePayload(lie[HeaderSize:]); err == nil {
 			panic("accepted")
 		}
-	}); allocs > 3 {
+	}); allocs > 4 {
 		t.Fatalf("rejecting an entry-count lie allocates %v times", allocs)
 	}
 
@@ -301,25 +305,18 @@ func TestHostileRaftState(t *testing.T) {
 
 // TestSparseDimensionLie: a sparse block's dimension is backed by no
 // bytes — one entry suffices — yet SparseDelta.Dense allocates that many
-// floats. A dimension no dense vector could be framed at is rejected at
-// decode, on the in-memory and the reader path; the largest frameable
-// one still decodes.
+// floats. A dimension no dense vector could be framed at is rejected by
+// the block reader; the largest frameable one still decodes.
 func TestSparseDimensionLie(t *testing.T) {
-	env := MeshMessage{From: 1, To: 2, Kind: "fedavg/download"}
 	entry := SparseDelta{Idx: []int32{0}, Vals: []float64{1}}
 	for _, dim := range []int{MaxPayload/8 + 1, math.MaxUint32} {
 		entry.Dim = dim
-		frame := AppendSparseFrame(nil, env, entry)
-		if _, _, err := DecodeSparsePayload(frame[HeaderSize:]); !errors.Is(err, ErrBadFrame) {
-			t.Fatalf("dim %d: DecodeSparsePayload err = %v, want ErrBadFrame", dim, err)
-		}
-		if _, _, _, _, err := ReadAnyMeshFrame(bytes.NewReader(frame), nil); !errors.Is(err, ErrBadFrame) {
-			t.Fatalf("dim %d: ReadAnyMeshFrame err = %v, want ErrBadFrame", dim, err)
+		if _, _, err := readSparseBlock(appendSparseBlock(nil, entry)); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("dim %d: readSparseBlock err = %v, want ErrBadFrame", dim, err)
 		}
 	}
 	entry.Dim = MaxPayload / 8
-	frame := AppendSparseFrame(nil, env, entry)
-	if _, s, err := DecodeSparsePayload(frame[HeaderSize:]); err != nil || s.Dim != entry.Dim {
+	if s, _, err := readSparseBlock(appendSparseBlock(nil, entry)); err != nil || s.Dim != entry.Dim {
 		t.Fatalf("largest frameable dimension: dim %d, err %v", s.Dim, err)
 	}
 }

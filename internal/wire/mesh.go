@@ -29,17 +29,19 @@ func MeshPayloadSize(kind string, payloadLen int) int {
 	return meshFixedSize + len(kind) + Float64sSize(payloadLen)
 }
 
-// MeshFrameSize returns the exact on-wire frame size, header included.
-func MeshFrameSize(kind string, payloadLen int) int {
-	return HeaderSize + MeshPayloadSize(kind, payloadLen)
-}
-
 // appendMeshHead appends everything of a mesh frame that precedes the
 // vector words: header, envelope and element count.
 func appendMeshHead(dst []byte, m MeshMessage) []byte {
 	dst = AppendHeader(dst, KindMesh, MeshPayloadSize(m.Kind, len(m.Payload)))
 	dst = appendMeshEnvelope(dst, m)
 	return appendUint32(dst, uint32(len(m.Payload)))
+}
+
+func appendMeshEnvelope(dst []byte, m MeshMessage) []byte {
+	dst = appendUint64(dst, uint64(int64(m.From)))
+	dst = appendUint64(dst, uint64(int64(m.To)))
+	dst = appendUint64(dst, uint64(int64(m.ShareIdx)))
+	return appendString(dst, m.Kind)
 }
 
 // AppendMeshFrame appends a complete frame for one mesh message. It is
@@ -53,8 +55,21 @@ func AppendMeshFrame(dst []byte, m MeshMessage) []byte {
 // string and payload vector are copied out of b. Streams go through
 // MeshDecoder, which accepts exactly the payloads this function accepts.
 func DecodeMeshPayload(b []byte) (MeshMessage, error) {
-	m, b, err := readMeshEnvelope(b)
+	var m MeshMessage
+	u, b, err := readUint64(b)
 	if err != nil {
+		return m, err
+	}
+	m.From = int(int64(u))
+	if u, b, err = readUint64(b); err != nil {
+		return m, err
+	}
+	m.To = int(int64(u))
+	if u, b, err = readUint64(b); err != nil {
+		return m, err
+	}
+	m.ShareIdx = int(int64(u))
+	if m.Kind, b, err = readString(b); err != nil {
 		return m, err
 	}
 	if m.Payload, b, err = ReadFloat64s(b, nil); err != nil {
@@ -73,7 +88,7 @@ func DecodeMeshPayload(b []byte) (MeshMessage, error) {
 // delivered, which this per-call form cannot.
 func ReadMeshFrame(r io.Reader, scratch []byte) (MeshMessage, []byte, error) {
 	d := MeshDecoder{scratch: scratch}
-	m, _, _, err := d.read(r, nil, true)
+	m, err := d.ReadFrame(r, nil)
 	if err != nil {
 		return MeshMessage{}, d.scratch, err
 	}

@@ -124,12 +124,11 @@ func (e *MeshEncoder) writePortable(w io.Writer, v []float64) error {
 // shareIdx and the kind string's length prefix.
 const meshFixedSize = 3*8 + 4
 
-// MeshDecoder is the streaming decoder of the mesh frame family
-// (KindMesh, KindDeltaQuant, KindDeltaSparse) for one inbound stream.
-// It keeps the stream's byte scratch (kind strings, compressed
-// payloads, portable staging) and the size of the largest vector the
-// stream has delivered in full, which is what it may pre-size the next
-// vector to. The zero value is ready to use; a decoder must not be used
+// MeshDecoder is the streaming decoder of KindMesh frames for one
+// inbound stream. It keeps the stream's byte scratch (kind strings,
+// portable staging) and the size of the largest vector the stream has
+// delivered in full, which is what it may pre-size the next vector to.
+// The zero value is ready to use; a decoder must not be used
 // concurrently.
 //
 // Allocation bound under hostile input: a frame whose length fields lie
@@ -146,61 +145,32 @@ type MeshDecoder struct {
 	fixed   [HeaderSize + meshFixedSize]byte
 }
 
-// ReadFrame reads one mesh-family frame from r. Exactly one of the
-// three results is populated, as with ReadAnyMeshFrame: a plain mesh
-// message carries its vector in Payload; compressed frames return the
-// envelope plus the block.
+// ReadFrame reads one KindMesh frame from r. A frame of any other kind
+// is rejected on its 12-byte header, before a payload byte is read: a
+// mesh socket carries the messages a round defines and nothing else,
+// so the stream is not worth resynchronising and the caller closes it.
 //
-// vec, when non-nil, is asked for the destination of a KindMesh vector
-// once the frame has been validated: vec(n) returns a slice with
-// capacity ≥ n (contents irrelevant) or nil, in which case the decoder
-// allocates under the bound above. When the vector read fails, the
-// returned message's Payload is the destination that was being filled —
-// the slice vec handed out, or the decoder's own partial allocation —
+// vec, when non-nil, is asked for the destination of the vector once
+// the frame has been validated: vec(n) returns a slice with capacity
+// ≥ n (contents irrelevant) or nil, in which case the decoder allocates
+// under the bound above. When the vector read fails, the returned
+// message's Payload is the destination that was being filled — the
+// slice vec handed out, or the decoder's own partial allocation —
 // resliced to length zero: it may be partially overwritten, belongs to
 // the caller again, and must not be delivered.
-func (d *MeshDecoder) ReadFrame(r io.Reader, vec func(n int) []float64) (MeshMessage, *QuantDelta, *SparseDelta, error) {
-	return d.read(r, vec, false)
-}
-
-func (d *MeshDecoder) read(r io.Reader, vec func(n int) []float64, meshOnly bool) (MeshMessage, *QuantDelta, *SparseDelta, error) {
+func (d *MeshDecoder) ReadFrame(r io.Reader, vec func(n int) []float64) (MeshMessage, error) {
 	hdr := d.fixed[:HeaderSize]
 	if _, err := io.ReadFull(r, hdr); err != nil {
-		return MeshMessage{}, nil, nil, err
+		return MeshMessage{}, err
 	}
 	kind, n, err := ParseHeader(hdr)
 	if err != nil {
-		return MeshMessage{}, nil, nil, err
+		return MeshMessage{}, err
 	}
-	switch {
-	case kind == KindMesh:
-		m, err := d.readMesh(r, n, vec)
-		return m, nil, nil, err
-	case meshOnly:
-		return MeshMessage{}, nil, nil, fmt.Errorf("%w: kind %s, want %s", ErrBadFrame, kind, KindMesh)
-	case kind == KindDeltaQuant || kind == KindDeltaSparse:
-		// Compressed blocks are small (that is their point) and their
-		// integer layouts need conversion anyway: buffer, then decode.
-		payload, err := readPayload(r, n, d.scratch)
-		d.scratch = payload[:0]
-		if err != nil {
-			return MeshMessage{}, nil, nil, err
-		}
-		if kind == KindDeltaQuant {
-			m, q, err := DecodeQuantPayload(payload)
-			if err != nil {
-				return MeshMessage{}, nil, nil, err
-			}
-			return m, &q, nil, nil
-		}
-		m, s, err := DecodeSparsePayload(payload)
-		if err != nil {
-			return MeshMessage{}, nil, nil, err
-		}
-		return m, nil, &s, nil
+	if kind != KindMesh {
+		return MeshMessage{}, fmt.Errorf("%w: kind %s, want %s", ErrBadFrame, kind, KindMesh)
 	}
-	return MeshMessage{}, nil, nil,
-		fmt.Errorf("%w: kind %s, want %s, %s or %s", ErrBadFrame, kind, KindMesh, KindDeltaQuant, KindDeltaSparse)
+	return d.readMesh(r, n, vec)
 }
 
 // readMesh decodes a KindMesh payload of payloadLen bytes from r.

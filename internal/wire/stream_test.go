@@ -80,8 +80,8 @@ func TestStreamEncoderMatchesAppendMeshFrame(t *testing.T) {
 		if got := streamFrame(t, &enc, m); !bytes.Equal(got, want) {
 			t.Fatalf("dim %d: streamed frame differs from AppendMeshFrame", dim)
 		}
-		if len(want) != MeshFrameSize(m.Kind, dim) {
-			t.Fatalf("dim %d: frame is %d bytes, MeshFrameSize says %d", dim, len(want), MeshFrameSize(m.Kind, dim))
+		if len(want) != HeaderSize+MeshPayloadSize(m.Kind, dim) {
+			t.Fatalf("dim %d: frame is %d bytes, MeshPayloadSize says %d", dim, len(want), HeaderSize+MeshPayloadSize(m.Kind, dim))
 		}
 		checkStreamAgrees(t, want)
 	}
@@ -97,14 +97,14 @@ func TestStreamHonestModelFrameRoundTrips(t *testing.T) {
 		m.Payload[i] = float64(i)*1e-3 - 600
 	}
 	frame := streamFrame(t, new(MeshEncoder), m)
-	if len(frame) != MeshFrameSize(m.Kind, dim) {
-		t.Fatalf("frame is %d bytes, want %d", len(frame), MeshFrameSize(m.Kind, dim))
+	if len(frame) != HeaderSize+MeshPayloadSize(m.Kind, dim) {
+		t.Fatalf("frame is %d bytes, want %d", len(frame), HeaderSize+MeshPayloadSize(m.Kind, dim))
 	}
 	pooled := make([]float64, dim+100)
 	var dec MeshDecoder
 	for pass, vec := range []func(int) []float64{nil, func(int) []float64 { return pooled }, nil} {
-		got, q, s, err := dec.ReadFrame(bytes.NewReader(frame), vec)
-		if err != nil || q != nil || s != nil {
+		got, err := dec.ReadFrame(bytes.NewReader(frame), vec)
+		if err != nil {
 			t.Fatalf("pass %d: %v", pass, err)
 		}
 		if !sameMesh(got, m) {
@@ -129,7 +129,7 @@ func TestStreamEveryTruncationReturnsTheDestination(t *testing.T) {
 		pooled := make([]float64, 8)
 		asked := false
 		var dec MeshDecoder
-		m, _, _, err := dec.ReadFrame(bytes.NewReader(frame[:i]), func(int) []float64 { asked = true; return pooled })
+		m, err := dec.ReadFrame(bytes.NewReader(frame[:i]), func(int) []float64 { asked = true; return pooled })
 		if err == nil {
 			t.Fatalf("%d-byte prefix of %d-byte frame accepted", i, len(frame))
 		}
@@ -187,7 +187,7 @@ func TestStreamHeaderEnvelopeDisagreement(t *testing.T) {
 		b := append(append([]byte(nil), honest...), make([]byte, 64)...) // spare bytes: only the lengths lie
 		forge(b)
 		var dec MeshDecoder
-		m, _, _, err := dec.ReadFrame(bytes.NewReader(b), func(n int) []float64 {
+		m, err := dec.ReadFrame(bytes.NewReader(b), func(n int) []float64 {
 			t.Errorf("%s: decoder asked for a %d-float destination before rejecting", name, n)
 			return nil
 		})
@@ -212,7 +212,7 @@ func TestStreamLyingVectorBoundsAllocation(t *testing.T) {
 	for _, delivered := range []int{0, 7, stageWords, 25_000, 200_000} {
 		lie := meshClaim("sac/share", huge, make([]float64, delivered))
 		var dec MeshDecoder
-		m, _, _, err := dec.ReadFrame(bytes.NewReader(lie), nil)
+		m, err := dec.ReadFrame(bytes.NewReader(lie), nil)
 		if err == nil {
 			t.Fatalf("%d words delivered: starved frame accepted", delivered)
 		}
@@ -226,10 +226,10 @@ func TestStreamLyingVectorBoundsAllocation(t *testing.T) {
 	const honest = 5 * stageWords
 	frame := AppendMeshFrame(nil, MeshMessage{Kind: "sac/share", Payload: make([]float64, honest)})
 	stream := io.MultiReader(bytes.NewReader(frame), bytes.NewReader(meshClaim("sac/share", huge, make([]float64, 10))))
-	if m, _, _, err := dec.ReadFrame(stream, nil); err != nil || len(m.Payload) != honest {
+	if m, err := dec.ReadFrame(stream, nil); err != nil || len(m.Payload) != honest {
 		t.Fatalf("honest frame: %v", err)
 	}
-	m, _, _, err := dec.ReadFrame(stream, nil)
+	m, err := dec.ReadFrame(stream, nil)
 	if err == nil {
 		t.Fatal("starved second frame accepted")
 	}
@@ -242,7 +242,7 @@ func TestStreamLyingVectorBoundsAllocation(t *testing.T) {
 	pooled := make([]float64, huge/1024)
 	lie := meshClaim("sac/share", uint32(len(pooled)), make([]float64, 1000))
 	allocs := testing.AllocsPerRun(10, func() {
-		m, _, _, err = new(MeshDecoder).ReadFrame(bytes.NewReader(lie), func(int) []float64 { return pooled })
+		m, err = new(MeshDecoder).ReadFrame(bytes.NewReader(lie), func(int) []float64 { return pooled })
 	})
 	if err == nil || len(m.Payload) != 0 || &m.Payload[:1][0] != &pooled[0] {
 		t.Fatalf("short read into a supplied destination: err %v, payload len %d", err, len(m.Payload))
@@ -292,8 +292,8 @@ func FuzzMeshStreamDifferential(f *testing.F) {
 	f.Add(AppendMeshFrame(nil, MeshMessage{From: 1, To: 2, Kind: "sac/share", ShareIdx: 1, Payload: []float64{1, 2}}))
 	f.Add(AppendMeshFrame(nil, MeshMessage{Kind: "", Payload: nil}))
 	f.Add(meshClaim("k", 9, []float64{1, 2, 3}))
-	f.Add(AppendQuantFrame(nil, MeshMessage{From: 1, To: 2, Kind: "fedavg/download"},
-		QuantDelta{Width: 1, Scale: 0.5, Q: []int16{1, -2, 3}}))
+	f.Add(retiredDeltaFrame(KindDeltaQuant, MeshMessage{From: 1, To: 2, Kind: "fedavg/download"},
+		appendQuantBlock(nil, QuantDelta{Width: 1, Scale: 0.5, Q: []int16{1, -2, 3}})))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkStreamAgrees(t, data)
 		m, _, err := ReadMeshFrame(bytes.NewReader(data), nil)

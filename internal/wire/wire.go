@@ -1,8 +1,8 @@
 // Package wire is the dependency-free binary codec for every payload
 // shape the system moves between processes or keeps on disk: raft
 // messages (with entry batches and snapshots), raft persistent state,
-// SAC share/subtotal vectors, and nn model checkpoints. It is the
-// tree's only serialiser on those paths: model-dimension float vectors
+// SAC share/subtotal vectors, model checkpoints and directory updates. It is the tree's only serialiser on
+// those paths: model-dimension float vectors
 // dominate per-round traffic (Sec. VI-B3), and a reflective encoder
 // with a per-stream type preamble would be pure tax on top of them.
 //
@@ -12,8 +12,8 @@
 //	0       4     magic "P2FW"
 //	4       1     format version (currently 1)
 //	5       1     payload kind (KindRaft | KindMesh | KindCheckpoint |
-//	              KindDeltaQuant | KindDeltaSparse | KindCheckpointQuant |
-//	              KindDirectory | KindRaftState)
+//	              KindCheckpointQuant | KindDirectory | KindRaftState;
+//	              4 and 5 are retired)
 //	6       2     reserved, must be zero
 //	8       4     payload length in bytes, uint32 little-endian
 //	12      ...   payload (kind-specific layout, see raft.go/raftstate.go/
@@ -57,22 +57,21 @@ const (
 // readable; unknown values print as "kind(0xNN)".
 type Kind byte
 
-// Payload kinds. Kinds 1–3 are the original (v1) set; 4–6 are the v2
-// compressed model-delta set (see delta.go).
+// Payload kinds. Kinds 4 and 5 wrapped a compressed block (delta.go) in
+// a mesh envelope; nothing ever sent one, so no encoder or decoder of
+// them remains. The numbers stay reserved under their names — every
+// reader rejects them on the header, and a new kind never reuses one.
 const (
 	// KindRaft frames carry one raft.Message.
 	KindRaft Kind = 1
 	// KindMesh frames carry one transport mesh message (SAC shares,
 	// subtotals, recovery traffic).
 	KindMesh Kind = 2
-	// KindCheckpoint frames carry one nn model checkpoint.
+	// KindCheckpoint frames carry one model checkpoint.
 	KindCheckpoint Kind = 3
-	// KindDeltaQuant frames carry one mesh message whose model-delta
-	// vector is fixed-point quantized (int8/int16 + per-tensor scale).
+	// KindDeltaQuant is retired: a mesh envelope plus a quantized block.
 	KindDeltaQuant Kind = 4
-	// KindDeltaSparse frames carry one mesh message whose model-delta
-	// vector is top-k sparsified (index block + values, optionally
-	// quantized).
+	// KindDeltaSparse is retired: a mesh envelope plus a sparse block.
 	KindDeltaSparse Kind = 5
 	// KindCheckpointQuant frames carry one nn model checkpoint with
 	// fixed-point quantized weights.
@@ -156,16 +155,6 @@ func ParseHeader(h []byte) (kind Kind, payloadLen int, err error) {
 		return 0, 0, fmt.Errorf("%w: payload length %d exceeds %d", ErrBadFrame, n, MaxPayload)
 	}
 	return Kind(h[5]), int(n), nil
-}
-
-// DebugHeader formats a frame header for logs and error dumps, e.g.
-// "P2FW v1 mesh 52B". Malformed headers format as the validation error.
-func DebugHeader(h []byte) string {
-	kind, n, err := ParseHeader(h)
-	if err != nil {
-		return fmt.Sprintf("invalid frame header (%v)", err)
-	}
-	return fmt.Sprintf("%s v%d %s %dB", Magic, h[4], kind, n)
 }
 
 // ---- primitive appenders ----

@@ -86,9 +86,8 @@ func TestMeshRoundTrip(t *testing.T) {
 	}
 	for i, m := range msgs {
 		frame := AppendMeshFrame(nil, m)
-		if len(frame) != MeshFrameSize(m.Kind, len(m.Payload)) {
-			t.Fatalf("msg %d: frame is %d bytes, MeshFrameSize says %d",
-				i, len(frame), MeshFrameSize(m.Kind, len(m.Payload)))
+		if want := HeaderSize + MeshPayloadSize(m.Kind, len(m.Payload)); len(frame) != want {
+			t.Fatalf("msg %d: frame is %d bytes, MeshPayloadSize says %d", i, len(frame), want)
 		}
 		got, _, err := ReadMeshFrame(bytes.NewReader(frame), nil)
 		if err != nil {
@@ -143,8 +142,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	for i, cp := range cps {
 		frame := AppendCheckpointFrame(nil, cp)
-		if len(frame) != CheckpointFrameSize(cp) {
-			t.Fatalf("cp %d: frame is %d bytes, CheckpointFrameSize says %d", i, len(frame), CheckpointFrameSize(cp))
+		if want := HeaderSize + CheckpointPayloadSize(cp); len(frame) != want {
+			t.Fatalf("cp %d: frame is %d bytes, CheckpointPayloadSize says %d", i, len(frame), want)
 		}
 		got, err := ReadCheckpointFrame(bytes.NewReader(frame))
 		if err != nil {
