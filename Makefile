@@ -16,7 +16,7 @@ BENCH_ARGS := -run '^$$' -bench $(BENCH_PATTERN) -benchmem -benchtime 10x \
 	./internal/raft/ ./internal/sac/ ./internal/transport/
 TIME_PAIRS := 'RaftTickLive=RaftTickNil,SACRoundLive=SACRoundNil,RaftTCPSendHealthyPeerAsync=RaftTCPSendHealthyPeerSync'
 
-.PHONY: all build vet test race chaos-smoke check bench-check test-telemetry test-health test-wire test-byzantine test-compress test-wan test-churn test-scale
+.PHONY: all build vet test race chaos-smoke check bench-check test-telemetry test-health test-wire test-byzantine test-compress test-wan test-churn test-scale test-compose
 
 all: check
 
@@ -53,6 +53,18 @@ chaos-smoke:
 	$(GO) run ./cmd/p2pfl-chaos -seed 1 -target two-layer -mix churn -steps 12
 	$(GO) run ./cmd/p2pfl-chaos -track shard -seeds 3
 	$(GO) run ./cmd/p2pfl-chaos -track churn -seeds 3
+	$(GO) run ./cmd/p2pfl-chaos -track compose -seeds 1
+
+# The composition sweep at full width: 20 seeds × 60 two-layer campaigns
+# (3 profiles × {uniform, wan50} × {mixed, flap, churn, crash,
+# partition} × n ∈ {3, 4}) = 1,200, a few minutes. chaos-smoke runs its
+# first seed. A red cell prints its report and the flags that rerun it
+# alone; -v prints every cell. The cell that elected two leaders in one term before
+# raft admitted one configuration change at a time — seed 11, paper,
+# wan50, churn, n = 4 — is also a go test
+# (TestSeed11OverlappingMembershipChanges).
+test-compose:
+	$(GO) run ./cmd/p2pfl-chaos -track compose -seeds 20
 
 # The eight test-* targets below are the per-subsystem suites: every
 # package that implements or consumes the subsystem, in full, under
@@ -118,8 +130,9 @@ test-compress:
 		./internal/nn/
 
 # Continuous churn: the replicated directory state machine, the cluster
-# join/depart/handoff control plane, the departed-peer teardown paths
-# (detector Forget, raft ConfChange × snapshot × restart), the core
+# join/depart/handoff control plane (one asker, one step driver), raft's
+# one-configuration-change-at-a-time gate, the departed-peer teardown
+# paths (detector Forget, raft ConfChange × snapshot × restart), the core
 # reconfiguration seam, the closed-form
 # directory/handoff byte accounting, and the chaos churn track with its
 # 20-seed acceptance sweep (DESIGN.md §14).

@@ -58,7 +58,7 @@ func TestDumpedScheduleReplays(t *testing.T) {
 // row, and the two oracle mixes arm their oracle at the width of the
 // track of the same name.
 func TestTrackRegistry(t *testing.T) {
-	for _, name := range []string{"faults", "wan", "churn", "shard", "byzantine"} {
+	for _, name := range []string{"faults", "wan", "churn", "shard", "byzantine", "compose"} {
 		if tr, ok := tracks[name]; !ok || tr.run == nil || tr.seeds < 1 {
 			t.Errorf("track %q: missing from the registry, or no run function or sweep width", name)
 		}

@@ -69,6 +69,48 @@ func TestChaosHoldsNoDirectoryMirror(t *testing.T) {
 	}
 }
 
+// TestOneRoadForMembershipChange guards "one rule and one road": raft
+// decides when a configuration change may be appended
+// (ErrConfChangePending), and exactly one non-test call site outside
+// internal/raft — cluster's askLeader — proposes one and reads the
+// answer. A second call site is a second place that has to know what a
+// refusal means, which is how three of them once each appended a
+// duplicate entry per poll.
+func TestOneRoadForMembershipChange(t *testing.T) {
+	var calls []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (path == "internal/raft" || (path != "." && strings.HasPrefix(d.Name(), "."))) {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "ProposeConfChange" {
+					calls = append(calls, fset.Position(call.Pos()).String())
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != 1 || !strings.HasPrefix(filepath.ToSlash(calls[0]), "internal/cluster/") {
+		t.Fatalf("ProposeConfChange is called at %v; want exactly one call, in internal/cluster (askLeader)", calls)
+	}
+}
+
 // importsOf lists the import paths of one Go file.
 func importsOf(t *testing.T, path string) []string {
 	t.Helper()
@@ -111,21 +153,18 @@ var kept = func() map[string]string {
 	keep("test helper: internal/nn's and internal/optim's tests build, index and compare tensors with it",
 		"tensor.FromSlice", "tensor.MustFromSlice", "tensor.(*Tensor).Clone", "tensor.(*Tensor).At", "tensor.(*Tensor).Set",
 		"tensor.(*Tensor).offset", "tensor.(*Tensor).Sum", "tensor.(*Tensor).Norm2", "tensor.Equal", "tensor.AllClose")
-	keep("roadmap item 5: the mask divider is what seeded shares start from",
+	keep("roadmap item 7: the mask divider is what seeded shares start from",
 		"secretshare.MaskDivider.Name", "secretshare.MaskDivider.Divide", "secretshare.MaskDivider.DivideInto")
 	// The floor lets one PR retire only a few tests, and each of these is
-	// pinned by tests of its own: ROADMAP item 2 lists them as the rest of
+	// pinned by tests of its own: ROADMAP item 6 lists them as the rest of
 	// PR 20's sweep, to be deleted with those tests.
-	keep("roadmap item 2: unlinked substrate still to delete, with the tests that pin it",
+	keep("roadmap item 6: unlinked substrate still to delete, with the tests that pin it",
 		"nn.NewBatchNorm2D", "nn.(*BatchNorm2D).Name", "nn.(*BatchNorm2D).Params", "nn.(*BatchNorm2D).Forward", "nn.(*BatchNorm2D).Backward",
 		"nn.(*Model).schema", "nn.(*Model).restore", "nn.(*Model).Save", "nn.(*Model).Load", "nn.(*Model).SaveQuantized", "nn.(*Model).AppendCheckpoint",
 		"wire.QuantCheckpointPayloadSize", "wire.QuantCheckpointFrameSize", "wire.AppendQuantCheckpointFrame",
 		"wire.DecodeQuantCheckpointPayload", "wire.ReadQuantCheckpointFrame",
 		"optim.NewSGD", "optim.(*SGD).Name", "optim.(*SGD).Step", "optim.(*Adam).Reset",
 		"dp.Laplace.Name", "dp.Laplace.Perturb", "dp.sign",
-		"dataset.PartitionDirichlet", "dataset.dirichlet", "dataset.gammaSample",
-		"fl.NewConfusionMatrix", "fl.(*ConfusionMatrix).Add", "fl.(*ConfusionMatrix).Accuracy", "fl.(*ConfusionMatrix).PerClassRecall",
-		"fl.(*ConfusionMatrix).String", "fl.Confusion",
 		"telemetry.Diff", "costmodel.QuantBlockBytes", "costmodel.SparseBlockBytes",
 		"core.(*Config).PeerSubgroup", "core.(*MultiLayerTopology).Subgroups",
 		"tensor.SameShape", "tensor.Add", "tensor.Sub", "tensor.Mul", "tensor.Scaled", "tensor.(*Tensor).AddInPlace",

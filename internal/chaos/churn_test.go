@@ -49,6 +49,25 @@ func TestChurnCampaignSweep(t *testing.T) {
 	}
 }
 
+// TestSeed11OverlappingMembershipChanges is the cell of the composition
+// sweep (p2pfl-chaos -seed 11 -target two-layer -topology wan50 -mix
+// churn -n 4) whose overlapping joins and departures once gave subgroup
+// 2 two leaders in term 50: raft admitted a second configuration change
+// while the first was uncommitted, and the retry loops appended one
+// duplicate per poll on top. election-safety and conf-change-serial both
+// watch it now.
+func TestSeed11OverlappingMembershipChanges(t *testing.T) {
+	c := Campaign{Seed: 11, Steps: 24, Target: TargetTwoLayer, Mix: ChurnMix, ChurnRounds: 3,
+		SubgroupSize: 4, Topology: "wan50"}
+	rep := c.Run()
+	if !rep.Passed() {
+		t.Fatalf("%d violations, first: %s", len(rep.Violations), rep.Violations[0])
+	}
+	if rep.Stats.Joins == 0 || rep.Stats.Departs == 0 {
+		t.Fatalf("schedule changed no membership: %+v", rep.Stats)
+	}
+}
+
 // TestChurnOracleDeterministic pins seed-replayability of the oracle
 // track under every profile: two runs of one campaign serialize to the
 // same Report, byte for byte, and the episodes changed the membership.

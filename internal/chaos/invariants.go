@@ -185,6 +185,28 @@ func (l *ledger) checkLogMatching(atUs int64, group string, nodes []*raft.Node) 
 	}
 }
 
+// checkConfChangeSerial verifies that membership changes are admitted one
+// at a time: no live node's log holds two EntryConfChange above its own
+// commit index. A leader appends a change only once the previous one is
+// applied, and the append that delivers a change to a follower carries a
+// commit index covering the one before, so a second one in flight
+// anywhere means raft.Node.ProposeConfChange let it through — the state
+// from which two disjoint majorities can each elect a leader.
+func (l *ledger) checkConfChangeSerial(atUs int64, group string, nodes []*raft.Node) {
+	for _, n := range nodes {
+		inFlight := 0
+		for _, e := range n.Log() {
+			if e.Type == raft.EntryConfChange && e.Index > n.CommitIndex() {
+				inFlight++
+			}
+		}
+		if inFlight > 1 {
+			l.violate(atUs, "conf-change-serial",
+				fmt.Sprintf("group %s node %d holds %d uncommitted configuration changes", group, n.ID(), inFlight))
+		}
+	}
+}
+
 // checkCommittedAgreement verifies that two nodes' committed log
 // prefixes agree entry-for-entry — the state-machine safety property,
 // checked directly on the logs so it works even where commit callbacks

@@ -245,9 +245,9 @@ func (w *twWorld) calmAll() {
 	w.sys.FedNet().Calm()
 }
 
-// sweep checks log matching, committed-prefix agreement and commit
-// monotonicity on every subgroup, and log matching plus committed-prefix
-// agreement on the FedAvg layer. (FedAvg-layer commit monotonicity per
+// sweep checks log matching, committed-prefix agreement, serial
+// membership change and commit monotonicity on every subgroup, and the
+// first three on the FedAvg layer. (FedAvg-layer commit monotonicity per
 // peer is deliberately not asserted: a peer that loses leadership and
 // later rejoins starts a fresh fed node, which is correct behaviour.)
 func (w *twWorld) sweep() {
@@ -266,6 +266,7 @@ func (w *twWorld) sweep() {
 		}
 		w.led.checkLogMatching(now, label, nodes)
 		w.led.checkCommittedAgreement(now, label, nodes)
+		w.led.checkConfChangeSerial(now, label, nodes)
 	}
 	fed := w.sys.FedNet()
 	var fedNodes []*raft.Node
@@ -276,6 +277,7 @@ func (w *twWorld) sweep() {
 	}
 	w.led.checkLogMatching(now, "fed", fedNodes)
 	w.led.checkCommittedAgreement(now, "fed", fedNodes)
+	w.led.checkConfChangeSerial(now, "fed", fedNodes)
 	w.checkHealth()
 	w.led.runExtra(w.c.extraCheckers, w.view())
 }
@@ -403,7 +405,7 @@ func (w *twWorld) quiesce() {
 		w.led.violate(now(), "directory-convergence", detail)
 	} else if !sys.DirectoryMatchesMembership() {
 		w.led.violate(now(), "share-index-soundness",
-			"FedAvg leader's directory does not match the admitted membership (or assigns unsound share indices)")
+			"the converged directory does not match the admitted membership (or assigns unsound share indices)")
 	}
 
 	// Bounded re-convergence: with the network calm and every peer
@@ -418,8 +420,13 @@ func (w *twWorld) quiesce() {
 	// Virtual time passed in the waits above, and a leader the heal
 	// exposed as stale may have been deposed meanwhile: the round runs
 	// with the leaders in place now (it reports a group still leaderless
-	// at the deadline).
-	sys.Sim.RunWhileNot(elected, deadline)
+	// when this wait ends). Every group was shown able to elect above, so
+	// when the waits above spent the deadline — the join wait does,
+	// whenever a new leader's committed FedAvg configuration names no
+	// current leader and it polls in vain — a group caught between two
+	// leaders gets one re-convergence bound more, instead of the round
+	// being judged on the instant the deadline happens to fall on.
+	sys.Sim.RunWhileNot(elected, max(deadline, sys.Sim.Now()+simnet.Time(w.c.ReconvergeBoundUs)))
 	w.aggregationRound()
 	w.sweep()
 }

@@ -169,15 +169,20 @@ func (s *System) DirectoryConverged() bool {
 	return true
 }
 
-// DirectoryMatchesMembership reports whether the FedAvg leader's
-// directory records exactly the admitted membership (s.bySub): same id
-// set, same subgroup per id, and per-subgroup share indices sound. This
-// is ground truth the directory cannot derive from its own bookkeeping.
+// DirectoryMatchesMembership reports whether the directory records
+// exactly the admitted membership (s.bySub): same id set, same subgroup
+// per id, and per-subgroup share indices sound. This is ground truth the
+// directory cannot derive from its own bookkeeping. It is judged on the
+// lowest-id live replica — once DirectoryConverged has shown the
+// replicas equal that is every replica, so the verdict does not depend
+// on whether the layer has a leader at this instant. False while no
+// replica is live.
 func (s *System) DirectoryMatchesMembership() bool {
-	d := s.Directory()
-	if d == nil {
+	replicas := s.DirectoryReplicas()
+	if len(replicas) == 0 {
 		return false
 	}
+	d := s.peers[replicas[0]].dir
 	total := 0
 	for g, ids := range s.bySub {
 		total += len(ids)
@@ -225,24 +230,93 @@ func (s *System) subgroupMembers(g int) []uint64 {
 	return s.peers[l].subHost.Node.Members()
 }
 
-// askSubgroupLeader sends subgroup g's current leader, if there is one,
-// a request to propose one membership change. The request takes one link
-// latency and is dropped if the leader crashed or lost leadership
-// meanwhile; callers retry until the change shows in subgroupMembers.
-func (s *System) askSubgroupLeader(g int, cc raft.ConfChange) {
-	l := s.SubgroupLeader(g)
-	if l == raft.None {
-		return
-	}
-	lp := s.peers[l]
-	s.sendApp(func() {
-		if lp == nil || lp.Down() || !lp.IsSubgroupLeader() {
+// forever is the limit of a procedure that retries for as long as it
+// takes: admissions and departures, which nobody waits on.
+const forever simnet.Duration = -1
+
+// step is one committed step of a membership procedure: done reports
+// that its effect shows in committed state, kick asks for it once more
+// (nil for a step that only waits), what names it in a timeout error.
+type step struct {
+	what string
+	done func() bool
+	kick func()
+}
+
+// drive runs a membership procedure — a join, a departure, or one phase
+// of a split or merge: steps in order, the current one kicked every
+// joinPollInterval until it is done. The next step is not asked for
+// until the previous one shows, so a procedure's membership changes are
+// serial by construction. then receives nil after the last step, or an
+// error naming the step that stayed undone for limit.
+func (s *System) drive(steps []step, limit simnet.Duration, then func(error)) {
+	since := s.Sim.Now()
+	var attempt func()
+	attempt = func() {
+		for len(steps) > 0 && steps[0].done() {
+			steps, since = steps[1:], s.Sim.Now()
+		}
+		switch {
+		case len(steps) == 0:
+			then(nil)
 			return
+		case limit != forever && s.Sim.Now() >= since+simnet.Time(limit):
+			then(fmt.Errorf("%s did not commit within %v ms", steps[0].what, limit.Ms()))
+			return
+		case steps[0].kick != nil:
+			steps[0].kick()
 		}
-		if err := lp.subHost.Node.ProposeConfChange(cc); err == nil {
-			lp.subHost.Pump()
-		}
-	})
+		s.Sim.Schedule(joinPollInterval, attempt)
+	}
+	attempt()
+}
+
+// subgroupChange is the step that commits one membership change in
+// subgroup g's raft group, asked of whoever leads it at each kick.
+func (s *System) subgroupChange(g int, cc raft.ConfChange) step {
+	what := fmt.Sprintf("removal of peer %d from subgroup %d", cc.NodeID, g)
+	if cc.Add {
+		what = fmt.Sprintf("admission of peer %d into subgroup %d", cc.NodeID, g)
+	}
+	return step{
+		what: what,
+		done: func() bool {
+			m := s.subgroupMembers(g)
+			return m != nil && contains(m, cc.NodeID) == cc.Add
+		},
+		kick: func() {
+			if l := s.SubgroupLeader(g); l != raft.None {
+				s.askLeader(s.subGroups[g], l, cc, nil)
+			}
+		},
+	}
+}
+
+// directoryJoin is the step that registers peer id under subgroup g in
+// the directory, at the lowest share index free when the FedAvg leader
+// proposes it. A peer already registered elsewhere moves: re-registration
+// releases its old slot in the same committed entry, so share-index
+// soundness never breaks in between.
+func (s *System) directoryJoin(id uint64, g int) step {
+	return step{
+		what: fmt.Sprintf("directory move of peer %d to subgroup %d", id, g),
+		done: func() bool {
+			d := s.Directory()
+			if d == nil {
+				return false
+			}
+			e, ok := d.Lookup(id)
+			return ok && e.Subgroup == g
+		},
+		kick: func() {
+			if d := s.Directory(); d != nil {
+				s.proposeDirectory(wire.DirectoryUpdate{
+					Op: wire.DirJoin, ID: id, Subgroup: g,
+					ShareIndex: d.NextShareIndex(g), Addr: peerAddr(id),
+				})
+			}
+		},
+	}
 }
 
 func contains(ids []uint64, id uint64) bool { return indexOf(ids, id) >= 0 }
@@ -294,47 +368,14 @@ func (s *System) AddPeer(g int) (uint64, error) {
 	}
 	s.pendingChurn++
 	s.opts.Telemetry.Counter("cluster/churn/joins").Inc()
-	s.startAdmission(p)
+	// The procedure runs on behalf of the joiner (the proposals are made
+	// by the respective leaders), so it makes progress even while the
+	// joiner itself is briefly down.
+	s.drive([]step{
+		s.subgroupChange(g, raft.ConfChange{Add: true, NodeID: id}),
+		s.directoryJoin(id, g),
+	}, forever, func(error) { s.finalizeAdmission(p) })
 	return id, nil
-}
-
-// startAdmission drives the two committed steps of a join, retrying
-// every joinPollInterval. The loop runs on behalf of the joiner (the
-// actual proposals are made by the respective leaders), so it makes
-// progress even while the joiner itself is briefly down.
-func (s *System) startAdmission(p *Peer) {
-	step := 0
-	var attempt func()
-	attempt = func() {
-		for {
-			switch step {
-			case 0: // subgroup membership change committed?
-				if m := s.subgroupMembers(p.Subgroup); contains(m, p.ID) {
-					step++
-					continue
-				}
-				s.askSubgroupLeader(p.Subgroup, raft.ConfChange{Add: true, NodeID: p.ID})
-			case 1: // directory join committed at the FedAvg leader?
-				d := s.Directory()
-				if d != nil {
-					if _, ok := d.Lookup(p.ID); ok {
-						step++
-						continue
-					}
-					s.proposeDirectory(wire.DirectoryUpdate{
-						Op: wire.DirJoin, ID: p.ID, Subgroup: p.Subgroup,
-						ShareIndex: d.NextShareIndex(p.Subgroup), Addr: p.addr,
-					})
-				}
-			case 2:
-				s.finalizeAdmission(p)
-				return
-			}
-			break
-		}
-		s.Sim.Schedule(joinPollInterval, attempt)
-	}
-	attempt()
 }
 
 func (s *System) finalizeAdmission(p *Peer) {
@@ -400,7 +441,34 @@ func (s *System) DepartPeer(id uint64) error {
 			}
 		}
 	}
-	s.startDeparture(p)
+	s.drive([]step{
+		{ // directory leave committed at the FedAvg leader
+			done: func() bool {
+				d := s.Directory()
+				if d == nil {
+					return false
+				}
+				_, ok := d.Lookup(p.ID)
+				return !ok
+			},
+			kick: func() { s.proposeDirectory(wire.DirectoryUpdate{Op: wire.DirLeave, ID: p.ID}) },
+		},
+		s.subgroupChange(p.Subgroup, raft.ConfChange{NodeID: p.ID}),
+		{ // FedAvg-layer removal (only for peers that joined it)
+			done: func() bool {
+				if p.fedHost == nil {
+					return true
+				}
+				m := s.FedAvgMembers()
+				return m != nil && !contains(m, p.ID)
+			},
+			kick: func() {
+				if l := s.FedAvgLeader(); l != raft.None {
+					s.askLeader(s.fedGroup, l, raft.ConfChange{NodeID: p.ID}, nil)
+				}
+			},
+		},
+	}, forever, func(error) { s.finalizeDeparture(p) })
 	return nil
 }
 
@@ -440,57 +508,6 @@ func (s *System) transferModel(p, su *Peer) (int, error) {
 	}
 	su.inherited = cp.Weights
 	return len(frame), nil
-}
-
-// startDeparture drives the committed steps of a departure, retrying
-// every joinPollInterval: directory leave, subgroup removal, FedAvg
-// removal (members only), then finalization.
-func (s *System) startDeparture(p *Peer) {
-	step := 0
-	var attempt func()
-	attempt = func() {
-		for {
-			switch step {
-			case 0: // directory leave committed at the FedAvg leader?
-				if d := s.Directory(); d != nil {
-					if _, ok := d.Lookup(p.ID); !ok {
-						step++
-						continue
-					}
-					s.proposeDirectory(wire.DirectoryUpdate{Op: wire.DirLeave, ID: p.ID})
-				}
-			case 1: // subgroup membership removal committed?
-				m := s.subgroupMembers(p.Subgroup)
-				if m != nil && !contains(m, p.ID) {
-					step++
-					continue
-				}
-				s.askSubgroupLeader(p.Subgroup, raft.ConfChange{Add: false, NodeID: p.ID})
-			case 2: // FedAvg-layer removal (only for peers that joined it)
-				if p.fedHost == nil {
-					step++
-					continue
-				}
-				l := s.FedAvgLeader()
-				if l != raft.None {
-					lp := s.peers[l]
-					if !contains(lp.fedHost.Node.Members(), p.ID) {
-						step++
-						continue
-					}
-					if err := lp.fedHost.Node.ProposeConfChange(raft.ConfChange{Add: false, NodeID: p.ID}); err == nil {
-						lp.fedHost.Pump()
-					}
-				}
-			case 3:
-				s.finalizeDeparture(p)
-				return
-			}
-			break
-		}
-		s.Sim.Schedule(joinPollInterval, attempt)
-	}
-	attempt()
 }
 
 // finalizeDeparture removes the departed peer's hosts and scrubs every

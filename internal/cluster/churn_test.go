@@ -235,3 +235,73 @@ func TestRejoinAfterDepartureReusesFreedSlot(t *testing.T) {
 		t.Fatal("share indexes unsound after leave/join cycle")
 	}
 }
+
+// TestMembershipJudgedWithoutFedLeader: the directory invariants are a
+// property of the replicas, not of whoever leads. At an instant between
+// FedAvg leaders the surviving replicas are still equal and still record
+// the admitted membership; only a layer with no live replica at all has
+// nothing to judge.
+func TestMembershipJudgedWithoutFedLeader(t *testing.T) {
+	opts := churnOpts(7)
+	opts.NumSubgroups = 3
+	s := mustBootstrap(t, opts)
+	id, err := s.AddPeer(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.WaitAdmitted(id, 10*simnet.Second); err != nil {
+		t.Fatal(err)
+	}
+	settle(s, 500*simnet.Millisecond)
+
+	if err := s.CrashPeer(s.FedAvgLeader()); err != nil {
+		t.Fatal(err)
+	}
+	if s.FedAvgLeader() != raft.None || s.Directory() != nil {
+		t.Fatal("setup: the layer still has a leader")
+	}
+	if got := len(s.DirectoryReplicas()); got != 2 {
+		t.Fatalf("live replicas = %d, want the 2 surviving members", got)
+	}
+	if !s.DirectoryConverged() {
+		t.Fatal("surviving replicas disagree")
+	}
+	if !s.DirectoryMatchesMembership() {
+		t.Fatal("membership not judged (or judged wrong) while the layer is between leaders")
+	}
+
+	for _, r := range s.DirectoryReplicas() {
+		if err := s.CrashPeer(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.DirectoryConverged() || s.DirectoryMatchesMembership() {
+		t.Fatal("a layer with no live replica must fail both checks")
+	}
+}
+
+// TestRefusedChangeIsReaskedAfterOneRoundTrip: two admissions into one
+// subgroup start together, so the leader refuses the second while the
+// first is in flight. The refusal is answered by a re-ask one link round
+// trip later, not at the next joinPollInterval: both changes are
+// committed before the first poll comes round.
+func TestRefusedChangeIsReaskedAfterOneRoundTrip(t *testing.T) {
+	s := mustBootstrap(t, churnOpts(3))
+	a, err := s.AddPeer(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.AddPeer(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	settle(s, joinPollInterval-simnet.Millisecond)
+	if m := s.subgroupMembers(0); !contains(m, a) || !contains(m, b) {
+		t.Fatalf("members %v before the first poll, want both %d and %d", m, a, b)
+	}
+	for _, id := range []uint64{a, b} {
+		if _, err := s.WaitAdmitted(id, 10*simnet.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -20,6 +20,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -184,7 +185,6 @@ type Peer struct {
 
 	// Continuous-churn control plane state (see churn.go).
 	//
-	// addr is the peer's dialable address, registered in the directory.
 	// model is the peer's local model vector (what a graceful handoff
 	// transfers through the checkpoint wire kind). inherited holds a
 	// model checkpoint received from a gracefully departing co-member.
@@ -192,7 +192,6 @@ type Peer struct {
 	// only by directory entries committed on the FedAvg-layer log, so
 	// every replica is a pure function of that log. departing marks a
 	// peer whose departure protocol is in flight.
-	addr      string
 	model     []float64
 	inherited []float64
 	dir       *directory.Directory
@@ -338,7 +337,7 @@ func (s *System) newPeer(id uint64) (*Peer, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Peer{ID: id, addr: peerAddr(id), dir: dir}
+	p := &Peer{ID: id, dir: dir}
 	if s.opts.Profile.AutoTune() {
 		p.rtt = health.NewRTTStats(0)
 	}
@@ -778,27 +777,11 @@ func (s *System) startJoin(p *Peer) {
 				}
 			}
 		}
-		// One-way app-level request to each candidate; a candidate that
-		// is the FedAvg leader answers with an accept carrying the
-		// current membership (one-way latency each direction).
+		// One-way app-level request to each candidate; the one that is the
+		// FedAvg leader proposes the change and answers with an accept
+		// carrying the current membership (one-way latency each direction).
 		for _, c := range candidates {
-			target := s.peers[c]
-			if target == nil {
-				continue
-			}
-			s.sendApp(func() {
-				if target.Down() || target.fedHost == nil {
-					return
-				}
-				if target.fedHost.Node.State() != raft.Leader {
-					return
-				}
-				members := target.fedHost.Node.Members()
-				if err := target.fedHost.Node.ProposeConfChange(raft.ConfChange{Add: true, NodeID: p.ID}); err != nil {
-					return
-				}
-				target.fedHost.Pump()
-				// Accept response back to the joiner.
+			s.askLeader(s.fedGroup, c, raft.ConfChange{Add: true, NodeID: p.ID}, func(members []uint64) {
 				s.sendApp(func() {
 					if p.Down() || p.joined {
 						return
@@ -816,6 +799,42 @@ func (s *System) startJoin(p *Peer) {
 // one-way link latency.
 func (s *System) sendApp(fn func()) {
 	s.Sim.Schedule(s.opts.Latency, fn)
+}
+
+// askLeader sends peer id a request to propose one membership change in
+// the raft group on net — the one road by which this package changes any
+// group's membership. The request takes one link latency. A peer that
+// is gone, down or not the leader on arrival drops it, and the caller's
+// next poll asks whoever leads then. A leader that accepts calls
+// accepted (if non-nil) with the membership the change was proposed
+// against. A leader that refuses with ErrConfChangePending is alive and
+// will take the change as soon as what it is waiting for — its no-op, or
+// the change before this one — commits, which is one round trip of its
+// own group away; so the refusal travels back and the request is sent
+// again, one link round trip after the first, instead of waiting out a
+// joinPollInterval. That chain ends when the caller's next poll is due:
+// the poll asks afresh, so each caller has at most one request in
+// flight. (A zero-latency link has no round trip to wait out.)
+func (s *System) askLeader(net *simnet.Group, id uint64, cc raft.ConfChange, accepted func(members []uint64)) {
+	nextPoll := s.Sim.Now() + simnet.Time(joinPollInterval)
+	var request func()
+	request = func() {
+		h := net.Host(id)
+		if h == nil || h.Down() || h.Node.State() != raft.Leader {
+			return
+		}
+		members := h.Node.Members()
+		switch err := h.Node.ProposeConfChange(cc); {
+		case err == nil:
+			h.Pump()
+			if accepted != nil {
+				accepted(members)
+			}
+		case errors.Is(err, raft.ErrConfChangePending) && s.opts.Latency > 0 && s.Sim.Now() < nextPoll:
+			s.sendApp(func() { s.sendApp(request) })
+		}
+	}
+	s.sendApp(request)
 }
 
 // CrashPeer fails a peer: its subgroup host and (if present) its

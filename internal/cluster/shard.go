@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/raft"
 	"repro/internal/simnet"
-	"repro/internal/wire"
 )
 
 // Sharding event kinds, on the same timeline as churn events.
@@ -142,32 +141,18 @@ func (s *System) Rebalance(limit simnet.Duration) ([]ShardAction, error) {
 	return done, fmt.Errorf("cluster: rebalance did not converge after %d actions", maxSteps)
 }
 
-// runShardStep drives one committed step of a shard operation: it runs
-// the simulation in joinPollInterval slices, re-kicking the proposal
-// each slice, until cond holds or limit expires.
-func (s *System) runShardStep(what string, cond func() bool, kick func(), limit simnet.Duration) error {
-	deadline := s.Sim.Now() + simnet.Time(limit)
-	for !cond() {
-		if s.Sim.Now() >= deadline {
-			return fmt.Errorf("cluster: %s did not commit within %v ms", what, limit.Ms())
-		}
-		if kick != nil {
-			kick()
-		}
-		s.Sim.RunFor(joinPollInterval)
-	}
-	return nil
-}
-
-// registeredIn reports whether the FedAvg leader's directory lists peer
-// id under subgroup g.
-func (s *System) registeredIn(id uint64, g int) bool {
-	d := s.Directory()
-	if d == nil {
-		return false
-	}
-	e, ok := d.Lookup(id)
-	return ok && e.Subgroup == g
+// await runs steps to completion through drive, blocking on the
+// simulator: split and merge run at a round boundary, with the caller
+// waiting. Each step gets at most limit.
+func (s *System) await(limit simnet.Duration, steps ...step) error {
+	var err error
+	finished := false
+	s.drive(steps, limit, func(e error) { err, finished = e, true })
+	// drive gives up on a step at the first poll past its limit, so it
+	// finishes inside this bound.
+	s.Sim.RunWhileNot(func() bool { return finished },
+		s.Sim.Now()+simnet.Time(len(steps))*simnet.Time(limit+joinPollInterval))
+	return err
 }
 
 // forgetAcross scrubs ids from every detector and RTT tracker of peers
@@ -224,19 +209,12 @@ func (s *System) SplitSubgroup(g int, limit simnet.Duration) (*ShardAction, erro
 
 	// Phase A — commit the movers out of g's raft group one by one, then
 	// take their old hosts down.
+	var removals []step
 	for _, id := range move {
-		mid := id
-		if err := s.runShardStep(
-			fmt.Sprintf("split: removal of peer %d from subgroup %d", mid, g),
-			func() bool {
-				m := s.subgroupMembers(g)
-				return m != nil && !contains(m, mid)
-			},
-			func() { s.askSubgroupLeader(g, raft.ConfChange{Add: false, NodeID: mid}) },
-			limit,
-		); err != nil {
-			return nil, err
-		}
+		removals = append(removals, s.subgroupChange(g, raft.ConfChange{NodeID: id}))
+	}
+	if err := s.await(limit, removals...); err != nil {
+		return nil, fmt.Errorf("cluster: split: %w", err)
 	}
 	for _, id := range move {
 		s.subGroups[g].Remove(id)
@@ -252,34 +230,22 @@ func (s *System) SplitSubgroup(g int, limit simnet.Duration) (*ShardAction, erro
 			return nil, err
 		}
 	}
-	if err := s.runShardStep(
-		fmt.Sprintf("split: leader election in new subgroup %d", ng),
-		func() bool { return s.SubgroupLeader(ng) != raft.None },
-		nil, limit,
-	); err != nil {
-		return nil, err
+	if err := s.await(limit, step{
+		what: fmt.Sprintf("leader election in new subgroup %d", ng),
+		done: func() bool { return s.SubgroupLeader(ng) != raft.None },
+	}); err != nil {
+		return nil, fmt.Errorf("cluster: split: %w", err)
 	}
 
 	// Phase C — re-register the movers in the directory under the new
-	// subgroup with dense indices 0..len−1 (a fresh subgroup has every
-	// slot free, so the proposed index always wins; re-proposals are
-	// idempotent). DirJoin re-registration releases the old g slot in the
-	// same committed entry, so soundness never breaks in between.
-	for i, id := range move {
-		mid, idx := id, i
-		if err := s.runShardStep(
-			fmt.Sprintf("split: directory move of peer %d to subgroup %d", mid, ng),
-			func() bool { return s.registeredIn(mid, ng) },
-			func() {
-				s.proposeDirectory(wire.DirectoryUpdate{
-					Op: wire.DirJoin, ID: mid, Subgroup: ng,
-					ShareIndex: idx, Addr: peerAddr(mid),
-				})
-			},
-			limit,
-		); err != nil {
-			return nil, err
-		}
+	// subgroup, one committed entry each: a fresh subgroup has every slot
+	// free, so the i-th mover lands on share index i.
+	var moves []step
+	for _, id := range move {
+		moves = append(moves, s.directoryJoin(id, ng))
+	}
+	if err := s.await(limit, moves...); err != nil {
+		return nil, fmt.Errorf("cluster: split: %w", err)
 	}
 
 	// The two halves no longer share a group: scrub cross-half verdicts
@@ -326,8 +292,7 @@ func (s *System) MergeSubgroup(g int, limit simnet.Duration) (*ShardAction, erro
 	}
 	s.bySub[g] = nil
 
-	for _, id := range move {
-		mid := id
+	for _, mid := range move {
 		p := s.peers[mid]
 		// The new node starts from the target's committed membership (not
 		// including itself) so it cannot campaign before its addition
@@ -339,30 +304,11 @@ func (s *System) MergeSubgroup(g int, limit simnet.Duration) (*ShardAction, erro
 		if err := s.addSubNode(p, target, kindShard, members); err != nil {
 			return nil, err
 		}
-		if err := s.runShardStep(
-			fmt.Sprintf("merge: admission of peer %d into subgroup %d", mid, target),
-			func() bool { return contains(s.subgroupMembers(target), mid) },
-			func() { s.askSubgroupLeader(target, raft.ConfChange{Add: true, NodeID: mid}) },
-			limit,
+		if err := s.await(limit,
+			s.subgroupChange(target, raft.ConfChange{Add: true, NodeID: mid}),
+			s.directoryJoin(mid, target),
 		); err != nil {
-			return nil, err
-		}
-		if err := s.runShardStep(
-			fmt.Sprintf("merge: directory move of peer %d to subgroup %d", mid, target),
-			func() bool { return s.registeredIn(mid, target) },
-			func() {
-				d := s.Directory()
-				if d == nil {
-					return
-				}
-				s.proposeDirectory(wire.DirectoryUpdate{
-					Op: wire.DirJoin, ID: mid, Subgroup: target,
-					ShareIndex: d.NextShareIndex(target), Addr: peerAddr(mid),
-				})
-			},
-			limit,
-		); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("cluster: merge: %w", err)
 		}
 		s.bySub[target] = append(s.bySub[target], mid)
 		s.refreshWatches(target)

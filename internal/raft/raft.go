@@ -612,13 +612,30 @@ func (n *Node) Propose(data []byte) error {
 	return nil
 }
 
-// ProposeConfChange appends a single-server membership change.
+// ProposeConfChange appends a single-server membership change. Two
+// majorities of configurations one server apart always intersect; those
+// of configurations two apart need not. So the leader admits a change
+// only when its configuration is settled: it has committed an entry of
+// its own term — its no-op, which commits every change it inherited or
+// proves it lost (Ongaro, raft-dev 2015, "bug in single-server
+// membership changes") — and no conf change in its log awaits being
+// applied. Otherwise it returns ErrConfChangePending and appends
+// nothing; the caller asks again (hashicorp/raft enforces the same pair
+// in configurationChangeChIfStable).
 func (n *Node) ProposeConfChange(cc ConfChange) error {
 	if n.state != Leader {
 		return ErrNotLeader
 	}
 	if cc.NodeID == None {
 		return fmt.Errorf("raft: conf change with zero node ID")
+	}
+	if n.termAt(n.commitIndex) != n.term {
+		return ErrConfChangePending
+	}
+	for i := n.applied + 1; i <= n.lastIndex(); i++ {
+		if n.entryAt(i).Type == EntryConfChange {
+			return ErrConfChangePending
+		}
 	}
 	n.appendEntry(Entry{Type: EntryConfChange, Data: cc.Encode()})
 	n.broadcastAppend()
@@ -627,6 +644,10 @@ func (n *Node) ProposeConfChange(cc ConfChange) error {
 
 // ErrNotLeader is returned by proposals on non-leader nodes.
 var ErrNotLeader = fmt.Errorf("raft: not the leader")
+
+// ErrConfChangePending is returned by ProposeConfChange while the
+// leader's configuration is not settled.
+var ErrConfChangePending = fmt.Errorf("raft: a configuration change is pending")
 
 // ElectionTicks returns the current [min, max) election timeout band.
 func (n *Node) ElectionTicks() (min, max int) {

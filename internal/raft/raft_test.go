@@ -1,6 +1,7 @@
 package raft
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -68,37 +69,57 @@ func (c *cluster) heal(id uint64) {
 	delete(c.dropTo, id)
 }
 
+// hop drains one node's outputs and delivers its messages one hop,
+// leaving what the receivers answer undrained — the by-hand schedule
+// control the membership-change tests need. It reports whether anything
+// moved.
+func (c *cluster) hop(id uint64) bool {
+	n := c.nodes[id]
+	if c.down[id] || !n.HasPending() {
+		return false
+	}
+	rd := n.Ready()
+	c.committed[id] = append(c.committed[id], rd.Committed...)
+	moved := len(rd.Committed) > 0
+	for _, m := range rd.Messages {
+		if c.dropFrom[id] {
+			continue
+		}
+		dst, ok := c.nodes[m.To]
+		if !ok || c.down[m.To] || c.dropTo[m.To] {
+			continue
+		}
+		if err := dst.Step(m); err != nil {
+			c.t.Fatalf("step: %v", err)
+		}
+		moved = true
+	}
+	return moved
+}
+
 // flush delivers all pending messages until no node has output.
 func (c *cluster) flush() {
-	for {
-		moved := false
-		for id, n := range c.nodes {
-			if c.down[id] || !n.HasPending() {
-				continue
-			}
-			rd := n.Ready()
-			c.committed[id] = append(c.committed[id], rd.Committed...)
-			for _, m := range rd.Messages {
-				if c.dropFrom[id] {
-					continue
-				}
-				dst, ok := c.nodes[m.To]
-				if !ok || c.down[m.To] || c.dropTo[m.To] {
-					continue
-				}
-				if err := dst.Step(m); err != nil {
-					c.t.Fatalf("step: %v", err)
-				}
+	for moved := true; moved; {
+		moved = false
+		for id := range c.nodes {
+			if c.hop(id) {
 				moved = true
 			}
-			if len(rd.Committed) > 0 {
-				moved = true
-			}
-		}
-		if !moved {
-			return
 		}
 	}
+}
+
+// elect makes node id campaign on a quiet cluster and returns it as the
+// leader, its no-op committed and applied everywhere reachable.
+func (c *cluster) elect(id uint64) *Node {
+	c.t.Helper()
+	n := c.nodes[id]
+	n.Campaign()
+	c.flush()
+	if n.State() != Leader {
+		c.t.Fatalf("node %d did not win its election", id)
+	}
+	return n
 }
 
 // run advances all live nodes by `ticks` ticks, flushing after each.
@@ -531,10 +552,156 @@ func TestConfChangeCodec(t *testing.T) {
 }
 
 func TestProposeConfChangeValidation(t *testing.T) {
-	c := newCluster(t, 1)
-	l := c.waitLeader(50)
-	if err := l.ProposeConfChange(ConfChange{Add: true, NodeID: 0}); err == nil {
-		t.Fatal("want error for zero node ID")
+	t.Run("zero node ID", func(t *testing.T) {
+		c := newCluster(t, 1)
+		l := c.waitLeader(50)
+		if err := l.ProposeConfChange(ConfChange{Add: true, NodeID: 0}); err == nil {
+			t.Fatal("want error for zero node ID")
+		}
+	})
+	t.Run("not the leader", func(t *testing.T) {
+		c := newCluster(t, 1, 2, 3)
+		c.elect(1)
+		if err := c.nodes[2].ProposeConfChange(ConfChange{Add: true, NodeID: 4}); !errors.Is(err, ErrNotLeader) {
+			t.Fatalf("follower: err = %v, want ErrNotLeader", err)
+		}
+	})
+	t.Run("second change before the first commits", func(t *testing.T) {
+		c := newCluster(t, 1, 2, 3, 4)
+		l := c.elect(1)
+		if err := l.ProposeConfChange(ConfChange{NodeID: 4}); err != nil {
+			t.Fatal(err)
+		}
+		last := l.LastIndex()
+		if err := l.ProposeConfChange(ConfChange{NodeID: 3}); !errors.Is(err, ErrConfChangePending) {
+			t.Fatalf("overlapping change: err = %v, want ErrConfChangePending", err)
+		}
+		if l.LastIndex() != last {
+			t.Fatal("a refused change must append nothing")
+		}
+		c.flush() // the first commits and takes effect
+		if err := l.ProposeConfChange(ConfChange{NodeID: 3}); err != nil {
+			t.Fatalf("after the first change took effect: %v", err)
+		}
+	})
+	t.Run("new leader before its no-op commits", func(t *testing.T) {
+		c := newCluster(t, 1, 2, 3)
+		l := c.nodes[1]
+		l.Campaign()
+		c.hop(1) // vote requests out
+		c.hop(2) // grants back: 1 leads term 1 with its no-op queued, not sent
+		c.hop(3)
+		if l.State() != Leader {
+			t.Fatal("node 1 did not win")
+		}
+		if err := l.ProposeConfChange(ConfChange{Add: true, NodeID: 4}); !errors.Is(err, ErrConfChangePending) {
+			t.Fatalf("before the no-op commits: err = %v, want ErrConfChangePending", err)
+		}
+		c.flush()
+		if err := l.ProposeConfChange(ConfChange{Add: true, NodeID: 4}); err != nil {
+			t.Fatalf("after the no-op committed: %v", err)
+		}
+	})
+	// A change the previous leader left uncommitted in the new leader's
+	// log commits with the new leader's no-op, but takes effect only when
+	// applied (Ready): until then the new leader's configuration is still
+	// one step behind its log and must not move again.
+	t.Run("inherited change committed but not yet in effect", func(t *testing.T) {
+		c := newCluster(t, 1, 2, 3)
+		old := c.elect(1)
+		c.dropTo[3], c.dropFrom[2] = true, true // as far as node 2's log, unacknowledged
+		if err := old.ProposeConfChange(ConfChange{Add: true, NodeID: 4}); err != nil {
+			t.Fatal(err)
+		}
+		c.flush()
+		inherited := old.LastIndex()
+		c.heal(2)
+		c.heal(3)
+		c.isolate(1)
+		l := c.nodes[2]
+		if l.LastIndex() != inherited || l.CommitIndex() >= inherited {
+			t.Fatalf("setup: node 2 last %d commit %d, want the change at %d uncommitted", l.LastIndex(), l.CommitIndex(), inherited)
+		}
+		l.Campaign()
+		for i := 0; l.CommitIndex() <= inherited; i++ {
+			if i == 10 {
+				t.Fatal("node 2's no-op did not commit")
+			}
+			c.hop(2) // drains node 2's Ready first, so nothing newly committed is applied below
+			c.hop(3)
+		}
+		if l.State() != Leader {
+			t.Fatal("node 2 did not win")
+		}
+		if err := l.ProposeConfChange(ConfChange{Add: true, NodeID: 5}); !errors.Is(err, ErrConfChangePending) {
+			t.Fatalf("inherited change committed, not applied: err = %v, want ErrConfChangePending", err)
+		}
+		c.flush()
+		if !l.IsMember(4) {
+			t.Fatal("inherited change did not take effect")
+		}
+		if err := l.ProposeConfChange(ConfChange{Add: true, NodeID: 5}); err != nil {
+			t.Fatalf("after the inherited change took effect: %v", err)
+		}
+	})
+}
+
+// TestOverlappingConfChangesCannotElectTwoLeaders replays the schedule
+// that needs two changes in flight at once. Five nodes, majority three;
+// the leader removes 5 and then 4 without waiting. Both entries commit on
+// {1,2,3}; node 2 hears of the commit and counts votes among {1,2,3},
+// node 3 holds the same entries but not the commit index and still
+// counts among all five. A partition {1,2} | {3,4,5} then gives each of
+// them a majority of its own configuration in the same term: {1,2} of
+// three, {3,4,5} of five, disjoint. (Configurations one change apart
+// cannot do this, which is the whole rule: with the second change
+// refused, node 2 counts among {1,2,3,4} and two votes elect nobody.)
+func TestOverlappingConfChangesCannotElectTwoLeaders(t *testing.T) {
+	c := newCluster(t, 1, 2, 3, 4, 5)
+	l := c.elect(1)
+	heartbeat := func() {
+		for i := 0; i < 2; i++ { // HeartbeatTick
+			l.Tick()
+		}
+		c.hop(1)
+	}
+	for id := uint64(2); id <= 5; id++ {
+		c.dropTo[id] = true
+	}
+	if err := l.ProposeConfChange(ConfChange{NodeID: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.ProposeConfChange(ConfChange{NodeID: 4}); !errors.Is(err, ErrConfChangePending) {
+		t.Errorf("second removal before the first committed: err = %v, want ErrConfChangePending", err)
+	}
+	c.hop(1) // both proposals' appends are lost
+	c.heal(2)
+	c.heal(3)
+	heartbeat() // one append carries everything proposed to 2 and 3, commit index still behind it
+	c.hop(2)
+	c.hop(3) // acknowledged by {1,2,3}: committed
+	c.dropTo[3] = true
+	c.flush()   // the leader applies
+	heartbeat() // node 2 learns the commit index, node 3 does not
+	c.flush()
+
+	c.nodes[2].Campaign() // side {1,2}
+	c.flush()
+	c.heal(3)
+	c.heal(4)
+	c.heal(5)
+	c.dropTo[1], c.dropTo[2] = true, true
+	c.nodes[3].Campaign() // side {3,4,5}
+	c.flush()
+
+	var leaders []uint64
+	for id := uint64(1); id <= 5; id++ {
+		if n := c.nodes[id]; n.State() == Leader && n.Term() == 2 {
+			leaders = append(leaders, id)
+		}
+	}
+	if len(leaders) != 1 || leaders[0] != 3 {
+		t.Fatalf("leaders of term 2 = %v, want [3] alone", leaders)
 	}
 }
 
