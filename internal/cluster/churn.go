@@ -577,10 +577,8 @@ func (s *System) ReplacePeer(id uint64) (int, error) {
 	if fedFrame != nil {
 		p.fedHost.Crash()
 	}
-	// The successor resumes after one link latency (the transfer), and
-	// strictly after the stranded tick closure of the crashed process
-	// has fired and died — restarting at the same instant would arm a
-	// second tick loop.
+	// The successor resumes one link latency (the transfer) plus one
+	// tick (its process start) after the hand-off.
 	delay := s.subGroups[p.Subgroup].TickInterval + s.opts.Latency
 	s.Sim.Schedule(delay, func() {
 		cp, err := wire.ReadCheckpointFrame(bytes.NewReader(frame))

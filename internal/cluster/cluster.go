@@ -23,7 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/directory"
@@ -487,7 +487,7 @@ func (s *System) PeerIDs() []uint64 {
 	for id := range s.peers {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

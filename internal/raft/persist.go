@@ -1,6 +1,9 @@
 package raft
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // HardState is the durable part of a node's state: what Raft requires to
 // be persisted before answering RPCs (currentTerm, votedFor) plus the
@@ -13,7 +16,11 @@ type HardState struct {
 	Commit   uint64
 }
 
-// PersistentState is everything needed to reconstruct a node.
+// PersistentState is everything needed to reconstruct a node. One that
+// Persist returned is an immutable image of memory the node goes on
+// reading: a holder encodes it, stores it or hands it to Restore (which
+// copies what it keeps), and writes to nothing it reaches. Appending to
+// its Log or Peers is safe: both are full to capacity, so append copies.
 type PersistentState struct {
 	Hard HardState
 	// Snapshot is the last compaction point (nil when the log was never
@@ -27,20 +34,22 @@ type PersistentState struct {
 // draining Ready (in a real deployment this would be fsynced; the
 // simulator keeps it in memory, which is equivalent under a crash model
 // that loses nothing already persisted).
+//
+// The capture costs O(1) whatever the log's length, because it shares
+// instead of copying, and it still never changes afterwards, because the
+// node never writes to what it has shared: Log is a view of the node's
+// own array, clipped to its length, and the node only ever fills slots
+// past that length (conflict truncation, Compact and snapshot install
+// all move the log to a fresh array); Peers is the sorted member slice,
+// which a configuration change replaces rather than edits; Snapshot is
+// the node's own, which Compact and snapshot install likewise replace.
 func (n *Node) Persist() PersistentState {
-	ps := PersistentState{
-		Hard:  HardState{Term: n.term, VotedFor: n.votedFor, Commit: n.commitIndex},
-		Log:   make([]Entry, len(n.log)),
-		Peers: n.Members(),
+	return PersistentState{
+		Hard:     HardState{Term: n.term, VotedFor: n.votedFor, Commit: n.commitIndex},
+		Snapshot: n.snapshot,
+		Log:      slices.Clip(n.log),
+		Peers:    n.members,
 	}
-	copy(ps.Log, n.log)
-	if n.snapshot != nil {
-		s := *n.snapshot
-		s.Peers = append([]uint64(nil), n.snapshot.Peers...)
-		s.Data = append([]byte(nil), n.snapshot.Data...)
-		ps.Snapshot = &s
-	}
-	return ps
 }
 
 // Restore creates a node from a persisted state, as a follower with no

@@ -19,7 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/telemetry"
 )
@@ -276,7 +276,9 @@ type Node struct {
 	leader   uint64
 
 	// log holds entries after the snapshot point: log[i] has raft index
-	// snapIndex+i+1.
+	// snapIndex+i+1. A slot is written once, by the append that creates
+	// it: Persist hands out views of this array (see persist.go), so
+	// whatever shortens or rewrites the log moves it to a fresh one.
 	log         []Entry
 	snapIndex   uint64
 	snapTerm    uint64
@@ -286,6 +288,10 @@ type Node struct {
 	applied     uint64
 
 	peers map[uint64]bool // current configuration (voting members)
+	// members is peers, sorted: what the node iterates so that emission
+	// order is deterministic, and what Persist shares. It is replaced,
+	// never edited in place, wherever peers changes (setMembers).
+	members []uint64
 
 	// Candidate state (also holds pre-votes while PreCandidate).
 	votes map[uint64]bool
@@ -379,6 +385,7 @@ func NewNode(cfg Config) (*Node, error) {
 		}
 		n.peers[p] = true
 	}
+	n.setMembers()
 	n.resetElectionTimeout()
 	return n, nil
 }
@@ -398,14 +405,19 @@ func (n *Node) Leader() uint64 { return n.leader }
 // CommitIndex returns the highest committed log index.
 func (n *Node) CommitIndex() uint64 { return n.commitIndex }
 
-// Members returns the current configuration, sorted.
-func (n *Node) Members() []uint64 {
+// Members returns the current configuration, sorted, in a slice the
+// caller owns.
+func (n *Node) Members() []uint64 { return slices.Clone(n.members) }
+
+// setMembers rebuilds members from peers into a fresh slice, so one
+// captured earlier (a Persist image, a snapshot) keeps its contents.
+func (n *Node) setMembers() {
 	out := make([]uint64, 0, len(n.peers))
 	for p := range n.peers {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	n.members = out
 }
 
 // LastIndex returns the index of the last entry in the log (including
@@ -500,7 +512,7 @@ func (n *Node) preCampaign() {
 		return
 	}
 	// Sorted iteration keeps emission order deterministic (see campaign).
-	for _, p := range n.Members() {
+	for _, p := range n.members {
 		if p == n.id {
 			continue
 		}
@@ -539,7 +551,7 @@ func (n *Node) campaign() {
 	// across runs — the discrete-event simulator delivers same-time events
 	// in schedule order, and deterministic replay (internal/chaos) needs
 	// byte-for-byte identical runs from identical seeds.
-	for _, p := range n.Members() {
+	for _, p := range n.members {
 		if p == n.id {
 			continue
 		}
@@ -689,7 +701,7 @@ func (n *Node) send(m Message) {
 
 func (n *Node) broadcastAppend() {
 	// Sorted iteration keeps emission order deterministic (see campaign).
-	for _, p := range n.Members() {
+	for _, p := range n.members {
 		if p == n.id {
 			continue
 		}
@@ -908,9 +920,11 @@ func (n *Node) handleAppend(m Message) {
 		case e.Index <= n.lastIndex() && n.termAt(e.Index) == e.Term:
 			// Already have it.
 		case e.Index <= n.lastIndex():
-			// Conflict: truncate and append.
-			n.log = n.log[:e.Index-n.snapIndex-1]
-			n.log = append(n.log, e)
+			// Conflict: truncate and append. The slot at e.Index may be
+			// visible through a Persist image, so the kept prefix is
+			// clipped and the append moves it to a fresh array instead
+			// of overwriting the slot in place.
+			n.log = append(slices.Clip(n.log[:e.Index-n.snapIndex-1]), e)
 			appended++
 		default:
 			n.log = append(n.log, e)
@@ -996,6 +1010,7 @@ func (n *Node) handleSnapshot(m Message) {
 	for _, p := range snap.Peers {
 		n.peers[p] = true
 	}
+	n.setMembers()
 	n.tel.snapshotsInstalled.Inc()
 	n.tel.reg.Trace("raft/snapshot_installed", n.id, -1, telemetry.F("index", int64(snap.Index)))
 	n.send(Message{Type: MsgAppendResponse, To: m.From, Term: n.term, Match: snap.Index})
@@ -1102,6 +1117,7 @@ func (n *Node) applyConfChange(cc ConfChange) {
 	if cc.Add {
 		if !n.peers[cc.NodeID] {
 			n.peers[cc.NodeID] = true
+			n.setMembers()
 			if n.state == Leader {
 				n.nextIndex[cc.NodeID] = n.lastIndex() + 1
 				n.matchIndex[cc.NodeID] = 0
@@ -1111,6 +1127,7 @@ func (n *Node) applyConfChange(cc ConfChange) {
 		return
 	}
 	delete(n.peers, cc.NodeID)
+	n.setMembers()
 	if cc.NodeID == n.id && n.state == Leader {
 		// A leader that applies its own removal steps down; otherwise
 		// its heartbeats would suppress elections among the remaining

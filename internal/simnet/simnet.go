@@ -8,10 +8,9 @@
 package simnet
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/raft"
 	"repro/internal/wire"
@@ -42,23 +41,65 @@ type event struct {
 	fn  func()
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the queue's one ordering: ascending (at, seq). seq is unique,
+// so the order is total and equal-seed runs replay event for event.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+// eventQueue is a binary min-heap of events on before, written on the
+// slice itself: no interface call per level and no boxing per push or
+// pop.
+type eventQueue []event
+
+func (q *eventQueue) push(e event) {
+	h := append(*q, e)
+	*q = h
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
+}
+
+// pop removes and returns the earliest event. The vacated slot is
+// cleared so the queue keeps no reference to a closure it has handed out.
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	e := h[n]
+	h[n] = event{}
+	h = h[:n]
+	*q = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && h[r].before(&h[child]) {
+			child = r
+		}
+		if !h[child].before(&e) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = e
+	return top
 }
 
 // Sim is the discrete-event scheduler. It is not safe for concurrent use:
@@ -67,7 +108,7 @@ func (h *eventHeap) Pop() interface{} {
 type Sim struct {
 	now    Time
 	seq    uint64
-	events eventHeap
+	events eventQueue
 }
 
 // New creates an empty simulation at time zero.
@@ -82,7 +123,7 @@ func (s *Sim) Schedule(after Duration, fn func()) {
 		after = 0
 	}
 	s.seq++
-	heap.Push(&s.events, event{at: s.now + Time(after), seq: s.seq, fn: fn})
+	s.events.push(event{at: s.now + Time(after), seq: s.seq, fn: fn})
 }
 
 // Step executes the next event; false when the queue is empty.
@@ -90,7 +131,7 @@ func (s *Sim) Step() bool {
 	if len(s.events) == 0 {
 		return false
 	}
-	e := heap.Pop(&s.events).(event)
+	e := s.events.pop()
 	s.now = e.at
 	e.fn()
 	return true
@@ -196,6 +237,12 @@ type Host struct {
 	Node  *raft.Node
 	group *Group
 	down  bool
+	// tickEpoch names the host's one live tick chain. Arming a chain
+	// (Add, restart), Crash and Remove advance it, and a chain armed
+	// under an earlier epoch ends when it next fires — so a restart
+	// inside one tick interval cannot leave the stranded chain running
+	// beside the new one.
+	tickEpoch uint64
 
 	// OnCommit, if set, observes each committed entry.
 	OnCommit func(e raft.Entry)
@@ -244,7 +291,7 @@ func (g *Group) Remove(id uint64) {
 	if !ok {
 		return
 	}
-	h.down = true // strands the pending tick closure
+	h.Crash()
 	delete(g.hosts, id)
 }
 
@@ -258,7 +305,7 @@ func (g *Group) IDs() []uint64 {
 	for id := range g.hosts {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -278,20 +325,30 @@ func (g *Group) Leader() uint64 {
 	return best
 }
 
+// scheduleTick arms the host's tick chain under a new epoch: one closure
+// that re-schedules itself every TickInterval for as long as that epoch
+// is the host's current one.
 func (g *Group) scheduleTick(h *Host) {
-	g.sim.Schedule(g.TickInterval, func() {
-		if h.down {
+	h.tickEpoch++
+	epoch := h.tickEpoch
+	var tick func()
+	tick = func() {
+		if h.tickEpoch != epoch {
 			return
 		}
 		h.Node.Tick()
 		h.Pump()
-		g.scheduleTick(h)
-	})
+		g.sim.Schedule(g.TickInterval, tick)
+	}
+	g.sim.Schedule(g.TickInterval, tick)
 }
 
 // Crash stops the host: no more ticks, inbound messages dropped. State
 // persisted before the crash survives (see Restart).
-func (h *Host) Crash() { h.down = true }
+func (h *Host) Crash() {
+	h.down = true
+	h.tickEpoch++
+}
 
 // Down reports whether the host has crashed.
 func (h *Host) Down() bool { return h.down }
