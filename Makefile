@@ -108,9 +108,10 @@ test-health:
 # driven by sac.Run in TestTCPMeshFreeListCoversASACTurn — race builds
 # poison recycled vectors), the nn checkpoint tests, and the SAC tests
 # that share its pooled buffers (scratch determinism, TCP-vs-memory
-# bit-identity across rounds, the streaming fold against the
-# store-then-sum reference engine in TestStreamingFoldMatchesReference,
-# and the default path's allocation pin in
+# bit-identity across rounds, sac.Run and its Peers against the
+# self-contained all-peers reference engine of reference_test.go in
+# TestStreamingFoldMatchesReference, and the default path's allocation
+# pin in
 # TestDefaultRunAllocatesOnlyItsResult and, for the spare list under two
 # goroutines, TestSpareWorkingSetsServeTwoGoroutines).
 test-wire:
@@ -157,12 +158,16 @@ test-scale:
 	$(GO) run ./cmd/p2pfl-bench -multilayer
 	$(GO) run ./cmd/p2pfl-chaos -track shard -seeds 12
 
-# Byzantine adversaries: robust SAC aggregation (range guard, subtotal
-# cross-check, leader audit), its core-layer integration, and the chaos
-# oracle's 20-seed deterministic sweep with the plain-mean sharpness
-# contrast (DESIGN.md §11).
+# Byzantine adversaries: robust SAC aggregation (each sac.Peer's range
+# guard, subtotal cross-check and leader audit, and who may send a
+# collector what), its core-layer integration, the seeds of both SAC fuzz
+# targets (FuzzHandleMessage through the mesh, FuzzPeerStep straight
+# into Peer.Step at every point of a round), and the chaos oracle's
+# 20-seed deterministic sweep with the plain-mean sharpness contrast
+# (DESIGN.md §11).
 test-byzantine:
 	$(GO) test -race ./internal/sac/ ./internal/core/ ./internal/chaos/
+	$(GO) test -race -run 'Fuzz' ./internal/sac/
 	$(GO) run -race ./cmd/p2pfl-chaos -track byzantine -seeds 20
 
 check: vet build test race chaos-smoke

@@ -69,7 +69,7 @@ func main() {
 		Peers:             ids,
 		ElectionTickMin:   ticksPerT,
 		ElectionTickMax:   2 * ticksPerT,
-		HeartbeatTick:     maxInt(1, ticksPerT/5),
+		HeartbeatTick:     max(1, ticksPerT/5),
 		SnapshotThreshold: *snapEvery,
 		Telemetry:         reg,
 	}
@@ -196,11 +196,4 @@ func parsePeers(s string) (map[uint64]string, []uint64, error) {
 		return nil, nil, fmt.Errorf("no peers")
 	}
 	return addrs, ids, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

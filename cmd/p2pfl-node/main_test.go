@@ -29,9 +29,3 @@ func TestParsePeersErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestMaxInt(t *testing.T) {
-	if maxInt(2, 3) != 3 || maxInt(5, -1) != 5 {
-		t.Fatal("maxInt broken")
-	}
-}

@@ -68,7 +68,7 @@ func runAccuracy(setting string, sizes []int, baseline bool, fraction float64, d
 		Data:         spec,
 		Dist:         dist,
 		Rounds:       rounds,
-		EvalEvery:    maxInt(1, rounds/25),
+		EvalEvery:    max(1, rounds/25),
 		LearningRate: 2e-3,
 		Epochs:       1,
 		BatchSize:    50,
@@ -90,13 +90,6 @@ func runAccuracy(setting string, sizes []int, baseline bool, fraction float64, d
 		Bytes:       series.Bytes[len(series.Bytes)-1],
 	}
 	return row, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Fig6 reproduces the test-accuracy comparison: N = 10 peers total,

@@ -42,7 +42,7 @@ func Ext6CompressionCurve(p Params) (*AccuracyResult, error) {
 			Data:         spec,
 			Dist:         dataset.IID,
 			Rounds:       p.Rounds,
-			EvalEvery:    maxInt(1, p.Rounds/25),
+			EvalEvery:    max(1, p.Rounds/25),
 			LearningRate: 2e-3,
 			BatchSize:    50,
 			Workers:      p.Workers,

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+
+	"repro/internal/core"
 )
 
 // CSVWriter is implemented by results that can export their full data
@@ -44,7 +46,7 @@ func (r *AccuracyResult) WriteCSV(dir string) error {
 	header := []string{"setting", "distribution", "round", "test_acc", "train_loss_ma", "cum_bytes"}
 	var rows [][]string
 	for _, row := range r.Rows {
-		lossMA := movingAvg(row.Series.TrainLoss, 5)
+		lossMA := core.MovingAverage(row.Series.TrainLoss, 5)
 		for i, round := range row.Series.Round {
 			rows = append(rows, []string{
 				row.Setting, row.Dist.String(), strconv.Itoa(round),
@@ -54,23 +56,6 @@ func (r *AccuracyResult) WriteCSV(dir string) error {
 		}
 	}
 	return writeCSV(dir, r.Fig, header, rows)
-}
-
-func movingAvg(xs []float64, window int) []float64 {
-	out := make([]float64, len(xs))
-	sum := 0.0
-	for i, x := range xs {
-		sum += x
-		if i >= window {
-			sum -= xs[i-window]
-		}
-		n := window
-		if i+1 < window {
-			n = i + 1
-		}
-		out[i] = sum / float64(n)
-	}
-	return out
 }
 
 // WriteCSV implements CSVWriter: one row per trial.

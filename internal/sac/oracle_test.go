@@ -7,218 +7,11 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/secretshare"
 	"repro/internal/transport"
 )
-
-// The reference engine: phases 1–2 as they were before the streaming
-// fold — every contributor divided into its own share block, every
-// received share stored in received[peer][shareIdx][contributor], the
-// subtotals summed afterwards over the final contributors in ascending
-// order. It is the oracle the contributor-at-a-time engine is proven
-// bit-identical against (TestStreamingFoldMatchesReference); phase 3 is
-// the engine's own, fed the reference's subtotals.
-
-type refAccusation struct{ accuser, accused int }
-
-// refRun is Run on the reference phases. descending reverses the
-// summation order — the deliberate mutation the oracle must catch.
-func refRun(mesh transport.Network, cfg Config, models [][]float64, crash CrashPlan, descending bool) (*Result, error) {
-	e, err := newEngine(mesh, cfg, models, crash)
-	if err != nil {
-		return nil, err
-	}
-	defer e.release()
-	return e.report(refPhases(e, models, descending))
-}
-
-func refValidShare(e *engine, m transport.Message) bool {
-	return m.Kind == KindShare &&
-		m.ShareIdx >= 0 && m.ShareIdx < e.cfg.N &&
-		m.From >= 0 && m.From < e.cfg.N &&
-		len(m.Payload) == e.dim
-}
-
-func refStore(received []map[int]map[int][]float64, peer, shareIdx, contributor int, share []float64) {
-	byContrib, ok := received[peer][shareIdx]
-	if !ok {
-		byContrib = make(map[int][]float64)
-		received[peer][shareIdx] = byContrib
-	}
-	byContrib[contributor] = share
-}
-
-func refPhases(e *engine, models [][]float64, descending bool) (*Result, error) {
-	n, k := e.cfg.N, e.cfg.K
-
-	// Phase 1 — share exchange: everybody sends, then everybody drains.
-	received := make([]map[int]map[int][]float64, n)
-	for j := range received {
-		received[j] = make(map[int]map[int][]float64)
-	}
-	replicas := make([][]int, n)
-	for j := range replicas {
-		idx, err := secretshare.ReplicaIndices(j, n, k)
-		if err != nil {
-			return nil, err
-		}
-		replicas[j] = idx
-	}
-	for i := 0; i < n; i++ {
-		if !e.mesh.Alive(i) {
-			continue
-		}
-		if e.crashAt(i, BeforeShares) {
-			if err := e.mesh.Crash(i); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		shares, err := e.div.Divide(attackModel(e.byz(i), models[i]), n, e.rng)
-		if err != nil {
-			return nil, err
-		}
-		e.contributors = append(e.contributors, i)
-		for j := 0; j < n; j++ {
-			for _, s := range replicas[j] {
-				if j == i {
-					refStore(received, j, s, i, shares[s])
-					continue
-				}
-				payload := shares[s]
-				if e.byz(i) == ByzCorruptShares {
-					payload = e.corruptedCopy(payload)
-				}
-				msg := transport.Message{From: i, To: j, Kind: KindShare, ShareIdx: s, Payload: payload}
-				if err := e.mesh.Send(msg); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	if len(e.contributors) == 0 {
-		return nil, ErrInsufficientPeers
-	}
-	var accusations []refAccusation
-	accusedPair := make(map[[2]int]bool)
-	var drained [][]transport.Message
-	for j := 0; j < n; j++ {
-		if !e.mesh.Alive(j) {
-			continue
-		}
-		msgs, err := e.mesh.Drain(j)
-		if err != nil {
-			return nil, err
-		}
-		drained = append(drained, msgs)
-		for _, m := range msgs {
-			switch {
-			case !refValidShare(e, m):
-			case e.shareOutOfRange(j, m):
-				if pair := [2]int{j, m.From}; !accusedPair[pair] {
-					accusedPair[pair] = true
-					accusations = append(accusations, refAccusation{accuser: j, accused: m.From})
-				}
-			default:
-				refStore(received, j, m.ShareIdx, m.From, m.Payload)
-			}
-		}
-	}
-	if err := refBroadcastAccusations(e, accusations); err != nil {
-		return nil, err
-	}
-	if len(e.contributors) == 0 {
-		return nil, fmt.Errorf("%w: every contributor was excluded by the range guard", ErrInsufficientPeers)
-	}
-	if k == n && len(e.contributors) < n {
-		return nil, fmt.Errorf("%w: %d of %d peers sent shares", ErrAborted, len(e.contributors), n)
-	}
-
-	// Phase 2 — subtotal computation, after the fact.
-	order := append([]int(nil), e.contributors...)
-	if descending {
-		sort.Sort(sort.Reverse(sort.IntSlice(order)))
-	}
-	for j := 0; j < n; j++ {
-		if !e.mesh.Alive(j) {
-			continue
-		}
-		if e.crashAt(j, AfterShares) {
-			if err := e.mesh.Crash(j); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		e.sc.computed[j] = true
-		for s, byContrib := range received[j] {
-			sub := make([]float64, e.dim)
-			complete := true
-			for _, c := range order {
-				sh, ok := byContrib[c]
-				if !ok {
-					complete = false
-					break
-				}
-				for x, v := range sh {
-					sub[x] += v
-				}
-			}
-			// Hand the subtotal to phase 3 the way the engine reports one.
-			if a := e.sc.slot[j*n+s]; complete && a >= 0 {
-				copy(e.sc.accVec(a), sub)
-				e.sc.folds[a] = len(e.contributors)
-			}
-		}
-		e.corruptSubtotals(j)
-	}
-	for _, msgs := range drained {
-		e.recycle(msgs)
-	}
-	return e.finish()
-}
-
-func refBroadcastAccusations(e *engine, accusations []refAccusation) error {
-	if len(accusations) == 0 {
-		return nil
-	}
-	n := e.cfg.N
-	accused := make(map[int]bool)
-	for _, a := range accusations {
-		accused[a.accused] = true
-		for l := 0; l < n; l++ {
-			if l == a.accuser || !e.mesh.Alive(l) {
-				continue
-			}
-			msg := transport.Message{From: a.accuser, To: l, Kind: KindAccuse,
-				ShareIdx: a.accused, Payload: []float64{float64(a.accused)}}
-			if err := e.mesh.Send(msg); err != nil {
-				return err
-			}
-		}
-	}
-	for l := 0; l < n; l++ {
-		if !e.mesh.Alive(l) {
-			continue
-		}
-		if _, err := e.mesh.Drain(l); err != nil {
-			return err
-		}
-	}
-	kept := e.contributors[:0]
-	for _, c := range e.contributors {
-		if accused[c] {
-			e.excluded = append(e.excluded, c)
-			continue
-		}
-		kept = append(kept, c)
-	}
-	e.contributors = kept
-	sort.Ints(e.excluded)
-	return nil
-}
 
 // ---- the oracle table ----
 
@@ -387,7 +180,7 @@ func oracleModels(r *rand.Rand, n int) [][]float64 {
 	return models
 }
 
-// runOracleCase drives one engine (run) through the case's two rounds on
+// runOracleCase drives one implementation (run) through the case's two rounds on
 // a fresh fabric and returns what it observed per round plus the rng's
 // next draw. Before the second round two stale, well-formed shares —
 // replays between the first two alive peers, one each way — sit in their
@@ -462,8 +255,8 @@ func runReordered(mesh transport.Network, cfg Config, models [][]float64, crash 
 }
 
 // TestStreamingFoldMatchesReference is the bit-identity proof of the
-// contributor-at-a-time engine: over the whole table it returns the
-// reference engine's Result (Avg compared by bit pattern), error,
+// driver and its Peers: over the whole table Run returns the reference
+// engine's Result (Avg compared by bit pattern), error,
 // traffic counter by kind (bytes and messages), puts the same messages
 // with the same payload bits on an in-memory mesh in the same order, and
 // leaves the caller's rng in the same state. -short keeps the socket
@@ -489,7 +282,7 @@ func TestStreamingFoldMatchesReference(t *testing.T) {
 // TestOracleCatchesReorderedFold shows the table has teeth: a reference
 // that sums its contributors in descending order — the same shares, the
 // same traffic, a different floating-point association — is told apart
-// from the engine on the first three-contributor row.
+// from Run on the first three-contributor row.
 func TestOracleCatchesReorderedFold(t *testing.T) {
 	for _, c := range oracleCases(false) {
 		got, _ := runOracleCase(t, c, Run)

@@ -2,14 +2,17 @@
 // n-out-of-n protocol (Alg. 2 of the paper) and the fault-tolerant
 // k-out-of-n protocol with replicated shares (Alg. 4).
 //
-// The engine is round-synchronous: the protocol advances through explicit
-// phases (share exchange → subtotal computation → subtotal exchange →
-// recovery → average) and peers may crash at phase boundaries, which is
-// exactly the failure model of the paper's Fig. 3 — a peer that "drops out
-// during aggregation" has sent its shares but not its subtotal. The first
-// two phases are fused: contributors take turns in ascending order, and
-// each receiver adds a turn's shares to its running subtotals as they
-// arrive, so a peer holds its n−k+1 subtotals and never the shares.
+// The protocol lives in Peer: one participant's state and its reaction
+// to each message, no IO in it. Run, the driver that steps N of them over
+// a transport.Network, is the paper's synchronous-round assumption made
+// explicit: the round advances through phases (share exchange → subtotal
+// computation → subtotal exchange → recovery → average) and peers may
+// crash at phase boundaries, which is exactly the failure model of the
+// paper's Fig. 3 — a peer that "drops out during aggregation" has sent
+// its shares but not its subtotal. The first two phases are fused:
+// contributors take turns in ascending order, and each receiver adds a
+// turn's shares to its running subtotals as they arrive, so a peer holds
+// its n−k+1 subtotals and never the shares.
 //
 // Traffic flows through a transport.Mesh, so every byte is accounted and
 // the measured cost can be checked against the paper's closed forms:
@@ -23,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/secretshare"
 	"repro/internal/telemetry"
@@ -73,7 +77,7 @@ const (
 // the peer fails.
 type CrashPlan map[int]Phase
 
-// Errors returned by the engine.
+// Errors returned by Run.
 var (
 	// ErrAborted reports that an n-out-of-n aggregation hit a crash and,
 	// per Alg. 2's semantics, must be restarted with the remaining peers.
@@ -82,7 +86,7 @@ var (
 	// secret average is unrecoverable.
 	ErrInsufficientPeers = errors.New("sac: fewer than K peers alive")
 	// ErrLeaderCrashed reports a crash of the designated leader, which is
-	// handled by Raft re-election above this engine.
+	// handled by Raft re-election above this package.
 	ErrLeaderCrashed = errors.New("sac: leader crashed")
 )
 
@@ -100,7 +104,7 @@ type Config struct {
 	// Telemetry, when non-nil, receives sac/* counters, per-phase
 	// duration histograms, and one trace event per aggregation.
 	Telemetry *telemetry.Registry
-	// Scratch is the working set the engine runs on (see Scratch): nil
+	// Scratch is the working set the round runs on (see Scratch): nil
 	// borrows a spare one for the call, non-nil is one the caller keeps
 	// across same-shaped rounds. Results are bit-identical either way;
 	// payloads observed on the mesh alias the working set, so observers
@@ -116,6 +120,8 @@ type Config struct {
 	Guard *Guard
 }
 
+func (c *Config) crossChecks() bool { return c.Guard != nil && c.Guard.CrossCheck }
+
 func (c *Config) validate() error {
 	if c.N < 1 {
 		return fmt.Errorf("sac: N = %d", c.N)
@@ -129,7 +135,7 @@ func (c *Config) validate() error {
 	if c.Mode == ModeLeader && (c.Leader < 0 || c.Leader >= c.N) {
 		return fmt.Errorf("sac: leader %d out of [0,%d)", c.Leader, c.N)
 	}
-	if c.Guard != nil && c.Guard.CrossCheck && c.Mode != ModeLeader {
+	if c.crossChecks() && c.Mode != ModeLeader {
 		return fmt.Errorf("sac: cross-check guard requires leader mode")
 	}
 	for p, b := range c.Adversary {
@@ -160,90 +166,13 @@ type Result struct {
 	// cross-checked combination beyond the guard tolerance.
 	Mismatches int
 	// LeaderAccused reports that the leader-result audit convicted the
-	// leader of equivocation; callers must discard Avg (the engine
-	// returns the honest combination, but a real deployment would
-	// re-run under a new leader).
+	// leader of equivocation; callers must discard Avg (Run returns the
+	// honest combination, but a real deployment would re-run under a new
+	// leader).
 	LeaderAccused bool
 }
 
-// Run executes one SAC aggregation of models (models[i] is peer i's flat
-// weight vector; all equal length) over the mesh, applying the crash plan.
-// Peers already crashed on the mesh are treated as BeforeShares failures.
-func Run(mesh transport.Network, cfg Config, models [][]float64, crash CrashPlan) (*Result, error) {
-	e, err := newEngine(mesh, cfg, models, crash)
-	if err != nil {
-		return nil, err
-	}
-	defer e.release()
-	return e.report(e.run(models))
-}
-
-// newEngine validates one aggregation's inputs, arms its working set and
-// counts the round as started. The caller must release the engine.
-func newEngine(mesh transport.Network, cfg Config, models [][]float64, crash CrashPlan) (*engine, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if mesh.N() != cfg.N {
-		return nil, fmt.Errorf("sac: mesh has %d peers, config %d", mesh.N(), cfg.N)
-	}
-	if len(models) != cfg.N {
-		return nil, fmt.Errorf("sac: %d models for %d peers", len(models), cfg.N)
-	}
-	dim := len(models[0])
-	for i, m := range models {
-		if len(m) != dim {
-			return nil, fmt.Errorf("sac: model %d has %d weights, want %d", i, len(m), dim)
-		}
-	}
-	div := cfg.Divider
-	if div == nil {
-		div = secretshare.ScalarDivider{}
-	}
-	rng := cfg.Rng
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
-	}
-	sc, borrowed := cfg.Scratch, cfg.Scratch == nil
-	if borrowed {
-		sc = borrowScratch(cfg.N, cfg.K, dim)
-	}
-	e := &engine{mesh: mesh, cfg: cfg, dim: dim, div: div, rng: rng, crash: crash,
-		tel: newSACTel(cfg.Telemetry), sc: sc, borrowed: borrowed}
-	if err := sc.begin(cfg.N, cfg.K, dim); err != nil {
-		e.release()
-		return nil, err
-	}
-	e.tel.roundsStarted.Inc()
-	return e, nil
-}
-
-// release ends the engine's use of its working set; a borrowed one goes
-// back to the spare list.
-func (e *engine) release() {
-	e.sc.end()
-	if e.borrowed {
-		returnScratch(e.sc)
-	}
-}
-
-// report records a finished aggregation on the round counters and the
-// trace.
-func (e *engine) report(res *Result, err error) (*Result, error) {
-	if err != nil {
-		e.tel.roundsFailed.Inc()
-		return nil, err
-	}
-	e.tel.roundsOK.Inc()
-	e.tel.reg.Trace("sac/round", uint64(e.cfg.Leader), -1,
-		telemetry.F("n", int64(e.cfg.N)),
-		telemetry.F("k", int64(e.cfg.K)),
-		telemetry.F("contributors", int64(len(res.Contributors))),
-		telemetry.F("recovered", int64(len(res.Recovered))))
-	return res, nil
-}
-
-// sacTel holds the engine's pre-resolved metric handles (all nil, hence
+// sacTel holds the driver's pre-resolved metric handles (all nil, hence
 // no-ops, when no registry is configured).
 type sacTel struct {
 	reg                *telemetry.Registry
@@ -288,460 +217,338 @@ func newSACTel(reg *telemetry.Registry) sacTel {
 	}
 }
 
-type engine struct {
-	mesh     transport.Network
-	cfg      Config
-	dim      int
-	div      secretshare.Divider
-	rng      *rand.Rand
-	crash    CrashPlan
-	tel      sacTel
-	sc       *Scratch // the working set; never nil
-	borrowed bool     // sc came from the spare list
-
-	contributors []int
-
-	// Byzantine bookkeeping (see byzantine.go).
-	excluded      []int
-	mismatches    int
-	leaderAccused bool
+// Run executes one SAC aggregation of models (models[i] is peer i's flat
+// weight vector; all equal length) over the mesh, applying the crash plan.
+// Peers already crashed on the mesh are treated as BeforeShares failures.
+//
+// Run drives N Peers and owns exactly what no single peer can know: the
+// order of the turns, the one Rng (handed to the contributor at its
+// turn, so draws come in one fixed order), the crash plan, who is alive
+// (mesh.Alive, the round's perfect failure detector, told to the peers
+// through Peer.Down), and the barrier ending a turn, where the receivers'
+// verdicts on the contributor are OR-ed so that all fold its shares or
+// none does. Only the driver touches the mesh.
+func Run(mesh transport.Network, cfg Config, models [][]float64, crash CrashPlan) (*Result, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if mesh.N() != cfg.N {
+		return nil, fmt.Errorf("sac: mesh has %d peers, config %d", mesh.N(), cfg.N)
+	}
+	if len(models) != cfg.N {
+		return nil, fmt.Errorf("sac: %d models for %d peers", len(models), cfg.N)
+	}
+	dim := len(models[0])
+	for i, m := range models {
+		if len(m) != dim {
+			return nil, fmt.Errorf("sac: model %d has %d weights, want %d", i, len(m), dim)
+		}
+	}
+	d := &driver{mesh: mesh, cfg: cfg, rng: cfg.Rng, crash: crash, tel: newSACTel(cfg.Telemetry), sc: cfg.Scratch}
+	if d.rng == nil {
+		d.rng = rand.New(rand.NewSource(1))
+	}
+	if d.sc == nil {
+		d.sc = borrowScratch(cfg.N, cfg.K, dim)
+	}
+	defer d.release()
+	if err := d.sc.begin(cfg, dim); err != nil {
+		return nil, err
+	}
+	d.peers = d.sc.peers
+	for j := range d.peers {
+		if !mesh.Alive(j) {
+			d.down(j)
+		}
+	}
+	d.tel.roundsStarted.Inc()
+	res, err := d.run(models)
+	if err != nil {
+		d.tel.roundsFailed.Inc()
+		return nil, err
+	}
+	d.tel.roundsOK.Inc()
+	d.tel.subtotalsRecovered.Add(int64(len(res.Recovered)))
+	d.tel.byzMismatch.Add(int64(res.Mismatches))
+	if res.LeaderAccused {
+		d.tel.byzEquivocation.Inc()
+	}
+	d.tel.reg.Trace("sac/round", uint64(cfg.Leader), -1,
+		telemetry.F("n", int64(cfg.N)),
+		telemetry.F("k", int64(cfg.K)),
+		telemetry.F("contributors", int64(len(res.Contributors))),
+		telemetry.F("recovered", int64(len(res.Recovered))))
+	return res, nil
 }
 
-func (e *engine) crashAt(peer int, phase Phase) bool {
-	p, ok := e.crash[peer]
-	return ok && p == phase
+type driver struct {
+	mesh  transport.Network
+	cfg   Config
+	rng   *rand.Rand
+	crash CrashPlan
+	tel   sacTel
+	sc    *Scratch // cfg.Scratch, or a spare one borrowed for the call
+	peers []Peer   // sc's
+
+	contributed, excluded int // turns run, and turns the barrier dropped
+	// err is the first failure of a mesh operation. Any aborts the round,
+	// so the helpers that touch the mesh do nothing once it is set.
+	err error
 }
 
-func (e *engine) run(models [][]float64) (*Result, error) {
-	n, k := e.cfg.N, e.cfg.K
-	t0 := e.tel.reg.Now()
+// release ends the round at every peer — the payloads they still hold go
+// back to the mesh, and an idle working set pins no memory it does not
+// own — and a borrowed working set goes back to the spare list.
+func (d *driver) release() {
+	for j := range d.sc.peers {
+		d.sc.peers[j].end()
+		send, done, _ := d.sc.peers[j].Ready()
+		for _, payload := range done {
+			d.mesh.Recycle(payload)
+		}
+		clear(send[:cap(send)])
+		clear(done[:cap(done)])
+	}
+	if d.cfg.Scratch == nil {
+		returnScratch(d.sc)
+	}
+}
+
+func (d *driver) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
+
+// down is the failure detector reporting j to every peer.
+func (d *driver) down(j int) {
+	for l := range d.peers {
+		d.peers[l].Down(j)
+	}
+}
+
+// crashAt carries out the crash plan on peer j if it names this phase.
+func (d *driver) crashAt(j int, phase Phase) {
+	if at, doomed := d.crash[j]; doomed && at == phase && d.mesh.Alive(j) && d.err == nil {
+		d.fail(d.mesh.Crash(j))
+		d.tel.peersCrashed.Inc()
+		d.down(j)
+	}
+}
+
+// flush does what peer j's Ready asks: sends its messages in order
+// (counted on sent), recycles the payloads it is done with, counts what
+// it discarded.
+func (d *driver) flush(j int, sent *telemetry.Counter) {
+	if d.err != nil {
+		return
+	}
+	send, done, invalid := d.peers[j].Ready()
+	for _, m := range send {
+		if d.err = d.mesh.Send(m); d.err != nil {
+			return
+		}
+	}
+	for _, payload := range done {
+		d.mesh.Recycle(payload)
+	}
+	sent.Add(int64(len(send)))
+	d.tel.msgsInvalid.Add(int64(invalid))
+}
+
+// deliver drains peer j's inbox into its Step and does what it asks in
+// return.
+func (d *driver) deliver(j int) {
+	if d.err != nil {
+		return
+	}
+	msgs, err := d.mesh.Drain(j)
+	d.fail(err)
+	for _, m := range msgs {
+		d.peers[j].Step(m)
+	}
+	d.flush(j, nil)
+}
+
+func (d *driver) deliverAll() {
+	for j := range d.peers {
+		if d.mesh.Alive(j) {
+			d.deliver(j)
+		}
+	}
+}
+
+// sharing reports whether peer j takes part in the share exchange. Who
+// does is settled before the first turn: a peer that is to crash
+// BeforeShares does so at its own turn, and until then its inbox fills
+// unread (the bytes sent toward it count all the same).
+func (d *driver) sharing(j int) bool {
+	at, doomed := d.crash[j]
+	return d.mesh.Alive(j) && !(doomed && at == BeforeShares)
+}
+
+func (d *driver) run(models [][]float64) (*Result, error) {
+	n, k := d.cfg.N, d.cfg.K
+	t0 := d.tel.reg.Now()
 
 	// Phases 1–2 — share exchange and subtotal computation, fused (Alg. 2
 	// lines 2–6 / Alg. 4 lines 2–13).
-	if err := e.foldShares(models); err != nil {
-		return nil, err
-	}
-	if err := e.broadcastAccusations(); err != nil {
-		return nil, err
-	}
-	if len(e.contributors) == 0 {
+	d.exchangeShares(models)
+	kept := d.contributed - d.excluded
+	switch {
+	case d.err != nil:
+		return nil, d.err
+	case d.contributed == 0:
+		return nil, ErrInsufficientPeers
+	case kept == 0:
 		return nil, fmt.Errorf("%w: every contributor was excluded by the range guard", ErrInsufficientPeers)
 	}
-	t1 := e.tel.reg.Now()
-	e.tel.phaseShare.Observe(float64(t1 - t0))
+	t1 := d.tel.reg.Now()
+	d.tel.phaseShare.Observe(float64(t1 - t0))
 
 	// Alg. 2 semantics: with K = N any pre-share crash leaves the other
 	// peers missing a partition, so the aggregation aborts.
-	if k == n && len(e.contributors) < n {
-		return nil, fmt.Errorf("%w: %d of %d peers sent shares", ErrAborted, len(e.contributors), n)
+	if k == n && kept < n {
+		return nil, fmt.Errorf("%w: %d of %d peers sent shares", ErrAborted, kept, n)
 	}
 
 	// A peer that crashes AfterShares has distributed its shares (so its
-	// model still counts) but reports nothing further; a subtotal liar
-	// corrupts what it is about to report.
-	for j := 0; j < n; j++ {
-		if !e.mesh.Alive(j) {
-			continue
-		}
-		if e.crashAt(j, AfterShares) {
-			if err := e.mesh.Crash(j); err != nil {
-				return nil, err
-			}
-			e.tel.peersCrashed.Inc()
-			continue
-		}
-		e.sc.computed[j] = true
-		e.corruptSubtotals(j)
+	// model still counts) but reports nothing further.
+	for j := range d.peers {
+		d.crashAt(j, AfterShares)
 	}
 
 	// Phase 3 — subtotal exchange.
-	t2 := e.tel.reg.Now()
-	e.tel.phaseSubtotal.Observe(float64(t2 - t1))
-	res, err := e.finish()
-	e.tel.phaseFinish.Observe(float64(e.tel.reg.Now() - t2))
+	t2 := d.tel.reg.Now()
+	d.tel.phaseSubtotal.Observe(float64(t2 - t1))
+	res, err := d.exchangeSubtotals()
+	d.tel.phaseFinish.Observe(float64(d.tel.reg.Now() - t2))
 	return res, err
 }
 
-// finish runs the subtotal exchange over the subtotals the peers report
-// and fills in the guard's findings.
-func (e *engine) finish() (*Result, error) {
-	var (
-		res *Result
-		err error
-	)
+// exchangeShares runs the share exchange one contributor at a time, in
+// ascending order: contributor i divides its model into the share block
+// and sends, and every receiver screens what arrived and — at the
+// barrier, once all have — adds it into its running subtotals before
+// contributor i+1 overwrites the block. Turn i completes before turn
+// i+1 starts, so each subtotal sums its contributors in ascending order
+// whatever the fabric does — the summation order the results are pinned
+// to. Afterwards the peers seal: every accuser tells every alive peer
+// whom its range guard caught, in accuser-major order, and the copies
+// are read at once so later phases see clean inboxes.
+func (d *driver) exchangeShares(models [][]float64) {
+	for i := 0; i < len(d.peers) && d.err == nil; i++ {
+		if !d.sharing(i) {
+			d.crashAt(i, BeforeShares) // its own turn is when
+			continue
+		}
+		d.peers[i].BeginTurn(i)
+		d.fail(d.peers[i].Contribute(models[i], d.rng))
+		d.flush(i, d.tel.sharesSent)
+		// The barrier: every receiver has screened before any folds, and
+		// one accusation is everybody's. Here the driver sees all verdicts at
+		// once; peers that sent accusations inside the turn would not need it.
+		fold := true
+		for j := range d.peers {
+			if d.sharing(j) {
+				d.peers[j].BeginTurn(i)
+				d.deliver(j)
+				if d.peers[j].Caught() {
+					fold = false
+					d.tel.byzShareRange.Inc()
+				}
+			}
+		}
+		for j := range d.peers {
+			if d.sharing(j) {
+				d.peers[j].EndTurn(fold)
+				d.flush(j, nil)
+			}
+		}
+		d.contributed++
+		if !fold {
+			d.excluded++
+			d.tel.byzExcluded.Inc()
+		}
+	}
+	for j := range d.peers {
+		if d.mesh.Alive(j) {
+			d.peers[j].Seal()
+			d.flush(j, nil)
+		}
+	}
+	d.deliverAll()
+}
+
+// exchangeSubtotals is phase 3, one share index at a time in ascending
+// order. Under Alg. 2 (lines 7–9) every peer sends its own subtotal to
+// every other, each checks that it holds all N, and the average is taken
+// at the first peer's view (identical everywhere); any missing subtotal
+// aborts. Under Alg. 4 (lines 14–20) the owner sends the leader the
+// subtotal it lacks and a crashed owner's is recovered from a replica
+// holder — or, under the cross-check, every alive holder sends its copy —
+// and the leader averages what it was sent with what it holds. A
+// cross-checking leader's result is audited before release: it announces,
+// every peer reads its copy and echoes a digest, every peer reads the
+// echoes (leaving every inbox clean), and one conviction is the round's.
+func (d *driver) exchangeSubtotals() (*Result, error) {
+	n, leader, broadcast := d.cfg.N, d.cfg.Leader, d.cfg.Mode == ModeBroadcast
+	guarded, collectors := d.cfg.crossChecks(), []int{leader}
 	switch {
-	case e.cfg.Mode == ModeBroadcast:
-		res, err = e.finishBroadcast()
-	case e.cfg.Guard != nil && e.cfg.Guard.CrossCheck:
-		res, err = e.finishLeaderGuarded()
-	default:
-		res, err = e.finishLeader()
-	}
-	if res != nil {
-		res.Excluded = e.excluded
-		res.Mismatches = e.mismatches
-		res.LeaderAccused = e.leaderAccused
-	}
-	return res, err
-}
-
-// foldShares runs the share exchange one contributor at a time, in
-// ascending order: contributor i is divided into the engine's one share
-// block, its shares are sent, and every receiver drains, screens and
-// adds what arrived into its running subtotals before contributor i+1
-// overwrites the block. Turn i completes before turn i+1 starts, so each
-// subtotal sums its contributors in ascending order whatever the fabric
-// does — the summation order the results are pinned to.
-func (e *engine) foldShares(models [][]float64) error {
-	n, sc := e.cfg.N, e.sc
-	// Who takes part is settled before the first turn: a peer that is to
-	// crash BeforeShares does so at its own turn, and until then its inbox
-	// fills unread (the bytes sent toward it count all the same).
-	for j := 0; j < n; j++ {
-		sc.receiving[j] = e.mesh.Alive(j) && !e.crashAt(j, BeforeShares)
-	}
-	var sharesSent int64 // batched into one atomic Add below
-	for i := 0; i < n; i++ {
-		if !sc.receiving[i] {
-			if e.mesh.Alive(i) { // scheduled to crash BeforeShares: now
-				if err := e.mesh.Crash(i); err != nil {
-					return err
-				}
-				e.tel.peersCrashed.Inc()
-			}
-			continue
-		}
-		// Model poisoning happens before division: the adversary shares a
-		// scaled or sign-flipped update, consistently across receivers.
-		shares, block, err := e.div.DivideInto(attackModel(e.byz(i), models[i]), n, e.rng, sc.block, sc.views)
-		if err != nil {
-			return err
-		}
-		sc.block, sc.views = block, shares
-		e.contributors = append(e.contributors, i)
-		corrupt := e.byz(i) == ByzCorruptShares
-		for j := 0; j < n; j++ {
-			for t, s := range sc.replicas[j] {
-				if j == i {
-					// Local retention — no traffic.
-					sc.pending[i*sc.r+t] = shares[s]
-					continue
-				}
-				payload := shares[s]
-				if corrupt {
-					// Each receiver gets its own perturbed copy; the true
-					// share stays only with the sender.
-					payload = e.corruptedCopy(payload)
-				}
-				msg := transport.Message{From: i, To: j, Kind: KindShare, ShareIdx: s, Payload: payload}
-				if err := e.mesh.Send(msg); err != nil {
-					return err
-				}
-				sharesSent++
-			}
-		}
-		if err := e.receiveTurn(i); err != nil {
-			return err
-		}
-		e.foldTurn(i)
-	}
-	if sharesSent > 0 {
-		e.tel.sharesSent.Add(sharesSent)
-	}
-	if len(e.contributors) == 0 {
-		return ErrInsufficientPeers
-	}
-	return nil
-}
-
-// receiveTurn drains every receiver in contributor i's turn. A message
-// is accepted only as a share from i, of the model dimension, for an
-// index its receiver holds; the last duplicate wins. Anything else —
-// another kind, another sender, a share index the receiver does not
-// hold, a stale message replayed from an earlier round — is discarded: a
-// malformed or replayed message must never panic the engine or count a
-// model twice. Accepted shares are screened and held in sc.pending;
-// nothing is added to a subtotal until foldTurn.
-func (e *engine) receiveTurn(i int) error {
-	n, sc := e.cfg.N, e.sc
-	for j := 0; j < n; j++ {
-		if !sc.receiving[j] {
-			continue
-		}
-		msgs, err := e.mesh.Drain(j)
-		if err != nil {
-			return err
-		}
-		for _, m := range msgs {
-			a := e.shareSlot(i, j, m)
-			switch {
-			case a < 0:
-				e.tel.msgsInvalid.Inc()
-				e.mesh.Recycle(m.Payload)
-			case e.shareOutOfRange(j, m):
-				// Range guard: an honest share is a fraction of its model,
-				// so a too-large share is provably forged. Accuse once per
-				// (accuser, sender) pair; none of i's shares will be folded.
-				if !sc.accusedBy[j*n+i] {
-					sc.accusedBy[j*n+i] = true
-					sc.nAccused++
-				}
-				sc.accused[i] = true
-				e.mesh.Recycle(m.Payload)
-			default:
-				if dup := sc.pending[a]; dup != nil {
-					e.mesh.Recycle(dup)
-				}
-				sc.pending[a] = m.Payload
-			}
-		}
-	}
-	return nil
-}
-
-// shareSlot returns the accumulator message m feeds when receiver j
-// drains it in contributor i's turn, or −1 when m is not a well-formed
-// share of that turn. Nothing arrives at i itself in its own turn.
-func (e *engine) shareSlot(i, j int, m transport.Message) int {
-	if m.Kind != KindShare || m.From != i || j == i ||
-		m.ShareIdx < 0 || m.ShareIdx >= e.cfg.N || len(m.Payload) != e.dim {
-		return -1
-	}
-	return e.sc.slot[j*e.cfg.N+m.ShareIdx]
-}
-
-// foldTurn ends contributor i's turn: every held share — what the
-// receivers accepted and what i retained — is added to its running
-// subtotal, or, when any honest receiver accused i, none is (all or
-// none, so no subtraction is ever needed). Received payloads go back to
-// the mesh at once; i's own shares never went through it.
-func (e *engine) foldTurn(i int) {
-	sc := e.sc
-	for a, share := range sc.pending {
-		if share == nil {
-			continue
-		}
-		sc.pending[a] = nil
-		if !sc.accused[i] {
-			foldInto(sc.accVec(a), share, sc.folds[a] == 0)
-			sc.folds[a]++
-		}
-		if a/sc.r != i {
-			e.mesh.Recycle(share)
-		}
-	}
-}
-
-// foldInto adds share to the running subtotal acc. The first fold of a
-// round writes 0 + v over whatever the last round left there: the same
-// bits as adding into a zeroed vector (0 + (−0) is +0, which a bare copy
-// would get wrong) without the pass that zeroes it.
-func foldInto(acc, share []float64, first bool) {
-	acc = acc[:len(share)]
-	if first {
-		for x, v := range share {
-			acc[x] = 0 + v
-		}
-		return
-	}
-	for x, v := range share {
-		acc[x] += v
-	}
-}
-
-// subtotal returns the subtotal of share index s that peer j reports,
-// or nil when it reports none: j crashed, does not hold s, or did not
-// fold every final contributor's share of it.
-func (e *engine) subtotal(j, s int) []float64 {
-	sc := e.sc
-	if !sc.computed[j] {
-		return nil
-	}
-	a := sc.slot[j*e.cfg.N+s]
-	if a < 0 || sc.folds[a] != len(e.contributors) {
-		return nil
-	}
-	return sc.accVec(a)
-}
-
-// validSubtotal reports whether m is a well-formed subtotal message for
-// this round: right kind, in-range share index and sender, and a payload
-// of the model dimension.
-func (e *engine) validSubtotal(m transport.Message) bool {
-	return m.Kind == KindSubtotal &&
-		m.ShareIdx >= 0 && m.ShareIdx < e.cfg.N &&
-		m.From >= 0 && m.From < e.cfg.N &&
-		len(m.Payload) == e.dim
-}
-
-// finishBroadcast implements Alg. 2 lines 7–9: every peer broadcasts its
-// own subtotal; everyone averages. Any missing subtotal aborts.
-func (e *engine) finishBroadcast() (*Result, error) {
-	n := e.cfg.N
-	for i := 0; i < n; i++ {
-		if !e.mesh.Alive(i) {
-			continue
-		}
-		sub := e.subtotal(i, i)
-		if sub == nil {
-			return nil, fmt.Errorf("%w: peer %d missing own subtotal", ErrAborted, i)
-		}
-		for j := 0; j < n; j++ {
-			if j == i || !e.mesh.Alive(j) {
-				continue
-			}
-			msg := transport.Message{From: i, To: j, Kind: KindSubtotal, ShareIdx: i, Payload: sub}
-			if err := e.mesh.Send(msg); err != nil {
-				return nil, err
-			}
-			e.tel.subtotalsSent.Inc()
-		}
-	}
-	// Every alive peer must now hold all N subtotals.
-	alive := e.mesh.AlivePeers()
-	if len(alive) < n {
-		return nil, fmt.Errorf("%w: %d of %d peers alive at subtotal exchange", ErrAborted, len(alive), n)
-	}
-	// Every peer checks that it holds all N; the average is taken at the
-	// first peer's view (identical everywhere).
-	var avg []float64
-	got := e.sc.have
-	for _, j := range alive {
-		msgs, err := e.mesh.Drain(j)
-		if err != nil {
-			return nil, err
-		}
-		clear(got)
-		got[j] = e.subtotal(j, j)
-		for _, m := range msgs {
-			if e.validSubtotal(m) {
-				got[m.ShareIdx] = m.Payload
-			} else {
-				e.tel.msgsInvalid.Inc()
-			}
-		}
-		held := 0
-		for _, sub := range got {
-			if sub != nil {
-				held++
-			}
-		}
-		if held != n {
-			return nil, fmt.Errorf("%w: peer %d holds %d of %d subtotals", ErrAborted, j, held, n)
-		}
-		if avg == nil {
-			avg = e.average(got)
-		}
-		e.recycle(msgs)
-	}
-	return &Result{Avg: avg, Contributors: e.contributors}, nil
-}
-
-// finishLeader implements Alg. 4 lines 14–20: owners send the leader the
-// subtotals it lacks; crashed owners' subtotals are recovered from
-// replica holders.
-func (e *engine) finishLeader() (*Result, error) {
-	n, k, leader := e.cfg.N, e.cfg.K, e.cfg.Leader
-	if !e.mesh.Alive(leader) || !e.sc.computed[leader] {
+	case broadcast:
+		collectors = d.mesh.AlivePeers()
+	case !d.mesh.Alive(leader):
 		return nil, ErrLeaderCrashed
 	}
-	have := e.sc.have
-	for _, s := range e.sc.replicas[leader] {
-		have[s] = e.subtotal(leader, s)
-	}
-	// Owners i ≠ leader send ps_wt_i for the K−1 indices the leader lacks
-	// (Alg. 4 lines 14–16). In the round-synchronous engine every
-	// non-leader owner of a missing index sends it.
-	var recovered []int
-	for s := 0; s < n; s++ {
-		if have[s] != nil {
-			continue
-		}
-		if e.mesh.Alive(s) {
-			if sub := e.subtotal(s, s); sub != nil {
-				msg := transport.Message{From: s, To: leader, Kind: KindSubtotal, ShareIdx: s, Payload: sub}
-				if err := e.mesh.Send(msg); err != nil {
-					return nil, err
-				}
-				e.tel.subtotalsSent.Inc()
-				have[s] = sub
-				continue
-			}
-		}
-		// Owner is down — recover from a replica holder (lines 17–18).
-		holders, err := secretshare.HoldersOf(s, n, k)
+	for s := 0; s < n && d.err == nil; s++ {
+		holders, err := secretshare.HoldersOf(s, n, d.cfg.K)
 		if err != nil {
 			return nil, err
 		}
-		for _, h := range holders {
-			if h == s || !e.mesh.Alive(h) {
-				continue
-			}
-			sub := e.subtotal(h, s)
-			if sub == nil {
-				continue
-			}
-			// Request (metadata-sized) and response (|w|).
-			req := transport.Message{From: leader, To: h, Kind: KindRecoveryReq, ShareIdx: s, Payload: []float64{float64(s)}}
-			if err := e.mesh.Send(req); err != nil {
-				return nil, err
-			}
-			resp := transport.Message{From: h, To: leader, Kind: KindRecovery, ShareIdx: s, Payload: sub}
-			if err := e.mesh.Send(resp); err != nil {
-				return nil, err
-			}
-			have[s] = sub
-			recovered = append(recovered, s)
-			break
-		}
-		if have[s] == nil {
+		switch {
+		case !broadcast && !slices.ContainsFunc(holders, d.mesh.Alive):
 			return nil, fmt.Errorf("%w: no alive holder of subtotal %d", ErrInsufficientPeers, s)
+		case guarded || broadcast: // every holder reports
+		case slices.Contains(holders, leader): // the leader sums s itself
+			holders = nil
+		case d.mesh.Alive(s):
+			holders = holders[len(holders)-1:] // the owner alone
+		default:
+			// Owner is down — recover from a replica holder (lines 17–18):
+			// request (metadata-sized) and response (|w|).
+			holders = nil
+			asked := d.peers[leader].Recover(s)
+			d.flush(leader, nil)
+			d.deliver(asked)
+		}
+		for _, h := range holders {
+			if d.mesh.Alive(h) {
+				d.peers[h].Report(s)
+				d.flush(h, d.tel.subtotalsSent)
+			}
 		}
 	}
-	// Drain the leader's inbox for completeness of the mesh bookkeeping;
-	// the engine averages the owners' copies, so what arrived goes back.
-	msgs, err := e.mesh.Drain(leader)
-	if err != nil {
-		return nil, err
+	if broadcast && len(collectors) < n {
+		return nil, fmt.Errorf("%w: %d of %d peers alive at subtotal exchange", ErrAborted, len(collectors), n)
 	}
-	e.recycle(msgs)
-	if len(recovered) > 0 {
-		e.tel.subtotalsRecovered.Add(int64(len(recovered)))
+	for _, j := range collectors {
+		d.deliver(j)
+		d.fail(d.peers[j].Missing())
 	}
-	avg := e.average(have)
-	if e.byz(leader) == ByzEquivocate {
-		// Without the audit the lie goes unnoticed: the leader announces
-		// an offset result and nobody can tell.
-		for x := range avg {
-			avg[x] += EquivocateOffset
+	if d.err != nil {
+		return nil, d.err
+	}
+	res, err := d.peers[collectors[0]].Finish()
+	if err != nil || !guarded {
+		return res, err
+	}
+	d.flush(leader, nil)
+	d.deliverAll() // the announcement; each verifier echoes
+	d.deliverAll() // the echoes
+	for j := range d.peers {
+		if d.mesh.Alive(j) && d.peers[j].Convicts() {
+			res.LeaderAccused = true
 		}
 	}
-	return &Result{Avg: avg, Contributors: e.contributors, Recovered: recovered}, nil
-}
-
-// recycle hands drained payloads back to the mesh once nothing reads
-// them any more (transport.Network's ownership rules).
-func (e *engine) recycle(msgs []transport.Message) {
-	for _, m := range msgs {
-		e.mesh.Recycle(m.Payload)
-	}
-}
-
-// average sums all n subtotals, in ascending share-index order so the
-// result is bit-for-bit deterministic, and divides by the number of
-// contributing models (Eq. 1–3 generalized to dropouts).
-// Avg is always freshly allocated — it is the one vector that escapes
-// the round, so it must not alias reusable scratch.
-func (e *engine) average(subtotals [][]float64) []float64 {
-	avg := make([]float64, e.dim)
-	for _, sub := range subtotals {
-		for x, v := range sub {
-			avg[x] += v
-		}
-	}
-	inv := 1.0 / float64(len(e.contributors))
-	for x := range avg {
-		avg[x] *= inv
-	}
-	return avg
+	return res, d.err
 }

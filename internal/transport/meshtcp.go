@@ -21,7 +21,7 @@ var (
 // loopback listener per peer) in wire-codec frames. Send is synchronous:
 // it blocks until the receiver has decoded the message into its inbox
 // and acknowledged it, preserving the round-synchronous semantics the
-// SAC engines rely on.
+// SAC driver relies on.
 //
 // The protocol logic is identical to the in-memory Mesh; this fabric
 // exists to demonstrate the aggregation running over an actual network

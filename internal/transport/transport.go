@@ -1,6 +1,6 @@
 // Package transport provides the message-passing substrate shared by the
 // aggregation protocols: an in-memory mesh with exact byte accounting
-// (used by the SAC engines and the two-layer system, and to cross-check
+// (used by the SAC driver and the two-layer system, and to cross-check
 // the paper's closed-form communication-cost formulas), the same mesh over
 // loopback TCP sockets (TCPMesh), and the raft transport real peers run on
 // (RaftTCP, cmd/p2pfl-node). Everything that crosses a socket travels in
@@ -99,7 +99,7 @@ func (c *Counter) Kinds() []string {
 }
 
 // Network is the fully connected peer fabric the round-synchronous SAC
-// engines run on: a protocol phase Sends messages, then each peer Drains
+// driver runs on: a protocol phase Sends messages, then each peer Drains
 // its inbox. Send must be synchronous — a message is in the receiver's
 // inbox (or dropped at a crashed receiver) when Send returns. Mesh is
 // the in-memory implementation; TCPMesh moves the same messages over
@@ -117,7 +117,7 @@ func (c *Counter) Kinds() []string {
 // TCPMesh payload is the receiver's own copy. A Mesh payload is the very
 // slice the sender passed to Send, so it stays valid only until the
 // sender next writes that memory — for a SAC share, which points into
-// the engine's one share block, until the next contributor's turn (see
+// the contributor's share block, until the next contributor's turn (see
 // sac.Scratch). A receiver that keeps a drained payload past the
 // protocol step that delivered it must copy it.
 type Network interface {
@@ -141,7 +141,7 @@ type Network interface {
 
 // Mesh is an in-memory, fully connected network of n peers with per-peer
 // inboxes, crash simulation and byte accounting. It is the substrate for
-// the round-synchronous SAC engines: a protocol phase Sends messages,
+// the round-synchronous SAC driver: a protocol phase Sends messages,
 // then each peer Drains its inbox. All methods are safe for concurrent
 // use (one lock guards the whole mesh); SetTelemetry and Observe are
 // configuration — call them between rounds.
@@ -217,7 +217,7 @@ func (m *Mesh) Counter() *Counter { return m.counter }
 // Protocol audits — e.g. verifying what an honest-but-curious leader
 // gets to see — use this to capture traffic without altering it. The
 // observed payload is the sender's memory, lent for the duration of the
-// callback: the SAC engine overwrites a share's bytes at the sender's
+// callback: a SAC round overwrites a share's bytes at the sender's
 // next turn, so an observer copies whatever it keeps.
 func (m *Mesh) Observe(fn func(Message)) {
 	m.mu.Lock()
