@@ -16,7 +16,7 @@ BENCH_ARGS := -run '^$$' -bench $(BENCH_PATTERN) -benchmem -benchtime 10x \
 	./internal/raft/ ./internal/sac/ ./internal/transport/
 TIME_PAIRS := 'RaftTickLive=RaftTickNil,SACRoundLive=SACRoundNil,RaftTCPSendHealthyPeerAsync=RaftTCPSendHealthyPeerSync'
 
-.PHONY: all build vet test race chaos-smoke check bench-check test-telemetry test-health test-wire test-byzantine test-compress test-wan test-churn test-scale test-compose
+.PHONY: all build vet test race chaos-smoke check bench-check test-telemetry test-health test-wire test-byzantine test-compress test-wan test-churn test-scale test-compose test-node
 
 all: check
 
@@ -66,9 +66,18 @@ chaos-smoke:
 test-compose:
 	$(GO) run ./cmd/p2pfl-chaos -track compose -seeds 20
 
-# The eight test-* targets below are the per-subsystem suites: every
+# The nine test-* targets below are the per-subsystem suites: every
 # package that implements or consumes the subsystem, in full, under
 # -race, plus the p2pfl-chaos track that sweeps it where there is one.
+
+# A raft member's loop: raft.Loop (the one body that persists, sends,
+# applies and reports, in that order), its virtual-clock owner
+# simnet.Host (a host whose store fails sends nothing and goes down) and
+# its wall-clock owner, the daemon — not -short, so
+# TestKillNineAndRejoin builds p2pfl-node and kill -9s a real leader on
+# loopback.
+test-node:
+	$(GO) test -race ./internal/raft/ ./internal/simnet/ ./cmd/p2pfl-node/
 
 # WAN profile: latency topologies, the raft pre-vote/check-quorum
 # safety tests, the RTT-driven timeout tuner, the WAN-tuned cluster
@@ -101,7 +110,9 @@ test-health:
 # truncation/corruption rejection, hostile frames, the streaming mesh
 # codec's differential and allocation-bound tests and its forced
 # portable path), the daemon's durable raft-state file (atomic replace,
-# log recovery, persist-before-send, foreign-format rejection), the
+# log recovery, foreign-format rejection; persist-before-send lives in
+# raft.Loop.Pump, internal/raft/loop.go, and TestLogRecovery runs the
+# file under it on a simnet.Group — `make test-node` is its suite), the
 # transports that frame with it (TCPMesh concurrent senders, a foreign
 # frame kind closing the connection on its header, receive-vector
 # recycling and its free-list bound, stated on what is outstanding and

@@ -47,29 +47,29 @@ func (f stateFile) open(cfg raft.Config) (*raft.Node, error) {
 	return node, nil
 }
 
-// deliver persists node's state and only then hands rd's messages to
-// send, as Raft requires: a vote or append must be durable before it
-// is acknowledged. A persist error is returned before any message of
-// rd is sent. Send errors are dropped — message loss is tolerated,
-// raft retries via timeouts.
-func (f stateFile) deliver(node *raft.Node, rd raft.Ready, send func(raft.Message) error) error {
-	if f != "" && (len(rd.Messages) > 0 || len(rd.Committed) > 0 || rd.InstalledSnapshot != nil) {
-		if err := f.save(node.Persist()); err != nil {
-			return fmt.Errorf("persist: %w", err)
-		}
-	}
-	for _, m := range rd.Messages {
-		_ = send(m)
-	}
-	return nil
-}
+// errPersist marks a Save that failed — the one error of the raft loop
+// the daemon cannot outlive: what was to be saved is gone from the node.
+var errPersist = errors.New("state file")
 
-// save atomically replaces the file with ps's frame: the frame is
-// written to a temporary file in the same directory, synced, and
-// renamed over the destination, so a crash mid-write never corrupts
-// the previous state.
-func (f stateFile) save(ps raft.PersistentState) error {
-	tmp, err := os.CreateTemp(filepath.Dir(string(f)), ".raft-state-*")
+// Save is the raft loop's store (raft.Store): it atomically replaces
+// the file with ps's frame and returns once that is durable. The frame
+// is written to a temporary file in the same directory, synced, and
+// renamed over the destination, so a crash mid-write never corrupts the
+// previous state; then the directory is synced, because the rename is a
+// change to the directory, not to the file, and until the directory's
+// own blocks are on disk a power loss can still bring the old name back
+// — with a vote or an append the loop has already acknowledged.
+func (f stateFile) Save(ps raft.PersistentState) (err error) {
+	if f == "" {
+		return nil
+	}
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("%w: %w", errPersist, err)
+		}
+	}()
+	dir := filepath.Dir(string(f))
+	tmp, err := os.CreateTemp(dir, ".raft-state-*")
 	if err != nil {
 		return fmt.Errorf("save state: %w", err)
 	}
@@ -87,6 +87,14 @@ func (f stateFile) save(ps raft.PersistentState) error {
 	}
 	if err := os.Rename(tmp.Name(), string(f)); err != nil {
 		return fmt.Errorf("replace state: %w", err)
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("sync state directory: %w", err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("sync state directory: %w", err)
 	}
 	return nil
 }

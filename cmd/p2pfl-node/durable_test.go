@@ -3,12 +3,14 @@ package main
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/raft"
+	"repro/internal/simnet"
 	"repro/internal/wire"
 )
 
@@ -55,7 +57,7 @@ func reopen(t *testing.T, f stateFile) raft.PersistentState {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	ps := samplePersistentState(t)
 	f := stateFile(filepath.Join(t.TempDir(), "raft.state"))
-	if err := f.save(ps); err != nil {
+	if err := f.Save(ps); err != nil {
 		t.Fatal(err)
 	}
 	// The saved state restores into a node holding the same state.
@@ -74,12 +76,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestSaveFileAtomicAndReloadable(t *testing.T) {
 	ps := samplePersistentState(t)
 	f := stateFile(filepath.Join(t.TempDir(), "raft.state"))
-	if err := f.save(ps); err != nil {
+	if err := f.Save(ps); err != nil {
 		t.Fatal(err)
 	}
 	// Overwriting is safe.
 	ps.Hard.Term++
-	if err := f.save(ps); err != nil {
+	if err := f.Save(ps); err != nil {
 		t.Fatal(err)
 	}
 	if got := reopen(t, f); got.Hard.Term != ps.Hard.Term {
@@ -145,85 +147,55 @@ func TestLoadStateCorrupt(t *testing.T) {
 	}
 }
 
-// TestLogRecovery: a three-node group commits 100 entries with every
-// Ready going through deliver — persist, then send — each node on its
-// own state file. Dropping the nodes and reopening the files yields the
-// same term, vote, commit index and log. Then the state directory
-// becomes unwritable: deliver must fail before a single message of
-// that Ready is sent.
+// TestLogRecovery: a three-node group under the virtual clock commits
+// 100 entries, each node a simnet host whose loop — the loop the daemon
+// runs — saves to its own state file before it sends. Dropping the nodes
+// and reopening the files yields the same term, vote, commit index and
+// log, and a host restarted from its file rejoins. Then one host's state
+// directory becomes unwritable: it goes down before a single message of
+// that Ready is sent. With no -state everything is sent.
 func TestLogRecovery(t *testing.T) {
 	dir := t.TempDir()
 	ids := []uint64{1, 2, 3}
 	files := map[uint64]stateFile{}
-	nodes := map[uint64]*raft.Node{}
-	inbox := map[uint64][]raft.Message{}
+	sim := simnet.New()
+	g := simnet.NewGroup(sim, "recovery", simnet.Millisecond, rand.New(rand.NewSource(1)))
 	for _, id := range ids {
 		files[id] = stateFile(filepath.Join(dir, fmt.Sprintf("n%d.state", id)))
 		n, err := files[id].open(testConfig(id, ids...))
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes[id] = n
-	}
-	// pump drains every node's Ready through deliver until no message
-	// is in flight.
-	pump := func() {
-		for busy := true; busy; {
-			busy = false
-			for _, id := range ids {
-				for _, m := range inbox[id] {
-					_ = nodes[id].Step(m)
-				}
-				inbox[id] = nil
-				rd := nodes[id].Ready()
-				busy = busy || len(rd.Messages) > 0
-				if err := files[id].deliver(nodes[id], rd, func(m raft.Message) error {
-					inbox[m.To] = append(inbox[m.To], m)
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
-			}
+		h, err := g.Add(n)
+		if err != nil {
+			t.Fatal(err)
 		}
+		h.Store = files[id]
 	}
-	leader := func() *raft.Node {
-		for _, id := range ids {
-			if nodes[id].State() == raft.Leader {
-				return nodes[id]
-			}
-		}
-		return nil
-	}
-	for i := 0; i < 200 && leader() == nil; i++ {
-		for _, id := range ids {
-			nodes[id].Tick()
-		}
-		pump()
-	}
-	l := leader()
-	if l == nil {
+	led := func() bool { return g.Leader() != raft.None }
+	if !sim.RunWhileNot(led, simnet.Time(simnet.Second)) {
 		t.Fatal("no leader")
 	}
 	for i := 0; i < 100; i++ {
-		if err := l.Propose([]byte{byte(i)}); err != nil {
+		if !sim.RunWhileNot(led, sim.Now()+simnet.Time(simnet.Second)) {
+			t.Fatal("leader lost")
+		}
+		if err := g.Host(g.Leader()).Propose([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
-		pump()
+		sim.RunFor(3 * simnet.Millisecond)
 	}
-	// One heartbeat round carries the final commit index to followers.
-	for i := 0; i < 4; i++ {
-		for _, id := range ids {
-			nodes[id].Tick()
-		}
-		pump()
-	}
-	if l.CommitIndex() < 100 {
-		t.Fatalf("leader committed %d entries, want >= 100", l.CommitIndex())
+	// A few heartbeat rounds carry the final commit index to followers.
+	sim.RunFor(20 * simnet.Millisecond)
+	if got := g.Host(g.Leader()).Node.CommitIndex(); got < 100 {
+		t.Fatalf("leader committed %d entries, want >= 100", got)
 	}
 
+	images := map[uint64]raft.PersistentState{}
 	for _, id := range ids {
-		want := nodes[id].Persist()
-		nodes[id] = nil // the process is gone; only the file is left
+		h := g.Host(id)
+		want := h.Node.Persist()
+		h.Crash() // the process is gone; only the file is left
 		re, err := files[id].open(testConfig(id))
 		if err != nil {
 			t.Fatalf("node %d: reopen: %v", id, err)
@@ -238,36 +210,55 @@ func TestLogRecovery(t *testing.T) {
 		if !reflect.DeepEqual(got.Log, want.Log) || !reflect.DeepEqual(got.Peers, want.Peers) {
 			t.Fatalf("node %d: recovered log/peers differ", id)
 		}
-		nodes[id] = re
+		images[id] = got
+	}
+	// What the files hold is enough to go on: the three restart from it,
+	// elect a leader and commit one entry more.
+	for _, id := range ids {
+		if err := g.Host(id).RestartFrom(testConfig(id), images[id]); err != nil {
+			t.Fatalf("node %d: restart from its file: %v", id, err)
+		}
+	}
+	if !sim.RunWhileNot(led, sim.Now()+simnet.Time(simnet.Second)) {
+		t.Fatal("no leader after the restart")
+	}
+	if err := g.Host(g.Leader()).Propose([]byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	sim.RunFor(20 * simnet.Millisecond)
+	for _, id := range ids {
+		if log := g.Host(id).Node.Log(); string(log[len(log)-1].Data) != "after" {
+			t.Fatalf("node %d did not take the entry proposed after the restart", id)
+		}
 	}
 
 	// Persist-before-send: with the state path under a regular file, no
-	// temp file can be created, and the vote requests of the election
-	// this node starts must not leave it.
+	// temp file can be created. Alone in the group, whatever node 1 next
+	// has to send — a heartbeat if it leads, else the vote requests of
+	// the election it starts — must not leave it.
 	blocker := filepath.Join(dir, "blocker")
 	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	bad := stateFile(filepath.Join(blocker, "raft.state"))
-	n := nodes[1]
-	var rd raft.Ready
-	for i := 0; i < 50 && len(rd.Messages) == 0; i++ {
-		n.Tick()
-		rd = n.Ready()
+	g.Host(2).Crash()
+	g.Host(3).Crash()
+	sim.RunFor(5 * simnet.Millisecond) // what 2 and 3 had in flight lands
+	h := g.Host(1)
+	h.Store = stateFile(filepath.Join(blocker, "raft.state"))
+	before, _ := g.OfferedTraffic()
+	if !sim.RunWhileNot(h.Down, sim.Now()+simnet.Time(simnet.Second)) {
+		t.Fatal("node 1 stayed up without a writable state directory")
 	}
-	if len(rd.Messages) == 0 {
-		t.Fatal("node produced nothing to send")
-	}
-	sent := 0
-	err := bad.deliver(n, rd, func(raft.Message) error { sent++; return nil })
-	if err == nil {
-		t.Fatal("deliver succeeded without a writable state directory")
-	}
-	if sent != 0 {
-		t.Fatalf("%d messages sent after the persist failed", sent)
+	if sent, _ := g.OfferedTraffic(); sent != before {
+		t.Fatalf("%d messages sent after the persist failed", sent-before)
 	}
 	// Durability off: nothing to persist, everything is sent.
-	if err := stateFile("").deliver(n, rd, func(raft.Message) error { sent++; return nil }); err != nil || sent != len(rd.Messages) {
-		t.Fatalf("no -state: err %v, sent %d of %d", err, sent, len(rd.Messages))
+	h.Store = stateFile("")
+	if err := h.RestartFrom(testConfig(1), images[1]); err != nil {
+		t.Fatal(err)
+	}
+	sim.RunFor(100 * simnet.Millisecond)
+	if sent, _ := g.OfferedTraffic(); sent == before || h.Down() {
+		t.Fatalf("no -state: %d messages sent, down %v", sent-before, h.Down())
 	}
 }

@@ -174,6 +174,89 @@ func TestSACPeerIsSansIO(t *testing.T) {
 	}
 }
 
+// TestOneLoopBodyForARaftMember guards "one loop body, two clocks":
+// raft.Loop.Pump (internal/raft/loop.go) is the only code that drains a
+// Ready, so it is the only place the order persist → send → apply →
+// report is written, and the simulator and the daemon cannot drift
+// apart. Outside internal/raft, no non-test file that imports the raft
+// package selects .Ready on anything (sac.Peer has a Ready of its own;
+// its files do not import raft), and none calls .Persist() — a member's
+// image reaches its store through the loop — except cluster.ReplacePeer,
+// whose hand-off ships the image to a successor. The loop itself stays a
+// state machine's shell: no clock, lock, socket, file or codec imported
+// and no goroutine started.
+func TestOneLoopBodyForARaftMember(t *testing.T) {
+	const raftPkg = "repro/internal/raft"
+	const loopFile = "internal/raft/loop.go"
+	bannedImports := map[string]bool{"time": true, "sync": true, "net": true, "os": true, "repro/internal/wire": true}
+	for _, imp := range importsOf(t, loopFile) {
+		if bannedImports[imp] {
+			t.Errorf("%s imports %q; the loop's owner brings the clock, the network and the disk", loopFile, imp)
+		}
+	}
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, loopFile, nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if g, ok := n.(*ast.GoStmt); ok {
+			t.Errorf("%s: the loop starts a goroutine", fset.Position(g.Pos()))
+		}
+		return true
+	})
+
+	files := 0
+	var handoffs []string
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (path == "internal/raft" || (path != "." && strings.HasPrefix(d.Name(), "."))) {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		if !slices.Contains(importsOf(t, path), raftPkg) {
+			return nil
+		}
+		files++
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			fn, _ := decl.(*ast.FuncDecl)
+			ast.Inspect(decl, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				at := fset.Position(sel.Pos())
+				switch sel.Sel.Name {
+				case "Ready":
+					t.Errorf("%s selects .Ready; feed the member through its raft.Loop, whose Pump drains it", at)
+				case "Persist":
+					if fn != nil && fn.Name.Name == "ReplacePeer" && filepath.ToSlash(path) == "internal/cluster/churn.go" {
+						handoffs = append(handoffs, at.String())
+					} else {
+						t.Errorf("%s selects .Persist; a member's image reaches its store through raft.Loop", at)
+					}
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files < 10 || len(handoffs) == 0 {
+		t.Fatalf("walked %d files that import %s and found %d hand-offs in cluster.ReplacePeer; the guard is not looking at the tree", files, raftPkg, len(handoffs))
+	}
+}
+
 // importsOf lists the import paths of one Go file.
 func importsOf(t *testing.T, path string) []string {
 	t.Helper()

@@ -248,10 +248,9 @@ func (w *kvWorld) propose() {
 	h := w.g.Host(id)
 	w.propSeq++
 	key := fmt.Sprintf("k%03d", w.propSeq%37)
-	if err := h.Node.Propose(encodeSet(key, fmt.Sprintf("v%d", w.propSeq))); err != nil {
-		return
-	}
-	h.Pump()
+	// Deposed since Leader() looked: this write is lost, like any other
+	// sent to a node that cannot take it.
+	_ = h.Propose(encodeSet(key, fmt.Sprintf("v%d", w.propSeq)))
 }
 
 // groupView snapshots every node of one raft network for the checkers,
@@ -380,10 +379,8 @@ func quiesceKV(w *kvWorld) {
 			return
 		}
 		if id := w.g.Leader(); id != raft.None {
-			h := w.g.Host(id)
-			if err := h.Node.Propose(encodeSet("__chaos_marker", marker)); err == nil {
-				h.Pump()
-			}
+			// A refusal is leader churn; prod proposes again.
+			_ = w.g.Host(id).Propose(encodeSet("__chaos_marker", marker))
 		}
 		w.sim.Schedule(retryEvery, prod)
 	}

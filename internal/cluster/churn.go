@@ -215,9 +215,8 @@ func (s *System) proposeDirectory(u wire.DirectoryUpdate) {
 	if lp == nil || lp.fedHost == nil || lp.fedHost.Down() {
 		return
 	}
-	if err := lp.fedHost.Node.Propose(wire.AppendDirectoryFrame(nil, u)); err == nil {
-		lp.fedHost.Pump()
-	}
+	// Not the leader any more: the caller's retry asks whoever is.
+	_ = lp.fedHost.Propose(wire.AppendDirectoryFrame(nil, u))
 }
 
 // subgroupMembers returns the subgroup leader's committed membership

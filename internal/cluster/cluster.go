@@ -733,9 +733,9 @@ func (s *System) scheduleConfigCommit(p *Peer) {
 		if err != nil {
 			return
 		}
-		if err := p.subHost.Node.Propose(append([]byte(fedConfigPrefix), b...)); err == nil {
-			p.subHost.Pump()
-		}
+		// Deposed since the check above: the next period's commit is
+		// the new leader's.
+		_ = p.subHost.Propose(append([]byte(fedConfigPrefix), b...))
 	}
 	if p.cfgLoop {
 		return
@@ -824,9 +824,8 @@ func (s *System) askLeader(net *simnet.Group, id uint64, cc raft.ConfChange, acc
 			return
 		}
 		members := h.Node.Members()
-		switch err := h.Node.ProposeConfChange(cc); {
+		switch err := h.ProposeConfChange(cc); {
 		case err == nil:
-			h.Pump()
 			if accepted != nil {
 				accepted(members)
 			}

@@ -140,8 +140,7 @@ func (s *System) onHealthTransition(p *Peer, tr health.Transition) {
 			return // the leader came back within the stagger window
 		}
 		s.record(EvProactiveCampaign, p.ID, p.Subgroup)
-		n.Campaign()
-		p.subHost.Pump()
+		_ = p.subHost.Campaign() // a store error has crashed the host
 	})
 }
 

@@ -30,10 +30,10 @@ type PersistentState struct {
 	Peers    []uint64 // configuration as of the applied log
 }
 
-// Persist captures the node's durable state. Drivers call it after
-// draining Ready (in a real deployment this would be fsynced; the
-// simulator keeps it in memory, which is equivalent under a crash model
-// that loses nothing already persisted).
+// Persist captures the node's durable state. Loop.Pump calls it after
+// draining Ready and hands the image to its Store (the daemon's syncs it
+// to disk; the simulator's keeps it in memory, which is equivalent under
+// a crash model that loses nothing already persisted).
 //
 // The capture costs O(1) whatever the log's length, because it shares
 // instead of copying, and it still never changes afterwards, because the

@@ -9,10 +9,11 @@
 // The node is a pure, tick-driven state machine in the style of etcd/raft:
 // time advances only through Tick(), inputs arrive only through Step(),
 // and outputs (messages to send, newly committed entries, leadership
-// changes) are collected through Ready(). This makes the node trivially
-// embeddable both in the discrete-event simulator (internal/simnet), where
-// one tick is one virtual millisecond, and in a real-time loop driven by a
-// time.Ticker (cmd/p2pfl-node).
+// changes) are collected through Ready(). Loop (loop.go) is the body of
+// the loop around a node — what is done with a Ready, and in what order
+// — written once for both of its owners: the discrete-event simulator
+// (internal/simnet), where one tick is one virtual millisecond, and the
+// daemon (cmd/p2pfl-node), where a time.Ticker sets the pace.
 package raft
 
 import (
@@ -1170,8 +1171,8 @@ func (n *Node) Status() Status {
 	}
 }
 
-// HasPending reports whether the node has undrained outputs; simulation
-// drivers use it to know when to call Ready.
+// HasPending reports whether the node has undrained outputs; Loop.Pump
+// uses it to know when to call Ready.
 func (n *Node) HasPending() bool {
 	return len(n.msgs) > 0 || n.applied < n.commitIndex
 }

@@ -232,9 +232,18 @@ func NewGroup(sim *Sim, name string, latency Duration, rng *rand.Rand) *Group {
 // Name returns the group's label.
 func (g *Group) Name() string { return g.name }
 
-// Host wraps one raft node living in a Group.
+// Host is one raft member living in a Group: a raft.Loop on the virtual
+// clock. The loop's inputs, Node and observers are the host's own; what
+// the host adds is the simulator's — a tick chain, a crash flag, the
+// group's network as the loop's Send, and a disk.
 type Host struct {
-	Node  *raft.Node
+	raft.Loop
+	// Store is the host's disk. The group gives each host one that keeps
+	// the last image in memory and never fails; a test swaps it for one
+	// that does, or for a real file. (It shadows the loop's Store, which
+	// is this one behind hostStore's crash.)
+	Store raft.Store
+
 	group *Group
 	down  bool
 	// tickEpoch names the host's one live tick chain. Arming a chain
@@ -244,24 +253,30 @@ type Host struct {
 	// beside the new one.
 	tickEpoch uint64
 
-	// OnCommit, if set, observes each committed entry.
-	OnCommit func(e raft.Entry)
-	// OnSnapshot, if set, observes installed snapshots; the state
-	// machine must restore itself from the snapshot data before the
-	// following commits.
-	OnSnapshot func(s *raft.Snapshot)
-	// OnStateChange, if set, observes role transitions.
-	OnStateChange func(state raft.State, term, leader uint64)
 	// OnMessage, if set, observes every message delivered to this host
 	// (before the node steps it). Failure detectors hang off this: a
 	// delivered message is proof of life for its sender.
 	OnMessage func(m raft.Message)
+}
 
-	lastState  raft.State
-	lastTerm   uint64
-	lastLeader uint64
+// memStore is the disk the group gives a host: the last image saved.
+type memStore struct{ image raft.PersistentState }
 
-	persisted raft.PersistentState
+func (s *memStore) Save(ps raft.PersistentState) error {
+	s.image = ps
+	return nil
+}
+
+// hostStore is what a host's loop saves through: the host's Store, with
+// a failure crashing the host, whichever input's Pump found out.
+type hostStore struct{ h *Host }
+
+func (s hostStore) Save(ps raft.PersistentState) error {
+	err := s.h.Store.Save(ps)
+	if err != nil {
+		s.h.Crash()
+	}
+	return err
 }
 
 // Add registers node in the group and starts ticking it.
@@ -270,11 +285,12 @@ func (g *Group) Add(node *raft.Node) (*Host, error) {
 	if _, ok := g.hosts[id]; ok {
 		return nil, fmt.Errorf("simnet: duplicate host %d in group %s", id, g.name)
 	}
-	// The bootstrap configuration is durable from the moment the host
-	// exists, as a real process writes it before serving: a host that
-	// crashes before its first Pump restarts as the blank node it was,
-	// with its membership view, instead of being lost for good.
-	h := &Host{Node: node, group: g, lastLeader: raft.None, persisted: node.Persist()}
+	h := &Host{group: g, Store: &memStore{}}
+	h.Loop.Store = hostStore{h}
+	h.Send = g.deliver
+	if err := h.Start(node); err != nil {
+		return nil, err
+	}
 	g.hosts[id] = h
 	g.scheduleTick(h)
 	return h, nil
@@ -336,8 +352,7 @@ func (g *Group) scheduleTick(h *Host) {
 		if h.tickEpoch != epoch {
 			return
 		}
-		h.Node.Tick()
-		h.Pump()
+		_ = h.Tick() // a store error has crashed the host, and ended this chain
 		g.sim.Schedule(g.TickInterval, tick)
 	}
 	g.sim.Schedule(g.TickInterval, tick)
@@ -353,18 +368,17 @@ func (h *Host) Crash() {
 // Down reports whether the host has crashed.
 func (h *Host) Down() bool { return h.down }
 
-// Restart revives a crashed host from its last persisted state: the node
-// rejoins as a follower with its durable term/vote/log intact, exactly
-// the "crashed server rejoins the cluster at any time" behaviour of
-// Raft. cfg supplies the timing parameters (ID must match).
+// Restart revives a crashed host from the last image its disk holds:
+// the node rejoins as a follower with its durable term/vote/log intact,
+// exactly the "crashed server rejoins the cluster at any time" behaviour
+// of Raft. cfg supplies the timing parameters (ID must match). A host on
+// a swapped Store restarts through RestartFrom with what that store kept.
 func (h *Host) Restart(cfg raft.Config) error {
-	if !h.down {
-		return fmt.Errorf("simnet: host %d is not down", h.Node.ID())
+	disk, ok := h.Store.(*memStore)
+	if !ok {
+		return fmt.Errorf("simnet: host %d saves to a %T, which Restart cannot read back", h.Node.ID(), h.Store)
 	}
-	if cfg.ID != h.Node.ID() {
-		return fmt.Errorf("simnet: restart with ID %d on host %d", cfg.ID, h.Node.ID())
-	}
-	return h.restartFrom(cfg, h.persisted)
+	return h.RestartFrom(cfg, disk.image)
 }
 
 // RestartFrom revives a crashed host from an explicitly transferred
@@ -379,57 +393,16 @@ func (h *Host) RestartFrom(cfg raft.Config, ps raft.PersistentState) error {
 	if cfg.ID != h.Node.ID() {
 		return fmt.Errorf("simnet: restart with ID %d on host %d", cfg.ID, h.Node.ID())
 	}
-	return h.restartFrom(cfg, ps)
-}
-
-func (h *Host) restartFrom(cfg raft.Config, ps raft.PersistentState) error {
 	node, err := raft.Restore(cfg, ps)
 	if err != nil {
 		return err
 	}
-	h.persisted = ps
-	h.Node = node
+	if err := h.Start(node); err != nil {
+		return err
+	}
 	h.down = false
-	h.lastState, h.lastTerm, h.lastLeader = raft.Follower, node.Term(), raft.None
 	h.group.scheduleTick(h)
 	return nil
-}
-
-// Pump drains the node's Ready set: messages are scheduled for delivery
-// with the group latency, commits and state changes fire callbacks.
-func (h *Host) Pump() {
-	if !h.Node.HasPending() && !h.stateChanged() {
-		return
-	}
-	rd := h.Node.Ready()
-	// Persist before the messages "hit the wire", as Raft requires.
-	h.persisted = h.Node.Persist()
-	for _, m := range rd.Messages {
-		h.group.deliver(m)
-	}
-	if rd.InstalledSnapshot != nil && h.OnSnapshot != nil {
-		h.OnSnapshot(rd.InstalledSnapshot)
-	}
-	if h.OnCommit != nil {
-		for _, e := range rd.Committed {
-			h.OnCommit(e)
-		}
-	}
-	h.noteState(rd.State, rd.Term, rd.Leader)
-}
-
-func (h *Host) stateChanged() bool {
-	return h.Node.State() != h.lastState || h.Node.Term() != h.lastTerm || h.Node.Leader() != h.lastLeader
-}
-
-func (h *Host) noteState(st raft.State, term, leader uint64) {
-	if st == h.lastState && term == h.lastTerm && leader == h.lastLeader {
-		return
-	}
-	h.lastState, h.lastTerm, h.lastLeader = st, term, leader
-	if h.OnStateChange != nil {
-		h.OnStateChange(st, term, leader)
-	}
 }
 
 // Partition splits the group: messages only flow between hosts on the
@@ -486,9 +459,6 @@ func (g *Group) deliver(m raft.Message) {
 		if dst.OnMessage != nil {
 			dst.OnMessage(m)
 		}
-		if err := dst.Node.Step(m); err != nil {
-			return
-		}
-		dst.Pump()
+		_ = dst.Step(m) // refused: dropped; a store error has crashed dst
 	})
 }
