@@ -154,9 +154,9 @@ test-churn:
 		./internal/core/ ./internal/costmodel/
 	$(GO) run -race ./cmd/p2pfl-chaos -track churn -seeds 20
 
-# Massive scale: the X-layer engine's scale tiers, parallel bit-identity
-# and fan-out allocation bound under -race (short mode caps the tier
-# sweep at 2k peers),
+# Massive scale: the X-layer engine's scale tiers, bit-identity at any
+# budget and the fan-out allocation bound under -race (short mode caps
+# the tier sweep at 2k peers),
 # the elastic split/merge control plane and its chaos oracle, then the
 # core package again without -race or -short for the full 1k/10k/100k
 # tier sweep, and the real-aggregation byte cross-check against Eq. 10

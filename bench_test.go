@@ -18,18 +18,22 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // benchParams keeps each iteration fast while exercising the full paths.
 var benchParams = experiments.Params{Rounds: 15, Trials: 3, MaxN: 30, Seed: 1}
 
 // benchRound15Peers runs full federated rounds on a 15-peer, 3-subgroup
-// system with the given worker count — the end-to-end wall-clock view of
-// the parallel training engine. Results are bit-identical at any worker
-// count (see internal/core's TestWorkersBitIdenticalToSerial); only the
+// system at the given tensor worker budget — the end-to-end wall-clock
+// view of the parallel training engine. Results are bit-identical at any
+// budget (see internal/core's TestWorkersBitIdenticalToSerial); only the
 // timing changes with available cores.
-func benchRound15Peers(b *testing.B, workers int) {
+func benchRound15Peers(b *testing.B, budget int) {
 	b.Helper()
+	old := tensor.Parallelism()
+	b.Cleanup(func() { tensor.SetParallelism(old) })
+	tensor.SetParallelism(budget)
 	cfg := core.TrainerConfig{
 		Core:         core.Config{Sizes: []int{5, 5, 5}},
 		Model:        func(rng *rand.Rand) (*nn.Model, error) { return nn.MLP(64, []int{32}, 4, rng), nil },
@@ -41,7 +45,6 @@ func benchRound15Peers(b *testing.B, workers int) {
 		LearningRate: 2e-3,
 		Epochs:       1,
 		BatchSize:    20,
-		Workers:      workers,
 		Seed:         1,
 	}
 	var acc float64

@@ -44,12 +44,11 @@ func main() {
 		tiers      = flag.String("tiers", "1k,10k,100k", "comma-separated tier names to run with -multilayer")
 		peers      = flag.Int64("peers", 0, "if > 0 with -multilayer, run one custom tier: the shallowest degree-n tree holding this many peers")
 		dim        = flag.Int("dim", 64, "model dimension for -multilayer aggregations")
-		workers    = flag.Int("workers", 4, "parallel subgroup workers for -multilayer aggregations")
 	)
 	flag.Parse()
 
 	if *multilayer {
-		runMultiLayerTiers(*tiers, *peers, *n, *dim, *workers)
+		runMultiLayerTiers(*tiers, *peers, *n, *dim)
 		return
 	}
 
@@ -137,7 +136,7 @@ func main() {
 // equal MultiLayerUnits(n, X) · 8 · dim, and the global must equal the
 // plain mean of the inputs to floating-point tolerance. Any mismatch
 // exits 1: the closed form and the engine are not allowed to drift.
-func runMultiLayerTiers(tierNames string, customPeers int64, degree, dim, workers int) {
+func runMultiLayerTiers(tierNames string, customPeers int64, degree, dim int) {
 	var run []costmodel.ScaleTier
 	if customPeers > 0 {
 		tier, err := costmodel.TierFor(degree, customPeers)
@@ -183,7 +182,7 @@ func runMultiLayerTiers(tierNames string, customPeers int64, degree, dim, worker
 		counter := transport.NewCounter()
 		start := time.Now()
 		res, err := core.AggregateMultiLayerOpts(topo, models, nil, rand.New(rand.NewSource(2)), counter,
-			core.MultiLayerOptions{Workers: workers, Scratch: scratch})
+			core.MultiLayerOptions{Scratch: scratch})
 		check(err)
 		wall := time.Since(start)
 

@@ -1,9 +1,12 @@
 package repro
 
 import (
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os/exec"
 	"path/filepath"
@@ -255,6 +258,183 @@ func TestOneLoopBodyForARaftMember(t *testing.T) {
 	if files < 10 || len(handoffs) == 0 {
 		t.Fatalf("walked %d files that import %s and found %d hand-offs in cluster.ReplacePeer; the guard is not looking at the tree", files, raftPkg, len(handoffs))
 	}
+}
+
+// unsetKept lists the option fields no program sets that stay anyway,
+// each with its reason. Only an open ROADMAP item is a reason: an option
+// nobody sets is a constant with a name.
+var unsetKept = func() map[string]string {
+	m := map[string]string{}
+	keep := func(reason string, names ...string) {
+		for _, name := range names {
+			m["repro/internal/"+name] = reason
+		}
+	}
+	keep("roadmap item 5: a chaos failure attaches its trace",
+		"chaos.Campaign.Telemetry", "chaos.StabilityOptions.Telemetry")
+	return m
+}()
+
+// TestEveryOptionIsSetByAProgram is the guard behind "serve the settings
+// that exist", as TestEveryFunctionShipsInAProgram is for functions:
+// every exported field of a *Config, *Options, *Params or *Spec struct
+// under internal/ (and of chaos.Campaign) is written by some non-test
+// code of the module outside the normalize or validate that defaults it,
+// or is in unsetKept with a reason. A write is a composite-literal key,
+// an assignment or ++/-- to the field, or its address taken. The check
+// type-checks the module's packages from source, so a field is known by
+// its object, not by its name.
+func TestEveryOptionIsSetByAProgram(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the module and the standard library from source")
+	}
+	out, err := exec.Command("go", "list", "-deps", "-f",
+		`{{if not .Standard}}{{.ImportPath}}{{"\t"}}{{.Dir}}{{"\t"}}{{join .GoFiles " "}}{{end}}`, "./...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	fset := token.NewFileSet()
+	imp := moduleImporter{std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*types.Package{}}
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	var files []*ast.File
+	options := map[*types.Var]string{} // field → "pkg.Type.Field"
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		f := strings.SplitN(line, "\t", 3)
+		if len(f) != 3 || f[2] == "" {
+			continue // a package of test files only
+		}
+		var pkgFiles []*ast.File
+		for _, name := range strings.Fields(f[2]) {
+			file, err := parser.ParseFile(fset, filepath.Join(f[1], name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pkgFiles = append(pkgFiles, file)
+		}
+		pkg, err := (&types.Config{Importer: imp}).Check(f[0], fset, pkgFiles, info)
+		if err != nil {
+			t.Fatalf("type-check %s: %v", f[0], err)
+		}
+		imp.pkgs[f[0]] = pkg
+		files = append(files, pkgFiles...)
+		if !strings.HasPrefix(f[0], "repro/internal/") {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !isOptionType(f[0], name) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			for i := 0; ok && i < st.NumFields(); i++ {
+				if fld := st.Field(i); fld.Exported() {
+					options[fld] = f[0] + "." + name + "." + fld.Name()
+				}
+			}
+		}
+	}
+	if len(options) < 100 {
+		t.Fatalf("found %d option fields; the guard is not looking at the tree", len(options))
+	}
+	t.Logf("%d option fields under internal/, %d of them in unsetKept", len(options), len(unsetKept))
+
+	set := map[*types.Var]bool{}
+	field := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+				set[s.Obj().(*types.Var).Origin()] = true
+			}
+		}
+	}
+	for _, file := range files {
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && (fn.Name.Name == "normalize" || fn.Name.Name == "validate") {
+				continue // defaulting a field is not setting it
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						field(lhs)
+					}
+				case *ast.IncDecStmt:
+					field(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						field(n.X)
+					}
+				case *ast.CompositeLit:
+					st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+					for i, elt := range n.Elts {
+						if kv, keyed := elt.(*ast.KeyValueExpr); keyed {
+							if key, ok := kv.Key.(*ast.Ident); ok {
+								if v, ok := info.Uses[key].(*types.Var); ok {
+									set[v.Origin()] = true
+								}
+							}
+						} else if ok {
+							set[st.Field(i).Origin()] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var unset []string
+	declared := map[string]bool{}
+	for fld, name := range options {
+		declared[name] = true
+		if set[fld] && unsetKept[name] != "" {
+			t.Errorf("unsetKept entry %s is now set by a program; drop it", name)
+		}
+		if !set[fld] && unsetKept[name] == "" {
+			unset = append(unset, fmt.Sprintf("%s: %s", fset.Position(fld.Pos()), name))
+		}
+	}
+	slices.Sort(unset)
+	for _, u := range unset {
+		t.Errorf("%s is set by no program: make it the constant its default is, or ship the program that sets it", u)
+	}
+	for name, reason := range unsetKept {
+		if !strings.HasPrefix(reason, "roadmap item ") {
+			t.Errorf("unsetKept entry %s: reason %q names no roadmap item", name, reason)
+		}
+		if !declared[name] {
+			t.Errorf("unsetKept entry %s no longer exists; drop it", name)
+		}
+	}
+}
+
+// isOptionType reports whether a type under internal/ is one of the
+// option structs TestEveryOptionIsSetByAProgram holds to account.
+func isOptionType(pkg, name string) bool {
+	for _, suffix := range []string{"Config", "Options", "Params", "Spec"} {
+		if strings.HasSuffix(name, suffix) {
+			return true
+		}
+	}
+	return pkg == "repro/internal/chaos" && name == "Campaign"
+}
+
+// moduleImporter hands the type checker the module's packages it has
+// already checked, so one field is one object across the module, and
+// the standard library from source.
+type moduleImporter struct {
+	std  types.Importer
+	pkgs map[string]*types.Package
+}
+
+func (m moduleImporter) Import(path string) (*types.Package, error) {
+	if p, ok := m.pkgs[path]; ok {
+		return p, nil
+	}
+	return m.std.Import(path)
 }
 
 // importsOf lists the import paths of one Go file.

@@ -226,9 +226,28 @@ func (m FaultMix) pick(roll int) ActionKind {
 	return ActHeal // unreachable for roll < total()
 }
 
-// Campaign parameterizes one fault campaign. The zero value of every
-// optional field has a sensible default (see normalize); Seed alone
-// defines the schedule for a given configuration.
+// The timers and network every campaign runs on, in raft ticks (virtual
+// ms) and virtual time: the paper's smallest healthy timeout setting,
+// U(50, 100) ms with a heartbeat of 50/3 = 16 ticks, over its one 15 ms
+// link — the lan15 preset, unless Campaign.Topology names another, and
+// always the delay of the two-layer cluster's app-level messages. A fault
+// fires every 200 ms; after the schedule, liveness gets 60 s and
+// detector re-convergence 30 s.
+const (
+	electionTickMin = 50
+	electionTickMax = 2 * electionTickMin
+	heartbeatTick   = electionTickMin / 3
+	linkLatency     = 15 * simnet.Millisecond
+	defaultTopology = "lan15"
+	stepEvery       = 200 * simnet.Millisecond
+	quiesceTimeout  = 60 * simnet.Second
+	reconvergeBound = 30 * simnet.Second
+)
+
+// Campaign parameterizes one fault campaign on the timers and network
+// above. The zero value of every optional field has a sensible default
+// (see normalize); Seed alone defines the schedule for a given
+// configuration.
 type Campaign struct {
 	// Seed drives schedule generation and every rng in the world.
 	Seed int64 `json:"seed"`
@@ -245,18 +264,10 @@ type Campaign struct {
 	Subgroups    int `json:"subgroups,omitempty"`
 	SubgroupSize int `json:"subgroup_size,omitempty"`
 
-	// ElectionTickMin/Max and HeartbeatTick parameterize raft (defaults
-	// 50/100/15 — the paper's smallest healthy setting).
-	ElectionTickMin int `json:"election_tick_min,omitempty"`
-	ElectionTickMax int `json:"election_tick_max,omitempty"`
-	HeartbeatTick   int `json:"heartbeat_tick,omitempty"`
-	// LatencyUs is the one-way link latency in virtual microseconds
-	// (default 15 ms, as in the paper).
-	LatencyUs int64 `json:"latency_us,omitempty"`
-	// Topology, when non-empty, names a simnet latency preset ("lan15",
-	// "wan50", "wan200") that replaces the uniform LatencyUs delay on
-	// every raft network with a multi-region delay matrix plus jitter.
-	// Serialized into replay files: a WAN campaign replays as one.
+	// Topology names the simnet latency preset of every raft network
+	// ("lan15", "wan50", "wan200"; empty is lan15, the paper's uniform
+	// 15 ms). Serialized into replay files: a WAN campaign replays as
+	// one.
 	Topology string `json:"topology,omitempty"`
 	// Profile selects the failure-handling policy of every node in the
 	// campaign (cluster.Paper, the zero value, is stock paper behaviour).
@@ -270,14 +281,9 @@ type Campaign struct {
 	//	                       delivery ledger, an independent data path)
 	//	health-reconvergence   after the last fault lifts, every live
 	//	                       detector returns to all-Up verdicts about
-	//	                       live peers within ReconvergeBoundUs
+	//	                       live peers within reconvergeBound (30 s)
 	Profile cluster.Profile `json:"profile,omitempty"`
 
-	// StepEveryUs spaces fault actions (default 200 ms virtual).
-	StepEveryUs int64 `json:"step_every_us,omitempty"`
-	// QuiesceTimeoutUs bounds the post-schedule liveness wait (default
-	// 60 s virtual).
-	QuiesceTimeoutUs int64 `json:"quiesce_timeout_us,omitempty"`
 	// SACRounds is the number of SAC exactness/privacy oracle rounds run
 	// per campaign (default 3; negative disables).
 	SACRounds int `json:"sac_rounds,omitempty"`
@@ -302,10 +308,6 @@ type Campaign struct {
 	// one, with every round aggregated under the elastic geometry and
 	// under a static partition of the same members (see shardoracle.go).
 	ShardRounds int `json:"shard_rounds,omitempty"`
-
-	// ReconvergeBoundUs bounds detector re-convergence after quiesce
-	// begins (default 30 s virtual).
-	ReconvergeBoundUs int64 `json:"reconverge_bound_us,omitempty"`
 
 	// extraCheckers run at every check interval and at quiesce on top of
 	// the built-in invariants. It is this package's test seam, not an
@@ -332,6 +334,9 @@ func (c Campaign) normalize() Campaign {
 	if c.Target == "" {
 		c.Target = TargetRaftKV
 	}
+	if c.Topology == "" {
+		c.Topology = defaultTopology
+	}
 	if c.Nodes <= 0 {
 		c.Nodes = 5
 	}
@@ -344,34 +349,20 @@ func (c Campaign) normalize() Campaign {
 			c.SubgroupSize = 4 // room for f = 1 < n/3 adversaries
 		}
 	}
-	if c.ElectionTickMin <= 0 {
-		c.ElectionTickMin = 50
-	}
-	if c.ElectionTickMax <= c.ElectionTickMin {
-		c.ElectionTickMax = 2 * c.ElectionTickMin
-	}
-	if c.HeartbeatTick <= 0 {
-		c.HeartbeatTick = c.ElectionTickMin / 3
-		if c.HeartbeatTick < 1 {
-			c.HeartbeatTick = 1
-		}
-	}
-	if c.LatencyUs <= 0 {
-		c.LatencyUs = int64(15 * simnet.Millisecond)
-	}
-	if c.StepEveryUs <= 0 {
-		c.StepEveryUs = int64(200 * simnet.Millisecond)
-	}
-	if c.QuiesceTimeoutUs <= 0 {
-		c.QuiesceTimeoutUs = int64(60 * simnet.Second)
-	}
 	if c.SACRounds == 0 {
 		c.SACRounds = 3
 	}
-	if c.ReconvergeBoundUs <= 0 {
-		c.ReconvergeBoundUs = int64(30 * simnet.Second)
-	}
 	return c
+}
+
+// topology returns a fresh copy of the (normalized) campaign's latency
+// preset.
+func (c Campaign) topology() *simnet.Topology {
+	topo, err := simnet.Preset(c.Topology)
+	if err != nil {
+		panic(fmt.Sprintf("chaos: %v", err)) // Execute validates the name up front
+	}
+	return topo
 }
 
 // Generate expands the campaign seed into its fault schedule. The
@@ -472,13 +463,11 @@ func (c Campaign) Run() *Report { return c.Execute(c.Generate()) }
 func (c Campaign) Execute(actions []Action) *Report {
 	n := c.normalize()
 	rep := &Report{Campaign: c, Actions: actions}
-	if n.Topology != "" {
-		if _, err := simnet.Preset(n.Topology); err != nil {
-			rep.Violations = append(rep.Violations, Violation{
-				Invariant: "config", Detail: err.Error(),
-			})
-			return rep
-		}
+	if _, err := simnet.Preset(n.Topology); err != nil {
+		rep.Violations = append(rep.Violations, Violation{
+			Invariant: "config", Detail: err.Error(),
+		})
+		return rep
 	}
 	switch n.Target {
 	case TargetTwoLayer:

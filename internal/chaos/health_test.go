@@ -73,7 +73,7 @@ func TestFlappingCampaignSweep(t *testing.T) {
 }
 
 // TestFlappingReplayRoundTrip: a detector campaign's replay file
-// preserves the Profile/ReconvergeBoundUs configuration, so a red run
+// preserves the Profile configuration, so a red run
 // re-executes with the same checkers armed.
 func TestFlappingReplayRoundTrip(t *testing.T) {
 	c := flapCampaign(3, nil)

@@ -57,21 +57,14 @@ type twWorld struct {
 // from a (normalized) campaign: the two-layer target and every oracle
 // episode that needs a control plane call it.
 func newCluster(c Campaign) *cluster.System {
-	var topo *simnet.Topology
-	if c.Topology != "" {
-		var err error
-		if topo, err = simnet.Preset(c.Topology); err != nil {
-			panic(fmt.Sprintf("chaos: %v", err)) // Execute validates the name up front
-		}
-	}
 	sys, err := cluster.New(cluster.Options{
 		NumSubgroups:    c.Subgroups,
 		SubgroupSize:    c.SubgroupSize,
-		ElectionTickMin: c.ElectionTickMin,
-		ElectionTickMax: c.ElectionTickMax,
-		HeartbeatTick:   c.HeartbeatTick,
-		Latency:         simnet.Duration(c.LatencyUs),
-		Topology:        topo,
+		ElectionTickMin: electionTickMin,
+		ElectionTickMax: electionTickMax,
+		HeartbeatTick:   heartbeatTick,
+		Latency:         linkLatency,
+		Topology:        c.topology(),
 		Profile:         c.Profile,
 		Seed:            c.Seed,
 		Telemetry:       c.Telemetry, // cluster.New pins its clock to the sim
@@ -322,10 +315,10 @@ func (w *twWorld) quiesce() {
 	sys := w.sys
 	w.frozen = true // strands in-flight flap cycles
 	w.calmAll()
-	deadline := sys.Sim.Now() + simnet.Time(w.c.QuiesceTimeoutUs)
+	deadline := sys.Sim.Now() + simnet.Time(quiesceTimeout)
 	// Re-convergence is bounded from the moment the last fault lifts,
 	// not from whenever the liveness waits happen to finish.
-	reconvergeBy := sys.Sim.Now() + simnet.Time(w.c.ReconvergeBoundUs)
+	reconvergeBy := sys.Sim.Now() + simnet.Time(reconvergeBound)
 	now := func() int64 { return int64(sys.Sim.Now()) }
 
 	// Revive every crashed peer, and every crashed FedAvg-layer node: a
@@ -414,7 +407,7 @@ func (w *twWorld) quiesce() {
 	if w.c.Profile.Detector() && !sys.Sim.RunWhileNot(sys.DetectorsConverged, reconvergeBy) {
 		w.led.violate(now(), "health-reconvergence",
 			fmt.Sprintf("detectors still hold non-Up verdicts about live peers %.0fms after the last fault",
-				simnet.Duration(w.c.ReconvergeBoundUs).Ms()))
+				reconvergeBound.Ms()))
 	}
 
 	// Virtual time passed in the waits above, and a leader the heal
@@ -426,7 +419,7 @@ func (w *twWorld) quiesce() {
 	// current leader and it polls in vain — a group caught between two
 	// leaders gets one re-convergence bound more, instead of the round
 	// being judged on the instant the deadline happens to fall on.
-	sys.Sim.RunWhileNot(elected, max(deadline, sys.Sim.Now()+simnet.Time(w.c.ReconvergeBoundUs)))
+	sys.Sim.RunWhileNot(elected, max(deadline, sys.Sim.Now()+simnet.Time(reconvergeBound)))
 	w.aggregationRound()
 	w.sweep()
 }

@@ -35,16 +35,21 @@ const (
 	stabilitySteady = 30 * simnet.Second
 )
 
-// StabilityOptions parameterizes one WAN stability run. The zero value
-// of every optional field has a default (see normalize); Seed alone
-// defines the run for a given configuration.
+// What a stability run is: five raft nodes on the wan50 preset, started
+// on the paper's LAN timers U(50, 100) ms with a 15-tick heartbeat —
+// exactly what misfires on a WAN until the tuner lifts it.
+const (
+	stabilityNodes         = 5
+	stabilityTopology      = "wan50"
+	stabilityHeartbeatTick = 15
+)
+
+// StabilityOptions parameterizes one WAN stability run (five nodes on
+// wan50, see stabilityNodes); Seed alone defines the run for a given
+// profile.
 type StabilityOptions struct {
 	// Seed drives every rng in the run.
 	Seed int64 `json:"seed"`
-	// Nodes is the raft group size (default 5).
-	Nodes int `json:"nodes,omitempty"`
-	// Topology names a simnet preset (default "wan50").
-	Topology string `json:"topology,omitempty"`
 
 	// Profile selects the raft flags on every node and whether the
 	// health→raft feedback loop runs: per-node RTT stats fed from
@@ -54,36 +59,10 @@ type StabilityOptions struct {
 	// cluster.Paper; the single group has no co-member detector to run.
 	Profile cluster.Profile `json:"profile,omitempty"`
 
-	// ElectionTickMin/Max and HeartbeatTick are the *initial* raft
-	// timeouts (defaults 50/100/15, the paper's LAN setting — exactly
-	// what misfires on a WAN until the tuner lifts it).
-	ElectionTickMin int `json:"election_tick_min,omitempty"`
-	ElectionTickMax int `json:"election_tick_max,omitempty"`
-	HeartbeatTick   int `json:"heartbeat_tick,omitempty"`
-
 	// Telemetry, when non-nil, is threaded into every node with its
 	// clock pinned to virtual time (equal seeds ⇒ byte-identical
 	// snapshots).
 	Telemetry *telemetry.Registry `json:"-"`
-}
-
-func (o StabilityOptions) normalize() StabilityOptions {
-	if o.Nodes <= 0 {
-		o.Nodes = 5
-	}
-	if o.Topology == "" {
-		o.Topology = "wan50"
-	}
-	if o.ElectionTickMin <= 0 {
-		o.ElectionTickMin = 50
-	}
-	if o.ElectionTickMax <= o.ElectionTickMin {
-		o.ElectionTickMax = 2 * o.ElectionTickMin
-	}
-	if o.HeartbeatTick <= 0 {
-		o.HeartbeatTick = 15
-	}
-	return o
 }
 
 // StabilityReport is the outcome of one WAN stability run.
@@ -141,12 +120,10 @@ func NewWANStabilityChecker(baselineTerm uint64) Checker {
 
 // wanWorld is the minimal single-group world the stability run drives.
 type wanWorld struct {
-	o    StabilityOptions
-	sim  *simnet.Sim
-	g    *simnet.Group
-	topo *simnet.Topology
-	rtt  map[uint64]*health.RTTStats
-	rep  *StabilityReport
+	sim *simnet.Sim
+	g   *simnet.Group
+	rtt map[uint64]*health.RTTStats
+	rep *StabilityReport
 }
 
 func (w *wanWorld) violate(detail string) {
@@ -177,27 +154,23 @@ func (w *wanWorld) retune(tuning health.Tuning) {
 }
 
 // RunWANStability executes one WAN stability run: bootstrap and warmup
-// on the named topology, a monitored steady-state window, then a leader
+// on the wan50 topology, a monitored steady-state window, then a leader
 // kill with bounded failover. Deterministic per (options, seed).
 func RunWANStability(o StabilityOptions) (*StabilityReport, error) {
-	o = o.normalize()
-	topo, err := simnet.Preset(o.Topology)
+	topo, err := simnet.Preset(stabilityTopology)
 	if err != nil {
 		return nil, err
 	}
 	rep := &StabilityReport{Options: o, Topology: topo.Name, TunedBands: map[uint64][2]int{}}
 	w := &wanWorld{
-		o:    o,
-		sim:  simnet.New(),
-		topo: topo,
-		rtt:  make(map[uint64]*health.RTTStats),
-		rep:  rep,
+		sim: simnet.New(),
+		rtt: make(map[uint64]*health.RTTStats),
+		rep: rep,
 	}
 	o.Telemetry.SetClock(func() int64 { return int64(w.sim.Now()) })
-	w.g = simnet.NewGroup(w.sim, "wan", 0, rand.New(rand.NewSource(o.Seed^0x3a41c0de)))
-	w.g.Topo = topo
+	w.g = simnet.NewGroup(w.sim, "wan", topo, rand.New(rand.NewSource(o.Seed^0x3a41c0de)))
 
-	peers := make([]uint64, o.Nodes)
+	peers := make([]uint64, stabilityNodes)
 	for i := range peers {
 		peers[i] = uint64(i + 1)
 	}
@@ -208,9 +181,9 @@ func RunWANStability(o StabilityOptions) (*StabilityReport, error) {
 		node, err := raft.NewNode(o.Profile.Raft(raft.Config{
 			ID:              id,
 			Peers:           peers,
-			ElectionTickMin: o.ElectionTickMin,
-			ElectionTickMax: o.ElectionTickMax,
-			HeartbeatTick:   o.HeartbeatTick,
+			ElectionTickMin: electionTickMin,
+			ElectionTickMax: electionTickMax,
+			HeartbeatTick:   stabilityHeartbeatTick,
 			Rng:             rand.New(rand.NewSource(o.Seed ^ (int64(id) * 0x9e3779b9))),
 			Telemetry:       o.Telemetry,
 		}))

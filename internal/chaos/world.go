@@ -49,9 +49,9 @@ func (w *kvWorld) nodeConfig(id uint64, peers []uint64) raft.Config {
 	return w.c.Profile.Raft(raft.Config{
 		ID:                id,
 		Peers:             peers,
-		ElectionTickMin:   w.c.ElectionTickMin,
-		ElectionTickMax:   w.c.ElectionTickMax,
-		HeartbeatTick:     w.c.HeartbeatTick,
+		ElectionTickMin:   electionTickMin,
+		ElectionTickMax:   electionTickMax,
+		HeartbeatTick:     heartbeatTick,
 		Rng:               w.nodeRng(id),
 		SnapshotThreshold: 64,
 		SnapshotState:     st.Snapshot,
@@ -94,15 +94,7 @@ func newKVWorld(c Campaign, rep *Report) *kvWorld {
 	// Telemetry timestamps follow the campaign's virtual clock, keeping
 	// equal-seed snapshots byte-identical.
 	c.Telemetry.SetClock(func() int64 { return int64(w.sim.Now()) })
-	w.g = simnet.NewGroup(w.sim, "chaos", simnet.Duration(c.LatencyUs),
-		rand.New(rand.NewSource(c.Seed^0x51ed2701)))
-	if c.Topology != "" {
-		topo, err := simnet.Preset(c.Topology)
-		if err != nil {
-			panic(fmt.Sprintf("chaos: %v", err)) // Execute validates the name up front
-		}
-		w.g.Topo = topo
-	}
+	w.g = simnet.NewGroup(w.sim, "chaos", c.topology(), rand.New(rand.NewSource(c.Seed^0x51ed2701)))
 	peers := make([]uint64, c.Nodes)
 	for i := range peers {
 		peers[i] = uint64(i + 1)
@@ -312,7 +304,7 @@ func executeRaftKV(c Campaign, actions []Action, rep *Report) {
 // sim — the sweep re-arms itself until *stopped — and runs it to the end
 // of the schedule window.
 func runSchedule(sim *simnet.Sim, c Campaign, actions []Action, apply func(Action), sweep func(), stopped *bool) {
-	step := simnet.Duration(c.StepEveryUs)
+	step := stepEvery
 	for _, a := range actions {
 		sim.Schedule(simnet.Duration(a.Step+1)*step, func() { apply(a) })
 	}
@@ -348,7 +340,7 @@ func quiesceKV(w *kvWorld) {
 	w.frozen = true
 	w.g.Calm()
 	w.workStopped = true
-	deadline := w.sim.Now() + simnet.Time(w.c.QuiesceTimeoutUs)
+	deadline := w.sim.Now() + simnet.Time(quiesceTimeout)
 	now := func() int64 { return int64(w.sim.Now()) }
 
 	// Revive crashed nodes, retrying in case a restart races a pending
@@ -405,7 +397,7 @@ func quiesceKV(w *kvWorld) {
 	if !w.sim.RunWhileNot(converged, deadline) {
 		w.led.violate(now(), "liveness",
 			fmt.Sprintf("replicas did not all apply the marker entry within %.0fms of quiesce",
-				simnet.Duration(w.c.QuiesceTimeoutUs).Ms()))
+				quiesceTimeout.Ms()))
 		w.stopped = true
 		return
 	}

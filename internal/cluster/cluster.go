@@ -64,11 +64,9 @@ type Event struct {
 
 // Options configures a two-layer system.
 type Options struct {
-	// NumSubgroups (m) and SubgroupSize (n); alternatively set Sizes for
-	// uneven subgroups (the paper distributes N mod m remainders evenly).
+	// NumSubgroups (m) and SubgroupSize (n).
 	NumSubgroups int
 	SubgroupSize int
-	Sizes        []int
 
 	// ElectionTickMin/Max in milliseconds: the paper's U(T, 2T) has
 	// Min = T, Max = 2T. HeartbeatTick defaults to Min/3.
@@ -76,28 +74,19 @@ type Options struct {
 	ElectionTickMax int
 	HeartbeatTick   int
 
-	// Latency is the one-way link delay (paper: 15 ms).
+	// Latency is the one-way link delay (paper: 15 ms): of the raft
+	// networks when Topology is nil, and of the app-level join/accept
+	// messages always.
 	Latency simnet.Duration
-	// Topology, when non-nil, replaces the uniform Latency with a
-	// multi-region latency model on every subgroup network and the
-	// FedAvg layer (see simnet.Topology / simnet.Preset). Hosts map to
-	// regions round-robin by peer ID unless assigned explicitly. The
-	// app-level join/accept messages keep using Latency.
+	// Topology is the latency model of every subgroup network and the
+	// FedAvg layer (see simnet.Topology / simnet.Preset); nil is
+	// simnet.Uniform(Latency, 0). Hosts map to regions round-robin by
+	// peer ID.
 	Topology *simnet.Topology
 
 	// Profile selects the failure-handling policy of every node the
 	// system ever builds (see profile.go). The zero value is Paper.
 	Profile Profile
-
-	// ConfigCommitInterval is how often subgroup leaders commit the
-	// FedAvg-layer configuration to their subgroup log (default 50 ms).
-	ConfigCommitInterval simnet.Duration
-
-	// SnapshotThreshold bounds subgroup logs: the periodic FedAvg-layer
-	// configuration commits grow the log forever, so it is compacted
-	// after this many applied entries, with the latest configuration
-	// carried in the snapshot. 0 uses 64; negative disables compaction.
-	SnapshotThreshold int
 
 	// Telemetry, when non-nil, is threaded into every raft node and
 	// records cluster/ev/* event counters and trace events. New installs
@@ -117,21 +106,19 @@ const AutoTuneInterval = 500 * simnet.Millisecond
 // membership request that waits on one (the paper's 100 ms).
 const joinPollInterval = 100 * simnet.Millisecond
 
+// configCommitInterval is how often subgroup leaders commit the
+// FedAvg-layer configuration to their subgroup log.
+const configCommitInterval = 50 * simnet.Millisecond
+
+// snapshotThreshold bounds subgroup logs: the periodic FedAvg-layer
+// configuration commits grow the log forever, so it is compacted after
+// this many applied entries, with the latest configuration carried in
+// the snapshot.
+const snapshotThreshold = 64
+
 func (o *Options) normalize() error {
-	if len(o.Sizes) == 0 {
-		if o.NumSubgroups < 1 || o.SubgroupSize < 1 {
-			return fmt.Errorf("cluster: need NumSubgroups and SubgroupSize (or Sizes)")
-		}
-		o.Sizes = make([]int, o.NumSubgroups)
-		for i := range o.Sizes {
-			o.Sizes[i] = o.SubgroupSize
-		}
-	}
-	o.NumSubgroups = len(o.Sizes)
-	for _, s := range o.Sizes {
-		if s < 1 {
-			return fmt.Errorf("cluster: subgroup size %d", s)
-		}
+	if o.NumSubgroups < 1 || o.SubgroupSize < 1 {
+		return fmt.Errorf("cluster: need NumSubgroups and SubgroupSize")
 	}
 	if o.ElectionTickMin <= 0 {
 		o.ElectionTickMin = 150
@@ -148,14 +135,11 @@ func (o *Options) normalize() error {
 	if o.Latency < 0 {
 		return fmt.Errorf("cluster: negative latency")
 	}
+	if o.Topology == nil {
+		o.Topology = simnet.Uniform(o.Latency, 0)
+	}
 	if !o.Profile.valid() {
 		return fmt.Errorf("cluster: unknown profile %v", o.Profile)
-	}
-	if o.ConfigCommitInterval <= 0 {
-		o.ConfigCommitInterval = 50 * simnet.Millisecond
-	}
-	if o.SnapshotThreshold == 0 {
-		o.SnapshotThreshold = 64
 	}
 	return nil
 }
@@ -284,8 +268,8 @@ func New(opts Options) (*System, error) {
 	// seeded simulation happens at a reproducible virtual time.
 	opts.Telemetry.SetClock(func() int64 { return int64(s.Sim.Now()) })
 	id := uint64(1)
-	for _, size := range opts.Sizes {
-		ids := make([]uint64, size)
+	for range opts.NumSubgroups {
+		ids := make([]uint64, opts.SubgroupSize)
 		for i := range ids {
 			ids[i] = id
 			id++
@@ -319,8 +303,7 @@ func New(opts Options) (*System, error) {
 // newGroup builds one simulated raft network on the system's latency
 // model; under an auto-tuning profile every delivery is an RTT sample.
 func (s *System) newGroup(name string, seed int64) *simnet.Group {
-	g := simnet.NewGroup(s.Sim, name, s.opts.Latency, rand.New(rand.NewSource(seed)))
-	g.Topo = s.opts.Topology
+	g := simnet.NewGroup(s.Sim, name, s.opts.Topology, rand.New(rand.NewSource(seed)))
 	if s.opts.Profile.AutoTune() {
 		g.OnDeliver = func(m raft.Message, oneWay simnet.Duration) {
 			s.observeRTT(m.To, m.From, oneWay)
@@ -381,8 +364,8 @@ func (s *System) raftConfig(p *Peer, k nodeKind, peers []uint64) raft.Config {
 		Rng:             rand.New(rand.NewSource(s.opts.Seed*k.stream + int64(p.ID))),
 		Telemetry:       s.opts.Telemetry,
 	})
-	if !k.fed && s.opts.SnapshotThreshold > 0 {
-		cfg.SnapshotThreshold = s.opts.SnapshotThreshold
+	if !k.fed {
+		cfg.SnapshotThreshold = snapshotThreshold
 		cfg.SnapshotState = func() []byte {
 			b, err := json.Marshal(fedConfigEntry{Members: p.fedConfig})
 			if err != nil {
@@ -748,7 +731,7 @@ func (s *System) scheduleConfigCommit(p *Peer) {
 			return
 		}
 		commit()
-		s.Sim.Schedule(s.opts.ConfigCommitInterval, loop)
+		s.Sim.Schedule(configCommitInterval, loop)
 	}
 	loop()
 }

@@ -36,7 +36,7 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := New(Options{}); err == nil {
 		t.Fatal("want error for empty options")
 	}
-	if _, err := New(Options{Sizes: []int{3, 0}}); err == nil {
+	if _, err := New(Options{NumSubgroups: 2, SubgroupSize: 0}); err == nil {
 		t.Fatal("want error for zero-size subgroup")
 	}
 	if _, err := New(Options{NumSubgroups: 2, SubgroupSize: 3, Latency: -1}); err == nil {
@@ -228,14 +228,23 @@ func TestEventsTimeline(t *testing.T) {
 }
 
 func TestUnevenSizes(t *testing.T) {
-	// The paper's N=10, n=3 case: subgroups of 3, 3, 4.
+	// The paper's N=10, n=3 case: subgroups of 3, 3, 4, the fourth peer
+	// of the last one admitted after bootstrap.
 	s := mustBootstrap(t, Options{
-		Sizes:           []int{3, 3, 4},
+		NumSubgroups:    3,
+		SubgroupSize:    3,
 		ElectionTickMin: 50,
 		ElectionTickMax: 100,
 		Latency:         15 * simnet.Millisecond,
 		Seed:            7,
 	})
+	id, err := s.AddPeer(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.WaitAdmitted(id, 20*simnet.Second); err != nil {
+		t.Fatal(err)
+	}
 	if len(s.peers) != 10 {
 		t.Fatalf("peers = %d", len(s.peers))
 	}

@@ -160,9 +160,8 @@ func TestDetectorSteadyStateQuiet(t *testing.T) {
 // instead of requiring the manual ReviveFedNode call.
 func TestAutoFedReviveAfterTotalFedLoss(t *testing.T) {
 	o := detectorOpts(150, 5, LAN)
-	o.NumSubgroups = 0
-	o.SubgroupSize = 0
-	o.Sizes = []int{1, 1}
+	o.NumSubgroups = 2
+	o.SubgroupSize = 1
 	s := mustBootstrap(t, o)
 
 	for _, id := range s.PeerIDs() {
@@ -191,7 +190,8 @@ func TestAutoFedReviveAfterTotalFedLoss(t *testing.T) {
 // a member returns.
 func TestDegradedSubgroups(t *testing.T) {
 	s := mustBootstrap(t, Options{
-		Sizes:           []int{3, 3},
+		NumSubgroups:    2,
+		SubgroupSize:    3,
 		ElectionTickMin: 150,
 		ElectionTickMax: 300,
 		Latency:         15 * simnet.Millisecond,

@@ -10,10 +10,9 @@ import (
 )
 
 // TestRaftConfigRecipe checks the one recipe every raft node in the
-// package is built by: for each profile × each construction kind × log
-// compaction on/off, the config carries the profile's protocol flags,
-// the kind's RNG stream, and the snapshot hook exactly on subgroup nodes
-// with compaction enabled.
+// package is built by: for each profile × each construction kind, the
+// config carries the profile's protocol flags, the kind's RNG stream,
+// and the snapshot hook and threshold exactly on subgroup nodes.
 func TestRaftConfigRecipe(t *testing.T) {
 	flags := map[Profile][2]bool{ // PreVote, CheckQuorum
 		Paper: {false, false},
@@ -37,34 +36,35 @@ func TestRaftConfigRecipe(t *testing.T) {
 	const seed, id = 17, 4
 	peers := []uint64{3, 4, 5}
 	for profile, want := range flags {
-		for _, threshold := range []int{-1, 64} {
-			s, err := New(Options{
-				NumSubgroups: 2, SubgroupSize: 3, Latency: 5 * simnet.Millisecond,
-				Profile: profile, SnapshotThreshold: threshold, Seed: seed,
-			})
-			if err != nil {
-				t.Fatal(err)
+		s, err := New(Options{
+			NumSubgroups: 2, SubgroupSize: 3, Latency: 5 * simnet.Millisecond,
+			Profile: profile, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (s.Peer(id).rtt != nil) != profile.AutoTune() || (s.Peer(id).det != nil) != profile.Detector() {
+			t.Errorf("%v: peer has rtt=%v det=%v", profile, s.Peer(id).rtt != nil, s.Peer(id).det != nil)
+		}
+		for _, k := range kinds {
+			cfg := s.raftConfig(s.Peer(id), k.kind, peers)
+			if got := [2]bool{cfg.PreVote, cfg.CheckQuorum}; got != want {
+				t.Errorf("%v %s: raft flags %v, want %v", profile, k.name, got, want)
 			}
-			if (s.Peer(id).rtt != nil) != profile.AutoTune() || (s.Peer(id).det != nil) != profile.Detector() {
-				t.Errorf("%v: peer has rtt=%v det=%v", profile, s.Peer(id).rtt != nil, s.Peer(id).det != nil)
+			if cfg.ID != id || !reflect.DeepEqual(cfg.Peers, peers) ||
+				cfg.ElectionTickMin != 150 || cfg.ElectionTickMax != 300 || cfg.HeartbeatTick != 50 {
+				t.Errorf("%v %s: identity/timers %+v", profile, k.name, cfg)
 			}
-			for _, k := range kinds {
-				cfg := s.raftConfig(s.Peer(id), k.kind, peers)
-				if got := [2]bool{cfg.PreVote, cfg.CheckQuorum}; got != want {
-					t.Errorf("%v %s: raft flags %v, want %v", profile, k.name, got, want)
-				}
-				if cfg.ID != id || !reflect.DeepEqual(cfg.Peers, peers) ||
-					cfg.ElectionTickMin != 150 || cfg.ElectionTickMax != 300 || cfg.HeartbeatTick != 50 {
-					t.Errorf("%v %s: identity/timers %+v", profile, k.name, cfg)
-				}
-				if got, want := cfg.Rng.Int63(), rand.New(rand.NewSource(seed*k.stream+id)).Int63(); got != want {
-					t.Errorf("%v %s: first draw %d is not stream Seed*%d+id", profile, k.name, got, k.stream)
-				}
-				wantHook := !k.fed && threshold > 0
-				if (cfg.SnapshotState != nil) != wantHook || (cfg.SnapshotThreshold > 0) != wantHook {
-					t.Errorf("%v %s threshold %d: snapshot hook %v (threshold %d), want %v",
-						profile, k.name, threshold, cfg.SnapshotState != nil, cfg.SnapshotThreshold, wantHook)
-				}
+			if got, want := cfg.Rng.Int63(), rand.New(rand.NewSource(seed*k.stream+id)).Int63(); got != want {
+				t.Errorf("%v %s: first draw %d is not stream Seed*%d+id", profile, k.name, got, k.stream)
+			}
+			wantHook, wantThreshold := !k.fed, 0
+			if wantHook {
+				wantThreshold = snapshotThreshold
+			}
+			if (cfg.SnapshotState != nil) != wantHook || cfg.SnapshotThreshold != wantThreshold {
+				t.Errorf("%v %s: snapshot hook %v (threshold %d), want %v (threshold %d)",
+					profile, k.name, cfg.SnapshotState != nil, cfg.SnapshotThreshold, wantHook, wantThreshold)
 			}
 		}
 	}

@@ -51,17 +51,6 @@ type ShardAction struct {
 	Moved    []uint64 // peers that changed subgroup
 }
 
-// shardDegree is the target subgroup size n the thresholds derive from.
-func (s *System) shardDegree() int {
-	if s.opts.SubgroupSize > 0 {
-		return s.opts.SubgroupSize
-	}
-	if len(s.opts.Sizes) > 0 {
-		return s.opts.Sizes[0]
-	}
-	return 3
-}
-
 // ShardPlan reads the directory (the shard map) and returns the next
 // re-sharding action, or nil when every subgroup is within bounds:
 // split when a subgroup exceeds 2n−1 members, merge when it fell below
@@ -74,7 +63,7 @@ func (s *System) ShardPlan() *ShardAction {
 	if d == nil {
 		return nil
 	}
-	n := s.shardDegree()
+	n := s.opts.SubgroupSize // the target size the thresholds derive from
 	for g := range s.bySub {
 		size := len(d.Subgroup(g))
 		if size > 2*n-1 {

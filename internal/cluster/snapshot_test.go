@@ -10,19 +10,16 @@ import (
 // without bound; compaction keeps them bounded while preserving the
 // configuration for future leaders.
 func TestSubgroupLogsStayBounded(t *testing.T) {
-	opts := paperOpts(50, 31)
-	opts.SnapshotThreshold = 16
-	opts.ConfigCommitInterval = 20 * simnet.Millisecond // commit fast
-	s := mustBootstrap(t, opts)
-	// ~300 config commits per subgroup leader.
-	s.Sim.RunFor(6 * simnet.Second)
+	s := mustBootstrap(t, paperOpts(50, 31))
+	// ~1,200 config commits per subgroup leader, ~19 thresholds' worth.
+	s.Sim.RunFor(60 * simnet.Second)
 
 	for id := 1; id <= len(s.peers); id++ {
 		p := s.Peer(uint64(id))
 		logLen := len(p.subHost.Node.Log())
-		if logLen > 3*opts.SnapshotThreshold {
+		if logLen > 3*snapshotThreshold {
 			t.Fatalf("peer %d subgroup log has %d entries despite threshold %d",
-				id, logLen, opts.SnapshotThreshold)
+				id, logLen, snapshotThreshold)
 		}
 	}
 	// Compaction must not have broken the configuration tracking.
@@ -39,11 +36,9 @@ func TestSubgroupLogsStayBounded(t *testing.T) {
 // compacted: the new leader's configuration knowledge survives in the
 // snapshot.
 func TestRecoveryAfterCompaction(t *testing.T) {
-	opts := paperOpts(50, 32)
-	opts.SnapshotThreshold = 8
-	opts.ConfigCommitInterval = 20 * simnet.Millisecond
-	s := mustBootstrap(t, opts)
-	s.Sim.RunFor(3 * simnet.Second) // plenty of commits + compactions
+	s := mustBootstrap(t, paperOpts(50, 32))
+	// ~400 config commits per subgroup leader: six compactions.
+	s.Sim.RunFor(20 * simnet.Second)
 
 	fed := s.FedAvgLeader()
 	var victim uint64

@@ -8,9 +8,10 @@ import (
 )
 
 // The Serial/Workers4 pair times the tree's subgroup scheduler on warm
-// pools; what the fan-out may allocate on top of the serial path is
-// pinned by TestMultiLayerFanOutAllocations.
-func benchMultiLayerAggregate(b *testing.B, workers int) {
+// pools at a worker budget of 1 and 4; what the fan-out may allocate on
+// top of the serial path is pinned by TestMultiLayerFanOutAllocations.
+func benchMultiLayerAggregate(b *testing.B, budget int) {
+	setBudget(b, budget)
 	topo, err := BuildMultiLayerTopology(4, 6) // N = 1456
 	if err != nil {
 		b.Fatal(err)
@@ -18,7 +19,7 @@ func benchMultiLayerAggregate(b *testing.B, workers int) {
 	models := randModels(rand.New(rand.NewSource(7)), topo.N, 64)
 	ms := &MultiLayerScratch{}
 	counter := transport.NewCounter()
-	opts := MultiLayerOptions{Workers: workers, Scratch: ms}
+	opts := MultiLayerOptions{Scratch: ms}
 	// Warm the pools so the steady state is what gets measured.
 	if _, err := AggregateMultiLayerOpts(topo, models, nil, rand.New(rand.NewSource(11)), counter, opts); err != nil {
 		b.Fatal(err)

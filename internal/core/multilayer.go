@@ -100,13 +100,6 @@ type MultiLayerResult struct {
 
 // MultiLayerOptions tunes AggregateMultiLayerOpts.
 type MultiLayerOptions struct {
-	// Workers caps how many goroutines (borrowed from the shared tensor
-	// worker pool, so never more than the global budget) schedule
-	// independent same-layer subgroup SACs concurrently. Values ≤ 1 run
-	// fully serial. Results are bit-identical at any setting: every
-	// subgroup draws from its own seed-derived RNG stream, so the split
-	// of subgroups across workers cannot change what any SAC computes.
-	Workers int
 	// Scratch pools per-worker mesh/SAC/RNG state across aggregations.
 	// Nil allocates a private pool per call (the steady-training caller
 	// keeps one and reuses it every round).
@@ -115,9 +108,12 @@ type MultiLayerOptions struct {
 
 // MultiLayerScratch is a free list of per-worker aggregation contexts —
 // mesh, SAC scratch, RNG, subgroup model views — shared across the
-// subgroup fan-out of one aggregation and reusable across aggregations.
-// It is safe for concurrent use; each worker checks a context out, runs
-// its span of subgroups, and returns it.
+// subgroup fan-out of one aggregation and reusable across aggregations,
+// plus the per-layer seed buffer. It is safe for concurrent use, by
+// the workers of one aggregation and by aggregations running side by
+// side: each worker checks a context out, runs its span of subgroups,
+// and returns it, and each aggregation checks the seed buffer out for
+// its whole run (one that finds it taken allocates its own).
 type MultiLayerScratch struct {
 	mu    sync.Mutex
 	free  []*mlWorker
@@ -165,12 +161,24 @@ func (ms *MultiLayerScratch) put(w *mlWorker) {
 	ms.mu.Unlock()
 }
 
-// seedBuf returns the pooled per-layer seed buffer, emptied.
-func (ms *MultiLayerScratch) seedBuf(capHint int) []int64 {
-	if cap(ms.seeds) < capHint {
-		ms.seeds = make([]int64, 0, capHint)
+// takeSeeds checks the per-layer seed buffer out, with room for capHint
+// seeds; while it is out, another aggregation on the scratch gets a
+// buffer of its own. putSeeds returns it.
+func (ms *MultiLayerScratch) takeSeeds(capHint int) []int64 {
+	ms.mu.Lock()
+	seeds := ms.seeds
+	ms.seeds = nil
+	ms.mu.Unlock()
+	if cap(seeds) < capHint {
+		seeds = make([]int64, 0, capHint)
 	}
-	return ms.seeds[:0]
+	return seeds
+}
+
+func (ms *MultiLayerScratch) putSeeds(seeds []int64) {
+	ms.mu.Lock()
+	ms.seeds = seeds
+	ms.mu.Unlock()
 }
 
 // mlSource is a re-seedable splitmix64 rand.Source64. One lives in each
@@ -194,13 +202,14 @@ func (s *mlSource) Int63() int64 { return int64(s.Uint64() >> 1) }
 // AggregateMultiLayerOpts runs one X-layer aggregation of models
 // (indexed by the topology's global peer order) using n-out-of-n SAC in
 // every subgroup. div selects the share scheme (nil: Alg. 1); counter may
-// be shared (nil allocates one); the zero opts run serially on a private
-// scratch. models are borrowed read-only views — never copied, never
-// written; a peer's slot in the internal value table is only ever
-// overwritten by pointing it at a freshly allocated subtree sum. The
+// be shared (nil allocates one); the zero opts run on a private scratch.
+// Same-layer subgroups fan out over the tensor worker budget. models are
+// borrowed read-only views — never copied, never written; a peer's slot
+// in the internal value table is only ever overwritten by pointing it at
+// a freshly allocated subtree sum. The
 // caller's rng is consumed only for the serial per-subgroup seed draws
 // (one Int63 per subgroup, in topology order), so the result depends on
-// the seed and the topology alone, not on opts.Workers.
+// the seed and the topology alone, not on the budget.
 func AggregateMultiLayerOpts(t *MultiLayerTopology, models [][]float64, div secretshare.Divider, rng *rand.Rand, counter *transport.Counter, opts MultiLayerOptions) (*MultiLayerResult, error) {
 	if len(models) != t.N {
 		return nil, fmt.Errorf("core: %d models for %d peers", len(models), t.N)
@@ -221,10 +230,9 @@ func AggregateMultiLayerOpts(t *MultiLayerTopology, models [][]float64, div secr
 	if ms == nil {
 		ms = &MultiLayerScratch{}
 	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
+	// The deepest layer has the most subgroups, one seed each.
+	seedBuf := ms.takeSeeds(len(t.subgroupsByLayer[t.Layers-1]))
+	defer ms.putSeeds(seedBuf)
 	before := counter.TotalBytes()
 
 	// value[p] is peer p's current subtree sum: initially a borrowed view
@@ -255,12 +263,11 @@ func AggregateMultiLayerOpts(t *MultiLayerTopology, models [][]float64, div secr
 	// the per-layer barrier.
 	for x := t.Layers; x >= 1; x-- {
 		groups := t.subgroupsByLayer[x-1]
-		seeds := ms.seedBuf(len(groups))
+		seeds := seedBuf[:0]
 		for range groups {
 			seeds = append(seeds, rng.Int63())
 		}
-		ms.seeds = seeds
-		process := func(lo, hi int) {
+		tensor.ParallelRows(len(groups), func(lo, hi int) {
 			w := ms.get(t.Degree, div, counter)
 			defer ms.put(w)
 			for gi := lo; gi < hi; gi++ {
@@ -286,12 +293,7 @@ func AggregateMultiLayerOpts(t *MultiLayerTopology, models [][]float64, div secr
 				}
 				value[group[0]] = sum
 			}
-		}
-		if workers == 1 {
-			process(0, len(groups))
-		} else {
-			tensor.ParallelRowsN(len(groups), workers, process)
-		}
+		})
 		if firstErr != nil {
 			return nil, firstErr
 		}

@@ -3,10 +3,10 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/costmodel"
-	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
@@ -36,7 +36,7 @@ func TestMultiLayerScaleTiers(t *testing.T) {
 			models := randModels(r, topo.N, dim)
 			ms := &MultiLayerScratch{}
 			res, err := AggregateMultiLayerOpts(topo, models, nil,
-				rand.New(rand.NewSource(7)), nil, MultiLayerOptions{Workers: 4, Scratch: ms})
+				rand.New(rand.NewSource(7)), nil, MultiLayerOptions{Scratch: ms})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +58,7 @@ func TestMultiLayerScaleTiers(t *testing.T) {
 }
 
 // Parallel subgroup scheduling must be bit-identical to serial at any
-// worker count: per-subgroup derived RNG streams make each SAC's
+// worker budget: per-subgroup derived RNG streams make each SAC's
 // randomness a function of the topology position only.
 func TestMultiLayerParallelBitIdentical(t *testing.T) {
 	topo, err := BuildMultiLayerTopology(4, 5) // N = 484
@@ -68,29 +68,27 @@ func TestMultiLayerParallelBitIdentical(t *testing.T) {
 	dim := 32
 	models := randModels(rand.New(rand.NewSource(9)), topo.N, dim)
 
-	run := func(budget, workers int) *MultiLayerResult {
-		old := tensor.Parallelism()
-		tensor.SetParallelism(budget)
-		defer tensor.SetParallelism(old)
+	run := func(budget int) *MultiLayerResult {
+		setBudget(t, budget)
 		res, err := AggregateMultiLayerOpts(topo, models, nil,
 			rand.New(rand.NewSource(5)), nil,
-			MultiLayerOptions{Workers: workers, Scratch: &MultiLayerScratch{}})
+			MultiLayerOptions{Scratch: &MultiLayerScratch{}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
 
-	serial := run(1, 1)
+	serial := run(1)
 	for _, w := range []int{2, 4, 8} {
-		par := run(w, w)
+		par := run(w)
 		if par.Bytes != serial.Bytes || par.Aggregations != serial.Aggregations {
-			t.Fatalf("workers=%d: bytes/aggs %d/%d, serial %d/%d",
+			t.Fatalf("budget=%d: bytes/aggs %d/%d, serial %d/%d",
 				w, par.Bytes, par.Aggregations, serial.Bytes, serial.Aggregations)
 		}
 		for j := range serial.Global {
 			if math.Float64bits(par.Global[j]) != math.Float64bits(serial.Global[j]) {
-				t.Fatalf("workers=%d: global[%d] = %x, serial %x",
+				t.Fatalf("budget=%d: global[%d] = %x, serial %x",
 					w, j, math.Float64bits(par.Global[j]), math.Float64bits(serial.Global[j]))
 			}
 		}
@@ -110,7 +108,7 @@ func TestMultiLayerBorrowsModels(t *testing.T) {
 		snapshot[i] = append([]float64(nil), m...)
 	}
 	res, err := AggregateMultiLayerOpts(topo, models, nil,
-		rand.New(rand.NewSource(6)), nil, MultiLayerOptions{Workers: 4})
+		rand.New(rand.NewSource(6)), nil, MultiLayerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,12 +139,12 @@ func TestMultiLayerScratchReuseAcrossShapes(t *testing.T) {
 		models := randModels(rand.New(rand.NewSource(int64(100+round))), topo.N, 24)
 		seed := int64(200 + round)
 		reused, err := AggregateMultiLayerOpts(topo, models, nil,
-			rand.New(rand.NewSource(seed)), nil, MultiLayerOptions{Workers: 2, Scratch: shared})
+			rand.New(rand.NewSource(seed)), nil, MultiLayerOptions{Scratch: shared})
 		if err != nil {
 			t.Fatal(err)
 		}
 		fresh, err := AggregateMultiLayerOpts(topo, models, nil,
-			rand.New(rand.NewSource(seed)), nil, MultiLayerOptions{Workers: 2})
+			rand.New(rand.NewSource(seed)), nil, MultiLayerOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +160,7 @@ func TestMultiLayerScratchReuseAcrossShapes(t *testing.T) {
 }
 
 // The fan-out's cost in allocations over the serial schedule is what
-// tensor.ParallelRowsN spends per layer that has more than one subgroup:
+// tensor.ParallelRows spends per layer that has more than one subgroup:
 // one WaitGroup, and a goroutine closure plus its deferred token release
 // per borrowed worker — 7 a layer with three borrowed workers, 8 measured
 // under -race — and nothing per subgroup, because every worker runs its
@@ -170,35 +168,77 @@ func TestMultiLayerScratchReuseAcrossShapes(t *testing.T) {
 // runtime's own GC-conditional allocations (they smear the ~12.6k
 // allocations of one aggregation by ±1) and is two orders of magnitude
 // below what one allocation per subgroup SAC would add. With a budget of
-// 1 the pool lends no worker and Workers: 4 is the serial path.
+// 1 the pool lends no worker and the fan-out is the serial path.
 func TestMultiLayerFanOutAllocations(t *testing.T) {
-	const workers, perFannedLayer, slack = 4, 10, 2
+	const perFannedLayer, slack = 10, 2
 	topo, err := BuildMultiLayerTopology(4, 6) // N = 1456, 485 subgroup SACs
 	if err != nil {
 		t.Fatal(err)
 	}
 	models := randModels(rand.New(rand.NewSource(7)), topo.N, 64)
 	counter := transport.NewCounter()
-	measure := func(w int) float64 {
-		opts := MultiLayerOptions{Workers: w, Scratch: &MultiLayerScratch{}}
+	measure := func(budget int) float64 {
+		setBudget(t, budget)
+		opts := MultiLayerOptions{Scratch: &MultiLayerScratch{}}
 		return testing.AllocsPerRun(10, func() {
 			if _, err := AggregateMultiLayerOpts(topo, models, nil, rand.New(rand.NewSource(11)), counter, opts); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	old := tensor.Parallelism()
-	defer tensor.SetParallelism(old)
+	serial := measure(1)
 	for _, budget := range []int{1, 4} {
-		tensor.SetParallelism(budget)
 		limit := float64(slack)
 		if budget > 1 {
 			limit += perFannedLayer * float64(topo.Layers-1) // the top layer is one group
 		}
-		serial, fanned := measure(1), measure(workers)
-		if fanned > serial+limit {
-			t.Errorf("budget %d: %v allocations with %d workers, %v serial: fan-out may add %v",
-				budget, fanned, workers, serial, limit)
+		if fanned := measure(budget); fanned > serial+limit {
+			t.Errorf("budget %d: %v allocations, %v serial: fan-out may add %v",
+				budget, fanned, serial, limit)
 		}
+	}
+}
+
+// TestMultiLayerScratchServesConcurrentAggregations holds the scratch to
+// its "safe for concurrent use": two goroutines aggregating on one
+// scratch at once each get exactly the serial global, to the bit. The
+// per-layer seed buffer used to be handed to both, so one aggregation's
+// subgroups ran on the other's seeds.
+func TestMultiLayerScratchServesConcurrentAggregations(t *testing.T) {
+	const calls = 50
+	topo, err := BuildMultiLayerTopology(3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := randModels(rand.New(rand.NewSource(3)), topo.N, 8)
+	want, err := AggregateMultiLayerOpts(topo, models, nil, rand.New(rand.NewSource(4)), nil, MultiLayerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := &MultiLayerScratch{}
+	var wg sync.WaitGroup
+	diffs := make([]int, 2)
+	for g := range diffs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				res, err := AggregateMultiLayerOpts(topo, models, nil, rand.New(rand.NewSource(4)), nil, MultiLayerOptions{Scratch: shared})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for j := range want.Global {
+					if math.Float64bits(res.Global[j]) != math.Float64bits(want.Global[j]) {
+						diffs[g]++
+						break
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if diffs[0]+diffs[1] != 0 {
+		t.Fatalf("%d of %d aggregations sharing one scratch differ from the serial global", diffs[0]+diffs[1], 2*calls)
 	}
 }

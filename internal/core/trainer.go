@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/dp"
@@ -11,6 +10,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/optim"
 	"repro/internal/telemetry"
+	"repro/internal/tensor"
 )
 
 // ModelFactory builds one architecture instance; each peer gets its own.
@@ -43,12 +43,6 @@ type TrainerConfig struct {
 	LearningRate float64
 	Epochs       int
 	BatchSize    int
-
-	// Workers bounds how many clients train concurrently each round. 0
-	// or 1 trains serially. Any value yields bit-identical results: each
-	// client owns its model, optimizer, data partition and seeded RNGs,
-	// and losses/weights are reduced in client-index order.
-	Workers int
 
 	// DP, if non-nil, perturbs each peer's update before it enters the
 	// aggregation (the paper's Sec. IV-D differential-privacy option):
@@ -193,35 +187,18 @@ func RunTraining(cfg TrainerConfig) (*Series, error) {
 			counts[i] = float64(c.SampleCount())
 		}
 
-		// Every peer trains every round, fanning out across Workers
-		// goroutines when asked. Each client is self-contained (model,
-		// optimizer, partition, per-client and per-(round,client) RNGs),
-		// so execution order cannot affect any result; the reductions
-		// below walk the clients in ascending index, making parallel
-		// runs bit-identical to serial ones.
-		workers := min(cfg.Workers, numPeers)
-		if workers <= 1 {
-			for i := range clients {
+		// Every peer trains every round, the clients fanned out over the
+		// tensor worker budget; a client's own kernels borrow only the
+		// tokens the fan-out left spare. Each client is self-contained
+		// (model, optimizer, partition, per-client and per-(round,client)
+		// RNGs), so execution order cannot affect any result; the
+		// reductions below walk the clients in ascending index, making
+		// runs bit-identical at any budget.
+		tensor.ParallelRows(numPeers, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
 				trainOne(i)
 			}
-		} else {
-			idxCh := make(chan int)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := range idxCh {
-						trainOne(i)
-					}
-				}()
-			}
-			for i := range clients {
-				idxCh <- i
-			}
-			close(idxCh)
-			wg.Wait()
-		}
+		})
 
 		lossSum := 0.0
 		for i := range clients {

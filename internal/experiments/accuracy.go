@@ -54,7 +54,7 @@ func accuracyWorkload(numPeers int, seed int64) (dataset.Spec, core.ModelFactory
 	return spec, factory, true
 }
 
-func runAccuracy(setting string, sizes []int, baseline bool, fraction float64, dist dataset.Distribution, rounds, workers int, dataSeed, trainSeed int64) (AccuracyRow, error) {
+func runAccuracy(setting string, sizes []int, baseline bool, fraction float64, dist dataset.Distribution, rounds int, dataSeed, trainSeed int64) (AccuracyRow, error) {
 	total := 0
 	for _, s := range sizes {
 		total += s
@@ -72,7 +72,6 @@ func runAccuracy(setting string, sizes []int, baseline bool, fraction float64, d
 		LearningRate: 2e-3,
 		Epochs:       1,
 		BatchSize:    50,
-		Workers:      workers,
 		Seed:         trainSeed,
 		DataSeed:     dataSeed,
 	}
@@ -118,7 +117,7 @@ func Fig6(p Params) (*AccuracyResult, error) {
 			// settings, as in the paper's comparisons); training seed
 			// varies per setting, so rows differ only by the topology
 			// plus ordinary SGD stochasticity.
-			row, err := runAccuracy(st.label, st.sizes, st.baseline, 1, d, p.Rounds, p.Workers, p.Seed, p.Seed+int64(len(res.Rows))+1)
+			row, err := runAccuracy(st.label, st.sizes, st.baseline, 1, d, p.Rounds, p.Seed, p.Seed+int64(len(res.Rows))+1)
 			if err != nil {
 				return nil, fmt.Errorf("fig6 %s/%s: %w", st.label, d, err)
 			}
@@ -151,7 +150,7 @@ func Fig8(p Params) (*AccuracyResult, error) {
 	for _, frac := range []float64{1, 0.5} {
 		for _, d := range dists {
 			label := fmt.Sprintf("p=%.1f", frac)
-			row, err := runAccuracy(label, []int{5, 5, 5, 5}, false, frac, d, p.Rounds, p.Workers, p.Seed, p.Seed+int64(len(res.Rows))+1)
+			row, err := runAccuracy(label, []int{5, 5, 5, 5}, false, frac, d, p.Rounds, p.Seed, p.Seed+int64(len(res.Rows))+1)
 			if err != nil {
 				return nil, fmt.Errorf("fig8 %s/%s: %w", label, d, err)
 			}

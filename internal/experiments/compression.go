@@ -45,7 +45,6 @@ func Ext6CompressionCurve(p Params) (*AccuracyResult, error) {
 			EvalEvery:    max(1, p.Rounds/25),
 			LearningRate: 2e-3,
 			BatchSize:    50,
-			Workers:      p.Workers,
 			Seed:         p.Seed + 1,
 			DataSeed:     p.Seed,
 		}

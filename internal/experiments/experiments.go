@@ -25,13 +25,6 @@ type Params struct {
 	MaxN int
 	// Trials per timeout setting for Figs. 10–12 (paper: 1000).
 	Trials int
-	// Workers bounds concurrency inside the drivers: recovery trials
-	// (Figs. 10–12) run Workers simulations at a time, and the training
-	// figures pass it through to core.TrainerConfig.Workers. Every
-	// driver is deterministic at any worker count — trials and clients
-	// are independently seeded and reduced in index order. 0 defaults
-	// to GOMAXPROCS.
-	Workers int
 	// Seed makes every driver deterministic.
 	Seed int64
 }
@@ -46,9 +39,6 @@ func (p Params) Defaults() Params {
 	}
 	if p.MaxN <= 0 {
 		p.MaxN = 50
-	}
-	if p.Workers <= 0 {
-		p.Workers = runtime.GOMAXPROCS(0)
 	}
 	return p
 }

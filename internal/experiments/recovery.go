@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/raft"
 	"repro/internal/simnet"
 	"repro/internal/telemetry"
+	"repro/internal/tensor"
 )
 
 // TimeoutRanges are the paper's four U(T, 2T) follower/candidate timeout
@@ -182,9 +182,9 @@ func runRecovery(fig, note, scenario string, join bool, paper map[int]float64, p
 	res := &RecoveryResult{Fig: fig, Note: note, Paper: paper}
 	for _, tMs := range TimeoutRanges {
 		// Trials are independent simulations with per-trial seeds, so
-		// p.Workers of them run at a time; samples land at their trial
-		// index, keeping the result order (and therefore the stats and
-		// histograms) identical to a serial run.
+		// they fan out over the tensor worker budget; samples land at
+		// their trial index, keeping the result order (and therefore the
+		// stats and histograms) identical to a serial run.
 		samples := make([]float64, p.Trials)
 		errs := make([]error, p.Trials)
 		runTrial := func(trial int) {
@@ -199,17 +199,11 @@ func runRecovery(fig, note, scenario string, join bool, paper map[int]float64, p
 			}
 			samples[trial] = ms
 		}
-		slots := make(chan struct{}, p.Workers)
-		var wg sync.WaitGroup
-		for trial := 0; trial < p.Trials; trial++ {
-			wg.Add(1)
-			slots <- struct{}{}
-			go func(trial int) {
-				defer func() { <-slots; wg.Done() }()
+		tensor.ParallelRows(p.Trials, func(lo, hi int) {
+			for trial := lo; trial < hi; trial++ {
 				runTrial(trial)
-			}(trial)
-		}
-		wg.Wait()
+			}
+		})
 		for _, err := range errs {
 			if err != nil {
 				return nil, err

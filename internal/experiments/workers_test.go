@@ -1,17 +1,25 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/tensor"
+)
 
 // TestRecoveryWorkersDeterministic checks the parallel trial loop of the
-// recovery figures: Workers > 1 must reproduce the serial samples
-// exactly, because every trial owns a fresh, independently seeded
-// simulation and lands at its own index.
+// recovery figures: a worker budget above 1 must reproduce the serial
+// samples exactly, because every trial owns a fresh, independently
+// seeded simulation and lands at its own index.
 func TestRecoveryWorkersDeterministic(t *testing.T) {
-	serial, err := Fig10(Params{Rounds: 5, Trials: 4, Seed: 11, Workers: 1})
+	old := tensor.Parallelism()
+	t.Cleanup(func() { tensor.SetParallelism(old) })
+	tensor.SetParallelism(1)
+	serial, err := Fig10(Params{Rounds: 5, Trials: 4, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Fig10(Params{Rounds: 5, Trials: 4, Seed: 11, Workers: 3})
+	tensor.SetParallelism(3)
+	par, err := Fig10(Params{Rounds: 5, Trials: 4, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +33,7 @@ func TestRecoveryWorkersDeterministic(t *testing.T) {
 		}
 		for j := range row.Samples {
 			if row.Samples[j] != prow.Samples[j] {
-				t.Fatalf("T=%d trial %d: %v (serial) vs %v (workers=3)",
+				t.Fatalf("T=%d trial %d: %v (serial) vs %v (budget 3)",
 					row.TMs, j, row.Samples[j], prow.Samples[j])
 			}
 		}

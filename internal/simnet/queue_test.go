@@ -75,7 +75,7 @@ func TestQueueMatchesStableSort(t *testing.T) {
 // ten-tick election timeout must take ten virtual milliseconds.
 func TestRestartWithinATickArmsOneLoop(t *testing.T) {
 	sim := New()
-	g := NewGroup(sim, "solo", 0, nil)
+	g := NewGroup(sim, "solo", Uniform(0, 0), nil)
 	cfg := raft.Config{ID: 1, Peers: []uint64{1}, ElectionTickMin: 10, ElectionTickMax: 11, HeartbeatTick: 2}
 	n, err := raft.NewNode(cfg)
 	if err != nil {

@@ -165,21 +165,19 @@ func (s *Sim) RunWhileNot(cond func() bool, limit Time) bool {
 
 // Group drives a set of raft nodes that share one consensus group over
 // the simulated network: each host is ticked every TickInterval and its
-// outbound messages are delivered to group members after Latency.
+// outbound messages are delivered to group members after a delay drawn
+// from the group's Topology.
 type Group struct {
 	sim  *Sim
 	name string
+	// topo is the group's latency model (see topology.go): each
+	// message's base delay and jitter come from its from→to link.
+	topo *Topology
 
-	// Latency is the one-way message delay; the paper uses 15 ms.
-	Latency Duration
-	// Jitter adds U(0, Jitter) to each delivery.
+	// Jitter adds U(0, Jitter) to each delivery, on top of the
+	// topology's own, so fault injection (chaos ActDelay) composes with
+	// any topology.
 	Jitter Duration
-	// Topo, when non-nil, replaces the uniform Latency model with a
-	// multi-region delay matrix (see topology.go): each message's base
-	// delay and jitter come from its from→to link. The fault-injection
-	// Jitter above still adds on top, so ActDelay composes with any
-	// topology. A nil Topo is the legacy path, byte-for-byte.
-	Topo *Topology
 	// LossRate drops each message independently with this probability —
 	// Raft tolerates loss via retransmission-by-timeout, which the
 	// failure-injection tests exercise.
@@ -213,16 +211,17 @@ type Group struct {
 	offeredBytes int64
 }
 
-// NewGroup creates a consensus group on sim with the given one-way
-// latency and rng for jitter.
-func NewGroup(sim *Sim, name string, latency Duration, rng *rand.Rand) *Group {
+// NewGroup creates a consensus group on sim whose messages are delayed
+// by topo (Uniform(15*Millisecond, 0) is the paper's network), with rng
+// for jitter and loss.
+func NewGroup(sim *Sim, name string, topo *Topology, rng *rand.Rand) *Group {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
 	return &Group{
 		sim:          sim,
 		name:         name,
-		Latency:      latency,
+		topo:         topo,
 		TickInterval: Millisecond,
 		rng:          rng,
 		hosts:        make(map[uint64]*Host),
@@ -439,12 +438,7 @@ func (g *Group) deliver(m raft.Message) {
 	if g.LossRate > 0 && g.rng.Float64() < g.LossRate {
 		return
 	}
-	var delay Duration
-	if g.Topo != nil {
-		delay = g.Topo.SampleDelay(m.From, m.To, g.rng)
-	} else {
-		delay = g.Latency
-	}
+	delay := g.topo.SampleDelay(m.From, m.To, g.rng)
 	if g.Jitter > 0 {
 		delay += Duration(g.rng.Int63n(int64(g.Jitter)))
 	}

@@ -13,8 +13,8 @@ import (
 // and whose jitter is heavy-tailed (queueing is lognormal-ish, not
 // uniform). A Topology names regions, places hosts on them, and gives
 // every ordered region pair its own base delay and jitter distribution.
-// Groups without a Topology keep the legacy uniform Latency/Jitter pair
-// byte-for-byte: the zero value changes nothing.
+// Every Group samples its delays from one; Uniform is the paper's single
+// link.
 
 // JitterKind selects a per-link jitter distribution.
 type JitterKind int
@@ -23,7 +23,7 @@ type JitterKind int
 const (
 	// JitterNone adds no jitter (and consumes no randomness).
 	JitterNone JitterKind = iota
-	// JitterUniform adds U(0, Bound) — the legacy Group.Jitter shape.
+	// JitterUniform adds U(0, Bound) — the Group.Jitter shape.
 	JitterUniform
 	// JitterLognormal adds exp(N(ln Median, Sigma²)), clamped to Max —
 	// the heavy-tailed shape of real WAN queueing delay.
@@ -60,8 +60,8 @@ type JitterSpec struct {
 
 // sample draws one jitter value. The rng consumption is part of the
 // deterministic-replay contract: JitterNone consumes nothing,
-// JitterUniform consumes exactly one Int63n (matching the legacy
-// Group.Jitter path), JitterLognormal consumes one NormFloat64.
+// JitterUniform consumes exactly one Int63n (as Group.Jitter does),
+// JitterLognormal consumes one NormFloat64.
 func (j JitterSpec) sample(rng *rand.Rand) Duration {
 	switch j.Kind {
 	case JitterUniform:
@@ -182,11 +182,10 @@ func (t *Topology) SampleDelay(from, to uint64, rng *rand.Rand) Duration {
 	return l.Delay + l.Jitter.sample(rng)
 }
 
-// Uniform builds a single-region topology equivalent to the legacy
-// Group.Latency/Group.Jitter pair: every message is delayed by latency
-// plus U(0, jitter). With equal seeds it consumes the group rng
-// identically to the legacy path, so the two are byte-for-byte
-// interchangeable.
+// Uniform builds a single-region topology: every message is delayed by
+// latency plus U(0, jitter). With no jitter it draws nothing from the
+// group rng, so a fixed delay replays byte-for-byte whatever else the
+// group draws.
 func Uniform(latency, jitter Duration) *Topology {
 	t, err := NewTopology("uniform", "local")
 	if err != nil {

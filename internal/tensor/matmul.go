@@ -72,7 +72,7 @@ func MatMulInto(dst, a, b *Tensor) error {
 		return err
 	}
 	if 2*m*k*n >= parallelFlops {
-		parallelRows(m, func(lo, hi int) {
+		ParallelRows(m, func(lo, hi int) {
 			matMulPanel(dst.data, a.data, b.data, lo, hi, k, n)
 		})
 		return nil
@@ -168,7 +168,7 @@ func MatMulTransAAcc(dst, a, b *Tensor) error {
 		return err
 	}
 	if 2*m*k*n >= parallelFlops && m > 1 {
-		parallelRows(m, func(lo, hi int) {
+		ParallelRows(m, func(lo, hi int) {
 			matMulTransAPanel(dst.data, a.data, b.data, lo, hi, k, m, n)
 		})
 		return nil
@@ -238,7 +238,7 @@ func MatMulTransBInto(dst, a, b *Tensor) error {
 		return err
 	}
 	if 2*m*k*n >= parallelFlops {
-		parallelRows(m, func(lo, hi int) {
+		ParallelRows(m, func(lo, hi int) {
 			matMulTransBPanel(dst.data, a.data, b.data, lo, hi, k, n)
 		})
 		return nil

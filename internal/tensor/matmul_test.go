@@ -3,7 +3,9 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // forceParallelism pins the worker budget for a test and restores it.
@@ -293,7 +295,7 @@ func TestParallelRowsCoversAllRows(t *testing.T) {
 	forceParallelism(t, 4)
 	for _, rows := range []int{1, 2, 3, 7, 64, 1000} {
 		hit := make([]int32, rows)
-		parallelRows(rows, func(lo, hi int) {
+		ParallelRows(rows, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				hit[i]++
 			}
@@ -301,6 +303,42 @@ func TestParallelRowsCoversAllRows(t *testing.T) {
 		for i, h := range hit {
 			if h != 1 {
 				t.Fatalf("rows=%d: row %d visited %d times", rows, i, h)
+			}
+		}
+	}
+}
+
+// TestNestedFanOutStaysInBudget pins what a fan-out above the kernels
+// (the trainer's clients, the recovery trials, the X-layer subgroups)
+// relies on: an inner ParallelRows finds the tokens its caller holds
+// taken, so however the two levels nest, no more bodies run at once than
+// the budget allows.
+func TestNestedFanOutStaysInBudget(t *testing.T) {
+	const budget, outer, inner = 4, 8, 64
+	forceParallelism(t, budget)
+	var running, high atomic.Int32
+	var hit [outer][inner]atomic.Int32
+	ParallelRows(outer, func(lo, hi int) {
+		for o := lo; o < hi; o++ {
+			ParallelRows(inner, func(lo, hi int) {
+				now := running.Add(1)
+				for peak := high.Load(); now > peak && !high.CompareAndSwap(peak, now); peak = high.Load() {
+				}
+				time.Sleep(100 * time.Microsecond) // hold the token long enough to overlap
+				for i := lo; i < hi; i++ {
+					hit[o][i].Add(1)
+				}
+				running.Add(-1)
+			})
+		}
+	})
+	if h := high.Load(); h > budget || h < 2 {
+		t.Fatalf("%d inner bodies ran at once; want between 2 and the budget %d", h, budget)
+	}
+	for o := range hit {
+		for i := range hit[o] {
+			if n := hit[o][i].Load(); n != 1 {
+				t.Fatalf("row (%d, %d) visited %d times", o, i, n)
 			}
 		}
 	}

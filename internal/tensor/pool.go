@@ -50,39 +50,16 @@ func Parallelism() int {
 
 // ParallelRows runs fn over [0, rows) split into contiguous panels, one
 // per worker the caller manages to borrow from the shared pool (plus the
-// caller itself). It is the exported entry point for out-of-package
-// kernels (compress quantizers, secretshare dividers) that want the same
-// token budget and the same determinism contract as the tensor kernels:
-// fn must only write state derived from its own row range, and its
-// per-row results must not depend on how [0, rows) was split.
+// caller itself). With no spare tokens — or a single row — it degrades to
+// fn(0, rows) inline. It is the one fan-out of the module: the tensor
+// kernels, the compress quantizers and secretshare dividers, the
+// trainer's clients, the recovery figures' trials and the X-layer tree's
+// subgroups all borrow from the same budget. fn must only write state
+// derived from its own row range, and its per-row results must not
+// depend on how [0, rows) was split.
 func ParallelRows(rows int, fn func(lo, hi int)) {
-	parallelRowsCapped(rows, 0, fn)
-}
-
-// ParallelRowsN is ParallelRows with an explicit worker ceiling: at most
-// maxWorkers goroutines (including the caller) touch the range, however
-// large the shared budget is. maxWorkers < 1 means "no extra ceiling".
-// Callers whose fn serializes on per-worker state (the multilayer
-// engine's pooled mesh/scratch contexts) use it to bound contention
-// without shrinking the global budget for everyone else.
-func ParallelRowsN(rows, maxWorkers int, fn func(lo, hi int)) {
-	parallelRowsCapped(rows, maxWorkers, fn)
-}
-
-// parallelRows runs fn over [0, rows) split into contiguous panels, one
-// per worker the caller manages to borrow (plus the caller itself).
-// With no spare tokens — or a single row — it degrades to fn(0, rows)
-// inline. fn must only write state derived from its own row range.
-func parallelRows(rows int, fn func(lo, hi int)) {
-	parallelRowsCapped(rows, 0, fn)
-}
-
-func parallelRowsCapped(rows, maxWorkers int, fn func(lo, hi int)) {
 	p := pool.Load()
 	want := cap(p.extra)
-	if maxWorkers > 0 && maxWorkers-1 < want {
-		want = maxWorkers - 1
-	}
 	if want > rows-1 {
 		want = rows - 1
 	}
