@@ -51,18 +51,22 @@ chaos-smoke:
 	$(GO) run ./cmd/p2pfl-chaos -seed 1 -track byzantine -steps 12
 	$(GO) run ./cmd/p2pfl-chaos -seed 1 -target two-layer -topology wan50 -profile wan -steps 12
 	$(GO) run ./cmd/p2pfl-chaos -seed 1 -target two-layer -mix churn -steps 12
+	$(GO) run ./cmd/p2pfl-chaos -seed 19 -target two-layer -topology wan50 -mix churn -n 4
 	$(GO) run ./cmd/p2pfl-chaos -track shard -seeds 3
 	$(GO) run ./cmd/p2pfl-chaos -track churn -seeds 3
 	$(GO) run ./cmd/p2pfl-chaos -track compose -seeds 1
 
 # The composition sweep at full width: 20 seeds × 60 two-layer campaigns
 # (3 profiles × {uniform, wan50} × {mixed, flap, churn, crash,
-# partition} × n ∈ {3, 4}) = 1,200, a few minutes. chaos-smoke runs its
-# first seed. A red cell prints its report and the flags that rerun it
-# alone; -v prints every cell. The cell that elected two leaders in one term before
+# partition} × n ∈ {3, 4}) = 1,200, about a minute and a half.
+# chaos-smoke runs its first seed. A red cell prints its report and the
+# flags that rerun it alone; -v prints every cell. The cell that elected two leaders in one term before
 # raft admitted one configuration change at a time — seed 11, paper,
 # wan50, churn, n = 4 — is also a go test
-# (TestSeed11OverlappingMembershipChanges).
+# (TestSeed11OverlappingMembershipChanges), and so is the cell whose new
+# subgroup leader polled forever for the FedAvg leader before followers
+# redirected it — seed 19, same flags — with a chaos-smoke line
+# (TestSeed19JoinerFindsTheFedAvgLeader).
 test-compose:
 	$(GO) run ./cmd/p2pfl-chaos -track compose -seeds 20
 
@@ -117,7 +121,7 @@ test-health:
 # frame kind closing the connection on its header, receive-vector
 # recycling and its free-list bound, stated on what is outstanding and
 # driven by sac.Run in TestTCPMeshFreeListCoversASACTurn — race builds
-# poison recycled vectors), the nn checkpoint tests, and the SAC tests
+# poison recycled vectors), and the SAC tests
 # that share its pooled buffers (scratch determinism, TCP-vs-memory
 # bit-identity across rounds, sac.Run and its Peers against the
 # self-contained all-peers reference engine of reference_test.go in
@@ -126,7 +130,7 @@ test-health:
 # TestDefaultRunAllocatesOnlyItsResult and, for the spare list under two
 # goroutines, TestSpareWorkingSetsServeTwoGoroutines).
 test-wire:
-	$(GO) test -race ./internal/wire/ ./internal/transport/ ./internal/nn/ \
+	$(GO) test -race ./internal/wire/ ./internal/transport/ \
 		./internal/secretshare/ ./internal/sac/ ./internal/simnet/ \
 		./cmd/p2pfl-node/
 
@@ -138,8 +142,7 @@ test-wire:
 # (DESIGN.md §12).
 test-compress:
 	$(GO) test -race ./internal/compress/ ./internal/secretshare/ \
-		./internal/wire/ ./internal/core/ ./internal/costmodel/ \
-		./internal/nn/
+		./internal/wire/ ./internal/core/ ./internal/costmodel/
 
 # Continuous churn: the replicated directory state machine, the cluster
 # join/depart/handoff control plane (one asker, one step driver), raft's

@@ -485,13 +485,8 @@ var kept = func() map[string]string {
 	// pinned by tests of its own: ROADMAP item 6 lists them as the rest of
 	// PR 20's sweep, to be deleted with those tests.
 	keep("roadmap item 6: unlinked substrate still to delete, with the tests that pin it",
-		"nn.NewBatchNorm2D", "nn.(*BatchNorm2D).Name", "nn.(*BatchNorm2D).Params", "nn.(*BatchNorm2D).Forward", "nn.(*BatchNorm2D).Backward",
-		"nn.(*Model).schema", "nn.(*Model).restore", "nn.(*Model).Save", "nn.(*Model).Load", "nn.(*Model).SaveQuantized", "nn.(*Model).AppendCheckpoint",
-		"wire.QuantCheckpointPayloadSize", "wire.QuantCheckpointFrameSize", "wire.AppendQuantCheckpointFrame",
-		"wire.DecodeQuantCheckpointPayload", "wire.ReadQuantCheckpointFrame",
 		"optim.NewSGD", "optim.(*SGD).Name", "optim.(*SGD).Step", "optim.(*Adam).Reset",
-		"dp.Laplace.Name", "dp.Laplace.Perturb", "dp.sign",
-		"telemetry.Diff", "costmodel.QuantBlockBytes", "costmodel.SparseBlockBytes",
+		"costmodel.QuantBlockBytes", "costmodel.SparseBlockBytes",
 		"core.(*Config).PeerSubgroup", "core.(*MultiLayerTopology).Subgroups",
 		"tensor.SameShape", "tensor.Add", "tensor.Sub", "tensor.Mul", "tensor.Scaled", "tensor.(*Tensor).AddInPlace",
 		"tensor.(*Tensor).SubInPlace", "tensor.(*Tensor).Scale", "tensor.(*Tensor).Apply", "tensor.(*Tensor).Max", "tensor.(*Tensor).ArgMax")

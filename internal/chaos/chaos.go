@@ -16,6 +16,9 @@
 //	                        another peer's model (k ≥ 2)
 //	Liveness                after the schedule quiesces, a leader emerges
 //	                        and a round/entry commits within a bound
+//	FedAvg join             after the last fault lifts, every subgroup
+//	                        leader has joined the FedAvg layer within a
+//	                        bound (two-layer target)
 //	Health accuracy         no failure detector declares a peer Down
 //	                        whose messages were delivered within the
 //	                        silence threshold (detector profiles)

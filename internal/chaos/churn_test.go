@@ -68,6 +68,25 @@ func TestSeed11OverlappingMembershipChanges(t *testing.T) {
 	}
 }
 
+// TestSeed19JoinerFindsTheFedAvgLeader is the cell of the composition
+// sweep (p2pfl-chaos -seed 19 -target two-layer -topology wan50 -mix
+// churn -n 4) whose new subgroup leader polled forever for the FedAvg
+// leader: the layer's membership only grows, so its leader had lost its
+// own subgroup, and neither the joiner's committed configuration nor
+// the current subgroup leaders named it. fedavg-join watches it now, and
+// a follower's redirect is what turns it green.
+func TestSeed19JoinerFindsTheFedAvgLeader(t *testing.T) {
+	c := Campaign{Seed: 19, Steps: 24, Target: TargetTwoLayer, Mix: ChurnMix, ChurnRounds: 3,
+		SubgroupSize: 4, Topology: "wan50"}
+	rep := c.Run()
+	if !rep.Passed() {
+		t.Fatalf("%d violations, first: %s", len(rep.Violations), rep.Violations[0])
+	}
+	if rep.Stats.Joins == 0 || rep.Stats.Departs == 0 {
+		t.Fatalf("schedule changed no membership: %+v", rep.Stats)
+	}
+}
+
 // TestChurnOracleDeterministic pins seed-replayability of the oracle
 // track under every profile: two runs of one campaign serialize to the
 // same Report, byte for byte, and the episodes changed the membership.

@@ -371,17 +371,24 @@ func (w *twWorld) quiesce() {
 		w.led.violate(now(), "liveness", fmt.Sprintf("%s had no leader after schedule quiesced", missing))
 		return
 	}
-	// Let the freshly elected leaders finish joining the FedAvg layer so
-	// the round spec reflects a settled configuration.
-	sys.Sim.RunWhileNot(func() bool {
+	// Every freshly elected leader must finish joining the FedAvg layer
+	// within the re-convergence bound, so the round spec reflects a
+	// settled configuration. A leader that cannot find the layer's leader
+	// polls forever.
+	unjoined := func() (int, uint64) {
 		for g := 0; g < w.m; g++ {
-			l := sys.SubgroupLeader(g)
-			if l == raft.None || !sys.Peer(l).Joined() {
-				return false
+			if l := sys.SubgroupLeader(g); l == raft.None || !sys.Peer(l).Joined() {
+				return g, l
 			}
 		}
-		return true
-	}, deadline)
+		return -1, raft.None
+	}
+	if !sys.Sim.RunWhileNot(func() bool { g, _ := unjoined(); return g < 0 }, reconvergeBy) {
+		g, l := unjoined()
+		w.led.violate(now(), "fedavg-join",
+			fmt.Sprintf("subgroup %d leader %d had not joined the FedAvg layer %.0fms after the last fault",
+				g, l, reconvergeBound.Ms()))
+	}
 
 	// Directory invariants: every live FedAvg-layer replica must agree
 	// (equal checksums — replicas lag commits only while appends are in
@@ -414,9 +421,8 @@ func (w *twWorld) quiesce() {
 	// exposed as stale may have been deposed meanwhile: the round runs
 	// with the leaders in place now (it reports a group still leaderless
 	// when this wait ends). Every group was shown able to elect above, so
-	// when the waits above spent the deadline — the join wait does,
-	// whenever a new leader's committed FedAvg configuration names no
-	// current leader and it polls in vain — a group caught between two
+	// when the waits above spent the deadline — the churn and directory
+	// waits run to it when they fail — a group caught between two
 	// leaders gets one re-convergence bound more, instead of the round
 	// being judged on the instant the deadline happens to fall on.
 	sys.Sim.RunWhileNot(elected, max(deadline, sys.Sim.Now()+simnet.Time(reconvergeBound)))

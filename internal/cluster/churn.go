@@ -35,6 +35,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"repro/internal/directory"
 	"repro/internal/raft"
@@ -144,7 +145,7 @@ func (s *System) DirectoryReplicas() []uint64 {
 		if p.fedHost == nil || p.fedHost.Down() {
 			continue
 		}
-		if members != nil && !contains(members, id) {
+		if members != nil && !slices.Contains(members, id) {
 			continue
 		}
 		out = append(out, id)
@@ -281,11 +282,11 @@ func (s *System) subgroupChange(g int, cc raft.ConfChange) step {
 		what: what,
 		done: func() bool {
 			m := s.subgroupMembers(g)
-			return m != nil && contains(m, cc.NodeID) == cc.Add
+			return m != nil && slices.Contains(m, cc.NodeID) == cc.Add
 		},
 		kick: func() {
 			if l := s.SubgroupLeader(g); l != raft.None {
-				s.askLeader(s.subGroups[g], l, cc, nil)
+				s.askLeader(s.subGroups[g], l, cc, nil, nil)
 			}
 		},
 	}
@@ -316,18 +317,6 @@ func (s *System) directoryJoin(id uint64, g int) step {
 			}
 		},
 	}
-}
-
-func contains(ids []uint64, id uint64) bool { return indexOf(ids, id) >= 0 }
-
-// indexOf returns id's position in ids, or -1.
-func indexOf(ids []uint64, id uint64) int {
-	for i, x := range ids {
-		if x == id {
-			return i
-		}
-	}
-	return -1
 }
 
 // refreshWatches realigns every live detector in subgroup g with the
@@ -388,7 +377,7 @@ func (s *System) finalizeAdmission(p *Peer) {
 // are admitted by construction).
 func (s *System) Admitted(id uint64) bool {
 	p := s.peers[id]
-	return p != nil && contains(s.bySub[p.Subgroup], id)
+	return p != nil && slices.Contains(s.bySub[p.Subgroup], id)
 }
 
 // WaitAdmitted runs the simulation until peer id's admission completes.
@@ -459,11 +448,11 @@ func (s *System) DepartPeer(id uint64) error {
 					return true
 				}
 				m := s.FedAvgMembers()
-				return m != nil && !contains(m, p.ID)
+				return m != nil && !slices.Contains(m, p.ID)
 			},
 			kick: func() {
 				if l := s.FedAvgLeader(); l != raft.None {
-					s.askLeader(s.fedGroup, l, raft.ConfChange{NodeID: p.ID}, nil)
+					s.askLeader(s.fedGroup, l, raft.ConfChange{NodeID: p.ID}, nil, nil)
 				}
 			},
 		},

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/raft"
@@ -69,10 +70,10 @@ func TestAddPeerAdmission(t *testing.T) {
 	if _, err := s.WaitAdmitted(id, 10*simnet.Second); err != nil {
 		t.Fatal(err)
 	}
-	if !contains(s.SubgroupPeers(0), id) {
+	if !slices.Contains(s.SubgroupPeers(0), id) {
 		t.Fatal("admitted peer missing from subgroup membership")
 	}
-	if m := s.subgroupMembers(0); !contains(m, id) {
+	if m := s.subgroupMembers(0); !slices.Contains(m, id) {
 		t.Fatalf("subgroup raft members %v missing %d", m, id)
 	}
 	e, ok := s.Directory().Lookup(id)
@@ -122,13 +123,13 @@ func TestDepartPeerGraceful(t *testing.T) {
 	if _, err := s.WaitDeparted(target, 10*simnet.Second); err != nil {
 		t.Fatal(err)
 	}
-	if s.Peer(target) != nil || contains(s.SubgroupPeers(0), target) {
+	if s.Peer(target) != nil || slices.Contains(s.SubgroupPeers(0), target) {
 		t.Fatal("departed peer still in membership")
 	}
 	if _, ok := s.Directory().Lookup(target); ok {
 		t.Fatal("departed peer still in directory")
 	}
-	if m := s.subgroupMembers(0); contains(m, target) {
+	if m := s.subgroupMembers(0); slices.Contains(m, target) {
 		t.Fatalf("subgroup raft members %v still hold %d", m, target)
 	}
 	// The model was handed to the lowest-id live co-member.
@@ -179,7 +180,7 @@ func TestDepartSubgroupLeaderRecovers(t *testing.T) {
 	if fl == raft.None {
 		t.Fatal("no FedAvg leader after leader departure")
 	}
-	if contains(s.FedAvgMembers(), old) {
+	if slices.Contains(s.FedAvgMembers(), old) {
 		t.Fatalf("FedAvg members %v still hold departed %d", s.FedAvgMembers(), old)
 	}
 	settle(s, 2*simnet.Second)
@@ -296,7 +297,7 @@ func TestRefusedChangeIsReaskedAfterOneRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	settle(s, joinPollInterval-simnet.Millisecond)
-	if m := s.subgroupMembers(0); !contains(m, a) || !contains(m, b) {
+	if m := s.subgroupMembers(0); !slices.Contains(m, a) || !slices.Contains(m, b) {
 		t.Fatalf("members %v before the first poll, want both %d and %d", m, a, b)
 	}
 	for _, id := range []uint64{a, b} {

@@ -546,7 +546,7 @@ func (s *System) RoundGeometry() RoundGeometry {
 		i := len(geo.Sizes)
 		geo.Subgroups = append(geo.Subgroups, g)
 		geo.Sizes = append(geo.Sizes, len(ids))
-		geo.Leaders = append(geo.Leaders, indexOf(ids, s.SubgroupLeader(g)))
+		geo.Leaders = append(geo.Leaders, slices.Index(ids, s.SubgroupLeader(g)))
 		if g == fedSub {
 			geo.FedLeader = i
 		}
@@ -763,15 +763,32 @@ func (s *System) startJoin(p *Peer) {
 		// One-way app-level request to each candidate; the one that is the
 		// FedAvg leader proposes the change and answers with an accept
 		// carrying the current membership (one-way latency each direction).
-		for _, c := range candidates {
-			s.askLeader(s.fedGroup, c, raft.ConfChange{Add: true, NodeID: p.ID}, func(members []uint64) {
-				s.sendApp(func() {
-					if p.Down() || p.joined {
-						return
-					}
-					_ = s.createFedNode(p, members)
-				})
+		// A live member that is not the leader answers with the leader it
+		// follows, and the joiner asks that peer next unless this poll has
+		// asked it already (the extended Raft paper's redirect, §8). So a
+		// leader missing from the candidates — a stale configuration, or a
+		// layer leader that has since lost its subgroup — is still found,
+		// and a poll that reached the leader directly sends it nothing more.
+		accepted := func(members []uint64) {
+			s.sendApp(func() {
+				if p.Down() || p.joined {
+					return
+				}
+				_ = s.createFedNode(p, members)
 			})
+		}
+		nextPoll := s.Sim.Now() + simnet.Time(joinPollInterval)
+		var asked []uint64
+		var ask func(id uint64)
+		ask = func(id uint64) {
+			if slices.Contains(asked, id) || p.Down() || p.joined || !p.IsSubgroupLeader() || s.Sim.Now() >= nextPoll {
+				return
+			}
+			asked = append(asked, id)
+			s.askLeader(s.fedGroup, id, raft.ConfChange{Add: true, NodeID: p.ID}, accepted, ask)
+		}
+		for _, c := range candidates {
+			ask(c)
 		}
 		s.Sim.Schedule(joinPollInterval, attempt)
 	}
@@ -788,7 +805,9 @@ func (s *System) sendApp(fn func()) {
 // the raft group on net — the one road by which this package changes any
 // group's membership. The request takes one link latency. A peer that
 // is gone, down or not the leader on arrival drops it, and the caller's
-// next poll asks whoever leads then. A leader that accepts calls
+// next poll asks whoever leads then; a live one that follows a leader
+// also answers, when redirect is non-nil, by calling it with that
+// leader's id one link latency later. A leader that accepts calls
 // accepted (if non-nil) with the membership the change was proposed
 // against. A leader that refuses with ErrConfChangePending is alive and
 // will take the change as soon as what it is waiting for — its no-op, or
@@ -798,12 +817,18 @@ func (s *System) sendApp(fn func()) {
 // joinPollInterval. That chain ends when the caller's next poll is due:
 // the poll asks afresh, so each caller has at most one request in
 // flight. (A zero-latency link has no round trip to wait out.)
-func (s *System) askLeader(net *simnet.Group, id uint64, cc raft.ConfChange, accepted func(members []uint64)) {
+func (s *System) askLeader(net *simnet.Group, id uint64, cc raft.ConfChange, accepted func(members []uint64), redirect func(leader uint64)) {
 	nextPoll := s.Sim.Now() + simnet.Time(joinPollInterval)
 	var request func()
 	request = func() {
 		h := net.Host(id)
-		if h == nil || h.Down() || h.Node.State() != raft.Leader {
+		if h == nil || h.Down() {
+			return
+		}
+		if h.Node.State() != raft.Leader {
+			if l := h.Node.Leader(); redirect != nil && l != raft.None && l != id {
+				s.sendApp(func() { redirect(l) })
+			}
 			return
 		}
 		members := h.Node.Members()

@@ -20,6 +20,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/raft"
 	"repro/internal/simnet"
@@ -187,7 +188,7 @@ func (s *System) SplitSubgroup(g int, limit simnet.Duration) (*ShardAction, erro
 	move := append([]uint64(nil), ids[keep:]...)
 	// The current leader must stay: its raft state (and its FedAvg-layer
 	// membership) anchors the shrunk group. Swap it into the stay half.
-	if l := s.SubgroupLeader(g); l != raft.None && contains(move, l) {
+	if l := s.SubgroupLeader(g); l != raft.None && slices.Contains(move, l) {
 		for i, id := range move {
 			if id == l {
 				move[i], stay[0] = stay[0], move[i]

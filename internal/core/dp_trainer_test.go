@@ -10,7 +10,7 @@ import (
 func TestRunTrainingWithDP(t *testing.T) {
 	cfg := tinyTrainerConfig(false, []int{3, 3}, dataset.IID, 21)
 	// Weak noise: learning must still work.
-	cfg.DP = dp.Gaussian{Epsilon: 50, Delta: 1e-5, Clip: 5}
+	cfg.DP = &dp.Gaussian{Epsilon: 50, Delta: 1e-5, Clip: 5}
 	cfg.DPClip = 5
 	cfg.Rounds = 12
 	s, err := RunTraining(cfg)
@@ -33,7 +33,7 @@ func TestDPNoiseHurtsUtility(t *testing.T) {
 	}
 	noisy := tinyTrainerConfig(false, []int{3, 3}, dataset.IID, 22)
 	noisy.Rounds = 10
-	noisy.DP = dp.Gaussian{Epsilon: 0.1, Delta: 1e-5, Clip: 0.5}
+	noisy.DP = &dp.Gaussian{Epsilon: 0.1, Delta: 1e-5, Clip: 0.5}
 	noisy.DPClip = 0.5
 	ns, err := RunTraining(noisy)
 	if err != nil {
@@ -46,7 +46,7 @@ func TestDPNoiseHurtsUtility(t *testing.T) {
 
 func TestRunTrainingDPValidation(t *testing.T) {
 	cfg := tinyTrainerConfig(false, []int{3}, dataset.IID, 23)
-	cfg.DP = dp.Gaussian{Epsilon: 1, Delta: 1e-5, Clip: 1}
+	cfg.DP = &dp.Gaussian{Epsilon: 1, Delta: 1e-5, Clip: 1}
 	cfg.DPClip = 0 // invalid with DP set
 	if _, err := RunTraining(cfg); err == nil {
 		t.Fatal("want error for DP without a positive clip bound")

@@ -32,7 +32,7 @@ func TestSoakAllFeaturesTogether(t *testing.T) {
 		EvalEvery:    5,
 		LearningRate: 2e-3,
 		BatchSize:    20,
-		DP:           dp.Gaussian{Epsilon: 200, Delta: 1e-5, Clip: 2},
+		DP:           &dp.Gaussian{Epsilon: 200, Delta: 1e-5, Clip: 2},
 		DPClip:       2,
 		Seed:         91,
 	}

@@ -47,8 +47,8 @@ type TrainerConfig struct {
 	// DP, if non-nil, perturbs each peer's update before it enters the
 	// aggregation (the paper's Sec. IV-D differential-privacy option):
 	// the local−global delta is L2-clipped to DPClip and noised by the
-	// mechanism. DPClip must be positive when DP is set.
-	DP     dp.Mechanism
+	// Gaussian mechanism. DPClip must be positive when DP is set.
+	DP     *dp.Gaussian
 	DPClip float64
 
 	// Seed drives model initialization, shuffling, dropout and share
@@ -176,7 +176,7 @@ func RunTraining(cfg TrainerConfig) (*Series, error) {
 			losses[i] = loss
 			w := c.Weights()
 			if cfg.DP != nil {
-				w, err = dp.PrivatizeUpdate(w, global, cfg.DPClip, cfg.DP,
+				w, err = dp.PrivatizeUpdate(w, global, cfg.DPClip, *cfg.DP,
 					rand.New(rand.NewSource(cfg.Seed*400+int64(round)*1000+int64(i))))
 				if err != nil {
 					errs[i] = err

@@ -80,7 +80,7 @@ func TestWorkersBitIdenticalToSerial(t *testing.T) {
 // (round, client), so it cannot depend on scheduling order.
 func TestWorkersBitIdenticalWithDP(t *testing.T) {
 	base := tinyTrainerConfig(false, []int{3, 3}, dataset.IID, 8)
-	base.DP = dp.Gaussian{Epsilon: 50, Delta: 1e-5, Clip: 5}
+	base.DP = &dp.Gaussian{Epsilon: 50, Delta: 1e-5, Clip: 5}
 	base.DPClip = 5
 	setBudget(t, 1)
 	serial, err := RunTraining(base)

@@ -1,8 +1,8 @@
 // Package dp implements the differential-privacy extension the paper
 // points to in Sec. IV-D ("other techniques such as Differential Privacy
 // [16] could be used to add noise to the weight of each peer"): per-peer
-// weight perturbation before the SAC exchange, via the Gaussian or
-// Laplace mechanism over L2-clipped updates.
+// weight perturbation before the SAC exchange, via the Gaussian
+// mechanism over L2-clipped updates.
 //
 // The mechanism operates on the model *delta* (the locally updated
 // weights minus the distributed global weights), which is the quantity
@@ -16,14 +16,6 @@ import (
 	"math/rand"
 )
 
-// Mechanism perturbs a weight vector in place.
-type Mechanism interface {
-	// Perturb adds calibrated noise to w.
-	Perturb(w []float64, rng *rand.Rand)
-	// Name identifies the mechanism for logs.
-	Name() string
-}
-
 // Gaussian is the Gaussian mechanism: noise N(0, σ²) with
 // σ = Clip·√(2·ln(1.25/δ))/ε, which is (ε, δ)-DP for one release of an
 // L2-clipped vector (Dwork & Roth, Thm. A.1).
@@ -32,7 +24,7 @@ type Gaussian struct {
 	Clip           float64
 }
 
-// Name implements Mechanism.
+// Name identifies the mechanism and its parameters for logs.
 func (g Gaussian) Name() string {
 	return fmt.Sprintf("gaussian(ε=%g, δ=%g, C=%g)", g.Epsilon, g.Delta, g.Clip)
 }
@@ -42,41 +34,12 @@ func (g Gaussian) Sigma() float64 {
 	return g.Clip * math.Sqrt(2*math.Log(1.25/g.Delta)) / g.Epsilon
 }
 
-// Perturb implements Mechanism.
+// Perturb adds calibrated noise to w in place.
 func (g Gaussian) Perturb(w []float64, rng *rand.Rand) {
 	sigma := g.Sigma()
 	for i := range w {
 		w[i] += rng.NormFloat64() * sigma
 	}
-}
-
-// Laplace is the Laplace mechanism with scale Clip/ε per coordinate
-// (ε-DP for an L1-clipped vector).
-type Laplace struct {
-	Epsilon float64
-	Clip    float64
-}
-
-// Name implements Mechanism.
-func (l Laplace) Name() string {
-	return fmt.Sprintf("laplace(ε=%g, C=%g)", l.Epsilon, l.Clip)
-}
-
-// Perturb implements Mechanism.
-func (l Laplace) Perturb(w []float64, rng *rand.Rand) {
-	b := l.Clip / l.Epsilon
-	for i := range w {
-		// Inverse-CDF sampling of Laplace(0, b).
-		u := rng.Float64() - 0.5
-		w[i] += -b * sign(u) * math.Log(1-2*math.Abs(u))
-	}
-}
-
-func sign(x float64) float64 {
-	if x < 0 {
-		return -1
-	}
-	return 1
 }
 
 // ClipL2 scales v in place so its Euclidean norm is at most c, returning
@@ -101,15 +64,15 @@ func ClipL2(v []float64, c float64) (float64, error) {
 }
 
 // PrivatizeUpdate produces the differentially private weights a peer
-// submits to aggregation: delta = local − global is L2-clipped to
-// mech's bound and perturbed, then re-applied to global. local and
-// global are not modified.
-func PrivatizeUpdate(local, global []float64, clip float64, mech Mechanism, rng *rand.Rand) ([]float64, error) {
+// submits to aggregation: delta = local − global is L2-clipped to clip
+// and perturbed by g, then re-applied to global. local and global are
+// not modified.
+func PrivatizeUpdate(local, global []float64, clip float64, g Gaussian, rng *rand.Rand) ([]float64, error) {
 	if len(local) != len(global) {
 		return nil, fmt.Errorf("dp: local has %d weights, global %d", len(local), len(global))
 	}
-	if mech == nil {
-		return nil, fmt.Errorf("dp: nil mechanism")
+	if !(g.Epsilon > 0 && g.Delta > 0 && g.Delta < 1) {
+		return nil, fmt.Errorf("dp: %s calibrates no noise: want ε > 0 and 0 < δ < 1", g.Name())
 	}
 	delta := make([]float64, len(local))
 	for i := range delta {
@@ -118,7 +81,7 @@ func PrivatizeUpdate(local, global []float64, clip float64, mech Mechanism, rng 
 	if _, err := ClipL2(delta, clip); err != nil {
 		return nil, err
 	}
-	mech.Perturb(delta, rng)
+	g.Perturb(delta, rng)
 	out := make([]float64, len(local))
 	for i := range out {
 		out[i] = global[i] + delta[i]

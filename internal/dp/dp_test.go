@@ -94,32 +94,8 @@ func TestGaussianNoiseDistribution(t *testing.T) {
 	}
 }
 
-func TestLaplaceNoiseDistribution(t *testing.T) {
-	l := Laplace{Epsilon: 1, Clip: 2}
-	rng := rand.New(rand.NewSource(2))
-	const n = 20000
-	w := make([]float64, n)
-	l.Perturb(w, rng)
-	// Laplace(0, b): mean 0, std b·√2 with b = Clip/ε = 2.
-	mean, ss := 0.0, 0.0
-	for _, x := range w {
-		mean += x
-	}
-	mean /= n
-	for _, x := range w {
-		ss += (x - mean) * (x - mean)
-	}
-	std := math.Sqrt(ss / n)
-	if math.Abs(mean) > 0.1 {
-		t.Fatalf("noise mean = %v", mean)
-	}
-	if math.Abs(std-2*math.Sqrt2) > 0.15 {
-		t.Fatalf("noise std = %v, want %v", std, 2*math.Sqrt2)
-	}
-}
-
 func TestMechanismNames(t *testing.T) {
-	if (Gaussian{}).Name() == "" || (Laplace{}).Name() == "" {
+	if (Gaussian{}).Name() == "" {
 		t.Fatal("empty names")
 	}
 }
@@ -151,10 +127,10 @@ func TestPrivatizeUpdateErrors(t *testing.T) {
 	if _, err := PrivatizeUpdate([]float64{1}, []float64{1, 2}, 1, Gaussian{Epsilon: 1, Delta: 1e-5, Clip: 1}, rng); err == nil {
 		t.Fatal("want length error")
 	}
-	if _, err := PrivatizeUpdate([]float64{1}, []float64{1}, 1, nil, rng); err == nil {
-		t.Fatal("want nil-mechanism error")
+	if _, err := PrivatizeUpdate([]float64{1}, []float64{1}, 1, Gaussian{}, rng); err == nil {
+		t.Fatal("want zero-mechanism error")
 	}
-	if _, err := PrivatizeUpdate([]float64{1}, []float64{1}, 0, Laplace{Epsilon: 1, Clip: 1}, rng); err == nil {
+	if _, err := PrivatizeUpdate([]float64{1}, []float64{1}, 0, Gaussian{Epsilon: 1, Delta: 1e-5, Clip: 1}, rng); err == nil {
 		t.Fatal("want clip error")
 	}
 }

@@ -95,59 +95,3 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	_, err = w.Write(data)
 	return err
 }
-
-// Diff returns cur minus old: counter deltas (omitting zero deltas),
-// gauge values that changed, histogram count/sum deltas, and the trace
-// events emitted after old was taken. Either argument may be nil (an
-// empty snapshot is substituted).
-func Diff(old, cur *Snapshot) *Snapshot {
-	if old == nil {
-		old = (*Registry)(nil).Snapshot()
-	}
-	if cur == nil {
-		cur = (*Registry)(nil).Snapshot()
-	}
-	d := &Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]HistogramSnapshot{},
-		Trace:      []Event{},
-		TraceTotal: cur.TraceTotal - old.TraceTotal,
-	}
-	for k, v := range cur.Counters {
-		if delta := v - old.Counters[k]; delta != 0 {
-			d.Counters[k] = delta
-		}
-	}
-	for k, v := range cur.Gauges {
-		if ov, ok := old.Gauges[k]; !ok || ov != v {
-			d.Gauges[k] = v
-		}
-	}
-	for k, h := range cur.Histograms {
-		oh, ok := old.Histograms[k]
-		if ok && h.Count == oh.Count && h.Sum == oh.Sum {
-			continue
-		}
-		dh := HistogramSnapshot{
-			Bounds: append([]float64{}, h.Bounds...),
-			Counts: append([]int64{}, h.Counts...),
-			Count:  h.Count - oh.Count,
-			Sum:    h.Sum - oh.Sum,
-		}
-		if ok {
-			for i := range dh.Counts {
-				if i < len(oh.Counts) {
-					dh.Counts[i] -= oh.Counts[i]
-				}
-			}
-		}
-		d.Histograms[k] = dh
-	}
-	for _, ev := range cur.Trace {
-		if ev.Seq > old.TraceTotal {
-			d.Trace = append(d.Trace, ev)
-		}
-	}
-	return d
-}

@@ -76,43 +76,3 @@ func TestNilRegistryWriteJSON(t *testing.T) {
 		t.Fatalf("nil WriteJSON = %q, want %q", b.String(), want)
 	}
 }
-
-func TestDiff(t *testing.T) {
-	r := populated()
-	old := r.Snapshot()
-	r.Counter("a/x").Add(4)
-	r.Counter("new").Inc()
-	r.Gauge("g").Set(9)
-	r.Histogram("h", nil).Observe(100)
-	r.Trace("later", 5, 2)
-	d := Diff(old, r.Snapshot())
-
-	if len(d.Counters) != 2 || d.Counters["a/x"] != 4 || d.Counters["new"] != 1 {
-		t.Fatalf("counter diff = %v", d.Counters)
-	}
-	if _, ok := d.Counters["a/y"]; ok {
-		t.Fatal("unchanged counter appeared in diff")
-	}
-	if d.Gauges["g"] != 9 {
-		t.Fatalf("gauge diff = %v", d.Gauges)
-	}
-	h := d.Histograms["h"]
-	if h.Count != 1 || h.Sum != 100 || h.Counts[2] != 1 {
-		t.Fatalf("histogram diff = %+v", h)
-	}
-	if len(d.Trace) != 1 || d.Trace[0].Kind != "later" || d.TraceTotal != 1 {
-		t.Fatalf("trace diff = %+v total %d", d.Trace, d.TraceTotal)
-	}
-}
-
-func TestDiffNilArgs(t *testing.T) {
-	cur := populated().Snapshot()
-	d := Diff(nil, cur)
-	if d.Counters["a/x"] != 3 || d.TraceTotal != 2 {
-		t.Fatalf("Diff(nil, cur) = %+v", d)
-	}
-	d = Diff(cur, nil)
-	if len(d.Counters) != 0 {
-		t.Fatalf("Diff(cur, nil).Counters = %v, want empty", d.Counters)
-	}
-}

@@ -14,8 +14,7 @@ import (
 //	           name string (u32 length + bytes), size u32
 //	weights  float64 vector (u32 count + count·8 bytes LE)
 //
-// nn builds a Checkpoint in Save and validates one in Load; cluster's
-// departure hand-off ships the departing peer's model as one.
+// Cluster's departure hand-off ships the departing peer's model as one.
 type Checkpoint struct {
 	Names   []string
 	Sizes   []int

@@ -3,7 +3,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -19,8 +18,8 @@ import (
 //     coordinates travel, as an index block plus a value block (full
 //     precision or quantized).
 //
-// Quantized block layout (also the weight section of a
-// KindCheckpointQuant frame):
+// Quantized block layout (also the weight section of the retired kind-6
+// quantized checkpoint):
 //
 //	width   u8   bytes per element: 1 (int8) or 2 (int16)
 //	scale   f64  step size; element i dequantizes to scale·q_i
@@ -36,12 +35,13 @@ import (
 //	indices count·u32, strictly ascending, all < dim
 //	values  count·8 bytes (width 0) or count·width bytes
 //
-// No mesh frame carries a block: core compresses the FedAvg legs in
-// place and charges QuantBlockSize/SparseBlockSize for them, and the two
-// frame kinds that once wrapped a block in a mesh envelope (4, 5) are
-// retired and stay reserved. The layout is what those charged sizes
-// mean, so the block codecs remain as its definition: the golden blocks
-// in testdata/ and the len(encoding) == closed-form tests pin them. Decoders are strict (unknown width,
+// No frame carries a block: core compresses the FedAvg legs in place
+// and charges QuantBlockSize/SparseBlockSize for them, and the three
+// frame kinds that once wrapped a block — in a mesh envelope (4, 5) or
+// behind a checkpoint schema (6) — are retired and stay reserved. The
+// layout is what those charged sizes mean, so the block codecs remain
+// as its definition: the golden blocks in testdata/ and the
+// len(encoding) == closed-form tests pin them. Decoders are strict (unknown width,
 // non-ascending or out-of-range indices, counts that do not fit all
 // rejected) and encoding is canonical: decode→re-encode is
 // byte-identical, enforced by the fuzz round-trip.
@@ -257,82 +257,4 @@ func readSparseBlock(b []byte) (SparseDelta, []byte, error) {
 		b = b[2*k:]
 	}
 	return s, b, nil
-}
-
-// ---- quantized checkpoints ----
-
-// QuantCheckpoint is a model checkpoint whose flat weight vector is
-// fixed-point quantized: the schema travels as in Checkpoint, the
-// weights as one quantized block.
-type QuantCheckpoint struct {
-	Names []string
-	Sizes []int
-	Delta QuantDelta
-}
-
-// QuantCheckpointPayloadSize returns the exact encoded payload size.
-func QuantCheckpointPayloadSize(cp QuantCheckpoint) int {
-	n := 4
-	for _, name := range cp.Names {
-		n += 4 + len(name) + 4
-	}
-	return n + QuantBlockSize(cp.Delta.Width, len(cp.Delta.Q))
-}
-
-// QuantCheckpointFrameSize returns the exact frame size, header
-// included.
-func QuantCheckpointFrameSize(cp QuantCheckpoint) int {
-	return HeaderSize + QuantCheckpointPayloadSize(cp)
-}
-
-// AppendQuantCheckpointFrame appends a complete KindCheckpointQuant
-// frame. Names and Sizes must be the same length.
-func AppendQuantCheckpointFrame(dst []byte, cp QuantCheckpoint) []byte {
-	dst = AppendHeader(dst, KindCheckpointQuant, QuantCheckpointPayloadSize(cp))
-	dst = appendUint32(dst, uint32(len(cp.Names)))
-	for i, name := range cp.Names {
-		dst = appendString(dst, name)
-		dst = appendUint32(dst, uint32(cp.Sizes[i]))
-	}
-	return appendQuantBlock(dst, cp.Delta)
-}
-
-// DecodeQuantCheckpointPayload decodes a KindCheckpointQuant payload,
-// copying all contents out of b.
-func DecodeQuantCheckpointPayload(b []byte) (QuantCheckpoint, error) {
-	var cp QuantCheckpoint
-	nParams, b, err := readUint32(b)
-	if err != nil {
-		return cp, err
-	}
-	if uint64(nParams)*8 > uint64(len(b)) {
-		return cp, fmt.Errorf("%w: %d params in %d bytes", ErrTruncated, nParams, len(b))
-	}
-	if nParams > 0 {
-		cp.Names = make([]string, nParams)
-		cp.Sizes = make([]int, nParams)
-		for i := range cp.Names {
-			if cp.Names[i], b, err = readString(b); err != nil {
-				return cp, err
-			}
-			var sz uint32
-			if sz, b, err = readUint32(b); err != nil {
-				return cp, err
-			}
-			cp.Sizes[i] = int(sz)
-		}
-	}
-	if cp.Delta, b, err = readQuantBlock(b); err != nil {
-		return cp, err
-	}
-	if len(b) != 0 {
-		return cp, fmt.Errorf("%w: %d trailing bytes after %s payload", ErrBadFrame, len(b), KindCheckpointQuant)
-	}
-	return cp, nil
-}
-
-// ReadQuantCheckpointFrame reads one complete KindCheckpointQuant frame
-// from r.
-func ReadQuantCheckpointFrame(r io.Reader) (QuantCheckpoint, error) {
-	return readOne(r, KindCheckpointQuant, DecodeQuantCheckpointPayload)
 }

@@ -47,11 +47,7 @@ func goldenFrames() map[string][]byte {
 		Vals: []float64{-0.5, 1.25, 1e-9, 2.0}}
 	sparseQ := SparseDelta{Dim: 16, Idx: []int32{2, 5, 11}, Width: 1,
 		Scale: 0.015625, Q: []int16{-128, 127, 3}}
-	qcp := QuantCheckpoint{
-		Names: []string{"conv0/W", "dense1/W"},
-		Sizes: []int{3, 2},
-		Delta: QuantDelta{Width: 2, Scale: 6.103515625e-05, Q: []int16{100, -200, 300, -400, 500}},
-	}
+	qcp := QuantDelta{Width: 2, Scale: 6.103515625e-05, Q: []int16{100, -200, 300, -400, 500}}
 	dirJoin := DirectoryUpdate{Op: DirJoin, ID: 10, Subgroup: 2, ShareIndex: 1, Addr: "peer-10:7100"}
 	dirLeave := DirectoryUpdate{Op: DirLeave, ID: 4, Subgroup: 1, ShareIndex: 0, Addr: "peer-4:7100"}
 	return map[string][]byte{
@@ -64,7 +60,7 @@ func goldenFrames() map[string][]byte {
 		"delta_quant16_v1.wire":    retiredDeltaFrame(KindDeltaQuant, quant, appendQuantBlock(nil, q16)),
 		"delta_sparse_v1.wire":     retiredDeltaFrame(KindDeltaSparse, quant, appendSparseBlock(nil, sparse)),
 		"delta_sparse_q8_v1.wire":  retiredDeltaFrame(KindDeltaSparse, quant, appendSparseBlock(nil, sparseQ)),
-		"checkpoint_quant_v1.wire": AppendQuantCheckpointFrame(nil, qcp),
+		"checkpoint_quant_v1.wire": retiredQuantCheckpointFrame([]string{"conv0/W", "dense1/W"}, []int{3, 2}, appendQuantBlock(nil, qcp)),
 		"directory_join_v1.wire":   AppendDirectoryFrame(nil, dirJoin),
 		"directory_leave_v1.wire":  AppendDirectoryFrame(nil, dirLeave),
 	}
@@ -139,34 +135,30 @@ func TestGoldenWireFiles(t *testing.T) {
 			if re := AppendCheckpointFrame(nil, cp); !bytes.Equal(re, want) {
 				t.Errorf("%s: decode→re-encode not byte-identical", name)
 			}
-		case KindDeltaQuant, KindDeltaSparse:
+		case KindDeltaQuant, KindDeltaSparse, KindCheckpointQuant:
 			// Retired frame kinds: what the golden pins is the block.
-			block, err := deltaBlock(want[HeaderSize:])
+			unwrap := deltaBlock
+			if kind == KindCheckpointQuant {
+				unwrap = quantCheckpointBlock
+			}
+			block, err := unwrap(want[HeaderSize:])
 			if err != nil {
 				t.Fatalf("%s: envelope: %v", name, err)
 			}
 			var re, rest []byte
-			if kind == KindDeltaQuant {
-				var q QuantDelta
-				q, rest, err = readQuantBlock(block)
-				re = appendQuantBlock(nil, q)
-			} else {
+			if kind == KindDeltaSparse {
 				var s SparseDelta
 				s, rest, err = readSparseBlock(block)
 				re = appendSparseBlock(nil, s)
+			} else {
+				var q QuantDelta
+				q, rest, err = readQuantBlock(block)
+				re = appendQuantBlock(nil, q)
 			}
 			if err != nil || len(rest) != 0 {
 				t.Fatalf("%s: decode: err %v, %d bytes left", name, err, len(rest))
 			}
 			if !bytes.Equal(re, block) {
-				t.Errorf("%s: decode→re-encode not byte-identical", name)
-			}
-		case KindCheckpointQuant:
-			qcp, err := DecodeQuantCheckpointPayload(want[HeaderSize:])
-			if err != nil {
-				t.Fatalf("%s: decode: %v", name, err)
-			}
-			if re := AppendQuantCheckpointFrame(nil, qcp); !bytes.Equal(re, want) {
 				t.Errorf("%s: decode→re-encode not byte-identical", name)
 			}
 		case KindDirectory:

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/raft"
@@ -137,7 +138,8 @@ func shortStream(kind Kind, claim uint32, deliver int) io.Reader {
 // claiming MaxPayload on a nearly empty stream must
 // fail with the read buffer still at the prealloc cap — the attacker's
 // 12 bytes cannot buy a gigabyte of our memory. The streaming mesh
-// decoder's bound is pinned in stream_test.go.
+// decoder's bound is pinned in stream_test.go, and what a retired kind
+// costs any reader in TestEveryReaderRefusesRetiredKinds.
 func TestLyingLengthBoundsAllocation(t *testing.T) {
 	_, scratch, err := ReadRaftFrame(shortStream(KindRaft, MaxPayload, 100), nil)
 	if err == nil {
@@ -157,18 +159,63 @@ func TestLyingLengthBoundsAllocation(t *testing.T) {
 	if cap(scratch) > 2*delivered {
 		t.Fatalf("allocation %d not bounded by twice the %d delivered bytes", cap(scratch), delivered)
 	}
+}
 
-	// A retired compressed-mesh kind buys nothing at all: the mesh
-	// decoder refuses it on the header and reads none of the claim.
-	stream := shortStream(KindDeltaSparse, MaxPayload, delivered)
-	_, scratch, err = ReadMeshFrame(stream, nil)
-	if !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("%s frame on a mesh stream: err = %v, want ErrBadFrame", KindDeltaSparse, err)
+// retiredKinds are the frame kinds no encoder writes any more. Their
+// numbers stay reserved: no new kind reuses one.
+var retiredKinds = []Kind{KindDeltaQuant, KindDeltaSparse, KindCheckpointQuant}
+
+// frameReaders is every reader that takes a frame off a stream.
+var frameReaders = map[string]func(io.Reader) error{
+	"ReadRaftFrame": func(r io.Reader) error { _, _, err := ReadRaftFrame(r, nil); return err },
+	"ReadMeshFrame": func(r io.Reader) error { _, _, err := ReadMeshFrame(r, nil); return err },
+	"MeshDecoder.ReadFrame": func(r io.Reader) error {
+		var d MeshDecoder
+		_, err := d.ReadFrame(r, func(int) []float64 { panic("a refused frame asked for a vector") })
+		return err
+	},
+	"ReadCheckpointFrame": func(r io.Reader) error { _, err := ReadCheckpointFrame(r); return err },
+	"ReadRaftStateFrame":  func(r io.Reader) error { _, err := ReadRaftStateFrame(r); return err },
+}
+
+// TestEveryReaderRefusesRetiredKinds: a frame of a retired kind buys
+// nothing from any reader. Each refuses it on its 12-byte header with
+// ErrBadFrame, reads none of the claimed payload, and allocates nothing
+// on the claim's say-so — reading it would cost at least framePrealloc.
+func TestEveryReaderRefusesRetiredKinds(t *testing.T) {
+	const delivered = 1 << 10
+	for name, read := range frameReaders {
+		for _, kind := range retiredKinds {
+			frame := AppendHeader(nil, kind, 0)
+			binary.LittleEndian.PutUint32(frame[8:12], MaxPayload)
+			frame = append(frame, make([]byte, delivered)...)
+			stream := bytes.NewReader(frame)
+			if err := read(stream); !errors.Is(err, ErrBadFrame) {
+				t.Errorf("%s on a %s frame: err = %v, want ErrBadFrame", name, kind, err)
+			}
+			if stream.Len() != delivered {
+				t.Errorf("%s read %d payload bytes of a %s frame", name, delivered-stream.Len(), kind)
+			}
+			if b := bytesPerRun(func() { stream.Reset(frame); _ = read(stream) }); b > framePrealloc/64 {
+				t.Errorf("%s allocates %d bytes refusing a %s frame", name, b, kind)
+			}
+		}
 	}
-	if cap(scratch) != 0 || stream.(*bytes.Reader).Len() != delivered {
-		t.Fatalf("refusing a %s frame cost %d bytes of scratch and read %d payload bytes",
-			KindDeltaSparse, cap(scratch), delivered-stream.(*bytes.Reader).Len())
+}
+
+// bytesPerRun is testing.AllocsPerRun counting bytes instead of
+// allocations.
+func bytesPerRun(f func()) uint64 {
+	const runs = 20
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
 	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
 }
 
 // TestHonestLargeFrameStillDecodes pins the other side of the prealloc

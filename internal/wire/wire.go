@@ -12,12 +12,11 @@
 //	0       4     magic "P2FW"
 //	4       1     format version (currently 1)
 //	5       1     payload kind (KindRaft | KindMesh | KindCheckpoint |
-//	              KindCheckpointQuant | KindDirectory | KindRaftState;
-//	              4 and 5 are retired)
+//	              KindDirectory | KindRaftState; 4, 5 and 6 are retired)
 //	6       2     reserved, must be zero
 //	8       4     payload length in bytes, uint32 little-endian
 //	12      ...   payload (kind-specific layout, see raft.go/raftstate.go/
-//	              mesh.go/checkpoint.go/delta.go/directory.go and
+//	              mesh.go/checkpoint.go/directory.go and
 //	              DESIGN.md §10, §12, §14)
 //
 // All integers are little-endian and fixed-width; []float64 vectors are
@@ -58,7 +57,8 @@ const (
 type Kind byte
 
 // Payload kinds. Kinds 4 and 5 wrapped a compressed block (delta.go) in
-// a mesh envelope; nothing ever sent one, so no encoder or decoder of
+// a mesh envelope, and kind 6 wrapped a quantized block behind a
+// checkpoint's schema; nothing ever sent one, so no encoder or decoder of
 // them remains. The numbers stay reserved under their names — every
 // reader rejects them on the header, and a new kind never reuses one.
 const (
@@ -73,8 +73,8 @@ const (
 	KindDeltaQuant Kind = 4
 	// KindDeltaSparse is retired: a mesh envelope plus a sparse block.
 	KindDeltaSparse Kind = 5
-	// KindCheckpointQuant frames carry one nn model checkpoint with
-	// fixed-point quantized weights.
+	// KindCheckpointQuant is retired: a checkpoint schema plus a
+	// quantized block.
 	KindCheckpointQuant Kind = 6
 	// KindDirectory frames carry one replicated peer-directory update
 	// (join/leave with subgroup and share index) — the FedAvg-layer
