@@ -174,13 +174,14 @@ test-scale:
 
 # Byzantine adversaries: robust SAC aggregation (each sac.Peer's range
 # guard, subtotal cross-check and leader audit, and who may send a
-# collector what), its core-layer integration, the seeds of both SAC fuzz
-# targets (FuzzHandleMessage through the mesh, FuzzPeerStep straight
-# into Peer.Step at every point of a round), and the chaos oracle's
-# 20-seed deterministic sweep with the plain-mean sharpness contrast
-# (DESIGN.md §11).
+# collector what), its core-layer integration, the robust rules of
+# internal/fl (CoordinateMedian is the cross-check's combiner), the seeds
+# of both SAC fuzz targets (FuzzHandleMessage through the mesh,
+# FuzzPeerStep straight into Peer.Step at every point of a round), and
+# the chaos oracle's 20-seed deterministic sweep with the plain-mean
+# sharpness contrast (DESIGN.md §11).
 test-byzantine:
-	$(GO) test -race ./internal/sac/ ./internal/core/ ./internal/chaos/
+	$(GO) test -race ./internal/sac/ ./internal/core/ ./internal/fl/ ./internal/chaos/
 	$(GO) test -race -run 'Fuzz' ./internal/sac/
 	$(GO) run -race ./cmd/p2pfl-chaos -track byzantine -seeds 20
 

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/costmodel"
+	"repro/internal/sac"
 	"repro/internal/transport"
 )
 
@@ -36,20 +38,45 @@ func benchMultiLayerAggregate(b *testing.B, budget int) {
 func BenchmarkMultiLayerAggregateSerial(b *testing.B)   { benchMultiLayerAggregate(b, 1) }
 func BenchmarkMultiLayerAggregateWorkers4(b *testing.B) { benchMultiLayerAggregate(b, 4) }
 
-// BenchmarkAggregateRound times one two-layer round (30 peers in six
-// 3-of-5 subgroups) on a warm system.
+// BenchmarkAggregateRound times one two-layer round on a warm system.
+// "small" is 30 peers in six 3-of-5 subgroups at 16,384 weights. "paper"
+// is bench's agg_mem round: 15 peers as 5×3, k = 2, at the paper CNN's
+// 1,250,858 weights, where every round the last peer of a rotating
+// subgroup crashes AfterShares and forces a replica recovery. Profile the
+// aggregation data plane with
+//
+//	go test -run '^$' -bench 'AggregateRound/paper' -cpuprofile cpu.out ./internal/core
 func BenchmarkAggregateRound(b *testing.B) {
-	const dim = 1 << 14
-	models := randModels(rand.New(rand.NewSource(5)), 30, dim)
-	sys, err := NewSystem(Config{Sizes: []int{5, 5, 5, 5, 5, 5}, K: []int{3}}, rand.New(rand.NewSource(6)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.AggregateRound(models, RoundSpec{}); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name     string
+		sizes    []int
+		k, dim   int
+		rotating bool // crash the last peer of subgroup i mod m AfterShares in round i
+	}{
+		{"small", []int{5, 5, 5, 5, 5, 5}, 3, 1 << 14, false},
+		{"paper", []int{3, 3, 3, 3, 3}, 2, costmodel.PaperCNNParams, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			n := 0
+			for _, size := range c.sizes {
+				n += size
+			}
+			models := randModels(rand.New(rand.NewSource(5)), n, c.dim)
+			sys, err := NewSystem(Config{Sizes: c.sizes, K: []int{c.k}}, rand.New(rand.NewSource(6)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var spec RoundSpec
+				if g := i % len(c.sizes); c.rotating {
+					spec.Crash = map[int]sac.CrashPlan{g: {c.sizes[g] - 1: sac.AfterShares}}
+				}
+				if _, err := sys.AggregateRound(models, spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

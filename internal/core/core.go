@@ -327,12 +327,19 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 	if sampleCounts != nil && len(sampleCounts) != n {
 		return nil, fmt.Errorf("core: %d sample counts for %d peers", len(sampleCounts), n)
 	}
+	// A ragged model is the caller's error, not a failed subgroup SAC that
+	// the round would skip.
+	dim := len(models[0])
+	for i, model := range models {
+		if len(model) != dim {
+			return nil, fmt.Errorf("core: model %d has %d weights, want %d", i, len(model), dim)
+		}
+	}
 	m := len(s.cfg.Sizes)
 	if spec.Leaders != nil && len(spec.Leaders) != m {
 		return nil, fmt.Errorf("core: %d leaders for %d subgroups", len(spec.Leaders), m)
 	}
 	degraded := make(map[int]bool, len(spec.Degraded))
-	dim := len(models[0])
 	before := s.counter.TotalBytes()
 	s.tel.roundsStarted.Inc()
 	res := &RoundResult{SubgroupAvgs: make([][]float64, m)}

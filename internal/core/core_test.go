@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/sac"
@@ -359,6 +360,46 @@ func TestAggregateInputValidation(t *testing.T) {
 	}
 	if _, err := sys.BaselineAggregate(nil); err == nil {
 		t.Fatal("want empty-models error")
+	}
+}
+
+// TestAggregateRoundRejectsARaggedModel: a model of the wrong length is
+// the caller's error, named by peer before any SAC runs. It used to fail
+// its subgroup's SAC, which the round counts as a failed subgroup and
+// skips, so the round succeeded without that subgroup.
+func TestAggregateRoundRejectsARaggedModel(t *testing.T) {
+	sys, err := NewSystem(Config{Sizes: []int{3, 3}, K: []int{2}}, rand.New(rand.NewSource(22)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := randModels(rand.New(rand.NewSource(23)), 6, 4)
+	models[4] = models[4][:2]
+	res, err := sys.AggregateRound(models, RoundSpec{})
+	if err == nil {
+		t.Fatalf("a ragged model was accepted: subgroups %v took part", res.Participated)
+	}
+	if !strings.Contains(err.Error(), "model 4 has 2 weights") {
+		t.Fatalf("error %q does not name peer 4", err)
+	}
+	if b := sys.Counter().TotalBytes(); b != 0 {
+		t.Fatalf("%d bytes sent before the error", b)
+	}
+}
+
+// TestNonFiniteSampleCountIsAnError: a NaN or infinite n_k reaches FedAvg
+// through RoundSpec.SampleCounts and fails the round. NaN and +Inf used
+// to turn the global model into all NaN with no error.
+func TestNonFiniteSampleCountIsAnError(t *testing.T) {
+	models := randModels(rand.New(rand.NewSource(24)), 4, 4)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		sys, err := NewSystem(Config{Sizes: []int{2, 2}}, rand.New(rand.NewSource(25)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.AggregateRound(models, RoundSpec{SampleCounts: []float64{10, 10, bad, 30}})
+		if err == nil {
+			t.Fatalf("sample count %v: no error, global model %v", bad, res.Global)
+		}
 	}
 }
 

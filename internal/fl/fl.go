@@ -9,6 +9,7 @@ package fl
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/dataset"
@@ -34,26 +35,35 @@ func WeightedAverage(models [][]float64, counts []float64) ([]float64, error) {
 		if len(m) != dim {
 			return nil, fmt.Errorf("fl: model %d has %d weights, want %d", i, len(m), dim)
 		}
-		if counts[i] < 0 {
-			return nil, fmt.Errorf("fl: negative sample count %v", counts[i])
+		if c := counts[i]; c < 0 || math.IsNaN(c) || math.IsInf(c, 0) {
+			return nil, fmt.Errorf("fl: sample count %v is not a finite non-negative number", c)
 		}
 		total += counts[i]
 	}
 	if total == 0 {
 		return nil, fmt.Errorf("fl: all sample counts are zero")
 	}
+	// One pass over out: each tile of it takes f_i·m_i for every model, i
+	// ascending, while it is in L1.
 	out := make([]float64, dim)
-	for i, m := range models {
-		f := counts[i] / total
-		if f == 0 {
-			continue
-		}
-		for j, v := range m {
-			out[j] += f * v
+	for lo := 0; lo < dim; lo += tile {
+		o := out[lo:min(lo+tile, dim)]
+		for i, m := range models {
+			f := counts[i] / total
+			if f == 0 {
+				continue
+			}
+			for j, v := range m[lo : lo+len(o)] {
+				o[j] += f * v
+			}
 		}
 	}
 	return out, nil
 }
+
+// tile is 2,048 floats, 16 KiB: the tile of out that WeightedAverage adds
+// every model into stays in L1.
+const tile = 2048
 
 // TrainConfig controls one local-update step.
 type TrainConfig struct {

@@ -43,6 +43,117 @@ func TestWeightedAverageErrors(t *testing.T) {
 	}
 }
 
+func TestWeightedAverageRejectsNonFiniteCounts(t *testing.T) {
+	for _, tc := range []struct {
+		count float64
+		ok    bool
+	}{
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+		{2.5, true},
+	} {
+		avg, err := WeightedAverage([][]float64{{1, 2}, {3, 4}}, []float64{1, tc.count})
+		if (err == nil) != tc.ok {
+			t.Errorf("count %v: average %v, error %v", tc.count, avg, err)
+		}
+	}
+}
+
+// untiledWeightedAverage is WeightedAverage's sum as it was before the
+// tiles: one pass over out per model.
+func untiledWeightedAverage(models [][]float64, counts []float64) []float64 {
+	total := 0.0
+	for _, c := range counts {
+		total += c
+	}
+	out := make([]float64, len(models[0]))
+	for i, m := range models {
+		f := counts[i] / total
+		if f == 0 {
+			continue
+		}
+		for j, v := range m {
+			out[j] += f * v
+		}
+	}
+	return out
+}
+
+// sameBits compares two results bit for bit, except that any two NaNs
+// match: when both operands of an add are NaN, which payload the sum
+// carries depends on the operand order the compiler picks for the
+// commutative add, which neither loop controls.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+}
+
+// tileEdgeDims are the dimensions a tiled kernel is checked at: one
+// coordinate, a tile short by one, one tile, one over, and three tiles
+// with a ragged tail.
+var tileEdgeDims = []int{1, tile - 1, tile, tile + 1, 3*tile + 5}
+
+// plant writes −0 and then +Inf, NaN and −Inf into the four coordinates
+// on each side of every tile boundary of v and of its two ends, where v
+// has them; shift rotates the three non-finite values.
+func plant(v []float64, shift int) {
+	odd := [3]float64{math.Inf(1), math.NaN(), math.Inf(-1)}
+	for b := 0; ; b += tile {
+		b = min(b, len(v))
+		for _, side := range []int{b - 4, b} {
+			for o := 0; o < 4; o++ {
+				if i := side + o; i >= 0 && i < len(v) {
+					v[i] = math.Copysign(0, -1)
+					if o > 0 {
+						v[i] = odd[(o+shift)%3]
+					}
+				}
+			}
+		}
+		if b == len(v) {
+			return
+		}
+	}
+}
+
+// TestTiledWeightedAverageMatchesUntiled: WeightedAverage adds every
+// model into one tile of out before it moves to the next. Around every
+// tile boundary, with −0, ±Inf and NaN planted on both sides of it in
+// every model — differently per model, so +Inf meets −Inf — the average
+// is the untiled loop's bit for bit. Coordinate 0, −0 in every model,
+// still averages to +0, which also shows the all-NaN model of count 0
+// is still skipped.
+func TestTiledWeightedAverageMatchesUntiled(t *testing.T) {
+	counts := []float64{3, 0, 1.5, 7}
+	for _, dim := range tileEdgeDims {
+		r := rand.New(rand.NewSource(int64(dim)))
+		models := make([][]float64, len(counts))
+		for i := range models {
+			models[i] = make([]float64, dim)
+			for j := range models[i] {
+				models[i][j] = r.NormFloat64()
+			}
+			plant(models[i], i)
+		}
+		for j := range models[1] {
+			models[1][j] = math.NaN()
+		}
+		got, err := WeightedAverage(models, counts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := untiledWeightedAverage(models, counts)
+		for j := range want {
+			if !sameBits(got[j], want[j]) {
+				t.Fatalf("dim %d: out[%d] = %v, untiled %v", dim, j, got[j], want[j])
+			}
+		}
+		if dim > 1 && math.Float64bits(got[0]) != 0 {
+			t.Fatalf("dim %d: an all −0 coordinate averaged to %v, want +0", dim, got[0])
+		}
+	}
+}
+
 func TestUniformAverageMatchesMean(t *testing.T) {
 	f := func(a, b, c float64) bool {
 		// Bound magnitudes so the reference (a+b+c)/3 cannot overflow.

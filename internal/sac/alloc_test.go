@@ -62,6 +62,37 @@ func TestDefaultRunAllocatesOnlyItsResult(t *testing.T) {
 	}
 }
 
+// TestWarmRunAllocationCount pins, object for object, what a warm Run
+// allocates at the X-layer tree's dimension, 64, mesh included. Finish
+// gathers the subtotals it sums into a list its Peer keeps across rounds,
+// so the tiled sum costs no allocation per call.
+func TestWarmRunAllocationCount(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		crash  CrashPlan
+		allocs float64
+	}{
+		{"leader k-of-n", Config{N: 3, K: 2, Mode: ModeLeader}, nil, 31},
+		{"leader recovery", Config{N: 3, K: 2, Mode: ModeLeader}, CrashPlan{2: AfterShares}, 34},
+		{"broadcast", Config{N: 3, K: 3, Mode: ModeBroadcast}, nil, 33},
+		{"guarded", Config{N: 5, K: 3, Mode: ModeLeader, Guard: &Guard{ShareBound: 100, CrossCheck: true}}, nil, 123},
+	} {
+		r := rand.New(rand.NewSource(1))
+		models := randModels(r, tc.cfg.N, 64)
+		tc.cfg.Rng = r
+		run := func() {
+			if _, err := Run(transport.NewMesh(tc.cfg.N, nil), tc.cfg, models, tc.crash); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		if got := testing.AllocsPerRun(100, run); got != tc.allocs {
+			t.Errorf("%s: a warm Run made %v allocations, want %v", tc.name, got, tc.allocs)
+		}
+	}
+}
+
 // TestSpareWorkingSetsServeTwoGoroutines is the same pin with two
 // callers at once: the spare list holds a working set for each, so
 // neither falls back to provisioning one per call (and, under -race, the

@@ -60,11 +60,13 @@ type Peer struct {
 	// A collector's state, sized when p first is one: holders is
 	// secretshare.HoldersOf of every share index, flat, got[s*r+t] the copy
 	// of subtotal s received from holders[s*r+t], and asked[s] the holder p
-	// asked to recover s from, −1 for none.
+	// asked to recover s from, −1 for none. sums is the one subtotal per
+	// index that Finish adds up, kept across rounds.
 	holders []int
 	got     [][]float64
 	asked   []int
 	cands   [][]float64
+	sums    [][]float64
 	audit   auditState
 
 	msgs    []transport.Message // to send, in order
@@ -133,6 +135,7 @@ func (p *Peer) end() {
 	p.release(p.got...)
 	clear(p.got)
 	clear(p.cands[:cap(p.cands)])
+	clear(p.sums[:cap(p.sums)])
 	p.release(p.audit.claims, p.audit.result)
 	p.audit.claims, p.audit.result = nil, nil
 }
@@ -482,6 +485,7 @@ func (p *Peer) Finish() (*Result, error) {
 	if guarded {
 		p.audit.claimed = make([]float64, 0, n*p.dim)
 	}
+	p.sums = p.sums[:0]
 	for s := 0; s < n; s++ {
 		cands, owner := p.candidates(s)
 		sub := cands[0]
@@ -500,13 +504,21 @@ func (p *Peer) Finish() (*Result, error) {
 		if !owner && (guarded || p.slot[s] < 0) {
 			res.Recovered = append(res.Recovered, s)
 		}
-		for x, v := range sub {
-			res.Avg[x] += v
-		}
+		p.sums = append(p.sums, sub)
 	}
+	// One pass over Avg: each tile of it takes every subtotal, ascending
+	// s, and is scaled while it is in L1.
 	inv := 1.0 / float64(len(p.contributors))
-	for x := range res.Avg {
-		res.Avg[x] *= inv
+	for lo := 0; lo < p.dim; lo += tile {
+		avg := res.Avg[lo:min(lo+tile, p.dim)]
+		for _, sub := range p.sums {
+			for x, v := range sub[lo : lo+len(avg)] {
+				avg[x] += v
+			}
+		}
+		for x := range avg {
+			avg[x] *= inv
+		}
 	}
 	switch {
 	case guarded:
@@ -518,3 +530,7 @@ func (p *Peer) Finish() (*Result, error) {
 	}
 	return res, nil
 }
+
+// tile is 2,048 floats, 16 KiB: the tile of the average that Finish adds
+// every subtotal into stays in L1.
+const tile = 2048

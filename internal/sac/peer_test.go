@@ -1,10 +1,12 @@
 package sac
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"repro/internal/fl"
 	"repro/internal/secretshare"
 	"repro/internal/transport"
 )
@@ -296,5 +298,117 @@ func TestForgedSubtotalsNeverReachTheAverage(t *testing.T) {
 				t.Fatalf("%d messages counted invalid, want %d", invalid, want)
 			}
 		})
+	}
+}
+
+// untiledAverage is Finish's average as it was before the tiles: per
+// share index, ascending, the subtotal Finish takes (its collector's one
+// copy, or under the cross-check the median of its copies) added into a
+// zeroed vector in a pass of its own, then a pass that scales by
+// 1/contributors.
+func untiledAverage(t *testing.T, p *Peer) []float64 {
+	avg := make([]float64, p.dim)
+	for s := 0; s < p.cfg.N; s++ {
+		cands, _ := p.candidates(s)
+		sub := cands[0]
+		if p.cfg.crossChecks() {
+			var err error
+			if sub, err = (fl.CoordinateMedian{}).Aggregate(cands, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for x, v := range sub {
+			avg[x] += v
+		}
+	}
+	inv := 1.0 / float64(len(p.contributors))
+	for x := range avg {
+		avg[x] *= inv
+	}
+	return avg
+}
+
+// sameBits compares two results bit for bit, except that any two NaNs
+// match: when both operands of an add are NaN, which payload the sum
+// carries depends on the operand order the compiler picks for the
+// commutative add, which neither loop controls.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+}
+
+// tileEdgeDims are the dimensions a tiled kernel is checked at: one
+// coordinate, a tile short by one, one tile, one over, and three tiles
+// with a ragged tail.
+var tileEdgeDims = []int{1, tile - 1, tile, tile + 1, 3*tile + 5}
+
+// plant writes −0 and then +Inf, NaN and −Inf into the four coordinates
+// on each side of every tile boundary of v and of its two ends, where v
+// has them; shift rotates the three non-finite values.
+func plant(v []float64, shift int) {
+	odd := [3]float64{math.Inf(1), math.NaN(), math.Inf(-1)}
+	for b := 0; ; b += tile {
+		b = min(b, len(v))
+		for _, side := range []int{b - 4, b} {
+			for o := 0; o < 4; o++ {
+				if i := side + o; i >= 0 && i < len(v) {
+					v[i] = math.Copysign(0, -1)
+					if o > 0 {
+						v[i] = odd[(o+shift)%3]
+					}
+				}
+			}
+		}
+		if b == len(v) {
+			return
+		}
+	}
+}
+
+// TestTiledFinishMatchesUntiled: Finish adds every subtotal into one tile
+// of the average before it moves to the next. With −0, ±Inf and NaN
+// planted around every tile boundary of every subtotal — differently per
+// share index, so +Inf meets −Inf — its average is the untiled loop's,
+// bit for bit, on a collector that recovers a crashed owner's subtotal,
+// on the cross-check's median path and under Alg. 2's broadcast.
+// Coordinate 0, −0 in every subtotal, still averages to +0.
+func TestTiledFinishMatchesUntiled(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		kill int // a peer the failure detector reports once the shares are over, −1 for none
+	}{
+		{"recovery", Config{N: 4, K: 2, Mode: ModeLeader, Leader: 3}, 2},
+		{"cross-check", Config{N: 5, K: 3, Mode: ModeLeader, Leader: 1, Guard: &Guard{CrossCheck: true}}, -1},
+		{"broadcast", Config{N: 4, K: 4, Mode: ModeBroadcast}, -1},
+	} {
+		for _, dim := range tileEdgeDims {
+			h := newHandRound(t, tc.cfg, dim, nil)
+			h.shares(randModels(rand.New(rand.NewSource(int64(dim))), tc.cfg.N, dim), rand.New(rand.NewSource(91)))
+			for j := range h.peers {
+				p := &h.peers[j]
+				for s, a := range p.slot {
+					if a >= 0 {
+						plant(p.acc[a*dim:(a+1)*dim], s)
+					}
+				}
+			}
+			if tc.kill >= 0 {
+				h.kill(tc.kill)
+			}
+			h.report()
+			want := untiledAverage(t, &h.peers[h.collector()])
+			got := h.finish()
+			for x := range want {
+				if !sameBits(got.Avg[x], want[x]) {
+					t.Fatalf("%s dim %d: Avg[%d] = %v, untiled %v", tc.name, dim, x, got.Avg[x], want[x])
+				}
+			}
+			if tc.kill >= 0 && !slices.Equal(got.Recovered, []int{tc.kill}) {
+				t.Fatalf("%s dim %d: recovered %v, want [%d]", tc.name, dim, got.Recovered, tc.kill)
+			}
+			if dim > 1 && math.Float64bits(got.Avg[0]) != 0 {
+				t.Fatalf("%s dim %d: an all −0 coordinate averaged to %v, want +0", tc.name, dim, got.Avg[0])
+			}
+		}
 	}
 }

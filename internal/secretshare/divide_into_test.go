@@ -1,6 +1,7 @@
 package secretshare
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -56,8 +57,67 @@ func requireBitIdentical(t *testing.T, got, want [][]float64) {
 			t.Fatalf("share %d: dim %d, want %d", i, len(got[i]), len(want[i]))
 		}
 		for j := range want[i] {
-			if got[i][j] != want[i][j] {
+			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
 				t.Fatalf("share %d[%d]: %v, want %v (not bit-identical)", i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+}
+
+// tileEdgeDims are the dimensions a tiled kernel is checked at: one
+// coordinate, a tile short by one, one tile, one over, and three tiles
+// with a ragged tail.
+var tileEdgeDims = []int{1, tile - 1, tile, tile + 1, 3*tile + 5}
+
+// plant writes −0 and then +Inf, NaN and −Inf into the four coordinates
+// on each side of every tile boundary of v and of its two ends, where v
+// has them; shift rotates the three non-finite values.
+func plant(v []float64, shift int) {
+	odd := [3]float64{math.Inf(1), math.NaN(), math.Inf(-1)}
+	for b := 0; ; b += tile {
+		b = min(b, len(v))
+		for _, side := range []int{b - 4, b} {
+			for o := 0; o < 4; o++ {
+				if i := side + o; i >= 0 && i < len(v) {
+					v[i] = math.Copysign(0, -1)
+					if o > 0 {
+						v[i] = odd[(o+shift)%3]
+					}
+				}
+			}
+		}
+		if b == len(v) {
+			return
+		}
+	}
+}
+
+// TestTiledDivideMatchesUntiledAtTileEdges: ScalarDivider writes all n
+// shares from one tile of w before it reads the next. Around every tile
+// boundary, with −0, ±Inf and NaN planted on both sides of it, its shares
+// are those of the untiled loop that made one pass over w per share
+// (refScalarDivide), bit for bit; and a warm DivideInto still allocates
+// nothing but its n fractions.
+func TestTiledDivideMatchesUntiledAtTileEdges(t *testing.T) {
+	for _, dim := range tileEdgeDims {
+		w := make([]float64, dim)
+		r := rand.New(rand.NewSource(int64(dim)))
+		for i := range w {
+			w[i] = r.NormFloat64()
+		}
+		plant(w, dim)
+		for _, n := range []int{1, 3, 5} {
+			want := refScalarDivide(w, n, rand.New(rand.NewSource(7)))
+			got, err := ScalarDivider{}.Divide(w, n, rand.New(rand.NewSource(7)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBitIdentical(t, got, want)
+			block, views := make([]float64, n*dim), make([][]float64, n)
+			if allocs := testing.AllocsPerRun(20, func() {
+				views, block, err = ScalarDivider{}.DivideInto(w, n, r, block, views)
+			}); err != nil || allocs > 1 {
+				t.Fatalf("dim %d n %d: warm DivideInto made %v allocations (err %v), want ≤ 1", dim, n, allocs, err)
 			}
 		}
 	}

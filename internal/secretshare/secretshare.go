@@ -83,15 +83,24 @@ func (d ScalarDivider) DivideInto(w []float64, n int, rng *rand.Rand, block []fl
 		rn[i] = 1 - rng.Float64()
 		sum += rn[i]
 	}
+	// One read of w: each tile of it is written into all n shares while it
+	// is in L1.
 	block, shares := sliceBlock(block, views, n, len(w))
-	for i, s := range shares {
-		f := rn[i] / sum
-		for j, v := range w {
-			s[j] = f * v
+	for lo := 0; lo < len(w); lo += tile {
+		wt := w[lo:min(lo+tile, len(w))]
+		for i, s := range shares {
+			f, st := rn[i]/sum, s[lo:lo+len(wt)]
+			for j, v := range wt {
+				st[j] = f * v
+			}
 		}
 	}
 	return shares, block, nil
 }
+
+// tile is 2,048 floats, 16 KiB: the tile of w that DivideInto re-reads
+// per share stays in L1.
+const tile = 2048
 
 // MaskDivider is standard additive secret sharing: shares 0..n−2 are
 // uniform random vectors in [−Scale, Scale) and share n−1 is
