@@ -72,6 +72,51 @@ func TestChaosHoldsNoDirectoryMirror(t *testing.T) {
 	}
 }
 
+// TestChaosBuildsNoPrivateRaftWorld guards "evidence from the system
+// itself": a chaos track that needs raft groups drives cluster.System,
+// so no non-test file of internal/chaos builds raft nodes or a simulated
+// raft network, or runs an RTT→election-band tuner of its own — the
+// cluster's tuning loop is the one caller of health.Tuning.Retune. The
+// one exception is world.go, the raft-kv target, whose replicated KV
+// state machine is what that target checks.
+func TestChaosBuildsNoPrivateRaftWorld(t *testing.T) {
+	banned := map[string]string{
+		"raft.NewNode":       "build raft nodes",
+		"simnet.NewGroup":    "build a raft network",
+		"health.NewRTTStats": "track RTTs",
+	}
+	paths, err := filepath.Glob("internal/chaos/*.go")
+	if err != nil || len(paths) < 10 {
+		t.Fatalf("found %d files in internal/chaos (err %v); the guard is not looking at the package", len(paths), err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") || filepath.Base(path) == "world.go" {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			at := fset.Position(sel.Pos())
+			if sel.Sel.Name == "Retune" {
+				t.Errorf("%s selects .Retune; the cluster's tuning loop retunes its peers", at)
+			}
+			if pkg, ok := sel.X.(*ast.Ident); ok {
+				if what, ok := banned[pkg.Name+"."+sel.Sel.Name]; ok {
+					t.Errorf("%s calls %s.%s: a chaos track must not %s of its own; drive cluster.System", at, pkg.Name, sel.Sel.Name, what)
+				}
+			}
+			return true
+		})
+	}
+}
+
 // TestOneRoadForMembershipChange guards "one rule and one road": raft
 // decides when a configuration change may be appended
 // (ErrConfChangePending), and exactly one non-test call site outside

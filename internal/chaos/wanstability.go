@@ -2,18 +2,17 @@ package chaos
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/cluster"
-	"repro/internal/health"
 	"repro/internal/raft"
 	"repro/internal/simnet"
 	"repro/internal/telemetry"
 )
 
-// WAN stability track: a single Raft group on a multi-region latency
-// topology (internal/simnet.Topology), driven to steady state and then
-// through a leader kill, with a dedicated wan-stability invariant:
+// WAN stability track: one subgroup of a cluster.System on a
+// multi-region latency topology (internal/simnet.Topology), driven to
+// steady state and then through a leader kill, with a dedicated
+// wan-stability invariant:
 //
 //	wan-stability   at steady state on a healthy WAN, no live node ever
 //	                campaigns (enters Candidate) and no term advances
@@ -35,7 +34,7 @@ const (
 	stabilitySteady = 30 * simnet.Second
 )
 
-// What a stability run is: five raft nodes on the wan50 preset, started
+// What a stability run is: a 1×5 cluster on the wan50 preset, started
 // on the paper's LAN timers U(50, 100) ms with a 15-tick heartbeat —
 // exactly what misfires on a WAN until the tuner lifts it.
 const (
@@ -44,24 +43,24 @@ const (
 	stabilityHeartbeatTick = 15
 )
 
-// StabilityOptions parameterizes one WAN stability run (five nodes on
-// wan50, see stabilityNodes); Seed alone defines the run for a given
-// profile.
+// StabilityOptions parameterizes one WAN stability run (one subgroup of
+// five on wan50, see stabilityNodes); Seed alone defines the run for a
+// given profile.
 type StabilityOptions struct {
 	// Seed drives every rng in the run.
 	Seed int64 `json:"seed"`
 
-	// Profile selects the raft flags on every node and whether the
-	// health→raft feedback loop runs: per-node RTT stats fed from
-	// delivery observations, retuning election timeouts every
-	// cluster.AutoTuneInterval (health.Tuning with its defaults: 10× the
-	// p99 RTT, clamped to [50, 5000] ticks). The zero value is
-	// cluster.Paper; the single group has no co-member detector to run.
+	// Profile is the cluster's (cluster.Options.Profile): the raft
+	// flags of every node and whether the cluster's RTT→election-band
+	// tuner runs (health.Tuning: 10× the p99 RTT, clamped to [50, 5000]
+	// ticks). The zero value is cluster.Paper. The run is a cluster
+	// subgroup, not a bare raft group: its leader also heads a
+	// one-member FedAvg layer and commits that layer's configuration to
+	// the subgroup log every 50 ms (Sec. V-A1).
 	Profile cluster.Profile `json:"profile,omitempty"`
 
-	// Telemetry, when non-nil, is threaded into every node with its
-	// clock pinned to virtual time (equal seeds ⇒ byte-identical
-	// snapshots).
+	// Telemetry, when non-nil, is the cluster's, with its clock pinned
+	// to virtual time (equal seeds ⇒ byte-identical snapshots).
 	Telemetry *telemetry.Registry `json:"-"`
 }
 
@@ -118,150 +117,92 @@ func NewWANStabilityChecker(baselineTerm uint64) Checker {
 	})
 }
 
-// wanWorld is the minimal single-group world the stability run drives.
-type wanWorld struct {
-	sim *simnet.Sim
-	g   *simnet.Group
-	rtt map[uint64]*health.RTTStats
-	rep *StabilityReport
-}
-
-func (w *wanWorld) violate(detail string) {
-	w.rep.Violations = append(w.rep.Violations, Violation{
-		AtUs: int64(w.sim.Now()), Invariant: "wan-stability", Detail: detail,
-	})
-}
-
-// maxTerm returns the highest term across live nodes.
-func (w *wanWorld) maxTerm() uint64 {
-	var max uint64
-	for _, id := range w.g.IDs() {
-		if h := w.g.Host(id); !h.Down() && h.Node.Term() > max {
-			max = h.Node.Term()
-		}
-	}
-	return max
-}
-
-// retune runs one tuning step on every live node, in ascending id
-// order (Group.IDs) for deterministic replay.
-func (w *wanWorld) retune(tuning health.Tuning) {
-	for _, id := range w.g.IDs() {
-		if h := w.g.Host(id); !h.Down() {
-			tuning.Retune(w.rtt[id], h.Node)
-		}
-	}
-}
-
-// RunWANStability executes one WAN stability run: bootstrap and warmup
-// on the wan50 topology, a monitored steady-state window, then a leader
-// kill with bounded failover. Deterministic per (options, seed).
+// RunWANStability executes one WAN stability run on a one-subgroup
+// cluster.System: bootstrap and warmup on the wan50 topology, a
+// monitored steady-state window, then a leader kill with bounded
+// failover. Deterministic per (options, seed).
 func RunWANStability(o StabilityOptions) (*StabilityReport, error) {
 	topo, err := simnet.Preset(stabilityTopology)
 	if err != nil {
 		return nil, err
 	}
+	sys, err := cluster.New(cluster.Options{
+		NumSubgroups:    1,
+		SubgroupSize:    stabilityNodes,
+		ElectionTickMin: electionTickMin,
+		ElectionTickMax: electionTickMax,
+		HeartbeatTick:   stabilityHeartbeatTick,
+		Latency:         linkLatency,
+		Topology:        topo,
+		Profile:         o.Profile,
+		Seed:            o.Seed,
+		Telemetry:       o.Telemetry, // cluster.New pins its clock to the sim
+	})
+	if err != nil {
+		return nil, err
+	}
 	rep := &StabilityReport{Options: o, Topology: topo.Name, TunedBands: map[uint64][2]int{}}
-	w := &wanWorld{
-		sim: simnet.New(),
-		rtt: make(map[uint64]*health.RTTStats),
-		rep: rep,
+	sim, g := sys.Sim, sys.SubgroupNet(0)
+	violate := func(detail string) {
+		rep.Violations = append(rep.Violations, Violation{AtUs: int64(sim.Now()), Invariant: "wan-stability", Detail: detail})
 	}
-	o.Telemetry.SetClock(func() int64 { return int64(w.sim.Now()) })
-	w.g = simnet.NewGroup(w.sim, "wan", topo, rand.New(rand.NewSource(o.Seed^0x3a41c0de)))
-
-	peers := make([]uint64, stabilityNodes)
-	for i := range peers {
-		peers[i] = uint64(i + 1)
-	}
-	steadyOpen := false
-	for _, id := range peers {
-		id := id
-		w.rtt[id] = health.NewRTTStats(0)
-		node, err := raft.NewNode(o.Profile.Raft(raft.Config{
-			ID:              id,
-			Peers:           peers,
-			ElectionTickMin: electionTickMin,
-			ElectionTickMax: electionTickMax,
-			HeartbeatTick:   stabilityHeartbeatTick,
-			Rng:             rand.New(rand.NewSource(o.Seed ^ (int64(id) * 0x9e3779b9))),
-			Telemetry:       o.Telemetry,
-		}))
-		if err != nil {
-			return nil, err
-		}
-		h, err := w.g.Add(node)
-		if err != nil {
-			return nil, err
-		}
-		h.OnStateChange = func(state raft.State, term, leader uint64) {
-			if steadyOpen && state == raft.Candidate {
-				rep.SpuriousElections++
+	maxTerm := func() uint64 {
+		var max uint64
+		for _, n := range groupView(sim, g, "wan").Nodes {
+			if !n.Down && n.Term > max {
+				max = n.Term
 			}
 		}
+		return max
 	}
-	// Every delivered message is an RTT observation for its receiver:
-	// the one-way delay doubled approximates the round trip on these
-	// near-symmetric links, which is all the ×10 tuning rule needs.
-	w.g.OnDeliver = func(m raft.Message, oneWay simnet.Duration) {
-		if st, ok := w.rtt[m.To]; ok {
-			st.Observe(m.From, 2*int64(oneWay))
+	steadyOpen := false
+	sys.SetObserver(cluster.Observer{SubgroupState: func(_ uint64, _ int, st raft.State, _, _ uint64) {
+		if steadyOpen && st == raft.Candidate {
+			rep.SpuriousElections++
 		}
-	}
-
-	tuning := health.Tuning{TickUs: int64(w.g.TickInterval)}
-	if o.Profile.AutoTune() {
-		var loop func()
-		loop = func() {
-			w.retune(tuning)
-			w.sim.Schedule(cluster.AutoTuneInterval, loop)
-		}
-		w.sim.Schedule(cluster.AutoTuneInterval, loop)
-	}
+	}})
 
 	// Bootstrap: a leader must emerge within the warmup window.
-	warmupEnd := w.sim.Now() + simnet.Time(stabilityWarmup)
-	if !w.sim.RunWhileNot(func() bool { return w.g.Leader() != raft.None }, warmupEnd) {
-		w.violate("no leader elected during warmup")
+	warmupEnd := sim.Now() + simnet.Time(stabilityWarmup)
+	if err := sys.Bootstrap(stabilityWarmup); err != nil {
+		violate(fmt.Sprintf("no leader elected during warmup: %v", err))
 		return rep, nil
 	}
-	w.sim.RunUntil(warmupEnd)
-	if w.g.Leader() == raft.None {
-		w.violate("no leader at end of warmup")
+	sim.RunUntil(warmupEnd)
+	if g.Leader() == raft.None {
+		violate("no leader at end of warmup")
 		return rep, nil
 	}
 
 	// Steady state: the wan-stability invariant sweeps the group while
 	// nothing is wrong with the network — any election is spurious.
-	rep.BaselineTerm = w.maxTerm()
+	rep.BaselineTerm = maxTerm()
 	checker := NewWANStabilityChecker(rep.BaselineTerm)
 	steadyOpen = true
-	steadyEnd := w.sim.Now() + simnet.Time(stabilitySteady)
+	steadyEnd := sim.Now() + simnet.Time(stabilitySteady)
 	var sweep func()
 	sweep = func() {
-		if w.sim.Now() >= steadyEnd {
+		if sim.Now() >= steadyEnd {
 			return
 		}
-		for _, d := range checker.Check(groupView(w.sim, w.g, "wan")) {
-			w.rep.Violations = append(w.rep.Violations, Violation{
-				AtUs: int64(w.sim.Now()), Invariant: checker.Name(), Detail: d,
-			})
+		for _, d := range checker.Check(groupView(sim, g, "wan")) {
+			violate(d)
 		}
-		w.sim.Schedule(sweepEvery, sweep)
+		sim.Schedule(sweepEvery, sweep)
 	}
-	w.sim.Schedule(sweepEvery, sweep)
-	w.sim.RunUntil(steadyEnd)
+	sim.Schedule(sweepEvery, sweep)
+	sim.RunUntil(steadyEnd)
 	steadyOpen = false
-	rep.FinalSteadyTerm = w.maxTerm()
+	rep.FinalSteadyTerm = maxTerm()
 	if rep.SpuriousElections > 0 {
-		w.violate(fmt.Sprintf("%d spurious election(s) during the steady window", rep.SpuriousElections))
+		violate(fmt.Sprintf("%d spurious election(s) during the steady window", rep.SpuriousElections))
 	}
 
 	// Leader kill: the survivors must elect a replacement within the
 	// stated bound.
-	leader := w.g.Leader()
+	leader := g.Leader()
 	if leader == raft.None {
-		w.violate("no leader at end of steady window")
+		violate("no leader at end of steady window")
 		return rep, nil
 	}
 	// The bound is 3×ElectionTickMax′ + 2000, where ElectionTickMax′ is
@@ -269,30 +210,23 @@ func RunWANStability(o StabilityOptions) (*StabilityReport, error) {
 	// time: detection needs at most one full max timeout, and two more
 	// cover a split first round plus commit of the no-op.
 	worstMax := 0
-	for _, id := range w.g.IDs() {
-		if id == leader {
-			continue
-		}
-		if _, max := w.g.Host(id).Node.ElectionTicks(); max > worstMax {
+	for _, id := range g.IDs() {
+		if _, max := g.Host(id).Node.ElectionTicks(); id != leader && max > worstMax {
 			worstMax = max
 		}
 	}
-	bound := 3*worstMax + 2000
-	rep.FailoverBound = bound
-	w.g.Host(leader).Crash()
-	killAt := w.sim.Now()
-	deadline := killAt + simnet.Time(bound)*simnet.Time(simnet.Millisecond)
-	elected := func() bool {
-		id := w.g.Leader()
-		return id != raft.None && id != leader
+	rep.FailoverBound = 3*worstMax + 2000
+	if err := sys.CrashPeer(leader); err != nil {
+		return nil, err
 	}
-	if !w.sim.RunWhileNot(elected, deadline) {
-		w.violate(fmt.Sprintf("no replacement leader within %d ticks of leader kill", bound))
+	killAt := sim.Now()
+	if _, _, err := sys.WaitSubgroupLeader(0, leader, simnet.Duration(rep.FailoverBound)*simnet.Millisecond); err != nil {
+		violate(fmt.Sprintf("no replacement leader within %d ticks of leader kill", rep.FailoverBound))
 	}
-	rep.FailoverTicks = int(simnet.Duration(w.sim.Now()-killAt) / simnet.Millisecond)
+	rep.FailoverTicks = int(simnet.Duration(sim.Now()-killAt) / simnet.Millisecond)
 
-	for _, id := range w.g.IDs() {
-		if h := w.g.Host(id); !h.Down() {
+	for _, id := range g.IDs() {
+		if h := g.Host(id); !h.Down() {
 			min, max := h.Node.ElectionTicks()
 			rep.TunedBands[id] = [2]int{min, max}
 		}

@@ -97,9 +97,9 @@ type Options struct {
 	Seed int64
 }
 
-// AutoTuneInterval is how often a node retunes its election bands from
+// autoTuneInterval is how often a node retunes its election bands from
 // its observed RTTs when the profile arms the tuner.
-const AutoTuneInterval = 500 * simnet.Millisecond
+const autoTuneInterval = 500 * simnet.Millisecond
 
 // joinPollInterval is how often a joining subgroup leader polls the
 // FedAvg layer for a leader, and the retry period of every other
@@ -427,7 +427,7 @@ func (s *System) observeRTT(to, from uint64, oneWay simnet.Duration) {
 }
 
 // startAutoTune arms the periodic health→raft feedback loop: every
-// AutoTuneInterval each live peer derives an election band from its
+// autoTuneInterval each live peer derives an election band from its
 // observed per-sender RTT quantiles and rescales its subgroup and
 // FedAvg-layer nodes' timers in place (health.Tuning.Retune). Iteration
 // is in ascending peer-ID order, so equal seeds retune identically.
@@ -452,9 +452,9 @@ func (s *System) startAutoTune() {
 			}
 			tuning.Retune(p.rtt, nodes...)
 		}
-		s.Sim.Schedule(AutoTuneInterval, loop)
+		s.Sim.Schedule(autoTuneInterval, loop)
 	}
-	s.Sim.Schedule(AutoTuneInterval, loop)
+	s.Sim.Schedule(autoTuneInterval, loop)
 }
 
 // Peer returns the peer with the given ID, or nil.

@@ -52,6 +52,43 @@ func TestWANClusterTunesElectionBands(t *testing.T) {
 	}
 }
 
+// TestConfigCommitsStartNoStormOnAWAN pins DESIGN §4's replication
+// rule: an entry leaves a leader on append, on heartbeat and on reject,
+// never on ack. The configuration commits of Sec. V-A1 land on every
+// subgroup log every 50 ms, less than a wan50 round trip, so a leader
+// that resent its unacked entries on each ack started one more copy per
+// ack and a 5-peer subgroup offered ~25,000 raft messages per virtual
+// second there against ~1,100 on lan15. With the rule, the subgroup
+// costs about the same on both.
+func TestConfigCommitsStartNoStormOnAWAN(t *testing.T) {
+	rate := func(topology string) float64 {
+		topo, err := simnet.Preset(topology)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := mustBootstrap(t, Options{
+			NumSubgroups:    1,
+			SubgroupSize:    5,
+			ElectionTickMin: 50,
+			ElectionTickMax: 100,
+			HeartbeatTick:   15,
+			Latency:         15 * simnet.Millisecond,
+			Topology:        topo,
+			Seed:            1,
+		})
+		const window = 10 * simnet.Second
+		before, _ := s.SubgroupNet(0).OfferedTraffic()
+		s.Sim.RunFor(window)
+		after, _ := s.SubgroupNet(0).OfferedTraffic()
+		return float64(after-before) / (window.Ms() / 1000)
+	}
+	wan, lan := rate("wan50"), rate("lan15")
+	t.Logf("offered raft messages per virtual second: wan50 %.0f, lan15 %.0f", wan, lan)
+	if wan > 1.1*lan {
+		t.Errorf("a 1×5 subgroup offers %.0f msgs/s on wan50, more than 1.1× its %.0f on lan15", wan, lan)
+	}
+}
+
 // TestWANClusterFailoverRespectsTunedTimeouts is the ISSUE's cluster-level
 // acceptance bound: a WAN-tuned cluster must not elect a replacement
 // leader faster than 10× the (base) RTT between the new leader and the

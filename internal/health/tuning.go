@@ -85,9 +85,8 @@ type ElectionTimers interface {
 // Retune is one step of the health→raft feedback loop: derive the band
 // from one peer's tracker and rescale the election timers of that
 // peer's nodes in place. Without a qualified band they keep their
-// current one. Both the cluster's tuning loop and the chaos WAN
-// stability world call this, each walking its peers in ascending id
-// order.
+// current one. The one caller is the cluster's tuning loop
+// (internal/cluster), which walks its peers in ascending id order.
 func (t Tuning) Retune(r *RTTStats, nodes ...ElectionTimers) {
 	min, max, ok := t.ElectionTicks(r)
 	if !ok {

@@ -976,11 +976,7 @@ func (n *Node) handleAppendResponse(m Message) {
 	if n.nextIndex[m.From] < m.Match+1 {
 		n.nextIndex[m.From] = m.Match + 1
 	}
-	n.maybeCommit()
-	// Keep pushing if the follower is still behind.
-	if n.nextIndex[m.From] <= n.lastIndex() {
-		n.sendAppend(m.From)
-	}
+	n.maybeCommit() // an ack sends nothing (DESIGN §4, Replication)
 }
 
 // handleSnapshot installs a leader's snapshot (InstallSnapshot RPC).

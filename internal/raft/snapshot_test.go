@@ -73,15 +73,28 @@ func TestSlowFollowerReceivesSnapshot(t *testing.T) {
 		}
 		c.run(5)
 	}
-	// Compact past everything the lagging follower has.
+	// Compact past everything the lagging follower has, then commit a
+	// tail the snapshot does not hold.
 	lead := c.leader()
 	if err := lead.Compact(lead.CommitIndex(), []byte("compacted-state")); err != nil {
 		t.Fatal(err)
 	}
-	// Heal the partition: the follower must catch up via InstallSnapshot.
+	if err := lead.Propose([]byte("tail")); err != nil {
+		t.Fatal(err)
+	}
+	c.run(1)
+	// Heal the partition: the follower catches up via InstallSnapshot.
+	// Its ack sends nothing, so the tail follows at the next heartbeat:
+	// two heartbeats after the heal the follower holds the leader's log.
 	c.down[lag] = false
-	c.run(60)
 	follower := c.nodes[lag]
+	const heartbeatTick = 2 // newClusterCfg's
+	c.run(2 * heartbeatTick)
+	if follower.lastIndex() != lead.lastIndex() {
+		t.Fatalf("follower at %d, leader at %d, two heartbeats after the heal",
+			follower.lastIndex(), lead.lastIndex())
+	}
+	c.run(60)
 	if follower.CommitIndex() < lead.SnapshotIndex() {
 		t.Fatalf("follower commit %d below snapshot %d", follower.CommitIndex(), lead.SnapshotIndex())
 	}
