@@ -27,3 +27,19 @@ func BenchmarkClusterVirtualSecond(b *testing.B) {
 		s.Sim.RunFor(simnet.Second)
 	}
 }
+
+// TestSettledSystemAllocationsPerVirtualSecond holds the benchmark's
+// cluster to an allocation ceiling per virtual second. The ceiling sits
+// between two measurements: 14,389 when every member decodes every
+// configuration commit, even one repeating the last, and 9,388 when a
+// repeat is skipped.
+func TestSettledSystemAllocationsPerVirtualSecond(t *testing.T) {
+	const ceiling = 11000
+	s := mustBootstrap(t, paperOpts(50, 1))
+	s.Sim.RunFor(500 * simnet.Millisecond)
+	got := testing.AllocsPerRun(3, func() { s.Sim.RunFor(simnet.Second) })
+	t.Logf("allocations per virtual second: %v", got)
+	if got > ceiling {
+		t.Fatalf("allocations per virtual second: %v, ceiling %d", got, ceiling)
+	}
+}

@@ -19,12 +19,12 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
-	"strings"
 
 	"repro/internal/directory"
 	"repro/internal/health"
@@ -154,8 +154,11 @@ type Peer struct {
 	fedHost *simnet.Host
 
 	// fedConfig is the FedAvg-layer member list most recently committed
-	// to the subgroup log (Sec. V-A1).
+	// to the subgroup log (Sec. V-A1). fedRaw holds the commit payload it
+	// was decoded from, nil when a snapshot set it: the leader commits
+	// the same members every 50 ms, and a repeat is not decoded again.
 	fedConfig []uint64
+	fedRaw    []byte
 	joined    bool
 	joinLoop  bool
 	cfgLoop   bool
@@ -654,14 +657,19 @@ func (s *System) wireSubgroupCallbacks(p *Peer) {
 		}
 	}
 	p.subHost.OnCommit = func(e raft.Entry) {
-		if e.Type != raft.EntryNormal || !strings.HasPrefix(string(e.Data), fedConfigPrefix) {
+		if e.Type != raft.EntryNormal || !bytes.HasPrefix(e.Data, []byte(fedConfigPrefix)) {
+			return
+		}
+		raw := e.Data[len(fedConfigPrefix):]
+		if p.fedRaw != nil && bytes.Equal(raw, p.fedRaw) {
 			return
 		}
 		var cfg fedConfigEntry
-		if err := json.Unmarshal(e.Data[len(fedConfigPrefix):], &cfg); err != nil {
+		if err := json.Unmarshal(raw, &cfg); err != nil {
 			return
 		}
 		p.fedConfig = cfg.Members
+		p.fedRaw = append(p.fedRaw[:0], raw...)
 	}
 	p.subHost.OnSnapshot = func(snap *raft.Snapshot) {
 		// Restore the state machine (the FedAvg-layer configuration)
@@ -672,6 +680,7 @@ func (s *System) wireSubgroupCallbacks(p *Peer) {
 		}
 		if len(cfg.Members) > 0 {
 			p.fedConfig = cfg.Members
+			p.fedRaw = nil
 		}
 	}
 }

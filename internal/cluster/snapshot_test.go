@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"encoding/json"
+	"slices"
 	"testing"
 
+	"repro/internal/raft"
 	"repro/internal/simnet"
 )
 
@@ -58,5 +61,37 @@ func TestRecoveryAfterCompaction(t *testing.T) {
 	}
 	if _, err := s.WaitJoined(newLeader, 30*simnet.Second); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A configuration commit whose bytes repeat the last one decoded is not
+// decoded again, so a snapshot that sets the configuration from its own
+// bytes must forget them: after A, snapshot(B), A the peer knows A.
+func TestSnapshotForgetsTheLastDecodedCommit(t *testing.T) {
+	s, err := New(paperOpts(50, 33))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := s.Peer(1)
+	commit := func(members []uint64) {
+		b, err := json.Marshal(fedConfigEntry{Members: members})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.subHost.OnCommit(raft.Entry{Type: raft.EntryNormal, Data: append([]byte(fedConfigPrefix), b...)})
+	}
+	a, b := []uint64{1, 6, 11}, []uint64{2, 7, 12, 17}
+	commit(a)
+	snap, err := json.Marshal(fedConfigEntry{Members: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.subHost.OnSnapshot(&raft.Snapshot{Data: snap})
+	if !slices.Equal(p.fedConfig, b) {
+		t.Fatalf("after snapshot(B) the peer knows %v, want %v", p.fedConfig, b)
+	}
+	commit(a)
+	if !slices.Equal(p.fedConfig, a) {
+		t.Fatalf("after A, snapshot(B), A the peer knows %v, want %v", p.fedConfig, a)
 	}
 }

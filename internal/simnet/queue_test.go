@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -12,10 +11,16 @@ import (
 // TestQueueMatchesStableSort runs random schedules — equal times, zero
 // and negative delays, events that schedule events while they run —
 // against a reference: the pending events kept in schedule order and
-// stable-sorted on their time, whose head is what must run next. After
-// every Step the queue's spare capacity holds no closure.
+// stable-sorted on their time, whose head is what must run next. The
+// schedules include bursts of 30 or more events on one instant, as the
+// hosts' tick chains make; events that schedule for now while their
+// instant drains; and delays a multiple of openSlots µs apart, whose
+// instants collide in the open table so a second bucket opens behind
+// the first. After every Step no bucket, in the heap or on the free
+// list, holds a closure outside its pending events.
 func TestQueueMatchesStableSort(t *testing.T) {
-	delays := []Duration{-2 * Millisecond, -1, 0, 0, 1, Millisecond, Millisecond, 2 * Millisecond, 15 * Millisecond}
+	delays := []Duration{-2 * Millisecond, -1, 0, 0, 1, openSlots, 2 * openSlots, Millisecond, Millisecond, Millisecond + openSlots, 2 * Millisecond, 15 * Millisecond}
+	sawBurst, sawTwin := false, false
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s := New()
@@ -31,39 +36,88 @@ func TestQueueMatchesStableSort(t *testing.T) {
 			if rng.Intn(4) == 0 {
 				d = Duration(rng.Intn(3000))
 			}
-			id := ids
-			ids++
-			ref = append(ref, pending{at: s.Now() + Time(max(d, 0)), id: id})
-			s.Schedule(d, func() {
-				ran = id
-				if depth < 4 {
-					for k := rng.Intn(4); k > 0; k-- {
-						schedule(depth + 1)
+			burst := 1
+			if depth == 0 && rng.Intn(8) == 0 {
+				burst = 30 + rng.Intn(10)
+			}
+			for ; burst > 0; burst-- {
+				id := ids
+				ids++
+				ref = append(ref, pending{at: s.Now() + Time(max(d, 0)), id: id})
+				s.Schedule(d, func() {
+					ran = id
+					if depth < 4 {
+						for k := rng.Intn(4); k > 0; k-- {
+							schedule(depth + 1)
+						}
 					}
-				}
-			})
+				})
+			}
 		}
 		for i := 0; i < 40; i++ {
 			schedule(0)
 		}
 		for steps := 0; len(ref) > 0; steps++ {
-			slices.SortStableFunc(ref, func(a, b pending) int { return cmp.Compare(a.at, b.at) })
-			want := ref[0]
-			ref = ref[1:]
+			// The head of the stable sort: the first pending event of
+			// the earliest time.
+			head := 0
+			for i, p := range ref {
+				if p.at < ref[head].at {
+					head = i
+				}
+			}
+			want := ref[head]
+			ref = slices.Delete(ref, head, head+1)
 			if !s.Step() {
 				t.Fatalf("seed %d step %d: queue empty with %d events due", seed, steps, len(ref)+1)
 			}
 			if ran != want.id || s.Now() != want.at {
 				t.Fatalf("seed %d step %d: ran event %d at %v, reference says %d at %v", seed, steps, ran, s.Now(), want.id, want.at)
 			}
-			for i, e := range s.events[len(s.events):cap(s.events)] {
-				if e.fn != nil {
-					t.Fatalf("seed %d step %d: spare slot %d still holds a closure", seed, steps, i)
+			if s.pending != len(ref) {
+				t.Fatalf("seed %d step %d: queue counts %d pending events, reference %d", seed, steps, s.pending, len(ref))
+			}
+			checkNoClosureRetained(t, s, seed, steps)
+			for i := range s.heap {
+				if sawBurst && sawTwin {
+					break
+				}
+				sawBurst = sawBurst || len(s.heap[i].b.fns) >= 30
+				for j := range i {
+					sawTwin = sawTwin || s.heap[j].at == s.heap[i].at
 				}
 			}
 		}
 		if s.Step() {
 			t.Fatalf("seed %d: queue ran an event the reference never scheduled", seed)
+		}
+	}
+	if !sawBurst || !sawTwin {
+		t.Fatalf("schedules never reached the shapes under test: a 30-event instant %v, two buckets on one instant %v", sawBurst, sawTwin)
+	}
+}
+
+// checkNoClosureRetained fails if any bucket holds a closure that has
+// already run or sits in spare capacity: every heap bucket outside
+// fns[head:len], and every free bucket up to its capacity.
+func checkNoClosureRetained(t *testing.T, s *Sim, seed int64, steps int) {
+	t.Helper()
+	for _, e := range s.heap {
+		b := e.b
+		for i, fn := range b.fns[:cap(b.fns)] {
+			if fn != nil && (i < b.head || i >= len(b.fns)) {
+				t.Fatalf("seed %d step %d: bucket at %v keeps a closure in slot %d outside [%d,%d)", seed, steps, b.at, i, b.head, len(b.fns))
+			}
+		}
+	}
+	for _, b := range s.free {
+		if b.at != -1 {
+			t.Fatalf("seed %d step %d: free bucket still claims instant %v", seed, steps, b.at)
+		}
+		for i, fn := range b.fns[:cap(b.fns)] {
+			if fn != nil {
+				t.Fatalf("seed %d step %d: free bucket keeps a closure in slot %d", seed, steps, i)
+			}
 		}
 	}
 }
@@ -101,12 +155,42 @@ func TestRestartWithinATickArmsOneLoop(t *testing.T) {
 		}
 	}
 	sim.RunFor(50 * Millisecond)
-	if len(sim.events) != 1 {
-		t.Fatalf("one host has %d pending tick events, want 1", len(sim.events))
+	if sim.pending != 1 {
+		t.Fatalf("one host has %d pending tick events, want 1", sim.pending)
 	}
 	if got := Duration(ledAt - restarted); got != 10*Millisecond {
 		t.Fatalf("10-tick election timeout fired after %v ms, want 10", got.Ms())
 	}
+}
+
+// TestQueueHoldsInstantsNotEvents pins the premise of bucketing the
+// queue by instant: in a led, idle five-node group on the paper's 15 ms
+// network, every pending event lies within one delivery latency of now
+// and on the tick grid, so the heap never holds more than that many
+// tick intervals' worth of instants (plus the one draining and a
+// margin), while the events outnumber the hosts — each host's tick
+// chain alone keeps one pending.
+func TestQueueHoldsInstantsNotEvents(t *testing.T) {
+	sim := New()
+	g := newGroupCluster(t, sim, 5, 48, 96, 15*Millisecond, 3)
+	if !sim.RunWhileNot(func() bool { return g.Leader() != raft.None }, Time(5*Second)) {
+		t.Fatal("no leader")
+	}
+	maxInstants := int(15*Millisecond/g.TickInterval) + 2
+	most := 0
+	for end := sim.Now() + Time(Second); sim.Now() < end; {
+		if !sim.Step() {
+			t.Fatal("queue ran dry")
+		}
+		if len(sim.heap) > maxInstants {
+			t.Fatalf("at %v ms the heap holds %d instants, want ≤ %d", sim.Now().Ms(), len(sim.heap), maxInstants)
+		}
+		if sim.pending < len(g.hosts) {
+			t.Fatalf("at %v ms %d events are pending for %d hosts", sim.Now().Ms(), sim.pending, len(g.hosts))
+		}
+		most = max(most, sim.pending)
+	}
+	t.Logf("most pending: %d events", most)
 }
 
 // TestIdleGroupAllocatesPerMessageNotPerTick holds a led, idle five-node

@@ -35,29 +35,95 @@ func (t Time) Ms() float64 { return float64(t) / 1000 }
 // Ms renders a Duration as fractional milliseconds.
 func (d Duration) Ms() float64 { return float64(d) / 1000 }
 
-type event struct {
-	at  Time
-	seq uint64 // tie-break so same-time events run in schedule order
-	fn  func()
+// bucket is the FIFO of events scheduled for one instant. Appending in
+// schedule order is the queue's tie-break, so running a bucket front to
+// back is ascending (time, schedule order) with no per-event key.
+type bucket struct {
+	at   Time // −1 once retired
+	fns  []func()
+	head int // next event to run
 }
 
-// before is the queue's one ordering: ascending (at, seq). seq is unique,
-// so the order is total and equal-seed runs replay event for event.
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
+// instant is a heap entry: a bucket under its time and the order it was
+// opened in. Two buckets share an instant only after a collision in the
+// open table; the older one runs first.
+type instant struct {
+	at     Time
+	opened uint64
+	b      *bucket
+}
+
+func (a *instant) before(o *instant) bool {
+	if a.at != o.at {
+		return a.at < o.at
 	}
-	return e.seq < o.seq
+	return a.opened < o.opened
 }
 
-// eventQueue is a binary min-heap of events on before, written on the
-// slice itself: no interface call per level and no boxing per push or
-// pop.
-type eventQueue []event
+// openSlots sizes the open table: the newest open bucket for each
+// at & (openSlots−1).
+const openSlots = 64
 
-func (q *eventQueue) push(e event) {
-	h := append(*q, e)
-	*q = h
+// Sim is the discrete-event scheduler. It is not safe for concurrent use:
+// all event handlers run on the caller's goroutine, which is what makes
+// runs deterministic.
+//
+// Events are kept in buckets per instant, and the binary min-heap orders
+// the buckets: when events share instants — every host's tick chain
+// fires on the same virtual millisecond — most schedules append to an
+// open bucket and most steps pop from the front one, touching no heap.
+type Sim struct {
+	now     Time
+	heap    []instant
+	open    [openSlots]*bucket
+	free    []*bucket
+	opened  uint64
+	pending int // events scheduled and not yet run
+}
+
+// New creates an empty simulation at time zero.
+func New() *Sim { return &Sim{} }
+
+// Now returns the current virtual time.
+func (s *Sim) Now() Time { return s.now }
+
+// Schedule runs fn after the given delay (clamped to ≥ 0).
+func (s *Sim) Schedule(after Duration, fn func()) {
+	if after < 0 {
+		after = 0
+	}
+	at := s.now + Time(after)
+	slot := &s.open[at&(openSlots-1)]
+	b := *slot
+	if b == nil || b.at != at {
+		// No open bucket for at, or it was displaced from the table by
+		// another instant: open a new one. An older bucket for at stays
+		// in the heap ahead of this one and receives nothing more.
+		b = s.openBucket(at)
+		*slot = b
+	}
+	b.fns = append(b.fns, fn)
+	s.pending++
+}
+
+func (s *Sim) openBucket(at Time) *bucket {
+	var b *bucket
+	if n := len(s.free); n > 0 {
+		b = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+	} else {
+		b = &bucket{}
+	}
+	b.at = at
+	s.opened++
+	s.pushInstant(instant{at: at, opened: s.opened, b: b})
+	return b
+}
+
+func (s *Sim) pushInstant(e instant) {
+	h := append(s.heap, e)
+	s.heap = h
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -70,18 +136,16 @@ func (q *eventQueue) push(e event) {
 	h[i] = e
 }
 
-// pop removes and returns the earliest event. The vacated slot is
-// cleared so the queue keeps no reference to a closure it has handed out.
-func (q *eventQueue) pop() event {
-	h := *q
-	top := h[0]
+// popInstant removes the heap's front entry.
+func (s *Sim) popInstant() {
+	h := s.heap
 	n := len(h) - 1
 	e := h[n]
-	h[n] = event{}
+	h[n] = instant{}
 	h = h[:n]
-	*q = h
+	s.heap = h
 	if n == 0 {
-		return top
+		return
 	}
 	i := 0
 	for {
@@ -99,48 +163,37 @@ func (q *eventQueue) pop() event {
 		i = child
 	}
 	h[i] = e
-	return top
-}
-
-// Sim is the discrete-event scheduler. It is not safe for concurrent use:
-// all event handlers run on the caller's goroutine, which is what makes
-// runs deterministic.
-type Sim struct {
-	now    Time
-	seq    uint64
-	events eventQueue
-}
-
-// New creates an empty simulation at time zero.
-func New() *Sim { return &Sim{} }
-
-// Now returns the current virtual time.
-func (s *Sim) Now() Time { return s.now }
-
-// Schedule runs fn after the given delay (clamped to ≥ 0).
-func (s *Sim) Schedule(after Duration, fn func()) {
-	if after < 0 {
-		after = 0
-	}
-	s.seq++
-	s.events.push(event{at: s.now + Time(after), seq: s.seq, fn: fn})
 }
 
 // Step executes the next event; false when the queue is empty.
+//
+// The event's slot is cleared before it runs, so the queue keeps no
+// closure it has handed out, and a bucket whose last event this is
+// retires first: an event the handler schedules for now opens a new
+// bucket behind it.
 func (s *Sim) Step() bool {
-	if len(s.events) == 0 {
+	if len(s.heap) == 0 {
 		return false
 	}
-	e := s.events.pop()
-	s.now = e.at
-	e.fn()
+	b := s.heap[0].b
+	fn := b.fns[b.head]
+	b.fns[b.head] = nil
+	b.head++
+	s.now = b.at
+	if b.head == len(b.fns) {
+		s.popInstant()
+		b.at, b.fns, b.head = -1, b.fns[:0], 0
+		s.free = append(s.free, b)
+	}
+	s.pending--
+	fn()
 	return true
 }
 
 // RunUntil processes events until the virtual clock reaches t (events at
 // exactly t still run) or the queue empties.
 func (s *Sim) RunUntil(t Time) {
-	for len(s.events) > 0 && s.events[0].at <= t {
+	for len(s.heap) > 0 && s.heap[0].at <= t {
 		s.Step()
 	}
 	if s.now < t {
@@ -155,7 +208,7 @@ func (s *Sim) RunFor(d Duration) { s.RunUntil(s.now + Time(d)) }
 // limit; it reports whether cond was met.
 func (s *Sim) RunWhileNot(cond func() bool, limit Time) bool {
 	for !cond() {
-		if len(s.events) == 0 || s.events[0].at > limit {
+		if len(s.heap) == 0 || s.heap[0].at > limit {
 			return false
 		}
 		s.Step()
