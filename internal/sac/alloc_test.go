@@ -12,8 +12,10 @@ import (
 // The allocation pin of the default path: with Config.Scratch nil a warm
 // Run borrows its whole working set, so what a call allocates is the one
 // vector that escapes (Result.Avg, 8·dim bytes) plus bookkeeping — under
-// 2·8·dim, where storing every share before summing it cost about
-// 20·8·dim at this shape.
+// 2·8·dim, where allocating a vector for every share before summing it
+// cost about 20·8·dim at this shape. The shares a peer holds until the
+// round ends sit in the working set's share blocks or in the fabric's
+// recycled receive vectors.
 
 const (
 	pinN, pinK, pinDim = 3, 2, 65_536

@@ -14,7 +14,7 @@ import (
 // messages no honest run produces — one a peer addresses to itself, one
 // for an index its receiver does not hold, one from a contributor whose
 // turn it is not — and requires the round to be bit-identical to a clean
-// one, with all three counted invalid: in turn i a receiver folds only
+// one, with all three counted invalid: in turn i a receiver keeps only
 // shares from i, for indices it holds, and nothing in its own turn.
 func TestForgedSharesNeverReachASubtotal(t *testing.T) {
 	const n, k, dim = 4, 3, 6
@@ -251,13 +251,13 @@ func FuzzPeerStep(f *testing.F) {
 			res, err := h.peers[h.collector()].Finish()
 			for j := range h.peers {
 				h.pump(j)
-				// No double count: a running subtotal never holds more folds
-				// than there were contributors, and every turn ended either
-				// folded or dropped, once.
+				// No double count: a subtotal sums one held share per
+				// contributor, a dropped turn leaves none held, and every turn
+				// ended either kept or dropped, once.
 				p := &h.peers[j]
-				for a, folds := range p.folds {
-					if folds > len(p.contributors) {
-						t.Fatalf("peer %d folded %d shares into subtotal %d with %d contributors", j, folds, a, len(p.contributors))
+				for _, i := range p.excluded {
+					if slices.ContainsFunc(p.held[i*p.r:(i+1)*p.r], func(v []float64) bool { return v != nil }) {
+						t.Fatalf("peer %d still holds a share of dropped turn %d", j, i)
 					}
 				}
 				if turns := append(slices.Clone(p.contributors), p.excluded...); !slices.Equal(sorted(turns), allPeers(n)) {

@@ -171,7 +171,7 @@ func observe(res *Result, err error, counter *transport.Counter, wire uint64) or
 
 // oracleModels draws bounded models whose first coordinate is −0.0 at
 // every peer, so every subtotal's first coordinate is a sum of negative
-// zeros: +0 when it starts from zero, −0 had the first fold been a copy.
+// zeros: +0 when it starts from zero, −0 had the sum started from a copy.
 func oracleModels(r *rand.Rand, n int) [][]float64 {
 	models := boundedModels(r, n, oracleDim, oracleBound)
 	for _, m := range models {

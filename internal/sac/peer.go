@@ -26,8 +26,9 @@ import (
 // know — whose turn it is, the randomness it divides with, who is down,
 // whether another receiver caught the contributor — comes from the
 // driver (see Run). No field of a Peer is read or written by another
-// Peer; the peers of a Scratch share one piece of memory, the share
-// block, which only the contributor of the turn in progress touches.
+// Peer; on an in-memory mesh a receiver reads the shares it holds from
+// their sender's share block, which only that sender writes, at its
+// turn.
 type Peer struct {
 	cfg        Config
 	id, r, dim int
@@ -36,24 +37,26 @@ type Peer struct {
 	block *shareBlock // where p's model is divided at its turn
 	idx   []int       // one receiver's replica set, while p addresses its shares
 
-	// slot[s] is the running subtotal that sums share index s here, −1
-	// when p does not hold s. acc is those r subtotals, dim floats each, in
-	// secretshare.ReplicaIndices order; folds counts the contributors folded
-	// into each this round, and a zero count is what makes the first fold
-	// overwrite whatever the last round left.
-	slot  []int
-	acc   []float64
-	folds []int
+	// slot[s] is where share index s is held here, −1 when p does not
+	// hold s. held[i*r+a] is contributor i's share of the index in slot
+	// a, kept from i's turn to the end of the round: a received payload,
+	// or at p's own turn a view of its block. acc is p's r subtotals,
+	// dim floats each, in secretshare.ReplicaIndices order; summed[a] is
+	// set once acc's slot a sums this round's contributors, which happens
+	// the first time somebody needs it (see subtotal). terms is the
+	// list subtotal hands the sum, kept across rounds.
+	slot   []int
+	held   [][]float64
+	acc    []float64
+	summed []bool
+	terms  [][]float64
 
-	// pending holds the turn's screened share per subtotal until the turn
-	// ends: hold, then fold all or none.
-	pending [][]float64
-	turn    int    // the contributor whose turn it is, −1 between turns
-	caught  bool   // p's range guard caught this turn's contributor
-	sealed  bool   // the share exchange is over
-	down    []bool // peers the failure detector has reported
+	turn   int    // the contributor whose turn it is, −1 between turns
+	caught bool   // p's range guard caught this turn's contributor
+	sealed bool   // the share exchange is over
+	down   []bool // peers the failure detector has reported
 
-	contributors []int // turns p folded, ascending
+	contributors []int // turns p kept, ascending
 	excluded     []int // turns p dropped on some receiver's accusation
 	accusations  []int // turns p's own guard caught
 
@@ -86,16 +89,17 @@ type shareBlock struct {
 // served another shape re-provisions itself.
 func (p *Peer) Begin(id int, cfg Config, dim int) error {
 	if p.id != id || p.cfg.N != cfg.N || p.cfg.K != cfg.K || p.dim != dim {
-		held, err := secretshare.ReplicaIndices(id, cfg.N, cfg.K)
+		idx, err := secretshare.ReplicaIndices(id, cfg.N, cfg.K)
 		if err != nil {
 			return err
 		}
 		// The share block stays: one lent by a Scratch is the Scratch's.
-		*p = Peer{id: id, r: len(held), dim: dim, block: p.block, slot: make([]int, cfg.N),
-			acc: make([]float64, len(held)*dim), folds: make([]int, len(held)),
-			pending: make([][]float64, len(held)), down: make([]bool, cfg.N)}
+		r := len(idx)
+		*p = Peer{id: id, r: r, dim: dim, block: p.block, slot: make([]int, cfg.N),
+			held: make([][]float64, cfg.N*r), acc: make([]float64, r*dim), summed: make([]bool, r),
+			down: make([]bool, cfg.N)}
 		for s := range p.slot {
-			p.slot[s] = slices.Index(held, s)
+			p.slot[s] = slices.Index(idx, s)
 		}
 	}
 	if p.block == nil {
@@ -116,7 +120,7 @@ func (p *Peer) Begin(id int, cfg Config, dim int) error {
 	for s := range p.asked {
 		p.asked[s] = -1
 	}
-	clear(p.folds)
+	clear(p.summed)
 	clear(p.down)
 	p.turn, p.caught, p.sealed, p.audit = -1, false, false, auditState{}
 	p.contributors, p.excluded, p.accusations = p.contributors[:0], p.excluded[:0], p.accusations[:0]
@@ -128,10 +132,12 @@ func (p *Peer) Begin(id int, cfg Config, dim int) error {
 // handing the received payloads among them to done. The shares a
 // contributor retained point into its own block and stay out of it.
 func (p *Peer) end() {
-	if p.turn != p.id {
-		p.release(p.pending...)
+	for i := 0; i*p.r < len(p.held); i++ {
+		if i != p.id {
+			p.release(p.held[i*p.r : (i+1)*p.r]...)
+		}
 	}
-	clear(p.pending)
+	clear(p.held)
 	p.release(p.got...)
 	clear(p.got)
 	clear(p.cands[:cap(p.cands)])
@@ -206,7 +212,7 @@ func (p *Peer) Contribute(model []float64, rng *rand.Rand) error {
 		for t, s := range p.idx {
 			switch {
 			case j == p.id:
-				p.pending[t] = shares[s] // local retention — no traffic
+				p.held[p.id*p.r+t] = shares[s] // local retention — no traffic
 			case p.byz == ByzCorruptShares:
 				// Each receiver gets its own perturbed copy; the true share
 				// stays only with the sender.
@@ -252,8 +258,11 @@ func (p *Peer) Step(m transport.Message) {
 	case m.Kind == KindSubtotal || m.Kind == KindRecovery:
 		ok = p.stepSubtotal(m)
 	case m.Kind == KindRecoveryReq:
-		sub := p.subtotal(m.ShareIdx)
-		if ok = p.cfg.Mode == ModeLeader && m.From == p.cfg.Leader && len(m.Payload) == 1 && sub != nil; ok {
+		var sub []float64 // summed only for a request p may answer
+		if p.cfg.Mode == ModeLeader && m.From == p.cfg.Leader && len(m.Payload) == 1 {
+			sub = p.subtotal(m.ShareIdx)
+		}
+		if ok = sub != nil; ok {
 			p.send(m.From, KindRecovery, m.ShareIdx, sub)
 			p.release(m.Payload)
 		}
@@ -266,50 +275,44 @@ func (p *Peer) Step(m transport.Message) {
 	}
 }
 
-// stepShare screens one share of the turn and holds it in pending;
-// nothing is added to a subtotal until EndTurn.
+// stepShare screens one share of the turn and holds it; whether it is
+// kept is EndTurn's to decide.
 func (p *Peer) stepShare(m transport.Message) bool {
 	if m.From != p.turn || !p.isIndex(m.ShareIdx) || p.slot[m.ShareIdx] < 0 || len(m.Payload) != p.dim {
 		return false
 	}
 	// Range guard: an honest share is a fraction of its model, so a
 	// too-large share is provably forged; none of the contributor's shares
-	// will be folded.
+	// will be kept.
 	p.caught = p.caught || p.outOfRange(m.Payload)
-	a := p.slot[m.ShareIdx]
-	p.release(p.pending[a])
-	p.pending[a] = m.Payload
+	h := &p.held[p.turn*p.r+p.slot[m.ShareIdx]]
+	p.release(*h)
+	*h = m.Payload
 	return true
 }
 
 // Caught is p's verdict on the turn's contributor.
 func (p *Peer) Caught() bool { return p.caught }
 
-// EndTurn closes the turn. With fold, every held share — what p
-// accepted and, at the contributor, what it retained — is added to its
-// running subtotal; without, none is, at any receiver, so no subtraction
-// is ever needed. fold is false when any receiver's Caught is true: the
-// driver tells p so at the turn barrier, where the protocol proper would
-// have the accusations travel inside the turn. Received payloads are
-// released at once; the contributor's own never went through the mesh.
+// EndTurn closes the turn. With fold, every share p holds of it — what
+// p accepted and, at the contributor, what it retained — is kept until
+// the round ends, to be summed into its subtotal when that is needed;
+// without, none is, at any receiver, so no subtraction is ever needed.
+// fold is false when any receiver's Caught is true: the driver tells p
+// so at the turn barrier, where the protocol proper would have the
+// accusations travel inside the turn. A dropped turn's received payloads
+// are released at once; the contributor's own never went through the
+// mesh.
 func (p *Peer) EndTurn(fold bool) {
 	fold = fold && !p.caught
-	for a, share := range p.pending {
-		if share == nil {
-			continue
-		}
-		p.pending[a] = nil
-		if fold {
-			foldInto(p.acc[a*p.dim:(a+1)*p.dim], share, p.folds[a] == 0)
-			p.folds[a]++
-		}
-		if p.turn != p.id {
-			p.release(share)
-		}
-	}
 	if fold {
 		p.contributors = append(p.contributors, p.turn)
 	} else {
+		turn := p.held[p.turn*p.r : (p.turn+1)*p.r]
+		if p.turn != p.id {
+			p.release(turn...)
+		}
+		clear(turn)
 		p.excluded = append(p.excluded, p.turn)
 	}
 	if p.caught {
@@ -318,30 +321,14 @@ func (p *Peer) EndTurn(fold bool) {
 	p.turn, p.caught = -1, false
 }
 
-// foldInto adds share to the running subtotal acc. The first fold of a
-// round writes 0 + v over whatever the last round left there: the same
-// bits as adding into a zeroed vector (0 + (−0) is +0, which a bare copy
-// would get wrong) without the pass that zeroes it.
-func foldInto(acc, share []float64, first bool) {
-	acc = acc[:len(share)]
-	if first {
-		for x, v := range share {
-			acc[x] = 0 + v
-		}
-		return
-	}
-	for x, v := range share {
-		acc[x] += v
-	}
-}
-
 // Seal ends the share exchange at p. It publishes its range guard's
 // detections, once: a metadata-sized message per accused contributor, in
-// ascending order, to every peer not known down. Its subtotals are final
-// and a collector starts accepting subtotals. A subtotal liar corrupts
-// them in place, after honest computation, every index it reports — its
-// own and the replicas it backs — so the lie reaches both the trusting
-// (plain) and the cross-checking (guarded) collection paths.
+// ascending order, to every peer not known down. Its contributors are
+// final and a collector starts accepting subtotals. A subtotal liar sums
+// every index it holds — its own and the replicas it backs — and
+// corrupts the subtotals in place, after honest computation, so the lie
+// reaches both the trusting (plain) and the cross-checking (guarded)
+// collection paths.
 func (p *Peer) Seal() {
 	for _, accused := range p.accusations {
 		p.sendAll(KindAccuse, accused, []float64{float64(accused)})
@@ -366,15 +353,75 @@ func (p *Peer) Seal() {
 func (p *Peer) collects() bool { return p.cfg.Mode == ModeBroadcast || p.id == p.cfg.Leader }
 
 // subtotal returns p's subtotal of share index s, or nil when it has
-// none to report: p is not sealed, does not hold s, or did not fold
-// every contributor's share of it.
+// none to report: p is not sealed, does not hold s, or does not hold
+// every contributor's share of it. The first call of a round sums the
+// held shares, contributors ascending, so a subtotal nobody asks for is
+// never summed.
 func (p *Peer) subtotal(s int) []float64 {
-	if !p.sealed || !p.isIndex(s) || p.slot[s] < 0 || len(p.contributors) == 0 ||
-		p.folds[p.slot[s]] != len(p.contributors) {
+	if !p.sealed || !p.isIndex(s) || p.slot[s] < 0 || len(p.contributors) == 0 {
 		return nil
 	}
 	a := p.slot[s]
-	return p.acc[a*p.dim : (a+1)*p.dim : (a+1)*p.dim]
+	sub := p.acc[a*p.dim : (a+1)*p.dim : (a+1)*p.dim]
+	if p.summed[a] {
+		return sub
+	}
+	terms := p.terms[:0]
+	for _, i := range p.contributors {
+		if p.held[i*p.r+a] == nil {
+			return nil
+		}
+		terms = append(terms, p.held[i*p.r+a])
+	}
+	sum(sub, terms)
+	clear(terms)
+	p.terms, p.summed[a] = terms[:0], true
+	return sub
+}
+
+// sum writes 0 + terms[0] + terms[1] + … into dst, left to right, in one
+// pass over dst: each tile of it takes up to three terms per sweep while
+// it is in L1. Per coordinate those are the additions, in the order, of
+// adding each term in a pass of its own into a zeroed vector; the first
+// sweep writes 0 + v over whatever dst held, so −0 sums to +0 without a
+// pass that zeroes it.
+func sum(dst []float64, terms [][]float64) {
+	for lo := 0; lo < len(dst); lo += tile {
+		d := dst[lo:min(lo+tile, len(dst))]
+		for t := 0; t < len(terms); t += 3 {
+			a := terms[t][lo:][:len(d)]
+			switch left := len(terms) - t; {
+			case left >= 3 && t == 0:
+				b, c := terms[t+1][lo:][:len(d)], terms[t+2][lo:][:len(d)]
+				for x := range d {
+					d[x] = 0 + a[x] + b[x] + c[x]
+				}
+			case left >= 3:
+				b, c := terms[t+1][lo:][:len(d)], terms[t+2][lo:][:len(d)]
+				for x := range d {
+					d[x] = d[x] + a[x] + b[x] + c[x]
+				}
+			case left == 2 && t == 0:
+				b := terms[t+1][lo:][:len(d)]
+				for x := range d {
+					d[x] = 0 + a[x] + b[x]
+				}
+			case left == 2:
+				b := terms[t+1][lo:][:len(d)]
+				for x := range d {
+					d[x] = d[x] + a[x] + b[x]
+				}
+			case t == 0:
+				for x := range d {
+					d[x] = 0 + a[x]
+				}
+			default:
+				for x := range d {
+					d[x] += a[x]
+				}
+			}
+		}
+	}
 }
 
 // Report sends p's subtotal of share index s to whoever collects it:

@@ -384,10 +384,12 @@ func TestTiledFinishMatchesUntiled(t *testing.T) {
 		for _, dim := range tileEdgeDims {
 			h := newHandRound(t, tc.cfg, dim, nil)
 			h.shares(randModels(rand.New(rand.NewSource(int64(dim))), tc.cfg.N, dim), rand.New(rand.NewSource(91)))
+			// A subtotal is summed when first asked for, over whatever its
+			// slot held, so the values are planted after that.
 			for j := range h.peers {
 				p := &h.peers[j]
 				for s, a := range p.slot {
-					if a >= 0 {
+					if a >= 0 && p.subtotal(s) != nil {
 						plant(p.acc[a*dim:(a+1)*dim], s)
 					}
 				}
@@ -409,6 +411,116 @@ func TestTiledFinishMatchesUntiled(t *testing.T) {
 			if dim > 1 && math.Float64bits(got.Avg[0]) != 0 {
 				t.Fatalf("%s dim %d: an all −0 coordinate averaged to %v, want +0", tc.name, dim, got.Avg[0])
 			}
+		}
+	}
+}
+
+// foldInto is the subtotal loop as it was while shares were folded as
+// they arrived, kept as sum's reference: one contributor's share added
+// into the running subtotal in a pass of its own. The first fold of a
+// round writes 0 + v over whatever the last round left there.
+func foldInto(acc, share []float64, first bool) {
+	acc = acc[:len(share)]
+	if first {
+		for x, v := range share {
+			acc[x] = 0 + v
+		}
+		return
+	}
+	for x, v := range share {
+		acc[x] += v
+	}
+}
+
+// TestSumMatchesFoldByFold: sum, which walks its destination in tiles
+// and adds up to three shares a sweep, gives the fold-by-fold subtotal
+// bit for bit. It is checked for 1–7 contributors, so every remainder of
+// the three-share sweep falls on a first sweep and on a later one, at
+// every tileEdgeDims size, with −0, ±Inf and NaN planted around every
+// tile edge of every share — rotated per share, so +Inf meets −Inf — and
+// over a destination full of last round's values. A one-contributor slot
+// of −0 sums to +0.
+func TestSumMatchesFoldByFold(t *testing.T) {
+	for _, dim := range tileEdgeDims {
+		rng := rand.New(rand.NewSource(int64(dim)))
+		for n := 1; n <= 7; n++ {
+			terms := randModels(rng, n, dim)
+			for i, v := range terms {
+				plant(v, i)
+			}
+			want := make([]float64, dim)
+			for i, v := range terms {
+				foldInto(want, v, i == 0)
+			}
+			got := randModels(rng, 1, dim)[0]
+			sum(got, terms)
+			for x := range want {
+				if !sameBits(got[x], want[x]) {
+					t.Fatalf("dim %d, %d contributors: sum[%d] = %v, fold by fold %v", dim, n, x, got[x], want[x])
+				}
+			}
+		}
+		negZero, got := make([]float64, dim), randModels(rng, 1, dim)[0]
+		for x := range negZero {
+			negZero[x] = math.Copysign(0, -1)
+		}
+		sum(got, [][]float64{negZero})
+		for x, v := range got {
+			if math.Float64bits(v) != 0 {
+				t.Fatalf("dim %d: a lone −0 share summed to %v at %d, want +0", dim, v, x)
+			}
+		}
+	}
+}
+
+// TestUnaskedReplicaIsNeverSummed: a subtotal is summed when somebody
+// needs it and not before. In a (3,2) round led by peer 0, peer j holds
+// indices j and j+1 (mod 3); the leader sums 0 and 1 itself and is sent
+// 2 by its owner, so of the six slots three are summed, and none by the
+// time every peer has sealed, nor for a recovery request from a peer
+// that is not the leader. With owner 2 down once the shares are over,
+// the leader asks peer 1, the first replica holder, for index 2: peer 1
+// then sums that slot and nothing else, and peer 2 sums nothing.
+func TestUnaskedReplicaIsNeverSummed(t *testing.T) {
+	const dim = 5
+	cfg := Config{N: 3, K: 2, Mode: ModeLeader, Leader: 0}
+	summed := func(h *handRound) (got [][2]int) { // (peer, share index)
+		for j := range h.peers {
+			p := &h.peers[j]
+			for s, a := range p.slot {
+				if a >= 0 && p.summed[a] {
+					got = append(got, [2]int{j, s})
+				}
+			}
+		}
+		return got
+	}
+	for _, tc := range []struct {
+		name string
+		kill int // −1 for none
+		want [][2]int
+	}{
+		{"fault-free", -1, [][2]int{{0, 0}, {0, 1}, {2, 2}}},
+		{"owner 2 down", 2, [][2]int{{0, 0}, {0, 1}, {1, 2}}},
+	} {
+		h := newHandRound(t, cfg, dim, nil)
+		h.shares(randModels(rand.New(rand.NewSource(95)), cfg.N, dim), rand.New(rand.NewSource(96)))
+		if !h.step(transport.Message{From: 2, To: 1, Kind: KindRecoveryReq, ShareIdx: 1, Payload: []float64{1}}) {
+			t.Fatalf("%s: peer 1 answered a recovery request from a peer that does not lead", tc.name)
+		}
+		if got := summed(h); len(got) != 0 {
+			t.Fatalf("%s: slots %v summed by the end of the share exchange, want none", tc.name, got)
+		}
+		if tc.kill >= 0 {
+			h.kill(tc.kill)
+		}
+		h.report()
+		res := h.finish()
+		if got := summed(h); !slices.Equal(got, tc.want) {
+			t.Fatalf("%s: slots %v summed, want %v", tc.name, got, tc.want)
+		}
+		if tc.kill >= 0 && !slices.Equal(res.Recovered, []int{tc.kill}) {
+			t.Fatalf("%s: recovered %v, want [%d]", tc.name, res.Recovered, tc.kill)
 		}
 	}
 }

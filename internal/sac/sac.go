@@ -9,10 +9,11 @@
 // computation → subtotal exchange → recovery → average) and peers may
 // crash at phase boundaries, which is exactly the failure model of the
 // paper's Fig. 3 — a peer that "drops out during aggregation" has sent
-// its shares but not its subtotal. The first two phases are fused:
-// contributors take turns in ascending order, and each receiver adds a
-// turn's shares to its running subtotals as they arrive, so a peer holds
-// its n−k+1 subtotals and never the shares.
+// its shares but not its subtotal. Contributors take turns in ascending
+// order and each receiver holds a turn's shares until the round ends; a
+// subtotal is summed from them the first time somebody needs it — its
+// report, a recovery request, the collector's average — so a replica
+// that no owner's crash calls for is never summed.
 //
 // Traffic flows through a transport.Mesh, so every byte is accounted and
 // the measured cost can be checked against the paper's closed forms:
@@ -226,7 +227,7 @@ func newSACTel(reg *telemetry.Registry) sacTel {
 // turn, so draws come in one fixed order), the crash plan, who is alive
 // (mesh.Alive, the round's perfect failure detector, told to the peers
 // through Peer.Down), and the barrier ending a turn, where the receivers'
-// verdicts on the contributor are OR-ed so that all fold its shares or
+// verdicts on the contributor are OR-ed so that all keep its shares or
 // none does. Only the driver touches the mesh.
 func Run(mesh transport.Network, cfg Config, models [][]float64, crash CrashPlan) (*Result, error) {
 	if err := cfg.validate(); err != nil {
@@ -391,8 +392,8 @@ func (d *driver) run(models [][]float64) (*Result, error) {
 	n, k := d.cfg.N, d.cfg.K
 	t0 := d.tel.reg.Now()
 
-	// Phases 1–2 — share exchange and subtotal computation, fused (Alg. 2
-	// lines 2–6 / Alg. 4 lines 2–13).
+	// Phases 1–2 — share exchange (Alg. 2 lines 2–6 / Alg. 4 lines 2–13);
+	// each subtotal is computed when phase 3 first needs it.
 	d.exchangeShares(models)
 	kept := d.contributed - d.excluded
 	switch {
@@ -427,15 +428,16 @@ func (d *driver) run(models [][]float64) (*Result, error) {
 }
 
 // exchangeShares runs the share exchange one contributor at a time, in
-// ascending order: contributor i divides its model into the share block
-// and sends, and every receiver screens what arrived and — at the
-// barrier, once all have — adds it into its running subtotals before
-// contributor i+1 overwrites the block. Turn i completes before turn
-// i+1 starts, so each subtotal sums its contributors in ascending order
-// whatever the fabric does — the summation order the results are pinned
-// to. Afterwards the peers seal: every accuser tells every alive peer
-// whom its range guard caught, in accuser-major order, and the copies
-// are read at once so later phases see clean inboxes.
+// ascending order: contributor i divides its model into its own share
+// block and sends, and every receiver screens what arrived and — at the
+// barrier, once all have — keeps the turn's shares or drops them all.
+// Turn i completes before turn i+1 starts and a subtotal sums its held
+// shares in the order their turns were kept, so each subtotal sums its
+// contributors in ascending order whatever the fabric does — the
+// summation order the results are pinned to. Afterwards the peers seal:
+// every accuser tells every alive peer whom its range guard caught, in
+// accuser-major order, and the copies are read at once so later phases
+// see clean inboxes.
 func (d *driver) exchangeShares(models [][]float64) {
 	for i := 0; i < len(d.peers) && d.err == nil; i++ {
 		if !d.sharing(i) {
@@ -445,9 +447,10 @@ func (d *driver) exchangeShares(models [][]float64) {
 		d.peers[i].BeginTurn(i)
 		d.fail(d.peers[i].Contribute(models[i], d.rng))
 		d.flush(i, d.tel.sharesSent)
-		// The barrier: every receiver has screened before any folds, and
-		// one accusation is everybody's. Here the driver sees all verdicts at
-		// once; peers that sent accusations inside the turn would not need it.
+		// The barrier: every receiver has screened before any keeps a
+		// share, and one accusation is everybody's. Here the driver sees
+		// all verdicts at once; peers that sent accusations inside the
+		// turn would not need it.
 		fold := true
 		for j := range d.peers {
 			if d.sharing(j) {

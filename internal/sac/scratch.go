@@ -4,17 +4,19 @@ import "sync"
 
 // Scratch is the memory of one process's rounds, keyed by the round
 // shape (N, K, dim) and re-provisioned when it changes: the N Peers a
-// round steps, each owning its N−K+1 running subtotals and its per-round
-// bookkeeping (see Peer), and the one N·dim share block they divide into
-// (fed to Divider.DivideInto) — peers on one host take turns, so one
-// block serves them all, where a Peer on its own has its own. One Scratch
-// serves a sequence of same-shaped aggregations — the steady state of
-// federated training — allocating nothing but Result.Avg per round.
+// round steps, each owning its N−K+1 subtotals and its per-round
+// bookkeeping (see Peer), and one N·dim share block per contributor
+// (fed to Divider.DivideInto). A receiver holds the shares it is sent
+// until the round ends, and on an in-memory mesh those are views of the
+// sender's block, so no block may serve two contributors of one round.
+// One Scratch serves a sequence of same-shaped aggregations — the steady
+// state of federated training — allocating nothing but Result.Avg per
+// round.
 //
 // Every aggregation runs on a Scratch. Config.Scratch names one the
 // caller owns; with Config.Scratch nil Run borrows a spare working set
 // from a package-level list and gives it back when it returns. That
-// list keeps at most two idle sets, each N·(N−K+2)·dim floats of the
+// list keeps at most two idle sets, each N·(2N−K+1)·dim floats of the
 // shape it last ran, for the life of the process. A caller that runs
 // its SACs one after the other borrows (core.System: SplitPeers yields
 // at most two subgroup shapes); one that runs many at once passes its
@@ -24,17 +26,16 @@ import "sync"
 // before it is read and Result.Avg is always freshly allocated, so
 // results are bit-identical on a new, a reused and a borrowed Scratch.
 // The one sharp edge is aliasing. Share payloads sent through an
-// in-memory mesh point into the share block, which the next
-// contributor's turn overwrites, and subtotal payloads point into the
-// running subtotals, which the next round overwrites: a Mesh.Observe
-// callback (or anything else that sees a payload in flight) must copy
-// what it keeps. A Scratch must not be shared by two concurrent
-// aggregations.
+// in-memory mesh point into the sender's share block, which its next
+// round overwrites, and subtotal payloads point into the subtotals,
+// which the next round overwrites: a Mesh.Observe callback (or anything
+// else that sees a payload in flight) must copy what it keeps. A
+// Scratch must not be shared by two concurrent aggregations.
 //
 // The zero value is ready to use; pass it via Config.Scratch.
 type Scratch struct {
 	n, k, dim int
-	block     shareBlock
+	blocks    []shareBlock // one per contributor
 	peers     []Peer
 }
 
@@ -42,10 +43,10 @@ type Scratch struct {
 // models; a shape change starts over from the zero value.
 func (s *Scratch) begin(cfg Config, dim int) error {
 	if s.n != cfg.N || s.k != cfg.K || s.dim != dim {
-		*s = Scratch{n: cfg.N, k: cfg.K, dim: dim, peers: make([]Peer, cfg.N)}
+		*s = Scratch{n: cfg.N, k: cfg.K, dim: dim, blocks: make([]shareBlock, cfg.N), peers: make([]Peer, cfg.N)}
 	}
 	for j := range s.peers {
-		s.peers[j].block = &s.block
+		s.peers[j].block = &s.blocks[j]
 		if err := s.peers[j].Begin(j, cfg, dim); err != nil {
 			return err
 		}

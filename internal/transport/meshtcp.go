@@ -194,8 +194,8 @@ func (m *TCPMesh) getVec(n int) []float64 {
 // receive path draws its destination vectors from. The list is sized by
 // what the callers have had outstanding: the mesh counts the vectors it
 // has delivered to an inbox and not yet seen recycled, and keeps up to
-// that count's high-water mark — (n−1)(n−k+1) for a SAC that folds its
-// shares a contributor at a time, whatever n and k are — none longer
+// that count's high-water mark — n(n−1)(n−k+1) for a SAC, whose peers
+// hold every share they are sent until the round ends — none longer
 // than the longest payload this mesh has delivered. Anything beyond
 // that, or shorter than minRecycle, is left to the garbage collector. A
 // caller that drops drained payloads instead of recycling them raises

@@ -10,11 +10,11 @@ import (
 )
 
 // TestTCPMeshFreeListCoversASACTurn runs the real consumer over the
-// free list: a SAC that folds its shares a contributor at a time has
-// (n−1)(n−k+1) receive vectors in flight — 4 at (3,2), 12 at (5,3), 3 at
-// (4,4) — and recycles all of them before the next turn. The list is
-// sized by that high-water mark, so after two warm rounds a third takes
-// every receive vector off the list and allocates none.
+// free list: a SAC's peers hold every share they are sent until the
+// round ends, n(n−1)(n−k+1) receive vectors — 12 at (3,2), 60 at (5,3),
+// 12 at (4,4) — and recycle all of them before the next round. The list
+// is sized by that high-water mark, so after two warm rounds a third
+// takes every receive vector off the list and allocates none.
 func TestTCPMeshFreeListCoversASACTurn(t *testing.T) {
 	const dim = 9001 // above the free list's 8192-float floor
 	for _, shape := range []struct{ n, k int }{{3, 2}, {5, 3}, {4, 4}} {
@@ -39,8 +39,8 @@ func TestTCPMeshFreeListCoversASACTurn(t *testing.T) {
 					t.Fatalf("round %d: %v", round, err)
 				}
 				if fresh := mesh.FreshVectors() - before; round == 2 && fresh != 0 {
-					t.Fatalf("the third round allocated %d receive vectors; the free list should have held all %d a turn needs",
-						fresh, (shape.n-1)*(shape.n-shape.k+1))
+					t.Fatalf("the third round allocated %d receive vectors; the free list should have held all %d a round needs",
+						fresh, shape.n*(shape.n-1)*(shape.n-shape.k+1))
 				}
 			}
 		})
