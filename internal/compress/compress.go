@@ -56,9 +56,8 @@ type Bound struct {
 	Kept, Dim int
 }
 
-// maxAbs returns max_i |w_i| (0 for an empty vector). Exact max is
-// order-independent, so the panel split cannot change the result; the
-// panel maxima are combined in ascending panel order regardless.
+// maxAbs returns max_i |w_i| (0 for an empty vector), in one serial
+// pass.
 func maxAbs(w []float64) float64 {
 	m := 0.0
 	for _, v := range w {
@@ -143,35 +142,53 @@ func Dequantize(q wire.QuantDelta, dst []float64) []float64 {
 // value order exactly like its magnitude.
 const signBit = 1 << 63
 
-// selectDigitBits is the radix of kthMagnitude: 2048 counters (8 KiB of
-// stack) per pass, six passes over the 64 bits.
-const selectDigitBits = 11
+// selectDigitBits is the radix of kthMagnitude: 8,192 counters (32 KiB
+// of stack) per pass, five passes over the 63 magnitude bits (13, 13,
+// 13, 13, then 11). The first digit is the 11 exponent bits and the top
+// two mantissa bits, so one pass places the k-th magnitude within a
+// quarter octave.
+const selectDigitBits = 13
 
 // kthMagnitude returns the bit pattern t of the k-th largest |w_i|
 // (1 ≤ k ≤ len(w)) and how many of the coordinates whose magnitude is
 // exactly t belong to the top k. It is a most-significant-digit radix
 // selection on the magnitude bits: each pass histograms one digit of
 // the coordinates that still match the digits already fixed, then walks
-// the histogram from the top to the bucket holding the k-th. Cost is
-// Θ(dim) for every input (no pivot to be unlucky with), with no scratch
-// beyond the histogram. NaNs order above +Inf by their bits.
-func kthMagnitude(w []float64, k int) (t uint64, ties int) {
+// the histogram from the top to the bucket holding the k-th. Once that
+// bucket fits in cap(buf), a pass also copies the coordinates it admits
+// into buf, and the next pass reads buf instead of w — in place, since
+// the write index never passes the read index. On a top-k upload the
+// first pass's bucket already fits in k (50,579 of 625,429 coordinates
+// at k = 62,543 on agg_compress's mean of three uniforms), so w is read
+// twice and the last three passes read almost nothing. Cost is Θ(dim)
+// for every input (no pivot to be unlucky with), with no scratch beyond
+// the histogram and buf. NaNs order above +Inf by their bits.
+func kthMagnitude(w []float64, k int, buf []float64) (t uint64, ties int) {
 	var prefix uint64
 	remaining := uint32(k)
-	for hi := 64; hi > 0; {
+	src, n := w, len(w) // n of src's coordinates match prefix
+	for hi := 63; hi > 0; {
 		lo := max(hi-selectDigitBits, 0)
 		mask := uint64(1)<<(hi-lo) - 1
 		var hist [1 << selectDigitBits]uint32
-		for _, v := range w {
-			// A shift by 64 yields 0, so the first pass admits everything.
+		keep, out := n <= cap(buf), buf[:0]
+		for _, v := range src {
+			// Bit 63 is masked, so the first pass admits everything.
 			if b := math.Float64bits(v) &^ signBit; b>>hi == prefix {
 				hist[b>>lo&mask]++
+				if keep {
+					out = append(out, v)
+				}
 			}
+		}
+		if keep {
+			src = out
 		}
 		d := mask
 		for ; hist[d] < remaining; d-- {
 			remaining -= hist[d]
 		}
+		n = int(hist[d])
 		prefix = prefix<<(hi-lo) | d
 		hi = lo
 	}
@@ -186,10 +203,13 @@ func kthMagnitude(w []float64, k int) (t uint64, ties int) {
 // the kept values. k is clamped to [0, len(w)].
 //
 // The work is a selection, not a sort: kthMagnitude finds the k-th
-// largest magnitude t, then one ascending scan keeps every coordinate
-// above t plus the first few equal to it — which yields the kept
-// indices already in ascending order — and accounts the dropped ones.
-// Θ(dim) time, and only the 12·k bytes of output are allocated.
+// largest magnitude t, using the still-empty value output as its
+// survivor buffer, then one ascending scan keeps every coordinate above
+// t plus the first few equal to it — which yields the kept indices
+// already in ascending order — and accounts the dropped ones. That is
+// three reads of w when the selection's first bucket fits in k (six at
+// worst, when it never does), Θ(dim) time, and only the 12·k bytes of
+// output are allocated.
 // MeasuredL2Err sums the dropped coordinates in ascending index order
 // (then, for quantized values, the kept ones in ascending index order).
 func Sparsify(w []float64, k, width int) (wire.SparseDelta, Bound, error) {
@@ -206,11 +226,12 @@ func Sparsify(w []float64, k, width int) (wire.SparseDelta, Bound, error) {
 	// Nothing is kept when k = 0: no magnitude reaches the threshold.
 	t, ties := uint64(math.MaxUint64), 0
 	var idx []int32
+	kept := make([]float64, 0, k)
 	if k > 0 {
-		t, ties = kthMagnitude(w, k)
+		// kept is not filled yet, so the selection may use it as buf.
+		t, ties = kthMagnitude(w, k, kept)
 		idx = make([]int32, 0, k)
 	}
-	kept := make([]float64, 0, k)
 	b := Bound{Kept: k, Dim: dim}
 	// Dropped coordinates reconstruct to zero, so each errs by its
 	// magnitude; the largest of them bounds every zeroed coordinate.

@@ -19,17 +19,7 @@ import (
 func sparsifySorted(w []float64, k, width int) (wire.SparseDelta, Bound) {
 	dim := len(w)
 	k = min(max(k, 0), dim)
-	order := make([]int32, dim)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		va, vb := math.Abs(w[order[a]]), math.Abs(w[order[b]])
-		if va != vb {
-			return va > vb
-		}
-		return order[a] < order[b]
-	})
+	order := magnitudeOrder(w)
 	idx := append([]int32(nil), order[:k]...)
 	sort.Slice(idx, func(a, b int) bool { return idx[a] < idx[b] })
 	s := wire.SparseDelta{Dim: dim, Idx: idx, Width: width}
@@ -53,6 +43,23 @@ func sparsifySorted(w []float64, k, width int) (wire.SparseDelta, Bound) {
 	b.MaxCoordErr += qb.MaxCoordErr
 	b.MeasuredMaxErr = math.Max(b.MeasuredMaxErr, qb.MeasuredMaxErr)
 	return s, b
+}
+
+// magnitudeOrder is the reference's strict order: every index of w by
+// |w| descending, then index ascending.
+func magnitudeOrder(w []float64) []int32 {
+	order := make([]int32, len(w))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.Slice(order, func(a, b int) bool {
+		va, vb := math.Abs(w[order[a]]), math.Abs(w[order[b]])
+		if va != vb {
+			return va > vb
+		}
+		return order[a] < order[b]
+	})
+	return order
 }
 
 // selectionInputs are the shapes a selection can get wrong: heavy ties
@@ -121,6 +128,66 @@ func TestSparsifyMatchesSortedReference(t *testing.T) {
 				}
 				if l2 = math.Sqrt(l2); !math.IsInf(gb.MeasuredL2Err, 0) && math.Abs(gb.MeasuredL2Err-l2) > 1e-9*(1+l2) {
 					t.Fatalf("%s k=%d width=%d: MeasuredL2Err %g, recomputed %g", name, k, width, gb.MeasuredL2Err, l2)
+				}
+			}
+		}
+	}
+}
+
+// meanOfUniforms is a subgroup average's shape: each coordinate the mean
+// of m uniforms in [−1, 1).
+func meanOfUniforms(dim, m int, seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	w := make([]float64, dim)
+	for i := range w {
+		for j := 0; j < m; j++ {
+			w[i] += 2*rng.Float64() - 1
+		}
+		w[i] /= float64(m)
+	}
+	return w
+}
+
+// TestKthMagnitudeWithAnyBufferMatchesSort pins the selection's
+// (t, ties) to the sorted order whatever buffer it is lent: capacity 0
+// or 1 (the survivors never fit, or only in the last passes), one short
+// of the first pass's bucket (they fit from a later pass), the bucket
+// itself (they fit after the first pass) and k. The buffer starts full
+// of NaNs, which order above every input here, so a pass that read it
+// before writing it would count them.
+func TestKthMagnitudeWithAnyBufferMatchesSort(t *testing.T) {
+	inputs := selectionInputs()
+	inputs["mean-of-3"] = meanOfUniforms(10_000, 3, 21)
+	inputs["mean-of-15"] = meanOfUniforms(10_003, 15, 22)
+	const firstShift = 63 - selectDigitBits
+	for name, w := range inputs {
+		order := magnitudeOrder(w)
+		dim := len(w)
+		for _, k := range []int{1, 2, dim / 10, dim / 2, dim} {
+			if k < 1 {
+				continue
+			}
+			want := math.Float64bits(w[order[k-1]]) &^ signBit
+			wantTies, bucket := 0, 0
+			for _, i := range order[:k] {
+				if math.Float64bits(w[i])&^signBit == want {
+					wantTies++
+				}
+			}
+			for _, v := range w {
+				if (math.Float64bits(v)&^signBit)>>firstShift == want>>firstShift {
+					bucket++
+				}
+			}
+			for _, c := range []int{0, 1, bucket - 1, bucket, k} {
+				buf := make([]float64, c)
+				for i := range buf {
+					buf[i] = math.NaN()
+				}
+				got, ties := kthMagnitude(w, k, buf[:0])
+				if got != want || ties != wantTies {
+					t.Fatalf("%s k=%d cap(buf)=%d (bucket %d): t=%#x ties=%d, sort says t=%#x ties=%d",
+						name, k, c, bucket, got, ties, want, wantTies)
 				}
 			}
 		}

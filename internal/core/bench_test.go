@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/compress"
 	"repro/internal/costmodel"
 	"repro/internal/sac"
 	"repro/internal/transport"
@@ -42,27 +43,44 @@ func BenchmarkMultiLayerAggregateWorkers4(b *testing.B) { benchMultiLayerAggrega
 // "small" is 30 peers in six 3-of-5 subgroups at 16,384 weights. "paper"
 // is bench's agg_mem round: 15 peers as 5×3, k = 2, at the paper CNN's
 // 1,250,858 weights, where every round the last peer of a rotating
-// subgroup crashes AfterShares and forces a replica recovery. Profile the
-// aggregation data plane with
+// subgroup crashes AfterShares and forces a replica recovery. "topk" is
+// bench's agg_compress round: the same 15 peers at half the weights,
+// models uniform in [−1, 1), no crash, and the FedAvg legs top-k 0.1
+// compressed. Profile the aggregation data plane with
 //
 //	go test -run '^$' -bench 'AggregateRound/paper' -cpuprofile cpu.out ./internal/core
+//
+// and the compressed one with 'AggregateRound/topk'.
 func BenchmarkAggregateRound(b *testing.B) {
 	for _, c := range []struct {
 		name     string
 		sizes    []int
 		k, dim   int
 		rotating bool // crash the last peer of subgroup i mod m AfterShares in round i
+		comp     compress.Config
 	}{
-		{"small", []int{5, 5, 5, 5, 5, 5}, 3, 1 << 14, false},
-		{"paper", []int{3, 3, 3, 3, 3}, 2, costmodel.PaperCNNParams, true},
+		{"small", []int{5, 5, 5, 5, 5, 5}, 3, 1 << 14, false, compress.Config{}},
+		{"paper", []int{3, 3, 3, 3, 3}, 2, costmodel.PaperCNNParams, true, compress.Config{}},
+		{"topk", []int{3, 3, 3, 3, 3}, 2, costmodel.PaperCNNParams / 2, false, compress.Config{Scheme: compress.TopK, Frac: 0.1}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			n := 0
 			for _, size := range c.sizes {
 				n += size
 			}
-			models := randModels(rand.New(rand.NewSource(5)), n, c.dim)
-			sys, err := NewSystem(Config{Sizes: c.sizes, K: []int{c.k}}, rand.New(rand.NewSource(6)))
+			r := rand.New(rand.NewSource(5))
+			models := make([][]float64, n)
+			for i := range models {
+				models[i] = make([]float64, c.dim)
+				for j := range models[i] {
+					if c.comp.Enabled() {
+						models[i][j] = 2*r.Float64() - 1
+					} else {
+						models[i][j] = r.NormFloat64()
+					}
+				}
+			}
+			sys, err := NewSystem(Config{Sizes: c.sizes, K: []int{c.k}, Compression: c.comp}, rand.New(rand.NewSource(6)))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -4,9 +4,11 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/compress"
+	"repro/internal/wire"
 )
 
 // runRound builds a fresh system with the given compression config and
@@ -143,5 +145,122 @@ func TestCompressionConfigValidated(t *testing.T) {
 	_, err = NewSystem(Config{Sizes: []int{3}, Compression: compress.Config{Scheme: compress.TopK, Frac: 2}}, nil)
 	if err == nil {
 		t.Fatal("invalid top-k fraction accepted")
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameRound reports whether two round results carry bit-identical
+// models, bounds and byte counts.
+func sameRound(a, b *RoundResult) bool {
+	if !sameBits(a.Global, b.Global) || len(a.SubgroupAvgs) != len(b.SubgroupAvgs) ||
+		a.Bytes != b.Bytes || !reflect.DeepEqual(a.GlobalBound, b.GlobalBound) {
+		return false
+	}
+	for g := range a.SubgroupAvgs {
+		if !sameBits(a.SubgroupAvgs[g], b.SubgroupAvgs[g]) {
+			return false
+		}
+	}
+	return true
+}
+
+// roundAlloc returns the bytes one warm round of sys allocates.
+func roundAlloc(t *testing.T, sys *System, models [][]float64) uint64 {
+	t.Helper()
+	for i := 0; i < 2; i++ { // warm the SAC working sets and decode vectors
+		if _, err := sys.AggregateRound(models, RoundSpec{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err := sys.AggregateRound(models, RoundSpec{})
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m1.TotalAlloc - m0.TotalAlloc
+}
+
+// TestCompressedRoundKeepsItsDecodeVectors pins the FedAvg leader's
+// decode vectors: a warm top-k round allocates nothing dim-sized per
+// upload on top of the uncompressed round (only the 12·k bytes of each
+// of the five sparse blocks), no result of a round aliases them, and a
+// system reconfigured to more subgroups rounds exactly like a fresh one.
+func TestCompressedRoundKeepsItsDecodeVectors(t *testing.T) {
+	const dim = 20_000
+	sizes3, sizes5 := []int{3, 3, 3}, []int{3, 3, 3, 3, 3}
+	cc := compress.Config{Scheme: compress.TopK, Frac: 0.1}
+	newSys := func(sizes []int, comp compress.Config, seed int64) (*System, *rand.Rand) {
+		rng := rand.New(rand.NewSource(seed))
+		sys, err := NewSystem(Config{Sizes: sizes, K: []int{2}, Compression: comp}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys, rng
+	}
+	models := func(n int, seed int64) [][]float64 { return randModels(rand.New(rand.NewSource(seed)), n, dim) }
+
+	m15 := models(15, 1)
+	plain, _ := newSys(sizes5, compress.Config{}, 2)
+	topk, _ := newSys(sizes5, cc, 2)
+	blocks := int64(len(sizes5) * wire.SparseBlockSize(0, cc.Kept(dim))) // four uploads, one global
+	slack := int64(8 * dim / 4)                                          // a quarter of one decoded upload
+	if extra := int64(roundAlloc(t, topk, m15)) - int64(roundAlloc(t, plain, m15)); extra > blocks+slack {
+		t.Fatalf("a warm top-k round allocates %d bytes more than an uncompressed one; its sparse blocks are %d (one decoded upload is %d)",
+			extra, blocks, 8*dim)
+	}
+
+	// Round r's results survive round r+1 on other models.
+	first, err := topk.AggregateRound(models(15, 3), RoundSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := &RoundResult{Global: append([]float64(nil), first.Global...), Bytes: first.Bytes}
+	for _, avg := range first.SubgroupAvgs {
+		kept.SubgroupAvgs = append(kept.SubgroupAvgs, append([]float64(nil), avg...))
+	}
+	b := *first.GlobalBound
+	kept.GlobalBound = &b
+	if _, err := topk.AggregateRound(models(15, 4), RoundSpec{}); err != nil {
+		t.Fatal(err)
+	}
+	if !sameRound(first, kept) {
+		t.Fatal("the next round rewrote an earlier round's result")
+	}
+
+	// Three subgroups grow to five: the two new ones get decode vectors,
+	// the three old ones are overwritten in place.
+	grown, rng := newSys(sizes3, cc, 5)
+	if _, err := grown.AggregateRound(models(9, 6), RoundSpec{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := grown.Reconfigure(sizes5, []int{2}); err != nil {
+		t.Fatal(err)
+	}
+	rng.Seed(7)
+	fresh, _ := newSys(sizes5, cc, 7)
+	got, err := grown.AggregateRound(models(15, 8), RoundSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.AggregateRound(models(15, 8), RoundSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameRound(got, want) {
+		t.Fatal("a compressed round after Reconfigure differs from the same round on a fresh system")
 	}
 }

@@ -175,6 +175,11 @@ type System struct {
 	// resets it to exactly the stream a fresh rand.NewSource(seed) gives
 	// without allocating a ~4.9 KB source per subgroup per round.
 	sacRngs []*rand.Rand
+	// decoded[g] receives subgroup g's compressed upload as the FedAvg
+	// leader reconstructs it. Only the aggregator reads it, and an
+	// fl.Aggregator returns a vector of its own, so no result aliases it
+	// and the next round overwrites it in place.
+	decoded [][]float64
 }
 
 // sysTel holds the system's pre-resolved round-lifecycle handles (nil
@@ -219,15 +224,19 @@ func NewSystem(cfg Config, rng *rand.Rand) (*System, error) {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-	return &System{cfg: cfg, counter: transport.NewCounter(), rng: rng, tel: newSysTel(cfg.Telemetry), sacRngs: resizeRngs(nil, len(cfg.Sizes))}, nil
+	s := &System{cfg: cfg, counter: transport.NewCounter(), rng: rng, tel: newSysTel(cfg.Telemetry)}
+	s.resize(len(cfg.Sizes))
+	return s, nil
 }
 
-// resizeRngs resizes rngs to one per subgroup.
-func resizeRngs(rngs []*rand.Rand, m int) []*rand.Rand {
-	for len(rngs) < m {
-		rngs = append(rngs, rand.New(rand.NewSource(0)))
+// resize gives the system one SAC rng and one decode vector for each of
+// m subgroups.
+func (s *System) resize(m int) {
+	for len(s.sacRngs) < m {
+		s.sacRngs = append(s.sacRngs, rand.New(rand.NewSource(0)))
+		s.decoded = append(s.decoded, nil)
 	}
-	return rngs[:m]
+	s.sacRngs, s.decoded = s.sacRngs[:m], s.decoded[:m]
 }
 
 // Reconfigure applies a membership change between rounds: the subgroup
@@ -247,7 +256,7 @@ func (s *System) Reconfigure(sizes, k []int) error {
 		return err
 	}
 	s.cfg = next
-	s.sacRngs = resizeRngs(s.sacRngs, len(next.Sizes))
+	s.resize(len(next.Sizes))
 	return nil
 }
 
@@ -500,13 +509,15 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 			if g != fedLeader {
 				if s.cfg.Compression.Enabled() {
 					// The upload crosses the wire compressed; the FedAvg
-					// leader aggregates what it can reconstruct. The
-					// leader's own model never leaves the process.
+					// leader aggregates what it can reconstruct, into the
+					// vector it keeps for the subgroup. The leader's own
+					// model never leaves the process.
 					d, cerr := s.cfg.Compression.Compress(model)
 					if cerr != nil {
 						return nil, cerr
 					}
-					model = d.Dense(nil)
+					s.decoded[g] = d.Dense(s.decoded[g])
+					model = s.decoded[g]
 				}
 				s.counter.Record(KindUpload, msgBytes)
 			}

@@ -12,6 +12,9 @@ import (
 // outlier subgroup models.
 type Aggregator interface {
 	// Aggregate combines models with per-model weights (sample counts).
+	// It returns a vector of its own: it neither returns nor keeps any
+	// of models, so a caller may overwrite them once it returns (core's
+	// FedAvg leader decodes every round's uploads into the same vectors).
 	Aggregate(models [][]float64, counts []float64) ([]float64, error)
 	// Name identifies the rule for logs.
 	Name() string

@@ -145,3 +145,47 @@ func TestAggregatorsAgreeOnCleanData(t *testing.T) {
 		}
 	}
 }
+
+// TestAggregatorsReturnVectorsOfTheirOwn pins Aggregator's contract for
+// every rule, one model or several: writing all over the result leaves
+// the inputs alone, and writing all over the inputs leaves the result
+// alone.
+func TestAggregatorsReturnVectorsOfTheirOwn(t *testing.T) {
+	const outPoison, inPoison = 1e300, -1e300
+	rng := rand.New(rand.NewSource(3))
+	for _, agg := range []Aggregator{FedAvg{}, CoordinateMedian{}, TrimmedMean{Trim: 0.2}} {
+		for _, n := range []int{1, 5} {
+			models := make([][]float64, n)
+			counts := make([]float64, n)
+			for i := range models {
+				models[i] = make([]float64, 8, 12)
+				for j := range models[i] {
+					models[i][j] = rng.NormFloat64()
+				}
+				counts[i] = float64(i + 1)
+			}
+			out, err := agg.Aggregate(models, counts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := out[:cap(out)]
+			for j := range full {
+				full[j] = outPoison
+			}
+			for i, m := range models {
+				m = m[:cap(m)]
+				for j, v := range m {
+					if v == outPoison {
+						t.Fatalf("%s over %d models: writing the result changed model %d", agg.Name(), n, i)
+					}
+					m[j] = inPoison
+				}
+			}
+			for _, v := range out {
+				if v != outPoison {
+					t.Fatalf("%s over %d models: writing the inputs changed the result", agg.Name(), n)
+				}
+			}
+		}
+	}
+}
