@@ -333,51 +333,22 @@ func TestEveryOptionIsSetByAProgram(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module and the standard library from source")
 	}
-	out, err := exec.Command("go", "list", "-deps", "-f",
-		`{{if not .Standard}}{{.ImportPath}}{{"\t"}}{{.Dir}}{{"\t"}}{{join .GoFiles " "}}{{end}}`, "./...").Output()
-	if err != nil {
-		t.Fatalf("go list: %v", err)
-	}
-	fset := token.NewFileSet()
-	imp := moduleImporter{std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*types.Package{}}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
-	var files []*ast.File
+	m := loadModule(t)
+	info := m.info
 	options := map[*types.Var]string{} // field → "pkg.Type.Field"
-	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-		f := strings.SplitN(line, "\t", 3)
-		if len(f) != 3 || f[2] == "" {
-			continue // a package of test files only
-		}
-		var pkgFiles []*ast.File
-		for _, name := range strings.Fields(f[2]) {
-			file, err := parser.ParseFile(fset, filepath.Join(f[1], name), nil, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pkgFiles = append(pkgFiles, file)
-		}
-		pkg, err := (&types.Config{Importer: imp}).Check(f[0], fset, pkgFiles, info)
-		if err != nil {
-			t.Fatalf("type-check %s: %v", f[0], err)
-		}
-		imp.pkgs[f[0]] = pkg
-		files = append(files, pkgFiles...)
-		if !strings.HasPrefix(f[0], "repro/internal/") {
+	for _, pkg := range m.pkgs {
+		if !strings.HasPrefix(pkg.Path(), "repro/internal/") {
 			continue
 		}
 		for _, name := range pkg.Scope().Names() {
 			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
-			if !ok || !tn.Exported() || !isOptionType(f[0], name) {
+			if !ok || !tn.Exported() || !isOptionType(pkg.Path(), name) {
 				continue
 			}
 			st, ok := tn.Type().Underlying().(*types.Struct)
 			for i := 0; ok && i < st.NumFields(); i++ {
 				if fld := st.Field(i); fld.Exported() {
-					options[fld] = f[0] + "." + name + "." + fld.Name()
+					options[fld] = pkg.Path() + "." + name + "." + fld.Name()
 				}
 			}
 		}
@@ -395,7 +366,7 @@ func TestEveryOptionIsSetByAProgram(t *testing.T) {
 			}
 		}
 	}
-	for _, file := range files {
+	for _, file := range m.files {
 		for _, decl := range file.Decls {
 			if fn, ok := decl.(*ast.FuncDecl); ok && (fn.Name.Name == "normalize" || fn.Name.Name == "validate") {
 				continue // defaulting a field is not setting it
@@ -439,7 +410,7 @@ func TestEveryOptionIsSetByAProgram(t *testing.T) {
 			t.Errorf("unsetKept entry %s is now set by a program; drop it", name)
 		}
 		if !set[fld] && unsetKept[name] == "" {
-			unset = append(unset, fmt.Sprintf("%s: %s", fset.Position(fld.Pos()), name))
+			unset = append(unset, fmt.Sprintf("%s: %s", m.fset.Position(fld.Pos()), name))
 		}
 	}
 	slices.Sort(unset)
@@ -465,6 +436,115 @@ func isOptionType(pkg, name string) bool {
 		}
 	}
 	return pkg == "repro/internal/chaos" && name == "Campaign"
+}
+
+// module is the module's non-test code — internal/, cmd/, examples/ and
+// bench/ — type-checked from source: one object per declaration across
+// the module, its packages in dependency order.
+type module struct {
+	fset  *token.FileSet
+	info  *types.Info
+	files []*ast.File
+	pkgs  []*types.Package
+}
+
+// loadModule type-checks the module's non-test files and the standard
+// library from source.
+func loadModule(t *testing.T) module {
+	t.Helper()
+	out, err := exec.Command("go", "list", "-deps", "-f",
+		`{{if not .Standard}}{{.ImportPath}}{{"\t"}}{{.Dir}}{{"\t"}}{{join .GoFiles " "}}{{end}}`, "./...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	m := module{
+		fset: token.NewFileSet(),
+		info: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+	}
+	imp := moduleImporter{std: importer.ForCompiler(m.fset, "source", nil), pkgs: map[string]*types.Package{}}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		f := strings.SplitN(line, "\t", 3)
+		if len(f) != 3 || f[2] == "" {
+			continue // a package of test files only
+		}
+		var pkgFiles []*ast.File
+		for _, name := range strings.Fields(f[2]) {
+			file, err := parser.ParseFile(m.fset, filepath.Join(f[1], name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pkgFiles = append(pkgFiles, file)
+		}
+		pkg, err := (&types.Config{Importer: imp}).Check(f[0], m.fset, pkgFiles, m.info)
+		if err != nil {
+			t.Fatalf("type-check %s: %v", f[0], err)
+		}
+		imp.pkgs[f[0]] = pkg
+		m.files = append(m.files, pkgFiles...)
+		m.pkgs = append(m.pkgs, pkg)
+	}
+	return m
+}
+
+// TestEveryInterfaceHasTwoImplementations is the guard behind "an
+// abstraction earns its keep": every exported interface declared in
+// non-test code under internal/ is implemented by at least two named
+// non-interface types of the module's non-test code (cmd/, examples/
+// and bench/ included), by value or by pointer. An interface with one
+// implementation is that type's method set with a second name; take
+// the type instead.
+func TestEveryInterfaceHasTwoImplementations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the module and the standard library from source")
+	}
+	m := loadModule(t)
+	var ifaces []*types.TypeName
+	var named []*types.Named
+	for _, obj := range m.info.Defs {
+		tn, ok := obj.(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		n, ok := tn.Type().(*types.Named)
+		switch {
+		case !ok || n.TypeParams().Len() > 0:
+		case !types.IsInterface(n):
+			named = append(named, n)
+		case tn.Exported() && tn.Parent() == tn.Pkg().Scope() && strings.HasPrefix(tn.Pkg().Path(), "repro/internal/"):
+			ifaces = append(ifaces, tn)
+		}
+	}
+	if len(ifaces) < 5 || len(named) < 200 {
+		t.Fatalf("found %d interfaces and %d named types; the guard is not looking at the tree", len(ifaces), len(named))
+	}
+	slices.SortFunc(ifaces, func(a, b *types.TypeName) int {
+		return strings.Compare(a.Pkg().Path()+"."+a.Name(), b.Pkg().Path()+"."+b.Name())
+	})
+	var census []string
+	for _, tn := range ifaces {
+		iface := tn.Type().Underlying().(*types.Interface)
+		if !iface.IsMethodSet() {
+			continue // a type constraint, not a method set
+		}
+		var impls []string
+		for _, n := range named {
+			if types.Implements(n, iface) || types.Implements(types.NewPointer(n), iface) {
+				impls = append(impls, n.Obj().Pkg().Name()+"."+n.Obj().Name())
+			}
+		}
+		slices.Sort(impls)
+		name := tn.Pkg().Name() + "." + tn.Name()
+		census = append(census, fmt.Sprintf("%s %d", name, len(impls)))
+		if len(impls) < 2 {
+			t.Errorf("%s: interface %s has %d implementation(s) %v: take the type instead", m.fset.Position(tn.Pos()), name, len(impls), impls)
+		}
+	}
+	t.Logf("implementations per interface: %s", strings.Join(census, ", "))
 }
 
 // moduleImporter hands the type checker the module's packages it has
@@ -526,15 +606,6 @@ var kept = func() map[string]string {
 		"tensor.(*Tensor).offset", "tensor.(*Tensor).Sum", "tensor.(*Tensor).Norm2", "tensor.Equal", "tensor.AllClose")
 	keep("roadmap item 7: the mask divider is what seeded shares start from",
 		"secretshare.MaskDivider.Name", "secretshare.MaskDivider.Divide", "secretshare.MaskDivider.DivideInto")
-	// The floor lets one PR retire only a few tests, and each of these is
-	// pinned by tests of its own: ROADMAP item 6 lists them as the rest of
-	// PR 20's sweep, to be deleted with those tests.
-	keep("roadmap item 6: unlinked substrate still to delete, with the tests that pin it",
-		"optim.NewSGD", "optim.(*SGD).Name", "optim.(*SGD).Step", "optim.(*Adam).Reset",
-		"costmodel.QuantBlockBytes", "costmodel.SparseBlockBytes",
-		"core.(*Config).PeerSubgroup", "core.(*MultiLayerTopology).Subgroups",
-		"tensor.SameShape", "tensor.Add", "tensor.Sub", "tensor.Mul", "tensor.Scaled", "tensor.(*Tensor).AddInPlace",
-		"tensor.(*Tensor).SubInPlace", "tensor.(*Tensor).Scale", "tensor.(*Tensor).Apply", "tensor.(*Tensor).Max", "tensor.(*Tensor).ArgMax")
 	return m
 }()
 

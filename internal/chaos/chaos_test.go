@@ -102,7 +102,7 @@ func TestBrokenInvariantCaughtMinimizedReplayed(t *testing.T) {
 	// "No node's term ever exceeds 3" is false under any schedule with
 	// leader churn — a stand-in for a real protocol bug with a known
 	// fault-dependent trigger.
-	lowTerm := NewChecker("max-term", func(v View) []string {
+	lowTerm := Checker{Name: "max-term", Check: func(v View) []string {
 		var out []string
 		for _, n := range v.Nodes {
 			if n.Term > 3 {
@@ -110,7 +110,7 @@ func TestBrokenInvariantCaughtMinimizedReplayed(t *testing.T) {
 			}
 		}
 		return out
-	})
+	}}
 	c := Campaign{Seed: 5, Steps: 24, Mix: CrashHeavyMix, Nodes: 5, SACRounds: -1,
 		extraCheckers: []Checker{lowTerm}}
 

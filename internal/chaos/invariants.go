@@ -34,25 +34,11 @@ type View struct {
 	Nodes []NodeView
 }
 
-// Checker is a user-supplied invariant. Check returns one description
-// per breach it observes in the view (nil/empty when the invariant
-// holds).
-type Checker interface {
-	Name() string
-	Check(v View) []string
-}
-
-type funcChecker struct {
-	name string
-	fn   func(View) []string
-}
-
-func (c funcChecker) Name() string          { return c.name }
-func (c funcChecker) Check(v View) []string { return c.fn(v) }
-
-// NewChecker wraps a function as a named Checker.
-func NewChecker(name string, fn func(View) []string) Checker {
-	return funcChecker{name: name, fn: fn}
+// Checker is a named invariant. Check returns one description per
+// breach it observes in the view (nil/empty when the invariant holds).
+type Checker struct {
+	Name  string
+	Check func(v View) []string
 }
 
 // maxViolations caps the report so a badly broken run stays readable.
@@ -243,7 +229,7 @@ func (l *ledger) checkCommittedAgreement(atUs int64, group string, nodes []*raft
 func (l *ledger) runExtra(checkers []Checker, v View) {
 	for _, c := range checkers {
 		for _, d := range c.Check(v) {
-			l.violate(v.NowUs, c.Name(), d)
+			l.violate(v.NowUs, c.Name, d)
 		}
 	}
 }

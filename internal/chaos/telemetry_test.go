@@ -11,24 +11,19 @@ import (
 // counterMonotonicityChecker samples the registry at every invariant
 // sweep and reports any counter that regressed — counters are defined
 // as monotone, so a decrease means a lost or double-applied update.
-type counterMonotonicityChecker struct {
-	reg  *telemetry.Registry
-	last map[string]int64
-}
-
-func (c *counterMonotonicityChecker) Name() string { return "telemetry-monotonic" }
-
-func (c *counterMonotonicityChecker) Check(v View) []string {
-	snap := c.reg.Snapshot()
-	var breaches []string
-	for name, val := range snap.Counters {
-		if prev, ok := c.last[name]; ok && val < prev {
-			breaches = append(breaches,
-				fmt.Sprintf("counter %s regressed %d -> %d", name, prev, val))
+func counterMonotonicityChecker(reg *telemetry.Registry) Checker {
+	last := map[string]int64{}
+	return Checker{Name: "telemetry-monotonic", Check: func(View) []string {
+		var breaches []string
+		for name, val := range reg.Snapshot().Counters {
+			if prev, ok := last[name]; ok && val < prev {
+				breaches = append(breaches,
+					fmt.Sprintf("counter %s regressed %d -> %d", name, prev, val))
+			}
+			last[name] = val
 		}
-		c.last[name] = val
-	}
-	return breaches
+		return breaches
+	}}
 }
 
 // telemetryCampaign is the partitioned/crash-heavy configuration the
@@ -53,7 +48,7 @@ func telemetryCampaign(seed int64, reg *telemetry.Registry) Campaign {
 func TestChaosTelemetryCampaign(t *testing.T) {
 	reg := telemetry.New()
 	c := telemetryCampaign(11, reg)
-	c.extraCheckers = []Checker{&counterMonotonicityChecker{reg: reg, last: map[string]int64{}}}
+	c.extraCheckers = []Checker{counterMonotonicityChecker(reg)}
 	rep := c.Run()
 	if !rep.Passed() {
 		for _, v := range rep.Violations {

@@ -100,7 +100,7 @@ func (r *StabilityReport) Passed() bool { return len(r.Violations) == 0 }
 // steady-state baseline: no live node may be campaigning (Candidate)
 // and no live node's term may exceed baselineTerm.
 func NewWANStabilityChecker(baselineTerm uint64) Checker {
-	return NewChecker("wan-stability", func(v View) []string {
+	return Checker{Name: "wan-stability", Check: func(v View) []string {
 		var out []string
 		for _, n := range v.Nodes {
 			if n.Down {
@@ -114,7 +114,7 @@ func NewWANStabilityChecker(baselineTerm uint64) Checker {
 			}
 		}
 		return out
-	})
+	}}
 }
 
 // RunWANStability executes one WAN stability run on a one-subgroup

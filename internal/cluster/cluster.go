@@ -449,7 +449,7 @@ func (s *System) startAutoTune() {
 			if p.Down() {
 				continue
 			}
-			nodes := []health.ElectionTimers{p.subHost.Node}
+			nodes := []*raft.Node{p.subHost.Node}
 			if p.fedHost != nil && !p.fedHost.Down() {
 				nodes = append(nodes, p.fedHost.Node)
 			}

@@ -114,8 +114,8 @@ func (c Config) Kept(dim int) int {
 // compressed counterpart of the 8·dim the transports charge for a
 // float64 payload (frame header and routing envelope are excluded on
 // both sides, keeping the paper's cost unit). Deterministic closed
-// form; internal/costmodel restates it and the tests cross-check both
-// against the length of the encoded block.
+// form: the wire codec's block size, which its tests hold to the
+// length of the encoded block.
 func (c Config) MessageBytes(dim int) int64 {
 	switch c.Scheme {
 	case None:

@@ -152,18 +152,6 @@ func (c *Config) NumPeers() int {
 	return n
 }
 
-// PeerSubgroup maps a global peer index to (subgroup, index within it).
-func (c *Config) PeerSubgroup(peer int) (int, int, error) {
-	off := 0
-	for g, s := range c.Sizes {
-		if peer < off+s {
-			return g, peer - off, nil
-		}
-		off += s
-	}
-	return 0, 0, fmt.Errorf("core: peer %d out of [0,%d)", peer, off)
-}
-
 // System executes two-layer aggregations with persistent traffic
 // accounting across rounds.
 type System struct {

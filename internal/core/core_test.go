@@ -92,25 +92,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestPeerSubgroup(t *testing.T) {
-	cfg := Config{Sizes: []int{3, 4, 3}}
-	g, i, err := cfg.PeerSubgroup(0)
-	if err != nil || g != 0 || i != 0 {
-		t.Fatalf("peer 0 → (%d,%d,%v)", g, i, err)
-	}
-	g, i, err = cfg.PeerSubgroup(5)
-	if err != nil || g != 1 || i != 2 {
-		t.Fatalf("peer 5 → (%d,%d,%v)", g, i, err)
-	}
-	g, i, err = cfg.PeerSubgroup(9)
-	if err != nil || g != 2 || i != 2 {
-		t.Fatalf("peer 9 → (%d,%d,%v)", g, i, err)
-	}
-	if _, _, err := cfg.PeerSubgroup(10); err == nil {
-		t.Fatal("want range error")
-	}
-}
-
 // Two-layer aggregation with equal sample counts must equal the plain
 // mean of all models — the paper's claim that two-layer SAC matches the
 // baseline's aggregate exactly.

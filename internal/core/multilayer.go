@@ -76,19 +76,6 @@ func BuildMultiLayerTopology(n, layers int) (*MultiLayerTopology, error) {
 	return t, nil
 }
 
-// Subgroups returns the subgroups of layer x (1-based), leader first in
-// each subgroup.
-func (t *MultiLayerTopology) Subgroups(x int) ([][]int, error) {
-	if x < 1 || x > t.Layers {
-		return nil, fmt.Errorf("core: layer %d out of [1,%d]", x, t.Layers)
-	}
-	out := make([][]int, len(t.subgroupsByLayer[x-1]))
-	for i, g := range t.subgroupsByLayer[x-1] {
-		out[i] = append([]int(nil), g...)
-	}
-	return out, nil
-}
-
 // MultiLayerResult reports one X-layer aggregation.
 type MultiLayerResult struct {
 	Global []float64

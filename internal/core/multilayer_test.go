@@ -22,17 +22,16 @@ func TestBuildMultiLayerTopology(t *testing.T) {
 		if int64(topo.N) != wantN {
 			t.Fatalf("n=%d X=%d: peers = %d, want %d (Eq. 6)", n, x, topo.N, wantN)
 		}
+		if len(topo.subgroupsByLayer) != x {
+			t.Fatalf("n=%d X=%d: %d layers of subgroups", n, x, len(topo.subgroupsByLayer))
+		}
 		// Every subgroup has exactly n members, leader first; every peer
 		// appears as a non-leader member at most once.
 		seen := map[int]int{}
-		for layer := 1; layer <= x; layer++ {
-			groups, err := topo.Subgroups(layer)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for layer, groups := range topo.subgroupsByLayer {
 			for _, g := range groups {
 				if len(g) != n {
-					t.Fatalf("layer %d: subgroup size %d, want %d", layer, len(g), n)
+					t.Fatalf("layer %d: subgroup size %d, want %d", layer+1, len(g), n)
 				}
 				for i, p := range g {
 					if i > 0 {
@@ -52,19 +51,6 @@ func TestBuildMultiLayerTopology(t *testing.T) {
 	}
 	if _, err := BuildMultiLayerTopology(3, 0); err == nil {
 		t.Fatal("want error for 0 layers")
-	}
-}
-
-func TestSubgroupsRangeCheck(t *testing.T) {
-	topo, err := BuildMultiLayerTopology(3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := topo.Subgroups(0); err == nil {
-		t.Fatal("want range error")
-	}
-	if _, err := topo.Subgroups(3); err == nil {
-		t.Fatal("want range error")
 	}
 }
 

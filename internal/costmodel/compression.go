@@ -5,41 +5,10 @@ import "fmt"
 // Closed forms for the compressed-distribution extension: when the
 // FedAvg-layer model messages travel quantized or sparsified
 // (internal/compress), the cost unit of those messages shrinks from
-// 8·dim to the encoded block size below. The block layouts are fixed by
-// the wire codec (internal/wire, delta.go); these formulas restate them
-// independently so measured transport bytes, the wire encoder and this
-// model can be cross-checked three ways.
-
-// QuantBlockBytes returns the encoded size of a dense fixed-point block
-// of dim coordinates at the given quantization width (1: int8, 2:
-// int16): 13 bytes of block header (width + f64 scale + u32 count) plus
-// width·dim values.
-func QuantBlockBytes(width, dim int) (int64, error) {
-	if width != 1 && width != 2 {
-		return 0, fmt.Errorf("costmodel: quant width %d, want 1 or 2", width)
-	}
-	if dim < 0 {
-		return 0, fmt.Errorf("costmodel: dim %d", dim)
-	}
-	return 13 + int64(width)*int64(dim), nil
-}
-
-// SparseBlockBytes returns the encoded size of a top-k sparse block
-// keeping k of dim coordinates: u32 dim + u32 count + width byte, plus
-// 4k index bytes, plus 8k value bytes at full precision (width 0) or an
-// f64 scale and width·k quantized values (width 1 or 2).
-func SparseBlockBytes(width, k int) (int64, error) {
-	if k < 0 {
-		return 0, fmt.Errorf("costmodel: k = %d", k)
-	}
-	switch width {
-	case 0:
-		return 9 + 12*int64(k), nil
-	case 1, 2:
-		return 17 + (4+int64(width))*int64(k), nil
-	}
-	return 0, fmt.Errorf("costmodel: sparse width %d, want 0, 1 or 2", width)
-}
+// 8·dim to the encoded block size, compress.Config.MessageBytes. That
+// size is stated once, by the wire codec's QuantBlockSize and
+// SparseBlockSize (internal/wire, delta.go), and the codec's round-trip
+// tests hold it to len(encoding); the formulas here count messages.
 
 // DistributionMessages returns the number of FedAvg-layer model messages
 // in one full-participation two-layer round over the given subgroup
@@ -62,7 +31,7 @@ func DistributionMessages(sizes []int) (int64, error) {
 
 // DistributionBytes returns the FedAvg-layer distribution traffic of one
 // full-participation round when every model message costs msgBytes —
-// 8·dim uncompressed, or a QuantBlockBytes/SparseBlockBytes unit under
+// 8·dim uncompressed, or compress.Config.MessageBytes under
 // compression. internal/core charges exactly this: the tests drive a
 // round at several N and compare the fedavg/* counters against it.
 func DistributionBytes(sizes []int, msgBytes int64) (int64, error) {

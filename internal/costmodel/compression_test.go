@@ -7,47 +7,14 @@ import (
 	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/wire"
 )
-
-// TestBlockBytesMatchWireCodec cross-checks the dependency-free closed
-// forms against the wire codec's own size functions.
-func TestBlockBytesMatchWireCodec(t *testing.T) {
-	for _, width := range []int{1, 2} {
-		for _, dim := range []int{0, 1, 7, 1000, 1250858} {
-			got, err := costmodel.QuantBlockBytes(width, dim)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := int64(wire.QuantBlockSize(width, dim)); got != want {
-				t.Fatalf("QuantBlockBytes(%d,%d) = %d, wire says %d", width, dim, got, want)
-			}
-		}
-	}
-	for _, width := range []int{0, 1, 2} {
-		for _, k := range []int{0, 1, 100, 125085} {
-			got, err := costmodel.SparseBlockBytes(width, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := int64(wire.SparseBlockSize(width, k)); got != want {
-				t.Fatalf("SparseBlockBytes(%d,%d) = %d, wire says %d", width, k, got, want)
-			}
-		}
-	}
-	if _, err := costmodel.QuantBlockBytes(3, 10); err == nil {
-		t.Fatal("bad width accepted")
-	}
-	if _, err := costmodel.SparseBlockBytes(9, 10); err == nil {
-		t.Fatal("bad sparse width accepted")
-	}
-}
 
 // TestDistributionBytesMatchMeasured is the acceptance check: at
 // N ∈ {5, 15, 45}, a full two-layer round's measured fedavg/* traffic
 // equals DistributionBytes exactly — uncompressed and under every
-// compression scheme (whose per-message unit is the compress closed
-// form, itself pinned to the wire codec above).
+// compression scheme, whose per-message unit is compress's
+// MessageBytes: the wire codec's block size, which the codec's frame
+// round-trip tests hold to len(encoding).
 func TestDistributionBytesMatchMeasured(t *testing.T) {
 	const dim = 64
 	for _, N := range []int{5, 15, 45} {

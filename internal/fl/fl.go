@@ -77,7 +77,7 @@ type TrainConfig struct {
 type Client struct {
 	ID    int
 	Model *nn.Model
-	Opt   optim.Optimizer
+	Opt   *optim.Adam
 	Data  *dataset.Dataset
 	Cfg   TrainConfig
 	rng   *rand.Rand
@@ -112,7 +112,7 @@ func (b *batchBuffer) fill(d *dataset.Dataset, flat bool, lo, hi int) (*tensor.T
 }
 
 // NewClient builds a client. rng drives data shuffling between epochs.
-func NewClient(id int, model *nn.Model, opt optim.Optimizer, data *dataset.Dataset, cfg TrainConfig, rng *rand.Rand) *Client {
+func NewClient(id int, model *nn.Model, opt *optim.Adam, data *dataset.Dataset, cfg TrainConfig, rng *rand.Rand) *Client {
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 1
 	}

@@ -1,5 +1,7 @@
 package health
 
+import "repro/internal/raft"
+
 // Tuning derives Raft election-timeout bands from observed RTT
 // quantiles — the internal/health → internal/raft feedback loop of the
 // WAN profile (DESIGN.md §13). The rule is the classic deployment
@@ -77,17 +79,12 @@ func (t Tuning) ElectionTicks(r *RTTStats) (min, max int, ok bool) {
 	return min, tuneSpread * min, true
 }
 
-// ElectionTimers is the part of a raft node the tuner drives.
-type ElectionTimers interface {
-	SetElectionTicks(min, max int) error
-}
-
 // Retune is one step of the health→raft feedback loop: derive the band
 // from one peer's tracker and rescale the election timers of that
 // peer's nodes in place. Without a qualified band they keep their
 // current one. The one caller is the cluster's tuning loop
 // (internal/cluster), which walks its peers in ascending id order.
-func (t Tuning) Retune(r *RTTStats, nodes ...ElectionTimers) {
+func (t Tuning) Retune(r *RTTStats, nodes ...*raft.Node) {
 	min, max, ok := t.ElectionTicks(r)
 	if !ok {
 		return

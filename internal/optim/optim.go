@@ -1,6 +1,6 @@
-// Package optim provides the gradient-descent optimizers used by the local
-// training step of federated learning: Adam (the paper's choice, with the
-// paper's learning rate 1e-4) and plain SGD as a baseline.
+// Package optim provides the optimizer of federated learning's local
+// training step: Adam, the paper's choice, with the paper's learning
+// rate 1e-4.
 package optim
 
 import (
@@ -9,53 +9,6 @@ import (
 
 	"repro/internal/nn"
 )
-
-// Optimizer updates model parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update using the gradients currently stored in the
-	// parameters, then the caller typically zeroes the gradients.
-	Step(params []*nn.Param) error
-	// Name identifies the optimizer for logs.
-	Name() string
-}
-
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	velocity map[*nn.Param][]float64
-}
-
-// NewSGD creates an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*nn.Param][]float64)}
-}
-
-// Name implements Optimizer.
-func (s *SGD) Name() string { return fmt.Sprintf("SGD(lr=%g, m=%g)", s.LR, s.Momentum) }
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []*nn.Param) error {
-	for _, p := range params {
-		w, g := p.W.Data(), p.G.Data()
-		if s.Momentum == 0 {
-			for i := range w {
-				w[i] -= s.LR * g[i]
-			}
-			continue
-		}
-		v, ok := s.velocity[p]
-		if !ok {
-			v = make([]float64, len(w))
-			s.velocity[p] = v
-		}
-		for i := range w {
-			v[i] = s.Momentum*v[i] + g[i]
-			w[i] -= s.LR * v[i]
-		}
-	}
-	return nil
-}
 
 // Adam implements Kingma & Ba's Adam with bias correction. The defaults
 // match the paper's setup: lr=1e-4, β1=0.9, β2=0.999, ε=1e-8.
@@ -76,10 +29,8 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Name implements Optimizer.
-func (a *Adam) Name() string { return fmt.Sprintf("Adam(lr=%g)", a.LR) }
-
-// Step implements Optimizer.
+// Step applies one update from the gradients stored in params; the
+// caller zeroes them afterwards.
 func (a *Adam) Step(params []*nn.Param) error {
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
@@ -108,12 +59,4 @@ func (a *Adam) Step(params []*nn.Param) error {
 		}
 	}
 	return nil
-}
-
-// Reset clears all optimizer state (moments and step count), as when a
-// fresh global model is installed at the start of a federated round.
-func (a *Adam) Reset() {
-	a.t = 0
-	a.m = make(map[*nn.Param][]float64)
-	a.v = make(map[*nn.Param][]float64)
 }

@@ -9,7 +9,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// quadModel builds a trivially optimizable "model": a single parameter
+// quadParams builds a trivially optimizable "model": a single parameter
 // vector whose gradient we set by hand.
 func quadParams(dim int) []*nn.Param {
 	p := &nn.Param{Name: "p", W: tensor.New(dim), G: tensor.New(dim)}
@@ -19,36 +19,6 @@ func quadParams(dim int) []*nn.Param {
 // setQuadGrad sets G = W (gradient of ½‖w‖², minimized at 0).
 func setQuadGrad(params []*nn.Param) {
 	copy(params[0].G.Data(), params[0].W.Data())
-}
-
-func TestSGDConvergesOnQuadratic(t *testing.T) {
-	params := quadParams(4)
-	copy(params[0].W.Data(), []float64{1, -2, 3, -4})
-	opt := NewSGD(0.1, 0)
-	for i := 0; i < 200; i++ {
-		setQuadGrad(params)
-		if err := opt.Step(params); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := params[0].W.Norm2(); n > 1e-6 {
-		t.Fatalf("SGD did not converge: ‖w‖ = %v", n)
-	}
-}
-
-func TestSGDMomentumConverges(t *testing.T) {
-	params := quadParams(4)
-	copy(params[0].W.Data(), []float64{1, -2, 3, -4})
-	opt := NewSGD(0.05, 0.9)
-	for i := 0; i < 400; i++ {
-		setQuadGrad(params)
-		if err := opt.Step(params); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := params[0].W.Norm2(); n > 1e-4 {
-		t.Fatalf("momentum SGD did not converge: ‖w‖ = %v", n)
-	}
 }
 
 func TestAdamConvergesOnQuadratic(t *testing.T) {
@@ -81,26 +51,6 @@ func TestAdamFirstStepIsLR(t *testing.T) {
 		if math.Abs(moved-0.01) > 1e-6 {
 			t.Fatalf("scale %g: first step = %v, want ≈ lr", scale, moved)
 		}
-	}
-}
-
-func TestAdamReset(t *testing.T) {
-	params := quadParams(2)
-	copy(params[0].W.Data(), []float64{1, 1})
-	opt := NewAdam(0.01)
-	setQuadGrad(params)
-	if err := opt.Step(params); err != nil {
-		t.Fatal(err)
-	}
-	opt.Reset()
-	if opt.t != 0 || len(opt.m) != 0 || len(opt.v) != 0 {
-		t.Fatal("Reset must clear all state")
-	}
-}
-
-func TestOptimizerNames(t *testing.T) {
-	if NewSGD(0.1, 0).Name() == "" || NewAdam(0.1).Name() == "" {
-		t.Fatal("empty optimizer name")
 	}
 }
 

@@ -3,15 +3,15 @@
 //
 // Tensors are row-major. The package is deliberately small: it implements
 // exactly the operations the paper's CNN (Fig. 5) needs — matrix
-// multiplication, elementwise arithmetic, im2col/col2im for convolutions —
-// plus the vector arithmetic used by secret sharing and FedAvg, where model
-// weights are treated as flat vectors.
+// multiplication and im2col/col2im for convolutions. Secret sharing and
+// FedAvg treat model weights as flat vectors and work on Data directly.
 package tensor
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Tensor is a dense, row-major float64 tensor.
@@ -130,19 +130,6 @@ func (t *Tensor) offset(idx []int) int {
 	return off
 }
 
-// SameShape reports whether two tensors have identical shapes.
-func SameShape(a, b *Tensor) bool {
-	if len(a.shape) != len(b.shape) {
-		return false
-	}
-	for i := range a.shape {
-		if a.shape[i] != b.shape[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Fill sets every element to v.
 func (t *Tensor) Fill(v float64) {
 	for i := range t.data {
@@ -153,79 +140,6 @@ func (t *Tensor) Fill(v float64) {
 // Zero sets every element to 0.
 func (t *Tensor) Zero() { t.Fill(0) }
 
-// AddInPlace adds o elementwise into t.
-func (t *Tensor) AddInPlace(o *Tensor) error {
-	if !SameShape(t, o) {
-		return fmt.Errorf("%w: add %v and %v", ErrShape, t.shape, o.shape)
-	}
-	for i, v := range o.data {
-		t.data[i] += v
-	}
-	return nil
-}
-
-// SubInPlace subtracts o elementwise from t.
-func (t *Tensor) SubInPlace(o *Tensor) error {
-	if !SameShape(t, o) {
-		return fmt.Errorf("%w: sub %v and %v", ErrShape, t.shape, o.shape)
-	}
-	for i, v := range o.data {
-		t.data[i] -= v
-	}
-	return nil
-}
-
-// Scale multiplies every element by s.
-func (t *Tensor) Scale(s float64) {
-	for i := range t.data {
-		t.data[i] *= s
-	}
-}
-
-// Add returns a+b as a new tensor.
-func Add(a, b *Tensor) (*Tensor, error) {
-	c := a.Clone()
-	if err := c.AddInPlace(b); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// Sub returns a−b as a new tensor.
-func Sub(a, b *Tensor) (*Tensor, error) {
-	c := a.Clone()
-	if err := c.SubInPlace(b); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// Mul returns the elementwise (Hadamard) product a⊙b.
-func Mul(a, b *Tensor) (*Tensor, error) {
-	if !SameShape(a, b) {
-		return nil, fmt.Errorf("%w: mul %v and %v", ErrShape, a.shape, b.shape)
-	}
-	c := a.Clone()
-	for i, v := range b.data {
-		c.data[i] *= v
-	}
-	return c, nil
-}
-
-// Scaled returns s·t as a new tensor.
-func Scaled(t *Tensor, s float64) *Tensor {
-	c := t.Clone()
-	c.Scale(s)
-	return c
-}
-
-// Apply replaces every element x with f(x), in place.
-func (t *Tensor) Apply(f func(float64) float64) {
-	for i, v := range t.data {
-		t.data[i] = f(v)
-	}
-}
-
 // Sum returns the sum of all elements.
 func (t *Tensor) Sum() float64 {
 	s := 0.0
@@ -233,28 +147,6 @@ func (t *Tensor) Sum() float64 {
 		s += v
 	}
 	return s
-}
-
-// Max returns the maximum element; −Inf for an empty tensor.
-func (t *Tensor) Max() float64 {
-	m := math.Inf(-1)
-	for _, v := range t.data {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// ArgMax returns the flat index of the maximum element; −1 if empty.
-func (t *Tensor) ArgMax() int {
-	best, bi := math.Inf(-1), -1
-	for i, v := range t.data {
-		if v > best {
-			best, bi = v, i
-		}
-	}
-	return bi
 }
 
 // Norm2 returns the Euclidean norm of the flattened tensor.
@@ -283,7 +175,7 @@ func Transpose(a *Tensor) (*Tensor, error) {
 
 // Equal reports exact elementwise equality.
 func Equal(a, b *Tensor) bool {
-	if !SameShape(a, b) {
+	if !slices.Equal(a.shape, b.shape) {
 		return false
 	}
 	for i, v := range a.data {
@@ -296,7 +188,7 @@ func Equal(a, b *Tensor) bool {
 
 // AllClose reports elementwise equality within absolute tolerance tol.
 func AllClose(a, b *Tensor, tol float64) bool {
-	if !SameShape(a, b) {
+	if !slices.Equal(a.shape, b.shape) {
 		return false
 	}
 	for i, v := range a.data {
