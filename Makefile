@@ -142,8 +142,9 @@ test-wire:
 # Compression: the quantize/top-k kernels (bit determinism at any worker
 # count, error bounds, the top-k selection against its sort-based
 # reference and allocation budget), the wire delta blocks (and the
-# hostile sparse dimension), core's inline compression path — the one
-# there is — and the closed-form byte accounting cross-checks
+# hostile sparse dimension), core.Node's compressed FedAvg legs — a
+# subgroup leader's upload, the FedAvg leader's one encoding of the
+# global model — and the closed-form byte accounting cross-checks
 # (DESIGN.md §12).
 test-compress:
 	$(GO) test -race ./internal/compress/ ./internal/secretshare/ \
@@ -182,12 +183,14 @@ test-scale:
 # collector what), its core-layer integration, the robust rules of
 # internal/fl (CoordinateMedian is the cross-check's combiner), the seeds
 # of both SAC fuzz targets (FuzzHandleMessage through the mesh,
-# FuzzPeerStep straight into Peer.Step at every point of a round), and
+# FuzzPeerStep straight into Peer.Step at every point of a round) and of
+# FuzzNodeStep (forged FedAvg-layer messages into core.Node.Step), and
 # the chaos oracle's 20-seed deterministic sweep with the plain-mean
 # sharpness contrast (DESIGN.md §11).
 test-byzantine:
 	$(GO) test -race ./internal/sac/ ./internal/core/ ./internal/fl/ ./internal/chaos/
 	$(GO) test -race -run 'Fuzz' ./internal/sac/
+	$(GO) test -race -run 'Fuzz' ./internal/core/
 	$(GO) run -race ./cmd/p2pfl-chaos -track byzantine -seeds 20
 
 check: vet build test race chaos-smoke

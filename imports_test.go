@@ -159,66 +159,74 @@ func TestOneRoadForMembershipChange(t *testing.T) {
 	}
 }
 
-// TestSACPeerIsSansIO guards "only the driver touches the network":
-// sac.Peer is a pure state machine, so the files of internal/sac that
-// declare it or any of its methods start no goroutine, import no clock,
-// lock, socket or file (time, sync, net, os), and never select a
-// transport.Network method — Send, Drain, Crash, Alive, Recycle — on
-// anything. What a Peer wants done leaves through Ready, and sac.Run,
-// in a file of its own, does it.
-func TestSACPeerIsSansIO(t *testing.T) {
+// TestRoundNodesAreSansIO guards "only the driver touches the network"
+// for both per-peer round state machines: sac.Peer, stepped by sac.Run
+// in sac.go, and core.Node, stepped by System.AggregateRound in core.go.
+// The files that declare either type or any of its methods start no
+// goroutine, import no clock, lock, socket or file (time, sync, net,
+// os), never select a transport.Network method — Send, Drain, Crash,
+// Alive, Recycle — on anything, and never select Record, so only a
+// driver charges a byte. What a peer or node wants done leaves through
+// Ready, and its driver, in a file of its own, does it.
+func TestRoundNodesAreSansIO(t *testing.T) {
 	bannedImports := map[string]bool{"time": true, "sync": true, "net": true, "os": true}
-	bannedSelectors := map[string]bool{"Send": true, "Drain": true, "Crash": true, "Alive": true, "Recycle": true}
-	paths, err := filepath.Glob("internal/sac/*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	var peerFiles []string
-	for _, path := range paths {
-		if strings.HasSuffix(path, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+	bannedSelectors := map[string]bool{"Send": true, "Drain": true, "Crash": true, "Alive": true, "Recycle": true, "Record": true}
+	for _, machine := range []struct{ dir, typ, driver string }{
+		{"internal/sac", "Peer", "sac.go"},
+		{"internal/core", "Node", "core.go"},
+	} {
+		name := filepath.Base(machine.dir) + "." + machine.typ
+		paths, err := filepath.Glob(machine.dir + "/*.go")
 		if err != nil {
 			t.Fatal(err)
 		}
-		declaresPeer := false
-		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				declaresPeer = declaresPeer || d.Recv != nil && recvName(d.Recv.List[0].Type) == "(*Peer)"
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.Name == "Peer" {
-						declaresPeer = true
+		fset := token.NewFileSet()
+		var files []string
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			declares := false
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					declares = declares || d.Recv != nil && recvName(d.Recv.List[0].Type) == "(*"+machine.typ+")"
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.Name == machine.typ {
+							declares = true
+						}
 					}
 				}
 			}
-		}
-		if !declaresPeer {
-			continue
-		}
-		peerFiles = append(peerFiles, path)
-		for _, imp := range importsOf(t, path) {
-			if bannedImports[imp] {
-				t.Errorf("%s declares sac.Peer and imports %q", path, imp)
+			if !declares {
+				continue
 			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.GoStmt:
-				t.Errorf("%s: sac.Peer's file starts a goroutine", fset.Position(n.Pos()))
-			case *ast.SelectorExpr:
-				if bannedSelectors[n.Sel.Name] {
-					t.Errorf("%s: sac.Peer's file selects .%s; only the driver touches a transport.Network", fset.Position(n.Pos()), n.Sel.Name)
+			files = append(files, path)
+			for _, imp := range importsOf(t, path) {
+				if bannedImports[imp] {
+					t.Errorf("%s declares %s and imports %q", path, name, imp)
 				}
 			}
-			return true
-		})
-	}
-	if len(peerFiles) == 0 || slices.Contains(peerFiles, filepath.Join("internal", "sac", "sac.go")) {
-		t.Fatalf("sac.Peer is declared in %v; the guard wants it found, and apart from the driver in sac.go", peerFiles)
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.GoStmt:
+					t.Errorf("%s: %s's file starts a goroutine", fset.Position(n.Pos()), name)
+				case *ast.SelectorExpr:
+					if bannedSelectors[n.Sel.Name] {
+						t.Errorf("%s: %s's file selects .%s; only the driver touches a network or a traffic counter", fset.Position(n.Pos()), name, n.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+		if len(files) == 0 || slices.Contains(files, filepath.Join(machine.dir, machine.driver)) {
+			t.Fatalf("%s is declared in %v; the guard wants it found, and apart from the driver in %s", name, files, machine.driver)
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/compress"
 	"repro/internal/fl"
@@ -74,18 +75,12 @@ type Config struct {
 	// Telemetry, when non-nil, receives round/* lifecycle metrics and is
 	// threaded into every subgroup SAC and mesh.
 	Telemetry *telemetry.Registry
-	// Compression, when enabled, compresses the FedAvg-layer model-delta
-	// traffic — uploads (subgroup leader → FedAvg leader), downloads and
-	// broadcasts — with the given scheme. Those messages are charged
-	// their encoded block size instead of 8·dim, and the models that
-	// cross the wire are replaced by their lossy reconstructions: the
-	// FedAvg leader aggregates decoded uploads, and every peer (leader
-	// included) resumes from the decoded global model, so the whole
-	// fleet stays in lockstep. SAC share/subtotal traffic is never
-	// compressed (shares must reconstruct exactly), and under
-	// SecureUpper the uploads travel as SAC shares, so only the
-	// distribution legs compress. The zero value is off and reproduces
-	// byte-identical traffic and training curves.
+	// Compression, when enabled, compresses the FedAvg layer's uploads,
+	// downloads and broadcasts with the given scheme (see Node): each is
+	// charged its encoded block instead of 8·dim, and every peer resumes
+	// from the decoded global model. SAC shares must reconstruct exactly
+	// and are never compressed, so under SecureUpper only the
+	// distribution legs are. The zero value is off.
 	Compression compress.Config
 }
 
@@ -163,26 +158,17 @@ type System struct {
 	// resets it to exactly the stream a fresh rand.NewSource(seed) gives
 	// without allocating a ~4.9 KB source per subgroup per round.
 	sacRngs []*rand.Rand
-	// decoded[g] receives subgroup g's compressed upload as the FedAvg
-	// leader reconstructs it. Only the aggregator reads it, and an
-	// fl.Aggregator returns a vector of its own, so no result aliases it
-	// and the next round overwrites it in place.
-	decoded [][]float64
+	nodes   []Node // nodes[i] is peer i's side of the FedAvg layer
 }
 
 // sysTel holds the system's pre-resolved round-lifecycle handles (nil
 // no-ops without a registry).
 type sysTel struct {
-	reg               *telemetry.Registry
-	roundsStarted     *telemetry.Counter
-	roundsCompleted   *telemetry.Counter
-	subgroupsOK       *telemetry.Counter
-	subgroupsExcluded *telemetry.Counter
-	subgroupsDegraded *telemetry.Counter
-	byzSubgroups      *telemetry.Counter
-	sacFailed         *telemetry.Counter
-	fedavgWeight      *telemetry.Gauge
-	roundBytes        *telemetry.Histogram
+	reg                                                    *telemetry.Registry
+	roundsStarted, roundsCompleted, subgroupsOK, sacFailed *telemetry.Counter
+	subgroupsExcluded, subgroupsDegraded, byzSubgroups     *telemetry.Counter
+	fedavgWeight                                           *telemetry.Gauge
+	roundBytes                                             *telemetry.Histogram
 }
 
 // roundBytesBounds buckets per-round aggregation traffic in bytes.
@@ -213,18 +199,19 @@ func NewSystem(cfg Config, rng *rand.Rand) (*System, error) {
 		rng = rand.New(rand.NewSource(1))
 	}
 	s := &System{cfg: cfg, counter: transport.NewCounter(), rng: rng, tel: newSysTel(cfg.Telemetry)}
-	s.resize(len(cfg.Sizes))
+	s.resize()
 	return s, nil
 }
 
-// resize gives the system one SAC rng and one decode vector for each of
-// m subgroups.
-func (s *System) resize(m int) {
+// resize gives the system one SAC rng for each of its subgroups and one
+// node for each of its peers, keeping those it has.
+func (s *System) resize() {
+	m, n := len(s.cfg.Sizes), s.cfg.NumPeers()
 	for len(s.sacRngs) < m {
 		s.sacRngs = append(s.sacRngs, rand.New(rand.NewSource(0)))
-		s.decoded = append(s.decoded, nil)
 	}
-	s.sacRngs, s.decoded = s.sacRngs[:m], s.decoded[:m]
+	s.sacRngs = s.sacRngs[:m]
+	s.nodes = append(s.nodes, make([]Node, max(0, n-len(s.nodes)))...)[:n]
 }
 
 // Reconfigure applies a membership change between rounds: the subgroup
@@ -244,7 +231,7 @@ func (s *System) Reconfigure(sizes, k []int) error {
 		return err
 	}
 	s.cfg = next
-	s.resize(len(next.Sizes))
+	s.resize()
 	return nil
 }
 
@@ -323,86 +310,119 @@ func sacOn(n int, counter *transport.Counter, tel *telemetry.Registry, div secre
 	return mesh, sac.Config{N: n, K: n, Mode: sac.ModeLeader, Divider: div, Rng: rng, Telemetry: tel}
 }
 
+// runSAC runs one SAC of a round through sac.Run — a subgroup's, or the
+// upper layer's under SecureUpper — on sacOn's recipe with set's K,
+// Leader, Adversary and Guard.
+func (s *System) runSAC(set sac.Config, rng *rand.Rand, models [][]float64, crash sac.CrashPlan) (*sac.Result, error) {
+	mesh, cfg := sacOn(len(models), s.counter, s.cfg.Telemetry, s.cfg.Divider, rng)
+	cfg.K, cfg.Leader, cfg.Adversary, cfg.Guard = set.K, set.Leader, set.Adversary, set.Guard
+	return sac.Run(mesh, cfg, models, crash)
+}
+
+// plan checks all of spec against the system and the models before the
+// round counts anything, and returns what every node of the round knows
+// but the FedAvg leader's subgroup, and the degraded subgroups in spec
+// order, once each.
+func (s *System) plan(models [][]float64, spec RoundSpec) (*plan, []int, error) {
+	n, m := s.cfg.NumPeers(), len(s.cfg.Sizes)
+	switch {
+	case len(models) != n:
+		return nil, nil, fmt.Errorf("core: %d models for %d peers", len(models), n)
+	case spec.SampleCounts != nil && len(spec.SampleCounts) != n:
+		return nil, nil, fmt.Errorf("core: %d sample counts for %d peers", len(spec.SampleCounts), n)
+	case spec.Leaders != nil && len(spec.Leaders) != m:
+		return nil, nil, fmt.Errorf("core: %d leaders for %d subgroups", len(spec.Leaders), m)
+	}
+	p := &plan{cfg: &s.cfg, dim: len(models[0]), counts: spec.SampleCounts, offsets: make([]int, m+1), leaders: make([]int, m)}
+	// A ragged model is the caller's error, not a failed subgroup SAC that
+	// the round would skip; so is a plan for a peer that is not there.
+	for i, model := range models {
+		if len(model) != p.dim {
+			return nil, nil, fmt.Errorf("core: model %d has %d weights, want %d", i, len(model), p.dim)
+		}
+	}
+	if err := errors.Join(checkPlans("crash", spec.Crash, s.cfg.Sizes), checkPlans("adversary", spec.Adversary, s.cfg.Sizes)); err != nil {
+		return nil, nil, err
+	}
+	var degraded []int
+	for _, g := range spec.Degraded {
+		if g < 0 || g >= m {
+			return nil, nil, fmt.Errorf("core: degraded subgroup %d out of [0,%d)", g, m)
+		}
+		if p.leaders[g] == 0 {
+			p.leaders[g], degraded = -1, append(degraded, g)
+		}
+	}
+	for g, size := range s.cfg.Sizes {
+		p.offsets[g+1] = p.offsets[g] + size
+		if p.leaders[g] < 0 {
+			continue // a subgroup without quorum may have no leader at all
+		}
+		if spec.Leaders != nil {
+			p.leaders[g] = spec.Leaders[g]
+		}
+		if p.leaders[g] < 0 || p.leaders[g] >= size {
+			return nil, nil, fmt.Errorf("core: subgroup %d leader %d out of [0,%d)", g, p.leaders[g], size)
+		}
+		p.leaders[g] += p.offsets[g]
+	}
+	return p, degraded, nil
+}
+
+// checkPlans rejects a per-subgroup plan keyed outside the subgroups or
+// naming a peer outside its subgroup.
+func checkPlans[P ~map[int]V, V any](what string, plans map[int]P, sizes []int) error {
+	for g, plan := range plans {
+		if g < 0 || g >= len(sizes) {
+			return fmt.Errorf("core: %s plan for subgroup %d out of [0,%d)", what, g, len(sizes))
+		}
+		for i := range plan {
+			if i < 0 || i >= sizes[g] {
+				return fmt.Errorf("core: %s plan for peer %d of subgroup %d out of [0,%d)", what, i, g, sizes[g])
+			}
+		}
+	}
+	return nil
+}
+
 // AggregateRound runs Alg. 3 once. models[i] is peer i's flat weight
 // vector (global peer indexing per Config.Sizes); spec carries the round
 // parameters — typically the leader assignments tracked by the two-layer
 // Raft (internal/cluster).
+//
+// It drives the round as sac.Run drives a SAC: it runs every SAC, decides
+// what no single peer can — which subgroups the FedAvg leader waits for
+// (fraction p) and which peer leads the FedAvg layer — and steps one
+// Node per peer through the FedAvg layer, charging every message a node
+// sends once, by its payload.
 func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResult, error) {
-	sampleCounts := spec.SampleCounts
-	crash := spec.Crash
-	n := s.cfg.NumPeers()
-	if len(models) != n {
-		return nil, fmt.Errorf("core: %d models for %d peers", len(models), n)
-	}
-	if sampleCounts != nil && len(sampleCounts) != n {
-		return nil, fmt.Errorf("core: %d sample counts for %d peers", len(sampleCounts), n)
-	}
-	// A ragged model is the caller's error, not a failed subgroup SAC that
-	// the round would skip.
-	dim := len(models[0])
-	for i, model := range models {
-		if len(model) != dim {
-			return nil, fmt.Errorf("core: model %d has %d weights, want %d", i, len(model), dim)
-		}
+	p, degraded, err := s.plan(models, spec)
+	if err != nil {
+		return nil, err
 	}
 	m := len(s.cfg.Sizes)
-	if spec.Leaders != nil && len(spec.Leaders) != m {
-		return nil, fmt.Errorf("core: %d leaders for %d subgroups", len(spec.Leaders), m)
-	}
-	degraded := make(map[int]bool, len(spec.Degraded))
 	before := s.counter.TotalBytes()
 	s.tel.roundsStarted.Inc()
-	res := &RoundResult{SubgroupAvgs: make([][]float64, m)}
-	for _, g := range spec.Degraded {
-		if g < 0 || g >= m {
-			return nil, fmt.Errorf("core: degraded subgroup %d out of [0,%d)", g, m)
-		}
-		if !degraded[g] {
-			degraded[g] = true
-			res.Degraded = append(res.Degraded, g)
-		}
-	}
-	subCounts := make([]float64, m)
+	res := &RoundResult{SubgroupAvgs: make([][]float64, m), Degraded: degraded}
 
-	// Validate leaders and precompute subgroup offsets.
-	// Degraded subgroups skip leader validation: a subgroup without
-	// quorum may legitimately have no leader at all.
-	offsets := make([]int, m)
-	leaders := make([]int, m)
-	off := 0
-	for g, size := range s.cfg.Sizes {
-		offsets[g] = off
-		if spec.Leaders != nil && !degraded[g] {
-			leaders[g] = spec.Leaders[g]
-			if leaders[g] < 0 || leaders[g] >= size {
-				return nil, fmt.Errorf("core: subgroup %d leader %d out of [0,%d)", g, leaders[g], size)
-			}
-		}
-		off += size
-	}
 	// Each subgroup SAC draws from its own rng stream, seeded from the
 	// system rng; a degraded subgroup still consumes its seed, so losing
 	// quorum in one subgroup does not move the shares of the others.
-	sacResults := make([]*sac.Result, m)
-	for g, size := range s.cfg.Sizes {
+	results := make([]*sac.Result, m)
+	for g, leader := range p.leaders {
 		seed := s.rng.Int63()
-		if degraded[g] {
+		if leader < 0 {
 			continue // no quorum: the round proceeds without this subgroup
 		}
-		rng := s.sacRngs[g]
-		rng.Seed(seed)
-		mesh, cfg := sacOn(size, s.counter, s.cfg.Telemetry, s.cfg.Divider, rng)
-		cfg.K, cfg.Leader = s.cfg.thresholdFor(g, size), leaders[g]
-		cfg.Adversary, cfg.Guard = spec.Adversary[g], s.cfg.Guard
-		r, err := sac.Run(mesh, cfg, models[offsets[g]:offsets[g]+size], crash[g])
-		if err == nil {
-			sacResults[g] = r
-		} else {
+		s.sacRngs[g].Seed(seed)
+		lo, hi := p.offsets[g], p.offsets[g+1]
+		set := sac.Config{K: s.cfg.thresholdFor(g, hi-lo), Leader: leader - lo, Adversary: spec.Adversary[g], Guard: s.cfg.Guard}
+		if results[g], err = s.runSAC(set, s.sacRngs[g], models[lo:hi], spec.Crash[g]); err != nil {
 			s.tel.sacFailed.Inc()
 		}
 	}
 	var okSubs []int
-	for g, r := range sacResults {
+	for g, r := range results {
 		if r == nil {
 			continue
 		}
@@ -422,26 +442,17 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 			continue
 		}
 		res.SubgroupAvgs[g] = r.Avg
-		for _, c := range r.Contributors {
-			if sampleCounts != nil {
-				subCounts[g] += sampleCounts[offsets[g]+c]
-			} else {
-				subCounts[g]++
-			}
-		}
 		okSubs = append(okSubs, g)
 	}
 	if len(okSubs) == 0 {
 		return nil, ErrNoSubgroups
 	}
 	s.tel.subgroupsOK.Add(int64(len(okSubs)))
-	if len(res.Degraded) > 0 {
-		// Degraded-round event: the FedAvg leader records which subgroups
-		// were dropped for lost quorum before proceeding under fraction p.
-		s.tel.subgroupsDegraded.Add(int64(len(res.Degraded)))
-		for _, g := range res.Degraded {
-			s.tel.reg.Trace("round/degraded", 0, g)
-		}
+	// Degraded-round event: the FedAvg leader records which subgroups were
+	// dropped for lost quorum before proceeding under fraction p.
+	s.tel.subgroupsDegraded.Add(int64(len(res.Degraded)))
+	for _, g := range res.Degraded {
+		s.tel.reg.Trace("round/degraded", 0, g)
 	}
 
 	// Fraction p (slow subgroups): the FedAvg leader proceeds with a
@@ -450,162 +461,77 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 	if frac == 0 {
 		frac = 1
 	}
-	want := int(frac*float64(m) + 0.5)
-	if want < 1 {
-		want = 1
-	}
 	participate := okSubs
-	if want < len(okSubs) {
-		perm := s.rng.Perm(len(okSubs))
+	if want := max(1, int(frac*float64(m)+0.5)); want < len(okSubs) {
 		participate = make([]int, 0, want)
-		for _, i := range perm[:want] {
+		for _, i := range s.rng.Perm(len(okSubs))[:want] {
 			participate = append(participate, okSubs[i])
 		}
 	}
 	res.Participated = participate
-	if excluded := len(okSubs) - len(participate); excluded > 0 {
-		s.tel.subgroupsExcluded.Add(int64(excluded))
-	}
+	s.tel.subgroupsExcluded.Add(int64(len(okSubs) - len(participate)))
 
-	// FedAvg layer: participating leaders upload their SAC averages to
-	// the FedAvg leader (the Raft-elected one when provided, otherwise
-	// the first participating subgroup's leader).
-	fedLeader := participate[0]
-	if spec.FedLeader >= 0 {
-		for _, g := range participate {
-			if g == spec.FedLeader {
-				fedLeader = g
+	// The FedAvg layer is led by the Raft-elected leader when it
+	// participates, otherwise by the first participant's leader.
+	p.fed = participate[0]
+	if spec.FedLeader >= 0 && slices.Contains(participate, spec.FedLeader) {
+		p.fed = spec.FedLeader
+	}
+	for i := range s.nodes {
+		s.nodes[i].Begin(i, p)
+	}
+	fed := &s.nodes[p.leaders[p.fed]]
+	fed.Lead(participate)
+	var inputs [][]float64 // the upper SAC's, under SecureUpper
+	// deliver hands what node j wants sent, and what that makes its
+	// receivers send, to the receivers, charging each message once, by its
+	// payload: all but the FedAvg leader's upload to itself, which never
+	// leaves the process, and under SecureUpper an upload's model, which
+	// the upper SAC carries while its weight goes on in the clear.
+	deliver := func(j int) error {
+		var queue []Message
+		for {
+			send, err := s.nodes[j].Ready()
+			if queue = append(queue, send...); err != nil || len(queue) == 0 {
+				return err
 			}
-		}
-	}
-	// One FedAvg-layer message costs 8·dim bytes uncompressed, or the
-	// encoded block size under Config.Compression (the closed form
-	// costmodel.DistributionBytes restates the totals).
-	msgBytes := int64(8 * dim)
-	if s.cfg.Compression.Enabled() {
-		msgBytes = s.cfg.Compression.MessageBytes(dim)
-	}
-	var global []float64
-	var err error
-	if s.cfg.SecureUpper {
-		global, err = s.secureUpperAverage(res, participate, subCounts, dim)
-	} else {
-		var fedModels [][]float64
-		var fedCounts []float64
-		for _, g := range participate {
-			model := res.SubgroupAvgs[g]
-			if g != fedLeader {
-				if s.cfg.Compression.Enabled() {
-					// The upload crosses the wire compressed; the FedAvg
-					// leader aggregates what it can reconstruct, into the
-					// vector it keeps for the subgroup. The leader's own
-					// model never leaves the process.
-					d, cerr := s.cfg.Compression.Compress(model)
-					if cerr != nil {
-						return nil, cerr
-					}
-					s.decoded[g] = d.Dense(s.decoded[g])
-					model = s.decoded[g]
-				}
-				s.counter.Record(KindUpload, msgBytes)
+			msg := queue[0]
+			switch queue = queue[1:]; {
+			case s.cfg.SecureUpper && msg.Kind == KindUpload:
+				inputs, msg.Model = append(inputs, msg.Model), nil
+			case msg.From != msg.To:
+				s.counter.Record(msg.Kind, msg.Bytes())
 			}
-			fedModels = append(fedModels, model)
-			fedCounts = append(fedCounts, subCounts[g])
-		}
-		agg := s.cfg.Aggregator
-		if agg == nil {
-			agg = fl.FedAvg{}
-		}
-		global, err = agg.Aggregate(fedModels, fedCounts)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if s.cfg.Compression.Enabled() {
-		// The global model is encoded once and every distribution leg
-		// ships the same block, so all peers — the FedAvg leader included,
-		// to keep the fleet in lockstep — resume from the decoded copy.
-		d, cerr := s.cfg.Compression.Compress(global)
-		if cerr != nil {
-			return nil, cerr
-		}
-		global = d.Dense(global[:0])
-		b := d.Bound
-		res.GlobalBound = &b
-	}
-	res.Global = global
-
-	// Distribute: FedAvg leader → every other subgroup leader (slow
-	// subgroups receive the global model too — every peer resumes from
-	// it), then each subgroup leader → its followers. Degraded subgroups
-	// get nothing: with quorum lost there is no leader to receive the
-	// model; they catch up from the next round's distribution.
-	for g, size := range s.cfg.Sizes {
-		if degraded[g] {
-			continue
-		}
-		if g != fedLeader {
-			s.counter.Record(KindDownload, msgBytes)
-		}
-		for i := 1; i < size; i++ {
-			s.counter.Record(KindBroadcast, msgBytes)
+			j = msg.To
+			s.nodes[j].Step(msg)
 		}
 	}
-
-	res.Bytes = s.counter.TotalBytes() - before
-	weightTotal := 0.0
 	for _, g := range participate {
-		weightTotal += subCounts[g]
+		s.nodes[p.leaders[g]].Upload(results[g])
+		if err := deliver(p.leaders[g]); err != nil {
+			return nil, err
+		}
 	}
-	s.tel.fedavgWeight.Set(weightTotal)
+	if len(inputs) > 1 {
+		r, err := s.runSAC(sac.Config{K: len(inputs)}, s.rng, inputs, nil)
+		if err != nil {
+			return nil, fmt.Errorf("core: secure upper layer: %w", err)
+		}
+		fed.Secured(r)
+		if err := deliver(p.leaders[p.fed]); err != nil {
+			return nil, err
+		}
+	}
+	res.Global, res.GlobalBound = fed.global, fed.bound
+	res.Bytes = s.counter.TotalBytes() - before
+	s.tel.fedavgWeight.Set(fed.total)
 	s.tel.roundBytes.Observe(float64(res.Bytes))
 	s.tel.roundsCompleted.Inc()
-	s.tel.reg.Trace("round/aggregate", uint64(fedLeader), fedLeader,
+	s.tel.reg.Trace("round/aggregate", uint64(p.fed), p.fed,
 		telemetry.F("subgroups_ok", int64(len(okSubs))),
 		telemetry.F("participated", int64(len(participate))),
 		telemetry.F("bytes", res.Bytes))
 	return res, nil
-}
-
-// secureUpperAverage aggregates the participating subgroup leaders'
-// models with SAC instead of plain FedAvg (Sec. IV-D's stronger-privacy
-// variant). Sample-count weighting stays exact: each leader enters
-// count_g·avg_g into the SAC, and the sum is divided by the total count
-// (the counts themselves are topology metadata, exchanged in the clear
-// in Alg. 3 as well).
-func (s *System) secureUpperAverage(res *RoundResult, participate []int, subCounts []float64, dim int) ([]float64, error) {
-	scaled := make([][]float64, len(participate))
-	total := 0.0
-	for i, g := range participate {
-		v := make([]float64, dim)
-		for j, x := range res.SubgroupAvgs[g] {
-			v[j] = x * subCounts[g]
-		}
-		scaled[i] = v
-		total += subCounts[g]
-	}
-	if total == 0 {
-		return nil, fmt.Errorf("core: secure upper layer: zero total sample count")
-	}
-	if len(participate) == 1 {
-		// Single participant: nothing to hide, nothing to exchange.
-		out := make([]float64, dim)
-		for j, x := range scaled[0] {
-			out[j] = x / total
-		}
-		return out, nil
-	}
-	mesh, cfg := sacOn(len(participate), s.counter, s.cfg.Telemetry, s.cfg.Divider, s.rng)
-	r, err := sac.Run(mesh, cfg, scaled, nil)
-	if err != nil {
-		return nil, fmt.Errorf("core: secure upper layer: %w", err)
-	}
-	out := make([]float64, dim)
-	f := float64(len(r.Contributors)) / total
-	for j, x := range r.Avg {
-		out[j] = x * f
-	}
-	return out, nil
 }
 
 // BaselineAggregate runs the original one-layer SAC (Alg. 2, broadcast
