@@ -142,7 +142,7 @@ test-wire:
 # Compression: the quantize/top-k kernels (bit determinism at any worker
 # count, error bounds, the top-k selection against its sort-based
 # reference and allocation budget), the wire delta blocks (and the
-# hostile sparse dimension), core.Node's compressed FedAvg legs — a
+# hostile sparse dimension), core.node's compressed FedAvg legs — a
 # subgroup leader's upload, the FedAvg leader's one encoding of the
 # global model — and the closed-form byte accounting cross-checks
 # (DESIGN.md §12).
@@ -184,7 +184,7 @@ test-scale:
 # internal/fl (CoordinateMedian is the cross-check's combiner), the seeds
 # of both SAC fuzz targets (FuzzHandleMessage through the mesh,
 # FuzzPeerStep straight into Peer.Step at every point of a round) and of
-# FuzzNodeStep (forged FedAvg-layer messages into core.Node.Step), and
+# FuzzNodeStep (forged FedAvg-layer messages into core.node.Step), and
 # the chaos oracle's 20-seed deterministic sweep with the plain-mean
 # sharpness contrast (DESIGN.md §11).
 test-byzantine:

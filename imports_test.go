@@ -161,7 +161,7 @@ func TestOneRoadForMembershipChange(t *testing.T) {
 
 // TestRoundNodesAreSansIO guards "only the driver touches the network"
 // for both per-peer round state machines: sac.Peer, stepped by sac.Run
-// in sac.go, and core.Node, stepped by System.AggregateRound in core.go.
+// in sac.go, and core.node, stepped by System.AggregateRound in core.go.
 // The files that declare either type or any of its methods start no
 // goroutine, import no clock, lock, socket or file (time, sync, net,
 // os), never select a transport.Network method — Send, Drain, Crash,
@@ -173,7 +173,7 @@ func TestRoundNodesAreSansIO(t *testing.T) {
 	bannedSelectors := map[string]bool{"Send": true, "Drain": true, "Crash": true, "Alive": true, "Recycle": true, "Record": true}
 	for _, machine := range []struct{ dir, typ, driver string }{
 		{"internal/sac", "Peer", "sac.go"},
-		{"internal/core", "Node", "core.go"},
+		{"internal/core", "node", "core.go"},
 	} {
 		name := filepath.Base(machine.dir) + "." + machine.typ
 		paths, err := filepath.Glob(machine.dir + "/*.go")

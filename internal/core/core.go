@@ -75,12 +75,18 @@ type Config struct {
 	// Telemetry, when non-nil, receives round/* lifecycle metrics and is
 	// threaded into every subgroup SAC and mesh.
 	Telemetry *telemetry.Registry
-	// Compression, when enabled, compresses the FedAvg layer's uploads,
-	// downloads and broadcasts with the given scheme (see Node): each is
-	// charged its encoded block instead of 8·dim, and every peer resumes
-	// from the decoded global model. SAC shares must reconstruct exactly
-	// and are never compressed, so under SecureUpper only the
-	// distribution legs are. The zero value is off.
+	// Compression, when enabled, compresses the FedAvg-layer model-delta
+	// traffic — uploads (subgroup leader → FedAvg leader), downloads and
+	// broadcasts — with the given scheme. Those messages are charged
+	// their encoded block size instead of 8·dim, and the models that
+	// cross the wire are replaced by their lossy reconstructions: the
+	// FedAvg leader aggregates decoded uploads, and every peer (leader
+	// included) resumes from the decoded global model, so the whole
+	// fleet stays in lockstep. SAC share/subtotal traffic is never
+	// compressed (shares must reconstruct exactly), and under
+	// SecureUpper the uploads travel as SAC shares, so only the
+	// distribution legs compress. The zero value is off and reproduces
+	// byte-identical traffic and training curves.
 	Compression compress.Config
 }
 
@@ -158,17 +164,22 @@ type System struct {
 	// resets it to exactly the stream a fresh rand.NewSource(seed) gives
 	// without allocating a ~4.9 KB source per subgroup per round.
 	sacRngs []*rand.Rand
-	nodes   []Node // nodes[i] is peer i's side of the FedAvg layer
+	nodes   []node // nodes[i] is peer i's side of the FedAvg layer
 }
 
 // sysTel holds the system's pre-resolved round-lifecycle handles (nil
 // no-ops without a registry).
 type sysTel struct {
-	reg                                                    *telemetry.Registry
-	roundsStarted, roundsCompleted, subgroupsOK, sacFailed *telemetry.Counter
-	subgroupsExcluded, subgroupsDegraded, byzSubgroups     *telemetry.Counter
-	fedavgWeight                                           *telemetry.Gauge
-	roundBytes                                             *telemetry.Histogram
+	reg               *telemetry.Registry
+	roundsStarted     *telemetry.Counter
+	roundsCompleted   *telemetry.Counter
+	subgroupsOK       *telemetry.Counter
+	subgroupsExcluded *telemetry.Counter
+	subgroupsDegraded *telemetry.Counter
+	byzSubgroups      *telemetry.Counter
+	sacFailed         *telemetry.Counter
+	fedavgWeight      *telemetry.Gauge
+	roundBytes        *telemetry.Histogram
 }
 
 // roundBytesBounds buckets per-round aggregation traffic in bytes.
@@ -211,7 +222,7 @@ func (s *System) resize() {
 		s.sacRngs = append(s.sacRngs, rand.New(rand.NewSource(0)))
 	}
 	s.sacRngs = s.sacRngs[:m]
-	s.nodes = append(s.nodes, make([]Node, max(0, n-len(s.nodes)))...)[:n]
+	s.nodes = append(s.nodes, make([]node, max(0, n-len(s.nodes)))...)[:n]
 }
 
 // Reconfigure applies a membership change between rounds: the subgroup
@@ -393,7 +404,7 @@ func checkPlans[P ~map[int]V, V any](what string, plans map[int]P, sizes []int) 
 // It drives the round as sac.Run drives a SAC: it runs every SAC, decides
 // what no single peer can — which subgroups the FedAvg leader waits for
 // (fraction p) and which peer leads the FedAvg layer — and steps one
-// Node per peer through the FedAvg layer, charging every message a node
+// node per peer through the FedAvg layer, charging every message a node
 // sends once, by its payload.
 func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResult, error) {
 	p, degraded, err := s.plan(models, spec)
@@ -448,11 +459,13 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 		return nil, ErrNoSubgroups
 	}
 	s.tel.subgroupsOK.Add(int64(len(okSubs)))
-	// Degraded-round event: the FedAvg leader records which subgroups were
-	// dropped for lost quorum before proceeding under fraction p.
-	s.tel.subgroupsDegraded.Add(int64(len(res.Degraded)))
-	for _, g := range res.Degraded {
-		s.tel.reg.Trace("round/degraded", 0, g)
+	if len(res.Degraded) > 0 {
+		// Degraded-round event: the FedAvg leader records which subgroups
+		// were dropped for lost quorum before proceeding under fraction p.
+		s.tel.subgroupsDegraded.Add(int64(len(res.Degraded)))
+		for _, g := range res.Degraded {
+			s.tel.reg.Trace("round/degraded", 0, g)
+		}
 	}
 
 	// Fraction p (slow subgroups): the FedAvg leader proceeds with a
@@ -461,15 +474,22 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 	if frac == 0 {
 		frac = 1
 	}
+	want := int(frac*float64(m) + 0.5)
+	if want < 1 {
+		want = 1
+	}
 	participate := okSubs
-	if want := max(1, int(frac*float64(m)+0.5)); want < len(okSubs) {
+	if want < len(okSubs) {
+		perm := s.rng.Perm(len(okSubs))
 		participate = make([]int, 0, want)
-		for _, i := range s.rng.Perm(len(okSubs))[:want] {
+		for _, i := range perm[:want] {
 			participate = append(participate, okSubs[i])
 		}
 	}
 	res.Participated = participate
-	s.tel.subgroupsExcluded.Add(int64(len(okSubs) - len(participate)))
+	if excluded := len(okSubs) - len(participate); excluded > 0 {
+		s.tel.subgroupsExcluded.Add(int64(excluded))
+	}
 
 	// The FedAvg layer is led by the Raft-elected leader when it
 	// participates, otherwise by the first participant's leader.
@@ -489,16 +509,22 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 	// leaves the process, and under SecureUpper an upload's model, which
 	// the upper SAC carries while its weight goes on in the clear.
 	deliver := func(j int) error {
-		var queue []Message
+		var queue []message
 		for {
 			send, err := s.nodes[j].Ready()
-			if queue = append(queue, send...); err != nil || len(queue) == 0 {
+			if err != nil {
 				return err
 			}
+			queue = append(queue, send...)
+			if len(queue) == 0 {
+				return nil
+			}
 			msg := queue[0]
-			switch queue = queue[1:]; {
+			queue = queue[1:]
+			switch {
 			case s.cfg.SecureUpper && msg.Kind == KindUpload:
-				inputs, msg.Model = append(inputs, msg.Model), nil
+				inputs = append(inputs, msg.Model)
+				msg.Model = nil
 			case msg.From != msg.To:
 				s.counter.Record(msg.Kind, msg.Bytes())
 			}

@@ -9,14 +9,14 @@ import (
 	"repro/internal/sac"
 )
 
-// Message is one FedAvg-layer message between peers. Model is a dense
+// message is one FedAvg-layer message between peers. Model is a dense
 // model; Block, when set, is the compressed encoding that crosses the
 // wire instead. A compressed upload carries only its block, which the
 // FedAvg leader decodes; a download or broadcast carries the block and
 // the global model its sender decoded, which every receiver reads, as an
 // in-memory SAC receiver reads its sender's share block. Weight is an
 // upload's sample count, metadata in the clear as in Alg. 3.
-type Message struct {
+type message struct {
 	From, To int
 	Kind     string
 	Model    []float64
@@ -26,7 +26,7 @@ type Message struct {
 
 // Bytes is what m costs on the wire: its block's encoded size, or 8
 // bytes a weight.
-func (m Message) Bytes() int64 {
+func (m message) Bytes() int64 {
 	if m.Block != nil {
 		return m.Block.EncodedBytes()
 	}
@@ -48,7 +48,7 @@ type plan struct {
 // group is peer i's subgroup, outside [0,m) when i is no peer.
 func (p *plan) group(i int) int { return sort.SearchInts(p.offsets, i+1) - 1 }
 
-// Node is one peer's side of Alg. 3 above its subgroup SAC: a subgroup
+// node is one peer's side of Alg. 3 above its subgroup SAC: a subgroup
 // leader uploads its SAC average to the FedAvg leader, which combines
 // the uploads and sends the global model down to the other subgroup
 // leaders, and each broadcasts it to its subgroup. Like sac.Peer it is
@@ -57,7 +57,7 @@ func (p *plan) group(i int) int { return sort.SearchInts(p.offsets, i+1) - 1 }
 // driver (System.AggregateRound): a subgroup leader's SAC result
 // (Upload), the FedAvg leader's participation set (Lead) and, under
 // SecureUpper, the upper SAC's result (Secured).
-type Node struct {
+type node struct {
 	id, g int
 	p     *plan
 
@@ -74,40 +74,39 @@ type Node struct {
 	total   float64         // the participants' summed weight
 	bound   *compress.Bound // the compressed global model's error
 
-	upper   []float64 // a subgroup leader's upper-SAC input under SecureUpper
-	global  []float64 // the model this peer resumes from
-	msgs    []Message // to send, in order
-	err     error     // the first thing that failed here this round
-	invalid int       // messages discarded
+	upper  []float64 // a subgroup leader's upper-SAC input under SecureUpper
+	global []float64 // the model this peer resumes from
+	msgs   []message // to send, in order
+	err    error     // the first thing that failed here this round
 }
 
 // Begin arms n as peer id of the round p plans.
-func (n *Node) Begin(id int, p *plan) {
+func (n *node) Begin(id int, p *plan) {
 	decoded := n.decoded
 	if id != p.leaders[p.fed] {
 		decoded = nil // another peer leads the FedAvg layer
 	}
-	*n = Node{id: id, g: p.group(id), p: p, decoded: decoded, msgs: n.msgs[:0]}
+	*n = node{id: id, g: p.group(id), p: p, decoded: decoded, msgs: n.msgs[:0]}
 }
 
 // Ready returns what n wants sent since the last call, valid until its
 // next call, and the first error n met this round.
-func (n *Node) Ready() ([]Message, error) {
+func (n *node) Ready() ([]message, error) {
 	send := n.msgs
 	n.msgs = n.msgs[:0]
 	return send, n.err
 }
 
-func (n *Node) send(to int, kind string, model []float64, block *compress.Delta) {
-	n.msgs = append(n.msgs, Message{From: n.id, To: to, Kind: kind, Model: model, Block: block})
+func (n *node) send(to int, kind string, model []float64, block *compress.Delta) {
+	n.msgs = append(n.msgs, message{From: n.id, To: to, Kind: kind, Model: model, Block: block})
 }
 
 // Lead tells the FedAvg leader whose uploads it combines, in order: the
 // subgroups whose SAC succeeded and that beat the fraction-p timeout.
-func (n *Node) Lead(participate []int) {
+func (n *node) Lead(participate []int) {
 	m, k := len(n.p.leaders), len(participate)
 	n.slot, n.models, n.weights, n.waiting = make([]int, m), make([][]float64, k), make([]float64, k), k
-	n.decoded = append(n.decoded, make([][]float64, max(0, m-len(n.decoded)))...)
+	n.decoded = append(n.decoded, make([][]float64, max(0, m-len(n.decoded)))...)[:m]
 	for i, g := range participate {
 		n.slot[g] = i + 1
 	}
@@ -118,9 +117,9 @@ func (n *Node) Lead(participate []int) {
 // compressed under Config.Compression unless it leads the FedAvg layer
 // itself, whose own model never leaves the process, and under
 // SecureUpper as count·avg, its input to the upper SAC.
-func (n *Node) Upload(r *sac.Result) {
+func (n *node) Upload(r *sac.Result) {
 	p := n.p
-	m := Message{From: n.id, To: p.leaders[p.fed], Kind: KindUpload, Model: r.Avg}
+	m := message{From: n.id, To: p.leaders[p.fed], Kind: KindUpload, Model: r.Avg}
 	for _, c := range r.Contributors {
 		if p.counts == nil {
 			m.Weight++
@@ -137,7 +136,8 @@ func (n *Node) Upload(r *sac.Result) {
 		m.Model = n.upper
 	case p.cfg.Compression.Enabled() && m.To != n.id:
 		d, err := p.cfg.Compression.Compress(r.Avg)
-		if n.err = err; err != nil {
+		if err != nil {
+			n.err = err
 			return
 		}
 		m.Model, m.Block = nil, &d
@@ -148,36 +148,26 @@ func (n *Node) Upload(r *sac.Result) {
 // Step hands n a message it received. It takes, once each and of the
 // round's model size, an upload at the FedAvg leader from the leader of
 // a participating subgroup, the global model at a subgroup leader from
-// the FedAvg leader, and at a follower from its subgroup's leader.
-// Anything else is discarded as invalid.
-func (n *Node) Step(m Message) {
-	p, ok := n.p, false
-	switch m.Kind {
-	case KindUpload:
-		ok = n.upload(m)
-	case KindDownload:
-		ok = m.From == p.leaders[p.fed] && n.id == p.leaders[n.g]
-	case KindBroadcast:
-		ok = m.From == p.leaders[n.g] && m.From >= 0 // a degraded subgroup has no leader
-	}
-	if ok && m.Kind != KindUpload {
-		ok = m.From != n.id && n.global == nil && len(m.Model) == p.dim
-	}
+// the FedAvg leader, and at a follower from its subgroup's leader (a
+// degraded subgroup has none). Anything else is discarded.
+func (n *node) Step(m message) {
+	p := n.p
 	switch {
-	case !ok:
-		n.invalid++
-	case m.Kind == KindDownload:
+	case m.Kind == KindUpload:
+		n.upload(m)
+	case m.From == n.id || n.global != nil || len(m.Model) != p.dim:
+	case m.Kind == KindDownload && m.From == p.leaders[p.fed] && n.id == p.leaders[n.g]:
 		n.global = m.Model
 		n.broadcast(m.Block)
-	case m.Kind == KindBroadcast:
+	case m.Kind == KindBroadcast && m.From == p.leaders[n.g] && m.From >= 0:
 		n.global = m.Model
 	}
 }
 
-func (n *Node) upload(m Message) bool {
+func (n *node) upload(m message) {
 	g, b, dim := n.p.group(m.From), m.Block, n.p.dim
 	if g < 0 || g >= len(n.slot) || n.slot[g] == 0 || m.From != n.p.leaders[g] {
-		return false
+		return
 	}
 	i := n.slot[g] - 1
 	switch {
@@ -189,19 +179,18 @@ func (n *Node) upload(m Message) bool {
 		n.decoded[g] = b.Dense(n.decoded[g])
 		n.models[i] = n.decoded[g]
 	default:
-		return false
+		return
 	}
 	n.slot[g], n.weights[i] = 0, m.Weight
 	if n.waiting--; n.waiting == 0 {
 		n.aggregate()
 	}
-	return true
 }
 
 // aggregate combines the uploads once the last has arrived, with
 // Config.Aggregator; under SecureUpper it scales its own input when it
 // is the only participant, and otherwise waits for the upper SAC.
-func (n *Node) aggregate() {
+func (n *node) aggregate() {
 	for _, w := range n.weights {
 		n.total += w
 	}
@@ -227,7 +216,7 @@ func (n *Node) aggregate() {
 // Secured hands the FedAvg leader the upper SAC's average of the
 // participants' count·avg; it scales the average, which it owns, into
 // the global model in place.
-func (n *Node) Secured(r *sac.Result) {
+func (n *node) Secured(r *sac.Result) {
 	f := float64(len(r.Contributors)) / n.total
 	for j := range r.Avg {
 		r.Avg[j] *= f
@@ -240,17 +229,19 @@ func (n *Node) Secured(r *sac.Result) {
 // Config.Compression it is encoded once, and every peer, this one
 // included, resumes from the decoded copy, so the fleet stays in
 // lockstep.
-func (n *Node) distribute(global []float64) {
-	var block *compress.Delta
-	if c := n.p.cfg.Compression; c.Enabled() && n.err == nil {
-		d, err := c.Compress(global)
-		if n.err = err; err == nil {
-			bound := d.Bound
-			global, block, n.bound = d.Dense(global[:0]), &d, &bound
-		}
-	}
+func (n *node) distribute(global []float64) {
 	if n.err != nil {
 		return
+	}
+	var block *compress.Delta
+	if c := n.p.cfg.Compression; c.Enabled() {
+		d, err := c.Compress(global)
+		if err != nil {
+			n.err = err
+			return
+		}
+		bound := d.Bound
+		global, block, n.bound = d.Dense(global[:0]), &d, &bound
 	}
 	n.global = global
 	for _, l := range n.p.leaders {
@@ -262,7 +253,7 @@ func (n *Node) distribute(global []float64) {
 }
 
 // broadcast sends a subgroup leader's global model to its followers.
-func (n *Node) broadcast(block *compress.Delta) {
+func (n *node) broadcast(block *compress.Delta) {
 	for i := n.p.offsets[n.g]; i < n.p.offsets[n.g+1]; i++ {
 		if i != n.id {
 			n.send(i, KindBroadcast, n.global, block)

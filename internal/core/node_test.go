@@ -11,13 +11,13 @@ import (
 	"repro/internal/sac"
 )
 
-// handFedAvg steps one Node per peer through the FedAvg layer of a round
+// handFedAvg steps one node per peer through the FedAvg layer of a round
 // with no System around them: the smallest driver there is. Under
 // SecureUpper it stands in for the upper SAC with the plain average of
 // the inputs it diverts.
 type handFedAvg struct {
 	p      *plan
-	nodes  []Node
+	nodes  []node
 	inputs [][]float64
 }
 
@@ -45,7 +45,7 @@ func (h *handFedAvg) pump(j int) error {
 // the FedAvg leader is told whom it waits for (point 0), after the i-th
 // participant's upload (point i) and once the global model is
 // distributed (point len(participate)+1). It returns the FedAvg leader.
-func (h *handFedAvg) round(avgs [][]float64, participate []int, at func(point int)) (*Node, error) {
+func (h *handFedAvg) round(avgs [][]float64, participate []int, at func(point int)) (*node, error) {
 	for i := range h.nodes {
 		h.nodes[i].Begin(i, h.p)
 	}
@@ -87,7 +87,7 @@ func allocated() uint64 {
 	return m.TotalAlloc
 }
 
-// nodeKinds are what FuzzNodeStep hands a Node: the three FedAvg-layer
+// nodeKinds are what FuzzNodeStep hands a node: the three FedAvg-layer
 // kinds, a SAC kind, and garbage.
 var nodeKinds = []string{KindUpload, KindDownload, KindBroadcast, sac.KindShare, ""}
 
@@ -99,8 +99,10 @@ var nodeKinds = []string{KindUpload, KindDownload, KindBroadcast, sac.KindShare,
 // node, make it allocate in proportion to what a message claims, or let
 // the FedAvg leader take an upload twice, from a peer that does not lead
 // its subgroup, from a subgroup that does not participate, or from no
-// subgroup; and when every injection was discarded as invalid, the
-// global model is bit-identical to an undisturbed round's.
+// subgroup, or let a node take the global model from anyone but the
+// FedAvg leader (at a subgroup leader) or its subgroup's leader; and when
+// every injection was discarded, the global model is bit-identical to an
+// undisturbed round's.
 func FuzzNodeStep(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(2), []byte{0, 1, 0, 3, 0, 1})
 	f.Add(int64(2), uint8(4), uint8(3), []byte{3, 0, 0, 3, 1, 2, 4, 2, 1, 3, 0, 0, 6, 5, 2, 3, 0, 0})
@@ -108,6 +110,11 @@ func FuzzNodeStep(f *testing.F) {
 	f.Add(int64(4), uint8(1), uint8(0), []byte{})
 	f.Add(int64(5), uint8(3), uint8(7), []byte{2, 0, 0, 3, 2, 9, 130, 5, 0, 250, 1, 1, 3, 3, 2, 3, 0, 4})
 	f.Add(int64(6), uint8(4), uint8(9), []byte{0, 3, 1, 3, 0, 0, 1, 9, 2, 3, 0, 0, 12, 2, 0, 3, 0, 0})
+	// Found by fuzzing mutants: an upload from a follower, a second upload
+	// from one leader, a broadcast from nobody into a degraded subgroup.
+	f.Add(int64(15), uint8(2), uint8(5), []byte("012B00"))
+	f.Add(int64(36), uint8(1), uint8(7), []byte("102000"))
+	f.Add(int64(-123), uint8(1), uint8(1), []byte("0000000A9B00"))
 	f.Fuzz(func(t *testing.T, seed int64, mRaw, modeRaw uint8, raw []byte) {
 		const dim = 3
 		rng := rand.New(rand.NewSource(seed))
@@ -147,10 +154,10 @@ func FuzzNodeStep(f *testing.F) {
 		// set), block (none, quantized or sparse, its dimension from the
 		// length), and when it arrives.
 		points := len(participate) + 2
-		inject := make([][]Message, points)
+		inject := make([][]message, points)
 		injected := 0
 		for i := 0; i+6 <= len(raw) && injected < 32; i += 6 {
-			msg := Message{
+			msg := message{
 				From:   int(raw[i])%(n+2) - 1,
 				To:     int(raw[i+1]) % n,
 				Kind:   nodeKinds[int(raw[i+2])%len(nodeKinds)],
@@ -182,8 +189,8 @@ func FuzzNodeStep(f *testing.F) {
 			injected++
 		}
 
-		run := func(forged bool) (*Node, int) {
-			h := &handFedAvg{p: p, nodes: make([]Node, n)}
+		run := func(forged bool) (*node, int) {
+			h := &handFedAvg{p: p, nodes: make([]node, n)}
 			rejected := 0
 			fed, err := h.round(avgs, participate, func(point int) {
 				if !forged {
@@ -192,17 +199,25 @@ func FuzzNodeStep(f *testing.F) {
 				before := allocated()
 				for _, msg := range inject[point] {
 					to := &h.nodes[msg.To]
-					invalid, waiting := to.invalid, to.waiting
+					waiting, global := to.waiting, to.global
 					to.Step(msg) // must not panic
-					if to.invalid > invalid {
-						rejected++
-					} else if msg.Kind == KindUpload {
+					switch {
+					case to.waiting != waiting:
 						// Taken: it is the first upload of a participant's leader.
 						g := p.group(msg.From)
-						if g < 0 || g >= m || msg.From != p.leaders[g] || !slices.Contains(participate, g) ||
-							msg.To != p.leaders[p.fed] || to.waiting != waiting-1 {
+						if msg.Kind != KindUpload || g < 0 || g >= m || msg.From != p.leaders[g] ||
+							!slices.Contains(participate, g) || msg.To != p.leaders[p.fed] || to.waiting != waiting-1 {
 							t.Fatalf("the FedAvg leader took %+v", msg)
 						}
+					case global == nil && to.global != nil:
+						// Taken: the global model, from the one peer that may send it here.
+						g := p.group(msg.To)
+						if msg.From < 0 || msg.From == msg.To || !(msg.Kind == KindBroadcast && msg.From == p.leaders[g] ||
+							msg.Kind == KindDownload && msg.From == p.leaders[p.fed] && msg.To == p.leaders[g]) {
+							t.Fatalf("node %d took %+v", msg.To, msg)
+						}
+					default:
+						rejected++
 					}
 					if err := h.pump(msg.To); err != nil {
 						return // a forgery may make the round fail; it may not panic it
