@@ -321,12 +321,12 @@ func sacOn(n int, counter *transport.Counter, tel *telemetry.Registry, div secre
 	return mesh, sac.Config{N: n, K: n, Mode: sac.ModeLeader, Divider: div, Rng: rng, Telemetry: tel}
 }
 
-// runSAC runs one SAC of a round through sac.Run — a subgroup's, or the
-// upper layer's under SecureUpper — on sacOn's recipe with set's K,
-// Leader, Adversary and Guard.
+// runSAC runs one of the system's SACs through sac.Run — a subgroup's,
+// the upper layer's under SecureUpper, or the one-layer baseline — on
+// sacOn's recipe with set's K, Leader, Mode, Adversary and Guard.
 func (s *System) runSAC(set sac.Config, rng *rand.Rand, models [][]float64, crash sac.CrashPlan) (*sac.Result, error) {
 	mesh, cfg := sacOn(len(models), s.counter, s.cfg.Telemetry, s.cfg.Divider, rng)
-	cfg.K, cfg.Leader, cfg.Adversary, cfg.Guard = set.K, set.Leader, set.Adversary, set.Guard
+	cfg.K, cfg.Leader, cfg.Mode, cfg.Adversary, cfg.Guard = set.K, set.Leader, set.Mode, set.Adversary, set.Guard
 	return sac.Run(mesh, cfg, models, crash)
 }
 
@@ -427,7 +427,7 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 		}
 		s.sacRngs[g].Seed(seed)
 		lo, hi := p.offsets[g], p.offsets[g+1]
-		set := sac.Config{K: s.cfg.thresholdFor(g, hi-lo), Leader: leader - lo, Adversary: spec.Adversary[g], Guard: s.cfg.Guard}
+		set := sac.Config{K: s.cfg.thresholdFor(g, hi-lo), Leader: leader - lo, Mode: sac.ModeLeader, Adversary: spec.Adversary[g], Guard: s.cfg.Guard}
 		if results[g], err = s.runSAC(set, s.sacRngs[g], models[lo:hi], spec.Crash[g]); err != nil {
 			s.tel.sacFailed.Inc()
 		}
@@ -539,7 +539,7 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 		}
 	}
 	if len(inputs) > 1 {
-		r, err := s.runSAC(sac.Config{K: len(inputs)}, s.rng, inputs, nil)
+		r, err := s.runSAC(sac.Config{K: len(inputs), Mode: sac.ModeLeader}, s.rng, inputs, nil)
 		if err != nil {
 			return nil, fmt.Errorf("core: secure upper layer: %w", err)
 		}
@@ -569,9 +569,7 @@ func (s *System) BaselineAggregate(models [][]float64) (*RoundResult, error) {
 		return nil, fmt.Errorf("core: no models")
 	}
 	before := s.counter.TotalBytes()
-	mesh, cfg := sacOn(n, s.counter, s.cfg.Telemetry, s.cfg.Divider, s.rng)
-	cfg.Mode = sac.ModeBroadcast
-	r, err := sac.Run(mesh, cfg, models, nil)
+	r, err := s.runSAC(sac.Config{K: n, Mode: sac.ModeBroadcast}, s.rng, models, nil)
 	if err != nil {
 		return nil, err
 	}
