@@ -12,8 +12,8 @@ import (
 // and negative delays, events that schedule events while they run —
 // against a reference: the pending events kept in schedule order and
 // stable-sorted on their time, whose head is what must run next. The
-// schedules include bursts of 30 or more events on one instant, as the
-// hosts' tick chains make; events that schedule for now while their
+// schedules include bursts of 30 or more events on one instant, as a
+// heartbeat round's messages landing on one tick make; events that schedule for now while their
 // instant drains; and delays a multiple of openSlots µs apart, whose
 // instants collide in the open table so a second bucket opens behind
 // the first. After every Step no bucket, in the heap or on the free
@@ -123,10 +123,11 @@ func checkNoClosureRetained(t *testing.T, s *Sim, seed int64, steps int) {
 }
 
 // TestRestartWithinATickArmsOneLoop crashes and restarts a host inside
-// one tick interval, before the crashed incarnation's pending tick has
-// fired. That tick must end its chain: a single-node group sends no
-// messages, so its queue holds exactly its tick chains, and the node's
-// ten-tick election timeout must take ten virtual milliseconds.
+// one tick interval, before the crashed incarnation's wheel event has
+// fired. That event must tick nothing and arm nothing: a single-node
+// group sends no messages, so its queue holds exactly its wheels' events
+// — one, the restarted host's — and the node's ten-tick election
+// timeout must take ten virtual milliseconds.
 func TestRestartWithinATickArmsOneLoop(t *testing.T) {
 	sim := New()
 	g := NewGroup(sim, "solo", Uniform(0, 0), nil)
@@ -168,8 +169,7 @@ func TestRestartWithinATickArmsOneLoop(t *testing.T) {
 // network, every pending event lies within one delivery latency of now
 // and on the tick grid, so the heap never holds more than that many
 // tick intervals' worth of instants (plus the one draining and a
-// margin), while the events outnumber the hosts — each host's tick
-// chain alone keeps one pending.
+// margin), and the tick wheel alone keeps one event pending.
 func TestQueueHoldsInstantsNotEvents(t *testing.T) {
 	sim := New()
 	g := newGroupCluster(t, sim, 5, 48, 96, 15*Millisecond, 3)
@@ -185,8 +185,8 @@ func TestQueueHoldsInstantsNotEvents(t *testing.T) {
 		if len(sim.heap) > maxInstants {
 			t.Fatalf("at %v ms the heap holds %d instants, want ≤ %d", sim.Now().Ms(), len(sim.heap), maxInstants)
 		}
-		if sim.pending < len(g.hosts) {
-			t.Fatalf("at %v ms %d events are pending for %d hosts", sim.Now().Ms(), sim.pending, len(g.hosts))
+		if sim.pending < len(sim.wheels) {
+			t.Fatalf("at %v ms %d events are pending for %d tick wheels", sim.Now().Ms(), sim.pending, len(sim.wheels))
 		}
 		most = max(most, sim.pending)
 	}
@@ -205,8 +205,9 @@ func TestIdleGroupAllocatesPerMessageNotPerTick(t *testing.T) {
 	const ceiling = 1250
 	perSecond := func(tick Duration, electMin int) float64 {
 		sim := New()
-		g := newGroupCluster(t, sim, 5, electMin, 2*electMin, 15*Millisecond, 3)
-		g.TickInterval = tick
+		g := NewGroup(sim, "test", Uniform(15*Millisecond, 0), rand.New(rand.NewSource(3)))
+		g.TickInterval = tick // read when a host joins
+		addNodes(t, g, 5, electMin, 2*electMin, 3)
 		if !sim.RunWhileNot(func() bool { return g.Leader() != raft.None }, Time(5*Second)) {
 			t.Fatal("no leader")
 		}

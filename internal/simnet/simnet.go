@@ -4,7 +4,8 @@
 // virtual millisecond and messages are delivered after a configurable
 // one-way latency, so 1000 recovery-time trials run in seconds of wall
 // clock while reporting virtual milliseconds directly comparable to the
-// paper's Figs. 10–12.
+// paper's Figs. 10–12. The hosts that tick on the same instants share
+// one tick wheel, one event per instant however many hosts it ticks.
 package simnet
 
 import (
@@ -69,9 +70,14 @@ const openSlots = 64
 // runs deterministic.
 //
 // Events are kept in buckets per instant, and the binary min-heap orders
-// the buckets: when events share instants — every host's tick chain
-// fires on the same virtual millisecond — most schedules append to an
-// open bucket and most steps pop from the front one, touching no heap.
+// the buckets: when events share instants — a delivery latency is a
+// whole number of ticks, so messages land where the tick wheel runs —
+// most schedules append to an open bucket and most steps pop from the
+// front one, touching no heap.
+//
+// The Sim owns the tick wheels of every Group on it (wheel below): one
+// per phase, so the hosts of different groups that tick on one instant
+// tick in one event, in the order they joined.
 type Sim struct {
 	now     Time
 	heap    []instant
@@ -79,6 +85,7 @@ type Sim struct {
 	free    []*bucket
 	opened  uint64
 	pending int // events scheduled and not yet run
+	wheels  map[phase]*wheel
 }
 
 // New creates an empty simulation at time zero.
@@ -217,9 +224,10 @@ func (s *Sim) RunWhileNot(cond func() bool, limit Time) bool {
 }
 
 // Group drives a set of raft nodes that share one consensus group over
-// the simulated network: each host is ticked every TickInterval and its
-// outbound messages are delivered to group members after a delay drawn
-// from the group's Topology.
+// the simulated network: each host is ticked every TickInterval, by the
+// Sim's wheel for the instant it joined on, and its outbound messages
+// are delivered to group members after a delay drawn from the group's
+// Topology.
 type Group struct {
 	sim  *Sim
 	name string
@@ -244,7 +252,9 @@ type Group struct {
 	// e.g. black-holing all AppendEntries from one node.
 	DropFilter func(m raft.Message) bool
 	// TickInterval is the raft tick period (default 1 ms, so raft tick
-	// counts are milliseconds).
+	// counts are milliseconds). It is read when a host joins (Add,
+	// Restart, RestartFrom): a host keeps the period it joined with, so
+	// set it before the hosts it is meant for.
 	TickInterval Duration
 	// OnDeliver, if set, observes every successfully scheduled delivery
 	// with the one-way delay that was sampled for it — the feed for
@@ -286,8 +296,8 @@ func (g *Group) Name() string { return g.name }
 
 // Host is one raft member living in a Group: a raft.Loop on the virtual
 // clock. The loop's inputs, Node and observers are the host's own; what
-// the host adds is the simulator's — a tick chain, a crash flag, the
-// group's network as the loop's Send, and a disk.
+// the host adds is the simulator's — a place on a tick wheel, a crash
+// flag, the group's network as the loop's Send, and a disk.
 type Host struct {
 	raft.Loop
 	// Store is the host's disk. The group gives each host one that keeps
@@ -298,12 +308,8 @@ type Host struct {
 
 	group *Group
 	down  bool
-	// tickEpoch names the host's one live tick chain. Arming a chain
-	// (Add, restart), Crash and Remove advance it, and a chain armed
-	// under an earlier epoch ends when it next fires — so a restart
-	// inside one tick interval cannot leave the stranded chain running
-	// beside the new one.
-	tickEpoch uint64
+	// wheel ticks the host while it is up; Crash takes it off at once.
+	wheel *wheel
 
 	// OnMessage, if set, observes every message delivered to this host
 	// (before the node steps it). Failure detectors hang off this: a
@@ -344,11 +350,11 @@ func (g *Group) Add(node *raft.Node) (*Host, error) {
 		return nil, err
 	}
 	g.hosts[id] = h
-	g.scheduleTick(h)
+	g.sim.join(h, g.TickInterval)
 	return h, nil
 }
 
-// Remove unregisters a host from the group: its tick loop stops, no
+// Remove unregisters a host from the group: its ticks stop, no
 // further messages are delivered to it, and its ID becomes free for a
 // future Add. The continuous-churn control plane (internal/cluster)
 // calls this after a peer's removal ConfChange commits; in-flight
@@ -393,28 +399,120 @@ func (g *Group) Leader() uint64 {
 	return best
 }
 
-// scheduleTick arms the host's tick chain under a new epoch: one closure
-// that re-schedules itself every TickInterval for as long as that epoch
-// is the host's current one.
-func (g *Group) scheduleTick(h *Host) {
-	h.tickEpoch++
-	epoch := h.tickEpoch
-	var tick func()
-	tick = func() {
-		if h.tickEpoch != epoch {
-			return
+// phase names a tick wheel: hosts ticked every `every`, on the instants
+// that are offset modulo every.
+type phase struct {
+	every  Duration
+	offset Time
+}
+
+// wheel ticks every host of one phase in one self-rescheduling event per
+// instant, and in the order that gives the hosts' ticks if each host had
+// its own event re-armed every tick (the tick chain, kept as the
+// reference in wheel_test.go): a chain's tick for instant X is
+// scheduled during X−every, so the order of X's ticks is the order in
+// which hosts took their place for X while instant X−every ran, and the
+// wheel's event for X is scheduled where the first of them took it. A
+// host that joins at X takes its place for X+every — before X's block
+// (behind the hosts that joined at X before it, ahead of the members),
+// inside it (just before the host ticking) or after it (last) — and
+// first ticks at X+every. Crash takes a host out at once. A wheel with
+// no host schedules nothing, so the wheels never run more events than
+// the chains did.
+type wheel struct {
+	sim   *Sim
+	every Duration
+	fire  func() // run, bound once: re-arming allocates nothing
+
+	// hosts[fresh:] tick at due, in this order; hosts[:fresh] joined at
+	// due before its block ran and tick first at due+every. due is −1
+	// when no block is queued, and armed is the last instant an event
+	// was scheduled for.
+	hosts []*Host
+	fresh int
+	due   Time
+	armed Time
+
+	// While a block runs, hosts[:placed] hold their places for the next
+	// instant and hosts[placed] is the host ticking or the next to.
+	ticking bool
+	placed  int
+}
+
+// join puts h on the wheel of the phase it joins on at every.
+func (s *Sim) join(h *Host, every Duration) {
+	ph := phase{every: every, offset: s.now % Time(every)}
+	w := s.wheels[ph]
+	if w == nil {
+		if s.wheels == nil {
+			s.wheels = make(map[phase]*wheel)
 		}
-		_ = h.Tick() // a store error has crashed the host, and ended this chain
-		g.sim.Schedule(g.TickInterval, tick)
+		w = &wheel{sim: s, every: every, due: -1, armed: -1}
+		w.fire = w.run
+		s.wheels[ph] = w
 	}
-	g.sim.Schedule(g.TickInterval, tick)
+	h.wheel = w
+	switch now := s.now; {
+	case w.ticking:
+		w.hosts = slices.Insert(w.hosts, w.placed, h)
+		w.placed++
+	case w.due == now:
+		w.hosts = slices.Insert(w.hosts, w.fresh, h)
+		w.fresh++
+	default:
+		w.hosts = append(w.hosts, h)
+		w.due = now + Time(every)
+	}
+	w.arm()
+}
+
+// arm schedules the wheel's event for the next instant unless it is
+// scheduled already: called whenever a host takes its place for it.
+func (w *wheel) arm() {
+	if next := w.sim.now + Time(w.every); w.armed != next {
+		w.armed = next
+		w.sim.Schedule(w.every, w.fire)
+	}
+}
+
+// run is the block of one instant: each host that is due ticks, and
+// keeps its place for the next instant unless its tick took it off.
+func (w *wheel) run() {
+	w.ticking = true
+	for w.placed = w.fresh; w.placed < len(w.hosts); {
+		h := w.hosts[w.placed]
+		_ = h.Tick() // a store error has crashed the host, and taken it off
+		if w.placed < len(w.hosts) && w.hosts[w.placed] == h {
+			w.placed++
+			w.arm()
+		}
+	}
+	w.ticking, w.fresh, w.due = false, 0, -1
+	if next := w.sim.now + Time(w.every); w.armed == next {
+		w.due = next
+	}
+}
+
+// leave takes h off the wheel.
+func (w *wheel) leave(h *Host) {
+	i := slices.Index(w.hosts, h)
+	w.hosts = slices.Delete(w.hosts, i, i+1)
+	if i < w.fresh {
+		w.fresh--
+	}
+	if i < w.placed {
+		w.placed--
+	}
 }
 
 // Crash stops the host: no more ticks, inbound messages dropped. State
 // persisted before the crash survives (see Restart).
 func (h *Host) Crash() {
 	h.down = true
-	h.tickEpoch++
+	if h.wheel != nil {
+		h.wheel.leave(h)
+		h.wheel = nil
+	}
 }
 
 // Down reports whether the host has crashed.
@@ -453,7 +551,7 @@ func (h *Host) RestartFrom(cfg raft.Config, ps raft.PersistentState) error {
 		return err
 	}
 	h.down = false
-	h.group.scheduleTick(h)
+	h.group.sim.join(h, h.group.TickInterval)
 	return nil
 }
 

@@ -84,6 +84,13 @@ func TestRunWhileNot(t *testing.T) {
 func newGroupCluster(t *testing.T, sim *Sim, n int, electMin, electMax int, latency Duration, seed int64) *Group {
 	t.Helper()
 	g := NewGroup(sim, "test", Uniform(latency, 0), rand.New(rand.NewSource(seed)))
+	addNodes(t, g, n, electMin, electMax, seed)
+	return g
+}
+
+// addNodes adds raft nodes 1..n, each a voter of all n, to g.
+func addNodes(t *testing.T, g *Group, n int, electMin, electMax int, seed int64) {
+	t.Helper()
 	ids := make([]uint64, n)
 	for i := range ids {
 		ids[i] = uint64(i + 1)
@@ -104,7 +111,6 @@ func newGroupCluster(t *testing.T, sim *Sim, n int, electMin, electMax int, late
 			t.Fatal(err)
 		}
 	}
-	return g
 }
 
 func TestGroupElectsLeaderUnderLatency(t *testing.T) {
