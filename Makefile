@@ -81,12 +81,14 @@ test-compose:
 
 # A raft member's loop: raft.Loop (the one body that persists, sends,
 # applies and reports, in that order), its virtual-clock owner
-# simnet.Host (a host whose store fails sends nothing and goes down) and
-# its wall-clock owner, the daemon — not -short, so
-# TestKillNineAndRejoin builds p2pfl-node and kill -9s a real leader on
-# loopback.
+# simnet.Host (a host whose store fails sends nothing and goes down;
+# the tick wheel that ticks every host of an instant in chain order),
+# the cluster package that consumes both and runs the golden timelines
+# (TestVirtualTimelinesAreByteIdentical), and its wall-clock owner, the
+# daemon — not -short, so TestKillNineAndRejoin builds p2pfl-node and
+# kill -9s a real leader on loopback.
 test-node:
-	$(GO) test -race ./internal/raft/ ./internal/simnet/ ./cmd/p2pfl-node/
+	$(GO) test -race ./internal/raft/ ./internal/simnet/ ./internal/cluster/ ./cmd/p2pfl-node/
 
 # WAN profile: latency topologies, the raft pre-vote/check-quorum
 # safety tests, the RTT-driven timeout tuner, the WAN-tuned cluster

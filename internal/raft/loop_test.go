@@ -166,3 +166,42 @@ func TestLoopPumpsInRaftOrder(t *testing.T) {
 		t.Fatal("three leader ticks sent the follower nothing")
 	}
 }
+
+// TestReadyThatAddsAMemberLeavesItsAppend pins a Ready that leaves
+// output behind: when a leader's Ready applies an Add ConfChange,
+// applyConfChange queues the new member's first append after Ready
+// drained the outbox. So the Pump that applied the change sends nothing
+// to the member, the node still HasPending, and the append leaves on the
+// loop's next Pump — a host that skips ticks must still pump such a node
+// on its next one.
+func TestReadyThatAddsAMemberLeavesItsAppend(t *testing.T) {
+	n, err := raft.NewNode(raft.Config{ID: 1, Peers: []uint64{1}, ElectionTickMin: 10, ElectionTickMax: 20, HeartbeatTick: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sent []raft.Message
+	l := &raft.Loop{Store: &tracedStore{trace: new([]string)}, Send: func(m raft.Message) { sent = append(sent, m) }}
+	if err := l.Start(n); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Campaign(); err != nil || n.State() != raft.Leader {
+		t.Fatalf("a lone voter's campaign: %v, state %v", err, n.State())
+	}
+	// A lone voter commits the change as it appends it, and the Pump
+	// that ends ProposeConfChange applies it.
+	if err := l.ProposeConfChange(raft.ConfChange{Add: true, NodeID: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.Members(); len(got) != 2 {
+		t.Fatalf("members %v after the Pump that applied adding 2", got)
+	}
+	if len(sent) != 0 || !n.HasPending() {
+		t.Fatalf("the Pump that applied adding 2 sent %v and left pending output %v; want nothing sent and the append left", sent, n.HasPending())
+	}
+	if err := l.Pump(); err != nil {
+		t.Fatal(err)
+	}
+	if len(sent) != 1 || sent[0].Type != raft.MsgAppend || sent[0].To != 2 || n.HasPending() {
+		t.Fatalf("the next Pump sent %v, pending %v; want the append to 2 and nothing left", sent, n.HasPending())
+	}
+}

@@ -224,3 +224,30 @@ func TestIdleGroupAllocatesPerMessageNotPerTick(t *testing.T) {
 		t.Fatalf("allocations follow the tick rate: %v at 5,000 ticks a second, %v at 10,000", base, fine)
 	}
 }
+
+// TestIdleGroupStepsPerMessageNotPerHost counts the events a led, idle
+// five-node group runs in a virtual second: one per message delivered,
+// and one per tick instant — a tick wheel ticks every host of the
+// instant in one event. Were tick events per host again, the events that
+// are not deliveries would be 5,000 a second, not 1,000.
+func TestIdleGroupStepsPerMessageNotPerHost(t *testing.T) {
+	sim := New()
+	g := newGroupCluster(t, sim, 5, 48, 96, 15*Millisecond, 3)
+	if !sim.RunWhileNot(func() bool { return g.Leader() != raft.None }, Time(5*Second)) {
+		t.Fatal("no leader")
+	}
+	sim.RunFor(Second)
+	from, _ := g.OfferedTraffic()
+	steps := 0
+	for end := sim.Now() + Time(Second); sim.heap[0].at <= end; steps++ {
+		sim.Step()
+	}
+	to, _ := g.OfferedTraffic()
+	// Messages offered in the second's last 15 ms land after it, as many
+	// as landed in its first 15 ms from before it: idle traffic is even.
+	ticks := steps - int(to-from)
+	t.Logf("%d events in a virtual second: %d messages, %d others", steps, to-from, ticks)
+	if ticks > 1000+50 {
+		t.Fatalf("%d events in a virtual second besides %d deliveries, want one per tick instant (1,000), not one per host tick (5,000)", ticks, to-from)
+	}
+}

@@ -70,14 +70,13 @@ const openSlots = 64
 // runs deterministic.
 //
 // Events are kept in buckets per instant, and the binary min-heap orders
-// the buckets: when events share instants — a delivery latency is a
-// whole number of ticks, so messages land where the tick wheel runs —
-// most schedules append to an open bucket and most steps pop from the
-// front one, touching no heap.
+// the buckets: when events share instants — on the paper's 15 ms links
+// every message lands on a tick instant — most schedules append to an
+// open bucket and most steps pop from the front one, touching no heap.
 //
-// The Sim owns the tick wheels of every Group on it (wheel below): one
-// per phase, so the hosts of different groups that tick on one instant
-// tick in one event, in the order they joined.
+// The Sim owns the tick wheels of every Group on it (wheel below), one
+// per phase: hosts of different groups that tick on the same instants
+// tick in one event.
 type Sim struct {
 	now     Time
 	heap    []instant
@@ -407,21 +406,21 @@ type phase struct {
 }
 
 // wheel ticks every host of one phase in one self-rescheduling event per
-// instant, and in the order that gives the hosts' ticks if each host had
-// its own event re-armed every tick (the tick chain, kept as the
-// reference in wheel_test.go): a chain's tick for instant X is
-// scheduled during X−every, so the order of X's ticks is the order in
-// which hosts took their place for X while instant X−every ran, and the
-// wheel's event for X is scheduled where the first of them took it. A
-// host that joins at X takes its place for X+every — before X's block
-// (behind the hosts that joined at X before it, ahead of the members),
-// inside it (just before the host ticking) or after it (last) — and
-// first ticks at X+every. Crash takes a host out at once. A wheel with
-// no host schedules nothing, so the wheels never run more events than
-// the chains did.
+// instant. It replays the order in which the hosts would tick if each
+// re-armed an event of its own every tick (a tick chain, kept as the
+// reference in wheel_test.go). A chain's tick for instant X is
+// scheduled while instant X−every runs, so X's ticks run in the order
+// hosts took their place for X then, and after every event scheduled
+// earlier; the wheel's event for X is scheduled where the first host
+// took its place. A host that joins at X takes its place for X+every:
+// behind the hosts that joined at X before it but ahead of the members
+// if X's block is still to come, just before the host ticking if it
+// joins from inside the block, and last after it. Crash takes a host
+// off at once. A wheel without hosts schedules nothing and is dropped,
+// so the wheels never run more events than the chains did.
 type wheel struct {
 	sim   *Sim
-	every Duration
+	phase phase
 	fire  func() // run, bound once: re-arming allocates nothing
 
 	// hosts[fresh:] tick at due, in this order; hosts[:fresh] joined at
@@ -447,19 +446,20 @@ func (s *Sim) join(h *Host, every Duration) {
 		if s.wheels == nil {
 			s.wheels = make(map[phase]*wheel)
 		}
-		w = &wheel{sim: s, every: every, due: -1, armed: -1}
+		w = &wheel{sim: s, phase: ph, due: -1, armed: -1}
 		w.fire = w.run
 		s.wheels[ph] = w
 	}
 	h.wheel = w
 	switch now := s.now; {
-	case w.ticking:
+	case w.ticking: // just before the host ticking
 		w.hosts = slices.Insert(w.hosts, w.placed, h)
 		w.placed++
-	case w.due == now:
+	case w.due == now: // behind this instant's joiners, ahead of its block
 		w.hosts = slices.Insert(w.hosts, w.fresh, h)
 		w.fresh++
-	default:
+	default: // after this instant's block, or the wheel has none
+
 		w.hosts = append(w.hosts, h)
 		w.due = now + Time(every)
 	}
@@ -469,9 +469,9 @@ func (s *Sim) join(h *Host, every Duration) {
 // arm schedules the wheel's event for the next instant unless it is
 // scheduled already: called whenever a host takes its place for it.
 func (w *wheel) arm() {
-	if next := w.sim.now + Time(w.every); w.armed != next {
+	if next := w.sim.now + Time(w.phase.every); w.armed != next {
 		w.armed = next
-		w.sim.Schedule(w.every, w.fire)
+		w.sim.Schedule(w.phase.every, w.fire)
 	}
 }
 
@@ -488,8 +488,10 @@ func (w *wheel) run() {
 		}
 	}
 	w.ticking, w.fresh, w.due = false, 0, -1
-	if next := w.sim.now + Time(w.every); w.armed == next {
+	if next := w.sim.now + Time(w.phase.every); w.armed == next {
 		w.due = next
+	} else {
+		delete(w.sim.wheels, w.phase) // no host took a place
 	}
 }
 
