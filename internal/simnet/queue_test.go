@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -195,14 +196,15 @@ func TestQueueHoldsInstantsNotEvents(t *testing.T) {
 
 // TestIdleGroupAllocatesPerMessageNotPerTick holds a led, idle five-node
 // group to an allocation ceiling per virtual second that is a fraction
-// of the second's tick count, and shows the count does not follow the
-// tick rate: ticking twice as often, with the raft timers doubled so
-// the same heartbeats flow, allocates the same.
+// of the second's tick count and of its message count, and shows the
+// count does not follow the tick rate: ticking twice as often, with the
+// raft timers doubled so the same heartbeats flow, allocates the same.
 func TestIdleGroupAllocatesPerMessageNotPerTick(t *testing.T) {
 	// 62.5 heartbeat rounds a second to four followers and back: 500
-	// messages, each one delivery closure plus its share of the sender's
-	// outbox growth. Measured: 936 at either tick rate.
-	const ceiling = 1250
+	// messages, each its share of the sender's outbox growth; a delivery
+	// reuses one that has run. Measured: 436 at either tick rate, and 936
+	// while each delivery allocated its own closure.
+	const ceiling = 600
 	perSecond := func(tick Duration, electMin int) float64 {
 		sim := New()
 		g := NewGroup(sim, "test", Uniform(15*Millisecond, 0), rand.New(rand.NewSource(3)))
@@ -249,5 +251,22 @@ func TestIdleGroupStepsPerMessageNotPerHost(t *testing.T) {
 	t.Logf("%d events in a virtual second: %d messages, %d others", steps, to-from, ticks)
 	if ticks > 1000+50 {
 		t.Fatalf("%d events in a virtual second besides %d deliveries, want one per tick instant (1,000), not one per host tick (5,000)", ticks, to-from)
+	}
+}
+
+// TestRunDeliveriesHoldNoMessage pins what a group's spare deliveries
+// keep: nothing of the messages they carried — no entries, no snapshot —
+// so reusing them retains no log a message once referenced.
+func TestRunDeliveriesHoldNoMessage(t *testing.T) {
+	sim := New()
+	g := newGroupCluster(t, sim, 3, 10, 20, 15*Millisecond, 1)
+	sim.RunFor(Second)
+	if len(g.free) == 0 {
+		t.Fatal("no delivery went back to the group")
+	}
+	for i, d := range g.free {
+		if !reflect.ValueOf(d.m).IsZero() {
+			t.Fatalf("spare delivery %d still holds %+v", i, d.m)
+		}
 	}
 }

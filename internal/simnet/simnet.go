@@ -271,6 +271,9 @@ type Group struct {
 	// to partitions, filters and random loss (the sender cannot tell).
 	offeredMsgs  int64
 	offeredBytes int64
+
+	// free holds deliveries that have run, for the next messages.
+	free []*delivery
 }
 
 // NewGroup creates a consensus group on sim whose messages are delayed
@@ -595,17 +598,45 @@ func (g *Group) deliver(m raft.Message) {
 	if g.Jitter > 0 {
 		delay += Duration(g.rng.Int63n(int64(g.Jitter)))
 	}
-	g.sim.Schedule(delay, func() {
-		dst, ok := g.hosts[m.To]
-		if !ok || dst.down {
-			return
-		}
-		if g.OnDeliver != nil {
-			g.OnDeliver(m, delay)
-		}
-		if dst.OnMessage != nil {
-			dst.OnMessage(m)
-		}
-		_ = dst.Step(m) // refused: dropped; a store error has crashed dst
-	})
+	var d *delivery
+	if n := len(g.free); n > 0 {
+		d = g.free[n-1]
+		g.free[n-1] = nil
+		g.free = g.free[:n-1]
+	} else {
+		d = &delivery{g: g}
+		d.fire = d.run
+	}
+	d.m, d.delay = m, delay
+	g.sim.Schedule(delay, d.fire)
+}
+
+// delivery is a message in flight. Its group reuses it once it has run,
+// so a message allocates nothing once the group has had as many in
+// flight before: the event is the delivery's fire, bound once.
+type delivery struct {
+	g     *Group
+	m     raft.Message
+	delay Duration
+	fire  func()
+}
+
+// run hands the message to its destination. The delivery goes back to
+// its group first, holding nothing of the message, so what the
+// destination sends while it steps may reuse it.
+func (d *delivery) run() {
+	g, m, delay := d.g, d.m, d.delay
+	d.m = raft.Message{}
+	g.free = append(g.free, d)
+	dst, ok := g.hosts[m.To]
+	if !ok || dst.down {
+		return
+	}
+	if g.OnDeliver != nil {
+		g.OnDeliver(m, delay)
+	}
+	if dst.OnMessage != nil {
+		dst.OnMessage(m)
+	}
+	_ = dst.Step(m) // refused: dropped; a store error has crashed dst
 }
