@@ -14,10 +14,10 @@ import (
 // against a reference: the pending events kept in schedule order and
 // stable-sorted on their time, whose head is what must run next. The
 // schedules include bursts of 30 or more events on one instant, as a
-// heartbeat round's messages landing on one tick make; events that schedule for now while their
-// instant drains; and delays a multiple of openSlots µs apart, whose
-// instants collide in the open table so a second bucket opens behind
-// the first. After every Step no bucket, in the heap or on the free
+// heartbeat round's messages landing on one tick make; events that
+// schedule for now while their instant drains; and delays a multiple of
+// openSlots µs apart, whose instants collide in the open table so a
+// second bucket opens behind the first. After every Step no bucket, in the heap or on the free
 // list, holds a closure outside its pending events.
 func TestQueueMatchesStableSort(t *testing.T) {
 	delays := []Duration{-2 * Millisecond, -1, 0, 0, 1, openSlots, 2 * openSlots, Millisecond, Millisecond, Millisecond + openSlots, 2 * Millisecond, 15 * Millisecond}
