@@ -462,7 +462,6 @@ func (s *Sim) join(h *Host, every Duration) {
 		w.hosts = slices.Insert(w.hosts, w.fresh, h)
 		w.fresh++
 	default: // after this instant's block, or the wheel has none
-
 		w.hosts = append(w.hosts, h)
 		w.due = now + Time(every)
 	}
