@@ -124,11 +124,11 @@ func checkNoClosureRetained(t *testing.T, s *Sim, seed int64, steps int) {
 }
 
 // TestRestartWithinATickArmsOneLoop crashes and restarts a host inside
-// one tick interval, before the crashed incarnation's wheel event has
-// fired. That event must tick nothing and arm nothing: a single-node
-// group sends no messages, so its queue holds exactly its wheels' events
-// — one, the restarted host's — and the node's ten-tick election
-// timeout must take ten virtual milliseconds.
+// one tick interval, before the tick block that held the crashed
+// incarnation's next tick has fired. That block must tick nothing and
+// schedule nothing: a single-node group sends no messages, so its queue
+// holds exactly one tick block, the restarted host's, and the node's
+// ten-tick election timeout must take ten virtual milliseconds.
 func TestRestartWithinATickArmsOneLoop(t *testing.T) {
 	sim := New()
 	g := NewGroup(sim, "solo", Uniform(0, 0), nil)
@@ -170,7 +170,7 @@ func TestRestartWithinATickArmsOneLoop(t *testing.T) {
 // network, every pending event lies within one delivery latency of now
 // and on the tick grid, so the heap never holds more than that many
 // tick intervals' worth of instants (plus the one draining and a
-// margin), and the tick wheel alone keeps one event pending.
+// margin), and every live host's next tick is a pending event.
 func TestQueueHoldsInstantsNotEvents(t *testing.T) {
 	sim := New()
 	g := newGroupCluster(t, sim, 5, 48, 96, 15*Millisecond, 3)
@@ -186,8 +186,14 @@ func TestQueueHoldsInstantsNotEvents(t *testing.T) {
 		if len(sim.heap) > maxInstants {
 			t.Fatalf("at %v ms the heap holds %d instants, want ≤ %d", sim.Now().Ms(), len(sim.heap), maxInstants)
 		}
-		if sim.pending < len(sim.wheels) {
-			t.Fatalf("at %v ms %d events are pending for %d tick wheels", sim.Now().Ms(), sim.pending, len(sim.wheels))
+		blocks := map[*tickBlock]bool{}
+		for _, id := range g.IDs() {
+			if h := g.Host(id); !h.Down() {
+				blocks[h.block] = true
+			}
+		}
+		if blocks[nil] || sim.pending < len(blocks) {
+			t.Fatalf("at %v ms %d events are pending for %d tick blocks (a live host in none: %v)", sim.Now().Ms(), sim.pending, len(blocks), blocks[nil])
 		}
 		most = max(most, sim.pending)
 	}
@@ -202,8 +208,7 @@ func TestQueueHoldsInstantsNotEvents(t *testing.T) {
 func TestIdleGroupAllocatesPerMessageNotPerTick(t *testing.T) {
 	// 62.5 heartbeat rounds a second to four followers and back: 500
 	// messages, each its share of the sender's outbox growth; a delivery
-	// reuses one that has run. Measured: 436 at either tick rate, and 936
-	// while each delivery allocated its own closure.
+	// reuses one that has run. Measured: 436 at either tick rate.
 	const ceiling = 600
 	perSecond := func(tick Duration, electMin int) float64 {
 		sim := New()
@@ -229,9 +234,9 @@ func TestIdleGroupAllocatesPerMessageNotPerTick(t *testing.T) {
 
 // TestIdleGroupStepsPerMessageNotPerHost counts the events a led, idle
 // five-node group runs in a virtual second: one per message delivered,
-// and one per tick instant — a tick wheel ticks every host of the
-// instant in one event. Were tick events per host again, the events that
-// are not deliveries would be 5,000 a second, not 1,000.
+// and one per tick instant — one tick block ticks every host of the
+// instant. Were tick events per host again, the events that are not
+// deliveries would be 5,000 a second, not 1,000.
 func TestIdleGroupStepsPerMessageNotPerHost(t *testing.T) {
 	sim := New()
 	g := newGroupCluster(t, sim, 5, 48, 96, 15*Millisecond, 3)

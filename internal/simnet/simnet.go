@@ -4,8 +4,8 @@
 // virtual millisecond and messages are delivered after a configurable
 // one-way latency, so 1000 recovery-time trials run in seconds of wall
 // clock while reporting virtual milliseconds directly comparable to the
-// paper's Figs. 10–12. The hosts that tick on the same instants share
-// one tick wheel, one event per instant however many hosts it ticks.
+// paper's Figs. 10–12. Hosts whose ticks fall back to back at one
+// instant tick in one event, however many of them there are.
 package simnet
 
 import (
@@ -43,6 +43,11 @@ type bucket struct {
 	at   Time // −1 once retired
 	fns  []func()
 	head int // next event to run
+	// block is the tick block scheduled last in the bucket, and the
+	// bucket's length just after it: while len(fns) is still blockEnd,
+	// a host that ticks at this instant joins block (Sim.place).
+	block    *tickBlock
+	blockEnd int
 }
 
 // instant is a heap entry: a bucket under its time and the order it was
@@ -74,8 +79,8 @@ const openSlots = 64
 // every message lands on a tick instant — most schedules append to an
 // open bucket and most steps pop from the front one, touching no heap.
 //
-// The Sim owns the tick wheels of every Group on it (wheel below), one
-// per phase: hosts of different groups that tick on the same instants
+// The Sim ticks the hosts of every Group on it in tick blocks (tickBlock
+// below): hosts of any group whose ticks fall back to back at one instant
 // tick in one event.
 type Sim struct {
 	now     Time
@@ -83,8 +88,8 @@ type Sim struct {
 	open    [openSlots]*bucket
 	free    []*bucket
 	opened  uint64
-	pending int // events scheduled and not yet run
-	wheels  map[phase]*wheel
+	pending int          // events scheduled and not yet run
+	blocks  []*tickBlock // tick blocks that have run, for reuse
 }
 
 // New creates an empty simulation at time zero.
@@ -188,7 +193,7 @@ func (s *Sim) Step() bool {
 	s.now = b.at
 	if b.head == len(b.fns) {
 		s.popInstant()
-		b.at, b.fns, b.head = -1, b.fns[:0], 0
+		b.at, b.fns, b.head, b.block = -1, b.fns[:0], 0, nil
 		s.free = append(s.free, b)
 	}
 	s.pending--
@@ -223,8 +228,8 @@ func (s *Sim) RunWhileNot(cond func() bool, limit Time) bool {
 }
 
 // Group drives a set of raft nodes that share one consensus group over
-// the simulated network: each host is ticked every TickInterval, by the
-// Sim's wheel for the instant it joined on, and its outbound messages
+// the simulated network: each host is ticked every TickInterval, in the
+// Sim's tick blocks, and its outbound messages
 // are delivered to group members after a delay drawn from the group's
 // Topology.
 type Group struct {
@@ -298,7 +303,7 @@ func (g *Group) Name() string { return g.name }
 
 // Host is one raft member living in a Group: a raft.Loop on the virtual
 // clock. The loop's inputs, Node and observers are the host's own; what
-// the host adds is the simulator's — a place on a tick wheel, a crash
+// the host adds is the simulator's — a place in a tick block, a crash
 // flag, the group's network as the loop's Send, and a disk.
 type Host struct {
 	raft.Loop
@@ -310,8 +315,10 @@ type Host struct {
 
 	group *Group
 	down  bool
-	// wheel ticks the host while it is up; Crash takes it off at once.
-	wheel *wheel
+	// every is the tick period the host joined with, and block holds its
+	// next tick while it is up; Crash takes it out at once.
+	every Duration
+	block *tickBlock
 
 	// OnMessage, if set, observes every message delivered to this host
 	// (before the node steps it). Failure detectors hang off this: a
@@ -352,7 +359,8 @@ func (g *Group) Add(node *raft.Node) (*Host, error) {
 		return nil, err
 	}
 	g.hosts[id] = h
-	g.sim.join(h, g.TickInterval)
+	h.every = g.TickInterval
+	g.sim.place(h)
 	return h, nil
 }
 
@@ -401,111 +409,74 @@ func (g *Group) Leader() uint64 {
 	return best
 }
 
-// phase names a tick wheel: hosts ticked every `every`, on the instants
-// that are offset modulo every.
-type phase struct {
-	every  Duration
-	offset Time
-}
-
-// wheel ticks every host of one phase in one self-rescheduling event per
-// instant. It replays the order in which the hosts would tick if each
-// re-armed an event of its own every tick (a tick chain, kept as the
-// reference in wheel_test.go). A chain's tick for instant X is
-// scheduled while instant X−every runs, so X's ticks run in the order
-// hosts took their place for X then, and after every event scheduled
-// earlier; the wheel's event for X is scheduled where the first host
-// took its place. A host that joins at X takes its place for X+every:
-// behind the hosts that joined at X before it but ahead of the members
-// if X's block is still to come, just before the host ticking if it
-// joins from inside the block, and last after it. Crash takes a host
-// off at once. A wheel without hosts schedules nothing and is dropped,
-// so the wheels never run more events than the chains did.
-type wheel struct {
+// tickBlock is the ticks that run back to back at one instant, as one
+// event. A host ticks every TickInterval as if it re-armed an event of
+// its own after each tick (a tick chain, kept as the reference in
+// wheel_test.go): its tick for instant X goes to the end of what is
+// scheduled for X at the moment it joins or ticks at X−every. When that
+// end is a block already, the host joins it; otherwise it opens a new
+// block there. So a block runs exactly the ticks the chains would have
+// run between the same two other events, in the same order, and a
+// message or timer scheduled for X between two hosts' places — a 1 ms
+// link under a 1 ms tick — splits their block where it split their
+// chains. Hosts of any group and any interval share blocks.
+type tickBlock struct {
 	sim   *Sim
-	phase phase
-	fire  func() // run, bound once: re-arming allocates nothing
-
-	// hosts[fresh:] tick at due, in this order; hosts[:fresh] joined at
-	// due before its block ran and tick first at due+every. due is −1
-	// when no block is queued, and armed is the last instant an event
-	// was scheduled for.
 	hosts []*Host
-	fresh int
-	due   Time
-	armed Time
-
-	// While a block runs, hosts[:placed] hold their places for the next
-	// instant and hosts[placed] is the host ticking or the next to.
-	ticking bool
-	placed  int
+	next  int    // hosts[next:] are still to tick
+	fire  func() // run, bound once: a block allocates nothing per tick
 }
 
-// join puts h on the wheel of the phase it joins on at every.
-func (s *Sim) join(h *Host, every Duration) {
-	ph := phase{every: every, offset: s.now % Time(every)}
-	w := s.wheels[ph]
-	if w == nil {
-		if s.wheels == nil {
-			s.wheels = make(map[phase]*wheel)
-		}
-		w = &wheel{sim: s, phase: ph, due: -1, armed: -1}
-		w.fire = w.run
-		s.wheels[ph] = w
+// place gives h its next tick, one TickInterval from now, at the end of
+// what is scheduled for that instant so far.
+func (s *Sim) place(h *Host) {
+	at := s.now + Time(h.every)
+	b := s.open[at&(openSlots-1)]
+	if b == nil || b.at != at || b.block == nil || b.blockEnd != len(b.fns) {
+		blk := s.newBlock()
+		s.Schedule(h.every, blk.fire)
+		b = s.open[at&(openSlots-1)]
+		b.block, b.blockEnd = blk, len(b.fns)
 	}
-	h.wheel = w
-	switch now := s.now; {
-	case w.ticking: // just before the host ticking
-		w.hosts = slices.Insert(w.hosts, w.placed, h)
-		w.placed++
-	case w.due == now: // behind this instant's joiners, ahead of its block
-		w.hosts = slices.Insert(w.hosts, w.fresh, h)
-		w.fresh++
-	default: // after this instant's block, or the wheel has none
-		w.hosts = append(w.hosts, h)
-		w.due = now + Time(every)
-	}
-	w.arm()
+	b.block.hosts = append(b.block.hosts, h)
+	h.block = b.block
 }
 
-// arm schedules the wheel's event for the next instant unless it is
-// scheduled already: called whenever a host takes its place for it.
-func (w *wheel) arm() {
-	if next := w.sim.now + Time(w.phase.every); w.armed != next {
-		w.armed = next
-		w.sim.Schedule(w.phase.every, w.fire)
+func (s *Sim) newBlock() *tickBlock {
+	if n := len(s.blocks); n > 0 {
+		blk := s.blocks[n-1]
+		s.blocks = s.blocks[:n-1]
+		return blk
 	}
+	blk := &tickBlock{sim: s}
+	blk.fire = blk.run
+	return blk
 }
 
-// run is the block of one instant: each host that is due ticks, and
-// keeps its place for the next instant unless its tick took it off.
-func (w *wheel) run() {
-	w.ticking = true
-	for w.placed = w.fresh; w.placed < len(w.hosts); {
-		h := w.hosts[w.placed]
-		_ = h.Tick() // a store error has crashed the host, and taken it off
-		if w.placed < len(w.hosts) && w.hosts[w.placed] == h {
-			w.placed++
-			w.arm()
+// run ticks the block's hosts in order. Each takes its next place right
+// after its tick, unless the tick crashed it or gave it a place already
+// (it crashed and restarted inside its own tick).
+func (blk *tickBlock) run() {
+	for blk.next < len(blk.hosts) {
+		h := blk.hosts[blk.next]
+		blk.next++
+		h.block = nil
+		_ = h.Tick() // a store error has crashed the host
+		if !h.down && h.block == nil {
+			blk.sim.place(h)
 		}
 	}
-	w.ticking, w.fresh, w.due = false, 0, -1
-	if next := w.sim.now + Time(w.phase.every); w.armed == next {
-		w.due = next
-	} else {
-		delete(w.sim.wheels, w.phase) // no host took a place
-	}
+	clear(blk.hosts)
+	blk.hosts, blk.next = blk.hosts[:0], 0
+	blk.sim.blocks = append(blk.sim.blocks, blk)
 }
 
-// leave takes h off the wheel.
-func (w *wheel) leave(h *Host) {
-	i := slices.Index(w.hosts, h)
-	w.hosts = slices.Delete(w.hosts, i, i+1)
-	if i < w.fresh {
-		w.fresh--
-	}
-	if i < w.placed {
-		w.placed--
+// unplace takes h out of the block that holds its next tick.
+func (h *Host) unplace() {
+	if blk := h.block; blk != nil {
+		i := blk.next + slices.Index(blk.hosts[blk.next:], h)
+		blk.hosts = slices.Delete(blk.hosts, i, i+1)
+		h.block = nil
 	}
 }
 
@@ -513,10 +484,7 @@ func (w *wheel) leave(h *Host) {
 // persisted before the crash survives (see Restart).
 func (h *Host) Crash() {
 	h.down = true
-	if h.wheel != nil {
-		h.wheel.leave(h)
-		h.wheel = nil
-	}
+	h.unplace()
 }
 
 // Down reports whether the host has crashed.
@@ -555,7 +523,8 @@ func (h *Host) RestartFrom(cfg raft.Config, ps raft.PersistentState) error {
 		return err
 	}
 	h.down = false
-	h.group.sim.join(h, h.group.TickInterval)
+	h.every = h.group.TickInterval
+	h.group.sim.place(h)
 	return nil
 }
 

@@ -78,7 +78,7 @@ func TestHostThatCannotPersistSendsNothing(t *testing.T) {
 		var before int64
 		for !h.Down() && sim.Now() < Time(300*Millisecond) {
 			before = *sent
-			sim.Step() // never false: the tick wheel stays armed
+			sim.Step() // never false: a live host's next tick is always queued
 		}
 		return sim, g, h, disk, before, sent
 	}
@@ -103,7 +103,7 @@ func TestHostThatCannotPersistSendsNothing(t *testing.T) {
 				t.Fatalf("seed %d %s: host still up after its disk refused save %d", seed, kind, failAt)
 			}
 			// world stopped after the event that crashed the host. One
-			// event may feed other hosts too — a wheel ticks them all —
+			// event may feed other hosts too — a tick block ticks them all —
 			// but the victim's part of it was one input and the Pump that
 			// input ended in, so a message the victim sent during it is one
 			// of the Ready that was not saved.
