@@ -21,7 +21,9 @@ import (
 //     wan50 ones with sub-millisecond intra-region links among them;
 //   - `p2pfl-chaos -track churn` seeds 13 and 16, whose hand-offs
 //     restart hosts mid-run;
-//   - `p2pfl-experiments -exp fig10,fig11,fig12 -trials 50`.
+//   - `p2pfl-experiments -exp fig10,fig11,fig12,ext5 -trials 50`, ext5's
+//     1 ms row on links one tick long, where a host's tick-time sends
+//     land between the next instant's ticks.
 //
 // A chaos cell is digested as its JSON report (schedule, violations and
 // stats, virtual milliseconds included), a figure as its printed table.
@@ -33,6 +35,7 @@ func TestVirtualTimelinesAreByteIdentical(t *testing.T) {
 		"fig10":          "ba0235927d63449388076701aa885d0c0a3e07897ba10cf92ea1363a4d56f26f",
 		"fig11":          "28001bafa7209b11cfd0d9ba8b7d751d08b96906c7f4490616877b612e8c71be",
 		"fig12":          "7a781e69d0e948b00b556d4b8ba6b747b573407e759703b931d85995aec01c9c",
+		"ext5":           "4e8b2f7a05bc353c876668dd2fc718482efd5af602bcbb2f206a557e72508df4",
 	}
 	got := map[string]string{}
 	digest := func(name string, write func(*bytes.Buffer)) {
@@ -84,7 +87,7 @@ func TestVirtualTimelinesAreByteIdentical(t *testing.T) {
 			})
 		})
 	}
-	for _, fig := range []string{"fig10", "fig11", "fig12"} {
+	for _, fig := range []string{"fig10", "fig11", "fig12", "ext5"} {
 		digest(fig, func(buf *bytes.Buffer) {
 			res, err := experiments.Run(fig, experiments.Params{Rounds: 120, Trials: 50, MaxN: 50, Seed: 1})
 			if err != nil {
