@@ -82,7 +82,7 @@ test-compose:
 # A raft member's loop: raft.Loop (the one body that persists, sends,
 # applies and reports, in that order), its virtual-clock owner
 # simnet.Host (a host whose store fails sends nothing and goes down;
-# the tick wheel that ticks every host of an instant in chain order),
+# the tick blocks that run back-to-back ticks of an instant as one event),
 # the cluster package that consumes both and runs the golden timelines
 # (TestVirtualTimelinesAreByteIdentical), and its wall-clock owner, the
 # daemon — not -short, so TestKillNineAndRejoin builds p2pfl-node and

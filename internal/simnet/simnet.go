@@ -229,9 +229,8 @@ func (s *Sim) RunWhileNot(cond func() bool, limit Time) bool {
 
 // Group drives a set of raft nodes that share one consensus group over
 // the simulated network: each host is ticked every TickInterval, in the
-// Sim's tick blocks, and its outbound messages
-// are delivered to group members after a delay drawn from the group's
-// Topology.
+// Sim's tick blocks, and its outbound messages are delivered to group
+// members after a delay drawn from the group's Topology.
 type Group struct {
 	sim  *Sim
 	name string
@@ -412,7 +411,7 @@ func (g *Group) Leader() uint64 {
 // tickBlock is the ticks that run back to back at one instant, as one
 // event. A host ticks every TickInterval as if it re-armed an event of
 // its own after each tick (a tick chain, kept as the reference in
-// wheel_test.go): its tick for instant X goes to the end of what is
+// tick_test.go): its tick for instant X goes to the end of what is
 // scheduled for X at the moment it joins or ticks at X−every. When that
 // end is a block already, the host joins it; otherwise it opens a new
 // block there. So a block runs exactly the ticks the chains would have
