@@ -50,9 +50,11 @@ func TestForgedSharesNeverReachASubtotal(t *testing.T) {
 }
 
 // adversarialKinds are the message kinds an attacker might forge —
-// protocol kinds, a stale kind from "another subsystem", and garbage.
+// protocol kinds, a stale kind from "another subsystem", and garbage. An
+// accusation injected before the round is read inside the first turn,
+// before any peer has sealed, so it is invalid like the rest.
 var adversarialKinds = []string{
-	KindShare, KindSubtotal, KindRecoveryReq, KindRecovery, "sac/bogus", "",
+	KindShare, KindSubtotal, KindRecoveryReq, KindRecovery, KindAccuse, "sac/bogus", "",
 }
 
 // FuzzHandleMessage injects arbitrary adversarial messages into the mesh
@@ -174,6 +176,8 @@ func FuzzPeerStep(f *testing.F) {
 	f.Add(int64(4), uint8(1), uint8(1), []byte{})
 	f.Add(int64(5), uint8(3), uint8(1), []byte{13, 0, 1, 130, 3, 17, 0, 3, 129, 3, 16, 0, 2, 129, 1})
 	f.Add(int64(6), uint8(4), uint8(2), []byte{22, 0, 5, 127, 12, 21, 0, 6, 127, 3, 23, 1, 7, 127, 1, 2, 3, 0, 131, 3})
+	// Peer 1 accuses contributor 3 to peer 2 once every peer has sealed.
+	f.Add(int64(9), uint8(3), uint8(1), []byte{17, 2, 4, 131, 1})
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, kRaw uint8, raw []byte) {
 		n := 1 + int(nRaw)%6 // 1..6 peers
 		k := 1 + int(kRaw)%n // 1..n threshold

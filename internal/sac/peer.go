@@ -19,15 +19,15 @@ import (
 // Nothing inside a round times out, so there is no Tick.
 //
 // A round at p is Begin; per contributor i, ascending, BeginTurn(i),
-// Contribute at p = i, Step per share, Caught, EndTurn; then Seal,
+// Contribute at p = i, Step per share; then Seal, Step per accusation,
 // Report or Recover per share index, Step per subtotal, and at a
 // collector Missing and Finish; Down whenever the failure detector
 // reports a peer (DESIGN §16 has the table). What a single peer cannot
-// know — whose turn it is, the randomness it divides with, who is down,
-// whether another receiver caught the contributor — comes from the
-// driver (see Run). No field of a Peer is read or written by another
-// Peer; on an in-memory mesh a receiver reads the shares it holds from
-// their sender's share block, which only that sender writes, at its
+// know — whose turn it is, the randomness it divides with, who is down —
+// comes from the driver (see Run); whom another receiver caught comes in
+// that receiver's accusation. No field of a Peer is read or written by
+// another Peer; on an in-memory mesh a receiver reads the shares it holds
+// from their sender's share block, which only that sender writes, at its
 // turn.
 type Peer struct {
 	cfg        Config
@@ -51,14 +51,13 @@ type Peer struct {
 	summed []bool
 	terms  [][]float64
 
-	turn   int    // the contributor whose turn it is, −1 between turns
-	caught bool   // p's range guard caught this turn's contributor
+	turn   int    // the contributor whose turn it is, −1 before the first and once sealed
 	sealed bool   // the share exchange is over
 	down   []bool // peers the failure detector has reported
 
-	contributors []int // turns p kept, ascending
-	excluded     []int // turns p dropped on some receiver's accusation
-	accusations  []int // turns p's own guard caught
+	contributors []int // turns p keeps, ascending
+	excluded     []int // turns p dropped on an accusation, ascending
+	accusations  []int // turns p's own guard caught, ascending
 
 	// A collector's state, sized when p first is one: holders is
 	// secretshare.HoldersOf of every share index, flat, got[s*r+t] the copy
@@ -122,7 +121,7 @@ func (p *Peer) Begin(id int, cfg Config, dim int) error {
 	}
 	clear(p.summed)
 	clear(p.down)
-	p.turn, p.caught, p.sealed, p.audit = -1, false, false, auditState{}
+	p.turn, p.sealed, p.audit = -1, false, auditState{}
 	p.contributors, p.excluded, p.accusations = p.contributors[:0], p.excluded[:0], p.accusations[:0]
 	p.msgs, p.done, p.invalid = p.msgs[:0], p.done[:0], 0
 	return nil
@@ -183,9 +182,13 @@ func (p *Peer) Down(j int) { p.down[j] = true }
 
 func (p *Peer) isIndex(s int) bool { return s >= 0 && s < len(p.down) }
 
-// BeginTurn opens contributor i's turn: until EndTurn, p accepts shares
-// from i and from nobody else.
-func (p *Peer) BeginTurn(i int) { p.turn = i }
+// BeginTurn opens contributor i's turn: until the next turn or the
+// seal, p accepts shares from i and from nobody else, and from now on p
+// counts i as a contributor.
+func (p *Peer) BeginTurn(i int) {
+	p.turn = i
+	p.contributors = append(p.contributors, i)
+}
 
 // Contribute is p's own turn: its model is divided into n shares with
 // rng — after whatever poisoning p's behavior applies, so consistently
@@ -230,7 +233,7 @@ func (p *Peer) Contribute(model []float64, rng *rand.Rand) error {
 //
 //   - a share, in contributor i's turn, only from i, for an index p
 //     holds, at a peer other than i; the last duplicate wins;
-//   - an accusation once sealed;
+//   - an accusation once sealed and before p has summed any subtotal;
 //   - a subtotal for index s, once sealed and only at a collector, from
 //     s's owner when p does not sum s itself — under the cross-check from
 //     any member of secretshare.HoldersOf(s) — and a recovered one only
@@ -250,9 +253,10 @@ func (p *Peer) Step(m transport.Message) {
 	case m.Kind == KindShare:
 		ok = p.stepShare(m)
 	case m.Kind == KindAccuse:
-		// The turn barrier has already told p whom to drop (see EndTurn);
-		// the message is the accusation's cost on the wire.
-		if ok = p.sealed && p.isIndex(m.ShareIdx) && len(m.Payload) == 1; ok {
+		// Every subtotal is still unsummed, so dropping the accused takes
+		// no subtraction.
+		if ok = p.sealed && !slices.Contains(p.summed, true) && p.isIndex(m.ShareIdx) && len(m.Payload) == 1; ok {
+			p.drop(m.ShareIdx)
 			p.release(m.Payload)
 		}
 	case m.Kind == KindSubtotal || m.Kind == KindRecovery:
@@ -275,78 +279,51 @@ func (p *Peer) Step(m transport.Message) {
 	}
 }
 
-// stepShare screens one share of the turn and holds it; whether it is
-// kept is EndTurn's to decide.
+// stepShare screens one share of the turn and holds it until the seal.
 func (p *Peer) stepShare(m transport.Message) bool {
 	if m.From != p.turn || !p.isIndex(m.ShareIdx) || p.slot[m.ShareIdx] < 0 || len(m.Payload) != p.dim {
 		return false
 	}
 	// Range guard: an honest share is a fraction of its model, so a
-	// too-large share is provably forged; none of the contributor's shares
-	// will be kept.
-	p.caught = p.caught || p.outOfRange(m.Payload)
+	// too-large share is provably forged; p will accuse its contributor.
+	if p.outOfRange(m.Payload) && !slices.Contains(p.accusations, p.turn) {
+		p.accusations = append(p.accusations, p.turn)
+	}
 	h := &p.held[p.turn*p.r+p.slot[m.ShareIdx]]
 	p.release(*h)
 	*h = m.Payload
 	return true
 }
 
-// Caught is p's verdict on the turn's contributor.
-func (p *Peer) Caught() bool { return p.caught }
-
-// EndTurn closes the turn. With fold, every share p holds of it — what
-// p accepted and, at the contributor, what it retained — is kept until
-// the round ends, to be summed into its subtotal when that is needed;
-// without, none is, at any receiver, so no subtraction is ever needed.
-// fold is false when any receiver's Caught is true: the driver tells p
-// so at the turn barrier, where the protocol proper would have the
-// accusations travel inside the turn. A dropped turn's received payloads
-// are released at once; the contributor's own never went through the
-// mesh.
-func (p *Peer) EndTurn(fold bool) {
-	fold = fold && !p.caught
-	if fold {
-		p.contributors = append(p.contributors, p.turn)
-	} else {
-		turn := p.held[p.turn*p.r : (p.turn+1)*p.r]
-		if p.turn != p.id {
-			p.release(turn...)
-		}
-		clear(turn)
-		p.excluded = append(p.excluded, p.turn)
-	}
-	if p.caught {
-		p.accusations = append(p.accusations, p.turn)
-	}
-	p.turn, p.caught = -1, false
-}
-
-// Seal ends the share exchange at p. It publishes its range guard's
-// detections, once: a metadata-sized message per accused contributor, in
-// ascending order, to every peer not known down. Its contributors are
-// final and a collector starts accepting subtotals. A subtotal liar sums
-// every index it holds — its own and the replicas it backs — and
-// corrupts the subtotals in place, after honest computation, so the lie
-// reaches both the trusting (plain) and the cross-checking (guarded)
-// collection paths.
+// Seal ends the share exchange at p: its contributors are final but for
+// accusations, and a collector starts accepting subtotals. p drops every
+// contributor its range guard caught and accuses each, once: a
+// metadata-sized message per accused contributor, in ascending order, to
+// every peer not known down.
 func (p *Peer) Seal() {
+	p.turn, p.sealed = -1, true
 	for _, accused := range p.accusations {
+		p.drop(accused)
 		p.sendAll(KindAccuse, accused, []float64{float64(accused)})
 	}
-	p.sealed = true
-	if p.byz != ByzInflateSubtotal && p.byz != ByzZeroSubtotal {
+}
+
+// drop removes contributor i from p's round, if it is in it: p releases
+// the shares it received from i, and i moves from contributors to
+// excluded.
+func (p *Peer) drop(i int) {
+	at := slices.Index(p.contributors, i)
+	if at < 0 {
 		return
 	}
-	for s := range p.slot {
-		sub := p.subtotal(s) // nil where p holds none
-		for x := range sub {
-			if p.byz == ByzInflateSubtotal {
-				sub[x] += InflateOffset
-			} else {
-				sub[x] = 0
-			}
-		}
+	p.contributors = slices.Delete(p.contributors, at, at+1)
+	turn := p.held[i*p.r : (i+1)*p.r]
+	if i != p.id {
+		p.release(turn...)
 	}
+	clear(turn)
+	at, _ = slices.BinarySearch(p.excluded, i)
+	p.excluded = slices.Insert(p.excluded, at, i)
 }
 
 // collects: subtotals are sent to everybody under Alg. 2, else the leader.
@@ -356,7 +333,9 @@ func (p *Peer) collects() bool { return p.cfg.Mode == ModeBroadcast || p.id == p
 // none to report: p is not sealed, does not hold s, or does not hold
 // every contributor's share of it. The first call of a round sums the
 // held shares, contributors ascending, so a subtotal nobody asks for is
-// never summed.
+// never summed. A subtotal liar corrupts the sum right after it, so the
+// lie reaches both the trusting (plain) and the cross-checking (guarded)
+// collection paths.
 func (p *Peer) subtotal(s int) []float64 {
 	if !p.sealed || !p.isIndex(s) || p.slot[s] < 0 || len(p.contributors) == 0 {
 		return nil
@@ -374,6 +353,14 @@ func (p *Peer) subtotal(s int) []float64 {
 		terms = append(terms, p.held[i*p.r+a])
 	}
 	sum(sub, terms)
+	switch p.byz {
+	case ByzInflateSubtotal:
+		for x := range sub {
+			sub[x] += InflateOffset
+		}
+	case ByzZeroSubtotal:
+		clear(sub)
+	}
 	clear(terms)
 	p.terms, p.summed[a] = terms[:0], true
 	return sub

@@ -73,7 +73,8 @@ func (h *handRound) kill(j int) {
 }
 
 // shares runs the share exchange and seals every peer: the driver's
-// part, with the turn barrier's OR written out.
+// part. Every peer seals before any accusation is delivered, as under
+// Run, where they are all sent before any is drained.
 func (h *handRound) shares(models [][]float64, rng *rand.Rand) {
 	for i := range h.peers {
 		for j := range h.peers {
@@ -86,16 +87,11 @@ func (h *handRound) shares(models [][]float64, rng *rand.Rand) {
 		if h.at != nil {
 			h.at(i)
 		}
-		fold := true
-		for j := range h.peers {
-			fold = fold && !h.peers[j].Caught()
-		}
-		for j := range h.peers {
-			h.peers[j].EndTurn(fold)
-		}
 	}
 	for j := range h.peers {
 		h.peers[j].Seal()
+	}
+	for j := range h.peers {
 		h.pump(j)
 	}
 	if h.at != nil {
@@ -184,6 +180,84 @@ func TestPeersSteppedByHandMatchRun(t *testing.T) {
 			t.Errorf("n=%d k=%d mode %d: contributors %v accused %v invalid %d, Run %v %v 0",
 				c.N, c.K, c.Mode, got.Contributors, got.LeaderAccused, h.invalid, want.Contributors, want.LeaderAccused)
 		}
+	}
+}
+
+// accuse is peer from's accusation of contributor i, addressed to to.
+func accuse(from, to, i int) transport.Message {
+	return transport.Message{From: from, To: to, Kind: KindAccuse, ShareIdx: i, Payload: []float64{float64(i)}}
+}
+
+// TestAccusationReadAtTheSealDropsItsContributor: an accusation is the
+// decision, not a bill for one. In a (4, 3) round with no guard, peer 3
+// is accused at every peer once all have sealed, and every peer drops
+// it: the result counts contributors 0–2 and excludes 3, and its average
+// is, bit for bit, Run's with peer 3 crashed before its shares (the
+// others' shares are the same draws) — the plain mean of the others.
+func TestAccusationReadAtTheSealDropsItsContributor(t *testing.T) {
+	const n, dim, accused = 4, 6, 3
+	cfg := Config{N: n, K: 3, Mode: ModeLeader, Leader: 0}
+	models := randModels(rand.New(rand.NewSource(101)), n, dim)
+	cfg.Rng = rand.New(rand.NewSource(102))
+	want, err := Run(transport.NewMesh(n, nil), cfg, models, CrashPlan{accused: BeforeShares})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Rng = nil
+	h := newHandRound(t, cfg, dim, nil)
+	h.at = func(point int) {
+		for j := 0; point == n && j < n; j++ {
+			if h.step(accuse((j+1)%n, j, accused)) {
+				t.Fatalf("peer %d discarded an accusation read at the seal", j)
+			}
+		}
+	}
+	h.shares(models, rand.New(rand.NewSource(102)))
+	h.report()
+	got := h.finish()
+	for j := range h.peers {
+		if p := &h.peers[j]; !slices.Equal(p.contributors, []int{0, 1, 2}) || !slices.Equal(p.excluded, []int{accused}) {
+			t.Fatalf("peer %d kept %v and excluded %v, want [0 1 2] and [%d]", j, p.contributors, p.excluded, accused)
+		}
+	}
+	if !slices.Equal(got.Contributors, []int{0, 1, 2}) || !slices.Equal(got.Excluded, []int{accused}) {
+		t.Fatalf("contributors %v excluded %v, want [0 1 2] and [%d]", got.Contributors, got.Excluded, accused)
+	}
+	if !bitsEqual(got.Avg, want.Avg) {
+		t.Fatalf("average %v, Run without peer %d %v", got.Avg, accused, want.Avg)
+	}
+	if d := maxAbsDiff(got.Avg, trueMean(models, []int{0, 1, 2})); d > 1e-9 {
+		t.Fatalf("average is %g off the plain mean of the others", d)
+	}
+	if h.invalid != 0 {
+		t.Fatalf("%d messages discarded, want 0", h.invalid)
+	}
+}
+
+// TestAccusationAfterASumChangesNothing: once a peer has summed a
+// subtotal, an accusation would take a subtraction, so it is counted
+// invalid. The collector of a (4, 3) round sums its own subtotals when
+// it checks that none is missing; an accusation of peer 3 read after
+// that leaves the round bit-identical to one without it.
+func TestAccusationAfterASumChangesNothing(t *testing.T) {
+	const n, dim = 4, 6
+	cfg := Config{N: n, K: 3, Mode: ModeLeader, Leader: 0}
+	models := randModels(rand.New(rand.NewSource(103)), n, dim)
+	round := func(late bool) *Result {
+		h := newHandRound(t, cfg, dim, nil)
+		h.shares(models, rand.New(rand.NewSource(104)))
+		h.report()
+		if err := h.peers[cfg.Leader].Missing(); err != nil {
+			t.Fatal(err)
+		}
+		if late && !h.step(accuse(1, cfg.Leader, 3)) {
+			t.Fatal("the collector took an accusation after summing a subtotal")
+		}
+		return h.finish()
+	}
+	clean, got := round(false), round(true)
+	if !bitsEqual(got.Avg, clean.Avg) || !slices.Equal(got.Contributors, allPeers(n)) || len(got.Excluded) != 0 {
+		t.Fatalf("a late accusation moved the round: %+v, clean %+v", got, clean)
 	}
 }
 

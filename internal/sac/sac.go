@@ -226,9 +226,9 @@ func newSACTel(reg *telemetry.Registry) sacTel {
 // order of the turns, the one Rng (handed to the contributor at its
 // turn, so draws come in one fixed order), the crash plan, who is alive
 // (mesh.Alive, the round's perfect failure detector, told to the peers
-// through Peer.Down), and the barrier ending a turn, where the receivers'
-// verdicts on the contributor are OR-ed so that all keep its shares or
-// none does. Only the driver touches the mesh.
+// through Peer.Down). Which contributors the range guard excludes the
+// peers decide among themselves, by accusation. Only the driver touches
+// the mesh.
 func Run(mesh transport.Network, cfg Config, models [][]float64, crash CrashPlan) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -291,7 +291,6 @@ type driver struct {
 	sc    *Scratch // cfg.Scratch, or a spare one borrowed for the call
 	peers []Peer   // sc's
 
-	contributed, excluded int // turns run, and turns the barrier dropped
 	// err is the first failure of a mesh operation. Any aborts the round,
 	// so the helpers that touch the mesh do nothing once it is set.
 	err error
@@ -394,12 +393,11 @@ func (d *driver) run(models [][]float64) (*Result, error) {
 
 	// Phases 1–2 — share exchange (Alg. 2 lines 2–6 / Alg. 4 lines 2–13);
 	// each subtotal is computed when phase 3 first needs it.
-	d.exchangeShares(models)
-	kept := d.contributed - d.excluded
+	kept, excluded := d.exchangeShares(models)
 	switch {
 	case d.err != nil:
 		return nil, d.err
-	case d.contributed == 0:
+	case kept+excluded == 0:
 		return nil, ErrInsufficientPeers
 	case kept == 0:
 		return nil, fmt.Errorf("%w: every contributor was excluded by the range guard", ErrInsufficientPeers)
@@ -428,50 +426,35 @@ func (d *driver) run(models [][]float64) (*Result, error) {
 }
 
 // exchangeShares runs the share exchange one contributor at a time, in
-// ascending order: contributor i divides its model into its own share
-// block and sends, and every receiver screens what arrived and — at the
-// barrier, once all have — keeps the turn's shares or drops them all.
-// Turn i completes before turn i+1 starts and a subtotal sums its held
-// shares in the order their turns were kept, so each subtotal sums its
-// contributors in ascending order whatever the fabric does — the
-// summation order the results are pinned to. Afterwards the peers seal:
-// every accuser tells every alive peer whom its range guard caught, in
-// accuser-major order, and the copies are read at once so later phases
-// see clean inboxes.
-func (d *driver) exchangeShares(models [][]float64) {
+// ascending order: every receiver opens the turn, contributor i divides
+// its model into its own share block and sends, and every receiver
+// screens and holds what arrived. Turn i completes before turn i+1
+// starts and a subtotal sums its held shares in the order the turns
+// were opened, so each subtotal sums its contributors in ascending order
+// whatever the fabric does — the summation order the results are pinned
+// to. Afterwards the peers seal: every accuser drops whom its range
+// guard caught and tells every alive peer, in accuser-major order, and
+// the accusations are read at once, before any subtotal is summed, so
+// every alive peer drops the same contributors and later phases see
+// clean inboxes. It returns how many contributors the peers kept and how
+// many they excluded.
+func (d *driver) exchangeShares(models [][]float64) (kept, excluded int) {
 	for i := 0; i < len(d.peers) && d.err == nil; i++ {
 		if !d.sharing(i) {
 			d.crashAt(i, BeforeShares) // its own turn is when
 			continue
 		}
-		d.peers[i].BeginTurn(i)
-		d.fail(d.peers[i].Contribute(models[i], d.rng))
-		d.flush(i, d.tel.sharesSent)
-		// The barrier: every receiver has screened before any keeps a
-		// share, and one accusation is everybody's. Here the driver sees
-		// all verdicts at once; peers that sent accusations inside the
-		// turn would not need it.
-		fold := true
 		for j := range d.peers {
 			if d.sharing(j) {
 				d.peers[j].BeginTurn(i)
-				d.deliver(j)
-				if d.peers[j].Caught() {
-					fold = false
-					d.tel.byzShareRange.Inc()
-				}
 			}
 		}
+		d.fail(d.peers[i].Contribute(models[i], d.rng))
+		d.flush(i, d.tel.sharesSent)
 		for j := range d.peers {
 			if d.sharing(j) {
-				d.peers[j].EndTurn(fold)
-				d.flush(j, nil)
+				d.deliver(j)
 			}
-		}
-		d.contributed++
-		if !fold {
-			d.excluded++
-			d.tel.byzExcluded.Inc()
 		}
 	}
 	for j := range d.peers {
@@ -481,6 +464,14 @@ func (d *driver) exchangeShares(models [][]float64) {
 		}
 	}
 	d.deliverAll()
+	for j := range d.peers {
+		if p := &d.peers[j]; d.mesh.Alive(j) {
+			d.tel.byzShareRange.Add(int64(len(p.accusations)))
+			kept, excluded = len(p.contributors), len(p.excluded)
+		}
+	}
+	d.tel.byzExcluded.Add(int64(excluded))
+	return kept, excluded
 }
 
 // exchangeSubtotals is phase 3, one share index at a time in ascending
