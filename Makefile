@@ -171,17 +171,19 @@ test-churn:
 # the elastic split/merge control plane and its chaos oracle, then the
 # core package again without -race or -short for the full 1k/10k/100k
 # tier sweep, and the real-aggregation byte cross-check against Eq. 10
-# (DESIGN.md §15). The tier table also prints standalone via
+# (DESIGN.md §15), and the calculator command that prints the tier table
+# standalone (its usage checks included) via
 #   go run ./cmd/p2pfl-bench -multilayer
 test-scale:
 	$(GO) test -race -short ./internal/core/ ./internal/cluster/ \
-		./internal/chaos/ ./internal/costmodel/
+		./internal/chaos/ ./internal/costmodel/ ./cmd/p2pfl-bench/
 	$(GO) test ./internal/core/
 	$(GO) run ./cmd/p2pfl-bench -multilayer
 	$(GO) run ./cmd/p2pfl-chaos -track shard -seeds 12
 
 # Byzantine adversaries: robust SAC aggregation (each sac.Peer's range
-# guard, subtotal cross-check and leader audit, and who may send a
+# guard, whose accusations, read at the seal, drop the accused at every
+# peer; the subtotal cross-check and leader audit; and who may send a
 # collector what), its core-layer integration, the robust rules of
 # internal/fl (CoordinateMedian is the cross-check's combiner), the seeds
 # of both SAC fuzz targets (FuzzHandleMessage through the mesh,

@@ -46,6 +46,11 @@ func main() {
 		dim        = flag.Int("dim", 64, "model dimension for -multilayer aggregations")
 	)
 	flag.Parse()
+	m, err := subgroups(*N, *n)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	if *multilayer {
 		runMultiLayerTiers(*tiers, *peers, *n, *dim)
@@ -96,7 +101,6 @@ func main() {
 		// checkpoint-framed model. Address length matches the cluster
 		// layer's "peer-<id>:7100" convention at 4-digit ids.
 		const addrLen = len("peer-1000:7100")
-		m := (*N + *n - 1) / *n
 		dir, err := costmodel.DirectoryChurnBytes(*churn, *churn, m, addrLen)
 		check(err)
 		hand, err := costmodel.HandoffModelBytes(*params)
@@ -117,7 +121,6 @@ func main() {
 	if kk == 0 {
 		kk = *n
 	}
-	m := (*N + *n - 1) / *n
 	sizes, err := core.SplitPeers(*N, m)
 	check(err)
 	base, err := costmodel.BaselineUnits(*N)
@@ -213,6 +216,15 @@ func runMultiLayerTiers(tierNames string, customPeers int64, degree, dim int) {
 		os.Exit(1)
 	}
 	fmt.Printf("\nall tiers: measured bytes = (N−1)(n+2)·|w| exactly (Eq. 10, |w| = %d B)\n", 8*dim)
+}
+
+// subgroups is m, how many subgroups of at most n peers N peers split
+// into; n < 1 is a usage error.
+func subgroups(N, n int) (int, error) {
+	if n < 1 {
+		return 0, fmt.Errorf("n must be at least 1, got %d", n)
+	}
+	return (N + n - 1) / n, nil
 }
 
 func compact(sizes []int) string {
