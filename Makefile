@@ -182,8 +182,8 @@ test-scale:
 	$(GO) run ./cmd/p2pfl-chaos -track shard -seeds 12
 
 # Byzantine adversaries: robust SAC aggregation (each sac.Peer's range
-# guard, whose accusations, read at the seal, drop the accused at every
-# peer; the subtotal cross-check and leader audit; and who may send a
+# guard, whose accusations, read at the seal of a guarded round, drop the
+# accused at every peer; the subtotal cross-check and leader audit; and who may send a
 # collector what), its core-layer integration, the robust rules of
 # internal/fl (CoordinateMedian is the cross-check's combiner), the seeds
 # of both SAC fuzz targets (FuzzHandleMessage through the mesh,

@@ -147,12 +147,11 @@ func corruptedCopy(share []float64, rng *rand.Rand) []float64 {
 // receivers screen (adversarial peers never help with accusations or
 // audits), and only when a positive bound is armed.
 func (p *Peer) outOfRange(share []float64) bool {
-	g := p.cfg.Guard
-	if g == nil || g.ShareBound <= 0 || p.byz != ByzNone {
+	if !p.cfg.screens() || p.byz != ByzNone {
 		return false
 	}
 	for _, v := range share {
-		if math.Abs(v) > g.ShareBound || math.IsNaN(v) {
+		if math.Abs(v) > p.cfg.Guard.ShareBound || math.IsNaN(v) {
 			return true
 		}
 	}

@@ -165,10 +165,14 @@ var stepKinds = []string{
 // turn after the genuine shares (so a forgery gets the last word), once
 // sealed, and after the genuine subtotals (so the first copy has won). No
 // sequence may panic a Peer, make it allocate in proportion to what a
-// message claims (a share index, a payload length), or count a
-// contributor twice; and when every injection was discarded as invalid
-// the round is bit-identical to an undisturbed one. The seeds are
-// FuzzHandleMessage's, read the same way, plus later-phase ones.
+// message claims (a share index, a payload length), count a contributor
+// twice, or leave two peers with different contributors, which would
+// have the collector divide subtotals summed over one set by the size of
+// another; and when every injection was discarded as invalid the round
+// is bit-identical to an undisturbed one. In a guarded round an
+// accusation is trusted to reach every peer, so an injected one is handed
+// to each, by the peer after it. The seeds are FuzzHandleMessage's, read
+// the same way, plus later-phase ones.
 func FuzzPeerStep(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(2), []byte{0, 1, 2, 9, 3})
 	f.Add(int64(2), uint8(3), uint8(3), []byte{1, 0, 0, 0, 0, 2, 1, 1, 7, 8})
@@ -176,8 +180,11 @@ func FuzzPeerStep(f *testing.F) {
 	f.Add(int64(4), uint8(1), uint8(1), []byte{})
 	f.Add(int64(5), uint8(3), uint8(1), []byte{13, 0, 1, 130, 3, 17, 0, 3, 129, 3, 16, 0, 2, 129, 1})
 	f.Add(int64(6), uint8(4), uint8(2), []byte{22, 0, 5, 127, 12, 21, 0, 6, 127, 3, 23, 1, 7, 127, 1, 2, 3, 0, 131, 3})
-	// Peer 1 accuses contributor 3 to peer 2 once every peer has sealed.
+	// Peer 1 accuses contributor 3 to peer 2 once every peer has sealed:
+	// unguarded, so it is invalid. Guarded, it reaches every peer and is
+	// taken by all.
 	f.Add(int64(9), uint8(3), uint8(1), []byte{17, 2, 4, 131, 1})
+	f.Add(int64(10), uint8(3), uint8(1), []byte{17, 2, 4, 131, 1})
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, kRaw uint8, raw []byte) {
 		n := 1 + int(nRaw)%6 // 1..6 peers
 		k := 1 + int(kRaw)%n // 1..n threshold
@@ -221,8 +228,16 @@ func FuzzPeerStep(f *testing.F) {
 				m.Payload[d] = rng.Float64() * 100
 			}
 			when := int(raw[i]) / n % points
-			inject[when] = append(inject[when], m)
-			injected++
+			copies := []transport.Message{m}
+			if m.Kind == KindAccuse && cfg.screens() {
+				copies = copies[:0]
+				for to := 0; to < n; to++ {
+					m.From, m.To = (to+1)%n, to
+					copies = append(copies, m)
+				}
+			}
+			inject[when] = append(inject[when], copies...)
+			injected += len(copies)
 		}
 
 		round := func(forged bool) (*Result, error, int) {
@@ -266,6 +281,9 @@ func FuzzPeerStep(f *testing.F) {
 				}
 				if turns := append(slices.Clone(p.contributors), p.excluded...); !slices.Equal(sorted(turns), allPeers(n)) {
 					t.Fatalf("peer %d ended the turns with contributors %v and excluded %v", j, p.contributors, p.excluded)
+				}
+				if c := h.peers[h.collector()].contributors; !slices.Equal(p.contributors, c) {
+					t.Fatalf("peer %d kept contributors %v, the collector %v", j, p.contributors, c)
 				}
 			}
 			return res, err, rejected

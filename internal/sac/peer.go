@@ -233,7 +233,8 @@ func (p *Peer) Contribute(model []float64, rng *rand.Rand) error {
 //
 //   - a share, in contributor i's turn, only from i, for an index p
 //     holds, at a peer other than i; the last duplicate wins;
-//   - an accusation once sealed and before p has summed any subtotal;
+//   - an accusation only in a round the range guard screens, once sealed
+//     and before p has summed any subtotal;
 //   - a subtotal for index s, once sealed and only at a collector, from
 //     s's owner when p does not sum s itself — under the cross-check from
 //     any member of secretshare.HoldersOf(s) — and a recovered one only
@@ -253,9 +254,9 @@ func (p *Peer) Step(m transport.Message) {
 	case m.Kind == KindShare:
 		ok = p.stepShare(m)
 	case m.Kind == KindAccuse:
-		// Every subtotal is still unsummed, so dropping the accused takes
-		// no subtraction.
-		if ok = p.sealed && !slices.Contains(p.summed, true) && p.isIndex(m.ShareIdx) && len(m.Payload) == 1; ok {
+		// Only a guarded round has accusers, and every subtotal is still
+		// unsummed, so dropping the accused takes no subtraction.
+		if ok = p.cfg.screens() && p.sealed && !slices.Contains(p.summed, true) && p.isIndex(m.ShareIdx) && len(m.Payload) == 1; ok {
 			p.drop(m.ShareIdx)
 			p.release(m.Payload)
 		}

@@ -189,14 +189,15 @@ func accuse(from, to, i int) transport.Message {
 }
 
 // TestAccusationReadAtTheSealDropsItsContributor: an accusation is the
-// decision, not a bill for one. In a (4, 3) round with no guard, peer 3
-// is accused at every peer once all have sealed, and every peer drops
-// it: the result counts contributors 0–2 and excludes 3, and its average
-// is, bit for bit, Run's with peer 3 crashed before its shares (the
-// others' shares are the same draws) — the plain mean of the others.
+// decision, not a bill for one. In a (4, 3) round under a range guard
+// that no model trips, peer 3 is accused at every peer once all have
+// sealed, and every peer drops it: the result counts contributors 0–2
+// and excludes 3, and its average is, bit for bit, Run's with peer 3
+// crashed before its shares (the others' shares are the same draws) —
+// the plain mean of the others.
 func TestAccusationReadAtTheSealDropsItsContributor(t *testing.T) {
 	const n, dim, accused = 4, 6, 3
-	cfg := Config{N: n, K: 3, Mode: ModeLeader, Leader: 0}
+	cfg := Config{N: n, K: 3, Mode: ModeLeader, Leader: 0, Guard: &Guard{ShareBound: 1e3}}
 	models := randModels(rand.New(rand.NewSource(101)), n, dim)
 	cfg.Rng = rand.New(rand.NewSource(102))
 	want, err := Run(transport.NewMesh(n, nil), cfg, models, CrashPlan{accused: BeforeShares})
@@ -234,30 +235,48 @@ func TestAccusationReadAtTheSealDropsItsContributor(t *testing.T) {
 	}
 }
 
-// TestAccusationAfterASumChangesNothing: once a peer has summed a
-// subtotal, an accusation would take a subtraction, so it is counted
-// invalid. The collector of a (4, 3) round sums its own subtotals when
-// it checks that none is missing; an accusation of peer 3 read after
-// that leaves the round bit-identical to one without it.
-func TestAccusationAfterASumChangesNothing(t *testing.T) {
-	const n, dim = 4, 6
-	cfg := Config{N: n, K: 3, Mode: ModeLeader, Leader: 0}
+// TestAccusationOutsideItsWindowChangesNothing: an accusation is taken
+// only in a round the range guard screens, and only before its reader
+// has summed a subtotal, since later it would take a subtraction.
+// Elsewhere it is counted invalid. In a (4, 3) round the collector sums
+// its own subtotals when it checks that none is missing; an accusation
+// of peer 3 read at every peer at the seal of an unguarded round, or at
+// the collector after that check in a guarded one, leaves the round
+// bit-identical to one without it.
+func TestAccusationOutsideItsWindowChangesNothing(t *testing.T) {
+	const n, dim, accused = 4, 6, 3
 	models := randModels(rand.New(rand.NewSource(103)), n, dim)
-	round := func(late bool) *Result {
-		h := newHandRound(t, cfg, dim, nil)
-		h.shares(models, rand.New(rand.NewSource(104)))
-		h.report()
-		if err := h.peers[cfg.Leader].Missing(); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name  string
+		guard *Guard
+	}{
+		{"unguarded, at the seal", nil},
+		{"guarded, after a sum", &Guard{ShareBound: 1e3}},
+	} {
+		cfg := Config{N: n, K: 3, Mode: ModeLeader, Leader: 0, Guard: c.guard}
+		round := func(forged bool) *Result {
+			h := newHandRound(t, cfg, dim, nil)
+			h.at = func(point int) {
+				for j := 0; forged && c.guard == nil && point == n && j < n; j++ {
+					if !h.step(accuse((j+1)%n, j, accused)) {
+						t.Fatalf("%s: peer %d took an accusation in an unguarded round", c.name, j)
+					}
+				}
+			}
+			h.shares(models, rand.New(rand.NewSource(104)))
+			h.report()
+			if err := h.peers[cfg.Leader].Missing(); err != nil {
+				t.Fatal(err)
+			}
+			if forged && c.guard != nil && !h.step(accuse(1, cfg.Leader, accused)) {
+				t.Fatalf("%s: the collector took an accusation after summing a subtotal", c.name)
+			}
+			return h.finish()
 		}
-		if late && !h.step(accuse(1, cfg.Leader, 3)) {
-			t.Fatal("the collector took an accusation after summing a subtotal")
+		clean, got := round(false), round(true)
+		if !bitsEqual(got.Avg, clean.Avg) || !slices.Equal(got.Contributors, allPeers(n)) || len(got.Excluded) != 0 {
+			t.Fatalf("%s: the accusation moved the round: %+v, clean %+v", c.name, got, clean)
 		}
-		return h.finish()
-	}
-	clean, got := round(false), round(true)
-	if !bitsEqual(got.Avg, clean.Avg) || !slices.Equal(got.Contributors, allPeers(n)) || len(got.Excluded) != 0 {
-		t.Fatalf("a late accusation moved the round: %+v, clean %+v", got, clean)
 	}
 }
 

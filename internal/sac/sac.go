@@ -123,6 +123,10 @@ type Config struct {
 
 func (c *Config) crossChecks() bool { return c.Guard != nil && c.Guard.CrossCheck }
 
+// screens: the range guard is armed, so honest receivers screen shares
+// and accusations are taken.
+func (c *Config) screens() bool { return c.Guard != nil && c.Guard.ShareBound > 0 }
+
 func (c *Config) validate() error {
 	if c.N < 1 {
 		return fmt.Errorf("sac: N = %d", c.N)
