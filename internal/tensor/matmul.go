@@ -2,33 +2,28 @@ package tensor
 
 import "fmt"
 
-// Matrix multiplication comes in two kernel families, selected by
-// operand size:
-//
-//   - Small operands (< parallelFlops multiply-adds) use the original
-//     single-threaded ikj kernels. These keep the av == 0 skip: the
-//     small regime is dominated by the aggregation protocols' vectors
-//     and test fixtures, where sparse rows (zero-padded shares, one-hot
-//     fixtures) are common enough that the branch pays for itself.
-//   - Large operands use blocked row-panel kernels fanned out across
-//     the package worker pool. Here the operands are dense layer
-//     activations and gradients, where a zero test on every element
-//     is a mispredicted branch per multiply, not a win — the blocked
-//     kernels have no skip.
+// Each matrix product has one kernel, run serially on small operands and
+// fanned out across the package worker pool in row panels on large ones
+// (≥ parallelFlops multiply-adds). The kernels multiply every element,
+// zeros included, so 0·Inf is NaN here as in the naive triple loop.
 //
 // Every kernel accumulates each output element in ascending order of
-// the shared dimension, so the two families and any worker count
-// produce bit-identical results (modulo the sign of zero, which Go's
-// float64 comparison ignores).
+// the shared dimension, from +0, so any operand size and any worker
+// count produce the naive loop's bits (modulo the sign of zero, which
+// Go's float64 comparison ignores). The register blocking keeps that
+// order: matMulTransBPanel runs four output columns as four independent
+// chains, and the other two fold four rows of B into each sweep of a C
+// row as c + a0·b0 + a1·b1 + a2·b2 + a3·b3, which Go evaluates left to
+// right — ascending p.
 
-// parallelFlops is the multiply-add count above which a matmul switches
-// to the blocked parallel kernels. Below it, fan-out overhead (token
+// parallelFlops is the multiply-add count above which a matmul fans its
+// rows out across the worker pool. Below it, fan-out overhead (token
 // accounting, goroutine launch) exceeds the work.
 const parallelFlops = 1 << 20
 
-// kBlock tiles the shared dimension of the blocked kernels so the
-// touched panel of B (kBlock·n floats) stays cache-resident while a row
-// panel of A streams past it.
+// kBlock tiles the shared dimension of matMulPanel and matMulTransAPanel
+// so the touched panel of B (kBlock·n floats) stays cache-resident while
+// a row panel of A streams past it.
 const kBlock = 256
 
 func checkMatMul(a, b *Tensor, kind string) error {
@@ -77,25 +72,7 @@ func MatMulInto(dst, a, b *Tensor) error {
 		})
 		return nil
 	}
-	// ikj loop order keeps the inner loops sequential over both B and C
-	// rows.
-	for i := 0; i < m; i++ {
-		arow := a.data[i*k : (i+1)*k]
-		crow := dst.data[i*n : (i+1)*n]
-		for j := range crow {
-			crow[j] = 0
-		}
-		for p := 0; p < k; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
-			}
-			brow := b.data[p*n : (p+1)*n]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
+	matMulPanel(dst.data, a.data, b.data, 0, m, k, n)
 	return nil
 }
 
@@ -109,20 +86,35 @@ func matMulPanel(c, a, b []float64, lo, hi, k, n int) {
 		}
 	}
 	for p0 := 0; p0 < k; p0 += kBlock {
-		p1 := p0 + kBlock
-		if p1 > k {
-			p1 = k
-		}
+		p1 := min(p0+kBlock, k)
 		for i := lo; i < hi; i++ {
-			arow := a[i*k : (i+1)*k]
-			crow := c[i*n : (i+1)*n]
-			for p := p0; p < p1; p++ {
-				av := arow[p]
-				brow := b[p*n : (p+1)*n]
-				for j, bv := range brow {
-					crow[j] += av * bv
-				}
-			}
+			addRows(c[i*n:(i+1)*n], a[i*k:], b, 1, p0, p1)
+		}
+	}
+}
+
+// addRows adds a[p·stride]·B[p] to crow for p in [p0, p1) ascending, B[p]
+// being row p of b (len(crow) wide). Four rows share each sweep of crow
+// and a remainder loop takes the rest, one row at a time.
+func addRows(crow, a, b []float64, stride, p0, p1 int) {
+	n := len(crow)
+	p := p0
+	for ; p+4 <= p1; p += 4 {
+		a0, a1 := a[p*stride], a[(p+1)*stride]
+		a2, a3 := a[(p+2)*stride], a[(p+3)*stride]
+		b0 := b[p*n : (p+1)*n][:n]
+		b1 := b[(p+1)*n : (p+2)*n][:n]
+		b2 := b[(p+2)*n : (p+3)*n][:n]
+		b3 := b[(p+3)*n : (p+4)*n][:n]
+		for j, cv := range crow {
+			crow[j] = cv + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+		}
+	}
+	for ; p < p1; p++ {
+		av := a[p*stride]
+		brow := b[p*n : (p+1)*n][:n]
+		for j, bv := range brow {
+			crow[j] += av * bv
 		}
 	}
 }
@@ -173,40 +165,17 @@ func MatMulTransAAcc(dst, a, b *Tensor) error {
 		})
 		return nil
 	}
-	for p := 0; p < k; p++ {
-		arow := a.data[p*m : (p+1)*m]
-		brow := b.data[p*n : (p+1)*n]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			crow := dst.data[i*n : (i+1)*n]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
+	matMulTransAPanel(dst.data, a.data, b.data, 0, m, k, m, n)
 	return nil
 }
 
 // matMulTransAPanel accumulates rows [lo, hi) of C += Aᵀ·B. Owning
-// whole output rows keeps panels write-disjoint; accumulation stays in
-// ascending p order per element, matching the serial kernel bit for bit.
+// whole output rows keeps panels write-disjoint.
 func matMulTransAPanel(c, a, b []float64, lo, hi, k, m, n int) {
 	for p0 := 0; p0 < k; p0 += kBlock {
-		p1 := p0 + kBlock
-		if p1 > k {
-			p1 = k
-		}
+		p1 := min(p0+kBlock, k)
 		for i := lo; i < hi; i++ {
-			crow := c[i*n : (i+1)*n]
-			for p := p0; p < p1; p++ {
-				av := a[p*m+i]
-				brow := b[p*n : (p+1)*n]
-				for j, bv := range brow {
-					crow[j] += av * bv
-				}
-			}
+			addRows(c[i*n:(i+1)*n], a[i:], b, m, p0, p1)
 		}
 	}
 }
@@ -248,14 +217,30 @@ func MatMulTransBInto(dst, a, b *Tensor) error {
 }
 
 // matMulTransBPanel computes rows [lo, hi) of C = A·Bᵀ as row-dot
-// products; each output element is one sequential k-length reduction,
-// so there is nothing to zero and nothing to tile.
+// products, four output columns per pass over an A row; each output
+// element is one sequential k-length reduction, so there is nothing to
+// zero and nothing to tile.
 func matMulTransBPanel(c, a, b []float64, lo, hi, k, n int) {
 	for i := lo; i < hi; i++ {
 		arow := a[i*k : (i+1)*k]
 		crow := c[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b[j*k : (j+1)*k]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0 := b[j*k : (j+1)*k][:len(arow)]
+			b1 := b[(j+1)*k : (j+2)*k][:len(arow)]
+			b2 := b[(j+2)*k : (j+3)*k][:len(arow)]
+			b3 := b[(j+3)*k : (j+4)*k][:len(arow)]
+			var s0, s1, s2, s3 float64
+			for p, av := range arow {
+				s0 += av * b0[p]
+				s1 += av * b1[p]
+				s2 += av * b2[p]
+				s3 += av * b3[p]
+			}
+			crow[j], crow[j+1], crow[j+2], crow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
+			brow := b[j*k : (j+1)*k][:len(arow)]
 			s := 0.0
 			for p, av := range arow {
 				s += av * brow[p]

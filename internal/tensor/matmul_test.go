@@ -47,50 +47,121 @@ func refMatMul(a, b *Tensor, transA, transB bool) *Tensor {
 	return c
 }
 
-// shapes covers both the small serial regime and the large parallel
-// regime (conv-sized operands comfortably above parallelFlops).
+// matmulShapes covers both the small serial regime and the large
+// parallel regime (conv-sized operands comfortably above parallelFlops),
+// and widths that fill the kernels' four-wide blocks, leave a remainder,
+// or are all remainder.
 var matmulShapes = []struct{ m, k, n int }{
+	{1, 7, 3},
 	{3, 4, 5},
 	{17, 31, 7},
 	{64, 64, 64},
+	{32, 900, 10},   // Dense(900→10)-sized, serial
+	{32, 32, 900},   // Dense backward at batch 32, blocked
 	{900, 288, 32},  // paper-CNN conv lowering, batch 1
 	{1800, 64, 288}, // conv backward dcols slab
 }
 
+// sameBits reports the first index at which got and want differ in
+// their bits, treating every NaN as equal to every other and +0 as
+// equal to −0 (the kernels promise bits modulo the sign of zero), or −1.
+func sameBits(got, want *Tensor) int {
+	for i, v := range got.data {
+		w := want.data[i]
+		if math.Float64bits(v) != math.Float64bits(w) && v != w && !(v != v && w != w) {
+			return i
+		}
+	}
+	return -1
+}
+
+// poison plants non-finite values and exact zeros in matmul operands:
+// about a third of z's entries become +0, and one entry each of f
+// becomes +Inf, −Inf and NaN. A product 0·Inf is NaN, so a kernel that
+// skips zero multiplicands disagrees with the reference here.
+func poison(rng *rand.Rand, z, f *Tensor) {
+	for i := range z.data {
+		if rng.Intn(3) == 0 {
+			z.data[i] = 0
+		}
+	}
+	for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		f.data[rng.Intn(len(f.data))] = v
+	}
+}
+
+// TestMatMulVariantsMatchReference requires every variant to reproduce
+// the naive triple loop's bits — each output element one ascending-p
+// chain from +0 — at worker budgets 1 and 4, on finite operands and on
+// operands with exact zeros against ±Inf and NaN.
 func TestMatMulVariantsMatchReference(t *testing.T) {
 	forceParallelism(t, 1)
+	check := func(par int, name string, s struct{ m, k, n int }, poisoned bool, got, want *Tensor) {
+		t.Helper()
+		if i := sameBits(got, want); i >= 0 {
+			t.Fatalf("par=%d %s %v (poisoned %v): element %d is %v, reference %v", par, name, s, poisoned, i, got.data[i], want.data[i])
+		}
+	}
 	for _, par := range []int{1, 4} {
 		rng := rand.New(rand.NewSource(7))
 		SetParallelism(par)
 		for _, s := range matmulShapes {
-			a := randMat(rng, s.m, s.k)
-			b := randMat(rng, s.k, s.n)
-			got, err := MatMul(a, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := refMatMul(a, b, false, false); !AllClose(got, want, 1e-9) {
-				t.Fatalf("par=%d MatMul %v differs from reference", par, s)
-			}
+			for _, poisoned := range []bool{false, true} {
+				a := randMat(rng, s.m, s.k)
+				b := randMat(rng, s.k, s.n)
+				if poisoned {
+					poison(rng, a, b)
+				}
+				got, err := MatMul(a, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(par, "MatMul", s, poisoned, got, refMatMul(a, b, false, false))
 
-			at := randMat(rng, s.k, s.m)
-			got, err = MatMulTransA(at, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := refMatMul(at, b, true, false); !AllClose(got, want, 1e-9) {
-				t.Fatalf("par=%d MatMulTransA %v differs from reference", par, s)
-			}
+				at := randMat(rng, s.k, s.m)
+				if poisoned {
+					poison(rng, at, b)
+				}
+				got, err = MatMulTransA(at, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(par, "MatMulTransA", s, poisoned, got, refMatMul(at, b, true, false))
 
-			bt := randMat(rng, s.n, s.k)
-			got, err = MatMulTransB(a, bt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := refMatMul(a, bt, false, true); !AllClose(got, want, 1e-9) {
-				t.Fatalf("par=%d MatMulTransB %v differs from reference", par, s)
+				bt := randMat(rng, s.n, s.k)
+				if poisoned {
+					poison(rng, a, bt)
+				}
+				got, err = MatMulTransB(a, bt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(par, "MatMulTransB", s, poisoned, got, refMatMul(a, bt, false, true))
 			}
 		}
+	}
+}
+
+// TestMatMulZeroTimesInfIsNaN is the smallest case of the contract: the
+// serial kernels multiply a zero like any other value, so 0·Inf poisons
+// the sum as it does in the reference and in the blocked kernels.
+func TestMatMulZeroTimesInfIsNaN(t *testing.T) {
+	a := MustFromSlice([]float64{0, 1}, 1, 2)
+	b := MustFromSlice([]float64{math.Inf(1), 2}, 2, 1)
+	got, err := MatMul(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := got.data[0]; !math.IsNaN(v) {
+		t.Fatalf("MatMul([[0 1]], [[+Inf] [2]]) = %v, want NaN", v)
+	}
+	at := MustFromSlice([]float64{0, 1}, 2, 1)
+	got, err = MatMulTransA(at, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := got.data[0]; !math.IsNaN(v) {
+		t.Fatalf("MatMulTransA([[0] [1]], [[+Inf] [2]]) = %v, want NaN", v)
 	}
 }
 
