@@ -2,13 +2,19 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/tensor"
 )
 
-// ReLU applies max(0, x) elementwise. The output and gradient tensors
-// are layer-owned workspaces, reused across batches.
+// ReLU applies max(0, x) elementwise: a unit is kept when x > 0, and
+// every other input — negative, ±0 or NaN — gives +0. The output and
+// gradient tensors are layer-owned workspaces, reused across batches.
+//
+// Both passes select without a branch: the sign of a random activation
+// is a coin flip a branch predictor loses half the time, so the kept
+// value is its bits ANDed with a mask that is all ones for a kept unit.
 type ReLU struct {
 	mask []bool
 	y    tensor.Scratch
@@ -33,14 +39,12 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	}
 	r.mask = r.mask[:n]
 	xd, yd := x.Data(), y.Data()
+	mask := r.mask[:len(xd)]
+	yd = yd[:len(xd)]
 	for i, v := range xd {
-		if v > 0 {
-			yd[i] = v
-			r.mask[i] = true
-		} else {
-			yd[i] = 0
-			r.mask[i] = false
-		}
+		keep := v > 0
+		mask[i] = keep
+		yd[i] = math.Float64frombits(math.Float64bits(v) & bitMask(keep))
 	}
 	return y, nil
 }
@@ -55,14 +59,21 @@ func (r *ReLU) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	dx := r.dx.GetLike(grad)
 	gd, dd := grad.Data(), dx.Data()
+	gd, dd = gd[:len(r.mask)], dd[:len(r.mask)]
 	for i, keep := range r.mask {
-		if keep {
-			dd[i] = gd[i]
-		} else {
-			dd[i] = 0
-		}
+		dd[i] = math.Float64frombits(math.Float64bits(gd[i]) & bitMask(keep))
 	}
 	return dx, nil
+}
+
+// bitMask is all ones when b holds and zero otherwise. The compiler
+// turns the bool into an integer without a branch.
+func bitMask(b bool) uint64 {
+	var m uint64
+	if b {
+		m = 1
+	}
+	return -m
 }
 
 // Flatten reshapes [batch, ...] activations to [batch, features].

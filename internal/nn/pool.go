@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/tensor"
 )
@@ -46,35 +47,50 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error
 	}
 	m.lastArg = m.lastArg[:out.Size()]
 	xd, od := x.Data(), out.Data()
-	for bi := 0; bi < b; bi++ {
-		for ci := 0; ci < c; ci++ {
-			base := (bi*c + ci) * h * w
-			for oy := 0; oy < outH; oy++ {
-				for ox := 0; ox < outW; ox++ {
-					// Seeded from the window's first element, so the argmax
-					// is a real index even when nothing compares greater
-					// (a window of NaNs or −Inf) and a NaN there reaches
-					// the loss instead of stopping here.
-					bestIdx := base + oy*m.p*w + ox*m.p
-					best := xd[bestIdx]
-					for dy := 0; dy < m.p; dy++ {
-						iy := oy*m.p + dy
-						for dx := 0; dx < m.p; dx++ {
-							ix := ox*m.p + dx
-							idx := base + iy*w + ix
-							if xd[idx] > best {
-								best, bestIdx = xd[idx], idx
-							}
-						}
+	p := m.p
+	for pl := 0; pl < b*c; pl++ {
+		base := pl * h * w
+		for oy := 0; oy < outH; oy++ {
+			o := (pl*outH + oy) * outW
+			best := od[o : o+outW]
+			arg := m.lastArg[o : o+outW]
+			// Seeded from the window's first element, so the argmax is a
+			// real index even when nothing compares greater (a window of
+			// NaNs or −Inf) and a NaN there reaches the loss instead of
+			// stopping here.
+			r0 := base + oy*p*w
+			for ox := range best {
+				idx := r0 + ox*p
+				best[ox], arg[ox] = xd[idx], idx
+			}
+			// The rest of each window in (dy, dx) order, a whole output
+			// row per tap.
+			for dy := 0; dy < p; dy++ {
+				for dx := 0; dx < p; dx++ {
+					if dy > 0 || dx > 0 {
+						maxTap(best, arg, xd, r0+dy*w+dx, p)
 					}
-					o := ((bi*c+ci)*outH+oy)*outW + ox
-					od[o] = best
-					m.lastArg[o] = bestIdx
 				}
 			}
 		}
 	}
 	return out, nil
+}
+
+// maxTap folds x[r + ox·p] into the running maximum best[ox] and its
+// index arg[ox], for every ox. A strict > keeps the first of tied maxima
+// and never takes a NaN; the select is a bit mask, not a branch on
+// random data.
+func maxTap(best []float64, arg []int, x []float64, r, p int) {
+	arg = arg[:len(best)]
+	for ox, cur := range best {
+		idx := r + ox*p
+		v := x[idx]
+		sel := bitMask(v > cur)
+		cb := math.Float64bits(cur)
+		best[ox] = math.Float64frombits(cb ^ (cb^math.Float64bits(v))&sel)
+		arg[ox] ^= (arg[ox] ^ idx) & int(sel)
+	}
 }
 
 // Backward implements Layer. The gradient routes to the argmax of each
