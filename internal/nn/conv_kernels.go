@@ -81,10 +81,10 @@ func clampTaps(o, k, p, n int) (lo, hi int) {
 // from +0, of x·w, plus the bias — the row-dot of MatMulTransB over an
 // im2col row, followed by the bias pass.
 //
-// Interior pixels are taken two at a time (2 pixels × 4 channels = 8
-// chains, each weight load shared by both pixels); pixels whose window
-// crosses the left or right edge, and an odd leftover, go through the
-// single-pixel loop with clamped kx.
+// Interior pixels are taken two at a time by convInteriorPair (2 pixels
+// × 4 channels = 8 chains, each weight load shared by both pixels);
+// pixels whose window crosses the left or right edge, and an odd
+// leftover, go through the single-pixel loop with clamped kx.
 func convForward(g *convGeom, x []float64, wp [][ocBlock]float64, bias, out []float64, bi, ob int) {
 	k, p, h, w, oh, ow, inC := g.k, g.p, g.h, g.w, g.oh, g.ow, g.inC
 	taps := g.taps()
@@ -100,30 +100,7 @@ func convForward(g *convGeom, x []float64, wp [][ocBlock]float64, bias, out []fl
 		orow := (bi*g.outC+oc0)*plane + oy*ow
 		for ox := 0; ox < ow; ox++ {
 			if ox >= p && ox+1-p+k <= w && ox+1 < ow {
-				var a00, a01, a02, a03, a10, a11, a12, a13 float64
-				for ci := 0; ci < inC; ci++ {
-					for ky := kyLo; ky < kyHi; ky++ {
-						xo := (ci*h+oy+ky-p)*w + ox - p
-						ws := wb[(ci*k+ky)*k : (ci*k+ky)*k+k]
-						xs := xb[xo : xo+k+1]
-						for j := range ws {
-							x0, x1 := xs[j], xs[j+1]
-							wv := &ws[j]
-							v := wv[0]
-							a00 += x0 * v
-							a10 += x1 * v
-							v = wv[1]
-							a01 += x0 * v
-							a11 += x1 * v
-							v = wv[2]
-							a02 += x0 * v
-							a12 += x1 * v
-							v = wv[3]
-							a03 += x0 * v
-							a13 += x1 * v
-						}
-					}
-				}
+				a00, a01, a02, a03, a10, a11, a12, a13 := convInteriorPair(g, xb, wb, (oy-p)*w+ox-p, kyLo, kyHi)
 				a := [2 * ocBlock]float64{
 					a00 + bs[0], a01 + bs[1], a02 + bs[2], a03 + bs[3],
 					a10 + bs[0], a11 + bs[1], a12 + bs[2], a13 + bs[3],
@@ -158,6 +135,90 @@ func convForward(g *convGeom, x []float64, wp [][ocBlock]float64, bias, out []fl
 			}
 		}
 	}
+}
+
+// convInteriorPair returns the sums over (ci, ky, kx) ascending, from +0,
+// of x·w for the two interior output pixels whose windows start at
+// xb[xo] and xb[xo+1] (ci = 0, ky = 0), over rows [kyLo, kyHi) of every
+// input channel; aj0..aj3 are pixel j's four channels.
+//
+// The kx taps go three at a time, the block's four inputs read once for
+// both pixels' three taps, and a remainder loop takes the taps a block
+// does not fill: k = 3 is one block, k = 5 a block and two taps. Rows
+// are reached by stepping their offsets. The loop is a function of its
+// own so that the compiler keeps its eight accumulators in registers.
+func convInteriorPair(g *convGeom, xb []float64, wb [][ocBlock]float64, xo, kyLo, kyHi int) (a00, a01, a02, a03, a10, a11, a12, a13 float64) {
+	k, h, w := g.k, g.h, g.w
+	for ci := 0; ci < g.inC; ci++ {
+		xr, wr := xo+(ci*h+kyLo)*w, (ci*k+kyLo)*k
+		for ky := kyLo; ky < kyHi; ky, xr, wr = ky+1, xr+w, wr+k {
+			ws := wb[wr : wr+k]
+			xs := xb[xr : xr+k+1]
+			j := 0
+			for ; j+3 <= len(ws); j += 3 {
+				x := xs[j : j+4 : j+4]
+				x0, x1 := x[0], x[1]
+				wv := &ws[j]
+				v := wv[0]
+				a00 += x0 * v
+				a10 += x1 * v
+				v = wv[1]
+				a01 += x0 * v
+				a11 += x1 * v
+				v = wv[2]
+				a02 += x0 * v
+				a12 += x1 * v
+				v = wv[3]
+				a03 += x0 * v
+				a13 += x1 * v
+				x2 := x[2]
+				wv = &ws[j+1]
+				v = wv[0]
+				a00 += x1 * v
+				a10 += x2 * v
+				v = wv[1]
+				a01 += x1 * v
+				a11 += x2 * v
+				v = wv[2]
+				a02 += x1 * v
+				a12 += x2 * v
+				v = wv[3]
+				a03 += x1 * v
+				a13 += x2 * v
+				x3 := x[3]
+				wv = &ws[j+2]
+				v = wv[0]
+				a00 += x2 * v
+				a10 += x3 * v
+				v = wv[1]
+				a01 += x2 * v
+				a11 += x3 * v
+				v = wv[2]
+				a02 += x2 * v
+				a12 += x3 * v
+				v = wv[3]
+				a03 += x2 * v
+				a13 += x3 * v
+			}
+			for ; j < len(ws); j++ {
+				x0, x1 := xs[j], xs[j+1]
+				wv := &ws[j]
+				v := wv[0]
+				a00 += x0 * v
+				a10 += x1 * v
+				v = wv[1]
+				a01 += x0 * v
+				a11 += x1 * v
+				v = wv[2]
+				a02 += x0 * v
+				a12 += x1 * v
+				v = wv[3]
+				a03 += x0 * v
+				a13 += x1 * v
+			}
+		}
+	}
+	return
 }
 
 // blockPlanes returns the offsets into a [b, outC, oh, ow] tensor of the
