@@ -16,7 +16,7 @@ BENCH_ARGS := -run '^$$' -bench $(BENCH_PATTERN) -benchmem -benchtime 10x \
 	./internal/raft/ ./internal/sac/ ./internal/transport/
 TIME_PAIRS := 'RaftTickLive=RaftTickNil,SACRoundLive=SACRoundNil,RaftTCPSendHealthyPeerAsync=RaftTCPSendHealthyPeerSync'
 
-.PHONY: all build vet test race chaos-smoke check bench-check test-telemetry test-health test-wire test-byzantine test-compress test-wan test-churn test-scale test-compose test-node
+.PHONY: all build vet test race chaos-smoke check bench-check test-telemetry test-health test-wire test-byzantine test-compress test-wan test-churn test-scale test-compose test-node test-train
 
 all: check
 
@@ -75,9 +75,19 @@ chaos-smoke:
 test-compose:
 	$(GO) run ./cmd/p2pfl-chaos -track compose -seeds 20
 
-# The nine test-* targets below are the per-subsystem suites: every
+# The ten test-* targets below are the per-subsystem suites: every
 # package that implements or consumes the subsystem, in full, under
 # -race, plus the p2pfl-chaos track that sweeps it where there is one.
+
+# Local training: the tensor kernels (every matmul against the naive
+# triple loop bit for bit, zeros against ±Inf and NaN included, at worker
+# budgets 1 and 4), the nn layers (direct convolutions against the
+# im2col oracle, branch-free ReLU and max-pool against their branchy
+# references, the SHA-256-pinned training trajectories of
+# TestTrainingTrajectoriesAreGolden), Adam, and the fl clients and
+# trainer that run them (DESIGN.md §7).
+test-train:
+	$(GO) test -race ./internal/tensor/ ./internal/nn/ ./internal/optim/ ./internal/fl/
 
 # A raft member's loop: raft.Loop (the one body that persists, sends,
 # applies and reports, in that order), its virtual-clock owner
