@@ -20,8 +20,12 @@ TIME_PAIRS := 'RaftTickLive=RaftTickNil,SACRoundLive=SACRoundNil,RaftTCPSendHeal
 
 all: check
 
+# The arm64 lines keep the portable path compiling: off amd64, nn's
+# convolution micro-kernels have only their Go bodies (DESIGN.md §7).
 build:
 	$(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/nn/
+	GOARCH=arm64 $(GO) build ./...
 
 vet:
 	$(GO) vet ./...
@@ -85,7 +89,10 @@ test-compose:
 # im2col oracle, branch-free ReLU and max-pool against their branchy
 # references, the SHA-256-pinned training trajectories of
 # TestTrainingTrajectoriesAreGolden), Adam, and the fl clients and
-# trainer that run them (DESIGN.md §7).
+# trainer that run them (DESIGN.md §7). The convolution tests run on
+# both bodies of the micro-kernels, Go and AVX2 (the AVX2 runs skip on
+# a CPU without it), and TestAVX2BodiesMatchGoBodies holds the two
+# bodies to the same bits on NaN, ±Inf, ±0 and subnormal inputs.
 test-train:
 	$(GO) test -race ./internal/tensor/ ./internal/nn/ ./internal/optim/ ./internal/fl/
 

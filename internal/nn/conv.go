@@ -19,7 +19,8 @@ const (
 
 // Conv2D is a 2-D convolution over [batch, inC, H, W] inputs, computed
 // directly on the tensors by the register-blocked kernels of
-// conv_kernels.go: forward, weight/bias gradient and input gradient each
+// conv_kernels.go (whose innermost loops run as AVX2 assembly where the
+// CPU has it): forward, weight/bias gradient and input gradient each
 // run one loop nest over the images, with no lowered column matrix in
 // between. Kernels are square (k×k), stride is 1 — matching every
 // convolution in the paper's CNN.
@@ -58,7 +59,8 @@ type Conv2D struct {
 	geom              convGeom
 	x, y, grad, gradX []float64
 
-	wpack   [][ocBlock]float64 // forward: weights interleaved per channel block
+	wpack   [][ocBlock]float64 // forward, input gradient: weights interleaved per channel block
+	gpack   [][ocBlock]float64 // backward, AVX2 only: the gradient interleaved per channel block
 	dxSlots int                // backward: worker slots of the input-gradient pass
 	rows    []float64          // backward: convGradX's 3·w scratch floats per slot
 	zeros   []float64          // backward: read-only row of zeros, never written
@@ -159,6 +161,12 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 
 	// The weight gradient is split by accumulator block, never by image:
 	// every dW element is one chain over the whole batch.
+	if useAVX2 {
+		if n := g.b * g.ocBlocks() * g.oh * g.ow; len(c.gpack) < n {
+			c.gpack = make([][ocBlock]float64, n)
+		}
+		packGrad(g, c.gpack, c.grad)
+	}
 	c.run(c.gradWTask, g.ocBlocks()*g.ciPairs())
 	if c.noInputGrad {
 		return nil, nil
@@ -186,7 +194,7 @@ func (c *Conv2D) gradWUnits(lo, hi int) {
 	g := &c.geom
 	ncp := g.ciPairs()
 	for u := lo; u < hi; u++ {
-		convGradW(g, c.x, c.grad, c.w.G.Data(), c.b.G.Data(), u/ncp, u%ncp)
+		convGradW(g, c.x, c.grad, c.gpack, c.w.G.Data(), c.b.G.Data(), u/ncp, u%ncp)
 	}
 }
 
@@ -198,7 +206,7 @@ func (c *Conv2D) gradXSlots(lo, hi int) {
 	for s := lo; s < hi; s++ {
 		scratch := c.rows[3*s*g.w : 3*(s+1)*g.w]
 		for u := s * units / c.dxSlots; u < (s+1)*units/c.dxSlots; u++ {
-			convGradX(g, c.grad, c.w.W.Data(), c.gradX, scratch, c.zeros, u/ncp, u%ncp)
+			convGradX(g, c.grad, c.wpack, c.gradX, scratch, c.zeros, u/ncp, u%ncp)
 		}
 	}
 }

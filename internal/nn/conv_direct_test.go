@@ -187,8 +187,13 @@ func sweepCases() []convCase {
 // TestConvDirectMatchesOracle is the differential sweep: output, dW, db
 // and dx of the direct kernels equal the im2col + MatMul oracle on every
 // shape, on ordinary and on awkward values, with non-zero gradient
-// accumulators, and again on a second pass through the same layers.
+// accumulators, and again on a second pass through the same layers — on
+// both bodies of the micro-kernels.
 func TestConvDirectMatchesOracle(t *testing.T) {
+	EachConvBody(t, testConvDirectMatchesOracle)
+}
+
+func testConvDirectMatchesOracle(t *testing.T) {
 	cases := sweepCases()
 	sides := map[int]bool{}
 	for i, tc := range cases {
@@ -223,8 +228,12 @@ var fanOutCases = []convCase{
 
 // TestConvParallelBitIdentical pins the fan-out: the same pass at worker
 // budgets 1 and 4 produces the same bits, sign of zero included, and
-// still equals the oracle.
+// still equals the oracle, on both bodies of the micro-kernels.
 func TestConvParallelBitIdentical(t *testing.T) {
+	EachConvBody(t, testConvParallelBitIdentical)
+}
+
+func testConvParallelBitIdentical(t *testing.T) {
 	defer tensor.SetParallelism(tensor.Parallelism())
 	bits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 	for i, tc := range fanOutCases {

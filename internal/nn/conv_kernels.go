@@ -19,9 +19,26 @@ package nn
 //
 // Every accumulation is written `acc += a * b` with the oracle's operand
 // order, so a compiler that fuses multiply-add fuses both sides alike.
+//
+// The innermost loops have two bodies. The Go loops here are the
+// portable one, and the reference the other is tested against. On amd64
+// CPUs with AVX2 (useAVX2), conv_amd64.go and conv_amd64.s run them four
+// lanes at a time: the forward pass eight interior pixels per call with
+// the four channels of a block as lanes, the input gradient four
+// consecutive pixels of a row as lanes, the weight gradient the block's
+// four channels as lanes against a gradient packed [pixel][ocBlock] by
+// packGrad, three kernel rows at a time. A lane does exactly what one
+// scalar statement of the Go body does, in the same order — a multiply,
+// then an add, never a fused multiply-add, which rounds once instead of
+// twice — so both bodies give the same bits. The loop nests around them
+// (clamping, blocking, fan-out) exist once.
 
 // ocBlock is the number of output channels a kernel keeps in registers.
 const ocBlock = 4
+
+// useAVX2 selects the AVX2 bodies of the micro-kernels over the Go ones.
+// It is set from CPUID once; only tests assign it.
+var useAVX2 = cpuAVX2()
 
 // convGeom is the shape of one convolution call.
 type convGeom struct {
@@ -84,7 +101,10 @@ func clampTaps(o, k, p, n int) (lo, hi int) {
 // Interior pixels are taken two at a time by convInteriorPair (2 pixels
 // × 4 channels = 8 chains, each weight load shared by both pixels);
 // pixels whose window crosses the left or right edge, and an odd
-// leftover, go through the single-pixel loop with clamped kx.
+// leftover, go through the single-pixel loop with clamped kx. On the
+// AVX2 body a run of at least eight interior pixels goes eight at a
+// time instead (convInteriorOct), the last eight ending where the run
+// ends: pixels two octs share are written twice with the same bits.
 func convForward(g *convGeom, x []float64, wp [][ocBlock]float64, bias, out []float64, bi, ob int) {
 	k, p, h, w, oh, ow, inC := g.k, g.p, g.h, g.w, g.oh, g.ow, g.inC
 	taps := g.taps()
@@ -95,10 +115,23 @@ func convForward(g *convGeom, x []float64, wp [][ocBlock]float64, bias, out []fl
 	copy(bs[:], bias[oc0:oc0+nch])
 	xb := x[bi*inC*h*w : (bi+1)*inC*h*w]
 	plane := oh * ow
+	xEnd := min(ow, w+p-k+1) // interior pixels are ox in [p, xEnd)
 	for oy := 0; oy < oh; oy++ {
 		kyLo, kyHi := clampTaps(oy, k, p, h)
 		orow := (bi*g.outC+oc0)*plane + oy*ow
 		for ox := 0; ox < ow; ox++ {
+			if useAVX2 && ox >= p && ox < xEnd && xEnd-p >= 8 {
+				ox = min(ox, xEnd-8)
+				var a [8][ocBlock]float64
+				convInteriorOct(g, xb, wb, &a, (oy-p)*w+ox-p, kyLo, kyHi)
+				for i := range a {
+					for j := 0; j < nch; j++ {
+						out[orow+j*plane+ox+i] = a[i][j] + bs[j]
+					}
+				}
+				ox += 7
+				continue
+			}
 			if ox >= p && ox+1-p+k <= w && ox+1 < ow {
 				a00, a01, a02, a03, a10, a11, a12, a13 := convInteriorPair(g, xb, wb, (oy-p)*w+ox-p, kyLo, kyHi)
 				a := [2 * ocBlock]float64{
@@ -249,7 +282,13 @@ func blockPlanes(g *convGeom, bi, oc0 int) (off [ocBlock]int) {
 // the 4 × 2 accumulators in registers; they are written back to dw
 // between images, which keeps an image's planes cache-resident across
 // the k·k taps without changing any element's order.
-func convGradW(g *convGeom, x, grad, dw, db []float64, ob, cp int) {
+//
+// The taps go tapBlock kernel rows at a time. The output rows all taps
+// of a block read an input row for are one run, which the AVX2 body
+// takes for the block's taps together (3 taps × 2 channels = six vector
+// chains); a tap's rows above and below that run go alone, before and
+// after it.
+func convGradW(g *convGeom, x, grad []float64, gpack [][ocBlock]float64, dw, db []float64, ob, cp int) {
 	k, p, h, w, oh, ow := g.k, g.p, g.h, g.w, g.oh, g.ow
 	taps := g.taps()
 	oc0 := ob * ocBlock
@@ -261,62 +300,155 @@ func convGradW(g *convGeom, x, grad, dw, db []float64, ob, cp int) {
 		ci1 = ci0
 	}
 	for bi := 0; bi < g.b; bi++ {
-		goff := blockPlanes(g, bi, oc0)
+		v := gradWView{g: g, grad: grad, goff: blockPlanes(g, bi, oc0)}
 		if cp == 0 {
-			convGradBias(grad, db[oc0:oc0+nch], goff, oh*ow)
+			convGradBias(grad, db[oc0:oc0+nch], v.goff, oh*ow)
 		}
-		xa := x[(bi*g.inC+ci0)*h*w : (bi*g.inC+ci0+1)*h*w]
-		xb := x[(bi*g.inC+ci1)*h*w : (bi*g.inC+ci1+1)*h*w]
-		for ky := 0; ky < k; ky++ {
+		if useAVX2 {
+			o := (bi*g.ocBlocks() + ob) * oh * ow
+			v.gp = gpack[o : o+oh*ow]
+		}
+		v.xa = x[(bi*g.inC+ci0)*h*w : (bi*g.inC+ci0+1)*h*w]
+		v.xb = x[(bi*g.inC+ci1)*h*w : (bi*g.inC+ci1+1)*h*w]
+		for ky0 := 0; ky0 < k; ky0 += tapBlock {
+			nt := min(tapBlock, k-ky0)
 			// Output rows oy whose input row oy+ky−p exists, i.e. the
-			// clamp of the forward pass seen from the tap's side.
-			oyLo, oyHi := clampTaps(ky, oh, p, h)
+			// clamp of the forward pass seen from the tap's side: for
+			// every tap of the block, from the first tap's lower bound to
+			// the last tap's upper one.
+			cLo, _ := clampTaps(ky0, oh, p, h)
+			_, cHi := clampTaps(ky0+nt-1, oh, p, h)
+			if cHi <= cLo {
+				cLo, cHi = oh, oh
+			}
 			for kx := 0; kx < k; kx++ {
 				oxLo, oxHi := clampTaps(kx, ow, p, w)
-				n := oxHi - oxLo
-				if n <= 0 || oyHi <= oyLo {
+				v.kx, v.oxLo, v.n = kx, oxLo, oxHi-oxLo
+				if v.n <= 0 {
 					continue
 				}
-				t0 := (ci0*k+ky)*k + kx
-				t1 := (ci1*k+ky)*k + kx
-				var a [2 * ocBlock]float64
-				for j := 0; j < nch; j++ {
-					a[j] = dw[(oc0+j)*taps+t0]
-					a[ocBlock+j] = dw[(oc0+j)*taps+t1]
-				}
-				a00, a10, a20, a30 := a[0], a[1], a[2], a[3]
-				a01, a11, a21, a31 := a[4], a[5], a[6], a[7]
-				for oy := oyLo; oy < oyHi; oy++ {
-					xo := (oy+ky-p)*w + oxLo + kx - p
-					x0s := xa[xo : xo+n]
-					x1s := xb[xo : xo+n][:len(x0s)]
-					o := oy*ow + oxLo
-					g0 := grad[goff[0]+o : goff[0]+o+n][:len(x0s)]
-					g1 := grad[goff[1]+o : goff[1]+o+n][:len(x0s)]
-					g2 := grad[goff[2]+o : goff[2]+o+n][:len(x0s)]
-					g3 := grad[goff[3]+o : goff[3]+o+n][:len(x0s)]
-					for j, x0 := range x0s {
-						x1 := x1s[j]
-						v := g0[j]
-						a00 += v * x0
-						a01 += v * x1
-						v = g1[j]
-						a10 += v * x0
-						a11 += v * x1
-						v = g2[j]
-						a20 += v * x0
-						a21 += v * x1
-						v = g3[j]
-						a30 += v * x0
-						a31 += v * x1
+				var a [tapBlock][2][ocBlock]float64
+				for t := 0; t < nt; t++ {
+					t0 := (ci0*k+ky0+t)*k + kx
+					t1 := (ci1*k+ky0+t)*k + kx
+					for j := 0; j < nch; j++ {
+						a[t][0][j] = dw[(oc0+j)*taps+t0]
+						a[t][1][j] = dw[(oc0+j)*taps+t1]
 					}
 				}
-				a = [2 * ocBlock]float64{a00, a10, a20, a30, a01, a11, a21, a31}
-				for j := 0; j < nch; j++ {
-					dw[(oc0+j)*taps+t0] = a[j]
-					if paired {
-						dw[(oc0+j)*taps+t1] = a[ocBlock+j]
+				for t := 0; t < nt; t++ {
+					lo, hi := clampTaps(ky0+t, oh, p, h)
+					v.rows(a[t:t+1], ky0+t, lo, min(cLo, hi))
+				}
+				v.rows(a[:nt], ky0, cLo, cHi)
+				for t := 0; t < nt; t++ {
+					lo, hi := clampTaps(ky0+t, oh, p, h)
+					v.rows(a[t:t+1], ky0+t, max(cHi, lo), hi)
+				}
+				for t := 0; t < nt; t++ {
+					t0 := (ci0*k+ky0+t)*k + kx
+					t1 := (ci1*k+ky0+t)*k + kx
+					for j := 0; j < nch; j++ {
+						dw[(oc0+j)*taps+t0] = a[t][0][j]
+						if paired {
+							dw[(oc0+j)*taps+t1] = a[t][1][j]
+						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// tapBlock is how many kernel rows convGradW takes together.
+const tapBlock = 3
+
+// gradWView is what convGradW's micro-kernels read of one image: the
+// pair's input planes xa and xb, the block's gradient — planes of grad
+// at goff for the Go body, packed in gp for the AVX2 body — and the
+// columns [oxLo, oxLo+n) of tap column kx.
+type gradWView struct {
+	g            *convGeom
+	xa, xb, grad []float64
+	goff         [ocBlock]int
+	gp           [][ocBlock]float64
+	kx, oxLo, n  int
+}
+
+// rows adds, for the taps ky0, ky0+1, … of a, the terms of output rows
+// [y0, y1) pixel by pixel: grad·x of plane xa to a[t][0] and of xb to
+// a[t][1], one channel of the block a lane.
+func (v *gradWView) rows(a [][2][ocBlock]float64, ky0, y0, y1 int) {
+	if y1 <= y0 {
+		return
+	}
+	if useAVX2 {
+		v.rowsAVX2(a, ky0, y0, y1)
+		return
+	}
+	for t := range a {
+		convGradWTap(v, &a[t], ky0+t, y0, y1)
+	}
+}
+
+// convGradWTap is convGradW's Go body for tap (ky, view.kx) over output
+// rows [oyLo, oyHi).
+func convGradWTap(view *gradWView, a *[2][ocBlock]float64, ky, oyLo, oyHi int) {
+	p, w, ow := view.g.p, view.g.w, view.g.ow
+	xa, xb, grad, goff := view.xa, view.xb, view.grad, view.goff
+	kx, oxLo, n := view.kx, view.oxLo, view.n
+	a00, a10, a20, a30 := a[0][0], a[0][1], a[0][2], a[0][3]
+	a01, a11, a21, a31 := a[1][0], a[1][1], a[1][2], a[1][3]
+	for oy := oyLo; oy < oyHi; oy++ {
+		xo := (oy+ky-p)*w + oxLo + kx - p
+		x0s := xa[xo : xo+n]
+		x1s := xb[xo : xo+n][:len(x0s)]
+		o := oy*ow + oxLo
+		g0 := grad[goff[0]+o : goff[0]+o+n][:len(x0s)]
+		g1 := grad[goff[1]+o : goff[1]+o+n][:len(x0s)]
+		g2 := grad[goff[2]+o : goff[2]+o+n][:len(x0s)]
+		g3 := grad[goff[3]+o : goff[3]+o+n][:len(x0s)]
+		for j, x0 := range x0s {
+			x1 := x1s[j]
+			v := g0[j]
+			a00 += v * x0
+			a01 += v * x1
+			v = g1[j]
+			a10 += v * x0
+			a11 += v * x1
+			v = g2[j]
+			a20 += v * x0
+			a21 += v * x1
+			v = g3[j]
+			a30 += v * x0
+			a31 += v * x1
+		}
+	}
+	*a = [2][ocBlock]float64{{a00, a10, a20, a30}, {a01, a11, a21, a31}}
+}
+
+// packGrad interleaves the gradient planes of every (image, block) into
+// dst as [pixel][ocBlock], zero for channels past outC: what convGradW's
+// AVX2 body loads a block's four gradients of a pixel from.
+func packGrad(g *convGeom, dst [][ocBlock]float64, grad []float64) {
+	plane := g.oh * g.ow
+	nob := g.ocBlocks()
+	for bi := 0; bi < g.b; bi++ {
+		for ob := 0; ob < nob; ob++ {
+			blk := dst[(bi*nob+ob)*plane : (bi*nob+ob+1)*plane]
+			// Channels past outC alias the block's first plane; their
+			// lanes are cleared below.
+			goff := blockPlanes(g, bi, ob*ocBlock)
+			g0 := grad[goff[0] : goff[0]+plane][:len(blk)]
+			g1 := grad[goff[1] : goff[1]+plane][:len(blk)]
+			g2 := grad[goff[2] : goff[2]+plane][:len(blk)]
+			g3 := grad[goff[3] : goff[3]+plane][:len(blk)]
+			for i := range blk {
+				blk[i] = [ocBlock]float64{g0[i], g1[i], g2[i], g3[i]}
+			}
+			for j := g.outC - ob*ocBlock; j < ocBlock; j++ {
+				for i := range blk {
+					blk[i][j] = 0
 				}
 			}
 		}
@@ -357,10 +489,13 @@ func convGradBias(grad, db []float64, goff [ocBlock]int, n int) {
 // time — carried between blocks in the scratch rows, starting from the
 // read-only zeros row — and the last block adds them into the dx row.
 //
+// The weights are the forward pass's packed ones, wp (packWeights): a
+// block's four weights for a tap are one load.
+//
 // scratch is the calling worker's own 3·w floats: two rows of partial
 // inner sums (one per input channel of the pair) and a sink for the
 // second channel's row when inC is odd. zeros is w zeros nobody writes.
-func convGradX(g *convGeom, grad, wt, dx, scratch, zeros []float64, bi, cp int) {
+func convGradX(g *convGeom, grad []float64, wp [][ocBlock]float64, dx, scratch, zeros []float64, bi, cp int) {
 	k, p, h, w, oh, ow := g.k, g.p, g.h, g.w, g.oh, g.ow
 	taps := g.taps()
 	nob := g.ocBlocks()
@@ -402,24 +537,31 @@ func convGradX(g *convGeom, grad, wt, dx, scratch, zeros []float64, bi, cp int) 
 				for ob := 0; ob < nob; ob++ {
 					oc0 := ob * ocBlock
 					goff := blockPlanes(g, bi, oc0)
-					// Channels past outC alias a real plane; a zero
-					// weight keeps them out of the sum.
-					var w0, w1 [ocBlock]float64
-					for j := 0; j < min(ocBlock, g.outC-oc0); j++ {
-						w0[j] = wt[(oc0+j)*taps+t0]
-						w1[j] = wt[(oc0+j)*taps+t1]
-					}
+					// Channels past outC alias a real plane; their
+					// packed weights are zero, which keeps them out of
+					// the sum.
+					wv := [2][ocBlock]float64{wp[ob*taps+t0], wp[ob*taps+t1]}
 					g0 := grad[goff[0]+o : goff[0]+o+n]
 					g1 := grad[goff[1]+o : goff[1]+o+n][:len(g0)]
 					g2 := grad[goff[2]+o : goff[2]+o+n][:len(g0)]
 					g3 := grad[goff[3]+o : goff[3]+o+n][:len(g0)]
 					s0, s1 := src0[:len(g0)], src1[:len(g0)]
-					w00, w10, w20, w30 := w0[0], w0[1], w0[2], w0[3]
-					w01, w11, w21, w31 := w1[0], w1[1], w1[2], w1[3]
-					if ob == nob-1 {
-						r0 := d0[ixLo:ixHi][:len(g0)]
-						r1 := d1[ixLo:ixHi][:len(g0)]
-						for j, v := range g0 {
+					w00, w10, w20, w30 := wv[0][0], wv[0][1], wv[0][2], wv[0][3]
+					w01, w11, w21, w31 := wv[1][0], wv[1][1], wv[1][2], wv[1][3]
+					last := ob == nob-1
+					r0, r1 := scratch[:n][:len(g0)], scratch[w : w+n][:len(g0)]
+					if last {
+						r0, r1 = d0[ixLo:ixHi][:len(g0)], d1[ixLo:ixHi][:len(g0)]
+					}
+					// The AVX2 body takes the whole quads, the Go body
+					// the rest.
+					q := 0
+					if useAVX2 {
+						q = gradXQuads(r0, r1, s0, s1, g0, g1, g2, g3, &wv, last)
+					}
+					if last {
+						for j := q; j < len(g0); j++ {
+							v := g0[j]
 							u0, u1 := s0[j], s1[j]
 							u0 += v * w00
 							u1 += v * w01
@@ -437,9 +579,8 @@ func convGradX(g *convGeom, grad, wt, dx, scratch, zeros []float64, bi, cp int) 
 						}
 						break
 					}
-					r0 := scratch[:n][:len(g0)]
-					r1 := scratch[w : w+n][:len(g0)]
-					for j, v := range g0 {
+					for j := q; j < len(g0); j++ {
+						v := g0[j]
 						u0, u1 := s0[j], s1[j]
 						u0 += v * w00
 						u1 += v * w01

@@ -35,7 +35,7 @@ func weightDigest(m *nn.Model) string {
 // rewrite that reorders one floating-point operation anywhere fails
 // here. The digests pin the arithmetic of a training step as it is:
 // a faster kernel must reach them unchanged, at worker budgets 1 and 4
-// alike.
+// alike and on both bodies of the convolution micro-kernels.
 func TestTrainingTrajectoriesAreGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -71,13 +71,15 @@ func TestTrainingTrajectoriesAreGolden(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			old := tensor.Parallelism()
 			t.Cleanup(func() { tensor.SetParallelism(old) })
-			for _, budget := range []int{1, 4} {
-				tensor.SetParallelism(budget)
-				got := trainTrajectory(t, tc.build, tc.input, tc.batch, tc.steps)
-				if got != tc.digest {
-					t.Errorf("budget %d: weights after %d steps hash to %s, want %s", budget, tc.steps, got, tc.digest)
+			nn.EachConvBody(t, func(t *testing.T) {
+				for _, budget := range []int{1, 4} {
+					tensor.SetParallelism(budget)
+					got := trainTrajectory(t, tc.build, tc.input, tc.batch, tc.steps)
+					if got != tc.digest {
+						t.Errorf("budget %d: weights after %d steps hash to %s, want %s", budget, tc.steps, got, tc.digest)
+					}
 				}
-			}
+			})
 		})
 	}
 }
