@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"log"
 	"net/http"
+	"net/http/pprof"
 
 	"repro/internal/health"
 	"repro/internal/telemetry"
@@ -24,12 +25,15 @@ type healthView struct {
 // and the recent trace ring; /debug/metrics serves the same registry in
 // the Prometheus text exposition format (0.0.4) so a fleet scrapes
 // nodes with stock Prometheus; /debug/health serves the failure
-// detector's current verdicts and the transport circuit breakers — so
-// an operator can watch a live node without attaching a debugger:
+// detector's current verdicts and the transport circuit breakers;
+// /debug/pprof/ serves the runtime profiles of net/http/pprof, registered
+// on this mux rather than http.DefaultServeMux — so an operator can watch
+// a live node without attaching a debugger:
 //
 //	curl -s http://127.0.0.1:6060/debug/telemetry | jq .counters
 //	curl -s http://127.0.0.1:6060/debug/metrics
 //	curl -s http://127.0.0.1:6060/debug/health
+//	go tool pprof http://127.0.0.1:6060/debug/pprof/profile?seconds=10
 func newDebugMux(reg *telemetry.Registry, id uint64, det *health.Detector, tr *transport.RaftTCP) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/telemetry", func(w http.ResponseWriter, r *http.Request) {
@@ -61,6 +65,11 @@ func newDebugMux(reg *telemetry.Registry, id uint64, det *health.Detector, tr *t
 		data = append(data, '\n')
 		_, _ = w.Write(data)
 	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 

@@ -210,3 +210,17 @@ func TestDebugTelemetryNilRegistry(t *testing.T) {
 		}
 	}
 }
+
+// TestDebugPprofIndex: the debug mux serves net/http/pprof's index, which
+// lists the runtime's named profiles.
+func TestDebugPprofIndex(t *testing.T) {
+	rr := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodGet, "/debug/pprof/", nil)
+	newDebugMux(nil, 1, nil, nil).ServeHTTP(rr, req)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("status = %d, want 200", rr.Code)
+	}
+	if !bytes.Contains(rr.Body.Bytes(), []byte("goroutine")) {
+		t.Fatalf("pprof index does not list goroutine:\n%s", rr.Body.String())
+	}
+}
