@@ -1,19 +1,24 @@
 // Package secretshare implements the additive secret-sharing primitives
 // underlying Secure Average Computation:
 //
-//   - DivideScalar — the paper's Alg. 1: the weight vector is split into N
-//     shares by N normalized random fractions, par_w_i = prn_i·w.
-//   - DivideMask — standard additive masking: the first N−1 shares are
-//     uniform random vectors and the last is w minus their sum. Every
-//     proper subset of shares is (information-theoretically) independent
-//     of w, which is strictly stronger than Alg. 1's collinear shares.
+//   - ScalarDivider — the paper's Alg. 1: the weight vector is split into
+//     N shares by N normalized random fractions, par_w_i = prn_i·w. Every
+//     share is collinear with w, so any one of them gives w's direction.
+//   - MaskDivider — additive masking in float64: the first N−1 shares are
+//     uniform random vectors in [−Scale, Scale) and the last is w minus
+//     their sum. A bounded float mask does not make a proper subset of
+//     shares independent of w: with N = 2 and Scale 1, one share of
+//     w = ±0.5 gives the sign of w in about three trials of four.
 //   - Replicated k-out-of-n share assignment (Ito et al. [7], as used by
 //     the paper's Alg. 4): peer j holds the n−k+1 consecutive shares
 //     j, j+1, …, j+n−k (mod n), so any k surviving peers still cover all
 //     n shares.
 //
-// All shares reconstruct exactly: Σ_i share_i = w (up to floating-point
-// rounding, which the tests bound).
+// Shares sum to w only up to floating-point rounding, which the tests
+// bound: the sum of a split usually differs from w in its last bits, and
+// adding the same shares in another order can give other bits. Shares in
+// a ring, which would hide w and sum exactly in any order, are ROADMAP
+// item 16.
 package secretshare
 
 import (
