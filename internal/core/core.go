@@ -164,7 +164,10 @@ type System struct {
 	// resets it to exactly the stream a fresh rand.NewSource(seed) gives
 	// without allocating a ~4.9 KB source per subgroup per round.
 	sacRngs []*rand.Rand
-	nodes   []node // nodes[i] is peer i's side of the FedAvg layer
+	// decoded[g] is what subgroup g's compressed upload decodes into at
+	// the FedAvg leader, whichever node leads, kept across rounds.
+	decoded [][]float64
+	loop    loop
 }
 
 // sysTel holds the system's pre-resolved round-lifecycle handles (nil
@@ -178,6 +181,7 @@ type sysTel struct {
 	subgroupsDegraded *telemetry.Counter
 	byzSubgroups      *telemetry.Counter
 	sacFailed         *telemetry.Counter
+	msgsInvalid       *telemetry.Counter
 	fedavgWeight      *telemetry.Gauge
 	roundBytes        *telemetry.Histogram
 }
@@ -195,6 +199,7 @@ func newSysTel(reg *telemetry.Registry) sysTel {
 		subgroupsDegraded: reg.Counter("round/subgroups_degraded"),
 		byzSubgroups:      reg.Counter("round/byzantine_subgroups"),
 		sacFailed:         reg.Counter("round/sac_failed"),
+		msgsInvalid:       reg.Counter("sac/msgs_invalid"),
 		fedavgWeight:      reg.Gauge("round/fedavg_weight_total"),
 		roundBytes:        reg.Histogram("round/bytes", roundBytesBounds),
 	}
@@ -214,15 +219,23 @@ func NewSystem(cfg Config, rng *rand.Rand) (*System, error) {
 	return s, nil
 }
 
-// resize gives the system one SAC rng for each of its subgroups and one
-// node for each of its peers, keeping those it has.
+// resize gives the system one SAC rng and one decode vector for each of
+// its subgroups and a node and an inbox for each of its peers, keeping
+// those it has, and meters its peers by their ids.
 func (s *System) resize() {
-	m, n := len(s.cfg.Sizes), s.cfg.NumPeers()
+	m, n, l := len(s.cfg.Sizes), s.cfg.NumPeers(), &s.loop
 	for len(s.sacRngs) < m {
 		s.sacRngs = append(s.sacRngs, rand.New(rand.NewSource(0)))
 	}
 	s.sacRngs = s.sacRngs[:m]
-	s.nodes = append(s.nodes, make([]node, max(0, n-len(s.nodes)))...)[:n]
+	s.decoded = append(s.decoded, make([][]float64, max(0, m-len(s.decoded)))...)[:m]
+	l.nodes = append(l.nodes, make([]node, max(0, n-len(l.nodes)))...)[:n]
+	l.inbox = append(l.inbox, make([][]message, max(0, n-len(l.inbox)))...)[:n]
+	l.down, l.ids = make([]bool, n), make([]int, n)
+	for i := range l.ids {
+		l.ids[i] = i
+	}
+	l.meter = transport.NewMeter(n, s.counter, s.cfg.Telemetry)
 }
 
 // Reconfigure applies a membership change between rounds: the subgroup
@@ -310,26 +323,6 @@ type RoundSpec struct {
 	Degraded []int
 }
 
-// sacOn is the one recipe for the SACs this package runs — subgroup,
-// secure upper layer, one-layer baseline, X-layer tree group: an
-// in-memory mesh of n peers charging counter, and the n-out-of-n
-// leader-mode configuration (leader 0) on it. A caller changes only what
-// its SAC differs in.
-func sacOn(n int, counter *transport.Counter, tel *telemetry.Registry, div secretshare.Divider, rng *rand.Rand) (*transport.Mesh, sac.Config) {
-	mesh := transport.NewMesh(n, counter)
-	mesh.SetTelemetry(tel)
-	return mesh, sac.Config{N: n, K: n, Mode: sac.ModeLeader, Divider: div, Rng: rng, Telemetry: tel}
-}
-
-// runSAC runs one of the system's SACs through sac.Run — a subgroup's,
-// the upper layer's under SecureUpper, or the one-layer baseline — on
-// sacOn's recipe with set's K, Leader, Mode, Adversary and Guard.
-func (s *System) runSAC(set sac.Config, rng *rand.Rand, models [][]float64, crash sac.CrashPlan) (*sac.Result, error) {
-	mesh, cfg := sacOn(len(models), s.counter, s.cfg.Telemetry, s.cfg.Divider, rng)
-	cfg.K, cfg.Leader, cfg.Mode, cfg.Adversary, cfg.Guard = set.K, set.Leader, set.Mode, set.Adversary, set.Guard
-	return sac.Run(mesh, cfg, models, crash)
-}
-
 // plan checks all of spec against the system and the models before the
 // round counts anything, and returns what every node of the round knows
 // but the FedAvg leader's subgroup, and the degraded subgroups in spec
@@ -344,7 +337,7 @@ func (s *System) plan(models [][]float64, spec RoundSpec) (*plan, []int, error) 
 	case spec.Leaders != nil && len(spec.Leaders) != m:
 		return nil, nil, fmt.Errorf("core: %d leaders for %d subgroups", len(spec.Leaders), m)
 	}
-	p := &plan{cfg: &s.cfg, dim: len(models[0]), counts: spec.SampleCounts, offsets: make([]int, m+1), leaders: make([]int, m)}
+	p := &plan{cfg: &s.cfg, dim: len(models[0]), counts: spec.SampleCounts, offsets: make([]int, m+1), leaders: make([]int, m), fed: -1}
 	// A ragged model is the caller's error, not a failed subgroup SAC that
 	// the round would skip; so is a plan for a peer that is not there.
 	for i, model := range models {
@@ -401,25 +394,30 @@ func checkPlans[P ~map[int]V, V any](what string, plans map[int]P, sizes []int) 
 // parameters — typically the leader assignments tracked by the two-layer
 // Raft (internal/cluster).
 //
-// It drives the round as sac.Run drives a SAC: it runs every SAC, decides
-// what no single peer can — which subgroups the FedAvg leader waits for
-// (fraction p) and which peer leads the FedAvg layer — and steps one
-// node per peer through the FedAvg layer, charging every message a node
-// sends once, by its payload.
+// It drives one node per peer through the whole round on one delivery
+// loop: every subgroup SAC, one after another, with sac.Schedule — the
+// one SAC schedule, which package sac's own Run runs too — stepping the
+// peers it lends the nodes; then the FedAvg layer, and under SecureUpper
+// the upper SAC among the participating leaders, collected by the
+// FedAvg leader. It decides what no single peer can — which subgroups
+// the FedAvg leader waits for (fraction p) and which peer leads the
+// FedAvg layer — and charges every message a node sends once, when it
+// is queued.
 func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResult, error) {
 	p, degraded, err := s.plan(models, spec)
 	if err != nil {
 		return nil, err
 	}
-	m := len(s.cfg.Sizes)
+	m, l := len(s.cfg.Sizes), &s.loop
 	before := s.counter.TotalBytes()
 	s.tel.roundsStarted.Inc()
 	res := &RoundResult{SubgroupAvgs: make([][]float64, m), Degraded: degraded}
+	l.begin(p)
 
 	// Each subgroup SAC draws from its own rng stream, seeded from the
 	// system rng; a degraded subgroup still consumes its seed, so losing
 	// quorum in one subgroup does not move the shares of the others.
-	results := make([]*sac.Result, m)
+	var okSubs []int
 	for g, leader := range p.leaders {
 		seed := s.rng.Int63()
 		if leader < 0 {
@@ -427,17 +425,14 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 		}
 		s.sacRngs[g].Seed(seed)
 		lo, hi := p.offsets[g], p.offsets[g+1]
-		set := sac.Config{K: s.cfg.thresholdFor(g, hi-lo), Leader: leader - lo, Mode: sac.ModeLeader, Adversary: spec.Adversary[g], Guard: s.cfg.Guard}
-		if results[g], err = s.runSAC(set, s.sacRngs[g], models[lo:hi], spec.Crash[g]); err != nil {
+		cfg := s.sacConfig(hi-lo, s.sacRngs[g])
+		cfg.K, cfg.Leader, cfg.Adversary, cfg.Guard = s.cfg.thresholdFor(g, hi-lo), leader-lo, spec.Adversary[g], s.cfg.Guard
+		r, err := l.schedule(l.ids[lo:hi], false, cfg, models[lo:hi], spec.Crash[g])
+		switch {
+		case err != nil:
 			s.tel.sacFailed.Inc()
-		}
-	}
-	var okSubs []int
-	for g, r := range results {
-		if r == nil {
 			continue
-		}
-		if len(r.Excluded) > 0 {
+		case len(r.Excluded) > 0:
 			if res.ExcludedPeers == nil {
 				res.ExcludedPeers = make(map[int][]int)
 			}
@@ -497,54 +492,27 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 	if spec.FedLeader >= 0 && slices.Contains(participate, spec.FedLeader) {
 		p.fed = spec.FedLeader
 	}
-	for i := range s.nodes {
-		s.nodes[i].Begin(i, p)
-	}
-	fed := &s.nodes[p.leaders[p.fed]]
-	fed.Lead(participate)
-	var inputs [][]float64 // the upper SAC's, under SecureUpper
-	// deliver hands what node j wants sent, and what that makes its
-	// receivers send, to the receivers, charging each message once, by its
-	// payload: all but the FedAvg leader's upload to itself, which never
-	// leaves the process, and under SecureUpper an upload's model, which
-	// the upper SAC carries while its weight goes on in the clear.
-	deliver := func(j int) error {
-		var queue []message
-		for {
-			send, err := s.nodes[j].Ready()
-			if err != nil {
-				return err
-			}
-			queue = append(queue, send...)
-			if len(queue) == 0 {
-				return nil
-			}
-			msg := queue[0]
-			queue = queue[1:]
-			switch {
-			case s.cfg.SecureUpper && msg.Kind == KindUpload:
-				inputs = append(inputs, msg.Model)
-				msg.Model = nil
-			case msg.From != msg.To:
-				s.counter.Record(msg.Kind, msg.Bytes())
-			}
-			j = msg.To
-			s.nodes[j].Step(msg)
-		}
-	}
+	fed := &l.nodes[p.leaders[p.fed]]
+	fed.Lead(participate, s.decoded)
 	for _, g := range participate {
-		s.nodes[p.leaders[g]].Upload(results[g])
-		if err := deliver(p.leaders[g]); err != nil {
-			return nil, err
-		}
+		l.nodes[p.leaders[g]].Upload()
 	}
-	if len(inputs) > 1 {
-		r, err := s.runSAC(sac.Config{K: len(inputs), Mode: sac.ModeLeader}, s.rng, inputs, nil)
-		if err != nil {
+	if err := l.settle(s.tel.msgsInvalid); err != nil {
+		return nil, err
+	}
+	if s.cfg.SecureUpper && len(participate) > 1 {
+		// The upper SAC: the participating leaders contribute their
+		// count·avg in participation order, and the FedAvg leader collects.
+		members, models := make([]int, len(participate)), make([][]float64, len(participate))
+		for i, g := range participate {
+			members[i], models[i] = p.leaders[g], l.nodes[p.leaders[g]].upper
+		}
+		cfg := s.sacConfig(len(models), s.rng)
+		cfg.Leader = slices.Index(participate, p.fed)
+		if _, err := l.schedule(members, true, cfg, models, nil); err != nil {
 			return nil, fmt.Errorf("core: secure upper layer: %w", err)
 		}
-		fed.Secured(r)
-		if err := deliver(p.leaders[p.fed]); err != nil {
+		if err := l.settle(s.tel.msgsInvalid); err != nil {
 			return nil, err
 		}
 	}
@@ -560,16 +528,30 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 	return res, nil
 }
 
+// sacConfig is the one recipe for the SACs a round runs — subgroup,
+// secure upper layer, one-layer baseline: n-out-of-n in leader mode
+// (leader 0) with the system's divider and telemetry. A caller changes
+// only what its SAC differs in.
+func (s *System) sacConfig(n int, rng *rand.Rand) sac.Config {
+	return sac.Config{N: n, K: n, Mode: sac.ModeLeader, Divider: s.cfg.Divider, Rng: rng, Telemetry: s.cfg.Telemetry}
+}
+
 // BaselineAggregate runs the original one-layer SAC (Alg. 2, broadcast
-// mode) over all peers, for comparison. Traffic lands on the same
-// counter.
+// mode) over all peers, for comparison: one model per peer, all of one
+// length. It steps the system's nodes, as one subgroup, on the same loop
+// as AggregateRound, and its traffic lands on the same counter.
 func (s *System) BaselineAggregate(models [][]float64) (*RoundResult, error) {
-	n := len(models)
-	if n == 0 {
-		return nil, fmt.Errorf("core: no models")
+	p, _, err := s.plan(models, RoundSpec{})
+	if err != nil {
+		return nil, err
 	}
+	n, l := len(models), &s.loop
+	p.offsets, p.leaders = []int{0, n}, []int{0} // every peer in one subgroup
 	before := s.counter.TotalBytes()
-	r, err := s.runSAC(sac.Config{K: n, Mode: sac.ModeBroadcast}, s.rng, models, nil)
+	l.begin(p)
+	cfg := s.sacConfig(n, s.rng)
+	cfg.Mode = sac.ModeBroadcast
+	r, err := l.schedule(l.ids, false, cfg, models, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -578,4 +560,125 @@ func (s *System) BaselineAggregate(models [][]float64) (*RoundResult, error) {
 		Participated: []int{0},
 		Bytes:        s.counter.TotalBytes() - before,
 	}, nil
+}
+
+// loop is a round's one delivery loop: its nodes, an inbox per node, who
+// has crashed this round, and the meter every message is charged on
+// once, when it is queued. While a SAC runs the loop is its sac.Fabric,
+// and members maps the SAC's indices to nodes.
+type loop struct {
+	nodes   []node
+	inbox   [][]message
+	down    []bool
+	meter   transport.Meter
+	p       *plan
+	ids     []int // 0, 1, …, N−1
+	members []int
+}
+
+// begin starts a round of p at every node, none of them crashed.
+func (l *loop) begin(p *plan) {
+	for i := range l.nodes {
+		l.nodes[i].Begin(i, p)
+	}
+	clear(l.down)
+	l.p = p
+}
+
+// empty drops what node id's inbox holds.
+func (l *loop) empty(id int) {
+	clear(l.inbox[id])
+	l.inbox[id] = l.inbox[id][:0]
+}
+
+// schedule runs one SAC of cfg over the nodes members — a subgroup's, the
+// upper one, or the baseline's — with sac.Schedule: it lends each member
+// its peer of a working set borrowed for the SAC, and takes the peers
+// back once the schedule has ended the round at them, dropping what the
+// SAC left in their inboxes if it aborted.
+func (l *loop) schedule(members []int, upper bool, cfg sac.Config, models [][]float64, crash sac.CrashPlan) (*sac.Result, error) {
+	sc := sac.BorrowScratch(cfg.N, cfg.K, len(models[0]))
+	defer sac.ReturnScratch(sc)
+	peers, err := sc.Peers(cfg, len(models[0]))
+	if err != nil {
+		return nil, err
+	}
+	for j, id := range members {
+		l.nodes[id].join(upper, &peers[j], members)
+	}
+	l.members = members
+	r, err := sac.Schedule(l, peers, cfg, models, crash)
+	for _, id := range members {
+		l.nodes[id].leave(upper)
+		l.empty(id)
+	}
+	return r, err
+}
+
+// Alive, Crash, Flush and Deliver make the loop the running SAC's
+// sac.Fabric, j being an index of that SAC. A crashed node stays down,
+// its inbox dropped, for the rest of the round.
+func (l *loop) Alive(j int) bool { return !l.down[l.members[j]] }
+
+func (l *loop) Crash(j int) error {
+	id := l.members[j]
+	l.down[id] = true
+	l.meter.Dropped(len(l.inbox[id]))
+	l.empty(id)
+	return nil
+}
+
+func (l *loop) Flush(j int) (int, int, error) { return l.flush(l.members[j]) }
+
+func (l *loop) Deliver(j int) error {
+	l.deliver(l.members[j])
+	return nil
+}
+
+// flush queues what node id wants sent, each message at its receiver,
+// charging it first: by its payload, but for the FedAvg leader's upload
+// to itself, which never leaves the process, and under SecureUpper an
+// upload's weight, whose model travels as upper-SAC shares. A message to
+// a crashed node is charged, then dropped. It returns how many messages
+// the node sent and how many it discarded.
+func (l *loop) flush(id int) (sent, invalid int, err error) {
+	msgs, invalid, err := l.nodes[id].Ready()
+	for _, m := range msgs {
+		if m.From != m.To && !(l.p.cfg.SecureUpper && m.Kind == KindUpload) {
+			l.meter.Sent(m.From, m.Kind, m.Bytes())
+		}
+		if l.down[m.To] {
+			l.meter.Dropped(1)
+			continue
+		}
+		l.inbox[m.To] = append(l.inbox[m.To], m)
+	}
+	return len(msgs), invalid, err
+}
+
+// deliver steps node id through its inbox.
+func (l *loop) deliver(id int) {
+	for _, m := range l.inbox[id] {
+		l.nodes[id].Step(m)
+	}
+	l.meter.Received(len(l.inbox[id]))
+	l.empty(id)
+}
+
+// settle delivers to and flushes every node until nobody sends, counting
+// the sac/* messages the nodes discarded on invalid.
+func (l *loop) settle(invalid *telemetry.Counter) error {
+	for busy := true; busy; {
+		busy = false
+		for id := range l.nodes {
+			l.deliver(id)
+			sent, bad, err := l.flush(id)
+			if err != nil {
+				return err
+			}
+			busy = busy || sent > 0
+			invalid.Add(int64(bad))
+		}
+	}
+	return nil
 }

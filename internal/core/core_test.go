@@ -2,12 +2,14 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/sac"
+	"repro/internal/telemetry"
 )
 
 func randModels(r *rand.Rand, n, dim int) [][]float64 {
@@ -341,6 +343,63 @@ func TestAggregateInputValidation(t *testing.T) {
 	}
 	if _, err := sys.BaselineAggregate(nil); err == nil {
 		t.Fatal("want empty-models error")
+	}
+}
+
+// TestBaselineAggregateChecksItsInput: the baseline steps the system's
+// nodes, so it takes exactly one model per peer, all of one length, and
+// rejects anything else before it counts a byte.
+func TestBaselineAggregateChecksItsInput(t *testing.T) {
+	sys, err := NewSystem(Config{Sizes: []int{2, 2}}, rand.New(rand.NewSource(26)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(27))
+	ragged := randModels(r, 4, 4)
+	ragged[2] = ragged[2][:3]
+	for name, models := range map[string][][]float64{
+		"too few":  randModels(r, 3, 4),
+		"too many": randModels(r, 5, 4),
+		"ragged":   ragged,
+	} {
+		if res, err := sys.BaselineAggregate(models); err == nil {
+			t.Errorf("%s: accepted, global model %v", name, res.Global)
+		}
+	}
+	if b := sys.Counter().TotalBytes(); b != 0 {
+		t.Fatalf("%d bytes counted before the errors", b)
+	}
+	if _, err := sys.BaselineAggregate(randModels(r, 4, 4)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTransportCountersAddUpPerPeer: every message of a round, SAC and
+// FedAvg alike, is charged once on transport/* under its sender's global
+// id, so the per-peer bytes of every peer add up to the total, which is
+// the round's.
+func TestTransportCountersAddUpPerPeer(t *testing.T) {
+	reg := telemetry.New()
+	sys, err := NewSystem(Config{Sizes: []int{3, 3}, K: []int{2}, Telemetry: reg}, rand.New(rand.NewSource(28)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.AggregateRound(randModels(rand.New(rand.NewSource(29)), 6, 2), RoundSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters := reg.Snapshot().Counters
+	var sum int64
+	for i := 0; i < 6; i++ {
+		msgs, okM := counters[fmt.Sprintf("transport/peer%d/msgs_sent", i)]
+		bytes, okB := counters[fmt.Sprintf("transport/peer%d/bytes_sent", i)]
+		if !okM || !okB || msgs == 0 {
+			t.Errorf("peer %d: msgs_sent %d (registered %v), bytes_sent %d (registered %v)", i, msgs, okM, bytes, okB)
+		}
+		sum += bytes
+	}
+	if total := counters["transport/bytes_sent"]; sum != total || total != res.Bytes {
+		t.Fatalf("per-peer bytes sum to %d, transport/bytes_sent is %d, the round moved %d", sum, total, res.Bytes)
 	}
 }
 

@@ -79,7 +79,10 @@ type foldStep struct {
 // and pins every line the parent printed. The systems run on borrowed SAC
 // working sets now, so the shapes are chosen to make that visible: uneven
 // subgroups, a recovery round, a third shape for the secure upper layer,
-// and a system that grows and shrinks between rounds.
+// and a system that grows and shrinks between rounds. The secure-upper
+// rows with set leaders or crashes and the baseline lines were taken
+// before the round node held its SAC peers; the one line that moved with
+// that change says why beside it.
 func TestFoldedEntryPointsReplayParentRounds(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -137,6 +140,17 @@ func TestFoldedEntryPointsReplayParentRounds(t *testing.T) {
 			{sizes: []int{3, 3}, k: []int{2},
 				want: "0faf524b86d852a0 6144 fedavg/broadcast=4032/21 fedavg/download=768/4 fedavg/upload=768/4 sac/share=31488/164 sac/subtotal=2496/13 | p[0 1] d[] b[] x[] e0000000000000000 | round/byzantine_subgroups=0 round/completed=4 round/sac_failed=0 round/started=4 round/subgroups_degraded=0 round/subgroups_excluded=0 round/subgroups_ok=8 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=8 sac/rounds_started=8 sac/shares_sent=164 sac/subtotals_recovered=0 sac/subtotals_sent=13"},
 		}},
+		{"secure upper fed leader", Config{Sizes: []int{4, 3, 3}, SecureUpper: true}, []foldStep{
+			{spec: RoundSpec{Leaders: []int{3, 1, 2}, FedLeader: 1}, want: "6cc55410d10147ea 9216 fedavg/broadcast=1344/7 fedavg/download=384/2 sac/share=5760/30 sac/subtotal=1728/9 | p[0 1 2] d[] b[] x[] e0000000000000000 | round/byzantine_subgroups=0 round/completed=1 round/sac_failed=0 round/started=1 round/subgroups_degraded=0 round/subgroups_excluded=0 round/subgroups_ok=3 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=4 sac/rounds_started=4 sac/shares_sent=30 sac/subtotals_recovered=0 sac/subtotals_sent=9"},
+			{spec: RoundSpec{Leaders: []int{0, 2, 0}, FedLeader: 2}, want: "d9fccc7a60260e76 9216 fedavg/broadcast=2688/14 fedavg/download=768/4 sac/share=11520/60 sac/subtotal=3456/18 | p[0 1 2] d[] b[] x[] e0000000000000000 | round/byzantine_subgroups=0 round/completed=2 round/sac_failed=0 round/started=2 round/subgroups_degraded=0 round/subgroups_excluded=0 round/subgroups_ok=6 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=8 sac/rounds_started=8 sac/shares_sent=60 sac/subtotals_recovered=0 sac/subtotals_sent=18"},
+		}},
+		{"secure upper crash", Config{Sizes: []int{3, 3, 3}, K: []int{2}, SecureUpper: true}, []foldStep{
+			{spec: RoundSpec{Crash: map[int]sac.CrashPlan{1: {2: sac.AfterShares}}}, want: "12ce6b20753f2b23 10568 fedavg/broadcast=1152/6 fedavg/download=384/2 sac/recovery=192/1 sac/recovery-req=8/1 sac/share=8064/42 sac/subtotal=768/4 | p[0 1 2] d[] b[] x[] e0000000000000000 | round/byzantine_subgroups=0 round/completed=1 round/sac_failed=0 round/started=1 round/subgroups_degraded=0 round/subgroups_excluded=0 round/subgroups_ok=3 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=1 sac/rounds_failed=0 sac/rounds_ok=4 sac/rounds_started=4 sac/shares_sent=42 sac/subtotals_recovered=1 sac/subtotals_sent=4"},
+			// Subgroup 0's leader crashes: its SAC fails, and it stays down
+			// for the rest of the round, so the download sent to it is
+			// charged and dropped and it relays nothing to its followers.
+			{spec: RoundSpec{Crash: map[int]sac.CrashPlan{0: {0: sac.AfterShares}}}, want: "698680f375338a7e 9024 fedavg/broadcast=1920/10 fedavg/download=768/4 sac/recovery=192/1 sac/recovery-req=8/1 sac/share=15360/80 sac/subtotal=1344/7 | p[1 2] d[] b[] x[] e0000000000000000 | round/byzantine_subgroups=0 round/completed=2 round/sac_failed=1 round/started=2 round/subgroups_degraded=0 round/subgroups_excluded=0 round/subgroups_ok=5 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=2 sac/rounds_failed=1 sac/rounds_ok=7 sac/rounds_started=8 sac/shares_sent=80 sac/subtotals_recovered=1 sac/subtotals_sent=7"},
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -191,6 +205,27 @@ func TestFoldedEntryPointsReplayParentRounds(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := foldLine(res.Global, res.Bytes, counter); got != want {
+				t.Errorf("round %d:\n got  %s\n want %s", round, got, want)
+			}
+		}
+	})
+
+	t.Run("baseline", func(t *testing.T) {
+		reg := telemetry.New()
+		sys, err := NewSystem(Config{Sizes: []int{3, 2}, Telemetry: reg}, rand.New(rand.NewSource(41)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rand.New(rand.NewSource(42))
+		for round, want := range []string{
+			"6086a1bd26173a8f 7680 sac/share=3840/20 sac/subtotal=3840/20 | p[0] d[] b[] x[] e0000000000000000 | round/byzantine_subgroups=0 round/completed=0 round/sac_failed=0 round/started=0 round/subgroups_degraded=0 round/subgroups_excluded=0 round/subgroups_ok=0 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=1 sac/rounds_started=1 sac/shares_sent=20 sac/subtotals_recovered=0 sac/subtotals_sent=20",
+			"5ba15eee08ea2dc5 7680 sac/share=7680/40 sac/subtotal=7680/40 | p[0] d[] b[] x[] e0000000000000000 | round/byzantine_subgroups=0 round/completed=0 round/sac_failed=0 round/started=0 round/subgroups_degraded=0 round/subgroups_excluded=0 round/subgroups_ok=0 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=2 sac/rounds_started=2 sac/shares_sent=40 sac/subtotals_recovered=0 sac/subtotals_sent=40",
+		} {
+			res, err := sys.BaselineAggregate(randModels(r, 5, 24))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := roundLine(res, sys.Counter(), reg); got != want {
 				t.Errorf("round %d:\n got  %s\n want %s", round, got, want)
 			}
 		}

@@ -133,8 +133,8 @@ func (ms *MultiLayerScratch) get(n int, div secretshare.Divider, counter *transp
 		w = &mlWorker{src: src, rng: rand.New(src), sc: &sac.Scratch{}}
 	}
 	if w.mesh == nil || w.cfg.N != n || w.counter != counter {
-		w.mesh, w.cfg = sacOn(n, counter, nil, div, w.rng)
-		w.cfg.Scratch = w.sc
+		w.mesh = transport.NewMesh(n, counter)
+		w.cfg = sac.Config{N: n, K: n, Mode: sac.ModeLeader, Rng: w.rng, Scratch: w.sc}
 		w.counter = counter
 		w.sub = make([][]float64, 0, n)
 	}

@@ -2,26 +2,34 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sort"
 
 	"repro/internal/compress"
 	"repro/internal/fl"
 	"repro/internal/sac"
+	"repro/internal/transport"
 )
 
-// message is one FedAvg-layer message between peers. Model is a dense
-// model; Block, when set, is the compressed encoding that crosses the
-// wire instead. A compressed upload carries only its block, which the
-// FedAvg leader decodes; a download or broadcast carries the block and
-// the global model its sender decoded, which every receiver reads, as an
-// in-memory SAC receiver reads its sender's share block. Weight is an
-// upload's sample count, metadata in the clear as in Alg. 3.
+// message is one message between peers of a round, of either layer.
+// Model is a dense model, or a sac/* message's payload; Block, when set,
+// is the compressed encoding that crosses the wire instead. A compressed
+// upload carries only its block, which the FedAvg leader decodes; a
+// download or broadcast carries the block and the global model its
+// sender decoded, which every receiver reads, as an in-memory SAC
+// receiver reads its sender's share block. Weight is an upload's sample
+// count, metadata in the clear as in Alg. 3. A sac/* message names its
+// SAC — the sender's subgroup's, or the upper one (Upper) — and the
+// share index it is about; both live in memory only, no wire frame
+// carries them yet.
 type message struct {
 	From, To int
 	Kind     string
 	Model    []float64
 	Block    *compress.Delta
 	Weight   float64
+	Upper    bool
+	ShareIdx int
 }
 
 // Bytes is what m costs on the wire: its block's encoded size, or 8
@@ -33,10 +41,10 @@ func (m message) Bytes() int64 {
 	return int64(8 * len(m.Model))
 }
 
-// plan is what every node of a round knows before it starts. Subgroup g
-// is peers offsets[g] ≤ i < offsets[g+1], led by peer leaders[g], or by
-// nobody (−1) when it is degraded; fed is the subgroup whose leader
-// leads the FedAvg layer.
+// plan is what every node of a round knows. Subgroup g is peers
+// offsets[g] ≤ i < offsets[g+1], led by peer leaders[g], or by nobody
+// (−1) when it is degraded; fed is the subgroup whose leader leads the
+// FedAvg layer, −1 until the subgroup SACs have run.
 type plan struct {
 	cfg              *Config
 	dim              int
@@ -48,24 +56,33 @@ type plan struct {
 // group is peer i's subgroup, outside [0,m) when i is no peer.
 func (p *plan) group(i int) int { return sort.SearchInts(p.offsets, i+1) - 1 }
 
-// node is one peer's side of Alg. 3 above its subgroup SAC: a subgroup
-// leader uploads its SAC average to the FedAvg leader, which combines
+// node is one peer's side of Alg. 3, from Divide to download: it takes
+// part in its subgroup's SAC through a sac.Peer; a subgroup leader
+// uploads what its peer collected to the FedAvg leader, which combines
 // the uploads and sends the global model down to the other subgroup
-// leaders, and each broadcasts it to its subgroup. Like sac.Peer it is
-// Begin, then Step per received message, with what it wants sent read
-// from Ready; it does no IO. What one peer cannot know comes from the
-// driver (System.AggregateRound): a subgroup leader's SAC result
-// (Upload), the FedAvg leader's participation set (Lead) and, under
-// SecureUpper, the upper SAC's result (Secured).
+// leaders, and each broadcasts it to its subgroup. Under SecureUpper
+// each participating leader also takes part in the upper SAC, whose
+// collector is the FedAvg leader. Like sac.Peer it is Begin, then Step
+// per received message, with what it wants sent — its peers' messages
+// included — read from Ready; it does no IO. What one peer cannot know
+// comes from the driver (System.AggregateRound): the SAC schedule steps
+// the peers it lends (join, leave), and the FedAvg layer's inputs are
+// the plan, the FedAvg leader's participation set (Lead) and whom it
+// asks to Upload.
 type node struct {
 	id, g int
 	p     *plan
 
+	// The SACs n is in while they run: its subgroup's, and the upper
+	// one. collected is what the subgroup peer collected, at its leader
+	// once the SAC is over.
+	sub, up   lent
+	collected *sac.Result
+
 	// The FedAvg leader's: slot[g] is 1 + subgroup g's place in the
 	// participation set until its upload arrives, 0 otherwise; models and
 	// weights are the uploads, in that order; decoded[g] is what g's
-	// compressed upload decodes into, kept across the rounds this node
-	// leads.
+	// compressed upload decodes into, lent by the driver.
 	slot    []int
 	models  [][]float64
 	weights []float64
@@ -74,27 +91,74 @@ type node struct {
 	total   float64         // the participants' summed weight
 	bound   *compress.Bound // the compressed global model's error
 
-	upper  []float64 // a subgroup leader's upper-SAC input under SecureUpper
-	global []float64 // the model this peer resumes from
-	msgs   []message // to send, in order
-	err    error     // the first thing that failed here this round
+	upper   []float64 // a subgroup leader's upper-SAC input under SecureUpper
+	global  []float64 // the model this peer resumes from
+	msgs    []message // to send, in order
+	invalid int       // sac/* messages discarded since the last Ready
+	err     error     // the first thing that failed here this round
 }
 
 // Begin arms n as peer id of the round p plans.
 func (n *node) Begin(id int, p *plan) {
-	decoded := n.decoded
-	if id != p.leaders[p.fed] {
-		decoded = nil // another peer leads the FedAvg layer
-	}
-	*n = node{id: id, g: p.group(id), p: p, decoded: decoded, msgs: n.msgs[:0]}
+	*n = node{id: id, g: p.group(id), p: p, msgs: n.msgs[:0]}
 }
 
-// Ready returns what n wants sent since the last call, valid until its
-// next call, and the first error n met this round.
-func (n *node) Ready() ([]message, error) {
-	send := n.msgs
-	n.msgs = n.msgs[:0]
-	return send, n.err
+// Ready returns what n and its SAC peers want sent since the last call,
+// valid until n's next call, how many sac/* messages they discarded, and
+// the first error n met this round. The peers' finished payloads need no
+// recycling: in memory a payload is its sender's.
+func (n *node) Ready() ([]message, int, error) {
+	for _, l := range []*lent{&n.sub, &n.up} {
+		if l.peer == nil {
+			continue
+		}
+		send, _, invalid := l.peer.Ready()
+		for _, m := range send {
+			n.msgs = append(n.msgs, message{From: n.id, To: l.members[m.To], Kind: m.Kind, Model: m.Payload, Upper: l == &n.up, ShareIdx: m.ShareIdx})
+		}
+		n.invalid += invalid
+	}
+	send, invalid := n.msgs, n.invalid
+	n.msgs, n.invalid = n.msgs[:0], 0
+	return send, invalid, n.err
+}
+
+// lent is a SAC n is in while it runs: its peer, lent by the driver,
+// and the SAC's members, index j being node members[j].
+type lent struct {
+	peer    *sac.Peer
+	members []int
+}
+
+// in is n's place in the SAC a message names: its subgroup's, or the
+// upper one.
+func (n *node) in(upper bool) *lent {
+	if upper {
+		return &n.up
+	}
+	return &n.sub
+}
+
+// join lends n its peer in a SAC that is starting.
+func (n *node) join(upper bool, peer *sac.Peer, members []int) { *n.in(upper) = lent{peer, members} }
+
+// leave ends n's part in that SAC: n keeps what its peer collected and
+// gives the peer back. The FedAvg leader scales the upper SAC's average
+// of the participants' count·avg, which it owns, into the global model
+// in place.
+func (n *node) leave(upper bool) {
+	l := n.in(upper)
+	switch r := l.peer.Collected(); {
+	case !upper:
+		n.collected = r
+	case r != nil:
+		f := float64(len(r.Contributors)) / n.total
+		for j := range r.Avg {
+			r.Avg[j] *= f
+		}
+		n.distribute(r.Avg)
+	}
+	*l = lent{}
 }
 
 func (n *node) send(to int, kind string, model []float64, block *compress.Delta) {
@@ -102,23 +166,23 @@ func (n *node) send(to int, kind string, model []float64, block *compress.Delta)
 }
 
 // Lead tells the FedAvg leader whose uploads it combines, in order: the
-// subgroups whose SAC succeeded and that beat the fraction-p timeout.
-func (n *node) Lead(participate []int) {
+// subgroups whose SAC succeeded and that beat the fraction-p timeout;
+// decoded is the driver's, one vector per subgroup.
+func (n *node) Lead(participate []int, decoded [][]float64) {
 	m, k := len(n.p.leaders), len(participate)
-	n.slot, n.models, n.weights, n.waiting = make([]int, m), make([][]float64, k), make([]float64, k), k
-	n.decoded = append(n.decoded, make([][]float64, max(0, m-len(n.decoded)))...)[:m]
+	n.slot, n.models, n.weights, n.waiting, n.decoded = make([]int, m), make([][]float64, k), make([]float64, k), k, decoded
 	for i, g := range participate {
 		n.slot[g] = i + 1
 	}
 }
 
-// Upload hands a subgroup leader its SAC's result, which it uploads to
-// the FedAvg leader weighted by its contributors' sample counts:
-// compressed under Config.Compression unless it leads the FedAvg layer
-// itself, whose own model never leaves the process, and under
-// SecureUpper as count·avg, its input to the upper SAC.
-func (n *node) Upload(r *sac.Result) {
-	p := n.p
+// Upload sends what a subgroup leader's peer collected to the FedAvg
+// leader, weighted by its contributors' sample counts: compressed under
+// Config.Compression unless it leads the FedAvg layer itself, whose own
+// model never leaves the process, and under SecureUpper as the weight
+// alone, the model going as count·avg, its input to the upper SAC.
+func (n *node) Upload() {
+	p, r := n.p, n.collected
 	m := message{From: n.id, To: p.leaders[p.fed], Kind: KindUpload, Model: r.Avg}
 	for _, c := range r.Contributors {
 		if p.counts == nil {
@@ -133,7 +197,7 @@ func (n *node) Upload(r *sac.Result) {
 		for j, x := range r.Avg {
 			n.upper[j] = x * m.Weight
 		}
-		m.Model = n.upper
+		m.Model = nil
 	case p.cfg.Compression.Enabled() && m.To != n.id:
 		d, err := p.cfg.Compression.Compress(r.Avg)
 		if err != nil {
@@ -145,14 +209,20 @@ func (n *node) Upload(r *sac.Result) {
 	n.msgs = append(n.msgs, m)
 }
 
-// Step hands n a message it received. It takes, once each and of the
-// round's model size, an upload at the FedAvg leader from the leader of
-// a participating subgroup, the global model at a subgroup leader from
-// the FedAvg leader, and at a follower from its subgroup's leader (a
-// degraded subgroup has none). Anything else is discarded.
+// Step hands n a message it received. A sac/* message goes to n's peer
+// in the SAC it names, translated to that SAC's indices, and is counted
+// invalid when n has none there. Of the FedAvg layer's, once the SACs
+// have run, it takes — once each and of the round's model size — an
+// upload at the FedAvg leader from the leader of a participating
+// subgroup, the global model at a subgroup leader from the FedAvg
+// leader, and at a follower from its subgroup's leader (a degraded
+// subgroup has none). Anything else is discarded.
 func (n *node) Step(m message) {
 	p := n.p
 	switch {
+	case m.Kind != KindUpload && m.Kind != KindDownload && m.Kind != KindBroadcast:
+		n.stepSAC(m)
+	case p.fed < 0:
 	case m.Kind == KindUpload:
 		n.upload(m)
 	case m.From == n.id || n.global != nil || len(m.Model) != p.dim:
@@ -162,6 +232,15 @@ func (n *node) Step(m message) {
 	case m.Kind == KindBroadcast && m.From == p.leaders[n.g] && m.From >= 0:
 		n.global = m.Model
 	}
+}
+
+func (n *node) stepSAC(m message) {
+	l := n.in(m.Upper)
+	if l.peer == nil {
+		n.invalid++
+		return
+	}
+	l.peer.Step(transport.Message{From: slices.Index(l.members, m.From), To: slices.Index(l.members, m.To), Kind: m.Kind, ShareIdx: m.ShareIdx, Payload: m.Model})
 }
 
 func (n *node) upload(m message) {
@@ -189,7 +268,7 @@ func (n *node) upload(m message) {
 
 // aggregate combines the uploads once the last has arrived, with
 // Config.Aggregator; under SecureUpper it scales its own input when it
-// is the only participant, and otherwise waits for the upper SAC.
+// is the only participant, and otherwise waits for its upper peer.
 func (n *node) aggregate() {
 	for _, w := range n.weights {
 		n.total += w
@@ -199,7 +278,7 @@ func (n *node) aggregate() {
 	case secure && n.total == 0:
 		n.err = errors.New("core: secure upper layer: zero total sample count")
 	case secure && len(n.weights) > 1:
-		return // Secured brings the upper SAC's result
+		return // the upper SAC brings the average
 	case secure: // the only participant: nothing to hide, nothing to exchange
 		global = make([]float64, len(n.upper))
 		for j, x := range n.upper {
@@ -211,17 +290,6 @@ func (n *node) aggregate() {
 		global, n.err = fl.FedAvg{}.Aggregate(n.models, n.weights)
 	}
 	n.distribute(global)
-}
-
-// Secured hands the FedAvg leader the upper SAC's average of the
-// participants' count·avg; it scales the average, which it owns, into
-// the global model in place.
-func (n *node) Secured(r *sac.Result) {
-	f := float64(len(r.Contributors)) / n.total
-	for j := range r.Avg {
-		r.Avg[j] *= f
-	}
-	n.distribute(r.Avg)
 }
 
 // distribute sends the global model down to every other subgroup that

@@ -9,76 +9,128 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/sac"
+	"repro/internal/transport"
 )
 
-// handFedAvg steps one node per peer through the FedAvg layer of a round
-// with no System around them: the smallest driver there is. Under
-// SecureUpper it stands in for the upper SAC with the plain average of
-// the inputs it diverts.
-type handFedAvg struct {
-	p      *plan
-	nodes  []node
-	inputs [][]float64
+// handRound steps one node per peer through a whole round with no System
+// around them: the smallest two-layer driver there is. Every live
+// subgroup runs a real SAC through sac.Schedule on the loop, then the
+// FedAvg layer runs, with the upper SAC under SecureUpper. As a SAC's
+// fabric it calls at before every delivery the schedule asks for, and
+// the round calls it after each SAC, after each upload and at the end,
+// so a test sees — and can add to — every point of a round.
+type handRound struct {
+	loop
+	p     *plan
+	at    func()
+	upper bool // the running SAC is the upper one; loop.members is nil between SACs
 }
 
-// pump delivers what node j wants sent, then what the receivers want
-// sent in return, until nobody does.
-func (h *handFedAvg) pump(j int) error {
-	send, err := h.nodes[j].Ready()
+func newHandRound(p *plan, at func()) *handRound {
+	n := p.offsets[len(p.offsets)-1]
+	h := &handRound{p: p, at: at}
+	h.nodes, h.inbox, h.down, h.ids = make([]node, n), make([][]message, n), make([]bool, n), make([]int, n)
+	for i := range h.ids {
+		h.ids[i] = i
+	}
+	h.meter = transport.NewMeter(n, transport.NewCounter(), nil)
+	return h
+}
+
+func (h *handRound) Deliver(j int) error {
+	h.at()
+	return h.loop.Deliver(j)
+}
+
+// secure is loop.schedule with h as the SAC's fabric, on a working set
+// of its own.
+func (h *handRound) secure(members []int, upper bool, cfg sac.Config, models [][]float64) error {
+	peers, err := new(sac.Scratch).Peers(cfg, len(models[0]))
 	if err != nil {
 		return err
 	}
-	for _, m := range slices.Clone(send) { // Ready's slice is the node's
-		if h.p.cfg.SecureUpper && m.Kind == KindUpload {
-			h.inputs, m.Model = append(h.inputs, m.Model), nil
-		}
-		h.nodes[m.To].Step(m)
-		if err := h.pump(m.To); err != nil {
-			return err
-		}
+	for j, id := range members {
+		h.nodes[id].join(upper, &peers[j], members)
 	}
-	return nil
+	h.members, h.upper = members, upper
+	_, err = sac.Schedule(h, peers, cfg, models, nil)
+	h.members = nil
+	for _, id := range members {
+		h.nodes[id].leave(upper)
+		h.inbox[id] = h.inbox[id][:0]
+	}
+	return err
 }
 
-// round runs the FedAvg layer over the subgroup results avgs[g] (each
-// with every peer of its subgroup contributing), calling at(point) after
-// the FedAvg leader is told whom it waits for (point 0), after the i-th
-// participant's upload (point i) and once the global model is
-// distributed (point len(participate)+1). It returns the FedAvg leader.
-func (h *handFedAvg) round(avgs [][]float64, participate []int, at func(point int)) (*node, error) {
-	for i := range h.nodes {
-		h.nodes[i].Begin(i, h.p)
+// round runs every live subgroup's SAC, n-out-of-n with its leader
+// collecting, then the FedAvg layer over participate, led by subgroup
+// fed. It returns the FedAvg leader.
+func (h *handRound) round(models [][]float64, participate []int, fed int) (*node, error) {
+	p := h.p
+	p.fed = -1
+	h.begin(p)
+	for g, leader := range p.leaders {
+		if leader < 0 {
+			continue
+		}
+		lo, hi := p.offsets[g], p.offsets[g+1]
+		cfg := sac.Config{N: hi - lo, K: hi - lo, Leader: leader - lo, Mode: sac.ModeLeader, Rng: rand.New(rand.NewSource(int64(g)))}
+		if err := h.secure(h.ids[lo:hi], false, cfg, models[lo:hi]); err != nil {
+			return nil, err
+		}
+		h.at()
 	}
-	fedID := h.p.leaders[h.p.fed]
-	fed := &h.nodes[fedID]
-	fed.Lead(participate)
-	h.inputs = h.inputs[:0]
-	at(0)
-	for i, g := range participate {
-		r := &sac.Result{Avg: slices.Clone(avgs[g])}
-		for c := 0; c < h.p.offsets[g+1]-h.p.offsets[g]; c++ {
-			r.Contributors = append(r.Contributors, c)
+	p.fed = fed
+	leader := &h.nodes[p.leaders[fed]]
+	leader.Lead(participate, make([][]float64, len(p.leaders)))
+	for _, g := range participate {
+		h.nodes[p.leaders[g]].Upload()
+		if err := h.settle(nil); err != nil {
+			return leader, err
 		}
-		h.nodes[h.p.leaders[g]].Upload(r)
-		if err := h.pump(h.p.leaders[g]); err != nil {
-			return fed, err
-		}
-		at(i + 1)
+		h.at()
 	}
-	if len(h.inputs) > 1 && fed.err == nil && fed.global == nil {
-		sum := make([]float64, h.p.dim)
-		for _, in := range h.inputs {
-			for d, x := range in {
-				sum[d] += x / float64(len(h.inputs))
-			}
+	if p.cfg.SecureUpper && len(participate) > 1 && leader.err == nil && leader.global == nil {
+		members, inputs := make([]int, len(participate)), make([][]float64, len(participate))
+		for i, g := range participate {
+			members[i], inputs[i] = p.leaders[g], h.nodes[p.leaders[g]].upper
 		}
-		fed.Secured(&sac.Result{Avg: sum, Contributors: make([]int, len(h.inputs))})
-		if err := h.pump(fedID); err != nil {
-			return fed, err
+		cfg := sac.Config{N: len(inputs), K: len(inputs), Leader: slices.Index(participate, fed), Mode: sac.ModeLeader, Rng: rand.New(rand.NewSource(99))}
+		if err := h.secure(members, true, cfg, inputs); err != nil {
+			return leader, err
+		}
+		if err := h.settle(nil); err != nil {
+			return leader, err
 		}
 	}
-	at(len(participate) + 1)
-	return fed, nil
+	h.at()
+	return leader, nil
+}
+
+// TestEndedSACAnswersNothing: once a subgroup's SAC is over its nodes
+// hold no peer in it. Both subgroups here have one shape, so they run on
+// one working set, and a node that kept its peer would hold the one the
+// second subgroup used: a recovery request to it, or a subtotal to its
+// leader, after the round is invalid and answered from nobody's
+// subtotals.
+func TestEndedSACAnswersNothing(t *testing.T) {
+	sys, err := NewSystem(Config{Sizes: []int{3, 3}, K: []int{2}}, rand.New(rand.NewSource(30)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.AggregateRound(randModels(rand.New(rand.NewSource(31)), 6, 4), RoundSpec{}); err != nil {
+		t.Fatal(err)
+	}
+	l := &sys.loop
+	for _, m := range []message{
+		{From: 0, To: 1, Kind: sac.KindRecoveryReq, ShareIdx: 1, Model: []float64{1}},
+		{From: 2, To: 0, Kind: sac.KindSubtotal, ShareIdx: 2, Model: make([]float64, 4)},
+	} {
+		l.nodes[m.To].Step(m)
+		if sent, invalid, err := l.flush(m.To); sent != 0 || invalid != 1 || err != nil {
+			t.Errorf("%+v after the SAC: %d sent, %d invalid, err %v", m, sent, invalid, err)
+		}
+	}
 }
 
 func allocated() uint64 {
@@ -88,33 +140,45 @@ func allocated() uint64 {
 }
 
 // nodeKinds are what FuzzNodeStep hands a node: the three FedAvg-layer
-// kinds, a SAC kind, and garbage.
-var nodeKinds = []string{KindUpload, KindDownload, KindBroadcast, sac.KindShare, ""}
+// kinds, every SAC kind of a crash-only round, and garbage.
+var nodeKinds = []string{KindUpload, KindDownload, KindBroadcast, sac.KindShare, sac.KindSubtotal,
+	sac.KindRecoveryReq, sac.KindRecovery, sac.KindAccuse, ""}
 
-// FuzzNodeStep is FuzzPeerStep for the FedAvg layer. Forged messages are
-// handed to the nodes at every point of a round — before the first
-// upload, after each, and once the global model is out — from any peer
-// or from no peer at all, of any kind, with dense payloads or compressed
-// blocks of any size and claimed dimension. No sequence may panic a
-// node, make it allocate in proportion to what a message claims, or let
-// the FedAvg leader take an upload twice, from a peer that does not lead
-// its subgroup, from a subgroup that does not participate, or from no
-// subgroup, or let a node take the global model from anyone but the
-// FedAvg leader (at a subgroup leader) or its subgroup's leader; and when
-// every injection was discarded, the global model is bit-identical to an
-// undisturbed round's.
+// FuzzNodeStep is FuzzPeerStep for the whole round node. Forged messages
+// are handed to the nodes at every point of a round — before each
+// delivery of every SAC, after each SAC, after each upload, and once the
+// global model is out — from any peer or from no peer at all, of any
+// kind, naming either SAC and any share index, with dense payloads or
+// compressed blocks of any size and claimed dimension. No sequence may
+// panic a node, make it allocate in proportion to what a message claims,
+// or let the FedAvg leader take an upload twice, from a peer that does
+// not lead its subgroup, from a subgroup that does not participate, or
+// from no subgroup, or let a node take the global model from anyone but
+// the FedAvg leader (at a subgroup leader) or its subgroup's leader. A
+// sac/* message for a SAC the node holds no peer in — one that has
+// ended, or that it is not in — is counted invalid and answers nothing,
+// least of all from the subtotals of the peer another subgroup now
+// holds. When every injection was discarded, the global model is
+// bit-identical to an undisturbed round's.
 func FuzzNodeStep(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(2), []byte{0, 1, 0, 3, 0, 1})
-	f.Add(int64(2), uint8(4), uint8(3), []byte{3, 0, 0, 3, 1, 2, 4, 2, 1, 3, 0, 0, 6, 5, 2, 3, 0, 0})
-	f.Add(int64(3), uint8(2), uint8(5), []byte{255, 255, 255, 255, 255, 255})
+	f.Add(int64(1), uint8(3), uint8(2), []byte{0, 1, 0, 3, 0, 1, 0})
+	f.Add(int64(2), uint8(4), uint8(3), []byte{3, 0, 0, 3, 1, 2, 0, 4, 2, 1, 3, 0, 0, 1, 6, 5, 2, 3, 0, 0, 2})
+	f.Add(int64(3), uint8(2), uint8(5), []byte{255, 255, 255, 255, 255, 255, 255})
 	f.Add(int64(4), uint8(1), uint8(0), []byte{})
-	f.Add(int64(5), uint8(3), uint8(7), []byte{2, 0, 0, 3, 2, 9, 130, 5, 0, 250, 1, 1, 3, 3, 2, 3, 0, 4})
-	f.Add(int64(6), uint8(4), uint8(9), []byte{0, 3, 1, 3, 0, 0, 1, 9, 2, 3, 0, 0, 12, 2, 0, 3, 0, 0})
+	f.Add(int64(5), uint8(3), uint8(7), []byte{2, 0, 0, 3, 2, 9, 1, 130, 5, 0, 250, 1, 1, 130, 3, 3, 2, 3, 0, 4, 3})
+	f.Add(int64(6), uint8(4), uint8(9), []byte{0, 3, 1, 3, 0, 0, 0, 1, 9, 2, 3, 0, 0, 0, 12, 2, 0, 3, 0, 0, 0})
 	// Found by fuzzing mutants: an upload from a follower, a second upload
 	// from one leader, a broadcast from nobody into a degraded subgroup.
-	f.Add(int64(15), uint8(2), uint8(5), []byte("012B00"))
-	f.Add(int64(36), uint8(1), uint8(7), []byte("102000"))
-	f.Add(int64(-123), uint8(1), uint8(1), []byte("0000000A9B00"))
+	f.Add(int64(15), uint8(2), uint8(5), []byte("012B000"))
+	f.Add(int64(36), uint8(1), uint8(7), []byte("1020000"))
+	f.Add(int64(-123), uint8(1), uint8(1), []byte("0000000A9B00\x00\x00"))
+	// At the end of the round, in one subgroup of three led by peer 0, a
+	// subtotal from peer 1 to its leader and a recovery request from the
+	// leader to peer 2: the SAC has ended, so both are invalid and neither
+	// is answered.
+	f.Add(int64(7), uint8(0), uint8(0), []byte{2, 0, 4, 3, 0, 255, 2, 1, 2, 5, 1, 0, 255, 1})
+	// Shares, subtotals and recovery requests inside the SACs.
+	f.Add(int64(8), uint8(2), uint8(3), []byte{1, 0, 3, 6, 0, 1, 0, 0, 1, 6, 6, 0, 3, 1, 0, 2, 5, 1, 0, 5, 2, 3, 4, 7, 0, 3, 129, 1})
 	f.Fuzz(func(t *testing.T, seed int64, mRaw, modeRaw uint8, raw []byte) {
 		const dim = 3
 		rng := rand.New(rand.NewSource(seed))
@@ -143,25 +207,28 @@ func FuzzNodeStep(f *testing.F) {
 		n := p.offsets[m]
 		rng.Shuffle(len(live), func(a, b int) { live[a], live[b] = live[b], live[a] })
 		participate := live[:1+rng.Intn(len(live))]
-		p.fed = participate[rng.Intn(len(participate))]
-		avgs := make([][]float64, m)
-		for g := range avgs {
-			avgs[g] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+		fedSub := participate[rng.Intn(len(participate))]
+		models := make([][]float64, n)
+		for i := range models {
+			models[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 		}
 
-		// Six bytes a message: from (one short of every peer and one past
+		// Seven bytes a message: from (one short of every peer and one past
 		// it), to, kind, payload length (stretched when the top bit is
 		// set), block (none, quantized or sparse, its dimension from the
-		// length), and when it arrives.
-		points := len(participate) + 2
-		inject := make([][]message, points)
+		// length), the point it arrives at (counted through the round;
+		// past the last point is the end), and the SAC it names (top bit:
+		// the upper one) with its share index.
+		var inject [][]message
 		injected := 0
-		for i := 0; i+6 <= len(raw) && injected < 32; i += 6 {
+		for i := 0; i+7 <= len(raw) && injected < 32; i += 7 {
 			msg := message{
-				From:   int(raw[i])%(n+2) - 1,
-				To:     int(raw[i+1]) % n,
-				Kind:   nodeKinds[int(raw[i+2])%len(nodeKinds)],
-				Weight: float64(raw[i+5]),
+				From:     int(raw[i])%(n+2) - 1,
+				To:       int(raw[i+1]) % n,
+				Kind:     nodeKinds[int(raw[i+2])%len(nodeKinds)],
+				Weight:   float64(raw[i+5]),
+				Upper:    raw[i+6] >= 128,
+				ShareIdx: int(raw[i+6]%128)%(n+2) - 1,
 			}
 			size := int(raw[i+3]) % (2*dim + 1)
 			if raw[i+3] >= 128 {
@@ -185,23 +252,27 @@ func FuzzNodeStep(f *testing.F) {
 					msg.Block = &compress.Delta{Sparse: &s, Bound: b}
 				}
 			}
-			inject[int(raw[i+5])%points] = append(inject[int(raw[i+5])%points], msg)
+			point := int(raw[i+5])
+			inject = append(inject, make([][]message, max(0, point+1-len(inject)))...)
+			inject[point] = append(inject[point], msg)
 			injected++
 		}
 
 		run := func(forged bool) (*node, int) {
-			h := &handFedAvg{p: p, nodes: make([]node, n)}
-			rejected := 0
-			fed, err := h.round(avgs, participate, func(point int) {
-				if !forged {
-					return
-				}
+			var h *handRound
+			point, rejected := 0, 0
+			step := func(msgs []message) {
 				before := allocated()
-				for _, msg := range inject[point] {
+				for _, msg := range msgs {
 					to := &h.nodes[msg.To]
 					waiting, global := to.waiting, to.global
+					running := slices.Contains(h.members, msg.To) && h.upper == msg.Upper
+					sacKind := msg.Kind != KindUpload && msg.Kind != KindDownload && msg.Kind != KindBroadcast
 					to.Step(msg) // must not panic
+					sent, invalid, err := h.flush(msg.To)
 					switch {
+					case sacKind && !running && (invalid != 1 || sent != 0):
+						t.Fatalf("node %d is in no running SAC that %+v names, yet %d messages were invalid and %d sent", msg.To, msg, invalid, sent)
 					case to.waiting != waiting:
 						// Taken: it is the first upload of a participant's leader.
 						g := p.group(msg.From)
@@ -209,26 +280,38 @@ func FuzzNodeStep(f *testing.F) {
 							!slices.Contains(participate, g) || msg.To != p.leaders[p.fed] || to.waiting != waiting-1 {
 							t.Fatalf("the FedAvg leader took %+v", msg)
 						}
-					case global == nil && to.global != nil:
+					case global == nil && to.global != nil && !sacKind:
 						// Taken: the global model, from the one peer that may send it here.
 						g := p.group(msg.To)
 						if msg.From < 0 || msg.From == msg.To || !(msg.Kind == KindBroadcast && msg.From == p.leaders[g] ||
 							msg.Kind == KindDownload && msg.From == p.leaders[p.fed] && msg.To == p.leaders[g]) {
 							t.Fatalf("node %d took %+v", msg.To, msg)
 						}
-					default:
+					case !sacKind, invalid == 1 && sent == 0:
 						rejected++
 					}
-					if err := h.pump(msg.To); err != nil {
+					if err != nil {
 						return // a forgery may make the round fail; it may not panic it
 					}
 				}
 				// A Step decodes into a vector of the round's size at most; it
 				// never sizes anything by what a message claims.
-				if grew, budget := allocated()-before, uint64(len(inject[point])*(256+64*dim)+32<<10); grew > budget {
-					t.Fatalf("%d injected messages made their nodes allocate %d bytes, budget %d", len(inject[point]), grew, budget)
+				if grew, budget := allocated()-before, uint64(len(msgs)*(256+64*dim)+32<<10); grew > budget {
+					t.Fatalf("%d injected messages made their nodes allocate %d bytes, budget %d", len(msgs), grew, budget)
 				}
+			}
+			h = newHandRound(p, func() {
+				if forged && point < len(inject) {
+					step(inject[point])
+				}
+				point++
 			})
+			fed, err := h.round(models, participate, fedSub)
+			if forged {
+				for ; point < len(inject); point++ {
+					step(inject[point]) // the points past the round's last are its end
+				}
+			}
 			if err == nil && fed.waiting < 0 {
 				t.Fatalf("the FedAvg leader took %d uploads more than it waits for", -fed.waiting)
 			}
@@ -239,8 +322,8 @@ func FuzzNodeStep(f *testing.F) {
 			t.Fatalf("the undisturbed round has no global model (err %v)", want.err)
 		}
 		got, rejected := run(true)
-		if rejected < injected {
-			return // something was well-formed enough to be taken
+		if got == nil || rejected < injected {
+			return // something was well-formed enough to be taken, or to fail a SAC
 		}
 		if got.global == nil || !slices.EqualFunc(got.global, want.global, func(a, b float64) bool {
 			return math.Float64bits(a) == math.Float64bits(b)

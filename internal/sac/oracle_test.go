@@ -231,7 +231,7 @@ func runOracleCase(t *testing.T, c oracleCase, run func(transport.Network, Confi
 	var out []oracleOutcome
 	for round := 0; round < 2; round++ {
 		models := oracleModels(src, c.n)
-		if alive := mesh.AlivePeers(); round == 1 && len(alive) >= 2 {
+		if alive := alivePeers(mesh); round == 1 && len(alive) >= 2 {
 			for _, to := range []int{1, 0} {
 				stale := transport.Message{From: alive[1-to], To: alive[to], Kind: KindShare, ShareIdx: alive[to],
 					Payload: boundedModels(src, 1, oracleDim, oracleBound)[0]}

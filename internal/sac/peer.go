@@ -24,11 +24,11 @@ import (
 // collector Missing and Finish; Down whenever the failure detector
 // reports a peer (DESIGN §16 has the table). What a single peer cannot
 // know — whose turn it is, the randomness it divides with, who is down —
-// comes from the driver (see Run); whom another receiver caught comes in
-// that receiver's accusation. No field of a Peer is read or written by
-// another Peer; on an in-memory mesh a receiver reads the shares it holds
-// from their sender's share block, which only that sender writes, at its
-// turn.
+// comes from the driver (see Schedule); whom another receiver caught
+// comes in that receiver's accusation. No field of a Peer is read or
+// written by another Peer; on an in-memory fabric a receiver reads the
+// shares it holds from their sender's share block, which only that
+// sender writes, at its turn.
 type Peer struct {
 	cfg        Config
 	id, r, dim int
@@ -70,6 +70,7 @@ type Peer struct {
 	cands   [][]float64
 	sums    [][]float64
 	audit   auditState
+	result  *Result // what Finish returned this round
 
 	msgs    []transport.Message // to send, in order
 	done    [][]float64         // received payloads p has finished reading
@@ -121,7 +122,7 @@ func (p *Peer) Begin(id int, cfg Config, dim int) error {
 	}
 	clear(p.summed)
 	clear(p.down)
-	p.turn, p.sealed, p.audit = -1, false, auditState{}
+	p.turn, p.sealed, p.audit, p.result = -1, false, auditState{}, nil
 	p.contributors, p.excluded, p.accusations = p.contributors[:0], p.excluded[:0], p.accusations[:0]
 	p.msgs, p.done, p.invalid = p.msgs[:0], p.done[:0], 0
 	return nil
@@ -563,8 +564,13 @@ func (p *Peer) Finish() (*Result, error) {
 			res.Avg[x] += EquivocateOffset
 		}
 	}
+	p.result = res
 	return res, nil
 }
+
+// Collected is the Result p's Finish returned this round: nil before,
+// and at every peer that did not finish it.
+func (p *Peer) Collected() *Result { return p.result }
 
 // tile is 2,048 floats, 16 KiB: the tile of the average that Finish adds
 // every subtotal into stays in L1.

@@ -47,6 +47,17 @@ type refEngine struct {
 
 type refAccusation struct{ accuser, accused int }
 
+// alivePeers lists the peers of mesh that have not crashed, ascending.
+func alivePeers(mesh transport.Network) []int {
+	var out []int
+	for j := 0; j < mesh.N(); j++ {
+		if mesh.Alive(j) {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
 // refRun is Run on the reference engine. descending reverses the
 // summation order — the deliberate mutation the oracle must catch.
 func refRun(mesh transport.Network, cfg Config, models [][]float64, crash CrashPlan, descending bool) (*Result, error) {
@@ -369,7 +380,7 @@ func (e *refEngine) finishBroadcast() (*Result, error) {
 		}
 	}
 	// Every alive peer must now hold all N subtotals.
-	alive := e.mesh.AlivePeers()
+	alive := alivePeers(e.mesh)
 	if len(alive) < n {
 		return nil, fmt.Errorf("%w: %d of %d peers alive at subtotal exchange", ErrAborted, len(alive), n)
 	}

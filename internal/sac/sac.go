@@ -3,20 +3,23 @@
 // k-out-of-n protocol with replicated shares (Alg. 4).
 //
 // The protocol lives in Peer: one participant's state and its reaction
-// to each message, no IO in it. Run, the driver that steps N of them over
-// a transport.Network, is the paper's synchronous-round assumption made
-// explicit: the round advances through phases (share exchange → subtotal
-// computation → subtotal exchange → recovery → average) and peers may
-// crash at phase boundaries, which is exactly the failure model of the
-// paper's Fig. 3 — a peer that "drops out during aggregation" has sent
-// its shares but not its subtotal. Contributors take turns in ascending
-// order and each receiver holds a turn's shares until the round ends; a
-// subtotal is summed from them the first time somebody needs it — its
-// report, a recovery request, the collector's average — so a replica
-// that no owner's crash calls for is never summed.
+// to each message, no IO in it. Schedule, the one driver that steps N of
+// them, is the paper's synchronous-round assumption made explicit: the
+// round advances through phases (share exchange → subtotal computation
+// → subtotal exchange → recovery → average) and peers may crash at phase
+// boundaries, which is exactly the failure model of the paper's Fig. 3 —
+// a peer that "drops out during aggregation" has sent its shares but
+// not its subtotal. Contributors take turns in ascending order and each
+// receiver holds a turn's shares until the round ends; a subtotal is
+// summed from them the first time somebody needs it — its report, a
+// recovery request, the collector's average — so a replica that no
+// owner's crash calls for is never summed. Schedule reaches the network
+// only through a Fabric: Run is Schedule over a transport.Network, and
+// core's two-layer round runs it over its round nodes, which hold the
+// peers.
 //
-// Traffic flows through a transport.Mesh, so every byte is accounted and
-// the measured cost can be checked against the paper's closed forms:
+// Traffic is charged by the fabric, so every byte is accounted and the
+// measured cost can be checked against the paper's closed forms:
 //
 //	broadcast n-out-of-n (Alg. 2):   2N(N−1)·|w|
 //	leader   n-out-of-n (Sec. VII-A): (N²−1)·|w|
@@ -226,13 +229,8 @@ func newSACTel(reg *telemetry.Registry) sacTel {
 // weight vector; all equal length) over the mesh, applying the crash plan.
 // Peers already crashed on the mesh are treated as BeforeShares failures.
 //
-// Run drives N Peers and owns exactly what no single peer can know: the
-// order of the turns, the one Rng (handed to the contributor at its
-// turn, so draws come in one fixed order), the crash plan, who is alive
-// (mesh.Alive, the round's perfect failure detector, told to the peers
-// through Peer.Down). Which contributors the range guard excludes the
-// peers decide among themselves, by accusation. Only the driver touches
-// the mesh.
+// Run is Schedule over the mesh, on the peers of cfg.Scratch or of a
+// spare working set borrowed for the call.
 func Run(mesh transport.Network, cfg Config, models [][]float64, crash CrashPlan) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -249,20 +247,93 @@ func Run(mesh transport.Network, cfg Config, models [][]float64, crash CrashPlan
 			return nil, fmt.Errorf("sac: model %d has %d weights, want %d", i, len(m), dim)
 		}
 	}
-	d := &driver{mesh: mesh, cfg: cfg, rng: cfg.Rng, crash: crash, tel: newSACTel(cfg.Telemetry), sc: cfg.Scratch}
+	sc := cfg.Scratch
+	if sc == nil {
+		sc = BorrowScratch(cfg.N, cfg.K, dim)
+		defer ReturnScratch(sc)
+	}
+	peers, err := sc.Peers(cfg, dim)
+	if err != nil {
+		return nil, err
+	}
+	// The fabric lives in the working set, which is on the heap already,
+	// so handing it to Schedule allocates nothing.
+	f := &sc.fabric
+	*f = meshFabric{mesh: mesh, peers: peers}
+	res, err := Schedule(f, peers, cfg, models, crash)
+	*f = meshFabric{}
+	return res, err
+}
+
+// Fabric is the network under a schedule, as the schedule sees it: the
+// four things it asks of one. Run's is a transport.Network carrying its
+// peers' messages (meshFabric); core's is a two-layer round's nodes,
+// which hold the peers and route their messages through one inbox each.
+type Fabric interface {
+	// Alive reports whether peer j has not crashed.
+	Alive(j int) bool
+	// Crash fails peer j for the rest of the round: it sends nothing
+	// more, and what is sent to it is dropped once it is charged.
+	Crash(j int) error
+	// Flush does what peer j's Ready asks — sends its messages, in
+	// order, and takes back the payloads it is done with — and reports
+	// how many messages it sent and how many it discarded as invalid.
+	Flush(j int) (sent, invalid int, err error)
+	// Deliver hands peer j, through its Step, what has reached it.
+	Deliver(j int) error
+}
+
+// meshFabric is Run's fabric: N peers over a transport.Network.
+type meshFabric struct {
+	mesh  transport.Network
+	peers []Peer
+}
+
+func (f *meshFabric) Alive(j int) bool { return f.mesh.Alive(j) }
+
+func (f *meshFabric) Crash(j int) error { return f.mesh.Crash(j) }
+
+func (f *meshFabric) Flush(j int) (int, int, error) {
+	send, done, invalid := f.peers[j].Ready()
+	for _, m := range send {
+		if err := f.mesh.Send(m); err != nil {
+			return 0, 0, err
+		}
+	}
+	for _, payload := range done {
+		f.mesh.Recycle(payload)
+	}
+	return len(send), invalid, nil
+}
+
+func (f *meshFabric) Deliver(j int) error {
+	msgs, err := f.mesh.Drain(j)
+	for _, m := range msgs {
+		f.peers[j].Step(m)
+	}
+	return err
+}
+
+// Schedule runs one aggregation of models over peers — a working set's,
+// armed for cfg by Scratch.Peers — on the fabric f, and ends the round
+// at every peer before it returns. The caller holds the peers and
+// carries their messages; the schedule steps them through the phases
+// and owns exactly what no single peer can know: the order of the
+// turns, the one Rng (handed to the contributor at its turn, so draws
+// come in one fixed order), the crash plan, and who is alive
+// (f.Alive, the round's perfect failure detector, told to the peers
+// through Peer.Down). Which contributors the range guard excludes the
+// peers decide among themselves, by accusation. It is the only code
+// that calls those inputs into a Peer, for Run and for core's round
+// alike.
+func Schedule(f Fabric, peers []Peer, cfg Config, models [][]float64, crash CrashPlan) (*Result, error) {
+	d := schedule{f: f, peers: peers, cfg: cfg, rng: cfg.Rng, crash: crash, tel: newSACTel(cfg.Telemetry)}
 	if d.rng == nil {
 		d.rng = rand.New(rand.NewSource(1))
 	}
-	if d.sc == nil {
-		d.sc = borrowScratch(cfg.N, cfg.K, dim)
-	}
 	defer d.release()
-	if err := d.sc.begin(cfg, dim); err != nil {
-		return nil, err
-	}
-	d.peers = d.sc.peers
-	for j := range d.peers {
-		if !mesh.Alive(j) {
+	for j := range peers {
+		if !f.Alive(j) {
 			d.down(j)
 		}
 	}
@@ -286,97 +357,81 @@ func Run(mesh transport.Network, cfg Config, models [][]float64, crash CrashPlan
 	return res, nil
 }
 
-type driver struct {
-	mesh  transport.Network
+type schedule struct {
+	f     Fabric
+	peers []Peer
 	cfg   Config
 	rng   *rand.Rand
 	crash CrashPlan
 	tel   sacTel
-	sc    *Scratch // cfg.Scratch, or a spare one borrowed for the call
-	peers []Peer   // sc's
 
-	// err is the first failure of a mesh operation. Any aborts the round,
-	// so the helpers that touch the mesh do nothing once it is set.
+	// err is the first failure of a fabric operation. Any aborts the
+	// round, so the helpers that touch the fabric do nothing once it is
+	// set.
 	err error
 }
 
-// release ends the round at every peer — the payloads they still hold go
-// back to the mesh, and an idle working set pins no memory it does not
-// own — and a borrowed working set goes back to the spare list.
-func (d *driver) release() {
-	for j := range d.sc.peers {
-		d.sc.peers[j].end()
-		send, done, _ := d.sc.peers[j].Ready()
-		for _, payload := range done {
-			d.mesh.Recycle(payload)
-		}
-		clear(send[:cap(send)])
-		clear(done[:cap(done)])
-	}
-	if d.cfg.Scratch == nil {
-		returnScratch(d.sc)
+// release ends the round at every peer: what an aborted round left
+// unsent goes nowhere, the payloads the peers still hold go back to the
+// fabric, and an idle working set pins no memory it does not own.
+func (d *schedule) release() {
+	for j := range d.peers {
+		p := &d.peers[j]
+		p.end()
+		p.msgs = p.msgs[:0]
+		d.f.Flush(j)
+		clear(p.msgs[:cap(p.msgs)])
+		clear(p.done[:cap(p.done)])
 	}
 }
 
-func (d *driver) fail(err error) {
+func (d *schedule) fail(err error) {
 	if d.err == nil {
 		d.err = err
 	}
 }
 
 // down is the failure detector reporting j to every peer.
-func (d *driver) down(j int) {
+func (d *schedule) down(j int) {
 	for l := range d.peers {
 		d.peers[l].Down(j)
 	}
 }
 
 // crashAt carries out the crash plan on peer j if it names this phase.
-func (d *driver) crashAt(j int, phase Phase) {
-	if at, doomed := d.crash[j]; doomed && at == phase && d.mesh.Alive(j) && d.err == nil {
-		d.fail(d.mesh.Crash(j))
+func (d *schedule) crashAt(j int, phase Phase) {
+	if at, doomed := d.crash[j]; doomed && at == phase && d.f.Alive(j) && d.err == nil {
+		d.fail(d.f.Crash(j))
 		d.tel.peersCrashed.Inc()
 		d.down(j)
 	}
 }
 
-// flush does what peer j's Ready asks: sends its messages in order
-// (counted on sent), recycles the payloads it is done with, counts what
-// it discarded.
-func (d *driver) flush(j int, sent *telemetry.Counter) {
+// flush has the fabric do what peer j's Ready asks, counting the
+// messages sent on sent and the ones discarded as invalid.
+func (d *schedule) flush(j int, sent *telemetry.Counter) {
 	if d.err != nil {
 		return
 	}
-	send, done, invalid := d.peers[j].Ready()
-	for _, m := range send {
-		if d.err = d.mesh.Send(m); d.err != nil {
-			return
-		}
+	n, invalid, err := d.f.Flush(j)
+	if d.err = err; err == nil {
+		sent.Add(int64(n))
+		d.tel.msgsInvalid.Add(int64(invalid))
 	}
-	for _, payload := range done {
-		d.mesh.Recycle(payload)
-	}
-	sent.Add(int64(len(send)))
-	d.tel.msgsInvalid.Add(int64(invalid))
 }
 
-// deliver drains peer j's inbox into its Step and does what it asks in
-// return.
-func (d *driver) deliver(j int) {
+// deliver hands peer j what reached it and does what it asks in return.
+func (d *schedule) deliver(j int) {
 	if d.err != nil {
 		return
 	}
-	msgs, err := d.mesh.Drain(j)
-	d.fail(err)
-	for _, m := range msgs {
-		d.peers[j].Step(m)
-	}
+	d.fail(d.f.Deliver(j))
 	d.flush(j, nil)
 }
 
-func (d *driver) deliverAll() {
+func (d *schedule) deliverAll() {
 	for j := range d.peers {
-		if d.mesh.Alive(j) {
+		if d.f.Alive(j) {
 			d.deliver(j)
 		}
 	}
@@ -386,12 +441,12 @@ func (d *driver) deliverAll() {
 // does is settled before the first turn: a peer that is to crash
 // BeforeShares does so at its own turn, and until then its inbox fills
 // unread (the bytes sent toward it count all the same).
-func (d *driver) sharing(j int) bool {
+func (d *schedule) sharing(j int) bool {
 	at, doomed := d.crash[j]
-	return d.mesh.Alive(j) && !(doomed && at == BeforeShares)
+	return d.f.Alive(j) && !(doomed && at == BeforeShares)
 }
 
-func (d *driver) run(models [][]float64) (*Result, error) {
+func (d *schedule) run(models [][]float64) (*Result, error) {
 	n, k := d.cfg.N, d.cfg.K
 	t0 := d.tel.reg.Now()
 
@@ -442,7 +497,7 @@ func (d *driver) run(models [][]float64) (*Result, error) {
 // every alive peer drops the same contributors and later phases see
 // clean inboxes. It returns how many contributors the peers kept and how
 // many they excluded.
-func (d *driver) exchangeShares(models [][]float64) (kept, excluded int) {
+func (d *schedule) exchangeShares(models [][]float64) (kept, excluded int) {
 	for i := 0; i < len(d.peers) && d.err == nil; i++ {
 		if !d.sharing(i) {
 			d.crashAt(i, BeforeShares) // its own turn is when
@@ -462,14 +517,14 @@ func (d *driver) exchangeShares(models [][]float64) (kept, excluded int) {
 		}
 	}
 	for j := range d.peers {
-		if d.mesh.Alive(j) {
+		if d.f.Alive(j) {
 			d.peers[j].Seal()
 			d.flush(j, nil)
 		}
 	}
 	d.deliverAll()
 	for j := range d.peers {
-		if p := &d.peers[j]; d.mesh.Alive(j) {
+		if p := &d.peers[j]; d.f.Alive(j) {
 			d.tel.byzShareRange.Add(int64(len(p.accusations)))
 			kept, excluded = len(p.contributors), len(p.excluded)
 		}
@@ -489,13 +544,18 @@ func (d *driver) exchangeShares(models [][]float64) (kept, excluded int) {
 // cross-checking leader's result is audited before release: it announces,
 // every peer reads its copy and echoes a digest, every peer reads the
 // echoes (leaving every inbox clean), and one conviction is the round's.
-func (d *driver) exchangeSubtotals() (*Result, error) {
+func (d *schedule) exchangeSubtotals() (*Result, error) {
 	n, leader, broadcast := d.cfg.N, d.cfg.Leader, d.cfg.Mode == ModeBroadcast
 	guarded, collectors := d.cfg.crossChecks(), []int{leader}
 	switch {
 	case broadcast:
-		collectors = d.mesh.AlivePeers()
-	case !d.mesh.Alive(leader):
+		collectors = nil
+		for j := range d.peers {
+			if d.f.Alive(j) {
+				collectors = append(collectors, j)
+			}
+		}
+	case !d.f.Alive(leader):
 		return nil, ErrLeaderCrashed
 	}
 	for s := 0; s < n && d.err == nil; s++ {
@@ -504,12 +564,12 @@ func (d *driver) exchangeSubtotals() (*Result, error) {
 			return nil, err
 		}
 		switch {
-		case !broadcast && !slices.ContainsFunc(holders, d.mesh.Alive):
+		case !broadcast && !slices.ContainsFunc(holders, d.f.Alive):
 			return nil, fmt.Errorf("%w: no alive holder of subtotal %d", ErrInsufficientPeers, s)
 		case guarded || broadcast: // every holder reports
 		case slices.Contains(holders, leader): // the leader sums s itself
 			holders = nil
-		case d.mesh.Alive(s):
+		case d.f.Alive(s):
 			holders = holders[len(holders)-1:] // the owner alone
 		default:
 			// Owner is down — recover from a replica holder (lines 17–18):
@@ -520,7 +580,7 @@ func (d *driver) exchangeSubtotals() (*Result, error) {
 			d.deliver(asked)
 		}
 		for _, h := range holders {
-			if d.mesh.Alive(h) {
+			if d.f.Alive(h) {
 				d.peers[h].Report(s)
 				d.flush(h, d.tel.subtotalsSent)
 			}
@@ -544,7 +604,7 @@ func (d *driver) exchangeSubtotals() (*Result, error) {
 	d.deliverAll() // the announcement; each verifier echoes
 	d.deliverAll() // the echoes
 	for j := range d.peers {
-		if d.mesh.Alive(j) && d.peers[j].Convicts() {
+		if d.f.Alive(j) && d.peers[j].Convicts() {
 			res.LeaderAccused = true
 		}
 	}

@@ -15,12 +15,14 @@ import "sync"
 //
 // Every aggregation runs on a Scratch. Config.Scratch names one the
 // caller owns; with Config.Scratch nil Run borrows a spare working set
-// from a package-level list and gives it back when it returns. That
-// list keeps at most two idle sets, each N·(2N−K+1)·dim floats of the
-// shape it last ran, for the life of the process. A caller that runs
-// its SACs one after the other borrows (core.System: SplitPeers yields
-// at most two subgroup shapes); one that runs many at once passes its
-// own (core's X-layer tree, one Scratch per worker).
+// from a package-level list (BorrowScratch) and gives it back when it
+// returns (ReturnScratch). That list keeps at most two idle sets, each
+// N·(2N−K+1)·dim floats of the shape it last ran, for the life of the
+// process. A caller that runs its SACs one after the other borrows
+// (core.System, which lends the borrowed set's peers to its round nodes
+// for one SAC at a time: SplitPeers yields at most two subgroup
+// shapes); one that runs many at once passes its own (core's X-layer
+// tree, one Scratch per worker).
 //
 // Reuse is observationally invisible: every buffer is fully overwritten
 // before it is read and Result.Avg is always freshly allocated, so
@@ -37,21 +39,23 @@ type Scratch struct {
 	n, k, dim int
 	blocks    []shareBlock // one per contributor
 	peers     []Peer
+	fabric    meshFabric // Run's, for the length of a call
 }
 
-// begin arms the scratch's peers for a round of cfg over dim-weight
-// models; a shape change starts over from the zero value.
-func (s *Scratch) begin(cfg Config, dim int) error {
+// Peers arms the scratch's peers for a round of cfg over dim-weight
+// models and returns them, for Schedule to step; a shape change starts
+// over from the zero value.
+func (s *Scratch) Peers(cfg Config, dim int) ([]Peer, error) {
 	if s.n != cfg.N || s.k != cfg.K || s.dim != dim {
 		*s = Scratch{n: cfg.N, k: cfg.K, dim: dim, blocks: make([]shareBlock, cfg.N), peers: make([]Peer, cfg.N)}
 	}
 	for j := range s.peers {
 		s.peers[j].block = &s.blocks[j]
 		if err := s.peers[j].Begin(j, cfg, dim); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return s.peers, nil
 }
 
 // maxSpares bounds the idle working sets kept for Scratch == nil rounds.
@@ -66,9 +70,9 @@ var spares struct {
 	idle []*Scratch
 }
 
-// borrowScratch takes an idle working set — one of the wanted shape
+// BorrowScratch takes an idle working set — one of the wanted shape
 // when there is one — or starts a new one.
-func borrowScratch(n, k, dim int) *Scratch {
+func BorrowScratch(n, k, dim int) *Scratch {
 	spares.Lock()
 	defer spares.Unlock()
 	pick := len(spares.idle) - 1
@@ -87,9 +91,9 @@ func borrowScratch(n, k, dim int) *Scratch {
 	return s
 }
 
-// returnScratch gives a borrowed working set back; beyond maxSpares it
+// ReturnScratch gives a borrowed working set back; beyond maxSpares it
 // is left to the garbage collector.
-func returnScratch(s *Scratch) {
+func ReturnScratch(s *Scratch) {
 	spares.Lock()
 	defer spares.Unlock()
 	if len(spares.idle) < maxSpares {

@@ -259,19 +259,6 @@ func (m *TCPMesh) Alive(peer int) bool {
 	return !m.crashed[peer]
 }
 
-// AlivePeers implements Network.
-func (m *TCPMesh) AlivePeers() []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []int
-	for i, c := range m.crashed {
-		if !c {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Crash implements Network: the peer's listener closes and its inbox is
 // dropped.
 func (m *TCPMesh) Crash(peer int) error {

@@ -75,8 +75,7 @@ func TestTCPMeshCrashSemantics(t *testing.T) {
 	if m.Counter().TotalBytes() != before+8 {
 		t.Fatal("bytes to crashed receiver must be counted")
 	}
-	alive := m.AlivePeers()
-	if len(alive) != 2 || alive[0] != 0 || alive[1] != 2 {
+	if alive := []bool{m.Alive(0), m.Alive(1), m.Alive(2)}; !alive[0] || alive[1] || !alive[2] {
 		t.Fatalf("alive = %v", alive)
 	}
 }

@@ -6,69 +6,54 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestMeshTelemetry pins the transport/* counter semantics: sends count
-// bytes and messages per sender, crashed receivers count drops (both
-// in-flight sends and already-queued inbox contents), and Drain counts
-// receptions.
-func TestMeshTelemetry(t *testing.T) {
+// TestMeterTelemetry pins the transport/* counter semantics: a charge
+// counts bytes and messages in total and per sender, and on the traffic
+// counter by kind; drops and receptions are counted as the fabric
+// reports them.
+func TestMeterTelemetry(t *testing.T) {
 	reg := telemetry.New()
-	m := NewMesh(3, nil)
-	m.SetTelemetry(reg)
-
-	pay := []float64{1, 2, 3} // 24 wire bytes
-	if err := m.Send(Message{From: 0, To: 1, Kind: "x", Payload: pay}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Send(Message{From: 0, To: 2, Kind: "x", Payload: pay}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Send(Message{From: 1, To: 2, Kind: "x", Payload: pay}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Peer 2 crashes with 2 queued messages; a further send to it drops.
-	if err := m.Crash(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Send(Message{From: 0, To: 2, Kind: "x", Payload: pay}); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := m.Drain(1); err != nil {
-		t.Fatal(err)
-	}
+	c := NewCounter()
+	m := NewMeter(3, c, reg)
+	m.Sent(0, "x", 24)
+	m.Sent(0, "x", 24)
+	m.Sent(1, "y", 24)
+	m.Sent(0, "x", 24)
+	m.Dropped(2)
+	m.Dropped(1)
+	m.Received(1)
 
 	s := reg.Snapshot()
 	want := map[string]int64{
 		"transport/msgs_sent":        4,
 		"transport/bytes_sent":       96,
-		"transport/msgs_dropped":     3, // 2 queued at crash + 1 sent after
+		"transport/msgs_dropped":     3,
 		"transport/msgs_received":    1,
 		"transport/peer0/msgs_sent":  3,
 		"transport/peer0/bytes_sent": 72,
 		"transport/peer1/msgs_sent":  1,
 		"transport/peer1/bytes_sent": 24,
+		"transport/peer2/msgs_sent":  0,
+		"transport/peer2/bytes_sent": 0,
 	}
 	for name, v := range want {
-		if got := s.Counters[name]; got != v {
-			t.Errorf("%s = %d, want %d", name, got, v)
+		if got, ok := s.Counters[name]; got != v || !ok {
+			t.Errorf("%s = %d (registered %v), want %d", name, got, ok, v)
 		}
+	}
+	if c.Bytes("x") != 72 || c.Messages("x") != 3 || c.Bytes("y") != 24 {
+		t.Fatalf("counter x=%d/%d y=%d", c.Bytes("x"), c.Messages("x"), c.Bytes("y"))
 	}
 }
 
-// TestMeshNoTelemetry: a mesh without a registry must behave exactly as
-// before (no panics, normal delivery).
-func TestMeshNoTelemetry(t *testing.T) {
-	m := NewMesh(2, nil)
-	if err := m.Send(Message{From: 0, To: 1, Kind: "x", Payload: []float64{1}}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.Drain(1)
-	if err != nil || len(got) != 1 {
-		t.Fatalf("Drain = %v, %v", got, err)
-	}
-	m.SetTelemetry(nil) // explicit nil is also fine
-	if err := m.Send(Message{From: 0, To: 1, Kind: "x", Payload: []float64{1}}); err != nil {
-		t.Fatal(err)
+// TestMeterWithoutRegistry: a meter without a registry charges the
+// traffic counter alone, without panicking.
+func TestMeterWithoutRegistry(t *testing.T) {
+	c := NewCounter()
+	m := NewMeter(2, c, nil)
+	m.Sent(1, "x", 8)
+	m.Dropped(1)
+	m.Received(1)
+	if c.TotalBytes() != 8 || c.TotalMessages() != 1 {
+		t.Fatalf("counter %d bytes, %d messages", c.TotalBytes(), c.TotalMessages())
 	}
 }

@@ -125,8 +125,6 @@ type Network interface {
 	N() int
 	// Alive reports whether the peer has not crashed.
 	Alive(peer int) bool
-	// AlivePeers lists non-crashed peers in order.
-	AlivePeers() []int
 	// Crash marks a peer failed: it can no longer send, and messages to
 	// it are dropped (after byte accounting — the sender cannot know).
 	Crash(peer int) error
@@ -139,26 +137,15 @@ type Network interface {
 	Recycle(payload []float64)
 }
 
-// Mesh is an in-memory, fully connected network of n peers with per-peer
-// inboxes, crash simulation and byte accounting. It is the substrate for
-// the round-synchronous SAC driver: a protocol phase Sends messages,
-// then each peer Drains its inbox. All methods are safe for concurrent
-// use (one lock guards the whole mesh); SetTelemetry and Observe are
-// configuration — call them between rounds.
-type Mesh struct {
-	mu       sync.Mutex
-	n        int
-	inboxes  [][]Message
-	crashed  []bool
-	counter  *Counter
-	observer func(Message)
-	tel      meshTel
-}
-
-// meshTel holds the mesh's pre-resolved telemetry handles: aggregate
-// send/receive/drop counters plus per-sender message and byte counts.
-// All handles are nil (no-op) until SetTelemetry installs a registry.
-type meshTel struct {
+// Meter charges messages once each, when they are sent: on a traffic
+// Counter by kind and, when it was made with a registry, on the
+// aggregate transport/* counters and the per-sender
+// transport/peer<i>/* ones, resolved once up front. It is the
+// accounting of a fabric whose messages are its own type — core's round
+// loop, which carries both layers of a two-layer round. A Meter is not
+// safe for concurrent use.
+type Meter struct {
+	counter      *Counter
 	msgsSent     *telemetry.Counter
 	bytesSent    *telemetry.Counter
 	msgsReceived *telemetry.Counter
@@ -167,29 +154,53 @@ type meshTel struct {
 	peerBytes    []*telemetry.Counter
 }
 
-// SetTelemetry wires the mesh into a registry, resolving aggregate
-// transport/* counters and per-peer transport/peer<i>/* counters once
-// up front. A nil registry resets the mesh to no-op instrumentation.
-func (m *Mesh) SetTelemetry(reg *telemetry.Registry) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// NewMeter makes the meter of n peers charging counter and, when reg is
+// not nil, its transport/* counters.
+func NewMeter(n int, counter *Counter, reg *telemetry.Registry) Meter {
+	m := Meter{counter: counter}
 	if reg == nil {
-		m.tel = meshTel{}
-		return
+		return m
 	}
-	t := meshTel{
-		msgsSent:     reg.Counter("transport/msgs_sent"),
-		bytesSent:    reg.Counter("transport/bytes_sent"),
-		msgsReceived: reg.Counter("transport/msgs_received"),
-		msgsDropped:  reg.Counter("transport/msgs_dropped"),
-		peerMsgs:     make([]*telemetry.Counter, m.n),
-		peerBytes:    make([]*telemetry.Counter, m.n),
+	m.msgsSent, m.bytesSent = reg.Counter("transport/msgs_sent"), reg.Counter("transport/bytes_sent")
+	m.msgsReceived, m.msgsDropped = reg.Counter("transport/msgs_received"), reg.Counter("transport/msgs_dropped")
+	m.peerMsgs, m.peerBytes = make([]*telemetry.Counter, n), make([]*telemetry.Counter, n)
+	for i := 0; i < n; i++ {
+		m.peerMsgs[i] = reg.Counter(fmt.Sprintf("transport/peer%d/msgs_sent", i))
+		m.peerBytes[i] = reg.Counter(fmt.Sprintf("transport/peer%d/bytes_sent", i))
 	}
-	for i := 0; i < m.n; i++ {
-		t.peerMsgs[i] = reg.Counter(fmt.Sprintf("transport/peer%d/msgs_sent", i))
-		t.peerBytes[i] = reg.Counter(fmt.Sprintf("transport/peer%d/bytes_sent", i))
+	return m
+}
+
+// Sent charges one message of kind and size from peer from.
+func (m *Meter) Sent(from int, kind string, bytes int64) {
+	m.counter.Record(kind, bytes)
+	m.msgsSent.Inc()
+	m.bytesSent.Add(bytes)
+	if m.peerMsgs != nil {
+		m.peerMsgs[from].Inc()
+		m.peerBytes[from].Add(bytes)
 	}
-	m.tel = t
+}
+
+// Received counts n messages handed to their receiver.
+func (m *Meter) Received(n int) { m.msgsReceived.Add(int64(n)) }
+
+// Dropped counts n messages dropped at a crashed receiver.
+func (m *Meter) Dropped(n int) { m.msgsDropped.Add(int64(n)) }
+
+// Mesh is an in-memory, fully connected network of n peers with per-peer
+// inboxes, crash simulation and byte accounting. It is the substrate for
+// the round-synchronous SAC driver: a protocol phase Sends messages,
+// then each peer Drains its inbox. All methods are safe for concurrent
+// use (one lock guards the whole mesh); Observe is configuration — call
+// it between rounds.
+type Mesh struct {
+	mu       sync.Mutex
+	n        int
+	inboxes  [][]Message
+	crashed  []bool
+	counter  *Counter
+	observer func(Message)
 }
 
 // NewMesh creates a mesh of n peers recording traffic into counter
@@ -235,9 +246,6 @@ func (m *Mesh) Crash(peer int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.crashed[peer] = true
-	if q := len(m.inboxes[peer]); q > 0 {
-		m.tel.msgsDropped.Add(int64(q))
-	}
 	m.inboxes[peer] = nil
 	return nil
 }
@@ -250,19 +258,6 @@ func (m *Mesh) Alive(peer int) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return !m.crashed[peer]
-}
-
-// AlivePeers returns the IDs of all non-crashed peers in order.
-func (m *Mesh) AlivePeers() []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []int
-	for i, c := range m.crashed {
-		if !c {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // Send delivers msg to its destination's inbox. A crashed sender returns
@@ -280,19 +275,11 @@ func (m *Mesh) Send(msg Message) error {
 	if m.crashed[msg.From] {
 		return fmt.Errorf("transport: %w: peer %d", ErrCrashed, msg.From)
 	}
-	wireBytes := msg.WireBytes()
-	m.counter.Record(msg.Kind, wireBytes)
-	m.tel.msgsSent.Inc()
-	m.tel.bytesSent.Add(wireBytes)
-	if m.tel.peerMsgs != nil {
-		m.tel.peerMsgs[msg.From].Inc()
-		m.tel.peerBytes[msg.From].Add(wireBytes)
-	}
+	m.counter.Record(msg.Kind, msg.WireBytes())
 	if m.observer != nil {
 		m.observer(msg)
 	}
 	if m.crashed[msg.To] {
-		m.tel.msgsDropped.Inc()
 		return nil
 	}
 	m.inboxes[msg.To] = append(m.inboxes[msg.To], msg)
@@ -308,9 +295,6 @@ func (m *Mesh) Drain(peer int) ([]Message, error) {
 	defer m.mu.Unlock()
 	out := m.inboxes[peer]
 	m.inboxes[peer] = nil
-	if len(out) > 0 {
-		m.tel.msgsReceived.Add(int64(len(out)))
-	}
 	return out, nil
 }
 
