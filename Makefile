@@ -21,10 +21,12 @@ TIME_PAIRS := 'RaftTickLive=RaftTickNil,SACRoundLive=SACRoundNil,RaftTCPSendHeal
 all: check
 
 # The arm64 lines keep the portable path compiling: off amd64, nn's
-# convolution micro-kernels have only their Go bodies (DESIGN.md §7).
+# convolution micro-kernels and tensor's matmul kernels have only their
+# Go bodies (DESIGN.md §7).
 build:
 	$(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/nn/
+	GOARCH=arm64 $(GO) vet ./internal/tensor/
 	GOARCH=arm64 $(GO) build ./...
 
 vet:

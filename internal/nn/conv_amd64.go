@@ -1,33 +1,5 @@
 package nn
 
-// cpuAVX2 reports whether this CPU runs AVX2 and the operating system
-// saves the YMM registers across context switches: CPUID.1:ECX has
-// OSXSAVE (bit 27) and AVX (bit 28), XCR0 has the XMM and YMM state bits
-// (1 and 2) set, and CPUID.(7,0):EBX has AVX2 (bit 5).
-func cpuAVX2() bool {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
-	_, _, ecx1, _ := cpuid(1, 0)
-	const osxsave, avx = 1 << 27, 1 << 28
-	if ecx1&osxsave == 0 || ecx1&avx == 0 {
-		return false
-	}
-	const xmmYmm = 1<<1 | 1<<2
-	if xgetbv0()&xmmYmm != xmmYmm {
-		return false
-	}
-	_, ebx7, _, _ := cpuid(7, 0)
-	return ebx7&(1<<5) != 0
-}
-
-// cpuid executes CPUID with EAX = eaxArg and ECX = ecxArg.
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-// xgetbv0 returns the low word of XCR0.
-func xgetbv0() (eax uint32)
-
 // The AVX2 bodies of conv_kernels.go's micro-kernels: the Go functions
 // below check the slices and pass their pointers to the assembly of
 // conv_amd64.s. Each lane of a vector instruction does what one scalar
@@ -38,10 +10,25 @@ func xgetbv0() (eax uint32)
 // whose windows start at xb[xo], …, xb[xo+7], on the AVX2 body: sums[i]
 // gets pixel i's four channels, each the same chain as the pair's.
 func convInteriorOct(g *convGeom, xb []float64, wb [][ocBlock]float64, sums *[8][ocBlock]float64, xo, kyLo, kyHi int) {
+	xs, ws := octWindow(g, xb, wb, xo, kyLo, kyHi)
+	convOctAVX2(sums, nil, 0, nil, &xs[0], &ws[0], g.inC, kyHi-kyLo, g.k, g.w, g.h*g.w)
+}
+
+// convInteriorOctStore is convInteriorOct for a block of ocBlock real
+// channels that writes the outputs itself: pixel i's sum for channel j,
+// plus bs[j], goes to out[j·plane+i].
+func convInteriorOctStore(g *convGeom, xb []float64, wb [][ocBlock]float64, bs *[ocBlock]float64, out []float64, plane, xo, kyLo, kyHi int) {
+	xs, ws := octWindow(g, xb, wb, xo, kyLo, kyHi)
+	out = out[:(ocBlock-1)*plane+8]
+	convOctAVX2(nil, &out[0], plane, bs, &xs[0], &ws[0], g.inC, kyHi-kyLo, g.k, g.w, g.h*g.w)
+}
+
+// octWindow returns what an oct reads: the input from the first pixel's
+// window to the last's, over every channel, and the weights of rows
+// [kyLo, kyHi) of every channel.
+func octWindow(g *convGeom, xb []float64, wb [][ocBlock]float64, xo, kyLo, kyHi int) ([]float64, [][ocBlock]float64) {
 	k, h, w := g.k, g.h, g.w
-	xs := xb[xo+kyLo*w : xo+((g.inC-1)*h+kyHi-1)*w+k+7]
-	ws := wb[kyLo*k : ((g.inC-1)*k+kyHi)*k]
-	convOctAVX2(sums, &xs[0], &ws[0], g.inC, kyHi-kyLo, k, w, h*w)
+	return xb[xo+kyLo*w : xo+((g.inC-1)*h+kyHi-1)*w+k+7], wb[kyLo*k : ((g.inC-1)*k+kyHi)*k]
 }
 
 // gradXQuads runs convGradX's inner loop over the whole quads of the
@@ -80,13 +67,14 @@ func (v *gradWView) rowsAVX2(a [][2][ocBlock]float64, ky0, y0, y1 int) {
 	}
 }
 
-// convOctAVX2 is convInteriorPair for eight pixels: sums[i] gets pixel
-// i's four channel sums, from +0, of the window at x+i over inC channels
-// xPlane floats apart, rows rows xRow floats apart and k taps, against
-// w's rows×k weights per channel, k·k apart.
+// convOctAVX2 is convInteriorPair for eight pixels: pixel i's four
+// channel sums, from +0, of the window at x+i over inC channels xPlane
+// floats apart, rows rows xRow floats apart and k taps, against w's
+// rows×k weights per channel, k·k apart. With out nil they go to
+// sums[i]; otherwise channel j's, plus bias[j], go to out[j·plane+i].
 //
 //go:noescape
-func convOctAVX2(sums *[8][ocBlock]float64, x *float64, w *[ocBlock]float64, inC, rows, k, xRow, xPlane int)
+func convOctAVX2(sums *[8][ocBlock]float64, out *float64, plane int, bias *[ocBlock]float64, x *float64, w *[ocBlock]float64, inC, rows, k, xRow, xPlane int)
 
 // gradXQuadsAVX2 is convGradX's inner loop over n (a multiple of four)
 // pixels: u = s + g0·w[c][0] + g1·w[c][1] + g2·w[c][2] + g3·w[c][3] for

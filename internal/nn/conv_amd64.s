@@ -1,36 +1,20 @@
 #include "textflag.h"
 
-// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL eaxArg+0(FP), AX
-	MOVL ecxArg+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv0() (eax uint32)
-TEXT ·xgetbv0(SB), NOSPLIT, $0-4
-	MOVL $0, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	RET
-
-// func convOctAVX2(sums *[8][ocBlock]float64, x *float64, w *[ocBlock]float64, inC, rows, k, xRow, xPlane int)
+// func convOctAVX2(sums *[8][ocBlock]float64, out *float64, plane int, bias *[ocBlock]float64, x *float64, w *[ocBlock]float64, inC, rows, k, xRow, xPlane int)
 //
 // Y0–Y7 accumulate pixels 0–7, one channel a lane. Per tap: one load of
 // the four channel weights (Y8), then per pixel a broadcast of its input,
-// a multiply and an add.
-TEXT ·convOctAVX2(SB), NOSPLIT, $0-64
-	MOVQ x+8(FP), SI       // channel ci's window start
-	MOVQ w+16(FP), DX      // channel ci's first weight row
-	MOVQ inC+24(FP), CX
-	MOVQ k+40(FP), R8
-	MOVQ xRow+48(FP), R9
+// a multiply and an add. To write the output planes, each half of the
+// oct is transposed in registers to one channel a register, four pixels
+// as lanes.
+TEXT ·convOctAVX2(SB), NOSPLIT, $0-88
+	MOVQ x+32(FP), SI      // channel ci's window start
+	MOVQ w+40(FP), DX      // channel ci's first weight row
+	MOVQ inC+48(FP), CX
+	MOVQ k+64(FP), R8
+	MOVQ xRow+72(FP), R9
 	SHLQ $3, R9            // input row stride, bytes
-	MOVQ xPlane+56(FP), R10
+	MOVQ xPlane+80(FP), R10
 	SHLQ $3, R10           // input channel stride, bytes
 	MOVQ R8, R11
 	IMULQ R8, R11
@@ -47,7 +31,7 @@ TEXT ·convOctAVX2(SB), NOSPLIT, $0-64
 octChannel:
 	MOVQ SI, R13           // row start
 	MOVQ DX, DI            // weights run on across the channel's rows
-	MOVQ rows+32(FP), BX
+	MOVQ rows+56(FP), BX
 
 octRow:
 	MOVQ R13, AX
@@ -93,6 +77,9 @@ octTap:
 	DECQ CX
 	JNZ  octChannel
 
+	MOVQ out+8(FP), DI
+	TESTQ DI, DI
+	JNZ  octPlanes
 	MOVQ sums+0(FP), DI
 	VMOVUPD Y0, 0(DI)
 	VMOVUPD Y1, 32(DI)
@@ -102,6 +89,52 @@ octTap:
 	VMOVUPD Y5, 160(DI)
 	VMOVUPD Y6, 192(DI)
 	VMOVUPD Y7, 224(DI)
+	VZEROUPPER
+	RET
+
+octPlanes:
+	MOVQ bias+24(FP), SI
+	VMOVUPD (SI), Y8
+	VADDPD Y8, Y0, Y0
+	VADDPD Y8, Y1, Y1
+	VADDPD Y8, Y2, Y2
+	VADDPD Y8, Y3, Y3
+	VADDPD Y8, Y4, Y4
+	VADDPD Y8, Y5, Y5
+	VADDPD Y8, Y6, Y6
+	VADDPD Y8, Y7, Y7
+	MOVQ plane+16(FP), DX
+	SHLQ $3, DX            // output plane stride, bytes
+	LEAQ (DI)(DX*2), AX    // channel 2's plane
+
+	// Pixels 0–3: Y8–Y11 pair them up by channel parity, Y12–Y15 are
+	// channels 0–3.
+	VUNPCKLPD Y1, Y0, Y8
+	VUNPCKHPD Y1, Y0, Y9
+	VUNPCKLPD Y3, Y2, Y10
+	VUNPCKHPD Y3, Y2, Y11
+	VPERM2F128 $0x20, Y10, Y8, Y12
+	VPERM2F128 $0x20, Y11, Y9, Y13
+	VPERM2F128 $0x31, Y10, Y8, Y14
+	VPERM2F128 $0x31, Y11, Y9, Y15
+	VMOVUPD Y12, (DI)
+	VMOVUPD Y13, (DI)(DX*1)
+	VMOVUPD Y14, (AX)
+	VMOVUPD Y15, (AX)(DX*1)
+
+	// Pixels 4–7.
+	VUNPCKLPD Y5, Y4, Y8
+	VUNPCKHPD Y5, Y4, Y9
+	VUNPCKLPD Y7, Y6, Y10
+	VUNPCKHPD Y7, Y6, Y11
+	VPERM2F128 $0x20, Y10, Y8, Y12
+	VPERM2F128 $0x20, Y11, Y9, Y13
+	VPERM2F128 $0x31, Y10, Y8, Y14
+	VPERM2F128 $0x31, Y11, Y9, Y15
+	VMOVUPD Y12, 32(DI)
+	VMOVUPD Y13, 32(DI)(DX*1)
+	VMOVUPD Y14, 32(AX)
+	VMOVUPD Y15, 32(AX)(DX*1)
 	VZEROUPPER
 	RET
 

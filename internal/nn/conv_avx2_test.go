@@ -1,14 +1,11 @@
 package nn
 
 import (
-	"bufio"
 	"math"
 	"math/rand"
-	"os"
-	"runtime"
-	"slices"
-	"strings"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 // poisoned fills d like awkward, plus a few NaNs and infinities, rare
@@ -78,7 +75,7 @@ func kernelSweepCases() []convCase {
 // and overflowing products, with non-zero gradient accumulators, over
 // two passes.
 func TestAVX2BodiesMatchGoBodies(t *testing.T) {
-	if !cpuAVX2() {
+	if !tensor.HasAVX2() {
 		t.Skip("this CPU has no AVX2")
 	}
 	defer func(saved bool) { useAVX2 = saved }(useAVX2)
@@ -150,35 +147,4 @@ func TestAVX2BodiesMatchGoBodies(t *testing.T) {
 			t.Errorf("k=%d pad=%d: the sweep's interior runs cover only %v of the remainders mod 8 and a run of eight", kp[0], kp[1], rs)
 		}
 	}
-}
-
-// TestAVX2ProbeMatchesCPUInfo holds the CPUID probe to the kernel's view
-// of the CPU. A probe that wrongly said no would only make training slow,
-// which no correctness test can see.
-func TestAVX2ProbeMatchesCPUInfo(t *testing.T) {
-	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
-		t.Skip("reads /proc/cpuinfo of an amd64 Linux host")
-	}
-	f, err := os.Open("/proc/cpuinfo")
-	if err != nil {
-		t.Skip(err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(nil, 1<<20)
-	for sc.Scan() {
-		name, flags, ok := strings.Cut(sc.Text(), ":")
-		if !ok || strings.TrimSpace(name) != "flags" {
-			continue
-		}
-		want := slices.Contains(strings.Fields(flags), "avx2")
-		if got := cpuAVX2(); got != want {
-			t.Fatalf("CPUID probe says AVX2 = %v, /proc/cpuinfo says %v", got, want)
-		}
-		return
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	t.Fatal("no flags line in /proc/cpuinfo")
 }

@@ -384,9 +384,9 @@ func TestConvGradientsFiniteDifference(t *testing.T) {
 }
 
 // TestFirstLayerSkipsInputGradient: NewModel tells a leading convolution
-// that nobody reads its input gradient, and that layer then does none of
-// the work — while the same layer type mid-stack or standalone still
-// returns the oracle's dx.
+// or dense layer that nobody reads its input gradient, and that layer
+// then does none of the work — while the same layer type mid-stack or
+// standalone still returns the oracle's dx.
 func TestFirstLayerSkipsInputGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	first := NewConv2D(3, 4, 3, PadSame, rng)
@@ -413,6 +413,40 @@ func TestFirstLayerSkipsInputGradient(t *testing.T) {
 		xs, grad := tc.tensors(rng, plain)
 		if d := p.step(xs, grad, same); d != "" {
 			t.Fatalf("noInputGrad=%v: %s", skip, d)
+		}
+	}
+
+	// An MLP's first layer returns no input gradient; its second layer
+	// and a standalone one return grad·W.
+	d0, d1 := NewDense(6, 5, rng), NewDense(5, 3, rng)
+	mlp := NewModel(d0, NewReLU(), d1)
+	if _, err := mlp.Loss(randTensor(rng, 2, 6), []int{0, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := mlp.Backward(); err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range []*Dense{d0, d1, NewDense(6, 5, rng)} {
+		if _, err := d.Forward(randTensor(rng, 2, d.in), true); err != nil {
+			t.Fatal(err)
+		}
+		grad := randTensor(rng, 2, d.out)
+		dx, err := d.Backward(grad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			if dx != nil {
+				t.Fatal("an MLP's first layer built an input gradient nobody reads")
+			}
+			continue
+		}
+		want, err := tensor.MatMul(grad, d.w.W)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dx == nil || !tensor.Equal(dx, want) {
+			t.Fatalf("dense layer %d: input gradient %v, want grad·W", i, dx)
 		}
 	}
 }
@@ -445,5 +479,32 @@ func TestConvSteadyStateAllocatesNothing(t *testing.T) {
 	pass()
 	if n := testing.AllocsPerRun(3, pass); n != 0 {
 		t.Fatalf("steady-state conv pass allocates %v times", n)
+	}
+}
+
+// TestDenseSteadyStateAllocatesNothing: after the first pass sized its
+// workspaces, a Dense forward + backward allocates nothing on the
+// caller's goroutine — the matmul kernels pack nothing per call — at
+// TinyCNN's Dense(900→32) at batch 32 and PaperCNN's Dense(2304→512) at
+// batch 8.
+func TestDenseSteadyStateAllocatesNothing(t *testing.T) {
+	defer tensor.SetParallelism(tensor.Parallelism())
+	tensor.SetParallelism(1)
+	rng := rand.New(rand.NewSource(19))
+	for _, s := range []struct{ batch, in, out int }{{32, 900, 32}, {8, 2304, 512}} {
+		d := NewDense(s.in, s.out, rng)
+		x, grad := randTensor(rng, s.batch, s.in), randTensor(rng, s.batch, s.out)
+		pass := func() {
+			if _, err := d.Forward(x, true); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.Backward(grad); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pass()
+		if n := testing.AllocsPerRun(3, pass); n != 0 {
+			t.Fatalf("steady-state %s pass at batch %d allocates %v times", d.Name(), s.batch, n)
+		}
 	}
 }

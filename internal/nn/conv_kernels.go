@@ -1,5 +1,7 @@
 package nn
 
+import "repro/internal/tensor"
+
 // Direct convolution kernels. All three work on the [b, C, H, W] tensors
 // themselves — no column matrix, no transposed activations — and pin the
 // summation order of the im2col + MatMul composition they replaced (kept
@@ -37,8 +39,8 @@ package nn
 const ocBlock = 4
 
 // useAVX2 selects the AVX2 bodies of the micro-kernels over the Go ones.
-// It is set from CPUID once; only tests assign it.
-var useAVX2 = cpuAVX2()
+// It is set from tensor's CPUID probe; only tests assign it.
+var useAVX2 = tensor.HasAVX2()
 
 // convGeom is the shape of one convolution call.
 type convGeom struct {
@@ -104,7 +106,9 @@ func clampTaps(o, k, p, n int) (lo, hi int) {
 // leftover, go through the single-pixel loop with clamped kx. On the
 // AVX2 body a run of at least eight interior pixels goes eight at a
 // time instead (convInteriorOct), the last eight ending where the run
-// ends: pixels two octs share are written twice with the same bits.
+// ends: pixels two octs share are written twice with the same bits. A
+// block of ocBlock real channels has the assembly add the bias and
+// write the four output planes too (convInteriorOctStore).
 func convForward(g *convGeom, x []float64, wp [][ocBlock]float64, bias, out []float64, bi, ob int) {
 	k, p, h, w, oh, ow, inC := g.k, g.p, g.h, g.w, g.oh, g.ow, g.inC
 	taps := g.taps()
@@ -122,8 +126,14 @@ func convForward(g *convGeom, x []float64, wp [][ocBlock]float64, bias, out []fl
 		for ox := 0; ox < ow; ox++ {
 			if useAVX2 && ox >= p && ox < xEnd && xEnd-p >= 8 {
 				ox = min(ox, xEnd-8)
+				xo := (oy-p)*w + ox - p
+				if nch == ocBlock {
+					convInteriorOctStore(g, xb, wb, &bs, out[orow+ox:], plane, xo, kyLo, kyHi)
+					ox += 7
+					continue
+				}
 				var a [8][ocBlock]float64
-				convInteriorOct(g, xb, wb, &a, (oy-p)*w+ox-p, kyLo, kyHi)
+				convInteriorOct(g, xb, wb, &a, xo, kyLo, kyHi)
 				for i := range a {
 					for j := 0; j < nch; j++ {
 						out[orow+j*plane+ox+i] = a[i][j] + bs[j]

@@ -5,9 +5,11 @@ package nn
 // Off amd64 the micro-kernels have only their Go bodies: useAVX2 is
 // false, so nothing calls the AVX2 entry points below.
 
-func cpuAVX2() bool { return false }
-
 func convInteriorOct(g *convGeom, xb []float64, wb [][ocBlock]float64, sums *[8][ocBlock]float64, xo, kyLo, kyHi int) {
+	panic("nn: AVX2 kernel called off amd64")
+}
+
+func convInteriorOctStore(g *convGeom, xb []float64, wb [][ocBlock]float64, bs *[ocBlock]float64, out []float64, plane, xo, kyLo, kyHi int) {
 	panic("nn: AVX2 kernel called off amd64")
 }
 

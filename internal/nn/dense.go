@@ -19,6 +19,10 @@ type Dense struct {
 	w, b    *Param
 	lastX   *tensor.Tensor
 
+	// noInputGrad is set by NewModel on the model's first layer: nobody
+	// reads its input gradient, so Backward returns nil.
+	noInputGrad bool
+
 	y  tensor.Scratch
 	dx tensor.Scratch
 }
@@ -63,7 +67,8 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	return y, nil
 }
 
-// Backward implements Layer.
+// Backward implements Layer. On a model's first layer it returns a nil
+// input gradient (see NewModel).
 func (d *Dense) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if d.lastX == nil {
 		return nil, fmt.Errorf("nn: %s: Backward before Forward", d.Name())
@@ -84,6 +89,9 @@ func (d *Dense) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 		for j, v := range row {
 			gb[j] += v
 		}
+	}
+	if d.noInputGrad {
+		return nil, nil
 	}
 	// dx = grad·W  ([batch, in]).
 	dx := d.dx.Get(batch, d.in)

@@ -1,6 +1,10 @@
 package nn
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/tensor"
+)
 
 // EachConvBody runs f as one subtest per body of the convolution
 // micro-kernels: "go", the portable Go loops, and "avx2", the AVX2
@@ -13,7 +17,7 @@ func EachConvBody(t *testing.T, f func(t *testing.T)) {
 		avx2 bool
 	}{{"go", false}, {"avx2", true}} {
 		t.Run(body.name, func(t *testing.T) {
-			if body.avx2 && !cpuAVX2() {
+			if body.avx2 && !tensor.HasAVX2() {
 				t.Skip("this CPU has no AVX2")
 			}
 			defer func(saved bool) { useAVX2 = saved }(useAVX2)

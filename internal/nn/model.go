@@ -20,13 +20,16 @@ type Model struct {
 
 // NewModel creates a sequential model from the given layers, which
 // belong to the model from then on. Nothing reads the input gradient of
-// the first layer — Backward discards it — so a convolution in that
-// position is told not to compute one: its Backward returns a nil
-// tensor.
+// the first layer — Backward discards it — so a convolution or dense
+// layer in that position is told not to compute one: its Backward
+// returns a nil tensor.
 func NewModel(layers ...Layer) *Model {
 	if len(layers) > 0 {
-		if c, ok := layers[0].(*Conv2D); ok {
-			c.noInputGrad = true
+		switch l := layers[0].(type) {
+		case *Conv2D:
+			l.noInputGrad = true
+		case *Dense:
+			l.noInputGrad = true
 		}
 	}
 	return &Model{layers: layers}

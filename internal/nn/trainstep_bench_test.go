@@ -52,8 +52,9 @@ func BenchmarkPaperCNNTrainStep(b *testing.B) {
 
 // BenchmarkTinyCNNTrainStep is the same step on the reduced CNN at batch
 // 32 — the shape of every local-training step in the round benchmark's
-// `train` workload, where the narrow (4-channel) convolutions are the
-// whole cost.
+// `train` workload. The narrow (4-channel) convolutions take most of it;
+// in a serial CPU profile on a 2-vCPU Xeon the Dense(900→32) products
+// were 14 % of a step on the Go matmul body and are 5 % on the AVX2 one.
 func BenchmarkTinyCNNTrainStep(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	model, err := nn.TinyCNN(3, 32, 10, rng)

@@ -5,61 +5,65 @@ import (
 	"testing"
 )
 
-// Paper-CNN operand shapes (CIFAR input, batch 8): the three matmul
-// flavours the conv/dense hot path actually issues.
-//
-//	forward   cols[b·oh·ow, inC·3·3] · Wᵀ[outC, inC·3·3]
-//	backward  flatᵀ[b·oh·ow, outC] · cols  (weight gradient)
-//	backward  flat[b·oh·ow, outC] · W      (input gradient)
-func benchOperands(b *testing.B, m, k, n int) (*Tensor, *Tensor, *Tensor) {
-	b.Helper()
-	rng := rand.New(rand.NewSource(1))
-	a := randMat(rng, m, k)
-	bb := randMat(rng, k, n)
-	dst := New(m, n)
-	return a, bb, dst
+// denseShapes are the two Dense layers whose products dominate the
+// matmul kernels' time, the only layers that call them: TinyCNN's
+// Dense(900→32) at batch 32 (every local step of the round benchmark's
+// `train` workload) and PaperCNN's Dense(2304→512) at batch 8.
+var denseShapes = []struct {
+	name           string
+	batch, in, out int
+}{
+	{"tiny", 32, 900, 32},
+	{"paper", 8, 2304, 512},
 }
 
+// benchDense runs f once per Dense shape on random operands: x [batch,
+// in], the weights w [out, in] and the output gradient g [batch, out].
+func benchDense(b *testing.B, f func(b *testing.B, x, w, g *Tensor)) {
+	for _, s := range denseShapes {
+		b.Run(s.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			x, w, g := randMat(rng, s.batch, s.in), randMat(rng, s.out, s.in), randMat(rng, s.batch, s.out)
+			b.ReportAllocs()
+			b.ResetTimer()
+			f(b, x, w, g)
+		})
+	}
+}
+
+// BenchmarkMatMul is the Dense input gradient: dx = g·W.
 func BenchmarkMatMul(b *testing.B) {
-	// conv2 of the paper CNN at batch 8: dcols = flat·W.
-	a, bb, dst := benchOperands(b, 8*30*30, 32, 288)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := MatMulInto(dst, a, bb); err != nil {
-			b.Fatal(err)
+	benchDense(b, func(b *testing.B, x, w, g *Tensor) {
+		dst := New(x.shape[0], x.shape[1])
+		for i := 0; i < b.N; i++ {
+			if err := MatMulInto(dst, g, w); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }
 
+// BenchmarkMatMulTransB is the Dense forward pass: y = x·Wᵀ.
 func BenchmarkMatMulTransB(b *testing.B) {
-	// conv2 forward at batch 8: flat = cols·Wᵀ.
-	rng := rand.New(rand.NewSource(1))
-	a := randMat(rng, 8*30*30, 288)
-	w := randMat(rng, 32, 288)
-	dst := New(8*30*30, 32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := MatMulTransBInto(dst, a, w); err != nil {
-			b.Fatal(err)
+	benchDense(b, func(b *testing.B, x, w, g *Tensor) {
+		dst := New(g.shape[0], g.shape[1])
+		for i := 0; i < b.N; i++ {
+			if err := MatMulTransBInto(dst, x, w); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }
 
+// BenchmarkMatMulTransAAcc is the Dense weight gradient: dW += gᵀ·x.
 func BenchmarkMatMulTransAAcc(b *testing.B) {
-	// conv2 weight gradient at batch 8: dW += flatᵀ·cols.
-	rng := rand.New(rand.NewSource(1))
-	flat := randMat(rng, 8*30*30, 32)
-	cols := randMat(rng, 8*30*30, 288)
-	dst := New(32, 288)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := MatMulTransAAcc(dst, flat, cols); err != nil {
-			b.Fatal(err)
+	benchDense(b, func(b *testing.B, x, w, g *Tensor) {
+		for i := 0; i < b.N; i++ {
+			if err := MatMulTransAAcc(w, g, x); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }
 
 func BenchmarkIm2Col(b *testing.B) {

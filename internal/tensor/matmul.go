@@ -4,8 +4,9 @@ import "fmt"
 
 // Each matrix product has one kernel, run serially on small operands and
 // fanned out across the package worker pool in row panels on large ones
-// (≥ parallelFlops multiply-adds). The kernels multiply every element,
-// zeros included, so 0·Inf is NaN here as in the naive triple loop.
+// (≥ parallelFlops multiply-adds) when a worker is free. The kernels
+// multiply every element, zeros included, so 0·Inf is NaN here as in the
+// naive triple loop.
 //
 // Every kernel accumulates each output element in ascending order of
 // the shared dimension, from +0, so any operand size and any worker
@@ -15,6 +16,31 @@ import "fmt"
 // chains, and the other two fold four rows of B into each sweep of a C
 // row as c + a0·b0 + a1·b1 + a2·b2 + a3·b3, which Go evaluates left to
 // right — ascending p.
+//
+// addRows and matMulTransBPanel have two bodies. The Go loops here are
+// the portable one, and the reference the other is tested against. On
+// amd64 CPUs with AVX2 (useAVX2), matmul_amd64.go and matmul_amd64.s run
+// them four lanes at a time: addRows four consecutive columns of C as
+// lanes, matMulTransBPanel four rows by eight columns of C per tile,
+// four columns a vector, against rows of B transposed in registers. A
+// lane does exactly what one scalar statement of the Go body does, in
+// the same order — a multiply, then an add, never a fused multiply-add,
+// which rounds once instead of twice — so both bodies give the same
+// bits. Column and row remainders stay on the Go body. In training, nn's
+// Dense layer is the only caller (forward, weight gradient and input
+// gradient): convolutions have kernels of their own.
+
+// hasAVX2 is the CPUID probe's verdict, read once.
+var hasAVX2 = cpuAVX2()
+
+// useAVX2 selects the AVX2 bodies of the kernels over the Go ones. It is
+// set from the probe; only tests assign it.
+var useAVX2 = hasAVX2
+
+// HasAVX2 reports whether this CPU runs AVX2 with the YMM state saved by
+// the operating system: the one probe that picks the body of this
+// package's matmul kernels and of nn's convolution kernels.
+func HasAVX2() bool { return hasAVX2 }
 
 // parallelFlops is the multiply-add count above which a matmul fans its
 // rows out across the worker pool. Below it, fan-out overhead (token
@@ -66,7 +92,7 @@ func MatMulInto(dst, a, b *Tensor) error {
 	if err := checkDst(dst, m, n, "matmul"); err != nil {
 		return err
 	}
-	if 2*m*k*n >= parallelFlops {
+	if 2*m*k*n >= parallelFlops && spareWorker() {
 		ParallelRows(m, func(lo, hi int) {
 			matMulPanel(dst.data, a.data, b.data, lo, hi, k, n)
 		})
@@ -95,26 +121,33 @@ func matMulPanel(c, a, b []float64, lo, hi, k, n int) {
 
 // addRows adds a[p·stride]·B[p] to crow for p in [p0, p1) ascending, B[p]
 // being row p of b (len(crow) wide). Four rows share each sweep of crow
-// and a remainder loop takes the rest, one row at a time.
+// and a remainder loop takes the rest, one row at a time. On the AVX2
+// body the whole quads of columns go first, and the loops below take
+// the columns from j0 on.
 func addRows(crow, a, b []float64, stride, p0, p1 int) {
 	n := len(crow)
+	j0 := 0
+	if useAVX2 {
+		j0 = addRowsQuads(crow, a, b, stride, p0, p1)
+	}
+	cr := crow[j0:]
 	p := p0
 	for ; p+4 <= p1; p += 4 {
 		a0, a1 := a[p*stride], a[(p+1)*stride]
 		a2, a3 := a[(p+2)*stride], a[(p+3)*stride]
-		b0 := b[p*n : (p+1)*n][:n]
-		b1 := b[(p+1)*n : (p+2)*n][:n]
-		b2 := b[(p+2)*n : (p+3)*n][:n]
-		b3 := b[(p+3)*n : (p+4)*n][:n]
-		for j, cv := range crow {
-			crow[j] = cv + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+		b0 := b[p*n+j0 : (p+1)*n][:len(cr)]
+		b1 := b[(p+1)*n+j0 : (p+2)*n][:len(cr)]
+		b2 := b[(p+2)*n+j0 : (p+3)*n][:len(cr)]
+		b3 := b[(p+3)*n+j0 : (p+4)*n][:len(cr)]
+		for j, cv := range cr {
+			cr[j] = cv + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
 		}
 	}
 	for ; p < p1; p++ {
 		av := a[p*stride]
-		brow := b[p*n : (p+1)*n][:n]
+		brow := b[p*n+j0 : (p+1)*n][:len(cr)]
 		for j, bv := range brow {
-			crow[j] += av * bv
+			cr[j] += av * bv
 		}
 	}
 }
@@ -159,7 +192,7 @@ func MatMulTransAAcc(dst, a, b *Tensor) error {
 	if err := checkDst(dst, m, n, "matmulTransA"); err != nil {
 		return err
 	}
-	if 2*m*k*n >= parallelFlops && m > 1 {
+	if 2*m*k*n >= parallelFlops && m > 1 && spareWorker() {
 		ParallelRows(m, func(lo, hi int) {
 			matMulTransAPanel(dst.data, a.data, b.data, lo, hi, k, m, n)
 		})
@@ -206,7 +239,7 @@ func MatMulTransBInto(dst, a, b *Tensor) error {
 	if err := checkDst(dst, m, n, "matmulTransB"); err != nil {
 		return err
 	}
-	if 2*m*k*n >= parallelFlops {
+	if 2*m*k*n >= parallelFlops && spareWorker() {
 		ParallelRows(m, func(lo, hi int) {
 			matMulTransBPanel(dst.data, a.data, b.data, lo, hi, k, n)
 		})
@@ -219,12 +252,21 @@ func MatMulTransBInto(dst, a, b *Tensor) error {
 // matMulTransBPanel computes rows [lo, hi) of C = A·Bᵀ as row-dot
 // products, four output columns per pass over an A row; each output
 // element is one sequential k-length reduction, so there is nothing to
-// zero and nothing to tile.
+// zero and nothing to tile. On the AVX2 body the tiles of four rows by
+// eight columns go first, and the loops below take the columns from cols
+// on in the tiled rows and every column of the rows after them.
 func matMulTransBPanel(c, a, b []float64, lo, hi, k, n int) {
+	tiled, cols := 0, 0
+	if useAVX2 {
+		tiled, cols = transBTiles(c, a, b, lo, hi, k, n)
+	}
 	for i := lo; i < hi; i++ {
 		arow := a[i*k : (i+1)*k]
 		crow := c[i*n : (i+1)*n]
 		j := 0
+		if i < lo+tiled {
+			j = cols
+		}
 		for ; j+4 <= n; j += 4 {
 			b0 := b[j*k : (j+1)*k][:len(arow)]
 			b1 := b[(j+1)*k : (j+2)*k][:len(arow)]

@@ -84,11 +84,15 @@ func poison(rng *rand.Rand, z, f *Tensor) {
 	}
 }
 
-// TestMatMulVariantsMatchReference requires every variant to reproduce
-// the naive triple loop's bits — each output element one ascending-p
-// chain from +0 — at worker budgets 1 and 4, on finite operands and on
-// operands with exact zeros against ±Inf and NaN.
+// TestMatMulVariantsMatchReference requires every variant, on both
+// bodies, to reproduce the naive triple loop's bits — each output
+// element one ascending-p chain from +0 — at worker budgets 1 and 4, on
+// finite operands and on operands with exact zeros against ±Inf and NaN.
 func TestMatMulVariantsMatchReference(t *testing.T) {
+	eachBody(t, testMatMulVariantsMatchReference)
+}
+
+func testMatMulVariantsMatchReference(t *testing.T) {
 	forceParallelism(t, 1)
 	check := func(par int, name string, s struct{ m, k, n int }, poisoned bool, got, want *Tensor) {
 		t.Helper()
@@ -137,9 +141,13 @@ func TestMatMulVariantsMatchReference(t *testing.T) {
 }
 
 // TestMatMulParallelBitIdentical asserts the determinism contract the
-// parallel training engine relies on: any worker budget produces
-// bit-for-bit identical products.
+// parallel training engine relies on: on either body, any worker budget
+// produces bit-for-bit identical products.
 func TestMatMulParallelBitIdentical(t *testing.T) {
+	eachBody(t, testMatMulParallelBitIdentical)
+}
+
+func testMatMulParallelBitIdentical(t *testing.T) {
 	forceParallelism(t, 1)
 	rng := rand.New(rand.NewSource(11))
 	a := randMat(rng, 700, 310)

@@ -48,6 +48,15 @@ func Parallelism() int {
 	return cap(pool.Load().extra) + 1
 }
 
+// spareWorker reports whether the pool has a token free right now. A
+// kernel that sees none runs inline without building the closure
+// ParallelRows would take, which escapes to the heap; a token taken
+// between the check and the fan-out only makes ParallelRows run inline.
+func spareWorker() bool {
+	p := pool.Load()
+	return len(p.extra) < cap(p.extra)
+}
+
 // ParallelRows runs fn over [0, rows) split into contiguous panels, one
 // per worker the caller manages to borrow from the shared pool (plus the
 // caller itself). With no spare tokens — or a single row — it degrades to
