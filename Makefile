@@ -21,8 +21,9 @@ TIME_PAIRS := 'RaftTickLive=RaftTickNil,SACRoundLive=SACRoundNil,RaftTCPSendHeal
 all: check
 
 # The arm64 lines keep the portable path compiling: off amd64, nn's
-# convolution micro-kernels and tensor's matmul kernels have only their
-# Go bodies (DESIGN.md §7).
+# convolution micro-kernels, tensor's matmul kernels and its aggregation
+# kernels (whose stream bodies are amd64 assembly) have only their Go
+# bodies (DESIGN.md §7).
 build:
 	$(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/nn/
@@ -154,11 +155,15 @@ test-health:
 # TestStreamingFoldMatchesReference, and the default path's allocation
 # pin in
 # TestDefaultRunAllocatesOnlyItsResult and, for the spare list under two
-# goroutines, TestSpareWorkingSetsServeTwoGoroutines).
+# goroutines, TestSpareWorkingSetsServeTwoGoroutines), and the aggregation
+# kernels that secretshare, sac and fl call in internal/tensor — the
+# Divide, subtotal, average and FedAvg loops, whose stream bodies
+# (TestStreamBodiesMatchGo) are amd64 assembly and Go-only elsewhere —
+# with fl's FedAvg on both bodies.
 test-wire:
 	$(GO) test -race ./internal/wire/ ./internal/transport/ \
 		./internal/secretshare/ ./internal/sac/ ./internal/simnet/ \
-		./cmd/p2pfl-node/
+		./internal/tensor/ ./internal/fl/ ./cmd/p2pfl-node/
 
 # Compression: the quantize/top-k kernels (bit determinism at any worker
 # count, error bounds, the top-k selection against its sort-based

@@ -43,27 +43,19 @@ func WeightedAverage(models [][]float64, counts []float64) ([]float64, error) {
 	if total == 0 {
 		return nil, fmt.Errorf("fl: all sample counts are zero")
 	}
-	// One pass over out: each tile of it takes f_i·m_i for every model, i
-	// ascending, while it is in L1.
-	out := make([]float64, dim)
-	for lo := 0; lo < dim; lo += tile {
-		o := out[lo:min(lo+tile, dim)]
-		for i, m := range models {
-			f := counts[i] / total
-			if f == 0 {
-				continue
-			}
-			for j, v := range m[lo : lo+len(o)] {
-				o[j] += f * v
-			}
-		}
+	// The fractions n_k/n live on the stack for up to 16 models.
+	var buf [16]float64
+	f := buf[:0]
+	if len(models) > len(buf) {
+		f = make([]float64, 0, len(models))
 	}
+	for _, c := range counts {
+		f = append(f, c/total)
+	}
+	out := make([]float64, dim)
+	tensor.WeightedSumInto(out, f, models)
 	return out, nil
 }
-
-// tile is 2,048 floats, 16 KiB: the tile of out that WeightedAverage adds
-// every model into stays in L1.
-const tile = 2048
 
 // TrainConfig controls one local-update step.
 type TrainConfig struct {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/fl"
 	"repro/internal/secretshare"
+	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
@@ -354,7 +355,7 @@ func (p *Peer) subtotal(s int) []float64 {
 		}
 		terms = append(terms, p.held[i*p.r+a])
 	}
-	sum(sub, terms)
+	tensor.SumInto(sub, terms)
 	switch p.byz {
 	case ByzInflateSubtotal:
 		for x := range sub {
@@ -366,51 +367,6 @@ func (p *Peer) subtotal(s int) []float64 {
 	clear(terms)
 	p.terms, p.summed[a] = terms[:0], true
 	return sub
-}
-
-// sum writes 0 + terms[0] + terms[1] + … into dst, left to right, in one
-// pass over dst: each tile of it takes up to three terms per sweep while
-// it is in L1. Per coordinate those are the additions, in the order, of
-// adding each term in a pass of its own into a zeroed vector; the first
-// sweep writes 0 + v over whatever dst held, so −0 sums to +0 without a
-// pass that zeroes it.
-func sum(dst []float64, terms [][]float64) {
-	for lo := 0; lo < len(dst); lo += tile {
-		d := dst[lo:min(lo+tile, len(dst))]
-		for t := 0; t < len(terms); t += 3 {
-			a := terms[t][lo:][:len(d)]
-			switch left := len(terms) - t; {
-			case left >= 3 && t == 0:
-				b, c := terms[t+1][lo:][:len(d)], terms[t+2][lo:][:len(d)]
-				for x := range d {
-					d[x] = 0 + a[x] + b[x] + c[x]
-				}
-			case left >= 3:
-				b, c := terms[t+1][lo:][:len(d)], terms[t+2][lo:][:len(d)]
-				for x := range d {
-					d[x] = d[x] + a[x] + b[x] + c[x]
-				}
-			case left == 2 && t == 0:
-				b := terms[t+1][lo:][:len(d)]
-				for x := range d {
-					d[x] = 0 + a[x] + b[x]
-				}
-			case left == 2:
-				b := terms[t+1][lo:][:len(d)]
-				for x := range d {
-					d[x] = d[x] + a[x] + b[x]
-				}
-			case t == 0:
-				for x := range d {
-					d[x] = 0 + a[x]
-				}
-			default:
-				for x := range d {
-					d[x] += a[x]
-				}
-			}
-		}
-	}
 }
 
 // Report sends p's subtotal of share index s to whoever collects it:
@@ -542,20 +498,8 @@ func (p *Peer) Finish() (*Result, error) {
 		}
 		p.sums = append(p.sums, sub)
 	}
-	// One pass over Avg: each tile of it takes every subtotal, ascending
-	// s, and is scaled while it is in L1.
-	inv := 1.0 / float64(len(p.contributors))
-	for lo := 0; lo < p.dim; lo += tile {
-		avg := res.Avg[lo:min(lo+tile, p.dim)]
-		for _, sub := range p.sums {
-			for x, v := range sub[lo : lo+len(avg)] {
-				avg[x] += v
-			}
-		}
-		for x := range avg {
-			avg[x] *= inv
-		}
-	}
+	// One pass over Avg: every subtotal, ascending s, then the scale.
+	tensor.ScaledSumInto(res.Avg, p.sums, 1.0/float64(len(p.contributors)))
 	switch {
 	case guarded:
 		p.announce(res.Avg)
@@ -571,7 +515,3 @@ func (p *Peer) Finish() (*Result, error) {
 // Collected is the Result p's Finish returned this round: nil before,
 // and at every peer that did not finish it.
 func (p *Peer) Collected() *Result { return p.result }
-
-// tile is 2,048 floats, 16 KiB: the tile of the average that Finish adds
-// every subtotal into stays in L1.
-const tile = 2048

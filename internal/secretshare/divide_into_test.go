@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 // Reference implementations: the original per-share-allocation Divide
@@ -65,16 +67,40 @@ func requireBitIdentical(t *testing.T, got, want [][]float64) {
 }
 
 // tileEdgeDims are the dimensions a tiled kernel is checked at: one
-// coordinate, a tile short by one, one tile, one over, and three tiles
-// with a ragged tail.
-var tileEdgeDims = []int{1, tile - 1, tile, tile + 1, 3*tile + 5}
+// coordinate, a tile short by one, one tile, one over, three tiles with a
+// ragged tail, and 64 tiles with one, where the kernel streams on an AVX2
+// CPU (tensor.Streams).
+var tileEdgeDims = []int{1, tensor.Tile - 1, tensor.Tile, tensor.Tile + 1, 3*tensor.Tile + 5, 64*tensor.Tile + 5}
+
+// eachBody runs f as one subtest per body of tensor's kernels: "go", the
+// portable loops, and "avx2", which streams past tensor's threshold,
+// skipped where the CPU lacks AVX2.
+func eachBody(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	for _, avx2 := range []bool{false, true} {
+		name := "go"
+		if avx2 {
+			name = "avx2"
+		}
+		t.Run(name, func(t *testing.T) {
+			if avx2 && !tensor.HasAVX2() {
+				t.Skip("this CPU has no AVX2")
+			}
+			defer tensor.SetAVX2(tensor.SetAVX2(avx2))
+			if last := tileEdgeDims[len(tileEdgeDims)-1]; tensor.Streams(last) != avx2 {
+				t.Fatalf("dim %d streams: %v on the %s body", last, !avx2, name)
+			}
+			f(t)
+		})
+	}
+}
 
 // plant writes −0 and then +Inf, NaN and −Inf into the four coordinates
 // on each side of every tile boundary of v and of its two ends, where v
 // has them; shift rotates the three non-finite values.
 func plant(v []float64, shift int) {
 	odd := [3]float64{math.Inf(1), math.NaN(), math.Inf(-1)}
-	for b := 0; ; b += tile {
+	for b := 0; ; b += tensor.Tile {
 		b = min(b, len(v))
 		for _, side := range []int{b - 4, b} {
 			for o := 0; o < 4; o++ {
@@ -93,34 +119,37 @@ func plant(v []float64, shift int) {
 }
 
 // TestTiledDivideMatchesUntiledAtTileEdges: ScalarDivider writes all n
-// shares from one tile of w before it reads the next. Around every tile
-// boundary, with −0, ±Inf and NaN planted on both sides of it, its shares
-// are those of the untiled loop that made one pass over w per share
-// (refScalarDivide), bit for bit; and a warm DivideInto still allocates
-// nothing but its n fractions.
+// shares from one tile of w before it reads the next, or streams them
+// past the caches for a long w on an AVX2 CPU. On both bodies of the
+// kernel, around every tile boundary, with −0, ±Inf and NaN planted on
+// both sides of it, its shares are those of the untiled loop that made
+// one pass over w per share (refScalarDivide), bit for bit; and a warm
+// DivideInto allocates nothing.
 func TestTiledDivideMatchesUntiledAtTileEdges(t *testing.T) {
-	for _, dim := range tileEdgeDims {
-		w := make([]float64, dim)
-		r := rand.New(rand.NewSource(int64(dim)))
-		for i := range w {
-			w[i] = r.NormFloat64()
-		}
-		plant(w, dim)
-		for _, n := range []int{1, 3, 5} {
-			want := refScalarDivide(w, n, rand.New(rand.NewSource(7)))
-			got, err := ScalarDivider{}.Divide(w, n, rand.New(rand.NewSource(7)))
-			if err != nil {
-				t.Fatal(err)
+	eachBody(t, func(t *testing.T) {
+		for _, dim := range tileEdgeDims {
+			w := make([]float64, dim)
+			r := rand.New(rand.NewSource(int64(dim)))
+			for i := range w {
+				w[i] = r.NormFloat64()
 			}
-			requireBitIdentical(t, got, want)
-			block, views := make([]float64, n*dim), make([][]float64, n)
-			if allocs := testing.AllocsPerRun(20, func() {
-				views, block, err = ScalarDivider{}.DivideInto(w, n, r, block, views)
-			}); err != nil || allocs > 1 {
-				t.Fatalf("dim %d n %d: warm DivideInto made %v allocations (err %v), want ≤ 1", dim, n, allocs, err)
+			plant(w, dim)
+			for _, n := range []int{1, 3, 5} {
+				want := refScalarDivide(w, n, rand.New(rand.NewSource(7)))
+				got, err := ScalarDivider{}.Divide(w, n, rand.New(rand.NewSource(7)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireBitIdentical(t, got, want)
+				block, views := make([]float64, n*dim), make([][]float64, n)
+				if allocs := testing.AllocsPerRun(20, func() {
+					views, block, err = ScalarDivider{}.DivideInto(w, n, r, block, views)
+				}); err != nil || allocs != 0 {
+					t.Fatalf("dim %d n %d: warm DivideInto made %v allocations (err %v), want 0", dim, n, allocs, err)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestDivideBitIdenticalToReference is satellite-level proof that the
@@ -173,8 +202,8 @@ func TestDivideBitIdenticalToReference(t *testing.T) {
 }
 
 // TestDivideSingleBackingAllocation pins the allocation contract: one
-// flat block + one views header (+ the small rn vector for the scalar
-// scheme), regardless of n. The old code paid n+1 allocations.
+// flat block + one views header, regardless of n. The old code paid n+1
+// allocations.
 func TestDivideSingleBackingAllocation(t *testing.T) {
 	w := make([]float64, 256)
 	for i := range w {
@@ -186,7 +215,7 @@ func TestDivideSingleBackingAllocation(t *testing.T) {
 		d      Divider
 		budget float64
 	}{
-		{ScalarDivider{}, 3}, // block + views + rn
+		{ScalarDivider{}, 2}, // block + views
 		{MaskDivider{Scale: 10}, 2},
 	} {
 		got := testing.AllocsPerRun(50, func() {
@@ -201,9 +230,9 @@ func TestDivideSingleBackingAllocation(t *testing.T) {
 	}
 }
 
-// TestDivideIntoReusesScratch: with adequate scratch the only
-// per-call allocation is ScalarDivider's rn vector, and the returned
-// views alias the caller's block.
+// TestDivideIntoReusesScratch: with adequate scratch neither divider
+// allocates — ScalarDivider's fractions live on the stack — and the
+// returned views alias the caller's block.
 func TestDivideIntoReusesScratch(t *testing.T) {
 	w := make([]float64, 64)
 	for i := range w {
@@ -249,8 +278,8 @@ func TestDivideIntoReusesScratch(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if gotScalar > 1 { // the rn vector
-		t.Errorf("ScalarDivider DivideInto with warm scratch: %v allocs/op, want ≤1", gotScalar)
+	if gotScalar != 0 {
+		t.Errorf("ScalarDivider DivideInto with warm scratch: %v allocs/op, want 0", gotScalar)
 	}
 
 	// Undersized scratch must regrow, not corrupt.

@@ -24,6 +24,8 @@ package secretshare
 import (
 	"fmt"
 	"math/rand"
+
+	"repro/internal/tensor"
 )
 
 // Divider splits a secret vector into n additive shares.
@@ -81,31 +83,28 @@ func (d ScalarDivider) DivideInto(w []float64, n int, rng *rand.Rand, block []fl
 	if err := checkDivide(w, n); err != nil {
 		return nil, nil, err
 	}
-	rn := make([]float64, n)
+	// The fractions rn_i/Σrn live on the stack for up to 16 shares.
+	var buf [16]float64
+	f := buf[:0]
+	if n > len(buf) {
+		f = make([]float64, 0, n)
+	}
 	sum := 0.0
-	for i := range rn {
+	for i := 0; i < n; i++ {
 		// (0,1]: avoid an all-zero draw making the normalizer zero.
-		rn[i] = 1 - rng.Float64()
-		sum += rn[i]
+		rn := 1 - rng.Float64()
+		f = append(f, rn)
+		sum += rn
+	}
+	for i := range f {
+		f[i] /= sum
 	}
 	// One read of w: each tile of it is written into all n shares while it
-	// is in L1.
+	// is in L1, or, for a long w, streamed past the caches (tensor.ScaleInto).
 	block, shares := sliceBlock(block, views, n, len(w))
-	for lo := 0; lo < len(w); lo += tile {
-		wt := w[lo:min(lo+tile, len(w))]
-		for i, s := range shares {
-			f, st := rn[i]/sum, s[lo:lo+len(wt)]
-			for j, v := range wt {
-				st[j] = f * v
-			}
-		}
-	}
+	tensor.ScaleInto(shares, f, w)
 	return shares, block, nil
 }
-
-// tile is 2,048 floats, 16 KiB: the tile of w that DivideInto re-reads
-// per share stays in L1.
-const tile = 2048
 
 // MaskDivider is standard additive secret sharing: shares 0..n−2 are
 // uniform random vectors in [−Scale, Scale) and share n−1 is

@@ -33,9 +33,22 @@ import "fmt"
 // hasAVX2 is the CPUID probe's verdict, read once.
 var hasAVX2 = cpuAVX2()
 
-// useAVX2 selects the AVX2 bodies of the kernels over the Go ones. It is
-// set from the probe; only tests assign it.
+// useAVX2 selects the AVX2 bodies of the kernels over the Go ones, the
+// matmuls' and the stream bodies of the aggregation kernels (stream.go).
+// It is set from the probe; only tests change it.
 var useAVX2 = hasAVX2
+
+// SetAVX2 selects the AVX2 bodies of this package's kernels (on, where
+// the CPU has AVX2) or their Go bodies, and returns the previous choice.
+// It lets the tests of a caller run it on both bodies, as in
+//
+//	defer tensor.SetAVX2(tensor.SetAVX2(false))
+//
+// and must not be called while a kernel runs.
+func SetAVX2(on bool) (was bool) {
+	was, useAVX2 = useAVX2, on && hasAVX2
+	return was
+}
 
 // HasAVX2 reports whether this CPU runs AVX2 with the YMM state saved by
 // the operating system: the one probe that picks the body of this
@@ -47,10 +60,24 @@ func HasAVX2() bool { return hasAVX2 }
 // accounting, goroutine launch) exceeds the work.
 const parallelFlops = 1 << 20
 
-// kBlock tiles the shared dimension of matMulPanel and matMulTransAPanel
-// so the touched panel of B (kBlock·n floats) stays cache-resident while
-// a row panel of A streams past it.
+// kBlock tiles the shared dimension of matMulTransAPanel so the touched
+// panel of B (kBlock·n floats) stays cache-resident while a row panel of
+// A streams past it.
 const kBlock = 256
+
+// slabFloats is the size of the slab of B that matMulPanel sweeps every
+// row of its panel of C over before it moves to the next: 32,768 floats,
+// 256 KiB, which stays in L2. Its C rows are few (a batch) and are swept
+// once per slab, so a smaller slab costs little, where a slab larger than
+// L2 is re-read from memory once per row.
+const slabFloats = 1 << 15
+
+// kSlab is matMulPanel's slab height for n-wide rows of B: as many whole
+// quads of rows as fit in slabFloats, and at least one quad, so addRows
+// sweeps the same quads as it would over all of B.
+func kSlab(n int) int {
+	return max(4, (slabFloats/max(n, 1))&^3)
+}
 
 func checkMatMul(a, b *Tensor, kind string) error {
 	if a.Rank() != 2 || b.Rank() != 2 {
@@ -103,7 +130,7 @@ func MatMulInto(dst, a, b *Tensor) error {
 }
 
 // matMulPanel computes rows [lo, hi) of C = A·B with the shared
-// dimension tiled in kBlock slabs.
+// dimension tiled in kSlab(n) slabs.
 func matMulPanel(c, a, b []float64, lo, hi, k, n int) {
 	for i := lo; i < hi; i++ {
 		crow := c[i*n : (i+1)*n]
@@ -111,8 +138,9 @@ func matMulPanel(c, a, b []float64, lo, hi, k, n int) {
 			crow[j] = 0
 		}
 	}
-	for p0 := 0; p0 < k; p0 += kBlock {
-		p1 := min(p0+kBlock, k)
+	kb := kSlab(n)
+	for p0 := 0; p0 < k; p0 += kb {
+		p1 := min(p0+kb, k)
 		for i := lo; i < hi; i++ {
 			addRows(c[i*n:(i+1)*n], a[i*k:], b, 1, p0, p1)
 		}
