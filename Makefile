@@ -159,7 +159,7 @@ test-health:
 # kernels that secretshare, sac and fl call in internal/tensor — the
 # Divide, subtotal, average and FedAvg loops, whose stream bodies
 # (TestStreamBodiesMatchGo) are amd64 assembly and Go-only elsewhere —
-# with fl's FedAvg on both bodies.
+# with fl's FedAvg at a dim long enough to stream.
 test-wire:
 	$(GO) test -race ./internal/wire/ ./internal/transport/ \
 		./internal/secretshare/ ./internal/sac/ ./internal/simnet/ \

@@ -612,8 +612,6 @@ var kept = func() map[string]string {
 	keep("test helper: internal/nn's and internal/optim's tests build, index and compare tensors with it",
 		"tensor.FromSlice", "tensor.MustFromSlice", "tensor.(*Tensor).Clone", "tensor.(*Tensor).At", "tensor.(*Tensor).Set",
 		"tensor.(*Tensor).offset", "tensor.(*Tensor).Sum", "tensor.(*Tensor).Norm2", "tensor.Equal", "tensor.AllClose")
-	keep("test helper: internal/secretshare's, internal/sac's and internal/fl's tests run their call sites of the aggregation kernels on both bodies with it",
-		"tensor.SetAVX2")
 	keep("roadmap item 7: the mask divider is what seeded shares start from",
 		"secretshare.MaskDivider.Name", "secretshare.MaskDivider.Divide", "secretshare.MaskDivider.DivideInto")
 	return m

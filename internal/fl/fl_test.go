@@ -91,32 +91,9 @@ func sameBits(a, b float64) bool {
 
 // tileEdgeDims are the dimensions a tiled kernel is checked at: one
 // coordinate, a tile short by one, one tile, one over, three tiles with a
-// ragged tail, and 64 tiles with one, where the kernel streams on an AVX2
-// CPU (tensor.Streams).
+// ragged tail, and 64 tiles with one, past the stream threshold, so an
+// AVX2 CPU checks the stream body there and the Go body everywhere else.
 var tileEdgeDims = []int{1, tensor.Tile - 1, tensor.Tile, tensor.Tile + 1, 3*tensor.Tile + 5, 64*tensor.Tile + 5}
-
-// eachBody runs f as one subtest per body of tensor's kernels: "go", the
-// portable loops, and "avx2", which streams past tensor's threshold,
-// skipped where the CPU lacks AVX2.
-func eachBody(t *testing.T, f func(t *testing.T)) {
-	t.Helper()
-	for _, avx2 := range []bool{false, true} {
-		name := "go"
-		if avx2 {
-			name = "avx2"
-		}
-		t.Run(name, func(t *testing.T) {
-			if avx2 && !tensor.HasAVX2() {
-				t.Skip("this CPU has no AVX2")
-			}
-			defer tensor.SetAVX2(tensor.SetAVX2(avx2))
-			if last := tileEdgeDims[len(tileEdgeDims)-1]; tensor.Streams(last) != avx2 {
-				t.Fatalf("dim %d streams: %v on the %s body", last, !avx2, name)
-			}
-			f(t)
-		})
-	}
-}
 
 // plant writes −0 and then +Inf, NaN and −Inf into the four coordinates
 // on each side of every tile boundary of v and of its two ends, where v
@@ -143,43 +120,41 @@ func plant(v []float64, shift int) {
 
 // TestTiledWeightedAverageMatchesUntiled: WeightedAverage adds every
 // model into one tile of out before it moves to the next, or streams a
-// long out past the caches. On both bodies of the kernel, around every
-// tile boundary, with −0, ±Inf and NaN planted on both sides of it in
-// every model — differently per model, so +Inf meets −Inf — the average
-// is the untiled loop's bit for bit. Coordinate 0, −0 in every model,
+// long out past the caches. Around every tile boundary, with −0, ±Inf
+// and NaN planted on both sides of it in every model — differently per
+// model, so +Inf meets −Inf — the average is the untiled loop's bit for
+// bit. Coordinate 0, −0 in every model,
 // still averages to +0, which also shows the all-NaN model of count 0
 // is still skipped.
 func TestTiledWeightedAverageMatchesUntiled(t *testing.T) {
-	eachBody(t, func(t *testing.T) {
-		counts := []float64{3, 0, 1.5, 7}
-		for _, dim := range tileEdgeDims {
-			r := rand.New(rand.NewSource(int64(dim)))
-			models := make([][]float64, len(counts))
-			for i := range models {
-				models[i] = make([]float64, dim)
-				for j := range models[i] {
-					models[i][j] = r.NormFloat64()
-				}
-				plant(models[i], i)
+	counts := []float64{3, 0, 1.5, 7}
+	for _, dim := range tileEdgeDims {
+		r := rand.New(rand.NewSource(int64(dim)))
+		models := make([][]float64, len(counts))
+		for i := range models {
+			models[i] = make([]float64, dim)
+			for j := range models[i] {
+				models[i][j] = r.NormFloat64()
 			}
-			for j := range models[1] {
-				models[1][j] = math.NaN()
-			}
-			got, err := WeightedAverage(models, counts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := untiledWeightedAverage(models, counts)
-			for j := range want {
-				if !sameBits(got[j], want[j]) {
-					t.Fatalf("dim %d: out[%d] = %v, untiled %v", dim, j, got[j], want[j])
-				}
-			}
-			if dim > 1 && math.Float64bits(got[0]) != 0 {
-				t.Fatalf("dim %d: an all −0 coordinate averaged to %v, want +0", dim, got[0])
+			plant(models[i], i)
+		}
+		for j := range models[1] {
+			models[1][j] = math.NaN()
+		}
+		got, err := WeightedAverage(models, counts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := untiledWeightedAverage(models, counts)
+		for j := range want {
+			if !sameBits(got[j], want[j]) {
+				t.Fatalf("dim %d: out[%d] = %v, untiled %v", dim, j, got[j], want[j])
 			}
 		}
-	})
+		if dim > 1 && math.Float64bits(got[0]) != 0 {
+			t.Fatalf("dim %d: an all −0 coordinate averaged to %v, want +0", dim, got[0])
+		}
+	}
 }
 
 func TestUniformAverageMatchesMean(t *testing.T) {

@@ -432,32 +432,9 @@ func sameBits(a, b float64) bool {
 
 // tileEdgeDims are the dimensions a tiled kernel is checked at: one
 // coordinate, a tile short by one, one tile, one over, three tiles with a
-// ragged tail, and 64 tiles with one, where the kernel streams on an AVX2
-// CPU (tensor.Streams).
+// ragged tail, and 64 tiles with one, past the stream threshold, so an
+// AVX2 CPU checks the stream body there and the Go body everywhere else.
 var tileEdgeDims = []int{1, tensor.Tile - 1, tensor.Tile, tensor.Tile + 1, 3*tensor.Tile + 5, 64*tensor.Tile + 5}
-
-// eachBody runs f as one subtest per body of tensor's kernels: "go", the
-// portable loops, and "avx2", which streams past tensor's threshold,
-// skipped where the CPU lacks AVX2.
-func eachBody(t *testing.T, f func(t *testing.T)) {
-	t.Helper()
-	for _, avx2 := range []bool{false, true} {
-		name := "go"
-		if avx2 {
-			name = "avx2"
-		}
-		t.Run(name, func(t *testing.T) {
-			if avx2 && !tensor.HasAVX2() {
-				t.Skip("this CPU has no AVX2")
-			}
-			defer tensor.SetAVX2(tensor.SetAVX2(avx2))
-			if last := tileEdgeDims[len(tileEdgeDims)-1]; tensor.Streams(last) != avx2 {
-				t.Fatalf("dim %d streams: %v on the %s body", last, !avx2, name)
-			}
-			f(t)
-		})
-	}
-}
 
 // plant writes −0 and then +Inf, NaN and −Inf into the four coordinates
 // on each side of every tile boundary of v and of its two ends, where v
@@ -484,56 +461,53 @@ func plant(v []float64, shift int) {
 
 // TestTiledFinishMatchesUntiled: Finish adds every subtotal into one tile
 // of the average before it moves to the next, or streams a long average
-// past the caches; on both bodies of the kernel, with −0, ±Inf and NaN
-// planted around every tile boundary of every subtotal — differently per
-// share index, so +Inf meets −Inf — its average is the untiled loop's,
-// bit for bit, on a collector that recovers a crashed owner's subtotal,
+// past the caches; with −0, ±Inf and NaN planted around every tile
+// boundary of every subtotal — differently per share index, so +Inf
+// meets −Inf — its average is the untiled loop's, bit for bit, on a collector that recovers a crashed owner's subtotal,
 // on the cross-check's median path and under Alg. 2's broadcast.
 // Coordinate 0, −0 in every subtotal, still averages to +0.
 func TestTiledFinishMatchesUntiled(t *testing.T) {
-	eachBody(t, func(t *testing.T) {
-		for _, tc := range []struct {
-			name string
-			cfg  Config
-			kill int // a peer the failure detector reports once the shares are over, −1 for none
-		}{
-			{"recovery", Config{N: 4, K: 2, Mode: ModeLeader, Leader: 3}, 2},
-			{"cross-check", Config{N: 5, K: 3, Mode: ModeLeader, Leader: 1, Guard: &Guard{CrossCheck: true}}, -1},
-			{"broadcast", Config{N: 4, K: 4, Mode: ModeBroadcast}, -1},
-		} {
-			for _, dim := range tileEdgeDims {
-				h := newHandRound(t, tc.cfg, dim, nil)
-				h.shares(randModels(rand.New(rand.NewSource(int64(dim))), tc.cfg.N, dim), rand.New(rand.NewSource(91)))
-				// A subtotal is summed when first asked for, over whatever its
-				// slot held, so the values are planted after that.
-				for j := range h.peers {
-					p := &h.peers[j]
-					for s, a := range p.slot {
-						if a >= 0 && p.subtotal(s) != nil {
-							plant(p.acc[a*dim:(a+1)*dim], s)
-						}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		kill int // a peer the failure detector reports once the shares are over, −1 for none
+	}{
+		{"recovery", Config{N: 4, K: 2, Mode: ModeLeader, Leader: 3}, 2},
+		{"cross-check", Config{N: 5, K: 3, Mode: ModeLeader, Leader: 1, Guard: &Guard{CrossCheck: true}}, -1},
+		{"broadcast", Config{N: 4, K: 4, Mode: ModeBroadcast}, -1},
+	} {
+		for _, dim := range tileEdgeDims {
+			h := newHandRound(t, tc.cfg, dim, nil)
+			h.shares(randModels(rand.New(rand.NewSource(int64(dim))), tc.cfg.N, dim), rand.New(rand.NewSource(91)))
+			// A subtotal is summed when first asked for, over whatever its
+			// slot held, so the values are planted after that.
+			for j := range h.peers {
+				p := &h.peers[j]
+				for s, a := range p.slot {
+					if a >= 0 && p.subtotal(s) != nil {
+						plant(p.acc[a*dim:(a+1)*dim], s)
 					}
-				}
-				if tc.kill >= 0 {
-					h.kill(tc.kill)
-				}
-				h.report()
-				want := untiledAverage(t, &h.peers[h.collector()])
-				got := h.finish()
-				for x := range want {
-					if !sameBits(got.Avg[x], want[x]) {
-						t.Fatalf("%s dim %d: Avg[%d] = %v, untiled %v", tc.name, dim, x, got.Avg[x], want[x])
-					}
-				}
-				if tc.kill >= 0 && !slices.Equal(got.Recovered, []int{tc.kill}) {
-					t.Fatalf("%s dim %d: recovered %v, want [%d]", tc.name, dim, got.Recovered, tc.kill)
-				}
-				if dim > 1 && math.Float64bits(got.Avg[0]) != 0 {
-					t.Fatalf("%s dim %d: an all −0 coordinate averaged to %v, want +0", tc.name, dim, got.Avg[0])
 				}
 			}
+			if tc.kill >= 0 {
+				h.kill(tc.kill)
+			}
+			h.report()
+			want := untiledAverage(t, &h.peers[h.collector()])
+			got := h.finish()
+			for x := range want {
+				if !sameBits(got.Avg[x], want[x]) {
+					t.Fatalf("%s dim %d: Avg[%d] = %v, untiled %v", tc.name, dim, x, got.Avg[x], want[x])
+				}
+			}
+			if tc.kill >= 0 && !slices.Equal(got.Recovered, []int{tc.kill}) {
+				t.Fatalf("%s dim %d: recovered %v, want [%d]", tc.name, dim, got.Recovered, tc.kill)
+			}
+			if dim > 1 && math.Float64bits(got.Avg[0]) != 0 {
+				t.Fatalf("%s dim %d: an all −0 coordinate averaged to %v, want +0", tc.name, dim, got.Avg[0])
+			}
 		}
-	})
+	}
 }
 
 // foldInto is the subtotal loop as it was while shares were folded as
@@ -556,45 +530,42 @@ func foldInto(acc, share []float64, first bool) {
 // TestSumMatchesFoldByFold: tensor.SumInto, the subtotal's sum, which
 // walks its destination in tiles and adds up to three shares a sweep (or
 // streams a long one past the caches in one sweep), gives the
-// fold-by-fold subtotal bit for bit on both bodies. It is checked for 1–7
-// contributors, so every remainder of the three-share sweep falls on a
-// first sweep and on a later one, at every tileEdgeDims size, with −0,
-// ±Inf and NaN planted around every tile edge of every share — rotated
-// per share, so +Inf meets −Inf — and over a destination full of last
-// round's values. A one-contributor slot of −0 sums to +0.
+// fold-by-fold subtotal bit for bit. It is checked for 1–7 contributors,
+// so every remainder of the three-share sweep falls on a first sweep and
+// on a later one, at every tileEdgeDims size, with −0, ±Inf and NaN
+// planted around every tile edge of every share — rotated per share, so
+// +Inf meets −Inf — and over a destination full of last round's values. A one-contributor slot of −0 sums to +0.
 func TestSumMatchesFoldByFold(t *testing.T) {
-	eachBody(t, func(t *testing.T) {
-		for _, dim := range tileEdgeDims {
-			rng := rand.New(rand.NewSource(int64(dim)))
-			for n := 1; n <= 7; n++ {
-				terms := randModels(rng, n, dim)
-				for i, v := range terms {
-					plant(v, i)
-				}
-				want := make([]float64, dim)
-				for i, v := range terms {
-					foldInto(want, v, i == 0)
-				}
-				got := randModels(rng, 1, dim)[0]
-				tensor.SumInto(got, terms)
-				for x := range want {
-					if !sameBits(got[x], want[x]) {
-						t.Fatalf("dim %d, %d contributors: sum[%d] = %v, fold by fold %v", dim, n, x, got[x], want[x])
-					}
-				}
+	for _, dim := range tileEdgeDims {
+		rng := rand.New(rand.NewSource(int64(dim)))
+		for n := 1; n <= 7; n++ {
+			terms := randModels(rng, n, dim)
+			for i, v := range terms {
+				plant(v, i)
 			}
-			negZero, got := make([]float64, dim), randModels(rng, 1, dim)[0]
-			for x := range negZero {
-				negZero[x] = math.Copysign(0, -1)
+			want := make([]float64, dim)
+			for i, v := range terms {
+				foldInto(want, v, i == 0)
 			}
-			tensor.SumInto(got, [][]float64{negZero})
-			for x, v := range got {
-				if math.Float64bits(v) != 0 {
-					t.Fatalf("dim %d: a lone −0 share summed to %v at %d, want +0", dim, v, x)
+			got := randModels(rng, 1, dim)[0]
+			tensor.SumInto(got, terms)
+			for x := range want {
+				if !sameBits(got[x], want[x]) {
+					t.Fatalf("dim %d, %d contributors: sum[%d] = %v, fold by fold %v", dim, n, x, got[x], want[x])
 				}
 			}
 		}
-	})
+		negZero, got := make([]float64, dim), randModels(rng, 1, dim)[0]
+		for x := range negZero {
+			negZero[x] = math.Copysign(0, -1)
+		}
+		tensor.SumInto(got, [][]float64{negZero})
+		for x, v := range got {
+			if math.Float64bits(v) != 0 {
+				t.Fatalf("dim %d: a lone −0 share summed to %v at %d, want +0", dim, v, x)
+			}
+		}
+	}
 }
 
 // TestUnaskedReplicaIsNeverSummed: a subtotal is summed when somebody

@@ -68,32 +68,9 @@ func requireBitIdentical(t *testing.T, got, want [][]float64) {
 
 // tileEdgeDims are the dimensions a tiled kernel is checked at: one
 // coordinate, a tile short by one, one tile, one over, three tiles with a
-// ragged tail, and 64 tiles with one, where the kernel streams on an AVX2
-// CPU (tensor.Streams).
+// ragged tail, and 64 tiles with one, past the stream threshold, so an
+// AVX2 CPU checks the stream body there and the Go body everywhere else.
 var tileEdgeDims = []int{1, tensor.Tile - 1, tensor.Tile, tensor.Tile + 1, 3*tensor.Tile + 5, 64*tensor.Tile + 5}
-
-// eachBody runs f as one subtest per body of tensor's kernels: "go", the
-// portable loops, and "avx2", which streams past tensor's threshold,
-// skipped where the CPU lacks AVX2.
-func eachBody(t *testing.T, f func(t *testing.T)) {
-	t.Helper()
-	for _, avx2 := range []bool{false, true} {
-		name := "go"
-		if avx2 {
-			name = "avx2"
-		}
-		t.Run(name, func(t *testing.T) {
-			if avx2 && !tensor.HasAVX2() {
-				t.Skip("this CPU has no AVX2")
-			}
-			defer tensor.SetAVX2(tensor.SetAVX2(avx2))
-			if last := tileEdgeDims[len(tileEdgeDims)-1]; tensor.Streams(last) != avx2 {
-				t.Fatalf("dim %d streams: %v on the %s body", last, !avx2, name)
-			}
-			f(t)
-		})
-	}
-}
 
 // plant writes −0 and then +Inf, NaN and −Inf into the four coordinates
 // on each side of every tile boundary of v and of its two ends, where v
@@ -120,36 +97,34 @@ func plant(v []float64, shift int) {
 
 // TestTiledDivideMatchesUntiledAtTileEdges: ScalarDivider writes all n
 // shares from one tile of w before it reads the next, or streams them
-// past the caches for a long w on an AVX2 CPU. On both bodies of the
-// kernel, around every tile boundary, with −0, ±Inf and NaN planted on
-// both sides of it, its shares are those of the untiled loop that made
-// one pass over w per share (refScalarDivide), bit for bit; and a warm
-// DivideInto allocates nothing.
+// past the caches for a long w on an AVX2 CPU. Around every tile
+// boundary, with −0, ±Inf and NaN planted on both sides of it, its
+// shares are those of the untiled loop that made one pass over w per
+// share (refScalarDivide), bit for bit; and a warm DivideInto allocates
+// nothing.
 func TestTiledDivideMatchesUntiledAtTileEdges(t *testing.T) {
-	eachBody(t, func(t *testing.T) {
-		for _, dim := range tileEdgeDims {
-			w := make([]float64, dim)
-			r := rand.New(rand.NewSource(int64(dim)))
-			for i := range w {
-				w[i] = r.NormFloat64()
+	for _, dim := range tileEdgeDims {
+		w := make([]float64, dim)
+		r := rand.New(rand.NewSource(int64(dim)))
+		for i := range w {
+			w[i] = r.NormFloat64()
+		}
+		plant(w, dim)
+		for _, n := range []int{1, 3, 5} {
+			want := refScalarDivide(w, n, rand.New(rand.NewSource(7)))
+			got, err := ScalarDivider{}.Divide(w, n, rand.New(rand.NewSource(7)))
+			if err != nil {
+				t.Fatal(err)
 			}
-			plant(w, dim)
-			for _, n := range []int{1, 3, 5} {
-				want := refScalarDivide(w, n, rand.New(rand.NewSource(7)))
-				got, err := ScalarDivider{}.Divide(w, n, rand.New(rand.NewSource(7)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireBitIdentical(t, got, want)
-				block, views := make([]float64, n*dim), make([][]float64, n)
-				if allocs := testing.AllocsPerRun(20, func() {
-					views, block, err = ScalarDivider{}.DivideInto(w, n, r, block, views)
-				}); err != nil || allocs != 0 {
-					t.Fatalf("dim %d n %d: warm DivideInto made %v allocations (err %v), want 0", dim, n, allocs, err)
-				}
+			requireBitIdentical(t, got, want)
+			block, views := make([]float64, n*dim), make([][]float64, n)
+			if allocs := testing.AllocsPerRun(20, func() {
+				views, block, err = ScalarDivider{}.DivideInto(w, n, r, block, views)
+			}); err != nil || allocs != 0 {
+				t.Fatalf("dim %d n %d: warm DivideInto made %v allocations (err %v), want 0", dim, n, allocs, err)
 			}
 		}
-	})
+	}
 }
 
 // TestDivideBitIdenticalToReference is satellite-level proof that the

@@ -20,10 +20,6 @@ func scaleStream(dst [][]float64, f []float64, src []float64) {
 	panic("tensor: stream kernel called off amd64")
 }
 
-func sumStream(dst []float64, terms [][]float64) {
-	panic("tensor: stream kernel called off amd64")
-}
-
 func scaledSumStream(dst []float64, terms [][]float64, s float64) {
 	panic("tensor: stream kernel called off amd64")
 }

@@ -38,18 +38,6 @@ var hasAVX2 = cpuAVX2()
 // It is set from the probe; only tests change it.
 var useAVX2 = hasAVX2
 
-// SetAVX2 selects the AVX2 bodies of this package's kernels (on, where
-// the CPU has AVX2) or their Go bodies, and returns the previous choice.
-// It lets the tests of a caller run it on both bodies, as in
-//
-//	defer tensor.SetAVX2(tensor.SetAVX2(false))
-//
-// and must not be called while a kernel runs.
-func SetAVX2(on bool) (was bool) {
-	was, useAVX2 = useAVX2, on && hasAVX2
-	return was
-}
-
 // HasAVX2 reports whether this CPU runs AVX2 with the YMM state saved by
 // the operating system: the one probe that picks the body of this
 // package's matmul kernels and of nn's convolution kernels.

@@ -14,15 +14,15 @@ import "fmt"
 // that takes several terms, or is written from one tile of the input per
 // share, stays in L1 between them. On amd64 CPUs with AVX2 (useAVX2),
 // an output of at least streamMin floats runs the stream body of
-// stream_amd64.s instead, which computes four lanes at a time and writes
-// each finished quad with a non-temporal store (VMOVNTPD). An ordinary
-// store first reads the line it writes (write-allocate), so it moves
-// twice the bytes the output holds; a streamed one moves them once and
-// leaves the caches to the inputs. The stream body keeps each coordinate
-// in a register until every term is in, so it never reads its output
-// back: the arithmetic and the store are one loop (computing a tile in
-// L1 and then streaming it out was slower than the cached loops, DESIGN
-// §7).
+// stream_amd64.s instead, which computes eight floats at a time in two
+// YMM registers and writes them with two non-temporal stores
+// (VMOVNTPD). An ordinary store first reads the line it writes
+// (write-allocate), so it moves twice the bytes the output holds; a
+// streamed one moves them once and leaves the caches to the inputs. The
+// stream body keeps each coordinate in a register until every term is
+// in, so it never reads its output back: the arithmetic and the store
+// are one loop (computing a tile in L1 and then streaming it out was
+// slower than the cached loops, DESIGN §7).
 //
 // Both bodies give the same bits. A lane does what one statement of the
 // Go body does, in the same order — a multiply, then an add, never a
@@ -30,8 +30,9 @@ import "fmt"
 // that is −0 in every term sums to +0 on both. The stream body peels the
 // output to a 32-byte boundary with scalar steps (VMOVNTPD faults on an
 // unaligned address; shares and subtotal slots sit at i·dim offsets in
-// their blocks), takes the last partial quad the same way, and ends with
-// SFENCE, so its stores are visible to whoever reads the output next.
+// their blocks, which for an odd dim are only 8-byte aligned), takes the
+// last fewer than eight floats the same way, and ends with SFENCE, so
+// its stores are visible to whoever reads the output next.
 
 // Tile is the length, in floats, of the cached bodies' tiles: 2,048
 // floats, 16 KiB, which stay in L1 while every term is added into them.
@@ -43,9 +44,9 @@ const Tile = 2048
 // where a cached store costs less than a streamed one.
 const streamMin = 1 << 17
 
-// Streams reports whether a kernel whose output vectors are n floats long
-// runs its stream body on this CPU.
-func Streams(n int) bool { return useAVX2 && n >= streamMin }
+// streams reports whether a kernel whose output vectors are n floats long
+// runs its stream body.
+func streams(n int) bool { return useAVX2 && n >= streamMin }
 
 // ScaleInto writes f[i]·src[x] into dst[i][x] for every i and x. Every
 // dst[i] must be as long as src, and f as long as dst.
@@ -58,7 +59,7 @@ func ScaleInto(dst [][]float64, f []float64, src []float64) {
 			panic(fmt.Sprintf("tensor: ScaleInto output %d has %d floats, the input %d", i, len(d), len(src)))
 		}
 	}
-	scaleInto(dst, f, src, Streams(len(src)))
+	scaleInto(dst, f, src, streams(len(src)))
 }
 
 // SumInto writes 0 + terms[0][x] + terms[1][x] + …, left to right, into
@@ -66,14 +67,14 @@ func ScaleInto(dst [][]float64, f []float64, src []float64) {
 // dst. With no terms dst is all +0.
 func SumInto(dst []float64, terms [][]float64) {
 	checkTerms("SumInto", dst, terms)
-	sumInto(dst, terms, Streams(len(dst)))
+	sumInto(dst, terms, streams(len(dst)))
 }
 
 // ScaledSumInto writes (0 + terms[0][x] + terms[1][x] + …)·s into dst[x]:
 // SumInto's sum, then one multiply.
 func ScaledSumInto(dst []float64, terms [][]float64, s float64) {
 	checkTerms("ScaledSumInto", dst, terms)
-	scaledSumInto(dst, terms, s, Streams(len(dst)))
+	scaledSumInto(dst, terms, s, streams(len(dst)))
 }
 
 // WeightedSumInto writes 0 + f[0]·terms[0][x] + f[1]·terms[1][x] + …,
@@ -85,7 +86,7 @@ func WeightedSumInto(dst []float64, f []float64, terms [][]float64) {
 	if len(f) != len(terms) {
 		panic(fmt.Sprintf("tensor: WeightedSumInto with %d factors for %d terms", len(f), len(terms)))
 	}
-	weightedSumInto(dst, f, terms, Streams(len(dst)))
+	weightedSumInto(dst, f, terms, streams(len(dst)))
 }
 
 func checkTerms(kind string, dst []float64, terms [][]float64) {
@@ -110,7 +111,10 @@ func scaleInto(dst [][]float64, f []float64, src []float64, stream bool) {
 
 func sumInto(dst []float64, terms [][]float64, stream bool) {
 	if stream && len(dst) > 0 && len(terms) > 0 {
-		sumStream(dst, terms)
+		// A sum times 1 is the sum, bit for bit: ±Inf, subnormals and a
+		// NaN, which the first add has already quieted, come back as they
+		// are. The multiply costs nothing on a body bound by memory.
+		scaledSumStream(dst, terms, 1)
 		return
 	}
 	sumGo(dst, terms)

@@ -9,10 +9,6 @@ func scaleStream(dst [][]float64, f []float64, src []float64) {
 	scaleNT(&dst[0], len(dst), &f[0], &src[0], len(src))
 }
 
-func sumStream(dst []float64, terms [][]float64) {
-	sumNT(&dst[0], len(dst), &terms[0], len(terms))
-}
-
 func scaledSumStream(dst []float64, terms [][]float64, s float64) {
 	scaledSumNT(&dst[0], len(dst), &terms[0], len(terms), s)
 }
@@ -27,13 +23,8 @@ func weightedSumStream(dst []float64, f []float64, terms [][]float64) {
 //go:noescape
 func scaleNT(dst *[]float64, nd int, f *float64, src *float64, n int)
 
-// sumNT writes 0 + terms[0][x] + … + terms[nt−1][x] into dst[x] for the
-// n floats of dst.
-//
-//go:noescape
-func sumNT(dst *float64, n int, terms *[]float64, nt int)
-
-// scaledSumNT writes sumNT's sum times s.
+// scaledSumNT writes (0 + terms[0][x] + … + terms[nt−1][x])·s into
+// dst[x] for the n floats of dst.
 //
 //go:noescape
 func scaledSumNT(dst *float64, n int, terms *[]float64, nt int, s float64)

@@ -75,65 +75,12 @@ scaleDone:
 	VZEROUPPER
 	RET
 
-// func sumNT(dst *float64, n int, terms *[]float64, nt int)
-//
-// dst[x] = 0 + terms[0][x] + terms[1][x] + …: Y0 and Y1 (X0 on the
-// scalar arm) add the terms in order from +0.
-TEXT ·sumNT(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ n+8(FP), R8
-	SHLQ $3, R8            // end of dst, bytes
-	MOVQ terms+16(FP), R9
-	MOVQ nt+24(FP), R10
-	XORQ AX, AX            // byte offset into dst and every term
-
-sumLoop:
-	CMPQ AX, R8
-	JAE  sumDone
-	MOVQ R9, BX
-	MOVQ R10, DX
-	LEAQ 64(AX), CX
-	CMPQ CX, R8
-	JA   sumScalar
-	LEAQ (DI)(AX*1), R12
-	TESTQ $31, R12
-	JNZ  sumScalar
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-
-sumTerm:
-	MOVQ (BX), R11
-	VADDPD (R11)(AX*1), Y0, Y0
-	VADDPD 32(R11)(AX*1), Y1, Y1
-	ADDQ $24, BX
-	DECQ DX
-	JNZ  sumTerm
-	VMOVNTPD Y0, (DI)(AX*1)
-	VMOVNTPD Y1, 32(DI)(AX*1)
-	MOVQ CX, AX
-	JMP  sumLoop
-
-sumScalar:
-	VXORPD X0, X0, X0
-
-sumScalarTerm:
-	MOVQ (BX), R11
-	VADDSD (R11)(AX*1), X0, X0
-	ADDQ $24, BX
-	DECQ DX
-	JNZ  sumScalarTerm
-	VMOVSD X0, (DI)(AX*1)
-	ADDQ $8, AX
-	JMP  sumLoop
-
-sumDone:
-	SFENCE
-	VZEROUPPER
-	RET
-
 // func scaledSumNT(dst *float64, n int, terms *[]float64, nt int, s float64)
 //
-// sumNT's sum, then one multiply by s (Y14) before the store.
+// dst[x] = (0 + terms[0][x] + terms[1][x] + …)·s: Y0 and Y1 (X0 on the
+// scalar arm) add the terms in order from +0, then one multiply by s
+// (Y14) before the store. SumInto's body is this one with s = 1, which
+// returns every sum's bits as they are.
 TEXT ·scaledSumNT(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	MOVQ n+8(FP), R8

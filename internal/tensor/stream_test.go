@@ -151,16 +151,17 @@ func TestStreamBodiesMatchGo(t *testing.T) {
 // TestStreamsFromTheThreshold: the exported kernels take the stream body
 // from streamMin floats of output on, and only with AVX2 on.
 func TestStreamsFromTheThreshold(t *testing.T) {
-	defer SetAVX2(SetAVX2(true))
-	if got := Streams(streamMin - 1); got {
-		t.Fatalf("Streams(%d) = true below the threshold", streamMin-1)
+	defer func(saved bool) { useAVX2 = saved }(useAVX2)
+	useAVX2 = hasAVX2
+	if streams(streamMin - 1) {
+		t.Fatalf("streams(%d) = true below the threshold", streamMin-1)
 	}
-	if got := Streams(streamMin); got != hasAVX2 {
-		t.Fatalf("Streams(%d) = %v with AVX2 %v", streamMin, got, hasAVX2)
+	if got := streams(streamMin); got != hasAVX2 {
+		t.Fatalf("streams(%d) = %v with AVX2 %v", streamMin, got, hasAVX2)
 	}
-	SetAVX2(false)
-	if Streams(streamMin) {
-		t.Fatal("Streams is true on the Go bodies")
+	useAVX2 = false
+	if streams(streamMin) {
+		t.Fatal("streams is true on the Go bodies")
 	}
 }
 
