@@ -3,6 +3,7 @@ package repro
 import (
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -334,9 +335,10 @@ var unsetKept = func() map[string]string {
 // under internal/ (and of chaos.Campaign) is written by some non-test
 // code of the module outside the normalize or validate that defaults it,
 // or is in unsetKept with a reason. A write is a composite-literal key,
-// an assignment or ++/-- to the field, or its address taken. The check
-// type-checks the module's packages from source, so a field is known by
-// its object, not by its name.
+// an assignment or ++/-- to the field, or its address taken; an
+// assignment under `if x.F == <zero> { x.F = c }` is a default wherever
+// it stands, not a write. The check type-checks the module's packages
+// from source, so a field is known by its object, not by its name.
 func TestEveryOptionIsSetByAProgram(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module and the standard library from source")
@@ -374,6 +376,7 @@ func TestEveryOptionIsSetByAProgram(t *testing.T) {
 			}
 		}
 	}
+	defaults := map[*ast.AssignStmt]bool{} // x.F = c under if x.F == <zero>
 	for _, file := range m.files {
 		for _, decl := range file.Decls {
 			if fn, ok := decl.(*ast.FuncDecl); ok && (fn.Name.Name == "normalize" || fn.Name.Name == "validate") {
@@ -381,7 +384,21 @@ func TestEveryOptionIsSetByAProgram(t *testing.T) {
 			}
 			ast.Inspect(decl, func(n ast.Node) bool {
 				switch n := n.(type) {
+				case *ast.IfStmt:
+					cond, ok := ast.Unparen(n.Cond).(*ast.BinaryExpr)
+					if !ok || cond.Op != token.EQL || !isZeroValue(info.Types[cond.Y]) {
+						break
+					}
+					for _, stmt := range n.Body.List {
+						if as, ok := stmt.(*ast.AssignStmt); ok && len(as.Lhs) == 1 &&
+							types.ExprString(as.Lhs[0]) == types.ExprString(cond.X) {
+							defaults[as] = true
+						}
+					}
 				case *ast.AssignStmt:
+					if defaults[n] {
+						break
+					}
 					for _, lhs := range n.Lhs {
 						field(lhs)
 					}
@@ -432,6 +449,23 @@ func TestEveryOptionIsSetByAProgram(t *testing.T) {
 		if !declared[name] {
 			t.Errorf("unsetKept entry %s no longer exists; drop it", name)
 		}
+	}
+}
+
+// isZeroValue reports whether an expression is nil or a constant equal
+// to its type's zero value.
+func isZeroValue(tv types.TypeAndValue) bool {
+	switch v := tv.Value; {
+	case tv.IsNil():
+		return true
+	case v == nil:
+		return false
+	case v.Kind() == constant.String:
+		return constant.StringVal(v) == ""
+	case v.Kind() == constant.Bool:
+		return !constant.BoolVal(v)
+	default:
+		return constant.Sign(v) == 0
 	}
 }
 
