@@ -43,7 +43,6 @@ func benchRound15Peers(b *testing.B, budget int) {
 		Rounds:       4,
 		EvalEvery:    4,
 		LearningRate: 2e-3,
-		Epochs:       1,
 		BatchSize:    20,
 		Seed:         1,
 	}

@@ -11,7 +11,6 @@ func TestRunTrainingWithDP(t *testing.T) {
 	cfg := tinyTrainerConfig(false, []int{3, 3}, dataset.IID, 21)
 	// Weak noise: learning must still work.
 	cfg.DP = &dp.Gaussian{Epsilon: 50, Delta: 1e-5, Clip: 5}
-	cfg.DPClip = 5
 	cfg.Rounds = 12
 	s, err := RunTraining(cfg)
 	if err != nil {
@@ -34,7 +33,6 @@ func TestDPNoiseHurtsUtility(t *testing.T) {
 	noisy := tinyTrainerConfig(false, []int{3, 3}, dataset.IID, 22)
 	noisy.Rounds = 10
 	noisy.DP = &dp.Gaussian{Epsilon: 0.1, Delta: 1e-5, Clip: 0.5}
-	noisy.DPClip = 0.5
 	ns, err := RunTraining(noisy)
 	if err != nil {
 		t.Fatal(err)
@@ -46,8 +44,7 @@ func TestDPNoiseHurtsUtility(t *testing.T) {
 
 func TestRunTrainingDPValidation(t *testing.T) {
 	cfg := tinyTrainerConfig(false, []int{3}, dataset.IID, 23)
-	cfg.DP = &dp.Gaussian{Epsilon: 1, Delta: 1e-5, Clip: 1}
-	cfg.DPClip = 0 // invalid with DP set
+	cfg.DP = &dp.Gaussian{Epsilon: 1, Delta: 1e-5, Clip: 0} // no positive clip bound
 	if _, err := RunTraining(cfg); err == nil {
 		t.Fatal("want error for DP without a positive clip bound")
 	}

@@ -33,7 +33,6 @@ func TestSoakAllFeaturesTogether(t *testing.T) {
 		LearningRate: 2e-3,
 		BatchSize:    20,
 		DP:           &dp.Gaussian{Epsilon: 200, Delta: 1e-5, Clip: 2},
-		DPClip:       2,
 		Seed:         91,
 	}
 	s, err := RunTraining(cfg)

@@ -37,19 +37,18 @@ type TrainerConfig struct {
 
 	// Rounds of federated learning; evaluation happens every EvalEvery
 	// rounds (default 1). LearningRate is the Adam step size (paper:
-	// 1e-4); Epochs and BatchSize parameterize the local update.
+	// 1e-4); each round's local update is one epoch of BatchSize
+	// minibatches.
 	Rounds       int
 	EvalEvery    int
 	LearningRate float64
-	Epochs       int
 	BatchSize    int
 
 	// DP, if non-nil, perturbs each peer's update before it enters the
 	// aggregation (the paper's Sec. IV-D differential-privacy option):
-	// the local−global delta is L2-clipped to DPClip and noised by the
-	// Gaussian mechanism. DPClip must be positive when DP is set.
-	DP     *dp.Gaussian
-	DPClip float64
+	// the local−global delta is L2-clipped to DP.Clip and noised by the
+	// Gaussian mechanism calibrated to that bound.
+	DP *dp.Gaussian
 
 	// Seed drives model initialization, shuffling, dropout and share
 	// randomness. DataSeed, when non-zero, fixes the dataset and the
@@ -134,7 +133,7 @@ func RunTraining(cfg TrainerConfig) (*Series, error) {
 			return nil, err
 		}
 		clients[i] = fl.NewClient(i, model, optim.NewAdam(cfg.LearningRate), parts[i],
-			fl.TrainConfig{Epochs: cfg.Epochs, BatchSize: cfg.BatchSize, Flat: cfg.Flat},
+			fl.TrainConfig{BatchSize: cfg.BatchSize, Flat: cfg.Flat},
 			rand.New(rand.NewSource(cfg.Seed*200+int64(i))))
 	}
 	sys, err := NewSystem(cfg.Core, rng)
@@ -176,7 +175,7 @@ func RunTraining(cfg TrainerConfig) (*Series, error) {
 			losses[i] = loss
 			w := c.Weights()
 			if cfg.DP != nil {
-				w, err = dp.PrivatizeUpdate(w, global, cfg.DPClip, *cfg.DP,
+				w, err = dp.PrivatizeUpdate(w, global, *cfg.DP,
 					rand.New(rand.NewSource(cfg.Seed*400+int64(round)*1000+int64(i))))
 				if err != nil {
 					errs[i] = err

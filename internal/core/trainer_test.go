@@ -23,7 +23,6 @@ func tinyTrainerConfig(baseline bool, sizes []int, dist dataset.Distribution, se
 		Rounds:       8,
 		EvalEvery:    2,
 		LearningRate: 5e-3,
-		Epochs:       1,
 		BatchSize:    10,
 		Seed:         seed,
 	}

@@ -81,7 +81,6 @@ func TestWorkersBitIdenticalToSerial(t *testing.T) {
 func TestWorkersBitIdenticalWithDP(t *testing.T) {
 	base := tinyTrainerConfig(false, []int{3, 3}, dataset.IID, 8)
 	base.DP = &dp.Gaussian{Epsilon: 50, Delta: 1e-5, Clip: 5}
-	base.DPClip = 5
 	setBudget(t, 1)
 	serial, err := RunTraining(base)
 	if err != nil {

@@ -40,14 +40,13 @@ type Dataset struct {
 
 // Spec describes a synthetic dataset to generate.
 type Spec struct {
-	Channels  int
-	Size      int
-	Classes   int
-	Train     int     // number of training samples
-	Test      int     // number of test samples
-	Noise     float64 // pixel noise std-dev; higher is harder
-	Seed      int64
-	Sharpness float64 // prototype contrast; default 1
+	Channels int
+	Size     int
+	Classes  int
+	Train    int     // number of training samples
+	Test     int     // number of test samples
+	Noise    float64 // pixel noise std-dev; higher is harder
+	Seed     int64
 }
 
 // CIFAR10Like returns the spec of the CIFAR-10 substitute: 32×32 RGB,
@@ -71,9 +70,6 @@ func Generate(s Spec) (train, test *Dataset, err error) {
 	}
 	if s.Channels < 1 || s.Size < 1 {
 		return nil, nil, fmt.Errorf("dataset: bad geometry %dx%dx%d", s.Channels, s.Size, s.Size)
-	}
-	if s.Sharpness == 0 {
-		s.Sharpness = 1
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
 	protos := prototypes(s, rng)
@@ -108,7 +104,7 @@ func prototypes(s Spec, rng *rand.Rand) [][]float64 {
 				fx:  (rng.Float64()*2 + 0.5) * math.Pi / float64(s.Size),
 				fy:  (rng.Float64()*2 + 0.5) * math.Pi / float64(s.Size),
 				ph:  rng.Float64() * 2 * math.Pi,
-				amp: (0.5 + rng.Float64()) * s.Sharpness / waves,
+				amp: (0.5 + rng.Float64()) / waves,
 			}
 		}
 		for ch := 0; ch < s.Channels; ch++ {

@@ -64,10 +64,10 @@ func ClipL2(v []float64, c float64) (float64, error) {
 }
 
 // PrivatizeUpdate produces the differentially private weights a peer
-// submits to aggregation: delta = local − global is L2-clipped to clip
-// and perturbed by g, then re-applied to global. local and global are
-// not modified.
-func PrivatizeUpdate(local, global []float64, clip float64, g Gaussian, rng *rand.Rand) ([]float64, error) {
+// submits to aggregation: delta = local − global is L2-clipped to
+// g.Clip, the bound g's σ is calibrated to, and perturbed by g, then
+// re-applied to global. local and global are not modified.
+func PrivatizeUpdate(local, global []float64, g Gaussian, rng *rand.Rand) ([]float64, error) {
 	if len(local) != len(global) {
 		return nil, fmt.Errorf("dp: local has %d weights, global %d", len(local), len(global))
 	}
@@ -78,7 +78,7 @@ func PrivatizeUpdate(local, global []float64, clip float64, g Gaussian, rng *ran
 	for i := range delta {
 		delta[i] = local[i] - global[i]
 	}
-	if _, err := ClipL2(delta, clip); err != nil {
+	if _, err := ClipL2(delta, g.Clip); err != nil {
 		return nil, err
 	}
 	g.Perturb(delta, rng)

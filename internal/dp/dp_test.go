@@ -105,7 +105,7 @@ func TestPrivatizeUpdate(t *testing.T) {
 	global := []float64{1, 1, 1, 1}
 	local := []float64{2, 2, 2, 2} // delta norm = 2
 	mech := Gaussian{Epsilon: 100, Delta: 1e-5, Clip: 1}
-	out, err := PrivatizeUpdate(local, global, 1, mech, rng)
+	out, err := PrivatizeUpdate(local, global, mech, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,14 +124,53 @@ func TestPrivatizeUpdate(t *testing.T) {
 
 func TestPrivatizeUpdateErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	if _, err := PrivatizeUpdate([]float64{1}, []float64{1, 2}, 1, Gaussian{Epsilon: 1, Delta: 1e-5, Clip: 1}, rng); err == nil {
+	if _, err := PrivatizeUpdate([]float64{1}, []float64{1, 2}, Gaussian{Epsilon: 1, Delta: 1e-5, Clip: 1}, rng); err == nil {
 		t.Fatal("want length error")
 	}
-	if _, err := PrivatizeUpdate([]float64{1}, []float64{1}, 1, Gaussian{}, rng); err == nil {
+	if _, err := PrivatizeUpdate([]float64{1}, []float64{1}, Gaussian{}, rng); err == nil {
 		t.Fatal("want zero-mechanism error")
 	}
-	if _, err := PrivatizeUpdate([]float64{1}, []float64{1}, 0, Gaussian{Epsilon: 1, Delta: 1e-5, Clip: 1}, rng); err == nil {
+	if _, err := PrivatizeUpdate([]float64{1}, []float64{1}, Gaussian{Epsilon: 1, Delta: 1e-5, Clip: 0}, rng); err == nil {
 		t.Fatal("want clip error")
+	}
+}
+
+// TestPrivatizeUpdateClipsToTheCalibratedBound: the delta is clipped to
+// the same g.Clip that σ is calibrated to, so a delta 100× over the bound
+// comes back as exactly global + (delta clipped to g.Clip) + N(0, σ²)
+// noise drawn from a twin rng, σ = g.Sigma().
+func TestPrivatizeUpdateClipsToTheCalibratedBound(t *testing.T) {
+	g := Gaussian{Epsilon: 2, Delta: 1e-5, Clip: 0.7}
+	global := []float64{0.5, -1, 2, 0.25}
+	unit := []float64{3.0 / 13, -4.0 / 13, 0, 12.0 / 13}
+	local := make([]float64, len(global))
+	for i := range local {
+		local[i] = global[i] + 100*g.Clip*unit[i]
+	}
+	out, err := PrivatizeUpdate(local, global, g, rand.New(rand.NewSource(6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	clipped := make([]float64, len(local))
+	for i := range clipped {
+		clipped[i] = local[i] - global[i]
+	}
+	if f, err := ClipL2(clipped, g.Clip); err != nil || math.Abs(f-0.01) > 1e-12 {
+		t.Fatalf("ClipL2 factor = %v, %v; want 0.01", f, err)
+	}
+	var ss float64
+	for _, x := range clipped {
+		ss += x * x
+	}
+	if norm := math.Sqrt(ss); math.Abs(norm-g.Clip) > 1e-12 {
+		t.Fatalf("clipped delta norm = %v, want g.Clip = %v", norm, g.Clip)
+	}
+	twin, sigma := rand.New(rand.NewSource(6)), g.Sigma()
+	for i := range out {
+		if want := global[i] + (clipped[i] + twin.NormFloat64()*sigma); out[i] != want {
+			t.Fatalf("out[%d] = %v, want global + clipped delta + noise = %v", i, out[i], want)
+		}
 	}
 }
 
@@ -146,7 +185,7 @@ func TestNoiseAveragesOut(t *testing.T) {
 	sum := []float64{0, 0}
 	for p := 0; p < peers; p++ {
 		local := []float64{0.5, -0.25} // same true update everywhere
-		out, err := PrivatizeUpdate(local, global, 1, mech, rng)
+		out, err := PrivatizeUpdate(local, global, mech, rng)
 		if err != nil {
 			t.Fatal(err)
 		}

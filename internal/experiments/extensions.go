@@ -94,7 +94,6 @@ func Ext2DPUtility(p Params) (*AccuracyResult, error) {
 		label := "no DP"
 		if eps > 0 {
 			cfg.DP = &dp.Gaussian{Epsilon: eps, Delta: 1e-5, Clip: 1}
-			cfg.DPClip = 1
 			label = fmt.Sprintf("ε=%g", eps)
 		}
 		series, err := core.RunTraining(cfg)

@@ -10,22 +10,31 @@ import (
 	"repro/internal/nn"
 )
 
-// Adam implements Kingma & Ba's Adam with bias correction. The defaults
-// match the paper's setup: lr=1e-4, β1=0.9, β2=0.999, ε=1e-8.
+// Adam's decay rates and denominator guard: Kingma & Ba's standard
+// constants, which the paper uses. They are typed, so 1−beta1 is the
+// float64 difference a variable would give.
+const (
+	beta1 float64 = 0.9
+	beta2 float64 = 0.999
+	eps   float64 = 1e-8
+)
+
+// Adam implements Kingma & Ba's Adam with bias correction at learning
+// rate LR (the paper's is 1e-4).
 type Adam struct {
-	LR, Beta1, Beta2, Eps float64
+	LR float64
 
 	t int
 	m map[*nn.Param][]float64
 	v map[*nn.Param][]float64
 }
 
-// NewAdam creates an Adam optimizer with standard β/ε constants.
+// NewAdam creates an Adam optimizer with step size lr.
 func NewAdam(lr float64) *Adam {
 	return &Adam{
-		LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		m: make(map[*nn.Param][]float64),
-		v: make(map[*nn.Param][]float64),
+		LR: lr,
+		m:  make(map[*nn.Param][]float64),
+		v:  make(map[*nn.Param][]float64),
 	}
 }
 
@@ -33,8 +42,8 @@ func NewAdam(lr float64) *Adam {
 // caller zeroes them afterwards.
 func (a *Adam) Step(params []*nn.Param) error {
 	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	c1 := 1 - math.Pow(beta1, float64(a.t))
+	c2 := 1 - math.Pow(beta2, float64(a.t))
 	for _, p := range params {
 		w, g := p.W.Data(), p.G.Data()
 		m, ok := a.m[p]
@@ -51,11 +60,11 @@ func (a *Adam) Step(params []*nn.Param) error {
 			return fmt.Errorf("optim: parameter %q changed size", p.Name)
 		}
 		for i := range w {
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g[i]
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g[i]*g[i]
+			m[i] = beta1*m[i] + (1-beta1)*g[i]
+			v[i] = beta2*v[i] + (1-beta2)*g[i]*g[i]
 			mHat := m[i] / c1
 			vHat := v[i] / c2
-			w[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
+			w[i] -= a.LR * mHat / (math.Sqrt(vHat) + eps)
 		}
 	}
 	return nil
