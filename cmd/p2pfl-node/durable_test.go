@@ -159,7 +159,7 @@ func TestLogRecovery(t *testing.T) {
 	ids := []uint64{1, 2, 3}
 	files := map[uint64]stateFile{}
 	sim := simnet.New()
-	g := simnet.NewGroup(sim, "recovery", simnet.Uniform(simnet.Millisecond, 0), rand.New(rand.NewSource(1)))
+	g := simnet.NewGroup(sim, "recovery", simnet.Uniform(simnet.Millisecond), rand.New(rand.NewSource(1)))
 	for _, id := range ids {
 		files[id] = stateFile(filepath.Join(dir, fmt.Sprintf("n%d.state", id)))
 		n, err := files[id].open(testConfig(id, ids...))

@@ -54,7 +54,7 @@ func TestSnapshotRestore(t *testing.T) {
 // purely via InstallSnapshot.
 func TestReplicatedStoreConverges(t *testing.T) {
 	sim := simnet.New()
-	g := simnet.NewGroup(sim, "kv", simnet.Uniform(5*simnet.Millisecond, 0), rand.New(rand.NewSource(1)))
+	g := simnet.NewGroup(sim, "kv", simnet.Uniform(5*simnet.Millisecond), rand.New(rand.NewSource(1)))
 	ids := []uint64{1, 2, 3}
 	stores := map[uint64]*kvStore{}
 	for _, id := range ids {

@@ -567,7 +567,7 @@ func (s *System) ReplacePeer(id uint64) (int, error) {
 	}
 	// The successor resumes one link latency (the transfer) plus one
 	// tick (its process start) after the hand-off.
-	delay := s.subGroups[p.Subgroup].TickInterval + s.opts.Latency
+	delay := simnet.Tick + s.opts.Latency
 	s.Sim.Schedule(delay, func() {
 		cp, err := wire.ReadCheckpointFrame(bytes.NewReader(frame))
 		if err != nil {

@@ -15,7 +15,9 @@
 //     leader joins once a FedAvg leader exists (Sec. V-B1).
 //
 // The package runs on the discrete-event simulator (internal/simnet), so
-// recovery times are measured in exact virtual milliseconds.
+// recovery times are measured in exact virtual milliseconds. A raft tick
+// is one virtual millisecond (simnet.Tick), so every tick count here —
+// election bands, heartbeats, the tuned bands — is milliseconds.
 package cluster
 
 import (
@@ -68,8 +70,8 @@ type Options struct {
 	NumSubgroups int
 	SubgroupSize int
 
-	// ElectionTickMin/Max in milliseconds: the paper's U(T, 2T) has
-	// Min = T, Max = 2T. HeartbeatTick defaults to Min/3.
+	// ElectionTickMin/Max in ticks, i.e. milliseconds: the paper's
+	// U(T, 2T) has Min = T, Max = 2T. HeartbeatTick defaults to Min/3.
 	ElectionTickMin int
 	ElectionTickMax int
 	HeartbeatTick   int
@@ -80,7 +82,7 @@ type Options struct {
 	Latency simnet.Duration
 	// Topology is the latency model of every subgroup network and the
 	// FedAvg layer (see simnet.Topology / simnet.Preset); nil is
-	// simnet.Uniform(Latency, 0). Hosts map to regions round-robin by
+	// simnet.Uniform(Latency). Hosts map to regions round-robin by
 	// peer ID.
 	Topology *simnet.Topology
 
@@ -136,7 +138,7 @@ func (o *Options) normalize() error {
 		return fmt.Errorf("cluster: negative latency")
 	}
 	if o.Topology == nil {
-		o.Topology = simnet.Uniform(o.Latency, 0)
+		o.Topology = simnet.Uniform(o.Latency)
 	}
 	if !o.Profile.valid() {
 		return fmt.Errorf("cluster: unknown profile %v", o.Profile)
@@ -435,13 +437,9 @@ func (s *System) observeRTT(to, from uint64, oneWay simnet.Duration) {
 // FedAvg-layer nodes' timers in place (health.Tuning.Retune). Iteration
 // is in ascending peer-ID order, so equal seeds retune identically.
 func (s *System) startAutoTune() {
-	tuning := health.Tuning{TickUs: int64(simnet.Millisecond)}
 	// Keep the tuned floor above the heartbeat interval (raft rejects
 	// min ≤ HeartbeatTick) and never below the stock LAN floor.
-	tuning.MinTicks = 50
-	if s.opts.HeartbeatTick+1 > tuning.MinTicks {
-		tuning.MinTicks = s.opts.HeartbeatTick + 1
-	}
+	tuning := health.Tuning{MinTicks: max(50, s.opts.HeartbeatTick+1)}
 	var loop func()
 	loop = func() {
 		for _, id := range s.PeerIDs() {

@@ -16,7 +16,7 @@ import (
 func TestShortTimeoutsCauseInstability(t *testing.T) {
 	run := func(tMs int) (maxTerm uint64, leaderSeen bool) {
 		sim := simnet.New()
-		g := simnet.NewGroup(sim, "unstable", simnet.Uniform(15*simnet.Millisecond, 0), rand.New(rand.NewSource(1)))
+		g := simnet.NewGroup(sim, "unstable", simnet.Uniform(15*simnet.Millisecond), rand.New(rand.NewSource(1)))
 		ids := []uint64{1, 2, 3, 4, 5}
 		for _, id := range ids {
 			n, err := raft.NewNode(raft.Config{

@@ -8,7 +8,7 @@ import "repro/internal/raft"
 // guidance made adaptive: the election timeout should be an order of
 // magnitude above the broadcast time, so
 //
-//	minTicks = clamp(tuneMultiple × RTT_q / TickUs, [MinTicks, tuneMaxTicks])
+//	minTicks = clamp(tuneMultiple × RTT_q / tickUs, [MinTicks, tuneMaxTicks])
 //	maxTicks = minTicks × tuneSpread
 //
 // where RTT_q is the worst per-peer tuneQuantile over peers with enough
@@ -17,15 +17,15 @@ import "repro/internal/raft"
 // so retuning composes with deterministic replay (and
 // Node.SetElectionTicks rescales the armed timer without an rng draw).
 type Tuning struct {
-	// TickUs is the raft tick duration in microseconds (the simulated
-	// fleet ticks every 1000 µs). Required, must be > 0.
-	TickUs int64
 	// MinTicks is the floor of the derived minimum timeout. Default 50
 	// (the paper's LAN default — tuning never goes below stock).
 	MinTicks int
 }
 
 const (
+	// tickUs is the raft tick in microseconds: the simulated fleet
+	// ticks once a virtual millisecond (simnet.Tick).
+	tickUs = 1000
 	// tuneMultiple scales the RTT quantile up to the minimum election
 	// timeout: "an order of magnitude above broadcast time".
 	tuneMultiple = 10
@@ -45,11 +45,11 @@ const (
 )
 
 // ElectionTicks derives the [min, max) election band from the tracker's
-// current windows. ok is false (and the returned band zero) when TickUs
-// is unset or no peer has tuneMinSamples samples yet — the caller keeps
-// its current configuration.
+// current windows. ok is false (and the returned band zero) when no
+// peer has tuneMinSamples samples yet — the caller keeps its current
+// configuration.
 func (t Tuning) ElectionTicks(r *RTTStats) (min, max int, ok bool) {
-	if t.TickUs <= 0 || r == nil {
+	if r == nil {
 		return 0, 0, false
 	}
 	if t.MinTicks <= 0 {
@@ -59,7 +59,7 @@ func (t Tuning) ElectionTicks(r *RTTStats) (min, max int, ok bool) {
 	if qualified == 0 || rtt <= 0 {
 		return 0, 0, false
 	}
-	target := tuneMultiple * float64(rtt) / float64(t.TickUs)
+	target := tuneMultiple * float64(rtt) / tickUs
 	min = int(target)
 	if float64(min) < target {
 		min++ // ceil: never tune *below* the multiple

@@ -47,7 +47,7 @@ func mixedTrace(seed int64) *RTTStats {
 // derived band stays inside [MinTicks, 2×tuneMaxTicks], is well-formed
 // (min < max), and preserves the U(T, 2T) spread shape.
 func TestTuningBandsWithinClamp(t *testing.T) {
-	tun := Tuning{TickUs: 1000}
+	tun := Tuning{}
 	profiles := map[string]func(int64) *RTTStats{
 		"lan15": lanTrace, "wan50": wanTrace, "mixed": mixedTrace,
 	}
@@ -75,7 +75,7 @@ func TestTuningBandsWithinClamp(t *testing.T) {
 // worst link is within the WAN profile's), and scaling every sample up
 // scales the band up.
 func TestTuningMonotoneInRTT(t *testing.T) {
-	tun := Tuning{TickUs: 1000}
+	tun := Tuning{}
 	for seed := int64(1); seed <= 20; seed++ {
 		lanMin, _, _ := tun.ElectionTicks(lanTrace(seed))
 		mixMin, _, _ := tun.ElectionTicks(mixedTrace(seed))
@@ -106,7 +106,7 @@ func TestTuningMonotoneInRTT(t *testing.T) {
 // bands — the property that lets retuning live inside deterministic
 // replay.
 func TestTuningDeterministicPerSeed(t *testing.T) {
-	tun := Tuning{TickUs: 1000}
+	tun := Tuning{}
 	for seed := int64(1); seed <= 20; seed++ {
 		aMin, aMax, aOK := tun.ElectionTicks(mixedTrace(seed))
 		bMin, bMax, bOK := tun.ElectionTicks(mixedTrace(seed))
@@ -118,24 +118,21 @@ func TestTuningDeterministicPerSeed(t *testing.T) {
 }
 
 // TestTuningRefusals: the tuner must decline — rather than emit a junk
-// band — without a tick duration, without a tracker, or before any peer
-// has tuneMinSamples observations.
+// band — without a tracker, or before any peer has tuneMinSamples
+// observations.
 func TestTuningRefusals(t *testing.T) {
-	if _, _, ok := (Tuning{}).ElectionTicks(lanTrace(1)); ok {
-		t.Fatal("tuner produced a band with TickUs unset")
-	}
-	if _, _, ok := (Tuning{TickUs: 1000}).ElectionTicks(nil); ok {
+	if _, _, ok := (Tuning{}).ElectionTicks(nil); ok {
 		t.Fatal("tuner produced a band from a nil tracker")
 	}
 	thin := NewRTTStats(0)
 	for i := 0; i < 15; i++ { // one below tuneMinSamples = 16
 		thin.Observe(2, 50_000)
 	}
-	if _, _, ok := (Tuning{TickUs: 1000}).ElectionTicks(thin); ok {
+	if _, _, ok := (Tuning{}).ElectionTicks(thin); ok {
 		t.Fatal("tuner produced a band below tuneMinSamples")
 	}
 	thin.Observe(2, 50_000)
-	if min, _, ok := (Tuning{TickUs: 1000}).ElectionTicks(thin); !ok || min != 500 {
+	if min, _, ok := (Tuning{}).ElectionTicks(thin); !ok || min != 500 {
 		t.Fatalf("tuner at exactly tuneMinSamples: min=%d ok=%v, want 500 (10×50ms/1ms)", min, ok)
 	}
 }

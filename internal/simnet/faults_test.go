@@ -9,7 +9,7 @@ import (
 
 func lossyGroup(t *testing.T, sim *Sim, n int, loss float64, seed int64) *Group {
 	t.Helper()
-	g := NewGroup(sim, "lossy", Uniform(15*Millisecond, 0), rand.New(rand.NewSource(seed)))
+	g := NewGroup(sim, "lossy", Uniform(15*Millisecond), rand.New(rand.NewSource(seed)))
 	g.LossRate = loss
 	ids := make([]uint64, n)
 	for i := range ids {
@@ -84,7 +84,7 @@ func TestRaftCommitsUnderLoss(t *testing.T) {
 
 func TestRecoveryStillWorksWithJitter(t *testing.T) {
 	sim := New()
-	g := NewGroup(sim, "jitter", Uniform(15*Millisecond, 0), rand.New(rand.NewSource(3)))
+	g := NewGroup(sim, "jitter", Uniform(15*Millisecond), rand.New(rand.NewSource(3)))
 	g.Jitter = 5 * Millisecond
 	ids := []uint64{1, 2, 3, 4, 5}
 	for _, id := range ids {

@@ -79,7 +79,7 @@ func TestRestartValidation(t *testing.T) {
 	// A host that never pumped restarts from its bootstrap configuration:
 	// the blank node it was, membership included.
 	sim2 := New()
-	g2 := NewGroup(sim2, "fresh", Uniform(0, 0), nil)
+	g2 := NewGroup(sim2, "fresh", Uniform(0), nil)
 	n, err := raft.NewNode(raft.Config{ID: 9, Peers: []uint64{7, 8, 9}, ElectionTickMin: 10, ElectionTickMax: 20, HeartbeatTick: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,10 @@
 // Package simnet is a discrete-event network simulator with a virtual
 // clock. It replaces the paper's single-machine testbed (virtual peers
 // over TCP with tc-injected 15 ms latency): raft nodes are ticked every
-// virtual millisecond and messages are delivered after a configurable
-// one-way latency, so 1000 recovery-time trials run in seconds of wall
-// clock while reporting virtual milliseconds directly comparable to the
-// paper's Figs. 10–12. Hosts whose ticks fall back to back at one
+// virtual millisecond (Tick), so raft tick counts are milliseconds, and
+// messages are delivered after a configurable one-way latency, so 1000
+// recovery-time trials run in seconds of wall clock while reporting
+// virtual milliseconds directly comparable to the paper's Figs. 10–12. Hosts whose ticks fall back to back at one
 // instant tick in one event, however many of them there are.
 package simnet
 
@@ -29,6 +29,11 @@ const (
 	Millisecond Duration = 1000
 	Second      Duration = 1000 * Millisecond
 )
+
+// Tick is the raft tick period: every host ticks once a virtual
+// millisecond, so raft tick counts (election bands, heartbeats) are
+// milliseconds.
+const Tick = Millisecond
 
 // Ms renders a Time as fractional milliseconds.
 func (t Time) Ms() float64 { return float64(t) / 1000 }
@@ -228,8 +233,8 @@ func (s *Sim) RunWhileNot(cond func() bool, limit Time) bool {
 }
 
 // Group drives a set of raft nodes that share one consensus group over
-// the simulated network: each host is ticked every TickInterval, in the
-// Sim's tick blocks, and its outbound messages are delivered to group
+// the simulated network: each host is ticked every Tick, in the Sim's
+// tick blocks, and its outbound messages are delivered to group
 // members after a delay drawn from the group's Topology.
 type Group struct {
 	sim  *Sim
@@ -254,11 +259,6 @@ type Group struct {
 	// (internal/chaos) can target specific RPC types or directions —
 	// e.g. black-holing all AppendEntries from one node.
 	DropFilter func(m raft.Message) bool
-	// TickInterval is the raft tick period (default 1 ms, so raft tick
-	// counts are milliseconds). It is read when a host joins (Add,
-	// Restart, RestartFrom): a host keeps the period it joined with, so
-	// set it before the hosts it is meant for.
-	TickInterval Duration
 	// OnDeliver, if set, observes every successfully scheduled delivery
 	// with the one-way delay that was sampled for it — the feed for
 	// RTT-estimating failure detectors (observed RTT ≈ 2× one-way).
@@ -281,19 +281,18 @@ type Group struct {
 }
 
 // NewGroup creates a consensus group on sim whose messages are delayed
-// by topo (Uniform(15*Millisecond, 0) is the paper's network), with rng
+// by topo (Uniform(15*Millisecond) is the paper's network), with rng
 // for jitter and loss.
 func NewGroup(sim *Sim, name string, topo *Topology, rng *rand.Rand) *Group {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
 	return &Group{
-		sim:          sim,
-		name:         name,
-		topo:         topo,
-		TickInterval: Millisecond,
-		rng:          rng,
-		hosts:        make(map[uint64]*Host),
+		sim:   sim,
+		name:  name,
+		topo:  topo,
+		rng:   rng,
+		hosts: make(map[uint64]*Host),
 	}
 }
 
@@ -314,9 +313,8 @@ type Host struct {
 
 	group *Group
 	down  bool
-	// every is the tick period the host joined with, and block holds its
-	// next tick while it is up; Crash takes it out at once.
-	every Duration
+	// block holds the host's next tick while it is up; Crash takes it
+	// out at once.
 	block *tickBlock
 
 	// OnMessage, if set, observes every message delivered to this host
@@ -358,7 +356,6 @@ func (g *Group) Add(node *raft.Node) (*Host, error) {
 		return nil, err
 	}
 	g.hosts[id] = h
-	h.every = g.TickInterval
 	g.sim.place(h)
 	return h, nil
 }
@@ -409,16 +406,16 @@ func (g *Group) Leader() uint64 {
 }
 
 // tickBlock is the ticks that run back to back at one instant, as one
-// event. A host ticks every TickInterval as if it re-armed an event of
-// its own after each tick (a tick chain, kept as the reference in
-// tick_test.go): its tick for instant X goes to the end of what is
-// scheduled for X at the moment it joins or ticks at X−every. When that
+// event. A host ticks every Tick as if it re-armed an event of its own
+// after each tick (a tick chain, kept as the reference in tick_test.go):
+// its tick for instant X goes to the end of what is scheduled for X at
+// the moment it joins or ticks at X−Tick. When that
 // end is a block already, the host joins it; otherwise it opens a new
 // block there. So a block runs exactly the ticks the chains would have
 // run between the same two other events, in the same order, and a
 // message or timer scheduled for X between two hosts' places — a 1 ms
 // link under a 1 ms tick — splits their block where it split their
-// chains. Hosts of any group and any interval share blocks.
+// chains. Hosts of any group share blocks.
 type tickBlock struct {
 	sim   *Sim
 	hosts []*Host
@@ -426,14 +423,14 @@ type tickBlock struct {
 	fire  func() // run, bound once: a block allocates nothing per tick
 }
 
-// place gives h its next tick, one TickInterval from now, at the end of
-// what is scheduled for that instant so far.
+// place gives h its next tick, one Tick from now, at the end of what is
+// scheduled for that instant so far.
 func (s *Sim) place(h *Host) {
-	at := s.now + Time(h.every)
+	at := s.now + Time(Tick)
 	b := s.open[at&(openSlots-1)]
 	if b == nil || b.at != at || b.block == nil || b.blockEnd != len(b.fns) {
 		blk := s.newBlock()
-		s.Schedule(h.every, blk.fire)
+		s.Schedule(Tick, blk.fire)
 		b = s.open[at&(openSlots-1)]
 		b.block, b.blockEnd = blk, len(b.fns)
 	}
@@ -522,7 +519,6 @@ func (h *Host) RestartFrom(cfg raft.Config, ps raft.PersistentState) error {
 		return err
 	}
 	h.down = false
-	h.every = h.group.TickInterval
 	h.group.sim.place(h)
 	return nil
 }

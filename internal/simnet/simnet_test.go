@@ -83,7 +83,7 @@ func TestRunWhileNot(t *testing.T) {
 
 func newGroupCluster(t *testing.T, sim *Sim, n int, electMin, electMax int, latency Duration, seed int64) *Group {
 	t.Helper()
-	g := NewGroup(sim, "test", Uniform(latency, 0), rand.New(rand.NewSource(seed)))
+	g := NewGroup(sim, "test", Uniform(latency), rand.New(rand.NewSource(seed)))
 	addNodes(t, g, n, electMin, electMax, seed)
 	return g
 }
@@ -288,7 +288,7 @@ func TestRestartInsidePartitionNoResurrection(t *testing.T) {
 
 func TestDuplicateHostRejected(t *testing.T) {
 	sim := New()
-	g := NewGroup(sim, "dup", Uniform(0, 0), nil)
+	g := NewGroup(sim, "dup", Uniform(0), nil)
 	n, err := raft.NewNode(raft.Config{
 		ID: 1, Peers: []uint64{1},
 		ElectionTickMin: 10, ElectionTickMax: 20, HeartbeatTick: 2,
@@ -332,7 +332,7 @@ func TestTimeRendering(t *testing.T) {
 func BenchmarkSimulatedElection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sim := New()
-		g := NewGroup(sim, "bench", Uniform(15*Millisecond, 0), rand.New(rand.NewSource(int64(i))))
+		g := NewGroup(sim, "bench", Uniform(15*Millisecond), rand.New(rand.NewSource(int64(i))))
 		ids := []uint64{1, 2, 3, 4, 5}
 		for _, id := range ids {
 			n, err := raft.NewNode(raft.Config{

@@ -10,12 +10,11 @@ import (
 )
 
 // chains is the reference the tick blocks replay: every host ticked by
-// a chain of its own, an event that re-schedules itself one interval on
+// a chain of its own, an event that re-schedules itself one Tick on
 // after each tick. scheduleTick is that code, with the host's epoch kept
 // here.
 type chains struct {
 	sim   *Sim
-	every Duration
 	epoch map[*Host]uint64
 }
 
@@ -32,9 +31,9 @@ func (c *chains) scheduleTick(h *Host) {
 			return
 		}
 		_ = h.Tick()
-		c.sim.Schedule(c.every, tick)
+		c.sim.Schedule(Tick, tick)
 	}
-	c.sim.Schedule(c.every, tick)
+	c.sim.Schedule(Tick, tick)
 }
 
 // stop ends h's chain, as Crash and Remove did by advancing the epoch.
@@ -124,7 +123,7 @@ func newTickWorld(t *testing.T, seed int64, topo func() *Topology, jitter Durati
 		w.groups[i] = g
 	}
 	if chained {
-		w.ref = &chains{sim: w.sim, every: Millisecond, epoch: map[*Host]uint64{}}
+		w.ref = &chains{sim: w.sim, epoch: map[*Host]uint64{}}
 	}
 	for i := 0; i < 4; i++ {
 		w.add(t, i%2)
@@ -303,9 +302,9 @@ var tickTopologies = []struct {
 	topo   func() *Topology
 	jitter Duration
 }{
-	{"1ms", func() *Topology { return Uniform(Millisecond, 0) }, 0},
-	{"15ms", func() *Topology { return Uniform(15*Millisecond, 0) }, 0},
-	{"jittered", func() *Topology { return Uniform(500*Microsecond, 0) }, Millisecond},
+	{"1ms", func() *Topology { return Uniform(Millisecond) }, 0},
+	{"15ms", func() *Topology { return Uniform(15 * Millisecond) }, 0},
+	{"jittered", func() *Topology { return Uniform(500 * Microsecond) }, Millisecond},
 }
 
 // TestTickBlocksTickInChainOrder runs random schedules under the tick
@@ -377,7 +376,7 @@ func TestTickBlocksMatchChainsUnderRaftTraffic(t *testing.T) {
 		sim := New()
 		var ref *chains
 		if chained {
-			ref = &chains{sim: sim, every: Millisecond, epoch: map[*Host]uint64{}}
+			ref = &chains{sim: sim, epoch: map[*Host]uint64{}}
 		}
 		var trace []traced
 		rng := rand.New(rand.NewSource(seed))

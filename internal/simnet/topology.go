@@ -14,7 +14,8 @@ import (
 // uniform). A Topology names regions, places hosts on them, and gives
 // every ordered region pair its own base delay and jitter distribution.
 // Every Group samples its delays from one; Uniform is the paper's single
-// link.
+// link. Uniform jitter U(0, J) is not a link kind but a fault a group
+// carries on top of its topology (Group.Jitter, chaos ActDelay).
 
 // JitterKind selects a per-link jitter distribution.
 type JitterKind int
@@ -23,8 +24,6 @@ type JitterKind int
 const (
 	// JitterNone adds no jitter (and consumes no randomness).
 	JitterNone JitterKind = iota
-	// JitterUniform adds U(0, Bound) — the Group.Jitter shape.
-	JitterUniform
 	// JitterLognormal adds exp(N(ln Median, Sigma²)), clamped to Max —
 	// the heavy-tailed shape of real WAN queueing delay.
 	JitterLognormal
@@ -35,8 +34,6 @@ func (k JitterKind) String() string {
 	switch k {
 	case JitterNone:
 		return "none"
-	case JitterUniform:
-		return "uniform"
 	case JitterLognormal:
 		return "lognormal"
 	default:
@@ -47,8 +44,6 @@ func (k JitterKind) String() string {
 // JitterSpec parameterizes one link's jitter distribution.
 type JitterSpec struct {
 	Kind JitterKind
-	// Bound is the exclusive upper bound for JitterUniform.
-	Bound Duration
 	// Median and Sigma shape JitterLognormal: the sampled jitter's
 	// median is Median and ln(jitter) has standard deviation Sigma.
 	Median Duration
@@ -60,15 +55,9 @@ type JitterSpec struct {
 
 // sample draws one jitter value. The rng consumption is part of the
 // deterministic-replay contract: JitterNone consumes nothing,
-// JitterUniform consumes exactly one Int63n (as Group.Jitter does),
 // JitterLognormal consumes one NormFloat64.
 func (j JitterSpec) sample(rng *rand.Rand) Duration {
 	switch j.Kind {
-	case JitterUniform:
-		if j.Bound <= 0 {
-			return 0
-		}
-		return Duration(rng.Int63n(int64(j.Bound)))
 	case JitterLognormal:
 		if j.Median <= 0 {
 			return 0
@@ -183,19 +172,15 @@ func (t *Topology) SampleDelay(from, to uint64, rng *rand.Rand) Duration {
 }
 
 // Uniform builds a single-region topology: every message is delayed by
-// latency plus U(0, jitter). With no jitter it draws nothing from the
-// group rng, so a fixed delay replays byte-for-byte whatever else the
-// group draws.
-func Uniform(latency, jitter Duration) *Topology {
+// latency exactly. It draws nothing from the group rng, so a fixed delay
+// replays byte-for-byte whatever else the group draws; Group.Jitter adds
+// uniform jitter on top.
+func Uniform(latency Duration) *Topology {
 	t, err := NewTopology("uniform", "local")
 	if err != nil {
 		panic(err) // one non-empty region cannot fail
 	}
-	l := Link{Delay: latency}
-	if jitter > 0 {
-		l.Jitter = JitterSpec{Kind: JitterUniform, Bound: jitter}
-	}
-	t.SetAllLinks(l)
+	t.SetAllLinks(Link{Delay: latency})
 	return t
 }
 
@@ -265,7 +250,7 @@ func wan200() *Topology {
 
 // presets maps topology names to constructors.
 var presets = map[string]func() *Topology{
-	"lan15":  func() *Topology { t := Uniform(15*Millisecond, 0); t.Name = "lan15"; return t },
+	"lan15":  func() *Topology { t := Uniform(15 * Millisecond); t.Name = "lan15"; return t },
 	"wan50":  wan50,
 	"wan200": wan200,
 }
