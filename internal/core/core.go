@@ -160,10 +160,11 @@ type System struct {
 	counter *transport.Counter
 	rng     *rand.Rand
 	tel     sysTel
-	// sacRngs[g] is subgroup g's SAC rng. Each round re-seeds it, which
-	// resets it to exactly the stream a fresh rand.NewSource(seed) gives
-	// without allocating a ~4.9 KB source per subgroup per round.
-	sacRngs []*rand.Rand
+	// sacRng is the rng of the subgroup SAC being run. Each SAC re-seeds
+	// it, which resets it to exactly the stream a fresh
+	// rand.NewSource(seed) gives without allocating a ~4.9 KB source per
+	// SAC; the SACs run one after another and none keeps it past its end.
+	sacRng *rand.Rand
 	// decoded[g] is what subgroup g's compressed upload decodes into at
 	// the FedAvg leader, whichever node leads, kept across rounds.
 	decoded [][]float64
@@ -214,20 +215,16 @@ func NewSystem(cfg Config, rng *rand.Rand) (*System, error) {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-	s := &System{cfg: cfg, counter: transport.NewCounter(), rng: rng, tel: newSysTel(cfg.Telemetry)}
+	s := &System{cfg: cfg, counter: transport.NewCounter(), rng: rng, sacRng: rand.New(rand.NewSource(0)), tel: newSysTel(cfg.Telemetry)}
 	s.resize()
 	return s, nil
 }
 
-// resize gives the system one SAC rng and one decode vector for each of
-// its subgroups and a node and an inbox for each of its peers, keeping
-// those it has, and meters its peers by their ids.
+// resize gives the system one decode vector for each of its subgroups
+// and a node and an inbox for each of its peers, keeping those it has,
+// and meters its peers by their ids.
 func (s *System) resize() {
 	m, n, l := len(s.cfg.Sizes), s.cfg.NumPeers(), &s.loop
-	for len(s.sacRngs) < m {
-		s.sacRngs = append(s.sacRngs, rand.New(rand.NewSource(0)))
-	}
-	s.sacRngs = s.sacRngs[:m]
 	s.decoded = append(s.decoded, make([][]float64, max(0, m-len(s.decoded)))...)[:m]
 	l.nodes = append(l.nodes, make([]node, max(0, n-len(l.nodes)))...)[:n]
 	l.inbox = append(l.inbox, make([][]message, max(0, n-len(l.inbox)))...)[:n]
@@ -423,9 +420,9 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 		if leader < 0 {
 			continue // no quorum: the round proceeds without this subgroup
 		}
-		s.sacRngs[g].Seed(seed)
+		s.sacRng.Seed(seed)
 		lo, hi := p.offsets[g], p.offsets[g+1]
-		cfg := s.sacConfig(hi-lo, s.sacRngs[g])
+		cfg := s.sacConfig(hi-lo, s.sacRng)
 		cfg.K, cfg.Leader, cfg.Adversary, cfg.Guard = s.cfg.thresholdFor(g, hi-lo), leader-lo, spec.Adversary[g], s.cfg.Guard
 		r, err := l.schedule(l.ids[lo:hi], false, cfg, models[lo:hi], spec.Crash[g])
 		switch {

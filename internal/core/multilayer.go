@@ -95,16 +95,13 @@ type MultiLayerOptions struct {
 
 // MultiLayerScratch is a free list of per-worker aggregation contexts —
 // mesh, SAC scratch, RNG, subgroup model views — shared across the
-// subgroup fan-out of one aggregation and reusable across aggregations,
-// plus the per-layer seed buffer. It is safe for concurrent use, by
-// the workers of one aggregation and by aggregations running side by
-// side: each worker checks a context out, runs its span of subgroups,
-// and returns it, and each aggregation checks the seed buffer out for
-// its whole run (one that finds it taken allocates its own).
+// subgroup fan-out of one aggregation and reusable across aggregations.
+// It is safe for concurrent use: each worker checks a context out, runs
+// its span of subgroups, and returns it, and each call draws its
+// per-layer seeds into a slice of its own.
 type MultiLayerScratch struct {
-	mu    sync.Mutex
-	free  []*mlWorker
-	seeds []int64
+	mu   sync.Mutex
+	free []*mlWorker
 }
 
 // mlWorker is one worker's pooled context. The mesh and SAC
@@ -145,26 +142,6 @@ func (ms *MultiLayerScratch) get(n int, div secretshare.Divider, counter *transp
 func (ms *MultiLayerScratch) put(w *mlWorker) {
 	ms.mu.Lock()
 	ms.free = append(ms.free, w)
-	ms.mu.Unlock()
-}
-
-// takeSeeds checks the per-layer seed buffer out, with room for capHint
-// seeds; while it is out, another aggregation on the scratch gets a
-// buffer of its own. putSeeds returns it.
-func (ms *MultiLayerScratch) takeSeeds(capHint int) []int64 {
-	ms.mu.Lock()
-	seeds := ms.seeds
-	ms.seeds = nil
-	ms.mu.Unlock()
-	if cap(seeds) < capHint {
-		seeds = make([]int64, 0, capHint)
-	}
-	return seeds
-}
-
-func (ms *MultiLayerScratch) putSeeds(seeds []int64) {
-	ms.mu.Lock()
-	ms.seeds = seeds
 	ms.mu.Unlock()
 }
 
@@ -218,8 +195,7 @@ func AggregateMultiLayerOpts(t *MultiLayerTopology, models [][]float64, div secr
 		ms = &MultiLayerScratch{}
 	}
 	// The deepest layer has the most subgroups, one seed each.
-	seedBuf := ms.takeSeeds(len(t.subgroupsByLayer[t.Layers-1]))
-	defer ms.putSeeds(seedBuf)
+	seedBuf := make([]int64, 0, len(t.subgroupsByLayer[t.Layers-1]))
 	before := counter.TotalBytes()
 
 	// value[p] is peer p's current subtree sum: initially a borrowed view

@@ -201,9 +201,9 @@ func TestMultiLayerFanOutAllocations(t *testing.T) {
 
 // TestMultiLayerScratchServesConcurrentAggregations holds the scratch to
 // its "safe for concurrent use": two goroutines aggregating on one
-// scratch at once each get exactly the serial global, to the bit. The
-// per-layer seed buffer used to be handed to both, so one aggregation's
-// subgroups ran on the other's seeds.
+// scratch at once each get exactly the serial global, to the bit: the
+// workers come off the free list one at a time, and each call's subgroups
+// run on its own seeds.
 func TestMultiLayerScratchServesConcurrentAggregations(t *testing.T) {
 	const calls = 50
 	topo, err := BuildMultiLayerTopology(3, 5)
