@@ -30,8 +30,10 @@ build:
 	GOARCH=arm64 $(GO) vet ./internal/tensor/
 	GOARCH=arm64 $(GO) build ./...
 
+# gofmt -l prints every file whose formatting differs; any output fails.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -20,8 +20,8 @@ import (
 type Params struct {
 	// Rounds of federated training for Figs. 6–9 (paper: 1000).
 	Rounds int
-	// PeersScale optionally overrides nothing for Figs. 6–9 (the peer
-	// counts are fixed by the paper) but bounds the Fig. 14 sweep.
+	// MaxN bounds the Fig. 14 sweep over the peer count N (10, 20, …,
+	// MaxN); the peer counts of Figs. 6–9 are fixed by the paper.
 	MaxN int
 	// Trials per timeout setting for Figs. 10–12 (paper: 1000).
 	Trials int

@@ -45,9 +45,9 @@ const (
 )
 
 // ElectionTicks derives the [min, max) election band from the tracker's
-// current windows. ok is false (and the returned band zero) when no
-// peer has tuneMinSamples samples yet — the caller keeps its current
-// configuration.
+// current windows. ok is false (and the returned band zero) without a
+// tracker or while no peer has tuneMinSamples samples — the caller keeps
+// its current configuration.
 func (t Tuning) ElectionTicks(r *RTTStats) (min, max int, ok bool) {
 	if r == nil {
 		return 0, 0, false
