@@ -77,7 +77,7 @@ func TestChaosHoldsNoDirectoryMirror(t *testing.T) {
 // itself": a chaos track that needs raft groups drives cluster.System,
 // so no non-test file of internal/chaos builds raft nodes or a simulated
 // raft network, or runs an RTT→election-band tuner of its own — the
-// cluster's tuning loop is the one caller of health.Tuning.Retune. The
+// cluster's tuning loop is the one caller of health.Retune. The
 // one exception is world.go, the raft-kv target, whose replicated KV
 // state machine is what that target checks.
 func TestChaosBuildsNoPrivateRaftWorld(t *testing.T) {

@@ -52,7 +52,7 @@ type StabilityOptions struct {
 
 	// Profile is the cluster's (cluster.Options.Profile): the raft
 	// flags of every node and whether the cluster's RTT→election-band
-	// tuner runs (health.Tuning: 10× the p99 RTT, clamped to [50, 5000]
+	// tuner runs (health.Retune: 10× the p99 RTT, clamped to [50, 5000]
 	// ticks). The zero value is cluster.Paper. The run is a cluster
 	// subgroup, not a bare raft group: its leader also heads a
 	// one-member FedAvg layer and commits that layer's configuration to

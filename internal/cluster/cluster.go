@@ -434,12 +434,12 @@ func (s *System) observeRTT(to, from uint64, oneWay simnet.Duration) {
 // startAutoTune arms the periodic health→raft feedback loop: every
 // autoTuneInterval each live peer derives an election band from its
 // observed per-sender RTT quantiles and rescales its subgroup and
-// FedAvg-layer nodes' timers in place (health.Tuning.Retune). Iteration
+// FedAvg-layer nodes' timers in place (health.Retune). Iteration
 // is in ascending peer-ID order, so equal seeds retune identically.
 func (s *System) startAutoTune() {
 	// Keep the tuned floor above the heartbeat interval (raft rejects
 	// min ≤ HeartbeatTick) and never below the stock LAN floor.
-	tuning := health.Tuning{MinTicks: max(50, s.opts.HeartbeatTick+1)}
+	floor := max(50, s.opts.HeartbeatTick+1)
 	var loop func()
 	loop = func() {
 		for _, id := range s.PeerIDs() {
@@ -451,7 +451,7 @@ func (s *System) startAutoTune() {
 			if p.fedHost != nil && !p.fedHost.Down() {
 				nodes = append(nodes, p.fedHost.Node)
 			}
-			tuning.Retune(p.rtt, nodes...)
+			health.Retune(p.rtt, floor, nodes...)
 		}
 		s.Sim.Schedule(autoTuneInterval, loop)
 	}

@@ -32,7 +32,7 @@ const (
 // the one place they are named together.
 type mechanisms struct {
 	preVote, checkQuorum bool // raft.Config flags
-	autoTune             bool // health.Tuning feedback loop
+	autoTune             bool // health.Retune feedback loop
 	detector             bool // health.Detector + proactive recovery
 }
 

@@ -8,7 +8,7 @@ import (
 // RTTStats tracks per-peer round-trip-time samples in bounded rings and
 // answers quantile queries deterministically: at equal sample sequences
 // every query returns byte-identical results, so the self-tuning
-// timeout loop (Tuning) stays inside the deterministic-replay contract.
+// timeout loop (Retune) stays inside the deterministic-replay contract.
 //
 // The feed is whatever the embedding layer can observe: the simulated
 // cluster reports 2× the one-way delivery delay from simnet's OnDeliver

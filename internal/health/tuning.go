@@ -2,25 +2,23 @@ package health
 
 import "repro/internal/raft"
 
-// Tuning derives Raft election-timeout bands from observed RTT
-// quantiles — the internal/health → internal/raft feedback loop of the
-// WAN profile (DESIGN.md §13). The rule is the classic deployment
-// guidance made adaptive: the election timeout should be an order of
-// magnitude above the broadcast time, so
+// ElectionTicks and Retune derive Raft election-timeout bands from
+// observed RTT quantiles — the internal/health → internal/raft feedback
+// loop of the WAN profile (DESIGN.md §13). The rule is the classic
+// deployment guidance made adaptive: the election timeout should be an
+// order of magnitude above the broadcast time, so
 //
-//	minTicks = clamp(tuneMultiple × RTT_q / tickUs, [MinTicks, tuneMaxTicks])
+//	minTicks = clamp(tuneMultiple × RTT_q / tickUs, [floor, tuneMaxTicks])
 //	maxTicks = minTicks × tuneSpread
 //
 // where RTT_q is the worst per-peer tuneQuantile over peers with enough
-// samples. Everything here is pure integer/float arithmetic over the
-// RTTStats windows: equal sample sequences give byte-identical bands,
-// so retuning composes with deterministic replay (and
-// Node.SetElectionTicks rescales the armed timer without an rng draw).
-type Tuning struct {
-	// MinTicks is the floor of the derived minimum timeout. Default 50
-	// (the paper's LAN default — tuning never goes below stock).
-	MinTicks int
-}
+// samples and floor is the caller's (the cluster keeps it at or above
+// the paper's LAN default of 50 ticks and above its heartbeat, so tuning
+// never goes below stock). Everything here is pure integer/float
+// arithmetic over the RTTStats windows: equal sample sequences give
+// byte-identical bands, so retuning composes with deterministic replay
+// (and Node.SetElectionTicks rescales the armed timer without an rng
+// draw).
 
 const (
 	// tickUs is the raft tick in microseconds: the simulated fleet
@@ -45,15 +43,12 @@ const (
 )
 
 // ElectionTicks derives the [min, max) election band from the tracker's
-// current windows. ok is false (and the returned band zero) without a
-// tracker or while no peer has tuneMinSamples samples — the caller keeps
-// its current configuration.
-func (t Tuning) ElectionTicks(r *RTTStats) (min, max int, ok bool) {
+// current windows, min at least floor. ok is false (and the returned
+// band zero) without a tracker or while no peer has tuneMinSamples
+// samples — the caller keeps its current configuration.
+func ElectionTicks(r *RTTStats, floor int) (min, max int, ok bool) {
 	if r == nil {
 		return 0, 0, false
-	}
-	if t.MinTicks <= 0 {
-		t.MinTicks = 50
 	}
 	rtt, qualified := r.MaxQuantile(tuneQuantile, tuneMinSamples)
 	if qualified == 0 || rtt <= 0 {
@@ -64,14 +59,14 @@ func (t Tuning) ElectionTicks(r *RTTStats) (min, max int, ok bool) {
 	if float64(min) < target {
 		min++ // ceil: never tune *below* the multiple
 	}
-	if min < t.MinTicks {
-		min = t.MinTicks
+	if min < floor {
+		min = floor
 	}
 	// A floor at or above the cap moves the cap: a heartbeat that slow
 	// still needs a band above it.
 	maxTicks := tuneMaxTicks
-	if maxTicks <= t.MinTicks {
-		maxTicks = 2 * t.MinTicks
+	if maxTicks <= floor {
+		maxTicks = 2 * floor
 	}
 	if min > maxTicks {
 		min = maxTicks
@@ -80,16 +75,16 @@ func (t Tuning) ElectionTicks(r *RTTStats) (min, max int, ok bool) {
 }
 
 // Retune is one step of the health→raft feedback loop: derive the band
-// from one peer's tracker and rescale the election timers of that
-// peer's nodes in place. Without a qualified band they keep their
-// current one. The one caller is the cluster's tuning loop
+// from one peer's tracker, min at least floor, and rescale the election
+// timers of that peer's nodes in place. Without a qualified band they
+// keep their current one. The one caller is the cluster's tuning loop
 // (internal/cluster), which walks its peers in ascending id order.
-func (t Tuning) Retune(r *RTTStats, nodes ...*raft.Node) {
-	min, max, ok := t.ElectionTicks(r)
+func Retune(r *RTTStats, floor int, nodes ...*raft.Node) {
+	min, max, ok := ElectionTicks(r, floor)
 	if !ok {
 		return
 	}
 	for _, n := range nodes {
-		_ = n.SetElectionTicks(min, max) // the band is clamped to MinTicks, which callers keep above the heartbeat
+		_ = n.SetElectionTicks(min, max) // the band is clamped to floor, which callers keep above the heartbeat
 	}
 }

@@ -44,16 +44,15 @@ func mixedTrace(seed int64) *RTTStats {
 }
 
 // TestTuningBandsWithinClamp: for every profile and many seeds, the
-// derived band stays inside [MinTicks, 2×tuneMaxTicks], is well-formed
+// derived band stays inside [floor, 2×tuneMaxTicks] at the floor of 50, is well-formed
 // (min < max), and preserves the U(T, 2T) spread shape.
 func TestTuningBandsWithinClamp(t *testing.T) {
-	tun := Tuning{}
 	profiles := map[string]func(int64) *RTTStats{
 		"lan15": lanTrace, "wan50": wanTrace, "mixed": mixedTrace,
 	}
 	for name, mk := range profiles {
 		for seed := int64(1); seed <= 20; seed++ {
-			min, max, ok := tun.ElectionTicks(mk(seed))
+			min, max, ok := ElectionTicks(mk(seed), 50)
 			if !ok {
 				t.Fatalf("%s seed %d: tuner refused a fully-populated trace", name, seed)
 			}
@@ -75,11 +74,10 @@ func TestTuningBandsWithinClamp(t *testing.T) {
 // worst link is within the WAN profile's), and scaling every sample up
 // scales the band up.
 func TestTuningMonotoneInRTT(t *testing.T) {
-	tun := Tuning{}
 	for seed := int64(1); seed <= 20; seed++ {
-		lanMin, _, _ := tun.ElectionTicks(lanTrace(seed))
-		mixMin, _, _ := tun.ElectionTicks(mixedTrace(seed))
-		wanMin, _, _ := tun.ElectionTicks(wanTrace(seed))
+		lanMin, _, _ := ElectionTicks(lanTrace(seed), 50)
+		mixMin, _, _ := ElectionTicks(mixedTrace(seed), 50)
+		wanMin, _, _ := ElectionTicks(wanTrace(seed), 50)
 		if lanMin > mixMin || mixMin > wanMin {
 			t.Fatalf("seed %d: tuned mins not monotone: lan %d, mixed %d, wan %d", seed, lanMin, mixMin, wanMin)
 		}
@@ -95,7 +93,7 @@ func TestTuningMonotoneInRTT(t *testing.T) {
 				double.Observe(peer, 2*s)
 			}
 		}
-		dblMin, _, _ := tun.ElectionTicks(double)
+		dblMin, _, _ := ElectionTicks(double, 50)
 		if dblMin < wanMin {
 			t.Fatalf("seed %d: doubling every RTT shrank the band %d → %d", seed, wanMin, dblMin)
 		}
@@ -106,10 +104,9 @@ func TestTuningMonotoneInRTT(t *testing.T) {
 // bands — the property that lets retuning live inside deterministic
 // replay.
 func TestTuningDeterministicPerSeed(t *testing.T) {
-	tun := Tuning{}
 	for seed := int64(1); seed <= 20; seed++ {
-		aMin, aMax, aOK := tun.ElectionTicks(mixedTrace(seed))
-		bMin, bMax, bOK := tun.ElectionTicks(mixedTrace(seed))
+		aMin, aMax, aOK := ElectionTicks(mixedTrace(seed), 50)
+		bMin, bMax, bOK := ElectionTicks(mixedTrace(seed), 50)
 		if aMin != bMin || aMax != bMax || aOK != bOK {
 			t.Fatalf("seed %d: equal traces produced different bands [%d,%d,%v] vs [%d,%d,%v]",
 				seed, aMin, aMax, aOK, bMin, bMax, bOK)
@@ -121,18 +118,18 @@ func TestTuningDeterministicPerSeed(t *testing.T) {
 // band — without a tracker, or before any peer has tuneMinSamples
 // observations.
 func TestTuningRefusals(t *testing.T) {
-	if _, _, ok := (Tuning{}).ElectionTicks(nil); ok {
+	if _, _, ok := ElectionTicks(nil, 50); ok {
 		t.Fatal("tuner produced a band from a nil tracker")
 	}
 	thin := NewRTTStats(0)
 	for i := 0; i < 15; i++ { // one below tuneMinSamples = 16
 		thin.Observe(2, 50_000)
 	}
-	if _, _, ok := (Tuning{}).ElectionTicks(thin); ok {
+	if _, _, ok := ElectionTicks(thin, 50); ok {
 		t.Fatal("tuner produced a band below tuneMinSamples")
 	}
 	thin.Observe(2, 50_000)
-	if min, _, ok := (Tuning{}).ElectionTicks(thin); !ok || min != 500 {
+	if min, _, ok := ElectionTicks(thin, 50); !ok || min != 500 {
 		t.Fatalf("tuner at exactly tuneMinSamples: min=%d ok=%v, want 500 (10×50ms/1ms)", min, ok)
 	}
 }

@@ -44,13 +44,16 @@ type Peer struct {
 	// or at p's own turn a view of its block. acc is p's r subtotals,
 	// dim floats each, in secretshare.ReplicaIndices order; summed[a] is
 	// set once acc's slot a sums this round's contributors, which happens
-	// the first time somebody needs it (see subtotal). terms is the
-	// list subtotal hands the sum, kept across rounds.
-	slot   []int
-	held   [][]float64
-	acc    []float64
-	summed []bool
-	terms  [][]float64
+	// the first time somebody needs it as a vector (see subtotal). terms
+	// is the list subtotal hands the sum, kept across rounds. tallying is
+	// set once p has summed a subtotal or checked, as a collector, that
+	// none is missing: from then on it takes no accusation.
+	slot     []int
+	held     [][]float64
+	acc      []float64
+	summed   []bool
+	terms    [][]float64
+	tallying bool
 
 	turn   int    // the contributor whose turn it is, −1 before the first and once sealed
 	sealed bool   // the share exchange is over
@@ -63,13 +66,16 @@ type Peer struct {
 	// A collector's state, sized when p first is one: holders is
 	// secretshare.HoldersOf of every share index, flat, got[s*r+t] the copy
 	// of subtotal s received from holders[s*r+t], and asked[s] the holder p
-	// asked to recover s from, −1 for none. sums is the one subtotal per
-	// index that Finish adds up, kept across rounds.
+	// asked to recover s from, −1 for none. sums and groups are what
+	// Finish adds up — per index the subtotal, or the held shares of one
+	// p has not summed, and how many terms each index takes — kept across
+	// rounds.
 	holders []int
 	got     [][]float64
 	asked   []int
 	cands   [][]float64
 	sums    [][]float64
+	groups  []int
 	audit   auditState
 	result  *Result // what Finish returned this round
 
@@ -116,14 +122,14 @@ func (p *Peer) Begin(id int, cfg Config, dim int) error {
 		p.holders = append(p.holders, h...)
 	}
 	if p.collects() && p.got == nil {
-		p.got, p.asked = make([][]float64, cfg.N*p.r), make([]int, cfg.N)
+		p.got, p.asked, p.groups = make([][]float64, cfg.N*p.r), make([]int, cfg.N), make([]int, 0, cfg.N)
 	}
 	for s := range p.asked {
 		p.asked[s] = -1
 	}
 	clear(p.summed)
 	clear(p.down)
-	p.turn, p.sealed, p.audit, p.result = -1, false, auditState{}, nil
+	p.turn, p.sealed, p.tallying, p.audit, p.result = -1, false, false, auditState{}, nil
 	p.contributors, p.excluded, p.accusations = p.contributors[:0], p.excluded[:0], p.accusations[:0]
 	p.msgs, p.done, p.invalid = p.msgs[:0], p.done[:0], 0
 	return nil
@@ -141,6 +147,7 @@ func (p *Peer) end() {
 	clear(p.held)
 	p.release(p.got...)
 	clear(p.got)
+	clear(p.terms[:cap(p.terms)])
 	clear(p.cands[:cap(p.cands)])
 	clear(p.sums[:cap(p.sums)])
 	p.release(p.audit.claims, p.audit.result)
@@ -236,7 +243,7 @@ func (p *Peer) Contribute(model []float64, rng *rand.Rand) error {
 //   - a share, in contributor i's turn, only from i, for an index p
 //     holds, at a peer other than i; the last duplicate wins;
 //   - an accusation only in a round the range guard screens, once sealed
-//     and before p has summed any subtotal;
+//     and before p has summed a subtotal or checked that none is missing;
 //   - a subtotal for index s, once sealed and only at a collector, from
 //     s's owner when p does not sum s itself — under the cross-check from
 //     any member of secretshare.HoldersOf(s) — and a recovered one only
@@ -256,9 +263,10 @@ func (p *Peer) Step(m transport.Message) {
 	case m.Kind == KindShare:
 		ok = p.stepShare(m)
 	case m.Kind == KindAccuse:
-		// Only a guarded round has accusers, and every subtotal is still
-		// unsummed, so dropping the accused takes no subtraction.
-		if ok = p.cfg.screens() && p.sealed && !slices.Contains(p.summed, true) && p.isIndex(m.ShareIdx) && len(m.Payload) == 1; ok {
+		// Only a guarded round has accusers, and no subtotal has been
+		// summed or counted on yet, so dropping the accused takes no
+		// subtraction.
+		if ok = p.cfg.screens() && p.sealed && !p.tallying && p.isIndex(m.ShareIdx) && len(m.Payload) == 1; ok {
 			p.drop(m.ShareIdx)
 			p.release(m.Payload)
 		}
@@ -332,28 +340,40 @@ func (p *Peer) drop(i int) {
 // collects: subtotals are sent to everybody under Alg. 2, else the leader.
 func (p *Peer) collects() bool { return p.cfg.Mode == ModeBroadcast || p.id == p.cfg.Leader }
 
-// subtotal returns p's subtotal of share index s, or nil when it has
-// none to report: p is not sealed, does not hold s, or does not hold
-// every contributor's share of it. The first call of a round sums the
-// held shares, contributors ascending, so a subtotal nobody asks for is
-// never summed. A subtotal liar corrupts the sum right after it, so the
-// lie reaches both the trusting (plain) and the cross-checking (guarded)
-// collection paths.
-func (p *Peer) subtotal(s int) []float64 {
+// heldTerms appends to terms the shares p holds of share index s,
+// contributors ascending — the terms of its subtotal of s — or returns
+// nil when it has no subtotal of s: p is not sealed, does not hold s,
+// or does not hold every contributor's share of it.
+func (p *Peer) heldTerms(terms [][]float64, s int) [][]float64 {
 	if !p.sealed || !p.isIndex(s) || p.slot[s] < 0 || len(p.contributors) == 0 {
 		return nil
 	}
 	a := p.slot[s]
-	sub := p.acc[a*p.dim : (a+1)*p.dim : (a+1)*p.dim]
-	if p.summed[a] {
-		return sub
-	}
-	terms := p.terms[:0]
 	for _, i := range p.contributors {
 		if p.held[i*p.r+a] == nil {
 			return nil
 		}
 		terms = append(terms, p.held[i*p.r+a])
+	}
+	return terms
+}
+
+// subtotal returns p's subtotal of share index s, summed into acc's
+// slot for it, or nil when it has none (see heldTerms). The first call
+// of a round sums it, so a subtotal nobody asks for is never summed. A
+// subtotal liar corrupts the sum right after it, so the lie reaches
+// both the trusting (plain) and the cross-checking (guarded) collection
+// paths.
+func (p *Peer) subtotal(s int) []float64 {
+	terms := p.heldTerms(p.terms[:0], s)
+	if terms == nil {
+		return nil
+	}
+	p.terms = terms[:0]
+	a := p.slot[s]
+	sub := p.acc[a*p.dim : (a+1)*p.dim : (a+1)*p.dim]
+	if p.summed[a] {
+		return sub
 	}
 	tensor.SumInto(sub, terms)
 	switch p.byz {
@@ -364,8 +384,7 @@ func (p *Peer) subtotal(s int) []float64 {
 	case ByzZeroSubtotal:
 		clear(sub)
 	}
-	clear(terms)
-	p.terms, p.summed[a] = terms[:0], true
+	p.summed[a], p.tallying = true, true
 	return sub
 }
 
@@ -429,26 +448,35 @@ func (p *Peer) stepSubtotal(m transport.Message) bool {
 // candidates lists the copies of subtotal s a collector averages from
 // and whether the owner's is among them: every copy p has, its own
 // included, under the cross-check; else its own, or the one it was sent.
-func (p *Peer) candidates(s int) (cands [][]float64, owner bool) {
+// p's own copy is in the list once summed; until then the list leaves
+// it out and own holds its terms instead (see heldTerms; nil once
+// summed, or when p has no subtotal of s), so looking for a copy sums
+// nothing. Both slices are p's, valid until its next call.
+func (p *Peer) candidates(s int) (cands, own [][]float64, owner bool) {
 	got, holders := p.copies(s)
 	cands = p.cands[:0]
-	if own := p.subtotal(s); own != nil {
-		cands, owner = append(cands, own), p.id == s
+	if own = p.heldTerms(p.terms[:0], s); own != nil {
+		p.terms, owner = own[:0], p.id == s
+		if a := p.slot[s]; p.summed[a] {
+			cands, own = append(cands, p.acc[a*p.dim:(a+1)*p.dim:(a+1)*p.dim]), nil
+		}
 	}
 	for t, c := range got {
-		if c != nil && (p.cfg.crossChecks() || len(cands) == 0) {
+		if c != nil && (p.cfg.crossChecks() || len(cands) == 0 && own == nil) {
 			cands, owner = append(cands, c), owner || holders[t] == s
 		}
 	}
 	p.cands = cands[:0]
-	return cands, owner
+	return cands, own, owner
 }
 
 // Missing reports, as an error, the first subtotal a collector has no
-// copy of; Finish needs all N.
+// copy of; Finish needs all N. It sums none of p's own, and from its
+// call on p takes no accusation.
 func (p *Peer) Missing() error {
+	p.tallying = true
 	for s := 0; s < p.cfg.N; s++ {
-		if cands, _ := p.candidates(s); len(cands) == 0 {
+		if cands, own, _ := p.candidates(s); len(cands) == 0 && own == nil {
 			return fmt.Errorf("%w: peer %d has no copy of subtotal %d", ErrAborted, p.id, s)
 		}
 	}
@@ -459,27 +487,42 @@ func (p *Peer) Missing() error {
 // ascending share-index order, so the result is bit-for-bit
 // deterministic, and divided by the number of contributing models
 // (Eq. 1–3 generalized to dropouts). A subtotal whose copy is not the
-// owner's — nor p's own, unguarded — is recovered. Under the cross-check
-// each subtotal is the coordinate-wise median of its copies (an honest
-// majority of holders per index makes that exactly the honest value),
-// every copy further than guardTolerance from it is a mismatch, and the
-// leader then announces the result for the audit (see auditState).
-// Without one an equivocating leader's lie goes unnoticed: it reports an
-// offset result and nobody can tell.
+// owner's — nor p's own, unguarded — is recovered. A subtotal of p's own
+// that nobody has asked for is summed inside the average: its held
+// shares go into the one pass over Avg as a group, which adds their sum
+// as acc's slot would have held it, so no slot is written and read
+// back. Under the cross-check each subtotal is the coordinate-wise
+// median of its copies (an honest majority of holders per index makes
+// that exactly the honest value), every copy further than
+// guardTolerance from it is a mismatch, and the leader then announces
+// the result for the audit (see auditState). Without one an
+// equivocating leader's lie goes unnoticed: it reports an offset result
+// and nobody can tell.
 func (p *Peer) Finish() (*Result, error) {
 	if err := p.Missing(); err != nil {
 		return nil, err
 	}
 	n, guarded := p.cfg.N, p.cfg.crossChecks()
+	if guarded || p.byz == ByzInflateSubtotal || p.byz == ByzZeroSubtotal {
+		// The median reads p's own copies as vectors, and a liar's own
+		// subtotals carry its lie into the average as its reports do.
+		for s := 0; s < n; s++ {
+			p.subtotal(s)
+		}
+	}
 	// Avg is the one vector that escapes the round, so never a reused one.
 	res := &Result{Avg: make([]float64, p.dim), Contributors: slices.Clone(p.contributors),
 		Excluded: append([]int(nil), p.excluded...)}
 	if guarded {
 		p.audit.claimed = make([]float64, 0, n*p.dim)
 	}
-	p.sums = p.sums[:0]
+	p.sums, p.groups = p.sums[:0], p.groups[:0]
 	for s := 0; s < n; s++ {
-		cands, owner := p.candidates(s)
+		cands, own, owner := p.candidates(s)
+		if own != nil {
+			p.sums, p.groups = append(p.sums, own...), append(p.groups, len(own))
+			continue // p's own, unguarded: never recovered
+		}
 		sub := cands[0]
 		if guarded {
 			var err error
@@ -496,10 +539,11 @@ func (p *Peer) Finish() (*Result, error) {
 		if !owner && (guarded || p.slot[s] < 0) {
 			res.Recovered = append(res.Recovered, s)
 		}
-		p.sums = append(p.sums, sub)
+		p.sums, p.groups = append(p.sums, sub), append(p.groups, 1)
 	}
-	// One pass over Avg: every subtotal, ascending s, then the scale.
-	tensor.ScaledSumInto(res.Avg, p.sums, 1.0/float64(len(p.contributors)))
+	// One pass over Avg: every subtotal, or group of held shares, ascending
+	// s, then the scale.
+	tensor.ScaledSumInto(res.Avg, p.sums, p.groups, 1.0/float64(len(p.contributors)))
 	switch {
 	case guarded:
 		p.announce(res.Avg)

@@ -238,9 +238,10 @@ func TestAccusationReadAtTheSealDropsItsContributor(t *testing.T) {
 
 // TestAccusationOutsideItsWindowChangesNothing: an accusation is taken
 // only in a round the range guard screens, and only before its reader
-// has summed a subtotal, since later it would take a subtraction.
-// Elsewhere it is counted invalid. In a (4, 3) round the collector sums
-// its own subtotals when it checks that none is missing; an accusation
+// has summed a subtotal or checked that none is missing, since later it
+// would take a subtraction. Elsewhere it is counted invalid. In a (4, 3)
+// round the collector's window closes when it checks that none is
+// missing; an accusation
 // of peer 3 read at every peer at the seal of an unguarded round, or at
 // the collector after that check in a guarded one, leaves the round
 // bit-identical to one without it.
@@ -270,7 +271,7 @@ func TestAccusationOutsideItsWindowChangesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			if forged && c.guard != nil && !h.step(accuse(1, cfg.Leader, accused)) {
-				t.Fatalf("%s: the collector took an accusation after summing a subtotal", c.name)
+				t.Fatalf("%s: the collector took an accusation after checking for a missing subtotal", c.name)
 			}
 			return h.finish()
 		}
@@ -403,7 +404,7 @@ func TestForgedSubtotalsNeverReachTheAverage(t *testing.T) {
 func untiledAverage(t *testing.T, p *Peer) []float64 {
 	avg := make([]float64, p.dim)
 	for s := 0; s < p.cfg.N; s++ {
-		cands, _ := p.candidates(s)
+		cands, _, _ := p.candidates(s)
 		sub := cands[0]
 		if p.cfg.crossChecks() {
 			var err error
@@ -568,14 +569,15 @@ func TestSumMatchesFoldByFold(t *testing.T) {
 	}
 }
 
-// TestUnaskedReplicaIsNeverSummed: a subtotal is summed when somebody
-// needs it and not before. In a (3,2) round led by peer 0, peer j holds
-// indices j and j+1 (mod 3); the leader sums 0 and 1 itself and is sent
-// 2 by its owner, so of the six slots three are summed, and none by the
-// time every peer has sealed, nor for a recovery request from a peer
-// that is not the leader. With owner 2 down once the shares are over,
-// the leader asks peer 1, the first replica holder, for index 2: peer 1
-// then sums that slot and nothing else, and peer 2 sums nothing.
+// TestUnaskedReplicaIsNeverSummed: a subtotal is summed into its slot
+// when somebody needs it as a vector and not before. In a (3,2) round
+// led by peer 0, peer j holds indices j and j+1 (mod 3); the leader's
+// own 0 and 1 are summed inside its average, not into their slots, and
+// it is sent 2 by its owner, so of the six slots one is summed, and none
+// by the time every peer has sealed, nor for a recovery request from a
+// peer that is not the leader. With owner 2 down once the shares are
+// over, the leader asks peer 1, the first replica holder, for index 2:
+// peer 1 then sums that slot and nothing else, and peer 2 sums nothing.
 func TestUnaskedReplicaIsNeverSummed(t *testing.T) {
 	const dim = 5
 	cfg := Config{N: 3, K: 2, Mode: ModeLeader, Leader: 0}
@@ -595,8 +597,8 @@ func TestUnaskedReplicaIsNeverSummed(t *testing.T) {
 		kill int // −1 for none
 		want [][2]int
 	}{
-		{"fault-free", -1, [][2]int{{0, 0}, {0, 1}, {2, 2}}},
-		{"owner 2 down", 2, [][2]int{{0, 0}, {0, 1}, {1, 2}}},
+		{"fault-free", -1, [][2]int{{2, 2}}},
+		{"owner 2 down", 2, [][2]int{{1, 2}}},
 	} {
 		h := newHandRound(t, cfg, dim, nil)
 		h.shares(randModels(rand.New(rand.NewSource(95)), cfg.N, dim), rand.New(rand.NewSource(96)))
@@ -616,6 +618,97 @@ func TestUnaskedReplicaIsNeverSummed(t *testing.T) {
 		}
 		if tc.kill >= 0 && !slices.Equal(res.Recovered, []int{tc.kill}) {
 			t.Fatalf("%s: recovered %v, want [%d]", tc.name, res.Recovered, tc.kill)
+		}
+	}
+}
+
+// TestLeaderSumsItsOwnSubtotalsInsideTheAverage: an unguarded leader's
+// own subtotals, which nobody else asks for, are summed inside its one
+// pass over the average and never into their slots. With every
+// unsummed slot of its acc NaN before Finish, the slots still hold NaN
+// after it, and Result.Avg is the sum-then-average reference bit for
+// bit — each subtotal summed into a zeroed vector, then all of them
+// added and scaled — fault-free and with a crashed owner's subtotal
+// recovered. Where a slot is read as a vector — sent under Alg. 2, the
+// cross-check's median, a subtotal liar's lie — the collector's own
+// slots are all summed by the end of Finish. The dimensions run the Go
+// body and, on an AVX2 CPU, the stream body.
+func TestLeaderSumsItsOwnSubtotalsInsideTheAverage(t *testing.T) {
+	leader := Config{N: 4, K: 2, Mode: ModeLeader, Leader: 3}
+	liar := func(b Behavior) Config {
+		c := leader
+		c.Adversary = AdversaryPlan{3: b}
+		return c
+	}
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		kill   int // a peer the failure detector reports once the shares are over, −1 for none
+		inside bool
+	}{
+		{"fault-free", leader, -1, true},
+		{"owner down", leader, 2, true},
+		{"broadcast", Config{N: 4, K: 2, Mode: ModeBroadcast}, -1, false},
+		{"cross-check", Config{N: 5, K: 3, Mode: ModeLeader, Leader: 1, Guard: &Guard{CrossCheck: true}}, -1, false},
+		{"inflating leader", liar(ByzInflateSubtotal), -1, false},
+		{"zeroing leader", liar(ByzZeroSubtotal), -1, false},
+	} {
+		for _, dim := range []int{9, tensor.Tile + 1, 64*tensor.Tile + 5} {
+			h := newHandRound(t, tc.cfg, dim, nil)
+			h.shares(randModels(rand.New(rand.NewSource(int64(dim))), tc.cfg.N, dim), rand.New(rand.NewSource(97)))
+			if tc.kill >= 0 {
+				h.kill(tc.kill)
+			}
+			h.report()
+			p := &h.peers[h.collector()]
+			want := make([]float64, dim)
+			for s := 0; s < tc.cfg.N; s++ {
+				cands, own, _ := p.candidates(s)
+				sub := make([]float64, dim)
+				for i, term := range own {
+					foldInto(sub, term, i == 0)
+				}
+				if own == nil {
+					copy(sub, cands[0])
+				}
+				for x, v := range sub {
+					want[x] += v
+				}
+			}
+			for x := range want {
+				want[x] *= 1.0 / float64(len(p.contributors))
+			}
+			for a, summed := range p.summed {
+				for x := a * dim; !summed && x < (a+1)*dim; x++ {
+					p.acc[x] = math.NaN()
+				}
+			}
+			got := h.finish()
+			for s, a := range p.slot {
+				if a < 0 {
+					continue
+				}
+				slot := p.acc[a*dim : (a+1)*dim]
+				nan := slices.IndexFunc(slot, math.IsNaN)
+				switch {
+				case tc.inside && (p.summed[a] || slices.ContainsFunc(slot, func(v float64) bool { return v == v })):
+					t.Fatalf("%s dim %d: the leader's slot of subtotal %d was written (summed %v)", tc.name, dim, s, p.summed[a])
+				case !tc.inside && (!p.summed[a] || nan >= 0):
+					t.Fatalf("%s dim %d: the collector's slot of subtotal %d is not summed (summed %v, NaN at %d)", tc.name, dim, s, p.summed[a], nan)
+				}
+			}
+			if nan := slices.IndexFunc(got.Avg, math.IsNaN); nan >= 0 {
+				t.Fatalf("%s dim %d: Avg[%d] is NaN: a slot's sentinel reached the average", tc.name, dim, nan)
+			}
+			if !tc.inside {
+				continue
+			}
+			if !bitsEqual(got.Avg, want) {
+				t.Fatalf("%s dim %d: Avg is not the sum-then-average reference", tc.name, dim)
+			}
+			if tc.kill >= 0 && !slices.Equal(got.Recovered, []int{tc.kill}) {
+				t.Fatalf("%s dim %d: recovered %v, want [%d]", tc.name, dim, got.Recovered, tc.kill)
+			}
 		}
 	}
 }

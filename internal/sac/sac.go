@@ -12,8 +12,9 @@
 // not its subtotal. Contributors take turns in ascending order and each
 // receiver holds a turn's shares until the round ends; a subtotal is
 // summed from them the first time somebody needs it — its report, a
-// recovery request, the collector's average — so a replica that no
-// owner's crash calls for is never summed. Schedule reaches the network
+// recovery request, the collector's average, which sums an unguarded
+// leader's own inside its one pass — so a replica that no owner's crash
+// calls for is never summed. Schedule reaches the network
 // only through a Fabric: Run is Schedule over a transport.Network, and
 // core's two-layer round runs it over its round nodes, which hold the
 // peers.

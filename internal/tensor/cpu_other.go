@@ -20,7 +20,7 @@ func scaleStream(dst [][]float64, f []float64, src []float64) {
 	panic("tensor: stream kernel called off amd64")
 }
 
-func scaledSumStream(dst []float64, terms [][]float64, s float64) {
+func scaledSumStream(dst []float64, terms [][]float64, groups []int, s float64) {
 	panic("tensor: stream kernel called off amd64")
 }
 

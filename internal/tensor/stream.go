@@ -4,10 +4,10 @@ import "fmt"
 
 // The aggregation kernels: Alg. 1's split of a weight vector into shares
 // (ScaleInto), the subtotal sums of Algs. 2 and 4 (SumInto), the average
-// of the subtotals (ScaledSumInto) and FedAvg's weighted average
-// (WeightedSumInto). Their outputs are as long as the model, and at the
-// paper's 1.25M weights each is 10 MB, so they are bound by memory, not
-// arithmetic.
+// of the subtotals, some of which it may sum itself (ScaledSumInto), and
+// FedAvg's weighted average (WeightedSumInto). Their outputs are as long
+// as the model, and at the paper's 1.25M weights each is 10 MB, so they
+// are bound by memory, not arithmetic.
 //
 // Each has two bodies. The Go loops are the portable one and the
 // reference: they walk the output in tiles of Tile floats, so a tile
@@ -70,11 +70,25 @@ func SumInto(dst []float64, terms [][]float64) {
 	sumInto(dst, terms, streams(len(dst)))
 }
 
-// ScaledSumInto writes (0 + terms[0][x] + terms[1][x] + …)·s into dst[x]:
-// SumInto's sum, then one multiply.
-func ScaledSumInto(dst []float64, terms [][]float64, s float64) {
+// ScaledSumInto writes (0 + G₀[x] + G₁[x] + …)·s into dst[x], left to
+// right, where group g sums the next groups[g] terms from +0: G₀[x] =
+// 0 + terms[0][x] + … + terms[groups[0]−1][x], G₁ the groups[1] terms
+// after those, and so on. The running sum starts at +0 and is never −0,
+// so a group of one term adds that term's bits and SumInto's sum is one
+// group with s = 1. groups must add up to len(terms).
+func ScaledSumInto(dst []float64, terms [][]float64, groups []int, s float64) {
 	checkTerms("ScaledSumInto", dst, terms)
-	scaledSumInto(dst, terms, s, streams(len(dst)))
+	total := 0
+	for g, n := range groups {
+		if n < 0 {
+			panic(fmt.Sprintf("tensor: ScaledSumInto group %d has %d terms", g, n))
+		}
+		total += n
+	}
+	if total != len(terms) {
+		panic(fmt.Sprintf("tensor: ScaledSumInto groups of %d terms in all for %d terms", total, len(terms)))
+	}
+	scaledSumInto(dst, terms, groups, s, streams(len(dst)))
 }
 
 // WeightedSumInto writes 0 + f[0]·terms[0][x] + f[1]·terms[1][x] + …,
@@ -111,21 +125,22 @@ func scaleInto(dst [][]float64, f []float64, src []float64, stream bool) {
 
 func sumInto(dst []float64, terms [][]float64, stream bool) {
 	if stream && len(dst) > 0 && len(terms) > 0 {
-		// A sum times 1 is the sum, bit for bit: ±Inf, subnormals and a
-		// NaN, which the first add has already quieted, come back as they
-		// are. The multiply costs nothing on a body bound by memory.
-		scaledSumStream(dst, terms, 1)
+		// One group times 1 is its sum, bit for bit: 0 + G is G, since G
+		// starts from +0, and ±Inf, subnormals and a NaN, which the first
+		// add has already quieted, come back as they are. The multiply
+		// costs nothing on a body bound by memory.
+		scaledSumStream(dst, terms, []int{len(terms)}, 1)
 		return
 	}
 	sumGo(dst, terms)
 }
 
-func scaledSumInto(dst []float64, terms [][]float64, s float64, stream bool) {
+func scaledSumInto(dst []float64, terms [][]float64, groups []int, s float64, stream bool) {
 	if stream && len(dst) > 0 && len(terms) > 0 {
-		scaledSumStream(dst, terms, s)
+		scaledSumStream(dst, terms, groups, s)
 		return
 	}
-	scaledSumGo(dst, terms, s)
+	scaledSumGo(dst, terms, groups, s)
 }
 
 func weightedSumInto(dst []float64, f []float64, terms [][]float64, stream bool) {
@@ -157,12 +172,34 @@ func sumGo(dst []float64, terms [][]float64) {
 	}
 }
 
-// scaledSumGo is ScaledSumInto's Go body: each tile of dst is summed and
-// then scaled while it is in L1.
-func scaledSumGo(dst []float64, terms [][]float64, s float64) {
+// scaledSumGo is ScaledSumInto's Go body: each tile of dst takes every
+// group while it is in L1 and is then scaled. The first group is summed
+// straight into the tile (0 + G₀ is G₀), a one-term group is added as
+// its term (r + (0 + t) is r + t), and any other group is summed into a
+// stack tile of its own and then added.
+func scaledSumGo(dst []float64, terms [][]float64, groups []int, s float64) {
+	var sub [Tile]float64
 	for lo := 0; lo < len(dst); lo += Tile {
 		d := dst[lo:min(lo+Tile, len(dst))]
-		sumTile(d, terms, lo)
+		if len(groups) == 0 {
+			clear(d)
+		}
+		for g, t := 0, 0; g < len(groups); g, t = g+1, t+groups[g] {
+			switch gt := terms[t : t+groups[g]]; {
+			case g == 0:
+				sumTile(d, gt, lo)
+			case len(gt) == 1:
+				for x, v := range gt[0][lo:][:len(d)] {
+					d[x] += v
+				}
+			default:
+				st := sub[:len(d)]
+				sumTile(st, gt, lo)
+				for x, v := range st {
+					d[x] += v
+				}
+			}
+		}
 		for x := range d {
 			d[x] *= s
 		}
@@ -214,30 +251,67 @@ func sumTile(d []float64, terms [][]float64, lo int) {
 }
 
 // weightedSumGo is WeightedSumInto's Go body: one pass over dst, each
-// tile of it taking f[i]·terms[i], i ascending, while it is in L1.
+// tile of it taking f[i]·terms[i], i ascending, while it is in L1, up
+// to three terms of non-zero factor a sweep.
 func weightedSumGo(dst []float64, f []float64, terms [][]float64) {
 	for lo := 0; lo < len(dst); lo += Tile {
 		d := dst[lo:min(lo+Tile, len(dst))]
-		first := true
+		var fs [3]float64
+		var vs [3][]float64
+		k, from0 := 0, true
 		for i, t := range terms {
-			fi := f[i]
-			if fi == 0 {
+			if f[i] == 0 {
 				continue
 			}
-			v := t[lo:][:len(d)]
-			if first {
-				for x := range d {
-					d[x] = 0 + fi*v[x]
-				}
-				first = false
-				continue
-			}
-			for x := range d {
-				d[x] += fi * v[x]
+			fs[k], vs[k] = f[i], t[lo:][:len(d)]
+			if k++; k == 3 {
+				weightedTile(d, fs, vs, k, from0)
+				k, from0 = 0, false
 			}
 		}
-		if first {
+		if k > 0 {
+			weightedTile(d, fs, vs, k, from0)
+		} else if from0 {
 			clear(d)
+		}
+	}
+}
+
+// weightedTile adds f[0]·v[0][x] + … + f[k−1]·v[k−1][x], left to right,
+// into the tile d: to +0 when from0 is set, else to d's own value. Every
+// product is rounded before it is added (the float64 conversions keep
+// the compiler from fusing a multiply-add where it may), as in a pass
+// per term.
+func weightedTile(d []float64, f [3]float64, v [3][]float64, k int, from0 bool) {
+	a, fa := v[0][:len(d)], f[0]
+	switch {
+	case k == 3 && from0:
+		b, c, fb, fc := v[1][:len(d)], v[2][:len(d)], f[1], f[2]
+		for x := range d {
+			d[x] = 0 + float64(fa*a[x]) + float64(fb*b[x]) + float64(fc*c[x])
+		}
+	case k == 3:
+		b, c, fb, fc := v[1][:len(d)], v[2][:len(d)], f[1], f[2]
+		for x := range d {
+			d[x] = d[x] + float64(fa*a[x]) + float64(fb*b[x]) + float64(fc*c[x])
+		}
+	case k == 2 && from0:
+		b, fb := v[1][:len(d)], f[1]
+		for x := range d {
+			d[x] = 0 + float64(fa*a[x]) + float64(fb*b[x])
+		}
+	case k == 2:
+		b, fb := v[1][:len(d)], f[1]
+		for x := range d {
+			d[x] = d[x] + float64(fa*a[x]) + float64(fb*b[x])
+		}
+	case from0:
+		for x := range d {
+			d[x] = 0 + float64(fa*a[x])
+		}
+	default:
+		for x := range d {
+			d[x] += float64(fa * a[x])
 		}
 	}
 }

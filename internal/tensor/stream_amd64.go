@@ -9,8 +9,8 @@ func scaleStream(dst [][]float64, f []float64, src []float64) {
 	scaleNT(&dst[0], len(dst), &f[0], &src[0], len(src))
 }
 
-func scaledSumStream(dst []float64, terms [][]float64, s float64) {
-	scaledSumNT(&dst[0], len(dst), &terms[0], len(terms), s)
+func scaledSumStream(dst []float64, terms [][]float64, groups []int, s float64) {
+	scaledSumNT(&dst[0], len(dst), &terms[0], &groups[0], len(groups), s)
 }
 
 func weightedSumStream(dst []float64, f []float64, terms [][]float64) {
@@ -23,11 +23,11 @@ func weightedSumStream(dst []float64, f []float64, terms [][]float64) {
 //go:noescape
 func scaleNT(dst *[]float64, nd int, f *float64, src *float64, n int)
 
-// scaledSumNT writes (0 + terms[0][x] + … + terms[nt−1][x])·s into
-// dst[x] for the n floats of dst.
+// scaledSumNT writes (0 + G₀[x] + … + G_{ng−1}[x])·s into dst[x] for
+// the n floats of dst, where G_g is 0 plus the next groups[g] terms.
 //
 //go:noescape
-func scaledSumNT(dst *float64, n int, terms *[]float64, nt int, s float64)
+func scaledSumNT(dst *float64, n int, terms *[]float64, groups *int, ng int, s float64)
 
 // weightedSumNT writes 0 + f[0]·terms[0][x] + … into dst[x], skipping
 // the terms whose factor is zero.

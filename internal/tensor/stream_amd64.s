@@ -75,25 +75,28 @@ scaleDone:
 	VZEROUPPER
 	RET
 
-// func scaledSumNT(dst *float64, n int, terms *[]float64, nt int, s float64)
+// func scaledSumNT(dst *float64, n int, terms *[]float64, groups *int, ng int, s float64)
 //
-// dst[x] = (0 + terms[0][x] + terms[1][x] + …)·s: Y0 and Y1 (X0 on the
-// scalar arm) add the terms in order from +0, then one multiply by s
-// (Y14) before the store. SumInto's body is this one with s = 1, which
-// returns every sum's bits as they are.
-TEXT ·scaledSumNT(SB), NOSPLIT, $0-40
+// dst[x] = (0 + G₀[x] + G₁[x] + …)·s, where G_g = 0 + the next groups[g]
+// terms: Y0 and Y1 (X0 on the scalar arm) are the running sum from +0,
+// Y2 and Y3 (X2) sum each group from +0 before it is added in, then one
+// multiply by s (Y14) before the store. R13 walks groups, BX the terms.
+// SumInto's body is this one with one group and s = 1, which returns
+// every sum's bits as they are.
+TEXT ·scaledSumNT(SB), NOSPLIT, $0-48
 	MOVQ dst+0(FP), DI
 	MOVQ n+8(FP), R8
 	SHLQ $3, R8            // end of dst, bytes
 	MOVQ terms+16(FP), R9
-	MOVQ nt+24(FP), R10
-	VBROADCASTSD s+32(FP), Y14
+	MOVQ ng+32(FP), R10
+	VBROADCASTSD s+40(FP), Y14
 	XORQ AX, AX            // byte offset into dst and every term
 
 scaledLoop:
 	CMPQ AX, R8
 	JAE  scaledDone
 	MOVQ R9, BX
+	MOVQ groups+24(FP), R13
 	MOVQ R10, DX
 	LEAQ 64(AX), CX
 	CMPQ CX, R8
@@ -104,13 +107,27 @@ scaledLoop:
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 
+scaledGroup:
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ (R13), R12        // terms left in the group
+	TESTQ R12, R12
+	JZ   scaledGroupDone
+
 scaledTerm:
 	MOVQ (BX), R11
-	VADDPD (R11)(AX*1), Y0, Y0
-	VADDPD 32(R11)(AX*1), Y1, Y1
+	VADDPD (R11)(AX*1), Y2, Y2
+	VADDPD 32(R11)(AX*1), Y3, Y3
 	ADDQ $24, BX
-	DECQ DX
+	DECQ R12
 	JNZ  scaledTerm
+
+scaledGroupDone:
+	VADDPD Y2, Y0, Y0
+	VADDPD Y3, Y1, Y1
+	ADDQ $8, R13
+	DECQ DX
+	JNZ  scaledGroup
 	VMULPD Y14, Y0, Y0
 	VMULPD Y14, Y1, Y1
 	VMOVNTPD Y0, (DI)(AX*1)
@@ -121,12 +138,24 @@ scaledTerm:
 scaledScalar:
 	VXORPD X0, X0, X0
 
+scaledScalarGroup:
+	VXORPD X2, X2, X2
+	MOVQ (R13), R12
+	TESTQ R12, R12
+	JZ   scaledScalarGroupDone
+
 scaledScalarTerm:
 	MOVQ (BX), R11
-	VADDSD (R11)(AX*1), X0, X0
+	VADDSD (R11)(AX*1), X2, X2
 	ADDQ $24, BX
-	DECQ DX
+	DECQ R12
 	JNZ  scaledScalarTerm
+
+scaledScalarGroupDone:
+	VADDSD X2, X0, X0
+	ADDQ $8, R13
+	DECQ DX
+	JNZ  scaledScalarGroup
 	VMULSD X14, X0, X0
 	VMOVSD X0, (DI)(AX*1)
 	ADDQ $8, AX
