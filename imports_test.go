@@ -589,6 +589,168 @@ func TestEveryInterfaceHasTwoImplementations(t *testing.T) {
 	t.Logf("implementations per interface: %s", strings.Join(census, ", "))
 }
 
+// exportsKept lists the exported top-level names under internal/ that
+// no other package's non-test code names and that stay exported anyway,
+// each with its reason, of the three kinds kept admits.
+var exportsKept = func() map[string]string {
+	m := map[string]string{}
+	keep := func(reason string, names ...string) {
+		for _, name := range names {
+			m["repro/internal/"+name] = reason
+		}
+	}
+	_ = keep
+	return m
+}()
+
+// TestEveryExportIsNamedOutsideItsPackage is the guard behind "the
+// exported surface is the contract": every exported top-level type,
+// func, var and const under internal/ is named by another package's
+// non-test code, or is in exportsKept with a reason. A name reachable
+// from a named one counts as named: a type in the signature of a named
+// function or of an exported method of a named type, or in an exported
+// field of a named type, and a constant whose type is named. Whatever
+// only its own package names is that package's internals, and is
+// spelled so. Methods of exported types are not held to the rule yet.
+func TestEveryExportIsNamedOutsideItsPackage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the module and the standard library from source")
+	}
+	m := loadModule(t)
+	internal := func(obj types.Object) bool {
+		return obj.Pkg() != nil && strings.HasPrefix(obj.Pkg().Path(), "repro/internal/")
+	}
+	dir := func(pos token.Pos) string { return filepath.Dir(m.fset.Position(pos).Filename) }
+	named := map[types.Object]bool{}
+	var work []types.Object
+	mark := func(obj types.Object) {
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+		case *types.Var:
+			obj = o.Origin()
+		}
+		if internal(obj) && !named[obj] {
+			named[obj] = true
+			work = append(work, obj)
+		}
+	}
+	for id, obj := range m.info.Uses {
+		if internal(obj) && dir(id.Pos()) != dir(obj.Pos()) {
+			mark(obj)
+		}
+	}
+	seen := map[types.Type]bool{}
+	var reach func(types.Type)
+	reach = func(typ types.Type) {
+		if seen[typ] {
+			return
+		}
+		seen[typ] = true
+		switch typ := typ.(type) {
+		case *types.Named:
+			mark(typ.Obj())
+			for i := 0; i < typ.TypeArgs().Len(); i++ {
+				reach(typ.TypeArgs().At(i))
+			}
+		case *types.Pointer:
+			reach(typ.Elem())
+		case *types.Slice:
+			reach(typ.Elem())
+		case *types.Array:
+			reach(typ.Elem())
+		case *types.Chan:
+			reach(typ.Elem())
+		case *types.Map:
+			reach(typ.Key())
+			reach(typ.Elem())
+		case *types.Signature:
+			for _, tuple := range []*types.Tuple{typ.Params(), typ.Results()} {
+				for i := 0; i < tuple.Len(); i++ {
+					reach(tuple.At(i).Type())
+				}
+			}
+		case *types.Struct:
+			for i := 0; i < typ.NumFields(); i++ {
+				if typ.Field(i).Exported() {
+					reach(typ.Field(i).Type())
+				}
+			}
+		case *types.Interface:
+			for i := 0; i < typ.NumMethods(); i++ {
+				if typ.Method(i).Exported() {
+					reach(typ.Method(i).Type())
+				}
+			}
+		}
+	}
+	for len(work) > 0 {
+		obj := work[len(work)-1]
+		work = work[:len(work)-1]
+		if tn, ok := obj.(*types.TypeName); ok {
+			reach(tn.Type().Underlying())
+			if n, ok := tn.Type().(*types.Named); ok {
+				for i := 0; i < n.NumMethods(); i++ {
+					if n.Method(i).Exported() {
+						reach(n.Method(i).Type())
+					}
+				}
+			}
+		} else {
+			reach(obj.Type())
+		}
+	}
+
+	exported, unnamed := 0, 0
+	var unreached []string
+	declared := map[string]bool{}
+	for _, pkg := range m.pkgs {
+		if !strings.HasPrefix(pkg.Path(), "repro/internal/") {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			obj := pkg.Scope().Lookup(name)
+			if !obj.Exported() {
+				continue
+			}
+			exported++
+			full := pkg.Path() + "." + name
+			declared[full] = true
+			ok := named[obj]
+			if c, isConst := obj.(*types.Const); isConst && !ok {
+				if n, isNamed := c.Type().(*types.Named); isNamed && named[n.Obj()] {
+					ok = true
+				}
+			}
+			switch {
+			case !ok && exportsKept[full] == "":
+				unnamed++
+				unreached = append(unreached, fmt.Sprintf("%s: %s", m.fset.Position(obj.Pos()), full))
+			case !ok:
+				unnamed++
+			case exportsKept[full] != "":
+				t.Errorf("exportsKept entry %s is now named by another package; drop it", full)
+			}
+		}
+	}
+	if exported < 200 {
+		t.Fatalf("found %d exported names; the guard is not looking at the tree", exported)
+	}
+	t.Logf("%d exported top-level names under internal/, %d named by no other package's code, %d of them in exportsKept", exported, unnamed, len(exportsKept))
+	slices.Sort(unreached)
+	for _, u := range unreached {
+		t.Errorf("%s is named by no other package: unexport it, or name the caller that needs it", u)
+	}
+	for name, reason := range exportsKept {
+		if !strings.HasPrefix(reason, "reference: ") && !strings.HasPrefix(reason, "test helper: ") && !strings.HasPrefix(reason, "roadmap item ") {
+			t.Errorf("exportsKept entry %s: reason %q is none of the three admitted kinds", name, reason)
+		}
+		if !declared[name] {
+			t.Errorf("exportsKept entry %s no longer exists; drop it", name)
+		}
+	}
+}
+
 // moduleImporter hands the type checker the module's packages it has
 // already checked, so one field is one object across the module, and
 // the standard library from source.
