@@ -238,22 +238,24 @@ func TestAccusationReadAtTheSealDropsItsContributor(t *testing.T) {
 
 // TestAccusationOutsideItsWindowChangesNothing: an accusation is taken
 // only in a round the range guard screens, and only before its reader
-// has summed a subtotal or checked that none is missing, since later it
-// would take a subtraction. Elsewhere it is counted invalid. In a (4, 3)
-// round the collector's window closes when it checks that none is
-// missing; an accusation
-// of peer 3 read at every peer at the seal of an unguarded round, or at
-// the collector after that check in a guarded one, leaves the round
-// bit-identical to one without it.
+// has accepted or summed a subtotal or checked that none is missing,
+// since later it would take a subtraction. Elsewhere it is counted
+// invalid. An accusation of peer 3 in a (4, 3) round — read at every
+// peer at the seal of an unguarded round, or in a guarded one at the
+// collector once the subtotals it is sent have arrived, or after it
+// checked that none is missing — leaves the round bit-identical to one
+// without it.
 func TestAccusationOutsideItsWindowChangesNothing(t *testing.T) {
 	const n, dim, accused = 4, 6, 3
 	models := randModels(rand.New(rand.NewSource(103)), n, dim)
 	for _, c := range []struct {
-		name  string
-		guard *Guard
+		name    string
+		guard   *Guard
+		missing bool // the collector checks for a missing subtotal first
 	}{
-		{"unguarded, at the seal", nil},
-		{"guarded, after a sum", &Guard{ShareBound: 1e3}},
+		{"unguarded, at the seal", nil, false},
+		{"guarded, after the subtotals arrive", &Guard{ShareBound: 1e3}, false},
+		{"guarded, after the check", &Guard{ShareBound: 1e3}, true},
 	} {
 		cfg := Config{N: n, K: 3, Mode: ModeLeader, Leader: 0, Guard: c.guard}
 		round := func(forged bool) *Result {
@@ -267,11 +269,13 @@ func TestAccusationOutsideItsWindowChangesNothing(t *testing.T) {
 			}
 			h.shares(models, rand.New(rand.NewSource(104)))
 			h.report()
-			if err := h.peers[cfg.Leader].Missing(); err != nil {
-				t.Fatal(err)
+			if c.missing {
+				if err := h.peers[cfg.Leader].Missing(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if forged && c.guard != nil && !h.step(accuse(1, cfg.Leader, accused)) {
-				t.Fatalf("%s: the collector took an accusation after checking for a missing subtotal", c.name)
+				t.Fatalf("%s: the collector took an accusation", c.name)
 			}
 			return h.finish()
 		}
