@@ -46,8 +46,8 @@ type Peer struct {
 	// set once acc's slot a sums this round's contributors, which happens
 	// the first time somebody needs it as a vector (see subtotal). terms
 	// is the list subtotal hands the sum, kept across rounds. tallying is
-	// set once p has summed a subtotal or checked, as a collector, that
-	// none is missing: from then on it takes no accusation.
+	// set once p has summed a subtotal or, as a collector, accepted one or
+	// checked that none is missing: from then on it takes no accusation.
 	slot     []int
 	held     [][]float64
 	acc      []float64
@@ -243,7 +243,8 @@ func (p *Peer) Contribute(model []float64, rng *rand.Rand) error {
 //   - a share, in contributor i's turn, only from i, for an index p
 //     holds, at a peer other than i; the last duplicate wins;
 //   - an accusation only in a round the range guard screens, once sealed
-//     and before p has summed a subtotal or checked that none is missing;
+//     and before p has accepted or summed a subtotal or checked that none
+//     is missing;
 //   - a subtotal for index s, once sealed and only at a collector, from
 //     s's owner when p does not sum s itself — under the cross-check from
 //     any member of secretshare.HoldersOf(s) — and a recovered one only
@@ -264,8 +265,8 @@ func (p *Peer) Step(m transport.Message) {
 		ok = p.stepShare(m)
 	case m.Kind == KindAccuse:
 		// Only a guarded round has accusers, and no subtotal has been
-		// summed or counted on yet, so dropping the accused takes no
-		// subtraction.
+		// accepted, summed or counted on yet, so dropping the accused
+		// takes no subtraction.
 		if ok = p.cfg.screens() && p.sealed && !p.tallying && p.isIndex(m.ShareIdx) && len(m.Payload) == 1; ok {
 			p.drop(m.ShareIdx)
 			p.release(m.Payload)
@@ -441,7 +442,7 @@ func (p *Peer) stepSubtotal(m transport.Message) bool {
 	case !p.cfg.crossChecks() && (m.From != s || p.slot[s] >= 0):
 		return false
 	}
-	got[t] = m.Payload
+	got[t], p.tallying = m.Payload, true
 	return true
 }
 
