@@ -2,7 +2,10 @@ package fl
 
 import (
 	"fmt"
+	"math"
 	"sort"
+
+	"repro/internal/tensor"
 )
 
 // Aggregator combines the (SAC-protected) subgroup models into a global
@@ -26,9 +29,38 @@ type FedAvg struct{}
 // Name implements Aggregator.
 func (FedAvg) Name() string { return "fedavg" }
 
-// Aggregate implements Aggregator.
+// Aggregate implements Aggregator: the FedAvg update
+// w ← Σ_k (n_k / n) · w_k, where n_k is the sample count backing model k.
+// Every count must be finite and non-negative, and one positive.
 func (FedAvg) Aggregate(models [][]float64, counts []float64) ([]float64, error) {
-	return WeightedAverage(models, counts)
+	if err := checkModels(models, counts); err != nil {
+		return nil, err
+	}
+	if counts == nil {
+		return nil, fmt.Errorf("fl: FedAvg needs the %d models' sample counts", len(models))
+	}
+	total := 0.0
+	for _, c := range counts {
+		if c < 0 || math.IsNaN(c) || math.IsInf(c, 0) {
+			return nil, fmt.Errorf("fl: sample count %v is not a finite non-negative number", c)
+		}
+		total += c
+	}
+	if total == 0 {
+		return nil, fmt.Errorf("fl: all sample counts are zero")
+	}
+	// The fractions n_k/n live on the stack for up to 16 models.
+	var buf [16]float64
+	f := buf[:0]
+	if len(models) > len(buf) {
+		f = make([]float64, 0, len(models))
+	}
+	for _, c := range counts {
+		f = append(f, c/total)
+	}
+	out := make([]float64, len(models[0]))
+	tensor.WeightedSumInto(out, f, models)
+	return out, nil
 }
 
 // CoordinateMedian aggregates by the per-coordinate median, ignoring the

@@ -6,6 +6,8 @@ import (
 	"testing"
 )
 
+// TestFedAvgAggregatorMatchesWeightedAverage: FedAvg's average is the
+// untiled weighted sum, bit for bit.
 func TestFedAvgAggregatorMatchesWeightedAverage(t *testing.T) {
 	models := [][]float64{{1, 2}, {3, 4}}
 	counts := []float64{1, 3}
@@ -13,13 +15,10 @@ func TestFedAvgAggregatorMatchesWeightedAverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := WeightedAverage(models, counts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := untiledWeightedAverage(models, counts)
 	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("FedAvg aggregator must match WeightedAverage")
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			t.Fatalf("FedAvg gives %v, the weighted average is %v", a, b)
 		}
 	}
 }
@@ -56,7 +55,7 @@ func TestMedianRobustToOutlier(t *testing.T) {
 	if med[0] < 0.9 || med[0] > 1.1 {
 		t.Fatalf("median %v outside honest range", med[0])
 	}
-	mean, err := WeightedAverage(poisoned, []float64{1, 1, 1, 1, 1})
+	mean, err := FedAvg{}.Aggregate(poisoned, []float64{1, 1, 1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,6 +116,9 @@ func TestAggregatorValidation(t *testing.T) {
 	if _, err := (CoordinateMedian{}).Aggregate([][]float64{{1}}, []float64{1, 2}); err == nil {
 		t.Fatal("want count-mismatch error")
 	}
+	if _, err := (FedAvg{}).Aggregate([][]float64{{1}}, nil); err == nil {
+		t.Fatal("want missing-counts error")
+	}
 }
 
 // All three rules agree on symmetric, outlier-free input.
@@ -136,7 +138,7 @@ func TestAggregatorsAgreeOnCleanData(t *testing.T) {
 	for i := range ones {
 		ones[i] = 1
 	}
-	mean, _ := WeightedAverage(models, ones)
+	mean, _ := FedAvg{}.Aggregate(models, ones)
 	med, _ := CoordinateMedian{}.Aggregate(models, nil)
 	trim, _ := TrimmedMean{Trim: 0.1}.Aggregate(models, nil)
 	for j := range base {

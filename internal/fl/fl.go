@@ -9,7 +9,6 @@ package fl
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/dataset"
@@ -17,45 +16,6 @@ import (
 	"repro/internal/optim"
 	"repro/internal/tensor"
 )
-
-// WeightedAverage computes the FedAvg update
-// w ← Σ_k (n_k / n) · w_k over flat weight vectors, where n_k is the
-// sample count backing model k. All vectors must share a length and at
-// least one weight must be positive.
-func WeightedAverage(models [][]float64, counts []float64) ([]float64, error) {
-	if len(models) == 0 {
-		return nil, fmt.Errorf("fl: no models to average")
-	}
-	if len(counts) != len(models) {
-		return nil, fmt.Errorf("fl: %d counts for %d models", len(counts), len(models))
-	}
-	dim := len(models[0])
-	total := 0.0
-	for i, m := range models {
-		if len(m) != dim {
-			return nil, fmt.Errorf("fl: model %d has %d weights, want %d", i, len(m), dim)
-		}
-		if c := counts[i]; c < 0 || math.IsNaN(c) || math.IsInf(c, 0) {
-			return nil, fmt.Errorf("fl: sample count %v is not a finite non-negative number", c)
-		}
-		total += counts[i]
-	}
-	if total == 0 {
-		return nil, fmt.Errorf("fl: all sample counts are zero")
-	}
-	// The fractions n_k/n live on the stack for up to 16 models.
-	var buf [16]float64
-	f := buf[:0]
-	if len(models) > len(buf) {
-		f = make([]float64, 0, len(models))
-	}
-	for _, c := range counts {
-		f = append(f, c/total)
-	}
-	out := make([]float64, dim)
-	tensor.WeightedSumInto(out, f, models)
-	return out, nil
-}
 
 // TrainConfig controls one local-update step.
 type TrainConfig struct {

@@ -14,7 +14,7 @@ import (
 
 func TestWeightedAverageKnown(t *testing.T) {
 	models := [][]float64{{1, 2}, {3, 4}}
-	avg, err := WeightedAverage(models, []float64{1, 3})
+	avg, err := FedAvg{}.Aggregate(models, []float64{1, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,19 +27,22 @@ func TestWeightedAverageKnown(t *testing.T) {
 }
 
 func TestWeightedAverageErrors(t *testing.T) {
-	if _, err := WeightedAverage(nil, nil); err == nil {
+	if _, err := (FedAvg{}).Aggregate(nil, nil); err == nil {
 		t.Fatal("want error for empty input")
 	}
-	if _, err := WeightedAverage([][]float64{{1}}, []float64{1, 2}); err == nil {
+	if _, err := (FedAvg{}).Aggregate([][]float64{{1}}, []float64{1, 2}); err == nil {
 		t.Fatal("want count-mismatch error")
 	}
-	if _, err := WeightedAverage([][]float64{{1}, {1, 2}}, []float64{1, 1}); err == nil {
+	if _, err := (FedAvg{}).Aggregate([][]float64{{1}}, nil); err == nil {
+		t.Fatal("want missing-counts error")
+	}
+	if _, err := (FedAvg{}).Aggregate([][]float64{{1}, {1, 2}}, []float64{1, 1}); err == nil {
 		t.Fatal("want dim-mismatch error")
 	}
-	if _, err := WeightedAverage([][]float64{{1}}, []float64{-1}); err == nil {
+	if _, err := (FedAvg{}).Aggregate([][]float64{{1}}, []float64{-1}); err == nil {
 		t.Fatal("want negative-count error")
 	}
-	if _, err := WeightedAverage([][]float64{{1}}, []float64{0}); err == nil {
+	if _, err := (FedAvg{}).Aggregate([][]float64{{1}}, []float64{0}); err == nil {
 		t.Fatal("want zero-total error")
 	}
 }
@@ -54,14 +57,14 @@ func TestWeightedAverageRejectsNonFiniteCounts(t *testing.T) {
 		{math.Inf(-1), false},
 		{2.5, true},
 	} {
-		avg, err := WeightedAverage([][]float64{{1, 2}, {3, 4}}, []float64{1, tc.count})
+		avg, err := FedAvg{}.Aggregate([][]float64{{1, 2}, {3, 4}}, []float64{1, tc.count})
 		if (err == nil) != tc.ok {
 			t.Errorf("count %v: average %v, error %v", tc.count, avg, err)
 		}
 	}
 }
 
-// untiledWeightedAverage is WeightedAverage's sum as it was before the
+// untiledWeightedAverage is FedAvg's sum as it was before the
 // tiles: one pass over out per model.
 func untiledWeightedAverage(models [][]float64, counts []float64) []float64 {
 	total := 0.0
@@ -118,7 +121,7 @@ func plant(v []float64, shift int) {
 	}
 }
 
-// TestTiledWeightedAverageMatchesUntiled: WeightedAverage adds every
+// TestTiledWeightedAverageMatchesUntiled: FedAvg adds every
 // model into one tile of out before it moves to the next, or streams a
 // long out past the caches. Around every tile boundary, with −0, ±Inf
 // and NaN planted on both sides of it in every model — differently per
@@ -141,7 +144,7 @@ func TestTiledWeightedAverageMatchesUntiled(t *testing.T) {
 		for j := range models[1] {
 			models[1][j] = math.NaN()
 		}
-		got, err := WeightedAverage(models, counts)
+		got, err := FedAvg{}.Aggregate(models, counts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +170,7 @@ func TestUniformAverageMatchesMean(t *testing.T) {
 			return math.Mod(x, 1e6)
 		}
 		a, b, c = bound(a), bound(b), bound(c)
-		avg, err := WeightedAverage([][]float64{{a}, {b}, {c}}, []float64{1, 1, 1})
+		avg, err := FedAvg{}.Aggregate([][]float64{{a}, {b}, {c}}, []float64{1, 1, 1})
 		if err != nil {
 			return false
 		}
@@ -188,11 +191,11 @@ func TestWeightedEqualsUniformForEqualCounts(t *testing.T) {
 		models[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
 		counts[i] = 7
 	}
-	w, err := WeightedAverage(models, counts)
+	w, err := FedAvg{}.Aggregate(models, counts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := WeightedAverage(models, []float64{1, 1, 1, 1})
+	u, err := FedAvg{}.Aggregate(models, []float64{1, 1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +313,7 @@ func TestFedAvgRoundsImproveGlobalModel(t *testing.T) {
 			models[i] = c.Weights()
 			counts[i] = float64(c.SampleCount())
 		}
-		global, err = WeightedAverage(models, counts)
+		global, err = FedAvg{}.Aggregate(models, counts)
 		if err != nil {
 			t.Fatal(err)
 		}
