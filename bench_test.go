@@ -1,7 +1,6 @@
-// Package repro's root benchmark harness: one testing.B benchmark per
-// table and figure of the paper's evaluation, each driving the same
-// experiment code as cmd/p2pfl-experiments at a CI-friendly scale and
-// reporting the headline quantity as a custom benchmark metric.
+// Package repro's root benchmark harness: one testing.B sub-benchmark
+// per table and figure of the paper's evaluation, each driving the same
+// experiment code as cmd/p2pfl-experiments at a CI-friendly scale.
 //
 //	go test -bench=. -benchmem
 //
@@ -11,6 +10,7 @@
 package repro
 
 import (
+	"io"
 	"math/rand"
 	"testing"
 
@@ -62,132 +62,18 @@ func benchRound15Peers(b *testing.B, budget int) {
 func BenchmarkRound15PeersSerial(b *testing.B)   { benchRound15Peers(b, 1) }
 func BenchmarkRound15PeersWorkers4(b *testing.B) { benchRound15Peers(b, 4) }
 
-func BenchmarkTable1Environment(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if experiments.Table1() == nil {
-			b.Fatal("no environment")
-		}
-	}
-}
-
-func BenchmarkFig6TwoLayerAccuracy(b *testing.B) {
-	var acc float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig6(benchParams)
-		if err != nil {
-			b.Fatal(err)
-		}
-		acc = res.Rows[0].FinalAcc // two-layer n=3, IID
-	}
-	b.ReportMetric(100*acc, "final-acc-%")
-}
-
-func BenchmarkFig7TwoLayerLoss(b *testing.B) {
-	var loss float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig7(benchParams)
-		if err != nil {
-			b.Fatal(err)
-		}
-		loss = res.Rows[0].FinalLossMA
-	}
-	b.ReportMetric(loss, "final-loss")
-}
-
-func BenchmarkFig8Fraction(b *testing.B) {
-	var gap float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig8(benchParams)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Accuracy gap between p=1 and p=0.5 under IID (paper: ~2%).
-		gap = res.Rows[0].FinalAcc - res.Rows[3].FinalAcc
-	}
-	b.ReportMetric(100*gap, "p1-vs-p0.5-acc-gap-%")
-}
-
-func BenchmarkFig9FractionLoss(b *testing.B) {
-	var loss float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig9(benchParams)
-		if err != nil {
-			b.Fatal(err)
-		}
-		loss = res.Rows[3].FinalLossMA // p=0.5, IID
-	}
-	b.ReportMetric(loss, "final-loss")
-}
-
-func BenchmarkFig10SubgroupElection(b *testing.B) {
-	var mean float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig10(benchParams)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mean = res.Rows[0].Stats.Mean // T=50ms setting
-	}
-	b.ReportMetric(mean, "recover-ms@T=50")
-}
-
-func BenchmarkFig11JoinFedAvg(b *testing.B) {
-	var mean float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig11(benchParams)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mean = res.Rows[0].Stats.Mean
-	}
-	b.ReportMetric(mean, "recover-ms@T=50")
-}
-
-func BenchmarkFig12FedAvgLeaderCrash(b *testing.B) {
-	var mean float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig12(benchParams)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mean = res.Rows[0].Stats.Mean
-	}
-	b.ReportMetric(mean, "recover-ms@T=50")
-}
-
-func BenchmarkFig13CostVsM(b *testing.B) {
-	var m6 float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig13(benchParams)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range res.Rows {
-			if row.Label == "m=6" {
-				m6 = row.Gb
+// BenchmarkExperiments runs the paper's table and figure drivers by
+// name, through experiments.Run as the CLI does, one sub-benchmark each.
+func BenchmarkExperiments(b *testing.B) {
+	for _, name := range []string{"tab1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14"} {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := experiments.Run(name, benchParams)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res.Print(io.Discard)
 			}
-		}
+		})
 	}
-	b.ReportMetric(m6, "Gb@m=6") // paper: 7.12 Gb
-}
-
-func BenchmarkFig14CostKN(b *testing.B) {
-	var reduction float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig14(benchParams)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var two, base float64
-		for _, row := range res.Rows {
-			switch row.Label {
-			case "N=30 2-3 (n=3, k=2)":
-				two = float64(row.Units)
-			case "N=30 baseline (n=N)":
-				base = float64(row.Units)
-			}
-		}
-		reduction = base / two
-	}
-	b.ReportMetric(reduction, "reduction-x") // paper: 10.36x
 }

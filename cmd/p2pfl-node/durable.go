@@ -19,7 +19,7 @@ type stateFile string
 
 // open returns the node to run: restored from the file when there is
 // one, new from cfg when the file is missing (a first start). A file
-// that exists but is not one raft-state frame (wire.ErrBadMagic for a
+// that exists but is not one raft-state frame (a bad magic for a
 // foreign format) or does not restore is an error — starting fresh
 // over it would forget a vote or committed entries.
 func (f stateFile) open(cfg raft.Config) (*raft.Node, error) {

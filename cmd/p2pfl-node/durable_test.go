@@ -1,12 +1,12 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/raft"
@@ -92,8 +92,8 @@ func TestSaveFileAtomicAndReloadable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b) != wire.RaftStateFrameSize(ps) {
-		t.Fatalf("state file is %d bytes, frame is %d", len(b), wire.RaftStateFrameSize(ps))
+	if frame := wire.AppendRaftStateFrame(nil, ps); len(b) != len(frame) {
+		t.Fatalf("state file is %d bytes, frame is %d", len(b), len(frame))
 	}
 	entries, err := os.ReadDir(filepath.Dir(string(f)))
 	if err != nil {
@@ -126,12 +126,12 @@ func TestLoadStateCorrupt(t *testing.T) {
 	frame := wire.AppendRaftStateFrame(nil, samplePersistentState(t))
 	for name, tc := range map[string]struct {
 		content []byte
-		want    error
+		want    string // the codec's verdict, when the case names one
 	}{
-		"gob":       {gobHead, wire.ErrBadMagic},
-		"empty":     {nil, nil},
-		"truncated": {frame[:len(frame)-1], nil},
-		"wrongkind": {wire.AppendRaftFrame(nil, raft.Message{Type: raft.MsgAppend}), wire.ErrBadFrame},
+		"gob":       {gobHead, "wire: bad magic"},
+		"empty":     {nil, ""},
+		"truncated": {frame[:len(frame)-1], ""},
+		"wrongkind": {wire.AppendRaftFrame(nil, raft.Message{Type: raft.MsgAppend}), "wire: malformed frame"},
 	} {
 		f := stateFile(filepath.Join(t.TempDir(), name))
 		if err := os.WriteFile(string(f), tc.content, 0o644); err != nil {
@@ -141,8 +141,8 @@ func TestLoadStateCorrupt(t *testing.T) {
 		if err == nil || n != nil {
 			t.Fatalf("%s: open accepted a corrupt state file", name)
 		}
-		if tc.want != nil && !errors.Is(err, tc.want) {
-			t.Fatalf("%s: err = %v, want %v", name, err, tc.want)
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want %q", name, err, tc.want)
 		}
 	}
 }

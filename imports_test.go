@@ -326,16 +326,19 @@ var unsetKept = func() map[string]string {
 	}
 	keep("roadmap item 5: a chaos failure attaches its trace",
 		"chaos.Campaign.Telemetry", "chaos.StabilityOptions.Telemetry")
+	keep("roadmap item 7: seeded shares set the mask divider's scale",
+		"secretshare.MaskDivider.Scale")
 	return m
 }()
 
 // TestEveryOptionIsSetByAProgram is the guard behind "serve the settings
 // that exist", as TestEveryFunctionShipsInAProgram is for functions:
-// every exported field of a *Config, *Options, *Params or *Spec struct
-// under internal/ (and of chaos.Campaign) is written by some non-test
-// code of the module outside the normalize or validate that defaults it,
-// or is in unsetKept with a reason. A write is a composite-literal key,
-// an assignment or ++/-- to the field, or its address taken; an
+// every exported field of an exported struct type under internal/ is
+// written by some non-test code of the module outside the normalize or
+// validate that defaults it, or is in unsetKept with a reason. A write
+// is a composite-literal key, an assignment or ++/-- to the field or to
+// one of its map's elements, or its address taken; a write through a
+// promoted field also sets the embedded field it is promoted from. An
 // assignment under `if x.F == <zero> { x.F = c }` is a default wherever
 // it stands, not a write. The check type-checks the module's packages
 // from source, so a field is known by its object, not by its name.
@@ -352,7 +355,7 @@ func TestEveryOptionIsSetByAProgram(t *testing.T) {
 		}
 		for _, name := range pkg.Scope().Names() {
 			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
-			if !ok || !tn.Exported() || !isOptionType(pkg.Path(), name) {
+			if !ok || !tn.Exported() {
 				continue
 			}
 			st, ok := tn.Type().Underlying().(*types.Struct)
@@ -370,10 +373,29 @@ func TestEveryOptionIsSetByAProgram(t *testing.T) {
 
 	set := map[*types.Var]bool{}
 	field := func(e ast.Expr) {
-		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
-			if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
-				set[s.Obj().(*types.Var).Origin()] = true
+		e = ast.Unparen(e)
+		if ix, ok := e.(*ast.IndexExpr); ok {
+			if _, isMap := info.Types[ix.X].Type.Underlying().(*types.Map); isMap {
+				e = ast.Unparen(ix.X)
 			}
+		}
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok {
+			return
+		}
+		s := info.Selections[sel]
+		if s == nil || s.Kind() != types.FieldVal {
+			return
+		}
+		set[s.Obj().(*types.Var).Origin()] = true
+		typ := s.Recv()
+		for _, i := range s.Index()[:len(s.Index())-1] { // the embedded fields it is promoted through
+			if ptr, ok := typ.Underlying().(*types.Pointer); ok {
+				typ = ptr.Elem()
+			}
+			embedded := typ.Underlying().(*types.Struct).Field(i)
+			set[embedded.Origin()] = true
+			typ = embedded.Type()
 		}
 	}
 	defaults := map[*ast.AssignStmt]bool{} // x.F = c under if x.F == <zero>
@@ -469,17 +491,6 @@ func isZeroValue(tv types.TypeAndValue) bool {
 	}
 }
 
-// isOptionType reports whether a type under internal/ is one of the
-// option structs TestEveryOptionIsSetByAProgram holds to account.
-func isOptionType(pkg, name string) bool {
-	for _, suffix := range []string{"Config", "Options", "Params", "Spec"} {
-		if strings.HasSuffix(name, suffix) {
-			return true
-		}
-	}
-	return pkg == "repro/internal/chaos" && name == "Campaign"
-}
-
 // module is the module's non-test code — internal/, cmd/, examples/ and
 // bench/ — type-checked from source: one object per declaration across
 // the module, its packages in dependency order.
@@ -534,12 +545,12 @@ func loadModule(t *testing.T) module {
 }
 
 // TestEveryInterfaceHasTwoImplementations is the guard behind "an
-// abstraction earns its keep": every exported interface declared in
-// non-test code under internal/ is implemented by at least two named
-// non-interface types of the module's non-test code (cmd/, examples/
-// and bench/ included), by value or by pointer. An interface with one
-// implementation is that type's method set with a second name; take
-// the type instead.
+// abstraction earns its keep": every top-level interface declared in
+// non-test code under internal/, exported or not, is implemented by at
+// least two named non-interface types of the module's non-test code
+// (cmd/, examples/ and bench/ included), by value or by pointer. An
+// interface with one implementation is that type's method set with a
+// second name; take the type instead.
 func TestEveryInterfaceHasTwoImplementations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module and the standard library from source")
@@ -557,7 +568,7 @@ func TestEveryInterfaceHasTwoImplementations(t *testing.T) {
 		case !ok || n.TypeParams().Len() > 0:
 		case !types.IsInterface(n):
 			named = append(named, n)
-		case tn.Exported() && tn.Parent() == tn.Pkg().Scope() && strings.HasPrefix(tn.Pkg().Path(), "repro/internal/"):
+		case tn.Parent() == tn.Pkg().Scope() && strings.HasPrefix(tn.Pkg().Path(), "repro/internal/"):
 			ifaces = append(ifaces, tn)
 		}
 	}
@@ -599,7 +610,16 @@ var exportsKept = func() map[string]string {
 			m["repro/internal/"+name] = reason
 		}
 	}
-	_ = keep
+	keep("reference: the lowered conv/matmul path internal/nn's conv oracle tests hold the direct kernels to",
+		"tensor.MatMul", "tensor.MatMulTransB", "tensor.Im2Col", "tensor.Col2Im")
+	keep("test helper: internal/nn's tests build and compare tensors with it",
+		"tensor.MustFromSlice", "tensor.Equal", "tensor.AllClose")
+	keep("test helper: tests of six packages pin the worker budget with it",
+		"tensor.SetParallelism")
+	keep("test helper: the fl, secretshare and sac kernel tests plant values around its boundaries",
+		"tensor.Tile")
+	keep("roadmap item 7: the mask divider is what seeded shares start from",
+		"secretshare.MaskDivider")
 	return m
 }()
 
@@ -795,18 +815,18 @@ var kept = func() map[string]string {
 		}
 	}
 	keep("reference: the lowered conv/matmul path nn's conv oracle, FuzzConvDifferential and tensor's kernel tests hold the direct kernels to",
-		"tensor.MatMul", "tensor.MatMulTransA", "tensor.MatMulTransAInto", "tensor.MatMulTransB", "tensor.Transpose",
-		"tensor.Im2Col", "tensor.Im2ColInto", "tensor.Im2ColShape", "tensor.Col2Im", "tensor.Col2ImInto")
+		"tensor.MatMul", "tensor.matMulTransA", "tensor.matMulTransAInto", "tensor.MatMulTransB", "tensor.transpose",
+		"tensor.Im2Col", "tensor.im2ColInto", "tensor.im2ColShape", "tensor.Col2Im", "tensor.col2ImInto")
 	keep("reference: the delta block layout compress.Config.MessageBytes charges for, pinned by the delta_* goldens and len(encoding) == closed form",
 		"wire.appendQuantBlock", "wire.readQuantBlock", "wire.appendSparseBlock", "wire.readSparseBlock")
 	keep("reference: the buffered decoder the streaming MeshDecoder is differentially tested and fuzzed against",
-		"wire.DecodeMeshPayload")
+		"wire.decodeMeshPayload")
 	keep("reference: what every divider test and fuzz target sums shares back with",
-		"secretshare.Reconstruct")
+		"secretshare.reconstruct")
 	keep("test helper: internal/sac's reference engine divides through Divider.Divide",
 		"secretshare.ScalarDivider.Divide")
 	keep("test helper: internal/nn's and internal/optim's tests build, index and compare tensors with it",
-		"tensor.FromSlice", "tensor.MustFromSlice", "tensor.(*Tensor).Clone", "tensor.(*Tensor).At", "tensor.(*Tensor).Set",
+		"tensor.fromSlice", "tensor.MustFromSlice", "tensor.(*Tensor).Clone", "tensor.(*Tensor).At", "tensor.(*Tensor).Set",
 		"tensor.(*Tensor).offset", "tensor.(*Tensor).Sum", "tensor.(*Tensor).Norm2", "tensor.Equal", "tensor.AllClose")
 	keep("roadmap item 7: the mask divider is what seeded shares start from",
 		"secretshare.MaskDivider.Name", "secretshare.MaskDivider.Divide", "secretshare.MaskDivider.DivideInto")

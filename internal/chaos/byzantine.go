@@ -50,7 +50,7 @@ const (
 	byzOracleBound = 3 * byzOracleW
 	// byzCorruptTol bounds the residual deviation a corrupt-shares
 	// adversary can smuggle past the median (one perturbed share per
-	// subtotal, ≤ sac.CorruptNoiseAmp per coordinate).
+	// subtotal, ≤ sac's corruptNoiseAmp per coordinate).
 	byzCorruptTol = 1.0
 )
 

@@ -317,7 +317,7 @@ type Campaign struct {
 	// option: the minimiser and replay tests need a verdict to minimise,
 	// and no built-in invariant fails on demand. Never in a replay file —
 	// a test that injects a checker re-attaches it after LoadReplay.
-	extraCheckers []Checker
+	extraCheckers []checker
 
 	// Telemetry, when non-nil, is threaded into every raft node, the
 	// two-layer cluster, and the SAC rounds the campaign runs, with its

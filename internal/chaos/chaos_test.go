@@ -102,7 +102,7 @@ func TestBrokenInvariantCaughtMinimizedReplayed(t *testing.T) {
 	// "No node's term ever exceeds 3" is false under any schedule with
 	// leader churn — a stand-in for a real protocol bug with a known
 	// fault-dependent trigger.
-	lowTerm := Checker{Name: "max-term", Check: func(v View) []string {
+	lowTerm := checker{Name: "max-term", Check: func(v view) []string {
 		var out []string
 		for _, n := range v.Nodes {
 			if n.Term > 3 {
@@ -112,7 +112,7 @@ func TestBrokenInvariantCaughtMinimizedReplayed(t *testing.T) {
 		return out
 	}}
 	c := Campaign{Seed: 5, Steps: 24, Mix: CrashHeavyMix, Nodes: 5, SACRounds: -1,
-		extraCheckers: []Checker{lowTerm}}
+		extraCheckers: []checker{lowTerm}}
 
 	full := c.Generate()
 	rep := c.Execute(full)
@@ -149,7 +149,7 @@ func TestBrokenInvariantCaughtMinimizedReplayed(t *testing.T) {
 		t.Fatal("replay file did not round-trip the schedule")
 	}
 	// Checkers are code, not data: re-attach before re-executing.
-	rc.extraCheckers = []Checker{lowTerm}
+	rc.extraCheckers = []checker{lowTerm}
 	again := rc.Execute(ractions)
 	if again.Passed() {
 		t.Fatal("replayed schedule did not reproduce the failure")

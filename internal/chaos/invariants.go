@@ -7,9 +7,9 @@ import (
 	"repro/internal/raft"
 )
 
-// NodeView is one node's externally visible consensus state, as exposed
+// nodeView is one node's externally visible consensus state, as exposed
 // to Checkers.
-type NodeView struct {
+type nodeView struct {
 	// ID is the raft node ID.
 	ID uint64
 	// Group labels the consensus group the node belongs to ("raft" for
@@ -25,20 +25,20 @@ type NodeView struct {
 	LastIndex uint64
 }
 
-// View is a consistent snapshot of the whole system handed to Checkers
+// view is a consistent snapshot of the whole system handed to Checkers
 // at every check interval and once more after quiesce.
-type View struct {
+type view struct {
 	// NowUs is the virtual time of the snapshot in microseconds.
 	NowUs int64
 	// Nodes lists every node in deterministic (group, ID) order.
-	Nodes []NodeView
+	Nodes []nodeView
 }
 
-// Checker is a named invariant. Check returns one description per
+// checker is a named invariant. Check returns one description per
 // breach it observes in the view (nil/empty when the invariant holds).
-type Checker struct {
+type checker struct {
 	Name  string
-	Check func(v View) []string
+	Check func(v view) []string
 }
 
 // maxViolations caps the report so a badly broken run stays readable.
@@ -226,7 +226,7 @@ func (l *ledger) checkCommittedAgreement(atUs int64, group string, nodes []*raft
 }
 
 // runExtra evaluates the campaign's extra checkers against a view.
-func (l *ledger) runExtra(checkers []Checker, v View) {
+func (l *ledger) runExtra(checkers []checker, v view) {
 	for _, c := range checkers {
 		for _, d := range c.Check(v) {
 			l.violate(v.NowUs, c.Name, d)

@@ -11,9 +11,9 @@ import (
 // counterMonotonicityChecker samples the registry at every invariant
 // sweep and reports any counter that regressed — counters are defined
 // as monotone, so a decrease means a lost or double-applied update.
-func counterMonotonicityChecker(reg *telemetry.Registry) Checker {
+func counterMonotonicityChecker(reg *telemetry.Registry) checker {
 	last := map[string]int64{}
-	return Checker{Name: "telemetry-monotonic", Check: func(View) []string {
+	return checker{Name: "telemetry-monotonic", Check: func(view) []string {
 		var breaches []string
 		for name, val := range reg.Snapshot().Counters {
 			if prev, ok := last[name]; ok && val < prev {
@@ -48,7 +48,7 @@ func telemetryCampaign(seed int64, reg *telemetry.Registry) Campaign {
 func TestChaosTelemetryCampaign(t *testing.T) {
 	reg := telemetry.New()
 	c := telemetryCampaign(11, reg)
-	c.extraCheckers = []Checker{counterMonotonicityChecker(reg)}
+	c.extraCheckers = []checker{counterMonotonicityChecker(reg)}
 	rep := c.Run()
 	if !rep.Passed() {
 		for _, v := range rep.Violations {

@@ -294,13 +294,13 @@ func (w *twWorld) checkHealth() {
 	w.healthSeen = len(trans)
 }
 
-func (w *twWorld) view() View {
-	v := View{NowUs: int64(w.sys.Sim.Now())}
+func (w *twWorld) view() view {
+	v := view{NowUs: int64(w.sys.Sim.Now())}
 	for _, id := range w.sys.PeerIDs() {
 		p := w.sys.Peer(id)
-		v.Nodes = append(v.Nodes, nodeView(id, fmt.Sprintf("sub%d", p.Subgroup), p.Down(), p.SubStatus()))
+		v.Nodes = append(v.Nodes, viewOfNode(id, fmt.Sprintf("sub%d", p.Subgroup), p.Down(), p.SubStatus()))
 		if fst, ok := p.FedStatus(); ok && !p.Down() {
-			v.Nodes = append(v.Nodes, nodeView(id, "fed", false, fst))
+			v.Nodes = append(v.Nodes, viewOfNode(id, "fed", false, fst))
 		}
 	}
 	return v

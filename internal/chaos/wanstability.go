@@ -96,11 +96,11 @@ type StabilityReport struct {
 // Passed reports whether every invariant held.
 func (r *StabilityReport) Passed() bool { return len(r.Violations) == 0 }
 
-// NewWANStabilityChecker builds the wan-stability invariant over a
+// newWANStabilityChecker builds the wan-stability invariant over a
 // steady-state baseline: no live node may be campaigning (Candidate)
 // and no live node's term may exceed baselineTerm.
-func NewWANStabilityChecker(baselineTerm uint64) Checker {
-	return Checker{Name: "wan-stability", Check: func(v View) []string {
+func newWANStabilityChecker(baselineTerm uint64) checker {
+	return checker{Name: "wan-stability", Check: func(v view) []string {
 		var out []string
 		for _, n := range v.Nodes {
 			if n.Down {
@@ -177,7 +177,7 @@ func RunWANStability(o StabilityOptions) (*StabilityReport, error) {
 	// Steady state: the wan-stability invariant sweeps the group while
 	// nothing is wrong with the network — any election is spurious.
 	rep.BaselineTerm = maxTerm()
-	checker := NewWANStabilityChecker(rep.BaselineTerm)
+	checker := newWANStabilityChecker(rep.BaselineTerm)
 	steadyOpen = true
 	steadyEnd := sim.Now() + simnet.Time(stabilitySteady)
 	var sweep func()

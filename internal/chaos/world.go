@@ -247,17 +247,17 @@ func (w *kvWorld) propose() {
 
 // groupView snapshots every node of one raft network for the checkers,
 // in ascending id order.
-func groupView(sim *simnet.Sim, g *simnet.Group, label string) View {
-	v := View{NowUs: int64(sim.Now())}
+func groupView(sim *simnet.Sim, g *simnet.Group, label string) view {
+	v := view{NowUs: int64(sim.Now())}
 	for _, id := range g.IDs() {
 		h := g.Host(id)
-		v.Nodes = append(v.Nodes, nodeView(id, label, h.Down(), h.Node.Status()))
+		v.Nodes = append(v.Nodes, viewOfNode(id, label, h.Down(), h.Node.Status()))
 	}
 	return v
 }
 
-func nodeView(id uint64, group string, down bool, st raft.Status) NodeView {
-	return NodeView{ID: id, Group: group, Down: down,
+func viewOfNode(id uint64, group string, down bool, st raft.Status) nodeView {
+	return nodeView{ID: id, Group: group, Down: down,
 		State: st.State, Term: st.Term, Leader: st.Leader, Commit: st.CommitIndex, LastIndex: st.LastIndex}
 }
 

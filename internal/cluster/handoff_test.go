@@ -11,12 +11,12 @@ import (
 // handoffSize is what ReplacePeer must report for p right now: the
 // exact sizes of the model's checkpoint frame and of the raft-state
 // frame of each raft identity p runs (subgroup, and FedAvg layer for a
-// member), computed by the codec's size functions, not by encoding.
+// member), as the codec encodes them.
 func handoffSize(p *Peer) int {
-	n := wire.HeaderSize + wire.CheckpointPayloadSize(wire.Checkpoint{Names: []string{"model"}, Weights: p.Model()}) +
-		wire.RaftStateFrameSize(p.subHost.Node.Persist())
+	n := len(wire.AppendCheckpointFrame(nil, wire.Checkpoint{Names: []string{"model"}, Sizes: []int{len(p.Model())}, Weights: p.Model()})) +
+		len(wire.AppendRaftStateFrame(nil, p.subHost.Node.Persist()))
 	if p.fedHost != nil {
-		n += wire.RaftStateFrameSize(p.fedHost.Node.Persist())
+		n += len(wire.AppendRaftStateFrame(nil, p.fedHost.Node.Persist()))
 	}
 	return n
 }

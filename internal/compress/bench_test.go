@@ -29,14 +29,14 @@ func BenchmarkEncodeDeltaFloat64(b *testing.B) {
 
 func benchmarkEncodeQuant(b *testing.B, width int) {
 	w := randVec(benchDim, 42)
-	q, _, err := Quantize(w, width, nil)
+	q, _, err := quantize(w, width, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(wire.QuantBlockSize(width, len(q.Q))))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q, _, err = Quantize(w, width, q.Q)
+		q, _, err = quantize(w, width, q.Q)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -49,14 +49,14 @@ func BenchmarkEncodeDeltaQuant16(b *testing.B) { benchmarkEncodeQuant(b, 2) }
 func benchmarkEncodeSparse(b *testing.B, frac float64, width int) {
 	w := randVec(benchDim, 42)
 	k := int(frac * benchDim)
-	s, _, err := Sparsify(w, k, width)
+	s, _, err := sparsify(w, k, width)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(wire.SparseBlockSize(width, len(s.Idx))))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, _, err = Sparsify(w, k, width)
+		s, _, err = sparsify(w, k, width)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func BenchmarkEncodeDeltaSparse10Q8(b *testing.B) { benchmarkEncodeSparse(b, 0.1
 
 func BenchmarkDequantize(b *testing.B) {
 	w := randVec(benchDim, 42)
-	q, _, err := Quantize(w, 1, nil)
+	q, _, err := quantize(w, 1, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func BenchmarkDequantize(b *testing.B) {
 	b.SetBytes(int64(8 * benchDim))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = Dequantize(q, dst)
+		dst = dequantize(q, dst)
 	}
 	_ = dst
 }

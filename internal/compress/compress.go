@@ -68,13 +68,13 @@ func maxAbs(w []float64) float64 {
 	return m
 }
 
-// Quantize compresses w into a dense fixed-point block: width 1 (int8
+// quantize compresses w into a dense fixed-point block: width 1 (int8
 // steps) or 2 (int16 steps), scale = maxAbs(w)/maxQ. Element i encodes
 // to round(w_i/scale), so the reconstruction scale·q_i is within
 // scale/2 of w_i in every coordinate. An all-zero (or empty) vector
 // encodes with scale 0 and all-zero steps. q is reused as the step
 // scratch when its capacity suffices.
-func Quantize(w []float64, width int, q []int16) (wire.QuantDelta, Bound, error) {
+func quantize(w []float64, width int, q []int16) (wire.QuantDelta, Bound, error) {
 	maxStep := 0.0
 	switch width {
 	case 1:
@@ -121,11 +121,11 @@ func Quantize(w []float64, width int, q []int16) (wire.QuantDelta, Bound, error)
 	return d, b, nil
 }
 
-// Dequantize reconstructs a quantized block into dst (reused when its
+// dequantize reconstructs a quantized block into dst (reused when its
 // capacity suffices), fanning the elementwise scale-multiply out over
 // the worker pool: element i is q.Scale·q.Q[i], bit-identical at any
 // worker count.
-func Dequantize(q wire.QuantDelta, dst []float64) []float64 {
+func dequantize(q wire.QuantDelta, dst []float64) []float64 {
 	if cap(dst) < len(q.Q) {
 		dst = make([]float64, len(q.Q))
 	}
@@ -195,11 +195,11 @@ func kthMagnitude(w []float64, k int, buf []float64) (t uint64, ties int) {
 	return prefix, int(remaining)
 }
 
-// Sparsify reduces w to its k largest-magnitude coordinates, ties broken
+// sparsify reduces w to its k largest-magnitude coordinates, ties broken
 // by lowest index (the strict order is descending magnitude, then
 // ascending index, so the result is a deterministic function of w
 // alone). width 0 keeps the surviving values in full float64 precision;
-// width 1 or 2 additionally quantizes them with Quantize's scheme over
+// width 1 or 2 additionally quantizes them with quantize's scheme over
 // the kept values. k is clamped to [0, len(w)].
 //
 // The work is a selection, not a sort: kthMagnitude finds the k-th
@@ -212,7 +212,7 @@ func kthMagnitude(w []float64, k int, buf []float64) (t uint64, ties int) {
 // output are allocated.
 // MeasuredL2Err sums the dropped coordinates in ascending index order
 // (then, for quantized values, the kept ones in ascending index order).
-func Sparsify(w []float64, k, width int) (wire.SparseDelta, Bound, error) {
+func sparsify(w []float64, k, width int) (wire.SparseDelta, Bound, error) {
 	if width != 0 && width != 1 && width != 2 {
 		return wire.SparseDelta{}, Bound{}, fmt.Errorf("compress: sparse width %d, want 0, 1 or 2", width)
 	}
@@ -259,7 +259,7 @@ func Sparsify(w []float64, k, width int) (wire.SparseDelta, Bound, error) {
 		b.MeasuredL2Err = math.Sqrt(b.MeasuredL2Err)
 		return s, b, nil
 	}
-	q, qb, err := Quantize(kept, width, nil)
+	q, qb, err := quantize(kept, width, nil)
 	if err != nil {
 		return wire.SparseDelta{}, Bound{}, err
 	}

@@ -26,14 +26,14 @@ func TestQuantizeRoundTripBound(t *testing.T) {
 	for _, width := range []int{1, 2} {
 		for _, dim := range []int{1, 7, 1000} {
 			w := randVec(dim, int64(31*width+dim))
-			q, b, err := Quantize(w, width, nil)
+			q, b, err := quantize(w, width, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if q.Width != width || len(q.Q) != dim {
 				t.Fatalf("width %d dim %d: got %d/%d", width, dim, q.Width, len(q.Q))
 			}
-			dec := Dequantize(q, nil)
+			dec := dequantize(q, nil)
 			limit := q.Scale/2 + q.Scale*1e-12
 			for i := range w {
 				if e := math.Abs(w[i] - dec[i]); e > limit {
@@ -84,16 +84,16 @@ func TestQuantizeDeterministicAcrossWorkers(t *testing.T) {
 	var ref *out
 	for _, workers := range []int{1, 2, 4, 8} {
 		tensor.SetParallelism(workers)
-		q, qb, err := Quantize(w, 1, nil)
+		q, qb, err := quantize(w, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, _, err := Sparsify(w, 411, 2)
+		s, _, err := sparsify(w, 411, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := &out{q: q, s: s, b: qb}
-		dec := Dequantize(q, nil)
+		dec := dequantize(q, nil)
 		if ref == nil {
 			ref = got
 			continue
@@ -104,7 +104,7 @@ func TestQuantizeDeterministicAcrossWorkers(t *testing.T) {
 		if !reflect.DeepEqual(got.s, ref.s) {
 			t.Fatalf("workers=%d: sparse block differs from workers=1", workers)
 		}
-		refDec := Dequantize(ref.q, nil)
+		refDec := dequantize(ref.q, nil)
 		for i := range dec {
 			if math.Float64bits(dec[i]) != math.Float64bits(refDec[i]) {
 				t.Fatalf("workers=%d: dequantized coord %d differs", workers, i)
@@ -117,7 +117,7 @@ func TestQuantizeDeterministicAcrossWorkers(t *testing.T) {
 // lowest index.
 func TestTopKTiesLowestIndex(t *testing.T) {
 	w := []float64{1, -1, 1, -1, 1, 0.5}
-	s, b, err := Sparsify(w, 3, 0)
+	s, b, err := sparsify(w, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestTopKTiesLowestIndex(t *testing.T) {
 func TestTopKSelectsLargest(t *testing.T) {
 	w := randVec(500, 3)
 	k := 50
-	s, b, err := Sparsify(w, k, 0)
+	s, b, err := sparsify(w, k, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestTopKSelectsLargest(t *testing.T) {
 
 func TestTopKQuantBound(t *testing.T) {
 	w := randVec(300, 9)
-	s, b, err := Sparsify(w, 30, 1)
+	s, b, err := sparsify(w, 30, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestTopKQuantBound(t *testing.T) {
 // zero blocks and reconstruct exactly.
 func TestEmptyAndAllZero(t *testing.T) {
 	for _, width := range []int{1, 2} {
-		q, b, err := Quantize(nil, width, nil)
+		q, b, err := quantize(nil, width, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestEmptyAndAllZero(t *testing.T) {
 			t.Fatalf("empty: %+v %+v", q, b)
 		}
 		zeros := make([]float64, 16)
-		q, b, err = Quantize(zeros, width, nil)
+		q, b, err = quantize(zeros, width, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,16 +218,16 @@ func TestEmptyAndAllZero(t *testing.T) {
 		if b.MeasuredMaxErr != 0 || b.MaxCoordErr != 0 {
 			t.Fatalf("all-zero: bound %+v", b)
 		}
-		dec := Dequantize(q, nil)
+		dec := dequantize(q, nil)
 		if !reflect.DeepEqual(dec, zeros) {
 			t.Fatal("all-zero: reconstruction not zero")
 		}
 	}
-	s, _, err := Sparsify(nil, 5, 0)
+	s, _, err := sparsify(nil, 5, 0)
 	if err != nil || s.Dim != 0 || len(s.Idx) != 0 {
 		t.Fatalf("empty topk: %+v %v", s, err)
 	}
-	s, _, err = Sparsify(make([]float64, 8), 3, 0)
+	s, _, err = sparsify(make([]float64, 8), 3, 0)
 	if err != nil || len(s.Idx) != 3 {
 		t.Fatalf("zero topk: %+v %v", s, err)
 	}

@@ -144,13 +144,13 @@ func (c Config) Compress(w []float64) (Delta, error) {
 	case None:
 		return Delta{}, fmt.Errorf("compress: Compress called with scheme none")
 	case Quant8, Quant16:
-		q, b, err := Quantize(w, c.width(), nil)
+		q, b, err := quantize(w, c.width(), nil)
 		if err != nil {
 			return Delta{}, err
 		}
 		return Delta{Quant: &q, Bound: b}, nil
 	}
-	s, b, err := Sparsify(w, c.Kept(len(w)), c.width())
+	s, b, err := sparsify(w, c.Kept(len(w)), c.width())
 	if err != nil {
 		return Delta{}, err
 	}
@@ -161,7 +161,7 @@ func (c Config) Compress(w []float64) (Delta, error) {
 // capacity suffices).
 func (d Delta) Dense(dst []float64) []float64 {
 	if d.Quant != nil {
-		return Dequantize(*d.Quant, dst)
+		return dequantize(*d.Quant, dst)
 	}
 	return d.Sparse.Dense(dst)
 }

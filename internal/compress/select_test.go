@@ -12,7 +12,7 @@ import (
 	"repro/internal/wire"
 )
 
-// sparsifySorted is the sort-based top-k Sparsify replaced: order every
+// sparsifySorted is the sort-based top-k sparsify replaced: order every
 // coordinate by (|w| descending, index ascending), keep the first k,
 // sort the kept indices. It is the oracle the selection must match bit
 // for bit (MeasuredL2Err aside, whose summation order changed).
@@ -38,7 +38,7 @@ func sparsifySorted(w []float64, k, width int) (wire.SparseDelta, Bound) {
 		s.Vals = kept
 		return s, b
 	}
-	q, qb, _ := Quantize(kept, width, nil)
+	q, qb, _ := quantize(kept, width, nil)
 	s.Scale, s.Q = q.Scale, q.Q
 	b.MaxCoordErr += qb.MaxCoordErr
 	b.MeasuredMaxErr = math.Max(b.MeasuredMaxErr, qb.MeasuredMaxErr)
@@ -105,7 +105,7 @@ func TestSparsifyMatchesSortedReference(t *testing.T) {
 		dim := len(w)
 		for _, k := range []int{-1, 0, 1, 2, dim / 10, dim / 2, dim - 1, dim, dim + 3} {
 			for _, width := range []int{0, 1, 2} {
-				got, gb, err := Sparsify(w, k, width)
+				got, gb, err := sparsify(w, k, width)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -206,13 +206,13 @@ func TestSparsifyAllocatesOnlyItsOutput(t *testing.T) {
 	for _, width := range []int{0, 1} {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		s, _, err := Sparsify(w, k, width)
+		s, _, err := sparsify(w, k, width)
 		runtime.ReadMemStats(&m1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Large objects round up to whole 8 KiB pages; the rest is slack
-		// for Quantize's closures.
+		// for quantize's closures.
 		budget := uint64(12*k+2*k*width) + 3*8192 + 4096
 		if got := m1.TotalAlloc - m0.TotalAlloc; got > budget {
 			t.Fatalf("width %d: %d bytes allocated, budget %d (4·dim would be %d)", width, got, budget, 4*len(w))
@@ -230,7 +230,7 @@ func BenchmarkSparsify(b *testing.B) {
 			b.SetBytes(int64(8 * dim))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := Sparsify(w, dim/10, 0); err != nil {
+				if _, _, err := sparsify(w, dim/10, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

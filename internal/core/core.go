@@ -288,8 +288,8 @@ type RoundResult struct {
 	GlobalBound *compress.Bound
 }
 
-// ErrNoSubgroups is returned when no subgroup produced an aggregate.
-var ErrNoSubgroups = errors.New("core: no subgroup completed SAC")
+// errNoSubgroups is returned when no subgroup produced an aggregate.
+var errNoSubgroups = errors.New("core: no subgroup completed SAC")
 
 // RoundSpec carries the per-round parameters of an aggregation. The zero
 // value is valid: uniform weighting, no crashes, leader 0 in every
@@ -448,7 +448,7 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 		okSubs = append(okSubs, g)
 	}
 	if len(okSubs) == 0 {
-		return nil, ErrNoSubgroups
+		return nil, errNoSubgroups
 	}
 	s.tel.subgroupsOK.Add(int64(len(okSubs)))
 	if len(res.Degraded) > 0 {

@@ -322,7 +322,7 @@ func TestAllSubgroupsFailed(t *testing.T) {
 	models := randModels(r, 2, 4)
 	crash := map[int]sac.CrashPlan{0: {1: sac.BeforeShares}}
 	_, err = sys.AggregateRound(models, RoundSpec{Crash: crash})
-	if !errors.Is(err, ErrNoSubgroups) {
+	if !errors.Is(err, errNoSubgroups) {
 		t.Fatalf("err = %v, want ErrNoSubgroups", err)
 	}
 }

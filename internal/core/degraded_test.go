@@ -64,7 +64,7 @@ func TestAggregateRoundDegraded(t *testing.T) {
 		t.Fatal("want error for out-of-range degraded index")
 	}
 	// All subgroups degraded → nothing to aggregate.
-	if _, err := sys.AggregateRound(models, RoundSpec{Degraded: []int{0, 1, 2}}); !errors.Is(err, ErrNoSubgroups) {
+	if _, err := sys.AggregateRound(models, RoundSpec{Degraded: []int{0, 1, 2}}); !errors.Is(err, errNoSubgroups) {
 		t.Fatalf("err = %v, want ErrNoSubgroups", err)
 	}
 }

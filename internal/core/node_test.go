@@ -140,9 +140,10 @@ func allocated() uint64 {
 }
 
 // nodeKinds are what FuzzNodeStep hands a node: the three FedAvg-layer
-// kinds, every SAC kind of a crash-only round, and garbage.
+// kinds, every SAC kind of a crash-only round, sac's range-guard
+// accusation, and garbage.
 var nodeKinds = []string{KindUpload, KindDownload, KindBroadcast, sac.KindShare, sac.KindSubtotal,
-	sac.KindRecoveryReq, sac.KindRecovery, sac.KindAccuse, ""}
+	sac.KindRecoveryReq, sac.KindRecovery, "sac/accuse", ""}
 
 // FuzzNodeStep is FuzzPeerStep for the whole round node. Forged messages
 // are handed to the nodes at every point of a round — before each
@@ -242,14 +243,16 @@ func FuzzNodeStep(f *testing.F) {
 			case 0:
 				msg.Model = payload
 			case 1:
-				q, b, err := compress.Quantize(payload, 1, nil)
-				if err == nil {
-					msg.Block = &compress.Delta{Quant: &q, Bound: b}
+				if d, err := (compress.Config{Scheme: compress.Quant8}).Compress(payload); err == nil {
+					msg.Block = &d
 				}
 			case 2:
-				s, b, err := compress.Sparsify(payload, min(size, 1+int(raw[i+4])%3), 0)
-				if err == nil {
-					msg.Block = &compress.Delta{Sparse: &s, Bound: b}
+				frac := 1.0 // keeps 1–3 coordinates
+				if size > 0 {
+					frac = float64(min(size, 1+int(raw[i+4])%3)) / float64(size)
+				}
+				if d, err := (compress.Config{Scheme: compress.TopK, Frac: frac}).Compress(payload); err == nil {
+					msg.Block = &d
 				}
 			}
 			point := int(raw[i+5])

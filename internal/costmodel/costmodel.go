@@ -52,9 +52,9 @@ func TwoLayerUnits(m, n int) (int64, error) {
 	return mm*nn*nn + mm*nn - 2, nil
 }
 
-// TwoLayerKNUnits returns Eq. 5 — (n²−kn+k)N + km − 2 — for m equal
+// twoLayerKNUnits returns Eq. 5 — (n²−kn+k)N + km − 2 — for m equal
 // subgroups of size n with threshold k, N = m·n.
-func TwoLayerKNUnits(m, n, k int) (int64, error) {
+func twoLayerKNUnits(m, n, k int) (int64, error) {
 	if m < 1 || n < 1 {
 		return 0, fmt.Errorf("costmodel: m=%d n=%d", m, n)
 	}
@@ -181,7 +181,7 @@ func Reduction(total, m, n, k int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	two, err := TwoLayerKNUnits(m, n, k)
+	two, err := twoLayerKNUnits(m, n, k)
 	if err != nil {
 		return 0, err
 	}

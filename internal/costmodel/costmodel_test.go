@@ -34,7 +34,7 @@ func TestTwoLayerUnitsKnown(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := TwoLayerKNUnits(mn[0], mn[1], mn[1])
+		b, err := twoLayerKNUnits(mn[0], mn[1], mn[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,13 +45,13 @@ func TestTwoLayerUnitsKnown(t *testing.T) {
 }
 
 func TestTwoLayerKNValidation(t *testing.T) {
-	if _, err := TwoLayerKNUnits(0, 3, 2); err == nil {
+	if _, err := twoLayerKNUnits(0, 3, 2); err == nil {
 		t.Fatal("want error for m=0")
 	}
-	if _, err := TwoLayerKNUnits(2, 3, 0); err == nil {
+	if _, err := twoLayerKNUnits(2, 3, 0); err == nil {
 		t.Fatal("want error for k=0")
 	}
-	if _, err := TwoLayerKNUnits(2, 3, 4); err == nil {
+	if _, err := twoLayerKNUnits(2, 3, 4); err == nil {
 		t.Fatal("want error for k>n")
 	}
 }
@@ -111,7 +111,7 @@ func TestTwoLayerUnevenMatchesEvenCase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err = TwoLayerKNUnits(2, 5, 3)
+	b, err = twoLayerKNUnits(2, 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

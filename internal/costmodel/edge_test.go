@@ -1,9 +1,7 @@
-package costmodel_test
+package costmodel
 
 import (
 	"testing"
-
-	"repro/internal/costmodel"
 )
 
 // Boundary values of the closed forms. Each degenerate setting must
@@ -13,7 +11,7 @@ import (
 
 func TestBaselineUnitsSinglePeer(t *testing.T) {
 	// One peer aggregates with itself: 2N(N−1) = 0 transfers.
-	got, err := costmodel.BaselineUnits(1)
+	got, err := BaselineUnits(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +24,7 @@ func TestTwoLayerSingleSubgroup(t *testing.T) {
 	// m=1: Eq. 4 degenerates to one subgroup SAC (n²−1), a no-op FedAvg
 	// exchange (2(m−1) = 0) and the final broadcast (n−1) — n²+n−2.
 	for _, n := range []int{1, 2, 3, 7} {
-		got, err := costmodel.TwoLayerUnits(1, n)
+		got, err := TwoLayerUnits(1, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +33,7 @@ func TestTwoLayerSingleSubgroup(t *testing.T) {
 			t.Fatalf("TwoLayerUnits(1,%d) = %d, want %d", n, got, want)
 		}
 		// The uneven form with a single size must agree exactly.
-		uneven, err := costmodel.TwoLayerUnevenUnits([]int{n})
+		uneven, err := TwoLayerUnevenUnits([]int{n})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +47,7 @@ func TestTwoLayerSubgroupsOfOne(t *testing.T) {
 	// n=1: every subgroup is its own leader with nothing to share, so the
 	// whole round is the FedAvg layer, 2(m−1) transfers.
 	for _, m := range []int{1, 2, 5} {
-		got, err := costmodel.TwoLayerUnits(m, 1)
+		got, err := TwoLayerUnits(m, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +57,7 @@ func TestTwoLayerSubgroupsOfOne(t *testing.T) {
 	}
 	// The fully degenerate network — one subgroup of one peer — costs
 	// nothing at all.
-	if got, _ := costmodel.TwoLayerUnits(1, 1); got != 0 {
+	if got, _ := TwoLayerUnits(1, 1); got != 0 {
 		t.Fatalf("TwoLayerUnits(1,1) = %d, want 0", got)
 	}
 }
@@ -69,11 +67,11 @@ func TestEq5CollapsesToEq4AtFullThreshold(t *testing.T) {
 	// mn²+mn−2 identically.
 	for _, mn := range [][2]int{{1, 1}, {1, 4}, {2, 3}, {3, 5}, {6, 2}} {
 		m, n := mn[0], mn[1]
-		eq5, err := costmodel.TwoLayerKNUnits(m, n, n)
+		eq5, err := twoLayerKNUnits(m, n, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eq4, err := costmodel.TwoLayerUnits(m, n)
+		eq4, err := TwoLayerUnits(m, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +85,7 @@ func TestEq5MinimumThreshold(t *testing.T) {
 	// k=1 is the other extreme — maximal replication: (n²−n+1)N+m−2.
 	for _, mn := range [][2]int{{2, 3}, {3, 4}} {
 		m, n := mn[0], mn[1]
-		got, err := costmodel.TwoLayerKNUnits(m, n, 1)
+		got, err := twoLayerKNUnits(m, n, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +100,7 @@ func TestUnevenKNClampsOversizedThreshold(t *testing.T) {
 	// A k above a subgroup's size clamps to that size (a threshold can't
 	// exceed the number of shareholders): sizes {3,2} with k=3 behave as
 	// k=3 in the first subgroup and k=2 in the second.
-	got, err := costmodel.TwoLayerUnevenKNUnits([]int{3, 2}, 3)
+	got, err := TwoLayerUnevenKNUnits([]int{3, 2}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +110,11 @@ func TestUnevenKNClampsOversizedThreshold(t *testing.T) {
 		t.Fatalf("TwoLayerUnevenKNUnits([3,2],3) = %d, want %d", got, want)
 	}
 	// Clamped everywhere, the k-variant equals the n-out-of-n form.
-	a, err := costmodel.TwoLayerUnevenKNUnits([]int{4, 3, 2}, 99)
+	a, err := TwoLayerUnevenKNUnits([]int{4, 3, 2}, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := costmodel.TwoLayerUnevenUnits([]int{4, 3, 2})
+	b, err := TwoLayerUnevenUnits([]int{4, 3, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,22 +124,22 @@ func TestUnevenKNClampsOversizedThreshold(t *testing.T) {
 }
 
 func TestClosedFormRejectsDegenerateInputs(t *testing.T) {
-	if _, err := costmodel.BaselineUnits(0); err == nil {
+	if _, err := BaselineUnits(0); err == nil {
 		t.Fatal("BaselineUnits(0): want error")
 	}
-	if _, err := costmodel.TwoLayerUnits(0, 3); err == nil {
+	if _, err := TwoLayerUnits(0, 3); err == nil {
 		t.Fatal("TwoLayerUnits(0,3): want error")
 	}
-	if _, err := costmodel.TwoLayerUnits(3, 0); err == nil {
+	if _, err := TwoLayerUnits(3, 0); err == nil {
 		t.Fatal("TwoLayerUnits(3,0): want error")
 	}
-	if _, err := costmodel.TwoLayerKNUnits(2, 3, 0); err == nil {
+	if _, err := twoLayerKNUnits(2, 3, 0); err == nil {
 		t.Fatal("TwoLayerKNUnits k=0: want error")
 	}
-	if _, err := costmodel.TwoLayerKNUnits(2, 3, 4); err == nil {
+	if _, err := twoLayerKNUnits(2, 3, 4); err == nil {
 		t.Fatal("TwoLayerKNUnits k>n: want error")
 	}
-	if _, err := costmodel.TwoLayerSecureUpperUnits(0, 3); err == nil {
+	if _, err := TwoLayerSecureUpperUnits(0, 3); err == nil {
 		t.Fatal("TwoLayerSecureUpperUnits(0,3): want error")
 	}
 }

@@ -42,9 +42,9 @@ func (g Gaussian) Perturb(w []float64, rng *rand.Rand) {
 	}
 }
 
-// ClipL2 scales v in place so its Euclidean norm is at most c, returning
+// clipL2 scales v in place so its Euclidean norm is at most c, returning
 // the applied factor (1 when no clipping was needed).
-func ClipL2(v []float64, c float64) (float64, error) {
+func clipL2(v []float64, c float64) (float64, error) {
 	if c <= 0 {
 		return 0, fmt.Errorf("dp: clip bound %v must be positive", c)
 	}
@@ -78,7 +78,7 @@ func PrivatizeUpdate(local, global []float64, g Gaussian, rng *rand.Rand) ([]flo
 	for i := range delta {
 		delta[i] = local[i] - global[i]
 	}
-	if _, err := ClipL2(delta, g.Clip); err != nil {
+	if _, err := clipL2(delta, g.Clip); err != nil {
 		return nil, err
 	}
 	g.Perturb(delta, rng)

@@ -9,7 +9,7 @@ import (
 
 func TestClipL2(t *testing.T) {
 	v := []float64{3, 4} // norm 5
-	f, err := ClipL2(v, 1)
+	f, err := clipL2(v, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,16 +21,16 @@ func TestClipL2(t *testing.T) {
 	}
 	// Already inside the ball: unchanged.
 	w := []float64{0.1, 0.1}
-	f, err = ClipL2(w, 1)
+	f, err = clipL2(w, 1)
 	if err != nil || f != 1 {
 		t.Fatalf("no-op clip: f=%v err=%v", f, err)
 	}
-	if _, err := ClipL2(v, 0); err == nil {
+	if _, err := clipL2(v, 0); err == nil {
 		t.Fatal("want error for non-positive bound")
 	}
 	// Zero vector stays zero without dividing by zero.
 	z := []float64{0, 0}
-	if _, err := ClipL2(z, 1); err != nil || z[0] != 0 {
+	if _, err := clipL2(z, 1); err != nil || z[0] != 0 {
 		t.Fatal("zero vector must clip to itself")
 	}
 }
@@ -44,7 +44,7 @@ func TestClipL2Property(t *testing.T) {
 		for i := range v {
 			v[i] = rng.NormFloat64() * 100
 		}
-		if _, err := ClipL2(v, c); err != nil {
+		if _, err := clipL2(v, c); err != nil {
 			return false
 		}
 		var ss float64
@@ -156,7 +156,7 @@ func TestPrivatizeUpdateClipsToTheCalibratedBound(t *testing.T) {
 	for i := range clipped {
 		clipped[i] = local[i] - global[i]
 	}
-	if f, err := ClipL2(clipped, g.Clip); err != nil || math.Abs(f-0.01) > 1e-12 {
+	if f, err := clipL2(clipped, g.Clip); err != nil || math.Abs(f-0.01) > 1e-12 {
 		t.Fatalf("ClipL2 factor = %v, %v; want 0.01", f, err)
 	}
 	var ss float64

@@ -10,8 +10,8 @@ import (
 	"repro/internal/nn"
 )
 
-// AccuracyRow is one training run of an accuracy/loss figure.
-type AccuracyRow struct {
+// accuracyRow is one training run of an accuracy/loss figure.
+type accuracyRow struct {
 	Setting  string
 	Dist     dataset.Distribution
 	Series   *core.Series
@@ -22,18 +22,18 @@ type AccuracyRow struct {
 	Bytes int64
 }
 
-// AccuracyResult holds all rows of Figs. 6–9.
-type AccuracyResult struct {
+// accuracyResult holds all rows of Figs. 6–9.
+type accuracyResult struct {
 	Fig  string
 	Note string
-	Rows []AccuracyRow
+	Rows []accuracyRow
 }
 
 // Name implements Result.
-func (r *AccuracyResult) Name() string { return r.Fig }
+func (r *accuracyResult) Name() string { return r.Fig }
 
 // Print implements Result.
-func (r *AccuracyResult) Print(w io.Writer) {
+func (r *accuracyResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "%s — %s\n", r.Fig, r.Note)
 	fmt.Fprintf(w, "  %-22s %-14s %10s %12s %14s\n", "setting", "distribution", "final acc", "final loss", "traffic bytes")
 	for _, row := range r.Rows {
@@ -54,7 +54,7 @@ func accuracyWorkload(numPeers int, seed int64) (dataset.Spec, core.ModelFactory
 	return spec, factory, true
 }
 
-func runAccuracy(setting string, sizes []int, baseline bool, fraction float64, dist dataset.Distribution, rounds int, dataSeed, trainSeed int64) (AccuracyRow, error) {
+func runAccuracy(setting string, sizes []int, baseline bool, fraction float64, dist dataset.Distribution, rounds int, dataSeed, trainSeed int64) (accuracyRow, error) {
 	total := 0
 	for _, s := range sizes {
 		total += s
@@ -76,10 +76,10 @@ func runAccuracy(setting string, sizes []int, baseline bool, fraction float64, d
 	}
 	series, err := core.RunTraining(cfg)
 	if err != nil {
-		return AccuracyRow{}, err
+		return accuracyRow{}, err
 	}
 	lossMA := core.MovingAverage(series.TrainLoss, 5)
-	row := AccuracyRow{
+	row := accuracyRow{
 		Setting:     setting,
 		Dist:        dist,
 		Series:      series,
@@ -90,12 +90,12 @@ func runAccuracy(setting string, sizes []int, baseline bool, fraction float64, d
 	return row, nil
 }
 
-// Fig6 reproduces the test-accuracy comparison: N = 10 peers total,
+// fig6 reproduces the test-accuracy comparison: N = 10 peers total,
 // subgroups of n = 3 (sizes 4,3,3), n = 5 (5,5) and n = 10 (the original
 // one-layer SAC), under IID / non-IID(5%) / non-IID(0%).
-func Fig6(p Params) (*AccuracyResult, error) {
+func fig6(p Params) (*accuracyResult, error) {
 	p = p.Defaults()
-	res := &AccuracyResult{
+	res := &accuracyResult{
 		Fig:  "fig6",
 		Note: "test accuracy, two-layer SAC vs. original SAC (N=10; CI-scale synthetic workload)",
 	}
@@ -126,9 +126,9 @@ func Fig6(p Params) (*AccuracyResult, error) {
 	return res, nil
 }
 
-// Fig7 is the training-loss view of the Fig. 6 runs.
-func Fig7(p Params) (*AccuracyResult, error) {
-	res, err := Fig6(p)
+// fig7 is the training-loss view of the Fig. 6 runs.
+func fig7(p Params) (*accuracyResult, error) {
+	res, err := fig6(p)
 	if err != nil {
 		return nil, err
 	}
@@ -137,11 +137,11 @@ func Fig7(p Params) (*AccuracyResult, error) {
 	return res, nil
 }
 
-// Fig8 reproduces the slow-subgroup experiment: N = 20, n = 5 (four
+// fig8 reproduces the slow-subgroup experiment: N = 20, n = 5 (four
 // subgroups) with fraction p ∈ {0.5, 1}.
-func Fig8(p Params) (*AccuracyResult, error) {
+func fig8(p Params) (*accuracyResult, error) {
 	p = p.Defaults()
-	res := &AccuracyResult{
+	res := &accuracyResult{
 		Fig:  "fig8",
 		Note: "test accuracy under subgroup fraction p (N=20, n=5; CI-scale synthetic workload)",
 	}
@@ -159,9 +159,9 @@ func Fig8(p Params) (*AccuracyResult, error) {
 	return res, nil
 }
 
-// Fig9 is the training-loss view of the Fig. 8 runs.
-func Fig9(p Params) (*AccuracyResult, error) {
-	res, err := Fig8(p)
+// fig9 is the training-loss view of the Fig. 8 runs.
+func fig9(p Params) (*accuracyResult, error) {
+	res, err := fig8(p)
 	if err != nil {
 		return nil, err
 	}

@@ -8,16 +8,16 @@ import (
 	"repro/internal/dataset"
 )
 
-// Ext6CompressionCurve sweeps the accuracy-vs-bytes trade-off of the
+// ext6CompressionCurve sweeps the accuracy-vs-bytes trade-off of the
 // compressed model-delta extension (internal/compress): every setting
 // trains the same workload on identical data and model seeds (N=10
 // two-layer IID, as Fig. 6), varying only Config.Compression across
 // quantization widths and top-k fractions. The "none" row is the exact
 // reference; compressed rows shrink the FedAvg-layer traffic (SAC
 // shares stay at the 8·dim unit) at a lossy-distribution accuracy cost.
-func Ext6CompressionCurve(p Params) (*AccuracyResult, error) {
+func ext6CompressionCurve(p Params) (*accuracyResult, error) {
 	p = p.Defaults()
-	res := &AccuracyResult{
+	res := &accuracyResult{
 		Fig:  "ext6",
 		Note: "extension: accuracy vs. bytes under compressed model distribution (quant width × top-k fraction; N=10 two-layer IID, equal seeds)",
 	}
@@ -53,7 +53,7 @@ func Ext6CompressionCurve(p Params) (*AccuracyResult, error) {
 			return nil, fmt.Errorf("ext6 %s: %w", label, err)
 		}
 		lossMA := core.MovingAverage(series.TrainLoss, 5)
-		res.Rows = append(res.Rows, AccuracyRow{
+		res.Rows = append(res.Rows, accuracyRow{
 			Setting:     label,
 			Dist:        dataset.IID,
 			Series:      series,

@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestExt6CompressionCurve(t *testing.T) {
-	res, err := Ext6CompressionCurve(tiny)
+	res, err := ext6CompressionCurve(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}

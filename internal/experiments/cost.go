@@ -9,8 +9,8 @@ import (
 	"repro/internal/costmodel"
 )
 
-// CostRow is one point of a communication-cost figure.
-type CostRow struct {
+// costRow is one point of a communication-cost figure.
+type costRow struct {
 	Label string
 	// Units is the analytic cost in multiples of |w|.
 	Units int64
@@ -21,18 +21,18 @@ type CostRow struct {
 	MeasuredUnits float64
 }
 
-// CostResult holds the rows of Fig. 13 or Fig. 14.
-type CostResult struct {
+// costResult holds the rows of Fig. 13 or Fig. 14.
+type costResult struct {
 	Fig  string
 	Note string
-	Rows []CostRow
+	Rows []costRow
 }
 
 // Name implements Result.
-func (r *CostResult) Name() string { return r.Fig }
+func (r *costResult) Name() string { return r.Fig }
 
 // Print implements Result.
-func (r *CostResult) Print(w io.Writer) {
+func (r *costResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "%s — %s\n", r.Fig, r.Note)
 	fmt.Fprintf(w, "  %-24s %12s %12s %16s\n", "setting", "units (|w|)", "Gb (paper CNN)", "measured units")
 	for _, row := range r.Rows {
@@ -96,12 +96,12 @@ func measureBaselineUnits(n int, seed int64) (float64, error) {
 	return float64(res.Bytes) / float64(8*dim), nil
 }
 
-// Fig13 sweeps the number of subgroups m for N = 30 peers (n-out-of-n
+// fig13 sweeps the number of subgroups m for N = 30 peers (n-out-of-n
 // sharing) and reports total communication per aggregation. m = 1 is the
 // original one-layer SAC; m = N is plain FedAvg without SAC.
-func Fig13(p Params) (*CostResult, error) {
+func fig13(p Params) (*costResult, error) {
 	p = p.Defaults()
-	res := &CostResult{
+	res := &costResult{
 		Fig:  "fig13",
 		Note: "total communication per aggregation vs. m (N=30, paper CNN |w| ≈ 0.04 Gb)",
 	}
@@ -135,7 +135,7 @@ func Fig13(p Params) (*CostResult, error) {
 			}
 			measured = mu
 		}
-		res.Rows = append(res.Rows, CostRow{
+		res.Rows = append(res.Rows, costRow{
 			Label:         fmt.Sprintf("m=%d", m),
 			Units:         units,
 			Gb:            costmodel.Gigabits(units * paperWeightBytes),
@@ -145,11 +145,11 @@ func Fig13(p Params) (*CostResult, error) {
 	return res, nil
 }
 
-// Fig14 compares k-out-of-n settings across N: the paper's 3-3, 2-3,
+// fig14 compares k-out-of-n settings across N: the paper's 3-3, 2-3,
 // 5-5, 3-5 curves plus the one-layer baseline (n = N).
-func Fig14(p Params) (*CostResult, error) {
+func fig14(p Params) (*costResult, error) {
 	p = p.Defaults()
-	res := &CostResult{
+	res := &costResult{
 		Fig:  "fig14",
 		Note: "total communication per aggregation for k-n settings (k-out-of-n, paper CNN |w|)",
 	}
@@ -181,7 +181,7 @@ func Fig14(p Params) (*CostResult, error) {
 					return nil, err
 				}
 			}
-			res.Rows = append(res.Rows, CostRow{
+			res.Rows = append(res.Rows, costRow{
 				Label:         fmt.Sprintf("N=%d %s", N, st.label),
 				Units:         units,
 				Gb:            costmodel.Gigabits(units * paperWeightBytes),
@@ -192,7 +192,7 @@ func Fig14(p Params) (*CostResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, CostRow{
+		res.Rows = append(res.Rows, costRow{
 			Label:         fmt.Sprintf("N=%d baseline (n=N)", N),
 			Units:         baseUnits,
 			Gb:            costmodel.Gigabits(baseUnits * paperWeightBytes),

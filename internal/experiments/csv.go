@@ -42,7 +42,7 @@ func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', 10, 64) }
 
 // WriteCSV implements CSVWriter: one row per (setting, distribution,
 // round) with accuracy, loss and cumulative traffic.
-func (r *AccuracyResult) WriteCSV(dir string) error {
+func (r *accuracyResult) WriteCSV(dir string) error {
 	header := []string{"setting", "distribution", "round", "test_acc", "train_loss_ma", "cum_bytes"}
 	var rows [][]string
 	for _, row := range r.Rows {
@@ -59,7 +59,7 @@ func (r *AccuracyResult) WriteCSV(dir string) error {
 }
 
 // WriteCSV implements CSVWriter: one row per trial.
-func (r *RecoveryResult) WriteCSV(dir string) error {
+func (r *recoveryResult) WriteCSV(dir string) error {
 	header := []string{"timeout_t_ms", "trial", "recovery_ms"}
 	var rows [][]string
 	for _, row := range r.Rows {
@@ -71,7 +71,7 @@ func (r *RecoveryResult) WriteCSV(dir string) error {
 }
 
 // WriteCSV implements CSVWriter: one row per cost point.
-func (r *CostResult) WriteCSV(dir string) error {
+func (r *costResult) WriteCSV(dir string) error {
 	header := []string{"setting", "units_w", "gb_paper_cnn", "measured_units"}
 	var rows [][]string
 	for _, row := range r.Rows {

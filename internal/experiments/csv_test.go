@@ -23,7 +23,7 @@ func readCSV(t *testing.T, path string) [][]string {
 
 func TestAccuracyCSV(t *testing.T) {
 	dir := t.TempDir()
-	res, err := Fig6(tiny)
+	res, err := fig6(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestAccuracyCSV(t *testing.T) {
 
 func TestRecoveryCSV(t *testing.T) {
 	dir := t.TempDir()
-	res, err := Fig10(tiny)
+	res, err := fig10(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestRecoveryCSV(t *testing.T) {
 
 func TestCostCSV(t *testing.T) {
 	dir := t.TempDir()
-	res, err := Fig13(Params{Seed: 1}.Defaults())
+	res, err := fig13(Params{Seed: 1}.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestCostCSV(t *testing.T) {
 }
 
 func TestCSVBadDir(t *testing.T) {
-	res := &CostResult{Fig: "figX"}
+	res := &costResult{Fig: "figX"}
 	if err := res.WriteCSV("/proc/definitely/not/writable"); err == nil {
 		t.Fatal("want error for unwritable dir")
 	}

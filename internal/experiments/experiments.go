@@ -51,17 +51,17 @@ type Result interface {
 	Print(w io.Writer)
 }
 
-// Table1 reports the evaluation environment, standing in for the paper's
+// table1Result is the evaluation environment, standing in for the paper's
 // Table I (machine specification).
-type Table1Result struct {
+type table1Result struct {
 	GoVersion string
 	OS, Arch  string
 	CPUs      int
 }
 
-// Table1 collects the runtime environment.
-func Table1() *Table1Result {
-	return &Table1Result{
+// table1 collects the runtime environment.
+func table1() *table1Result {
+	return &table1Result{
 		GoVersion: runtime.Version(),
 		OS:        runtime.GOOS,
 		Arch:      runtime.GOARCH,
@@ -70,10 +70,10 @@ func Table1() *Table1Result {
 }
 
 // Name implements Result.
-func (r *Table1Result) Name() string { return "tab1" }
+func (r *table1Result) Name() string { return "tab1" }
 
 // Print implements Result.
-func (r *Table1Result) Print(w io.Writer) {
+func (r *table1Result) Print(w io.Writer) {
 	fmt.Fprintln(w, "Table I — evaluation environment (this reproduction)")
 	fmt.Fprintf(w, "  Go        %s\n", r.GoVersion)
 	fmt.Fprintf(w, "  OS/Arch   %s/%s\n", r.OS, r.Arch)

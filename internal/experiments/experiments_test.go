@@ -22,7 +22,7 @@ func TestDefaults(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	r := Table1()
+	r := table1()
 	if r.Name() != "tab1" {
 		t.Fatal("name wrong")
 	}
@@ -34,7 +34,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	res, err := Fig6(tiny)
+	res, err := fig6(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,14 +79,14 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig7And9AreViews(t *testing.T) {
-	r7, err := Fig7(tiny)
+	r7, err := fig7(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r7.Name() != "fig7" {
 		t.Fatal("fig7 name")
 	}
-	r9, err := Fig9(tiny)
+	r9, err := fig9(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestFig7And9AreViews(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	res, err := Fig8(tiny)
+	res, err := fig8(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestFig10Recovery(t *testing.T) {
 	// the 1,000-trial sweep many standard errors clear of noise.
 	p := tiny
 	p.Trials = 20
-	res, err := Fig10(p)
+	res, err := fig10(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +146,11 @@ func TestFig10Recovery(t *testing.T) {
 }
 
 func TestFig11JoinSlowerThanElect(t *testing.T) {
-	elect, err := Fig10(tiny)
+	elect, err := fig10(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
-	join, err := Fig11(tiny)
+	join, err := fig11(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestFig11JoinSlowerThanElect(t *testing.T) {
 }
 
 func TestFig12FedAvgCrash(t *testing.T) {
-	res, err := Fig12(tiny)
+	res, err := fig12(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestFig12FedAvgCrash(t *testing.T) {
 }
 
 func TestFig13ShapeAndCrossValidation(t *testing.T) {
-	res, err := Fig13(Params{Seed: 2}.Defaults())
+	res, err := fig13(Params{Seed: 2}.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestFig13ShapeAndCrossValidation(t *testing.T) {
 }
 
 func TestFig14ShapeAndHeadline(t *testing.T) {
-	res, err := Fig14(Params{Seed: 3, MaxN: 30}.Defaults())
+	res, err := fig14(Params{Seed: 3, MaxN: 30}.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestFig14ShapeAndHeadline(t *testing.T) {
 	if len(res.Rows) != 15 {
 		t.Fatalf("rows = %d, want 15", len(res.Rows))
 	}
-	byLabel := map[string]CostRow{}
+	byLabel := map[string]costRow{}
 	for _, row := range res.Rows {
 		byLabel[row.Label] = row
 	}

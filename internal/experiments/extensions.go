@@ -14,14 +14,14 @@ import (
 	"repro/internal/metrics"
 )
 
-// Ext1SecureUpperCost quantifies the Sec. IV-D "SAC in the higher layer"
+// ext1SecureUpperCost quantifies the Sec. IV-D "SAC in the higher layer"
 // option: the extra communication of a fully secure two-layer system
 // versus the default FedAvg upper layer, across m at N=30. Both rows are
 // also measured on a real round, the way Fig. 13's are, and a measured
 // cost that leaves its closed form is an error, not a table entry.
-func Ext1SecureUpperCost(p Params) (*CostResult, error) {
+func ext1SecureUpperCost(p Params) (*costResult, error) {
 	p = p.Defaults()
-	res := &CostResult{
+	res := &costResult{
 		Fig:  "ext1",
 		Note: "extension: SAC in the upper layer (Sec. IV-D) vs. plain FedAvg upper layer (N=30)",
 	}
@@ -52,7 +52,7 @@ func Ext1SecureUpperCost(p Params) (*CostResult, error) {
 			if measured != float64(row.units) {
 				return nil, fmt.Errorf("ext1: m=%d %s upper measured %.2f |w|, closed form says %d", m, row.upper, measured, row.units)
 			}
-			res.Rows = append(res.Rows, CostRow{
+			res.Rows = append(res.Rows, costRow{
 				Label:         fmt.Sprintf("m=%d %s upper", m, row.upper),
 				Units:         row.units,
 				Gb:            costmodel.Gigabits(row.units * paperWeightBytes),
@@ -63,12 +63,12 @@ func Ext1SecureUpperCost(p Params) (*CostResult, error) {
 	return res, nil
 }
 
-// Ext2DPUtility sweeps the differential-privacy budget ε and reports the
+// ext2DPUtility sweeps the differential-privacy budget ε and reports the
 // accuracy cost of the Sec. IV-D noise option on the standard two-layer
 // workload (N=10, n∈{4,3,3}, IID).
-func Ext2DPUtility(p Params) (*AccuracyResult, error) {
+func ext2DPUtility(p Params) (*accuracyResult, error) {
 	p = p.Defaults()
-	res := &AccuracyResult{
+	res := &accuracyResult{
 		Fig:  "ext2",
 		Note: "extension: accuracy under per-peer DP noise (Gaussian, clip 1, δ=1e-5; N=10 two-layer IID)",
 	}
@@ -101,7 +101,7 @@ func Ext2DPUtility(p Params) (*AccuracyResult, error) {
 			return nil, fmt.Errorf("ext2 %s: %w", label, err)
 		}
 		lossMA := core.MovingAverage(series.TrainLoss, 5)
-		res.Rows = append(res.Rows, AccuracyRow{
+		res.Rows = append(res.Rows, accuracyRow{
 			Setting:     label,
 			Dist:        dataset.IID,
 			Series:      series,
@@ -113,8 +113,8 @@ func Ext2DPUtility(p Params) (*AccuracyResult, error) {
 	return res, nil
 }
 
-// TableResult is a free-form result table for extension experiments.
-type TableResult struct {
+// tableResult is a free-form result table for extension experiments.
+type tableResult struct {
 	Fig    string
 	Note   string
 	Header []string
@@ -122,10 +122,10 @@ type TableResult struct {
 }
 
 // Name implements Result.
-func (r *TableResult) Name() string { return r.Fig }
+func (r *tableResult) Name() string { return r.Fig }
 
 // Print implements Result.
-func (r *TableResult) Print(w io.Writer) {
+func (r *tableResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "%s — %s\n", r.Fig, r.Note)
 	fmt.Fprint(w, " ")
 	for _, h := range r.Header {
@@ -141,14 +141,14 @@ func (r *TableResult) Print(w io.Writer) {
 	}
 }
 
-// Ext4RoundTime estimates the wall-clock duration of one aggregation
+// ext4RoundTime estimates the wall-clock duration of one aggregation
 // round across m (N=30, 1 Gb/s links, 15 ms latency, paper CNN) — the
 // time dimension the paper's byte analysis leaves implicit: subgroup
 // SACs run in parallel, so subgrouping shortens rounds by more than the
 // byte reduction alone.
-func Ext4RoundTime(p Params) (*TableResult, error) {
+func ext4RoundTime(p Params) (*tableResult, error) {
 	p = p.Defaults()
-	res := &TableResult{
+	res := &tableResult{
 		Fig:    "ext4",
 		Note:   "extension: estimated round time vs. m (N=30, paper CNN, 1 Gb/s per-peer links, 15 ms latency)",
 		Header: []string{"setting", "round time", "vs. baseline"},
@@ -177,13 +177,13 @@ func Ext4RoundTime(p Params) (*TableResult, error) {
 	return res, nil
 }
 
-// Ext5LatencySweep re-runs the Fig. 10 subgroup-leader recovery at
+// ext5LatencySweep re-runs the Fig. 10 subgroup-leader recovery at
 // different link latencies (the paper fixes 15 ms): detection is
 // timeout-bound, so recovery should be nearly flat until the latency
 // approaches the election timeout itself.
-func Ext5LatencySweep(p Params) (*TableResult, error) {
+func ext5LatencySweep(p Params) (*tableResult, error) {
 	p = p.Defaults()
-	res := &TableResult{
+	res := &tableResult{
 		Fig:    "ext5",
 		Note:   "extension: Fig. 10 recovery vs. link latency (N=25, n=5, T=100 ms)",
 		Header: []string{"one-way latency", "mean recovery", "p90"},
@@ -211,11 +211,11 @@ func Ext5LatencySweep(p Params) (*TableResult, error) {
 	return res, nil
 }
 
-// Ext3RobustAggregation demonstrates the pluggable upper-layer rule: a
+// ext3RobustAggregation demonstrates the pluggable upper-layer rule: a
 // poisoned subgroup corrupts FedAvg but not the coordinate median.
-func Ext3RobustAggregation(p Params) (*TableResult, error) {
+func ext3RobustAggregation(p Params) (*tableResult, error) {
 	p = p.Defaults()
-	res := &TableResult{
+	res := &tableResult{
 		Fig:    "ext3",
 		Note:   "extension: upper-layer rule vs. one poisoned subgroup (N=15, m=5; deviation from honest mean)",
 		Header: []string{"aggregator", "max |dev| from honest mean"},

@@ -25,7 +25,7 @@ func TestRegistryNamesAndRun(t *testing.T) {
 }
 
 func TestExt1SecureUpperCost(t *testing.T) {
-	res, err := Ext1SecureUpperCost(tiny)
+	res, err := ext1SecureUpperCost(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestExt1SecureUpperCost(t *testing.T) {
 		if secure.Units < plain.Units {
 			t.Fatalf("%s (%d) cheaper than %s (%d)", secure.Label, secure.Units, plain.Label, plain.Units)
 		}
-		for _, row := range []CostRow{plain, secure} {
+		for _, row := range []costRow{plain, secure} {
 			if row.MeasuredUnits != float64(row.Units) {
 				t.Fatalf("%s: measured %.2f, closed form %d", row.Label, row.MeasuredUnits, row.Units)
 			}
@@ -48,7 +48,7 @@ func TestExt1SecureUpperCost(t *testing.T) {
 }
 
 func TestExt2DPUtility(t *testing.T) {
-	res, err := Ext2DPUtility(tiny)
+	res, err := ext2DPUtility(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestExt2DPUtility(t *testing.T) {
 }
 
 func TestExt3RobustAggregation(t *testing.T) {
-	res, err := Ext3RobustAggregation(tiny)
+	res, err := ext3RobustAggregation(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestExt3RobustAggregation(t *testing.T) {
 }
 
 func TestRecoveryPrintIncludesDistribution(t *testing.T) {
-	res, err := Fig10(Params{Rounds: 5, Trials: 12, Seed: 9})
+	res, err := fig10(Params{Rounds: 5, Trials: 12, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

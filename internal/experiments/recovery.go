@@ -13,30 +13,30 @@ import (
 	"repro/internal/tensor"
 )
 
-// TimeoutRanges are the paper's four U(T, 2T) follower/candidate timeout
+// timeoutRanges are the paper's four U(T, 2T) follower/candidate timeout
 // settings, in milliseconds (Sec. VI-B1: T = 50, 100, 150, 200).
-var TimeoutRanges = []int{50, 100, 150, 200}
+var timeoutRanges = []int{50, 100, 150, 200}
 
-// RecoveryRow aggregates one timeout setting's trials.
-type RecoveryRow struct {
+// recoveryRow aggregates one timeout setting's trials.
+type recoveryRow struct {
 	TMs     int // timeouts sampled from U(T, 2T)
 	Stats   metrics.Stats
 	Samples []float64 // recovery times in ms
 }
 
-// RecoveryResult holds the rows of one of Figs. 10–12.
-type RecoveryResult struct {
+// recoveryResult holds the rows of one of Figs. 10–12.
+type recoveryResult struct {
 	Fig   string
 	Note  string
-	Rows  []RecoveryRow
+	Rows  []recoveryRow
 	Paper map[int]float64 // the paper's reported averages, for reference
 }
 
 // Name implements Result.
-func (r *RecoveryResult) Name() string { return r.Fig }
+func (r *recoveryResult) Name() string { return r.Fig }
 
 // Print implements Result.
-func (r *RecoveryResult) Print(w io.Writer) {
+func (r *recoveryResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "%s — %s\n", r.Fig, r.Note)
 	fmt.Fprintf(w, "  %-12s %-10s %-62s %s\n", "timeout", "paper avg", "measured (ms)", "")
 	for _, row := range r.Rows {
@@ -177,10 +177,10 @@ func paperTrial(tMs, latencyMs int, seed int64, electOnly bool) RecoveryTrial {
 // runRecovery samples p.Trials trials of scenario per timeout setting:
 // the time to the FedAvg rejoin when join is set, the time to the
 // subgroup election (and no further) otherwise.
-func runRecovery(fig, note, scenario string, join bool, paper map[int]float64, p Params) (*RecoveryResult, error) {
+func runRecovery(fig, note, scenario string, join bool, paper map[int]float64, p Params) (*recoveryResult, error) {
 	p = p.Defaults()
-	res := &RecoveryResult{Fig: fig, Note: note, Paper: paper}
-	for _, tMs := range TimeoutRanges {
+	res := &recoveryResult{Fig: fig, Note: note, Paper: paper}
+	for _, tMs := range timeoutRanges {
 		// Trials are independent simulations with per-trial seeds, so
 		// they fan out over the tensor worker budget; samples land at
 		// their trial index, keeping the result order (and therefore the
@@ -209,32 +209,32 @@ func runRecovery(fig, note, scenario string, join bool, paper map[int]float64, p
 				return nil, err
 			}
 		}
-		res.Rows = append(res.Rows, RecoveryRow{TMs: tMs, Stats: metrics.Summarize(samples), Samples: samples})
+		res.Rows = append(res.Rows, recoveryRow{TMs: tMs, Stats: metrics.Summarize(samples), Samples: samples})
 	}
 	return res, nil
 }
 
-// Fig10 measures the time to detect a crashed subgroup leader and elect
+// fig10 measures the time to detect a crashed subgroup leader and elect
 // a new one (paper averages: 214.30 / 401.04 / 580.74 / 749.07 ms).
-func Fig10(p Params) (*RecoveryResult, error) {
+func fig10(p Params) (*recoveryResult, error) {
 	return runRecovery("fig10",
 		"subgroup-leader crash → new subgroup leader elected (N=25, n=5, 15 ms links)",
 		CrashSubgroupLeader, false,
 		map[int]float64{50: 214.30, 100: 401.04, 150: 580.74, 200: 749.07}, p)
 }
 
-// Fig11 additionally measures the new leader joining the FedAvg group
+// fig11 additionally measures the new leader joining the FedAvg group
 // (paper: Fig. 10 averages + 122.98 / 125.8 / 144.70 / 166.09 ms).
-func Fig11(p Params) (*RecoveryResult, error) {
+func fig11(p Params) (*recoveryResult, error) {
 	return runRecovery("fig11",
 		"subgroup-leader crash → new leader elected and joined FedAvg layer",
 		CrashSubgroupLeader, true,
 		map[int]float64{50: 337.28, 100: 526.84, 150: 725.44, 200: 915.16}, p)
 }
 
-// Fig12 measures recovery from a FedAvg-leader crash: elections in both
+// fig12 measures recovery from a FedAvg-leader crash: elections in both
 // layers plus the FedAvg-group rebuild.
-func Fig12(p Params) (*RecoveryResult, error) {
+func fig12(p Params) (*recoveryResult, error) {
 	return runRecovery("fig12",
 		"FedAvg-leader crash → both layers recovered, new subgroup leader joined",
 		CrashFedAvgLeader, true,

@@ -9,22 +9,22 @@ import (
 // (ext*) explore the features this reproduction adds beyond the paper's
 // evaluation; see EXPERIMENTS.md.
 var runners = map[string]func(Params) (Result, error){
-	"tab1":  func(Params) (Result, error) { return Table1(), nil },
-	"fig6":  func(p Params) (Result, error) { return Fig6(p) },
-	"fig7":  func(p Params) (Result, error) { return Fig7(p) },
-	"fig8":  func(p Params) (Result, error) { return Fig8(p) },
-	"fig9":  func(p Params) (Result, error) { return Fig9(p) },
-	"fig10": func(p Params) (Result, error) { return Fig10(p) },
-	"fig11": func(p Params) (Result, error) { return Fig11(p) },
-	"fig12": func(p Params) (Result, error) { return Fig12(p) },
-	"fig13": func(p Params) (Result, error) { return Fig13(p) },
-	"fig14": func(p Params) (Result, error) { return Fig14(p) },
-	"ext1":  func(p Params) (Result, error) { return Ext1SecureUpperCost(p) },
-	"ext2":  func(p Params) (Result, error) { return Ext2DPUtility(p) },
-	"ext3":  func(p Params) (Result, error) { return Ext3RobustAggregation(p) },
-	"ext4":  func(p Params) (Result, error) { return Ext4RoundTime(p) },
-	"ext5":  func(p Params) (Result, error) { return Ext5LatencySweep(p) },
-	"ext6":  func(p Params) (Result, error) { return Ext6CompressionCurve(p) },
+	"tab1":  func(Params) (Result, error) { return table1(), nil },
+	"fig6":  func(p Params) (Result, error) { return fig6(p) },
+	"fig7":  func(p Params) (Result, error) { return fig7(p) },
+	"fig8":  func(p Params) (Result, error) { return fig8(p) },
+	"fig9":  func(p Params) (Result, error) { return fig9(p) },
+	"fig10": func(p Params) (Result, error) { return fig10(p) },
+	"fig11": func(p Params) (Result, error) { return fig11(p) },
+	"fig12": func(p Params) (Result, error) { return fig12(p) },
+	"fig13": func(p Params) (Result, error) { return fig13(p) },
+	"fig14": func(p Params) (Result, error) { return fig14(p) },
+	"ext1":  func(p Params) (Result, error) { return ext1SecureUpperCost(p) },
+	"ext2":  func(p Params) (Result, error) { return ext2DPUtility(p) },
+	"ext3":  func(p Params) (Result, error) { return ext3RobustAggregation(p) },
+	"ext4":  func(p Params) (Result, error) { return ext4RoundTime(p) },
+	"ext5":  func(p Params) (Result, error) { return ext5LatencySweep(p) },
+	"ext6":  func(p Params) (Result, error) { return ext6CompressionCurve(p) },
 }
 
 // Names lists all registered experiments in order.

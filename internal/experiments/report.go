@@ -23,7 +23,7 @@ func WriteReport(w io.Writer, names []string, p Params) error {
 	fmt.Fprintf(w, "# Experiment report\n\n")
 	fmt.Fprintf(w, "Generated by p2pfl-experiments (rounds=%d, trials=%d, maxN=%d, seed=%d).\n\n",
 		p.Rounds, p.Trials, p.MaxN, p.Seed)
-	env := Table1()
+	env := table1()
 	fmt.Fprintf(w, "Environment: %s on %s/%s, %d CPUs.\n\n", env.GoVersion, env.OS, env.Arch, env.CPUs)
 
 	ran := 0

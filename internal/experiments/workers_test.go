@@ -14,12 +14,12 @@ func TestRecoveryWorkersDeterministic(t *testing.T) {
 	old := tensor.Parallelism()
 	t.Cleanup(func() { tensor.SetParallelism(old) })
 	tensor.SetParallelism(1)
-	serial, err := Fig10(Params{Rounds: 5, Trials: 4, Seed: 11})
+	serial, err := fig10(Params{Rounds: 5, Trials: 4, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tensor.SetParallelism(3)
-	par, err := Fig10(Params{Rounds: 5, Trials: 4, Seed: 11})
+	par, err := fig10(Params{Rounds: 5, Trials: 4, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ type Client struct {
 // batchBuffer is one reusable minibatch: TrainRound and EvaluateModel
 // refill it every step instead of allocating a [batch, C, H, W] tensor
 // per step. The model keeps reading the tensor it was handed until its
-// Backward returns (nn.Conv2D and nn.Dense hold their input by
+// Backward returns (nn's convolution and dense layers hold their input by
 // reference), so a buffer is refilled only after that.
 type batchBuffer struct {
 	x      tensor.Scratch

@@ -26,16 +26,16 @@ type rttRing struct {
 	full    bool
 }
 
-// DefaultRTTWindow is the per-peer sample window when NewRTTStats is
+// defaultRTTWindow is the per-peer sample window when NewRTTStats is
 // given a non-positive capacity. 128 samples of heartbeat-paced traffic
 // cover a few seconds — long enough to see jitter tails, short enough
 // to track real route changes.
-const DefaultRTTWindow = 128
+const defaultRTTWindow = 128
 
 // NewRTTStats creates a tracker keeping the last cap samples per peer.
 func NewRTTStats(cap int) *RTTStats {
 	if cap <= 0 {
-		cap = DefaultRTTWindow
+		cap = defaultRTTWindow
 	}
 	return &RTTStats{cap: cap, rings: make(map[uint64]*rttRing)}
 }

@@ -2,7 +2,7 @@ package health
 
 import "repro/internal/raft"
 
-// ElectionTicks and Retune derive Raft election-timeout bands from
+// electionTicks and Retune derive Raft election-timeout bands from
 // observed RTT quantiles — the internal/health → internal/raft feedback
 // loop of the WAN profile (DESIGN.md §13). The rule is the classic
 // deployment guidance made adaptive: the election timeout should be an
@@ -37,16 +37,16 @@ const (
 	// randomization shape.
 	tuneSpread = 2
 	// tuneMinSamples is how many samples a peer needs before it
-	// participates; with no peer qualified, ElectionTicks reports !ok
+	// participates; with no peer qualified, electionTicks reports !ok
 	// and the caller keeps its current band.
 	tuneMinSamples = 16
 )
 
-// ElectionTicks derives the [min, max) election band from the tracker's
+// electionTicks derives the [min, max) election band from the tracker's
 // current windows, min at least floor. ok is false (and the returned
 // band zero) without a tracker or while no peer has tuneMinSamples
 // samples — the caller keeps its current configuration.
-func ElectionTicks(r *RTTStats, floor int) (min, max int, ok bool) {
+func electionTicks(r *RTTStats, floor int) (min, max int, ok bool) {
 	if r == nil {
 		return 0, 0, false
 	}
@@ -80,7 +80,7 @@ func ElectionTicks(r *RTTStats, floor int) (min, max int, ok bool) {
 // keep their current one. The one caller is the cluster's tuning loop
 // (internal/cluster), which walks its peers in ascending id order.
 func Retune(r *RTTStats, floor int, nodes ...*raft.Node) {
-	min, max, ok := ElectionTicks(r, floor)
+	min, max, ok := electionTicks(r, floor)
 	if !ok {
 		return
 	}

@@ -52,7 +52,7 @@ func TestTuningBandsWithinClamp(t *testing.T) {
 	}
 	for name, mk := range profiles {
 		for seed := int64(1); seed <= 20; seed++ {
-			min, max, ok := ElectionTicks(mk(seed), 50)
+			min, max, ok := electionTicks(mk(seed), 50)
 			if !ok {
 				t.Fatalf("%s seed %d: tuner refused a fully-populated trace", name, seed)
 			}
@@ -75,9 +75,9 @@ func TestTuningBandsWithinClamp(t *testing.T) {
 // scales the band up.
 func TestTuningMonotoneInRTT(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		lanMin, _, _ := ElectionTicks(lanTrace(seed), 50)
-		mixMin, _, _ := ElectionTicks(mixedTrace(seed), 50)
-		wanMin, _, _ := ElectionTicks(wanTrace(seed), 50)
+		lanMin, _, _ := electionTicks(lanTrace(seed), 50)
+		mixMin, _, _ := electionTicks(mixedTrace(seed), 50)
+		wanMin, _, _ := electionTicks(wanTrace(seed), 50)
 		if lanMin > mixMin || mixMin > wanMin {
 			t.Fatalf("seed %d: tuned mins not monotone: lan %d, mixed %d, wan %d", seed, lanMin, mixMin, wanMin)
 		}
@@ -93,7 +93,7 @@ func TestTuningMonotoneInRTT(t *testing.T) {
 				double.Observe(peer, 2*s)
 			}
 		}
-		dblMin, _, _ := ElectionTicks(double, 50)
+		dblMin, _, _ := electionTicks(double, 50)
 		if dblMin < wanMin {
 			t.Fatalf("seed %d: doubling every RTT shrank the band %d → %d", seed, wanMin, dblMin)
 		}
@@ -105,8 +105,8 @@ func TestTuningMonotoneInRTT(t *testing.T) {
 // replay.
 func TestTuningDeterministicPerSeed(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		aMin, aMax, aOK := ElectionTicks(mixedTrace(seed), 50)
-		bMin, bMax, bOK := ElectionTicks(mixedTrace(seed), 50)
+		aMin, aMax, aOK := electionTicks(mixedTrace(seed), 50)
+		bMin, bMax, bOK := electionTicks(mixedTrace(seed), 50)
 		if aMin != bMin || aMax != bMax || aOK != bOK {
 			t.Fatalf("seed %d: equal traces produced different bands [%d,%d,%v] vs [%d,%d,%v]",
 				seed, aMin, aMax, aOK, bMin, bMax, bOK)
@@ -118,18 +118,18 @@ func TestTuningDeterministicPerSeed(t *testing.T) {
 // band — without a tracker, or before any peer has tuneMinSamples
 // observations.
 func TestTuningRefusals(t *testing.T) {
-	if _, _, ok := ElectionTicks(nil, 50); ok {
+	if _, _, ok := electionTicks(nil, 50); ok {
 		t.Fatal("tuner produced a band from a nil tracker")
 	}
 	thin := NewRTTStats(0)
 	for i := 0; i < 15; i++ { // one below tuneMinSamples = 16
 		thin.Observe(2, 50_000)
 	}
-	if _, _, ok := ElectionTicks(thin, 50); ok {
+	if _, _, ok := electionTicks(thin, 50); ok {
 		t.Fatal("tuner produced a band below tuneMinSamples")
 	}
 	thin.Observe(2, 50_000)
-	if min, _, ok := ElectionTicks(thin, 50); !ok || min != 500 {
+	if min, _, ok := electionTicks(thin, 50); !ok || min != 500 {
 		t.Fatalf("tuner at exactly tuneMinSamples: min=%d ok=%v, want 500 (10×50ms/1ms)", min, ok)
 	}
 }

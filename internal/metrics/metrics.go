@@ -40,15 +40,15 @@ func Summarize(xs []float64) Stats {
 	if len(sorted) > 1 {
 		s.Std = math.Sqrt(ss / float64(len(sorted)-1))
 	}
-	s.Median = Percentile(sorted, 50)
-	s.P90 = Percentile(sorted, 90)
-	s.P99 = Percentile(sorted, 99)
+	s.Median = percentile(sorted, 50)
+	s.P90 = percentile(sorted, 90)
+	s.P99 = percentile(sorted, 99)
 	return s
 }
 
-// Percentile returns the p-th percentile (0–100) of an ascending-sorted
+// percentile returns the p-th percentile (0–100) of an ascending-sorted
 // sample using linear interpolation.
-func Percentile(sorted []float64, p float64) float64 {
+func percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}

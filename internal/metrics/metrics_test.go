@@ -33,13 +33,13 @@ func TestSummarizeSingle(t *testing.T) {
 
 func TestPercentile(t *testing.T) {
 	sorted := []float64{10, 20, 30, 40}
-	if Percentile(sorted, 0) != 10 || Percentile(sorted, 100) != 40 {
+	if percentile(sorted, 0) != 10 || percentile(sorted, 100) != 40 {
 		t.Fatal("extremes wrong")
 	}
-	if got := Percentile(sorted, 50); math.Abs(got-25) > 1e-12 {
+	if got := percentile(sorted, 50); math.Abs(got-25) > 1e-12 {
 		t.Fatalf("p50 = %v", got)
 	}
-	if Percentile(nil, 50) != 0 {
+	if percentile(nil, 50) != 0 {
 		t.Fatal("empty percentile must be 0")
 	}
 }

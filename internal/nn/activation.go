@@ -8,30 +8,30 @@ import (
 	"repro/internal/tensor"
 )
 
-// ReLU applies max(0, x) elementwise: a unit is kept when x > 0, and
+// relu applies max(0, x) elementwise: a unit is kept when x > 0, and
 // every other input — negative, ±0 or NaN — gives +0. The output and
 // gradient tensors are layer-owned workspaces, reused across batches.
 //
 // Both passes select without a branch: the sign of a random activation
 // is a coin flip a branch predictor loses half the time, so the kept
 // value is its bits ANDed with a mask that is all ones for a kept unit.
-type ReLU struct {
+type relu struct {
 	mask []bool
 	y    tensor.Scratch
 	dx   tensor.Scratch
 }
 
-// NewReLU creates a ReLU activation layer.
-func NewReLU() *ReLU { return &ReLU{} }
+// newReLU creates a relu activation layer.
+func newReLU() *relu { return &relu{} }
 
-// Name implements Layer.
-func (r *ReLU) Name() string { return "ReLU" }
+// Name implements layer.
+func (r *relu) Name() string { return "ReLU" }
 
-// Params implements Layer.
-func (r *ReLU) Params() []*Param { return nil }
+// Params implements layer.
+func (r *relu) Params() []*Param { return nil }
 
-// Forward implements Layer.
-func (r *ReLU) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
+// Forward implements layer.
+func (r *relu) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	y := r.y.GetLike(x)
 	n := x.Size()
 	if cap(r.mask) < n {
@@ -49,8 +49,8 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	return y, nil
 }
 
-// Backward implements Layer.
-func (r *ReLU) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
+// Backward implements layer.
+func (r *relu) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if r.mask == nil {
 		return nil, fmt.Errorf("nn: ReLU: Backward before Forward")
 	}
@@ -76,22 +76,22 @@ func bitMask(b bool) uint64 {
 	return -m
 }
 
-// Flatten reshapes [batch, ...] activations to [batch, features].
-type Flatten struct {
+// flatten reshapes [batch, ...] activations to [batch, features].
+type flatten struct {
 	lastShape []int
 }
 
-// NewFlatten creates a Flatten layer.
-func NewFlatten() *Flatten { return &Flatten{} }
+// newFlatten creates a flatten layer.
+func newFlatten() *flatten { return &flatten{} }
 
-// Name implements Layer.
-func (f *Flatten) Name() string { return "Flatten" }
+// Name implements layer.
+func (f *flatten) Name() string { return "Flatten" }
 
-// Params implements Layer.
-func (f *Flatten) Params() []*Param { return nil }
+// Params implements layer.
+func (f *flatten) Params() []*Param { return nil }
 
-// Forward implements Layer.
-func (f *Flatten) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
+// Forward implements layer.
+func (f *flatten) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	if x.Rank() < 2 {
 		return nil, fmt.Errorf("nn: Flatten: bad input shape %v", x.Shape())
 	}
@@ -99,18 +99,18 @@ func (f *Flatten) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) 
 	return x.Reshape(x.Dim(0), x.Size()/x.Dim(0))
 }
 
-// Backward implements Layer.
-func (f *Flatten) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
+// Backward implements layer.
+func (f *flatten) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if f.lastShape == nil {
 		return nil, fmt.Errorf("nn: Flatten: Backward before Forward")
 	}
 	return grad.Reshape(f.lastShape...)
 }
 
-// Dropout zeroes activations with probability Rate during training and
+// dropout zeroes activations with probability Rate during training and
 // scales survivors by 1/(1−Rate) (inverted dropout), so inference needs no
 // rescaling. At evaluation time it is the identity.
-type Dropout struct {
+type dropout struct {
 	Rate float64
 	rng  *rand.Rand
 	mask []float64
@@ -118,22 +118,22 @@ type Dropout struct {
 	dx   tensor.Scratch
 }
 
-// NewDropout creates a Dropout layer with the given drop rate in [0, 1).
-func NewDropout(rate float64, rng *rand.Rand) *Dropout {
+// newDropout creates a dropout layer with the given drop rate in [0, 1).
+func newDropout(rate float64, rng *rand.Rand) *dropout {
 	if rate < 0 || rate >= 1 {
 		panic(fmt.Sprintf("nn: dropout rate %v out of [0,1)", rate))
 	}
-	return &Dropout{Rate: rate, rng: rng}
+	return &dropout{Rate: rate, rng: rng}
 }
 
-// Name implements Layer.
-func (d *Dropout) Name() string { return fmt.Sprintf("Dropout(%.2f)", d.Rate) }
+// Name implements layer.
+func (d *dropout) Name() string { return fmt.Sprintf("Dropout(%.2f)", d.Rate) }
 
-// Params implements Layer.
-func (d *Dropout) Params() []*Param { return nil }
+// Params implements layer.
+func (d *dropout) Params() []*Param { return nil }
 
-// Forward implements Layer.
-func (d *Dropout) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
+// Forward implements layer.
+func (d *dropout) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	if !train || d.Rate == 0 {
 		d.mask = nil
 		return x, nil
@@ -157,8 +157,8 @@ func (d *Dropout) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) 
 	return y, nil
 }
 
-// Backward implements Layer.
-func (d *Dropout) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
+// Backward implements layer.
+func (d *dropout) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if d.mask == nil {
 		// Eval mode (or rate 0): identity.
 		return grad, nil

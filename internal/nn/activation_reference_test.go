@@ -8,7 +8,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// The branchy loops ReLU and MaxPool2D ran before they selected with bit
+// The branchy loops relu and maxPool2D ran before they selected with bit
 // masks, kept as the reference the layers must reproduce bit for bit.
 
 func refReLU(xd []float64) (yd []float64, mask []bool) {
@@ -101,7 +101,7 @@ func firstBitDiff(got, want []float64) int {
 
 func TestReLUMatchesBranchyReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	r := NewReLU()
+	r := newReLU()
 	for trial := 0; trial < 20; trial++ {
 		x := edgeTensor(rng, 3, 1+rng.Intn(70))
 		y, err := r.Forward(x, true)
@@ -133,7 +133,7 @@ func TestMaxPoolMatchesBranchyReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	check := func(name string, x *tensor.Tensor, p int) {
 		t.Helper()
-		m := NewMaxPool2D(p)
+		m := newMaxPool2D(p)
 		y, err := m.Forward(x, true)
 		if err != nil {
 			t.Fatal(err)

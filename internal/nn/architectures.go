@@ -6,10 +6,10 @@ import (
 )
 
 // PaperCNN builds the CNN of the paper's Fig. 5 for inputs of shape
-// [batch, channels, size, size]: two blocks of (same-pad conv, ReLU,
-// valid-pad conv, ReLU, 2×2 max-pool, dropout 0.25) with 32 then 64
-// filters, followed by Flatten, Dense(512), ReLU, Dropout(0.5) and a
-// Dense output over `classes` logits (softmax lives in the loss).
+// [batch, channels, size, size]: two blocks of (same-pad conv, relu,
+// valid-pad conv, relu, 2×2 max-pool, dropout 0.25) with 32 then 64
+// filters, followed by flatten, dense(512), relu, dropout(0.5) and a
+// dense output over `classes` logits (softmax lives in the loss).
 //
 // For CIFAR-10 (channels=3, size=32, classes=10) the parameter count is
 // 1,250,858 — the paper's "1.25M parameters".
@@ -21,26 +21,26 @@ func PaperCNN(channels, size, classes int, rng *rand.Rand) (*Model, error) {
 	if s2 < 1 {
 		return nil, fmt.Errorf("nn: PaperCNN: input size %d too small (need ≥ 14)", size)
 	}
-	return NewModel(
-		NewConv2D(channels, 32, 3, PadSame, rng),
-		NewReLU(),
-		NewConv2D(32, 32, 3, PadValid, rng),
-		NewReLU(),
-		NewMaxPool2D(2),
-		NewDropout(0.25, rng),
+	return newModel(
+		newConv2D(channels, 32, 3, padSame, rng),
+		newReLU(),
+		newConv2D(32, 32, 3, padValid, rng),
+		newReLU(),
+		newMaxPool2D(2),
+		newDropout(0.25, rng),
 
-		NewConv2D(32, 64, 3, PadSame, rng),
-		NewReLU(),
-		NewConv2D(64, 64, 3, PadValid, rng),
-		NewReLU(),
-		NewMaxPool2D(2),
-		NewDropout(0.25, rng),
+		newConv2D(32, 64, 3, padSame, rng),
+		newReLU(),
+		newConv2D(64, 64, 3, padValid, rng),
+		newReLU(),
+		newMaxPool2D(2),
+		newDropout(0.25, rng),
 
-		NewFlatten(),
-		NewDense(64*s2*s2, 512, rng),
-		NewReLU(),
-		NewDropout(0.5, rng),
-		NewDense(512, classes, rng),
+		newFlatten(),
+		newDense(64*s2*s2, 512, rng),
+		newReLU(),
+		newDropout(0.5, rng),
+		newDense(512, classes, rng),
 	), nil
 }
 
@@ -50,14 +50,14 @@ func PaperCNN(channels, size, classes int, rng *rand.Rand) (*Model, error) {
 // aggregation protocols are agnostic to the architecture, exchanging only
 // the flat weight vector.
 func MLP(in int, hidden []int, classes int, rng *rand.Rand) *Model {
-	var layers []Layer
+	var layers []layer
 	prev := in
 	for _, h := range hidden {
-		layers = append(layers, NewDense(prev, h, rng), NewReLU())
+		layers = append(layers, newDense(prev, h, rng), newReLU())
 		prev = h
 	}
-	layers = append(layers, NewDense(prev, classes, rng))
-	return NewModel(layers...)
+	layers = append(layers, newDense(prev, classes, rng))
+	return newModel(layers...)
 }
 
 // TinyCNN builds a reduced convolutional model with the paper CNN's layer
@@ -68,16 +68,16 @@ func TinyCNN(channels, size, classes int, rng *rand.Rand) (*Model, error) {
 	if s1 < 1 {
 		return nil, fmt.Errorf("nn: TinyCNN: input size %d too small (need ≥ 4)", size)
 	}
-	return NewModel(
-		NewConv2D(channels, 4, 3, PadSame, rng),
-		NewReLU(),
-		NewConv2D(4, 4, 3, PadValid, rng),
-		NewReLU(),
-		NewMaxPool2D(2),
-		NewDropout(0.25, rng),
-		NewFlatten(),
-		NewDense(4*s1*s1, 32, rng),
-		NewReLU(),
-		NewDense(32, classes, rng),
+	return newModel(
+		newConv2D(channels, 4, 3, padSame, rng),
+		newReLU(),
+		newConv2D(4, 4, 3, padValid, rng),
+		newReLU(),
+		newMaxPool2D(2),
+		newDropout(0.25, rng),
+		newFlatten(),
+		newDense(4*s1*s1, 32, rng),
+		newReLU(),
+		newDense(32, classes, rng),
 	), nil
 }

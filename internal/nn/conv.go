@@ -7,17 +7,17 @@ import (
 	"repro/internal/tensor"
 )
 
-// Padding selects the spatial padding mode of a convolution.
-type Padding int
+// padding selects the spatial padding mode of a convolution.
+type padding int
 
 const (
-	// PadValid applies no padding; output shrinks by kernel−1.
-	PadValid Padding = iota
-	// PadSame zero-pads so stride-1 output matches the input size.
-	PadSame
+	// padValid applies no padding; output shrinks by kernel−1.
+	padValid padding = iota
+	// padSame zero-pads so stride-1 output matches the input size.
+	padSame
 )
 
-// Conv2D is a 2-D convolution over [batch, inC, H, W] inputs, computed
+// conv2D is a 2-D convolution over [batch, inC, H, W] inputs, computed
 // directly on the tensors by the register-blocked kernels of
 // conv_kernels.go (whose innermost loops run as AVX2 assembly where the
 // CPU has it): forward, weight/bias gradient and input gradient each
@@ -33,7 +33,7 @@ const (
 //     are valid until the layer's next call, which is exactly the
 //     lifetime the sequential training loop needs.
 //   - Forward keeps a reference to its input, not a copy: the caller must
-//     leave that tensor unmodified until Backward has returned (Dense
+//     leave that tensor unmodified until Backward has returned (dense
 //     does the same). A reused minibatch buffer may be refilled only
 //     after Model.Backward.
 //
@@ -42,12 +42,12 @@ const (
 // gradient) or the accumulator blocks (weight gradient) are fanned out
 // over tensor's worker pool; every unit writes its own outputs in a
 // fixed order, so results do not depend on the worker count.
-type Conv2D struct {
+type conv2D struct {
 	inC, outC, k int
-	pad          Padding
+	pad          padding
 	w, b         *Param
 
-	// noInputGrad is set by NewModel on the model's first layer: nobody
+	// noInputGrad is set by newModel on the model's first layer: nobody
 	// reads dL/d(input) there, so Backward skips computing it.
 	noInputGrad bool
 
@@ -76,9 +76,9 @@ type Conv2D struct {
 // which tensor's matmuls start to fan out.
 const convFanOutMACs = 1 << 19
 
-// NewConv2D creates a k×k stride-1 convolution with He-normal weights.
-func NewConv2D(inC, outC, k int, pad Padding, rng *rand.Rand) *Conv2D {
-	c := &Conv2D{
+// newConv2D creates a k×k stride-1 convolution with He-normal weights.
+func newConv2D(inC, outC, k int, pad padding, rng *rand.Rand) *conv2D {
+	c := &conv2D{
 		inC: inC, outC: outC, k: k, pad: pad,
 		w: newParam(fmt.Sprintf("conv_%dx%dx%d.w", outC, inC, k), outC, inC*k*k),
 		b: newParam(fmt.Sprintf("conv_%dx%dx%d.b", outC, inC, k), outC),
@@ -88,16 +88,16 @@ func NewConv2D(inC, outC, k int, pad Padding, rng *rand.Rand) *Conv2D {
 	return c
 }
 
-// Name implements Layer.
-func (c *Conv2D) Name() string {
+// Name implements layer.
+func (c *conv2D) Name() string {
 	return fmt.Sprintf("Conv2D(%d→%d, %dx%d)", c.inC, c.outC, c.k, c.k)
 }
 
-// Params implements Layer.
-func (c *Conv2D) Params() []*Param { return []*Param{c.w, c.b} }
+// Params implements layer.
+func (c *conv2D) Params() []*Param { return []*Param{c.w, c.b} }
 
-func (c *Conv2D) padPixels() int {
-	if c.pad == PadSame {
+func (c *conv2D) padPixels() int {
+	if c.pad == padSame {
 		return (c.k - 1) / 2
 	}
 	return 0
@@ -105,7 +105,7 @@ func (c *Conv2D) padPixels() int {
 
 // run executes task over [0, units), fanned out over the worker pool
 // when the pass is large enough to pay for it.
-func (c *Conv2D) run(task func(lo, hi int), units int) {
+func (c *conv2D) run(task func(lo, hi int), units int) {
 	if c.geom.macs() < convFanOutMACs {
 		task(0, units)
 		return
@@ -113,8 +113,8 @@ func (c *Conv2D) run(task func(lo, hi int), units int) {
 	tensor.ParallelRows(units, task)
 }
 
-// Forward implements Layer.
-func (c *Conv2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
+// Forward implements layer.
+func (c *conv2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	if x.Rank() != 4 || x.Dim(1) != c.inC {
 		return nil, fmt.Errorf("nn: %s: bad input shape %v", c.Name(), x.Shape())
 	}
@@ -138,7 +138,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 
 // forwardUnits computes units [lo, hi) of the forward pass; unit u is
 // image u / ocBlocks, output-channel block u % ocBlocks.
-func (c *Conv2D) forwardUnits(lo, hi int) {
+func (c *conv2D) forwardUnits(lo, hi int) {
 	g := &c.geom
 	nob := g.ocBlocks()
 	for u := lo; u < hi; u++ {
@@ -146,9 +146,9 @@ func (c *Conv2D) forwardUnits(lo, hi int) {
 	}
 }
 
-// Backward implements Layer. On a model's first layer it returns a nil
-// input gradient (see NewModel).
-func (c *Conv2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
+// Backward implements layer. On a model's first layer it returns a nil
+// input gradient (see newModel).
+func (c *conv2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if c.x == nil {
 		return nil, fmt.Errorf("nn: %s: Backward before Forward", c.Name())
 	}
@@ -190,7 +190,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 
 // gradWUnits accumulates weight/bias-gradient units [lo, hi); unit u is
 // output-channel block u / ciPairs, input-channel pair u % ciPairs.
-func (c *Conv2D) gradWUnits(lo, hi int) {
+func (c *conv2D) gradWUnits(lo, hi int) {
 	g := &c.geom
 	ncp := g.ciPairs()
 	for u := lo; u < hi; u++ {
@@ -199,7 +199,7 @@ func (c *Conv2D) gradWUnits(lo, hi int) {
 }
 
 // gradXSlots computes the input gradient for worker slots [lo, hi).
-func (c *Conv2D) gradXSlots(lo, hi int) {
+func (c *conv2D) gradXSlots(lo, hi int) {
 	g := &c.geom
 	ncp := g.ciPairs()
 	units := g.b * ncp

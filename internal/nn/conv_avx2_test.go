@@ -41,13 +41,13 @@ func sameBits(a, b float64) bool {
 func kernelSweepCases() []convCase {
 	var out []convCase
 	for _, k := range []int{1, 3, 5} {
-		for _, pad := range []Padding{PadValid, PadSame} {
+		for _, pad := range []padding{padValid, padSame} {
 			p := 0
-			if pad == PadSame {
+			if pad == padSame {
 				p = (k - 1) / 2
 			}
 			for i := 0; i < 32; i++ {
-				run := 1 + i%16 // ow − 2p for PadSame, ow for PadValid
+				run := 1 + i%16 // ow − 2p for padSame, ow for padValid
 				tc := convCase{
 					k: k, pad: pad,
 					inC:  []int{1, 2, 3, 4}[i%4],
@@ -56,7 +56,7 @@ func kernelSweepCases() []convCase {
 					h:    k - 2*p + i%5,
 					w:    run + k - 1,
 				}
-				if pad == PadSame {
+				if pad == padSame {
 					tc.w = run + 2*p
 				}
 				if tc.fits() {
@@ -99,8 +99,8 @@ func TestAVX2BodiesMatchGoBodies(t *testing.T) {
 		fill := []func(*rand.Rand, []float64){plain, awkward, poisoned}[i%3]
 		// Twin layers with equal parameters and gradient accumulators.
 		rng := rand.New(rand.NewSource(int64(i)))
-		goSide := NewConv2D(tc.inC, tc.outC, tc.k, tc.pad, rng)
-		avx := NewConv2D(tc.inC, tc.outC, tc.k, tc.pad, rng)
+		goSide := newConv2D(tc.inC, tc.outC, tc.k, tc.pad, rng)
+		avx := newConv2D(tc.inC, tc.outC, tc.k, tc.pad, rng)
 		for _, ps := range [][2]*Param{{goSide.w, avx.w}, {goSide.b, avx.b}} {
 			for _, d := range [][2][]float64{{ps[0].W.Data(), ps[1].W.Data()}, {ps[0].G.Data(), ps[1].G.Data()}} {
 				fill(rng, d[0])
@@ -110,7 +110,7 @@ func TestAVX2BodiesMatchGoBodies(t *testing.T) {
 		for pass := 0; pass < 2; pass++ {
 			x, grad := tc.tensors(rng, fill)
 			var res [2][4][]float64
-			for s, side := range []*Conv2D{goSide, avx} {
+			for s, side := range []*conv2D{goSide, avx} {
 				useAVX2 = s == 1
 				y, err := side.Forward(x, true)
 				if err != nil {

@@ -12,7 +12,7 @@ import (
 // convCase is one shape of the direct-vs-oracle comparison.
 type convCase struct {
 	k          int
-	pad        Padding
+	pad        padding
 	inC, outC  int
 	b, h, w    int
 	noInputGrd bool
@@ -23,7 +23,7 @@ func (tc convCase) String() string {
 }
 
 func (tc convCase) padPixels() int {
-	if tc.pad == PadSame {
+	if tc.pad == padSame {
 		return (tc.k - 1) / 2
 	}
 	return 0
@@ -78,15 +78,15 @@ func diffCount(a, b []float64, eq func(x, y float64) bool) int {
 	return n
 }
 
-// convPair is a Conv2D and its oracle with equal but separate parameters
+// convPair is a conv2D and its oracle with equal but separate parameters
 // and gradient accumulators.
 type convPair struct {
-	direct *Conv2D
+	direct *conv2D
 	oracle *loweredConv2D
 }
 
 func newConvPair(tc convCase, rng *rand.Rand, fill func(*rand.Rand, []float64)) convPair {
-	c := NewConv2D(tc.inC, tc.outC, tc.k, tc.pad, rng)
+	c := newConv2D(tc.inC, tc.outC, tc.k, tc.pad, rng)
 	c.noInputGrad = tc.noInputGrd
 	fill(rng, c.w.W.Data())
 	fill(rng, c.b.W.Data())
@@ -160,7 +160,7 @@ func sweepCases() []convCase {
 	var out []convCase
 	n := 0
 	for _, k := range []int{1, 3, 5} {
-		for _, pad := range []Padding{PadValid, PadSame} {
+		for _, pad := range []padding{padValid, padSame} {
 			for _, inC := range []int{1, 3, 4, 5, 32} {
 				for _, outC := range []int{1, 3, 4, 5, 32} {
 					for _, b := range []int{1, 3} {
@@ -219,11 +219,11 @@ func testConvDirectMatchesOracle(t *testing.T) {
 // fanOutCases are large enough (≥ convFanOutMACs) to go through the
 // worker pool, and cover odd channel counts and both paddings.
 var fanOutCases = []convCase{
-	{k: 3, pad: PadSame, inC: 3, outC: 4, b: 6, h: 32, w: 32},
-	{k: 3, pad: PadValid, inC: 4, outC: 4, b: 6, h: 32, w: 32},
-	{k: 3, pad: PadValid, inC: 32, outC: 32, b: 3, h: 12, w: 10},
-	{k: 5, pad: PadSame, inC: 5, outC: 7, b: 5, h: 14, w: 17},
-	{k: 3, pad: PadSame, inC: 3, outC: 32, b: 1, h: 32, w: 32},
+	{k: 3, pad: padSame, inC: 3, outC: 4, b: 6, h: 32, w: 32},
+	{k: 3, pad: padValid, inC: 4, outC: 4, b: 6, h: 32, w: 32},
+	{k: 3, pad: padValid, inC: 32, outC: 32, b: 3, h: 12, w: 10},
+	{k: 5, pad: padSame, inC: 5, outC: 7, b: 5, h: 14, w: 17},
+	{k: 3, pad: padSame, inC: 3, outC: 32, b: 1, h: 32, w: 32},
 }
 
 // TestConvParallelBitIdentical pins the fan-out: the same pass at worker
@@ -237,7 +237,7 @@ func testConvParallelBitIdentical(t *testing.T) {
 	defer tensor.SetParallelism(tensor.Parallelism())
 	bits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 	for i, tc := range fanOutCases {
-		var ref *Conv2D
+		var ref *conv2D
 		var refOut, refDX []float64
 		for _, workers := range []int{1, 4} {
 			tensor.SetParallelism(workers)
@@ -279,14 +279,14 @@ func FuzzConvDifferential(f *testing.F) {
 	f.Add(int64(5), uint8(4), true, uint8(2), uint8(2), uint8(1), uint8(6), uint8(5), true)
 	f.Fuzz(func(t *testing.T, seed int64, k uint8, samePad bool, inC, outC, b, h, w uint8, odd bool) {
 		tc := convCase{
-			k: 1 + int(k)%6, pad: PadValid,
+			k: 1 + int(k)%6, pad: padValid,
 			inC: 1 + int(inC)%9, outC: 1 + int(outC)%9,
 			b: 1 + int(b)%3, h: 1 + int(h)%13, w: 1 + int(w)%13,
 		}
 		if samePad {
-			tc.pad = PadSame
+			tc.pad = padSame
 		}
-		// PadSame with an even kernel pads (k−1)/2 on both sides and so
+		// padSame with an even kernel pads (k−1)/2 on both sides and so
 		// shrinks the image by one; the kernels take any k and p.
 		if !tc.fits() {
 			t.Skip()
@@ -313,7 +313,7 @@ func FuzzConvDifferential(f *testing.F) {
 // those outputs finite. Everything else agrees, and the layer's output is
 // non-finite on both sides — the model has diverged either way.
 func TestConvNonFiniteBorder(t *testing.T) {
-	tc := convCase{k: 3, pad: PadSame, inC: 2, outC: 3, b: 2, h: 5, w: 6}
+	tc := convCase{k: 3, pad: padSame, inC: 2, outC: 3, b: 2, h: 5, w: 6}
 	rng := rand.New(rand.NewSource(7))
 	p := newConvPair(tc, rng, plain)
 	for _, w := range [][]float64{p.direct.w.W.Data(), p.oracle.w.W.Data()} {
@@ -340,7 +340,7 @@ func TestConvNonFiniteBorder(t *testing.T) {
 // standalone layer against central differences of L = Σ out·r.
 func TestConvGradientsFiniteDifference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	c := NewConv2D(3, 5, 3, PadSame, rng)
+	c := newConv2D(3, 5, 3, padSame, rng)
 	plain(rng, c.b.W.Data())
 	x := randTensor(rng, 2, 3, 5, 6)
 	r := randTensor(rng, 2, 5, 5, 6)
@@ -383,15 +383,15 @@ func TestConvGradientsFiniteDifference(t *testing.T) {
 	}
 }
 
-// TestFirstLayerSkipsInputGradient: NewModel tells a leading convolution
+// TestFirstLayerSkipsInputGradient: newModel tells a leading convolution
 // or dense layer that nobody reads its input gradient, and that layer
 // then does none of the work — while the same layer type mid-stack or
 // standalone still returns the oracle's dx.
 func TestFirstLayerSkipsInputGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	first := NewConv2D(3, 4, 3, PadSame, rng)
-	second := NewConv2D(4, 4, 3, PadValid, rng)
-	m := NewModel(first, NewReLU(), second, NewFlatten(), NewDense(4*6*6, 3, rng))
+	first := newConv2D(3, 4, 3, padSame, rng)
+	second := newConv2D(4, 4, 3, padValid, rng)
+	m := newModel(first, newReLU(), second, newFlatten(), newDense(4*6*6, 3, rng))
 	x := randTensor(rng, 2, 3, 8, 8)
 	if _, err := m.Loss(x, []int{0, 2}); err != nil {
 		t.Fatal(err)
@@ -408,7 +408,7 @@ func TestFirstLayerSkipsInputGradient(t *testing.T) {
 	// Still the right weight gradient on layer 0, and the right dx from
 	// a convolution that is not a model's first layer.
 	for _, skip := range []bool{true, false} {
-		tc := convCase{k: 3, pad: PadSame, inC: 3, outC: 4, b: 2, h: 8, w: 8, noInputGrd: skip}
+		tc := convCase{k: 3, pad: padSame, inC: 3, outC: 4, b: 2, h: 8, w: 8, noInputGrd: skip}
 		p := newConvPair(tc, rng, plain)
 		xs, grad := tc.tensors(rng, plain)
 		if d := p.step(xs, grad, same); d != "" {
@@ -418,15 +418,15 @@ func TestFirstLayerSkipsInputGradient(t *testing.T) {
 
 	// An MLP's first layer returns no input gradient; its second layer
 	// and a standalone one return grad·W.
-	d0, d1 := NewDense(6, 5, rng), NewDense(5, 3, rng)
-	mlp := NewModel(d0, NewReLU(), d1)
+	d0, d1 := newDense(6, 5, rng), newDense(5, 3, rng)
+	mlp := newModel(d0, newReLU(), d1)
 	if _, err := mlp.Loss(randTensor(rng, 2, 6), []int{0, 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := mlp.Backward(); err != nil {
 		t.Fatal(err)
 	}
-	for i, d := range []*Dense{d0, d1, NewDense(6, 5, rng)} {
+	for i, d := range []*dense{d0, d1, newDense(6, 5, rng)} {
 		if _, err := d.Forward(randTensor(rng, 2, d.in), true); err != nil {
 			t.Fatal(err)
 		}
@@ -452,7 +452,7 @@ func TestFirstLayerSkipsInputGradient(t *testing.T) {
 }
 
 func TestConvBackwardBeforeForwardErrors(t *testing.T) {
-	c := NewConv2D(1, 1, 3, PadSame, rand.New(rand.NewSource(1)))
+	c := newConv2D(1, 1, 3, padSame, rand.New(rand.NewSource(1)))
 	if _, err := c.Backward(tensor.New(1, 1, 4, 4)); err == nil {
 		t.Fatal("Backward before Forward did not error")
 	}
@@ -466,7 +466,7 @@ func TestConvSteadyStateAllocatesNothing(t *testing.T) {
 	tensor.SetParallelism(1)
 	rng := rand.New(rand.NewSource(17))
 	tc := fanOutCases[2]
-	c := NewConv2D(tc.inC, tc.outC, tc.k, tc.pad, rng)
+	c := newConv2D(tc.inC, tc.outC, tc.k, tc.pad, rng)
 	x, grad := tc.tensors(rng, plain)
 	pass := func() {
 		if _, err := c.Forward(x, true); err != nil {
@@ -483,16 +483,16 @@ func TestConvSteadyStateAllocatesNothing(t *testing.T) {
 }
 
 // TestDenseSteadyStateAllocatesNothing: after the first pass sized its
-// workspaces, a Dense forward + backward allocates nothing on the
+// workspaces, a dense forward + backward allocates nothing on the
 // caller's goroutine — the matmul kernels pack nothing per call — at
-// TinyCNN's Dense(900→32) at batch 32 and PaperCNN's Dense(2304→512) at
+// TinyCNN's dense(900→32) at batch 32 and PaperCNN's dense(2304→512) at
 // batch 8.
 func TestDenseSteadyStateAllocatesNothing(t *testing.T) {
 	defer tensor.SetParallelism(tensor.Parallelism())
 	tensor.SetParallelism(1)
 	rng := rand.New(rand.NewSource(19))
 	for _, s := range []struct{ batch, in, out int }{{32, 900, 32}, {8, 2304, 512}} {
-		d := NewDense(s.in, s.out, rng)
+		d := newDense(s.in, s.out, rng)
 		x, grad := randTensor(rng, s.batch, s.in), randTensor(rng, s.batch, s.out)
 		pass := func() {
 			if _, err := d.Forward(x, true); err != nil {

@@ -6,9 +6,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// loweredConv2D is the convolution Conv2D used to be — im2col, one matrix
+// loweredConv2D is the convolution conv2D used to be — im2col, one matrix
 // multiplication per pass, col2im — kept as the oracle the direct kernels
-// are compared against bit for bit. It implements Layer so whole models
+// are compared against bit for bit. It implements layer so whole models
 // can be rebuilt on it (WithLoweredConvs).
 type loweredConv2D struct {
 	inC, outC, k, pad int
@@ -19,21 +19,21 @@ type loweredConv2D struct {
 }
 
 // lowered returns the oracle twin of c, sharing c's parameters.
-func lowered(c *Conv2D) *loweredConv2D {
+func lowered(c *conv2D) *loweredConv2D {
 	return &loweredConv2D{inC: c.inC, outC: c.outC, k: c.k, pad: c.padPixels(), w: c.w, b: c.b}
 }
 
-// WithLoweredConvs returns a model over m's layers with every Conv2D
+// WithLoweredConvs returns a model over m's layers with every conv2D
 // replaced by its oracle twin (same Param objects, so same weights).
 func WithLoweredConvs(m *Model) *Model {
-	layers := make([]Layer, len(m.layers))
+	layers := make([]layer, len(m.layers))
 	for i, l := range m.layers {
-		if c, ok := l.(*Conv2D); ok {
+		if c, ok := l.(*conv2D); ok {
 			l = lowered(c)
 		}
 		layers[i] = l
 	}
-	return NewModel(layers...)
+	return newModel(layers...)
 }
 
 func (c *loweredConv2D) Name() string     { return fmt.Sprintf("loweredConv2D(%d→%d)", c.inC, c.outC) }

@@ -8,7 +8,7 @@ import (
 )
 
 // directConv2D is a naive quadruple-loop convolution, bias first, used as
-// an independent reference for Conv2D's forward pass (to a tolerance: its
+// an independent reference for conv2D's forward pass (to a tolerance: its
 // summation order is its own).
 func directConv2D(x *tensor.Tensor, w []float64, b []float64, inC, outC, k, pad int) *tensor.Tensor {
 	batch, h, wd := x.Dim(0), x.Dim(2), x.Dim(3)
@@ -47,23 +47,23 @@ func TestConvMatchesDirectImplementation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	cases := []struct {
 		inC, outC, k int
-		pad          Padding
+		pad          padding
 		size         int
 	}{
-		{1, 1, 3, PadValid, 5},
-		{2, 3, 3, PadSame, 6},
-		{3, 2, 3, PadValid, 7},
-		{1, 4, 3, PadSame, 4},
+		{1, 1, 3, padValid, 5},
+		{2, 3, 3, padSame, 6},
+		{3, 2, 3, padValid, 7},
+		{1, 4, 3, padSame, 4},
 	}
 	for _, tc := range cases {
-		c := NewConv2D(tc.inC, tc.outC, tc.k, tc.pad, rng)
+		c := newConv2D(tc.inC, tc.outC, tc.k, tc.pad, rng)
 		x := randTensor(rng, 2, tc.inC, tc.size, tc.size)
 		got, err := c.Forward(x, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pad := 0
-		if tc.pad == PadSame {
+		if tc.pad == padSame {
 			pad = (tc.k - 1) / 2
 		}
 		want := directConv2D(x, c.w.W.Data(), c.b.W.Data(), tc.inC, tc.outC, tc.k, pad)

@@ -7,19 +7,19 @@ import (
 	"repro/internal/tensor"
 )
 
-// Dense is a fully connected layer: y = x·Wᵀ + b with W of shape
+// dense is a fully connected layer: y = x·Wᵀ + b with W of shape
 // [out, in] and b of shape [out]. Inputs are [batch, in].
 //
-// Like Conv2D, the layer owns reusable scratch workspaces for its output
+// Like conv2D, the layer owns reusable scratch workspaces for its output
 // and input gradient; the tensors it returns are valid until its next
 // call, and the weight gradient accumulates straight into w.G without a
 // scratch product.
-type Dense struct {
+type dense struct {
 	in, out int
 	w, b    *Param
 	lastX   *tensor.Tensor
 
-	// noInputGrad is set by NewModel on the model's first layer: nobody
+	// noInputGrad is set by newModel on the model's first layer: nobody
 	// reads its input gradient, so Backward returns nil.
 	noInputGrad bool
 
@@ -27,9 +27,9 @@ type Dense struct {
 	dx tensor.Scratch
 }
 
-// NewDense creates a Dense layer with He-normal weights and zero biases.
-func NewDense(in, out int, rng *rand.Rand) *Dense {
-	d := &Dense{
+// newDense creates a dense layer with He-normal weights and zero biases.
+func newDense(in, out int, rng *rand.Rand) *dense {
+	d := &dense{
 		in:  in,
 		out: out,
 		w:   newParam(fmt.Sprintf("dense_%dx%d.w", out, in), out, in),
@@ -39,14 +39,14 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 	return d
 }
 
-// Name implements Layer.
-func (d *Dense) Name() string { return fmt.Sprintf("Dense(%d→%d)", d.in, d.out) }
+// Name implements layer.
+func (d *dense) Name() string { return fmt.Sprintf("Dense(%d→%d)", d.in, d.out) }
 
-// Params implements Layer.
-func (d *Dense) Params() []*Param { return []*Param{d.w, d.b} }
+// Params implements layer.
+func (d *dense) Params() []*Param { return []*Param{d.w, d.b} }
 
-// Forward implements Layer.
-func (d *Dense) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
+// Forward implements layer.
+func (d *dense) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	if x.Rank() != 2 || x.Dim(1) != d.in {
 		return nil, fmt.Errorf("nn: %s: bad input shape %v", d.Name(), x.Shape())
 	}
@@ -67,9 +67,9 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	return y, nil
 }
 
-// Backward implements Layer. On a model's first layer it returns a nil
-// input gradient (see NewModel).
-func (d *Dense) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
+// Backward implements layer. On a model's first layer it returns a nil
+// input gradient (see newModel).
+func (d *dense) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if d.lastX == nil {
 		return nil, fmt.Errorf("nn: %s: Backward before Forward", d.Name())
 	}

@@ -1,6 +1,6 @@
 // Package nn implements the from-scratch neural-network stack used by the
 // federated-learning experiments: dense and convolutional layers, pooling,
-// dropout, ReLU, a fused softmax/cross-entropy loss and a sequential model
+// dropout, relu, a fused softmax/cross-entropy loss and a sequential model
 // container whose weights can be flattened to a vector — the representation
 // exchanged by the SAC and FedAvg aggregation protocols.
 //
@@ -28,13 +28,13 @@ func newParam(name string, shape ...int) *Param {
 	return &Param{Name: name, W: tensor.New(shape...), G: tensor.New(shape...)}
 }
 
-// Layer is one stage of a sequential network.
+// layer is one stage of a sequential network.
 //
 // Forward consumes the previous activation; when train is true, layers with
 // stochastic behaviour (dropout) sample a fresh mask and layers cache
 // whatever Backward needs. Backward consumes dL/d(output) and returns
 // dL/d(input), accumulating parameter gradients into Params().G.
-type Layer interface {
+type layer interface {
 	Name() string
 	Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error)
 	Backward(grad *tensor.Tensor) (*tensor.Tensor, error)
@@ -42,7 +42,7 @@ type Layer interface {
 }
 
 // heInit fills t with He-normal initialization for fanIn inputs, the
-// standard choice for ReLU networks.
+// standard choice for relu networks.
 func heInit(t *tensor.Tensor, fanIn int, rng *rand.Rand) {
 	std := 1.0
 	if fanIn > 0 {

@@ -7,19 +7,19 @@ import (
 	"repro/internal/tensor"
 )
 
-// SoftmaxCrossEntropy is the fused softmax + categorical-cross-entropy
+// softmaxCrossEntropy is the fused softmax + categorical-cross-entropy
 // loss used by the paper's experiments. Fusing keeps the gradient
 // numerically exact: dL/dlogits = (softmax(logits) − onehot) / batch.
 // The probability and gradient tensors are reusable workspaces owned by
 // the loss value, valid until its next call.
-type SoftmaxCrossEntropy struct {
+type softmaxCrossEntropy struct {
 	probs tensor.Scratch
 	grad  tensor.Scratch
 }
 
 // Forward computes the mean cross-entropy of logits [batch, classes]
 // against integer labels, along with the class probabilities.
-func (l *SoftmaxCrossEntropy) Forward(logits *tensor.Tensor, labels []int) (loss float64, probs *tensor.Tensor, err error) {
+func (l *softmaxCrossEntropy) Forward(logits *tensor.Tensor, labels []int) (loss float64, probs *tensor.Tensor, err error) {
 	if logits.Rank() != 2 {
 		return 0, nil, fmt.Errorf("nn: cross-entropy: logits must be rank 2, got %v", logits.Shape())
 	}
@@ -62,7 +62,7 @@ func (l *SoftmaxCrossEntropy) Forward(logits *tensor.Tensor, labels []int) (loss
 }
 
 // Backward computes dL/dlogits from the probabilities returned by Forward.
-func (l *SoftmaxCrossEntropy) Backward(probs *tensor.Tensor, labels []int) (*tensor.Tensor, error) {
+func (l *softmaxCrossEntropy) Backward(probs *tensor.Tensor, labels []int) (*tensor.Tensor, error) {
 	batch, classes := probs.Dim(0), probs.Dim(1)
 	if len(labels) != batch {
 		return nil, fmt.Errorf("nn: cross-entropy: %d labels for batch %d", len(labels), batch)
@@ -81,9 +81,9 @@ func (l *SoftmaxCrossEntropy) Backward(probs *tensor.Tensor, labels []int) (*ten
 	return grad, nil
 }
 
-// Accuracy returns the fraction of rows of probs (or logits — argmax is
+// accuracy returns the fraction of rows of probs (or logits — argmax is
 // invariant to softmax) whose argmax equals the label.
-func Accuracy(scores *tensor.Tensor, labels []int) (float64, error) {
+func accuracy(scores *tensor.Tensor, labels []int) (float64, error) {
 	if scores.Rank() != 2 {
 		return 0, fmt.Errorf("nn: accuracy: scores must be rank 2, got %v", scores.Shape())
 	}

@@ -7,10 +7,10 @@ import (
 )
 
 // Model is a sequential stack of layers. The zero value is unusable; build
-// models with NewModel or the architecture constructors (PaperCNN, MLP).
+// models with newModel or the architecture constructors (PaperCNN, MLP).
 type Model struct {
-	layers []Layer
-	loss   SoftmaxCrossEntropy
+	layers []layer
+	loss   softmaxCrossEntropy
 
 	params []*Param // cached flat parameter list (layers are immutable)
 
@@ -18,17 +18,17 @@ type Model struct {
 	lastLabels []int
 }
 
-// NewModel creates a sequential model from the given layers, which
+// newModel creates a sequential model from the given layers, which
 // belong to the model from then on. Nothing reads the input gradient of
 // the first layer — Backward discards it — so a convolution or dense
 // layer in that position is told not to compute one: its Backward
 // returns a nil tensor.
-func NewModel(layers ...Layer) *Model {
+func newModel(layers ...layer) *Model {
 	if len(layers) > 0 {
 		switch l := layers[0].(type) {
-		case *Conv2D:
+		case *conv2D:
 			l.noInputGrad = true
-		case *Dense:
+		case *dense:
 			l.noInputGrad = true
 		}
 	}
@@ -37,7 +37,7 @@ func NewModel(layers ...Layer) *Model {
 
 // Params returns every trainable parameter in layer order. The slice is
 // computed once and cached — the layer stack never changes after
-// NewModel — so the optimizer and weight-vector hot paths don't rebuild
+// newModel — so the optimizer and weight-vector hot paths don't rebuild
 // it every step. Callers must not mutate it.
 func (m *Model) Params() []*Param {
 	if m.params == nil {
@@ -123,7 +123,7 @@ func (m *Model) Evaluate(x *tensor.Tensor, labels []int) (acc, loss float64, err
 	if err != nil {
 		return 0, 0, err
 	}
-	acc, err = Accuracy(probs, labels)
+	acc, err = accuracy(probs, labels)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -60,7 +60,7 @@ func checkGradients(t *testing.T, m *Model, x *tensor.Tensor, labels []int, tol 
 
 func TestDenseForwardKnown(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	d := NewDense(2, 2, rng)
+	d := newDense(2, 2, rng)
 	copy(d.w.W.Data(), []float64{1, 2, 3, 4}) // W = [[1,2],[3,4]]
 	copy(d.b.W.Data(), []float64{10, 20})
 	x := tensor.MustFromSlice([]float64{1, 1}, 1, 2)
@@ -76,7 +76,7 @@ func TestDenseForwardKnown(t *testing.T) {
 
 func TestDenseGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	m := NewModel(NewDense(4, 6, rng), NewReLU(), NewDense(6, 3, rng))
+	m := newModel(newDense(4, 6, rng), newReLU(), newDense(6, 3, rng))
 	x := randTensor(rng, 5, 4)
 	labels := []int{0, 1, 2, 0, 1}
 	checkGradients(t, m, x, labels, 1e-4)
@@ -84,12 +84,12 @@ func TestDenseGradients(t *testing.T) {
 
 func TestConvGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	m := NewModel(
-		NewConv2D(2, 3, 3, PadSame, rng),
-		NewReLU(),
-		NewConv2D(3, 2, 3, PadValid, rng),
-		NewFlatten(),
-		NewDense(2*4*4, 3, rng),
+	m := newModel(
+		newConv2D(2, 3, 3, padSame, rng),
+		newReLU(),
+		newConv2D(3, 2, 3, padValid, rng),
+		newFlatten(),
+		newDense(2*4*4, 3, rng),
 	)
 	x := randTensor(rng, 2, 2, 6, 6)
 	labels := []int{0, 2}
@@ -98,11 +98,11 @@ func TestConvGradients(t *testing.T) {
 
 func TestMaxPoolGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	m := NewModel(
-		NewConv2D(1, 2, 3, PadSame, rng),
-		NewMaxPool2D(2),
-		NewFlatten(),
-		NewDense(2*3*3, 2, rng),
+	m := newModel(
+		newConv2D(1, 2, 3, padSame, rng),
+		newMaxPool2D(2),
+		newFlatten(),
+		newDense(2*3*3, 2, rng),
 	)
 	x := randTensor(rng, 2, 1, 6, 6)
 	labels := []int{0, 1}
@@ -111,7 +111,7 @@ func TestMaxPoolGradients(t *testing.T) {
 
 func TestConvForwardKnown(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	c := NewConv2D(1, 1, 3, PadValid, rng)
+	c := newConv2D(1, 1, 3, padValid, rng)
 	// Averaging kernel, zero bias.
 	for i := range c.w.W.Data() {
 		c.w.W.Data()[i] = 1.0 / 9.0
@@ -129,7 +129,7 @@ func TestConvForwardKnown(t *testing.T) {
 }
 
 func TestMaxPoolForwardKnown(t *testing.T) {
-	p := NewMaxPool2D(2)
+	p := newMaxPool2D(2)
 	x := tensor.MustFromSlice([]float64{
 		1, 2, 3, 4,
 		5, 6, 7, 8,
@@ -147,7 +147,7 @@ func TestMaxPoolForwardKnown(t *testing.T) {
 }
 
 func TestMaxPoolFloorSemantics(t *testing.T) {
-	p := NewMaxPool2D(2)
+	p := newMaxPool2D(2)
 	x := tensor.New(1, 1, 5, 5) // odd size: last row/col dropped
 	y, err := p.Forward(x, false)
 	if err != nil {
@@ -160,7 +160,7 @@ func TestMaxPoolFloorSemantics(t *testing.T) {
 
 func TestDropoutTrainEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	d := NewDropout(0.5, rng)
+	d := newDropout(0.5, rng)
 	x := tensor.New(1, 1000)
 	x.Fill(1)
 	yEval, err := d.Forward(x, false)
@@ -200,11 +200,11 @@ func TestDropoutRatePanics(t *testing.T) {
 			t.Fatal("want panic for rate 1.0")
 		}
 	}()
-	NewDropout(1.0, rand.New(rand.NewSource(1)))
+	newDropout(1.0, rand.New(rand.NewSource(1)))
 }
 
 func TestSoftmaxCrossEntropyKnown(t *testing.T) {
-	var l SoftmaxCrossEntropy
+	var l softmaxCrossEntropy
 	// Uniform logits: loss = ln(classes).
 	logits := tensor.New(2, 4)
 	loss, probs, err := l.Forward(logits, []int{0, 3})
@@ -222,7 +222,7 @@ func TestSoftmaxCrossEntropyKnown(t *testing.T) {
 }
 
 func TestSoftmaxCrossEntropyStability(t *testing.T) {
-	var l SoftmaxCrossEntropy
+	var l softmaxCrossEntropy
 	logits := tensor.MustFromSlice([]float64{1000, 0, -1000}, 1, 3)
 	loss, probs, err := l.Forward(logits, []int{0})
 	if err != nil {
@@ -237,14 +237,14 @@ func TestSoftmaxCrossEntropyStability(t *testing.T) {
 }
 
 func TestCrossEntropyErrors(t *testing.T) {
-	var l SoftmaxCrossEntropy
+	var l softmaxCrossEntropy
 	if _, _, err := l.Forward(tensor.New(2, 3), []int{0}); err == nil {
 		t.Fatal("want label-count error")
 	}
 	if _, _, err := l.Forward(tensor.New(1, 3), []int{7}); err == nil {
 		t.Fatal("want label-range error")
 	}
-	if _, err := Accuracy(tensor.New(3), nil); err == nil {
+	if _, err := accuracy(tensor.New(3), nil); err == nil {
 		t.Fatal("want rank error")
 	}
 }
@@ -255,7 +255,7 @@ func TestAccuracy(t *testing.T) {
 		0.2, 0.8,
 		0.6, 0.4,
 	}, 3, 2)
-	acc, err := Accuracy(scores, []int{0, 1, 1})
+	acc, err := accuracy(scores, []int{0, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestModelSummary(t *testing.T) {
 // the output.
 func TestMaxPoolDivergedInput(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(-1)} {
-		p := NewMaxPool2D(2)
+		p := newMaxPool2D(2)
 		x := tensor.New(1, 1, 2, 2)
 		x.Fill(v)
 		y, err := p.Forward(x, true)

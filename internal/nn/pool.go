@@ -7,11 +7,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// MaxPool2D is a p×p max pooling layer with stride p over
+// maxPool2D is a p×p max pooling layer with stride p over
 // [batch, channels, H, W] inputs. Trailing rows/columns that do not fill a
 // complete window are dropped (floor semantics), matching the framework
 // the paper's model was defined in.
-type MaxPool2D struct {
+type maxPool2D struct {
 	p int
 
 	lastShape []int // input shape
@@ -21,17 +21,17 @@ type MaxPool2D struct {
 	dx  tensor.Scratch
 }
 
-// NewMaxPool2D creates a pooling layer with window and stride p.
-func NewMaxPool2D(p int) *MaxPool2D { return &MaxPool2D{p: p} }
+// newMaxPool2D creates a pooling layer with window and stride p.
+func newMaxPool2D(p int) *maxPool2D { return &maxPool2D{p: p} }
 
-// Name implements Layer.
-func (m *MaxPool2D) Name() string { return fmt.Sprintf("MaxPool2D(%d)", m.p) }
+// Name implements layer.
+func (m *maxPool2D) Name() string { return fmt.Sprintf("MaxPool2D(%d)", m.p) }
 
-// Params implements Layer.
-func (m *MaxPool2D) Params() []*Param { return nil }
+// Params implements layer.
+func (m *maxPool2D) Params() []*Param { return nil }
 
-// Forward implements Layer.
-func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
+// Forward implements layer.
+func (m *maxPool2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	if x.Rank() != 4 {
 		return nil, fmt.Errorf("nn: %s: bad input shape %v", m.Name(), x.Shape())
 	}
@@ -93,9 +93,9 @@ func maxTap(best []float64, arg []int, x []float64, r, p int) {
 	}
 }
 
-// Backward implements Layer. The gradient routes to the argmax of each
+// Backward implements layer. The gradient routes to the argmax of each
 // window; all other positions receive zero.
-func (m *MaxPool2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
+func (m *maxPool2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if m.lastArg == nil {
 		return nil, fmt.Errorf("nn: %s: Backward before Forward", m.Name())
 	}

@@ -12,7 +12,7 @@ import (
 // Property: softmax rows are probability distributions for any finite
 // logits, including extreme magnitudes.
 func TestSoftmaxRowsAreDistributions(t *testing.T) {
-	var l SoftmaxCrossEntropy
+	var l softmaxCrossEntropy
 	f := func(seed int64, scaleRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		scale := math.Pow(10, float64(scaleRaw%7)) // 1 .. 1e6
@@ -49,7 +49,7 @@ func TestSoftmaxRowsAreDistributions(t *testing.T) {
 // Property: the loss gradient sums to zero over each row (softmax−onehot
 // has zero row sum), so total "probability mass" is conserved.
 func TestLossGradientRowsSumToZero(t *testing.T) {
-	var l SoftmaxCrossEntropy
+	var l softmaxCrossEntropy
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		logits := tensor.New(3, 4)
@@ -107,11 +107,11 @@ func TestWeightVectorRoundTripProperty(t *testing.T) {
 	}
 }
 
-// Property: ReLU is idempotent and non-negative.
+// Property: relu is idempotent and non-negative.
 func TestReLUProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		r1, r2 := NewReLU(), NewReLU()
+		r1, r2 := newReLU(), newReLU()
 		x := tensor.New(2, 8)
 		for i := range x.Data() {
 			x.Data()[i] = rng.NormFloat64() * 10

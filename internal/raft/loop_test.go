@@ -136,7 +136,8 @@ func TestLoopPumpsInRaftOrder(t *testing.T) {
 		t.Fatalf("idle tick: err %v, loop did %v; want nothing", err, trace)
 	}
 	// A refusal is the node's own error, with nothing pumped.
-	if err := input("propose at a follower", func() error { return follower.Propose(nil) }); !errors.Is(err, raft.ErrNotLeader) || len(trace) != 0 {
+	refusal := follower.Node.Propose(nil)
+	if err := input("propose at a follower", func() error { return follower.Propose(nil) }); refusal == nil || !errors.Is(err, refusal) || len(trace) != 0 {
 		t.Fatalf("propose at a follower: err %v, loop did %v", err, trace)
 	}
 

@@ -614,11 +614,11 @@ func (n *Node) appendEntry(e Entry) {
 	n.maybeCommit()
 }
 
-// Propose appends a client command to the leader's log. ErrNotLeader is
+// Propose appends a client command to the leader's log. errNotLeader is
 // returned on non-leaders; the caller should redirect to Leader().
 func (n *Node) Propose(data []byte) error {
 	if n.state != Leader {
-		return ErrNotLeader
+		return errNotLeader
 	}
 	n.appendEntry(Entry{Type: EntryNormal, Data: data})
 	n.broadcastAppend()
@@ -637,7 +637,7 @@ func (n *Node) Propose(data []byte) error {
 // in configurationChangeChIfStable).
 func (n *Node) ProposeConfChange(cc ConfChange) error {
 	if n.state != Leader {
-		return ErrNotLeader
+		return errNotLeader
 	}
 	if cc.NodeID == None {
 		return fmt.Errorf("raft: conf change with zero node ID")
@@ -655,8 +655,8 @@ func (n *Node) ProposeConfChange(cc ConfChange) error {
 	return nil
 }
 
-// ErrNotLeader is returned by proposals on non-leader nodes.
-var ErrNotLeader = fmt.Errorf("raft: not the leader")
+// errNotLeader is returned by proposals on non-leader nodes.
+var errNotLeader = fmt.Errorf("raft: not the leader")
 
 // ErrConfChangePending is returned by ProposeConfChange while the
 // leader's configuration is not settled.

@@ -276,7 +276,7 @@ func TestProposeOnFollowerFails(t *testing.T) {
 		if id == l.ID() {
 			continue
 		}
-		if err := n.Propose(nil); err != ErrNotLeader {
+		if err := n.Propose(nil); err != errNotLeader {
 			t.Fatalf("node %d: err = %v, want ErrNotLeader", id, err)
 		}
 		break
@@ -562,7 +562,7 @@ func TestProposeConfChangeValidation(t *testing.T) {
 	t.Run("not the leader", func(t *testing.T) {
 		c := newCluster(t, 1, 2, 3)
 		c.elect(1)
-		if err := c.nodes[2].ProposeConfChange(ConfChange{Add: true, NodeID: 4}); !errors.Is(err, ErrNotLeader) {
+		if err := c.nodes[2].ProposeConfChange(ConfChange{Add: true, NodeID: 4}); !errors.Is(err, errNotLeader) {
 			t.Fatalf("follower: err = %v, want ErrNotLeader", err)
 		}
 	})

@@ -45,7 +45,7 @@ const (
 	// ByzCorruptShares sends each receiver a differently perturbed copy
 	// of every share (the peer keeps its true share locally).
 	ByzCorruptShares Behavior = "corrupt-shares"
-	// ByzInflateSubtotal adds InflateOffset to every subtotal the peer
+	// ByzInflateSubtotal adds inflateOffset to every subtotal the peer
 	// reports (its own index and the replicas it backs).
 	ByzInflateSubtotal Behavior = "inflate-subtotal"
 	// ByzZeroSubtotal reports all-zero subtotals.
@@ -79,17 +79,17 @@ type AdversaryPlan map[int]Behavior
 const (
 	// PoisonScaleFactor multiplies a poisoned model.
 	PoisonScaleFactor = 1000.0
-	// InflateOffset is added to every coordinate of an inflated
+	// inflateOffset is added to every coordinate of an inflated
 	// subtotal — a pure offset, so the induced shift on a plain mean is
-	// exactly InflateOffset/|contributors| per coordinate, never
+	// exactly inflateOffset/|contributors| per coordinate, never
 	// accidentally cancelled.
-	InflateOffset = 1e6
-	// EquivocateOffset separates the two results an equivocating leader
+	inflateOffset = 1e6
+	// equivocateOffset separates the two results an equivocating leader
 	// announces.
-	EquivocateOffset = 1e4
-	// CorruptNoiseAmp bounds the per-coordinate perturbation of
+	equivocateOffset = 1e4
+	// corruptNoiseAmp bounds the per-coordinate perturbation of
 	// corrupted share copies.
-	CorruptNoiseAmp = 0.5
+	corruptNoiseAmp = 0.5
 )
 
 // Guard arms a round's robust-aggregation defences. The zero value
@@ -138,7 +138,7 @@ func attackModel(b Behavior, w []float64) []float64 {
 func corruptedCopy(share []float64, rng *rand.Rand) []float64 {
 	out := make([]float64, len(share))
 	for x, v := range share {
-		out[x] = v + (rng.Float64()*2-1)*CorruptNoiseAmp
+		out[x] = v + (rng.Float64()*2-1)*corruptNoiseAmp
 	}
 	return out
 }
@@ -187,14 +187,14 @@ func (p *Peer) announce(avg []float64) {
 	if p.byz == ByzEquivocate {
 		results[1] = make([]float64, len(avg))
 		for x, v := range avg {
-			results[1][x] = v + EquivocateOffset
+			results[1][x] = v + equivocateOffset
 		}
 	}
 	receiver := 0
 	for j, down := range p.down {
 		if j != p.id && !down {
-			p.send(j, KindClaims, -1, p.audit.claimed)
-			p.send(j, KindResult, -1, results[receiver%2])
+			p.send(j, kindClaims, -1, p.audit.claimed)
+			p.send(j, kindResult, -1, results[receiver%2])
 			receiver++
 		}
 	}
@@ -212,15 +212,15 @@ func (p *Peer) stepAudit(m transport.Message) bool {
 	switch {
 	case !p.sealed || !p.cfg.crossChecks() || len(p.contributors) == 0:
 		return false
-	case m.Kind == KindAudit && !fromLeader && len(m.Payload) == 1:
+	case m.Kind == kindAudit && !fromLeader && len(m.Payload) == 1:
 		if p.byz == ByzNone {
 			a.hear(math.Float64bits(m.Payload[0]))
 		}
 		p.release(m.Payload)
 		return true
-	case m.Kind == KindClaims && fromLeader && a.claims == nil && len(m.Payload) == p.cfg.N*p.dim:
+	case m.Kind == kindClaims && fromLeader && a.claims == nil && len(m.Payload) == p.cfg.N*p.dim:
 		a.claims = m.Payload
-	case m.Kind == KindResult && fromLeader && a.result == nil && len(m.Payload) == p.dim:
+	case m.Kind == kindResult && fromLeader && a.result == nil && len(m.Payload) == p.dim:
 		a.result = m.Payload
 	default:
 		return false
@@ -240,7 +240,7 @@ func (p *Peer) stepAudit(m transport.Message) bool {
 	}
 	digest := auditDigest(a.claims, a.result)
 	a.hear(digest)
-	p.sendAll(KindAudit, -1, []float64{math.Float64frombits(digest)})
+	p.sendAll(kindAudit, -1, []float64{math.Float64frombits(digest)})
 	return true
 }
 

@@ -142,7 +142,7 @@ func TestCorruptSharesFlaggedAndBounded(t *testing.T) {
 	if res.Mismatches == 0 && len(res.Excluded) == 0 {
 		t.Fatal("corrupted shares raised neither mismatch nor exclusion")
 	}
-	// One perturbed share (≤ CorruptNoiseAmp per coordinate) can survive
+	// One perturbed share (≤ corruptNoiseAmp per coordinate) can survive
 	// per subtotal; the damage to the average stays below 1.
 	if d := maxAbsDiff(res.Avg, effectiveMean(models, res.Contributors, nil)); d > 1 {
 		t.Fatalf("corrupt-shares deviation %g exceeds bound 1", d)
@@ -173,8 +173,8 @@ func TestEquivocationDetectedOnlyWhenGuarded(t *testing.T) {
 		t.Fatal("unguarded run has no audit, yet reported an accusation")
 	}
 	honest := effectiveMean(models, plain.Contributors, nil)
-	if d := maxAbsDiff(plain.Avg, honest); math.Abs(d-EquivocateOffset) > 1e-6 {
-		t.Fatalf("unguarded equivocation shifted mean by %g, want ≈ %g", d, EquivocateOffset)
+	if d := maxAbsDiff(plain.Avg, honest); math.Abs(d-equivocateOffset) > 1e-6 {
+		t.Fatalf("unguarded equivocation shifted mean by %g, want ≈ %g", d, equivocateOffset)
 	}
 }
 

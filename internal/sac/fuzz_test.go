@@ -54,7 +54,7 @@ func TestForgedSharesNeverReachASubtotal(t *testing.T) {
 // accusation injected before the round is read inside the first turn,
 // before any peer has sealed, so it is invalid like the rest.
 var adversarialKinds = []string{
-	KindShare, KindSubtotal, KindRecoveryReq, KindRecovery, KindAccuse, "sac/bogus", "",
+	KindShare, KindSubtotal, KindRecoveryReq, KindRecovery, kindAccuse, "sac/bogus", "",
 }
 
 // FuzzHandleMessage injects arbitrary adversarial messages into the mesh
@@ -155,8 +155,8 @@ func FuzzHandleMessage(f *testing.F) {
 // stepKinds are what FuzzPeerStep hands a Peer: every kind of the
 // protocol, a kind of "another subsystem", and garbage.
 var stepKinds = []string{
-	KindShare, KindSubtotal, KindRecoveryReq, KindRecovery, KindAccuse,
-	KindClaims, KindResult, KindAudit, "sac/bogus", "",
+	KindShare, KindSubtotal, KindRecoveryReq, KindRecovery, kindAccuse,
+	kindClaims, kindResult, kindAudit, "sac/bogus", "",
 }
 
 // FuzzPeerStep is FuzzHandleMessage one layer down. Messages injected
@@ -229,7 +229,7 @@ func FuzzPeerStep(f *testing.F) {
 			}
 			when := int(raw[i]) / n % points
 			copies := []transport.Message{m}
-			if m.Kind == KindAccuse && cfg.screens() {
+			if m.Kind == kindAccuse && cfg.screens() {
 				copies = copies[:0]
 				for to := 0; to < n; to++ {
 					m.From, m.To = (to+1)%n, to

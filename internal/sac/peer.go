@@ -263,7 +263,7 @@ func (p *Peer) Step(m transport.Message) {
 	case !addressed:
 	case m.Kind == KindShare:
 		ok = p.stepShare(m)
-	case m.Kind == KindAccuse:
+	case m.Kind == kindAccuse:
 		// Only a guarded round has accusers, and no subtotal has been
 		// accepted, summed or counted on yet, so dropping the accused
 		// takes no subtraction.
@@ -282,7 +282,7 @@ func (p *Peer) Step(m transport.Message) {
 			p.send(m.From, KindRecovery, m.ShareIdx, sub)
 			p.release(m.Payload)
 		}
-	case m.Kind == KindClaims || m.Kind == KindResult || m.Kind == KindAudit:
+	case m.Kind == kindClaims || m.Kind == kindResult || m.Kind == kindAudit:
 		ok = p.stepAudit(m)
 	}
 	if !ok {
@@ -316,7 +316,7 @@ func (p *Peer) Seal() {
 	p.turn, p.sealed = -1, true
 	for _, accused := range p.accusations {
 		p.drop(accused)
-		p.sendAll(KindAccuse, accused, []float64{float64(accused)})
+		p.sendAll(kindAccuse, accused, []float64{float64(accused)})
 	}
 }
 
@@ -380,7 +380,7 @@ func (p *Peer) subtotal(s int) []float64 {
 	switch p.byz {
 	case ByzInflateSubtotal:
 		for x := range sub {
-			sub[x] += InflateOffset
+			sub[x] += inflateOffset
 		}
 	case ByzZeroSubtotal:
 		clear(sub)
@@ -478,7 +478,7 @@ func (p *Peer) Missing() error {
 	p.tallying = true
 	for s := 0; s < p.cfg.N; s++ {
 		if cands, own, _ := p.candidates(s); len(cands) == 0 && own == nil {
-			return fmt.Errorf("%w: peer %d has no copy of subtotal %d", ErrAborted, p.id, s)
+			return fmt.Errorf("%w: peer %d has no copy of subtotal %d", errAborted, p.id, s)
 		}
 	}
 	return nil
@@ -550,7 +550,7 @@ func (p *Peer) Finish() (*Result, error) {
 		p.announce(res.Avg)
 	case p.cfg.Mode == ModeLeader && p.byz == ByzEquivocate:
 		for x := range res.Avg {
-			res.Avg[x] += EquivocateOffset
+			res.Avg[x] += equivocateOffset
 		}
 	}
 	p.result = res

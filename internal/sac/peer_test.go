@@ -186,7 +186,7 @@ func TestPeersSteppedByHandMatchRun(t *testing.T) {
 
 // accuse is peer from's accusation of contributor i, addressed to to.
 func accuse(from, to, i int) transport.Message {
-	return transport.Message{From: from, To: to, Kind: KindAccuse, ShareIdx: i, Payload: []float64{float64(i)}}
+	return transport.Message{From: from, To: to, Kind: kindAccuse, ShareIdx: i, Payload: []float64{float64(i)}}
 }
 
 // TestAccusationReadAtTheSealDropsItsContributor: an accusation is the
@@ -345,7 +345,7 @@ func TestForgedSubtotalsNeverReachTheAverage(t *testing.T) {
 			},
 			late: []transport.Message{
 				{From: 1, To: 0, Kind: KindSubtotal, ShareIdx: 2, Payload: junk(dim)},    // duplicate of a holder's copy
-				{From: 2, To: 1, Kind: KindClaims, ShareIdx: -1, Payload: junk(4 * dim)}, // claims, not from the leader
+				{From: 2, To: 1, Kind: kindClaims, ShareIdx: -1, Payload: junk(4 * dim)}, // claims, not from the leader
 			}},
 		{name: "broadcast", cfg: Config{N: 3, K: 3, Mode: ModeBroadcast},
 			early: []transport.Message{

@@ -209,7 +209,7 @@ func (e *refEngine) run(models [][]float64, descending bool) (*Result, error) {
 		return nil, fmt.Errorf("%w: every contributor was excluded by the range guard", ErrInsufficientPeers)
 	}
 	if k == n && len(e.contributors) < n {
-		return nil, fmt.Errorf("%w: %d of %d peers sent shares", ErrAborted, len(e.contributors), n)
+		return nil, fmt.Errorf("%w: %d of %d peers sent shares", errAborted, len(e.contributors), n)
 	}
 
 	// Phase 2 — subtotal computation, after the fact.
@@ -265,7 +265,7 @@ func (e *refEngine) broadcastAccusations(accusations []refAccusation) error {
 			if l == a.accuser || !e.mesh.Alive(l) {
 				continue
 			}
-			msg := transport.Message{From: a.accuser, To: l, Kind: KindAccuse,
+			msg := transport.Message{From: a.accuser, To: l, Kind: kindAccuse,
 				ShareIdx: a.accused, Payload: []float64{float64(a.accused)}}
 			if err := e.mesh.Send(msg); err != nil {
 				return err
@@ -339,7 +339,7 @@ func (e *refEngine) corruptSubtotals(j int) {
 		sub := e.subtotal(j, s)
 		for x := range sub {
 			if b == ByzInflateSubtotal {
-				sub[x] += InflateOffset
+				sub[x] += inflateOffset
 			} else {
 				sub[x] = 0
 			}
@@ -367,7 +367,7 @@ func (e *refEngine) finishBroadcast() (*Result, error) {
 		}
 		sub := e.subtotal(i, i)
 		if sub == nil {
-			return nil, fmt.Errorf("%w: peer %d missing own subtotal", ErrAborted, i)
+			return nil, fmt.Errorf("%w: peer %d missing own subtotal", errAborted, i)
 		}
 		for j := 0; j < n; j++ {
 			if j == i || !e.mesh.Alive(j) {
@@ -382,7 +382,7 @@ func (e *refEngine) finishBroadcast() (*Result, error) {
 	// Every alive peer must now hold all N subtotals.
 	alive := alivePeers(e.mesh)
 	if len(alive) < n {
-		return nil, fmt.Errorf("%w: %d of %d peers alive at subtotal exchange", ErrAborted, len(alive), n)
+		return nil, fmt.Errorf("%w: %d of %d peers alive at subtotal exchange", errAborted, len(alive), n)
 	}
 	// Every peer checks that it holds all N; the average is taken at the
 	// first peer's view (identical everywhere).
@@ -407,7 +407,7 @@ func (e *refEngine) finishBroadcast() (*Result, error) {
 			}
 		}
 		if held != n {
-			return nil, fmt.Errorf("%w: peer %d holds %d of %d subtotals", ErrAborted, j, held, n)
+			return nil, fmt.Errorf("%w: peer %d holds %d of %d subtotals", errAborted, j, held, n)
 		}
 		if avg == nil {
 			avg = e.average(got)
@@ -489,7 +489,7 @@ func (e *refEngine) finishLeader() (*Result, error) {
 		// Without the audit the lie goes unnoticed: the leader announces
 		// an offset result and nobody can tell.
 		for x := range avg {
-			avg[x] += EquivocateOffset
+			avg[x] += equivocateOffset
 		}
 	}
 	return &Result{Avg: avg, Contributors: e.contributors, Recovered: recovered}, nil
@@ -609,7 +609,7 @@ func (e *refEngine) auditLeader(have [][]float64, avg []float64) error {
 	if e.byz(leader) == ByzEquivocate {
 		lie = make([]float64, len(avg))
 		for x, v := range avg {
-			lie[x] = v + EquivocateOffset
+			lie[x] = v + equivocateOffset
 		}
 	}
 	accused := false
@@ -625,8 +625,8 @@ func (e *refEngine) auditLeader(have [][]float64, avg []float64) error {
 		}
 		slot++
 		for _, msg := range []transport.Message{
-			{From: leader, To: j, Kind: KindClaims, ShareIdx: -1, Payload: claims},
-			{From: leader, To: j, Kind: KindResult, ShareIdx: -1, Payload: result},
+			{From: leader, To: j, Kind: kindClaims, ShareIdx: -1, Payload: claims},
+			{From: leader, To: j, Kind: kindResult, ShareIdx: -1, Payload: result},
 		} {
 			if err := e.mesh.Send(msg); err != nil {
 				return err
@@ -665,7 +665,7 @@ func (e *refEngine) auditLeader(have [][]float64, avg []float64) error {
 			if l == j || !e.mesh.Alive(l) {
 				continue
 			}
-			msg := transport.Message{From: j, To: l, Kind: KindAudit, ShareIdx: -1,
+			msg := transport.Message{From: j, To: l, Kind: kindAudit, ShareIdx: -1,
 				Payload: []float64{math.Float64frombits(digests[j])}}
 			if err := e.mesh.Send(msg); err != nil {
 				return err

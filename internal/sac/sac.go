@@ -44,15 +44,15 @@ const (
 	KindSubtotal    = "sac/subtotal"
 	KindRecoveryReq = "sac/recovery-req"
 	KindRecovery    = "sac/recovery"
-	// KindAccuse is a range-guard accusation broadcast (metadata-sized).
-	KindAccuse = "sac/accuse"
-	// KindClaims carries the leader's claimed per-index subtotals to an
+	// kindAccuse is a range-guard accusation broadcast (metadata-sized).
+	kindAccuse = "sac/accuse"
+	// kindClaims carries the leader's claimed per-index subtotals to an
 	// audit verifier (n·|w| floats).
-	KindClaims = "sac/claims"
-	// KindResult carries the leader's announced result to one peer (|w|).
-	KindResult = "sac/result"
-	// KindAudit is a verifier's digest echo (metadata-sized).
-	KindAudit = "sac/audit"
+	kindClaims = "sac/claims"
+	// kindResult carries the leader's announced result to one peer (|w|).
+	kindResult = "sac/result"
+	// kindAudit is a verifier's digest echo (metadata-sized).
+	kindAudit = "sac/audit"
 )
 
 // Mode selects how subtotals are exchanged.
@@ -84,9 +84,9 @@ type CrashPlan map[int]Phase
 
 // Errors returned by Run.
 var (
-	// ErrAborted reports that an n-out-of-n aggregation hit a crash and,
+	// errAborted reports that an n-out-of-n aggregation hit a crash and,
 	// per Alg. 2's semantics, must be restarted with the remaining peers.
-	ErrAborted = errors.New("sac: aggregation aborted by peer failure")
+	errAborted = errors.New("sac: aggregation aborted by peer failure")
 	// ErrInsufficientPeers reports that more than N−K peers failed, so the
 	// secret average is unrecoverable.
 	ErrInsufficientPeers = errors.New("sac: fewer than K peers alive")
@@ -468,7 +468,7 @@ func (d *schedule) run(models [][]float64) (*Result, error) {
 	// Alg. 2 semantics: with K = N any pre-share crash leaves the other
 	// peers missing a partition, so the aggregation aborts.
 	if k == n && kept < n {
-		return nil, fmt.Errorf("%w: %d of %d peers sent shares", ErrAborted, kept, n)
+		return nil, fmt.Errorf("%w: %d of %d peers sent shares", errAborted, kept, n)
 	}
 
 	// A peer that crashes AfterShares has distributed its shares (so its
@@ -588,7 +588,7 @@ func (d *schedule) exchangeSubtotals() (*Result, error) {
 		}
 	}
 	if broadcast && len(collectors) < n {
-		return nil, fmt.Errorf("%w: %d of %d peers alive at subtotal exchange", ErrAborted, len(collectors), n)
+		return nil, fmt.Errorf("%w: %d of %d peers alive at subtotal exchange", errAborted, len(collectors), n)
 	}
 	for _, j := range collectors {
 		d.deliver(j)

@@ -221,7 +221,7 @@ func TestBroadcastAbortsOnAnyCrash(t *testing.T) {
 	for _, phase := range []Phase{BeforeShares, AfterShares} {
 		mesh := transport.NewMesh(4, nil)
 		_, err := Run(mesh, Config{N: 4, K: 4, Mode: ModeBroadcast, Rng: r}, models, CrashPlan{2: phase})
-		if !errors.Is(err, ErrAborted) {
+		if !errors.Is(err, errAborted) {
 			t.Fatalf("phase %v: err = %v, want ErrAborted", phase, err)
 		}
 	}

@@ -266,7 +266,7 @@ func TestDivideIntoReusesScratch(t *testing.T) {
 	if len(block2) != n*len(w) {
 		t.Fatalf("regrown block len %d, want %d", len(block2), n*len(w))
 	}
-	sum, err := Reconstruct(shares2)
+	sum, err := reconstruct(shares2)
 	if err != nil {
 		t.Fatal(err)
 	}

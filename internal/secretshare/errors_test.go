@@ -21,13 +21,13 @@ func TestReconstructErrorPaths(t *testing.T) {
 		{"later share mismatched", [][]float64{{1}, {2}, {3, 4}}},
 	}
 	for _, tc := range cases {
-		if out, err := Reconstruct(tc.shares); err == nil {
+		if out, err := reconstruct(tc.shares); err == nil {
 			t.Errorf("%s: accepted, got %v", tc.name, out)
 		}
 	}
 	// Zero-dimension shares are degenerate but consistent: the sum of
 	// nothing is nothing, not an error.
-	out, err := Reconstruct([][]float64{{}, {}})
+	out, err := reconstruct([][]float64{{}, {}})
 	if err != nil || len(out) != 0 {
 		t.Fatalf("zero-dim shares: out %v err %v", out, err)
 	}
@@ -113,7 +113,7 @@ func TestDirtyScratchReuseAcrossShapes(t *testing.T) {
 			if len(shares) != sh.n {
 				t.Fatalf("%s %+v: %d shares", d.Name(), sh, len(shares))
 			}
-			got, err := Reconstruct(shares)
+			got, err := reconstruct(shares)
 			if err != nil {
 				t.Fatalf("%s %+v: reconstruct: %v", d.Name(), sh, err)
 			}

@@ -7,7 +7,7 @@ import (
 	"repro/internal/secretshare"
 )
 
-// Splitting a weight vector into additive shares and reconstructing it.
+// Splitting a weight vector into additive shares, which sum back to it.
 func ExampleMaskDivider_Divide() {
 	rng := rand.New(rand.NewSource(1))
 	secret := []float64{10, 20, 30}
@@ -15,9 +15,11 @@ func ExampleMaskDivider_Divide() {
 	if err != nil {
 		panic(err)
 	}
-	back, err := secretshare.Reconstruct(shares)
-	if err != nil {
-		panic(err)
+	back := make([]float64, len(secret))
+	for _, share := range shares {
+		for i, v := range share {
+			back[i] += v
+		}
 	}
 	fmt.Printf("%.0f\n", back)
 	// Output: [10 20 30]

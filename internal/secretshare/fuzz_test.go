@@ -28,7 +28,7 @@ func FuzzDivideReconstruct(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: %v", d.Name(), err)
 			}
-			got, err := Reconstruct(shares)
+			got, err := reconstruct(shares)
 			if err != nil {
 				t.Fatal(err)
 			}

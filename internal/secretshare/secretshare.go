@@ -157,8 +157,8 @@ func checkDivide(w []float64, n int) error {
 	return nil
 }
 
-// Reconstruct sums share vectors back into the secret.
-func Reconstruct(shares [][]float64) ([]float64, error) {
+// reconstruct sums share vectors back into the secret.
+func reconstruct(shares [][]float64) ([]float64, error) {
 	if len(shares) == 0 {
 		return nil, fmt.Errorf("secretshare: no shares")
 	}

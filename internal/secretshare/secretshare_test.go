@@ -38,7 +38,7 @@ func TestDividersReconstruct(t *testing.T) {
 			if len(shares) != n {
 				t.Fatalf("%s: %d shares, want %d", d.Name(), len(shares), n)
 			}
-			got, err := Reconstruct(shares)
+			got, err := reconstruct(shares)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,7 +62,7 @@ func TestDivideReconstructProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			got, err := Reconstruct(shares)
+			got, err := reconstruct(shares)
 			if err != nil {
 				return false
 			}
@@ -87,10 +87,10 @@ func TestDivideErrors(t *testing.T) {
 			t.Fatalf("%s: want error for empty secret", d.Name())
 		}
 	}
-	if _, err := Reconstruct(nil); err == nil {
+	if _, err := reconstruct(nil); err == nil {
 		t.Fatal("want error reconstructing nothing")
 	}
-	if _, err := Reconstruct([][]float64{{1, 2}, {1}}); err == nil {
+	if _, err := reconstruct([][]float64{{1, 2}, {1}}); err == nil {
 		t.Fatal("want error for ragged shares")
 	}
 }

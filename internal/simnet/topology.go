@@ -93,9 +93,9 @@ type Topology struct {
 	links   [][]Link // [fromRegion][toRegion]
 }
 
-// NewTopology creates a topology over the given regions with all links
+// newTopology creates a topology over the given regions with all links
 // zero-delay; fill them in with SetLink/SetAllLinks.
-func NewTopology(name string, regions ...string) (*Topology, error) {
+func newTopology(name string, regions ...string) (*Topology, error) {
 	if len(regions) == 0 {
 		return nil, fmt.Errorf("simnet: topology %q needs at least one region", name)
 	}
@@ -176,7 +176,7 @@ func (t *Topology) SampleDelay(from, to uint64, rng *rand.Rand) Duration {
 // replays byte-for-byte whatever else the group draws; Group.Jitter adds
 // uniform jitter on top.
 func Uniform(latency Duration) *Topology {
-	t, err := NewTopology("uniform", "local")
+	t, err := newTopology("uniform", "local")
 	if err != nil {
 		panic(err) // one non-empty region cannot fail
 	}
@@ -194,7 +194,7 @@ func Uniform(latency Duration) *Topology {
 // under which stock Raft fires spurious elections on a WAN — while
 // staying far under the ~10×RTT timeouts the self-tuning loop derives.
 func wan50() *Topology {
-	t, err := NewTopology("wan50", "us-east", "eu-west", "ap-south")
+	t, err := newTopology("wan50", "us-east", "eu-west", "ap-south")
 	if err != nil {
 		panic(err)
 	}
@@ -228,7 +228,7 @@ func wan50() *Topology {
 // where even generous static timeouts misfire and only RTT-derived
 // tuning stays quiet.
 func wan200() *Topology {
-	t, err := NewTopology("wan200", "us-west", "ap-southeast")
+	t, err := newTopology("wan200", "us-west", "ap-southeast")
 	if err != nil {
 		panic(err)
 	}
@@ -261,13 +261,13 @@ var presets = map[string]func() *Topology{
 func Preset(name string) (*Topology, error) {
 	mk, ok := presets[name]
 	if !ok {
-		return nil, fmt.Errorf("simnet: unknown topology %q (have %v)", name, PresetNames())
+		return nil, fmt.Errorf("simnet: unknown topology %q (have %v)", name, presetNames())
 	}
 	return mk(), nil
 }
 
-// PresetNames lists the available topology presets, sorted.
-func PresetNames() []string {
+// presetNames lists the available topology presets, sorted.
+func presetNames() []string {
 	out := make([]string, 0, len(presets))
 	for name := range presets {
 		out = append(out, name)

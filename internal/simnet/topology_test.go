@@ -159,7 +159,7 @@ func TestPresetFreshCopies(t *testing.T) {
 	if _, err := Preset("wan9000"); err == nil {
 		t.Fatal("unknown preset name succeeded")
 	}
-	names := PresetNames()
+	names := presetNames()
 	want := []string{"lan15", "wan200", "wan50"}
 	if len(names) != len(want) {
 		t.Fatalf("PresetNames = %v", names)

@@ -27,10 +27,10 @@ import (
 // PrometheusContentType is the Content-Type header for the text format.
 const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// PrometheusName sanitizes a registry metric name into a Prometheus
+// prometheusName sanitizes a registry metric name into a Prometheus
 // metric name: the "p2pfl_" namespace prefix plus the name with every
 // rune outside [a-zA-Z0-9_:] replaced by '_'.
-func PrometheusName(name string) string {
+func prometheusName(name string) string {
 	var b strings.Builder
 	b.Grow(len("p2pfl_") + len(name))
 	b.WriteString("p2pfl_")
@@ -71,7 +71,7 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	var families []family
 
 	for name, v := range s.Counters {
-		pn := PrometheusName(name) + "_total"
+		pn := prometheusName(name) + "_total"
 		families = append(families, family{name: pn, lines: []string{
 			fmt.Sprintf("# HELP %s Counter %q.", pn, name),
 			fmt.Sprintf("# TYPE %s counter", pn),
@@ -79,7 +79,7 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 		}})
 	}
 	for name, v := range s.Gauges {
-		pn := PrometheusName(name)
+		pn := prometheusName(name)
 		families = append(families, family{name: pn, lines: []string{
 			fmt.Sprintf("# HELP %s Gauge %q.", pn, name),
 			fmt.Sprintf("# TYPE %s gauge", pn),
@@ -87,7 +87,7 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 		}})
 	}
 	for name, h := range s.Histograms {
-		pn := PrometheusName(name)
+		pn := prometheusName(name)
 		lines := []string{
 			fmt.Sprintf("# HELP %s Histogram %q.", pn, name),
 			fmt.Sprintf("# TYPE %s histogram", pn),

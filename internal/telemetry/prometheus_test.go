@@ -19,7 +19,7 @@ func TestPrometheusName(t *testing.T) {
 		"round/fedavg_weight_total": "p2pfl_round_fedavg_weight_total",
 	}
 	for in, want := range cases {
-		if got := PrometheusName(in); got != want {
+		if got := prometheusName(in); got != want {
 			t.Errorf("PrometheusName(%q) = %q, want %q", in, got, want)
 		}
 	}

@@ -143,8 +143,8 @@ type Event struct {
 	Fields   []Field `json:"fields,omitempty"`
 }
 
-// DefaultTraceCap is the trace-ring capacity used by New.
-const DefaultTraceCap = 1024
+// defaultTraceCap is the trace-ring capacity used by New.
+const defaultTraceCap = 1024
 
 // Registry holds named metrics and the trace ring. Create with New;
 // a nil *Registry is a valid no-op sink.
@@ -171,7 +171,7 @@ func New() *Registry {
 		gauges:     map[string]*Gauge{},
 		histograms: map[string]*Histogram{},
 		clock:      WallClock,
-		traceCap:   DefaultTraceCap,
+		traceCap:   defaultTraceCap,
 	}
 }
 

@@ -73,12 +73,12 @@ func BenchmarkIm2Col(b *testing.B) {
 	for i := range x.data {
 		x.data[i] = rng.NormFloat64()
 	}
-	_, _, rows, cols := Im2ColShape(8, 3, 32, 32, 3, 3, 1, 1)
+	_, _, rows, cols := im2ColShape(8, 3, 32, 32, 3, 3, 1, 1)
 	dst := New(rows, cols)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Im2ColInto(dst, x, 3, 3, 1, 1); err != nil {
+		if _, _, err := im2ColInto(dst, x, 3, 3, 1, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -86,13 +86,13 @@ func BenchmarkIm2Col(b *testing.B) {
 
 func BenchmarkCol2Im(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	_, _, rows, colw := Im2ColShape(8, 3, 32, 32, 3, 3, 1, 1)
+	_, _, rows, colw := im2ColShape(8, 3, 32, 32, 3, 3, 1, 1)
 	cols := randMat(rng, rows, colw)
 	dst := New(8, 3, 32, 32)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := Col2ImInto(dst, cols, 3, 3, 1, 1); err != nil {
+		if err := col2ImInto(dst, cols, 3, 3, 1, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

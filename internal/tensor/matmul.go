@@ -69,14 +69,14 @@ func kSlab(n int) int {
 
 func checkMatMul(a, b *Tensor, kind string) error {
 	if a.Rank() != 2 || b.Rank() != 2 {
-		return fmt.Errorf("%w: %s requires rank-2 operands, got %v and %v", ErrShape, kind, a.shape, b.shape)
+		return fmt.Errorf("%w: %s requires rank-2 operands, got %v and %v", errShape, kind, a.shape, b.shape)
 	}
 	return nil
 }
 
 func checkDst(dst *Tensor, m, n int, kind string) error {
 	if dst.Rank() != 2 || dst.shape[0] != m || dst.shape[1] != n {
-		return fmt.Errorf("%w: %s destination %v, want [%d %d]", ErrShape, kind, dst.shape, m, n)
+		return fmt.Errorf("%w: %s destination %v, want [%d %d]", errShape, kind, dst.shape, m, n)
 	}
 	return nil
 }
@@ -102,7 +102,7 @@ func MatMulInto(dst, a, b *Tensor) error {
 	m, k := a.shape[0], a.shape[1]
 	k2, n := b.shape[0], b.shape[1]
 	if k != k2 {
-		return fmt.Errorf("%w: matmul %v × %v", ErrShape, a.shape, b.shape)
+		return fmt.Errorf("%w: matmul %v × %v", errShape, a.shape, b.shape)
 	}
 	if err := checkDst(dst, m, n, "matmul"); err != nil {
 		return err
@@ -168,9 +168,9 @@ func addRows(crow, a, b []float64, stride, p0, p1 int) {
 	}
 }
 
-// MatMulTransA computes C = Aᵀ·B for A (k×m) and B (k×n) without
+// matMulTransA computes C = Aᵀ·B for A (k×m) and B (k×n) without
 // materializing the transpose.
-func MatMulTransA(a, b *Tensor) (*Tensor, error) {
+func matMulTransA(a, b *Tensor) (*Tensor, error) {
 	if err := checkMatMul(a, b, "matmulTransA"); err != nil {
 		return nil, err
 	}
@@ -181,8 +181,8 @@ func MatMulTransA(a, b *Tensor) (*Tensor, error) {
 	return c, nil
 }
 
-// MatMulTransAInto computes C = Aᵀ·B into dst (m×n), overwriting it.
-func MatMulTransAInto(dst, a, b *Tensor) error {
+// matMulTransAInto computes C = Aᵀ·B into dst (m×n), overwriting it.
+func matMulTransAInto(dst, a, b *Tensor) error {
 	if err := checkMatMul(a, b, "matmulTransA"); err != nil {
 		return err
 	}
@@ -203,7 +203,7 @@ func MatMulTransAAcc(dst, a, b *Tensor) error {
 	k, m := a.shape[0], a.shape[1]
 	k2, n := b.shape[0], b.shape[1]
 	if k != k2 {
-		return fmt.Errorf("%w: matmulTransA %v × %v", ErrShape, a.shape, b.shape)
+		return fmt.Errorf("%w: matmulTransA %v × %v", errShape, a.shape, b.shape)
 	}
 	if err := checkDst(dst, m, n, "matmulTransA"); err != nil {
 		return err
@@ -250,7 +250,7 @@ func MatMulTransBInto(dst, a, b *Tensor) error {
 	m, k := a.shape[0], a.shape[1]
 	n, k2 := b.shape[0], b.shape[1]
 	if k != k2 {
-		return fmt.Errorf("%w: matmulTransB %v × %v", ErrShape, a.shape, b.shape)
+		return fmt.Errorf("%w: matmulTransB %v × %v", errShape, a.shape, b.shape)
 	}
 	if err := checkDst(dst, m, n, "matmulTransB"); err != nil {
 		return err

@@ -120,7 +120,7 @@ func testMatMulVariantsMatchReference(t *testing.T) {
 				if poisoned {
 					poison(rng, at, b)
 				}
-				got, err = MatMulTransA(at, b)
+				got, err = matMulTransA(at, b)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -159,7 +159,7 @@ func testMatMulParallelBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialTA, err := MatMulTransA(at, b)
+	serialTA, err := matMulTransA(at, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func testMatMulParallelBitIdentical(t *testing.T) {
 		if !Equal(serial, p) {
 			t.Fatalf("parallelism %d changed MatMul bits", par)
 		}
-		pTA, err := MatMulTransA(at, b)
+		pTA, err := matMulTransA(at, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,12 +225,12 @@ func TestMatMulIntoReusesStaleBuffers(t *testing.T) {
 	}
 
 	at := randMat(rng, 90, 120)
-	wantTA, err := MatMulTransA(at, b)
+	wantTA, err := matMulTransA(at, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dst.Fill(7)
-	if err := MatMulTransAInto(dst, at, b); err != nil {
+	if err := matMulTransAInto(dst, at, b); err != nil {
 		t.Fatal(err)
 	}
 	if !Equal(dst, wantTA) {
@@ -242,7 +242,7 @@ func TestMatMulTransAAccAccumulates(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	at := randMat(rng, 40, 30)
 	b := randMat(rng, 40, 20)
-	prod, err := MatMulTransA(at, b)
+	prod, err := matMulTransA(at, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestMatMulIntoShapeErrors(t *testing.T) {
 	if err := MatMulInto(New(3, 6), a, b); err == nil {
 		t.Fatal("bad dst accepted")
 	}
-	if err := MatMulTransAInto(New(3, 5), a, b); err == nil {
+	if err := matMulTransAInto(New(3, 5), a, b); err == nil {
 		t.Fatal("bad transA dst accepted")
 	}
 	if err := MatMulTransBInto(New(3, 4), a, New(5, 4)); err == nil {
@@ -287,7 +287,7 @@ func TestIm2ColIntoMatchesIm2Col(t *testing.T) {
 		}
 		dst := New(want.shape[0], want.shape[1])
 		dst.Fill(42) // padding zeros must be rewritten over stale data
-		gotH, gotW, err := Im2ColInto(dst, x, 3, 3, 1, pad)
+		gotH, gotW, err := im2ColInto(dst, x, 3, 3, 1, pad)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,7 +304,7 @@ func TestIm2ColIntoMatchesIm2Col(t *testing.T) {
 		}
 		img := New(2, 3, 7, 6)
 		img.Fill(-5)
-		if err := Col2ImInto(img, dst, 3, 3, 1, pad); err != nil {
+		if err := col2ImInto(img, dst, 3, 3, 1, pad); err != nil {
 			t.Fatal(err)
 		}
 		if !Equal(img, wantImg) {
@@ -395,7 +395,7 @@ func TestNestedFanOutStaysInBudget(t *testing.T) {
 }
 
 // TestLoweringMatchesPerElementReference pins the interior fast paths of
-// Im2ColInto and Col2ImInto against the plain per-element definition —
+// im2ColInto and col2ImInto against the plain per-element definition —
 // one bounds test per tap — over strides, rectangular kernels and
 // paddings, including images too small to have an interior patch. Both
 // are pure data movement in a fixed order, so the comparison is exact.
@@ -414,7 +414,7 @@ func TestLoweringMatchesPerElementReference(t *testing.T) {
 		for i := range x.data {
 			x.data[i] = rng.NormFloat64()
 		}
-		outH, outW, rows, colw := Im2ColShape(tc.b, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad)
+		outH, outW, rows, colw := im2ColShape(tc.b, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad)
 		want := New(rows, colw)
 		cols := randMat(rng, rows, colw)
 		wantImg := New(tc.b, tc.c, tc.h, tc.w)
@@ -440,12 +440,12 @@ func TestLoweringMatchesPerElementReference(t *testing.T) {
 		}
 		got := New(rows, colw)
 		got.Fill(math.NaN()) // stale contents must be overwritten
-		if _, _, err := Im2ColInto(got, x, tc.kh, tc.kw, tc.stride, tc.pad); err != nil {
+		if _, _, err := im2ColInto(got, x, tc.kh, tc.kw, tc.stride, tc.pad); err != nil {
 			t.Fatal(err)
 		}
 		gotImg := New(tc.b, tc.c, tc.h, tc.w)
 		gotImg.Fill(math.NaN())
-		if err := Col2ImInto(gotImg, cols, tc.kh, tc.kw, tc.stride, tc.pad); err != nil {
+		if err := col2ImInto(gotImg, cols, tc.kh, tc.kw, tc.stride, tc.pad); err != nil {
 			t.Fatal(err)
 		}
 		for i := range want.data {

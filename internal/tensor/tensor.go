@@ -20,8 +20,8 @@ type Tensor struct {
 	data  []float64
 }
 
-// ErrShape is returned (or wrapped) when operand shapes are incompatible.
-var ErrShape = errors.New("tensor: shape mismatch")
+// errShape is returned (or wrapped) when operand shapes are incompatible.
+var errShape = errors.New("tensor: shape mismatch")
 
 // New creates a zero-filled tensor with the given shape.
 // A tensor with no dimensions is a scalar holding one element.
@@ -38,24 +38,24 @@ func New(shape ...int) *Tensor {
 	return &Tensor{shape: s, data: make([]float64, n)}
 }
 
-// FromSlice wraps data in a tensor of the given shape. The slice is used
+// fromSlice wraps data in a tensor of the given shape. The slice is used
 // directly (not copied); len(data) must equal the shape's element count.
-func FromSlice(data []float64, shape ...int) (*Tensor, error) {
+func fromSlice(data []float64, shape ...int) (*Tensor, error) {
 	n := 1
 	for _, d := range shape {
 		n *= d
 	}
 	if n != len(data) {
-		return nil, fmt.Errorf("%w: %d elements for shape %v (want %d)", ErrShape, len(data), shape, n)
+		return nil, fmt.Errorf("%w: %d elements for shape %v (want %d)", errShape, len(data), shape, n)
 	}
 	s := make([]int, len(shape))
 	copy(s, shape)
 	return &Tensor{shape: s, data: data}, nil
 }
 
-// MustFromSlice is FromSlice that panics on error; for tests and literals.
+// MustFromSlice is fromSlice that panics on error; for tests and literals.
 func MustFromSlice(data []float64, shape ...int) *Tensor {
-	t, err := FromSlice(data, shape...)
+	t, err := fromSlice(data, shape...)
 	if err != nil {
 		panic(err)
 	}
@@ -99,7 +99,7 @@ func (t *Tensor) Reshape(shape ...int) (*Tensor, error) {
 		n *= d
 	}
 	if n != len(t.data) {
-		return nil, fmt.Errorf("%w: reshape %v to %v", ErrShape, t.shape, shape)
+		return nil, fmt.Errorf("%w: reshape %v to %v", errShape, t.shape, shape)
 	}
 	s := make([]int, len(shape))
 	copy(s, shape)
@@ -158,10 +158,10 @@ func (t *Tensor) Norm2() float64 {
 	return math.Sqrt(s)
 }
 
-// Transpose returns the transpose of a 2-D tensor.
-func Transpose(a *Tensor) (*Tensor, error) {
+// transpose returns the transpose of a 2-D tensor.
+func transpose(a *Tensor) (*Tensor, error) {
 	if a.Rank() != 2 {
-		return nil, fmt.Errorf("%w: transpose requires rank 2, got %v", ErrShape, a.shape)
+		return nil, fmt.Errorf("%w: transpose requires rank 2, got %v", errShape, a.shape)
 	}
 	m, n := a.shape[0], a.shape[1]
 	c := New(n, m)

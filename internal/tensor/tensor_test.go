@@ -20,7 +20,7 @@ func TestNewZeroFilled(t *testing.T) {
 }
 
 func TestFromSliceShapeMismatch(t *testing.T) {
-	if _, err := FromSlice([]float64{1, 2, 3}, 2, 2); err == nil {
+	if _, err := fromSlice([]float64{1, 2, 3}, 2, 2); err == nil {
 		t.Fatal("want shape error for 3 elements into 2x2")
 	}
 }
@@ -120,15 +120,15 @@ func TestMatMulTransVariantsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		at, _ := Transpose(a)
-		got1, err := MatMulTransA(at, b)
+		at, _ := transpose(a)
+		got1, err := matMulTransA(at, b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !AllClose(want, got1, 1e-12) {
 			t.Fatalf("MatMulTransA disagrees at trial %d", trial)
 		}
-		bt, _ := Transpose(b)
+		bt, _ := transpose(b)
 		got2, err := MatMulTransB(a, bt)
 		if err != nil {
 			t.Fatal(err)
@@ -142,15 +142,15 @@ func TestMatMulTransVariantsAgree(t *testing.T) {
 func TestTransposeInvolution(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	a := randMat(r, 3, 5)
-	at, err := Transpose(a)
+	at, err := transpose(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	att, _ := Transpose(at)
+	att, _ := transpose(at)
 	if !Equal(a, att) {
 		t.Fatal("transpose twice must be identity")
 	}
-	if _, err := Transpose(New(2, 2, 2)); err == nil {
+	if _, err := transpose(New(2, 2, 2)); err == nil {
 		t.Fatal("want rank error")
 	}
 }

@@ -26,12 +26,12 @@ func (t *RaftTCP) SetAddr(id uint64, addr string) {
 
 // PeerState returns the circuit state of the sender for peer id, and
 // false if no message was ever sent toward that peer.
-func (t *RaftTCP) PeerState(id uint64) (CircuitState, bool) {
+func (t *RaftTCP) PeerState(id uint64) (circuitState, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s, ok := t.senders[id]
 	if !ok {
-		return CircuitUp, false
+		return circuitUp, false
 	}
-	return CircuitState(s.state.Load()), true
+	return circuitState(s.state.Load()), true
 }

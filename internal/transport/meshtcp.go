@@ -294,7 +294,7 @@ func (m *TCPMesh) Send(msg Message) error {
 	}
 	if m.crashed[msg.From] {
 		m.mu.Unlock()
-		return fmt.Errorf("transport: %w: peer %d", ErrCrashed, msg.From)
+		return fmt.Errorf("transport: %w: peer %d", errCrashed, msg.From)
 	}
 	toCrashed := m.crashed[msg.To]
 	m.mu.Unlock()

@@ -64,7 +64,7 @@ func TestTCPMeshCrashSemantics(t *testing.T) {
 		t.Fatal("crashed peer alive")
 	}
 	// Crashed sender errors.
-	if err := m.Send(Message{From: 1, To: 0, Kind: "k", Payload: []float64{1}}); !errors.Is(err, ErrCrashed) {
+	if err := m.Send(Message{From: 1, To: 0, Kind: "k", Payload: []float64{1}}); !errors.Is(err, errCrashed) {
 		t.Fatalf("err = %v", err)
 	}
 	// Crashed receiver: counted, dropped, no error.

@@ -260,7 +260,7 @@ func TestTCPMeshClosesOnForeignFrameKind(t *testing.T) {
 	// length-prefixed kind string. Its first field is the dimension.
 	envelope := wire.HeaderSize + 3*8
 	dimAt := envelope + 4 + int(binary.LittleEndian.Uint32(frame[envelope:]))
-	binary.LittleEndian.PutUint32(frame[dimAt:], wire.MaxPayload/8)
+	binary.LittleEndian.PutUint32(frame[dimAt:], 1<<30/8) // the codec's payload bound
 
 	m := newTCPMesh(t, 2)
 	var before, after runtime.MemStats

@@ -45,29 +45,29 @@ const (
 	downAfterFailures    = 3
 )
 
-// CircuitState is a peer connection's health as seen by its sender:
+// circuitState is a peer connection's health as seen by its sender:
 // Up (connected or never tried), Suspect (first failures), Down
 // (persistently unreachable), Probing (Down, re-dial in flight).
-type CircuitState int32
+type circuitState int32
 
 // Circuit states in escalation order.
 const (
-	CircuitUp CircuitState = iota
-	CircuitSuspect
-	CircuitDown
-	CircuitProbing
+	circuitUp circuitState = iota
+	circuitSuspect
+	circuitDown
+	circuitProbing
 )
 
 // String returns the lowercase state name.
-func (s CircuitState) String() string {
+func (s circuitState) String() string {
 	switch s {
-	case CircuitUp:
+	case circuitUp:
 		return "up"
-	case CircuitSuspect:
+	case circuitSuspect:
 		return "suspect"
-	case CircuitDown:
+	case circuitDown:
 		return "down"
-	case CircuitProbing:
+	case circuitProbing:
 		return "probing"
 	default:
 		return "unknown"
@@ -296,7 +296,7 @@ func (t *RaftTCP) PeerStates() []PeerCircuit {
 	for id, s := range t.senders {
 		out = append(out, PeerCircuit{
 			Peer:     id,
-			State:    CircuitState(s.state.Load()).String(),
+			State:    circuitState(s.state.Load()).String(),
 			QueueLen: len(s.ch),
 			Drops:    s.drops.Load(),
 		})
@@ -337,7 +337,7 @@ type peerSender struct {
 	id    uint64
 	addr  string
 	ch    chan raft.Message
-	state atomic.Int32 // CircuitState
+	state atomic.Int32 // circuitState
 	drops atomic.Int64
 }
 
@@ -346,8 +346,8 @@ func (s *peerSender) drop() {
 	s.t.tel.Load().msgsDropped.Inc()
 }
 
-func (s *peerSender) setState(st CircuitState) {
-	if CircuitState(s.state.Swap(int32(st))) != st && st == CircuitDown {
+func (s *peerSender) setState(st circuitState) {
+	if circuitState(s.state.Swap(int32(st))) != st && st == circuitDown {
 		s.t.tel.Load().circuitDowns.Inc()
 	}
 }
@@ -357,9 +357,9 @@ func (s *peerSender) onFailure(failures int) {
 	s.t.tel.Load().dialFailures.Inc()
 	switch {
 	case failures >= downAfterFailures:
-		s.setState(CircuitDown)
+		s.setState(circuitDown)
 	case failures >= suspectAfterFailures:
-		s.setState(CircuitSuspect)
+		s.setState(circuitSuspect)
 	}
 }
 
@@ -390,7 +390,7 @@ func (s *peerSender) loop() {
 					continue
 				}
 				if failures >= downAfterFailures {
-					s.setState(CircuitProbing)
+					s.setState(circuitProbing)
 				}
 				c, err := net.DialTimeout("tcp", s.addr, dialTimeout)
 				if err != nil {
@@ -403,7 +403,7 @@ func (s *peerSender) loop() {
 				conn = c
 				failures = 0
 				nextDial = time.Time{}
-				s.setState(CircuitUp)
+				s.setState(circuitUp)
 			}
 			// Record each exact frame size BEFORE the bytes hit the wire,
 			// so a receiver can never observe a message the sender's counter

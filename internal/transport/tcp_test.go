@@ -112,7 +112,7 @@ func TestTCPDialFailure(t *testing.T) {
 		if err := tr.Send(raft.Message{To: 2}); err != nil {
 			t.Fatal(err)
 		}
-		if st, ok := tr.PeerState(2); ok && (st == CircuitDown || st == CircuitProbing) {
+		if st, ok := tr.PeerState(2); ok && (st == circuitDown || st == circuitProbing) {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -314,7 +314,7 @@ func TestTCPReconnectNoStreamWarmupTax(t *testing.T) {
 // TestTCPMeshSendToCrashedPeer covers the synchronous mesh's crashed
 // paths: sends toward a crashed receiver are silently dropped (bytes
 // still counted — the sender can't know), sends from a crashed peer
-// fail with ErrCrashed, and the crashed peer's inbox stays empty.
+// fail with errCrashed, and the crashed peer's inbox stays empty.
 func TestTCPMeshSendToCrashedPeer(t *testing.T) {
 	m, err := NewTCPMesh(3, nil)
 	if err != nil {
@@ -337,7 +337,7 @@ func TestTCPMeshSendToCrashedPeer(t *testing.T) {
 	if msgs, _ := m.Drain(2); len(msgs) != 0 {
 		t.Fatalf("crashed peer's inbox should be empty, got %d", len(msgs))
 	}
-	if err := m.Send(Message{From: 2, To: 0, Kind: "x"}); !errors.Is(err, ErrCrashed) {
+	if err := m.Send(Message{From: 2, To: 0, Kind: "x"}); !errors.Is(err, errCrashed) {
 		t.Fatalf("send from crashed peer: got %v, want ErrCrashed", err)
 	}
 	// Healthy pair still works end to end.

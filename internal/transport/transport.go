@@ -8,6 +8,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -261,7 +262,7 @@ func (m *Mesh) Alive(peer int) bool {
 }
 
 // Send delivers msg to its destination's inbox. A crashed sender returns
-// ErrCrashed; a crashed receiver silently drops the message after the
+// errCrashed; a crashed receiver silently drops the message after the
 // bytes are counted.
 func (m *Mesh) Send(msg Message) error {
 	if err := m.check(msg.From); err != nil {
@@ -273,7 +274,7 @@ func (m *Mesh) Send(msg Message) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.crashed[msg.From] {
-		return fmt.Errorf("transport: %w: peer %d", ErrCrashed, msg.From)
+		return fmt.Errorf("transport: %w: peer %d", errCrashed, msg.From)
 	}
 	m.counter.Record(msg.Kind, msg.WireBytes())
 	if m.observer != nil {
@@ -312,9 +313,5 @@ func (m *Mesh) check(peer int) error {
 	return nil
 }
 
-// ErrCrashed is returned when a crashed peer attempts to send.
-var ErrCrashed = errCrashed{}
-
-type errCrashed struct{}
-
-func (errCrashed) Error() string { return "peer crashed" }
+// errCrashed is returned when a crashed peer attempts to send.
+var errCrashed = errors.New("peer crashed")

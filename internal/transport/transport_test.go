@@ -87,7 +87,7 @@ func TestMeshCrashSemantics(t *testing.T) {
 	}
 	// Crashed sender errors.
 	err := m.Send(Message{From: 1, To: 0, Kind: "k", Payload: []float64{1}})
-	if !errors.Is(err, ErrCrashed) {
+	if !errors.Is(err, errCrashed) {
 		t.Fatalf("err = %v, want ErrCrashed", err)
 	}
 	// Crashed receiver: message counted but dropped.

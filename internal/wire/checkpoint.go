@@ -21,30 +21,30 @@ type Checkpoint struct {
 	Weights []float64
 }
 
-// CheckpointPayloadSize returns the exact encoded payload size.
-func CheckpointPayloadSize(cp Checkpoint) int {
+// checkpointPayloadSize returns the exact encoded payload size.
+func checkpointPayloadSize(cp Checkpoint) int {
 	n := 4
 	for _, name := range cp.Names {
 		n += 4 + len(name) + 4
 	}
-	return n + Float64sSize(len(cp.Weights))
+	return n + float64sSize(len(cp.Weights))
 }
 
 // AppendCheckpointFrame appends a complete checkpoint frame. Names and
 // Sizes must be the same length.
 func AppendCheckpointFrame(dst []byte, cp Checkpoint) []byte {
-	dst = AppendHeader(dst, KindCheckpoint, CheckpointPayloadSize(cp))
+	dst = appendHeader(dst, KindCheckpoint, checkpointPayloadSize(cp))
 	dst = appendUint32(dst, uint32(len(cp.Names)))
 	for i, name := range cp.Names {
 		dst = appendString(dst, name)
 		dst = appendUint32(dst, uint32(cp.Sizes[i]))
 	}
-	return AppendFloat64s(dst, cp.Weights)
+	return appendFloat64s(dst, cp.Weights)
 }
 
-// DecodeCheckpointPayload decodes a KindCheckpoint payload, copying all
+// decodeCheckpointPayload decodes a KindCheckpoint payload, copying all
 // contents out of b.
-func DecodeCheckpointPayload(b []byte) (Checkpoint, error) {
+func decodeCheckpointPayload(b []byte) (Checkpoint, error) {
 	var cp Checkpoint
 	nParams, b, err := readUint32(b)
 	if err != nil {
@@ -52,7 +52,7 @@ func DecodeCheckpointPayload(b []byte) (Checkpoint, error) {
 	}
 	// Each parameter costs ≥ 8 bytes on the wire.
 	if uint64(nParams)*8 > uint64(len(b)) {
-		return cp, fmt.Errorf("%w: %d params in %d bytes", ErrTruncated, nParams, len(b))
+		return cp, fmt.Errorf("%w: %d params in %d bytes", errTruncated, nParams, len(b))
 	}
 	if nParams > 0 {
 		cp.Names = make([]string, nParams)
@@ -68,16 +68,16 @@ func DecodeCheckpointPayload(b []byte) (Checkpoint, error) {
 			cp.Sizes[i] = int(sz)
 		}
 	}
-	if cp.Weights, b, err = ReadFloat64s(b, nil); err != nil {
+	if cp.Weights, b, err = readFloat64s(b, nil); err != nil {
 		return cp, err
 	}
 	if len(b) != 0 {
-		return cp, fmt.Errorf("%w: %d trailing bytes after checkpoint payload", ErrBadFrame, len(b))
+		return cp, fmt.Errorf("%w: %d trailing bytes after checkpoint payload", errBadFrame, len(b))
 	}
 	return cp, nil
 }
 
 // ReadCheckpointFrame reads one complete checkpoint frame from r.
 func ReadCheckpointFrame(r io.Reader) (Checkpoint, error) {
-	return readOne(r, KindCheckpoint, DecodeCheckpointPayload)
+	return readOne(r, KindCheckpoint, decodeCheckpointPayload)
 }

@@ -128,11 +128,11 @@ func appendQuantBlock(dst []byte, q QuantDelta) []byte {
 func readQuantBlock(b []byte) (QuantDelta, []byte, error) {
 	var q QuantDelta
 	if len(b) < 1 {
-		return q, nil, ErrTruncated
+		return q, nil, errTruncated
 	}
 	q.Width = int(b[0])
 	if q.Width != 1 && q.Width != 2 {
-		return q, nil, fmt.Errorf("%w: quant width %d, want 1 or 2", ErrBadFrame, q.Width)
+		return q, nil, fmt.Errorf("%w: quant width %d, want 1 or 2", errBadFrame, q.Width)
 	}
 	u, b, err := readUint64(b[1:])
 	if err != nil {
@@ -144,7 +144,7 @@ func readQuantBlock(b []byte) (QuantDelta, []byte, error) {
 		return q, nil, err
 	}
 	if uint64(n)*uint64(q.Width) > uint64(len(b)) {
-		return q, nil, fmt.Errorf("%w: %d quant values in %d bytes", ErrTruncated, n, len(b))
+		return q, nil, fmt.Errorf("%w: %d quant values in %d bytes", errTruncated, n, len(b))
 	}
 	q.Q = make([]int16, n)
 	if q.Width == 1 {
@@ -192,8 +192,8 @@ func readSparseBlock(b []byte) (SparseDelta, []byte, error) {
 	}
 	// Dense allocates dim floats whatever k is, so the dimension is
 	// bounded by what a dense vector could itself be framed as.
-	if dim > MaxPayload/8 {
-		return s, nil, fmt.Errorf("%w: sparse dimension %d exceeds %d", ErrBadFrame, dim, MaxPayload/8)
+	if dim > maxPayload/8 {
+		return s, nil, fmt.Errorf("%w: sparse dimension %d exceeds %d", errBadFrame, dim, maxPayload/8)
 	}
 	s.Dim = int(dim)
 	k, b, err := readUint32(b)
@@ -201,15 +201,15 @@ func readSparseBlock(b []byte) (SparseDelta, []byte, error) {
 		return s, nil, err
 	}
 	if uint64(k) > uint64(dim) {
-		return s, nil, fmt.Errorf("%w: %d sparse values for dimension %d", ErrBadFrame, k, dim)
+		return s, nil, fmt.Errorf("%w: %d sparse values for dimension %d", errBadFrame, k, dim)
 	}
 	if len(b) < 1 {
-		return s, nil, ErrTruncated
+		return s, nil, errTruncated
 	}
 	s.Width = int(b[0])
 	b = b[1:]
 	if s.Width < 0 || s.Width > 2 {
-		return s, nil, fmt.Errorf("%w: sparse width %d, want 0, 1 or 2", ErrBadFrame, s.Width)
+		return s, nil, fmt.Errorf("%w: sparse width %d, want 0, 1 or 2", errBadFrame, s.Width)
 	}
 	if s.Width != 0 {
 		var u uint64
@@ -223,7 +223,7 @@ func readSparseBlock(b []byte) (SparseDelta, []byte, error) {
 		vbytes = s.Width
 	}
 	if uint64(k)*uint64(4+vbytes) > uint64(len(b)) {
-		return s, nil, fmt.Errorf("%w: %d sparse entries in %d bytes", ErrTruncated, k, len(b))
+		return s, nil, fmt.Errorf("%w: %d sparse entries in %d bytes", errTruncated, k, len(b))
 	}
 	s.Idx = make([]int32, k)
 	for i := range s.Idx {
@@ -231,10 +231,10 @@ func readSparseBlock(b []byte) (SparseDelta, []byte, error) {
 		u, b, _ = readUint32(b)
 		ix := int32(u)
 		if uint64(u) >= uint64(dim) {
-			return s, nil, fmt.Errorf("%w: sparse index %d out of [0,%d)", ErrBadFrame, u, dim)
+			return s, nil, fmt.Errorf("%w: sparse index %d out of [0,%d)", errBadFrame, u, dim)
 		}
 		if i > 0 && ix <= s.Idx[i-1] {
-			return s, nil, fmt.Errorf("%w: sparse indices not strictly ascending (%d after %d)", ErrBadFrame, ix, s.Idx[i-1])
+			return s, nil, fmt.Errorf("%w: sparse indices not strictly ascending (%d after %d)", errBadFrame, ix, s.Idx[i-1])
 		}
 		s.Idx[i] = ix
 	}

@@ -14,14 +14,14 @@ import (
 // bytes of the blocks inside them stay pinned; nothing outside the tests
 // builds or parses the wrapping any more.
 func retiredDeltaFrame(kind Kind, m MeshMessage, block []byte) []byte {
-	dst := AppendHeader(nil, kind, meshFixedSize+len(m.Kind)+len(block))
+	dst := appendHeader(nil, kind, meshFixedSize+len(m.Kind)+len(block))
 	return append(appendMeshEnvelope(dst, m), block...)
 }
 
 // deltaBlock returns the block inside a retired delta frame's payload.
 func deltaBlock(payload []byte) ([]byte, error) {
 	if len(payload) < meshFixedSize {
-		return nil, ErrTruncated
+		return nil, errTruncated
 	}
 	_, rest, err := readString(payload[meshFixedSize-4:])
 	return rest, err
@@ -37,7 +37,7 @@ func retiredQuantCheckpointFrame(names []string, sizes []int, block []byte) []by
 		schema = appendString(schema, name)
 		schema = appendUint32(schema, uint32(sizes[i]))
 	}
-	dst := AppendHeader(nil, KindCheckpointQuant, len(schema)+len(block))
+	dst := appendHeader(nil, KindCheckpointQuant, len(schema)+len(block))
 	return append(append(dst, schema...), block...)
 }
 
@@ -155,13 +155,13 @@ func TestDeltaStrictDecoding(t *testing.T) {
 		block []byte
 		want  error
 	}{
-		{"quant-bad-width", mutate(quant, 0, 3), ErrBadFrame},
-		{"quant-width-zero", mutate(quant, 0, 0), ErrBadFrame},
-		{"quant-truncated-values", quant[:len(quant)-1], ErrTruncated},
+		{"quant-bad-width", mutate(quant, 0, 3), errBadFrame},
+		{"quant-width-zero", mutate(quant, 0, 0), errBadFrame},
+		{"quant-truncated-values", quant[:len(quant)-1], errTruncated},
 		{"quant-trailing", append(append([]byte(nil), quant...), 0), nil},
-		{"quant-empty", nil, ErrTruncated},
-		{"sparse-bad-width", mutate(sparse, 8, 9), ErrBadFrame},
-		{"sparse-truncated", sparse[:len(sparse)-3], ErrTruncated},
+		{"quant-empty", nil, errTruncated},
+		{"sparse-bad-width", mutate(sparse, 8, 9), errBadFrame},
+		{"sparse-truncated", sparse[:len(sparse)-3], errTruncated},
 		{"sparse-trailing", append(append([]byte(nil), sparse...), 0), nil},
 	}
 	for _, tc := range cases {
@@ -184,7 +184,7 @@ func TestDeltaStrictDecoding(t *testing.T) {
 		"sparse-indices-duplicate":     {Dim: 8, Idx: []int32{3, 3}, Width: 0, Vals: []float64{1, 2}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			if _, _, err := readSparseBlock(appendSparseBlock(nil, bad)); !errors.Is(err, ErrBadFrame) {
+			if _, _, err := readSparseBlock(appendSparseBlock(nil, bad)); !errors.Is(err, errBadFrame) {
 				t.Fatalf("got %v, want ErrBadFrame", err)
 			}
 		})
@@ -196,7 +196,7 @@ func TestDeltaStrictDecoding(t *testing.T) {
 		p = append(p, make([]byte, 8)...) // scale
 		p = appendUint32(p, 1<<31-1)      // count
 		p = append(p, 1, 2, 3)            // only 3 bytes of values
-		if _, _, err := readQuantBlock(p); !errors.Is(err, ErrTruncated) {
+		if _, _, err := readQuantBlock(p); !errors.Is(err, errTruncated) {
 			t.Fatalf("got %v, want ErrTruncated", err)
 		}
 	})
@@ -241,7 +241,7 @@ func TestKindStringAndDebugHeader(t *testing.T) {
 // dimensions.
 func TestQuantSizeAdvantage(t *testing.T) {
 	for _, dim := range []int{1000, 100000} {
-		f64 := HeaderSize + MeshPayloadSize("fedavg/download", dim)
+		f64 := HeaderSize + meshPayloadSize("fedavg/download", dim)
 		q8 := QuantBlockSize(1, dim)
 		if 4*q8 > f64 {
 			t.Errorf("dim %d: int8 block %dB > 0.25× float64 frame %dB", dim, q8, f64)

@@ -35,16 +35,16 @@ type DirectoryUpdate struct {
 	Addr       string
 }
 
-// DirectoryPayloadSize returns the exact encoded payload size of an
+// directoryPayloadSize returns the exact encoded payload size of an
 // update whose address has addrLen bytes.
-func DirectoryPayloadSize(addrLen int) int {
+func directoryPayloadSize(addrLen int) int {
 	return 1 + 8 + 4 + 4 + 4 + addrLen
 }
 
 // AppendDirectoryFrame appends a complete frame for one directory
 // update.
 func AppendDirectoryFrame(dst []byte, u DirectoryUpdate) []byte {
-	dst = AppendHeader(dst, KindDirectory, DirectoryPayloadSize(len(u.Addr)))
+	dst = appendHeader(dst, KindDirectory, directoryPayloadSize(len(u.Addr)))
 	dst = append(dst, u.Op)
 	dst = appendUint64(dst, u.ID)
 	dst = appendUint32(dst, uint32(u.Subgroup))
@@ -57,11 +57,11 @@ func AppendDirectoryFrame(dst []byte, u DirectoryUpdate) []byte {
 func DecodeDirectoryPayload(b []byte) (DirectoryUpdate, error) {
 	var u DirectoryUpdate
 	if len(b) < 1 {
-		return u, fmt.Errorf("%w: empty directory payload", ErrTruncated)
+		return u, fmt.Errorf("%w: empty directory payload", errTruncated)
 	}
 	u.Op = b[0]
 	if u.Op != DirJoin && u.Op != DirLeave {
-		return u, fmt.Errorf("%w: directory op %d", ErrBadFrame, u.Op)
+		return u, fmt.Errorf("%w: directory op %d", errBadFrame, u.Op)
 	}
 	b = b[1:]
 	var err error
@@ -81,7 +81,7 @@ func DecodeDirectoryPayload(b []byte) (DirectoryUpdate, error) {
 		return u, err
 	}
 	if len(b) != 0 {
-		return u, fmt.Errorf("%w: %d trailing bytes after directory payload", ErrBadFrame, len(b))
+		return u, fmt.Errorf("%w: %d trailing bytes after directory payload", errBadFrame, len(b))
 	}
 	return u, nil
 }

@@ -17,7 +17,7 @@ import (
 // every reader; the blocks inside kinds 4 and 5 still round-trip.
 func FuzzWireRoundTrip(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte(Magic))
+	f.Add([]byte(magic))
 	f.Add(AppendRaftFrame(nil, raft.Message{Type: raft.MsgAppend, From: 1, To: 2, Term: 3,
 		Entries: []raft.Entry{{Index: 1, Term: 3, Data: []byte("d")}}}))
 	f.Add(AppendMeshFrame(nil, MeshMessage{From: 1, To: 2, Kind: "sac/share", ShareIdx: 1, Payload: []float64{1, 2}}))
@@ -51,7 +51,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 		switch kind {
 		case KindRaft:
-			m, err := DecodeRaftPayload(payload)
+			m, err := decodeRaftPayload(payload)
 			if err != nil {
 				return
 			}
@@ -59,12 +59,12 @@ func FuzzWireRoundTrip(f *testing.F) {
 			if !bytes.Equal(re[HeaderSize:], payload) {
 				t.Fatalf("raft re-encode differs:\n in  % x\n out % x", payload, re[HeaderSize:])
 			}
-			m2, err := DecodeRaftPayload(re[HeaderSize:])
+			m2, err := decodeRaftPayload(re[HeaderSize:])
 			if err != nil || !reflect.DeepEqual(m, m2) {
 				t.Fatalf("raft second decode: %v", err)
 			}
 		case KindMesh:
-			m, err := DecodeMeshPayload(payload)
+			m, err := decodeMeshPayload(payload)
 			if err != nil {
 				return
 			}
@@ -73,7 +73,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 				t.Fatalf("mesh re-encode differs")
 			}
 		case KindCheckpoint:
-			cp, err := DecodeCheckpointPayload(payload)
+			cp, err := decodeCheckpointPayload(payload)
 			if err != nil {
 				return
 			}
@@ -107,7 +107,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 				t.Fatalf("sparse re-encode differs:\n in  % x\n out % x", block, re)
 			}
 		case KindRaftState:
-			ps, err := DecodeRaftStatePayload(payload)
+			ps, err := decodeRaftStatePayload(payload)
 			if err != nil {
 				return
 			}
@@ -115,7 +115,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 			if !bytes.Equal(re[HeaderSize:], payload) {
 				t.Fatalf("raft state re-encode differs:\n in  % x\n out % x", payload, re[HeaderSize:])
 			}
-			ps2, err := DecodeRaftStatePayload(re[HeaderSize:])
+			ps2, err := decodeRaftStatePayload(re[HeaderSize:])
 			if err != nil || !reflect.DeepEqual(ps, ps2) {
 				t.Fatalf("raft state second decode: %v", err)
 			}
@@ -136,8 +136,8 @@ func FuzzFloat64sRoundTrip(f *testing.F) {
 			}
 			in[i] = math.Float64frombits(u)
 		}
-		enc := AppendFloat64s(nil, in)
-		out, rest, err := ReadFloat64s(enc, make([]float64, 0, len(in)))
+		enc := appendFloat64s(nil, in)
+		out, rest, err := readFloat64s(enc, make([]float64, 0, len(in)))
 		if err != nil {
 			t.Fatal(err)
 		}

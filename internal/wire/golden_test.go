@@ -16,7 +16,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden wire fram
 // goldenFrames are the cross-version compatibility contract: these
 // exact byte sequences are what version 1 of the format means. If an
 // encoder change alters any of them, that change broke every stored
-// checkpoint and every mixed-version deployment — bump Version and add
+// checkpoint and every mixed-version deployment — bump version and add
 // a new golden set instead of regenerating these.
 func goldenFrames() map[string][]byte {
 	raftMsg := raft.Message{
@@ -98,7 +98,7 @@ func TestGoldenWireFiles(t *testing.T) {
 		}
 		if !bytes.Equal(frame, want) {
 			t.Errorf("%s: encoder output drifted from the v1 golden frame.\n got  % x\n want % x\n"+
-				"This is a wire-format break: bump wire.Version instead of regenerating goldens.",
+				"This is a wire-format break: bump version instead of regenerating goldens.",
 				name, frame, want)
 		}
 		// The checked-in frame must also still decode to the same value
@@ -112,7 +112,7 @@ func TestGoldenWireFiles(t *testing.T) {
 		}
 		switch kind {
 		case KindRaft:
-			m, err := DecodeRaftPayload(want[HeaderSize:])
+			m, err := decodeRaftPayload(want[HeaderSize:])
 			if err != nil {
 				t.Fatalf("%s: decode: %v", name, err)
 			}
@@ -120,7 +120,7 @@ func TestGoldenWireFiles(t *testing.T) {
 				t.Errorf("%s: decode→re-encode not byte-identical", name)
 			}
 		case KindMesh:
-			m, err := DecodeMeshPayload(want[HeaderSize:])
+			m, err := decodeMeshPayload(want[HeaderSize:])
 			if err != nil {
 				t.Fatalf("%s: decode: %v", name, err)
 			}
@@ -128,7 +128,7 @@ func TestGoldenWireFiles(t *testing.T) {
 				t.Errorf("%s: decode→re-encode not byte-identical", name)
 			}
 		case KindCheckpoint:
-			cp, err := DecodeCheckpointPayload(want[HeaderSize:])
+			cp, err := decodeCheckpointPayload(want[HeaderSize:])
 			if err != nil {
 				t.Fatalf("%s: decode: %v", name, err)
 			}
@@ -170,7 +170,7 @@ func TestGoldenWireFiles(t *testing.T) {
 				t.Errorf("%s: decode→re-encode not byte-identical", name)
 			}
 		case KindRaftState:
-			ps, err := DecodeRaftStatePayload(want[HeaderSize:])
+			ps, err := decodeRaftStatePayload(want[HeaderSize:])
 			if err != nil {
 				t.Fatalf("%s: decode: %v", name, err)
 			}
@@ -212,8 +212,8 @@ func TestGoldenDecodeValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b) != RaftStateFrameSize(goldenRaftState()) {
-		t.Fatalf("golden raft state is %d bytes, RaftStateFrameSize says %d", len(b), RaftStateFrameSize(goldenRaftState()))
+	if len(b) != raftStateFrameSize(goldenRaftState()) {
+		t.Fatalf("golden raft state is %d bytes, RaftStateFrameSize says %d", len(b), raftStateFrameSize(goldenRaftState()))
 	}
 	ps, err := ReadRaftStateFrame(bytes.NewReader(b))
 	if err != nil {
@@ -244,8 +244,8 @@ func TestRaftStateRestoresIntoWorkingNode(t *testing.T) {
 		t.Fatalf("fresh node persisted %+v", in)
 	}
 	frame := AppendRaftStateFrame(nil, in)
-	if len(frame) != RaftStateFrameSize(in) {
-		t.Fatalf("frame is %d bytes, RaftStateFrameSize says %d", len(frame), RaftStateFrameSize(in))
+	if len(frame) != raftStateFrameSize(in) {
+		t.Fatalf("frame is %d bytes, RaftStateFrameSize says %d", len(frame), raftStateFrameSize(in))
 	}
 	out, err := ReadRaftStateFrame(bytes.NewReader(frame))
 	if err != nil {

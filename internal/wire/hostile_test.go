@@ -75,7 +75,7 @@ func TestBitFlipSweepNeverPanics(t *testing.T) {
 					}()
 					err := decodeFrame(kind, mutated)
 					if i < 8 && err == nil {
-						// Magic, version, kind or reserved byte flipped:
+						// magic, version, kind or reserved byte flipped:
 						// the header validator must reject (a kind flip
 						// decodes as the wrong frame type, also an error).
 						t.Fatalf("%s: header flip byte %d bit %d accepted", kind, i, bit)
@@ -113,7 +113,7 @@ func lieLength(frame []byte, n uint32) []byte {
 func TestLengthFieldLies(t *testing.T) {
 	for kind, frame := range hostileSamples() {
 		truth := binary.LittleEndian.Uint32(frame[8:12])
-		for _, lie := range []uint32{0, truth - 1, truth + 1, truth * 2, MaxPayload} {
+		for _, lie := range []uint32{0, truth - 1, truth + 1, truth * 2, maxPayload} {
 			if lie == truth {
 				continue
 			}
@@ -128,20 +128,20 @@ func TestLengthFieldLies(t *testing.T) {
 // payload bytes but delivers only `deliver` (zero) bytes of them before
 // EOF.
 func shortStream(kind Kind, claim uint32, deliver int) io.Reader {
-	b := AppendHeader(nil, kind, 0)
+	b := appendHeader(nil, kind, 0)
 	binary.LittleEndian.PutUint32(b[8:12], claim)
 	return bytes.NewReader(append(b, make([]byte, deliver)...))
 }
 
 // TestLyingLengthBoundsAllocation is the over-allocation guard of the
 // buffered reader (raft, checkpoint and raft-state frames): a header
-// claiming MaxPayload on a nearly empty stream must
+// claiming maxPayload on a nearly empty stream must
 // fail with the read buffer still at the prealloc cap — the attacker's
 // 12 bytes cannot buy a gigabyte of our memory. The streaming mesh
 // decoder's bound is pinned in stream_test.go, and what a retired kind
 // costs any reader in TestEveryReaderRefusesRetiredKinds.
 func TestLyingLengthBoundsAllocation(t *testing.T) {
-	_, scratch, err := ReadRaftFrame(shortStream(KindRaft, MaxPayload, 100), nil)
+	_, scratch, err := ReadRaftFrame(shortStream(KindRaft, maxPayload, 100), nil)
 	if err == nil {
 		t.Fatal("starved frame accepted")
 	}
@@ -152,7 +152,7 @@ func TestLyingLengthBoundsAllocation(t *testing.T) {
 	// With real bytes arriving, growth must track what was actually
 	// received (geometric, ≤ 2×), not the claim.
 	const delivered = 200 << 10
-	_, scratch, err = ReadRaftFrame(shortStream(KindRaft, MaxPayload, delivered), nil)
+	_, scratch, err = ReadRaftFrame(shortStream(KindRaft, maxPayload, delivered), nil)
 	if err == nil {
 		t.Fatal("starved frame accepted")
 	}
@@ -180,17 +180,17 @@ var frameReaders = map[string]func(io.Reader) error{
 
 // TestEveryReaderRefusesRetiredKinds: a frame of a retired kind buys
 // nothing from any reader. Each refuses it on its 12-byte header with
-// ErrBadFrame, reads none of the claimed payload, and allocates nothing
+// errBadFrame, reads none of the claimed payload, and allocates nothing
 // on the claim's say-so — reading it would cost at least framePrealloc.
 func TestEveryReaderRefusesRetiredKinds(t *testing.T) {
 	const delivered = 1 << 10
 	for name, read := range frameReaders {
 		for _, kind := range retiredKinds {
-			frame := AppendHeader(nil, kind, 0)
-			binary.LittleEndian.PutUint32(frame[8:12], MaxPayload)
+			frame := appendHeader(nil, kind, 0)
+			binary.LittleEndian.PutUint32(frame[8:12], maxPayload)
 			frame = append(frame, make([]byte, delivered)...)
 			stream := bytes.NewReader(frame)
-			if err := read(stream); !errors.Is(err, ErrBadFrame) {
+			if err := read(stream); !errors.Is(err, errBadFrame) {
 				t.Errorf("%s on a %s frame: err = %v, want ErrBadFrame", name, kind, err)
 			}
 			if stream.Len() != delivered {
@@ -241,7 +241,7 @@ func TestHonestLargeFrameStillDecodes(t *testing.T) {
 // trusting them with an allocation.
 func TestNestedLengthLies(t *testing.T) {
 	// Mesh payload with a kind-string length claiming past the end.
-	b := AppendHeader(nil, KindMesh, 8*3+4+4)
+	b := appendHeader(nil, KindMesh, 8*3+4+4)
 	b = appendUint64(b, 1)
 	b = appendUint64(b, 2)
 	b = appendUint64(b, 0)
@@ -253,7 +253,7 @@ func TestNestedLengthLies(t *testing.T) {
 
 	// Mesh payload whose float-count field claims 2^28 elements backed by
 	// no bytes.
-	b = AppendHeader(nil, KindMesh, 8*3+4+1+4)
+	b = appendHeader(nil, KindMesh, 8*3+4+1+4)
 	b = appendUint64(b, 1)
 	b = appendUint64(b, 2)
 	b = appendUint64(b, 0)
@@ -264,7 +264,7 @@ func TestNestedLengthLies(t *testing.T) {
 	}
 
 	// Raft entry batch claiming 2^30 entries in a tiny payload.
-	b = AppendHeader(nil, KindRaft, raftFixedSize+4)
+	b = appendHeader(nil, KindRaft, raftFixedSize+4)
 	b = append(b, make([]byte, raftFixedSize)...)
 	b = appendUint32(b, 1<<30) // entry-count lie
 	if _, _, err := ReadRaftFrame(bytes.NewReader(b), nil); err == nil {
@@ -290,21 +290,21 @@ const gobRaftState = "487f0301010f50657273697374656e74537461746501ff800001040104
 func TestHostileRaftState(t *testing.T) {
 	// header(kind, payload...) frames a hand-built payload honestly.
 	frame := func(kind Kind, payload []byte) []byte {
-		return append(AppendHeader(nil, kind, len(payload)), payload...)
+		return append(appendHeader(nil, kind, len(payload)), payload...)
 	}
 	fixed := make([]byte, raftStateFixedSize) // no flags, zero hard state
 
 	// A peer list of 2^29 ids backed by eight bytes.
 	b := appendUint32(append([]byte(nil), fixed...), 1<<29)
 	b = append(b, make([]byte, 8)...)
-	if _, err := ReadRaftStateFrame(bytes.NewReader(frame(KindRaftState, b))); !errors.Is(err, ErrTruncated) {
+	if _, err := ReadRaftStateFrame(bytes.NewReader(frame(KindRaftState, b))); !errors.Is(err, errTruncated) {
 		t.Fatalf("peer-count lie: err = %v, want ErrTruncated", err)
 	}
 	// A log of 2^30 entries backed by one entry's worth of bytes.
 	b = appendPeers(append([]byte(nil), fixed...), nil)
 	b = appendUint32(b, 1<<30)
 	b = append(b, make([]byte, entryMinSize)...)
-	if _, err := ReadRaftStateFrame(bytes.NewReader(frame(KindRaftState, b))); !errors.Is(err, ErrTruncated) {
+	if _, err := ReadRaftStateFrame(bytes.NewReader(frame(KindRaftState, b))); !errors.Is(err, errTruncated) {
 		t.Fatalf("entry-count lie: err = %v, want ErrTruncated", err)
 	}
 	// Neither rejection may cost more than the frame itself: about 100
@@ -313,7 +313,7 @@ func TestHostileRaftState(t *testing.T) {
 	// allocations of its own, a varying number from run to run.
 	lie := frame(KindRaftState, b)
 	if n := bytesPerRun(func() {
-		if _, err := DecodeRaftStatePayload(lie[HeaderSize:]); err == nil {
+		if _, err := decodeRaftStatePayload(lie[HeaderSize:]); err == nil {
 			panic("accepted")
 		}
 	}); n > framePrealloc/64 {
@@ -324,13 +324,13 @@ func TestHostileRaftState(t *testing.T) {
 	// One byte after the snapshot, covered by the length field.
 	trailing := append(append([]byte(nil), good...), 0)
 	binary.LittleEndian.PutUint32(trailing[8:12], uint32(len(trailing)-HeaderSize))
-	if _, err := ReadRaftStateFrame(bytes.NewReader(trailing)); !errors.Is(err, ErrBadFrame) {
+	if _, err := ReadRaftStateFrame(bytes.NewReader(trailing)); !errors.Is(err, errBadFrame) {
 		t.Fatalf("trailing byte: err = %v, want ErrBadFrame", err)
 	}
 	// An undefined flag bit.
 	flagged := append([]byte(nil), good...)
 	flagged[HeaderSize] |= 0x80
-	if _, err := ReadRaftStateFrame(bytes.NewReader(flagged)); !errors.Is(err, ErrBadFrame) {
+	if _, err := ReadRaftStateFrame(bytes.NewReader(flagged)); !errors.Is(err, errBadFrame) {
 		t.Fatalf("unknown flag: err = %v, want ErrBadFrame", err)
 	}
 	// The same payload under the message kind, and a message under the
@@ -338,7 +338,7 @@ func TestHostileRaftState(t *testing.T) {
 	if _, _, err := ReadRaftFrame(bytes.NewReader(frame(KindRaft, good[HeaderSize:])), nil); err == nil {
 		t.Fatal("raft-state payload accepted as a raft message")
 	}
-	if _, err := ReadRaftStateFrame(bytes.NewReader(hostileSamples()["raft"])); !errors.Is(err, ErrBadFrame) {
+	if _, err := ReadRaftStateFrame(bytes.NewReader(hostileSamples()["raft"])); !errors.Is(err, errBadFrame) {
 		t.Fatalf("wrong kind: err = %v, want ErrBadFrame", err)
 	}
 	// A gob stream is not sniffed, not skipped over: bad magic.
@@ -346,7 +346,7 @@ func TestHostileRaftState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadRaftStateFrame(bytes.NewReader(stream)); !errors.Is(err, ErrBadMagic) {
+	if _, err := ReadRaftStateFrame(bytes.NewReader(stream)); !errors.Is(err, errBadMagic) {
 		t.Fatalf("gob stream: err = %v, want ErrBadMagic", err)
 	}
 }
@@ -357,13 +357,13 @@ func TestHostileRaftState(t *testing.T) {
 // the block reader; the largest frameable one still decodes.
 func TestSparseDimensionLie(t *testing.T) {
 	entry := SparseDelta{Idx: []int32{0}, Vals: []float64{1}}
-	for _, dim := range []int{MaxPayload/8 + 1, math.MaxUint32} {
+	for _, dim := range []int{maxPayload/8 + 1, math.MaxUint32} {
 		entry.Dim = dim
-		if _, _, err := readSparseBlock(appendSparseBlock(nil, entry)); !errors.Is(err, ErrBadFrame) {
+		if _, _, err := readSparseBlock(appendSparseBlock(nil, entry)); !errors.Is(err, errBadFrame) {
 			t.Fatalf("dim %d: readSparseBlock err = %v, want ErrBadFrame", dim, err)
 		}
 	}
-	entry.Dim = MaxPayload / 8
+	entry.Dim = maxPayload / 8
 	if s, _, err := readSparseBlock(appendSparseBlock(nil, entry)); err != nil || s.Dim != entry.Dim {
 		t.Fatalf("largest frameable dimension: dim %d, err %v", s.Dim, err)
 	}
@@ -373,7 +373,7 @@ func TestSparseDimensionLie(t *testing.T) {
 // rejection paths: refusing garbage must not cost buffers.
 func TestHostileFramesDoNotOverAllocate(t *testing.T) {
 	frame := hostileSamples()["mesh"]
-	bad := lieLength(frame, MaxPayload)
+	bad := lieLength(frame, maxPayload)
 	scratch := make([]byte, 0, framePrealloc)
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, _, err := ReadMeshFrame(bytes.NewReader(bad), scratch); err == nil {

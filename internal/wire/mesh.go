@@ -23,16 +23,16 @@ type MeshMessage struct {
 	Payload  []float64
 }
 
-// MeshPayloadSize returns the exact encoded payload size of a mesh
+// meshPayloadSize returns the exact encoded payload size of a mesh
 // message with the given kind string and payload element count.
-func MeshPayloadSize(kind string, payloadLen int) int {
-	return meshFixedSize + len(kind) + Float64sSize(payloadLen)
+func meshPayloadSize(kind string, payloadLen int) int {
+	return meshFixedSize + len(kind) + float64sSize(payloadLen)
 }
 
 // appendMeshHead appends everything of a mesh frame that precedes the
 // vector words: header, envelope and element count.
 func appendMeshHead(dst []byte, m MeshMessage) []byte {
-	dst = AppendHeader(dst, KindMesh, MeshPayloadSize(m.Kind, len(m.Payload)))
+	dst = appendHeader(dst, KindMesh, meshPayloadSize(m.Kind, len(m.Payload)))
 	dst = appendMeshEnvelope(dst, m)
 	return appendUint32(dst, uint32(len(m.Payload)))
 }
@@ -51,10 +51,10 @@ func AppendMeshFrame(dst []byte, m MeshMessage) []byte {
 	return appendWords(appendMeshHead(dst, m), m.Payload)
 }
 
-// DecodeMeshPayload decodes a KindMesh payload held in memory. The kind
+// decodeMeshPayload decodes a KindMesh payload held in memory. The kind
 // string and payload vector are copied out of b. Streams go through
 // MeshDecoder, which accepts exactly the payloads this function accepts.
-func DecodeMeshPayload(b []byte) (MeshMessage, error) {
+func decodeMeshPayload(b []byte) (MeshMessage, error) {
 	var m MeshMessage
 	u, b, err := readUint64(b)
 	if err != nil {
@@ -72,11 +72,11 @@ func DecodeMeshPayload(b []byte) (MeshMessage, error) {
 	if m.Kind, b, err = readString(b); err != nil {
 		return m, err
 	}
-	if m.Payload, b, err = ReadFloat64s(b, nil); err != nil {
+	if m.Payload, b, err = readFloat64s(b, nil); err != nil {
 		return m, err
 	}
 	if len(b) != 0 {
-		return m, fmt.Errorf("%w: %d trailing bytes after mesh payload", ErrBadFrame, len(b))
+		return m, fmt.Errorf("%w: %d trailing bytes after mesh payload", errBadFrame, len(b))
 	}
 	return m, nil
 }

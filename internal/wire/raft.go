@@ -40,9 +40,9 @@ const (
 	raftFixedSize = 2 + 9*8 // type+flags then nine u64 fields
 )
 
-// RaftPayloadSize returns the exact encoded payload size of m, without
+// raftPayloadSize returns the exact encoded payload size of m, without
 // encoding it.
-func RaftPayloadSize(m raft.Message) int {
+func raftPayloadSize(m raft.Message) int {
 	n := raftFixedSize + entriesSize(m.Entries)
 	if m.Snapshot != nil {
 		n += snapshotSize(m.Snapshot)
@@ -52,11 +52,11 @@ func RaftPayloadSize(m raft.Message) int {
 
 // RaftFrameSize returns the exact on-wire size of m's frame, header
 // included — the number a byte counter records without encoding.
-func RaftFrameSize(m raft.Message) int { return HeaderSize + RaftPayloadSize(m) }
+func RaftFrameSize(m raft.Message) int { return HeaderSize + raftPayloadSize(m) }
 
 // AppendRaftFrame appends a complete frame (header + payload) for m.
 func AppendRaftFrame(dst []byte, m raft.Message) []byte {
-	dst = AppendHeader(dst, KindRaft, RaftPayloadSize(m))
+	dst = appendHeader(dst, KindRaft, raftPayloadSize(m))
 	var flags byte
 	if m.Granted {
 		flags |= raftFlagGranted
@@ -84,18 +84,18 @@ func AppendRaftFrame(dst []byte, m raft.Message) []byte {
 	return dst
 }
 
-// DecodeRaftPayload decodes a KindRaft payload. Entry data, snapshot
+// decodeRaftPayload decodes a KindRaft payload. Entry data, snapshot
 // contents and peer lists are copied out of b, so the caller may
 // recycle the read buffer immediately.
-func DecodeRaftPayload(b []byte) (raft.Message, error) {
+func decodeRaftPayload(b []byte) (raft.Message, error) {
 	var m raft.Message
 	if len(b) < raftFixedSize+4 {
-		return m, fmt.Errorf("%w: raft payload is %d bytes", ErrTruncated, len(b))
+		return m, fmt.Errorf("%w: raft payload is %d bytes", errTruncated, len(b))
 	}
 	m.Type = raft.MsgType(b[0])
 	flags := b[1]
 	if flags&^(raftFlagGranted|raftFlagReject|raftFlagSnapshot) != 0 {
-		return m, fmt.Errorf("%w: unknown raft flags %#x", ErrBadFrame, flags)
+		return m, fmt.Errorf("%w: unknown raft flags %#x", errBadFrame, flags)
 	}
 	m.Granted = flags&raftFlagGranted != 0
 	m.Reject = flags&raftFlagReject != 0
@@ -118,7 +118,7 @@ func DecodeRaftPayload(b []byte) (raft.Message, error) {
 		}
 	}
 	if len(b) != 0 {
-		return m, fmt.Errorf("%w: %d trailing bytes after raft payload", ErrBadFrame, len(b))
+		return m, fmt.Errorf("%w: %d trailing bytes after raft payload", errBadFrame, len(b))
 	}
 	return m, nil
 }
@@ -156,7 +156,7 @@ func readEntries(b []byte) ([]raft.Entry, []byte, error) {
 		return nil, nil, err
 	}
 	if uint64(n)*entryMinSize > uint64(len(b)) {
-		return nil, nil, fmt.Errorf("%w: %d entries in %d bytes", ErrTruncated, n, len(b))
+		return nil, nil, fmt.Errorf("%w: %d entries in %d bytes", errTruncated, n, len(b))
 	}
 	if n == 0 {
 		return nil, b, nil
@@ -164,7 +164,7 @@ func readEntries(b []byte) ([]raft.Entry, []byte, error) {
 	es := make([]raft.Entry, n)
 	for i := range es {
 		if len(b) < entryMinSize {
-			return nil, nil, ErrTruncated
+			return nil, nil, errTruncated
 		}
 		e := &es[i]
 		e.Index = binary.LittleEndian.Uint64(b)
@@ -195,7 +195,7 @@ func readPeers(b []byte) ([]uint64, []byte, error) {
 		return nil, nil, err
 	}
 	if uint64(n)*8 > uint64(len(b)) {
-		return nil, nil, fmt.Errorf("%w: %d peers in %d bytes", ErrTruncated, n, len(b))
+		return nil, nil, fmt.Errorf("%w: %d peers in %d bytes", errTruncated, n, len(b))
 	}
 	if n == 0 {
 		return nil, b, nil
@@ -220,7 +220,7 @@ func appendSnapshot(dst []byte, s *raft.Snapshot) []byte {
 
 func readSnapshot(b []byte) (*raft.Snapshot, []byte, error) {
 	if len(b) < 16 {
-		return nil, nil, ErrTruncated
+		return nil, nil, errTruncated
 	}
 	s := &raft.Snapshot{Index: binary.LittleEndian.Uint64(b), Term: binary.LittleEndian.Uint64(b[8:])}
 	var err error
@@ -241,7 +241,7 @@ func ReadRaftFrame(r io.Reader, scratch []byte) (raft.Message, []byte, error) {
 	if err != nil {
 		return raft.Message{}, scratch, err
 	}
-	m, err := DecodeRaftPayload(payload)
+	m, err := decodeRaftPayload(payload)
 	return m, scratch, err
 }
 
@@ -258,7 +258,7 @@ func readFrame(r io.Reader, want Kind, scratch []byte) (payload, grown []byte, e
 		return nil, scratch, err
 	}
 	if kind != want {
-		return nil, scratch, fmt.Errorf("%w: kind %s, want %s", ErrBadFrame, kind, want)
+		return nil, scratch, fmt.Errorf("%w: kind %s, want %s", errBadFrame, kind, want)
 	}
 	buf, err := readPayload(r, n, scratch)
 	if err != nil {

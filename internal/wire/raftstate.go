@@ -28,9 +28,9 @@ const (
 	raftStateFixedSize = 1 + 3*8 // flags then the hard state
 )
 
-// RaftStateFrameSize returns the exact frame size of ps, header
+// raftStateFrameSize returns the exact frame size of ps, header
 // included, without encoding it.
-func RaftStateFrameSize(ps raft.PersistentState) int {
+func raftStateFrameSize(ps raft.PersistentState) int {
 	n := HeaderSize + raftStateFixedSize + peersSize(ps.Peers) + entriesSize(ps.Log)
 	if ps.Snapshot != nil {
 		n += snapshotSize(ps.Snapshot)
@@ -41,8 +41,8 @@ func RaftStateFrameSize(ps raft.PersistentState) int {
 // AppendRaftStateFrame appends a complete frame (header + payload) for
 // ps.
 func AppendRaftStateFrame(dst []byte, ps raft.PersistentState) []byte {
-	size := RaftStateFrameSize(ps)
-	dst = AppendHeader(slices.Grow(dst, size), KindRaftState, size-HeaderSize)
+	size := raftStateFrameSize(ps)
+	dst = appendHeader(slices.Grow(dst, size), KindRaftState, size-HeaderSize)
 	var flags byte
 	if ps.Snapshot != nil {
 		flags |= raftStateFlagSnapshot
@@ -59,16 +59,16 @@ func AppendRaftStateFrame(dst []byte, ps raft.PersistentState) []byte {
 	return dst
 }
 
-// DecodeRaftStatePayload decodes a KindRaftState payload, copying all
+// decodeRaftStatePayload decodes a KindRaftState payload, copying all
 // contents out of b. Empty lists and byte strings decode as nil.
-func DecodeRaftStatePayload(b []byte) (raft.PersistentState, error) {
+func decodeRaftStatePayload(b []byte) (raft.PersistentState, error) {
 	var ps raft.PersistentState
 	if len(b) < raftStateFixedSize {
-		return ps, fmt.Errorf("%w: raft state payload is %d bytes", ErrTruncated, len(b))
+		return ps, fmt.Errorf("%w: raft state payload is %d bytes", errTruncated, len(b))
 	}
 	flags := b[0]
 	if flags&^raftStateFlagSnapshot != 0 {
-		return ps, fmt.Errorf("%w: unknown raft state flags %#x", ErrBadFrame, flags)
+		return ps, fmt.Errorf("%w: unknown raft state flags %#x", errBadFrame, flags)
 	}
 	ps.Hard.Term = binary.LittleEndian.Uint64(b[1:])
 	ps.Hard.VotedFor = binary.LittleEndian.Uint64(b[9:])
@@ -86,14 +86,14 @@ func DecodeRaftStatePayload(b []byte) (raft.PersistentState, error) {
 		}
 	}
 	if len(b) != 0 {
-		return ps, fmt.Errorf("%w: %d trailing bytes after raft state payload", ErrBadFrame, len(b))
+		return ps, fmt.Errorf("%w: %d trailing bytes after raft state payload", errBadFrame, len(b))
 	}
 	return ps, nil
 }
 
 // ReadRaftStateFrame reads one complete raft-state frame from r. Input
 // that is not a wire frame at all (an empty or foreign file) fails with
-// ErrBadMagic or an io error, never with a partial state.
+// errBadMagic or an io error, never with a partial state.
 func ReadRaftStateFrame(r io.Reader) (raft.PersistentState, error) {
-	return readOne(r, KindRaftState, DecodeRaftStatePayload)
+	return readOne(r, KindRaftState, decodeRaftStatePayload)
 }

@@ -168,7 +168,7 @@ func (d *MeshDecoder) ReadFrame(r io.Reader, vec func(n int) []float64) (MeshMes
 		return MeshMessage{}, err
 	}
 	if kind != KindMesh {
-		return MeshMessage{}, fmt.Errorf("%w: kind %s, want %s", ErrBadFrame, kind, KindMesh)
+		return MeshMessage{}, fmt.Errorf("%w: kind %s, want %s", errBadFrame, kind, KindMesh)
 	}
 	return d.readMesh(r, n, vec)
 }
@@ -176,8 +176,8 @@ func (d *MeshDecoder) ReadFrame(r io.Reader, vec func(n int) []float64) (MeshMes
 // readMesh decodes a KindMesh payload of payloadLen bytes from r.
 func (d *MeshDecoder) readMesh(r io.Reader, payloadLen int, vec func(n int) []float64) (MeshMessage, error) {
 	var m MeshMessage
-	if payloadLen < MeshPayloadSize("", 0) {
-		return m, fmt.Errorf("%w: %d-byte mesh payload", ErrTruncated, payloadLen)
+	if payloadLen < meshPayloadSize("", 0) {
+		return m, fmt.Errorf("%w: %d-byte mesh payload", errTruncated, payloadLen)
 	}
 	fixed := d.fixed[HeaderSize:]
 	if _, err := io.ReadFull(r, fixed); err != nil {
@@ -187,8 +187,8 @@ func (d *MeshDecoder) readMesh(r io.Reader, payloadLen int, vec func(n int) []fl
 	m.To = int(int64(binary.LittleEndian.Uint64(fixed[8:])))
 	m.ShareIdx = int(int64(binary.LittleEndian.Uint64(fixed[16:])))
 	kindLen := int(binary.LittleEndian.Uint32(fixed[24:]))
-	if kindLen > payloadLen-MeshPayloadSize("", 0) {
-		return m, fmt.Errorf("%w: %d-byte kind string in %d-byte mesh payload", ErrTruncated, kindLen, payloadLen)
+	if kindLen > payloadLen-meshPayloadSize("", 0) {
+		return m, fmt.Errorf("%w: %d-byte kind string in %d-byte mesh payload", errTruncated, kindLen, payloadLen)
 	}
 	// Kind string and element count, read under the same growth bound as
 	// any other header-announced byte run.
@@ -202,11 +202,11 @@ func (d *MeshDecoder) readMesh(r io.Reader, payloadLen int, vec func(n int) []fl
 	// The header and the envelope must agree to the byte before the
 	// vector is touched: a short claim would leave trailing bytes, a long
 	// one would read into the next frame.
-	if want := int64(MeshPayloadSize(m.Kind, 0)) + 8*int64(count); int64(payloadLen) != want {
+	if want := int64(meshPayloadSize(m.Kind, 0)) + 8*int64(count); int64(payloadLen) != want {
 		if int64(payloadLen) < want {
-			return m, fmt.Errorf("%w: %d floats in %d-byte mesh payload", ErrTruncated, count, payloadLen)
+			return m, fmt.Errorf("%w: %d floats in %d-byte mesh payload", errTruncated, count, payloadLen)
 		}
-		return m, fmt.Errorf("%w: %d trailing bytes after mesh payload", ErrBadFrame, int64(payloadLen)-want)
+		return m, fmt.Errorf("%w: %d trailing bytes after mesh payload", errBadFrame, int64(payloadLen)-want)
 	}
 	m.Payload, err = d.readVector(r, count, vec)
 	return m, err
@@ -278,7 +278,7 @@ func shortPayload(err error) error {
 // Larger payloads grow the buffer geometrically, but only after the
 // bytes already promised have actually arrived — so a length-field lie
 // on a short stream costs at most framePrealloc (or double the bytes
-// genuinely received), never a MaxPayload-sized allocation.
+// genuinely received), never a maxPayload-sized allocation.
 const framePrealloc = 64 << 10
 
 // readPayload reads n header-announced bytes from r into scratch

@@ -14,7 +14,7 @@ import (
 
 // Streaming-codec suite: the MeshEncoder/MeshDecoder pair must put and
 // accept exactly the bytes of the buffered codec (AppendMeshFrame /
-// DecodeMeshPayload), keep the hostile-frame allocation bound with and
+// decodeMeshPayload), keep the hostile-frame allocation bound with and
 // without a caller-supplied destination, and never hand back a partially
 // filled destination as a message. Run under -race via make test-wire.
 
@@ -38,7 +38,7 @@ func sameMesh(a, b MeshMessage) bool {
 
 // checkStreamAgrees is the differential oracle: on any byte string, the
 // streaming decoder must accept exactly what header validation plus
-// DecodeMeshPayload accept, and decode it to the same message.
+// decodeMeshPayload accept, and decode it to the same message.
 func checkStreamAgrees(t *testing.T, data []byte) {
 	t.Helper()
 	got, _, gotErr := ReadMeshFrame(bytes.NewReader(data), nil)
@@ -50,7 +50,7 @@ func checkStreamAgrees(t *testing.T, data []byte) {
 		}
 		return
 	}
-	want, wantErr := DecodeMeshPayload(data[HeaderSize : HeaderSize+n])
+	want, wantErr := decodeMeshPayload(data[HeaderSize : HeaderSize+n])
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("stream decoder: %v, DecodeMeshPayload: %v\nframe % x", gotErr, wantErr, data[:min(len(data), 96)])
 	}
@@ -80,8 +80,8 @@ func TestStreamEncoderMatchesAppendMeshFrame(t *testing.T) {
 		if got := streamFrame(t, &enc, m); !bytes.Equal(got, want) {
 			t.Fatalf("dim %d: streamed frame differs from AppendMeshFrame", dim)
 		}
-		if len(want) != HeaderSize+MeshPayloadSize(m.Kind, dim) {
-			t.Fatalf("dim %d: frame is %d bytes, MeshPayloadSize says %d", dim, len(want), HeaderSize+MeshPayloadSize(m.Kind, dim))
+		if len(want) != HeaderSize+meshPayloadSize(m.Kind, dim) {
+			t.Fatalf("dim %d: frame is %d bytes, MeshPayloadSize says %d", dim, len(want), HeaderSize+meshPayloadSize(m.Kind, dim))
 		}
 		checkStreamAgrees(t, want)
 	}
@@ -97,8 +97,8 @@ func TestStreamHonestModelFrameRoundTrips(t *testing.T) {
 		m.Payload[i] = float64(i)*1e-3 - 600
 	}
 	frame := streamFrame(t, new(MeshEncoder), m)
-	if len(frame) != HeaderSize+MeshPayloadSize(m.Kind, dim) {
-		t.Fatalf("frame is %d bytes, want %d", len(frame), HeaderSize+MeshPayloadSize(m.Kind, dim))
+	if len(frame) != HeaderSize+meshPayloadSize(m.Kind, dim) {
+		t.Fatalf("frame is %d bytes, want %d", len(frame), HeaderSize+meshPayloadSize(m.Kind, dim))
 	}
 	pooled := make([]float64, dim+100)
 	var dec MeshDecoder
@@ -159,8 +159,8 @@ func TestStreamBitFlipSweepAgrees(t *testing.T) {
 // meshClaim builds a mesh frame whose header and envelope consistently
 // announce count floats but which carries only the given words.
 func meshClaim(kind string, count uint32, words []float64) []byte {
-	b := AppendHeader(nil, KindMesh, 0)
-	binary.LittleEndian.PutUint32(b[8:12], uint32(MeshPayloadSize(kind, 0))+8*count)
+	b := appendHeader(nil, KindMesh, 0)
+	binary.LittleEndian.PutUint32(b[8:12], uint32(meshPayloadSize(kind, 0))+8*count)
 	b = appendMeshEnvelope(b, MeshMessage{From: 1, To: 2, Kind: kind})
 	b = appendUint32(b, count)
 	return appendWords(b, words)
@@ -176,7 +176,7 @@ func TestStreamHeaderEnvelopeDisagreement(t *testing.T) {
 	for name, forge := range map[string]func(b []byte){
 		"header-short":   func(b []byte) { binary.LittleEndian.PutUint32(b[8:12], truth-8) },
 		"header-long":    func(b []byte) { binary.LittleEndian.PutUint32(b[8:12], truth+8) },
-		"header-huge":    func(b []byte) { binary.LittleEndian.PutUint32(b[8:12], MaxPayload) },
+		"header-huge":    func(b []byte) { binary.LittleEndian.PutUint32(b[8:12], maxPayload) },
 		"header-tiny":    func(b []byte) { binary.LittleEndian.PutUint32(b[8:12], meshFixedSize) },
 		"count-short":    func(b []byte) { binary.LittleEndian.PutUint32(b[countAt:], 3) },
 		"count-long":     func(b []byte) { binary.LittleEndian.PutUint32(b[countAt:], 5) },
@@ -194,7 +194,7 @@ func TestStreamHeaderEnvelopeDisagreement(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s: accepted as %+v", name, m)
 		}
-		if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrBadFrame) {
+		if !errors.Is(err, errTruncated) && !errors.Is(err, errBadFrame) {
 			t.Fatalf("%s: %v is neither ErrTruncated nor ErrBadFrame", name, err)
 		}
 		checkStreamAgrees(t, b)
@@ -208,7 +208,7 @@ func TestStreamHeaderEnvelopeDisagreement(t *testing.T) {
 // has already delivered an honest vector may pre-size to that, no more;
 // a caller-supplied destination is filled in place and handed back.
 func TestStreamLyingVectorBoundsAllocation(t *testing.T) {
-	const huge = (MaxPayload - 64) / 8
+	const huge = (maxPayload - 64) / 8
 	for _, delivered := range []int{0, 7, stageWords, 25_000, 200_000} {
 		lie := meshClaim("sac/share", huge, make([]float64, delivered))
 		var dec MeshDecoder

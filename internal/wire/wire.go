@@ -41,12 +41,12 @@ import (
 
 // Frame constants.
 const (
-	// Magic opens every frame. Input that does not start with it — a
-	// foreign or pre-wire file — is rejected with ErrBadMagic; no reader
+	// magic opens every frame. Input that does not start with it — a
+	// foreign or pre-wire file — is rejected with errBadMagic; no reader
 	// sniffs for another format.
-	Magic = "P2FW"
-	// Version is the current frame format version.
-	Version = 1
+	magic = "P2FW"
+	// version is the current frame format version.
+	version = 1
 	// HeaderSize is the fixed frame header length in bytes.
 	HeaderSize = 12
 )
@@ -109,29 +109,28 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(0x%02x)", byte(k))
 }
 
-// MaxPayload bounds a single frame's payload: 1 GiB is far above any
+// maxPayload bounds a single frame's payload: 1 GiB is far above any
 // real model (a 16M-parameter vector is 128 MiB) but small enough that
 // a corrupt length prefix cannot drive a multi-gigabyte allocation.
-const MaxPayload = 1 << 30
+const maxPayload = 1 << 30
 
-// Errors returned by decoders. They wrap fmt errors with context; use
-// errors.Is against these sentinels.
+// Errors returned by decoders, wrapped with context.
 var (
-	// ErrBadMagic reports a frame that does not open with Magic.
-	ErrBadMagic = fmt.Errorf("wire: bad magic")
-	// ErrBadVersion reports an unknown format version.
-	ErrBadVersion = fmt.Errorf("wire: unsupported version")
-	// ErrTruncated reports a payload shorter than its layout requires.
-	ErrTruncated = fmt.Errorf("wire: truncated payload")
-	// ErrBadFrame reports any other malformed header or payload field.
-	ErrBadFrame = fmt.Errorf("wire: malformed frame")
+	// errBadMagic reports a frame that does not open with magic.
+	errBadMagic = fmt.Errorf("wire: bad magic")
+	// errBadVersion reports an unknown format version.
+	errBadVersion = fmt.Errorf("wire: unsupported version")
+	// errTruncated reports a payload shorter than its layout requires.
+	errTruncated = fmt.Errorf("wire: truncated payload")
+	// errBadFrame reports any other malformed header or payload field.
+	errBadFrame = fmt.Errorf("wire: malformed frame")
 )
 
-// AppendHeader appends a frame header for a payload of payloadLen bytes
+// appendHeader appends a frame header for a payload of payloadLen bytes
 // and the given kind.
-func AppendHeader(dst []byte, kind Kind, payloadLen int) []byte {
-	dst = append(dst, Magic...)
-	dst = append(dst, Version, byte(kind), 0, 0)
+func appendHeader(dst []byte, kind Kind, payloadLen int) []byte {
+	dst = append(dst, magic...)
+	dst = append(dst, version, byte(kind), 0, 0)
 	return binary.LittleEndian.AppendUint32(dst, uint32(payloadLen))
 }
 
@@ -139,20 +138,20 @@ func AppendHeader(dst []byte, kind Kind, payloadLen int) []byte {
 // payload length.
 func ParseHeader(h []byte) (kind Kind, payloadLen int, err error) {
 	if len(h) < HeaderSize {
-		return 0, 0, fmt.Errorf("%w: header is %d bytes, want %d", ErrTruncated, len(h), HeaderSize)
+		return 0, 0, fmt.Errorf("%w: header is %d bytes, want %d", errTruncated, len(h), HeaderSize)
 	}
-	if string(h[:4]) != Magic {
-		return 0, 0, fmt.Errorf("%w: % x", ErrBadMagic, h[:4])
+	if string(h[:4]) != magic {
+		return 0, 0, fmt.Errorf("%w: % x", errBadMagic, h[:4])
 	}
-	if h[4] != Version {
-		return 0, 0, fmt.Errorf("%w: %d", ErrBadVersion, h[4])
+	if h[4] != version {
+		return 0, 0, fmt.Errorf("%w: %d", errBadVersion, h[4])
 	}
 	if h[6] != 0 || h[7] != 0 {
-		return 0, 0, fmt.Errorf("%w: nonzero reserved bytes", ErrBadFrame)
+		return 0, 0, fmt.Errorf("%w: nonzero reserved bytes", errBadFrame)
 	}
 	n := binary.LittleEndian.Uint32(h[8:12])
-	if n > MaxPayload {
-		return 0, 0, fmt.Errorf("%w: payload length %d exceeds %d", ErrBadFrame, n, MaxPayload)
+	if n > maxPayload {
+		return 0, 0, fmt.Errorf("%w: payload length %d exceeds %d", errBadFrame, n, maxPayload)
 	}
 	return Kind(h[5]), int(n), nil
 }
@@ -169,14 +168,14 @@ func appendUint64(dst []byte, v uint64) []byte { return binary.LittleEndian.Appe
 
 func readUint32(b []byte) (uint32, []byte, error) {
 	if len(b) < 4 {
-		return 0, nil, ErrTruncated
+		return 0, nil, errTruncated
 	}
 	return binary.LittleEndian.Uint32(b), b[4:], nil
 }
 
 func readUint64(b []byte) (uint64, []byte, error) {
 	if len(b) < 8 {
-		return 0, nil, ErrTruncated
+		return 0, nil, errTruncated
 	}
 	return binary.LittleEndian.Uint64(b), b[8:], nil
 }
@@ -195,7 +194,7 @@ func readBytes(b []byte) ([]byte, []byte, error) {
 		return nil, nil, err
 	}
 	if uint64(n) > uint64(len(b)) {
-		return nil, nil, ErrTruncated
+		return nil, nil, errTruncated
 	}
 	if n == 0 {
 		return nil, b, nil
@@ -217,31 +216,31 @@ func readString(b []byte) (string, []byte, error) {
 		return "", nil, err
 	}
 	if uint64(n) > uint64(len(b)) {
-		return "", nil, ErrTruncated
+		return "", nil, errTruncated
 	}
 	return string(b[:n]), b[n:], nil
 }
 
-// AppendFloat64s appends a float vector as a uint32 element count
+// appendFloat64s appends a float vector as a uint32 element count
 // followed by len(v) little-endian IEEE-754 words — the contiguous
 // block layout every model-dimension payload uses.
-func AppendFloat64s(dst []byte, v []float64) []byte {
+func appendFloat64s(dst []byte, v []float64) []byte {
 	return appendWords(appendUint32(dst, uint32(len(v))), v)
 }
 
-// Float64sSize returns the encoded size of an n-element float vector.
-func Float64sSize(n int) int { return 4 + 8*n }
+// float64sSize returns the encoded size of an n-element float vector.
+func float64sSize(n int) int { return 4 + 8*n }
 
-// ReadFloat64s decodes a float vector into dst (reused when its
+// readFloat64s decodes a float vector into dst (reused when its
 // capacity suffices, so steady-state decodes of a stable model
 // dimension allocate nothing) and returns the vector and the rest of b.
-func ReadFloat64s(b []byte, dst []float64) ([]float64, []byte, error) {
+func readFloat64s(b []byte, dst []float64) ([]float64, []byte, error) {
 	n, b, err := readUint32(b)
 	if err != nil {
 		return nil, nil, err
 	}
 	if uint64(n)*8 > uint64(len(b)) {
-		return nil, nil, ErrTruncated
+		return nil, nil, errTruncated
 	}
 	if cap(dst) < int(n) {
 		dst = make([]float64, n)

@@ -43,7 +43,7 @@ func TestRaftRoundTrip(t *testing.T) {
 		if err != nil || kind != KindRaft || n != len(frame)-HeaderSize {
 			t.Fatalf("msg %d: header kind=%d len=%d err=%v", i, kind, n, err)
 		}
-		got, err := DecodeRaftPayload(frame[HeaderSize:])
+		got, err := decodeRaftPayload(frame[HeaderSize:])
 		if err != nil {
 			t.Fatalf("msg %d: decode: %v", i, err)
 		}
@@ -86,7 +86,7 @@ func TestMeshRoundTrip(t *testing.T) {
 	}
 	for i, m := range msgs {
 		frame := AppendMeshFrame(nil, m)
-		if want := HeaderSize + MeshPayloadSize(m.Kind, len(m.Payload)); len(frame) != want {
+		if want := HeaderSize + meshPayloadSize(m.Kind, len(m.Payload)); len(frame) != want {
 			t.Fatalf("msg %d: frame is %d bytes, MeshPayloadSize says %d", i, len(frame), want)
 		}
 		got, _, err := ReadMeshFrame(bytes.NewReader(frame), nil)
@@ -111,7 +111,7 @@ func TestMeshRoundTrip(t *testing.T) {
 // healthy runs, but the codec must not silently canonicalize payloads.
 func TestFloat64sNaNBitPatterns(t *testing.T) {
 	in := []float64{math.NaN(), math.Float64frombits(0x7FF8_0000_0000_0001)}
-	out, rest, err := ReadFloat64s(AppendFloat64s(nil, in), nil)
+	out, rest, err := readFloat64s(appendFloat64s(nil, in), nil)
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("err=%v rest=%d", err, len(rest))
 	}
@@ -123,9 +123,9 @@ func TestFloat64sNaNBitPatterns(t *testing.T) {
 }
 
 func TestReadFloat64sReusesDst(t *testing.T) {
-	frame := AppendFloat64s(nil, []float64{1, 2, 3})
+	frame := appendFloat64s(nil, []float64{1, 2, 3})
 	dst := make([]float64, 0, 8)
-	out, _, err := ReadFloat64s(frame, dst)
+	out, _, err := readFloat64s(frame, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	for i, cp := range cps {
 		frame := AppendCheckpointFrame(nil, cp)
-		if want := HeaderSize + CheckpointPayloadSize(cp); len(frame) != want {
+		if want := HeaderSize + checkpointPayloadSize(cp); len(frame) != want {
 			t.Fatalf("cp %d: frame is %d bytes, CheckpointPayloadSize says %d", i, len(frame), want)
 		}
 		got, err := ReadCheckpointFrame(bytes.NewReader(frame))
@@ -156,7 +156,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestParseHeaderRejects(t *testing.T) {
-	good := AppendHeader(nil, KindRaft, 0)
+	good := appendHeader(nil, KindRaft, 0)
 	cases := map[string]func([]byte) []byte{
 		"short":        func(h []byte) []byte { return h[:HeaderSize-1] },
 		"magic":        func(h []byte) []byte { h[0] = 'X'; return h },
@@ -181,21 +181,21 @@ func TestTruncationNeverPanics(t *testing.T) {
 	m := sampleRaftMessages()[4]
 	frame := AppendRaftFrame(nil, m)
 	for cut := HeaderSize; cut < len(frame); cut++ {
-		if _, err := DecodeRaftPayload(frame[HeaderSize:cut]); err == nil {
+		if _, err := decodeRaftPayload(frame[HeaderSize:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
 	mm := MeshMessage{From: 1, To: 2, Kind: "sac/share", ShareIdx: 0, Payload: []float64{1, 2}}
 	mf := AppendMeshFrame(nil, mm)
 	for cut := HeaderSize; cut < len(mf); cut++ {
-		if _, err := DecodeMeshPayload(mf[HeaderSize:cut]); err == nil {
+		if _, err := decodeMeshPayload(mf[HeaderSize:cut]); err == nil {
 			t.Fatalf("mesh truncation at %d accepted", cut)
 		}
 	}
 	cp := Checkpoint{Names: []string{"w"}, Sizes: []int{2}, Weights: []float64{1, 2}}
 	cf := AppendCheckpointFrame(nil, cp)
 	for cut := HeaderSize; cut < len(cf); cut++ {
-		if _, err := DecodeCheckpointPayload(cf[HeaderSize:cut]); err == nil {
+		if _, err := decodeCheckpointPayload(cf[HeaderSize:cut]); err == nil {
 			t.Fatalf("checkpoint truncation at %d accepted", cut)
 		}
 	}
@@ -203,7 +203,7 @@ func TestTruncationNeverPanics(t *testing.T) {
 
 func TestTrailingBytesRejected(t *testing.T) {
 	frame := AppendRaftFrame(nil, raft.Message{Type: raft.MsgVoteRequest})
-	if _, err := DecodeRaftPayload(append(frame[HeaderSize:], 0)); !errors.Is(err, ErrBadFrame) {
+	if _, err := decodeRaftPayload(append(frame[HeaderSize:], 0)); !errors.Is(err, errBadFrame) {
 		t.Fatalf("trailing byte: got %v, want ErrBadFrame", err)
 	}
 }
@@ -218,7 +218,7 @@ func TestCorruptCountsRejectedBeforeAllocation(t *testing.T) {
 	// Entry count lives right after the fixed fields.
 	off := raftFixedSize
 	payload[off], payload[off+1], payload[off+2], payload[off+3] = 0xFF, 0xFF, 0xFF, 0x7F
-	if _, err := DecodeRaftPayload(payload); !errors.Is(err, ErrTruncated) {
+	if _, err := decodeRaftPayload(payload); !errors.Is(err, errTruncated) {
 		t.Fatalf("absurd entry count: got %v, want ErrTruncated", err)
 	}
 }
