@@ -16,7 +16,7 @@ BENCH_ARGS := -run '^$$' -bench $(BENCH_PATTERN) -benchmem -benchtime 10x \
 	./internal/raft/ ./internal/sac/ ./internal/transport/
 TIME_PAIRS := 'RaftTickLive=RaftTickNil,SACRoundLive=SACRoundNil,RaftTCPSendHealthyPeerAsync=RaftTCPSendHealthyPeerSync'
 
-.PHONY: all build vet test race chaos-smoke check bench-check test-telemetry test-health test-wire test-byzantine test-compress test-wan test-churn test-scale test-compose test-node test-train
+.PHONY: all build vet test size race chaos-smoke check bench-check test-telemetry test-health test-wire test-byzantine test-compress test-wan test-churn test-scale test-compose test-node test-train
 
 all: check
 
@@ -37,6 +37,13 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Non-test Go lines outside bench/, per package directory and in total:
+# the count ROADMAP's size figures quote.
+size:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec wc -l {} + | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # The wan line starts at seed 16: the paper-profile control counts
 # spurious elections on seeds 16, 17, 19 and 20 only, and a sweep whose

@@ -501,10 +501,17 @@ type module struct {
 	pkgs  []*types.Package
 }
 
+// loaded is the module as loadModule first type-checked it; the guards
+// only read it, so they share one.
+var loaded *module
+
 // loadModule type-checks the module's non-test files and the standard
-// library from source.
+// library from source, once per test binary.
 func loadModule(t *testing.T) module {
 	t.Helper()
+	if loaded != nil {
+		return *loaded
+	}
 	out, err := exec.Command("go", "list", "-deps", "-f",
 		`{{if not .Standard}}{{.ImportPath}}{{"\t"}}{{.Dir}}{{"\t"}}{{join .GoFiles " "}}{{end}}`, "./...").Output()
 	if err != nil {
@@ -541,6 +548,7 @@ func loadModule(t *testing.T) module {
 		m.files = append(m.files, pkgFiles...)
 		m.pkgs = append(m.pkgs, pkg)
 	}
+	loaded = &m
 	return m
 }
 
@@ -762,7 +770,7 @@ func TestEveryExportIsNamedOutsideItsPackage(t *testing.T) {
 		t.Errorf("%s is named by no other package: unexport it, or name the caller that needs it", u)
 	}
 	for name, reason := range exportsKept {
-		if !strings.HasPrefix(reason, "reference: ") && !strings.HasPrefix(reason, "test helper: ") && !strings.HasPrefix(reason, "roadmap item ") {
+		if !admitted(reason) {
 			t.Errorf("exportsKept entry %s: reason %q is none of the three admitted kinds", name, reason)
 		}
 		if !declared[name] {
@@ -833,6 +841,17 @@ var kept = func() map[string]string {
 	return m
 }()
 
+// admitted reports whether a kept or exportsKept reason is of one of the
+// three admitted kinds.
+func admitted(reason string) bool {
+	for _, kind := range []string{"reference: ", "test helper: ", "roadmap item "} {
+		if strings.HasPrefix(reason, kind) {
+			return true
+		}
+	}
+	return false
+}
+
 // TestEveryFunctionShipsInAProgram is the guard behind "serve the
 // traffic that exists": every function declared under internal/ is
 // linked into at least one main package (cmd/*, examples/*, bench), or
@@ -861,7 +880,7 @@ func TestEveryFunctionShipsInAProgram(t *testing.T) {
 		t.Errorf("%s is linked into no program: delete it, or ship its caller with it", u)
 	}
 	for name, reason := range kept {
-		if !strings.HasPrefix(reason, "reference: ") && !strings.HasPrefix(reason, "test helper: ") && !strings.HasPrefix(reason, "roadmap item ") {
+		if !admitted(reason) {
 			t.Errorf("kept entry %s: reason %q is none of the three admitted kinds", name, reason)
 		}
 		switch {

@@ -31,7 +31,7 @@ func (FedAvg) Name() string { return "fedavg" }
 
 // Aggregate implements Aggregator: the FedAvg update
 // w ← Σ_k (n_k / n) · w_k, where n_k is the sample count backing model k.
-// Every count must be finite and non-negative, and one positive.
+// Every count must be finite and non-negative, and at least one positive.
 func (FedAvg) Aggregate(models [][]float64, counts []float64) ([]float64, error) {
 	if err := checkModels(models, counts); err != nil {
 		return nil, err

@@ -1,6 +1,6 @@
 // Package nn implements the from-scratch neural-network stack used by the
 // federated-learning experiments: dense and convolutional layers, pooling,
-// dropout, relu, a fused softmax/cross-entropy loss and a sequential model
+// dropout, ReLU, a fused softmax/cross-entropy loss and a sequential model
 // container whose weights can be flattened to a vector — the representation
 // exchanged by the SAC and FedAvg aggregation protocols.
 //
