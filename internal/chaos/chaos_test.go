@@ -192,3 +192,30 @@ func TestReplayRoundTrip(t *testing.T) {
 		t.Fatal("replayed verdict differs from original")
 	}
 }
+
+// A fault mix whose actions the target cannot carry out would pass
+// vacuously: raft-kv drops adversary marks and churn operations, and a
+// subgroup of fewer than four peers takes no adversary mark unless
+// churn can grow it. Each such campaign reports a config violation.
+func TestVacuousMixIsAConfigViolation(t *testing.T) {
+	for _, c := range []Campaign{
+		{Seed: 1, Steps: 24, Mix: ByzantineMix},
+		{Seed: 1, Steps: 24, Mix: ChurnMix},
+		{Seed: 1, Steps: 24, Mix: ByzantineMix, Target: TargetTwoLayer, SubgroupSize: 3},
+	} {
+		rep := c.Run()
+		if len(rep.Violations) != 1 || rep.Violations[0].Invariant != "config" {
+			t.Errorf("mix %+v on %q with n = %d: violations %v, want one config violation",
+				c.Mix, c.Target, c.SubgroupSize, rep.Violations)
+		}
+	}
+	// Churn can grow a subgroup to four, and n = 4 hosts a mark.
+	for _, c := range []Campaign{
+		{Seed: 1, Steps: 24, Mix: FaultMix{Byzantine: 1, Churn: 1}, Target: TargetTwoLayer, SubgroupSize: 3},
+		{Seed: 1, Steps: 24, Mix: ByzantineMix, Target: TargetTwoLayer},
+	} {
+		if rep := c.Run(); !rep.Passed() {
+			t.Errorf("mix %+v with n = %d: %v", c.Mix, c.SubgroupSize, rep.Violations)
+		}
+	}
+}
