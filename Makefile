@@ -45,48 +45,46 @@ size:
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
+# Each oracle runs once per seed, through its track: the soak's faults
+# track runs the SAC oracle after every schedule, so it starts at seed 2
+# and the compose line, whose sixty two-layer cells at -steps 12 hold the
+# single two-layer campaigns these targets used to list, runs seed 1's.
 # The wan line starts at seed 16: the paper-profile control counts
 # spurious elections on seeds 16, 17, 19 and 20 only, and a sweep whose
 # control stays at zero exits 1.
 race:
 	$(GO) test -race ./...
-	$(GO) run -race ./cmd/p2pfl-chaos -seed 1 -soak 10s
-	$(GO) run -race ./cmd/p2pfl-chaos -seed 1 -target two-layer -steps 12
-	$(GO) run -race ./cmd/p2pfl-chaos -seed 1 -target two-layer -mix flap -profile lan -steps 12
-	$(GO) run -race ./cmd/p2pfl-chaos -seed 1 -target two-layer -mix byzantine -n 4 -steps 12
-	$(GO) run -race ./cmd/p2pfl-chaos -seed 1 -target two-layer -mix churn -steps 12
+	$(GO) run -race ./cmd/p2pfl-chaos -seed 2 -soak 10s
+	$(GO) run -race ./cmd/p2pfl-chaos -track compose -seeds 1 -steps 12
+	$(GO) run -race ./cmd/p2pfl-chaos -track byzantine -seed 1
 	$(GO) run -race ./cmd/p2pfl-chaos -track wan -seed 16 -seeds 5
 	$(GO) run -race ./cmd/p2pfl-chaos -track churn -seeds 5
 	$(GO) run -race ./cmd/p2pfl-chaos -track shard -seeds 3
 
-# 30-second deterministic chaos sweep. The start seed is pinned so CI
-# failures reproduce locally: any red seed reruns exactly with
-#   go run ./cmd/p2pfl-chaos -seed <seed> [-target two-layer -mix flap -profile lan]
+# 30-second deterministic chaos sweep. The start seeds are pinned so CI
+# failures reproduce locally: a red seed prints the flags that rerun it
+# alone, and a red schedule also writes a replay file.
 chaos-smoke:
-	$(GO) run ./cmd/p2pfl-chaos -seed 1 -soak 30s
-	$(GO) run ./cmd/p2pfl-chaos -seed 1 -target two-layer -steps 12
-	$(GO) run ./cmd/p2pfl-chaos -seed 1 -target two-layer -mix flap -profile lan -steps 12
-	$(GO) run ./cmd/p2pfl-chaos -seed 1 -target two-layer -mix byzantine -n 4 -steps 12
-	$(GO) run ./cmd/p2pfl-chaos -seed 1 -track byzantine -steps 12
-	$(GO) run ./cmd/p2pfl-chaos -seed 1 -target two-layer -topology wan50 -profile wan -steps 12
-	$(GO) run ./cmd/p2pfl-chaos -seed 1 -target two-layer -mix churn -steps 12
-	$(GO) run ./cmd/p2pfl-chaos -seed 19 -target two-layer -topology wan50 -mix churn -n 4
+	$(GO) run ./cmd/p2pfl-chaos -seed 2 -soak 30s
+	$(GO) run ./cmd/p2pfl-chaos -track compose -seeds 1 -steps 12
+	$(GO) run ./cmd/p2pfl-chaos -track byzantine -seed 1
 	$(GO) run ./cmd/p2pfl-chaos -track shard -seeds 3
 	$(GO) run ./cmd/p2pfl-chaos -track churn -seeds 3
-	$(GO) run ./cmd/p2pfl-chaos -track compose -seeds 1
 
 # The composition sweep at full width: 20 seeds × 60 two-layer campaigns
 # (3 profiles × {uniform, wan50} × {mixed, flap, churn, crash,
-# partition} × n ∈ {3, 4}) = 1,200, under a minute on 2 vCPUs (it was
-# two and a quarter while a raft leader resent in-flight entries on
-# every ack, which stormed the wan50 cells).
-# chaos-smoke runs its first seed. A red cell prints its report and the
-# flags that rerun it alone; -v prints every cell. The cell that elected two leaders in one term before
-# raft admitted one configuration change at a time — seed 11, paper,
-# wan50, churn, n = 4 — is also a go test
+# partition} × n ∈ {3, 4}) = 1,200, then per seed the churn oracle once
+# per profile and link and the SAC oracle once, under a minute on 2
+# vCPUs (it was two and a quarter while a raft leader resent in-flight
+# entries on every ack, which stormed the wan50 cells). Seed 1's cells
+# are also a go test (TestVirtualTimelinesAreByteIdentical). A red cell
+# prints its report and the flags that rerun it alone; -v prints every
+# cell. The cell that elected two leaders in one term before raft
+# admitted one configuration change at a time — seed 11, paper, wan50,
+# churn, n = 4 — is also a go test
 # (TestSeed11OverlappingMembershipChanges), and so is the cell whose new
 # subgroup leader polled forever for the FedAvg leader before followers
-# redirected it — seed 19, same flags — with a chaos-smoke line
+# redirected it — seed 19, same flags
 # (TestSeed19JoinerFindsTheFedAvgLeader).
 test-compose:
 	$(GO) run ./cmd/p2pfl-chaos -track compose -seeds 20

@@ -1,10 +1,12 @@
-// Command p2pfl-chaos runs deterministic fault campaigns against the
-// virtual-time protocol stack and checks the protocol invariants
-// continuously (see internal/chaos). -track picks what one seed runs and
-// what a sweep of seeds must have exercised; -profile picks the
+// Command p2pfl-chaos runs deterministic fault campaigns and protocol
+// oracles against the virtual-time protocol stack and checks the
+// protocol invariants continuously (see internal/chaos). -track picks
+// what one seed runs and what a sweep of seeds must have exercised;
+// -mix picks a schedule's fault mix; -profile picks the
 // failure-handling policy of every node (cluster.Profile):
 //
-//	p2pfl-chaos -seed 42                       one mixed campaign, raft-kv target
+//	p2pfl-chaos -seed 42                       one mixed campaign, raft-kv target,
+//	                                           then the SAC oracle
 //	p2pfl-chaos -seed 7 -mix crash -steps 40   crash-heavy campaign
 //	p2pfl-chaos -target two-layer -m 3 -n 3    two-layer cluster campaign
 //	p2pfl-chaos -target two-layer -mix flap -profile lan
@@ -12,49 +14,46 @@
 //	                                           invariants (false-Down accuracy,
 //	                                           bounded re-convergence)
 //	p2pfl-chaos -target two-layer -mix byzantine -n 4
-//	                                           adversarial peers + robust
-//	                                           aggregation invariants
-//	p2pfl-chaos -target two-layer -mix churn   continuous churn: joins, graceful
-//	                                           departures and handoffs against
-//	                                           the live control plane, with the
-//	                                           directory and accuracy invariants
+//	                                           adversarial peers vs the robust
+//	                                           post-quiesce aggregation round
+//	p2pfl-chaos -target two-layer -mix churn   joins, graceful departures and
+//	                                           handoffs vs the live control plane
 //	p2pfl-chaos -target two-layer -topology wan50 -profile wan
 //	                                           campaign on the multi-region WAN
 //	                                           latency model with pre-vote,
 //	                                           check-quorum and RTT-tuned
 //	                                           timeouts armed
-//	p2pfl-chaos -track byzantine -seed 11      Byzantine oracle rounds on any
-//	                                           campaign (robustness, detection,
-//	                                           equivocation, privacy, sharpness)
+//	p2pfl-chaos -track byzantine -seed 11      the Byzantine oracle alone (robustness,
+//	                                           detection, equivocation, privacy,
+//	                                           sharpness)
 //	p2pfl-chaos -track churn -seeds 20         churn acceptance sweep (lan profile):
-//	                                           every seed must pass all churn
-//	                                           invariants and the sweep must see
-//	                                           real joins, departs and handoffs
-//	p2pfl-chaos -track shard -seeds 12         elastic-sharding sweep: oracle
-//	                                           episodes on real clusters that
-//	                                           cluster.Rebalance re-shards, elastic
-//	                                           vs static aggregation; every episode
-//	                                           splits and merges (-profile applies)
+//	                                           a ChurnMix campaign, then the churn
+//	                                           oracle; the sweep must see real
+//	                                           joins, departs and handoffs
+//	p2pfl-chaos -track shard -seeds 12         the shard oracle alone: elastic vs
+//	                                           static aggregation on real clusters
+//	                                           that cluster.Rebalance re-shards;
+//	                                           every episode splits and merges
 //	p2pfl-chaos -track wan -seeds 20           WAN stability sweep: the wan profile
 //	                                           must stay election-quiet with
 //	                                           bounded failover, the paper-profile
 //	                                           control must show the spurious
 //	                                           elections the profile fixes
-//	p2pfl-chaos -track compose -seeds 20       composition sweep: every seed runs
-//	                                           the two-layer target under 3 profiles
-//	                                           × {uniform, wan50} × 5 mixes × n ∈
-//	                                           {3, 4} — 60 campaigns a seed, 1,200
-//	                                           at this width — and the churn cells
-//	                                           must see real joins and departs
+//	p2pfl-chaos -track compose -seeds 20       composition sweep: 60 two-layer
+//	                                           campaigns a seed (3 profiles ×
+//	                                           {uniform, wan50} × 5 mixes × n ∈
+//	                                           {3, 4}), the churn oracle per profile
+//	                                           and link, the SAC oracle once
 //	p2pfl-chaos -soak 30s                      seed sweep until the wall clock runs out
-//	p2pfl-chaos -seed 9 -dump -out run.json    dump a replay file for the run
+//	p2pfl-chaos -seed 9 -dump -out run.json    dump a replay file for the schedule
 //	p2pfl-chaos -replay run.json               re-execute a dumped schedule exactly
 //
-// On an invariant violation the failing schedule is minimized by
-// bisection, written to -out (default chaos-replay.json) and the process
-// exits 1; so does a sweep that never exercised what its track is about.
-// Identical seeds always produce identical schedules and verdicts, so
-// any red run reported by CI reproduces locally from its seed alone.
+// On an invariant violation the process prints the flags that rerun the
+// seed alone and exits 1; a failing schedule is also minimized by
+// bisection and written to -out (default chaos-replay.json). A sweep
+// that never exercised what its track is about exits 1 too. Identical
+// seeds always produce identical schedules and verdicts, so any red run
+// reported by CI reproduces locally from its seed alone.
 package main
 
 import (
@@ -103,25 +102,32 @@ type track struct {
 	stats []string
 }
 
+// The registry is the one place that says what a seed runs: a fault
+// schedule, oracles, or both.
 var tracks = map[string]track{
-	"faults":    {seeds: 1, run: campaigns(func(*chaos.Campaign) {}, nil)},
-	"byzantine": {seeds: 1, run: campaigns(func(c *chaos.Campaign) { c.ByzantineRounds = 2 }, nil)},
-	// Full two-layer ChurnMix campaigns with the churn oracle (episodes on
-	// real clusters of their own) and the failure detector armed.
+	"faults": {seeds: 1, run: func(c chaos.Campaign, show bool) (bool, []int) {
+		rep, sac := schedule(c, show), oracle("sac", chaos.SACOracle, c, show)
+		return rep.Passed() && sac.Passed(), nil
+	}},
+	"byzantine": {seeds: 1, run: func(c chaos.Campaign, show bool) (bool, []int) {
+		return oracle("byzantine", chaos.ByzantineOracle, c, show).Passed(), nil
+	}},
+	// Full two-layer ChurnMix campaigns with the failure detector armed,
+	// then the churn oracle's episodes on real clusters of their own.
 	"churn": {seeds: 20, stats: []string{"joins", "departs", "handoffs"},
-		run: campaigns(func(c *chaos.Campaign) {
+		run: func(c chaos.Campaign, show bool) (bool, []int) {
 			c.Target, c.Mix, c.Profile = chaos.TargetTwoLayer, chaos.ChurnMix, cluster.LAN
-			c.ChurnRounds, c.SACRounds = 3, -1
-		}, func(s chaos.Stats) []int { return []int{s.Joins, s.Departs, s.Handoffs} })},
-	// Shard oracle episodes only (elastic-vs-static aggregation on a real
-	// cluster that cluster.Rebalance re-shards, see
-	// internal/chaos/shardoracle.go) after a one-step raft-kv schedule;
-	// the episodes' clusters run under -profile and -topology.
+			return tally(func(s chaos.Stats) []int { return []int{s.Joins, s.Departs, s.Handoffs} },
+				schedule(c, show), oracle("churn", chaos.ChurnOracle, c, show))
+		}},
+	// Elastic-vs-static aggregation on real clusters that
+	// cluster.Rebalance re-shards, under -profile and -topology (see
+	// internal/chaos/shardoracle.go).
 	"shard": {seeds: 12, stats: []string{"splits", "merges"},
-		run: campaigns(func(c *chaos.Campaign) {
-			*c = chaos.Campaign{Seed: c.Seed, Steps: 1, SACRounds: -1, ShardRounds: 3,
-				Profile: c.Profile, Topology: c.Topology}
-		}, func(s chaos.Stats) []int { return []int{s.Splits, s.Merges} })},
+		run: func(c chaos.Campaign, show bool) (bool, []int) {
+			return tally(func(s chaos.Stats) []int { return []int{s.Splits, s.Merges} },
+				oracle("shard", chaos.ShardOracle, c, show))
+		}},
 	"wan":     {seeds: 20, stats: []string{"spurious elections in the paper-profile control"}, run: runWAN},
 	"compose": {seeds: 20, stats: []string{"joins", "departs"}, run: runCompose},
 }
@@ -135,7 +141,7 @@ func main() {
 			log.Fatal(err)
 		}
 		rep := c.Execute(actions)
-		printReport(rep)
+		printReport(rep, "")
 		if !rep.Passed() {
 			os.Exit(1)
 		}
@@ -162,6 +168,7 @@ func main() {
 		c.Seed = *seed + int64(ran)
 		passed, exercised := t.run(c, *verbose || (width == 1 && *soak <= 0))
 		if !passed {
+			fmt.Println("rerun this seed alone with:", rerun(c.Seed))
 			os.Exit(1)
 		}
 		for i, v := range exercised {
@@ -188,34 +195,50 @@ func main() {
 	}
 }
 
-// campaigns builds the run function of a track whose seeds are fault
-// campaigns: shape turns the flag-built base into the track's campaign,
-// count picks the exercised counters out of its stats. A failing
-// schedule is minimized and written to -out.
-func campaigns(shape func(*chaos.Campaign), count func(chaos.Stats) []int) func(chaos.Campaign, bool) (bool, []int) {
-	return func(c chaos.Campaign, show bool) (bool, []int) {
-		shape(&c)
-		rep := c.Run()
-		if show || !rep.Passed() {
-			printReport(rep)
-		}
-		if !rep.Passed() {
-			minActions, minRep := chaos.Minimize(c, rep.Actions, *budget)
-			fmt.Printf("minimized %d-action schedule to %d actions (%d violations persist)\n",
-				len(rep.Actions), len(minActions), len(minRep.Violations))
-			rep = minRep
-		}
-		if *dump || !rep.Passed() {
-			if err := chaos.WriteReplay(*out, rep); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("replay file written to %s — reproduce with: p2pfl-chaos -replay %s\n", *out, *out)
-		}
-		if count == nil {
-			return rep.Passed(), nil
-		}
-		return rep.Passed(), count(rep.Stats)
+// schedule runs c's fault schedule. A failing schedule is minimized and
+// written to -out, as is every schedule under -dump.
+func schedule(c chaos.Campaign, show bool) *chaos.Report {
+	rep := c.Run()
+	if show || !rep.Passed() {
+		printReport(rep, "")
 	}
+	if !rep.Passed() {
+		minActions, minRep := chaos.Minimize(c, rep.Actions, *budget)
+		fmt.Printf("minimized %d-action schedule to %d actions (%d violations persist)\n",
+			len(rep.Actions), len(minActions), len(minRep.Violations))
+		rep = minRep
+	}
+	if *dump || !rep.Passed() {
+		if err := chaos.WriteReplay(*out, rep); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("replay file written to %s — reproduce with: p2pfl-chaos -replay %s\n", *out, *out)
+	}
+	return rep
+}
+
+// oracle runs one oracle off c. Its rounds derive from the seed alone,
+// so the -track and -seed that ran it reproduce it; there is no replay
+// file.
+func oracle(name string, run func(chaos.Campaign) *chaos.Report, c chaos.Campaign, show bool) *chaos.Report {
+	rep := run(c)
+	if show || !rep.Passed() {
+		printReport(rep, name)
+	}
+	return rep
+}
+
+// tally is a seed's verdict over the reports it produced, and the sum of
+// what count picks out of their stats.
+func tally(count func(chaos.Stats) []int, reps ...*chaos.Report) (passed bool, totals []int) {
+	passed, totals = true, count(chaos.Stats{})
+	for _, rep := range reps {
+		passed = passed && rep.Passed()
+		for i, v := range count(rep.Stats) {
+			totals[i] += v
+		}
+	}
+	return passed, totals
 }
 
 // runWAN is one seed of the WAN stability track, a two-sided check: the
@@ -249,55 +272,54 @@ func runWAN(base chaos.Campaign, show bool) (bool, []int) {
 // fault mix that needs no adversary, at both subgroup sizes the mixes
 // are tuned for — each cell exactly the campaign its flags would build
 // (-steps and -m apply), so the line printed for a red cell reproduces
-// it. The features are proven one at a time elsewhere; this is where
-// they meet. It was this sweep's paper/wan50/churn/-n 4 cell that
+// it — then the churn oracle once per profile and link and the SAC
+// oracle once. The features are proven one at a time elsewhere; this is
+// where they meet. It was this sweep's paper/wan50/churn/-n 4 cell that
 // elected two leaders in one term on seed 11 until raft admitted one
 // configuration change at a time. Sixty reports a seed is more than a
 // single-seed run should print unasked, so cells are shown under -v only.
 func runCompose(base chaos.Campaign, _ bool) (bool, []int) {
 	show := *verbose
-	run := campaigns(func(*chaos.Campaign) {}, func(s chaos.Stats) []int { return []int{s.Joins, s.Departs} })
-	totals := make([]int, 2)
+	var reps []*chaos.Report
 	for _, profile := range []string{"paper", "lan", "wan"} {
 		for _, topology := range []string{"", "wan50"} {
+			var cell chaos.Campaign
 			for _, mix := range []string{"mixed", "flap", "churn", "crash", "partition"} {
 				for _, n := range []int{3, 4} {
-					cell := campaign(base.Seed, base.Steps, mix, string(chaos.TargetTwoLayer), profile, topology, base.Nodes, base.Subgroups, n)
-					passed, exercised := run(cell, show)
-					if show || !passed {
+					cell = campaign(base.Seed, base.Steps, mix, string(chaos.TargetTwoLayer), profile, topology, base.Nodes, base.Subgroups, n)
+					rep := schedule(cell, show)
+					if show || !rep.Passed() {
 						fmt.Printf("  cell: -target two-layer -profile %s -topology %q -mix %s -n %d -seed %d\n",
 							profile, topology, mix, n, base.Seed)
 					}
-					if !passed {
+					if reps = append(reps, rep); !rep.Passed() {
 						return false, nil
-					}
-					for i, v := range exercised {
-						totals[i] += v
 					}
 				}
 			}
+			reps = append(reps, oracle("churn", chaos.ChurnOracle, cell, show))
 		}
 	}
-	return true, totals
+	reps = append(reps, oracle("sac", chaos.SACOracle, base, show))
+	return tally(func(s chaos.Stats) []int { return []int{s.Joins, s.Departs} }, reps...)
 }
 
-// mixes maps -mix names to fault mixes. The byzantine and churn mixes
-// also arm their oracle, at the same widths as the tracks of that name.
-var mixes = map[string]chaos.Campaign{
-	"mixed":     {Mix: chaos.DefaultMix},
-	"crash":     {Mix: chaos.CrashHeavyMix},
-	"partition": {Mix: chaos.PartitionHeavyMix},
-	"flap":      {Mix: chaos.FlappingMix},
-	"byzantine": {Mix: chaos.ByzantineMix, ByzantineRounds: 2},
-	"churn":     {Mix: chaos.ChurnMix, ChurnRounds: 3},
+// mixes maps -mix names to fault mixes.
+var mixes = map[string]chaos.FaultMix{
+	"mixed":     chaos.DefaultMix,
+	"crash":     chaos.CrashHeavyMix,
+	"partition": chaos.PartitionHeavyMix,
+	"flap":      chaos.FlappingMix,
+	"byzantine": chaos.ByzantineMix,
+	"churn":     chaos.ChurnMix,
 }
 
 func campaign(seed int64, steps int, mix, target, profile, topology string, nodes, m, n int) chaos.Campaign {
-	c, ok := mixes[mix]
+	fm, ok := mixes[mix]
 	if !ok {
 		log.Fatalf("unknown mix %q (want mixed | crash | partition | flap | byzantine | churn)", mix)
 	}
-	c.Seed, c.Steps, c.Nodes, c.Subgroups, c.SubgroupSize, c.Topology = seed, steps, nodes, m, n, topology
+	c := chaos.Campaign{Seed: seed, Steps: steps, Mix: fm, Nodes: nodes, Subgroups: m, SubgroupSize: n, Topology: topology}
 	switch chaos.Target(target) {
 	case chaos.TargetRaftKV, chaos.TargetTwoLayer:
 		c.Target = chaos.Target(target)
@@ -311,15 +333,33 @@ func campaign(seed int64, steps int, mix, target, profile, topology string, node
 	return c
 }
 
-func printReport(rep *chaos.Report) {
+// rerun is the command line that runs seed alone under this
+// invocation's other flags.
+func rerun(seed int64) string {
+	args := []string{"p2pfl-chaos", "-track", *trackName}
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name != "track" && f.Name != "seed" && f.Name != "seeds" && f.Name != "soak" {
+			args = append(args, fmt.Sprintf("-%s=%s", f.Name, f.Value))
+		}
+	})
+	return strings.Join(append(args, "-seed", fmt.Sprint(seed), "-seeds", "1"), " ")
+}
+
+// printReport prints a schedule's report, or the named oracle's, which
+// has no schedule to count.
+func printReport(rep *chaos.Report, name string) {
 	s := rep.Stats
 	verdict := "PASS"
 	if !rep.Passed() {
 		verdict = "FAIL"
 	}
-	fmt.Printf("seed %-6d %s  %s: %d crashes, %d restarts, %d partitions, %d net faults, %d flaps, %d leader changes, %d commits, %d SAC rounds, %d virtual ms\n",
-		rep.Campaign.Seed, string(rep.Campaign.Target), verdict,
-		s.Crashes, s.Restarts, s.Partitions, s.NetFaults, s.Flaps, s.LeaderChanges, s.Commits, s.SACRounds, s.FinalVirtualMs)
+	if name != "" {
+		fmt.Printf("seed %-6d %s oracle  %s: %d SAC rounds\n", rep.Campaign.Seed, name, verdict, s.SACRounds)
+	} else {
+		fmt.Printf("seed %-6d %s  %s: %d crashes, %d restarts, %d partitions, %d net faults, %d flaps, %d leader changes, %d commits, %d SAC rounds, %d virtual ms\n",
+			rep.Campaign.Seed, string(rep.Campaign.Target), verdict,
+			s.Crashes, s.Restarts, s.Partitions, s.NetFaults, s.Flaps, s.LeaderChanges, s.Commits, s.SACRounds, s.FinalVirtualMs)
+	}
 	if s.Byzantines > 0 || s.ByzantineDetections > 0 {
 		fmt.Printf("           byzantine: %d adversaries, %d detections\n", s.Byzantines, s.ByzantineDetections)
 	}

@@ -32,7 +32,6 @@ func TestCampaignFlagMapping(t *testing.T) {
 // -dump must re-execute from its replay file to the same verdict.
 func TestDumpedScheduleReplays(t *testing.T) {
 	c := campaign(4, 10, "mixed", "raft-kv", "paper", "", 5, 3, 3)
-	c.SACRounds = -1 // keep the smoke test quick
 	rep := c.Run()
 	if !rep.Passed() {
 		t.Fatalf("campaign failed: %v", rep.Violations)
@@ -55,31 +54,32 @@ func TestDumpedScheduleReplays(t *testing.T) {
 }
 
 // TestTrackRegistry: every -track name the docs promise is a runnable
-// row, and the two oracle mixes arm their oracle at the width of the
-// track of the same name.
+// row.
 func TestTrackRegistry(t *testing.T) {
 	for _, name := range []string{"faults", "wan", "churn", "shard", "byzantine", "compose"} {
 		if tr, ok := tracks[name]; !ok || tr.run == nil || tr.seeds < 1 {
 			t.Errorf("track %q: missing from the registry, or no run function or sweep width", name)
 		}
 	}
-	if c := mixes["byzantine"]; c.ByzantineRounds != 2 {
-		t.Errorf("-mix byzantine arms %d oracle rounds, want 2", c.ByzantineRounds)
-	}
-	if c := mixes["churn"]; c.ChurnRounds != 3 {
-		t.Errorf("-mix churn arms %d oracle episodes, want 3", c.ChurnRounds)
-	}
 }
 
-// TestShardTrackCountsItsStats runs one seed of a counting track through
-// the registry: the exercised counters come back in stats order.
-func TestShardTrackCountsItsStats(t *testing.T) {
-	tr := tracks["shard"]
-	passed, exercised := tr.run(chaos.Campaign{Seed: 42, Steps: 24, Target: chaos.TargetTwoLayer}, false)
-	if !passed || len(exercised) != len(tr.stats) {
-		t.Fatalf("shard seed 42: passed=%v exercised=%v for stats %v", passed, exercised, tr.stats)
-	}
-	if exercised[0] == 0 {
-		t.Fatal("shard seed 42 split nothing (the grow-burst boundary guarantees a split)")
+// TestEveryTrackCountsItsStats runs the first seed of every track through
+// the registry at the default flags: it passes, and the exercised
+// counters come back in stats order.
+func TestEveryTrackCountsItsStats(t *testing.T) {
+	base := campaign(1, 24, "mixed", "raft-kv", "paper", "", 5, 3, 3)
+	for name, tr := range tracks {
+		t.Run(name, func(t *testing.T) {
+			if name == "compose" && testing.Short() {
+				t.Skip("compose runs 60 campaigns a seed")
+			}
+			passed, exercised := tr.run(base, false)
+			if !passed || len(exercised) != len(tr.stats) {
+				t.Fatalf("seed 1: passed=%v exercised=%v for stats %v", passed, exercised, tr.stats)
+			}
+			if name == "shard" && exercised[0] == 0 {
+				t.Fatal("shard seed 1 split nothing (the grow-burst boundary guarantees a split)")
+			}
+		})
 	}
 }

@@ -75,16 +75,6 @@ func strongBehavior(b sac.Behavior) bool {
 	return false
 }
 
-// runByzantineOracle executes Campaign.ByzantineRounds adversarial
-// aggregation rounds.
-func runByzantineOracle(c Campaign, rep *Report) {
-	led := newLedger(rep)
-	rng := rand.New(rand.NewSource(c.Seed*2862933555777941757 + 3037000493))
-	for round := 0; round < c.ByzantineRounds; round++ {
-		byzantineRound(c, rep, led, rng, round)
-	}
-}
-
 // byzAdversary is one subgroup's marked peer for an oracle round.
 type byzAdversary struct {
 	peer     int // local index within the subgroup

@@ -15,8 +15,7 @@ import (
 func TestByzantineOracleSweep(t *testing.T) {
 	byzTotal, detTotal := 0, 0
 	for seed := int64(1); seed <= 20; seed++ {
-		c := Campaign{Seed: seed, Steps: 1, SACRounds: -1, ByzantineRounds: 2}
-		rep := c.Run()
+		rep := ByzantineOracle(Campaign{Seed: seed})
 		if len(rep.Violations) > 0 {
 			t.Fatalf("seed %d: %d violations, first: %s", seed, len(rep.Violations), rep.Violations[0])
 		}
@@ -35,7 +34,7 @@ func TestByzantineOracleSweep(t *testing.T) {
 // the same campaign must agree on every stat and every violation.
 func TestByzantineOracleDeterministic(t *testing.T) {
 	run := func() *Report {
-		return Campaign{Seed: 77, Steps: 1, SACRounds: -1, ByzantineRounds: 2}.Run()
+		return ByzantineOracle(Campaign{Seed: 77})
 	}
 	a, b := run(), run()
 	aj, _ := json.Marshal(struct {
@@ -59,7 +58,7 @@ func TestTwoLayerByzantineCampaign(t *testing.T) {
 	byzTotal := 0
 	for seed := int64(1); seed <= 5; seed++ {
 		c := Campaign{Seed: seed, Steps: 30, Target: TargetTwoLayer, Mix: ByzantineMix,
-			SubgroupSize: 4, SACRounds: -1}
+			SubgroupSize: 4}
 		rep := c.Run()
 		if len(rep.Violations) > 0 {
 			t.Fatalf("seed %d: %d violations, first: %s", seed, len(rep.Violations), rep.Violations[0])
@@ -76,7 +75,7 @@ func TestTwoLayerByzantineCampaign(t *testing.T) {
 // Byzantine campaign default gives subgroups enough peers (n ≥ 4) for
 // the honest-majority precondition 3f < n at f = 1.
 func TestByzantineScheduleProperties(t *testing.T) {
-	c := Campaign{Seed: 3, Steps: 60, Target: TargetTwoLayer, Mix: ByzantineMix, ByzantineRounds: 2}
+	c := Campaign{Seed: 3, Steps: 60, Target: TargetTwoLayer, Mix: ByzantineMix}
 	n := c.normalize()
 	if n.SubgroupSize < 4 {
 		t.Fatalf("Byzantine campaign defaulted SubgroupSize = %d < 4", n.SubgroupSize)

@@ -26,9 +26,10 @@
 //	                        detector returns to all-Up verdicts about
 //	                        live peers within a bound
 //
-// The Byzantine adversary track (Campaign.ByzantineRounds, see byzantine.go)
-// adds four more, checked against seed-derived adversary plans with
-// f = 1 < n/3 marked peers per subgroup:
+// The SAC invariants are also the SAC oracle's (SACOracle). The
+// Byzantine oracle (ByzantineOracle, see byzantine.go) adds four more,
+// checked against seed-derived adversary plans with f = 1 < n/3 marked
+// peers per subgroup:
 //
 //	Byzantine robustness    guarded aggregation stays within a fixed
 //	                        tolerance of the equal-seed clean baseline
@@ -44,11 +45,11 @@
 //	                        (unguarded) aggregation must violate the
 //	                        tolerance — proof the checkers can fail
 //
-// The continuous-churn track (ActChurn actions on TargetTwoLayer plus
-// Campaign.ChurnRounds oracle episodes, which drive a cluster of their
-// own through AddPeer/DepartPeer at round boundaries, see
-// churnoracle.go) adds three more; Campaign.ShardRounds episodes
-// (shardoracle.go) hold cluster.Rebalance to the same three:
+// Continuous churn (ActChurn actions on TargetTwoLayer, and ChurnOracle
+// episodes, which drive a cluster of their own through
+// AddPeer/DepartPeer at round boundaries, see churnoracle.go) adds three
+// more; ShardOracle episodes (shardoracle.go) hold cluster.Rebalance to
+// the same three:
 //
 //	Directory convergence   after quiesce and at every oracle round
 //	                        boundary, every live FedAvg-layer directory
@@ -64,9 +65,9 @@
 // Everything is derived from Campaign.Seed through dedicated rand
 // streams and runs on one goroutine under virtual time, so the same seed
 // always produces the identical schedule, the identical execution and
-// the identical verdict — a red run is reproduced exactly by replaying
-// its schedule (see WriteReplay/LoadReplay), and Minimize shrinks a
-// failing schedule to a near-minimal one by bisection.
+// the identical verdict — a red schedule is reproduced exactly by
+// replaying it (see WriteReplay/LoadReplay), and Minimize shrinks it to
+// a near-minimal one by bisection; an oracle reproduces from its seed.
 package chaos
 
 import (
@@ -134,7 +135,7 @@ const (
 	// (cluster.AddPeer), gracefully departing a member (DepartPeer, with
 	// model handoff and directory leave) and a same-identity handoff
 	// (ReplacePeer: persisted raft state + model transferred to a
-	// successor process). Two-layer target only; a no-op on raft-kv.
+	// successor process). Two-layer target only (see Execute).
 	ActChurn ActionKind = "churn"
 )
 
@@ -287,31 +288,6 @@ type Campaign struct {
 	//	                       live peers within reconvergeBound (30 s)
 	Profile cluster.Profile `json:"profile,omitempty"`
 
-	// SACRounds is the number of SAC exactness/privacy oracle rounds run
-	// per campaign (default 3; negative disables).
-	SACRounds int `json:"sac_rounds,omitempty"`
-	// ByzantineRounds is the number of Byzantine oracle rounds (0 = off;
-	// the byzantine track runs 2): seed-derived adversary plans pitted
-	// against the robust (guarded) aggregation, with convergence,
-	// detection, coalition-privacy and sharpness invariants (see
-	// byzantine.go). Arming it also raises the default SubgroupSize to 4
-	// so f = 1 < n/3 marks are possible on the two-layer target.
-	ByzantineRounds int `json:"byzantine_rounds,omitempty"`
-	// ChurnRounds is the number of churn oracle episodes (0 = off; the
-	// churn track runs 3). Each bootstraps a cluster.System of its own
-	// under this campaign's profile, topology and timers, changes its
-	// membership with AddPeer/DepartPeer between rounds and aggregates
-	// under the geometry read off it (see churnoracle.go). ActChurn
-	// actions in the schedule exercise the control plane under faults on
-	// TargetTwoLayer independently of it.
-	ChurnRounds int `json:"churn_rounds,omitempty"`
-	// ShardRounds is the number of shard oracle episodes (0 = off; the
-	// shard track runs 3): the same kind of cluster, grown until
-	// cluster.Rebalance splits a subgroup and drained until it merges
-	// one, with every round aggregated under the elastic geometry and
-	// under a static partition of the same members (see shardoracle.go).
-	ShardRounds int `json:"shard_rounds,omitempty"`
-
 	// extraCheckers run at every check interval and at quiesce on top of
 	// the built-in invariants. It is this package's test seam, not an
 	// option: the minimiser and replay tests need a verdict to minimise,
@@ -348,12 +324,9 @@ func (c Campaign) normalize() Campaign {
 	}
 	if c.SubgroupSize <= 0 {
 		c.SubgroupSize = 3
-		if c.ByzantineRounds > 0 {
+		if c.Mix.Byzantine > 0 {
 			c.SubgroupSize = 4 // room for f = 1 < n/3 adversaries
 		}
-	}
-	if c.SACRounds == 0 {
-		c.SACRounds = 3
 	}
 	return c
 }
@@ -436,7 +409,7 @@ type Stats struct {
 	Byzantines          int `json:"byzantines,omitempty"`
 	ByzantineDetections int `json:"byzantine_detections,omitempty"`
 	// Joins/Departs/Handoffs count completed continuous-churn control-
-	// plane operations (ActChurn actions plus the admissions and
+	// plane operations (ActChurn actions, or the admissions and
 	// departures of churn and shard oracle episodes).
 	Joins    int `json:"joins,omitempty"`
 	Departs  int `json:"departs,omitempty"`
@@ -462,14 +435,22 @@ func (r *Report) Passed() bool { return len(r.Violations) == 0 }
 func (c Campaign) Run() *Report { return c.Execute(c.Generate()) }
 
 // Execute runs an explicit schedule (normally Generate's output, or a
-// minimized subset of it) under this campaign's configuration.
+// minimized subset of it) under this campaign's configuration. An
+// unknown topology, or a fault kind the target would carry out as a
+// no-op every time, is a config violation, not a vacuous pass.
 func (c Campaign) Execute(actions []Action) *Report {
 	n := c.normalize()
 	rep := &Report{Campaign: c, Actions: actions}
-	if _, err := simnet.Preset(n.Topology); err != nil {
-		rep.Violations = append(rep.Violations, Violation{
-			Invariant: "config", Detail: err.Error(),
-		})
+	_, err := simnet.Preset(n.Topology)
+	switch {
+	case err != nil:
+	case n.Target == TargetRaftKV && n.Mix.Byzantine+n.Mix.Churn > 0:
+		err = fmt.Errorf("the raft-kv target carries out no byzantine or churn action")
+	case n.Target == TargetTwoLayer && n.Mix.Byzantine > 0 && n.Mix.Churn == 0 && n.SubgroupSize < 4:
+		err = fmt.Errorf("a subgroup of %d peers takes no adversary mark (f = 1 < n/3 needs n ≥ 4)", n.SubgroupSize)
+	}
+	if err != nil {
+		rep.Violations = append(rep.Violations, Violation{Invariant: "config", Detail: err.Error()})
 		return rep
 	}
 	switch n.Target {
@@ -478,17 +459,40 @@ func (c Campaign) Execute(actions []Action) *Report {
 	default:
 		executeRaftKV(n, actions, rep)
 	}
-	if n.SACRounds > 0 {
-		runSACOracle(n, rep)
+	return rep
+}
+
+// The oracles check what no schedule can: each runs a fixed number of
+// rounds or episodes of its own off a campaign's seed, profile, topology
+// and telemetry, never its schedule, and returns a report with no actions.
+
+// SACOracle runs three randomized k-out-of-n aggregations (sacoracle.go).
+func SACOracle(c Campaign) *Report {
+	return runOracle(c, c.Seed*6364136223846793005+1442695040888963407, 3, sacRound)
+}
+
+// ByzantineOracle runs two adversarial aggregation rounds (byzantine.go).
+func ByzantineOracle(c Campaign) *Report {
+	return runOracle(c, c.Seed*2862933555777941757+3037000493, 2, byzantineRound)
+}
+
+// ChurnOracle runs three membership-churn episodes (churnoracle.go).
+func ChurnOracle(c Campaign) *Report { return runOracle(c, c.Seed*5417+7, 3, churnEpisode) }
+
+// ShardOracle runs three elastic-sharding episodes (shardoracle.go).
+func ShardOracle(c Campaign) *Report { return runOracle(c, c.Seed*6779+11, 3, shardEpisode) }
+
+// runOracle runs width steps of one oracle off an rng seeded by seed.
+func runOracle(c Campaign, seed int64, width int, step func(Campaign, *Report, *ledger, *rand.Rand, int)) *Report {
+	n := c.normalize()
+	rep := &Report{Campaign: c}
+	if _, err := simnet.Preset(n.Topology); err != nil {
+		rep.Violations = append(rep.Violations, Violation{Invariant: "config", Detail: err.Error()})
+		return rep
 	}
-	if n.ByzantineRounds > 0 {
-		runByzantineOracle(n, rep)
-	}
-	if n.ChurnRounds > 0 {
-		runChurnOracle(n, rep)
-	}
-	if n.ShardRounds > 0 {
-		runShardOracle(n, rep)
+	led, rng := newLedger(rep), rand.New(rand.NewSource(seed))
+	for i := 0; i < width; i++ {
+		step(n, rep, led, rng, i)
 	}
 	return rep
 }

@@ -53,8 +53,8 @@ func TestMixedCampaign(t *testing.T) {
 	if rep.Stats.Crashes+rep.Stats.Partitions+rep.Stats.NetFaults == 0 {
 		t.Fatal("mixed campaign injected no faults")
 	}
-	if rep.Stats.SACRounds == 0 {
-		t.Fatal("SAC oracle did not run")
+	if sac := SACOracle(Campaign{Seed: 3}); !sac.Passed() || sac.Stats.SACRounds != 3 {
+		t.Fatalf("SAC oracle ran %d rounds, violations %v", sac.Stats.SACRounds, sac.Violations)
 	}
 }
 
@@ -111,8 +111,7 @@ func TestBrokenInvariantCaughtMinimizedReplayed(t *testing.T) {
 		}
 		return out
 	}}
-	c := Campaign{Seed: 5, Steps: 24, Mix: CrashHeavyMix, Nodes: 5, SACRounds: -1,
-		extraCheckers: []checker{lowTerm}}
+	c := Campaign{Seed: 5, Steps: 24, Mix: CrashHeavyMix, Nodes: 5, extraCheckers: []checker{lowTerm}}
 
 	full := c.Generate()
 	rep := c.Execute(full)

@@ -13,18 +13,16 @@ import (
 
 // churnCampaign is the continuous-churn acceptance configuration: full
 // two-layer schedules drawn from ChurnMix (joins, graceful departures,
-// same-identity handoffs interleaved with crashes and leader kills),
-// the failure detector armed, and the churn oracle episodes running the
-// round-boundary reconfiguration path.
+// same-identity handoffs interleaved with crashes and leader kills) with
+// the failure detector armed. The churn track runs the churn oracle's
+// episodes, the round-boundary reconfiguration path, off it too.
 func churnCampaign(seed int64) Campaign {
 	return Campaign{
-		Seed:        seed,
-		Steps:       24,
-		Target:      TargetTwoLayer,
-		Mix:         ChurnMix,
-		ChurnRounds: 3,
-		Profile:     cluster.LAN,
-		SACRounds:   -1,
+		Seed:    seed,
+		Steps:   24,
+		Target:  TargetTwoLayer,
+		Mix:     ChurnMix,
+		Profile: cluster.LAN,
 	}
 }
 
@@ -36,13 +34,15 @@ func churnCampaign(seed int64) Campaign {
 func TestChurnCampaignSweep(t *testing.T) {
 	joins, departs, handoffs := 0, 0, 0
 	for seed := int64(1); seed <= 20; seed++ {
-		rep := churnCampaign(seed).Run()
-		if len(rep.Violations) > 0 {
-			t.Fatalf("seed %d: %d violations, first: %s", seed, len(rep.Violations), rep.Violations[0])
+		c := churnCampaign(seed)
+		for _, rep := range []*Report{c.Run(), ChurnOracle(c)} {
+			if len(rep.Violations) > 0 {
+				t.Fatalf("seed %d: %d violations, first: %s", seed, len(rep.Violations), rep.Violations[0])
+			}
+			joins += rep.Stats.Joins
+			departs += rep.Stats.Departs
+			handoffs += rep.Stats.Handoffs
 		}
-		joins += rep.Stats.Joins
-		departs += rep.Stats.Departs
-		handoffs += rep.Stats.Handoffs
 	}
 	if joins == 0 || departs == 0 || handoffs == 0 {
 		t.Fatalf("sweep exercised %d joins, %d departs, %d handoffs — every kind must occur", joins, departs, handoffs)
@@ -57,8 +57,7 @@ func TestChurnCampaignSweep(t *testing.T) {
 // duplicate per poll on top. election-safety and conf-change-serial both
 // watch it now.
 func TestSeed11OverlappingMembershipChanges(t *testing.T) {
-	c := Campaign{Seed: 11, Steps: 24, Target: TargetTwoLayer, Mix: ChurnMix, ChurnRounds: 3,
-		SubgroupSize: 4, Topology: "wan50"}
+	c := Campaign{Seed: 11, Steps: 24, Target: TargetTwoLayer, Mix: ChurnMix, SubgroupSize: 4, Topology: "wan50"}
 	rep := c.Run()
 	if !rep.Passed() {
 		t.Fatalf("%d violations, first: %s", len(rep.Violations), rep.Violations[0])
@@ -76,8 +75,7 @@ func TestSeed11OverlappingMembershipChanges(t *testing.T) {
 // the current subgroup leaders named it. fedavg-join watches it now, and
 // a follower's redirect is what turns it green.
 func TestSeed19JoinerFindsTheFedAvgLeader(t *testing.T) {
-	c := Campaign{Seed: 19, Steps: 24, Target: TargetTwoLayer, Mix: ChurnMix, ChurnRounds: 3,
-		SubgroupSize: 4, Topology: "wan50"}
+	c := Campaign{Seed: 19, Steps: 24, Target: TargetTwoLayer, Mix: ChurnMix, SubgroupSize: 4, Topology: "wan50"}
 	rep := c.Run()
 	if !rep.Passed() {
 		t.Fatalf("%d violations, first: %s", len(rep.Violations), rep.Violations[0])
@@ -88,17 +86,17 @@ func TestSeed19JoinerFindsTheFedAvgLeader(t *testing.T) {
 }
 
 // TestChurnOracleDeterministic pins seed-replayability of the oracle
-// track under every profile: two runs of one campaign serialize to the
-// same Report, byte for byte, and the episodes changed the membership.
+// under every profile: two runs off one campaign serialize to the same
+// Report, byte for byte, and the episodes changed the membership.
 func TestChurnOracleDeterministic(t *testing.T) {
 	for _, profile := range []cluster.Profile{cluster.Paper, cluster.LAN, cluster.WAN} {
-		c := Campaign{Seed: 42, Steps: 1, SACRounds: -1, ChurnRounds: 3, Profile: profile}
-		rep := c.Run()
+		c := Campaign{Seed: 42, Profile: profile}
+		rep := ChurnOracle(c)
 		if !rep.Passed() {
 			t.Fatalf("%v: %v", profile, rep.Violations)
 		}
 		a, _ := json.Marshal(rep)
-		b, _ := json.Marshal(c.Run())
+		b, _ := json.Marshal(ChurnOracle(c))
 		if string(a) != string(b) {
 			t.Fatalf("%v: same seed diverged:\n%s\nvs\n%s", profile, a, b)
 		}
@@ -144,7 +142,7 @@ func TestChurnOracleHandsModelsOff(t *testing.T) {
 }
 
 // TestChurnReplayRoundTrip dumps a churn campaign to a replay file and
-// re-executes it from disk: the oracle width, the profile and the ActChurn actions must
+// re-executes it from disk: the profile and the ActChurn actions must
 // survive serialization and reproduce the identical verdict and stats.
 func TestChurnReplayRoundTrip(t *testing.T) {
 	c := churnCampaign(3)
@@ -160,8 +158,8 @@ func TestChurnReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lc.ChurnRounds != 3 || lc.Profile != cluster.LAN {
-		t.Fatal("churn oracle width or profile lost in the replay file")
+	if lc.Profile != cluster.LAN {
+		t.Fatal("profile lost in the replay file")
 	}
 	churns := 0
 	for _, a := range actions {
@@ -196,9 +194,8 @@ func TestChurnTelemetryDeterministic(t *testing.T) {
 		reg := telemetry.New()
 		c := churnCampaign(seed)
 		c.Telemetry = reg
-		rep := c.Run()
-		if !rep.Passed() {
-			t.Fatalf("seed %d campaign failed: %v", seed, rep.Violations)
+		if rep, oracle := c.Run(), ChurnOracle(c); !rep.Passed() || !oracle.Passed() {
+			t.Fatalf("seed %d campaign or churn oracle failed: %v %v", seed, rep.Violations, oracle.Violations)
 		}
 		var buf bytes.Buffer
 		if err := reg.WriteJSON(&buf); err != nil {

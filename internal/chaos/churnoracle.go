@@ -11,7 +11,7 @@ import (
 	"repro/internal/simnet"
 )
 
-// The churn oracle (Campaign.ChurnRounds) drives mid-training membership
+// The churn oracle (ChurnOracle) drives mid-training membership
 // changes through the real control plane: every episode bootstraps a
 // cluster.System on a calm network under the campaign's profile,
 // topology and timers, applies its join/leave trace with AddPeer and
@@ -56,15 +56,6 @@ const (
 	// of a split or merge, one boundary settle.
 	oracleStepLimit = 30 * simnet.Second
 )
-
-// runChurnOracle executes Campaign.ChurnRounds churn episodes.
-func runChurnOracle(c Campaign, rep *Report) {
-	led := newLedger(rep)
-	rng := rand.New(rand.NewSource(c.Seed*5417 + 7))
-	for ep := 0; ep < c.ChurnRounds; ep++ {
-		churnEpisode(c, rep, led, rng, ep)
-	}
-}
 
 // churnTrace is one episode's membership schedule: event r fires at the
 // boundary before round r+1.

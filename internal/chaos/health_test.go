@@ -21,7 +21,6 @@ func flapCampaign(seed int64, reg *telemetry.Registry) Campaign {
 		Mix:       FlappingMix,
 		Target:    TargetTwoLayer,
 		Profile:   cluster.LAN,
-		SACRounds: -1, // the oracle has its own tests; keep this one on the live cluster
 		Telemetry: reg,
 	}
 }

@@ -39,7 +39,7 @@ func TestTwoLayerCampaignPerProfile(t *testing.T) {
 			faults := 0
 			for _, seed := range tc.seeds {
 				c := tc.c
-				c.Seed, c.Target, c.SACRounds = seed, TargetTwoLayer, -1
+				c.Seed, c.Target = seed, TargetTwoLayer
 				rep := c.Run()
 				requireClean(t, rep)
 				if rep.Stats.SACRounds != 1 {
@@ -57,7 +57,7 @@ func TestTwoLayerCampaignPerProfile(t *testing.T) {
 // TestRaftKVCampaignTakesProfileFlags: the single-group target runs the
 // profile's raft flags too, and stays green with them under faults.
 func TestRaftKVCampaignTakesProfileFlags(t *testing.T) {
-	rep := Campaign{Seed: 5, Steps: 24, Topology: "wan50", Profile: cluster.WAN, SACRounds: -1}.Run()
+	rep := Campaign{Seed: 5, Steps: 24, Topology: "wan50", Profile: cluster.WAN}.Run()
 	requireClean(t, rep)
 	if rep.Stats.Commits == 0 {
 		t.Fatal("campaign committed nothing")

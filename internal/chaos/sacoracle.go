@@ -11,31 +11,15 @@ import (
 	"repro/internal/transport"
 )
 
-// runSACOracle runs Campaign.SACRounds randomized k-out-of-n aggregations
-// with seed-derived crash plans and checks the two SAC invariants the
-// issue names:
-//
-//   - Exactness: whenever the surviving peers still cover all n shares
-//     (≥ k-wise survivability), the recovered average equals the plain
-//     arithmetic mean of the contributors' models, to floating-point
-//     tolerance. When coverage is lost, the engine must say so with
-//     ErrInsufficientPeers rather than return a silently wrong value.
-//   - Privacy: reconstructing a model needs all n of its shares, so for
-//     k ≥ 2 no single peer may observe every share of another peer's
-//     model during the exchange.
-//
-// The oracle drives transport.Mesh directly (SAC is round-synchronous,
-// not clocked), so it composes with either execution target.
-func runSACOracle(c Campaign, rep *Report) {
-	led := newLedger(rep)
-	rng := rand.New(rand.NewSource(c.Seed*6364136223846793005 + 1442695040888963407))
-	for round := 0; round < c.SACRounds; round++ {
-		oracleRound(c, rep, led, rng, round)
-		rep.Stats.SACRounds++
-	}
-}
-
-func oracleRound(c Campaign, rep *Report, led *ledger, rng *rand.Rand, round int) {
+// sacRound is one round of the SAC oracle: a randomized k-out-of-n
+// aggregation under a seed-derived crash plan, held to SAC exactness
+// (the recovered average is the contributors' plaintext mean, and
+// ErrInsufficientPeers only when the survivors lost share coverage) and
+// SAC privacy (for k ≥ 2 no single peer observes all n shares of
+// another's model). It drives transport.Mesh directly: SAC is
+// round-synchronous, not clocked, so the oracle needs no target.
+func sacRound(c Campaign, rep *Report, led *ledger, rng *rand.Rand, round int) {
+	rep.Stats.SACRounds++
 	n := 3 + rng.Intn(4) // 3..6 peers
 	// Keep 2 ≤ k < n: k ≥ 2 so privacy applies, k < n so replication is
 	// active and crashes are tolerable rather than (legitimately) fatal.

@@ -9,7 +9,7 @@ import (
 	"repro/internal/core"
 )
 
-// The shard oracle (Campaign.ShardRounds) is the accuracy proof for
+// The shard oracle (ShardOracle) is the accuracy proof for
 // elastic sharding: splitting an oversized subgroup or merging an
 // undersized one must be invisible to training. Each episode bootstraps a
 // real two-subgroup cluster.System (see churnoracle.go for the episode
@@ -38,16 +38,6 @@ import (
 // shardOracleRounds is the training-curve length per episode; its four
 // boundaries are grow burst, mixed churn, shrink burst, mixed churn.
 const shardOracleRounds = 5
-
-// runShardOracle executes Campaign.ShardRounds elastic-sharding
-// episodes.
-func runShardOracle(c Campaign, rep *Report) {
-	led := newLedger(rep)
-	rng := rand.New(rand.NewSource(c.Seed*6779 + 11))
-	for ep := 0; ep < c.ShardRounds; ep++ {
-		shardEpisode(c, rep, led, rng, ep)
-	}
-}
 
 func shardEpisode(c Campaign, rep *Report, led *ledger, rng *rand.Rand, ep int) {
 	n := 5 + rng.Intn(2)   // healthy subgroup degree

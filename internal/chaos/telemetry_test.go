@@ -27,16 +27,15 @@ func counterMonotonicityChecker(reg *telemetry.Registry) checker {
 }
 
 // telemetryCampaign is the partitioned/crash-heavy configuration the
-// ISSUE's chaos hook is pinned on: enough fault pressure to force
-// re-elections, plus SAC oracle rounds whose crash plans exercise
-// share recovery.
+// chaos hook is pinned on: enough fault pressure to force re-elections.
+// The SAC oracle runs off it too, and its crash plans exercise share
+// recovery.
 func telemetryCampaign(seed int64, reg *telemetry.Registry) Campaign {
 	return Campaign{
 		Seed:      seed,
 		Steps:     12,
 		Mix:       PartitionHeavyMix,
 		Target:    TargetRaftKV,
-		SACRounds: 6,
 		Telemetry: reg,
 	}
 }
@@ -49,12 +48,18 @@ func TestChaosTelemetryCampaign(t *testing.T) {
 	reg := telemetry.New()
 	c := telemetryCampaign(11, reg)
 	c.extraCheckers = []checker{counterMonotonicityChecker(reg)}
+	// Six SAC oracle rounds, the oracle's three off this seed and three
+	// off the next, so that some crash plan forces a recovery.
+	next := c
+	next.Seed++
 	rep := c.Run()
-	if !rep.Passed() {
-		for _, v := range rep.Violations {
+	for _, r := range []*Report{rep, SACOracle(c), SACOracle(next)} {
+		for _, v := range r.Violations {
 			t.Errorf("violation: %s", v)
 		}
-		t.Fatal("campaign failed")
+	}
+	if t.Failed() {
+		t.Fatal("campaign or SAC oracle failed")
 	}
 	snap := reg.Snapshot()
 	if got := snap.Counters["raft/elections_won"]; got < 1 {
@@ -77,9 +82,9 @@ func TestChaosTelemetryCampaign(t *testing.T) {
 func TestChaosTelemetryDeterministic(t *testing.T) {
 	run := func(seed int64) []byte {
 		reg := telemetry.New()
-		rep := telemetryCampaign(seed, reg).Run()
-		if !rep.Passed() {
-			t.Fatalf("seed %d campaign failed: %v", seed, rep.Violations)
+		c := telemetryCampaign(seed, reg)
+		if rep, sac := c.Run(), SACOracle(c); !rep.Passed() || !sac.Passed() {
+			t.Fatalf("seed %d campaign or SAC oracle failed: %v %v", seed, rep.Violations, sac.Violations)
 		}
 		var buf bytes.Buffer
 		if err := reg.WriteJSON(&buf); err != nil {
@@ -106,7 +111,6 @@ func TestChaosTelemetryTwoLayer(t *testing.T) {
 		Steps:     8,
 		Mix:       CrashHeavyMix,
 		Target:    TargetTwoLayer,
-		SACRounds: -1, // isolate the two-layer path from the oracle
 		Telemetry: reg,
 	}
 	rep := c.Run()
