@@ -47,8 +47,8 @@ size:
 
 # Each oracle runs once per seed, through its track: the soak's faults
 # track runs the SAC oracle after every schedule, so it starts at seed 2
-# and the compose line, whose sixty two-layer cells at -steps 12 hold the
-# single two-layer campaigns these targets used to list, runs seed 1's.
+# and the compose line runs seed 1's. Its sixty two-layer cells at
+# -steps 12 are the two-layer campaigns of both targets.
 # The wan line starts at seed 16: the paper-profile control counts
 # spurious elections on seeds 16, 17, 19 and 20 only, and a sweep whose
 # control stays at zero exits 1.

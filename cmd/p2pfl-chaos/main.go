@@ -217,9 +217,8 @@ func schedule(c chaos.Campaign, show bool) *chaos.Report {
 	return rep
 }
 
-// oracle runs one oracle off c. Its rounds derive from the seed alone,
-// so the -track and -seed that ran it reproduce it; there is no replay
-// file.
+// oracle runs one oracle off c. It reads no schedule, so the rerun line
+// main prints for a red seed reproduces it and there is no replay file.
 func oracle(name string, run func(chaos.Campaign) *chaos.Report, c chaos.Campaign, show bool) *chaos.Report {
 	rep := run(c)
 	if show || !rep.Passed() {
