@@ -61,6 +61,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -196,11 +197,16 @@ func main() {
 }
 
 // schedule runs c's fault schedule. A failing schedule is minimized and
-// written to -out, as is every schedule under -dump.
+// written to -out, as is every schedule under -dump — unless every
+// violation is config: Execute refused the campaign before running any
+// action, so no schedule could change the verdict or replay anything.
 func schedule(c chaos.Campaign, show bool) *chaos.Report {
 	rep := c.Run()
 	if show || !rep.Passed() {
 		printReport(rep, "")
+	}
+	if !rep.Passed() && !slices.ContainsFunc(rep.Violations, func(v chaos.Violation) bool { return v.Invariant != "config" }) {
+		return rep
 	}
 	if !rep.Passed() {
 		minActions, minRep := chaos.Minimize(c, rep.Actions, *budget)

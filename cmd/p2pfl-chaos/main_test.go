@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -81,5 +82,24 @@ func TestEveryTrackCountsItsStats(t *testing.T) {
 				t.Fatal("shard seed 1 split nothing (the grow-burst boundary guarantees a split)")
 			}
 		})
+	}
+}
+
+// TestConfigViolationIsNotMinimized: a campaign refused for its config
+// (here a byzantine mix on the raft-kv target) stays red, and no
+// schedule can change that, so it is neither minimized nor written out
+// as a replay file — not even under -dump.
+func TestConfigViolationIsNotMinimized(t *testing.T) {
+	defer func(o string, d bool) { *out, *dump = o, d }(*out, *dump)
+	*out, *dump = filepath.Join(t.TempDir(), "replay.json"), true
+	rep := schedule(campaign(1, 24, "byzantine", "raft-kv", "paper", "", 5, 3, 3), false)
+	if rep.Passed() || len(rep.Violations) != 1 || rep.Violations[0].Invariant != "config" {
+		t.Fatalf("violations %v, want the one config violation", rep.Violations)
+	}
+	if len(rep.Actions) != 24 {
+		t.Fatalf("report holds %d actions, want the 24 scheduled (not a minimized schedule)", len(rep.Actions))
+	}
+	if _, err := os.Stat(*out); !os.IsNotExist(err) {
+		t.Fatalf("replay file written for a config violation (stat: %v)", err)
 	}
 }

@@ -176,6 +176,7 @@ func byzantineRound(c Campaign, rep *Report, led *ledger, rng *rand.Rand, round 
 		return
 	}
 	cleanRes, err := cleanSys.AggregateRound(models, core.RoundSpec{Leaders: leaders, FedLeader: -1})
+	rep.Stats.SACRounds++
 	if err != nil {
 		led.violate(now, "byzantine-robust", tag+": clean baseline failed: "+err.Error())
 		return
@@ -187,6 +188,7 @@ func byzantineRound(c Campaign, rep *Report, led *ledger, rng *rand.Rand, round 
 
 	spec := core.RoundSpec{Leaders: leaders, FedLeader: -1, Adversary: plans}
 	robustRes, err := robustSys.AggregateRound(models, spec)
+	rep.Stats.SACRounds++
 	if err != nil {
 		led.violate(now, "byzantine-robust", tag+": robust round failed: "+err.Error())
 		return
@@ -231,6 +233,7 @@ func byzantineRound(c Campaign, rep *Report, led *ledger, rng *rand.Rand, round 
 	// must leave the tolerance — otherwise the invariants above are
 	// vacuously green and that is itself a finding.
 	plainRes, err := plainSys.AggregateRound(models, spec)
+	rep.Stats.SACRounds++
 	if err == nil {
 		if d := linf(plainRes.Global, clean); d <= byzOracleBound {
 			led.violate(now, "byzantine-vacuous",
@@ -260,6 +263,7 @@ func byzantineSACProbe(led *ledger, rng *rand.Rand, round, g, n, k, leader int,
 		Adversary: sac.AdversaryPlan{adv.peer: adv.behavior}, Guard: guard,
 	}
 	res, err := sac.Run(mesh, cfg, models, nil)
+	rep.Stats.SACRounds++
 	if err != nil {
 		led.violate(now, "byzantine-robust", tag+": guarded aggregation failed: "+err.Error())
 		return

@@ -30,6 +30,21 @@ func TestByzantineOracleSweep(t *testing.T) {
 	}
 }
 
+// TestByzantineOracleCountsEveryAggregation holds the oracle to the
+// SACRounds definition: each of its two rounds runs three two-layer
+// aggregations (clean, robust, plain) and one guarded SAC probe per
+// subgroup, and it marks one adversary per subgroup, so the count is
+// 2·3 + Byzantines. Seed 1 draws three subgroups in both rounds.
+func TestByzantineOracleCountsEveryAggregation(t *testing.T) {
+	rep := ByzantineOracle(Campaign{Seed: 1})
+	if !rep.Passed() {
+		t.Fatalf("seed 1: %v", rep.Violations)
+	}
+	if s := rep.Stats; s.SACRounds != 12 || s.SACRounds != 2*3+s.Byzantines {
+		t.Fatalf("seed 1: %d SAC rounds for %d adversaries, want 12 = 2·3 + 6", s.SACRounds, s.Byzantines)
+	}
+}
+
 // TestByzantineOracleDeterministic pins seed-replayability: two runs of
 // the same campaign must agree on every stat and every violation.
 func TestByzantineOracleDeterministic(t *testing.T) {

@@ -393,14 +393,18 @@ func (v Violation) String() string {
 // which every action was a no-op proves nothing, so the counts are part
 // of the report.
 type Stats struct {
-	Crashes        int   `json:"crashes"`
-	Restarts       int   `json:"restarts"`
-	Partitions     int   `json:"partitions"`
-	NetFaults      int   `json:"net_faults"` // blackhole + loss + delay
-	Heals          int   `json:"heals"`
-	Flaps          int   `json:"flaps,omitempty"`
-	LeaderChanges  int   `json:"leader_changes"`
-	Commits        int   `json:"commits"`
+	Crashes       int `json:"crashes"`
+	Restarts      int `json:"restarts"`
+	Partitions    int `json:"partitions"`
+	NetFaults     int `json:"net_faults"` // blackhole + loss + delay
+	Heals         int `json:"heals"`
+	Flaps         int `json:"flaps,omitempty"`
+	LeaderChanges int `json:"leader_changes"`
+	Commits       int `json:"commits"`
+	// SACRounds counts the aggregation runs a report's checks read: one
+	// per core.System.AggregateRound or sac.Run call, so a round that
+	// aggregates twice to compare (churned and baseline, elastic and
+	// static, guarded and plain) counts two.
 	SACRounds      int   `json:"sac_rounds"`
 	FinalVirtualMs int64 `json:"final_virtual_ms"`
 	// Byzantines counts adversary marks deployed; ByzantineDetections

@@ -38,9 +38,9 @@ const (
 
 // Bound is the reconstruction-error accounting of one compression:
 // the guaranteed per-coordinate bound implied by the scheme parameters
-// plus the errors actually measured against the input vector. All
-// fields are deterministic (the measured reductions run serially in
-// ascending index order).
+// plus the largest error actually measured against the input vector.
+// Every field is deterministic: a maximum does not depend on the order
+// it is taken in.
 type Bound struct {
 	// MaxCoordErr is the guaranteed per-coordinate reconstruction
 	// error: scale/2 for quantization; for top-k, the magnitude of the
@@ -49,8 +49,6 @@ type Bound struct {
 	MaxCoordErr float64
 	// MeasuredMaxErr is max_i |w_i − decode(w)_i| over the whole vector.
 	MeasuredMaxErr float64
-	// MeasuredL2Err is ‖w − decode(w)‖₂.
-	MeasuredL2Err float64
 	// Kept and Dim are the surviving-coordinate count and the original
 	// dimension (Kept == Dim for dense quantization).
 	Kept, Dim int
@@ -115,9 +113,7 @@ func quantize(w []float64, width int, q []int16) (wire.QuantDelta, Bound, error)
 		if e > b.MeasuredMaxErr {
 			b.MeasuredMaxErr = e
 		}
-		b.MeasuredL2Err += e * e
 	}
-	b.MeasuredL2Err = math.Sqrt(b.MeasuredL2Err)
 	return d, b, nil
 }
 
@@ -157,12 +153,12 @@ const selectDigitBits = 13
 // the histogram from the top to the bucket holding the k-th. Once that
 // bucket fits in cap(buf), a pass also copies the coordinates it admits
 // into buf, and the next pass reads buf instead of w — in place, since
-// the write index never passes the read index. On a top-k upload the
-// first pass's bucket already fits in k (50,579 of 625,429 coordinates
-// at k = 62,543 on agg_compress's mean of three uniforms), so w is read
-// twice and the last three passes read almost nothing. Cost is Θ(dim)
-// for every input (no pivot to be unlucky with), with no scratch beyond
-// the histogram and buf. NaNs order above +Inf by their bits.
+// the write index never passes the read index; buf may therefore be w
+// itself at length 0. Cost is Θ(dim) for every input (no pivot to be
+// unlucky with), with no scratch beyond the histogram and buf. NaNs
+// order above +Inf by their bits. threshold uses it on a sample, on the
+// coordinates its bracket admits, and on all of w when the bracket
+// fails; alone it reads w at least twice.
 func kthMagnitude(w []float64, k int, buf []float64) (t uint64, ties int) {
 	var prefix uint64
 	remaining := uint32(k)
@@ -195,6 +191,82 @@ func kthMagnitude(w []float64, k int, buf []float64) (t uint64, ties int) {
 	return prefix, int(remaining)
 }
 
+// sampleSize is how many magnitudes bracketed reads to place its
+// bracket: 32 KiB of stack, read at a fixed stride.
+const sampleSize = 4096
+
+// threshold returns kthMagnitude(w, k, buf)'s (t, ties) for
+// 1 ≤ k ≤ len(w), reading w once where kthMagnitude reads it twice:
+// bracketed narrows the k-th magnitude down from a sample, and
+// kthMagnitude on all of w is the fallback when that fails. Which path
+// runs, and every bit of the result, depend on w and k alone.
+func threshold(w []float64, k int, buf []float64) (t uint64, ties int) {
+	if t, ties, ok := bracketed(w, k, buf); ok {
+		return t, ties
+	}
+	return kthMagnitude(w, k, buf)
+}
+
+// bracketed is sampled selection in the manner of Floyd and Rivest
+// ("Expected time bounds for selection", CACM 1975). It reads
+// sampleSize magnitudes at the stride dim/sampleSize and, with
+// kthMagnitude on the sample, brackets the sample rank r = k·S/dim
+// (S = sampleSize) between hi at rank r − m and lo at rank r + m, with
+// m = ⌈4·√(r·(1 − k/dim))⌉ + 2, about four standard deviations of the
+// rank the k-th magnitude would have in a random sample. One
+// branch-free pass over w then counts the sure coordinates, those above
+// hi, and copies every candidate, lo ≤ |w_i| ≤ hi by bits, into buf.
+// When sure < k ≤ sure + candidates, the k-th largest of w is the
+// (k − sure)-th largest candidate, every coordinate equal to it is a
+// candidate and every sure one lies above it, so kthMagnitude on the
+// candidates gives w's (t, ties). ok is false — and buf holds garbage —
+// when the bracket missed, the candidates did not fit in cap(buf) − 1,
+// dim < 4·S, or k = dim.
+func bracketed(w []float64, k int, buf []float64) (t uint64, ties int, ok bool) {
+	dim := len(w)
+	if dim < 4*sampleSize || k >= dim || cap(buf) < 2 {
+		return 0, 0, false
+	}
+	var sample [sampleSize]float64
+	stride := dim / sampleSize
+	for i := range sample {
+		sample[i] = w[i*stride]
+	}
+	r := float64(k) * sampleSize / float64(dim)
+	m := int(math.Ceil(4*math.Sqrt(r*(1-float64(k)/float64(dim))))) + 2
+	// A rank off the sample's end leaves that side of the bracket open.
+	hi, lo := uint64(math.MaxUint64)&^signBit, uint64(0)
+	if rank := int(r) - m; rank >= 1 {
+		hi, _ = kthMagnitude(sample[:], rank, nil)
+	}
+	if rank := int(math.Ceil(r)) + m; rank <= sampleSize {
+		lo, _ = kthMagnitude(sample[:], rank, nil)
+	}
+
+	// Every coordinate is written at out[n] and kept by advancing n only
+	// when it is a candidate. Past the last slot the writes pile up in
+	// it, and n = len(out) already counts as overflow, so out[:n] is
+	// intact whenever it is used.
+	out := buf[:cap(buf)]
+	last := len(out) - 1
+	sure, n := 0, 0
+	for _, v := range w {
+		b := math.Float64bits(v) &^ signBit
+		// Both operands are below 2⁶³, so a difference's top bit is a
+		// comparison: above is b > hi, below is b < lo.
+		above := (hi - b) >> 63
+		below := (b - lo) >> 63
+		out[min(n, last)] = v
+		sure += int(above)
+		n += int(1 ^ (above | below))
+	}
+	if n >= len(out) || sure >= k || k > sure+n {
+		return 0, 0, false
+	}
+	t, ties = kthMagnitude(out[:n], k-sure, out[:0])
+	return t, ties, true
+}
+
 // sparsify reduces w to its k largest-magnitude coordinates, ties broken
 // by lowest index (the strict order is descending magnitude, then
 // ascending index, so the result is a deterministic function of w
@@ -202,16 +274,13 @@ func kthMagnitude(w []float64, k int, buf []float64) (t uint64, ties int) {
 // width 1 or 2 additionally quantizes them with quantize's scheme over
 // the kept values. k is clamped to [0, len(w)].
 //
-// The work is a selection, not a sort: kthMagnitude finds the k-th
-// largest magnitude t, using the still-empty value output as its
-// survivor buffer, then one ascending scan keeps every coordinate above
-// t plus the first few equal to it — which yields the kept indices
-// already in ascending order — and accounts the dropped ones. That is
-// three reads of w when the selection's first bucket fits in k (six at
-// worst, when it never does), Θ(dim) time, and only the 12·k bytes of
-// output are allocated.
-// MeasuredL2Err sums the dropped coordinates in ascending index order
-// (then, for quantized values, the kept ones in ascending index order).
+// The work is a selection, not a sort: threshold finds the k-th largest
+// magnitude t, using the still-empty value output as its buffer, then
+// one ascending scan keeps every coordinate above t plus the first few
+// equal to it — which yields the kept indices already in ascending
+// order — and takes the largest dropped magnitude. That is two reads of
+// w when threshold's bracket holds (three when it falls back), Θ(dim)
+// time, and only the 12·k bytes of output are allocated.
 func sparsify(w []float64, k, width int) (wire.SparseDelta, Bound, error) {
 	if width != 0 && width != 1 && width != 2 {
 		return wire.SparseDelta{}, Bound{}, fmt.Errorf("compress: sparse width %d, want 0, 1 or 2", width)
@@ -229,7 +298,7 @@ func sparsify(w []float64, k, width int) (wire.SparseDelta, Bound, error) {
 	kept := make([]float64, 0, k)
 	if k > 0 {
 		// kept is not filled yet, so the selection may use it as buf.
-		t, ties = kthMagnitude(w, k, kept)
+		t, ties = threshold(w, k, kept)
 		idx = make([]int32, 0, k)
 	}
 	b := Bound{Kept: k, Dim: dim}
@@ -249,14 +318,12 @@ func sparsify(w []float64, k, width int) (wire.SparseDelta, Bound, error) {
 		if e > b.MeasuredMaxErr {
 			b.MeasuredMaxErr = e
 		}
-		b.MeasuredL2Err += e * e
 	}
 	b.MaxCoordErr = b.MeasuredMaxErr
 	s := wire.SparseDelta{Dim: dim, Idx: idx, Width: width}
 	if width == 0 {
 		// Kept coordinates are exact.
 		s.Vals = kept
-		b.MeasuredL2Err = math.Sqrt(b.MeasuredL2Err)
 		return s, b, nil
 	}
 	q, qb, err := quantize(kept, width, nil)
@@ -266,14 +333,7 @@ func sparsify(w []float64, k, width int) (wire.SparseDelta, Bound, error) {
 	s.Scale, s.Q = q.Scale, q.Q
 	b.MaxCoordErr += qb.MaxCoordErr
 	// Measured over the full vector: kept coordinates err by their
-	// quantization error.
-	for i := range kept {
-		e := math.Abs(kept[i] - s.Scale*float64(s.Q[i]))
-		if e > b.MeasuredMaxErr {
-			b.MeasuredMaxErr = e
-		}
-		b.MeasuredL2Err += e * e
-	}
-	b.MeasuredL2Err = math.Sqrt(b.MeasuredL2Err)
+	// quantization error, which quantize has already measured.
+	b.MeasuredMaxErr = max(b.MeasuredMaxErr, qb.MeasuredMaxErr)
 	return s, b, nil
 }

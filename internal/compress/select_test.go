@@ -1,27 +1,26 @@
 package compress
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"runtime"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/wire"
 )
 
 // sparsifySorted is the sort-based top-k sparsify replaced: order every
-// coordinate by (|w| descending, index ascending), keep the first k,
-// sort the kept indices. It is the oracle the selection must match bit
-// for bit (MeasuredL2Err aside, whose summation order changed).
-func sparsifySorted(w []float64, k, width int) (wire.SparseDelta, Bound) {
+// coordinate by (|w| descending, index ascending) — order is that
+// magnitudeOrder(w) — keep the first k, sort the kept indices. It is the
+// oracle the selection must match bit for bit.
+func sparsifySorted(w []float64, order []int32, k, width int) (wire.SparseDelta, Bound) {
 	dim := len(w)
 	k = min(max(k, 0), dim)
-	order := magnitudeOrder(w)
 	idx := append([]int32(nil), order[:k]...)
-	sort.Slice(idx, func(a, b int) bool { return idx[a] < idx[b] })
+	slices.Sort(idx)
 	s := wire.SparseDelta{Dim: dim, Idx: idx, Width: width}
 	kept := make([]float64, k)
 	for i := range kept {
@@ -46,18 +45,20 @@ func sparsifySorted(w []float64, k, width int) (wire.SparseDelta, Bound) {
 }
 
 // magnitudeOrder is the reference's strict order: every index of w by
-// |w| descending, then index ascending.
+// |w| descending, then index ascending. Magnitudes compare by their
+// bits, which order like the values and put NaNs above +Inf.
 func magnitudeOrder(w []float64) []int32 {
 	order := make([]int32, len(w))
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		va, vb := math.Abs(w[order[a]]), math.Abs(w[order[b]])
+	slices.SortFunc(order, func(a, b int32) int {
+		va := math.Float64bits(w[a]) &^ signBit
+		vb := math.Float64bits(w[b]) &^ signBit
 		if va != vb {
-			return va > vb
+			return cmp.Compare(vb, va)
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
 	return order
 }
@@ -96,21 +97,63 @@ func selectionInputs() map[string][]float64 {
 	}
 }
 
+// largeSelectionInputs are inputs long enough for threshold's sampled
+// bracket (dim ≥ 4·sampleSize): the upload's shape and plain noise,
+// where the bracket holds, and shapes that make it miss or overflow.
+func largeSelectionInputs() map[string][]float64 {
+	rng := rand.New(rand.NewSource(17))
+	few := make([]float64, 65_536)
+	for i := range few {
+		few[i] = float64(rng.Intn(7)-3) * 0.25
+	}
+	same := make([]float64, 65_536)
+	for i := range same {
+		same[i] = -2.5
+	}
+	// Signed zeros on every seventh coordinate tie at the bottom; the
+	// infinities and the NaN sit on and off the sample stride (17).
+	specials := randVec(70_001, 19)
+	for i := 0; i < len(specials); i += 7 {
+		specials[i] = math.Copysign(0, float64(i%2)-0.5)
+	}
+	specials[17*40], specials[17*41+3] = math.Inf(1), math.Inf(-1)
+	specials[17*900], specials[5] = math.Inf(-1), math.NaN()
+	asc := make([]float64, 65_536)
+	for i := range asc {
+		asc[i] = float64(i) * 1e-3
+	}
+	// Every sample position (stride 16) lands on a spike, so the sample
+	// sees spikes only and the bracket misses at every k.
+	spikes := make([]float64, 65_536)
+	for i := range spikes {
+		spikes[i] = 2*rng.Float64() - 1
+		if i%16 == 0 {
+			spikes[i] = 1000 + float64(i)
+		}
+	}
+	return map[string][]float64{
+		"mean-of-3": meanOfUniforms(100_003, 3, 23), "noise": randVec(65_537, 29),
+		"seven-values": few, "one-value": same, "specials": specials,
+		"ascending": asc, "spikes": spikes,
+	}
+}
+
 // TestSparsifyMatchesSortedReference pins the selection to the sort it
 // replaced: indices, values, quantized steps, scale and both error
-// bounds are bit-identical for every k that matters, and the new L2
-// error agrees up to summation order.
+// bounds are bit-identical for every k that matters, on the small
+// inputs (kthMagnitude alone) and on the large ones (threshold's
+// sampled bracket, or its fallback where the bracket misses).
 func TestSparsifyMatchesSortedReference(t *testing.T) {
-	for name, w := range selectionInputs() {
-		dim := len(w)
-		for _, k := range []int{-1, 0, 1, 2, dim / 10, dim / 2, dim - 1, dim, dim + 3} {
+	check := func(name string, w []float64, ks []int) {
+		order := magnitudeOrder(w)
+		for _, k := range ks {
 			for _, width := range []int{0, 1, 2} {
 				got, gb, err := sparsify(w, k, width)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, wb := sparsifySorted(w, k, width)
-				if !reflect.DeepEqual(got, want) {
+				want, wb := sparsifySorted(w, order, k, width)
+				if !sameBlock(got, want) {
 					t.Fatalf("%s k=%d width=%d: sparse block differs from the sorted reference\n got idx %v\nwant idx %v",
 						name, k, width, head(got.Idx), head(want.Idx))
 				}
@@ -119,17 +162,61 @@ func TestSparsifyMatchesSortedReference(t *testing.T) {
 					math.Float64bits(gb.MeasuredMaxErr) != math.Float64bits(wb.MeasuredMaxErr) {
 					t.Fatalf("%s k=%d width=%d: bound %+v, reference %+v", name, k, width, gb, wb)
 				}
-				dense := got.Dense(nil)
-				l2 := 0.0
-				for i, v := range w {
-					if d := v - dense[i]; !math.IsInf(v, 0) {
-						l2 += d * d
-					}
-				}
-				if l2 = math.Sqrt(l2); !math.IsInf(gb.MeasuredL2Err, 0) && math.Abs(gb.MeasuredL2Err-l2) > 1e-9*(1+l2) {
-					t.Fatalf("%s k=%d width=%d: MeasuredL2Err %g, recomputed %g", name, k, width, gb.MeasuredL2Err, l2)
-				}
 			}
+		}
+	}
+	for name, w := range selectionInputs() {
+		dim := len(w)
+		check(name, w, []int{-1, 0, 1, 2, dim / 10, dim / 2, dim - 1, dim, dim + 3})
+	}
+	for name, w := range largeSelectionInputs() {
+		dim := len(w)
+		check(name, w, []int{1, 2, 100, dim / 10, dim / 3, dim / 2, dim - 1})
+	}
+}
+
+// sameBlock is reflect.DeepEqual with floats compared by their bits, so
+// a kept NaN equals itself.
+func sameBlock(a, b wire.SparseDelta) bool {
+	sameBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	return a.Dim == b.Dim && a.Width == b.Width && sameBits(a.Scale, b.Scale) &&
+		(a.Idx == nil) == (b.Idx == nil) && slices.Equal(a.Idx, b.Idx) &&
+		(a.Q == nil) == (b.Q == nil) && slices.Equal(a.Q, b.Q) &&
+		(a.Vals == nil) == (b.Vals == nil) && slices.EqualFunc(a.Vals, b.Vals, sameBits)
+}
+
+// TestThresholdTakesThePathItShould pins which way threshold resolves:
+// the sampled bracket on the upload's shape, the fallback where the
+// sample sees only spikes or k = 1 leaves no room for candidates. Both
+// ways must give the sorted order's (t, ties).
+func TestThresholdTakesThePathItShould(t *testing.T) {
+	inputs := largeSelectionInputs()
+	mean, spikes := inputs["mean-of-3"], inputs["spikes"]
+	for _, c := range []struct {
+		name    string
+		w       []float64
+		k       int
+		sampled bool
+	}{
+		{"mean-of-3", mean, len(mean) / 10, true},
+		{"mean-of-3", mean, len(mean) / 2, true},
+		{"mean-of-3", mean, 1, false},
+		{"spikes", spikes, len(spikes) / 10, false},
+		{"spikes", spikes, 100, false},
+	} {
+		if _, _, ok := bracketed(c.w, c.k, make([]float64, 0, c.k)); ok != c.sampled {
+			t.Errorf("%s k=%d: bracket held = %v, want %v", c.name, c.k, ok, c.sampled)
+		}
+		order := magnitudeOrder(c.w)
+		want := math.Float64bits(c.w[order[c.k-1]]) &^ signBit
+		wantTies := 0
+		for _, i := range order[:c.k] {
+			if math.Float64bits(c.w[i])&^signBit == want {
+				wantTies++
+			}
+		}
+		if got, ties := threshold(c.w, c.k, make([]float64, 0, c.k)); got != want || ties != wantTies {
+			t.Errorf("%s k=%d: t=%#x ties=%d, sort says t=%#x ties=%d", c.name, c.k, got, ties, want, wantTies)
 		}
 	}
 }
@@ -223,17 +310,23 @@ func TestSparsifyAllocatesOnlyItsOutput(t *testing.T) {
 	}
 }
 
+// BenchmarkSparsify times top-k at k = dim/10 on normal noise, and on
+// agg_compress's upload: the mean of three uniforms at its model's
+// dimension, keeping Config{Scheme: TopK, Frac: 0.1}.Kept(dim).
 func BenchmarkSparsify(b *testing.B) {
-	for _, dim := range []int{100_000, 1_000_000} {
-		b.Run(fmt.Sprintf("dim1e%d", int(math.Round(math.Log10(float64(dim))))), func(b *testing.B) {
-			w := randVec(dim, 42)
-			b.SetBytes(int64(8 * dim))
-			b.ResetTimer()
+	run := func(name string, w []float64, k int) {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(8 * len(w)))
 			for i := 0; i < b.N; i++ {
-				if _, _, err := sparsify(w, dim/10, 0); err != nil {
+				if _, _, err := sparsify(w, k, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+	for _, dim := range []int{100_000, 1_000_000} {
+		run(fmt.Sprintf("dim1e%d", int(math.Round(math.Log10(float64(dim))))), randVec(dim, 42), dim/10)
+	}
+	const dim = 625_429
+	run("mean3-dim625429", meanOfUniforms(dim, 3, 42), Config{Scheme: TopK, Frac: 0.1}.Kept(dim))
 }
