@@ -130,12 +130,13 @@ bench-check:
 	for run in 1 2 3; do $(GO) test $(BENCH_ARGS); done | $(GO) run ./cmd/p2pfl-benchjson -pairs $(TIME_PAIRS) -pair-tolerance 0.05
 
 # Telemetry exposition: the registry package, the wired subsystems'
-# counting/determinism regressions, and the /debug/telemetry schema
-# golden.
+# counting/determinism regressions (the recovery figures' same-seed
+# dump, which p2pfl-experiments -telemetry writes, among them), and the
+# /debug/telemetry schema golden.
 test-telemetry:
 	$(GO) test -race ./internal/telemetry/ ./cmd/p2pfl-node/ ./cmd/p2pfl-benchjson/ \
 		./internal/transport/ ./internal/cluster/ \
-		./internal/chaos/ ./cmd/p2pfl-sim/
+		./internal/chaos/ ./internal/experiments/
 
 # Self-healing: the failure detector, the resilient transport (circuit
 # breakers, head-of-line regression), and the cluster/chaos/core

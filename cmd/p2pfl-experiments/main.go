@@ -6,11 +6,14 @@
 //	p2pfl-experiments -exp fig10 -trials 1000
 //	p2pfl-experiments -exp fig6 -rounds 1000 -csv out/
 //	p2pfl-experiments -exp ext2          # DP utility sweep
+//	p2pfl-experiments -exp fig12 -telemetry fig12.json
 //
 // Accuracy figures (6–9) run the CI-scale synthetic workload by default;
 // raise -rounds for longer curves. Recovery figures (10–12) run on the
 // virtual-time simulator, so -trials 1000 (the paper's count) finishes in
-// minutes, not hours.
+// minutes, not hours. -telemetry dumps the raft and cluster telemetry of
+// every recovery trial as one JSON snapshot; a fixed -seed dumps the
+// same bytes.
 package main
 
 import (
@@ -20,6 +23,7 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
+	"repro/internal/telemetry"
 )
 
 func main() {
@@ -31,10 +35,20 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed")
 		csvDir   = flag.String("csv", "", "also write full data series as <dir>/<fig>.csv")
 		markdown = flag.String("markdown", "", "write a self-contained markdown report to this file instead of stdout tables")
+		telemOut = flag.String("telemetry", "", "write the recovery figures' telemetry snapshot as JSON to this file ('-' for stdout)")
 	)
 	flag.Parse()
 
 	p := experiments.Params{Rounds: *rounds, Trials: *trials, MaxN: *maxN, Seed: *seed}
+	if *telemOut != "" {
+		p.Telemetry = telemetry.New()
+		defer func() {
+			if err := writeTelemetry(*telemOut, p.Telemetry); err != nil {
+				fmt.Fprintf(os.Stderr, "write -telemetry %s: %v\n", *telemOut, err)
+				os.Exit(1)
+			}
+		}()
+	}
 	if *markdown != "" {
 		f, err := os.Create(*markdown)
 		if err != nil {
@@ -85,4 +99,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q (have %s)\n", *exp, strings.Join(experiments.Names(), ","))
 		os.Exit(2)
 	}
+}
+
+// writeTelemetry dumps the registry snapshot to path ('-' = stdout).
+func writeTelemetry(path string, reg *telemetry.Registry) error {
+	if path == "-" {
+		return reg.WriteJSON(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := reg.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -180,9 +180,9 @@ func TestFedAvgLeaderCrashRecovery(t *testing.T) {
 
 func TestFollowerCrashIsHarmless(t *testing.T) {
 	// Sec. V-A2: the subgroup tolerates follower crashes as long as a
-	// majority survives.
+	// majority survives, and neither layer elects anyone.
 	s := mustBootstrap(t, paperOpts(50, 5))
-	lead := s.SubgroupLeader(0)
+	lead, fed := s.SubgroupLeader(0), s.FedAvgLeader()
 	killed := 0
 	for _, id := range s.SubgroupPeers(0) {
 		if id != lead && killed < 2 { // 2 of 5 may die
@@ -196,8 +196,8 @@ func TestFollowerCrashIsHarmless(t *testing.T) {
 	if s.SubgroupLeader(0) != lead {
 		t.Fatalf("leadership changed after follower crashes")
 	}
-	if s.FedAvgLeader() == raft.None {
-		t.Fatal("FedAvg layer lost its leader")
+	if got := s.FedAvgLeader(); got != fed {
+		t.Fatalf("FedAvg leader changed after follower crashes: %d, was %d", got, fed)
 	}
 }
 

@@ -90,7 +90,7 @@ func TestDetectorBeatsTimeoutRecovery(t *testing.T) {
 		t.Fatal("no new subgroup leader event recorded")
 	}
 	if camp.At > lead.At {
-		t.Fatalf("proactive campaign at %v ms after new leader at %v ms", camp.At.Ms(), lead.At.Ms())
+		t.Fatalf("proactive campaign at %v ms after new leader at %v ms", simnet.Duration(camp.At).Ms(), simnet.Duration(lead.At).Ms())
 	}
 
 	// Shadow-ledger invariant: every Down verdict saw a genuine silence

@@ -108,9 +108,11 @@ func quantize(w []float64, width int, q []int16) (wire.QuantDelta, Bound, error)
 	})
 	d := wire.QuantDelta{Width: width, Scale: scale, Q: q}
 	b := Bound{MaxCoordErr: scale / 2, Kept: len(w), Dim: len(w)}
+	// A NaN coordinate errs by NaN, and once seen the bound stays NaN:
+	// no e > NaN holds.
 	for i, v := range w {
 		e := math.Abs(v - scale*float64(q[i]))
-		if e > b.MeasuredMaxErr {
+		if e > b.MeasuredMaxErr || v != v {
 			b.MeasuredMaxErr = e
 		}
 	}
@@ -301,9 +303,11 @@ func sparsify(w []float64, k, width int) (wire.SparseDelta, Bound, error) {
 		t, ties = threshold(w, k, kept)
 		idx = make([]int32, 0, k)
 	}
-	b := Bound{Kept: k, Dim: dim}
 	// Dropped coordinates reconstruct to zero, so each errs by its
-	// magnitude; the largest of them bounds every zeroed coordinate.
+	// magnitude; the largest of them bounds every zeroed coordinate. It
+	// is taken on the magnitude bits, where a NaN orders above +Inf, so
+	// a dropped NaN makes the bound NaN.
+	dropped := uint64(0)
 	for i, v := range w {
 		a := math.Float64bits(v) &^ signBit
 		if a > t || (a == t && ties > 0) {
@@ -314,12 +318,10 @@ func sparsify(w []float64, k, width int) (wire.SparseDelta, Bound, error) {
 			kept = append(kept, v)
 			continue
 		}
-		e := math.Abs(v)
-		if e > b.MeasuredMaxErr {
-			b.MeasuredMaxErr = e
-		}
+		dropped = max(dropped, a)
 	}
-	b.MaxCoordErr = b.MeasuredMaxErr
+	e := math.Float64frombits(dropped)
+	b := Bound{MaxCoordErr: e, MeasuredMaxErr: e, Kept: k, Dim: dim}
 	s := wire.SparseDelta{Dim: dim, Idx: idx, Width: width}
 	if width == 0 {
 		// Kept coordinates are exact.
@@ -333,7 +335,8 @@ func sparsify(w []float64, k, width int) (wire.SparseDelta, Bound, error) {
 	s.Scale, s.Q = q.Scale, q.Q
 	b.MaxCoordErr += qb.MaxCoordErr
 	// Measured over the full vector: kept coordinates err by their
-	// quantization error, which quantize has already measured.
-	b.MeasuredMaxErr = max(b.MeasuredMaxErr, qb.MeasuredMaxErr)
+	// quantization error, which quantize has already measured. A dropped
+	// +Inf outranks a kept NaN's NaN, as in the sort it replaced.
+	b.MeasuredMaxErr = math.Max(b.MeasuredMaxErr, qb.MeasuredMaxErr)
 	return s, b, nil
 }

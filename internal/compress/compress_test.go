@@ -191,6 +191,31 @@ func TestTopKQuantBound(t *testing.T) {
 	}
 }
 
+// TestDroppedNaNLeavesTheBoundNaN: a NaN that is dropped (sparsify) or
+// cannot be represented (quantize) errs by NaN, so both error bounds
+// are NaN, not the largest finite error seen beside it.
+func TestDroppedNaNLeavesTheBoundNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, width := range []int{0, 1, 2} {
+		_, b, err := sparsify([]float64{nan, nan, 1}, 1, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !math.IsNaN(b.MaxCoordErr) || !math.IsNaN(b.MeasuredMaxErr) {
+			t.Errorf("sparsify width %d with a dropped NaN: bound %+v, want NaN", width, b)
+		}
+	}
+	for _, width := range []int{1, 2} {
+		_, b, err := quantize([]float64{0.5, nan, 1}, width, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !math.IsNaN(b.MeasuredMaxErr) {
+			t.Errorf("quantize width %d with a NaN: measured error %g, want NaN", width, b.MeasuredMaxErr)
+		}
+	}
+}
+
 // TestEmptyAndAllZero: degenerate vectors compress to canonical empty /
 // zero blocks and reconstruct exactly.
 func TestEmptyAndAllZero(t *testing.T) {

@@ -94,6 +94,7 @@ func selectionInputs() map[string][]float64 {
 	return map[string][]float64{
 		"noise": randVec(10_007, 3), "few-values": few, "one-value": same,
 		"edge": edge, "ascending": asc, "descending": desc, "last-digit": near,
+		"nans": {math.NaN(), math.NaN(), 1, -3, math.NaN(), 0.5},
 	}
 }
 

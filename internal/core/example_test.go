@@ -5,6 +5,8 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/nn"
 	"repro/internal/sac"
 )
 
@@ -55,4 +57,53 @@ func ExampleSplitPeers() {
 	sizes, _ := core.SplitPeers(30, 4)
 	fmt.Println(sizes)
 	// Output: [8 8 7 7]
+}
+
+// Federated training of six peers in two 2-out-of-3 SAC subgroups with a
+// FedAvg layer on top, the paper's two-layer aggregation, against the
+// original one-layer SAC over all six on the same workload: the same
+// accuracy at 1.88× less aggregation traffic.
+func ExampleRunTraining() {
+	base := core.TrainerConfig{
+		Model: func(rng *rand.Rand) (*nn.Model, error) {
+			return nn.MLP(64, []int{32}, 4, rng), nil
+		},
+		Flat:         true,
+		Data:         dataset.Tiny(4, 360, 200, 7),
+		Dist:         dataset.IID,
+		Rounds:       30,
+		EvalEvery:    5,
+		LearningRate: 2e-3,
+		BatchSize:    20,
+		Seed:         7,
+	}
+	twoLayer := base
+	twoLayer.Core = core.Config{Sizes: []int{3, 3}, K: []int{2}}
+	ts, err := core.RunTraining(twoLayer)
+	if err != nil {
+		panic(err)
+	}
+	baseline := base
+	baseline.Core = core.Config{Sizes: []int{6}}
+	baseline.Baseline = true
+	bs, err := core.RunTraining(baseline)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("round  two-layer acc  baseline acc")
+	for i := range ts.Round {
+		fmt.Printf("%5d %13.1f%% %12.1f%%\n", ts.Round[i], 100*ts.TestAcc[i], 100*bs.TestAcc[i])
+	}
+	tb, bb := ts.Bytes[len(ts.Bytes)-1], bs.Bytes[len(bs.Bytes)-1]
+	fmt.Printf("aggregation traffic: two-layer %d bytes, baseline %d bytes (%.2fx reduction)\n",
+		tb, bb, float64(bb)/float64(tb))
+	// Output:
+	// round  two-layer acc  baseline acc
+	//     5          70.5%         70.5%
+	//    10          97.5%         97.5%
+	//    15          98.0%         98.0%
+	//    20          99.5%         99.5%
+	//    25          99.5%         99.5%
+	//    30          99.5%         99.5%
+	// aggregation traffic: two-layer 16988160 bytes, baseline 31852800 bytes (1.88x reduction)
 }

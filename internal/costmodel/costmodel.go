@@ -52,20 +52,6 @@ func TwoLayerUnits(m, n int) (int64, error) {
 	return mm*nn*nn + mm*nn - 2, nil
 }
 
-// twoLayerKNUnits returns Eq. 5 — (n²−kn+k)N + km − 2 — for m equal
-// subgroups of size n with threshold k, N = m·n.
-func twoLayerKNUnits(m, n, k int) (int64, error) {
-	if m < 1 || n < 1 {
-		return 0, fmt.Errorf("costmodel: m=%d n=%d", m, n)
-	}
-	if k < 1 || k > n {
-		return 0, fmt.Errorf("costmodel: k=%d out of [1,%d]", k, n)
-	}
-	mm, nn, kk := int64(m), int64(n), int64(k)
-	N := mm * nn
-	return (nn*nn-kk*nn+kk)*N + kk*mm - 2, nil
-}
-
 // TwoLayerUnevenUnits computes the two-layer n-out-of-n cost for uneven
 // subgroup sizes (the Fig. 13 sweep distributes N mod m evenly):
 // Σ(n_g²−1) for the subgroup SACs + 2(m−1) for the FedAvg layer +
@@ -153,39 +139,6 @@ func MultiLayerUnits(n, layers int) (int64, error) {
 		return 0, err
 	}
 	return (N - 1) * int64(n+2), nil
-}
-
-// MultiLayerUnitsDerived recomputes the X-layer cost from first
-// principles (Eq. 7: per-aggregation cost (n²−1)|w| times the number of
-// aggregations, plus (N−1)|w| distribution) — used to verify the closed
-// form of Eq. 10.
-func MultiLayerUnitsDerived(n, layers int) (int64, error) {
-	N, err := MultiLayerPeers(n, layers)
-	if err != nil {
-		return 0, err
-	}
-	// Number of aggregations: Σ_{x=1..X−1} n(n−1)^{x−1} + 1.
-	var aggs, term int64 = 1, int64(n)
-	for x := 1; x <= layers-1; x++ {
-		aggs += term
-		term *= int64(n - 1)
-	}
-	nn := int64(n)
-	return (nn*nn-1)*aggs + (N - 1), nil
-}
-
-// Reduction returns the baseline/two-layer cost ratio for the given
-// setting — the paper's headline numbers (e.g. 10.36× at n,k,N = 3,2,30).
-func Reduction(total, m, n, k int) (float64, error) {
-	base, err := BaselineUnits(total)
-	if err != nil {
-		return 0, err
-	}
-	two, err := twoLayerKNUnits(m, n, k)
-	if err != nil {
-		return 0, err
-	}
-	return float64(base) / float64(two), nil
 }
 
 // ScaleTier names one point on the massive-scale X-layer curve: a

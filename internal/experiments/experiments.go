@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+
+	"repro/internal/telemetry"
 )
 
 // Params scales the experiment drivers.
@@ -27,6 +29,9 @@ type Params struct {
 	Trials int
 	// Seed makes every driver deterministic.
 	Seed int64
+	// Telemetry, when not nil, accumulates the raft and cluster
+	// counters and trace of every recovery trial (Figs. 10–12, ext5).
+	Telemetry *telemetry.Registry
 }
 
 // Defaults fills zero fields with CI-scale values.

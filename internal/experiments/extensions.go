@@ -195,7 +195,7 @@ func ext5LatencySweep(p Params) (*tableResult, error) {
 	for _, latMs := range []int{1, 5, 15, 30, 45} {
 		var samples []float64
 		for trial := 0; trial < p.Trials; trial++ {
-			ms, _, err := paperTrial(100, latMs, p.Seed+int64(latMs)*1e6+int64(trial), true).Run(CrashSubgroupLeader)
+			ms, _, err := paperTrial(100, latMs, p.Seed+int64(latMs)*1e6+int64(trial), true, p.Telemetry).Run(crashSubgroupLeader)
 			if err != nil {
 				return nil, fmt.Errorf("ext5 lat=%dms trial=%d: %w", latMs, trial, err)
 			}

@@ -67,18 +67,17 @@ func (r *recoveryResult) Print(w io.Writer) {
 	}
 }
 
-// Recovery scenarios: which peer a RecoveryTrial crashes.
+// Recovery scenarios: which peer a recoveryTrial crashes.
 const (
-	CrashSubgroupLeader = "subgroup-leader" // one that is not the FedAvg leader (Figs. 10–11)
-	CrashFedAvgLeader   = "fedavg-leader"   // Fig. 12
-	CrashFollower       = "follower"        // of subgroup 0; nothing may happen
+	crashSubgroupLeader = "subgroup-leader" // one that is not the FedAvg leader (Figs. 10–11, ext5)
+	crashFedAvgLeader   = "fedavg-leader"   // Fig. 12
 )
 
-// RecoveryTrial is one crash-recovery measurement on a fresh M×N
+// recoveryTrial is one crash-recovery measurement on a fresh M×N
 // two-layer cluster with timeouts U(TMs, 2·TMs) ms — the paper's
 // Sec. VI-B setup at M = N = 5, Latency = 15 ms. It is the one trial
-// behind Figs. 10–12, ext5 and cmd/p2pfl-sim.
-type RecoveryTrial struct {
+// behind Figs. 10–12 and ext5.
+type recoveryTrial struct {
 	M, N      int
 	TMs       int
 	Latency   simnet.Duration // one-way link latency
@@ -93,10 +92,8 @@ type RecoveryTrial struct {
 // Run bootstraps the cluster, lets configuration commits settle for
 // 4·T, crashes the scenario's victim and returns the virtual time in ms
 // from the crash until the victim's subgroup has a new leader (electMs)
-// and until that leader has joined the FedAvg layer (joinMs). The
-// follower scenario instead runs 6·T, fails if any leadership changed,
-// and returns −1 for both.
-func (rt RecoveryTrial) Run(scenario string) (electMs, joinMs float64, err error) {
+// and until that leader has joined the FedAvg layer (joinMs).
+func (rt recoveryTrial) Run(scenario string) (electMs, joinMs float64, err error) {
 	sys, err := cluster.New(cluster.Options{
 		NumSubgroups:    rt.M,
 		SubgroupSize:    rt.N,
@@ -115,22 +112,15 @@ func (rt RecoveryTrial) Run(scenario string) (electMs, joinMs float64, err error
 	// Let configuration commits propagate before injecting the fault.
 	sys.Sim.RunFor(simnet.Duration(4*rt.TMs) * simnet.Millisecond)
 
-	fed, lead0 := sys.FedAvgLeader(), sys.SubgroupLeader(0)
+	fed := sys.FedAvgLeader()
 	victim := raft.None
 	switch scenario {
-	case CrashFedAvgLeader:
+	case crashFedAvgLeader:
 		victim = fed
-	case CrashSubgroupLeader:
+	case crashSubgroupLeader:
 		for g := 0; g < rt.M && victim == raft.None; g++ {
 			if l := sys.SubgroupLeader(g); l != fed {
 				victim = l
-			}
-		}
-	case CrashFollower:
-		for _, id := range sys.SubgroupPeers(0) {
-			if id != lead0 && id != fed {
-				victim = id
-				break
 			}
 		}
 	default:
@@ -143,13 +133,6 @@ func (rt RecoveryTrial) Run(scenario string) (electMs, joinMs float64, err error
 	crashAt := sys.Sim.Now()
 	if err := sys.CrashPeer(victim); err != nil {
 		return 0, 0, err
-	}
-	if scenario == CrashFollower {
-		sys.Sim.RunFor(simnet.Duration(6*rt.TMs) * simnet.Millisecond)
-		if sys.SubgroupLeader(0) != lead0 || sys.FedAvgLeader() != fed {
-			return 0, 0, fmt.Errorf("leadership changed after a follower crash")
-		}
-		return -1, -1, nil
 	}
 	limit := 600 * simnet.Second
 	newLeader, electAt, err := sys.WaitSubgroupLeader(victimSub, victim, limit)
@@ -168,10 +151,11 @@ func (rt RecoveryTrial) Run(scenario string) (electMs, joinMs float64, err error
 }
 
 // paperTrial is the N=25, n=5 setup of Figs. 10–12 (the paper fixes
-// 15 ms links; ext5 sweeps the latency).
-func paperTrial(tMs, latencyMs int, seed int64, electOnly bool) RecoveryTrial {
-	return RecoveryTrial{M: 5, N: 5, TMs: tMs, Latency: simnet.Duration(latencyMs) * simnet.Millisecond,
-		Seed: seed, ElectOnly: electOnly}
+// 15 ms links; ext5 sweeps the latency), counting into reg when it is
+// not nil.
+func paperTrial(tMs, latencyMs int, seed int64, electOnly bool, reg *telemetry.Registry) recoveryTrial {
+	return recoveryTrial{M: 5, N: 5, TMs: tMs, Latency: simnet.Duration(latencyMs) * simnet.Millisecond,
+		Seed: seed, Telemetry: reg, ElectOnly: electOnly}
 }
 
 // runRecovery samples p.Trials trials of scenario per timeout setting:
@@ -184,12 +168,15 @@ func runRecovery(fig, note, scenario string, join bool, paper map[int]float64, p
 		// Trials are independent simulations with per-trial seeds, so
 		// they fan out over the tensor worker budget; samples land at
 		// their trial index, keeping the result order (and therefore the
-		// stats and histograms) identical to a serial run.
+		// stats and histograms) identical to a serial run. Trials that
+		// share a registry run in order, one at a time: its trace and
+		// its clock follow one simulation at a time, so that equal
+		// seeds dump equal bytes.
 		samples := make([]float64, p.Trials)
 		errs := make([]error, p.Trials)
 		runTrial := func(trial int) {
 			seed := p.Seed + int64(tMs)*100000 + int64(trial)
-			ms, joinMs, err := paperTrial(tMs, 15, seed, !join).Run(scenario)
+			ms, joinMs, err := paperTrial(tMs, 15, seed, !join, p.Telemetry).Run(scenario)
 			if err != nil {
 				errs[trial] = fmt.Errorf("%s T=%d trial=%d: %w", fig, tMs, trial, err)
 				return
@@ -199,11 +186,16 @@ func runRecovery(fig, note, scenario string, join bool, paper map[int]float64, p
 			}
 			samples[trial] = ms
 		}
-		tensor.ParallelRows(p.Trials, func(lo, hi int) {
+		runTrials := func(lo, hi int) {
 			for trial := lo; trial < hi; trial++ {
 				runTrial(trial)
 			}
-		})
+		}
+		if p.Telemetry != nil {
+			runTrials(0, p.Trials)
+		} else {
+			tensor.ParallelRows(p.Trials, runTrials)
+		}
 		for _, err := range errs {
 			if err != nil {
 				return nil, err
@@ -219,7 +211,7 @@ func runRecovery(fig, note, scenario string, join bool, paper map[int]float64, p
 func fig10(p Params) (*recoveryResult, error) {
 	return runRecovery("fig10",
 		"subgroup-leader crash → new subgroup leader elected (N=25, n=5, 15 ms links)",
-		CrashSubgroupLeader, false,
+		crashSubgroupLeader, false,
 		map[int]float64{50: 214.30, 100: 401.04, 150: 580.74, 200: 749.07}, p)
 }
 
@@ -228,7 +220,7 @@ func fig10(p Params) (*recoveryResult, error) {
 func fig11(p Params) (*recoveryResult, error) {
 	return runRecovery("fig11",
 		"subgroup-leader crash → new leader elected and joined FedAvg layer",
-		CrashSubgroupLeader, true,
+		crashSubgroupLeader, true,
 		map[int]float64{50: 337.28, 100: 526.84, 150: 725.44, 200: 915.16}, p)
 }
 
@@ -237,6 +229,6 @@ func fig11(p Params) (*recoveryResult, error) {
 func fig12(p Params) (*recoveryResult, error) {
 	return runRecovery("fig12",
 		"FedAvg-leader crash → both layers recovered, new subgroup leader joined",
-		CrashFedAvgLeader, true,
+		crashFedAvgLeader, true,
 		map[int]float64{50: 432.35, 100: 641.49, 150: 855.74, 200: 1073.69}, p)
 }

@@ -156,15 +156,3 @@ func (m *Model) SetWeightVector(w []float64) error {
 	}
 	return nil
 }
-
-// Summary returns a human-readable architecture description.
-func (m *Model) Summary() string {
-	s := ""
-	for i, l := range m.layers {
-		if i > 0 {
-			s += " → "
-		}
-		s += l.Name()
-	}
-	return fmt.Sprintf("%s (%d params)", s, m.ParamCount())
-}

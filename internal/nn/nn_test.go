@@ -385,15 +385,6 @@ func TestTinyCNNTrains(t *testing.T) {
 	}
 }
 
-func TestModelSummary(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	m := MLP(2, []int{3}, 2, rng)
-	s := m.Summary()
-	if s == "" {
-		t.Fatal("empty summary")
-	}
-}
-
 // TestMaxPoolDivergedInput: a window in which nothing compares greater
 // than anything — all NaN, or all −Inf — still has an argmax, so Backward
 // routes the gradient instead of indexing with −1, and the NaN reaches

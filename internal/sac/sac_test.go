@@ -79,13 +79,14 @@ func TestBroadcastCostMatchesPaperFormula(t *testing.T) {
 	for _, n := range []int{2, 5, 10} {
 		dim := 32
 		models := randModels(r, n, dim)
-		mesh := transport.NewMesh(n, nil)
+		traffic := transport.NewCounter()
+		mesh := transport.NewMesh(n, traffic)
 		if _, err := Run(mesh, Config{N: n, K: n, Mode: ModeBroadcast, Rng: r}, models, nil); err != nil {
 			t.Fatal(err)
 		}
 		w := int64(8 * dim)
 		want := int64(2*n*(n-1)) * w
-		if got := mesh.Counter().TotalBytes(); got != want {
+		if got := traffic.TotalBytes(); got != want {
 			t.Fatalf("n=%d: bytes = %d, want %d", n, got, want)
 		}
 	}
@@ -97,7 +98,8 @@ func TestLeaderModeNOutOfNCost(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 8} {
 		dim := 16
 		models := randModels(r, n, dim)
-		mesh := transport.NewMesh(n, nil)
+		traffic := transport.NewCounter()
+		mesh := transport.NewMesh(n, traffic)
 		res, err := Run(mesh, Config{N: n, K: n, Leader: 0, Mode: ModeLeader, Rng: r}, models, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -107,7 +109,7 @@ func TestLeaderModeNOutOfNCost(t *testing.T) {
 		}
 		w := int64(8 * dim)
 		want := int64(n*n-1) * w
-		if got := mesh.Counter().TotalBytes(); got != want {
+		if got := traffic.TotalBytes(); got != want {
 			t.Fatalf("n=%d: bytes = %d, want %d", n, got, want)
 		}
 	}
@@ -120,7 +122,8 @@ func TestLeaderModeKOutOfNCostNoFailure(t *testing.T) {
 		n, k := nk[0], nk[1]
 		dim := 8
 		models := randModels(r, n, dim)
-		mesh := transport.NewMesh(n, nil)
+		traffic := transport.NewCounter()
+		mesh := transport.NewMesh(n, traffic)
 		res, err := Run(mesh, Config{N: n, K: k, Leader: 0, Mode: ModeLeader, Rng: r}, models, nil)
 		if err != nil {
 			t.Fatalf("%d-%d: %v", k, n, err)
@@ -130,7 +133,7 @@ func TestLeaderModeKOutOfNCostNoFailure(t *testing.T) {
 		}
 		w := int64(8 * dim)
 		want := int64(n*(n-1)*(n-k+1)+(k-1)) * w
-		if got := mesh.Counter().TotalBytes(); got != want {
+		if got := traffic.TotalBytes(); got != want {
 			t.Fatalf("%d-%d: bytes = %d, want %d", k, n, got, want)
 		}
 	}

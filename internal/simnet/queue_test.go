@@ -184,7 +184,7 @@ func TestQueueHoldsInstantsNotEvents(t *testing.T) {
 			t.Fatal("queue ran dry")
 		}
 		if len(sim.heap) > maxInstants {
-			t.Fatalf("at %v ms the heap holds %d instants, want ≤ %d", sim.Now().Ms(), len(sim.heap), maxInstants)
+			t.Fatalf("at %v ms the heap holds %d instants, want ≤ %d", Duration(sim.Now()).Ms(), len(sim.heap), maxInstants)
 		}
 		blocks := map[*tickBlock]bool{}
 		for _, id := range g.IDs() {
@@ -193,7 +193,7 @@ func TestQueueHoldsInstantsNotEvents(t *testing.T) {
 			}
 		}
 		if blocks[nil] || sim.pending < len(blocks) {
-			t.Fatalf("at %v ms %d events are pending for %d tick blocks (a live host in none: %v)", sim.Now().Ms(), sim.pending, len(blocks), blocks[nil])
+			t.Fatalf("at %v ms %d events are pending for %d tick blocks (a live host in none: %v)", Duration(sim.Now()).Ms(), sim.pending, len(blocks), blocks[nil])
 		}
 		most = max(most, sim.pending)
 	}

@@ -35,9 +35,6 @@ const (
 // milliseconds.
 const Tick = Millisecond
 
-// Ms renders a Time as fractional milliseconds.
-func (t Time) Ms() float64 { return float64(t) / 1000 }
-
 // Ms renders a Duration as fractional milliseconds.
 func (d Duration) Ms() float64 { return float64(d) / 1000 }
 

@@ -52,7 +52,7 @@ func (e traced) String() string {
 	if e.delivery {
 		what = "delivery to"
 	}
-	return fmt.Sprintf("%s host %d at %v ms", what, e.key, e.at.Ms())
+	return fmt.Sprintf("%s host %d at %v ms", what, e.key, Duration(e.at).Ms())
 }
 
 // compareTraces fails at the first entry where the two traces differ.

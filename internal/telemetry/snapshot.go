@@ -16,9 +16,9 @@ type HistogramSnapshot struct {
 
 // Snapshot is a point-in-time copy of every metric and the trace ring.
 // The JSON encoding is the stable schema served by /debug/telemetry and
-// dumped by p2pfl-sim -telemetry: map keys serialize in sorted order and
-// trace events in ascending Seq, so identical-seed simulated runs
-// produce byte-identical output.
+// dumped by p2pfl-experiments -telemetry: map keys serialize in sorted
+// order and trace events in ascending Seq, so identical-seed simulated
+// runs produce byte-identical output.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]float64           `json:"gauges"`

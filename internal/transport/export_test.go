@@ -10,7 +10,21 @@ func (m *TCPMesh) FreshVectors() int {
 }
 
 // Counter returns the mesh's traffic counter.
+func (m *Mesh) Counter() *Counter { return m.counter }
+
+// Counter returns the mesh's traffic counter.
 func (m *TCPMesh) Counter() *Counter { return m.counter }
+
+// TotalMessages returns the message total across all kinds.
+func (c *Counter) TotalMessages() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var t int64
+	for _, n := range c.msgs {
+		t += n
+	}
+	return t
+}
 
 // Counter returns the transport's traffic counter.
 func (t *RaftTCP) Counter() *Counter { return t.counter }

@@ -76,17 +76,6 @@ func (c *Counter) TotalBytes() int64 {
 	return t
 }
 
-// TotalMessages returns the message total across all kinds.
-func (c *Counter) TotalMessages() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var t int64
-	for _, n := range c.msgs {
-		t += n
-	}
-	return t
-}
-
 // Kinds returns the recorded kinds in sorted order.
 func (c *Counter) Kinds() []string {
 	c.mu.Lock()
@@ -220,9 +209,6 @@ func NewMesh(n int, counter *Counter) *Mesh {
 
 // N returns the number of peers.
 func (m *Mesh) N() int { return m.n }
-
-// Counter returns the mesh's traffic counter.
-func (m *Mesh) Counter() *Counter { return m.counter }
 
 // Observe installs a callback invoked (under the mesh lock) for every
 // message accepted by Send, including messages to crashed receivers.
