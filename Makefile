@@ -16,7 +16,7 @@ BENCH_ARGS := -run '^$$' -bench $(BENCH_PATTERN) -benchmem -benchtime 10x \
 	./internal/raft/ ./internal/sac/ ./internal/transport/
 TIME_PAIRS := 'RaftTickLive=RaftTickNil,SACRoundLive=SACRoundNil,RaftTCPSendHealthyPeerAsync=RaftTCPSendHealthyPeerSync'
 
-.PHONY: all build vet test size race chaos-smoke check bench-check test-telemetry test-health test-wire test-byzantine test-compress test-wan test-churn test-scale test-compose test-node test-train
+.PHONY: all build vet test size race chaos-smoke check bench-check test-telemetry test-health test-wire test-byzantine test-compress test-wan test-churn test-scale test-compose test-node test-train test-raft
 
 all: check
 
@@ -46,10 +46,10 @@ size:
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # Each oracle runs once per seed, through its track: the soak's faults
-# track runs the SAC oracle after every schedule, so it starts at seed 2
-# and the compose line runs seed 1's. Its sixty two-layer cells at
-# -steps 12 are the two-layer campaigns of both targets.
-# The wan line starts at seed 16: the paper-profile control counts
+# track runs a campaign on the two-layer cluster and the SAC oracle
+# after it, so it starts at seed 2 and the compose line runs seed 1's.
+# The compose line's sixty cells at -steps 12 are campaigns under every
+# profile, link and mix. The wan line starts at seed 16: the paper-profile control counts
 # spurious elections on seeds 16, 17, 19 and 20 only, and a sweep whose
 # control stays at zero exits 1.
 race:
@@ -61,9 +61,11 @@ race:
 	$(GO) run -race ./cmd/p2pfl-chaos -track churn -seeds 5
 	$(GO) run -race ./cmd/p2pfl-chaos -track shard -seeds 3
 
-# 30-second deterministic chaos sweep. The start seeds are pinned so CI
-# failures reproduce locally: a red seed prints the flags that rerun it
-# alone, and a red schedule also writes a replay file.
+# 30-second deterministic chaos sweep: consecutive seeds of campaigns
+# on the two-layer cluster, each with the SAC oracle, then one seed of
+# each oracle track. The start seeds are pinned so CI failures reproduce
+# locally: a red seed prints the flags that rerun it alone, and a red
+# schedule also writes a replay file.
 chaos-smoke:
 	$(GO) run ./cmd/p2pfl-chaos -seed 2 -soak 30s
 	$(GO) run ./cmd/p2pfl-chaos -track compose -seeds 1 -steps 12
@@ -88,6 +90,17 @@ chaos-smoke:
 # (TestSeed19JoinerFindsTheFedAvgLeader).
 test-compose:
 	$(GO) run ./cmd/p2pfl-chaos -track compose -seeds 20
+
+# Raft's safety over every schedule of three nodes and a spare within
+# the exhaustive checker's deeper bounds — two messages in flight,
+# duplication and crashes on, up to term 3 and log index 2 (14.6M
+# states, ~3 min on 2 vCPUs), then up to term 2 and log index 3 (34.4M
+# states, ~7 min, 1.2 GB) — after the short bound `go test` runs
+# (internal/raft/check_deep_test.go, build tag raftdeep). Each logs the
+# states it explored; a red state prints the shortest schedule that
+# reaches it.
+test-raft:
+	$(GO) test -tags raftdeep -run 'TestEvery(Deeper|Small)ScheduleIsSafe' -count=1 -timeout 60m -v ./internal/raft/
 
 # The ten test-* targets below are the per-subsystem suites: every
 # package that implements or consumes the subsystem, in full, under

@@ -1,24 +1,23 @@
 // Command p2pfl-chaos runs deterministic fault campaigns and protocol
-// oracles against the virtual-time protocol stack and checks the
-// protocol invariants continuously (see internal/chaos). -track picks
-// what one seed runs and what a sweep of seeds must have exercised;
-// -mix picks a schedule's fault mix; -profile picks the
-// failure-handling policy of every node (cluster.Profile):
+// oracles against the paper's two-layer cluster on the virtual-time
+// protocol stack and checks the protocol invariants continuously (see
+// internal/chaos). -track picks what one seed runs and what a sweep of
+// seeds must have exercised; -mix picks a schedule's fault mix; -m and
+// -n shape the cluster; -profile picks the failure-handling policy of
+// every node (cluster.Profile):
 //
-//	p2pfl-chaos -seed 42                       one mixed campaign, raft-kv target,
+//	p2pfl-chaos -seed 42                       one mixed campaign on 3 subgroups of 3,
 //	                                           then the SAC oracle
 //	p2pfl-chaos -seed 7 -mix crash -steps 40   crash-heavy campaign
-//	p2pfl-chaos -target two-layer -m 3 -n 3    two-layer cluster campaign
-//	p2pfl-chaos -target two-layer -mix flap -profile lan
-//	                                           flapping links + failure-detector
+//	p2pfl-chaos -m 4 -n 5                      campaign on 4 subgroups of 5
+//	p2pfl-chaos -mix flap -profile lan         flapping links + failure-detector
 //	                                           invariants (false-Down accuracy,
 //	                                           bounded re-convergence)
-//	p2pfl-chaos -target two-layer -mix byzantine -n 4
-//	                                           adversarial peers vs the robust
+//	p2pfl-chaos -mix byzantine -n 4            adversarial peers vs the robust
 //	                                           post-quiesce aggregation round
-//	p2pfl-chaos -target two-layer -mix churn   joins, graceful departures and
+//	p2pfl-chaos -mix churn                     joins, graceful departures and
 //	                                           handoffs vs the live control plane
-//	p2pfl-chaos -target two-layer -topology wan50 -profile wan
+//	p2pfl-chaos -topology wan50 -profile wan
 //	                                           campaign on the multi-region WAN
 //	                                           latency model with pre-vote,
 //	                                           check-quorum and RTT-tuned
@@ -39,8 +38,8 @@
 //	                                           bounded failover, the paper-profile
 //	                                           control must show the spurious
 //	                                           elections the profile fixes
-//	p2pfl-chaos -track compose -seeds 20       composition sweep: 60 two-layer
-//	                                           campaigns a seed (3 profiles ×
+//	p2pfl-chaos -track compose -seeds 20       composition sweep: 60 campaigns
+//	                                           a seed (3 profiles ×
 //	                                           {uniform, wan50} × 5 mixes × n ∈
 //	                                           {3, 4}), the churn oracle per profile
 //	                                           and link, the SAC oracle once
@@ -77,10 +76,8 @@ var (
 	profile   = flag.String("profile", "paper", "failure-handling policy of every node: paper | lan | wan")
 	steps     = flag.Int("steps", 24, "number of fault actions in the schedule")
 	mix       = flag.String("mix", "mixed", "fault mix: mixed | crash | partition | flap | byzantine | churn")
-	target    = flag.String("target", "raft-kv", "system under test: raft-kv | two-layer")
-	nodes     = flag.Int("nodes", 5, "raft group size (raft-kv target)")
-	m         = flag.Int("m", 3, "number of subgroups (two-layer target)")
-	n         = flag.Int("n", 3, "peers per subgroup (two-layer target)")
+	m         = flag.Int("m", 3, "number of subgroups")
+	n         = flag.Int("n", 3, "peers per subgroup")
 	topo      = flag.String("topology", "", "latency preset replacing the uniform 15 ms link: lan15 | wan50 | wan200")
 	out       = flag.String("out", "chaos-replay.json", "replay file written on failure (or with -dump)")
 	dump      = flag.Bool("dump", false, "write the replay file even when the campaign passes")
@@ -113,11 +110,11 @@ var tracks = map[string]track{
 	"byzantine": {seeds: 1, run: func(c chaos.Campaign, show bool) (bool, []int) {
 		return oracle("byzantine", chaos.ByzantineOracle, c, show).Passed(), nil
 	}},
-	// Full two-layer ChurnMix campaigns with the failure detector armed,
-	// then the churn oracle's episodes on real clusters of their own.
+	// ChurnMix campaigns with the failure detector armed, then the churn
+	// oracle's episodes on real clusters of their own.
 	"churn": {seeds: 20, stats: []string{"joins", "departs", "handoffs"},
 		run: func(c chaos.Campaign, show bool) (bool, []int) {
-			c.Target, c.Mix, c.Profile = chaos.TargetTwoLayer, chaos.ChurnMix, cluster.LAN
+			c.Mix, c.Profile = chaos.ChurnMix, cluster.LAN
 			return tally(func(s chaos.Stats) []int { return []int{s.Joins, s.Departs, s.Handoffs} },
 				schedule(c, show), oracle("churn", chaos.ChurnOracle, c, show))
 		}},
@@ -153,7 +150,7 @@ func main() {
 	if !ok {
 		log.Fatalf("unknown track %q (want faults | byzantine | churn | shard | wan | compose)", *trackName)
 	}
-	base := campaign(*seed, *steps, *mix, *target, *profile, *topo, *nodes, *m, *n)
+	base := campaign(*seed, *steps, *mix, *profile, *topo, *m, *n)
 	width := *seeds
 	if width <= 0 {
 		width = t.seeds
@@ -272,8 +269,8 @@ func runWAN(base chaos.Campaign, show bool) (bool, []int) {
 	return on.Passed(), []int{control.SpuriousElections}
 }
 
-// runCompose is one seed of the composition track: the two-layer target
-// under every profile, on the uniform link and on wan50, under every
+// runCompose is one seed of the composition track: campaigns under
+// every profile, on the uniform link and on wan50, under every
 // fault mix that needs no adversary, at both subgroup sizes the mixes
 // are tuned for — each cell exactly the campaign its flags would build
 // (-steps and -m apply), so the line printed for a red cell reproduces
@@ -291,10 +288,10 @@ func runCompose(base chaos.Campaign, _ bool) (bool, []int) {
 			var cell chaos.Campaign
 			for _, mix := range []string{"mixed", "flap", "churn", "crash", "partition"} {
 				for _, n := range []int{3, 4} {
-					cell = campaign(base.Seed, base.Steps, mix, string(chaos.TargetTwoLayer), profile, topology, base.Nodes, base.Subgroups, n)
+					cell = campaign(base.Seed, base.Steps, mix, profile, topology, base.Subgroups, n)
 					rep := schedule(cell, show)
 					if show || !rep.Passed() {
-						fmt.Printf("  cell: -target two-layer -profile %s -topology %q -mix %s -n %d -seed %d\n",
+						fmt.Printf("  cell: -profile %s -topology %q -mix %s -n %d -seed %d\n",
 							profile, topology, mix, n, base.Seed)
 					}
 					if reps = append(reps, rep); !rep.Passed() {
@@ -319,18 +316,12 @@ var mixes = map[string]chaos.FaultMix{
 	"churn":     chaos.ChurnMix,
 }
 
-func campaign(seed int64, steps int, mix, target, profile, topology string, nodes, m, n int) chaos.Campaign {
+func campaign(seed int64, steps int, mix, profile, topology string, m, n int) chaos.Campaign {
 	fm, ok := mixes[mix]
 	if !ok {
 		log.Fatalf("unknown mix %q (want mixed | crash | partition | flap | byzantine | churn)", mix)
 	}
-	c := chaos.Campaign{Seed: seed, Steps: steps, Mix: fm, Nodes: nodes, Subgroups: m, SubgroupSize: n, Topology: topology}
-	switch chaos.Target(target) {
-	case chaos.TargetRaftKV, chaos.TargetTwoLayer:
-		c.Target = chaos.Target(target)
-	default:
-		log.Fatalf("unknown target %q (want raft-kv | two-layer)", target)
-	}
+	c := chaos.Campaign{Seed: seed, Steps: steps, Mix: fm, Subgroups: m, SubgroupSize: n, Topology: topology}
 	var err error
 	if c.Profile, err = cluster.ParseProfile(profile); err != nil {
 		log.Fatal(err)
@@ -361,9 +352,9 @@ func printReport(rep *chaos.Report, name string) {
 	if name != "" {
 		fmt.Printf("seed %-6d %s oracle  %s: %d SAC rounds\n", rep.Campaign.Seed, name, verdict, s.SACRounds)
 	} else {
-		fmt.Printf("seed %-6d %s  %s: %d crashes, %d restarts, %d partitions, %d net faults, %d flaps, %d leader changes, %d commits, %d SAC rounds, %d virtual ms\n",
-			rep.Campaign.Seed, string(rep.Campaign.Target), verdict,
-			s.Crashes, s.Restarts, s.Partitions, s.NetFaults, s.Flaps, s.LeaderChanges, s.Commits, s.SACRounds, s.FinalVirtualMs)
+		fmt.Printf("seed %-6d %s: %d crashes, %d restarts, %d partitions, %d net faults, %d flaps, %d leader changes, %d SAC rounds, %d virtual ms\n",
+			rep.Campaign.Seed, verdict,
+			s.Crashes, s.Restarts, s.Partitions, s.NetFaults, s.Flaps, s.LeaderChanges, s.SACRounds, s.FinalVirtualMs)
 	}
 	if s.Byzantines > 0 || s.ByzantineDetections > 0 {
 		fmt.Printf("           byzantine: %d adversaries, %d detections\n", s.Byzantines, s.ByzantineDetections)

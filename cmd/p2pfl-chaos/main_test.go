@@ -10,16 +10,16 @@ import (
 )
 
 func TestCampaignFlagMapping(t *testing.T) {
-	c := campaign(9, 12, "crash", "raft-kv", "paper", "", 7, 2, 4)
-	if c.Seed != 9 || c.Steps != 12 || c.Nodes != 7 {
+	c := campaign(9, 12, "crash", "paper", "", 2, 4)
+	if c.Seed != 9 || c.Steps != 12 || c.Subgroups != 2 || c.SubgroupSize != 4 {
 		t.Fatalf("campaign = %+v", c)
 	}
-	if c.Mix != chaos.CrashHeavyMix || c.Target != chaos.TargetRaftKV || c.Profile != cluster.Paper {
-		t.Fatalf("mix/target/profile = %v/%v/%v", c.Mix, c.Target, c.Profile)
+	if c.Mix != chaos.CrashHeavyMix || c.Profile != cluster.Paper {
+		t.Fatalf("mix/profile = %v/%v", c.Mix, c.Profile)
 	}
-	c = campaign(1, 8, "partition", "two-layer", "wan", "wan50", 5, 3, 3)
-	if c.Mix != chaos.PartitionHeavyMix || c.Target != chaos.TargetTwoLayer {
-		t.Fatalf("mix/target = %v/%v", c.Mix, c.Target)
+	c = campaign(1, 8, "partition", "wan", "wan50", 3, 3)
+	if c.Mix != chaos.PartitionHeavyMix {
+		t.Fatalf("mix = %v", c.Mix)
 	}
 	if c.Profile != cluster.WAN || c.Topology != "wan50" {
 		t.Fatalf("profile/topology = %v/%q", c.Profile, c.Topology)
@@ -32,7 +32,7 @@ func TestCampaignFlagMapping(t *testing.T) {
 // The dump/replay loop the CLI offers: a passing campaign dumped with
 // -dump must re-execute from its replay file to the same verdict.
 func TestDumpedScheduleReplays(t *testing.T) {
-	c := campaign(4, 10, "mixed", "raft-kv", "paper", "", 5, 3, 3)
+	c := campaign(4, 10, "mixed", "paper", "", 3, 3)
 	rep := c.Run()
 	if !rep.Passed() {
 		t.Fatalf("campaign failed: %v", rep.Violations)
@@ -68,7 +68,7 @@ func TestTrackRegistry(t *testing.T) {
 // the registry at the default flags: it passes, and the exercised
 // counters come back in stats order.
 func TestEveryTrackCountsItsStats(t *testing.T) {
-	base := campaign(1, 24, "mixed", "raft-kv", "paper", "", 5, 3, 3)
+	base := campaign(1, 24, "mixed", "paper", "", 3, 3)
 	for name, tr := range tracks {
 		t.Run(name, func(t *testing.T) {
 			if name == "compose" && testing.Short() {
@@ -86,13 +86,13 @@ func TestEveryTrackCountsItsStats(t *testing.T) {
 }
 
 // TestConfigViolationIsNotMinimized: a campaign refused for its config
-// (here a byzantine mix on the raft-kv target) stays red, and no
+// (here a byzantine mix on subgroups of three) stays red, and no
 // schedule can change that, so it is neither minimized nor written out
 // as a replay file — not even under -dump.
 func TestConfigViolationIsNotMinimized(t *testing.T) {
 	defer func(o string, d bool) { *out, *dump = o, d }(*out, *dump)
 	*out, *dump = filepath.Join(t.TempDir(), "replay.json"), true
-	rep := schedule(campaign(1, 24, "byzantine", "raft-kv", "paper", "", 5, 3, 3), false)
+	rep := schedule(campaign(1, 24, "byzantine", "paper", "", 3, 3), false)
 	if rep.Passed() || len(rep.Violations) != 1 || rep.Violations[0].Invariant != "config" {
 		t.Fatalf("violations %v, want the one config violation", rep.Violations)
 	}

@@ -77,9 +77,8 @@ func TestChaosHoldsNoDirectoryMirror(t *testing.T) {
 // itself": a chaos track that needs raft groups drives cluster.System,
 // so no non-test file of internal/chaos builds raft nodes or a simulated
 // raft network, or runs an RTT→election-band tuner of its own — the
-// cluster's tuning loop is the one caller of health.Retune. The
-// one exception is world.go, the raft-kv target, whose replicated KV
-// state machine is what that target checks.
+// cluster's tuning loop is the one caller of health.Retune. Raft alone,
+// over every small schedule, is internal/raft's exhaustive checker's.
 func TestChaosBuildsNoPrivateRaftWorld(t *testing.T) {
 	banned := map[string]string{
 		"raft.NewNode":       "build raft nodes",
@@ -92,7 +91,7 @@ func TestChaosBuildsNoPrivateRaftWorld(t *testing.T) {
 	}
 	fset := token.NewFileSet()
 	for _, path := range paths {
-		if strings.HasSuffix(path, "_test.go") || filepath.Base(path) == "world.go" {
+		if strings.HasSuffix(path, "_test.go") {
 			continue
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)

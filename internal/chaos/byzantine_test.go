@@ -72,7 +72,7 @@ func TestByzantineOracleDeterministic(t *testing.T) {
 func TestTwoLayerByzantineCampaign(t *testing.T) {
 	byzTotal := 0
 	for seed := int64(1); seed <= 5; seed++ {
-		c := Campaign{Seed: seed, Steps: 30, Target: TargetTwoLayer, Mix: ByzantineMix,
+		c := Campaign{Seed: seed, Steps: 30, Mix: ByzantineMix,
 			SubgroupSize: 4}
 		rep := c.Run()
 		if len(rep.Violations) > 0 {
@@ -90,7 +90,7 @@ func TestTwoLayerByzantineCampaign(t *testing.T) {
 // Byzantine campaign default gives subgroups enough peers (n ≥ 4) for
 // the honest-majority precondition 3f < n at f = 1.
 func TestByzantineScheduleProperties(t *testing.T) {
-	c := Campaign{Seed: 3, Steps: 60, Target: TargetTwoLayer, Mix: ByzantineMix}
+	c := Campaign{Seed: 3, Steps: 60, Mix: ByzantineMix}
 	n := c.normalize()
 	if n.SubgroupSize < 4 {
 		t.Fatalf("Byzantine campaign defaulted SubgroupSize = %d < 4", n.SubgroupSize)

@@ -2,23 +2,28 @@
 // engine for the protocols in this repository. A Campaign expands a seed
 // into a randomized schedule of crashes, restarts, leader kills,
 // partitions, message black-holes, loss and delay bursts, executes it
-// against the virtual-clock simulator (internal/simnet) while a set of
-// invariant checkers watch every transition, and renders a verdict:
+// against the paper's two-layer system (internal/cluster: m subgroup
+// raft groups and the FedAvg layer of their leaders, on the virtual-
+// clock simulator internal/simnet) while a set of invariant checkers
+// watch every group, and renders a verdict:
 //
 //	Raft election safety    at most one leader per term, per group
 //	Log matching            same (index, term) ⇒ same entry, everywhere
 //	Commit safety           a committed index never changes content
 //	Commit monotonicity     a node's commit index never regresses
-//	State-machine agreement replicated kvstores converge to equal state
+//	Commit bound            a node's commit index never passes its log
+//	Conf-change serial      no log holds two uncommitted membership
+//	                        changes
 //	SAC exactness           recovered k-out-of-n sums equal the plaintext
 //	                        sum whenever ≥ k shares survive
 //	SAC privacy             no single peer observes all n shares of
 //	                        another peer's model (k ≥ 2)
-//	Liveness                after the schedule quiesces, a leader emerges
-//	                        and a round/entry commits within a bound
+//	Liveness                after the schedule quiesces, every group
+//	                        elects a leader and an aggregation round with
+//	                        those leaders completes within a bound
 //	FedAvg join             after the last fault lifts, every subgroup
-//	                        leader has joined the FedAvg layer within a
-//	                        bound (two-layer target)
+//	                        leader has joined the FedAvg layer — a
+//	                        committed membership change — within a bound
 //	Health accuracy         no failure detector declares a peer Down
 //	                        whose messages were delivered within the
 //	                        silence threshold (detector profiles)
@@ -45,7 +50,11 @@
 //	                        (unguarded) aggregation must violate the
 //	                        tolerance — proof the checkers can fail
 //
-// Continuous churn (ActChurn actions on TargetTwoLayer, and ChurnOracle
+// Raft's safety over every small schedule, not a sample, is the
+// exhaustive checker's (internal/raft/check_test.go), which also holds
+// state-machine safety over a compacting, non-idempotent state machine.
+//
+// Continuous churn (ActChurn actions, and ChurnOracle
 // episodes, which drive a cluster of their own through
 // AddPeer/DepartPeer at round boundaries, see churnoracle.go) adds three
 // more; ShardOracle episodes (shardoracle.go) hold cluster.Rebalance to
@@ -77,20 +86,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/simnet"
 	"repro/internal/telemetry"
-)
-
-// Target selects the system a campaign drives.
-type Target string
-
-// Campaign targets.
-const (
-	// TargetRaftKV drives one raft group replicating a key-value store —
-	// the sharpest lens on the consensus substrate's safety properties.
-	TargetRaftKV Target = "raft-kv"
-	// TargetTwoLayer drives the paper's two-layer Raft (internal/cluster)
-	// and finishes with a full two-layer SAC aggregation round using the
-	// leaders the chaos left behind.
-	TargetTwoLayer Target = "two-layer"
 )
 
 // ActionKind enumerates fault types.
@@ -135,7 +130,7 @@ const (
 	// (cluster.AddPeer), gracefully departing a member (DepartPeer, with
 	// model handoff and directory leave) and a same-identity handoff
 	// (ReplacePeer: persisted raft state + model transferred to a
-	// successor process). Two-layer target only (see Execute).
+	// successor process).
 	ActChurn ActionKind = "churn"
 )
 
@@ -159,8 +154,8 @@ type Action struct {
 	Rate float64 `json:"rate,omitempty"`
 	// DelayUs is the jitter bound in virtual microseconds for ActDelay.
 	DelayUs int64 `json:"delay_us,omitempty"`
-	// Group selects the sub-network on TargetTwoLayer: 0..m−1 is a
-	// subgroup, m is the FedAvg layer. Ignored by TargetRaftKV.
+	// Group selects the sub-network: 0..m−1 is a subgroup, m is the
+	// FedAvg layer.
 	Group int `json:"group,omitempty"`
 	// Behavior is the adversarial strategy for ActByzantine (a
 	// sac.Behavior string; empty defaults to inflate-subtotal).
@@ -234,9 +229,10 @@ func (m FaultMix) pick(roll int) ActionKind {
 // ms) and virtual time: the paper's smallest healthy timeout setting,
 // U(50, 100) ms with a heartbeat of 50/3 = 16 ticks, over its one 15 ms
 // link — the lan15 preset, unless Campaign.Topology names another, and
-// always the delay of the two-layer cluster's app-level messages. A fault
-// fires every 200 ms; after the schedule, liveness gets 60 s and
-// detector re-convergence 30 s.
+// always the delay of the cluster's app-level messages. A fault fires
+// every 200 ms and the invariants are swept every 50 ms; after the
+// schedule, liveness gets 60 s and detector re-convergence 30 s, and a
+// crashed peer's restart is retried every 100 ms.
 const (
 	electionTickMin = 50
 	electionTickMax = 2 * electionTickMin
@@ -244,6 +240,8 @@ const (
 	linkLatency     = 15 * simnet.Millisecond
 	defaultTopology = "lan15"
 	stepEvery       = 200 * simnet.Millisecond
+	sweepEvery      = 50 * simnet.Millisecond
+	retryEvery      = 100 * simnet.Millisecond
 	quiesceTimeout  = 60 * simnet.Second
 	reconvergeBound = 30 * simnet.Second
 )
@@ -259,12 +257,8 @@ type Campaign struct {
 	Steps int `json:"steps"`
 	// Mix weights the fault kinds (zero value: DefaultMix).
 	Mix FaultMix `json:"mix"`
-	// Target selects the driven system (default TargetRaftKV).
-	Target Target `json:"target"`
 
-	// Nodes is the raft group size for TargetRaftKV (default 5).
-	Nodes int `json:"nodes,omitempty"`
-	// Subgroups × SubgroupSize shape TargetTwoLayer (default 3×3).
+	// Subgroups × SubgroupSize shape the cluster (default 3×3).
 	Subgroups    int `json:"subgroups,omitempty"`
 	SubgroupSize int `json:"subgroup_size,omitempty"`
 
@@ -274,10 +268,9 @@ type Campaign struct {
 	// one.
 	Topology string `json:"topology,omitempty"`
 	// Profile selects the failure-handling policy of every node in the
-	// campaign (cluster.Paper, the zero value, is stock paper behaviour).
-	// TargetTwoLayer passes it to cluster.Options; the single raft group
-	// of TargetRaftKV takes the profile's raft flags only. A detector
-	// profile also arms two extra invariant checkers:
+	// campaign (cluster.Paper, the zero value, is stock paper behaviour),
+	// through cluster.Options. A detector profile also arms two extra
+	// invariant checkers:
 	//
 	//	health-false-down      no detector may declare a peer Down whose
 	//	                       messages were delivered within threshold
@@ -295,8 +288,8 @@ type Campaign struct {
 	// a test that injects a checker re-attaches it after LoadReplay.
 	extraCheckers []checker
 
-	// Telemetry, when non-nil, is threaded into every raft node, the
-	// two-layer cluster, and the SAC rounds the campaign runs, with its
+	// Telemetry, when non-nil, is threaded into the cluster and the SAC
+	// rounds the campaign runs, with its
 	// clock pinned to the campaign's virtual time — so identical seeds
 	// yield byte-identical snapshots. It is code, not schedule, and is
 	// not serialized into replay files.
@@ -310,14 +303,8 @@ func (c Campaign) normalize() Campaign {
 	if c.Mix.total() <= 0 {
 		c.Mix = DefaultMix
 	}
-	if c.Target == "" {
-		c.Target = TargetRaftKV
-	}
 	if c.Topology == "" {
 		c.Topology = defaultTopology
-	}
-	if c.Nodes <= 0 {
-		c.Nodes = 5
 	}
 	if c.Subgroups <= 0 {
 		c.Subgroups = 3
@@ -349,10 +336,7 @@ func (c Campaign) Generate() []Action {
 	rng := rand.New(rand.NewSource(c.Seed*7919 + 13))
 	total := c.Mix.total()
 	actions := make([]Action, 0, c.Steps)
-	groups := 1
-	if c.Target == TargetTwoLayer {
-		groups = c.Subgroups + 1 // m subgroups + the FedAvg layer
-	}
+	groups := c.Subgroups + 1 // m subgroups + the FedAvg layer
 	for i := 0; i < c.Steps; i++ {
 		a := Action{Step: i, Kind: c.Mix.pick(rng.Intn(total)), Group: rng.Intn(groups)}
 		switch a.Kind {
@@ -400,7 +384,6 @@ type Stats struct {
 	Heals         int `json:"heals"`
 	Flaps         int `json:"flaps,omitempty"`
 	LeaderChanges int `json:"leader_changes"`
-	Commits       int `json:"commits"`
 	// SACRounds counts the aggregation runs a report's checks read: one
 	// per core.System.AggregateRound or sac.Run call, so a round that
 	// aggregates twice to compare (churned and baseline, elastic and
@@ -440,29 +423,20 @@ func (c Campaign) Run() *Report { return c.Execute(c.Generate()) }
 
 // Execute runs an explicit schedule (normally Generate's output, or a
 // minimized subset of it) under this campaign's configuration. An
-// unknown topology, or a fault kind the target would carry out as a
+// unknown topology, or a fault kind the cluster would carry out as a
 // no-op every time, is a config violation, not a vacuous pass.
 func (c Campaign) Execute(actions []Action) *Report {
 	n := c.normalize()
 	rep := &Report{Campaign: c, Actions: actions}
 	_, err := simnet.Preset(n.Topology)
-	switch {
-	case err != nil:
-	case n.Target == TargetRaftKV && n.Mix.Byzantine+n.Mix.Churn > 0:
-		err = fmt.Errorf("the raft-kv target carries out no byzantine or churn action")
-	case n.Target == TargetTwoLayer && n.Mix.Byzantine > 0 && n.Mix.Churn == 0 && n.SubgroupSize < 4:
+	if err == nil && n.Mix.Byzantine > 0 && n.Mix.Churn == 0 && n.SubgroupSize < 4 {
 		err = fmt.Errorf("a subgroup of %d peers takes no adversary mark (f = 1 < n/3 needs n ≥ 4)", n.SubgroupSize)
 	}
 	if err != nil {
 		rep.Violations = append(rep.Violations, Violation{Invariant: "config", Detail: err.Error()})
 		return rep
 	}
-	switch n.Target {
-	case TargetTwoLayer:
-		executeTwoLayer(n, actions, rep)
-	default:
-		executeRaftKV(n, actions, rep)
-	}
+	executeTwoLayer(n, actions, rep)
 	return rep
 }
 

@@ -26,29 +26,29 @@ func requireClean(t *testing.T, rep *Report) {
 // exercised its fault class (a schedule of no-ops proves nothing).
 
 func TestCrashHeavyCampaign(t *testing.T) {
-	rep := Campaign{Seed: 1, Steps: 24, Mix: CrashHeavyMix, Nodes: 5}.Run()
+	rep := Campaign{Seed: 1, Steps: 24, Mix: CrashHeavyMix}.Run()
 	requireClean(t, rep)
 	if rep.Stats.Crashes == 0 {
 		t.Fatal("crash-heavy campaign performed no crashes")
 	}
-	if rep.Stats.Commits == 0 {
-		t.Fatal("campaign committed nothing")
+	if rep.Stats.SACRounds != 1 {
+		t.Fatal("no aggregation round completed after quiesce")
 	}
 }
 
 func TestPartitionHeavyCampaign(t *testing.T) {
-	rep := Campaign{Seed: 2, Steps: 24, Mix: PartitionHeavyMix, Nodes: 5}.Run()
+	rep := Campaign{Seed: 2, Steps: 24, Mix: PartitionHeavyMix}.Run()
 	requireClean(t, rep)
 	if rep.Stats.Partitions == 0 {
 		t.Fatal("partition-heavy campaign created no partitions")
 	}
-	if rep.Stats.Commits == 0 {
-		t.Fatal("campaign committed nothing")
+	if rep.Stats.SACRounds != 1 {
+		t.Fatal("no aggregation round completed after quiesce")
 	}
 }
 
 func TestMixedCampaign(t *testing.T) {
-	rep := Campaign{Seed: 3, Steps: 30, Nodes: 5}.Run() // zero Mix → DefaultMix
+	rep := Campaign{Seed: 3, Steps: 30}.Run() // zero Mix → DefaultMix
 	requireClean(t, rep)
 	if rep.Stats.Crashes+rep.Stats.Partitions+rep.Stats.NetFaults == 0 {
 		t.Fatal("mixed campaign injected no faults")
@@ -60,7 +60,7 @@ func TestMixedCampaign(t *testing.T) {
 
 // Same seed ⇒ identical schedule and identical verdict, byte for byte.
 func TestSameSeedSameScheduleAndVerdict(t *testing.T) {
-	c := Campaign{Seed: 7, Steps: 20, Nodes: 5}
+	c := Campaign{Seed: 7, Steps: 20}
 	if !reflect.DeepEqual(c.Generate(), c.Generate()) {
 		t.Fatal("Generate is not deterministic")
 	}
@@ -77,18 +77,15 @@ func TestSameSeedSameScheduleAndVerdict(t *testing.T) {
 		t.Fatalf("same seed produced different reports:\n%s\nvs\n%s", ja, jb)
 	}
 	// And a different seed must not degenerate to the same schedule.
-	if reflect.DeepEqual(c.Generate(), Campaign{Seed: 8, Steps: 20, Nodes: 5}.Generate()) {
+	if reflect.DeepEqual(c.Generate(), Campaign{Seed: 8, Steps: 20}.Generate()) {
 		t.Fatal("different seeds produced identical schedules")
 	}
 }
 
-// The two-layer target: subgroup + FedAvg faults, then a full aggregation
-// round with the elected leaders.
+// Subgroup + FedAvg faults, then a full aggregation round with the
+// elected leaders.
 func TestTwoLayerCampaign(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two-layer campaign is slow in -short mode")
-	}
-	rep := Campaign{Seed: 11, Steps: 12, Target: TargetTwoLayer, Subgroups: 3, SubgroupSize: 3}.Run()
+	rep := Campaign{Seed: 11, Steps: 12, Subgroups: 3, SubgroupSize: 3}.Run()
 	requireClean(t, rep)
 	if rep.Stats.SACRounds == 0 {
 		t.Fatal("no aggregation round completed after quiesce")
@@ -111,7 +108,7 @@ func TestBrokenInvariantCaughtMinimizedReplayed(t *testing.T) {
 		}
 		return out
 	}}
-	c := Campaign{Seed: 5, Steps: 24, Mix: CrashHeavyMix, Nodes: 5, extraCheckers: []checker{lowTerm}}
+	c := Campaign{Seed: 5, Steps: 24, Mix: CrashHeavyMix, extraCheckers: []checker{lowTerm}}
 
 	full := c.Generate()
 	rep := c.Execute(full)
@@ -161,16 +158,17 @@ func TestBrokenInvariantCaughtMinimizedReplayed(t *testing.T) {
 // An empty schedule is the no-fault baseline: it must always pass, and
 // liveness must still be exercised.
 func TestNoFaultBaseline(t *testing.T) {
-	rep := Campaign{Seed: 42, Steps: 6, Nodes: 3}.Execute(nil)
+	rep := Campaign{Seed: 42, Steps: 6}.Execute(nil)
 	requireClean(t, rep)
-	if rep.Stats.Commits == 0 {
-		t.Fatal("baseline run committed nothing")
+	if rep.Stats.LeaderChanges < 4 || rep.Stats.SACRounds != 1 {
+		t.Fatalf("baseline run elected %d leaders (want one per subgroup and the FedAvg layer) and ran %d aggregation rounds",
+			rep.Stats.LeaderChanges, rep.Stats.SACRounds)
 	}
 }
 
 // Replay files must round-trip campaign configuration exactly.
 func TestReplayRoundTrip(t *testing.T) {
-	c := Campaign{Seed: 9, Steps: 8, Mix: PartitionHeavyMix, Nodes: 4}
+	c := Campaign{Seed: 9, Steps: 8, Mix: PartitionHeavyMix, SubgroupSize: 4}
 	rep := c.Run()
 	path := filepath.Join(t.TempDir(), "r.json")
 	if err := WriteReplay(path, rep); err != nil {
@@ -192,29 +190,39 @@ func TestReplayRoundTrip(t *testing.T) {
 	}
 }
 
-// A fault mix whose actions the target cannot carry out would pass
-// vacuously: raft-kv drops adversary marks and churn operations, and a
-// subgroup of fewer than four peers takes no adversary mark unless
-// churn can grow it. Each such campaign reports a config violation.
+// A fault mix whose actions the cluster cannot carry out would pass
+// vacuously: a subgroup of fewer than four peers takes no adversary
+// mark unless churn can grow it. Such a campaign reports a config
+// violation.
 func TestVacuousMixIsAConfigViolation(t *testing.T) {
-	for _, c := range []Campaign{
-		{Seed: 1, Steps: 24, Mix: ByzantineMix},
-		{Seed: 1, Steps: 24, Mix: ChurnMix},
-		{Seed: 1, Steps: 24, Mix: ByzantineMix, Target: TargetTwoLayer, SubgroupSize: 3},
-	} {
-		rep := c.Run()
-		if len(rep.Violations) != 1 || rep.Violations[0].Invariant != "config" {
-			t.Errorf("mix %+v on %q with n = %d: violations %v, want one config violation",
-				c.Mix, c.Target, c.SubgroupSize, rep.Violations)
-		}
+	c := Campaign{Seed: 1, Steps: 24, Mix: ByzantineMix, SubgroupSize: 3}
+	if rep := c.Run(); len(rep.Violations) != 1 || rep.Violations[0].Invariant != "config" {
+		t.Errorf("mix %+v with n = %d: violations %v, want one config violation", c.Mix, c.SubgroupSize, rep.Violations)
 	}
 	// Churn can grow a subgroup to four, and n = 4 hosts a mark.
 	for _, c := range []Campaign{
-		{Seed: 1, Steps: 24, Mix: FaultMix{Byzantine: 1, Churn: 1}, Target: TargetTwoLayer, SubgroupSize: 3},
-		{Seed: 1, Steps: 24, Mix: ByzantineMix, Target: TargetTwoLayer},
+		{Seed: 1, Steps: 24, Mix: FaultMix{Byzantine: 1, Churn: 1}, SubgroupSize: 3},
+		{Seed: 1, Steps: 24, Mix: ByzantineMix},
 	} {
 		if rep := c.Run(); !rep.Passed() {
 			t.Errorf("mix %+v with n = %d: %v", c.Mix, c.SubgroupSize, rep.Violations)
 		}
+	}
+}
+
+// TestCommitBoundFires plants a live node whose commit index runs past
+// its log: the commit-bound check every sweep runs reports it, and
+// neither a node within its log nor a crashed one.
+func TestCommitBoundFires(t *testing.T) {
+	v := view{NowUs: 7, Nodes: []nodeView{
+		{ID: 1, Group: "sub0", Commit: 4, LastIndex: 4},
+		{ID: 2, Group: "fed", Commit: 5, LastIndex: 3},
+		{ID: 3, Group: "sub1", Commit: 9, LastIndex: 2, Down: true},
+	}}
+	rep := &Report{}
+	newLedger(rep).runExtra([]checker{commitBound}, v)
+	want := Violation{AtUs: 7, Invariant: "commit-bound", Detail: "group fed node 2 commit index 5 beyond last log index 3"}
+	if len(rep.Violations) != 1 || rep.Violations[0] != want {
+		t.Fatalf("violations %v, want [%v]", rep.Violations, want)
 	}
 }

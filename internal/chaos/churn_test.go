@@ -20,7 +20,6 @@ func churnCampaign(seed int64) Campaign {
 	return Campaign{
 		Seed:    seed,
 		Steps:   24,
-		Target:  TargetTwoLayer,
 		Mix:     ChurnMix,
 		Profile: cluster.LAN,
 	}
@@ -57,7 +56,7 @@ func TestChurnCampaignSweep(t *testing.T) {
 // duplicate per poll on top. election-safety and conf-change-serial both
 // watch it now.
 func TestSeed11OverlappingMembershipChanges(t *testing.T) {
-	c := Campaign{Seed: 11, Steps: 24, Target: TargetTwoLayer, Mix: ChurnMix, SubgroupSize: 4, Topology: "wan50"}
+	c := Campaign{Seed: 11, Steps: 24, Mix: ChurnMix, SubgroupSize: 4, Topology: "wan50"}
 	rep := c.Run()
 	if !rep.Passed() {
 		t.Fatalf("%d violations, first: %s", len(rep.Violations), rep.Violations[0])
@@ -75,7 +74,7 @@ func TestSeed11OverlappingMembershipChanges(t *testing.T) {
 // the current subgroup leaders named it. fedavg-join watches it now, and
 // a follower's redirect is what turns it green.
 func TestSeed19JoinerFindsTheFedAvgLeader(t *testing.T) {
-	c := Campaign{Seed: 19, Steps: 24, Target: TargetTwoLayer, Mix: ChurnMix, SubgroupSize: 4, Topology: "wan50"}
+	c := Campaign{Seed: 19, Steps: 24, Mix: ChurnMix, SubgroupSize: 4, Topology: "wan50"}
 	rep := c.Run()
 	if !rep.Passed() {
 		t.Fatalf("%d violations, first: %s", len(rep.Violations), rep.Violations[0])
@@ -224,7 +223,7 @@ func TestChurnTelemetryDeterministic(t *testing.T) {
 // ActChurn actions, and every legacy mix — ByzantineMix now included —
 // keeps its exact roll mapping, never emitting one.
 func TestChurnScheduleProperties(t *testing.T) {
-	c := Campaign{Seed: 6, Steps: 60, Target: TargetTwoLayer, Mix: ChurnMix}
+	c := Campaign{Seed: 6, Steps: 60, Mix: ChurnMix}
 	churns := 0
 	for _, a := range c.Generate() {
 		if a.Kind == ActChurn {

@@ -19,7 +19,6 @@ func flapCampaign(seed int64, reg *telemetry.Registry) Campaign {
 		Seed:      seed,
 		Steps:     12,
 		Mix:       FlappingMix,
-		Target:    TargetTwoLayer,
 		Profile:   cluster.LAN,
 		Telemetry: reg,
 	}

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 
 	"repro/internal/raft"
+	"repro/internal/simnet"
 )
 
 // nodeView is one node's externally visible consensus state, as exposed
@@ -12,8 +13,8 @@ import (
 type nodeView struct {
 	// ID is the raft node ID.
 	ID uint64
-	// Group labels the consensus group the node belongs to ("raft" for
-	// TargetRaftKV; "sub<g>" / "fed" for TargetTwoLayer).
+	// Group labels the consensus group the node belongs to: "sub<g>" or
+	// "fed" in a campaign, "wan" in the WAN stability scenario.
 	Group string
 	// Down reports whether the node is currently crashed.
 	Down bool
@@ -44,7 +45,8 @@ type checker struct {
 // maxViolations caps the report so a badly broken run stays readable.
 const maxViolations = 200
 
-// entryFP fingerprints a committed entry for the commit-safety ledger.
+// entryFP fingerprints a log entry for the log-matching and
+// commit-safety checks.
 type entryFP struct {
 	term uint64
 	typ  raft.EntryType
@@ -59,15 +61,14 @@ func fingerprint(e raft.Entry) entryFP {
 
 // ledger accumulates the cross-node safety invariants that must be
 // checked against history, not just current state: which node won each
-// term, what every committed index contained, and each node's
-// high-water commit index. One ledger serves all groups of a world;
-// keys are namespaced by group label.
+// term and each node's high-water commit index — and reports every
+// breach. One ledger serves all groups of a world; keys are namespaced
+// by group label.
 type ledger struct {
 	rep     *Report
 	dedup   map[string]bool
-	leaders map[string]uint64  // "group/term" → leader ID
-	commits map[string]entryFP // "group/index" → entry fingerprint
-	hiwater map[string]uint64  // "group/id" → max observed commit index
+	leaders map[string]uint64 // "group/term" → leader ID
+	hiwater map[string]uint64 // "group/id" → max observed commit index
 }
 
 func newLedger(rep *Report) *ledger {
@@ -75,7 +76,6 @@ func newLedger(rep *Report) *ledger {
 		rep:     rep,
 		dedup:   make(map[string]bool),
 		leaders: make(map[string]uint64),
-		commits: make(map[string]entryFP),
 		hiwater: make(map[string]uint64),
 	}
 }
@@ -102,22 +102,6 @@ func (l *ledger) noteLeader(atUs int64, group string, term, id uint64) {
 		return
 	}
 	l.leaders[key] = id
-}
-
-// noteCommit checks commit safety: every node that commits index i must
-// commit the identical entry.
-func (l *ledger) noteCommit(atUs int64, group string, node uint64, e raft.Entry) {
-	key := fmt.Sprintf("%s/%d", group, e.Index)
-	fp := fingerprint(e)
-	if prev, ok := l.commits[key]; ok {
-		if prev != fp {
-			l.violate(atUs, "commit-safety",
-				fmt.Sprintf("group %s index %d committed divergently (node %d: term %d vs recorded term %d)",
-					group, e.Index, node, e.Term, prev.term))
-		}
-		return
-	}
-	l.commits[key] = fp
 }
 
 // noteCommitIndex checks commit monotonicity: a node's commit index never
@@ -193,6 +177,18 @@ func (l *ledger) checkConfChangeSerial(atUs int64, group string, nodes []*raft.N
 	}
 }
 
+// commitBound holds every live node's commit index to its log: a node
+// can only know an entry committed once it holds it.
+var commitBound = checker{Name: "commit-bound", Check: func(v view) []string {
+	var out []string
+	for _, n := range v.Nodes {
+		if !n.Down && n.Commit > n.LastIndex {
+			out = append(out, fmt.Sprintf("group %s node %d commit index %d beyond last log index %d", n.Group, n.ID, n.Commit, n.LastIndex))
+		}
+	}
+	return out
+}}
+
 // checkCommittedAgreement verifies that two nodes' committed log
 // prefixes agree entry-for-entry — the state-machine safety property,
 // checked directly on the logs so it works even where commit callbacks
@@ -223,6 +219,22 @@ func (l *ledger) checkCommittedAgreement(atUs int64, group string, nodes []*raft
 			}
 		}
 	}
+}
+
+// groupView snapshots every node of one raft network for the checkers,
+// in ascending id order.
+func groupView(sim *simnet.Sim, g *simnet.Group, label string) view {
+	v := view{NowUs: int64(sim.Now())}
+	for _, id := range g.IDs() {
+		h := g.Host(id)
+		v.Nodes = append(v.Nodes, viewOfNode(id, label, h.Down(), h.Node.Status()))
+	}
+	return v
+}
+
+func viewOfNode(id uint64, group string, down bool, st raft.Status) nodeView {
+	return nodeView{ID: id, Group: group, Down: down,
+		State: st.State, Term: st.Term, Leader: st.Leader, Commit: st.CommitIndex, LastIndex: st.LastIndex}
 }
 
 // runExtra evaluates the campaign's extra checkers against a view.

@@ -39,7 +39,7 @@ func TestTwoLayerCampaignPerProfile(t *testing.T) {
 			faults := 0
 			for _, seed := range tc.seeds {
 				c := tc.c
-				c.Seed, c.Target = seed, TargetTwoLayer
+				c.Seed = seed
 				rep := c.Run()
 				requireClean(t, rep)
 				if rep.Stats.SACRounds != 1 {
@@ -54,16 +54,6 @@ func TestTwoLayerCampaignPerProfile(t *testing.T) {
 	}
 }
 
-// TestRaftKVCampaignTakesProfileFlags: the single-group target runs the
-// profile's raft flags too, and stays green with them under faults.
-func TestRaftKVCampaignTakesProfileFlags(t *testing.T) {
-	rep := Campaign{Seed: 5, Steps: 24, Topology: "wan50", Profile: cluster.WAN}.Run()
-	requireClean(t, rep)
-	if rep.Stats.Commits == 0 {
-		t.Fatal("campaign committed nothing")
-	}
-}
-
 // TestLoadReplayIsStrict: a replay file carrying a key this build does
 // not know — written before the mode booleans became Profile, or hand-
 // edited with a typo — must fail to load and name the key. Dropping it
@@ -71,7 +61,8 @@ func TestRaftKVCampaignTakesProfileFlags(t *testing.T) {
 // report a different verdict as a faithful replay.
 func TestLoadReplayIsStrict(t *testing.T) {
 	for key, file := range map[string]string{
-		"pre_vote": `{"campaign": {"seed": 3, "steps": 12, "target": "two-layer", "pre_vote": true, "detector": true}, "actions": []}`,
+		"pre_vote": `{"campaign": {"seed": 3, "steps": 12, "pre_vote": true, "detector": true}, "actions": []}`,
+		"target":   `{"campaign": {"seed": 3, "steps": 12, "target": "raft-kv"}, "actions": []}`,
 		"profil":   `{"campaign": {"seed": 3, "steps": 12, "profil": "lan"}, "actions": []}`,
 		"rnak":     `{"campaign": {"seed": 3}, "actions": [{"step": 0, "kind": "crash", "rnak": 2}]}`,
 	} {

@@ -35,7 +35,6 @@ func telemetryCampaign(seed int64, reg *telemetry.Registry) Campaign {
 		Seed:      seed,
 		Steps:     12,
 		Mix:       PartitionHeavyMix,
-		Target:    TargetRaftKV,
 		Telemetry: reg,
 	}
 }
@@ -101,7 +100,7 @@ func TestChaosTelemetryDeterministic(t *testing.T) {
 	}
 }
 
-// TestChaosTelemetryTwoLayer smoke-checks the two-layer target: the
+// TestChaosTelemetryTwoLayer smoke-checks a crash-heavy campaign: the
 // full cluster plus the post-chaos aggregation round must reach the
 // registry through cluster.Options, core.Config and sac.Config.
 func TestChaosTelemetryTwoLayer(t *testing.T) {
@@ -110,7 +109,6 @@ func TestChaosTelemetryTwoLayer(t *testing.T) {
 		Seed:      5,
 		Steps:     8,
 		Mix:       CrashHeavyMix,
-		Target:    TargetTwoLayer,
 		Telemetry: reg,
 	}
 	rep := c.Run()

@@ -26,10 +26,10 @@ const (
 	byzTwoLayerBound = 2 * byzModelMax
 )
 
-// twWorld is the TargetTwoLayer system under test: the paper's two-layer
-// Raft deployment (internal/cluster) — m subgroup groups plus the FedAvg
-// layer formed from their leaders — subjected to the same fault schedule
-// vocabulary as the raft-kv world, with group-qualified targets.
+// twWorld is the system under test: the paper's two-layer Raft
+// deployment (internal/cluster) — m subgroup groups plus the FedAvg
+// layer formed from their leaders — under a fault schedule whose
+// actions name the group they hit.
 type twWorld struct {
 	c       Campaign
 	rep     *Report
@@ -54,8 +54,8 @@ type twWorld struct {
 }
 
 // newCluster is the one recipe by which chaos builds a two-layer system
-// from a (normalized) campaign: the two-layer target and every oracle
-// episode that needs a control plane call it.
+// from a (normalized) campaign: a campaign and every oracle episode
+// that needs a control plane call it.
 func newCluster(c Campaign) *cluster.System {
 	sys, err := cluster.New(cluster.Options{
 		NumSubgroups:    c.Subgroups,
@@ -102,10 +102,34 @@ func executeTwoLayer(c Campaign, actions []Action, rep *Report) {
 		return
 	}
 
-	runSchedule(sys.Sim, c, actions, w.apply, w.sweep, &w.stopped)
+	w.run(actions)
 	w.quiesce()
 	w.stopped = true
 	rep.Stats.FinalVirtualMs = int64(sys.Sim.Now()) / 1000
+}
+
+// run arms the fault actions and the periodic invariant sweep — the
+// sweep re-arms itself until w.stopped — and runs the simulator to the
+// end of the schedule window: one step past the last action, or the
+// campaign's nominal step count for an empty schedule, so liveness is
+// still exercised against an undisturbed run.
+func (w *twWorld) run(actions []Action) {
+	sim := w.sys.Sim
+	last := w.c.Steps
+	for _, a := range actions {
+		sim.Schedule(simnet.Duration(a.Step+1)*stepEvery, func() { w.apply(a) })
+		last = max(last, a.Step+1)
+	}
+	var check func()
+	check = func() {
+		if w.stopped {
+			return
+		}
+		w.sweep()
+		sim.Schedule(sweepEvery, check)
+	}
+	sim.Schedule(sweepEvery, check)
+	sim.RunUntil(sim.Now() + simnet.Time(simnet.Duration(last+1)*stepEvery))
 }
 
 // net resolves an action's group index to the sub-network it targets.
@@ -162,7 +186,7 @@ func (w *twWorld) apply(a Action) {
 			s.Crashes++
 		}
 	case ActPartition, ActBlackhole, ActLoss, ActDelay, ActFlap:
-		applyNetFault(a, w.sys.Sim, w.net(a.Group), s, &w.frozen)
+		w.netFault(a, w.net(a.Group))
 	case ActHeal:
 		w.calmAll()
 		s.Heals++
@@ -213,6 +237,74 @@ func (w *twWorld) apply(a Action) {
 	}
 }
 
+// netFault executes a partition, black-hole, loss, delay or flap action
+// on net.
+func (w *twWorld) netFault(a Action, net *simnet.Group) {
+	s := &w.rep.Stats
+	ids := net.IDs()
+	if len(ids) == 0 {
+		return
+	}
+	switch a.Kind {
+	case ActPartition:
+		side := make(map[uint64]bool, len(ids))
+		aCount := 0
+		for i, id := range ids {
+			side[id] = a.Side>>(uint(i)%64)&1 == 1
+			if side[id] {
+				aCount++
+			}
+		}
+		if aCount == 0 || aCount == len(ids) {
+			return // degenerate mask — not a partition
+		}
+		net.Partition(side)
+		s.Partitions++
+	case ActBlackhole:
+		id := ids[a.Rank%len(ids)]
+		net.DropFilter = func(m raft.Message) bool { return m.From == id }
+		s.NetFaults++
+	case ActLoss:
+		net.LossRate = a.Rate
+		s.NetFaults++
+	case ActDelay:
+		net.Jitter = simnet.Duration(a.DelayUs)
+		s.NetFaults++
+	case ActFlap:
+		s.Flaps++
+		w.flap(net, ids[a.Rank%len(ids)], 2+a.Rank%3)
+	}
+}
+
+// Flap cycle timing: the dark window exceeds the detector's default
+// silence threshold (3 heartbeats ≈ 48 ms at the smallest healthy
+// setting), so each flap produces genuine Down verdicts that the
+// recovery half of the cycle must retract.
+const (
+	flapDark  = 60 * simnet.Millisecond
+	flapClear = 40 * simnet.Millisecond
+)
+
+// flap darkens id's outbound links on net for flapDark, releases them
+// for flapClear, and repeats. Cycles abandon themselves once quiesce
+// raises w.frozen: they must not re-darken a link the liveness phase
+// just healed.
+func (w *twWorld) flap(net *simnet.Group, id uint64, cycles int) {
+	if w.frozen {
+		return
+	}
+	net.DropFilter = func(m raft.Message) bool { return m.From == id }
+	w.sys.Sim.Schedule(flapDark, func() {
+		if w.frozen {
+			return
+		}
+		net.DropFilter = nil
+		if cycles > 1 {
+			w.sys.Sim.Schedule(flapClear, func() { w.flap(net, id, cycles-1) })
+		}
+	})
+}
+
 // churnCandidates lists subgroup g's members eligible for a departure or
 // (mustLive) a same-identity handoff: admitted, not already departing,
 // and live when the operation needs a running process.
@@ -239,10 +331,11 @@ func (w *twWorld) calmAll() {
 }
 
 // sweep checks log matching, committed-prefix agreement, serial
-// membership change and commit monotonicity on every subgroup, and the
-// first three on the FedAvg layer. (FedAvg-layer commit monotonicity per
-// peer is deliberately not asserted: a peer that loses leadership and
-// later rejoins starts a fresh fed node, which is correct behaviour.)
+// membership change and the commit bound on every subgroup and the
+// FedAvg layer, and commit monotonicity on every subgroup. (FedAvg-layer
+// commit monotonicity per peer is deliberately not asserted: a peer that
+// loses leadership and later rejoins starts a fresh fed node, which is
+// correct behaviour.)
 func (w *twWorld) sweep() {
 	now := int64(w.sys.Sim.Now())
 	for g := 0; g < w.m; g++ {
@@ -272,7 +365,9 @@ func (w *twWorld) sweep() {
 	w.led.checkCommittedAgreement(now, "fed", fedNodes)
 	w.led.checkConfChangeSerial(now, "fed", fedNodes)
 	w.checkHealth()
-	w.led.runExtra(w.c.extraCheckers, w.view())
+	v := w.view()
+	w.led.runExtra([]checker{commitBound}, v)
+	w.led.runExtra(w.c.extraCheckers, v)
 }
 
 // checkHealth screens detector verdicts issued since the last sweep

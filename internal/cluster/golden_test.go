@@ -31,12 +31,12 @@ import (
 // printed table.
 func TestVirtualTimelinesAreByteIdentical(t *testing.T) {
 	want := map[string]string{
-		"compose seed 1":         "6d24fa8cf27029e7084b4c2fc0b8d976eb9b76a724727f12646a519691c464e7",
-		"compose seed 1 oracles": "41206f93f472d714e9246a5a53e3769db5ed2d98a344f98fdc3462021b627e8c",
-		"churn seed 13":          "80409ae76f7eca381c504166202d367e10bd054ed9a4ce4ee1429ebd52df4591",
-		"churn seed 13 oracle":   "44488feeffa675d7bc625d4c4115b46f28f60b63e32a45a58ccfb121e23085cd",
-		"churn seed 16":          "0fa857b9554a18e61680923fba317e92ca9c86709b5f8c8ca780b20c25c8308f",
-		"churn seed 16 oracle":   "82e4760c8e8d96e71a078e94015c50b4b162187fa530b4e5ce3cb79a4ac1a25a",
+		"compose seed 1":         "0a5b53290099ac18409f5af338e9043fdabd85c41ebd2614558e6e7dba6c4729",
+		"compose seed 1 oracles": "3c056d81cd4c902c6623ffa8a1780db8a8b22a4df0e60366a1408ddef9fa8d15",
+		"churn seed 13":          "a45fd8b309194920c5831998d3e17b2d98ea6bc71ee62549982f2d578abd2a94",
+		"churn seed 13 oracle":   "729f2798fa073cceeca9f31f91bf53c079d7ac1428a41137890c1587d8f86867",
+		"churn seed 16":          "178337525df9d61157e0eaeace2d0691adc5e62bb5af1a723bc605e16db4e1f7",
+		"churn seed 16 oracle":   "f7b9ba2cc33ad7a2aee47a148ca7de6e9636eb6175d7da2e98ecf9c439c25476",
 		"fig10":                  "ba0235927d63449388076701aa885d0c0a3e07897ba10cf92ea1363a4d56f26f",
 		"fig11":                  "28001bafa7209b11cfd0d9ba8b7d751d08b96906c7f4490616877b612e8c71be",
 		"fig12":                  "7a781e69d0e948b00b556d4b8ba6b747b573407e759703b931d85995aec01c9c",
@@ -68,8 +68,8 @@ func TestVirtualTimelinesAreByteIdentical(t *testing.T) {
 				var c chaos.Campaign
 				for _, mix := range mixes {
 					for _, n := range []int{3, 4} {
-						c = chaos.Campaign{Seed: 1, Steps: 24, Mix: mix, Nodes: 5, Subgroups: 3, SubgroupSize: n,
-							Target: chaos.TargetTwoLayer, Profile: profile, Topology: topology}
+						c = chaos.Campaign{Seed: 1, Steps: 24, Mix: mix, Subgroups: 3, SubgroupSize: n,
+							Profile: profile, Topology: topology}
 						report(buf, c.Run())
 					}
 				}
@@ -79,15 +79,15 @@ func TestVirtualTimelinesAreByteIdentical(t *testing.T) {
 	})
 	digest("compose seed 1 oracles", func(buf *bytes.Buffer) {
 		for _, rep := range append(oracles, chaos.SACOracle(chaos.Campaign{Seed: 1, Steps: 24, Mix: chaos.DefaultMix,
-			Target: chaos.TargetRaftKV, Nodes: 5, Subgroups: 3, SubgroupSize: 3})) {
+			Subgroups: 3, SubgroupSize: 3})) {
 			report(buf, rep)
 		}
 	})
 	// The churn track's campaign at its default flags, and its oracle.
 	for _, seed := range []int64{13, 16} {
 		c := chaos.Campaign{
-			Seed: seed, Steps: 24, Nodes: 5, Subgroups: 3, SubgroupSize: 3,
-			Target: chaos.TargetTwoLayer, Mix: chaos.ChurnMix, Profile: cluster.LAN,
+			Seed: seed, Steps: 24, Subgroups: 3, SubgroupSize: 3,
+			Mix: chaos.ChurnMix, Profile: cluster.LAN,
 		}
 		digest(fmt.Sprintf("churn seed %d", seed), func(buf *bytes.Buffer) { report(buf, c.Run()) })
 		digest(fmt.Sprintf("churn seed %d oracle", seed), func(buf *bytes.Buffer) { report(buf, chaos.ChurnOracle(c)) })

@@ -108,11 +108,12 @@ func quantize(w []float64, width int, q []int16) (wire.QuantDelta, Bound, error)
 	})
 	d := wire.QuantDelta{Width: width, Scale: scale, Q: q}
 	b := Bound{MaxCoordErr: scale / 2, Kept: len(w), Dim: len(w)}
-	// A NaN coordinate errs by NaN, and once seen the bound stays NaN:
-	// no e > NaN holds.
+	// A NaN coordinate errs by NaN, and so does every coordinate of an
+	// input with an infinity in it (the scale is infinite and each step
+	// decodes to ∞·0); once seen the bound stays NaN: no e > NaN holds.
 	for i, v := range w {
 		e := math.Abs(v - scale*float64(q[i]))
-		if e > b.MeasuredMaxErr || v != v {
+		if e > b.MeasuredMaxErr || e != e {
 			b.MeasuredMaxErr = e
 		}
 	}
@@ -223,10 +224,15 @@ func threshold(w []float64, k int, buf []float64) (t uint64, ties int) {
 // candidate and every sure one lies above it, so kthMagnitude on the
 // candidates gives w's (t, ties). ok is false — and buf holds garbage —
 // when the bracket missed, the candidates did not fit in cap(buf) − 1,
-// dim < 4·S, or k = dim.
+// dim < 4·S, or k = dim; when the bracket's ranks alone say that the
+// candidates will not fit (spansPastBuffer), w is not read at all.
 func bracketed(w []float64, k int, buf []float64) (t uint64, ties int, ok bool) {
 	dim := len(w)
 	if dim < 4*sampleSize || k >= dim || cap(buf) < 2 {
+		return 0, 0, false
+	}
+	hiRank, loRank := bracketRanks(dim, k)
+	if spansPastBuffer(dim, hiRank, loRank, cap(buf)) {
 		return 0, 0, false
 	}
 	var sample [sampleSize]float64
@@ -234,15 +240,13 @@ func bracketed(w []float64, k int, buf []float64) (t uint64, ties int, ok bool) 
 	for i := range sample {
 		sample[i] = w[i*stride]
 	}
-	r := float64(k) * sampleSize / float64(dim)
-	m := int(math.Ceil(4*math.Sqrt(r*(1-float64(k)/float64(dim))))) + 2
 	// A rank off the sample's end leaves that side of the bracket open.
 	hi, lo := uint64(math.MaxUint64)&^signBit, uint64(0)
-	if rank := int(r) - m; rank >= 1 {
-		hi, _ = kthMagnitude(sample[:], rank, nil)
+	if hiRank >= 1 {
+		hi, _ = kthMagnitude(sample[:], hiRank, nil)
 	}
-	if rank := int(math.Ceil(r)) + m; rank <= sampleSize {
-		lo, _ = kthMagnitude(sample[:], rank, nil)
+	if loRank <= sampleSize {
+		lo, _ = kthMagnitude(sample[:], loRank, nil)
 	}
 
 	// Every coordinate is written at out[n] and kept by advancing n only
@@ -267,6 +271,27 @@ func bracketed(w []float64, k int, buf []float64) (t uint64, ties int, ok bool) 
 	}
 	t, ties = kthMagnitude(out[:n], k-sure, out[:0])
 	return t, ties, true
+}
+
+// bracketRanks returns the sample ranks r − m and r + m of bracketed's
+// bracket, which depend on dim and k alone.
+func bracketRanks(dim, k int) (hiRank, loRank int) {
+	r := float64(k) * sampleSize / float64(dim)
+	m := int(math.Ceil(4*math.Sqrt(r*(1-float64(k)/float64(dim))))) + 2
+	return int(r) - m, int(math.Ceil(r)) + m
+}
+
+// spansPastBuffer reports whether the bracket between sample ranks
+// hiRank and loRank (clamped to the sample) holds about as many of w's
+// dim coordinates as a buffer of room slots or more — (lo − hi)·stride,
+// the coordinates between the two sample points — so the counting pass
+// would all but surely overflow. Skipping it changes which path finds
+// the threshold, never the threshold. It fires at small k, where the bracket's
+// ±4σ margin dwarfs k (k = 2 or 100 at 65,537 coordinates), and not at
+// a tenth of a model (1.25M coordinates: (489 − 330)·305 ≈ 48k
+// candidates against k = 125k).
+func spansPastBuffer(dim, hiRank, loRank, room int) bool {
+	return (min(loRank, sampleSize)-max(hiRank, 1))*(dim/sampleSize) >= room
 }
 
 // sparsify reduces w to its k largest-magnitude coordinates, ties broken

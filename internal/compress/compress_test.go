@@ -216,6 +216,27 @@ func TestDroppedNaNLeavesTheBoundNaN(t *testing.T) {
 	}
 }
 
+// TestInfiniteInputLeavesTheBoundNaN: an infinite coordinate makes the
+// scale infinite, so every step decodes to NaN (∞·0); the measured
+// error is NaN, not the 0 that a loop skipping NaN errors would keep.
+func TestInfiniteInputLeavesTheBoundNaN(t *testing.T) {
+	for _, inf := range []float64{math.Inf(1), math.Inf(-1)} {
+		for _, width := range []int{1, 2} {
+			q, b, err := quantize([]float64{inf, 1}, width, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := dequantize(q, nil)
+			if !math.IsNaN(got[0]) || !math.IsNaN(got[1]) {
+				t.Fatalf("quantize width %d of [%g 1] decodes to %v, want NaNs", width, inf, got)
+			}
+			if !math.IsNaN(b.MeasuredMaxErr) {
+				t.Errorf("quantize width %d of [%g 1]: measured error %g, want NaN", width, inf, b.MeasuredMaxErr)
+			}
+		}
+	}
+}
+
 // TestEmptyAndAllZero: degenerate vectors compress to canonical empty /
 // zero blocks and reconstruct exactly.
 func TestEmptyAndAllZero(t *testing.T) {

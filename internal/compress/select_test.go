@@ -222,6 +222,50 @@ func TestThresholdTakesThePathItShould(t *testing.T) {
 	}
 }
 
+// TestBracketSkipsThePassThatCannotFit pins when bracketed gives up
+// before it reads w: where the bracket's ranks put more coordinates
+// between them than the k slots of the buffer hold, the counting pass
+// could only overflow. That is so at k = 2 and k = 100 on 65,537 and
+// more coordinates, and not at a tenth of them — not at agg_compress's
+// top 10 % of 1.25M weights either. Whichever way it goes, threshold
+// gives the sorted order's (t, ties).
+func TestBracketSkipsThePassThatCannotFit(t *testing.T) {
+	mean := meanOfUniforms(65_537, 3, 23)
+	for _, c := range []struct {
+		dim, k int
+		skip   bool
+	}{
+		{65_537, 2, true},
+		{65_537, 100, true},
+		{1 << 20, 2, true},
+		{1 << 20, 100, true},
+		{65_537, 6_553, false},
+		{1_250_000, 125_000, false},
+	} {
+		hi, lo := bracketRanks(c.dim, c.k)
+		if got := spansPastBuffer(c.dim, hi, lo, c.k); got != c.skip {
+			t.Errorf("dim %d k=%d: bracket ranks [%d, %d] skip the pass = %v, want %v", c.dim, c.k, hi, lo, got, c.skip)
+		}
+		if c.dim != len(mean) {
+			continue
+		}
+		order := magnitudeOrder(mean)
+		want := math.Float64bits(mean[order[c.k-1]]) &^ signBit
+		wantTies := 0
+		for _, i := range order[:c.k] {
+			if math.Float64bits(mean[i])&^signBit == want {
+				wantTies++
+			}
+		}
+		if _, _, ok := bracketed(mean, c.k, make([]float64, 0, c.k)); ok == c.skip {
+			t.Errorf("dim %d k=%d: bracket held = %v with the pass skipped = %v", c.dim, c.k, ok, c.skip)
+		}
+		if got, ties := threshold(mean, c.k, make([]float64, 0, c.k)); got != want || ties != wantTies {
+			t.Errorf("dim %d k=%d: t=%#x ties=%d, sort says t=%#x ties=%d", c.dim, c.k, got, ties, want, wantTies)
+		}
+	}
+}
+
 // meanOfUniforms is a subgroup average's shape: each coordinate the mean
 // of m uniforms in [−1, 1).
 func meanOfUniforms(dim, m int, seed int64) []float64 {

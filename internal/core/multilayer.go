@@ -96,9 +96,14 @@ type MultiLayerOptions struct {
 // MultiLayerScratch is a free list of per-worker aggregation contexts —
 // mesh, SAC scratch, RNG, subgroup model views — shared across the
 // subgroup fan-out of one aggregation and reusable across aggregations.
-// It is safe for concurrent use: each worker checks a context out, runs
-// its span of subgroups, and returns it, and each call draws its
-// per-layer seeds into a slice of its own.
+// Each layer checks out one context per fan-out slot, as many as the
+// worker budget and the layer's subgroups allow, and every slot runs its
+// share of the subgroups on its own context: how many contexts a call
+// uses, and so what it allocates to provision them, depends on the
+// budget and the topology alone, never on which workers happen to
+// overlap. It is safe for concurrent use: each call checks its contexts
+// out and returns them, and draws its per-layer seeds into a slice of
+// its own.
 type MultiLayerScratch struct {
 	mu   sync.Mutex
 	free []*mlWorker
@@ -117,31 +122,35 @@ type mlWorker struct {
 	sub     [][]float64
 }
 
-func (ms *MultiLayerScratch) get(n int, div secretshare.Divider, counter *transport.Counter) *mlWorker {
+// take appends k contexts for subgroups of n peers to ws, checked out
+// of the free list or new.
+func (ms *MultiLayerScratch) take(ws []*mlWorker, k, n int, div secretshare.Divider, counter *transport.Counter) []*mlWorker {
 	ms.mu.Lock()
-	var w *mlWorker
-	if len(ms.free) > 0 {
-		w = ms.free[len(ms.free)-1]
+	for ; k > 0 && len(ms.free) > 0; k-- {
+		ws = append(ws, ms.free[len(ms.free)-1])
 		ms.free = ms.free[:len(ms.free)-1]
 	}
 	ms.mu.Unlock()
-	if w == nil {
+	for ; k > 0; k-- {
 		src := &mlSource{}
-		w = &mlWorker{src: src, rng: rand.New(src), sc: &sac.Scratch{}}
+		ws = append(ws, &mlWorker{src: src, rng: rand.New(src), sc: &sac.Scratch{}})
 	}
-	if w.mesh == nil || w.cfg.N != n || w.counter != counter {
-		w.mesh = transport.NewMesh(n, counter)
-		w.cfg = sac.Config{N: n, K: n, Mode: sac.ModeLeader, Rng: w.rng, Scratch: w.sc}
-		w.counter = counter
-		w.sub = make([][]float64, 0, n)
+	for _, w := range ws {
+		if w.mesh == nil || w.cfg.N != n || w.counter != counter {
+			w.mesh = transport.NewMesh(n, counter)
+			w.cfg = sac.Config{N: n, K: n, Mode: sac.ModeLeader, Rng: w.rng, Scratch: w.sc}
+			w.counter = counter
+			w.sub = make([][]float64, 0, n)
+		}
+		w.cfg.Divider = div // the pool outlives the call; the divider is per call
 	}
-	w.cfg.Divider = div // the pool outlives the call; the divider is per call
-	return w
+	return ws
 }
 
-func (ms *MultiLayerScratch) put(w *mlWorker) {
+// give returns checked-out contexts to the free list.
+func (ms *MultiLayerScratch) give(ws []*mlWorker) {
 	ms.mu.Lock()
-	ms.free = append(ms.free, w)
+	ms.free = append(ms.free, ws...)
 	ms.mu.Unlock()
 }
 
@@ -196,6 +205,7 @@ func AggregateMultiLayerOpts(t *MultiLayerTopology, models [][]float64, div secr
 	}
 	// The deepest layer has the most subgroups, one seed each.
 	seedBuf := make([]int64, 0, len(t.subgroupsByLayer[t.Layers-1]))
+	ctxBuf := make([]*mlWorker, 0, tensor.Parallelism())
 	before := counter.TotalBytes()
 
 	// value[p] is peer p's current subtree sum: initially a borrowed view
@@ -230,33 +240,39 @@ func AggregateMultiLayerOpts(t *MultiLayerTopology, models [][]float64, div secr
 		for range groups {
 			seeds = append(seeds, rng.Int63())
 		}
-		tensor.ParallelRows(len(groups), func(lo, hi int) {
-			w := ms.get(t.Degree, div, counter)
-			defer ms.put(w)
-			for gi := lo; gi < hi; gi++ {
-				group := groups[gi]
-				w.src.Seed(seeds[gi])
-				sub := w.sub[:0]
-				for _, p := range group {
-					sub = append(sub, value[p])
+		// Slot s runs subgroups [s·G/S, (s+1)·G/S) on context ws[s],
+		// whichever worker runs the slot.
+		slots := min(cap(ctxBuf), len(groups))
+		ws := ms.take(ctxBuf[:0], slots, t.Degree, div, counter)
+		tensor.ParallelRows(slots, func(lo, hi int) {
+			for s := lo; s < hi; s++ {
+				w := ws[s]
+				for gi := s * len(groups) / slots; gi < (s+1)*len(groups)/slots; gi++ {
+					group := groups[gi]
+					w.src.Seed(seeds[gi])
+					sub := w.sub[:0]
+					for _, p := range group {
+						sub = append(sub, value[p])
+					}
+					res, err := sac.Run(w.mesh, w.cfg, sub, nil)
+					if err != nil {
+						fail(x, err)
+						return
+					}
+					// SAC returns the average over the group; recover the sum so
+					// weights of unequal subtrees stay exact. Result.Avg is always
+					// freshly allocated, so it can be scaled in place and become
+					// the leader's owned subtree sum.
+					sum := res.Avg
+					cnt := float64(len(res.Contributors))
+					for j := range sum {
+						sum[j] *= cnt
+					}
+					value[group[0]] = sum
 				}
-				res, err := sac.Run(w.mesh, w.cfg, sub, nil)
-				if err != nil {
-					fail(x, err)
-					return
-				}
-				// SAC returns the average over the group; recover the sum so
-				// weights of unequal subtrees stay exact. Result.Avg is always
-				// freshly allocated, so it can be scaled in place and become
-				// the leader's owned subtree sum.
-				sum := res.Avg
-				cnt := float64(len(res.Contributors))
-				for j := range sum {
-					sum[j] *= cnt
-				}
-				value[group[0]] = sum
 			}
 		})
+		ms.give(ws)
 		if firstErr != nil {
 			return nil, firstErr
 		}

@@ -421,10 +421,6 @@ func (n *Node) setMembers() {
 	n.members = out
 }
 
-// LastIndex returns the index of the last entry in the log (including
-// the compacted prefix) — exposed for invariant probes (internal/chaos).
-func (n *Node) LastIndex() uint64 { return n.lastIndex() }
-
 func (n *Node) lastIndex() uint64 { return n.snapIndex + uint64(len(n.log)) }
 
 func (n *Node) termAt(i uint64) uint64 {

@@ -239,7 +239,7 @@ func TestRestartInsidePartitionNoResurrection(t *testing.T) {
 	}
 	g.Partition(map[uint64]bool{isolated: true})
 	g.Host(isolated).Crash()
-	baseIndex := g.Host(isolated).Node.LastIndex()
+	baseIndex := g.Host(isolated).Node.Status().LastIndex
 
 	// The majority side keeps committing.
 	for i := 0; i < 3; i++ {
@@ -273,7 +273,7 @@ func TestRestartInsidePartitionNoResurrection(t *testing.T) {
 	if got := commits[isolated]; got != 0 {
 		t.Fatalf("partitioned host committed %d entries after restart, want 0", got)
 	}
-	if got := g.Host(isolated).Node.LastIndex(); got != baseIndex {
+	if got := g.Host(isolated).Node.Status().LastIndex; got != baseIndex {
 		t.Fatalf("partitioned host log grew to %d after restart, want %d", got, baseIndex)
 	}
 

@@ -119,7 +119,7 @@ func TestHostThatCannotPersistSendsNothing(t *testing.T) {
 			if err := lead.Propose([]byte("while-down")); err != nil {
 				t.Fatal(err)
 			}
-			mark := lead.Node.LastIndex()
+			mark := lead.Node.Status().LastIndex
 			sim.RunFor(100 * Millisecond)
 			for _, id := range g.IDs() {
 				if o := g.Host(id); id != victim && (o.Down() || o.Node.CommitIndex() < mark) {
