@@ -120,13 +120,17 @@ test-train:
 	$(GO) test -race ./internal/tensor/ ./internal/nn/ ./internal/optim/ ./internal/fl/
 
 # A raft member's loop: raft.Loop (the one body that persists, sends,
-# applies and reports, in that order), its virtual-clock owner
+# applies and reports, in that order, and that allocates nothing for a
+# settled heartbeat exchange —
+# TestSettledGroupAllocatesNothingPerHeartbeat), its virtual-clock owner
 # simnet.Host (a host whose store fails sends nothing and goes down;
 # the tick blocks that run back-to-back ticks of an instant as one event),
 # the cluster package that consumes both and runs the golden timelines
 # (TestVirtualTimelinesAreByteIdentical), and its wall-clock owner, the
 # daemon — not -short, so TestKillNineAndRejoin builds p2pfl-node and
-# kill -9s a real leader on loopback.
+# kill -9s a real leader on loopback; its per-peer sender goroutines
+# encode appends whose entries are views of a log the loop goes on
+# appending to.
 test-node:
 	$(GO) test -race ./internal/raft/ ./internal/simnet/ ./internal/cluster/ ./cmd/p2pfl-node/
 

@@ -43,16 +43,42 @@ type Entry struct {
 // from a single goroutine (the simnet event loop, a node's main loop).
 type Directory struct {
 	entries map[uint64]Entry
+	// taken counts, per subgroup, the entries holding each share index:
+	// what Apply asks of every join, kept so it need not scan entries.
+	taken   map[int]map[int]int
 	version uint64
 }
 
 // New returns an empty directory.
-func New() *Directory { return &Directory{entries: make(map[uint64]Entry)} }
+func New() *Directory {
+	return &Directory{entries: make(map[uint64]Entry), taken: make(map[int]map[int]int)}
+}
 
 func (d *Directory) init() {
 	if d.entries == nil {
 		d.entries = make(map[uint64]Entry)
+		d.taken = make(map[int]map[int]int)
 	}
+}
+
+// put registers e, replacing nothing: its id must be free.
+func (d *Directory) put(e Entry) {
+	d.entries[e.ID] = e
+	if d.taken[e.Subgroup] == nil {
+		d.taken[e.Subgroup] = make(map[int]int)
+	}
+	d.taken[e.Subgroup][e.ShareIndex]++
+}
+
+// drop unregisters id and returns the entry it held.
+func (d *Directory) drop(id uint64) (Entry, bool) {
+	e, ok := d.entries[id]
+	if !ok {
+		return Entry{}, false
+	}
+	delete(d.entries, id)
+	d.taken[e.Subgroup][e.ShareIndex]--
+	return e, true
 }
 
 // Version counts applied updates — a cheap staleness probe.
@@ -76,20 +102,19 @@ func (d *Directory) Apply(u wire.DirectoryUpdate) (Entry, error) {
 	d.init()
 	switch u.Op {
 	case wire.DirJoin:
-		delete(d.entries, u.ID) // re-registration releases the old slot first
+		d.drop(u.ID) // re-registration releases the old slot first
 		e := Entry{ID: u.ID, Addr: u.Addr, Subgroup: u.Subgroup, ShareIndex: u.ShareIndex}
-		if e.ShareIndex < 0 || d.indexTaken(u.Subgroup, e.ShareIndex) {
+		if e.ShareIndex < 0 || d.taken[u.Subgroup][e.ShareIndex] > 0 {
 			e.ShareIndex = d.NextShareIndex(u.Subgroup)
 		}
-		d.entries[u.ID] = e
+		d.put(e)
 		d.version++
 		return e, nil
 	case wire.DirLeave:
-		e, ok := d.entries[u.ID]
+		e, ok := d.drop(u.ID)
 		if !ok {
 			return Entry{}, fmt.Errorf("directory: leave for unknown peer %d", u.ID)
 		}
-		delete(d.entries, u.ID)
 		d.version++
 		return e, nil
 	default:
@@ -97,29 +122,15 @@ func (d *Directory) Apply(u wire.DirectoryUpdate) (Entry, error) {
 	}
 }
 
-func (d *Directory) indexTaken(subgroup, idx int) bool {
-	for _, e := range d.entries {
-		if e.Subgroup == subgroup && e.ShareIndex == idx {
-			return true
-		}
-	}
-	return false
-}
-
 // NextShareIndex returns the lowest share index not currently held in
 // the subgroup — the deterministic assignment rule for joins.
 func (d *Directory) NextShareIndex(subgroup int) int {
-	used := make(map[int]bool)
-	for _, e := range d.entries {
-		if e.Subgroup == subgroup {
-			used[e.ShareIndex] = true
-		}
+	t := d.taken[subgroup]
+	i := 0
+	for t[i] > 0 {
+		i++
 	}
-	for i := 0; ; i++ {
-		if !used[i] {
-			return i
-		}
-	}
+	return i
 }
 
 // Members returns every entry in ascending id order.

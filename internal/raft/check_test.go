@@ -193,14 +193,15 @@ func (c *checker) root() *checkWorld {
 
 // clone returns a copy of n that shares nothing either will write: the
 // log and member slices are clipped or replaced, never written in place
-// (see Persist), and snapshots are replaced, never edited. The vote
+// (see Persist), and snapshots are replaced, never edited. Ready's
+// buffers are written in place, so the copy gets its own. The vote
 // tally is written only by a candidate, and the replication maps only
 // by a leader; both are replaced, not written, on the way into the
 // role, so a node in another role shares them.
 func (n *Node) clone() *Node {
 	c := *n
 	c.log = slices.Clip(n.log)
-	c.msgs = slices.Clip(n.msgs)
+	c.msgs, c.spare, c.committed = slices.Clone(n.msgs), nil, nil
 	c.peers = maps.Clone(n.peers)
 	switch n.state {
 	case Candidate, PreCandidate:
@@ -773,6 +774,64 @@ func runExplore(t *testing.T, b bound) {
 // TestEverySmallScheduleIsSafe explores every schedule of three nodes
 // and a spare within shortBound.
 func TestEverySmallScheduleIsSafe(t *testing.T) { runExplore(t, shortBound) }
+
+// TestCloneSharesNoReadyMemory holds clone to its promise for the
+// buffers Ready writes in place: a parent driven on after the clone was
+// taken changes neither what the clone's next Ready hands out, nor what
+// that Ready handed out, nor what the clone sends after it.
+func TestCloneSharesNoReadyMemory(t *testing.T) {
+	n, err := NewNode(Config{
+		ID: 1, Peers: []uint64{1, 2, 3}, ElectionTickMin: 10, ElectionTickMax: 20, HeartbeatTick: 1,
+		Rng: rand.New(rand.NewSource(1)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(m Message) {
+		m.From, m.To, m.Term = 2, 1, n.term
+		if err := n.Step(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// round is one pass of the parent's loop: hand out what is pending,
+	// then a heartbeat and a proposal, four sends, and the ack that
+	// commits the proposal.
+	round := func() {
+		n.Ready()
+		n.Tick()
+		if err := n.Propose([]byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		step(Message{Type: MsgAppendResponse, Match: n.lastIndex()})
+	}
+	n.Campaign()
+	step(Message{Type: MsgVoteResponse, Granted: true})
+	for i := 0; i < 4; i++ {
+		round() // until no buffer grows
+	}
+	if len(n.msgs) == 0 || n.applied == n.commitIndex || cap(n.spare) < len(n.msgs) || cap(n.committed) == 0 {
+		t.Fatalf("setup: %d messages pending, applied %d of %d, buffers %d and %d", len(n.msgs), n.applied, n.commitIndex, cap(n.spare), cap(n.committed))
+	}
+	wantMsgs, wantCommitted := slices.Clone(n.msgs), []Entry{n.entryAt(n.commitIndex)}
+	c := n.clone()
+	check := func(when string, rd Ready) {
+		if got, want := fmt.Sprint(rd.Messages, rd.Committed), fmt.Sprint(wantMsgs, wantCommitted); got != want {
+			t.Fatalf("%s, the clone's Ready holds and commits %v; want %v", when, got, want)
+		}
+	}
+	round()
+	round()
+	rd := c.Ready()
+	check("after the parent ran on", rd)
+	round()
+	round()
+	check("after the parent ran on again", rd)
+	c.Tick()
+	wantMsgs, wantCommitted = slices.Clone(c.msgs), nil
+	round()
+	round()
+	check("after the clone sent and the parent ran on", c.Ready())
+}
 
 func messageString(m Message) string {
 	s := fmt.Sprintf("%v %d→%d term %d", m.Type, m.From, m.To, m.Term)

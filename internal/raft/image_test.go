@@ -12,7 +12,8 @@ import (
 )
 
 // imageNet drives three nodes over a network the test owns and captures
-// a Persist image, with its wire encoding, at every Ready.
+// a Persist image, with its wire encoding, at every Ready, and every
+// append that carries entries, with its own.
 type imageNet struct {
 	t         *testing.T
 	rng       *rand.Rand
@@ -21,11 +22,17 @@ type imageNet struct {
 	cut       map[uint64]bool // neither ticked nor reachable
 	inflight  []raft.Message
 	images    []image
+	appends   []sentAppend
 	installed int // snapshots installed, as Ready reported them
 }
 
 type image struct {
 	ps    raft.PersistentState
+	frame []byte
+}
+
+type sentAppend struct {
+	m     raft.Message
 	frame []byte
 }
 
@@ -70,6 +77,9 @@ func (w *imageNet) drain() {
 			w.installed++
 		}
 		for _, m := range rd.Messages {
+			if m.Type == raft.MsgAppend && len(m.Entries) > 0 {
+				w.appends = append(w.appends, sentAppend{m, wire.AppendRaftFrame(nil, m)})
+			}
 			if !w.cut[m.From] && !w.cut[m.To] {
 				w.inflight = append(w.inflight, m)
 			}
@@ -190,7 +200,10 @@ func termAt(n *raft.Node, index uint64) uint64 {
 // from outside: every image captured during a random three-node
 // schedule encodes, at the end, to the bytes it encoded to when it was
 // captured — after later appends, a forced conflict truncation,
-// membership changes, compactions and an installed snapshot.
+// membership changes, compactions and an installed snapshot. The
+// entries of an append are a view of its sender's log too, so every
+// append sent, the doomed ones of a leader that then steps down and
+// truncates them among them, must encode as it did when it was sent.
 func TestPersistImagesNeverChange(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		w := newImageNet(t, seed)
@@ -255,6 +268,18 @@ func TestPersistImagesNeverChange(t *testing.T) {
 			if now := wire.AppendRaftStateFrame(nil, im.ps); !bytes.Equal(now, im.frame) {
 				t.Fatalf("seed %d: image %d of %d (term %d, %d entries) changed after it was captured", seed, i, len(w.images), im.ps.Hard.Term, len(im.ps.Log))
 			}
+		}
+		var doomedSent bool
+		for i, a := range w.appends {
+			if now := wire.AppendRaftFrame(nil, a.m); !bytes.Equal(now, a.frame) {
+				t.Fatalf("seed %d: append %d of %d (%d→%d, term %d, %d entries) changed after it was sent", seed, i, len(w.appends), a.m.From, a.m.To, a.m.Term, len(a.m.Entries))
+			}
+			doomedSent = doomedSent || a.m.From == old.ID() && slices.ContainsFunc(a.m.Entries, func(e raft.Entry) bool {
+				return e.Index == doomed && e.Term == doomedTerm
+			})
+		}
+		if !doomedSent {
+			t.Fatalf("seed %d: the deposed leader sent none of the entries it then truncated", seed)
 		}
 
 		// A node restored from an image appends, and truncates, without

@@ -206,3 +206,69 @@ func TestReadyThatAddsAMemberLeavesItsAppend(t *testing.T) {
 		t.Fatalf("the next Pump sent %v, pending %v; want the append to 2 and nothing left", sent, n.HasPending())
 	}
 }
+
+// discardStore is a disk that keeps nothing.
+type discardStore struct{}
+
+func (discardStore) Save(raft.PersistentState) error { return nil }
+
+// TestSettledGroupAllocatesNothingPerHeartbeat pins the steady state of
+// a raft member at zero allocations: once a three-member group has
+// settled, a heartbeat exchange — the leader's broadcasting Tick, each
+// follower's Step of its append and the leader's Step of each ack —
+// allocates nothing. Ready hands out buffers the node takes back, and a
+// heartbeat carries no entries.
+func TestSettledGroupAllocatesNothingPerHeartbeat(t *testing.T) {
+	ids := []uint64{1, 2, 3}
+	loops := map[uint64]*raft.Loop{}
+	inbox := make([]raft.Message, 0, 16)
+	for _, id := range ids {
+		n, err := raft.NewNode(raft.Config{
+			ID: id, Peers: ids, ElectionTickMin: 1_000_000, ElectionTickMax: 2_000_000, HeartbeatTick: 1,
+			Rng: rand.New(rand.NewSource(int64(id))),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := &raft.Loop{Store: discardStore{}, Send: func(m raft.Message) { inbox = append(inbox, m) }}
+		if err := l.Start(n); err != nil {
+			t.Fatal(err)
+		}
+		loops[id] = l
+	}
+	// flush steps every message sent, and every one those send, in order.
+	flush := func() {
+		for i := 0; i < len(inbox); i++ {
+			if err := loops[inbox[i].To].Step(inbox[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		inbox = inbox[:0]
+	}
+	lead := loops[1]
+	if err := lead.Campaign(); err != nil {
+		t.Fatal(err)
+	}
+	flush()
+	if err := lead.Propose([]byte("settle")); err != nil {
+		t.Fatal(err)
+	}
+	flush()
+	exchange := func() {
+		if err := lead.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		flush()
+	}
+	for i := 0; i < 3; i++ {
+		exchange()
+	}
+	for _, id := range ids {
+		if st := loops[id].Node.Status(); st.CommitIndex != lead.Node.LastIndex() || st.Applied != st.CommitIndex || st.Leader != 1 {
+			t.Fatalf("member %d did not settle: %+v", id, st)
+		}
+	}
+	if got := testing.AllocsPerRun(100, exchange); got != 0 {
+		t.Fatalf("a settled heartbeat exchange allocates %v times, want 0", got)
+	}
+}

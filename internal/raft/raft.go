@@ -315,7 +315,13 @@ type Node struct {
 	rng *rand.Rand
 	tel nodeTel
 
-	msgs []Message
+	// msgs collects what the node sends until Ready hands it out. Ready
+	// then takes back spare, the slice the Ready before handed out, for
+	// the sends that follow, and fills committed again: a member that
+	// has settled sends and applies without allocating (DESIGN §4).
+	msgs      []Message
+	spare     []Message
+	committed []Entry
 }
 
 // nodeTel holds the node's pre-resolved metric handles. With no
@@ -720,7 +726,9 @@ func (n *Node) sendAppend(to uint64) {
 	prev := next - 1
 	var entries []Entry
 	if next <= n.lastIndex() {
-		entries = append(entries, n.log[next-n.snapIndex-1:]...)
+		// A view of the log, not a copy: no slot is written once filled
+		// (see Persist), so what was sent stays as it was sent.
+		entries = slices.Clip(n.log[next-n.snapIndex-1:])
 	}
 	n.send(Message{
 		Type:         MsgAppend,
@@ -1064,6 +1072,10 @@ func (n *Node) maybeCommit() {
 
 // Ready drains the node's pending outputs: outbound messages and newly
 // committed entries (with conf changes applied to the membership view).
+// Its Messages and Committed are the node's own buffers, valid until the
+// next Ready reuses them: a caller that keeps a Message or an Entry
+// copies it out (both are values; an append's Entries is a view of the
+// log, which never changes).
 func (n *Node) Ready() Ready {
 	// Auto-compaction runs before draining newly committed entries, so it
 	// only ever covers entries handed to the driver in earlier batches —
@@ -1082,7 +1094,8 @@ func (n *Node) Ready() Ready {
 	}
 	rd := Ready{State: n.state, Term: n.term, Leader: n.leader}
 	rd.Messages = n.msgs
-	n.msgs = nil
+	clear(n.spare) // let go of the entries and snapshots it pointed at
+	n.msgs, n.spare = n.spare[:0], rd.Messages
 	if len(rd.Messages) > 0 {
 		n.tel.msgsSent.Add(int64(len(rd.Messages)))
 	}
@@ -1090,6 +1103,8 @@ func (n *Node) Ready() Ready {
 		rd.InstalledSnapshot = n.pendingSnap
 		n.pendingSnap = nil
 	}
+	clear(n.committed)
+	rd.Committed = n.committed[:0]
 	for n.applied < n.commitIndex {
 		n.applied++
 		e := n.entryAt(n.applied)
@@ -1100,6 +1115,7 @@ func (n *Node) Ready() Ready {
 		}
 		rd.Committed = append(rd.Committed, e)
 	}
+	n.committed = rd.Committed
 	if len(rd.Committed) > 0 {
 		n.tel.entriesCommitted.Add(int64(len(rd.Committed)))
 	}

@@ -9,6 +9,7 @@
 package simnet
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -264,6 +265,9 @@ type Group struct {
 
 	rng   *rand.Rand
 	hosts map[uint64]*Host
+	// byID is hosts in ascending id order: what IDs and Leader walk,
+	// which cluster polls for the leaders of both layers.
+	byID []*Host
 
 	// Traffic accounting, in exact wire-codec frame bytes
 	// (wire.RaftFrameSize) so simulated byte counts line up with what
@@ -353,6 +357,8 @@ func (g *Group) Add(node *raft.Node) (*Host, error) {
 		return nil, err
 	}
 	g.hosts[id] = h
+	i, _ := slices.BinarySearchFunc(g.byID, id, func(h *Host, id uint64) int { return cmp.Compare(h.Node.ID(), id) })
+	g.byID = slices.Insert(g.byID, i, h)
 	g.sim.place(h)
 	return h, nil
 }
@@ -370,6 +376,7 @@ func (g *Group) Remove(id uint64) {
 	}
 	h.Crash()
 	delete(g.hosts, id)
+	g.byID = slices.DeleteFunc(g.byID, func(o *Host) bool { return o == h })
 }
 
 // Host returns the host for id, or nil.
@@ -378,11 +385,10 @@ func (g *Group) Host(id uint64) *Host { return g.hosts[id] }
 // IDs returns all host IDs in sorted order. Fault campaigns iterate this
 // rather than the host map so that target selection is deterministic.
 func (g *Group) IDs() []uint64 {
-	out := make([]uint64, 0, len(g.hosts))
-	for id := range g.hosts {
-		out = append(out, id)
+	out := make([]uint64, len(g.byID))
+	for i, h := range g.byID {
+		out[i] = h.Node.ID()
 	}
-	slices.Sort(out)
 	return out
 }
 
@@ -391,12 +397,12 @@ func (g *Group) IDs() []uint64 {
 func (g *Group) Leader() uint64 {
 	best := raft.None
 	var bestTerm uint64
-	for id, h := range g.hosts {
+	for _, h := range g.byID {
 		if h.down || h.Node.State() != raft.Leader {
 			continue
 		}
 		if best == raft.None || h.Node.Term() > bestTerm {
-			best, bestTerm = id, h.Node.Term()
+			best, bestTerm = h.Node.ID(), h.Node.Term()
 		}
 	}
 	return best

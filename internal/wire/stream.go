@@ -271,8 +271,18 @@ func shortPayload(err error) error {
 	if err == nil {
 		return nil
 	}
-	return fmt.Errorf("wire: short payload: %w", err)
+	return &shortPayloadError{err}
 }
+
+// shortPayloadError is what shortPayload wraps with. It is not
+// fmt.Errorf's so that a short read allocates as often every time: fmt
+// takes its printer from a sync.Pool, which a race build empties at
+// random.
+type shortPayloadError struct{ err error }
+
+func (e *shortPayloadError) Error() string { return "wire: short payload: " + e.err.Error() }
+
+func (e *shortPayloadError) Unwrap() error { return e.err }
 
 // framePrealloc caps what a reader allocates on a header's say-so.
 // Larger payloads grow the buffer geometrically, but only after the

@@ -244,7 +244,7 @@ func TestStreamLyingVectorBoundsAllocation(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, func() {
 		m, err = new(MeshDecoder).ReadFrame(bytes.NewReader(lie), func(int) []float64 { return pooled })
 	})
-	if err == nil || len(m.Payload) != 0 || &m.Payload[:1][0] != &pooled[0] {
+	if !errors.Is(err, io.ErrUnexpectedEOF) || len(m.Payload) != 0 || &m.Payload[:1][0] != &pooled[0] {
 		t.Fatalf("short read into a supplied destination: err %v, payload len %d", err, len(m.Payload))
 	}
 	if allocs > 8 {
