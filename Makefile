@@ -180,15 +180,18 @@ test-health:
 # TestStreamingFoldMatchesReference, and the default path's allocation
 # pin in
 # TestDefaultRunAllocatesOnlyItsResult and, for the spare list under two
-# goroutines, TestSpareWorkingSetsServeTwoGoroutines), and the aggregation
+# goroutines, TestSpareWorkingSetsServeTwoGoroutines), the aggregation
 # kernels that secretshare, sac and fl call in internal/tensor — the
 # Divide, subtotal, average and FedAvg loops, whose stream bodies
 # (TestStreamBodiesMatchGo) are amd64 assembly and Go-only elsewhere —
-# with fl's FedAvg at a dim long enough to stream.
+# with fl's FedAvg at a dim long enough to stream, and core's two-layer
+# round, which lends Finish and FedAvg the vectors its System keeps: a
+# warm round allocates no model vector
+# (TestWarmRoundAllocatesNoModelVector).
 test-wire:
 	$(GO) test -race ./internal/wire/ ./internal/transport/ \
 		./internal/secretshare/ ./internal/sac/ ./internal/simnet/ \
-		./internal/tensor/ ./internal/fl/ ./cmd/p2pfl-node/
+		./internal/tensor/ ./internal/fl/ ./internal/core/ ./cmd/p2pfl-node/
 
 # Compression: the quantize/top-k kernels (bit determinism at any worker
 # count, error bounds, the top-k selection against its sort-based

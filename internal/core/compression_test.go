@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/compress"
@@ -176,17 +177,29 @@ func sameRound(a, b *RoundResult) bool {
 	return true
 }
 
-// roundAlloc returns the bytes one warm round of sys allocates.
-func roundAlloc(t *testing.T, sys *System, models [][]float64) uint64 {
+// sharesArray reports whether a and b are views of one array.
+func sharesArray(a, b []float64) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:cap(a)][cap(a)-1] == &b[:cap(b)][cap(b)-1]
+}
+
+// aggregateRound is sys's AggregateRound of models under spec, as
+// roundAlloc calls it.
+func aggregateRound(sys *System, models [][]float64, spec RoundSpec) func() (*RoundResult, error) {
+	return func() (*RoundResult, error) { return sys.AggregateRound(models, spec) }
+}
+
+// roundAlloc returns the bytes one warm round allocates: the third call
+// of round.
+func roundAlloc(t *testing.T, round func() (*RoundResult, error)) uint64 {
 	t.Helper()
-	for i := 0; i < 2; i++ { // warm the SAC working sets and decode vectors
-		if _, err := sys.AggregateRound(models, RoundSpec{}); err != nil {
+	for i := 0; i < 2; i++ { // warm the SAC working sets and the system's vectors
+		if _, err := round(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	_, err := sys.AggregateRound(models, RoundSpec{})
+	_, err := round()
 	runtime.ReadMemStats(&m1)
 	if err != nil {
 		t.Fatal(err)
@@ -197,15 +210,18 @@ func roundAlloc(t *testing.T, sys *System, models [][]float64) uint64 {
 // TestCompressedRoundKeepsItsDecodeVectors pins the FedAvg leader's
 // decode vectors: a warm top-k round allocates nothing dim-sized per
 // upload on top of the uncompressed round (only the 12·k bytes of each
-// of the five sparse blocks), no result of a round aliases them, and a
-// system reconfigured to more subgroups rounds exactly like a fresh one.
+// of the five sparse blocks), a warm system's round is bit for bit a
+// fresh system's and no result vector of it aliases a decode vector,
+// and a system reconfigured to more subgroups rounds exactly like a
+// fresh one.
 func TestCompressedRoundKeepsItsDecodeVectors(t *testing.T) {
 	const dim = 20_000
 	sizes3, sizes5 := []int{3, 3, 3}, []int{3, 3, 3, 3, 3}
 	cc := compress.Config{Scheme: compress.TopK, Frac: 0.1}
-	newSys := func(sizes []int, comp compress.Config, seed int64) (*System, *rand.Rand) {
+	newSys := func(cfg Config, seed int64) (*System, *rand.Rand) {
 		rng := rand.New(rand.NewSource(seed))
-		sys, err := NewSystem(Config{Sizes: sizes, K: []int{2}, Compression: comp}, rng)
+		cfg.K = []int{2}
+		sys, err := NewSystem(cfg, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,36 +230,56 @@ func TestCompressedRoundKeepsItsDecodeVectors(t *testing.T) {
 	models := func(n int, seed int64) [][]float64 { return randModels(rand.New(rand.NewSource(seed)), n, dim) }
 
 	m15 := models(15, 1)
-	plain, _ := newSys(sizes5, compress.Config{}, 2)
-	topk, _ := newSys(sizes5, cc, 2)
+	plain, _ := newSys(Config{Sizes: sizes5}, 2)
+	topk, _ := newSys(Config{Sizes: sizes5, Compression: cc}, 2)
 	blocks := int64(len(sizes5) * wire.SparseBlockSize(0, cc.Kept(dim))) // four uploads, one global
 	slack := int64(8 * dim / 4)                                          // a quarter of one decoded upload
-	if extra := int64(roundAlloc(t, topk, m15)) - int64(roundAlloc(t, plain, m15)); extra > blocks+slack {
+	if extra := int64(roundAlloc(t, aggregateRound(topk, m15, RoundSpec{}))) - int64(roundAlloc(t, aggregateRound(plain, m15, RoundSpec{}))); extra > blocks+slack {
 		t.Fatalf("a warm top-k round allocates %d bytes more than an uncompressed one; its sparse blocks are %d (one decoded upload is %d)",
 			extra, blocks, 8*dim)
 	}
 
-	// Round r's results survive round r+1 on other models.
-	first, err := topk.AggregateRound(models(15, 3), RoundSpec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept := &RoundResult{Global: append([]float64(nil), first.Global...), Bytes: first.Bytes}
-	for _, avg := range first.SubgroupAvgs {
-		kept.SubgroupAvgs = append(kept.SubgroupAvgs, append([]float64(nil), avg...))
-	}
-	b := *first.GlobalBound
-	kept.GlobalBound = &b
-	if _, err := topk.AggregateRound(models(15, 4), RoundSpec{}); err != nil {
-		t.Fatal(err)
-	}
-	if !sameRound(first, kept) {
-		t.Fatal("the next round rewrote an earlier round's result")
+	// A round's results are the system's until its next round, which
+	// writes them again in place: a warm system's round is, bit for bit, a
+	// fresh system's on the same rng stream, and none of its result
+	// vectors is a decode vector.
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"plain", Config{Sizes: sizes5}},
+		{"top-k", Config{Sizes: sizes5, Compression: cc}},
+		{"secure upper", Config{Sizes: sizes5, SecureUpper: true}},
+	} {
+		warm, rng := newSys(tc.cfg, 3)
+		if _, err := warm.AggregateRound(models(15, 3), RoundSpec{}); err != nil {
+			t.Fatal(err)
+		}
+		rng.Seed(4)
+		fresh, _ := newSys(tc.cfg, 4)
+		got, err := warm.AggregateRound(models(15, 4), RoundSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.AggregateRound(models(15, 4), RoundSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameRound(got, want) {
+			t.Fatalf("%s: a warm system's round differs from the same round on a fresh system", tc.name)
+		}
+		for _, v := range append(slices.Clone(got.SubgroupAvgs), got.Global) {
+			for g, d := range warm.decoded {
+				if sharesArray(v, d) {
+					t.Fatalf("%s: a result vector is subgroup %d's decode vector", tc.name, g)
+				}
+			}
+		}
 	}
 
 	// Three subgroups grow to five: the two new ones get decode vectors,
 	// the three old ones are overwritten in place.
-	grown, rng := newSys(sizes3, cc, 5)
+	grown, rng := newSys(Config{Sizes: sizes3, Compression: cc}, 5)
 	if _, err := grown.AggregateRound(models(9, 6), RoundSpec{}); err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +287,7 @@ func TestCompressedRoundKeepsItsDecodeVectors(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng.Seed(7)
-	fresh, _ := newSys(sizes5, cc, 7)
+	fresh, _ := newSys(Config{Sizes: sizes5, Compression: cc}, 7)
 	got, err := grown.AggregateRound(models(15, 8), RoundSpec{})
 	if err != nil {
 		t.Fatal(err)

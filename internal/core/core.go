@@ -165,10 +165,14 @@ type System struct {
 	// rand.NewSource(seed) gives without allocating a ~4.9 KB source per
 	// SAC; the SACs run one after another and none keeps it past its end.
 	sacRng *rand.Rand
-	// decoded[g] is what subgroup g's compressed upload decodes into at
-	// the FedAvg leader, whichever node leads, kept across rounds.
-	decoded [][]float64
-	loop    loop
+	// The model vectors a round writes, kept across rounds, whichever
+	// nodes lead: decoded[g] is what subgroup g's compressed upload
+	// decodes into at the FedAvg leader, avgs[g] subgroup g's SAC
+	// average, uppers[g] its leader's upper-SAC input under SecureUpper,
+	// and global the global model, unless a Config.Aggregator makes it.
+	decoded, avgs, uppers [][]float64
+	global                []float64
+	loop                  loop
 }
 
 // sysTel holds the system's pre-resolved round-lifecycle handles (nil
@@ -220,12 +224,14 @@ func NewSystem(cfg Config, rng *rand.Rand) (*System, error) {
 	return s, nil
 }
 
-// resize gives the system one decode vector for each of its subgroups
-// and a node and an inbox for each of its peers, keeping those it has,
-// and meters its peers by their ids.
+// resize gives the system a slot for each model vector of each of its
+// subgroups and a node and an inbox for each of its peers, keeping those
+// it has, and meters its peers by their ids.
 func (s *System) resize() {
 	m, n, l := len(s.cfg.Sizes), s.cfg.NumPeers(), &s.loop
-	s.decoded = append(s.decoded, make([][]float64, max(0, m-len(s.decoded)))...)[:m]
+	for _, v := range []*[][]float64{&s.decoded, &s.avgs, &s.uppers} {
+		*v = append(*v, make([][]float64, max(0, m-len(*v)))...)[:m]
+	}
 	l.nodes = append(l.nodes, make([]node, max(0, n-len(l.nodes)))...)[:n]
 	l.inbox = append(l.inbox, make([][]message, max(0, n-len(l.inbox)))...)[:n]
 	l.down, l.ids = make([]bool, n), make([]int, n)
@@ -259,7 +265,11 @@ func (s *System) Reconfigure(sizes, k []int) error {
 // Counter exposes the cumulative traffic counter.
 func (s *System) Counter() *transport.Counter { return s.counter }
 
-// RoundResult reports one aggregation round.
+// RoundResult reports one aggregation round. Its model vectors, Global
+// and SubgroupAvgs, are the System's: valid until its next round, which
+// writes them again, so a caller that keeps them longer copies them. The
+// one exception is a Global a Config.Aggregator made, which is the
+// caller's.
 type RoundResult struct {
 	// Global is the new global model (FedAvg over participating
 	// subgroups' SAC averages).
@@ -424,7 +434,8 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 		lo, hi := p.offsets[g], p.offsets[g+1]
 		cfg := s.sacConfig(hi-lo, s.sacRng)
 		cfg.K, cfg.Leader, cfg.Adversary, cfg.Guard = s.cfg.thresholdFor(g, hi-lo), leader-lo, spec.Adversary[g], s.cfg.Guard
-		r, err := l.schedule(l.ids[lo:hi], false, cfg, models[lo:hi], spec.Crash[g])
+		s.avgs[g] = fit(s.avgs[g], p.dim)
+		r, err := l.schedule(l.ids[lo:hi], false, cfg, models[lo:hi], spec.Crash[g], s.avgs[g])
 		switch {
 		case err != nil:
 			s.tel.sacFailed.Inc()
@@ -489,10 +500,16 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 	if spec.FedLeader >= 0 && slices.Contains(participate, spec.FedLeader) {
 		p.fed = spec.FedLeader
 	}
+	if s.cfg.Aggregator == nil {
+		s.global = fit(s.global, p.dim)
+	}
 	fed := &l.nodes[p.leaders[p.fed]]
-	fed.Lead(participate, s.decoded)
+	fed.Lead(participate, s.decoded, s.global)
 	for _, g := range participate {
-		l.nodes[p.leaders[g]].Upload()
+		if s.cfg.SecureUpper {
+			s.uppers[g] = fit(s.uppers[g], p.dim)
+		}
+		l.nodes[p.leaders[g]].Upload(s.uppers[g])
 	}
 	if err := l.settle(s.tel.msgsInvalid); err != nil {
 		return nil, err
@@ -506,7 +523,7 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 		}
 		cfg := s.sacConfig(len(models), s.rng)
 		cfg.Leader = slices.Index(participate, p.fed)
-		if _, err := l.schedule(members, true, cfg, models, nil); err != nil {
+		if _, err := l.schedule(members, true, cfg, models, nil, s.global); err != nil {
 			return nil, fmt.Errorf("core: secure upper layer: %w", err)
 		}
 		if err := l.settle(s.tel.msgsInvalid); err != nil {
@@ -523,6 +540,15 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 		telemetry.F("participated", int64(len(participate))),
 		telemetry.F("bytes", res.Bytes))
 	return res, nil
+}
+
+// fit returns v as a vector of dim weights, made only when v has no room
+// for them; a round writes every weight of it.
+func fit(v []float64, dim int) []float64 {
+	if cap(v) < dim {
+		return make([]float64, dim)
+	}
+	return v[:dim]
 }
 
 // sacConfig is the one recipe for the SACs a round runs — subgroup,
@@ -548,7 +574,8 @@ func (s *System) BaselineAggregate(models [][]float64) (*RoundResult, error) {
 	l.begin(p)
 	cfg := s.sacConfig(n, s.rng)
 	cfg.Mode = sac.ModeBroadcast
-	r, err := l.schedule(l.ids, false, cfg, models, nil)
+	s.global = fit(s.global, p.dim)
+	r, err := l.schedule(l.ids, false, cfg, models, nil, s.global)
 	if err != nil {
 		return nil, err
 	}
@@ -589,11 +616,12 @@ func (l *loop) empty(id int) {
 }
 
 // schedule runs one SAC of cfg over the nodes members — a subgroup's, the
-// upper one, or the baseline's — with sac.Schedule: it lends each member
-// its peer of a working set borrowed for the SAC, and takes the peers
-// back once the schedule has ended the round at them, dropping what the
-// SAC left in their inboxes if it aborted.
-func (l *loop) schedule(members []int, upper bool, cfg sac.Config, models [][]float64, crash sac.CrashPlan) (*sac.Result, error) {
+// upper one, or the baseline's — with sac.Schedule, its average going
+// into avg: it lends each member its peer of a working set borrowed for
+// the SAC, and takes the peers back once the schedule has ended the
+// round at them, dropping what the SAC left in their inboxes if it
+// aborted.
+func (l *loop) schedule(members []int, upper bool, cfg sac.Config, models [][]float64, crash sac.CrashPlan, avg []float64) (*sac.Result, error) {
 	sc := sac.BorrowScratch(cfg.N, cfg.K, len(models[0]))
 	defer sac.ReturnScratch(sc)
 	peers, err := sc.Peers(cfg, len(models[0]))
@@ -604,7 +632,7 @@ func (l *loop) schedule(members []int, upper bool, cfg sac.Config, models [][]fl
 		l.nodes[id].join(upper, &peers[j], members)
 	}
 	l.members = members
-	r, err := sac.Schedule(l, peers, cfg, models, crash)
+	r, err := sac.Schedule(l, peers, cfg, models, crash, avg)
 	for _, id := range members {
 		l.nodes[id].leave(upper)
 		l.empty(id)

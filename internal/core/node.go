@@ -82,16 +82,18 @@ type node struct {
 	// The FedAvg leader's: slot[g] is 1 + subgroup g's place in the
 	// participation set until its upload arrives, 0 otherwise; models and
 	// weights are the uploads, in that order; decoded[g] is what g's
-	// compressed upload decodes into, lent by the driver.
+	// compressed upload decodes into, and out what the global model is
+	// written into, both lent by the driver.
 	slot    []int
 	models  [][]float64
 	weights []float64
 	waiting int
 	decoded [][]float64
+	out     []float64
 	total   float64         // the participants' summed weight
 	bound   *compress.Bound // the compressed global model's error
 
-	upper   []float64 // a subgroup leader's upper-SAC input under SecureUpper
+	upper   []float64 // a subgroup leader's upper-SAC input under SecureUpper, lent by the driver
 	global  []float64 // the model this peer resumes from
 	msgs    []message // to send, in order
 	invalid int       // sac/* messages discarded since the last Ready
@@ -167,10 +169,11 @@ func (n *node) send(to int, kind string, model []float64, block *compress.Delta)
 
 // Lead tells the FedAvg leader whose uploads it combines, in order: the
 // subgroups whose SAC succeeded and that beat the fraction-p timeout;
-// decoded is the driver's, one vector per subgroup.
-func (n *node) Lead(participate []int, decoded [][]float64) {
+// decoded, one vector per subgroup, and out, the global model's, are the
+// driver's. A Config.Aggregator returns a global model of its own.
+func (n *node) Lead(participate []int, decoded [][]float64, out []float64) {
 	m, k := len(n.p.leaders), len(participate)
-	n.slot, n.models, n.weights, n.waiting, n.decoded = make([]int, m), make([][]float64, k), make([]float64, k), k, decoded
+	n.slot, n.models, n.weights, n.waiting, n.decoded, n.out = make([]int, m), make([][]float64, k), make([]float64, k), k, decoded, out
 	for i, g := range participate {
 		n.slot[g] = i + 1
 	}
@@ -180,8 +183,9 @@ func (n *node) Lead(participate []int, decoded [][]float64) {
 // leader, weighted by its contributors' sample counts: compressed under
 // Config.Compression unless it leads the FedAvg layer itself, whose own
 // model never leaves the process, and under SecureUpper as the weight
-// alone, the model going as count·avg, its input to the upper SAC.
-func (n *node) Upload() {
+// alone, the model going as count·avg into upper, the driver's vector of
+// the model's length, its input to the upper SAC.
+func (n *node) Upload(upper []float64) {
 	p, r := n.p, n.collected
 	m := message{From: n.id, To: p.leaders[p.fed], Kind: KindUpload, Model: r.Avg}
 	for _, c := range r.Contributors {
@@ -193,7 +197,7 @@ func (n *node) Upload() {
 	}
 	switch {
 	case p.cfg.SecureUpper:
-		n.upper = make([]float64, len(r.Avg))
+		n.upper = upper
 		for j, x := range r.Avg {
 			n.upper[j] = x * m.Weight
 		}
@@ -280,14 +284,14 @@ func (n *node) aggregate() {
 	case secure && len(n.weights) > 1:
 		return // the upper SAC brings the average
 	case secure: // the only participant: nothing to hide, nothing to exchange
-		global = make([]float64, len(n.upper))
+		global = n.out
 		for j, x := range n.upper {
 			global[j] = x / n.total
 		}
 	case n.p.cfg.Aggregator != nil:
 		global, n.err = n.p.cfg.Aggregator.Aggregate(n.models, n.weights)
 	default:
-		global, n.err = fl.FedAvg{}.Aggregate(n.models, n.weights)
+		global, n.err = fl.FedAvg{}.AggregateInto(n.out, n.models, n.weights)
 	}
 	n.distribute(global)
 }

@@ -53,7 +53,7 @@ func (h *handRound) secure(members []int, upper bool, cfg sac.Config, models [][
 		h.nodes[id].join(upper, &peers[j], members)
 	}
 	h.members, h.upper = members, upper
-	_, err = sac.Schedule(h, peers, cfg, models, nil)
+	_, err = sac.Schedule(h, peers, cfg, models, nil, nil)
 	h.members = nil
 	for _, id := range members {
 		h.nodes[id].leave(upper)
@@ -82,9 +82,9 @@ func (h *handRound) round(models [][]float64, participate []int, fed int) (*node
 	}
 	p.fed = fed
 	leader := &h.nodes[p.leaders[fed]]
-	leader.Lead(participate, make([][]float64, len(p.leaders)))
+	leader.Lead(participate, make([][]float64, len(p.leaders)), make([]float64, p.dim))
 	for _, g := range participate {
-		h.nodes[p.leaders[g]].Upload()
+		h.nodes[p.leaders[g]].Upload(make([]float64, p.dim))
 		if err := h.settle(nil); err != nil {
 			return leader, err
 		}

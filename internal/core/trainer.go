@@ -216,6 +216,9 @@ func RunTraining(cfg TrainerConfig) (*Series, error) {
 		if err != nil {
 			return nil, err
 		}
+		// res.Global is sys's until its next round, and global is read only
+		// before that: by this round's evaluation, by the next round's
+		// SetWeights and DP, and as FinalGlobal once sys makes no more.
 		global = res.Global
 		reg.Trace("round/end", 0, -1,
 			telemetry.F("round", int64(round)),

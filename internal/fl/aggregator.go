@@ -32,7 +32,15 @@ func (FedAvg) Name() string { return "fedavg" }
 // Aggregate implements Aggregator: the FedAvg update
 // w ← Σ_k (n_k / n) · w_k, where n_k is the sample count backing model k.
 // Every count must be finite and non-negative, and at least one positive.
-func (FedAvg) Aggregate(models [][]float64, counts []float64) ([]float64, error) {
+func (a FedAvg) Aggregate(models [][]float64, counts []float64) ([]float64, error) {
+	return a.AggregateInto(nil, models, counts)
+}
+
+// AggregateInto is Aggregate writing the update into dst[:dim], which it
+// makes only when dst has no room for it (cap(dst) < dim), so a caller
+// that keeps the global model across rounds allocates it once. dst must
+// not overlap any of models.
+func (FedAvg) AggregateInto(dst []float64, models [][]float64, counts []float64) ([]float64, error) {
 	if err := checkModels(models, counts); err != nil {
 		return nil, err
 	}
@@ -58,9 +66,14 @@ func (FedAvg) Aggregate(models [][]float64, counts []float64) ([]float64, error)
 	for _, c := range counts {
 		f = append(f, c/total)
 	}
-	out := make([]float64, len(models[0]))
-	tensor.WeightedSumInto(out, f, models)
-	return out, nil
+	// Every float of dst is written, so a lent one is not cleared.
+	dim := len(models[0])
+	if cap(dst) < dim {
+		dst = make([]float64, dim)
+	}
+	dst = dst[:dim]
+	tensor.WeightedSumInto(dst, f, models)
+	return dst, nil
 }
 
 // CoordinateMedian aggregates by the per-coordinate median, ignoring the

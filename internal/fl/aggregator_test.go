@@ -191,3 +191,47 @@ func TestAggregatorsReturnVectorsOfTheirOwn(t *testing.T) {
 		}
 	}
 }
+
+// TestFedAvgAggregateIntoWritesWhereItIsLent: AggregateInto writes, bit
+// for bit, Aggregate's average into dst[:dim] when dst has room for it,
+// and otherwise makes a vector and leaves dst as it was.
+func TestFedAvgAggregateIntoWritesWhereItIsLent(t *testing.T) {
+	const dim = 37 // long enough for a tail past the kernel's blocks
+	rng := rand.New(rand.NewSource(5))
+	models := make([][]float64, 3)
+	for i := range models {
+		models[i] = make([]float64, dim)
+		for j := range models[i] {
+			models[i][j] = rng.NormFloat64()
+		}
+	}
+	counts := []float64{2, 1, 4}
+	want, err := FedAvg{}.Aggregate(models, counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{dim, dim + 3, dim - 1} {
+		buf := make([]float64, size)
+		for j := range buf {
+			buf[j] = math.NaN()
+		}
+		got, err := FedAvg{}.AggregateInto(buf[:size:size], models, counts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lent := size >= dim
+		if len(got) != dim || (&got[0] == &buf[0]) != lent {
+			t.Fatalf("dst of %d floats: got %d floats, written into dst %v, want %v", size, len(got), &got[0] == &buf[0], lent)
+		}
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("dst of %d floats: weight %d is %v, Aggregate's %v", size, j, got[j], want[j])
+			}
+		}
+		for j, x := range buf {
+			if (!lent || j >= dim) && !math.IsNaN(x) {
+				t.Fatalf("dst of %d floats: float %d, outside the average, was written", size, j)
+			}
+		}
+	}
+}

@@ -267,7 +267,7 @@ func FuzzPeerStep(f *testing.F) {
 			h.shares(models, rand.New(rand.NewSource(seed+1)))
 			h.report()
 			h.at(n + 1)
-			res, err := h.peers[h.collector()].Finish()
+			res, err := h.peers[h.collector()].Finish(nil)
 			for j := range h.peers {
 				h.pump(j)
 				// No double count: a subtotal sums one held share per

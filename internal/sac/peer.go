@@ -499,7 +499,11 @@ func (p *Peer) Missing() error {
 // the result for the audit (see auditState). Without one an
 // equivocating leader's lie goes unnoticed: it reports an offset result
 // and nobody can tell.
-func (p *Peer) Finish() (*Result, error) {
+//
+// The average goes into avg[:dim], which Finish makes only when avg has
+// no room for it (cap(avg) < dim): a caller that keeps a vector across
+// rounds lends it here, and one that passes nil gets a vector of its own.
+func (p *Peer) Finish(avg []float64) (*Result, error) {
 	if err := p.Missing(); err != nil {
 		return nil, err
 	}
@@ -511,8 +515,11 @@ func (p *Peer) Finish() (*Result, error) {
 			p.subtotal(s)
 		}
 	}
-	// Avg is the one vector that escapes the round, so never a reused one.
-	res := &Result{Avg: make([]float64, p.dim), Contributors: slices.Clone(p.contributors),
+	// Every float of Avg is written below, so a lent one is not cleared.
+	if cap(avg) < p.dim {
+		avg = make([]float64, p.dim)
+	}
+	res := &Result{Avg: avg[:p.dim], Contributors: slices.Clone(p.contributors),
 		Excluded: append([]int(nil), p.excluded...)}
 	if guarded {
 		p.audit.claimed = make([]float64, 0, n*p.dim)

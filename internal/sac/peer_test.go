@@ -140,7 +140,7 @@ func (h *handRound) collector() int {
 
 // finish is the round's Result at the collector, audit included.
 func (h *handRound) finish() *Result {
-	res, err := h.peers[h.collector()].Finish()
+	res, err := h.peers[h.collector()].Finish(nil)
 	if err != nil {
 		h.t.Fatal(err)
 	}
@@ -180,6 +180,55 @@ func TestPeersSteppedByHandMatchRun(t *testing.T) {
 		if !slices.Equal(got.Contributors, want.Contributors) || got.LeaderAccused != want.LeaderAccused || h.invalid != 0 {
 			t.Errorf("n=%d k=%d mode %d: contributors %v accused %v invalid %d, Run %v %v 0",
 				c.N, c.K, c.Mode, got.Contributors, got.LeaderAccused, h.invalid, want.Contributors, want.LeaderAccused)
+		}
+	}
+}
+
+// TestFinishWritesWhereItIsLent: Finish(avg) writes, bit for bit, the
+// average Finish(nil) makes into avg[:dim] — so a caller that keeps a
+// vector across rounds lends it and allocates none — and when avg has no
+// room for it, Finish makes one and leaves avg as it was: nothing is
+// written past avg's length. The same round, seeded alike, is collected
+// each way.
+func TestFinishWritesWhereItIsLent(t *testing.T) {
+	const dim = 9
+	for _, c := range []Config{
+		{N: 3, K: 2, Mode: ModeLeader, Leader: 1},
+		{N: 4, K: 4, Mode: ModeBroadcast},
+		{N: 5, K: 3, Mode: ModeLeader, Leader: 2, Guard: &Guard{ShareBound: 100, CrossCheck: true}},
+	} {
+		models := randModels(rand.New(rand.NewSource(81)), c.N, dim)
+		finish := func(avg []float64) *Result {
+			h := newHandRound(t, c, dim, nil)
+			h.shares(models, rand.New(rand.NewSource(82)))
+			h.report()
+			res, err := h.peers[h.collector()].Finish(avg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		want := finish(nil)
+		lent := make([]float64, dim+2) // longer than the average: only avg[:dim] is its
+		for i := range lent {
+			lent[i] = math.NaN()
+		}
+		if got := finish(lent); &got.Avg[0] != &lent[0] || len(got.Avg) != dim || !bitsEqual(got.Avg, want.Avg) {
+			t.Errorf("n=%d k=%d mode %d: Finish(avg) did not write Finish(nil)'s average into avg[:dim]", c.N, c.K, c.Mode)
+		}
+		buf := make([]float64, dim+1)
+		for i := range buf {
+			buf[i] = float64(-i)
+		}
+		short := buf[: dim-1 : dim-1]
+		got := finish(short)
+		if &got.Avg[0] == &buf[0] || !bitsEqual(got.Avg, want.Avg) {
+			t.Errorf("n=%d k=%d mode %d: Finish with a short avg did not make an average of its own", c.N, c.K, c.Mode)
+		}
+		for i, x := range buf {
+			if x != float64(-i) {
+				t.Fatalf("n=%d k=%d mode %d: Finish wrote %v at %d of a short avg of length %d", c.N, c.K, c.Mode, x, i, len(short))
+			}
 		}
 	}
 }

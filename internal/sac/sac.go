@@ -160,7 +160,8 @@ func (c *Config) validate() error {
 
 // Result reports the outcome of an aggregation.
 type Result struct {
-	// Avg is the secure average over Contributors' models.
+	// Avg is the secure average over Contributors' models: a vector of
+	// its own from Run, the lent one from a Schedule given one.
 	Avg []float64
 	// Contributors lists the peers whose models entered the average —
 	// including peers that crashed after distributing shares (Fig. 3).
@@ -261,7 +262,7 @@ func Run(mesh transport.Network, cfg Config, models [][]float64, crash CrashPlan
 	// so handing it to Schedule allocates nothing.
 	f := &sc.fabric
 	*f = meshFabric{mesh: mesh, peers: peers}
-	res, err := Schedule(f, peers, cfg, models, crash)
+	res, err := Schedule(f, peers, cfg, models, crash, nil)
 	*f = meshFabric{}
 	return res, err
 }
@@ -326,8 +327,10 @@ func (f *meshFabric) Deliver(j int) error {
 // through Peer.Down). Which contributors the range guard excludes the
 // peers decide among themselves, by accusation. It is the only code
 // that calls those inputs into a Peer, for Run and for core's round
-// alike.
-func Schedule(f Fabric, peers []Peer, cfg Config, models [][]float64, crash CrashPlan) (*Result, error) {
+// alike. avg is the collector's Finish destination: Run passes nil, so
+// each of its Results owns its Avg, and core lends the vectors its
+// System keeps.
+func Schedule(f Fabric, peers []Peer, cfg Config, models [][]float64, crash CrashPlan, avg []float64) (*Result, error) {
 	d := schedule{f: f, peers: peers, cfg: cfg, rng: cfg.Rng, crash: crash, tel: newSACTel(cfg.Telemetry)}
 	if d.rng == nil {
 		d.rng = rand.New(rand.NewSource(1))
@@ -339,7 +342,7 @@ func Schedule(f Fabric, peers []Peer, cfg Config, models [][]float64, crash Cras
 		}
 	}
 	d.tel.roundsStarted.Inc()
-	res, err := d.run(models)
+	res, err := d.run(models, avg)
 	if err != nil {
 		d.tel.roundsFailed.Inc()
 		return nil, err
@@ -447,7 +450,7 @@ func (d *schedule) sharing(j int) bool {
 	return d.f.Alive(j) && !(doomed && at == BeforeShares)
 }
 
-func (d *schedule) run(models [][]float64) (*Result, error) {
+func (d *schedule) run(models [][]float64, avg []float64) (*Result, error) {
 	n, k := d.cfg.N, d.cfg.K
 	t0 := d.tel.reg.Now()
 
@@ -480,7 +483,7 @@ func (d *schedule) run(models [][]float64) (*Result, error) {
 	// Phase 3 — subtotal exchange.
 	t2 := d.tel.reg.Now()
 	d.tel.phaseSubtotal.Observe(float64(t2 - t1))
-	res, err := d.exchangeSubtotals()
+	res, err := d.exchangeSubtotals(avg)
 	d.tel.phaseFinish.Observe(float64(d.tel.reg.Now() - t2))
 	return res, err
 }
@@ -545,7 +548,8 @@ func (d *schedule) exchangeShares(models [][]float64) (kept, excluded int) {
 // cross-checking leader's result is audited before release: it announces,
 // every peer reads its copy and echoes a digest, every peer reads the
 // echoes (leaving every inbox clean), and one conviction is the round's.
-func (d *schedule) exchangeSubtotals() (*Result, error) {
+// The first collector's Finish writes the average into avg.
+func (d *schedule) exchangeSubtotals(avg []float64) (*Result, error) {
 	n, leader, broadcast := d.cfg.N, d.cfg.Leader, d.cfg.Mode == ModeBroadcast
 	guarded, collectors := d.cfg.crossChecks(), []int{leader}
 	switch {
@@ -597,7 +601,7 @@ func (d *schedule) exchangeSubtotals() (*Result, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	res, err := d.peers[collectors[0]].Finish()
+	res, err := d.peers[collectors[0]].Finish(avg)
 	if err != nil || !guarded {
 		return res, err
 	}

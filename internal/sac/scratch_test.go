@@ -87,8 +87,10 @@ func TestScratchSurvivesShapeChanges(t *testing.T) {
 	}
 }
 
-// TestScratchAvgDoesNotAliasScratch: Result.Avg escapes the round, so
-// it must stay stable when the scratch is reused by the next round.
+// TestScratchAvgDoesNotAliasScratch: Run's Result.Avg is the caller's,
+// so it must stay stable when the scratch is reused by the next round,
+// and two Runs in a row return averages of their own — a caller may hold
+// several at once and combine them, as a FedAvg over subgroup SACs does.
 func TestScratchAvgDoesNotAliasScratch(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	models := randModels(r, 5, 23)
@@ -96,10 +98,13 @@ func TestScratchAvgDoesNotAliasScratch(t *testing.T) {
 	first := runOnce(t, cfg, models, nil, 1)
 	snapshot := make([]float64, len(first.Avg))
 	copy(snapshot, first.Avg)
-	runOnce(t, cfg, models, nil, 2) // stomps all scratch buffers
+	second := runOnce(t, cfg, models, nil, 2) // stomps all scratch buffers
 	for i := range snapshot {
 		if first.Avg[i] != snapshot[i] {
 			t.Fatal("Result.Avg mutated by scratch reuse — it aliases scratch memory")
 		}
+	}
+	if &first.Avg[len(first.Avg)-1] == &second.Avg[len(second.Avg)-1] {
+		t.Fatal("two Runs on one scratch returned one average vector")
 	}
 }
