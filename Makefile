@@ -195,14 +195,18 @@ test-wire:
 
 # Compression: the quantize/top-k kernels (bit determinism at any worker
 # count, error bounds, the top-k selection against its sort-based
-# reference and allocation budget), the wire delta blocks (and the
-# hostile sparse dimension), core.node's compressed FedAvg legs — a
-# subgroup leader's upload, the FedAvg leader's one encoding of the
-# global model — and the closed-form byte accounting cross-checks
-# (DESIGN.md §12).
+# reference and allocation budget, and CompressInto into a lent block,
+# which allocates no block and hands the selection exactly k slots —
+# TestCompressIntoALentBlock), the wire delta blocks (and the hostile
+# sparse dimension), core.node's compressed FedAvg legs — a subgroup
+# leader's upload, the FedAvg leader's one encoding of the global model,
+# each into a block the System keeps, so a warm round of every scheme
+# allocates none (TestWarmRoundAllocatesNoModelVector's quant8, top-k
+# and top-k quant16 rows) — fl's AggregateInto, and the closed-form byte
+# accounting cross-checks (DESIGN.md §12).
 test-compress:
 	$(GO) test -race ./internal/compress/ ./internal/secretshare/ \
-		./internal/wire/ ./internal/core/ ./internal/costmodel/
+		./internal/wire/ ./internal/core/ ./internal/fl/ ./internal/costmodel/
 
 # Continuous churn: the replicated directory state machine, the cluster
 # join/depart/handoff control plane (one asker, one step driver), raft's
@@ -237,7 +241,10 @@ test-scale:
 # guard, whose accusations, read at the seal of a guarded round, drop the
 # accused at every peer; the subtotal cross-check and leader audit; and who may send a
 # collector what), its core-layer integration, the robust rules of
-# internal/fl (CoordinateMedian is the cross-check's combiner), the seeds
+# internal/fl (CoordinateMedian is the cross-check's combiner, whose
+# AggregateInto writes each index's median into the audit claims the
+# leader keeps, so a warm guarded round allocates no model vector —
+# TestWarmRoundAllocatesNoModelVector's guarded row), the seeds
 # of both SAC fuzz targets (FuzzHandleMessage through the mesh,
 # FuzzPeerStep straight into Peer.Step at every point of a round) and of
 # FuzzNodeStep (forged messages of both layers into core.node.Step at

@@ -6,7 +6,8 @@ import (
 	"repro/internal/wire"
 )
 
-// The encode benchmarks time quantize/sparsify (the float64 one, framing
+// The encode benchmarks time quantize/sparsify into a block they lend
+// again on every call (the float64 one, framing
 // a mesh message); SetBytes is the encoded size, so MB/s is output
 // throughput. The size ratios themselves are asserted by wire's
 // TestQuantSizeAdvantage.
@@ -49,15 +50,14 @@ func BenchmarkEncodeDeltaQuant16(b *testing.B) { benchmarkEncodeQuant(b, 2) }
 func benchmarkEncodeSparse(b *testing.B, frac float64, width int) {
 	w := randVec(benchDim, 42)
 	k := int(frac * benchDim)
-	s, _, err := sparsify(w, k, width)
-	if err != nil {
+	var d Delta // lent to every call, as core lends its blocks
+	if err := d.sparsify(w, k, width); err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(wire.SparseBlockSize(width, len(s.Idx))))
+	b.SetBytes(int64(wire.SparseBlockSize(width, len(d.Sparse.Idx))))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, _, err = sparsify(w, k, width)
-		if err != nil {
+		if err := d.sparsify(w, k, width); err != nil {
 			b.Fatal(err)
 		}
 	}

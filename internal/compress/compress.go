@@ -294,74 +294,94 @@ func spansPastBuffer(dim, hiRank, loRank, room int) bool {
 	return (min(loRank, sampleSize)-max(hiRank, 1))*(dim/sampleSize) >= room
 }
 
-// sparsify reduces w to its k largest-magnitude coordinates, ties broken
-// by lowest index (the strict order is descending magnitude, then
-// ascending index, so the result is a deterministic function of w
+// sparsify reduces w into d to its k largest-magnitude coordinates,
+// ties broken by lowest index (the strict order is descending magnitude,
+// then ascending index, so the result is a deterministic function of w
 // alone). width 0 keeps the surviving values in full float64 precision;
 // width 1 or 2 additionally quantizes them with quantize's scheme over
-// the kept values. k is clamped to [0, len(w)].
+// the kept values. k is clamped to [0, len(w)]. d.Sparse is set and
+// d.Quant cleared; d.Bound is the error accounting.
 //
-// The work is a selection, not a sort: threshold finds the k-th largest
-// magnitude t, using the still-empty value output as its buffer, then
-// one ascending scan keeps every coordinate above t plus the first few
-// equal to it — which yields the kept indices already in ascending
-// order — and takes the largest dropped magnitude. That is two reads of
-// w when threshold's bracket holds (three when it falls back), Θ(dim)
-// time, and only the 12·k bytes of output are allocated.
-func sparsify(w []float64, k, width int) (wire.SparseDelta, Bound, error) {
+// The work is a selection, not a sort (topK): two reads of w when
+// threshold's bracket holds, three when it falls back, and Θ(dim) time.
+// The index, value and step blocks are d's, lent: each is written
+// in place when its capacity holds k and made only when it does not, so
+// a Delta kept across rounds compresses with no allocation once warm; a
+// zero Delta gets the 12·k bytes of output (plus 2·k of steps when
+// quantized).
+func (d *Delta) sparsify(w []float64, k, width int) error {
 	if width != 0 && width != 1 && width != 2 {
-		return wire.SparseDelta{}, Bound{}, fmt.Errorf("compress: sparse width %d, want 0, 1 or 2", width)
+		return fmt.Errorf("compress: sparse width %d, want 0, 1 or 2", width)
 	}
 	dim := len(w)
-	if k < 0 {
-		k = 0
+	k = min(max(k, 0), dim)
+	s := d.Sparse
+	if s == nil {
+		s = new(wire.SparseDelta)
 	}
-	if k > dim {
-		k = dim
-	}
-	// Nothing is kept when k = 0: no magnitude reaches the threshold.
-	t, ties := uint64(math.MaxUint64), 0
-	var idx []int32
-	kept := make([]float64, 0, k)
-	if k > 0 {
-		// kept is not filled yet, so the selection may use it as buf.
-		t, ties = threshold(w, k, kept)
+	idx, kept := s.Idx[:0], d.kept[:0]
+	if cap(idx) < k {
 		idx = make([]int32, 0, k)
 	}
-	// Dropped coordinates reconstruct to zero, so each errs by its
-	// magnitude; the largest of them bounds every zeroed coordinate. It
-	// is taken on the magnitude bits, where a NaN orders above +Inf, so
-	// a dropped NaN makes the bound NaN.
-	dropped := uint64(0)
+	// A zero k still keeps an empty, non-nil value block, as the sort did.
+	if cap(kept) < k || kept == nil {
+		kept = make([]float64, 0, k)
+	}
+	idx, kept = idx[:k], kept[:k]
+	e := math.Float64frombits(topK(w, idx, kept))
+	b := Bound{MaxCoordErr: e, MeasuredMaxErr: e, Kept: k, Dim: dim}
+	out := wire.SparseDelta{Dim: dim, Idx: idx, Width: width}
+	if width == 0 {
+		// Kept coordinates are exact.
+		out.Vals = kept
+	} else {
+		q, qb, err := quantize(kept, width, s.Q)
+		if err != nil {
+			return err
+		}
+		out.Scale, out.Q = q.Scale, q.Q
+		b.MaxCoordErr += qb.MaxCoordErr
+		// Measured over the full vector: kept coordinates err by their
+		// quantization error, which quantize has already measured. A
+		// dropped +Inf outranks a kept NaN's NaN, as in the sort it
+		// replaced.
+		b.MeasuredMaxErr = math.Max(b.MeasuredMaxErr, qb.MeasuredMaxErr)
+	}
+	*s = out
+	d.Quant, d.Sparse, d.kept, d.Bound = nil, s, kept, b
+	return nil
+}
+
+// topK is sparsify's selection and scan: threshold finds the k-th
+// largest magnitude t, k = len(kept), using kept, not filled yet, as its
+// buffer — at a capacity of exactly k, as a fresh block has, whatever
+// room kept has, since which path threshold takes depends on cap(buf).
+// One ascending scan then writes the index and value of every coordinate
+// above t, and of the first ties equal to it, into idx and kept: exactly
+// k of them, already in ascending order. It returns the largest
+// magnitude bits it dropped. Dropped coordinates reconstruct to zero, so
+// each errs by its magnitude; the largest of them bounds every zeroed
+// coordinate. It is taken on the magnitude bits, where a NaN orders
+// above +Inf, so a dropped NaN makes the bound NaN.
+func topK(w []float64, idx []int32, kept []float64) (dropped uint64) {
+	k := len(kept)
+	// Nothing is kept when k = 0: no magnitude reaches the threshold.
+	t, ties := uint64(math.MaxUint64), 0
+	if k > 0 {
+		t, ties = threshold(w, k, kept[:0:k])
+	}
+	n := 0
 	for i, v := range w {
 		a := math.Float64bits(v) &^ signBit
 		if a > t || (a == t && ties > 0) {
 			if a == t {
 				ties--
 			}
-			idx = append(idx, int32(i))
-			kept = append(kept, v)
+			idx[n], kept[n] = int32(i), v
+			n++
 			continue
 		}
 		dropped = max(dropped, a)
 	}
-	e := math.Float64frombits(dropped)
-	b := Bound{MaxCoordErr: e, MeasuredMaxErr: e, Kept: k, Dim: dim}
-	s := wire.SparseDelta{Dim: dim, Idx: idx, Width: width}
-	if width == 0 {
-		// Kept coordinates are exact.
-		s.Vals = kept
-		return s, b, nil
-	}
-	q, qb, err := quantize(kept, width, nil)
-	if err != nil {
-		return wire.SparseDelta{}, Bound{}, err
-	}
-	s.Scale, s.Q = q.Scale, q.Q
-	b.MaxCoordErr += qb.MaxCoordErr
-	// Measured over the full vector: kept coordinates err by their
-	// quantization error, which quantize has already measured. A dropped
-	// +Inf outranks a kept NaN's NaN, as in the sort it replaced.
-	b.MeasuredMaxErr = math.Max(b.MeasuredMaxErr, qb.MeasuredMaxErr)
-	return s, b, nil
+	return dropped
 }

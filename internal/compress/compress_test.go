@@ -88,7 +88,7 @@ func TestQuantizeDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, _, err := sparsify(w, 411, 2)
+		s, _, err := sparsifyFresh(w, 411, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestQuantizeDeterministicAcrossWorkers(t *testing.T) {
 // lowest index.
 func TestTopKTiesLowestIndex(t *testing.T) {
 	w := []float64{1, -1, 1, -1, 1, 0.5}
-	s, b, err := sparsify(w, 3, 0)
+	s, b, err := sparsifyFresh(w, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestTopKTiesLowestIndex(t *testing.T) {
 func TestTopKSelectsLargest(t *testing.T) {
 	w := randVec(500, 3)
 	k := 50
-	s, b, err := sparsify(w, k, 0)
+	s, b, err := sparsifyFresh(w, k, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestTopKSelectsLargest(t *testing.T) {
 
 func TestTopKQuantBound(t *testing.T) {
 	w := randVec(300, 9)
-	s, b, err := sparsify(w, 30, 1)
+	s, b, err := sparsifyFresh(w, 30, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestTopKQuantBound(t *testing.T) {
 func TestDroppedNaNLeavesTheBoundNaN(t *testing.T) {
 	nan := math.NaN()
 	for _, width := range []int{0, 1, 2} {
-		_, b, err := sparsify([]float64{nan, nan, 1}, 1, width)
+		_, b, err := sparsifyFresh([]float64{nan, nan, 1}, 1, width)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,11 +269,11 @@ func TestEmptyAndAllZero(t *testing.T) {
 			t.Fatal("all-zero: reconstruction not zero")
 		}
 	}
-	s, _, err := sparsify(nil, 5, 0)
+	s, _, err := sparsifyFresh(nil, 5, 0)
 	if err != nil || s.Dim != 0 || len(s.Idx) != 0 {
 		t.Fatalf("empty topk: %+v %v", s, err)
 	}
-	s, _, err = sparsify(make([]float64, 8), 3, 0)
+	s, _, err = sparsifyFresh(make([]float64, 8), 3, 0)
 	if err != nil || len(s.Idx) != 3 {
 		t.Fatalf("zero topk: %+v %v", s, err)
 	}

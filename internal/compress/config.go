@@ -127,34 +127,56 @@ func (c Config) MessageBytes(dim int) int64 {
 }
 
 // Delta is one compressed vector: exactly one of Quant/Sparse is set.
+// Its blocks are the Delta's: CompressInto writes the next compression
+// into them in place.
 type Delta struct {
 	Quant  *wire.QuantDelta
 	Sparse *wire.SparseDelta
 	// Bound is the error accounting of this compression.
 	Bound Bound
+	// kept is the top-k selection's buffer and the kept values: Sparse.Vals
+	// itself at width 0, quantize's input otherwise.
+	kept []float64
 }
 
-// Compress encodes w under the config's scheme. It returns an error for
-// invalid configs or Scheme None (callers gate on Enabled).
+// Compress encodes w under the config's scheme into a Delta of its own.
+// It returns an error for invalid configs or Scheme None (callers gate
+// on Enabled).
 func (c Config) Compress(w []float64) (Delta, error) {
-	if err := c.Validate(); err != nil {
+	var d Delta
+	if err := c.CompressInto(&d, w); err != nil {
 		return Delta{}, err
+	}
+	return d, nil
+}
+
+// CompressInto is Compress writing into d, lent by the caller: d's
+// index, value and step blocks are reused when their capacity holds the
+// compression and made only when it does not, so a caller that keeps a
+// Delta per message across rounds allocates its blocks once. Whatever d
+// held before — and every view of its blocks — is overwritten. The
+// result is bit for bit Compress's.
+func (c Config) CompressInto(d *Delta, w []float64) error {
+	if err := c.Validate(); err != nil {
+		return err
 	}
 	switch c.Scheme {
 	case None:
-		return Delta{}, fmt.Errorf("compress: Compress called with scheme none")
+		return fmt.Errorf("compress: Compress called with scheme none")
 	case Quant8, Quant16:
-		q, b, err := quantize(w, c.width(), nil)
-		if err != nil {
-			return Delta{}, err
+		q := d.Quant
+		if q == nil {
+			q = new(wire.QuantDelta)
 		}
-		return Delta{Quant: &q, Bound: b}, nil
+		out, b, err := quantize(w, c.width(), q.Q)
+		if err != nil {
+			return err
+		}
+		*q = out
+		d.Quant, d.Sparse, d.Bound = q, nil, b
+		return nil
 	}
-	s, b, err := sparsify(w, c.Kept(len(w)), c.width())
-	if err != nil {
-		return Delta{}, err
-	}
-	return Delta{Sparse: &s, Bound: b}, nil
+	return d.sparsify(w, c.Kept(len(w)), c.width())
 }
 
 // Dense reconstructs the compressed vector into dst (reused when its

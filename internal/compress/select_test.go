@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/tensor"
 	"repro/internal/wire"
 )
 
@@ -42,6 +43,15 @@ func sparsifySorted(w []float64, order []int32, k, width int) (wire.SparseDelta,
 	b.MaxCoordErr += qb.MaxCoordErr
 	b.MeasuredMaxErr = math.Max(b.MeasuredMaxErr, qb.MeasuredMaxErr)
 	return s, b
+}
+
+// sparsifyFresh is sparsify into a zero Delta, as Compress runs it.
+func sparsifyFresh(w []float64, k, width int) (wire.SparseDelta, Bound, error) {
+	var d Delta
+	if err := d.sparsify(w, k, width); err != nil {
+		return wire.SparseDelta{}, Bound{}, err
+	}
+	return *d.Sparse, d.Bound, nil
 }
 
 // magnitudeOrder is the reference's strict order: every index of w by
@@ -149,7 +159,7 @@ func TestSparsifyMatchesSortedReference(t *testing.T) {
 		order := magnitudeOrder(w)
 		for _, k := range ks {
 			for _, width := range []int{0, 1, 2} {
-				got, gb, err := sparsify(w, k, width)
+				got, gb, err := sparsifyFresh(w, k, width)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -338,7 +348,7 @@ func TestSparsifyAllocatesOnlyItsOutput(t *testing.T) {
 	for _, width := range []int{0, 1} {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		s, _, err := sparsify(w, k, width)
+		s, _, err := sparsifyFresh(w, k, width)
 		runtime.ReadMemStats(&m1)
 		if err != nil {
 			t.Fatal(err)
@@ -355,6 +365,92 @@ func TestSparsifyAllocatesOnlyItsOutput(t *testing.T) {
 	}
 }
 
+// TestCompressIntoALentBlock holds CompressInto to its lending contract
+// under every scheme: into a Delta whose blocks hold the compression it
+// allocates no block and gives Compress's bits. The Delta is lent after
+// a compression that kept four times as many coordinates, so its value
+// block has room to spare; the selection must still get a buffer of
+// exactly k, as a fresh block's, because threshold's path depends on
+// the room: at dim 65,537 and k = 100 the bracket is skipped with room
+// for k candidates and holds with room for 4·k. A buffer with room to
+// spare would be written past k, so the spare slots, planted with NaNs,
+// must come back untouched. The one allocation allowed is quantize's
+// fan-out closure (80 bytes; tensor.ParallelRows's fn escapes), under
+// the 200 bytes of the smallest block here, the k = 100 quantized steps.
+// The pool runs one worker, so no goroutine is started.
+func TestCompressIntoALentBlock(t *testing.T) {
+	defer tensor.SetParallelism(tensor.Parallelism())
+	tensor.SetParallelism(1)
+	const dim, k = 65_537, 100
+	w := meanOfUniforms(dim, 3, 41)
+	if _, _, ok := bracketed(w, k, make([]float64, 0, k)); ok {
+		t.Fatal("the bracket holds with room for k: the case tells no path apart")
+	}
+	if _, _, ok := bracketed(w, k, make([]float64, 0, 4*k)); !ok {
+		t.Fatal("the bracket misses with room for 4·k: the case tells no path apart")
+	}
+	frac := float64(k) / dim
+	for _, c := range []Config{
+		{Scheme: Quant8}, {Scheme: Quant16},
+		{Scheme: TopK, Frac: frac}, {Scheme: TopKQuant8, Frac: frac}, {Scheme: TopKQuant16, Frac: frac},
+	} {
+		want, err := c.Compress(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wider := c
+		wider.Frac *= 4
+		var d Delta
+		if err := wider.CompressInto(&d, randVec(dim, 42)); err != nil {
+			t.Fatal(err)
+		}
+		spare := d.kept[:cap(d.kept)]
+		for i := range spare {
+			spare[i] = math.NaN()
+		}
+		// Averaged over calls, so that what another goroutine allocates
+		// meanwhile does not count.
+		const calls = 20
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < calls && err == nil; i++ {
+			err = c.CompressInto(&d, w)
+		}
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := (m1.TotalAlloc - m0.TotalAlloc) / calls; got >= 128 {
+			t.Errorf("%v: CompressInto into a block that holds it allocates %d bytes a call", c.Scheme, got)
+		}
+		if !sameDelta(d, want) {
+			t.Errorf("%v: CompressInto into a lent block differs from Compress", c.Scheme)
+		}
+		if c.sparse() && slices.ContainsFunc(spare[k:], func(v float64) bool { return v == v }) {
+			t.Errorf("%v: the selection wrote past k into the lent block's spare room", c.Scheme)
+		}
+	}
+}
+
+// sameDelta compares two compressions bit for bit: their blocks and
+// their bounds.
+func sameDelta(a, b Delta) bool {
+	sameBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if a.Bound.Kept != b.Bound.Kept || a.Bound.Dim != b.Bound.Dim ||
+		!sameBits(a.Bound.MaxCoordErr, b.Bound.MaxCoordErr) || !sameBits(a.Bound.MeasuredMaxErr, b.Bound.MeasuredMaxErr) {
+		return false
+	}
+	switch {
+	case a.Quant != nil && b.Quant != nil:
+		return a.Quant.Width == b.Quant.Width && sameBits(a.Quant.Scale, b.Quant.Scale) && slices.Equal(a.Quant.Q, b.Quant.Q)
+	case a.Sparse != nil && b.Sparse != nil:
+		return a.Sparse.Dim == b.Sparse.Dim && a.Sparse.Width == b.Sparse.Width && sameBits(a.Sparse.Scale, b.Sparse.Scale) &&
+			slices.Equal(a.Sparse.Idx, b.Sparse.Idx) && slices.Equal(a.Sparse.Q, b.Sparse.Q) &&
+			slices.EqualFunc(a.Sparse.Vals, b.Sparse.Vals, sameBits)
+	}
+	return false
+}
+
 // BenchmarkSparsify times top-k at k = dim/10 on normal noise, and on
 // agg_compress's upload: the mean of three uniforms at its model's
 // dimension, keeping Config{Scheme: TopK, Frac: 0.1}.Kept(dim).
@@ -363,7 +459,7 @@ func BenchmarkSparsify(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(8 * len(w)))
 			for i := 0; i < b.N; i++ {
-				if _, _, err := sparsify(w, k, 0); err != nil {
+				if _, _, err := sparsifyFresh(w, k, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/compress"
+	"repro/internal/sac"
 	"repro/internal/wire"
 )
 
@@ -209,11 +210,11 @@ func roundAlloc(t *testing.T, round func() (*RoundResult, error)) uint64 {
 
 // TestCompressedRoundKeepsItsDecodeVectors pins the FedAvg leader's
 // decode vectors: a warm top-k round allocates nothing dim-sized per
-// upload on top of the uncompressed round (only the 12·k bytes of each
-// of the five sparse blocks), a warm system's round is bit for bit a
-// fresh system's and no result vector of it aliases a decode vector,
-// and a system reconfigured to more subgroups rounds exactly like a
-// fresh one.
+// upload on top of the uncompressed round (its sparse blocks are the
+// System's too, which TestWarmRoundAllocatesNoModelVector pins), a warm
+// system's round is bit for bit a fresh system's under every kind of
+// scheme and no result vector of it aliases a decode vector, and a
+// system reconfigured to more subgroups rounds exactly like a fresh one.
 func TestCompressedRoundKeepsItsDecodeVectors(t *testing.T) {
 	const dim = 20_000
 	sizes3, sizes5 := []int{3, 3, 3}, []int{3, 3, 3, 3, 3}
@@ -249,7 +250,11 @@ func TestCompressedRoundKeepsItsDecodeVectors(t *testing.T) {
 	}{
 		{"plain", Config{Sizes: sizes5}},
 		{"top-k", Config{Sizes: sizes5, Compression: cc}},
+		{"quant8", Config{Sizes: sizes5, Compression: compress.Config{Scheme: compress.Quant8}}},
+		{"top-k quant16", Config{Sizes: sizes5, Compression: compress.Config{Scheme: compress.TopKQuant16, Frac: 0.1}}},
 		{"secure upper", Config{Sizes: sizes5, SecureUpper: true}},
+		{"secure upper quant16", Config{Sizes: sizes5, SecureUpper: true, Compression: compress.Config{Scheme: compress.Quant16}}},
+		{"guarded", Config{Sizes: sizes5, Guard: &sac.Guard{CrossCheck: true}}},
 	} {
 		warm, rng := newSys(tc.cfg, 3)
 		if _, err := warm.AggregateRound(models(15, 3), RoundSpec{}); err != nil {

@@ -170,8 +170,13 @@ type System struct {
 	// decodes into at the FedAvg leader, avgs[g] subgroup g's SAC
 	// average, uppers[g] its leader's upper-SAC input under SecureUpper,
 	// and global the global model, unless a Config.Aggregator makes it.
+	// Under Config.Compression, blocks[g] is what subgroup g's leader
+	// compresses its upload into, and globalBlock what the FedAvg leader
+	// compresses the global model into.
 	decoded, avgs, uppers [][]float64
 	global                []float64
+	blocks                []compress.Delta
+	globalBlock           compress.Delta
 	loop                  loop
 }
 
@@ -232,6 +237,7 @@ func (s *System) resize() {
 	for _, v := range []*[][]float64{&s.decoded, &s.avgs, &s.uppers} {
 		*v = append(*v, make([][]float64, max(0, m-len(*v)))...)[:m]
 	}
+	s.blocks = append(s.blocks, make([]compress.Delta, max(0, m-len(s.blocks)))...)[:m]
 	l.nodes = append(l.nodes, make([]node, max(0, n-len(l.nodes)))...)[:n]
 	l.inbox = append(l.inbox, make([][]message, max(0, n-len(l.inbox)))...)[:n]
 	l.down, l.ids = make([]bool, n), make([]int, n)
@@ -269,7 +275,8 @@ func (s *System) Counter() *transport.Counter { return s.counter }
 // and SubgroupAvgs, are the System's: valid until its next round, which
 // writes them again, so a caller that keeps them longer copies them. The
 // one exception is a Global a Config.Aggregator made, which is the
-// caller's.
+// caller's. No field exposes a compressed block: those the round sent
+// are the System's too, and GlobalBound is a copy.
 type RoundResult struct {
 	// Global is the new global model (FedAvg over participating
 	// subgroups' SAC averages).
@@ -504,12 +511,12 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 		s.global = fit(s.global, p.dim)
 	}
 	fed := &l.nodes[p.leaders[p.fed]]
-	fed.Lead(participate, s.decoded, s.global)
+	fed.Lead(participate, s.decoded, s.global, &s.globalBlock)
 	for _, g := range participate {
 		if s.cfg.SecureUpper {
 			s.uppers[g] = fit(s.uppers[g], p.dim)
 		}
-		l.nodes[p.leaders[g]].Upload(s.uppers[g])
+		l.nodes[p.leaders[g]].Upload(s.uppers[g], &s.blocks[g])
 	}
 	if err := l.settle(s.tel.msgsInvalid); err != nil {
 		return nil, err

@@ -82,16 +82,18 @@ type node struct {
 	// The FedAvg leader's: slot[g] is 1 + subgroup g's place in the
 	// participation set until its upload arrives, 0 otherwise; models and
 	// weights are the uploads, in that order; decoded[g] is what g's
-	// compressed upload decodes into, and out what the global model is
-	// written into, both lent by the driver.
-	slot    []int
-	models  [][]float64
-	weights []float64
-	waiting int
-	decoded [][]float64
-	out     []float64
-	total   float64         // the participants' summed weight
-	bound   *compress.Bound // the compressed global model's error
+	// compressed upload decodes into, out what the global model is
+	// written into and outBlock what it is compressed into, all lent by
+	// the driver.
+	slot     []int
+	models   [][]float64
+	weights  []float64
+	waiting  int
+	decoded  [][]float64
+	out      []float64
+	outBlock *compress.Delta
+	total    float64         // the participants' summed weight
+	bound    *compress.Bound // the compressed global model's error
 
 	upper   []float64 // a subgroup leader's upper-SAC input under SecureUpper, lent by the driver
 	global  []float64 // the model this peer resumes from
@@ -169,23 +171,26 @@ func (n *node) send(to int, kind string, model []float64, block *compress.Delta)
 
 // Lead tells the FedAvg leader whose uploads it combines, in order: the
 // subgroups whose SAC succeeded and that beat the fraction-p timeout;
-// decoded, one vector per subgroup, and out, the global model's, are the
-// driver's. A Config.Aggregator returns a global model of its own.
-func (n *node) Lead(participate []int, decoded [][]float64, out []float64) {
+// decoded, one vector per subgroup, out, the global model's, and block,
+// its compressed encoding's under Config.Compression, are the driver's.
+// A Config.Aggregator returns a global model of its own.
+func (n *node) Lead(participate []int, decoded [][]float64, out []float64, block *compress.Delta) {
 	m, k := len(n.p.leaders), len(participate)
-	n.slot, n.models, n.weights, n.waiting, n.decoded, n.out = make([]int, m), make([][]float64, k), make([]float64, k), k, decoded, out
+	n.slot, n.models, n.weights, n.waiting = make([]int, m), make([][]float64, k), make([]float64, k), k
+	n.decoded, n.out, n.outBlock = decoded, out, block
 	for i, g := range participate {
 		n.slot[g] = i + 1
 	}
 }
 
 // Upload sends what a subgroup leader's peer collected to the FedAvg
-// leader, weighted by its contributors' sample counts: compressed under
-// Config.Compression unless it leads the FedAvg layer itself, whose own
-// model never leaves the process, and under SecureUpper as the weight
-// alone, the model going as count·avg into upper, the driver's vector of
-// the model's length, its input to the upper SAC.
-func (n *node) Upload(upper []float64) {
+// leader, weighted by its contributors' sample counts: compressed into
+// block, the driver's, under Config.Compression unless it leads the
+// FedAvg layer itself, whose own model never leaves the process, and
+// under SecureUpper as the weight alone, the model going as count·avg
+// into upper, the driver's vector of the model's length, its input to
+// the upper SAC.
+func (n *node) Upload(upper []float64, block *compress.Delta) {
 	p, r := n.p, n.collected
 	m := message{From: n.id, To: p.leaders[p.fed], Kind: KindUpload, Model: r.Avg}
 	for _, c := range r.Contributors {
@@ -203,12 +208,11 @@ func (n *node) Upload(upper []float64) {
 		}
 		m.Model = nil
 	case p.cfg.Compression.Enabled() && m.To != n.id:
-		d, err := p.cfg.Compression.Compress(r.Avg)
-		if err != nil {
+		if err := p.cfg.Compression.CompressInto(block, r.Avg); err != nil {
 			n.err = err
 			return
 		}
-		m.Model, m.Block = nil, &d
+		m.Model, m.Block = nil, block
 	}
 	n.msgs = append(n.msgs, m)
 }
@@ -298,22 +302,22 @@ func (n *node) aggregate() {
 
 // distribute sends the global model down to every other subgroup that
 // has a leader, then to this node's own subgroup. Under
-// Config.Compression it is encoded once, and every peer, this one
-// included, resumes from the decoded copy, so the fleet stays in
-// lockstep.
+// Config.Compression it is encoded once, into the driver's block, and
+// every peer, this one included, resumes from the decoded copy, so the
+// fleet stays in lockstep.
 func (n *node) distribute(global []float64) {
 	if n.err != nil {
 		return
 	}
 	var block *compress.Delta
 	if c := n.p.cfg.Compression; c.Enabled() {
-		d, err := c.Compress(global)
-		if err != nil {
+		if err := c.CompressInto(n.outBlock, global); err != nil {
 			n.err = err
 			return
 		}
-		bound := d.Bound
-		global, block, n.bound = d.Dense(global[:0]), &d, &bound
+		block = n.outBlock
+		bound := block.Bound
+		global, n.bound = block.Dense(global[:0]), &bound
 	}
 	n.global = global
 	for _, l := range n.p.leaders {

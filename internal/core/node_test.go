@@ -82,9 +82,9 @@ func (h *handRound) round(models [][]float64, participate []int, fed int) (*node
 	}
 	p.fed = fed
 	leader := &h.nodes[p.leaders[fed]]
-	leader.Lead(participate, make([][]float64, len(p.leaders)), make([]float64, p.dim))
+	leader.Lead(participate, make([][]float64, len(p.leaders)), make([]float64, p.dim), new(compress.Delta))
 	for _, g := range participate {
-		h.nodes[p.leaders[g]].Upload(make([]float64, p.dim))
+		h.nodes[p.leaders[g]].Upload(make([]float64, p.dim), new(compress.Delta))
 		if err := h.settle(nil); err != nil {
 			return leader, err
 		}

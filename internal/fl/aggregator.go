@@ -85,13 +85,31 @@ type CoordinateMedian struct{}
 func (CoordinateMedian) Name() string { return "coordinate-median" }
 
 // Aggregate implements Aggregator.
-func (CoordinateMedian) Aggregate(models [][]float64, counts []float64) ([]float64, error) {
+func (a CoordinateMedian) Aggregate(models [][]float64, counts []float64) ([]float64, error) {
+	return a.AggregateInto(nil, models, counts)
+}
+
+// AggregateInto is Aggregate writing the median into dst[:dim], which it
+// makes only when dst has no room for it (cap(dst) < dim), so a caller
+// that keeps its destination across rounds allocates it once. dst must
+// not overlap any of models.
+func (CoordinateMedian) AggregateInto(dst []float64, models [][]float64, counts []float64) ([]float64, error) {
 	if err := checkModels(models, counts); err != nil {
 		return nil, err
 	}
 	dim := len(models[0])
-	out := make([]float64, dim)
-	col := make([]float64, len(models))
+	// Every float of out is written, so a lent one is not cleared.
+	if cap(dst) < dim {
+		dst = make([]float64, dim)
+	}
+	out := dst[:dim]
+	// The column lives on the stack for up to 16 models.
+	var buf [16]float64
+	col := buf[:0]
+	if len(models) > len(buf) {
+		col = make([]float64, 0, len(models))
+	}
+	col = col[:len(models)]
 	for j := 0; j < dim; j++ {
 		for i, m := range models {
 			col[i] = m[j]

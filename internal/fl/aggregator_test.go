@@ -196,17 +196,32 @@ func TestAggregatorsReturnVectorsOfTheirOwn(t *testing.T) {
 // for bit, Aggregate's average into dst[:dim] when dst has room for it,
 // and otherwise makes a vector and leaves dst as it was.
 func TestFedAvgAggregateIntoWritesWhereItIsLent(t *testing.T) {
+	checkAggregateInto(t, FedAvg{}, FedAvg{}.AggregateInto, 3, []float64{2, 1, 4})
+}
+
+// TestCoordinateMedianAggregateIntoWritesWhereItIsLent is the same
+// contract for the median, over an odd and an even number of models, at
+// more than the 16 its column holds on the stack too.
+func TestCoordinateMedianAggregateIntoWritesWhereItIsLent(t *testing.T) {
+	for _, n := range []int{3, 4, 17} {
+		checkAggregateInto(t, CoordinateMedian{}, CoordinateMedian{}.AggregateInto, n, nil)
+	}
+}
+
+// checkAggregateInto holds into to a's Aggregate over n random models
+// and counts, at destinations with room, with more and with too little.
+func checkAggregateInto(t *testing.T, a Aggregator, into func(dst []float64, models [][]float64, counts []float64) ([]float64, error), n int, counts []float64) {
+	t.Helper()
 	const dim = 37 // long enough for a tail past the kernel's blocks
 	rng := rand.New(rand.NewSource(5))
-	models := make([][]float64, 3)
+	models := make([][]float64, n)
 	for i := range models {
 		models[i] = make([]float64, dim)
 		for j := range models[i] {
 			models[i][j] = rng.NormFloat64()
 		}
 	}
-	counts := []float64{2, 1, 4}
-	want, err := FedAvg{}.Aggregate(models, counts)
+	want, err := a.Aggregate(models, counts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,22 +230,22 @@ func TestFedAvgAggregateIntoWritesWhereItIsLent(t *testing.T) {
 		for j := range buf {
 			buf[j] = math.NaN()
 		}
-		got, err := FedAvg{}.AggregateInto(buf[:size:size], models, counts)
+		got, err := into(buf[:size:size], models, counts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		lent := size >= dim
 		if len(got) != dim || (&got[0] == &buf[0]) != lent {
-			t.Fatalf("dst of %d floats: got %d floats, written into dst %v, want %v", size, len(got), &got[0] == &buf[0], lent)
+			t.Fatalf("%s, dst of %d floats: got %d floats, written into dst %v, want %v", a.Name(), size, len(got), &got[0] == &buf[0], lent)
 		}
 		for j := range want {
 			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-				t.Fatalf("dst of %d floats: weight %d is %v, Aggregate's %v", size, j, got[j], want[j])
+				t.Fatalf("%s, dst of %d floats: weight %d is %v, Aggregate's %v", a.Name(), size, j, got[j], want[j])
 			}
 		}
 		for j, x := range buf {
 			if (!lent || j >= dim) && !math.IsNaN(x) {
-				t.Fatalf("dst of %d floats: float %d, outside the average, was written", size, j)
+				t.Fatalf("%s, dst of %d floats: float %d, outside the result, was written", a.Name(), size, j)
 			}
 		}
 	}

@@ -67,8 +67,11 @@ func TestDefaultRunAllocatesOnlyItsResult(t *testing.T) {
 // TestWarmRunAllocationCount pins, object for object, what a warm Run
 // allocates at the X-layer tree's dimension, 64, mesh included. Finish
 // gathers the subtotals it sums into a list its Peer keeps across rounds,
-// so the tiled sum costs no allocation per call, and a peer's Divide
-// keeps its share fractions on the stack.
+// so the tiled sum costs no allocation per call, a peer's Divide keeps
+// its share fractions on the stack, and a guarded leader writes each
+// index's median into the audit claims it keeps across rounds (118
+// allocations before: the claims and, per index, a median and its
+// column).
 func TestWarmRunAllocationCount(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -79,7 +82,7 @@ func TestWarmRunAllocationCount(t *testing.T) {
 		{"leader k-of-n", Config{N: 3, K: 2, Mode: ModeLeader}, nil, 28},
 		{"leader recovery", Config{N: 3, K: 2, Mode: ModeLeader}, CrashPlan{2: AfterShares}, 31},
 		{"broadcast", Config{N: 3, K: 3, Mode: ModeBroadcast}, nil, 30},
-		{"guarded", Config{N: 5, K: 3, Mode: ModeLeader, Guard: &Guard{ShareBound: 100, CrossCheck: true}}, nil, 118},
+		{"guarded", Config{N: 5, K: 3, Mode: ModeLeader, Guard: &Guard{ShareBound: 100, CrossCheck: true}}, nil, 107},
 	} {
 		r := rand.New(rand.NewSource(1))
 		models := randModels(r, tc.cfg.N, 64)

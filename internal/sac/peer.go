@@ -68,14 +68,16 @@ type Peer struct {
 	// of subtotal s received from holders[s*r+t], and asked[s] the holder p
 	// asked to recover s from, −1 for none. sums and groups are what
 	// Finish adds up — per index the subtotal, or the held shares of one
-	// p has not summed, and how many terms each index takes — kept across
-	// rounds.
+	// p has not summed, and how many terms each index takes — and claimed
+	// the n·dim floats a guarded leader's audit claims, the median of
+	// each index's copies; all three are kept across rounds.
 	holders []int
 	got     [][]float64
 	asked   []int
 	cands   [][]float64
 	sums    [][]float64
 	groups  []int
+	claimed []float64
 	audit   auditState
 	result  *Result // what Finish returned this round
 
@@ -522,7 +524,10 @@ func (p *Peer) Finish(avg []float64) (*Result, error) {
 	res := &Result{Avg: avg[:p.dim], Contributors: slices.Clone(p.contributors),
 		Excluded: append([]int(nil), p.excluded...)}
 	if guarded {
-		p.audit.claimed = make([]float64, 0, n*p.dim)
+		if cap(p.claimed) < n*p.dim {
+			p.claimed = make([]float64, n*p.dim)
+		}
+		p.audit.claimed = p.claimed[:n*p.dim]
 	}
 	p.sums, p.groups = p.sums[:0], p.groups[:0]
 	for s := 0; s < n; s++ {
@@ -534,7 +539,8 @@ func (p *Peer) Finish(avg []float64) (*Result, error) {
 		sub := cands[0]
 		if guarded {
 			var err error
-			if sub, err = (fl.CoordinateMedian{}).Aggregate(cands, nil); err != nil {
+			claim := p.audit.claimed[s*p.dim : (s+1)*p.dim]
+			if sub, err = (fl.CoordinateMedian{}).AggregateInto(claim, cands, nil); err != nil {
 				return nil, err
 			}
 			for _, c := range cands {
@@ -542,7 +548,6 @@ func (p *Peer) Finish(avg []float64) (*Result, error) {
 					res.Mismatches++
 				}
 			}
-			p.audit.claimed = append(p.audit.claimed, sub...)
 		}
 		if !owner && (guarded || p.slot[s] < 0) {
 			res.Recovered = append(res.Recovered, s)
