@@ -16,7 +16,7 @@ BENCH_ARGS := -run '^$$' -bench $(BENCH_PATTERN) -benchmem -benchtime 10x \
 	./internal/raft/ ./internal/sac/ ./internal/transport/
 TIME_PAIRS := 'RaftTickLive=RaftTickNil,SACRoundLive=SACRoundNil,RaftTCPSendHealthyPeerAsync=RaftTCPSendHealthyPeerSync'
 
-.PHONY: all build vet test size race chaos-smoke check bench-check test-telemetry test-health test-wire test-byzantine test-compress test-wan test-churn test-scale test-compose test-node test-train test-raft
+.PHONY: all build vet test size census race chaos-smoke check bench-check test-telemetry test-health test-wire test-byzantine test-compress test-wan test-churn test-scale test-compose test-node test-train test-raft
 
 all: check
 
@@ -44,6 +44,34 @@ size:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec wc -l {} + | \
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+
+# Coverage census, report only and not part of check: which functions of
+# the round's packages do the programs never run in full? It builds the
+# round benchmark, p2pfl-experiments, p2pfl-chaos and p2pfl-bench with
+# -cover into a temporary directory (-coverpkg=./...: with an
+# internal/... pattern go1.24 wrote no counter files), runs bench's six
+# workloads for a second each, every experiment at CI scale, the
+# chaos-smoke tracks with a 10 s soak and the 1k X-layer tier, merges the
+# counters and prints each function of CENSUS_PKGS below 100 %. The
+# p2pfl-node daemon is not in it. About 2 min on 2 vCPUs.
+CENSUS_PKGS := repro/internal/core,repro/internal/sac,repro/internal/cluster
+census:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	for p in bench cmd/p2pfl-experiments cmd/p2pfl-chaos cmd/p2pfl-bench; do \
+		$(GO) build -cover -coverpkg=./... -o "$$dir/$${p##*/}" ./$$p; \
+	done; \
+	mkdir "$$dir/cov"; export GOCOVERDIR="$$dir/cov"; \
+	for w in train agg_mem agg_tcp agg_compress failover xlayer; do \
+		"$$dir/bench" -workload $$w -seconds 1 >/dev/null; \
+	done; \
+	"$$dir/p2pfl-experiments" -exp all >/dev/null; \
+	(cd "$$dir" && ./p2pfl-chaos -seed 2 -soak 10s && \
+		./p2pfl-chaos -track compose -seeds 1 -steps 12 && \
+		./p2pfl-chaos -track byzantine -seed 1 && \
+		./p2pfl-chaos -track shard -seeds 3 && \
+		./p2pfl-chaos -track churn -seeds 3) >/dev/null; \
+	"$$dir/p2pfl-bench" -multilayer -tiers 1k >/dev/null; \
+	$(GO) tool covdata func -i "$$dir/cov" -pkg $(CENSUS_PKGS) | awk '$$1 != "total" && $$NF != "100.0%"'
 
 # Each oracle runs once per seed, through its track: the soak's faults
 # track runs a campaign on the two-layer cluster and the SAC oracle

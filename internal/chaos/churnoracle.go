@@ -237,16 +237,16 @@ func (e *episode) settle() (cluster.RoundGeometry, bool) {
 	if !sys.DirectoryMatchesMembership() {
 		return geo, e.fail("share-index-soundness", "FedAvg leader's directory does not match the admitted membership %v", geo.Sizes)
 	}
-	if len(geo.Degraded) > 0 {
-		return geo, e.fail(e.track+"-liveness", "subgroups %v of %v lack a live quorum on a calm network", geo.Degraded, geo.Subgroups)
+	if degraded := sys.DegradedSubgroups(); len(degraded) > 0 {
+		return geo, e.fail(e.track+"-liveness", "subgroups %v of %v lack a live quorum on a calm network", degraded, geo.Subgroups)
 	}
 	return geo, true
 }
 
 // roundSpec is the round parameters a geometry dictates: the elected
-// leaders, the FedAvg-leading subgroup and the quorumless subgroups.
+// leaders and the FedAvg-leading subgroup.
 func roundSpec(geo cluster.RoundGeometry) core.RoundSpec {
-	return core.RoundSpec{Leaders: geo.Leaders, FedLeader: geo.FedLeader, Degraded: geo.Degraded}
+	return core.RoundSpec{Leaders: geo.Leaders, FedLeader: geo.FedLeader}
 }
 
 // install hands every admitted peer its round model, in the geometry's

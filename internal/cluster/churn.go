@@ -25,7 +25,7 @@ package cluster
 //     member, FedAvg-layer) ConfChange{Add:false} commits, and finally
 //     its hosts are removed and every co-member detector forgets it.
 //     Crashed peers may also depart (no handoff); mid-round failures
-//     keep using the existing degraded-round/recovery paths.
+//     keep using the SAC's k-out-of-n recovery and raft re-election.
 //   - Handoff (ReplacePeer). A replaced peer transfers its persisted
 //     raft state and its model — raft-state and checkpoint wire frames,
 //     decoded on arrival — to a successor process that resumes the same

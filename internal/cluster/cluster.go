@@ -526,20 +526,16 @@ type RoundGeometry struct {
 	// FedLeader is the entry whose member leads the FedAvg layer, -1
 	// while the layer has no leader.
 	FedLeader int
-	// Degraded lists the entries that lack a live raft quorum
-	// (DegradedSubgroups), for core.RoundSpec.Degraded.
-	Degraded []int
 }
 
-// RoundGeometry reads the current geometry: admitted membership, the
-// elected leaders of both layers and the quorumless subgroups.
+// RoundGeometry reads the current geometry: admitted membership and the
+// elected leaders of both layers.
 func (s *System) RoundGeometry() RoundGeometry {
 	geo := RoundGeometry{FedLeader: -1}
 	fedSub := -1
 	if p := s.peers[s.FedAvgLeader()]; p != nil {
 		fedSub = p.Subgroup
 	}
-	degraded := s.DegradedSubgroups()
 	for g, ids := range s.bySub {
 		if len(ids) == 0 {
 			continue // retired by a merge
@@ -550,9 +546,6 @@ func (s *System) RoundGeometry() RoundGeometry {
 		geo.Leaders = append(geo.Leaders, slices.Index(ids, s.SubgroupLeader(g)))
 		if g == fedSub {
 			geo.FedLeader = i
-		}
-		if len(degraded) > 0 && degraded[0] == g {
-			geo.Degraded, degraded = append(geo.Degraded, i), degraded[1:]
 		}
 	}
 	return geo

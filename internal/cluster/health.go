@@ -161,9 +161,9 @@ func (s *System) campaignRank(p *Peer, dead uint64) int {
 }
 
 // DegradedSubgroups returns the subgroups that currently lack a live
-// Raft quorum, ascending — the set a round driver passes as
-// core.RoundSpec.Degraded so the FedAvg leader proceeds under
-// fraction p instead of stalling on them.
+// Raft quorum, ascending. The churn and shard oracles read it when they
+// settle a round boundary: on a calm network every subgroup must have
+// one.
 func (s *System) DegradedSubgroups() []int {
 	var out []int
 	for g, ids := range s.bySub {

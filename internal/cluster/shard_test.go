@@ -212,8 +212,8 @@ func TestRebalanceMergesAfterDepartures(t *testing.T) {
 		t.Fatalf("still unbalanced after the merge: %+v", plan)
 	}
 	checkShardInvariants(t, s, "after planned merge")
-	if geo := s.RoundGeometry(); len(geo.Degraded) != 0 || len(geo.Sizes) != 1 || geo.Subgroups[0] != 0 {
-		t.Fatalf("geometry after merge %+v, want subgroup 0 alone and nothing degraded", geo)
+	if geo, degraded := s.RoundGeometry(), s.DegradedSubgroups(); len(degraded) != 0 || len(geo.Sizes) != 1 || geo.Subgroups[0] != 0 {
+		t.Fatalf("geometry after merge %+v, degraded %v, want subgroup 0 alone and nothing degraded", geo, degraded)
 	}
 
 	id, err := s.AddPeer(0)

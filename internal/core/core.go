@@ -188,7 +188,6 @@ type sysTel struct {
 	roundsCompleted   *telemetry.Counter
 	subgroupsOK       *telemetry.Counter
 	subgroupsExcluded *telemetry.Counter
-	subgroupsDegraded *telemetry.Counter
 	byzSubgroups      *telemetry.Counter
 	sacFailed         *telemetry.Counter
 	msgsInvalid       *telemetry.Counter
@@ -206,7 +205,6 @@ func newSysTel(reg *telemetry.Registry) sysTel {
 		roundsCompleted:   reg.Counter("round/completed"),
 		subgroupsOK:       reg.Counter("round/subgroups_ok"),
 		subgroupsExcluded: reg.Counter("round/subgroups_excluded"),
-		subgroupsDegraded: reg.Counter("round/subgroups_degraded"),
 		byzSubgroups:      reg.Counter("round/byzantine_subgroups"),
 		sacFailed:         reg.Counter("round/sac_failed"),
 		msgsInvalid:       reg.Counter("sac/msgs_invalid"),
@@ -287,9 +285,6 @@ type RoundResult struct {
 	// Participated lists subgroup indices included in the FedAvg
 	// aggregation (slow or failed subgroups are excluded).
 	Participated []int
-	// Degraded echoes the subgroups skipped because they had lost Raft
-	// quorum when the round ran (RoundSpec.Degraded).
-	Degraded []int
 	// ByzantineExcluded lists subgroups dropped because the SAC leader
 	// audit convicted their leader of equivocation.
 	ByzantineExcluded []int
@@ -327,64 +322,43 @@ type RoundSpec struct {
 	// layer; −1 (or a non-participating subgroup) falls back to the
 	// first subgroup of RoundResult.Participated.
 	FedLeader int
-	// Degraded lists subgroups that lost Raft quorum mid-round (as
-	// reported by the health layer, internal/cluster). The FedAvg leader
-	// records the degradation and proceeds without them under the
-	// fraction-p semantics of Sec. VI-A3 instead of stalling: no SAC is
-	// attempted there, their leaders are not validated (a quorumless
-	// subgroup may have none), and no distribution bytes are charged
-	// toward them.
-	Degraded []int
 }
 
 // plan checks all of spec against the system and the models before the
 // round counts anything, and returns what every node of the round knows
-// but the FedAvg leader's subgroup, and the degraded subgroups in spec
-// order, once each.
-func (s *System) plan(models [][]float64, spec RoundSpec) (*plan, []int, error) {
+// but the FedAvg leader's subgroup.
+func (s *System) plan(models [][]float64, spec RoundSpec) (*plan, error) {
 	n, m := s.cfg.NumPeers(), len(s.cfg.Sizes)
 	switch {
 	case len(models) != n:
-		return nil, nil, fmt.Errorf("core: %d models for %d peers", len(models), n)
+		return nil, fmt.Errorf("core: %d models for %d peers", len(models), n)
 	case spec.SampleCounts != nil && len(spec.SampleCounts) != n:
-		return nil, nil, fmt.Errorf("core: %d sample counts for %d peers", len(spec.SampleCounts), n)
+		return nil, fmt.Errorf("core: %d sample counts for %d peers", len(spec.SampleCounts), n)
 	case spec.Leaders != nil && len(spec.Leaders) != m:
-		return nil, nil, fmt.Errorf("core: %d leaders for %d subgroups", len(spec.Leaders), m)
+		return nil, fmt.Errorf("core: %d leaders for %d subgroups", len(spec.Leaders), m)
 	}
 	p := &plan{cfg: &s.cfg, dim: len(models[0]), counts: spec.SampleCounts, offsets: make([]int, m+1), leaders: make([]int, m), fed: -1}
 	// A ragged model is the caller's error, not a failed subgroup SAC that
 	// the round would skip; so is a plan for a peer that is not there.
 	for i, model := range models {
 		if len(model) != p.dim {
-			return nil, nil, fmt.Errorf("core: model %d has %d weights, want %d", i, len(model), p.dim)
+			return nil, fmt.Errorf("core: model %d has %d weights, want %d", i, len(model), p.dim)
 		}
 	}
 	if err := errors.Join(checkPlans("crash", spec.Crash, s.cfg.Sizes), checkPlans("adversary", spec.Adversary, s.cfg.Sizes)); err != nil {
-		return nil, nil, err
-	}
-	var degraded []int
-	for _, g := range spec.Degraded {
-		if g < 0 || g >= m {
-			return nil, nil, fmt.Errorf("core: degraded subgroup %d out of [0,%d)", g, m)
-		}
-		if p.leaders[g] == 0 {
-			p.leaders[g], degraded = -1, append(degraded, g)
-		}
+		return nil, err
 	}
 	for g, size := range s.cfg.Sizes {
 		p.offsets[g+1] = p.offsets[g] + size
-		if p.leaders[g] < 0 {
-			continue // a subgroup without quorum may have no leader at all
-		}
 		if spec.Leaders != nil {
 			p.leaders[g] = spec.Leaders[g]
 		}
 		if p.leaders[g] < 0 || p.leaders[g] >= size {
-			return nil, nil, fmt.Errorf("core: subgroup %d leader %d out of [0,%d)", g, p.leaders[g], size)
+			return nil, fmt.Errorf("core: subgroup %d leader %d out of [0,%d)", g, p.leaders[g], size)
 		}
 		p.leaders[g] += p.offsets[g]
 	}
-	return p, degraded, nil
+	return p, nil
 }
 
 // checkPlans rejects a per-subgroup plan keyed outside the subgroups or
@@ -418,26 +392,21 @@ func checkPlans[P ~map[int]V, V any](what string, plans map[int]P, sizes []int) 
 // FedAvg layer — and charges every message a node sends once, when it
 // is queued.
 func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResult, error) {
-	p, degraded, err := s.plan(models, spec)
+	p, err := s.plan(models, spec)
 	if err != nil {
 		return nil, err
 	}
 	m, l := len(s.cfg.Sizes), &s.loop
 	before := s.counter.TotalBytes()
 	s.tel.roundsStarted.Inc()
-	res := &RoundResult{SubgroupAvgs: make([][]float64, m), Degraded: degraded}
+	res := &RoundResult{SubgroupAvgs: make([][]float64, m)}
 	l.begin(p)
 
 	// Each subgroup SAC draws from its own rng stream, seeded from the
-	// system rng; a degraded subgroup still consumes its seed, so losing
-	// quorum in one subgroup does not move the shares of the others.
+	// system rng.
 	var okSubs []int
 	for g, leader := range p.leaders {
-		seed := s.rng.Int63()
-		if leader < 0 {
-			continue // no quorum: the round proceeds without this subgroup
-		}
-		s.sacRng.Seed(seed)
+		s.sacRng.Seed(s.rng.Int63())
 		lo, hi := p.offsets[g], p.offsets[g+1]
 		cfg := s.sacConfig(hi-lo, s.sacRng)
 		cfg.K, cfg.Leader, cfg.Adversary, cfg.Guard = s.cfg.thresholdFor(g, hi-lo), leader-lo, spec.Adversary[g], s.cfg.Guard
@@ -469,14 +438,6 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 		return nil, errNoSubgroups
 	}
 	s.tel.subgroupsOK.Add(int64(len(okSubs)))
-	if len(res.Degraded) > 0 {
-		// Degraded-round event: the FedAvg leader records which subgroups
-		// were dropped for lost quorum before proceeding under fraction p.
-		s.tel.subgroupsDegraded.Add(int64(len(res.Degraded)))
-		for _, g := range res.Degraded {
-			s.tel.reg.Trace("round/degraded", 0, g)
-		}
-	}
 
 	// Fraction p (slow subgroups): the FedAvg leader proceeds with a
 	// random subset of the successful subgroups.
@@ -571,7 +532,7 @@ func (s *System) sacConfig(n int, rng *rand.Rand) sac.Config {
 // length. It steps the system's nodes, as one subgroup, on the same loop
 // as AggregateRound, and its traffic lands on the same counter.
 func (s *System) BaselineAggregate(models [][]float64) (*RoundResult, error) {
-	p, _, err := s.plan(models, RoundSpec{})
+	p, err := s.plan(models, RoundSpec{})
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -309,6 +310,18 @@ func TestFailedSubgroupExcluded(t *testing.T) {
 	}
 	if d := maxAbsDiff(res.Global, mean(models[3:])); d > 1e-9 {
 		t.Fatalf("avg off by %v", d)
+	}
+	// A subgroup that cannot aggregate still gets the model: its leader
+	// takes the download and relays it to its live follower. The crashed
+	// peer holds nothing.
+	for i, nd := range sys.loop.nodes {
+		want := res.Global
+		if i == 1 {
+			want = nil
+		}
+		if !slices.Equal(nd.global, want) {
+			t.Fatalf("peer %d holds %v after the round, want %v", i, nd.global, want)
+		}
 	}
 }
 

@@ -42,9 +42,9 @@ func (m message) Bytes() int64 {
 }
 
 // plan is what every node of a round knows. Subgroup g is peers
-// offsets[g] ≤ i < offsets[g+1], led by peer leaders[g], or by nobody
-// (−1) when it is degraded; fed is the subgroup whose leader leads the
-// FedAvg layer, −1 until the subgroup SACs have run.
+// offsets[g] ≤ i < offsets[g+1], led by peer leaders[g]; fed is the
+// subgroup whose leader leads the FedAvg layer, −1 until the subgroup
+// SACs have run.
 type plan struct {
 	cfg              *Config
 	dim              int
@@ -223,8 +223,8 @@ func (n *node) Upload(upper []float64, block *compress.Delta) {
 // have run, it takes — once each and of the round's model size — an
 // upload at the FedAvg leader from the leader of a participating
 // subgroup, the global model at a subgroup leader from the FedAvg
-// leader, and at a follower from its subgroup's leader (a degraded
-// subgroup has none). Anything else is discarded.
+// leader, and at a follower from its subgroup's leader. Anything else is
+// discarded.
 func (n *node) Step(m message) {
 	p := n.p
 	switch {
@@ -237,7 +237,7 @@ func (n *node) Step(m message) {
 	case m.Kind == KindDownload && m.From == p.leaders[p.fed] && n.id == p.leaders[n.g]:
 		n.global = m.Model
 		n.broadcast(m.Block)
-	case m.Kind == KindBroadcast && m.From == p.leaders[n.g] && m.From >= 0:
+	case m.Kind == KindBroadcast && m.From == p.leaders[n.g]:
 		n.global = m.Model
 	}
 }
@@ -321,7 +321,7 @@ func (n *node) distribute(global []float64) {
 	}
 	n.global = global
 	for _, l := range n.p.leaders {
-		if l >= 0 && l != n.id {
+		if l != n.id {
 			n.send(l, KindDownload, global, block)
 		}
 	}

@@ -70,9 +70,6 @@ func (h *handRound) round(models [][]float64, participate []int, fed int) (*node
 	p.fed = -1
 	h.begin(p)
 	for g, leader := range p.leaders {
-		if leader < 0 {
-			continue
-		}
 		lo, hi := p.offsets[g], p.offsets[g+1]
 		cfg := sac.Config{N: hi - lo, K: hi - lo, Leader: leader - lo, Mode: sac.ModeLeader, Rng: rand.New(rand.NewSource(int64(g)))}
 		if err := h.secure(h.ids[lo:hi], false, cfg, models[lo:hi]); err != nil {
@@ -169,7 +166,7 @@ func FuzzNodeStep(f *testing.F) {
 	f.Add(int64(5), uint8(3), uint8(7), []byte{2, 0, 0, 3, 2, 9, 1, 130, 5, 0, 250, 1, 1, 130, 3, 3, 2, 3, 0, 4, 3})
 	f.Add(int64(6), uint8(4), uint8(9), []byte{0, 3, 1, 3, 0, 0, 0, 1, 9, 2, 3, 0, 0, 0, 12, 2, 0, 3, 0, 0, 0})
 	// Found by fuzzing mutants: an upload from a follower, a second upload
-	// from one leader, a broadcast from nobody into a degraded subgroup.
+	// from one leader, a broadcast from nobody.
 	f.Add(int64(15), uint8(2), uint8(5), []byte("012B000"))
 	f.Add(int64(36), uint8(1), uint8(7), []byte("1020000"))
 	f.Add(int64(-123), uint8(1), uint8(1), []byte("0000000A9B00\x00\x00"))
@@ -194,20 +191,16 @@ func FuzzNodeStep(f *testing.F) {
 			cfg.SecureUpper = true
 		}
 		p := &plan{cfg: &cfg, dim: dim, offsets: make([]int, m+1), leaders: make([]int, m)}
-		var live []int
+		subs := make([]int, m)
 		for g := range cfg.Sizes {
 			cfg.Sizes[g] = 1 + rng.Intn(4)
 			p.offsets[g+1] = p.offsets[g] + cfg.Sizes[g]
 			p.leaders[g] = p.offsets[g] + rng.Intn(cfg.Sizes[g])
-			if g > 0 && rng.Intn(4) == 0 {
-				p.leaders[g] = -1 // degraded
-			} else {
-				live = append(live, g)
-			}
+			subs[g] = g
 		}
 		n := p.offsets[m]
-		rng.Shuffle(len(live), func(a, b int) { live[a], live[b] = live[b], live[a] })
-		participate := live[:1+rng.Intn(len(live))]
+		rng.Shuffle(m, func(a, b int) { subs[a], subs[b] = subs[b], subs[a] })
+		participate := subs[:1+rng.Intn(m)]
 		fedSub := participate[rng.Intn(len(participate))]
 		models := make([][]float64, n)
 		for i := range models {

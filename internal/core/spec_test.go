@@ -28,7 +28,6 @@ func TestRejectedSpecCountsNothing(t *testing.T) {
 		{"leader count", models(), RoundSpec{Leaders: []int{0, 0}}},
 		{"leader out of its subgroup", models(), RoundSpec{Leaders: []int{0, 3, 0}}},
 		{"negative leader", models(), RoundSpec{Leaders: []int{-1, 0, 0}}},
-		{"degraded subgroup out of range", models(), RoundSpec{Degraded: []int{3}}},
 		{"crash plan for no subgroup", models(), RoundSpec{Crash: map[int]sac.CrashPlan{3: {0: sac.AfterShares}}}},
 		{"crash plan for a peer out of its subgroup", models(), RoundSpec{Crash: map[int]sac.CrashPlan{2: {2: sac.AfterShares}}}},
 		{"adversary plan for no subgroup", models(), RoundSpec{Adversary: map[int]sac.AdversaryPlan{-1: {0: sac.ByzPoisonScale}}}},
@@ -48,13 +47,5 @@ func TestRejectedSpecCountsNothing(t *testing.T) {
 				t.Fatalf("a rejected round left %d bytes and round/started = %d", b, started)
 			}
 		})
-	}
-	// A degraded subgroup's leader is not checked: it may have none.
-	sys, err := NewSystem(Config{Sizes: []int{3, 2, 2}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.AggregateRound(models(), RoundSpec{Leaders: []int{0, 7, 0}, Degraded: []int{1}}); err != nil {
-		t.Fatal(err)
 	}
 }

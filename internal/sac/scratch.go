@@ -25,8 +25,9 @@ import "sync"
 // tree, one Scratch per worker).
 //
 // Reuse is observationally invisible: every buffer is fully overwritten
-// before it is read and Result.Avg is always freshly allocated, so
-// results are bit-identical on a new, a reused and a borrowed Scratch.
+// before it is read and Result.Avg is never a Scratch's (Run allocates
+// it, a Schedule caller lends it), so results are bit-identical on a
+// new, a reused and a borrowed Scratch.
 // The one sharp edge is aliasing. Share payloads sent through an
 // in-memory mesh point into the sender's share block, which its next
 // round overwrites, and subtotal payloads point into the subtotals,

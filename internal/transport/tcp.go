@@ -365,9 +365,8 @@ func (s *peerSender) onFailure(failures int) {
 
 func (s *peerSender) loop() {
 	defer s.t.wg.Done()
-	buf := wire.GetBuffer() // reused frame encode buffer
-	defer buf.Release()
 	var (
+		buf      []byte // frame encode buffer, reused for every write
 		conn     net.Conn
 		failures int
 		nextDial time.Time
@@ -414,25 +413,25 @@ func (s *peerSender) loop() {
 				tel.msgsSent.Inc()
 				tel.bytesSent.Add(frameBytes)
 			}
-			buf.B = wire.AppendRaftFrame(buf.B[:0], m)
-			record(m, int64(len(buf.B)))
+			buf = wire.AppendRaftFrame(buf[:0], m)
+			record(m, int64(len(buf)))
 			// Coalesce whatever else is already queued into the same
 			// write: frames are stateless, so back-to-back frames in one
 			// syscall are indistinguishable from separate writes to the
 			// receiver, and a burst costs one syscall instead of one per
 			// message.
 		coalesce:
-			for len(buf.B) < senderBatchBytes {
+			for len(buf) < senderBatchBytes {
 				select {
 				case m2 := <-s.ch:
-					start := len(buf.B)
-					buf.B = wire.AppendRaftFrame(buf.B, m2)
-					record(m2, int64(len(buf.B)-start))
+					start := len(buf)
+					buf = wire.AppendRaftFrame(buf, m2)
+					record(m2, int64(len(buf)-start))
 				default:
 					break coalesce
 				}
 			}
-			if _, err := conn.Write(buf.B); err != nil {
+			if _, err := conn.Write(buf); err != nil {
 				closeConn()
 				failures++
 				s.onFailure(failures)

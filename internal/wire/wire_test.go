@@ -56,11 +56,10 @@ func TestRaftRoundTrip(t *testing.T) {
 func TestRaftStreamRoundTrip(t *testing.T) {
 	msgs := sampleRaftMessages()
 	var stream bytes.Buffer
-	buf := GetBuffer()
-	defer buf.Release()
+	var buf []byte
 	for _, m := range msgs {
-		buf.B = AppendRaftFrame(buf.B[:0], m)
-		stream.Write(buf.B)
+		buf = AppendRaftFrame(buf[:0], m)
+		stream.Write(buf)
 	}
 	var scratch []byte
 	for i, want := range msgs {
@@ -220,17 +219,6 @@ func TestCorruptCountsRejectedBeforeAllocation(t *testing.T) {
 	payload[off], payload[off+1], payload[off+2], payload[off+3] = 0xFF, 0xFF, 0xFF, 0x7F
 	if _, err := decodeRaftPayload(payload); !errors.Is(err, errTruncated) {
 		t.Fatalf("absurd entry count: got %v, want ErrTruncated", err)
-	}
-}
-
-func TestBufferPoolReuse(t *testing.T) {
-	b := GetBuffer()
-	b.B = append(b.B, make([]byte, 4096)...)
-	b.Release()
-	b2 := GetBuffer()
-	defer b2.Release()
-	if len(b2.B) != 0 {
-		t.Fatal("pooled buffer not reset to empty")
 	}
 }
 
