@@ -277,14 +277,15 @@ test-scale:
 # FuzzPeerStep straight into Peer.Step at every point of a round) and of
 # FuzzNodeStep (forged messages of both layers into core.node.Step at
 # every point of a whole round), 15 s of real fuzzing each for the peer
-# and the node, and the chaos oracle's 20-seed deterministic sweep with
+# and the node (each new interesting input minimised for 1 s at most, so
+# the run keeps fuzzing instead of minimising), and the chaos oracle's 20-seed deterministic sweep with
 # the plain-mean sharpness contrast (DESIGN.md §11).
 test-byzantine:
 	$(GO) test -race ./internal/sac/ ./internal/core/ ./internal/fl/ ./internal/chaos/
 	$(GO) test -race -run 'Fuzz' ./internal/sac/
 	$(GO) test -race -run 'Fuzz' ./internal/core/
-	$(GO) test -run '^$$' -fuzz '^FuzzNodeStep$$' -fuzztime 15s ./internal/core/
-	$(GO) test -run '^$$' -fuzz '^FuzzPeerStep$$' -fuzztime 15s ./internal/sac/
+	$(GO) test -run '^$$' -fuzz '^FuzzNodeStep$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzPeerStep$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/sac/
 	$(GO) run -race ./cmd/p2pfl-chaos -track byzantine -seeds 20
 
 check: vet build test race chaos-smoke

@@ -175,7 +175,7 @@ func byzantineRound(c Campaign, rep *Report, led *ledger, rng *rand.Rand, round 
 	if cleanSys == nil || robustSys == nil || plainSys == nil {
 		return
 	}
-	cleanRes, err := cleanSys.AggregateRound(models, core.RoundSpec{Leaders: leaders, FedLeader: -1})
+	cleanRes, err := cleanSys.AggregateRound(models, core.RoundSpec{Leaders: leaders})
 	rep.Stats.SACRounds++
 	if err != nil {
 		led.violate(now, "byzantine-robust", tag+": clean baseline failed: "+err.Error())
@@ -186,7 +186,7 @@ func byzantineRound(c Campaign, rep *Report, led *ledger, rng *rand.Rand, round 
 			fmt.Sprintf("%s: clean baseline off plaintext mean by %g", tag, d))
 	}
 
-	spec := core.RoundSpec{Leaders: leaders, FedLeader: -1, Adversary: plans}
+	spec := core.RoundSpec{Leaders: leaders, Adversary: plans}
 	robustRes, err := robustSys.AggregateRound(models, spec)
 	rep.Stats.SACRounds++
 	if err != nil {

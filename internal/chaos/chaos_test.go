@@ -5,7 +5,12 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/sac"
+	"repro/internal/simnet"
 )
 
 // requireClean fails the test with the full violation list when a
@@ -224,5 +229,31 @@ func TestCommitBoundFires(t *testing.T) {
 	want := Violation{AtUs: 7, Invariant: "commit-bound", Detail: "group fed node 2 commit index 5 beyond last log index 3"}
 	if len(rep.Violations) != 1 || rep.Violations[0] != want {
 		t.Fatalf("violations %v, want [%v]", rep.Violations, want)
+	}
+}
+
+// TestLeaderlessFedAvgLayerIsALivenessViolation: the post-quiesce round
+// is led by the FedAvg layer's elected leader. Once the FedAvg leader of
+// a bootstrapped 3×3 cluster crashes and its subgroup has re-elected,
+// every subgroup has a leader but the FedAvg layer has none yet; the
+// round reports that as a liveness violation of its own and runs nothing.
+func TestLeaderlessFedAvgLayerIsALivenessViolation(t *testing.T) {
+	c := Campaign{Seed: 1}.normalize()
+	rep := &Report{Campaign: c}
+	sys := newCluster(c)
+	w := &twWorld{c: c, rep: rep, led: newLedger(rep), sys: sys, m: sys.NumSubgroups(), byz: make(map[int]sac.AdversaryPlan)}
+	if err := sys.Bootstrap(60 * simnet.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.CrashPeer(sys.FedAvgLeader()); err != nil {
+		t.Fatal(err)
+	}
+	sys.Sim.RunWhileNot(func() bool { return !slices.Contains(sys.RoundGeometry().Leaders, -1) }, sys.Sim.Now()+simnet.Time(10*simnet.Second))
+	if geo := sys.RoundGeometry(); slices.Contains(geo.Leaders, -1) || geo.FedLeader >= 0 {
+		t.Fatalf("geometry %+v: want every subgroup led and the FedAvg layer not", geo)
+	}
+	w.aggregationRound()
+	if len(rep.Violations) != 1 || rep.Violations[0].Invariant != "liveness" || !strings.Contains(rep.Violations[0].Detail, "FedAvg layer") || rep.Stats.SACRounds != 0 {
+		t.Fatalf("violations %v after %d rounds, want one FedAvg-layer liveness violation and no round", rep.Violations, rep.Stats.SACRounds)
 	}
 }

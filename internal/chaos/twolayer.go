@@ -541,6 +541,10 @@ func (w *twWorld) aggregationRound() {
 			return
 		}
 	}
+	if geo.FedLeader < 0 {
+		w.led.violate(now, "liveness", "FedAvg layer has no leader among the subgroups")
+		return
+	}
 	total := 0
 	for _, n := range geo.Sizes {
 		total += n

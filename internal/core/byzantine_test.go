@@ -69,7 +69,7 @@ func TestRobustRoundSurvivesWherePlainMeanBreaks(t *testing.T) {
 		0: {2: sac.ByzInflateSubtotal},
 		1: {4: sac.ByzPoisonScale},
 	}
-	spec := RoundSpec{Leaders: []int{0, 0}, FedLeader: -1, Adversary: plans}
+	spec := RoundSpec{Leaders: []int{0, 0}, Adversary: plans}
 
 	robustSys, err := NewSystem(Config{
 		Sizes: sizes, K: []int{k},
@@ -114,7 +114,7 @@ func TestEquivocatingLeaderDropsItsSubgroup(t *testing.T) {
 	sizes := []int{n, n, n}
 	models := byzTestModels(rand.New(rand.NewSource(22)), 3*n, dim, w)
 	plans := map[int]sac.AdversaryPlan{1: {2: sac.ByzEquivocate}}
-	spec := RoundSpec{Leaders: []int{0, 2, 0}, FedLeader: -1, Adversary: plans}
+	spec := RoundSpec{Leaders: []int{0, 2, 0}, Adversary: plans}
 
 	sys, err := NewSystem(Config{
 		Sizes: sizes, K: []int{k},
@@ -153,7 +153,7 @@ func TestRobustRoundDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := sys.AggregateRound(models, RoundSpec{
-			Leaders: []int{1, 1}, FedLeader: -1,
+			Leaders:   []int{1, 1},
 			Adversary: map[int]sac.AdversaryPlan{0: {0: sac.ByzCorruptShares}, 1: {3: sac.ByzZeroSubtotal}},
 		})
 		if err != nil {

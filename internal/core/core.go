@@ -305,8 +305,7 @@ var errNoSubgroups = errors.New("core: no subgroup completed SAC")
 
 // RoundSpec carries the per-round parameters of an aggregation. The zero
 // value is valid: uniform weighting, no crashes, leader 0 in every
-// subgroup, and subgroup 0's leader leading the FedAvg layer whenever
-// subgroup 0 participates.
+// subgroup, and subgroup 0's leader leading the FedAvg layer.
 type RoundSpec struct {
 	// SampleCounts[i] is peer i's n_k for FedAvg weighting (nil: uniform).
 	SampleCounts []float64
@@ -318,15 +317,15 @@ type RoundSpec struct {
 	// Adversary schedules Byzantine behaviors per subgroup index
 	// (peer indices local to the subgroup), parallel to Crash.
 	Adversary map[int]sac.AdversaryPlan
-	// FedLeader is the subgroup whose leader currently leads the FedAvg
-	// layer; −1 (or a non-participating subgroup) falls back to the
-	// first subgroup of RoundResult.Participated.
+	// FedLeader is the subgroup whose leader leads the FedAvg layer, as
+	// elected by the FedAvg layer's Raft group. It leads whether or not
+	// its own subgroup participates; a round whose FedAvg leader is down
+	// makes no global model and fails.
 	FedLeader int
 }
 
 // plan checks all of spec against the system and the models before the
-// round counts anything, and returns what every node of the round knows
-// but the FedAvg leader's subgroup.
+// round counts anything, and returns what every node of the round knows.
 func (s *System) plan(models [][]float64, spec RoundSpec) (*plan, error) {
 	n, m := s.cfg.NumPeers(), len(s.cfg.Sizes)
 	switch {
@@ -336,8 +335,10 @@ func (s *System) plan(models [][]float64, spec RoundSpec) (*plan, error) {
 		return nil, fmt.Errorf("core: %d sample counts for %d peers", len(spec.SampleCounts), n)
 	case spec.Leaders != nil && len(spec.Leaders) != m:
 		return nil, fmt.Errorf("core: %d leaders for %d subgroups", len(spec.Leaders), m)
+	case spec.FedLeader < 0 || spec.FedLeader >= m:
+		return nil, fmt.Errorf("core: FedAvg leader's subgroup %d out of [0,%d)", spec.FedLeader, m)
 	}
-	p := &plan{cfg: &s.cfg, dim: len(models[0]), counts: spec.SampleCounts, offsets: make([]int, m+1), leaders: make([]int, m), fed: -1}
+	p := &plan{cfg: &s.cfg, dim: len(models[0]), counts: spec.SampleCounts, offsets: make([]int, m+1), leaders: make([]int, m), fed: spec.FedLeader}
 	// A ragged model is the caller's error, not a failed subgroup SAC that
 	// the round would skip; so is a plan for a peer that is not there.
 	for i, model := range models {
@@ -385,11 +386,11 @@ func checkPlans[P ~map[int]V, V any](what string, plans map[int]P, sizes []int) 
 // It drives one node per peer through the whole round on one delivery
 // loop: every subgroup SAC, one after another, with sac.Schedule — the
 // one SAC schedule, which package sac's own Run runs too — stepping the
-// peers it lends the nodes; then the FedAvg layer, and under SecureUpper
-// the upper SAC among the participating leaders, collected by the
-// FedAvg leader. It decides what no single peer can — which subgroups
-// the FedAvg leader waits for (fraction p) and which peer leads the
-// FedAvg layer — and charges every message a node sends once, when it
+// peers it lends the nodes; then the FedAvg layer, led by spec's
+// FedLeader, and under SecureUpper the upper SAC among the participating
+// leaders and the FedAvg leader, which collects it. It decides what no
+// single peer can — which subgroups the FedAvg leader waits for
+// (fraction p) — and charges every message a node sends once, when it
 // is queued.
 func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResult, error) {
 	p, err := s.plan(models, spec)
@@ -462,12 +463,6 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 		s.tel.subgroupsExcluded.Add(int64(excluded))
 	}
 
-	// The FedAvg layer is led by the Raft-elected leader when it
-	// participates, otherwise by the first participant's leader.
-	p.fed = participate[0]
-	if spec.FedLeader >= 0 && slices.Contains(participate, spec.FedLeader) {
-		p.fed = spec.FedLeader
-	}
 	if s.cfg.Aggregator == nil {
 		s.global = fit(s.global, p.dim)
 	}
@@ -482,21 +477,30 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 	if err := l.settle(s.tel.msgsInvalid); err != nil {
 		return nil, err
 	}
-	if s.cfg.SecureUpper && len(participate) > 1 {
+	if upper := participate; s.cfg.SecureUpper && !slices.Equal(upper, []int{p.fed}) {
 		// The upper SAC: the participating leaders contribute their
-		// count·avg in participation order, and the FedAvg leader collects.
-		members, models := make([]int, len(participate)), make([][]float64, len(participate))
-		for i, g := range participate {
-			members[i], models[i] = p.leaders[g], l.nodes[p.leaders[g]].upper
+		// count·avg in participation order, and the FedAvg leader collects,
+		// last and with a zero input when its subgroup does not participate.
+		if !slices.Contains(upper, p.fed) {
+			upper = append(slices.Clip(upper), p.fed)
+			s.uppers[p.fed] = fit(s.uppers[p.fed], p.dim)
+			clear(s.uppers[p.fed])
+		}
+		members, models := make([]int, len(upper)), make([][]float64, len(upper))
+		for i, g := range upper {
+			members[i], models[i] = p.leaders[g], s.uppers[g]
 		}
 		cfg := s.sacConfig(len(models), s.rng)
-		cfg.Leader = slices.Index(participate, p.fed)
+		cfg.Leader = slices.Index(upper, p.fed)
 		if _, err := l.schedule(members, true, cfg, models, nil, s.global); err != nil {
 			return nil, fmt.Errorf("core: secure upper layer: %w", err)
 		}
 		if err := l.settle(s.tel.msgsInvalid); err != nil {
 			return nil, err
 		}
+	}
+	if fed.global == nil {
+		return nil, fmt.Errorf("core: FedAvg leader %d is down", fed.id)
 	}
 	res.Global, res.GlobalBound = fed.global, fed.bound
 	res.Bytes = s.counter.TotalBytes() - before

@@ -64,8 +64,7 @@ func roundLine(res *RoundResult, c *transport.Counter, reg *telemetry.Registry) 
 }
 
 // foldStep is one round of a pinned run, optionally preceded by a
-// Reconfigure. spec is the round's RoundSpec but for SampleCounts; a step
-// that names no Leaders runs with FedLeader −1, as System.Aggregate did.
+// Reconfigure. spec is the round's RoundSpec but for SampleCounts.
 type foldStep struct {
 	sizes, k []int
 	spec     RoundSpec
@@ -100,7 +99,10 @@ func TestFoldedEntryPointsReplayParentRounds(t *testing.T) {
 		}},
 		{"fraction", Config{Sizes: []int{3, 3, 3, 3}, Fraction: 0.5}, []foldStep{
 			{want: "53bc79d5fcc7c92e 8448 fedavg/broadcast=1536/8 fedavg/download=576/3 fedavg/upload=192/1 sac/share=4608/24 sac/subtotal=1536/8 | p[3 0] b[] x[] e0000000000000000 | round/byzantine_subgroups=0 round/completed=1 round/sac_failed=0 round/started=1 round/subgroups_excluded=2 round/subgroups_ok=4 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=4 sac/rounds_started=4 sac/shares_sent=24 sac/subtotals_recovered=0 sac/subtotals_sent=8"},
-			{want: "f94ec08f96ae79a0 8448 fedavg/broadcast=3072/16 fedavg/download=1152/6 fedavg/upload=384/2 sac/share=9216/48 sac/subtotal=3072/16 | p[3 1] b[] x[] e0000000000000000 | round/byzantine_subgroups=0 round/completed=2 round/sac_failed=0 round/started=2 round/subgroups_excluded=4 round/subgroups_ok=8 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=8 sac/rounds_started=8 sac/shares_sent=48 sac/subtotals_recovered=0 sac/subtotals_sent=16"},
+			// Subgroup 0 leads the FedAvg layer without participating, so
+			// both participants' uploads are charged: one more than when
+			// the first participant led (8,448 B), the same global bits.
+			{want: "f94ec08f96ae79a0 8640 fedavg/broadcast=3072/16 fedavg/download=1152/6 fedavg/upload=576/3 sac/share=9216/48 sac/subtotal=3072/16 | p[3 1] b[] x[] e0000000000000000 | round/byzantine_subgroups=0 round/completed=2 round/sac_failed=0 round/started=2 round/subgroups_excluded=4 round/subgroups_ok=8 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=8 sac/rounds_started=8 sac/shares_sent=48 sac/subtotals_recovered=0 sac/subtotals_sent=16"},
 		}},
 		{"secure upper", Config{Sizes: []int{3, 3, 4}, SecureUpper: true}, []foldStep{
 			{want: "6b30969b6c1cdb3f 9216 fedavg/broadcast=1344/7 fedavg/download=384/2 sac/share=5760/30 sac/subtotal=1728/9 | p[0 1 2] b[] x[] e0000000000000000 | round/byzantine_subgroups=0 round/completed=1 round/sac_failed=0 round/started=1 round/subgroups_excluded=0 round/subgroups_ok=3 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=4 sac/rounds_started=4 sac/shares_sent=30 sac/subtotals_recovered=0 sac/subtotals_sent=9"},
@@ -108,7 +110,10 @@ func TestFoldedEntryPointsReplayParentRounds(t *testing.T) {
 		}},
 		{"compression", Config{Sizes: []int{3, 3, 4}, Fraction: 0.67, Compression: compress.Config{Scheme: compress.TopKQuant8, Frac: 0.25}}, []foldStep{
 			{want: "a3df7a2ab01401c6 6422 fedavg/broadcast=329/7 fedavg/download=94/2 fedavg/upload=47/1 sac/share=4608/24 sac/subtotal=1344/7 | p[0 1] b[] x[] e3fd4c8cb2816862a | round/byzantine_subgroups=0 round/completed=1 round/sac_failed=0 round/started=1 round/subgroups_excluded=1 round/subgroups_ok=3 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=3 sac/rounds_started=3 sac/shares_sent=24 sac/subtotals_recovered=0 sac/subtotals_sent=7"},
-			{want: "1d828af661b5655d 6422 fedavg/broadcast=658/14 fedavg/download=188/4 fedavg/upload=94/2 sac/share=9216/48 sac/subtotal=2688/14 | p[2 0] b[] x[] e3fdd9dae5db0e3cb | round/byzantine_subgroups=0 round/completed=2 round/sac_failed=0 round/started=2 round/subgroups_excluded=2 round/subgroups_ok=6 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=6 sac/rounds_started=6 sac/shares_sent=48 sac/subtotals_recovered=0 sac/subtotals_sent=14"},
+			// Subgroup 0 leads the FedAvg layer, so its own upload, not
+			// subgroup 2's, is the one that crosses no wire uncompressed:
+			// same bytes as when the first participant led, other bits.
+			{want: "7a8b154df14ac330 6422 fedavg/broadcast=658/14 fedavg/download=188/4 fedavg/upload=94/2 sac/share=9216/48 sac/subtotal=2688/14 | p[2 0] b[] x[] e3fdb329964be5f65 | round/byzantine_subgroups=0 round/completed=2 round/sac_failed=0 round/started=2 round/subgroups_excluded=2 round/subgroups_ok=6 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=6 sac/rounds_started=6 sac/shares_sent=48 sac/subtotals_recovered=0 sac/subtotals_sent=14"},
 		}},
 		{"fed leader not first", Config{Sizes: []int{3, 3, 4}, Compression: compress.Config{Scheme: compress.TopK, Frac: 0.25}}, []foldStep{
 			{spec: RoundSpec{Leaders: []int{1, 2, 3}, FedLeader: 2}, want: "08a37aa4dcb3cb97 6843 fedavg/broadcast=567/7 fedavg/download=162/2 fedavg/upload=162/2 sac/share=4608/24 sac/subtotal=1344/7 | p[0 1 2] b[] x[] e3fd14e08b3199dce | round/byzantine_subgroups=0 round/completed=1 round/sac_failed=0 round/started=1 round/subgroups_excluded=0 round/subgroups_ok=3 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=3 sac/rounds_started=3 sac/shares_sent=24 sac/subtotals_recovered=0 sac/subtotals_sent=7"},
@@ -121,7 +126,10 @@ func TestFoldedEntryPointsReplayParentRounds(t *testing.T) {
 		}},
 		{"secure upper fraction", Config{Sizes: []int{3, 3, 3, 4}, Fraction: 0.67, SecureUpper: true}, []foldStep{
 			{want: "1890b13894e74b50 11328 fedavg/broadcast=1728/9 fedavg/download=576/3 sac/share=6912/36 sac/subtotal=2112/11 | p[3 0 2] b[] x[] e0000000000000000 | round/byzantine_subgroups=0 round/completed=1 round/sac_failed=0 round/started=1 round/subgroups_excluded=1 round/subgroups_ok=4 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=5 sac/rounds_started=5 sac/shares_sent=36 sac/subtotals_recovered=0 sac/subtotals_sent=11"},
-			{want: "56224411e40a8784 11328 fedavg/broadcast=3456/18 fedavg/download=1152/6 sac/share=13824/72 sac/subtotal=4224/22 | p[2 3 1] b[] x[] e0000000000000000 | round/byzantine_subgroups=0 round/completed=2 round/sac_failed=0 round/started=2 round/subgroups_excluded=2 round/subgroups_ok=8 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=10 sac/rounds_started=10 sac/shares_sent=72 sac/subtotals_recovered=0 sac/subtotals_sent=22"},
+			// Subgroup 0 leads the FedAvg layer without participating: it
+			// collects the upper SAC with a zero input, which has four
+			// members, 15·192 B where three cost 8·192 (11,328 B).
+			{want: "e553bd362d7670a3 12672 fedavg/broadcast=3456/18 fedavg/download=1152/6 sac/share=14976/78 sac/subtotal=4416/23 | p[2 3 1] b[] x[] e0000000000000000 | round/byzantine_subgroups=0 round/completed=2 round/sac_failed=0 round/started=2 round/subgroups_excluded=2 round/subgroups_ok=8 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=10 sac/rounds_started=10 sac/shares_sent=78 sac/subtotals_recovered=0 sac/subtotals_sent=23"},
 		}},
 		{"compression crash", Config{Sizes: []int{3, 3, 4}, K: []int{2}, Compression: compress.Config{Scheme: compress.Quant8}}, []foldStep{
 			{spec: RoundSpec{Crash: map[int]sac.CrashPlan{2: {1: sac.AfterShares}}}, want: "3d134b27f3735589 12503 fedavg/broadcast=259/7 fedavg/download=74/2 fedavg/upload=74/2 sac/share=11520/60 sac/subtotal=576/3 | p[0 1 2] b[] x[] e3f6592b0def75685 | round/byzantine_subgroups=0 round/completed=1 round/sac_failed=0 round/started=1 round/subgroups_excluded=0 round/subgroups_ok=3 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=1 sac/rounds_failed=0 sac/rounds_ok=3 sac/rounds_started=3 sac/shares_sent=60 sac/subtotals_recovered=0 sac/subtotals_sent=3"},
@@ -145,7 +153,10 @@ func TestFoldedEntryPointsReplayParentRounds(t *testing.T) {
 			// Subgroup 0's leader crashes: its SAC fails, and it stays down
 			// for the rest of the round, so the download sent to it is
 			// charged and dropped and it relays nothing to its followers.
-			{spec: RoundSpec{Crash: map[int]sac.CrashPlan{0: {0: sac.AfterShares}}}, want: "698680f375338a7e 9024 fedavg/broadcast=1920/10 fedavg/download=768/4 sac/recovery=192/1 sac/recovery-req=8/1 sac/share=15360/80 sac/subtotal=1344/7 | p[1 2] b[] x[] e0000000000000000 | round/byzantine_subgroups=0 round/completed=2 round/sac_failed=1 round/started=2 round/subgroups_excluded=0 round/subgroups_ok=5 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=2 sac/rounds_failed=1 sac/rounds_ok=7 sac/rounds_started=8 sac/shares_sent=80 sac/subtotals_recovered=1 sac/subtotals_sent=7"},
+			// Subgroup 1 leads the FedAvg layer, as the first participant
+			// did when this line was taken; a crashed FedAvg leader fails
+			// the round (TestFedAvgLeaderDownFailsTheRound).
+			{spec: RoundSpec{Crash: map[int]sac.CrashPlan{0: {0: sac.AfterShares}}, FedLeader: 1}, want: "698680f375338a7e 9024 fedavg/broadcast=1920/10 fedavg/download=768/4 sac/recovery=192/1 sac/recovery-req=8/1 sac/share=15360/80 sac/subtotal=1344/7 | p[1 2] b[] x[] e0000000000000000 | round/byzantine_subgroups=0 round/completed=2 round/sac_failed=1 round/started=2 round/subgroups_excluded=0 round/subgroups_ok=5 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=2 sac/rounds_failed=1 sac/rounds_ok=7 sac/rounds_started=8 sac/shares_sent=80 sac/subtotals_recovered=1 sac/subtotals_sent=7"},
 		}},
 	}
 	for _, tc := range cases {
@@ -171,9 +182,6 @@ func TestFoldedEntryPointsReplayParentRounds(t *testing.T) {
 				}
 				spec := st.spec
 				spec.SampleCounts = counts
-				if spec.Leaders == nil {
-					spec.FedLeader = -1
-				}
 				res, err := sys.AggregateRound(randModels(r, n, 24), spec)
 				if err != nil {
 					t.Fatal(err)

@@ -41,10 +41,10 @@ func (m message) Bytes() int64 {
 	return int64(8 * len(m.Model))
 }
 
-// plan is what every node of a round knows. Subgroup g is peers
-// offsets[g] ≤ i < offsets[g+1], led by peer leaders[g]; fed is the
-// subgroup whose leader leads the FedAvg layer, −1 until the subgroup
-// SACs have run.
+// plan is what every node of a round knows from its start. Subgroup g is
+// peers offsets[g] ≤ i < offsets[g+1], led by peer leaders[g]; fed is the
+// subgroup whose leader leads the FedAvg layer, whether or not fed
+// participates.
 type plan struct {
 	cfg              *Config
 	dim              int
@@ -62,13 +62,15 @@ func (p *plan) group(i int) int { return sort.SearchInts(p.offsets, i+1) - 1 }
 // the uploads and sends the global model down to the other subgroup
 // leaders, and each broadcasts it to its subgroup. Under SecureUpper
 // each participating leader also takes part in the upper SAC, whose
-// collector is the FedAvg leader. Like sac.Peer it is Begin, then Step
+// collector is the FedAvg leader, in it with a zero input when its own
+// subgroup does not participate. Like sac.Peer it is Begin, then Step
 // per received message, with what it wants sent — its peers' messages
-// included — read from Ready; it does no IO. What one peer cannot know
+// included — read from Ready; it does no IO. Every node knows from Begin
+// who leads its subgroup and the FedAvg layer; what one peer cannot know
 // comes from the driver (System.AggregateRound): the SAC schedule steps
 // the peers it lends (join, leave), and the FedAvg layer's inputs are
-// the plan, the FedAvg leader's participation set (Lead) and whom it
-// asks to Upload.
+// the FedAvg leader's participation set (Lead) and whom it asks to
+// Upload.
 type node struct {
 	id, g int
 	p     *plan
@@ -219,18 +221,17 @@ func (n *node) Upload(upper []float64, block *compress.Delta) {
 
 // Step hands n a message it received. A sac/* message goes to n's peer
 // in the SAC it names, translated to that SAC's indices, and is counted
-// invalid when n has none there. Of the FedAvg layer's, once the SACs
-// have run, it takes — once each and of the round's model size — an
-// upload at the FedAvg leader from the leader of a participating
-// subgroup, the global model at a subgroup leader from the FedAvg
-// leader, and at a follower from its subgroup's leader. Anything else is
-// discarded.
+// invalid when n has none there. Of the FedAvg layer's it takes — once
+// each and of the round's model size — an upload at the FedAvg leader,
+// once Lead has named the participants, from the leader of a
+// participating subgroup, the global model at a subgroup leader from the
+// FedAvg leader, and at a follower from its subgroup's leader. Anything
+// else is discarded.
 func (n *node) Step(m message) {
 	p := n.p
 	switch {
 	case m.Kind != KindUpload && m.Kind != KindDownload && m.Kind != KindBroadcast:
 		n.stepSAC(m)
-	case p.fed < 0:
 	case m.Kind == KindUpload:
 		n.upload(m)
 	case m.From == n.id || n.global != nil || len(m.Model) != p.dim:
@@ -276,7 +277,8 @@ func (n *node) upload(m message) {
 
 // aggregate combines the uploads once the last has arrived, with
 // Config.Aggregator; under SecureUpper it scales its own input when it
-// is the only participant, and otherwise waits for its upper peer.
+// is the only participant, and otherwise — also when it did not upload —
+// waits for its upper peer.
 func (n *node) aggregate() {
 	for _, w := range n.weights {
 		n.total += w
@@ -285,7 +287,7 @@ func (n *node) aggregate() {
 	switch secure := n.p.cfg.SecureUpper; {
 	case secure && n.total == 0:
 		n.err = errors.New("core: secure upper layer: zero total sample count")
-	case secure && len(n.weights) > 1:
+	case secure && (len(n.weights) > 1 || n.upper == nil):
 		return // the upper SAC brings the average
 	case secure: // the only participant: nothing to hide, nothing to exchange
 		global = n.out

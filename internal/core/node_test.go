@@ -63,11 +63,10 @@ func (h *handRound) secure(members []int, upper bool, cfg sac.Config, models [][
 }
 
 // round runs every live subgroup's SAC, n-out-of-n with its leader
-// collecting, then the FedAvg layer over participate, led by subgroup
+// collecting, then the FedAvg layer over participate, led by the plan's
 // fed. It returns the FedAvg leader.
-func (h *handRound) round(models [][]float64, participate []int, fed int) (*node, error) {
+func (h *handRound) round(models [][]float64, participate []int) (*node, error) {
 	p := h.p
-	p.fed = -1
 	h.begin(p)
 	for g, leader := range p.leaders {
 		lo, hi := p.offsets[g], p.offsets[g+1]
@@ -77,8 +76,7 @@ func (h *handRound) round(models [][]float64, participate []int, fed int) (*node
 		}
 		h.at()
 	}
-	p.fed = fed
-	leader := &h.nodes[p.leaders[fed]]
+	leader := &h.nodes[p.leaders[p.fed]]
 	leader.Lead(participate, make([][]float64, len(p.leaders)), make([]float64, p.dim), new(compress.Delta))
 	for _, g := range participate {
 		h.nodes[p.leaders[g]].Upload(make([]float64, p.dim), new(compress.Delta))
@@ -87,12 +85,19 @@ func (h *handRound) round(models [][]float64, participate []int, fed int) (*node
 		}
 		h.at()
 	}
-	if p.cfg.SecureUpper && len(participate) > 1 && leader.err == nil && leader.global == nil {
-		members, inputs := make([]int, len(participate)), make([][]float64, len(participate))
-		for i, g := range participate {
-			members[i], inputs[i] = p.leaders[g], h.nodes[p.leaders[g]].upper
+	if p.cfg.SecureUpper && leader.err == nil && leader.global == nil {
+		upper := participate
+		if !slices.Contains(upper, p.fed) {
+			upper = append(slices.Clip(upper), p.fed)
 		}
-		cfg := sac.Config{N: len(inputs), K: len(inputs), Leader: slices.Index(participate, fed), Mode: sac.ModeLeader, Rng: rand.New(rand.NewSource(99))}
+		members, inputs := make([]int, len(upper)), make([][]float64, len(upper))
+		for i, g := range upper {
+			members[i], inputs[i] = p.leaders[g], h.nodes[p.leaders[g]].upper
+			if inputs[i] == nil {
+				inputs[i] = make([]float64, p.dim) // the FedAvg leader's, which did not upload
+			}
+		}
+		cfg := sac.Config{N: len(inputs), K: len(inputs), Leader: slices.Index(upper, p.fed), Mode: sac.ModeLeader, Rng: rand.New(rand.NewSource(99))}
 		if err := h.secure(members, true, cfg, inputs); err != nil {
 			return leader, err
 		}
@@ -142,8 +147,9 @@ func allocated() uint64 {
 var nodeKinds = []string{KindUpload, KindDownload, KindBroadcast, sac.KindShare, sac.KindSubtotal,
 	sac.KindRecoveryReq, sac.KindRecovery, "sac/accuse", ""}
 
-// FuzzNodeStep is FuzzPeerStep for the whole round node. Forged messages
-// are handed to the nodes at every point of a round — before each
+// FuzzNodeStep is FuzzPeerStep for the whole round node, in rounds
+// whose FedAvg leader's subgroup may or may not participate. Forged
+// messages are handed to the nodes at every point of a round — before each
 // delivery of every SAC, after each SAC, after each upload, and once the
 // global model is out — from any peer or from no peer at all, of any
 // kind, naming either SAC and any share index, with dense payloads or
@@ -156,8 +162,8 @@ var nodeKinds = []string{KindUpload, KindDownload, KindBroadcast, sac.KindShare,
 // sac/* message for a SAC the node holds no peer in — one that has
 // ended, or that it is not in — is counted invalid and answers nothing,
 // least of all from the subtotals of the peer another subgroup now
-// holds. When every injection was discarded, the global model is
-// bit-identical to an undisturbed round's.
+// holds. When every injection was discarded, every node's global model
+// is bit-identical to an undisturbed round's.
 func FuzzNodeStep(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(2), []byte{0, 1, 0, 3, 0, 1, 0})
 	f.Add(int64(2), uint8(4), uint8(3), []byte{3, 0, 0, 3, 1, 2, 0, 4, 2, 1, 3, 0, 0, 1, 6, 5, 2, 3, 0, 0, 2})
@@ -165,16 +171,43 @@ func FuzzNodeStep(f *testing.F) {
 	f.Add(int64(4), uint8(1), uint8(0), []byte{})
 	f.Add(int64(5), uint8(3), uint8(7), []byte{2, 0, 0, 3, 2, 9, 1, 130, 5, 0, 250, 1, 1, 130, 3, 3, 2, 3, 0, 4, 3})
 	f.Add(int64(6), uint8(4), uint8(9), []byte{0, 3, 1, 3, 0, 0, 0, 1, 9, 2, 3, 0, 0, 0, 12, 2, 0, 3, 0, 0, 0})
-	// Found by fuzzing mutants: an upload from a follower, a second upload
-	// from one leader, a broadcast from nobody.
+	// Kept as corpus: none of these three catches a mutant of node.upload
+	// or node.Step; the seeds below do.
 	f.Add(int64(15), uint8(2), uint8(5), []byte("012B000"))
 	f.Add(int64(36), uint8(1), uint8(7), []byte("1020000"))
 	f.Add(int64(-123), uint8(1), uint8(1), []byte("0000000A9B00\x00\x00"))
+	// Two subgroups, the FedAvg leader peer 3: between the two
+	// participants' uploads, an upload of the round's size from peer 1, a
+	// follower of the participant that has not uploaded yet (a
+	// node.upload that skips the leader check takes it).
+	f.Add(int64(4), uint8(1), uint8(0), []byte{2, 3, 0, 3, 0, 16, 0})
+	// At the same point: an upload from no peer, and plain, quantized and
+	// sparse uploads of two weights from peer 0, that participant's leader.
+	f.Add(int64(4), uint8(1), uint8(0), []byte{0, 3, 0, 3, 0, 16, 0})
+	f.Add(int64(4), uint8(1), uint8(0), []byte{1, 3, 0, 2, 0, 16, 0})
+	f.Add(int64(4), uint8(1), uint8(0), []byte{1, 3, 0, 2, 1, 16, 0})
+	f.Add(int64(4), uint8(1), uint8(0), []byte{1, 3, 0, 2, 2, 16, 0})
+	// The same round: from the FedAvg leader before the SACs, a download
+	// of the wrong size to peer 0, the other subgroup's leader, and one of
+	// the right size to its follower, peer 1; once the round is over, a
+	// second global model to peer 0.
+	f.Add(int64(4), uint8(1), uint8(0), []byte{4, 0, 1, 2, 0, 0, 0})
+	f.Add(int64(4), uint8(1), uint8(0), []byte{4, 1, 1, 3, 0, 0, 0})
+	f.Add(int64(4), uint8(1), uint8(0), []byte{4, 0, 1, 3, 0, 255, 0})
+	// Three subgroups, the FedAvg leader peer 4: a second upload from peer
+	// 0, the leader of the participant that has uploaded already.
+	f.Add(int64(9), uint8(2), uint8(0), []byte{1, 4, 0, 3, 0, 30, 0})
 	// At the end of the round, in one subgroup of three led by peer 0, a
 	// subtotal from peer 1 to its leader and a recovery request from the
 	// leader to peer 2: the SAC has ended, so both are invalid and neither
 	// is answered.
 	f.Add(int64(7), uint8(0), uint8(0), []byte{2, 0, 4, 3, 0, 255, 2, 1, 2, 5, 1, 0, 255, 1})
+	// A FedAvg leader whose subgroup does not participate (the mode's top
+	// bit), under SecureUpper with two participants and with one, and
+	// under top-k.
+	f.Add(int64(1), uint8(2), uint8(131), []byte{})
+	f.Add(int64(1), uint8(1), uint8(131), []byte{})
+	f.Add(int64(1), uint8(2), uint8(129), []byte{})
 	// Shares, subtotals and recovery requests inside the SACs.
 	f.Add(int64(8), uint8(2), uint8(3), []byte{1, 0, 3, 6, 0, 1, 0, 0, 1, 6, 6, 0, 3, 1, 0, 2, 5, 1, 0, 5, 2, 3, 4, 7, 0, 3, 129, 1})
 	f.Fuzz(func(t *testing.T, seed int64, mRaw, modeRaw uint8, raw []byte) {
@@ -201,7 +234,10 @@ func FuzzNodeStep(f *testing.F) {
 		n := p.offsets[m]
 		rng.Shuffle(m, func(a, b int) { subs[a], subs[b] = subs[b], subs[a] })
 		participate := subs[:1+rng.Intn(m)]
-		fedSub := participate[rng.Intn(len(participate))]
+		p.fed = participate[rng.Intn(len(participate))]
+		if modeRaw >= 128 && len(participate) < m {
+			p.fed = subs[m-1] // a FedAvg leader whose subgroup does not participate
+		}
 		models := make([][]float64, n)
 		for i := range models {
 			models[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
@@ -254,7 +290,7 @@ func FuzzNodeStep(f *testing.F) {
 			injected++
 		}
 
-		run := func(forged bool) (*node, int) {
+		run := func(forged bool) (*handRound, *node, int) {
 			var h *handRound
 			point, rejected := 0, 0
 			step := func(msgs []message) {
@@ -270,16 +306,19 @@ func FuzzNodeStep(f *testing.F) {
 					case sacKind && !running && (invalid != 1 || sent != 0):
 						t.Fatalf("node %d is in no running SAC that %+v names, yet %d messages were invalid and %d sent", msg.To, msg, invalid, sent)
 					case to.waiting != waiting:
-						// Taken: it is the first upload of a participant's leader.
+						// Taken: it is the first upload of a participant's leader, and
+						// every model the FedAvg leader holds is of the round's size.
 						g := p.group(msg.From)
 						if msg.Kind != KindUpload || g < 0 || g >= m || msg.From != p.leaders[g] ||
-							!slices.Contains(participate, g) || msg.To != p.leaders[p.fed] || to.waiting != waiting-1 {
+							!slices.Contains(participate, g) || msg.To != p.leaders[p.fed] || to.waiting != waiting-1 ||
+							slices.ContainsFunc(to.models, func(v []float64) bool { return v != nil && len(v) != dim }) {
 							t.Fatalf("the FedAvg leader took %+v", msg)
 						}
 					case global == nil && to.global != nil && !sacKind:
-						// Taken: the global model, from the one peer that may send it here.
+						// Taken: the global model, of the round's size, from the one
+						// peer that may send it here.
 						g := p.group(msg.To)
-						if msg.From < 0 || msg.From == msg.To || !(msg.Kind == KindBroadcast && msg.From == p.leaders[g] ||
+						if msg.From < 0 || msg.From == msg.To || len(to.global) != dim || !(msg.Kind == KindBroadcast && msg.From == p.leaders[g] ||
 							msg.Kind == KindDownload && msg.From == p.leaders[p.fed] && msg.To == p.leaders[g]) {
 							t.Fatalf("node %d took %+v", msg.To, msg)
 						}
@@ -302,7 +341,7 @@ func FuzzNodeStep(f *testing.F) {
 				}
 				point++
 			})
-			fed, err := h.round(models, participate, fedSub)
+			fed, err := h.round(models, participate)
 			if forged {
 				for ; point < len(inject); point++ {
 					step(inject[point]) // the points past the round's last are its end
@@ -311,20 +350,22 @@ func FuzzNodeStep(f *testing.F) {
 			if err == nil && fed.waiting < 0 {
 				t.Fatalf("the FedAvg leader took %d uploads more than it waits for", -fed.waiting)
 			}
-			return fed, rejected
+			return h, fed, rejected
 		}
-		want, _ := run(false)
+		undisturbed, want, _ := run(false)
 		if want.global == nil {
 			t.Fatalf("the undisturbed round has no global model (err %v)", want.err)
 		}
-		got, rejected := run(true)
+		h, got, rejected := run(true)
 		if got == nil || rejected < injected {
 			return // something was well-formed enough to be taken, or to fail a SAC
 		}
-		if got.global == nil || !slices.EqualFunc(got.global, want.global, func(a, b float64) bool {
-			return math.Float64bits(a) == math.Float64bits(b)
-		}) {
-			t.Fatalf("every injection was invalid, yet the global model is %v (err %v), undisturbed %v", got.global, got.err, want.global)
+		for i := range h.nodes {
+			if !slices.EqualFunc(h.nodes[i].global, undisturbed.nodes[i].global, func(a, b float64) bool {
+				return math.Float64bits(a) == math.Float64bits(b)
+			}) {
+				t.Fatalf("every injection was invalid, yet node %d holds %v (FedAvg leader's err %v), undisturbed %v", i, h.nodes[i].global, got.err, undisturbed.nodes[i].global)
+			}
 		}
 	})
 }

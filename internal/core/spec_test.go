@@ -28,6 +28,8 @@ func TestRejectedSpecCountsNothing(t *testing.T) {
 		{"leader count", models(), RoundSpec{Leaders: []int{0, 0}}},
 		{"leader out of its subgroup", models(), RoundSpec{Leaders: []int{0, 3, 0}}},
 		{"negative leader", models(), RoundSpec{Leaders: []int{-1, 0, 0}}},
+		{"negative FedAvg leader", models(), RoundSpec{FedLeader: -1}},
+		{"FedAvg leader of no subgroup", models(), RoundSpec{FedLeader: 3}},
 		{"crash plan for no subgroup", models(), RoundSpec{Crash: map[int]sac.CrashPlan{3: {0: sac.AfterShares}}}},
 		{"crash plan for a peer out of its subgroup", models(), RoundSpec{Crash: map[int]sac.CrashPlan{2: {2: sac.AfterShares}}}},
 		{"adversary plan for no subgroup", models(), RoundSpec{Adversary: map[int]sac.AdversaryPlan{-1: {0: sac.ByzPoisonScale}}}},

@@ -211,7 +211,7 @@ func RunTraining(cfg TrainerConfig) (*Series, error) {
 		if cfg.Baseline {
 			res, err = sys.BaselineAggregate(models)
 		} else {
-			res, err = sys.AggregateRound(models, RoundSpec{SampleCounts: counts, FedLeader: -1})
+			res, err = sys.AggregateRound(models, RoundSpec{SampleCounts: counts})
 		}
 		if err != nil {
 			return nil, err

@@ -171,7 +171,7 @@ func TestLeaderPositionDoesNotChangeResult(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sys.AggregateRound(models, core.RoundSpec{Leaders: leaders, FedLeader: -1})
+		res, err := sys.AggregateRound(models, core.RoundSpec{Leaders: leaders})
 		if err != nil {
 			t.Fatal(err)
 		}
