@@ -169,17 +169,22 @@ func TestOneRoadForMembershipChange(t *testing.T) {
 // driver charges a byte. What a peer or node wants done leaves through
 // Ready, and its driver, in a file of its own, does it.
 // A retired input stays retired: core.node's files never name RoundSpec,
-// and the FedAvg leader is fixed when the round begins — in any non-test
-// file of internal/core, the plan literal in core.go's System.plan is the
-// one writer of a fed field, and nothing assigns one after it.
+// Fraction or Perm, so the FedAvg leader picks its participants from what
+// arrives, and the FedAvg leader and how many uploads it wants are fixed
+// when the round begins — in any non-test file of internal/core, the
+// plan literal in core.go's System.plan is the one writer of a fed and
+// of a want field, and nothing assigns one after it.
 func TestRoundNodesAreSansIO(t *testing.T) {
 	bannedImports := map[string]bool{"time": true, "sync": true, "net": true, "os": true}
 	bannedSelectors := map[string]bool{"Send": true, "Drain": true, "Crash": true, "Alive": true, "Recycle": true, "Record": true}
-	for _, machine := range []struct{ dir, typ, driver, never, planned string }{
-		{"internal/sac", "Peer", "sac.go", "", ""},
-		{"internal/core", "node", "core.go", "RoundSpec", "fed"},
+	for _, machine := range []struct {
+		dir, typ, driver string
+		never, planned   []string
+	}{
+		{"internal/sac", "Peer", "sac.go", nil, nil},
+		{"internal/core", "node", "core.go", []string{"RoundSpec", "Fraction", "Perm"}, []string{"fed", "want"}},
 	} {
-		planners := 0
+		planners := map[string]int{}
 		name := filepath.Base(machine.dir) + "." + machine.typ
 		paths, err := filepath.Glob(machine.dir + "/*.go")
 		if err != nil {
@@ -201,16 +206,16 @@ func TestRoundNodesAreSansIO(t *testing.T) {
 					switch n := n.(type) {
 					case *ast.AssignStmt:
 						for _, lhs := range n.Lhs {
-							if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == machine.planned {
-								t.Errorf("%s assigns .%s; the round's plan fixes it when the round begins", fset.Position(n.Pos()), machine.planned)
+							if sel, ok := lhs.(*ast.SelectorExpr); ok && slices.Contains(machine.planned, sel.Sel.Name) {
+								t.Errorf("%s assigns .%s; the round's plan fixes it when the round begins", fset.Position(n.Pos()), sel.Sel.Name)
 							}
 						}
 					case *ast.KeyValueExpr:
-						if key, ok := n.Key.(*ast.Ident); ok && key.Name == machine.planned {
+						if key, ok := n.Key.(*ast.Ident); ok && slices.Contains(machine.planned, key.Name) {
 							if fd == nil || fd.Name.Name != "plan" || filepath.Base(path) != machine.driver {
-								t.Errorf("%s writes %s outside System.plan's literal", fset.Position(n.Pos()), machine.planned)
+								t.Errorf("%s writes %s outside System.plan's literal", fset.Position(n.Pos()), key.Name)
 							}
-							planners++
+							planners[key.Name]++
 						}
 					}
 					return true
@@ -247,15 +252,17 @@ func TestRoundNodesAreSansIO(t *testing.T) {
 						t.Errorf("%s: %s's file selects .%s; only the driver touches a network or a traffic counter", fset.Position(n.Pos()), name, n.Sel.Name)
 					}
 				case *ast.Ident:
-					if n.Name == machine.never {
+					if slices.Contains(machine.never, n.Name) {
 						t.Errorf("%s: %s's file names %s, an input only AggregateRound reads", fset.Position(n.Pos()), name, n.Name)
 					}
 				}
 				return true
 			})
 		}
-		if machine.planned != "" && planners != 1 {
-			t.Errorf("%s has %d writers of %s in plan literals; want System.plan's alone", machine.dir, planners, machine.planned)
+		for _, field := range machine.planned {
+			if planners[field] != 1 {
+				t.Errorf("%s has %d writers of %s in plan literals; want System.plan's alone", machine.dir, planners[field], field)
+			}
 		}
 		if len(files) == 0 || slices.Contains(files, filepath.Join(machine.dir, machine.driver)) {
 			t.Fatalf("%s is declared in %v; the guard wants it found, and apart from the driver in %s", name, files, machine.driver)

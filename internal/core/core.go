@@ -7,7 +7,9 @@
 // leader computes the sample-count-weighted average of the subgroup
 // models and broadcasts it back through the subgroup leaders to every
 // peer. The FedAvg leader may aggregate only a fraction p of the
-// subgroups (Sec. VI-A3's "slow subgroups" timeout behaviour).
+// subgroups (Sec. VI-A3's "slow subgroups" timeout behaviour): it takes
+// the first ⌈p·m⌉ uploads that arrive, and every other upload still
+// crosses the wire and is discarded.
 //
 // All traffic flows through byte-counting transports, so each round's
 // measured communication can be compared against the closed forms of
@@ -15,6 +17,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -48,8 +51,10 @@ type Config struct {
 	// n-out-of-n for that subgroup. A single-element slice applies to
 	// every subgroup (clamped to the subgroup size).
 	K []int
-	// Fraction is the paper's p: the fraction of subgroups whose models
-	// the FedAvg leader waits for; 0 means 1.0.
+	// Fraction is the paper's p: the FedAvg leader combines the first
+	// ⌈p·m⌉ uploads that arrive (at least one), or what it holds when its
+	// timeout fires; 0 means 1.0. It saves waiting, not bytes: every
+	// subgroup with a model still uploads it.
 	Fraction float64
 	// Divider selects the secret-sharing scheme (nil: paper's Alg. 1).
 	Divider secretshare.Divider
@@ -282,8 +287,8 @@ type RoundResult struct {
 	// SubgroupAvgs holds each subgroup's SAC average (nil for subgroups
 	// whose SAC failed).
 	SubgroupAvgs [][]float64
-	// Participated lists subgroup indices included in the FedAvg
-	// aggregation (slow or failed subgroups are excluded).
+	// Participated lists the subgroups whose uploads the FedAvg leader
+	// combined, in arrival order (slow or failed subgroups are excluded).
 	Participated []int
 	// ByzantineExcluded lists subgroups dropped because the SAC leader
 	// audit convicted their leader of equivocation.
@@ -338,7 +343,8 @@ func (s *System) plan(models [][]float64, spec RoundSpec) (*plan, error) {
 	case spec.FedLeader < 0 || spec.FedLeader >= m:
 		return nil, fmt.Errorf("core: FedAvg leader's subgroup %d out of [0,%d)", spec.FedLeader, m)
 	}
-	p := &plan{cfg: &s.cfg, dim: len(models[0]), counts: spec.SampleCounts, offsets: make([]int, m+1), leaders: make([]int, m), fed: spec.FedLeader}
+	p := &plan{cfg: &s.cfg, dim: len(models[0]), counts: spec.SampleCounts, offsets: make([]int, m+1), leaders: make([]int, m),
+		fed: spec.FedLeader, want: max(1, int(cmp.Or(s.cfg.Fraction, 1)*float64(m)+0.5))}
 	// A ragged model is the caller's error, not a failed subgroup SAC that
 	// the round would skip; so is a plan for a peer that is not there.
 	for i, model := range models {
@@ -388,10 +394,10 @@ func checkPlans[P ~map[int]V, V any](what string, plans map[int]P, sizes []int) 
 // one SAC schedule, which package sac's own Run runs too — stepping the
 // peers it lends the nodes; then the FedAvg layer, led by spec's
 // FedLeader, and under SecureUpper the upper SAC among the participating
-// leaders and the FedAvg leader, which collects it. It decides what no
-// single peer can — which subgroups the FedAvg leader waits for
-// (fraction p) — and charges every message a node sends once, when it
-// is queued.
+// leaders and the FedAvg leader, which collects it. The FedAvg leader
+// picks the participants itself, from the uploads that arrive; the
+// driver decides what the network would — the order they arrive in —
+// and charges every message a node sends once, when it is queued.
 func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResult, error) {
 	p, err := s.plan(models, spec)
 	if err != nil {
@@ -402,6 +408,11 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 	s.tel.roundsStarted.Inc()
 	res := &RoundResult{SubgroupAvgs: make([][]float64, m)}
 	l.begin(p)
+	if s.cfg.Aggregator == nil {
+		s.global = fit(s.global, p.dim)
+	}
+	fed := &l.nodes[p.leaders[p.fed]]
+	fed.Lead(s.decoded, s.global, &s.globalBlock)
 
 	// Each subgroup SAC draws from its own rng stream, seeded from the
 	// system rng.
@@ -440,47 +451,37 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 	}
 	s.tel.subgroupsOK.Add(int64(len(okSubs)))
 
-	// Fraction p (slow subgroups): the FedAvg leader proceeds with a
-	// random subset of the successful subgroups.
-	frac := s.cfg.Fraction
-	if frac == 0 {
-		frac = 1
-	}
-	want := int(frac*float64(m) + 0.5)
-	if want < 1 {
-		want = 1
-	}
-	participate := okSubs
-	if want < len(okSubs) {
-		perm := s.rng.Perm(len(okSubs))
-		participate = make([]int, 0, want)
-		for _, i := range perm[:want] {
-			participate = append(participate, okSubs[i])
+	// Every subgroup with a model uploads, each delivered before the next
+	// is sent, in the network's stead: in a random order (slow subgroups)
+	// when the FedAvg leader wants fewer. Then its timeout fires.
+	order := okSubs
+	if p.want < len(okSubs) {
+		order = make([]int, len(okSubs))
+		for i, j := range s.rng.Perm(len(okSubs)) {
+			order[i] = okSubs[j]
 		}
 	}
-	res.Participated = participate
-	if excluded := len(okSubs) - len(participate); excluded > 0 {
-		s.tel.subgroupsExcluded.Add(int64(excluded))
-	}
-
-	if s.cfg.Aggregator == nil {
-		s.global = fit(s.global, p.dim)
-	}
-	fed := &l.nodes[p.leaders[p.fed]]
-	fed.Lead(participate, s.decoded, s.global, &s.globalBlock)
-	for _, g := range participate {
+	for _, g := range order {
 		if s.cfg.SecureUpper {
 			s.uppers[g] = fit(s.uppers[g], p.dim)
 		}
 		l.nodes[p.leaders[g]].Upload(s.uppers[g], &s.blocks[g])
+		if err := l.settle(s.tel.msgsInvalid); err != nil {
+			return nil, err
+		}
 	}
+	fed.Expire()
 	if err := l.settle(s.tel.msgsInvalid); err != nil {
 		return nil, err
 	}
-	if upper := participate; s.cfg.SecureUpper && !slices.Equal(upper, []int{p.fed}) {
-		// The upper SAC: the participating leaders contribute their
-		// count·avg in participation order, and the FedAvg leader collects,
-		// last and with a zero input when its subgroup does not participate.
+	res.Participated = fed.taken
+	if excluded := len(okSubs) - len(fed.taken); excluded > 0 {
+		s.tel.subgroupsExcluded.Add(int64(excluded))
+	}
+	if upper := fed.taken; s.cfg.SecureUpper && len(upper) > 0 && !slices.Equal(upper, []int{p.fed}) {
+		// The upper SAC: the leaders whose uploads the FedAvg leader took
+		// contribute their count·avg in arrival order, and the FedAvg leader
+		// collects, last and with a zero input when it took none of its own.
 		if !slices.Contains(upper, p.fed) {
 			upper = append(slices.Clip(upper), p.fed)
 			s.uppers[p.fed] = fit(s.uppers[p.fed], p.dim)
@@ -509,7 +510,7 @@ func (s *System) AggregateRound(models [][]float64, spec RoundSpec) (*RoundResul
 	s.tel.roundsCompleted.Inc()
 	s.tel.reg.Trace("round/aggregate", uint64(p.fed), p.fed,
 		telemetry.F("subgroups_ok", int64(len(okSubs))),
-		telemetry.F("participated", int64(len(participate))),
+		telemetry.F("participated", int64(len(fed.taken))),
 		telemetry.F("bytes", res.Bytes))
 	return res, nil
 }

@@ -98,22 +98,29 @@ func TestFoldedEntryPointsReplayParentRounds(t *testing.T) {
 			{want: "8a646d7be2398238 9408 fedavg/broadcast=2304/12 fedavg/download=768/4 fedavg/upload=768/4 sac/recovery=192/1 sac/recovery-req=8/1 sac/share=13824/72 sac/subtotal=960/5 | p[0 1 2] b[] x[] e0000000000000000 | round/byzantine_subgroups=0 round/completed=2 round/sac_failed=0 round/started=2 round/subgroups_excluded=0 round/subgroups_ok=6 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=1 sac/rounds_failed=0 sac/rounds_ok=6 sac/rounds_started=6 sac/shares_sent=72 sac/subtotals_recovered=1 sac/subtotals_sent=5"},
 		}},
 		{"fraction", Config{Sizes: []int{3, 3, 3, 3}, Fraction: 0.5}, []foldStep{
-			{want: "53bc79d5fcc7c92e 8448 fedavg/broadcast=1536/8 fedavg/download=576/3 fedavg/upload=192/1 sac/share=4608/24 sac/subtotal=1536/8 | p[3 0] b[] x[] e0000000000000000 | round/byzantine_subgroups=0 round/completed=1 round/sac_failed=0 round/started=1 round/subgroups_excluded=2 round/subgroups_ok=4 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=4 sac/rounds_started=4 sac/shares_sent=24 sac/subtotals_recovered=0 sac/subtotals_sent=8"},
-			// Subgroup 0 leads the FedAvg layer without participating, so
-			// both participants' uploads are charged: one more than when
-			// the first participant led (8,448 B), the same global bits.
-			{want: "f94ec08f96ae79a0 8640 fedavg/broadcast=3072/16 fedavg/download=1152/6 fedavg/upload=576/3 sac/share=9216/48 sac/subtotal=3072/16 | p[3 1] b[] x[] e0000000000000000 | round/byzantine_subgroups=0 round/completed=2 round/sac_failed=0 round/started=2 round/subgroups_excluded=4 round/subgroups_ok=8 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=8 sac/rounds_started=8 sac/shares_sent=48 sac/subtotals_recovered=0 sac/subtotals_sent=16"},
+			// The two slow subgroups still upload, and the FedAvg leader
+			// discards what arrives after it has combined: 2·192 B more than
+			// when they were not asked (8,448 B), the same global bits.
+			{want: "53bc79d5fcc7c92e 8832 fedavg/broadcast=1536/8 fedavg/download=576/3 fedavg/upload=576/3 sac/share=4608/24 sac/subtotal=1536/8 | p[3 0] b[] x[] e0000000000000000 | round/byzantine_subgroups=0 round/completed=1 round/sac_failed=0 round/started=1 round/subgroups_excluded=2 round/subgroups_ok=4 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=4 sac/rounds_started=4 sac/shares_sent=24 sac/subtotals_recovered=0 sac/subtotals_sent=8"},
+			// Subgroup 0 leads the FedAvg layer without participating; every
+			// other subgroup's upload is charged, the slow one's too (8,640 B
+			// when it was not asked), the same global bits.
+			{want: "f94ec08f96ae79a0 8832 fedavg/broadcast=3072/16 fedavg/download=1152/6 fedavg/upload=1152/6 sac/share=9216/48 sac/subtotal=3072/16 | p[3 1] b[] x[] e0000000000000000 | round/byzantine_subgroups=0 round/completed=2 round/sac_failed=0 round/started=2 round/subgroups_excluded=4 round/subgroups_ok=8 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=8 sac/rounds_started=8 sac/shares_sent=48 sac/subtotals_recovered=0 sac/subtotals_sent=16"},
 		}},
 		{"secure upper", Config{Sizes: []int{3, 3, 4}, SecureUpper: true}, []foldStep{
 			{want: "6b30969b6c1cdb3f 9216 fedavg/broadcast=1344/7 fedavg/download=384/2 sac/share=5760/30 sac/subtotal=1728/9 | p[0 1 2] b[] x[] e0000000000000000 | round/byzantine_subgroups=0 round/completed=1 round/sac_failed=0 round/started=1 round/subgroups_excluded=0 round/subgroups_ok=3 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=4 sac/rounds_started=4 sac/shares_sent=30 sac/subtotals_recovered=0 sac/subtotals_sent=9"},
 			{want: "f13243a9de6bb773 9216 fedavg/broadcast=2688/14 fedavg/download=768/4 sac/share=11520/60 sac/subtotal=3456/18 | p[0 1 2] b[] x[] e0000000000000000 | round/byzantine_subgroups=0 round/completed=2 round/sac_failed=0 round/started=2 round/subgroups_excluded=0 round/subgroups_ok=6 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=8 sac/rounds_started=8 sac/shares_sent=60 sac/subtotals_recovered=0 sac/subtotals_sent=18"},
 		}},
 		{"compression", Config{Sizes: []int{3, 3, 4}, Fraction: 0.67, Compression: compress.Config{Scheme: compress.TopKQuant8, Frac: 0.25}}, []foldStep{
-			{want: "a3df7a2ab01401c6 6422 fedavg/broadcast=329/7 fedavg/download=94/2 fedavg/upload=47/1 sac/share=4608/24 sac/subtotal=1344/7 | p[0 1] b[] x[] e3fd4c8cb2816862a | round/byzantine_subgroups=0 round/completed=1 round/sac_failed=0 round/started=1 round/subgroups_excluded=1 round/subgroups_ok=3 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=3 sac/rounds_started=3 sac/shares_sent=24 sac/subtotals_recovered=0 sac/subtotals_sent=7"},
+			// The slow subgroup's compressed upload (47 B) is charged too
+			// (6,422 B when it was not asked), the same global bits.
+			{want: "a3df7a2ab01401c6 6469 fedavg/broadcast=329/7 fedavg/download=94/2 fedavg/upload=94/2 sac/share=4608/24 sac/subtotal=1344/7 | p[0 1] b[] x[] e3fd4c8cb2816862a | round/byzantine_subgroups=0 round/completed=1 round/sac_failed=0 round/started=1 round/subgroups_excluded=1 round/subgroups_ok=3 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=3 sac/rounds_started=3 sac/shares_sent=24 sac/subtotals_recovered=0 sac/subtotals_sent=7"},
 			// Subgroup 0 leads the FedAvg layer, so its own upload, not
 			// subgroup 2's, is the one that crosses no wire uncompressed:
-			// same bytes as when the first participant led, other bits.
-			{want: "7a8b154df14ac330 6422 fedavg/broadcast=658/14 fedavg/download=188/4 fedavg/upload=94/2 sac/share=9216/48 sac/subtotal=2688/14 | p[2 0] b[] x[] e3fdb329964be5f65 | round/byzantine_subgroups=0 round/completed=2 round/sac_failed=0 round/started=2 round/subgroups_excluded=2 round/subgroups_ok=6 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=6 sac/rounds_started=6 sac/shares_sent=48 sac/subtotals_recovered=0 sac/subtotals_sent=14"},
+			// other bits than when the first participant led. The slow
+			// subgroup 1's upload is charged too (6,422 B when it was not
+			// asked).
+			{want: "7a8b154df14ac330 6469 fedavg/broadcast=658/14 fedavg/download=188/4 fedavg/upload=188/4 sac/share=9216/48 sac/subtotal=2688/14 | p[2 0] b[] x[] e3fdb329964be5f65 | round/byzantine_subgroups=0 round/completed=2 round/sac_failed=0 round/started=2 round/subgroups_excluded=2 round/subgroups_ok=6 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=6 sac/rounds_started=6 sac/shares_sent=48 sac/subtotals_recovered=0 sac/subtotals_sent=14"},
 		}},
 		{"fed leader not first", Config{Sizes: []int{3, 3, 4}, Compression: compress.Config{Scheme: compress.TopK, Frac: 0.25}}, []foldStep{
 			{spec: RoundSpec{Leaders: []int{1, 2, 3}, FedLeader: 2}, want: "08a37aa4dcb3cb97 6843 fedavg/broadcast=567/7 fedavg/download=162/2 fedavg/upload=162/2 sac/share=4608/24 sac/subtotal=1344/7 | p[0 1 2] b[] x[] e3fd14e08b3199dce | round/byzantine_subgroups=0 round/completed=1 round/sac_failed=0 round/started=1 round/subgroups_excluded=0 round/subgroups_ok=3 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=3 sac/rounds_started=3 sac/shares_sent=24 sac/subtotals_recovered=0 sac/subtotals_sent=7"},

@@ -44,13 +44,14 @@ func (m message) Bytes() int64 {
 // plan is what every node of a round knows from its start. Subgroup g is
 // peers offsets[g] ≤ i < offsets[g+1], led by peer leaders[g]; fed is the
 // subgroup whose leader leads the FedAvg layer, whether or not fed
-// participates.
+// participates, and want how many uploads it takes before it combines:
+// ⌈p·m⌉ for Config.Fraction's p, at least one.
 type plan struct {
 	cfg              *Config
 	dim              int
 	counts           []float64 // RoundSpec.SampleCounts
 	offsets, leaders []int
-	fed              int
+	fed, want        int
 }
 
 // group is peer i's subgroup, outside [0,m) when i is no peer.
@@ -66,11 +67,10 @@ func (p *plan) group(i int) int { return sort.SearchInts(p.offsets, i+1) - 1 }
 // subgroup does not participate. Like sac.Peer it is Begin, then Step
 // per received message, with what it wants sent — its peers' messages
 // included — read from Ready; it does no IO. Every node knows from Begin
-// who leads its subgroup and the FedAvg layer; what one peer cannot know
-// comes from the driver (System.AggregateRound): the SAC schedule steps
-// the peers it lends (join, leave), and the FedAvg layer's inputs are
-// the FedAvg leader's participation set (Lead) and whom it asks to
-// Upload.
+// who leads its subgroup and the FedAvg layer, and how many uploads the
+// FedAvg leader takes before it combines (fewer if its timeout, Expire,
+// fires first). The driver (System.AggregateRound) steps the peers it
+// lends (join, leave), asks leaders to Upload, and orders the arrivals.
 type node struct {
 	id, g int
 	p     *plan
@@ -81,13 +81,13 @@ type node struct {
 	sub, up   lent
 	collected *sac.Result
 
-	// The FedAvg leader's: slot[g] is 1 + subgroup g's place in the
-	// participation set until its upload arrives, 0 otherwise; models and
-	// weights are the uploads, in that order; decoded[g] is what g's
-	// compressed upload decodes into, out what the global model is
-	// written into and outBlock what it is compressed into, all lent by
-	// the driver.
-	slot     []int
+	// The FedAvg leader's: taken lists the subgroups whose uploads it
+	// took, in arrival order, and models and weights are those uploads;
+	// waiting is how many more it takes, 0 before Lead and once it has
+	// combined; decoded[g] is what g's compressed upload decodes into, out
+	// what the global model is written into and outBlock what it is
+	// compressed into, all lent by the driver.
+	taken    []int
 	models   [][]float64
 	weights  []float64
 	waiting  int
@@ -171,17 +171,24 @@ func (n *node) send(to int, kind string, model []float64, block *compress.Delta)
 	n.msgs = append(n.msgs, message{From: n.id, To: to, Kind: kind, Model: model, Block: block})
 }
 
-// Lead tells the FedAvg leader whose uploads it combines, in order: the
-// subgroups whose SAC succeeded and that beat the fraction-p timeout;
-// decoded, one vector per subgroup, out, the global model's, and block,
-// its compressed encoding's under Config.Compression, are the driver's.
-// A Config.Aggregator returns a global model of its own.
-func (n *node) Lead(participate []int, decoded [][]float64, out []float64, block *compress.Delta) {
-	m, k := len(n.p.leaders), len(participate)
-	n.slot, n.models, n.weights, n.waiting = make([]int, m), make([][]float64, k), make([]float64, k), k
+// Lead arms the FedAvg leader for the round: from now on it takes the
+// first plan.want uploads that arrive. decoded, one vector per
+// subgroup, out, the global model's, and block, its compressed
+// encoding's under Config.Compression, are the driver's. A
+// Config.Aggregator returns a global model of its own.
+func (n *node) Lead(decoded [][]float64, out []float64, block *compress.Delta) {
+	k := n.p.want
+	n.taken, n.models, n.weights, n.waiting = make([]int, 0, k), make([][]float64, 0, k), make([]float64, 0, k), k
 	n.decoded, n.out, n.outBlock = decoded, out, block
-	for i, g := range participate {
-		n.slot[g] = i + 1
+}
+
+// Expire is the FedAvg leader's timeout, counted from the first upload:
+// it combines the uploads it holds without waiting for the rest. Before
+// the first upload, and once it has combined, it does nothing.
+func (n *node) Expire() {
+	if n.waiting > 0 && len(n.taken) > 0 {
+		n.waiting = 0
+		n.aggregate()
 	}
 }
 
@@ -223,10 +230,9 @@ func (n *node) Upload(upper []float64, block *compress.Delta) {
 // in the SAC it names, translated to that SAC's indices, and is counted
 // invalid when n has none there. Of the FedAvg layer's it takes — once
 // each and of the round's model size — an upload at the FedAvg leader,
-// once Lead has named the participants, from the leader of a
-// participating subgroup, the global model at a subgroup leader from the
-// FedAvg leader, and at a follower from its subgroup's leader. Anything
-// else is discarded.
+// between Lead and combining, from a subgroup's leader, the global model
+// at a subgroup leader from the FedAvg leader, and at a follower from its
+// subgroup's leader. Anything else is discarded.
 func (n *node) Step(m message) {
 	p := n.p
 	switch {
@@ -254,31 +260,30 @@ func (n *node) stepSAC(m message) {
 
 func (n *node) upload(m message) {
 	g, b, dim := n.p.group(m.From), m.Block, n.p.dim
-	if g < 0 || g >= len(n.slot) || n.slot[g] == 0 || m.From != n.p.leaders[g] {
+	if n.waiting == 0 || g < 0 || g >= len(n.p.leaders) || m.From != n.p.leaders[g] || slices.Contains(n.taken, g) {
 		return
 	}
-	i := n.slot[g] - 1
+	var model []float64
 	switch {
 	case n.p.cfg.SecureUpper: // the model travels in the upper SAC
 	case b == nil && len(m.Model) == dim:
-		n.models[i] = m.Model
+		model = m.Model
 	case b != nil && (b.Quant != nil && len(b.Quant.Q) == dim || b.Quant == nil && b.Sparse != nil && b.Sparse.Dim == dim):
 		// The wire codec refuses a malformed block before a node sees it.
 		n.decoded[g] = b.Dense(n.decoded[g])
-		n.models[i] = n.decoded[g]
+		model = n.decoded[g]
 	default:
 		return
 	}
-	n.slot[g], n.weights[i] = 0, m.Weight
+	n.taken, n.models, n.weights = append(n.taken, g), append(n.models, model), append(n.weights, m.Weight)
 	if n.waiting--; n.waiting == 0 {
 		n.aggregate()
 	}
 }
 
-// aggregate combines the uploads once the last has arrived, with
-// Config.Aggregator; under SecureUpper it scales its own input when it
-// is the only participant, and otherwise — also when it did not upload —
-// waits for its upper peer.
+// aggregate combines the uploads taken, with Config.Aggregator; under
+// SecureUpper it scales its own input when its own upload is the only
+// one taken, and otherwise waits for its upper peer.
 func (n *node) aggregate() {
 	for _, w := range n.weights {
 		n.total += w
@@ -287,7 +292,7 @@ func (n *node) aggregate() {
 	switch secure := n.p.cfg.SecureUpper; {
 	case secure && n.total == 0:
 		n.err = errors.New("core: secure upper layer: zero total sample count")
-	case secure && (len(n.weights) > 1 || n.upper == nil):
+	case secure && !slices.Equal(n.taken, []int{n.g}):
 		return // the upper SAC brings the average
 	case secure: // the only participant: nothing to hide, nothing to exchange
 		global = n.out
@@ -302,12 +307,19 @@ func (n *node) aggregate() {
 	n.distribute(global)
 }
 
+// errNotFinite fails a round whose global model holds a NaN or an infinity.
+var errNotFinite = errors.New("core: the global model is not finite")
+
 // distribute sends the global model down to every other subgroup that
-// has a leader, then to this node's own subgroup. Under
-// Config.Compression it is encoded once, into the driver's block, and
-// every peer, this one included, resumes from the decoded copy, so the
-// fleet stays in lockstep.
+// has a leader, then to this node's own subgroup. A global model with a
+// NaN or an infinity is refused, whatever rule made it: the round fails
+// instead of publishing it. Under Config.Compression it is encoded once,
+// into the driver's block, and every peer, this one included, resumes
+// from the decoded copy, so the fleet stays in lockstep.
 func (n *node) distribute(global []float64) {
+	if n.err == nil && slices.ContainsFunc(global, func(x float64) bool { return x-x != 0 }) { // a NaN or an infinity
+		n.err = errNotFinite
+	}
 	if n.err != nil {
 		return
 	}
