@@ -168,7 +168,9 @@ func TestOneRoadForMembershipChange(t *testing.T) {
 // Alive, Recycle — on anything, and never select Record, so only a
 // driver charges a byte. What a peer or node wants done leaves through
 // Ready, and its driver, in a file of its own, does it.
-// A retired input stays retired: core.node's files never name RoundSpec,
+// A retired input stays retired: sac.Peer's files never name Down or the
+// crash plan (CrashPlan, BeforeShares, AfterShares), so a peer learns of
+// a crash only from silence; core.node's files never name RoundSpec,
 // Fraction or Perm, so the FedAvg leader picks its participants from what
 // arrives, and the FedAvg leader and how many uploads it wants are fixed
 // when the round begins — in any non-test file of internal/core, the
@@ -181,7 +183,7 @@ func TestRoundNodesAreSansIO(t *testing.T) {
 		dir, typ, driver string
 		never, planned   []string
 	}{
-		{"internal/sac", "Peer", "sac.go", nil, nil},
+		{"internal/sac", "Peer", "sac.go", []string{"Down", "CrashPlan", "BeforeShares", "AfterShares"}, nil},
 		{"internal/core", "node", "core.go", []string{"RoundSpec", "Fraction", "Perm"}, []string{"fed", "want"}},
 	} {
 		planners := map[string]int{}
@@ -253,7 +255,7 @@ func TestRoundNodesAreSansIO(t *testing.T) {
 					}
 				case *ast.Ident:
 					if slices.Contains(machine.never, n.Name) {
-						t.Errorf("%s: %s's file names %s, an input only AggregateRound reads", fset.Position(n.Pos()), name, n.Name)
+						t.Errorf("%s: %s's file names %s, which only its driver may know", fset.Position(n.Pos()), name, n.Name)
 					}
 				}
 				return true

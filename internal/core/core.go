@@ -613,11 +613,9 @@ func (l *loop) schedule(members []int, upper bool, cfg sac.Config, models [][]fl
 	return r, err
 }
 
-// Alive, Crash, Flush and Deliver make the loop the running SAC's
-// sac.Fabric, j being an index of that SAC. A crashed node stays down,
-// its inbox dropped, for the rest of the round.
-func (l *loop) Alive(j int) bool { return !l.down[l.members[j]] }
-
+// Crash, Flush and Deliver make the loop the running SAC's sac.Fabric,
+// j being an index of that SAC. A crashed node stays down, its inbox
+// dropped, for the rest of the round.
 func (l *loop) Crash(j int) error {
 	id := l.members[j]
 	l.down[id] = true

@@ -176,9 +176,12 @@ const fuzzExpire = "expire"
 // — one that has ended, or that it is not in — is counted invalid and
 // answers nothing, least of all from the subtotals of the peer another
 // subgroup now holds. When every injection was discarded, every node's
-// global model is bit-identical to an undisturbed round's. The wantRaw
-// byte sets how many uploads the FedAvg leader wants: 0 is every one
-// that is sent.
+// global model is bit-identical to an undisturbed round's, and that
+// one is the count-weighted FedAvg of the SAC averages of the subgroups
+// the FedAvg leader took: to 1e-12, or under compression within the
+// compression bounds of the uploads it decoded and of the global model.
+// The wantRaw byte sets how many uploads the FedAvg leader wants: 0 is
+// every one that is sent.
 func FuzzNodeStep(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(2), uint8(0), []byte{0, 1, 0, 3, 0, 1, 0})
 	f.Add(int64(2), uint8(4), uint8(3), uint8(0), []byte{3, 0, 0, 3, 1, 2, 0, 4, 2, 1, 3, 0, 0, 1, 6, 5, 2, 3, 0, 0, 2})
@@ -398,6 +401,31 @@ func FuzzNodeStep(f *testing.F) {
 		undisturbed, want, _ := run(false)
 		if want.global == nil {
 			t.Fatalf("the undisturbed round has no global model (err %v)", want.err)
+		}
+		fedAvg, total, upload := make([]float64, dim), 0.0, 0.0
+		for _, g := range want.taken {
+			r := undisturbed.nodes[p.leaders[g]].collected
+			for x, v := range r.Avg {
+				fedAvg[x] += float64(len(r.Contributors)) * v
+			}
+			total += float64(len(r.Contributors))
+			if c := cfg.Compression; c.Enabled() && g != p.fed { // the FedAvg leader's own upload stays exact
+				d, err := c.Compress(r.Avg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				upload = max(upload, d.Bound.MaxCoordErr)
+			}
+		}
+		tol := 1e-12 + upload
+		if want.bound != nil {
+			tol += want.bound.MaxCoordErr
+		}
+		for x := range fedAvg {
+			if fedAvg[x] /= total; !(math.Abs(want.global[x]-fedAvg[x]) <= tol) {
+				t.Fatalf("the undisturbed global model %v is not the FedAvg of the SAC averages of subgroups %v, %v, to %g",
+					want.global, want.taken, fedAvg, tol)
+			}
 		}
 		h, got, rejected := run(true)
 		if got == nil || rejected < injected {

@@ -30,6 +30,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/transport"
 )
@@ -181,7 +182,8 @@ func (a *auditState) hear(digest uint64) {
 	a.digest, a.heard = digest, true
 }
 
-// announce queues the leader's audit messages to every peer not down.
+// announce queues the leader's audit messages to every peer that sent it
+// its own index's copy: under the cross-check one that sent none is silent.
 func (p *Peer) announce(avg []float64) {
 	results := [2][]float64{avg, avg}
 	if p.byz == ByzEquivocate {
@@ -191,8 +193,8 @@ func (p *Peer) announce(avg []float64) {
 		}
 	}
 	receiver := 0
-	for j, down := range p.down {
-		if j != p.id && !down {
+	for j := range p.cfg.N {
+		if got, holders := p.copies(j); j != p.id && got[slices.Index(holders, j)] != nil {
 			p.send(j, kindClaims, -1, p.audit.claimed)
 			p.send(j, kindResult, -1, results[receiver%2])
 			receiver++
@@ -205,8 +207,8 @@ func (p *Peer) announce(avg []float64) {
 // holds both makes its two checks. Self-consistency: the result must be
 // the average implied by the claims, summed in the same ascending-index
 // order as Finish, so an honest leader matches bit-for-bit. Digest echo:
-// p tells every other peer not known down what it heard; any divergence
-// convicts the leader.
+// p tells every other peer not found silent what it heard; any
+// divergence convicts the leader.
 func (p *Peer) stepAudit(m transport.Message) bool {
 	a, fromLeader := &p.audit, m.From == p.cfg.Leader
 	switch {

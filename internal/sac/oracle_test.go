@@ -7,6 +7,9 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/secretshare"
@@ -254,29 +257,73 @@ func runReordered(mesh transport.Network, cfg Config, models [][]float64, crash 
 	return refRun(mesh, cfg, models, crash, true)
 }
 
+// differences names what differs between two runs of one oracle case:
+// the Avg bits or a Result field, the error, the traffic by kind (bytes,
+// msgs), the wire hash in either round, or the rng's next draw — "other"
+// for anything else, so no difference goes unnamed.
+func differences(got, want []oracleOutcome, gotRng, wantRng int64) []string {
+	var out []string
+	note := func(name string, differs bool) {
+		if differs && !slices.Contains(out, name) {
+			out = append(out, name)
+		}
+	}
+	for r := 0; r < len(got) && r < len(want); r++ {
+		g, w := got[r], want[r]
+		note("Avg", !reflect.DeepEqual(g.avgBits, w.avgBits))
+		rg, rw := reflect.ValueOf(g.rest), reflect.ValueOf(w.rest)
+		for f := 0; f < rg.NumField(); f++ {
+			note(rg.Type().Field(f).Name, !reflect.DeepEqual(rg.Field(f).Interface(), rw.Field(f).Interface()))
+		}
+		note("err", g.err != w.err)
+		note("bytes", !reflect.DeepEqual(g.bytes, w.bytes))
+		note("msgs", !reflect.DeepEqual(g.msgs, w.msgs))
+		note("wire", g.wire != w.wire)
+	}
+	note("rng", gotRng != wantRng)
+	note("other", len(out) == 0 && !reflect.DeepEqual(got, want))
+	return out
+}
+
 // TestStreamingFoldMatchesReference is the bit-identity proof of the
 // driver and its Peers: over the whole table Run returns the reference
 // engine's Result (Avg compared by bit pattern), error,
 // traffic counter by kind (bytes and messages), puts the same messages
 // with the same payload bits on an in-memory mesh in the same order, and
-// leaves the caller's rng in the same state. -short keeps the socket
+// leaves the caller's rng in the same state. Any row that differs fails
+// the test, once every row has run: it logs one line per class of
+// differing rows — mode, guard, crash plan and what differs — with how
+// many rows it holds, and the first row in full. -short keeps the socket
 // fabric to n = 3.
 func TestStreamingFoldMatchesReference(t *testing.T) {
 	cases := oracleCases(true)
+	classes, differing, first := map[string]int{}, 0, ""
 	for _, c := range cases {
 		if c.tcp && testing.Short() && c.n > 3 {
 			continue
 		}
 		got, gotRng := runOracleCase(t, c, Run)
 		want, wantRng := runOracleCase(t, c, runReference)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s:\nstreaming %+v\nreference %+v", c, got, want)
-		}
-		if gotRng != wantRng {
-			t.Fatalf("%s: rng left in a different state (next draw %d, reference %d)", c, gotRng, wantRng)
+		if diff := differences(got, want, gotRng, wantRng); len(diff) > 0 {
+			classes[fmt.Sprintf("mode%d guard:%s crash:%s differ in %s", c.mode, c.guardName, c.crashName, strings.Join(diff, ","))]++
+			if differing++; first == "" {
+				first = fmt.Sprintf("%s:\nstreaming %+v (next draw %d)\nreference %+v (next draw %d)", c, got, gotRng, want, wantRng)
+			}
 		}
 	}
 	t.Logf("%d cases, two rounds each", len(cases))
+	if differing == 0 {
+		return
+	}
+	keys := make([]string, 0, len(classes))
+	for k := range classes {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		t.Logf("%5d rows: %s", classes[k], k)
+	}
+	t.Fatalf("%d rows differ from the reference, in %d classes; the first is %s", differing, len(classes), first)
 }
 
 // TestOracleCatchesReorderedFold shows the table has teeth: a reference

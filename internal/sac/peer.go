@@ -17,17 +17,16 @@ import (
 // as method calls (Step for a received message, the others for what the
 // local application or the round's driver decides), outputs leave through
 // Ready, and it performs no IO, reads no clock and starts no goroutine.
-// Nothing inside a round times out, so there is no Tick.
 //
 // A round at p is Begin; per contributor i, ascending, BeginTurn(i),
 // Contribute at p = i, Step per share; then Seal, Step per accusation,
 // Report or Recover per share index, Step per subtotal, and at a
-// collector Missing and Finish; Down whenever the failure detector
-// reports a peer (DESIGN §16 has the table). What a single peer cannot
-// know — whose turn it is, the randomness it divides with, who is down —
-// comes from the driver (see Schedule); whom another receiver caught
-// comes in that receiver's accusation. No field of a Peer is read or
-// written by another Peer; on an in-memory fabric a receiver reads the
+// collector Missing and Finish (DESIGN §16 has the table). Nobody tells
+// p who crashed: it finds peers silent (see Seal and Recover). What a
+// single peer cannot know — whose turn it is, the randomness it divides
+// with — comes from the driver (see Schedule); whom another receiver
+// caught comes in that receiver's accusation. No field of a Peer is
+// read or written by another Peer; on an in-memory fabric a receiver reads the
 // shares it holds from their sender's share block, which only that
 // sender writes, at its turn.
 type Peer struct {
@@ -57,7 +56,7 @@ type Peer struct {
 
 	turn   int    // the contributor whose turn it is, −1 before the first and once sealed
 	sealed bool   // the share exchange is over
-	down   []bool // peers the failure detector has reported
+	silent []bool // peers p found silent: no turn, or no answer it waited for
 
 	contributors []int // turns p keeps, ascending
 	excluded     []int // turns p dropped on an accusation, ascending
@@ -66,7 +65,7 @@ type Peer struct {
 	// A collector's state, sized when p first is one: holders is
 	// secretshare.HoldersOf of every share index, flat, got[s*r+t] the copy
 	// of subtotal s received from holders[s*r+t], and asked[s] the holder p
-	// asked to recover s from, −1 for none. sums and groups are what
+	// last asked to recover s from, −1 for none. sums and groups are what
 	// Finish adds up — per index the subtotal, or the held shares of one
 	// p has not summed, and how many terms each index takes — and claimed
 	// the n·dim floats a guarded leader's audit claims, the median of
@@ -106,7 +105,7 @@ func (p *Peer) Begin(id int, cfg Config, dim int) error {
 		r := len(idx)
 		*p = Peer{id: id, r: r, dim: dim, block: p.block, slot: make([]int, cfg.N),
 			held: make([][]float64, cfg.N*r), acc: make([]float64, r*dim), summed: make([]bool, r),
-			down: make([]bool, cfg.N)}
+			silent: make([]bool, cfg.N)}
 		for s := range p.slot {
 			p.slot[s] = slices.Index(idx, s)
 		}
@@ -130,7 +129,7 @@ func (p *Peer) Begin(id int, cfg Config, dim int) error {
 		p.asked[s] = -1
 	}
 	clear(p.summed)
-	clear(p.down)
+	clear(p.silent)
 	p.turn, p.sealed, p.tallying, p.audit, p.result = -1, false, false, auditState{}, nil
 	p.contributors, p.excluded, p.accusations = p.contributors[:0], p.excluded[:0], p.accusations[:0]
 	p.msgs, p.done, p.invalid = p.msgs[:0], p.done[:0], 0
@@ -178,20 +177,16 @@ func (p *Peer) send(to int, kind string, shareIdx int, payload []float64) {
 	p.msgs = append(p.msgs, transport.Message{From: p.id, To: to, Kind: kind, ShareIdx: shareIdx, Payload: payload})
 }
 
-// sendAll is send to every other peer not known down.
+// sendAll is send to every other peer not found silent.
 func (p *Peer) sendAll(kind string, shareIdx int, payload []float64) {
-	for j, down := range p.down {
-		if j != p.id && !down {
+	for j, silent := range p.silent {
+		if j != p.id && !silent {
 			p.send(j, kind, shareIdx, payload)
 		}
 	}
 }
 
-// Down tells p the failure detector has reported peer j: p stops
-// addressing it. The round's detector is perfect and p trusts it.
-func (p *Peer) Down(j int) { p.down[j] = true }
-
-func (p *Peer) isIndex(s int) bool { return s >= 0 && s < len(p.down) }
+func (p *Peer) isIndex(s int) bool { return s >= 0 && s < len(p.silent) }
 
 // BeginTurn opens contributor i's turn: until the next turn or the
 // seal, p accepts shares from i and from nobody else, and from now on p
@@ -310,12 +305,15 @@ func (p *Peer) stepShare(m transport.Message) bool {
 }
 
 // Seal ends the share exchange at p: its contributors are final but for
-// accusations, and a collector starts accepting subtotals. p drops every
-// contributor its range guard caught and accuses each, once: a
-// metadata-sized message per accused contributor, in ascending order, to
-// every peer not known down.
+// accusations, and a collector starts accepting subtotals. p finds silent
+// every peer whose turn never came, drops every contributor its range
+// guard caught and accuses each, once: a metadata-sized message per
+// accused contributor, in ascending order, to every other peer.
 func (p *Peer) Seal() {
 	p.turn, p.sealed = -1, true
+	for j := range p.silent {
+		p.silent[j] = !slices.Contains(p.contributors, j)
+	}
 	for _, accused := range p.accusations {
 		p.drop(accused)
 		p.sendAll(kindAccuse, accused, []float64{float64(accused)})
@@ -392,7 +390,7 @@ func (p *Peer) subtotal(s int) []float64 {
 }
 
 // Report sends p's subtotal of share index s to whoever collects it:
-// every peer not known down under Alg. 2 (lines 7–9), the leader
+// every peer not found silent under Alg. 2 (lines 7–9), the leader
 // otherwise (Alg. 4 lines 14–16; the leader's own stay where they are).
 func (p *Peer) Report(s int) {
 	switch sub := p.subtotal(s); {
@@ -413,14 +411,22 @@ func (p *Peer) copies(s int) (got [][]float64, holders []int) {
 	return p.got[s*p.r : (s+1)*p.r], p.holders[s*p.r : (s+1)*p.r]
 }
 
-// Recover asks the first replica holder of share index s not known down
-// for its copy, the owner being down (Alg. 4 lines 17–18): a metadata-sized
-// request the holder answers with the subtotal. It returns whom it asked,
-// −1 when there is nobody.
+// Recover is a collector's timeout for share index s (Alg. 4 lines
+// 17–18): unless it holds a copy of s, p finds silent the peer it waited
+// on — the owner, then each holder it asked — and asks the next replica
+// holder not found silent, a metadata-sized request the holder answers
+// with the subtotal. It returns whom it asked, −1 for nobody.
 func (p *Peer) Recover(s int) int {
-	_, holders := p.copies(s)
+	got, holders := p.copies(s)
+	if holders == nil || slices.ContainsFunc(got, func(c []float64) bool { return c != nil }) {
+		return -1
+	}
+	p.silent[s] = true // the owner sent nothing
+	if p.asked[s] >= 0 {
+		p.silent[p.asked[s]] = true // nor did the holder p asked last
+	}
 	for _, h := range holders {
-		if h != s && h != p.id && !p.down[h] {
+		if h != p.id && !p.silent[h] {
 			p.asked[s] = h
 			p.send(h, KindRecoveryReq, s, []float64{float64(s)})
 			return h

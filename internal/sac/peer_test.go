@@ -16,12 +16,13 @@ import (
 // share block of its own, and no mesh — a message goes from one peer's
 // Ready straight into its addressee's Step.
 type handRound struct {
-	t       *testing.T
-	cfg     Config
-	peers   []Peer
-	down    []bool
-	shuffle *rand.Rand // non-nil: what one Ready holds is delivered in a shuffled order
-	invalid int        // messages the peers discarded
+	t        *testing.T
+	cfg      Config
+	peers    []Peer
+	down     []bool
+	shuffle  *rand.Rand // non-nil: what one Ready holds is delivered in a shuffled order
+	invalid  int        // messages the peers discarded
+	requests int        // sac/recovery-req messages sent
 	// at, when set, is called inside turn i once its genuine shares have
 	// arrived (point i) and once every peer is sealed (point n).
 	at func(point int)
@@ -55,6 +56,9 @@ func (h *handRound) pump(j int) int {
 		h.shuffle.Shuffle(len(msgs), func(a, b int) { msgs[a], msgs[b] = msgs[b], msgs[a] })
 	}
 	for _, m := range msgs {
+		if m.Kind == KindRecoveryReq {
+			h.requests++
+		}
 		if !h.down[m.To] {
 			h.peers[m.To].Step(m)
 		}
@@ -65,21 +69,23 @@ func (h *handRound) pump(j int) int {
 	return invalid
 }
 
-// kill is the failure detector reporting j to every peer.
-func (h *handRound) kill(j int) {
-	h.down[j] = true
-	for l := range h.peers {
-		h.peers[l].Down(j)
-	}
-}
+// kill crashes peer j: it is stepped no more, and what is sent to it is
+// dropped. Nobody is told.
+func (h *handRound) kill(j int) { h.down[j] = true }
 
-// shares runs the share exchange and seals every peer: the driver's
-// part. Every peer seals before any accusation is delivered, as under
-// Run, where they are all sent before any is drained.
+// shares runs the share exchange and seals every peer not killed: the
+// driver's part. A peer killed before it has no turn. Every peer seals
+// before any accusation is delivered, as under Run, where they are all
+// sent before any is drained.
 func (h *handRound) shares(models [][]float64, rng *rand.Rand) {
 	for i := range h.peers {
+		if h.down[i] {
+			continue
+		}
 		for j := range h.peers {
-			h.peers[j].BeginTurn(i)
+			if !h.down[j] {
+				h.peers[j].BeginTurn(i)
+			}
 		}
 		if err := h.peers[i].Contribute(models[i], rng); err != nil {
 			h.t.Fatal(err)
@@ -90,7 +96,9 @@ func (h *handRound) shares(models [][]float64, rng *rand.Rand) {
 		}
 	}
 	for j := range h.peers {
-		h.peers[j].Seal()
+		if !h.down[j] {
+			h.peers[j].Seal()
+		}
 	}
 	for j := range h.peers {
 		h.pump(j)
@@ -101,7 +109,9 @@ func (h *handRound) shares(models [][]float64, rng *rand.Rand) {
 }
 
 // report moves every subtotal to whoever collects it, in ascending
-// share-index order, recovering those of peers killed since the shares.
+// share-index order. Where the owner was killed the leader's timeout,
+// Recover, fires as under Run: it asks a replica holder, and after each
+// ask that went unanswered the next.
 func (h *handRound) report() {
 	n, leader := h.cfg.N, h.cfg.Leader
 	for s := 0; s < n; s++ {
@@ -116,8 +126,9 @@ func (h *handRound) report() {
 		case !h.down[s]:
 			holders = []int{s}
 		default:
-			h.peers[leader].Recover(s)
-			h.pump(leader)
+			for h.peers[leader].Recover(s) >= 0 {
+				h.pump(leader) // the request goes out, an answer comes back
+			}
 			continue
 		}
 		for _, j := range holders {
@@ -154,32 +165,73 @@ func (h *handRound) finish() *Result {
 // TestPeersSteppedByHandMatchRun: the protocol is the Peers', not the
 // driver's. n Peers stepped by the test with no mesh — every batch of
 // messages delivered in a shuffled order across receivers — give Run's
-// average bit for bit.
+// average bit for bit, and nobody tells a peer who crashed. In (5, 3)
+// led by peer 0, index 3 is held by peers 1 and 2 besides its owner:
+// with 1 and 3 crashed after their shares the leader asks 1, hears
+// nothing, and asks 2; with 1 crashed before its shares, 1 is silent
+// from the seal and the leader asks 2 alone. Either way the round is the
+// exact mean of every contributor's model, index 3 recovered.
 func TestPeersSteppedByHandMatchRun(t *testing.T) {
 	const dim = 7
-	for _, c := range []Config{
-		{N: 3, K: 2, Mode: ModeLeader, Leader: 1},
-		{N: 5, K: 3, Mode: ModeLeader, Leader: 0},
-		{N: 4, K: 4, Mode: ModeLeader, Leader: 3},
-		{N: 4, K: 4, Mode: ModeBroadcast},
-		{N: 5, K: 3, Mode: ModeLeader, Leader: 2, Guard: &Guard{ShareBound: 100, CrossCheck: true}},
+	for _, tc := range []struct {
+		cfg       Config
+		crash     CrashPlan
+		recovered []int
+		requests  int // sac/recovery-req messages, on the mesh and by hand
+	}{
+		{Config{N: 3, K: 2, Mode: ModeLeader, Leader: 1}, nil, nil, 0},
+		{Config{N: 5, K: 3, Mode: ModeLeader, Leader: 0}, nil, nil, 0},
+		{Config{N: 4, K: 4, Mode: ModeLeader, Leader: 3}, nil, nil, 0},
+		{Config{N: 4, K: 4, Mode: ModeBroadcast}, nil, nil, 0},
+		{Config{N: 5, K: 3, Mode: ModeLeader, Leader: 2, Guard: &Guard{ShareBound: 100, CrossCheck: true}}, nil, nil, 0},
+		{Config{N: 5, K: 3, Mode: ModeLeader, Leader: 0}, CrashPlan{1: AfterShares, 3: AfterShares}, []int{3}, 2},
+		{Config{N: 5, K: 3, Mode: ModeLeader, Leader: 0}, CrashPlan{1: BeforeShares, 3: AfterShares}, []int{3}, 1},
 	} {
+		c := tc.cfg
 		models := randModels(rand.New(rand.NewSource(71)), c.N, dim)
 		c.Rng = rand.New(rand.NewSource(72))
-		want, err := Run(transport.NewMesh(c.N, nil), c, models, nil)
+		counter := transport.NewCounter()
+		want, err := Run(transport.NewMesh(c.N, counter), c, models, tc.crash)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if got := counter.Messages(KindRecoveryReq); got != int64(tc.requests) || !slices.Equal(want.Recovered, tc.recovered) {
+			t.Fatalf("n=%d k=%d crash %v: Run sent %d recovery requests and recovered %v, want %d and %v",
+				c.N, c.K, tc.crash, got, want.Recovered, tc.requests, tc.recovered)
+		}
+		mean := make([]float64, dim)
+		for _, i := range want.Contributors {
+			for x, v := range models[i] {
+				mean[x] += v / float64(len(want.Contributors))
+			}
+		}
+		for x := range mean {
+			if math.Abs(want.Avg[x]-mean[x]) > 1e-12 {
+				t.Fatalf("n=%d k=%d crash %v: Run's average %v is not the mean %v of its contributors' models", c.N, c.K, tc.crash, want.Avg, mean)
+			}
+		}
 		h := newHandRound(t, c, dim, rand.New(rand.NewSource(73)))
+		for j, at := range tc.crash {
+			if at == BeforeShares {
+				h.kill(j)
+			}
+		}
 		h.shares(models, rand.New(rand.NewSource(72)))
+		for j, at := range tc.crash {
+			if at == AfterShares {
+				h.kill(j)
+			}
+		}
 		h.report()
 		got := h.finish()
 		if !bitsEqual(got.Avg, want.Avg) {
-			t.Errorf("n=%d k=%d mode %d: stepped by hand %v, Run %v", c.N, c.K, c.Mode, got.Avg, want.Avg)
+			t.Errorf("n=%d k=%d mode %d crash %v: stepped by hand %v, Run %v", c.N, c.K, c.Mode, tc.crash, got.Avg, want.Avg)
 		}
-		if !slices.Equal(got.Contributors, want.Contributors) || got.LeaderAccused != want.LeaderAccused || h.invalid != 0 {
-			t.Errorf("n=%d k=%d mode %d: contributors %v accused %v invalid %d, Run %v %v 0",
-				c.N, c.K, c.Mode, got.Contributors, got.LeaderAccused, h.invalid, want.Contributors, want.LeaderAccused)
+		if !slices.Equal(got.Contributors, want.Contributors) || !slices.Equal(got.Recovered, want.Recovered) ||
+			got.LeaderAccused != want.LeaderAccused || h.invalid != 0 || h.requests != tc.requests {
+			t.Errorf("n=%d k=%d mode %d crash %v: contributors %v recovered %v accused %v invalid %d requests %d, Run %v %v %v 0 %d",
+				c.N, c.K, c.Mode, tc.crash, got.Contributors, got.Recovered, got.LeaderAccused, h.invalid, h.requests,
+				want.Contributors, want.Recovered, want.LeaderAccused, tc.requests)
 		}
 	}
 }
@@ -524,7 +576,7 @@ func TestTiledFinishMatchesUntiled(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
-		kill int // a peer the failure detector reports once the shares are over, −1 for none
+		kill int // a peer that crashes once the shares are over, −1 for none
 	}{
 		{"recovery", Config{N: 4, K: 2, Mode: ModeLeader, Leader: 3}, 2},
 		{"cross-check", Config{N: 5, K: 3, Mode: ModeLeader, Leader: 1, Guard: &Guard{CrossCheck: true}}, -1},
@@ -696,7 +748,7 @@ func TestLeaderSumsItsOwnSubtotalsInsideTheAverage(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		cfg    Config
-		kill   int // a peer the failure detector reports once the shares are over, −1 for none
+		kill   int // a peer that crashes once the shares are over, −1 for none
 		inside bool
 	}{
 		{"fault-free", leader, -1, true},

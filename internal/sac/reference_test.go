@@ -370,7 +370,7 @@ func (e *refEngine) finishBroadcast() (*Result, error) {
 			return nil, fmt.Errorf("%w: peer %d missing own subtotal", errAborted, i)
 		}
 		for j := 0; j < n; j++ {
-			if j == i || !e.mesh.Alive(j) {
+			if j == i || !slices.Contains(e.contributors, j) && !slices.Contains(e.excluded, j) {
 				continue
 			}
 			msg := transport.Message{From: i, To: j, Kind: KindSubtotal, ShareIdx: i, Payload: sub}
@@ -662,7 +662,7 @@ func (e *refEngine) auditLeader(have [][]float64, avg []float64) error {
 	sort.Ints(verifiers)
 	for _, j := range verifiers {
 		for l := 0; l < n; l++ {
-			if l == j || !e.mesh.Alive(l) {
+			if l == j || !slices.Contains(e.contributors, l) && !slices.Contains(e.excluded, l) {
 				continue
 			}
 			msg := transport.Message{From: j, To: l, Kind: kindAudit, ShareIdx: -1,

@@ -30,6 +30,7 @@ package sac
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 
@@ -258,6 +259,18 @@ func Run(mesh transport.Network, cfg Config, models [][]float64, crash CrashPlan
 	if err != nil {
 		return nil, err
 	}
+	// A peer already down on the mesh crashes before its shares. The
+	// caller's plan is copied, not written, and only when one is down.
+	for j, copied := 0, false; j < cfg.N; j++ {
+		if !mesh.Alive(j) {
+			if !copied {
+				plan := make(CrashPlan, len(crash)+1)
+				maps.Copy(plan, crash)
+				crash, copied = plan, true
+			}
+			crash[j] = BeforeShares
+		}
+	}
 	// The fabric lives in the working set, which is on the heap already,
 	// so handing it to Schedule allocates nothing.
 	f := &sc.fabric
@@ -268,12 +281,10 @@ func Run(mesh transport.Network, cfg Config, models [][]float64, crash CrashPlan
 }
 
 // Fabric is the network under a schedule, as the schedule sees it: the
-// four things it asks of one. Run's is a transport.Network carrying its
+// three things it asks of one. Run's is a transport.Network carrying its
 // peers' messages (meshFabric); core's is a two-layer round's nodes,
 // which hold the peers and route their messages through one inbox each.
 type Fabric interface {
-	// Alive reports whether peer j has not crashed.
-	Alive(j int) bool
 	// Crash fails peer j for the rest of the round: it sends nothing
 	// more, and what is sent to it is dropped once it is charged.
 	Crash(j int) error
@@ -290,8 +301,6 @@ type meshFabric struct {
 	mesh  transport.Network
 	peers []Peer
 }
-
-func (f *meshFabric) Alive(j int) bool { return f.mesh.Alive(j) }
 
 func (f *meshFabric) Crash(j int) error { return f.mesh.Crash(j) }
 
@@ -322,25 +331,19 @@ func (f *meshFabric) Deliver(j int) error {
 // carries their messages; the schedule steps them through the phases
 // and owns exactly what no single peer can know: the order of the
 // turns, the one Rng (handed to the contributor at its turn, so draws
-// come in one fixed order), the crash plan, and who is alive
-// (f.Alive, the round's perfect failure detector, told to the peers
-// through Peer.Down). Which contributors the range guard excludes the
-// peers decide among themselves, by accusation. It is the only code
-// that calls those inputs into a Peer, for Run and for core's round
-// alike. avg is the collector's Finish destination: Run passes nil, so
-// each of its Results owns its Avg, and core lends the vectors its
-// System keeps.
+// come in one fixed order), and the crash plan, which it carries out on
+// the fabric and tells no peer: the others find a crashed peer silent.
+// Which contributors the range guard excludes the peers decide among
+// themselves, by accusation. It is the only code that calls those
+// inputs into a Peer, for Run and for core's round alike. avg is the
+// collector's Finish destination: Run passes nil, so each of its
+// Results owns its Avg, and core lends the vectors its System keeps.
 func Schedule(f Fabric, peers []Peer, cfg Config, models [][]float64, crash CrashPlan, avg []float64) (*Result, error) {
 	d := schedule{f: f, peers: peers, cfg: cfg, rng: cfg.Rng, crash: crash, tel: newSACTel(cfg.Telemetry)}
 	if d.rng == nil {
 		d.rng = rand.New(rand.NewSource(1))
 	}
 	defer d.release()
-	for j := range peers {
-		if !f.Alive(j) {
-			d.down(j)
-		}
-	}
 	d.tel.roundsStarted.Inc()
 	res, err := d.run(models, avg)
 	if err != nil {
@@ -367,6 +370,7 @@ type schedule struct {
 	cfg   Config
 	rng   *rand.Rand
 	crash CrashPlan
+	phase Phase // the last phase boundary the round has reached
 	tel   sacTel
 
 	// err is the first failure of a fabric operation. Any aborts the
@@ -395,19 +399,19 @@ func (d *schedule) fail(err error) {
 	}
 }
 
-// down is the failure detector reporting j to every peer.
-func (d *schedule) down(j int) {
-	for l := range d.peers {
-		d.peers[l].Down(j)
-	}
+// up reports whether peer j runs past the phase the round has reached.
+// One to crash BeforeShares does so at its own turn; until then its
+// inbox fills unread (the bytes sent toward it count all the same).
+func (d *schedule) up(j int) bool {
+	at, doomed := d.crash[j]
+	return !doomed || at > d.phase
 }
 
 // crashAt carries out the crash plan on peer j if it names this phase.
 func (d *schedule) crashAt(j int, phase Phase) {
-	if at, doomed := d.crash[j]; doomed && at == phase && d.f.Alive(j) && d.err == nil {
+	if at, doomed := d.crash[j]; doomed && at == phase && d.err == nil {
 		d.fail(d.f.Crash(j))
 		d.tel.peersCrashed.Inc()
-		d.down(j)
 	}
 }
 
@@ -435,19 +439,10 @@ func (d *schedule) deliver(j int) {
 
 func (d *schedule) deliverAll() {
 	for j := range d.peers {
-		if d.f.Alive(j) {
+		if d.up(j) {
 			d.deliver(j)
 		}
 	}
-}
-
-// sharing reports whether peer j takes part in the share exchange. Who
-// does is settled before the first turn: a peer that is to crash
-// BeforeShares does so at its own turn, and until then its inbox fills
-// unread (the bytes sent toward it count all the same).
-func (d *schedule) sharing(j int) bool {
-	at, doomed := d.crash[j]
-	return d.f.Alive(j) && !(doomed && at == BeforeShares)
 }
 
 func (d *schedule) run(models [][]float64, avg []float64) (*Result, error) {
@@ -476,6 +471,7 @@ func (d *schedule) run(models [][]float64, avg []float64) (*Result, error) {
 
 	// A peer that crashes AfterShares has distributed its shares (so its
 	// model still counts) but reports nothing further.
+	d.phase = AfterShares
 	for j := range d.peers {
 		d.crashAt(j, AfterShares)
 	}
@@ -496,39 +492,39 @@ func (d *schedule) run(models [][]float64, avg []float64) (*Result, error) {
 // were opened, so each subtotal sums its contributors in ascending order
 // whatever the fabric does — the summation order the results are pinned
 // to. Afterwards the peers seal: every accuser drops whom its range
-// guard caught and tells every alive peer, in accuser-major order, and
+// guard caught and tells every peer that took a turn, accuser-major, and
 // the accusations are read at once, before any subtotal is summed, so
 // every alive peer drops the same contributors and later phases see
 // clean inboxes. It returns how many contributors the peers kept and how
 // many they excluded.
 func (d *schedule) exchangeShares(models [][]float64) (kept, excluded int) {
 	for i := 0; i < len(d.peers) && d.err == nil; i++ {
-		if !d.sharing(i) {
+		if !d.up(i) {
 			d.crashAt(i, BeforeShares) // its own turn is when
 			continue
 		}
 		for j := range d.peers {
-			if d.sharing(j) {
+			if d.up(j) {
 				d.peers[j].BeginTurn(i)
 			}
 		}
 		d.fail(d.peers[i].Contribute(models[i], d.rng))
 		d.flush(i, d.tel.sharesSent)
 		for j := range d.peers {
-			if d.sharing(j) {
+			if d.up(j) {
 				d.deliver(j)
 			}
 		}
 	}
 	for j := range d.peers {
-		if d.f.Alive(j) {
+		if d.up(j) {
 			d.peers[j].Seal()
 			d.flush(j, nil)
 		}
 	}
 	d.deliverAll()
 	for j := range d.peers {
-		if p := &d.peers[j]; d.f.Alive(j) {
+		if p := &d.peers[j]; d.up(j) {
 			d.tel.byzShareRange.Add(int64(len(p.accusations)))
 			kept, excluded = len(p.contributors), len(p.excluded)
 		}
@@ -542,9 +538,9 @@ func (d *schedule) exchangeShares(models [][]float64) (kept, excluded int) {
 // every other, each checks that it holds all N, and the average is taken
 // at the first peer's view (identical everywhere); any missing subtotal
 // aborts. Under Alg. 4 (lines 14–20) the owner sends the leader the
-// subtotal it lacks and a crashed owner's is recovered from a replica
-// holder — or, under the cross-check, every alive holder sends its copy —
-// and the leader averages what it was sent with what it holds. A
+// subtotal it lacks, the leader's timeout (Recover) asks holders for a
+// crashed owner's — or, under the cross-check, every alive holder sends
+// its copy — and the leader averages what it was sent and holds. A
 // cross-checking leader's result is audited before release: it announces,
 // every peer reads its copy and echoes a digest, every peer reads the
 // echoes (leaving every inbox clean), and one conviction is the round's.
@@ -556,11 +552,11 @@ func (d *schedule) exchangeSubtotals(avg []float64) (*Result, error) {
 	case broadcast:
 		collectors = nil
 		for j := range d.peers {
-			if d.f.Alive(j) {
+			if d.up(j) {
 				collectors = append(collectors, j)
 			}
 		}
-	case !d.f.Alive(leader):
+	case !d.up(leader):
 		return nil, ErrLeaderCrashed
 	}
 	for s := 0; s < n && d.err == nil; s++ {
@@ -569,23 +565,27 @@ func (d *schedule) exchangeSubtotals(avg []float64) (*Result, error) {
 			return nil, err
 		}
 		switch {
-		case !broadcast && !slices.ContainsFunc(holders, d.f.Alive):
+		case !broadcast && !slices.ContainsFunc(holders, d.up):
 			return nil, fmt.Errorf("%w: no alive holder of subtotal %d", ErrInsufficientPeers, s)
 		case guarded || broadcast: // every holder reports
 		case slices.Contains(holders, leader): // the leader sums s itself
 			holders = nil
-		case d.f.Alive(s):
+		case d.up(s):
 			holders = holders[len(holders)-1:] // the owner alone
 		default:
-			// Owner is down — recover from a replica holder (lines 17–18):
-			// request (metadata-sized) and response (|w|).
+			// The owner is silent: the leader asks replica holders (lines
+			// 17–18), request (metadata-sized) and response (|w|), until one answers.
 			holders = nil
-			asked := d.peers[leader].Recover(s)
-			d.flush(leader, nil)
-			d.deliver(asked)
+			for asked := d.peers[leader].Recover(s); asked >= 0 && d.err == nil; asked = d.peers[leader].Recover(s) {
+				d.flush(leader, nil)
+				if d.up(asked) {
+					d.deliver(asked)
+				}
+				d.deliver(leader)
+			}
 		}
 		for _, h := range holders {
-			if d.f.Alive(h) {
+			if d.up(h) {
 				d.peers[h].Report(s)
 				d.flush(h, d.tel.subtotalsSent)
 			}
@@ -609,7 +609,7 @@ func (d *schedule) exchangeSubtotals(avg []float64) (*Result, error) {
 	d.deliverAll() // the announcement; each verifier echoes
 	d.deliverAll() // the echoes
 	for j := range d.peers {
-		if d.f.Alive(j) && d.peers[j].Convicts() {
+		if d.up(j) && d.peers[j].Convicts() {
 			res.LeaderAccused = true
 		}
 	}
