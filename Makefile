@@ -38,12 +38,16 @@ vet:
 test:
 	$(GO) test ./...
 
-# Non-test Go lines outside bench/, per package directory and in total:
-# the count ROADMAP's size figures quote.
+# Non-test Go lines outside bench/, per package directory and in total,
+# then the two subtotals ROADMAP sets targets for: the count ROADMAP's
+# size figures quote.
 size:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec wc -l {} + | \
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
-		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t; \
+			i = "./internal/"; cs = n[i "core"] + n[i "sac"]; \
+			printf "%7d core + sac (item 1C: <= 2,899)\n", cs; \
+			printf "%7d core + sac + cluster + chaos + transport (item 6: 8,401)\n", cs + n[i "cluster"] + n[i "chaos"] + n[i "transport"] }'
 
 # Coverage census, report only and not part of check: which functions of
 # the round's packages do the programs never run in full? It builds the
@@ -265,10 +269,11 @@ test-scale:
 	$(GO) run ./cmd/p2pfl-bench -multilayer
 	$(GO) run ./cmd/p2pfl-chaos -track shard -seeds 12
 
-# Byzantine adversaries: robust SAC aggregation (each sac.Peer's range
-# guard, whose accusations, read at the seal of a guarded round, drop the
-# accused at every peer; the subtotal cross-check and leader audit; and who may send a
-# collector what), its core-layer integration, the robust rules of
+# Byzantine adversaries: robust SAC aggregation (sac.Guard, one defence
+# with one field, its share bound: each sac.Peer's range screening, whose
+# accusations, read at the seal of a guarded round, drop the accused at
+# every peer, the subtotal cross-check and the leader audit, all armed
+# together; and who may send a collector what), its core-layer integration, the robust rules of
 # internal/fl (CoordinateMedian is the cross-check's combiner, whose
 # AggregateInto writes each index's median into the audit claims the
 # leader keeps, so a warm guarded round allocates no model vector —

@@ -389,24 +389,7 @@ func TestEveryOptionIsSetByAProgram(t *testing.T) {
 	}
 	m := loadModule(t)
 	info := m.info
-	options := map[*types.Var]string{} // field → "pkg.Type.Field"
-	for _, pkg := range m.pkgs {
-		if !strings.HasPrefix(pkg.Path(), "repro/internal/") {
-			continue
-		}
-		for _, name := range pkg.Scope().Names() {
-			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
-			if !ok || !tn.Exported() {
-				continue
-			}
-			st, ok := tn.Type().Underlying().(*types.Struct)
-			for i := 0; ok && i < st.NumFields(); i++ {
-				if fld := st.Field(i); fld.Exported() {
-					options[fld] = pkg.Path() + "." + name + "." + fld.Name()
-				}
-			}
-		}
-	}
+	options := optionFields(m)
 	if len(options) < 100 {
 		t.Fatalf("found %d option fields; the guard is not looking at the tree", len(options))
 	}
@@ -429,15 +412,7 @@ func TestEveryOptionIsSetByAProgram(t *testing.T) {
 			return
 		}
 		set[s.Obj().(*types.Var).Origin()] = true
-		typ := s.Recv()
-		for _, i := range s.Index()[:len(s.Index())-1] { // the embedded fields it is promoted through
-			if ptr, ok := typ.Underlying().(*types.Pointer); ok {
-				typ = ptr.Elem()
-			}
-			embedded := typ.Underlying().(*types.Struct).Field(i)
-			set[embedded.Origin()] = true
-			typ = embedded.Type()
-		}
+		promotedThrough(s, func(embedded *types.Var) { set[embedded] = true })
 	}
 	defaults := map[*ast.AssignStmt]bool{} // x.F = c under if x.F == <zero>
 	for _, file := range m.files {
@@ -513,6 +488,363 @@ func TestEveryOptionIsSetByAProgram(t *testing.T) {
 			t.Errorf("unsetKept entry %s no longer exists; drop it", name)
 		}
 	}
+}
+
+// oneValueKept lists the option fields every program writes to one
+// value that stay options anyway, each with its reason. Only an open
+// ROADMAP item is a reason: an option every program sets alike is a
+// constant with a name.
+var oneValueKept = func() map[string]string {
+	m := map[string]string{}
+	keep := func(reason string, names ...string) {
+		for _, name := range names {
+			m["repro/internal/"+name] = reason
+		}
+	}
+	keep("roadmap item 19: DP accounting is restated over the clip bound and δ",
+		"dp.Gaussian.Clip", "dp.Gaussian.Delta")
+	keep("roadmap item 11 step 2: bench/ writes it, and the benchmark change that drops the write makes it a constant",
+		"fl.TrainConfig.Epochs")
+	keep("roadmap item 10: the PaperCNN figures set the paper's batch size and step size",
+		"core.TrainerConfig.BatchSize", "core.TrainerConfig.LearningRate")
+	return m
+}()
+
+// optionValues is what the programs write to one option field: the
+// distinct constants, and whether some write is not a constant.
+type optionValues struct {
+	consts []constant.Value // nil stands for a nil pointer, slice, map or interface
+	varies bool
+}
+
+func (o *optionValues) add(v constant.Value, isConst bool) {
+	switch {
+	case !isConst:
+		o.varies = true
+	case !slices.ContainsFunc(o.consts, func(c constant.Value) bool { return sameConst(c, v) }):
+		o.consts = append(o.consts, v)
+	}
+}
+
+// fieldDefault is an `if x.F == <zero> { x.F = c }` or `if x.F <= 0
+// { x.F = c }`: the value a program that leaves F alone gets.
+type fieldDefault struct {
+	op      token.Token    // EQL or LEQ
+	zero    constant.Value // what F is compared with (nil: nil)
+	v       constant.Value // c, when isConst
+	isConst bool
+}
+
+// covers reports whether the default replaces a write of c.
+func (d fieldDefault) covers(c constant.Value) bool {
+	if d.op == token.EQL || c == nil {
+		return sameConst(c, d.zero)
+	}
+	return numeric(c) && constant.Compare(c, token.LEQ, d.zero)
+}
+
+// TestEveryOptionTakesTwoValues is the rule that a setting every
+// program writes one way is a constant, held as
+// TestEveryOptionIsSetByAProgram holds "some program sets it": an
+// exported field of an exported struct type under internal/ fails when
+// every write in the module's non-test code outside normalize/validate
+// gives it the same constant, unless oneValueKept names it with a
+// roadmap item. A write is a keyed or positional literal value, an
+// assignment, or a keyed literal that leaves the field out — its zero
+// value, which a default `if x.F == <zero>` or `<= 0 { x.F = c }`
+// turns into c. A value that is not a constant, ++, --, an op-assign,
+// a write to one of the field's own fields or elements, its address
+// taken or a method called through it makes the field vary. Fields in
+// unsetKept are skipped: no program sets them at all.
+func TestEveryOptionTakesTwoValues(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the module and the standard library from source")
+	}
+	m := loadModule(t)
+	info := m.info
+	options := optionFields(m)
+
+	// fieldOf is the field a selector reads, or nil.
+	fieldOf := func(e ast.Expr) *types.Var {
+		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+		if !ok {
+			return nil
+		}
+		if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+			return s.Obj().(*types.Var).Origin()
+		}
+		return nil
+	}
+	values := map[*types.Var]*optionValues{}
+	at := func(fld *types.Var) *optionValues {
+		if values[fld] == nil {
+			values[fld] = &optionValues{}
+		}
+		return values[fld]
+	}
+	// touched marks every field e reaches through as varying: the ones
+	// it selects, indexes or dereferences on its way, and the embedded
+	// fields a promoted selection passes.
+	var touched func(e ast.Expr)
+	touched = func(e ast.Expr) {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			if s := info.Selections[e]; s != nil && s.Kind() == types.FieldVal {
+				at(s.Obj().(*types.Var).Origin()).varies = true
+				promotedThrough(s, func(embedded *types.Var) { at(embedded).varies = true })
+			}
+			touched(e.X)
+		case *ast.IndexExpr:
+			touched(e.X)
+		case *ast.StarExpr:
+			touched(e.X)
+		}
+	}
+	// write records v (nil: not a constant) as written to the field lhs
+	// selects; every field it reaches through varies.
+	write := func(lhs, v ast.Expr) {
+		fld := fieldOf(lhs)
+		if fld == nil {
+			touched(lhs)
+			return
+		}
+		sel := ast.Unparen(lhs).(*ast.SelectorExpr)
+		promotedThrough(info.Selections[sel], func(embedded *types.Var) { at(embedded).varies = true })
+		touched(sel.X)
+		at(fld).add(constOf(info, v))
+	}
+
+	defaults := map[*ast.AssignStmt]bool{}
+	defaultOf := map[*types.Var][]fieldDefault{}
+	for _, file := range m.files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			ifs, ok := n.(*ast.IfStmt)
+			if !ok {
+				return true
+			}
+			cond, ok := ast.Unparen(ifs.Cond).(*ast.BinaryExpr)
+			if !ok || cond.Op != token.EQL && cond.Op != token.LEQ || !isZeroValue(info.Types[cond.Y]) {
+				return true
+			}
+			fld := fieldOf(cond.X)
+			for _, stmt := range ifs.Body.List {
+				as, ok := stmt.(*ast.AssignStmt)
+				if !ok || fld == nil || len(as.Lhs) != 1 || len(as.Rhs) != 1 || as.Tok != token.ASSIGN ||
+					types.ExprString(as.Lhs[0]) != types.ExprString(cond.X) {
+					continue
+				}
+				defaults[as] = true
+				zero, _ := constOf(info, cond.Y)
+				c, isConst := constOf(info, as.Rhs[0])
+				defaultOf[fld] = append(defaultOf[fld], fieldDefault{op: cond.Op, zero: zero, v: c, isConst: isConst})
+			}
+			return true
+		})
+	}
+
+	for _, file := range m.files {
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && (fn.Name.Name == "normalize" || fn.Name.Name == "validate") {
+				continue // defaulting a field is not setting it
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					switch {
+					case defaults[n]:
+					case n.Tok != token.ASSIGN && n.Tok != token.DEFINE:
+						touched(n.Lhs[0]) // an op-assign
+					case len(n.Lhs) != len(n.Rhs):
+						for _, lhs := range n.Lhs {
+							write(lhs, nil) // the results of one call
+						}
+					default:
+						for i, lhs := range n.Lhs {
+							write(lhs, n.Rhs[i])
+						}
+					}
+				case *ast.IncDecStmt:
+					touched(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						touched(n.X)
+					}
+				case *ast.SelectorExpr:
+					if s := info.Selections[n]; s != nil && s.Kind() == types.MethodVal {
+						promotedThrough(s, func(embedded *types.Var) { at(embedded).varies = true })
+						touched(n.X)
+					}
+				case *ast.CompositeLit:
+					st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					given := map[*types.Var]bool{}
+					for i, elt := range n.Elts {
+						fld, v := st.Field(i), elt
+						if kv, keyed := elt.(*ast.KeyValueExpr); keyed {
+							fld, v = info.Uses[kv.Key.(*ast.Ident)].(*types.Var), kv.Value
+						}
+						given[fld.Origin()] = true
+						at(fld.Origin()).add(constOf(info, v))
+					}
+					for i := 0; i < st.NumFields(); i++ {
+						if fld := st.Field(i).Origin(); !given[fld] {
+							at(fld).add(zeroOf(fld.Type()))
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	// A zero left for a default to fill in is the default's value.
+	for fld, ds := range defaultOf {
+		o := values[fld]
+		if o == nil {
+			continue
+		}
+		var kept []constant.Value
+		var filled []fieldDefault
+		for _, c := range o.consts {
+			n := len(filled)
+			for _, d := range ds {
+				if d.covers(c) {
+					filled = append(filled, d)
+				}
+			}
+			if len(filled) == n {
+				kept = append(kept, c)
+			}
+		}
+		o.consts = kept
+		for _, d := range filled {
+			o.add(d.v, d.isConst)
+		}
+	}
+
+	declared := map[string]bool{}
+	var oneValue []string
+	for fld, name := range options {
+		declared[name] = true
+		o := values[fld]
+		one := o != nil && !o.varies && len(o.consts) == 1 && unsetKept[name] == ""
+		switch {
+		case one && oneValueKept[name] == "":
+			oneValue = append(oneValue, fmt.Sprintf("%s: %s is %s in every program that writes it: make it a constant, or ship the program that sets it otherwise",
+				m.fset.Position(fld.Pos()), name, constString(o.consts[0])))
+		case !one && oneValueKept[name] != "":
+			t.Errorf("oneValueKept entry %s is not written one way by every program; drop it", name)
+		}
+	}
+	slices.Sort(oneValue)
+	for _, u := range oneValue {
+		t.Error(u)
+	}
+	for name, reason := range oneValueKept {
+		if !strings.HasPrefix(reason, "roadmap item ") {
+			t.Errorf("oneValueKept entry %s: reason %q names no roadmap item", name, reason)
+		}
+		if !declared[name] {
+			t.Errorf("oneValueKept entry %s no longer exists; drop it", name)
+		}
+	}
+	t.Logf("%d option fields under internal/, %d written one way and kept", len(options), len(oneValueKept))
+}
+
+// optionFields maps every exported field of an exported struct type
+// under internal/ to its name, "pkg.Type.Field".
+func optionFields(m module) map[*types.Var]string {
+	options := map[*types.Var]string{}
+	for _, pkg := range m.pkgs {
+		if !strings.HasPrefix(pkg.Path(), "repro/internal/") {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			for i := 0; ok && i < st.NumFields(); i++ {
+				if fld := st.Field(i); fld.Exported() {
+					options[fld] = pkg.Path() + "." + name + "." + fld.Name()
+				}
+			}
+		}
+	}
+	return options
+}
+
+// promotedThrough calls f with each embedded field a field selection is
+// promoted through.
+func promotedThrough(s *types.Selection, f func(embedded *types.Var)) {
+	typ := s.Recv()
+	for _, i := range s.Index()[:len(s.Index())-1] {
+		if ptr, ok := typ.Underlying().(*types.Pointer); ok {
+			typ = ptr.Elem()
+		}
+		embedded := typ.Underlying().(*types.Struct).Field(i)
+		f(embedded.Origin())
+		typ = embedded.Type()
+	}
+}
+
+// constOf is the value of e if it is a constant or nil (a nil Value
+// then), and whether it is one.
+func constOf(info *types.Info, e ast.Expr) (constant.Value, bool) {
+	if e == nil {
+		return nil, false
+	}
+	tv := info.Types[e]
+	if tv.IsNil() {
+		return nil, true
+	}
+	return tv.Value, tv.Value != nil
+}
+
+// zeroOf is the zero value of typ as constOf reports it; a struct or an
+// array has no constant zero.
+func zeroOf(typ types.Type) (constant.Value, bool) {
+	switch u := typ.Underlying().(type) {
+	case *types.Basic:
+		switch {
+		case u.Info()&types.IsBoolean != 0:
+			return constant.MakeBool(false), true
+		case u.Info()&types.IsString != 0:
+			return constant.MakeString(""), true
+		case u.Info()&types.IsNumeric != 0:
+			return constant.MakeInt64(0), true
+		}
+		return nil, false
+	case *types.Struct, *types.Array:
+		return nil, false
+	}
+	return nil, true
+}
+
+// sameConst reports whether two of constOf's values are equal; nil is
+// equal only to nil.
+func sameConst(a, b constant.Value) bool {
+	switch {
+	case a == nil || b == nil:
+		return a == b
+	case numeric(a) && numeric(b):
+		return constant.Compare(a, token.EQL, b)
+	}
+	return a.Kind() == b.Kind() && constant.Compare(a, token.EQL, b)
+}
+
+func numeric(c constant.Value) bool {
+	return c.Kind() == constant.Int || c.Kind() == constant.Float || c.Kind() == constant.Complex
+}
+
+func constString(c constant.Value) string {
+	if c == nil {
+		return "nil"
+	}
+	return c.String()
 }
 
 // isZeroValue reports whether an expression is nil or a constant equal

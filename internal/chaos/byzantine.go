@@ -139,7 +139,7 @@ func byzantineRound(c Campaign, rep *Report, led *ledger, rng *rand.Rand, round 
 			models[i][d] = sign * math.Round((1+9*rng.Float64())*1024) / 1024
 		}
 	}
-	guard := &sac.Guard{ShareBound: byzOracleW, CrossCheck: true}
+	guard := &sac.Guard{ShareBound: byzOracleW}
 
 	// Part A — SAC-level probes: one guarded aggregation per subgroup
 	// plan, with a mesh observer feeding the coalition-privacy checker.

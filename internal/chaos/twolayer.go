@@ -560,7 +560,7 @@ func (w *twWorld) aggregationRound() {
 		// Robust mode needs 3-way share replication (k = n−2) so the
 		// holder cross-check can outvote the marked adversaries.
 		cfg.K = []int{w.c.SubgroupSize - 2}
-		cfg.Guard = &sac.Guard{ShareBound: byzModelMax, CrossCheck: true}
+		cfg.Guard = &sac.Guard{ShareBound: byzModelMax}
 		cfg.Aggregator = fl.CoordinateMedian{}
 	}
 	coreSys, err := core.NewSystem(cfg, rand.New(rand.NewSource(w.c.Seed^0x7f4a7c15)))

@@ -316,6 +316,9 @@ func TestConfigValidateAndParse(t *testing.T) {
 	if err := (Config{Scheme: TopK, Frac: 1.5}).Validate(); err == nil {
 		t.Fatal("bad fraction accepted")
 	}
+	if err := (Config{Scheme: TopK, Frac: math.NaN()}).Validate(); err == nil {
+		t.Fatal("NaN fraction accepted")
+	}
 	if _, err := (Config{}).Compress([]float64{1}); err == nil {
 		t.Fatal("Compress with scheme none must error")
 	}

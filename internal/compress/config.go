@@ -67,7 +67,7 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("compress: unknown scheme %d", int(c.Scheme))
 	}
-	if c.Frac < 0 || c.Frac > 1 {
+	if !(c.Frac >= 0 && c.Frac <= 1) {
 		return fmt.Errorf("compress: top-k fraction %v out of (0,1]", c.Frac)
 	}
 	return nil

@@ -49,7 +49,7 @@ func TestTrimmedMeanUpperLayer(t *testing.T) {
 	}
 	sys, err := NewSystem(Config{
 		Sizes:      []int{2, 2, 2, 2, 2},
-		Aggregator: fl.TrimmedMean{Trim: 0.2},
+		Aggregator: fl.TrimmedMean{},
 	}, rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)

@@ -73,7 +73,7 @@ func TestRobustRoundSurvivesWherePlainMeanBreaks(t *testing.T) {
 
 	robustSys, err := NewSystem(Config{
 		Sizes: sizes, K: []int{k},
-		Guard:      &sac.Guard{ShareBound: w, CrossCheck: true},
+		Guard:      &sac.Guard{ShareBound: w},
 		Aggregator: fl.CoordinateMedian{},
 	}, rand.New(rand.NewSource(7)))
 	if err != nil {
@@ -118,7 +118,7 @@ func TestEquivocatingLeaderDropsItsSubgroup(t *testing.T) {
 
 	sys, err := NewSystem(Config{
 		Sizes: sizes, K: []int{k},
-		Guard:      &sac.Guard{ShareBound: w, CrossCheck: true},
+		Guard:      &sac.Guard{ShareBound: w},
 		Aggregator: fl.CoordinateMedian{},
 	}, rand.New(rand.NewSource(8)))
 	if err != nil {
@@ -146,7 +146,7 @@ func TestRobustRoundDeterministic(t *testing.T) {
 		models := byzTestModels(rand.New(rand.NewSource(23)), 8, 3, 10)
 		sys, err := NewSystem(Config{
 			Sizes: []int{4, 4}, K: []int{2},
-			Guard:      &sac.Guard{ShareBound: 10, CrossCheck: true},
+			Guard:      &sac.Guard{ShareBound: 10},
 			Aggregator: fl.CoordinateMedian{},
 		}, rand.New(rand.NewSource(9)))
 		if err != nil {

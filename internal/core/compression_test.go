@@ -254,7 +254,7 @@ func TestCompressedRoundKeepsItsDecodeVectors(t *testing.T) {
 		{"top-k quant16", Config{Sizes: sizes5, Compression: compress.Config{Scheme: compress.TopKQuant16, Frac: 0.1}}},
 		{"secure upper", Config{Sizes: sizes5, SecureUpper: true}},
 		{"secure upper quant16", Config{Sizes: sizes5, SecureUpper: true, Compression: compress.Config{Scheme: compress.Quant16}}},
-		{"guarded", Config{Sizes: sizes5, Guard: &sac.Guard{CrossCheck: true}}},
+		{"guarded", Config{Sizes: sizes5, Guard: &sac.Guard{ShareBound: 1e3}}},
 	} {
 		warm, rng := newSys(tc.cfg, 3)
 		if _, err := warm.AggregateRound(models(15, 3), RoundSpec{}); err != nil {

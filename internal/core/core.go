@@ -64,7 +64,7 @@ type Config struct {
 	// subgroup models. Rejected together with SecureUpper (SAC computes
 	// a weighted average by construction).
 	Aggregator fl.Aggregator
-	// Guard, when non-nil, arms the robust-aggregation defences inside
+	// Guard, when non-nil, arms the robust-aggregation defence inside
 	// every subgroup SAC (share-range exclusion, cross-checked subtotal
 	// combination, leader-result audit — see sac.Guard). Subgroups whose
 	// leader is convicted of equivocation by the audit are dropped from
@@ -125,8 +125,11 @@ func (c *Config) validate() error {
 	if len(c.K) > 1 && len(c.K) != len(c.Sizes) {
 		return fmt.Errorf("core: %d thresholds for %d subgroups", len(c.K), len(c.Sizes))
 	}
-	if c.Fraction < 0 || c.Fraction > 1 {
+	if !(c.Fraction >= 0 && c.Fraction <= 1) {
 		return fmt.Errorf("core: fraction %v out of [0,1]", c.Fraction)
+	}
+	if c.Guard != nil && !(c.Guard.ShareBound > 0) {
+		return fmt.Errorf("core: guard share bound %v is not a positive number", c.Guard.ShareBound)
 	}
 	if c.SecureUpper && c.Aggregator != nil {
 		return fmt.Errorf("core: SecureUpper averages by SAC and cannot apply aggregator %q", c.Aggregator.Name())

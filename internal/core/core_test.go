@@ -87,6 +87,8 @@ func TestConfigValidation(t *testing.T) {
 		{Sizes: []int{3, 3}, K: []int{1, 2, 3}},
 		{Sizes: []int{3}, Fraction: 1.5},
 		{Sizes: []int{3}, Fraction: -0.1},
+		{Sizes: []int{3, 3, 3, 3}, Fraction: math.NaN()},
+		{Sizes: []int{3}, Guard: &sac.Guard{}},
 	}
 	for i, cfg := range bad {
 		if _, err := NewSystem(cfg, nil); err == nil {

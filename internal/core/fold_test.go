@@ -126,7 +126,7 @@ func TestFoldedEntryPointsReplayParentRounds(t *testing.T) {
 			{spec: RoundSpec{Leaders: []int{1, 2, 3}, FedLeader: 2}, want: "08a37aa4dcb3cb97 6843 fedavg/broadcast=567/7 fedavg/download=162/2 fedavg/upload=162/2 sac/share=4608/24 sac/subtotal=1344/7 | p[0 1 2] b[] x[] e3fd14e08b3199dce | round/byzantine_subgroups=0 round/completed=1 round/sac_failed=0 round/started=1 round/subgroups_excluded=0 round/subgroups_ok=3 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=3 sac/rounds_started=3 sac/shares_sent=24 sac/subtotals_recovered=0 sac/subtotals_sent=7"},
 			{spec: RoundSpec{Leaders: []int{2, 0, 1}, FedLeader: 1}, want: "0beb9a41ea891fe4 6843 fedavg/broadcast=1134/14 fedavg/download=324/4 fedavg/upload=324/4 sac/share=9216/48 sac/subtotal=2688/14 | p[0 1 2] b[] x[] e3fd3f3b8e2faf363 | round/byzantine_subgroups=0 round/completed=2 round/sac_failed=0 round/started=2 round/subgroups_excluded=0 round/subgroups_ok=6 sac/byzantine_equivocation=0 sac/byzantine_excluded=0 sac/byzantine_share_range=0 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=6 sac/rounds_started=6 sac/shares_sent=48 sac/subtotals_recovered=0 sac/subtotals_sent=14"},
 		}},
-		{"guarded median", Config{Sizes: []int{5, 5, 5}, K: []int{3}, Guard: &sac.Guard{ShareBound: 10, CrossCheck: true}, Aggregator: fl.CoordinateMedian{}}, []foldStep{
+		{"guarded median", Config{Sizes: []int{5, 5, 5}, K: []int{3}, Guard: &sac.Guard{ShareBound: 10}, Aggregator: fl.CoordinateMedian{}}, []foldStep{
 			{spec: RoundSpec{Leaders: []int{0, 0, 1}, FedLeader: 1,
 				Adversary: map[int]sac.AdversaryPlan{0: {3: sac.ByzPoisonScale}, 2: {1: sac.ByzEquivocate}}}, want: "3c3c0136103cdaa9 58656 fedavg/broadcast=2304/12 fedavg/download=384/2 fedavg/upload=192/1 sac/accuse=128/16 sac/audit=352/44 sac/claims=11520/12 sac/result=2304/12 sac/share=34560/180 sac/subtotal=6912/36 | p[0 1] b[2] x[0:[3]] e0000000000000000 | round/byzantine_subgroups=1 round/completed=1 round/sac_failed=0 round/started=1 round/subgroups_excluded=0 round/subgroups_ok=2 sac/byzantine_equivocation=1 sac/byzantine_excluded=1 sac/byzantine_share_range=4 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=3 sac/rounds_started=3 sac/shares_sent=180 sac/subtotals_recovered=0 sac/subtotals_sent=36"},
 			{spec: RoundSpec{Leaders: []int{0, 0, 0}, FedLeader: 0}, want: "473a103d5b6ffa01 58752 fedavg/broadcast=4608/24 fedavg/download=768/4 fedavg/upload=576/3 sac/accuse=128/16 sac/audit=736/92 sac/claims=23040/24 sac/result=4608/24 sac/share=69120/360 sac/subtotal=13824/72 | p[0 1 2] b[] x[] e0000000000000000 | round/byzantine_subgroups=1 round/completed=2 round/sac_failed=0 round/started=2 round/subgroups_excluded=0 round/subgroups_ok=5 sac/byzantine_equivocation=1 sac/byzantine_excluded=1 sac/byzantine_share_range=4 sac/byzantine_subtotal_mismatch=0 sac/msgs_invalid=0 sac/peers_crashed=0 sac/rounds_failed=0 sac/rounds_ok=6 sac/rounds_started=6 sac/shares_sent=360 sac/subtotals_recovered=0 sac/subtotals_sent=72"},

@@ -184,6 +184,9 @@ func (s *mlSource) Int63() int64 { return int64(s.Uint64() >> 1) }
 // (one Int63 per subgroup, in topology order), so the result depends on
 // the seed and the topology alone, not on the budget.
 func AggregateMultiLayerOpts(t *MultiLayerTopology, models [][]float64, div secretshare.Divider, rng *rand.Rand, counter *transport.Counter, opts MultiLayerOptions) (*MultiLayerResult, error) {
+	if t.Layers < 1 || len(t.subgroupsByLayer) != t.Layers {
+		return nil, fmt.Errorf("core: topology holds %d of its %d layers; build it with BuildMultiLayerTopology", len(t.subgroupsByLayer), t.Layers)
+	}
 	if len(models) != t.N {
 		return nil, fmt.Errorf("core: %d models for %d peers", len(models), t.N)
 	}

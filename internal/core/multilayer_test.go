@@ -140,4 +140,10 @@ func TestMultiLayerInputValidation(t *testing.T) {
 	if _, err := AggregateMultiLayerOpts(topo, bad, nil, nil, nil, MultiLayerOptions{}); err == nil {
 		t.Fatal("want ragged-model error")
 	}
+	// A topology BuildMultiLayerTopology did not build has no layer table.
+	for _, hand := range []*MultiLayerTopology{{}, {N: 3, Degree: 3, Layers: 1}} {
+		if _, err := AggregateMultiLayerOpts(hand, randModels(r, hand.N, 4), nil, nil, nil, MultiLayerOptions{}); err == nil {
+			t.Fatalf("%+v: want a layer-table error", *hand)
+		}
+	}
 }

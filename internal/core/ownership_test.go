@@ -38,7 +38,7 @@ func TestWarmRoundAllocatesNoModelVector(t *testing.T) {
 		{name: "quant8", cfg: Config{Sizes: sizes, Compression: compress.Config{Scheme: compress.Quant8}}},
 		{name: "top-k", cfg: Config{Sizes: sizes, Compression: compress.Config{Scheme: compress.TopK, Frac: 0.1}}},
 		{name: "top-k quant16", cfg: Config{Sizes: sizes, Compression: compress.Config{Scheme: compress.TopKQuant16, Frac: 0.1}}},
-		{name: "guarded", cfg: Config{Sizes: sizes, Guard: &sac.Guard{CrossCheck: true}}},
+		{name: "guarded", cfg: Config{Sizes: sizes, Guard: &sac.Guard{ShareBound: 1e3}}},
 		{name: "baseline", cfg: Config{Sizes: sizes}, baseline: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -20,7 +20,7 @@ func TestSoakAllFeaturesTogether(t *testing.T) {
 			Sizes:      []int{3, 3, 3, 3},
 			K:          []int{2},
 			Fraction:   0.75,
-			Aggregator: fl.TrimmedMean{Trim: 0.1},
+			Aggregator: fl.TrimmedMean{},
 		},
 		Model: func(rng *rand.Rand) (*nn.Model, error) {
 			return nn.MLP(64, []int{24}, 4, rng), nil

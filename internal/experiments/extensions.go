@@ -242,7 +242,7 @@ func ext3RobustAggregation(p Params) (*tableResult, error) {
 			models[i][j] = 1e6
 		}
 	}
-	for _, agg := range []fl.Aggregator{fl.FedAvg{}, fl.CoordinateMedian{}, fl.TrimmedMean{Trim: 0.2}} {
+	for _, agg := range []fl.Aggregator{fl.FedAvg{}, fl.CoordinateMedian{}, fl.TrimmedMean{}} {
 		sys, err := core.NewSystem(core.Config{
 			Sizes:      []int{n, n, n, n, n},
 			Aggregator: agg,

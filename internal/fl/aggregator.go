@@ -125,28 +125,23 @@ func (CoordinateMedian) AggregateInto(dst []float64, models [][]float64, counts 
 	return out, nil
 }
 
-// TrimmedMean drops the Trim fraction of extreme values on each side of
+// TrimmedMean drops the trimFraction of extreme values on each side of
 // every coordinate before averaging the rest (uniformly weighted).
-type TrimmedMean struct {
-	// Trim is the fraction removed from EACH side, in [0, 0.5).
-	Trim float64
-}
+type TrimmedMean struct{}
+
+// trimFraction is the fraction TrimmedMean removes from EACH side:
+// ⌊0.2·m⌋ of m values, so at least the middle 60 % stay.
+const trimFraction = 0.2
 
 // Name implements Aggregator.
-func (t TrimmedMean) Name() string { return fmt.Sprintf("trimmed-mean(%.2f)", t.Trim) }
+func (TrimmedMean) Name() string { return fmt.Sprintf("trimmed-mean(%.2f)", trimFraction) }
 
 // Aggregate implements Aggregator.
-func (t TrimmedMean) Aggregate(models [][]float64, counts []float64) ([]float64, error) {
-	if t.Trim < 0 || t.Trim >= 0.5 {
-		return nil, fmt.Errorf("fl: trim fraction %v out of [0, 0.5)", t.Trim)
-	}
+func (TrimmedMean) Aggregate(models [][]float64, counts []float64) ([]float64, error) {
 	if err := checkModels(models, counts); err != nil {
 		return nil, err
 	}
-	k := int(t.Trim * float64(len(models)))
-	if 2*k >= len(models) {
-		k = (len(models) - 1) / 2
-	}
+	k := int(trimFraction * float64(len(models)))
 	dim := len(models[0])
 	out := make([]float64, dim)
 	col := make([]float64, len(models))

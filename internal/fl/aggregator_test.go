@@ -66,14 +66,14 @@ func TestMedianRobustToOutlier(t *testing.T) {
 
 func TestTrimmedMean(t *testing.T) {
 	models := [][]float64{{-1000}, {1}, {2}, {3}, {1000}}
-	got, err := TrimmedMean{Trim: 0.2}.Aggregate(models, nil)
+	got, err := TrimmedMean{}.Aggregate(models, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(got[0]-2) > 1e-12 {
 		t.Fatalf("trimmed mean = %v, want 2", got[0])
 	}
-	// Trim 0 = plain mean.
+	// Under five values ⌊0.2·m⌋ = 0: the plain mean.
 	got, err = TrimmedMean{}.Aggregate([][]float64{{1}, {3}}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -81,28 +81,36 @@ func TestTrimmedMean(t *testing.T) {
 	if got[0] != 2 {
 		t.Fatalf("untrimmed mean = %v", got[0])
 	}
-	if _, err := (TrimmedMean{Trim: 0.5}).Aggregate(models, nil); err == nil {
-		t.Fatal("want error for trim ≥ 0.5")
-	}
-	if _, err := (TrimmedMean{Trim: -0.1}).Aggregate(models, nil); err == nil {
-		t.Fatal("want error for negative trim")
+	if name := (TrimmedMean{}).Name(); name != "trimmed-mean(0.20)" {
+		t.Fatalf("name %q, want trimmed-mean(0.20)", name)
 	}
 }
 
+// TestTrimmedMeanKeepsMajority: at every count m the fixed 20 % trim
+// drops ⌊m/5⌋ outliers on each side, however far out, and averages the
+// m − 2⌊m/5⌋ values between them — never fewer than three in five.
 func TestTrimmedMeanKeepsMajority(t *testing.T) {
-	// Trim that would remove everything is clamped to keep ≥ 1 value.
-	models := [][]float64{{1}, {2}, {3}}
-	got, err := TrimmedMean{Trim: 0.49}.Aggregate(models, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(got[0]) {
-		t.Fatal("NaN from over-trimming")
+	for m := 1; m <= 12; m++ {
+		k, kept := m/5, m-2*(m/5)
+		var models [][]float64
+		for i := range k {
+			models = append(models, []float64{-1e9 * float64(i+1)}, []float64{2e9 * float64(i+1)})
+		}
+		for i := range kept {
+			models = append(models, []float64{float64(i)})
+		}
+		got, err := TrimmedMean{}.Aggregate(models, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := float64(kept-1) / 2; got[0] != want || 5*kept < 3*m {
+			t.Fatalf("m = %d: trimmed mean %v of %d kept values, want %v", m, got[0], kept, want)
+		}
 	}
 }
 
 func TestAggregatorValidation(t *testing.T) {
-	for _, a := range []Aggregator{FedAvg{}, CoordinateMedian{}, TrimmedMean{Trim: 0.1}} {
+	for _, a := range []Aggregator{FedAvg{}, CoordinateMedian{}, TrimmedMean{}} {
 		if a.Name() == "" {
 			t.Fatal("empty name")
 		}
@@ -140,7 +148,7 @@ func TestAggregatorsAgreeOnCleanData(t *testing.T) {
 	}
 	mean, _ := FedAvg{}.Aggregate(models, ones)
 	med, _ := CoordinateMedian{}.Aggregate(models, nil)
-	trim, _ := TrimmedMean{Trim: 0.1}.Aggregate(models, nil)
+	trim, _ := TrimmedMean{}.Aggregate(models, nil)
 	for j := range base {
 		if math.Abs(mean[j]-med[j]) > 0.01 || math.Abs(mean[j]-trim[j]) > 0.01 {
 			t.Fatalf("rules disagree on clean data: mean=%v med=%v trim=%v", mean[j], med[j], trim[j])
@@ -155,7 +163,7 @@ func TestAggregatorsAgreeOnCleanData(t *testing.T) {
 func TestAggregatorsReturnVectorsOfTheirOwn(t *testing.T) {
 	const outPoison, inPoison = 1e300, -1e300
 	rng := rand.New(rand.NewSource(3))
-	for _, agg := range []Aggregator{FedAvg{}, CoordinateMedian{}, TrimmedMean{Trim: 0.2}} {
+	for _, agg := range []Aggregator{FedAvg{}, CoordinateMedian{}, TrimmedMean{}} {
 		for _, n := range []int{1, 5} {
 			models := make([][]float64, n)
 			counts := make([]float64, n)

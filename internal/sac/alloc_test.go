@@ -82,7 +82,7 @@ func TestWarmRunAllocationCount(t *testing.T) {
 		{"leader k-of-n", Config{N: 3, K: 2, Mode: ModeLeader}, nil, 28},
 		{"leader recovery", Config{N: 3, K: 2, Mode: ModeLeader}, CrashPlan{2: AfterShares}, 31},
 		{"broadcast", Config{N: 3, K: 3, Mode: ModeBroadcast}, nil, 30},
-		{"guarded", Config{N: 5, K: 3, Mode: ModeLeader, Guard: &Guard{ShareBound: 100, CrossCheck: true}}, nil, 107},
+		{"guarded", Config{N: 5, K: 3, Mode: ModeLeader, Guard: &Guard{ShareBound: 100}}, nil, 107},
 	} {
 		r := rand.New(rand.NewSource(1))
 		models := randModels(r, tc.cfg.N, 64)

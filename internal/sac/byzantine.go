@@ -93,21 +93,20 @@ const (
 	corruptNoiseAmp = 0.5
 )
 
-// Guard arms a round's robust-aggregation defences. The zero value
-// of each field disables that defence; Config.Guard == nil disables all
-// of them (the crash-only protocol of the paper).
+// Guard arms a round's robust-aggregation defence, all three parts of
+// it at once: range screening, the cross-checked subtotal combination
+// (every alive holder's copy of each subtotal goes to the leader, which
+// combines them by coordinate-wise median instead of trusting the owner
+// — the majority-outvote defence) and the leader-result audit. It
+// requires ModeLeader. Config.Guard == nil disarms it (the crash-only
+// protocol of the paper).
 type Guard struct {
-	// ShareBound, when positive, is the honest-share magnitude bound:
+	// ShareBound is the honest-share magnitude bound, a positive number:
 	// honest peers accuse (and every peer then excludes) any
 	// contributor whose share exceeds it in ‖·‖∞. With the paper's
 	// ScalarDivider every share of w is f·w with f ∈ (0,1], so any
 	// bound ≥ max‖w‖∞ over honest models never falsely accuses.
 	ShareBound float64
-	// CrossCheck collects every alive holder's copy of each subtotal at
-	// the leader and combines them by coordinate-wise median instead of
-	// trusting the owner — the majority-outvote defence. Requires
-	// ModeLeader.
-	CrossCheck bool
 }
 
 // guardTolerance is the consistency tolerance for subtotal mismatch
@@ -146,9 +145,9 @@ func corruptedCopy(share []float64, rng *rand.Rand) []float64 {
 
 // outOfRange applies the range guard to a received share: only honest
 // receivers screen (adversarial peers never help with accusations or
-// audits), and only when a positive bound is armed.
+// audits), and only when the guard is armed.
 func (p *Peer) outOfRange(share []float64) bool {
-	if !p.cfg.screens() || p.byz != ByzNone {
+	if !p.cfg.guarded() || p.byz != ByzNone {
 		return false
 	}
 	for _, v := range share {
@@ -183,7 +182,7 @@ func (a *auditState) hear(digest uint64) {
 }
 
 // announce queues the leader's audit messages to every peer that sent it
-// its own index's copy: under the cross-check one that sent none is silent.
+// its own index's copy: under the guard one that sent none is silent.
 func (p *Peer) announce(avg []float64) {
 	results := [2][]float64{avg, avg}
 	if p.byz == ByzEquivocate {
@@ -212,7 +211,7 @@ func (p *Peer) announce(avg []float64) {
 func (p *Peer) stepAudit(m transport.Message) bool {
 	a, fromLeader := &p.audit, m.From == p.cfg.Leader
 	switch {
-	case !p.sealed || !p.cfg.crossChecks() || len(p.contributors) == 0:
+	case !p.sealed || !p.cfg.guarded() || len(p.contributors) == 0:
 		return false
 	case m.Kind == kindAudit && !fromLeader && len(m.Payload) == 1:
 		if p.byz == ByzNone {

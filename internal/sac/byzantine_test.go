@@ -58,7 +58,7 @@ func guardedRun(t *testing.T, seed int64, n, k, leader int, plan AdversaryPlan, 
 	mesh := transport.NewMesh(n, nil)
 	cfg := Config{
 		N: n, K: k, Leader: leader, Mode: ModeLeader, Rng: r,
-		Adversary: plan, Guard: &Guard{ShareBound: w, CrossCheck: true},
+		Adversary: plan, Guard: &Guard{ShareBound: w},
 	}
 	res, err := Run(mesh, cfg, models, nil)
 	if err != nil {
@@ -74,7 +74,10 @@ func TestGuardConfigValidation(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"cross-check outside leader mode", Config{N: 3, K: 3, Mode: ModeBroadcast, Guard: &Guard{ShareBound: 5, CrossCheck: true}}},
+		{"guard outside leader mode", Config{N: 3, K: 3, Mode: ModeBroadcast, Guard: &Guard{ShareBound: 5}}},
+		{"zero share bound", Config{N: 3, K: 3, Mode: ModeLeader, Guard: &Guard{}}},
+		{"negative share bound", Config{N: 3, K: 3, Mode: ModeLeader, Guard: &Guard{ShareBound: -1}}},
+		{"NaN share bound", Config{N: 3, K: 3, Mode: ModeLeader, Guard: &Guard{ShareBound: math.NaN()}}},
 		{"adversary peer out of range", Config{N: 3, K: 3, Mode: ModeBroadcast, Adversary: AdversaryPlan{7: ByzZeroSubtotal}}},
 		{"unknown behavior", Config{N: 3, K: 3, Mode: ModeBroadcast, Adversary: AdversaryPlan{0: Behavior("set-fire")}}},
 	}
@@ -214,7 +217,7 @@ func TestNoHonestWitnessMeansNoExclusions(t *testing.T) {
 	models := boundedModels(r, 4, 3, 10)
 	mesh := transport.NewMesh(4, nil)
 	cfg := Config{N: 4, K: 2, Leader: 0, Mode: ModeLeader, Rng: r,
-		Adversary: plan, Guard: &Guard{ShareBound: 10, CrossCheck: true}}
+		Adversary: plan, Guard: &Guard{ShareBound: 10}}
 	res, err := Run(mesh, cfg, models, nil)
 	if err != nil {
 		t.Fatalf("all-byzantine round: %v", err)
@@ -224,16 +227,17 @@ func TestNoHonestWitnessMeansNoExclusions(t *testing.T) {
 	}
 }
 
-// TestGuardFields guards the Guard's surface: the two defences a caller
-// arms, and nothing a caller has never set (the mismatch tolerance and
-// the subtotal combiner are fixed).
+// TestGuardFields guards the Guard's surface: the one defence's share
+// bound, and nothing a caller has never set (the mismatch tolerance and
+// the subtotal combiner are fixed, and range screening, the holder
+// cross-check and the leader audit come together).
 func TestGuardFields(t *testing.T) {
 	typ := reflect.TypeOf(Guard{})
 	var got []string
 	for i := 0; i < typ.NumField(); i++ {
 		got = append(got, typ.Field(i).Name)
 	}
-	if want := []string{"ShareBound", "CrossCheck"}; !reflect.DeepEqual(got, want) {
+	if want := []string{"ShareBound"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("sac.Guard fields = %v, want %v", got, want)
 	}
 }

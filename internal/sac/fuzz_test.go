@@ -200,7 +200,7 @@ func FuzzPeerStep(f *testing.F) {
 		cfg := Config{N: n, K: k, Leader: int(nRaw) % n, Mode: ModeLeader}
 		switch {
 		case seed%3 == 1:
-			cfg.Guard = &Guard{ShareBound: 64, CrossCheck: true}
+			cfg.Guard = &Guard{ShareBound: 64}
 		case seed%3 == 2 && k == n:
 			cfg.Mode = ModeBroadcast
 		}
@@ -229,7 +229,7 @@ func FuzzPeerStep(f *testing.F) {
 			}
 			when := int(raw[i]) / n % points
 			copies := []transport.Message{m}
-			if m.Kind == kindAccuse && cfg.screens() {
+			if m.Kind == kindAccuse && cfg.guarded() {
 				copies = copies[:0]
 				for to := 0; to < n; to++ {
 					m.From, m.To = (to+1)%n, to

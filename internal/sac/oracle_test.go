@@ -117,9 +117,9 @@ func oracleCases(tcpToo bool) []oracleCase {
 				modes = append(modes, ModeBroadcast)
 			}
 			for _, mode := range modes {
-				guards := []namedGuard{{"off", nil}, {"range", &Guard{ShareBound: oracleBound}}}
-				if mode == ModeLeader { // the cross-check needs a leader
-					guards = append(guards, namedGuard{"full", &Guard{ShareBound: oracleBound, CrossCheck: true}})
+				guards := []namedGuard{{"off", nil}}
+				if mode == ModeLeader { // the guard needs a leader
+					guards = append(guards, namedGuard{"full", &Guard{ShareBound: oracleBound}})
 				}
 				for _, crash := range oracleCrashPlans(n, k) {
 					for _, b := range oracleBehaviors {

@@ -239,11 +239,10 @@ func (p *Peer) Contribute(model []float64, rng *rand.Rand) error {
 //
 //   - a share, in contributor i's turn, only from i, for an index p
 //     holds, at a peer other than i; the last duplicate wins;
-//   - an accusation only in a round the range guard screens, once sealed
-//     and before p has accepted or summed a subtotal or checked that none
-//     is missing;
+//   - an accusation only in a guarded round, once sealed and before p
+//     has accepted or summed a subtotal or checked that none is missing;
 //   - a subtotal for index s, once sealed and only at a collector, from
-//     s's owner when p does not sum s itself — under the cross-check from
+//     s's owner when p does not sum s itself — under the guard from
 //     any member of secretshare.HoldersOf(s) — and a recovered one only
 //     from the holder p asked, for the index it asked; the first copy wins;
 //   - a recovery request only from the leader, for a subtotal p has;
@@ -264,7 +263,7 @@ func (p *Peer) Step(m transport.Message) {
 		// Only a guarded round has accusers, and no subtotal has been
 		// accepted, summed or counted on yet, so dropping the accused
 		// takes no subtraction.
-		if ok = p.cfg.screens() && p.sealed && !p.tallying && p.isIndex(m.ShareIdx) && len(m.Payload) == 1; ok {
+		if ok = p.cfg.guarded() && p.sealed && !p.tallying && p.isIndex(m.ShareIdx) && len(m.Payload) == 1; ok {
 			p.drop(m.ShareIdx)
 			p.release(m.Payload)
 		}
@@ -447,7 +446,7 @@ func (p *Peer) stepSubtotal(m transport.Message) bool {
 		if p.asked[s] != m.From {
 			return false
 		}
-	case !p.cfg.crossChecks() && (m.From != s || p.slot[s] >= 0):
+	case !p.cfg.guarded() && (m.From != s || p.slot[s] >= 0):
 		return false
 	}
 	got[t], p.tallying = m.Payload, true
@@ -456,7 +455,7 @@ func (p *Peer) stepSubtotal(m transport.Message) bool {
 
 // candidates lists the copies of subtotal s a collector averages from
 // and whether the owner's is among them: every copy p has, its own
-// included, under the cross-check; else its own, or the one it was sent.
+// included, under the guard; else its own, or the one it was sent.
 // p's own copy is in the list once summed; until then the list leaves
 // it out and own holds its terms instead (see heldTerms; nil once
 // summed, or when p has no subtotal of s), so looking for a copy sums
@@ -471,7 +470,7 @@ func (p *Peer) candidates(s int) (cands, own [][]float64, owner bool) {
 		}
 	}
 	for t, c := range got {
-		if c != nil && (p.cfg.crossChecks() || len(cands) == 0 && own == nil) {
+		if c != nil && (p.cfg.guarded() || len(cands) == 0 && own == nil) {
 			cands, owner = append(cands, c), owner || holders[t] == s
 		}
 	}
@@ -500,7 +499,7 @@ func (p *Peer) Missing() error {
 // that nobody has asked for is summed inside the average: its held
 // shares go into the one pass over Avg as a group, which adds their sum
 // as acc's slot would have held it, so no slot is written and read
-// back. Under the cross-check each subtotal is the coordinate-wise
+// back. Under the guard each subtotal is the coordinate-wise
 // median of its copies (an honest majority of holders per index makes
 // that exactly the honest value), every copy further than
 // guardTolerance from it is a mismatch, and the leader then announces
@@ -515,7 +514,7 @@ func (p *Peer) Finish(avg []float64) (*Result, error) {
 	if err := p.Missing(); err != nil {
 		return nil, err
 	}
-	n, guarded := p.cfg.N, p.cfg.crossChecks()
+	n, guarded := p.cfg.N, p.cfg.guarded()
 	if guarded || p.byz == ByzInflateSubtotal || p.byz == ByzZeroSubtotal {
 		// The median reads p's own copies as vectors, and a liar's own
 		// subtotals carry its lie into the average as its reports do.

@@ -120,7 +120,7 @@ func (h *handRound) report() {
 			h.t.Fatal(err)
 		}
 		switch {
-		case h.cfg.Mode == ModeBroadcast || h.cfg.crossChecks():
+		case h.cfg.Mode == ModeBroadcast || h.cfg.guarded():
 		case slices.Contains(holders, leader):
 			continue
 		case !h.down[s]:
@@ -183,7 +183,7 @@ func TestPeersSteppedByHandMatchRun(t *testing.T) {
 		{Config{N: 5, K: 3, Mode: ModeLeader, Leader: 0}, nil, nil, 0},
 		{Config{N: 4, K: 4, Mode: ModeLeader, Leader: 3}, nil, nil, 0},
 		{Config{N: 4, K: 4, Mode: ModeBroadcast}, nil, nil, 0},
-		{Config{N: 5, K: 3, Mode: ModeLeader, Leader: 2, Guard: &Guard{ShareBound: 100, CrossCheck: true}}, nil, nil, 0},
+		{Config{N: 5, K: 3, Mode: ModeLeader, Leader: 2, Guard: &Guard{ShareBound: 100}}, nil, nil, 0},
 		{Config{N: 5, K: 3, Mode: ModeLeader, Leader: 0}, CrashPlan{1: AfterShares, 3: AfterShares}, []int{3}, 2},
 		{Config{N: 5, K: 3, Mode: ModeLeader, Leader: 0}, CrashPlan{1: BeforeShares, 3: AfterShares}, []int{3}, 1},
 	} {
@@ -247,7 +247,7 @@ func TestFinishWritesWhereItIsLent(t *testing.T) {
 	for _, c := range []Config{
 		{N: 3, K: 2, Mode: ModeLeader, Leader: 1},
 		{N: 4, K: 4, Mode: ModeBroadcast},
-		{N: 5, K: 3, Mode: ModeLeader, Leader: 2, Guard: &Guard{ShareBound: 100, CrossCheck: true}},
+		{N: 5, K: 3, Mode: ModeLeader, Leader: 2, Guard: &Guard{ShareBound: 100}},
 	} {
 		models := randModels(rand.New(rand.NewSource(81)), c.N, dim)
 		finish := func(avg []float64) *Result {
@@ -438,7 +438,7 @@ func TestForgedSubtotalsNeverReachTheAverage(t *testing.T) {
 			late: []transport.Message{
 				{From: 0, To: 3, Kind: KindRecovery, ShareIdx: 2, Payload: junk(dim)}, // duplicate answer
 			}},
-		{name: "cross-check", cfg: Config{N: 4, K: 3, Mode: ModeLeader, Leader: 0, Guard: &Guard{CrossCheck: true}},
+		{name: "cross-check", cfg: Config{N: 4, K: 3, Mode: ModeLeader, Leader: 0, Guard: &Guard{ShareBound: 1e3}},
 			early: []transport.Message{
 				{From: 3, To: 0, Kind: KindSubtotal, ShareIdx: 2, Payload: junk(dim)}, // index 2 is held by 1 and 2
 				{From: 3, To: 0, Kind: KindSubtotal, ShareIdx: 1, Payload: junk(dim)}, // index 1 by 0 and 1
@@ -511,7 +511,7 @@ func untiledAverage(t *testing.T, p *Peer) []float64 {
 	for s := 0; s < p.cfg.N; s++ {
 		cands, _, _ := p.candidates(s)
 		sub := cands[0]
-		if p.cfg.crossChecks() {
+		if p.cfg.guarded() {
 			var err error
 			if sub, err = (fl.CoordinateMedian{}).Aggregate(cands, nil); err != nil {
 				t.Fatal(err)
@@ -579,7 +579,7 @@ func TestTiledFinishMatchesUntiled(t *testing.T) {
 		kill int // a peer that crashes once the shares are over, −1 for none
 	}{
 		{"recovery", Config{N: 4, K: 2, Mode: ModeLeader, Leader: 3}, 2},
-		{"cross-check", Config{N: 5, K: 3, Mode: ModeLeader, Leader: 1, Guard: &Guard{CrossCheck: true}}, -1},
+		{"cross-check", Config{N: 5, K: 3, Mode: ModeLeader, Leader: 1, Guard: &Guard{ShareBound: 1e3}}, -1},
 		{"broadcast", Config{N: 4, K: 4, Mode: ModeBroadcast}, -1},
 	} {
 		for _, dim := range tileEdgeDims {
@@ -754,7 +754,7 @@ func TestLeaderSumsItsOwnSubtotalsInsideTheAverage(t *testing.T) {
 		{"fault-free", leader, -1, true},
 		{"owner down", leader, 2, true},
 		{"broadcast", Config{N: 4, K: 2, Mode: ModeBroadcast}, -1, false},
-		{"cross-check", Config{N: 5, K: 3, Mode: ModeLeader, Leader: 1, Guard: &Guard{CrossCheck: true}}, -1, false},
+		{"cross-check", Config{N: 5, K: 3, Mode: ModeLeader, Leader: 1, Guard: &Guard{ShareBound: 1e3}}, -1, false},
 		{"inflating leader", liar(ByzInflateSubtotal), -1, false},
 		{"zeroing leader", liar(ByzZeroSubtotal), -1, false},
 	} {

@@ -62,7 +62,7 @@ func TestRecyclingBitIdenticalAcrossFabrics(t *testing.T) {
 				return nil
 			}},
 		{name: "guarded", bounded: true, cfg: Config{N: 5, K: 3, Leader: 1, Mode: ModeLeader,
-			Guard:     &Guard{ShareBound: 4, CrossCheck: true},
+			Guard:     &Guard{ShareBound: 4},
 			Adversary: AdversaryPlan{3: ByzInflateSubtotal}}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {

@@ -114,7 +114,7 @@ func (e *refEngine) validShare(m transport.Message) bool {
 
 func (e *refEngine) shareOutOfRange(j int, m transport.Message) bool {
 	g := e.cfg.Guard
-	if g == nil || g.ShareBound <= 0 || !e.honest(j) {
+	if g == nil || !e.honest(j) {
 		return false
 	}
 	for _, v := range m.Payload {
@@ -305,7 +305,7 @@ func (e *refEngine) finish() (*Result, error) {
 	switch {
 	case e.cfg.Mode == ModeBroadcast:
 		res, err = e.finishBroadcast()
-	case e.cfg.Guard != nil && e.cfg.Guard.CrossCheck:
+	case e.cfg.Guard != nil:
 		res, err = e.finishLeaderGuarded()
 	default:
 		res, err = e.finishLeader()

@@ -119,18 +119,17 @@ type Config struct {
 	// Adversary marks peers with Byzantine behaviors for this round
 	// (nil: everyone honest). See Behavior.
 	Adversary AdversaryPlan
-	// Guard arms the robust-aggregation defences (nil: the paper's
+	// Guard arms the robust-aggregation defence (nil: the paper's
 	// crash-only protocol; lies go undetected). See Guard. Note that
 	// with K = N a range-guard exclusion aborts the round (Alg. 2
 	// semantics: a missing partition is unrecoverable).
 	Guard *Guard
 }
 
-func (c *Config) crossChecks() bool { return c.Guard != nil && c.Guard.CrossCheck }
-
-// screens: the range guard is armed, so honest receivers screen shares
-// and accusations are taken.
-func (c *Config) screens() bool { return c.Guard != nil && c.Guard.ShareBound > 0 }
+// guarded: the guard is armed, so honest receivers screen shares,
+// accusations are taken, every holder reports its copy of a subtotal
+// and the leader's result is audited.
+func (c *Config) guarded() bool { return c.Guard != nil }
 
 func (c *Config) validate() error {
 	if c.N < 1 {
@@ -145,8 +144,11 @@ func (c *Config) validate() error {
 	if c.Mode == ModeLeader && (c.Leader < 0 || c.Leader >= c.N) {
 		return fmt.Errorf("sac: leader %d out of [0,%d)", c.Leader, c.N)
 	}
-	if c.crossChecks() && c.Mode != ModeLeader {
-		return fmt.Errorf("sac: cross-check guard requires leader mode")
+	if c.Guard != nil && c.Mode != ModeLeader {
+		return fmt.Errorf("sac: the guard requires leader mode")
+	}
+	if c.Guard != nil && !(c.Guard.ShareBound > 0) {
+		return fmt.Errorf("sac: guard share bound %v is not a positive number", c.Guard.ShareBound)
 	}
 	for p, b := range c.Adversary {
 		if p < 0 || p >= c.N {
@@ -539,15 +541,15 @@ func (d *schedule) exchangeShares(models [][]float64) (kept, excluded int) {
 // at the first peer's view (identical everywhere); any missing subtotal
 // aborts. Under Alg. 4 (lines 14–20) the owner sends the leader the
 // subtotal it lacks, the leader's timeout (Recover) asks holders for a
-// crashed owner's — or, under the cross-check, every alive holder sends
-// its copy — and the leader averages what it was sent and holds. A
-// cross-checking leader's result is audited before release: it announces,
+// crashed owner's — or, under the guard, every alive holder sends its
+// copy — and the leader averages what it was sent and holds. A guarded
+// leader's result is audited before release: it announces,
 // every peer reads its copy and echoes a digest, every peer reads the
 // echoes (leaving every inbox clean), and one conviction is the round's.
 // The first collector's Finish writes the average into avg.
 func (d *schedule) exchangeSubtotals(avg []float64) (*Result, error) {
 	n, leader, broadcast := d.cfg.N, d.cfg.Leader, d.cfg.Mode == ModeBroadcast
-	guarded, collectors := d.cfg.crossChecks(), []int{leader}
+	guarded, collectors := d.cfg.guarded(), []int{leader}
 	switch {
 	case broadcast:
 		collectors = nil

@@ -17,63 +17,36 @@ import (
 // link. Uniform jitter U(0, J) is not a link kind but a fault a group
 // carries on top of its topology (Group.Jitter, chaos ActDelay).
 
-// JitterKind selects a per-link jitter distribution.
-type JitterKind int
-
-// Jitter distributions.
-const (
-	// JitterNone adds no jitter (and consumes no randomness).
-	JitterNone JitterKind = iota
-	// JitterLognormal adds exp(N(ln Median, Sigma²)), clamped to Max —
-	// the heavy-tailed shape of real WAN queueing delay.
-	JitterLognormal
-)
-
-// String implements fmt.Stringer.
-func (k JitterKind) String() string {
-	switch k {
-	case JitterNone:
-		return "none"
-	case JitterLognormal:
-		return "lognormal"
-	default:
-		return fmt.Sprintf("jitter(%d)", int(k))
-	}
-}
-
-// JitterSpec parameterizes one link's jitter distribution.
+// JitterSpec parameterizes one link's jitter: exp(N(ln Median,
+// Sigma²)), clamped to Max — the heavy-tailed shape of real WAN queueing
+// delay. The zero value adds none.
 type JitterSpec struct {
-	Kind JitterKind
-	// Median and Sigma shape JitterLognormal: the sampled jitter's
-	// median is Median and ln(jitter) has standard deviation Sigma.
+	// Median and Sigma shape the distribution: the sampled jitter's
+	// median is Median (≤ 0: no jitter) and ln(jitter) has standard
+	// deviation Sigma.
 	Median Duration
 	Sigma  float64
-	// Max clamps JitterLognormal samples (0: 20× Median). The clamp
-	// keeps the tail heavy but bounded, so liveness bounds stay finite.
+	// Max clamps samples (0: 20× Median). The clamp keeps the tail
+	// heavy but bounded, so liveness bounds stay finite.
 	Max Duration
 }
 
 // sample draws one jitter value. The rng consumption is part of the
-// deterministic-replay contract: JitterNone consumes nothing,
-// JitterLognormal consumes one NormFloat64.
+// deterministic-replay contract: a link with no Median consumes nothing,
+// any other one NormFloat64.
 func (j JitterSpec) sample(rng *rand.Rand) Duration {
-	switch j.Kind {
-	case JitterLognormal:
-		if j.Median <= 0 {
-			return 0
-		}
-		v := float64(j.Median) * math.Exp(j.Sigma*rng.NormFloat64())
-		max := j.Max
-		if max <= 0 {
-			max = 20 * j.Median
-		}
-		if v > float64(max) {
-			v = float64(max)
-		}
-		return Duration(v)
-	default:
+	if j.Median <= 0 {
 		return 0
 	}
+	v := float64(j.Median) * math.Exp(j.Sigma*rng.NormFloat64())
+	max := j.Max
+	if max <= 0 {
+		max = 20 * j.Median
+	}
+	if v > float64(max) {
+		v = float64(max)
+	}
+	return Duration(v)
 }
 
 // Link is one ordered region pair's delay model: a fixed base delay plus
@@ -198,8 +171,8 @@ func wan50() *Topology {
 	if err != nil {
 		panic(err)
 	}
-	intra := JitterSpec{Kind: JitterLognormal, Median: 200 * Microsecond, Sigma: 0.5, Max: 2 * Millisecond}
-	inter := JitterSpec{Kind: JitterLognormal, Median: 3 * Millisecond, Sigma: 1.6, Max: 250 * Millisecond}
+	intra := JitterSpec{Median: 200 * Microsecond, Sigma: 0.5, Max: 2 * Millisecond}
+	inter := JitterSpec{Median: 3 * Millisecond, Sigma: 1.6, Max: 250 * Millisecond}
 	for _, r := range t.regions {
 		if err := t.SetLink(r, r, Link{Delay: 1 * Millisecond, Jitter: intra}); err != nil {
 			panic(err)
@@ -232,8 +205,8 @@ func wan200() *Topology {
 	if err != nil {
 		panic(err)
 	}
-	intra := JitterSpec{Kind: JitterLognormal, Median: 300 * Microsecond, Sigma: 0.6, Max: 3 * Millisecond}
-	inter := JitterSpec{Kind: JitterLognormal, Median: 5 * Millisecond, Sigma: 1.2, Max: 150 * Millisecond}
+	intra := JitterSpec{Median: 300 * Microsecond, Sigma: 0.6, Max: 3 * Millisecond}
+	inter := JitterSpec{Median: 5 * Millisecond, Sigma: 1.2, Max: 150 * Millisecond}
 	for _, r := range t.regions {
 		if err := t.SetLink(r, r, Link{Delay: 1 * Millisecond, Jitter: intra}); err != nil {
 			panic(err)

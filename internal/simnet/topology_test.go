@@ -39,7 +39,7 @@ func TestTopologyAsymmetricDelays(t *testing.T) {
 }
 
 func TestLognormalJitterDeterministic(t *testing.T) {
-	spec := JitterSpec{Kind: JitterLognormal, Median: 3 * Millisecond, Sigma: 1.6, Max: 250 * Millisecond}
+	spec := JitterSpec{Median: 3 * Millisecond, Sigma: 1.6, Max: 250 * Millisecond}
 	a := rand.New(rand.NewSource(42))
 	b := rand.New(rand.NewSource(42))
 	for i := 0; i < 10_000; i++ {
@@ -52,7 +52,7 @@ func TestLognormalJitterDeterministic(t *testing.T) {
 		}
 	}
 	// The default clamp is 20× the median.
-	unclamped := JitterSpec{Kind: JitterLognormal, Median: Millisecond, Sigma: 3}
+	unclamped := JitterSpec{Median: Millisecond, Sigma: 3}
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 10_000; i++ {
 		if s := unclamped.sample(rng); s > 20*Millisecond {
@@ -62,22 +62,23 @@ func TestLognormalJitterDeterministic(t *testing.T) {
 }
 
 // TestJitterRNGConsumption pins the rng-consumption contract replay
-// depends on: none draws nothing, lognormal exactly one NormFloat64. If a refactor changed the draw
-// count, every seeded WAN run in the repo would silently reshuffle.
+// depends on: a link with no median draws nothing, any other exactly one
+// NormFloat64. If a refactor changed the draw count, every seeded WAN
+// run in the repo would silently reshuffle.
 func TestJitterRNGConsumption(t *testing.T) {
 	next := func(rng *rand.Rand) int64 { return rng.Int63() }
 
 	a, b := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
 	JitterSpec{}.sample(a)
 	if next(a) != next(b) {
-		t.Fatal("JitterNone consumed randomness")
+		t.Fatal("a link with no median consumed randomness")
 	}
 
 	a, b = rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
-	JitterSpec{Kind: JitterLognormal, Median: Millisecond, Sigma: 1}.sample(a)
+	JitterSpec{Median: Millisecond, Sigma: 1}.sample(a)
 	b.NormFloat64()
 	if next(a) != next(b) {
-		t.Fatal("JitterLognormal did not consume exactly one NormFloat64")
+		t.Fatal("a lognormal link did not consume exactly one NormFloat64")
 	}
 }
 
