@@ -43,7 +43,6 @@ func benchRound15Peers(b *testing.B, budget int) {
 		Rounds:       4,
 		EvalEvery:    4,
 		LearningRate: 2e-3,
-		BatchSize:    20,
 		Seed:         1,
 	}
 	var acc float64

@@ -376,103 +376,29 @@ var unsetKept = func() map[string]string {
 // that exist", as TestEveryFunctionShipsInAProgram is for functions:
 // every exported field of an exported struct type under internal/ is
 // written by some non-test code of the module outside the normalize or
-// validate that defaults it, or is in unsetKept with a reason. A write
-// is a composite-literal key, an assignment or ++/-- to the field or to
-// one of its map's elements, or its address taken; a write through a
-// promoted field also sets the embedded field it is promoted from. An
-// assignment under `if x.F == <zero> { x.F = c }` is a default wherever
-// it stands, not a write. The check type-checks the module's packages
-// from source, so a field is known by its object, not by its name.
+// validate that defaults it, or is in unsetKept with a reason. What
+// counts as a write, and what as a default, is optionWritesOf's to say.
 func TestEveryOptionIsSetByAProgram(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module and the standard library from source")
 	}
 	m := loadModule(t)
-	info := m.info
 	options := optionFields(m)
 	if len(options) < 100 {
 		t.Fatalf("found %d option fields; the guard is not looking at the tree", len(options))
 	}
 	t.Logf("%d option fields under internal/, %d of them in unsetKept", len(options), len(unsetKept))
-
-	set := map[*types.Var]bool{}
-	field := func(e ast.Expr) {
-		e = ast.Unparen(e)
-		if ix, ok := e.(*ast.IndexExpr); ok {
-			if _, isMap := info.Types[ix.X].Type.Underlying().(*types.Map); isMap {
-				e = ast.Unparen(ix.X)
-			}
-		}
-		sel, ok := e.(*ast.SelectorExpr)
-		if !ok {
-			return
-		}
-		s := info.Selections[sel]
-		if s == nil || s.Kind() != types.FieldVal {
-			return
-		}
-		set[s.Obj().(*types.Var).Origin()] = true
-		promotedThrough(s, func(embedded *types.Var) { set[embedded] = true })
-	}
-	defaults := map[*ast.AssignStmt]bool{} // x.F = c under if x.F == <zero>
-	for _, file := range m.files {
-		for _, decl := range file.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && (fn.Name.Name == "normalize" || fn.Name.Name == "validate") {
-				continue // defaulting a field is not setting it
-			}
-			ast.Inspect(decl, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.IfStmt:
-					cond, ok := ast.Unparen(n.Cond).(*ast.BinaryExpr)
-					if !ok || cond.Op != token.EQL || !isZeroValue(info.Types[cond.Y]) {
-						break
-					}
-					for _, stmt := range n.Body.List {
-						if as, ok := stmt.(*ast.AssignStmt); ok && len(as.Lhs) == 1 &&
-							types.ExprString(as.Lhs[0]) == types.ExprString(cond.X) {
-							defaults[as] = true
-						}
-					}
-				case *ast.AssignStmt:
-					if defaults[n] {
-						break
-					}
-					for _, lhs := range n.Lhs {
-						field(lhs)
-					}
-				case *ast.IncDecStmt:
-					field(n.X)
-				case *ast.UnaryExpr:
-					if n.Op == token.AND {
-						field(n.X)
-					}
-				case *ast.CompositeLit:
-					st, ok := info.Types[n].Type.Underlying().(*types.Struct)
-					for i, elt := range n.Elts {
-						if kv, keyed := elt.(*ast.KeyValueExpr); keyed {
-							if key, ok := kv.Key.(*ast.Ident); ok {
-								if v, ok := info.Uses[key].(*types.Var); ok {
-									set[v.Origin()] = true
-								}
-							}
-						} else if ok {
-							set[st.Field(i).Origin()] = true
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
+	writes := optionWritesOf(m)
 
 	var unset []string
 	declared := map[string]bool{}
 	for fld, name := range options {
 		declared[name] = true
-		if set[fld] && unsetKept[name] != "" {
+		set := writes[fld] != nil && writes[fld].set
+		if set && unsetKept[name] != "" {
 			t.Errorf("unsetKept entry %s is now set by a program; drop it", name)
 		}
-		if !set[fld] && unsetKept[name] == "" {
+		if !set && unsetKept[name] == "" {
 			unset = append(unset, fmt.Sprintf("%s: %s", m.fset.Position(fld.Pos()), name))
 		}
 	}
@@ -505,235 +431,34 @@ var oneValueKept = func() map[string]string {
 		"dp.Gaussian.Clip", "dp.Gaussian.Delta")
 	keep("roadmap item 11 step 2: bench/ writes it, and the benchmark change that drops the write makes it a constant",
 		"fl.TrainConfig.Epochs")
-	keep("roadmap item 10: the PaperCNN figures set the paper's batch size and step size",
-		"core.TrainerConfig.BatchSize", "core.TrainerConfig.LearningRate")
+	keep("roadmap item 10: the PaperCNN figures set the paper's step size, 1e-4, where every program writes 2e-3",
+		"core.TrainerConfig.LearningRate")
 	return m
 }()
 
-// optionValues is what the programs write to one option field: the
-// distinct constants, and whether some write is not a constant.
-type optionValues struct {
-	consts []constant.Value // nil stands for a nil pointer, slice, map or interface
-	varies bool
-}
-
-func (o *optionValues) add(v constant.Value, isConst bool) {
-	switch {
-	case !isConst:
-		o.varies = true
-	case !slices.ContainsFunc(o.consts, func(c constant.Value) bool { return sameConst(c, v) }):
-		o.consts = append(o.consts, v)
-	}
-}
-
-// fieldDefault is an `if x.F == <zero> { x.F = c }` or `if x.F <= 0
-// { x.F = c }`: the value a program that leaves F alone gets.
-type fieldDefault struct {
-	op      token.Token    // EQL or LEQ
-	zero    constant.Value // what F is compared with (nil: nil)
-	v       constant.Value // c, when isConst
-	isConst bool
-}
-
-// covers reports whether the default replaces a write of c.
-func (d fieldDefault) covers(c constant.Value) bool {
-	if d.op == token.EQL || c == nil {
-		return sameConst(c, d.zero)
-	}
-	return numeric(c) && constant.Compare(c, token.LEQ, d.zero)
-}
-
 // TestEveryOptionTakesTwoValues is the rule that a setting every
-// program writes one way is a constant, held as
-// TestEveryOptionIsSetByAProgram holds "some program sets it": an
-// exported field of an exported struct type under internal/ fails when
-// every write in the module's non-test code outside normalize/validate
-// gives it the same constant, unless oneValueKept names it with a
-// roadmap item. A write is a keyed or positional literal value, an
-// assignment, or a keyed literal that leaves the field out — its zero
-// value, which a default `if x.F == <zero>` or `<= 0 { x.F = c }`
-// turns into c. A value that is not a constant, ++, --, an op-assign,
-// a write to one of the field's own fields or elements, its address
-// taken or a method called through it makes the field vary. Fields in
-// unsetKept are skipped: no program sets them at all.
+// program writes one way is a constant, the other half of
+// TestEveryOptionIsSetByAProgram: an option field some program sets
+// fails when every write optionWritesOf finds gives it the same
+// constant, unless oneValueKept names it with a roadmap item.
 func TestEveryOptionTakesTwoValues(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module and the standard library from source")
 	}
 	m := loadModule(t)
-	info := m.info
 	options := optionFields(m)
-
-	// fieldOf is the field a selector reads, or nil.
-	fieldOf := func(e ast.Expr) *types.Var {
-		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
-		if !ok {
-			return nil
-		}
-		if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
-			return s.Obj().(*types.Var).Origin()
-		}
-		return nil
-	}
-	values := map[*types.Var]*optionValues{}
-	at := func(fld *types.Var) *optionValues {
-		if values[fld] == nil {
-			values[fld] = &optionValues{}
-		}
-		return values[fld]
-	}
-	// touched marks every field e reaches through as varying: the ones
-	// it selects, indexes or dereferences on its way, and the embedded
-	// fields a promoted selection passes.
-	var touched func(e ast.Expr)
-	touched = func(e ast.Expr) {
-		switch e := ast.Unparen(e).(type) {
-		case *ast.SelectorExpr:
-			if s := info.Selections[e]; s != nil && s.Kind() == types.FieldVal {
-				at(s.Obj().(*types.Var).Origin()).varies = true
-				promotedThrough(s, func(embedded *types.Var) { at(embedded).varies = true })
-			}
-			touched(e.X)
-		case *ast.IndexExpr:
-			touched(e.X)
-		case *ast.StarExpr:
-			touched(e.X)
-		}
-	}
-	// write records v (nil: not a constant) as written to the field lhs
-	// selects; every field it reaches through varies.
-	write := func(lhs, v ast.Expr) {
-		fld := fieldOf(lhs)
-		if fld == nil {
-			touched(lhs)
-			return
-		}
-		sel := ast.Unparen(lhs).(*ast.SelectorExpr)
-		promotedThrough(info.Selections[sel], func(embedded *types.Var) { at(embedded).varies = true })
-		touched(sel.X)
-		at(fld).add(constOf(info, v))
-	}
-
-	defaults := map[*ast.AssignStmt]bool{}
-	defaultOf := map[*types.Var][]fieldDefault{}
-	for _, file := range m.files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			ifs, ok := n.(*ast.IfStmt)
-			if !ok {
-				return true
-			}
-			cond, ok := ast.Unparen(ifs.Cond).(*ast.BinaryExpr)
-			if !ok || cond.Op != token.EQL && cond.Op != token.LEQ || !isZeroValue(info.Types[cond.Y]) {
-				return true
-			}
-			fld := fieldOf(cond.X)
-			for _, stmt := range ifs.Body.List {
-				as, ok := stmt.(*ast.AssignStmt)
-				if !ok || fld == nil || len(as.Lhs) != 1 || len(as.Rhs) != 1 || as.Tok != token.ASSIGN ||
-					types.ExprString(as.Lhs[0]) != types.ExprString(cond.X) {
-					continue
-				}
-				defaults[as] = true
-				zero, _ := constOf(info, cond.Y)
-				c, isConst := constOf(info, as.Rhs[0])
-				defaultOf[fld] = append(defaultOf[fld], fieldDefault{op: cond.Op, zero: zero, v: c, isConst: isConst})
-			}
-			return true
-		})
-	}
-
-	for _, file := range m.files {
-		for _, decl := range file.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && (fn.Name.Name == "normalize" || fn.Name.Name == "validate") {
-				continue // defaulting a field is not setting it
-			}
-			ast.Inspect(decl, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.AssignStmt:
-					switch {
-					case defaults[n]:
-					case n.Tok != token.ASSIGN && n.Tok != token.DEFINE:
-						touched(n.Lhs[0]) // an op-assign
-					case len(n.Lhs) != len(n.Rhs):
-						for _, lhs := range n.Lhs {
-							write(lhs, nil) // the results of one call
-						}
-					default:
-						for i, lhs := range n.Lhs {
-							write(lhs, n.Rhs[i])
-						}
-					}
-				case *ast.IncDecStmt:
-					touched(n.X)
-				case *ast.UnaryExpr:
-					if n.Op == token.AND {
-						touched(n.X)
-					}
-				case *ast.SelectorExpr:
-					if s := info.Selections[n]; s != nil && s.Kind() == types.MethodVal {
-						promotedThrough(s, func(embedded *types.Var) { at(embedded).varies = true })
-						touched(n.X)
-					}
-				case *ast.CompositeLit:
-					st, ok := info.Types[n].Type.Underlying().(*types.Struct)
-					if !ok {
-						break
-					}
-					given := map[*types.Var]bool{}
-					for i, elt := range n.Elts {
-						fld, v := st.Field(i), elt
-						if kv, keyed := elt.(*ast.KeyValueExpr); keyed {
-							fld, v = info.Uses[kv.Key.(*ast.Ident)].(*types.Var), kv.Value
-						}
-						given[fld.Origin()] = true
-						at(fld.Origin()).add(constOf(info, v))
-					}
-					for i := 0; i < st.NumFields(); i++ {
-						if fld := st.Field(i).Origin(); !given[fld] {
-							at(fld).add(zeroOf(fld.Type()))
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-
-	// A zero left for a default to fill in is the default's value.
-	for fld, ds := range defaultOf {
-		o := values[fld]
-		if o == nil {
-			continue
-		}
-		var kept []constant.Value
-		var filled []fieldDefault
-		for _, c := range o.consts {
-			n := len(filled)
-			for _, d := range ds {
-				if d.covers(c) {
-					filled = append(filled, d)
-				}
-			}
-			if len(filled) == n {
-				kept = append(kept, c)
-			}
-		}
-		o.consts = kept
-		for _, d := range filled {
-			o.add(d.v, d.isConst)
-		}
-	}
+	writes := optionWritesOf(m)
 
 	declared := map[string]bool{}
 	var oneValue []string
 	for fld, name := range options {
 		declared[name] = true
-		o := values[fld]
-		one := o != nil && !o.varies && len(o.consts) == 1 && unsetKept[name] == ""
+		w := writes[fld]
+		one := w != nil && w.set && !w.varies && len(w.consts) == 1
 		switch {
 		case one && oneValueKept[name] == "":
 			oneValue = append(oneValue, fmt.Sprintf("%s: %s is %s in every program that writes it: make it a constant, or ship the program that sets it otherwise",
-				m.fset.Position(fld.Pos()), name, constString(o.consts[0])))
+				m.fset.Position(fld.Pos()), name, constString(w.consts[0])))
 		case !one && oneValueKept[name] != "":
 			t.Errorf("oneValueKept entry %s is not written one way by every program; drop it", name)
 		}
@@ -751,6 +476,229 @@ func TestEveryOptionTakesTwoValues(t *testing.T) {
 		}
 	}
 	t.Logf("%d option fields under internal/, %d written one way and kept", len(options), len(oneValueKept))
+}
+
+// optionWrites is what the module's programs write to one field.
+type optionWrites struct {
+	set    bool             // some write names the field: a setting, not a default
+	consts []constant.Value // the constants it takes; nil stands for a nil pointer, slice, map or interface
+	varies bool             // some write is not a constant
+}
+
+func (w *optionWrites) add(v constant.Value, isConst bool) {
+	switch {
+	case !isConst:
+		w.varies = true
+	case !slices.ContainsFunc(w.consts, func(c constant.Value) bool { return sameConst(c, v) }):
+		w.consts = append(w.consts, v)
+	}
+}
+
+// fieldDefault is an `if x.F == <zero> { x.F = c }` or `if x.F <= 0
+// { x.F = c }`, wherever it stands: the value a program that leaves F
+// alone gets.
+type fieldDefault struct {
+	op      token.Token    // EQL or LEQ
+	zero    constant.Value // what F is compared with (nil: nil)
+	v       constant.Value // c, when isConst
+	isConst bool
+}
+
+// covers reports whether the default replaces a write of c.
+func (d fieldDefault) covers(c constant.Value) bool {
+	if d.op == token.EQL || c == nil {
+		return sameConst(c, d.zero)
+	}
+	return numeric(c) && constant.Compare(c, token.LEQ, d.zero)
+}
+
+// optionWritesOf walks every write to a struct field in the module's
+// non-test code outside normalize and validate, the functions that
+// default fields. A keyed or positional literal value and an
+// assignment set the field to their value; a keyed literal that leaves
+// the field out gives it its zero without setting it; ++, --, an
+// op-assign, a write to an element of its map and its address taken
+// set it to no constant. A write through a promoted field also sets
+// the embedded field it is promoted from, and a write to one of a
+// field's own fields or elements, or a method called through it, makes
+// it vary. An assignment under a fieldDefault writes nothing, and a
+// constant the default covers becomes the default's value.
+func optionWritesOf(m module) map[*types.Var]*optionWrites {
+	info := m.info
+	writes := map[*types.Var]*optionWrites{}
+	at := func(fld *types.Var) *optionWrites {
+		if writes[fld] == nil {
+			writes[fld] = &optionWrites{}
+		}
+		return writes[fld]
+	}
+	varies := func(fld *types.Var) { at(fld).varies = true }
+	fieldSel := func(e ast.Expr) (*ast.SelectorExpr, *types.Selection) {
+		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+		if s := info.Selections[sel]; ok && s != nil && s.Kind() == types.FieldVal {
+			return sel, s
+		}
+		return nil, nil
+	}
+	// reach makes every field e reaches through vary: the ones it
+	// selects, indexes or dereferences on its way, and the embedded
+	// fields a promoted selection passes.
+	var reach func(e ast.Expr)
+	reach = func(e ast.Expr) {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			if _, s := fieldSel(e); s != nil {
+				varies(s.Obj().(*types.Var).Origin())
+				promotedThrough(s, varies)
+			}
+			reach(e.X)
+		case *ast.IndexExpr:
+			reach(e.X)
+		case *ast.StarExpr:
+			reach(e.X)
+		}
+	}
+	// setting marks the field e names, or the map field whose element
+	// it names, as set, with the embedded fields it is promoted through.
+	setting := func(e ast.Expr) {
+		if ix, ok := ast.Unparen(e).(*ast.IndexExpr); ok {
+			if _, isMap := info.Types[ix.X].Type.Underlying().(*types.Map); isMap {
+				e = ix.X
+			}
+		}
+		if _, s := fieldSel(e); s != nil {
+			at(s.Obj().(*types.Var).Origin()).set = true
+			promotedThrough(s, func(embedded *types.Var) { at(embedded).set = true })
+		}
+	}
+	// write records v (nil: the results of one call) as written to lhs.
+	write := func(lhs, v ast.Expr) {
+		setting(lhs)
+		sel, s := fieldSel(lhs)
+		if s == nil {
+			reach(lhs)
+			return
+		}
+		promotedThrough(s, varies)
+		reach(sel.X)
+		at(s.Obj().(*types.Var).Origin()).add(constOf(info, v))
+	}
+
+	isDefault := map[*ast.AssignStmt]bool{}
+	defaults := map[*types.Var][]fieldDefault{}
+	for _, file := range m.files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			ifs, ok := n.(*ast.IfStmt)
+			if !ok {
+				return true
+			}
+			cond, ok := ast.Unparen(ifs.Cond).(*ast.BinaryExpr)
+			if !ok || cond.Op != token.EQL && cond.Op != token.LEQ || !isZeroValue(info.Types[cond.Y]) {
+				return true
+			}
+			_, s := fieldSel(cond.X)
+			for _, stmt := range ifs.Body.List {
+				as, ok := stmt.(*ast.AssignStmt)
+				if !ok || s == nil || len(as.Lhs) != 1 || len(as.Rhs) != 1 || as.Tok != token.ASSIGN ||
+					types.ExprString(as.Lhs[0]) != types.ExprString(cond.X) {
+					continue
+				}
+				isDefault[as] = true
+				zero, _ := constOf(info, cond.Y)
+				c, isConst := constOf(info, as.Rhs[0])
+				fld := s.Obj().(*types.Var).Origin()
+				defaults[fld] = append(defaults[fld], fieldDefault{op: cond.Op, zero: zero, v: c, isConst: isConst})
+			}
+			return true
+		})
+	}
+
+	for _, file := range m.files {
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && (fn.Name.Name == "normalize" || fn.Name.Name == "validate") {
+				continue
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					switch {
+					case isDefault[n]:
+					case n.Tok != token.ASSIGN && n.Tok != token.DEFINE: // an op-assign
+						setting(n.Lhs[0])
+						reach(n.Lhs[0])
+					case len(n.Lhs) != len(n.Rhs):
+						for _, lhs := range n.Lhs {
+							write(lhs, nil)
+						}
+					default:
+						for i, lhs := range n.Lhs {
+							write(lhs, n.Rhs[i])
+						}
+					}
+				case *ast.IncDecStmt:
+					setting(n.X)
+					reach(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						setting(n.X)
+						reach(n.X)
+					}
+				case *ast.SelectorExpr:
+					if s := info.Selections[n]; s != nil && s.Kind() == types.MethodVal {
+						promotedThrough(s, varies)
+						reach(n.X)
+					}
+				case *ast.CompositeLit:
+					st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					given := map[*types.Var]bool{}
+					for i, elt := range n.Elts {
+						fld, v := st.Field(i), elt
+						if kv, keyed := elt.(*ast.KeyValueExpr); keyed {
+							fld, v = info.Uses[kv.Key.(*ast.Ident)].(*types.Var), kv.Value
+						}
+						given[fld.Origin()] = true
+						at(fld.Origin()).set = true
+						at(fld.Origin()).add(constOf(info, v))
+					}
+					for i := 0; i < st.NumFields(); i++ {
+						if fld := st.Field(i).Origin(); !given[fld] {
+							at(fld).add(zeroOf(fld.Type()))
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	// A constant a default covers is the default's value.
+	for fld, ds := range defaults {
+		w := writes[fld]
+		if w == nil {
+			continue
+		}
+		var kept []constant.Value
+		var filled []fieldDefault
+		for _, c := range w.consts {
+			n := len(filled)
+			for _, d := range ds {
+				if d.covers(c) {
+					filled = append(filled, d)
+				}
+			}
+			if len(filled) == n {
+				kept = append(kept, c)
+			}
+		}
+		w.consts = kept
+		for _, d := range filled {
+			w.add(d.v, d.isConst)
+		}
+	}
+	return writes
 }
 
 // optionFields maps every exported field of an exported struct type

@@ -128,8 +128,8 @@ func (c *Config) validate() error {
 	if !(c.Fraction >= 0 && c.Fraction <= 1) {
 		return fmt.Errorf("core: fraction %v out of [0,1]", c.Fraction)
 	}
-	if c.Guard != nil && !(c.Guard.ShareBound > 0) {
-		return fmt.Errorf("core: guard share bound %v is not a positive number", c.Guard.ShareBound)
+	if err := c.Guard.Validate(); err != nil {
+		return err
 	}
 	if c.SecureUpper && c.Aggregator != nil {
 		return fmt.Errorf("core: SecureUpper averages by SAC and cannot apply aggregator %q", c.Aggregator.Name())

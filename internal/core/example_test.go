@@ -74,7 +74,6 @@ func ExampleRunTraining() {
 		Rounds:       30,
 		EvalEvery:    5,
 		LearningRate: 2e-3,
-		BatchSize:    20,
 		Seed:         7,
 	}
 	twoLayer := base
@@ -99,11 +98,11 @@ func ExampleRunTraining() {
 		tb, bb, float64(bb)/float64(tb))
 	// Output:
 	// round  two-layer acc  baseline acc
-	//     5          70.5%         70.5%
-	//    10          97.5%         97.5%
-	//    15          98.0%         98.0%
-	//    20          99.5%         99.5%
-	//    25          99.5%         99.5%
+	//     5          50.5%         50.5%
+	//    10          83.0%         83.0%
+	//    15          97.5%         97.5%
+	//    20          98.0%         98.0%
+	//    25          98.5%         98.5%
 	//    30          99.5%         99.5%
 	// aggregation traffic: two-layer 16988160 bytes, baseline 31852800 bytes (1.88x reduction)
 }

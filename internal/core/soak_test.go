@@ -31,7 +31,6 @@ func TestSoakAllFeaturesTogether(t *testing.T) {
 		Rounds:       30,
 		EvalEvery:    5,
 		LearningRate: 2e-3,
-		BatchSize:    20,
 		DP:           &dp.Gaussian{Epsilon: 200, Delta: 1e-5, Clip: 2},
 		Seed:         91,
 	}

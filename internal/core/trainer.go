@@ -37,12 +37,11 @@ type TrainerConfig struct {
 
 	// Rounds of federated learning; evaluation happens every EvalEvery
 	// rounds (default 1). LearningRate is the Adam step size (paper:
-	// 1e-4); each round's local update is one epoch of BatchSize
-	// minibatches.
+	// 1e-4); each round's local update is one epoch of minibatches of
+	// 50, the paper's batch size.
 	Rounds       int
 	EvalEvery    int
 	LearningRate float64
-	BatchSize    int
 
 	// DP, if non-nil, perturbs each peer's update before it enters the
 	// aggregation (the paper's Sec. IV-D differential-privacy option):
@@ -133,7 +132,7 @@ func RunTraining(cfg TrainerConfig) (*Series, error) {
 			return nil, err
 		}
 		clients[i] = fl.NewClient(i, model, optim.NewAdam(cfg.LearningRate), parts[i],
-			fl.TrainConfig{BatchSize: cfg.BatchSize, Flat: cfg.Flat},
+			fl.TrainConfig{Flat: cfg.Flat},
 			rand.New(rand.NewSource(cfg.Seed*200+int64(i))))
 	}
 	sys, err := NewSystem(cfg.Core, rng)

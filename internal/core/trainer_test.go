@@ -18,12 +18,11 @@ func tinyTrainerConfig(baseline bool, sizes []int, dist dataset.Distribution, se
 		Baseline:     baseline,
 		Model:        MLPFactory(64, []int{16}, 4),
 		Flat:         true,
-		Data:         dataset.Tiny(4, total*30, 80, seed),
+		Data:         dataset.Tiny(4, total*150, 80, seed), // three minibatches of 50 a peer
 		Dist:         dist,
 		Rounds:       8,
 		EvalEvery:    2,
 		LearningRate: 5e-3,
-		BatchSize:    10,
 		Seed:         seed,
 	}
 }

@@ -70,7 +70,6 @@ func runAccuracy(setting string, sizes []int, baseline bool, fraction float64, d
 		Rounds:       rounds,
 		EvalEvery:    max(1, rounds/25),
 		LearningRate: 2e-3,
-		BatchSize:    50,
 		Seed:         trainSeed,
 		DataSeed:     dataSeed,
 	}

@@ -44,7 +44,6 @@ func ext6CompressionCurve(p Params) (*accuracyResult, error) {
 			Rounds:       p.Rounds,
 			EvalEvery:    max(1, p.Rounds/25),
 			LearningRate: 2e-3,
-			BatchSize:    50,
 			Seed:         p.Seed + 1,
 			DataSeed:     p.Seed,
 		}

@@ -87,7 +87,6 @@ func ext2DPUtility(p Params) (*accuracyResult, error) {
 			Rounds:       p.Rounds,
 			EvalEvery:    max(1, p.Rounds/25),
 			LearningRate: 2e-3,
-			BatchSize:    50,
 			Seed:         p.Seed + 1,
 			DataSeed:     p.Seed,
 		}

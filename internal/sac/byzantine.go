@@ -27,6 +27,7 @@ package sac
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -107,6 +108,15 @@ type Guard struct {
 	// ScalarDivider every share of w is f·w with f ∈ (0,1], so any
 	// bound ≥ max‖w‖∞ over honest models never falsely accuses.
 	ShareBound float64
+}
+
+// Validate reports a guard that cannot arm: one whose bound is not a
+// positive number, which would screen nothing. A nil guard is valid.
+func (g *Guard) Validate() error {
+	if g != nil && !(g.ShareBound > 0) {
+		return fmt.Errorf("sac: guard share bound %v is not a positive number", g.ShareBound)
+	}
+	return nil
 }
 
 // guardTolerance is the consistency tolerance for subtotal mismatch

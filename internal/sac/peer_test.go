@@ -291,8 +291,8 @@ func accuse(from, to, i int) transport.Message {
 }
 
 // TestAccusationReadAtTheSealDropsItsContributor: an accusation is the
-// decision, not a bill for one. In a (4, 3) round under a range guard
-// that no model trips, peer 3 is accused at every peer once all have
+// decision, not a bill for one. In a (4, 3) round under a guard that
+// no model trips, peer 3 is accused at every peer once all have
 // sealed, and every peer drops it: the result counts contributors 0–2
 // and excludes 3, and its average is, bit for bit, Run's with peer 3
 // crashed before its shares (the others' shares are the same draws) —
@@ -338,14 +338,13 @@ func TestAccusationReadAtTheSealDropsItsContributor(t *testing.T) {
 }
 
 // TestAccusationOutsideItsWindowChangesNothing: an accusation is taken
-// only in a round the range guard screens, and only before its reader
-// has accepted or summed a subtotal or checked that none is missing,
-// since later it would take a subtraction. Elsewhere it is counted
-// invalid. An accusation of peer 3 in a (4, 3) round — read at every
-// peer at the seal of an unguarded round, or in a guarded one at the
-// collector once the subtotals it is sent have arrived, or after it
-// checked that none is missing — leaves the round bit-identical to one
-// without it.
+// only in a guarded round, and only before its reader has accepted or
+// summed a subtotal or checked that none is missing, since later it
+// would take a subtraction. Elsewhere it is counted invalid. An
+// accusation of peer 3 in a (4, 3) round — read at every peer at the
+// seal of an unguarded round, or in a guarded one at the collector once
+// the subtotals it is sent have arrived, or after it checked that none
+// is missing — leaves the round bit-identical to one without it.
 func TestAccusationOutsideItsWindowChangesNothing(t *testing.T) {
 	const n, dim, accused = 4, 6, 3
 	models := randModels(rand.New(rand.NewSource(103)), n, dim)

@@ -147,8 +147,8 @@ func (c *Config) validate() error {
 	if c.Guard != nil && c.Mode != ModeLeader {
 		return fmt.Errorf("sac: the guard requires leader mode")
 	}
-	if c.Guard != nil && !(c.Guard.ShareBound > 0) {
-		return fmt.Errorf("sac: guard share bound %v is not a positive number", c.Guard.ShareBound)
+	if err := c.Guard.Validate(); err != nil {
+		return err
 	}
 	for p, b := range c.Adversary {
 		if p < 0 || p >= c.N {
